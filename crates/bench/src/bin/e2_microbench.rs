@@ -9,42 +9,20 @@ use std::sync::Arc;
 use tm_bench::{print_header, print_row, print_row_header};
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::stats::NodeStats;
-use tm_sim::{FaultPlan, Ns, SimParams};
-use tmk::{
-    BarrierAlgo, DiffFetch, LayerMetrics, LockPath, MetricsHandle, Substrate, Tmk, TmkConfig,
-};
+use tm_sim::{Ns, SimParams};
+use tmk::{DiffFetch, LayerMetrics, LockPath, MetricsHandle, Substrate, Tmk, TmkConfig};
 
 const ROUNDS: u64 = 20;
 const PAGES: usize = 64;
 
-/// Fault plan under test, from the environment (`E2_FAULT_LOSS`,
-/// `E2_FAULT_SEED`). With no loss requested the plan stays disabled and
-/// stdout is byte-identical to a faultless build.
-fn fault_plan() -> FaultPlan {
-    let loss: f64 = std::env::var("E2_FAULT_LOSS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let mut plan = FaultPlan {
-        drop_probability: loss,
-        ..FaultPlan::default()
-    };
-    if let Some(seed) = std::env::var("E2_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        plan.seed = seed;
-    }
-    plan
-}
-
-/// Paper testbed + the fault plan, under the scheduler regime picked by
-/// `E2_SCHED` (`freerun` | `lockstep`, see [`tm_bench::sched_mode`]).
-/// Under `lockstep` two invocations of this binary produce byte-identical
-/// stdout for every row, Barrier and Lock (indirect) included.
+/// Paper testbed + the fault plan under test (`E2_FAULT_LOSS`,
+/// `E2_FAULT_SEED`), under the scheduler regime picked by `E2_SCHED` —
+/// see [`tm_bench::Opts`] for every knob. Under `lockstep` two
+/// invocations of this binary produce byte-identical stdout for every
+/// row, Barrier and Lock (indirect) included.
 fn bench_params() -> SimParams {
     let mut p = tm_bench::bench_testbed();
-    p.faults = fault_plan();
+    p.faults = tm_bench::opts().fault_plan();
     p
 }
 
@@ -66,68 +44,13 @@ fn tally<R>(outcomes: &[tm_sim::runner::NodeOutcome<R>]) {
 static METRICS: std::sync::Mutex<Option<LayerMetrics>> = std::sync::Mutex::new(None);
 
 fn metrics_enabled() -> bool {
-    std::env::var_os("E2_METRICS").is_some()
+    tm_bench::opts().e2_metrics
 }
 
-/// Barrier algorithm under test, from `E2_BARRIER_ALGO`: `centralized`
-/// (the default), `tree:<radix>`, or `nictree:<radix>`. Lets the same
-/// microbenchmarks (and their fault plans) run against the combining-tree
-/// paths without a recompile.
-fn barrier_algo() -> BarrierAlgo {
-    match std::env::var("E2_BARRIER_ALGO").ok().as_deref() {
-        None | Some("") | Some("centralized") => BarrierAlgo::Centralized,
-        Some(s) => {
-            let (kind, radix) = s.split_once(':').unwrap_or((s, "4"));
-            let radix: u16 = radix.parse().expect("E2_BARRIER_ALGO radix must be a u16");
-            match kind {
-                "tree" => BarrierAlgo::Tree { radix },
-                "nictree" => BarrierAlgo::NicTree { radix },
-                other => panic!("unknown E2_BARRIER_ALGO algorithm {other:?}"),
-            }
-        }
-    }
-}
-
-/// Diff-fetch engine under test, from `E2_DIFF_FETCH`: `coalesced` (the
-/// default), `parallel`, or `serial` (the one-outstanding-RPC spec
-/// baseline).
-fn diff_fetch() -> DiffFetch {
-    match std::env::var("E2_DIFF_FETCH").ok().as_deref() {
-        None | Some("") | Some("coalesced") => DiffFetch::Coalesced,
-        Some("parallel") => DiffFetch::Parallel,
-        Some("serial") => DiffFetch::Serial,
-        Some(other) => panic!("unknown E2_DIFF_FETCH engine {other:?}"),
-    }
-}
-
-/// Lock/write-notice path under test, from `E2_LOCK_PATH`: `serial` (the
-/// message-for-message spec baseline, the default) or `overlapped` (grant
-/// fetches and write-notice fan-out ride the overlapped RPC engine).
-fn lock_path() -> LockPath {
-    match std::env::var("E2_LOCK_PATH").ok().as_deref() {
-        None | Some("") | Some("serial") => LockPath::Serial,
-        Some("overlapped") => LockPath::Overlapped,
-        Some(other) => panic!("unknown E2_LOCK_PATH {other:?}"),
-    }
-}
-
-/// Stride-prefetch depth, from `E2_PREFETCH`. 0 (the default) leaves the
-/// prefetcher inert.
-fn prefetch_depth() -> usize {
-    std::env::var("E2_PREFETCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
+/// The DSM configuration under test (`E2_BARRIER_ALGO`, `E2_DIFF_FETCH`,
+/// `E2_LOCK_PATH`, `E2_PREFETCH`).
 fn tmk_cfg() -> TmkConfig {
-    TmkConfig {
-        barrier_algo: barrier_algo(),
-        diff_fetch: diff_fetch(),
-        lock_path: lock_path(),
-        prefetch_depth: prefetch_depth(),
-        ..TmkConfig::default()
-    }
+    tm_bench::opts().tmk_config()
 }
 
 /// Run one benchmark body, tapping the event hook into the global tally
@@ -467,7 +390,7 @@ fn main() {
     // beat the serial spec baseline on the 4-writer diff fetch, and the
     // 4-writer fault must scale sub-linearly (< 2x the 1-writer cost)
     // under overlap. Runs FAST/GM only; prints the numbers it compared.
-    if std::env::var_os("E2_SMOKE").is_some() {
+    if tm_bench::opts().e2_smoke {
         let run = |n: usize, df: DiffFetch| {
             let params = Arc::new(bench_params());
             let cfg = FastConfig::paper(&params);
@@ -572,14 +495,14 @@ fn main() {
         println!();
         println!(
             "per-layer events (all workloads, both transports, algo={:?}):",
-            barrier_algo()
+            tm_bench::opts().barrier_algo
         );
         print!("{}", metrics.render());
     }
 
     // Fault-injection report: only when the plan actually injects
     // something, so the zero-fault output above stays byte-identical.
-    let plan = fault_plan();
+    let plan = tm_bench::opts().fault_plan();
     if plan.enabled() {
         let t = TALLY.lock().unwrap();
         let s = t.as_ref().cloned().unwrap_or_default();

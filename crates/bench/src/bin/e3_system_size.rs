@@ -15,7 +15,7 @@ fn main() {
     // Per-layer event tallies (histograms, RPC-depth gauge) across every
     // run, printed at the end when `E3_METRICS` is set. Off by default so
     // the default output stays byte-identical to an uninstrumented run.
-    let metrics_on = std::env::var_os("E3_METRICS").is_some();
+    let metrics_on = tm_bench::opts().e3_metrics;
     tm_bench::set_metrics_enabled(metrics_on);
     print_header("E3: execution time vs system size (Figure 4)");
     for app in AppSpec::APPS {

@@ -37,15 +37,9 @@ use tmk::{BarrierAlgo, Substrate, Tmk, TmkConfig};
 // per-run mean still swings ~±15%.
 const ROUNDS: u64 = 60;
 
-/// Combining-tree radix (`E7_RADIX` to override). The default is chosen
-/// so 128 nodes fit in two levels (1 + k + k² ≥ 128) while keeping any
-/// single node's serialized arrival work well under the centralized
-/// manager's n−1.
+/// Combining-tree radix (`E7_RADIX`, see [`tm_bench::Opts::e7_radix`]).
 fn radix() -> u16 {
-    std::env::var("E7_RADIX")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
+    tm_bench::opts().e7_radix
 }
 
 fn barrier_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
@@ -70,7 +64,7 @@ fn cfg(algo: BarrierAlgo) -> TmkConfig {
 
 /// Average barrier time on FAST/GM under the given algorithm.
 /// `E2_SCHED=lockstep` makes every row byte-reproducible (see
-/// [`tm_bench::sched_mode`]).
+/// [`tm_bench::Opts::sched`]).
 fn fast_barrier(n: usize, algo: BarrierAlgo) -> Ns {
     let params = Arc::new(tm_bench::bench_testbed());
     let fc = FastConfig::paper(&params);
@@ -185,7 +179,7 @@ fn smoke() {
 }
 
 fn main() {
-    if std::env::var_os("E7_SMOKE").is_some() {
+    if tm_bench::opts().e7_smoke {
         smoke();
         return;
     }

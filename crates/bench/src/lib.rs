@@ -11,7 +11,7 @@
 //! timed run against the sequential reference*, and table formatting.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use tm_apps::{
     fft_parallel, fft_seq, jacobi_parallel, jacobi_seq, sor_parallel, sor_seq, tsp_parallel,
@@ -19,8 +19,10 @@ use tm_apps::{
 };
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, Transport};
 use tm_sim::runner::cluster_time;
-use tm_sim::{Ns, SimParams};
-use tmk::{LayerMetrics, MetricsHandle, Substrate, Tmk, TmkConfig};
+use tm_sim::{FaultPlan, Ns, SchedMode, SimParams};
+use tmk::{
+    BarrierAlgo, DiffFetch, LayerMetrics, LockPath, MetricsHandle, Substrate, Tmk, TmkConfig,
+};
 
 /// Cross-run metrics accumulator: when a sweep binary turns
 /// instrumentation on ([`set_metrics_enabled`]), every [`run_spec_with`]
@@ -176,22 +178,152 @@ pub fn run_spec(transport: Transport, n: usize, spec: &AppSpec) -> Ns {
     run_spec_with(transport, n, spec, &want)
 }
 
-/// Scheduler regime for the bench binaries, from `E2_SCHED`: `freerun`
-/// (the default) or `lockstep`. Under `lockstep` every row of every
-/// experiment is byte-reproducible across invocations (see
-/// `tm_sim::sched`); the pinned `results/*.txt` files are regenerated in
-/// that regime. Free-run output is pinned only for rows whose message
-/// order is serialized by data dependencies.
-pub fn sched_mode() -> tm_sim::SchedMode {
-    let v = std::env::var("E2_SCHED").unwrap_or_default();
-    tm_sim::SchedMode::parse(&v)
-        .unwrap_or_else(|| panic!("unknown E2_SCHED scheduler {v:?} (freerun|lockstep)"))
+/// Every knob the bench binaries take from the environment — the one
+/// place in the workspace that reads it, parsed once per process
+/// ([`opts`]). An unset or empty variable selects the default; a value
+/// that does not parse panics naming the variable, so a mistyped CI
+/// matrix cell fails instead of silently testing the default.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Opts {
+    /// `E2_SCHED`: `freerun` (the default) or `lockstep`. Under
+    /// `lockstep` every row of every experiment is byte-reproducible
+    /// across invocations (see `tm_sim::sched`); the pinned
+    /// `results/*.txt` files are regenerated in that regime. Free-run
+    /// output is pinned only for rows whose message order is serialized
+    /// by data dependencies.
+    pub sched: SchedMode,
+    /// `E2_FAULT_LOSS`: datagram drop probability of the fault plan
+    /// under test (default 0: the plan stays disabled and stdout is
+    /// byte-identical to a faultless build).
+    pub fault_loss: f64,
+    /// `E2_FAULT_SEED`: base seed of the fault plan (default: the
+    /// plan's own).
+    pub fault_seed: Option<u64>,
+    /// `E2_BARRIER_ALGO`: `centralized` (the default), `tree:<radix>` or
+    /// `nictree:<radix>` (radix 4 when omitted).
+    pub barrier_algo: BarrierAlgo,
+    /// `E2_DIFF_FETCH`: `coalesced` (the default), `parallel`, or
+    /// `serial` (the one-outstanding-RPC spec baseline).
+    pub diff_fetch: DiffFetch,
+    /// `E2_LOCK_PATH`: `serial` (the message-for-message spec baseline,
+    /// the default) or `overlapped`.
+    pub lock_path: LockPath,
+    /// `E2_PREFETCH`: stride-prefetch depth; 0 (the default) leaves the
+    /// prefetcher inert.
+    pub prefetch_depth: usize,
+    /// `E7_RADIX`: combining-tree radix for E7. The default (8) fits 128
+    /// nodes in two levels (1 + k + k² ≥ 128) while keeping any single
+    /// node's serialized arrival work well under the centralized
+    /// manager's n−1.
+    pub e7_radix: u16,
+    /// `E2_METRICS` / `E3_METRICS` (set = on): print per-layer event
+    /// tallies at the end. Off by default so stdout stays byte-identical
+    /// to an uninstrumented run.
+    pub e2_metrics: bool,
+    pub e3_metrics: bool,
+    /// `E2_SMOKE` / `E7_SMOKE` (set = on): run the assertion-carrying
+    /// CI subsets.
+    pub e2_smoke: bool,
+    pub e7_smoke: bool,
 }
 
-/// The paper testbed under the [`sched_mode`] regime.
+impl Opts {
+    /// Parse the knobs out of `get` (variable name → value, `None` when
+    /// unset). [`opts`] passes the process environment; tests pass maps.
+    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Opts {
+        fn bad(name: &str, v: &str, want: &str) -> ! {
+            panic!("{name}={v:?} is malformed: expected {want}")
+        }
+        fn num<T: std::str::FromStr>(name: &str, v: &str, want: &str) -> T {
+            v.parse().unwrap_or_else(|_| bad(name, v, want))
+        }
+        // Unset and empty both mean "the default".
+        let val = |name: &str| get(name).filter(|v| !v.is_empty());
+        Opts {
+            sched: val("E2_SCHED").map_or(SchedMode::FreeRun, |v| {
+                SchedMode::parse(&v).unwrap_or_else(|| bad("E2_SCHED", &v, "freerun|lockstep"))
+            }),
+            fault_loss: val("E2_FAULT_LOSS").map_or(0.0, |v| {
+                let p: f64 = num("E2_FAULT_LOSS", &v, "a probability in [0, 1]");
+                if !(0.0..=1.0).contains(&p) {
+                    bad("E2_FAULT_LOSS", &v, "a probability in [0, 1]");
+                }
+                p
+            }),
+            fault_seed: val("E2_FAULT_SEED").map(|v| num("E2_FAULT_SEED", &v, "a u64")),
+            barrier_algo: val("E2_BARRIER_ALGO").map_or(BarrierAlgo::Centralized, |v| {
+                let (kind, radix) = v.split_once(':').unwrap_or((&v, "4"));
+                let want = "centralized|tree[:<radix>]|nictree[:<radix>]";
+                match kind {
+                    "centralized" => BarrierAlgo::Centralized,
+                    "tree" => BarrierAlgo::Tree { radix: num("E2_BARRIER_ALGO", radix, want) },
+                    "nictree" => BarrierAlgo::NicTree { radix: num("E2_BARRIER_ALGO", radix, want) },
+                    _ => bad("E2_BARRIER_ALGO", &v, want),
+                }
+            }),
+            diff_fetch: val("E2_DIFF_FETCH").map_or(DiffFetch::Coalesced, |v| match v.as_str() {
+                "coalesced" => DiffFetch::Coalesced,
+                "parallel" => DiffFetch::Parallel,
+                "serial" => DiffFetch::Serial,
+                _ => bad("E2_DIFF_FETCH", &v, "coalesced|parallel|serial"),
+            }),
+            lock_path: val("E2_LOCK_PATH").map_or(LockPath::Serial, |v| match v.as_str() {
+                "serial" => LockPath::Serial,
+                "overlapped" => LockPath::Overlapped,
+                _ => bad("E2_LOCK_PATH", &v, "serial|overlapped"),
+            }),
+            prefetch_depth: val("E2_PREFETCH").map_or(0, |v| num("E2_PREFETCH", &v, "a depth")),
+            e7_radix: val("E7_RADIX").map_or(8, |v| num("E7_RADIX", &v, "a u16 radix")),
+            e2_metrics: get("E2_METRICS").is_some(),
+            e3_metrics: get("E3_METRICS").is_some(),
+            e2_smoke: get("E2_SMOKE").is_some(),
+            e7_smoke: get("E7_SMOKE").is_some(),
+        }
+    }
+
+    /// The fault plan under test (`E2_FAULT_LOSS`, `E2_FAULT_SEED`).
+    pub fn fault_plan(&self) -> FaultPlan {
+        let mut plan = FaultPlan {
+            drop_probability: self.fault_loss,
+            ..FaultPlan::default()
+        };
+        if let Some(seed) = self.fault_seed {
+            plan.seed = seed;
+        }
+        plan
+    }
+
+    /// The DSM configuration under test (`E2_BARRIER_ALGO`,
+    /// `E2_DIFF_FETCH`, `E2_LOCK_PATH`, `E2_PREFETCH`), so the same
+    /// microbenchmarks run against every path without a recompile.
+    pub fn tmk_config(&self) -> TmkConfig {
+        TmkConfig {
+            barrier_algo: self.barrier_algo,
+            diff_fetch: self.diff_fetch,
+            lock_path: self.lock_path,
+            prefetch_depth: self.prefetch_depth,
+            ..TmkConfig::default()
+        }
+    }
+}
+
+/// The process's [`Opts`], read from the environment on first use.
+pub fn opts() -> &'static Opts {
+    static OPTS: OnceLock<Opts> = OnceLock::new();
+    OPTS.get_or_init(|| {
+        Opts::parse(|name| {
+            std::env::var_os(name).map(|v| {
+                v.into_string()
+                    .unwrap_or_else(|v| panic!("{name}={v:?} is malformed: not UTF-8"))
+            })
+        })
+    })
+}
+
+/// The paper testbed under the `E2_SCHED` regime.
 pub fn bench_testbed() -> SimParams {
     let mut p = SimParams::paper_testbed();
-    p.sched = sched_mode();
+    p.sched = opts().sched;
     p
 }
 
@@ -254,6 +386,90 @@ pub fn print_row_header() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(env: &[(&str, &str)]) -> Opts {
+        Opts::parse(|name| {
+            env.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn opts_default_when_unset_or_empty() {
+        let unset = parse(&[]);
+        assert_eq!(unset.sched, SchedMode::FreeRun);
+        assert_eq!(unset.fault_loss, 0.0);
+        assert_eq!(unset.fault_seed, None);
+        assert_eq!(unset.barrier_algo, BarrierAlgo::Centralized);
+        assert_eq!(unset.diff_fetch, DiffFetch::Coalesced);
+        assert_eq!(unset.lock_path, LockPath::Serial);
+        assert_eq!((unset.prefetch_depth, unset.e7_radix), (0, 8));
+        assert!(!(unset.e2_metrics || unset.e3_metrics || unset.e2_smoke || unset.e7_smoke));
+        assert!(!unset.fault_plan().enabled());
+        // Empty values select the defaults too — except the on/off
+        // flags, which are on whenever they are set at all.
+        let empty = parse(&[
+            ("E2_SCHED", ""),
+            ("E2_FAULT_LOSS", ""),
+            ("E2_FAULT_SEED", ""),
+            ("E2_BARRIER_ALGO", ""),
+            ("E2_DIFF_FETCH", ""),
+            ("E2_LOCK_PATH", ""),
+            ("E2_PREFETCH", ""),
+            ("E7_RADIX", ""),
+        ]);
+        assert_eq!(empty, unset);
+        assert!(parse(&[("E2_SMOKE", "")]).e2_smoke);
+    }
+
+    #[test]
+    fn opts_parse_good_values() {
+        let o = parse(&[
+            ("E2_SCHED", "lockstep"),
+            ("E2_FAULT_LOSS", "0.01"),
+            ("E2_FAULT_SEED", "42"),
+            ("E2_BARRIER_ALGO", "nictree:8"),
+            ("E2_DIFF_FETCH", "serial"),
+            ("E2_LOCK_PATH", "overlapped"),
+            ("E2_PREFETCH", "8"),
+            ("E7_RADIX", "4"),
+            ("E3_METRICS", "1"),
+        ]);
+        assert_eq!(o.sched, SchedMode::Lockstep);
+        assert_eq!(o.fault_plan().drop_probability, 0.01);
+        assert_eq!(o.fault_plan().seed, 42);
+        assert_eq!(o.barrier_algo, BarrierAlgo::NicTree { radix: 8 });
+        assert_eq!(parse(&[("E2_BARRIER_ALGO", "tree")]).barrier_algo, BarrierAlgo::Tree { radix: 4 });
+        let cfg = o.tmk_config();
+        assert_eq!(cfg.diff_fetch, DiffFetch::Serial);
+        assert_eq!(cfg.lock_path, LockPath::Overlapped);
+        assert_eq!((cfg.prefetch_depth, o.e7_radix), (8, 4));
+        assert!(o.e3_metrics && !o.e2_metrics);
+    }
+
+    /// The four knobs that used to fall through `.parse().ok()` to their
+    /// default, and the enum-valued ones, all name the variable.
+    #[test]
+    fn opts_malformed_values_panic_naming_the_variable() {
+        for (name, value) in [
+            ("E2_FAULT_LOSS", "0,1"),
+            ("E2_FAULT_LOSS", "1.5"),
+            ("E2_FAULT_SEED", "x"),
+            ("E2_PREFETCH", "two"),
+            ("E7_RADIX", "k"),
+            ("E2_SCHED", "bogus"),
+            ("E2_BARRIER_ALGO", "tree:x"),
+            ("E2_BARRIER_ALGO", "ring"),
+            ("E2_DIFF_FETCH", "bogus"),
+            ("E2_LOCK_PATH", "bogus"),
+        ] {
+            let err = std::panic::catch_unwind(|| parse(&[(name, value)]))
+                .expect_err(&format!("{name}={value} must be rejected"));
+            let msg = err.downcast_ref::<String>().expect("panic message");
+            assert!(msg.contains(name), "{name}={value}: {msg}");
+        }
+    }
 
     #[test]
     fn specs_have_ladders_of_four() {

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
 
 use crate::substrate::{Chan, IncomingMsg, Substrate};
 
@@ -214,7 +214,10 @@ impl Substrate for MemSubstrate {
         }
     }
 
-    fn next_incoming(&mut self) -> IncomingMsg {
+    /// Reliable and in-memory: nothing is ever lost, so no timer needs
+    /// to fire and no peer needs waiting out — both conditions are
+    /// ignored.
+    fn wait(&mut self, _deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
         loop {
             self.drain();
             if let Some(msg) = self.pop_earliest() {
@@ -222,7 +225,7 @@ impl Substrate for MemSubstrate {
                 c.wait_until(msg.arrival);
                 c.stats.msgs_recv += 1;
                 c.stats.bytes_recv += msg.data.len() as u64;
-                return msg;
+                return Wait::Got(msg);
             }
             match self.ep.rx.recv() {
                 Ok(m) => self.stash(m),
@@ -315,6 +318,21 @@ mod tests {
         assert!(b.poll_request().is_none(), "not arrived in virtual time");
         b.clock().borrow_mut().advance(Ns::from_us(50));
         assert!(b.poll_request().is_some());
+    }
+
+    /// The reliable `wait` never reports a deadline or departed peers: a
+    /// deadline already in the past and a watch set are both ignored,
+    /// and the message is handed over at its arrival time.
+    #[test]
+    fn wait_ignores_a_past_deadline() {
+        let (mut a, mut b) = pair();
+        b.clock().borrow_mut().advance(Ns::from_us(50));
+        a.send_request(1, b"req");
+        let Wait::Got(msg) = b.wait(Some(Ns(1)), Some(&[0])) else {
+            panic!("a reliable wait can only end in an arrival");
+        };
+        assert_eq!(msg.data, b"req");
+        assert_eq!(b.clock().borrow().now(), Ns::from_us(50));
     }
 
     #[test]

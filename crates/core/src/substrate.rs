@@ -12,23 +12,36 @@
 //! compile time — the paper's "bound to TreadMarks at compile time", with
 //! zero dispatch overhead.
 //!
+//! # The one blocking wait
+//!
+//! "Receive a response" — and everything else a node blocks on: a
+//! barrier manager's arrivals, a retransmission timer, a shutdown linger
+//! — is one operation, [`Substrate::wait`]: *a message, or a virtual
+//! deadline, or a set of peers leaving the fabric*, whichever comes
+//! first, reported as a [`Wait`]. Each layer below defines the same
+//! operation once and passes it down: `UdpStack::recv` over
+//! `NicHandle::wait` over `LockstepSched::park`. Reliable transports
+//! (FAST/GM, [`crate::memsub`]) never lose a message and never arm a
+//! timer, so they ignore both conditions and simply block.
+//!
 //! # Scheduling contract (lockstep mode)
 //!
-//! Under `SchedMode::Lockstep` the fabric serializes transmits through a
-//! conservative two-phase request/grant protocol (`tm_sim::sched`). A
+//! Under the lockstep scheduler (`tm_sim::sched`) the fabric serializes
+//! transmits through a conservative two-phase request/grant protocol. A
 //! substrate participates by declaring a *lookahead* — a lower bound on
 //! the virtual delay between the moment its node becomes preemptible and
 //! the earliest instant any future packet of its can reach the wire — and
-//! by routing every send and blocking wait through its NIC handle's
-//! `*_floored` entry points. Both transports in this workspace do so at
-//! construction time (`GmNode::new`, `UdpStack::new`), so implementations
-//! layered on them inherit the contract for free;
-//! [`sched_lookahead`](Substrate::sched_lookahead) exposes the declared
-//! value for diagnostics and for the lookahead table in `DESIGN.md`.
+//! by passing a clock-derived floor with every send and every blocking
+//! wait it routes through its NIC handle. Both transports in this
+//! workspace do so at construction time (`GmNode::new`, `UdpStack::new`),
+//! so implementations layered on them inherit the contract for free; the
+//! declared values are `GmNode::lookahead` and `UdpStack::lookahead`.
+//! Nothing at this level or above knows which scheduling regime is in
+//! force.
 
 use std::sync::Arc;
 
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
 
 /// Which logical channel a message arrived on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,32 +50,6 @@ pub enum Chan {
     Request,
     /// Synchronous: the receiver is blocked waiting for it.
     Response,
-}
-
-/// One step of a lossy transport's shutdown linger (see
-/// [`Substrate::shutdown_poll`]).
-#[derive(Debug)]
-pub enum ShutdownPoll {
-    /// Every peer has shut down — safe to exit.
-    Done,
-    /// Peers remain but nothing arrived this quantum; poll again.
-    Quiet,
-    /// A (possibly duplicate) message arrived; the runtime should serve
-    /// requests so retransmitting peers can finish.
-    Msg(IncomingMsg),
-}
-
-/// Outcome of a deadline-bounded wait that also watches for peer
-/// departure (see
-/// [`Substrate::next_incoming_until_watching`]).
-#[derive(Debug)]
-pub enum WaitOutcome {
-    /// A message arrived (request or response).
-    Msg(IncomingMsg),
-    /// The virtual deadline passed first; the clock has advanced to it.
-    Deadline,
-    /// Every watched peer's NIC left the fabric first.
-    PeersDone,
 }
 
 /// A message delivered by the substrate.
@@ -130,29 +117,26 @@ pub trait Substrate {
         self.poll_request()
     }
 
-    /// Block until any request or response arrives. Advances the clock to
-    /// the message's arrival when the node was idle-waiting.
-    fn next_incoming(&mut self) -> IncomingMsg;
+    /// The one blocking wait: block until any request or response
+    /// arrives, or — when `deadline` is set — until that *virtual* time
+    /// passes (the runtime's retransmission timer runs on this), or —
+    /// when `watch` is set — until every node in it has deregistered its
+    /// NIC (a shutdown linger's end; the exit fan's cue to *cancel* a
+    /// timer armed against a peer that is already gone instead of firing
+    /// into a dead node).
+    ///
+    /// On [`Wait::Got`] the clock has advanced to the message's arrival
+    /// if the node was idle-waiting; on [`Wait::Deadline`] it has
+    /// advanced to the deadline; on [`Wait::PeersDone`] it is untouched.
+    /// Transports without a loss model never time out and have no one to
+    /// wait out, so they ignore both conditions and block for the next
+    /// message.
+    fn wait(&mut self, deadline: Option<Ns>, watch: Option<&[usize]>) -> Wait<IncomingMsg>;
 
-    /// Like [`next_incoming`](Substrate::next_incoming) but bounded by a
-    /// *virtual-time* deadline; `None` means the deadline passed first
-    /// (and the clock has advanced to it). The runtime's retransmission
-    /// timer runs on this. Transports without a loss model never time
-    /// out, so the default simply blocks.
-    fn next_incoming_until(&mut self, _deadline: Ns) -> Option<IncomingMsg> {
-        Some(self.next_incoming())
-    }
-
-    /// Like [`next_incoming_until`](Substrate::next_incoming_until) but
-    /// additionally resolves when every node in `watch` has deregistered
-    /// its NIC. This is the exit fan's wait: a retransmission timer armed
-    /// against a peer that is already gone must *cancel* instead of
-    /// firing into a dead node (the peer can only have exited after its
-    /// release was applied, so the pending rpc is moot). Transports
-    /// without a loss model never arm the timer, so the default simply
-    /// blocks.
-    fn next_incoming_until_watching(&mut self, _deadline: Ns, _watch: &[usize]) -> WaitOutcome {
-        WaitOutcome::Msg(self.next_incoming())
+    /// [`wait`](Substrate::wait) with no deadline and no watch: block
+    /// until any request or response arrives.
+    fn next_incoming(&mut self) -> IncomingMsg {
+        self.wait(None, None).got()
     }
 
     /// Initial retransmission timeout, if this transport needs DSM-level
@@ -176,39 +160,9 @@ pub trait Substrate {
         true
     }
 
-    /// Shutdown linger on lossy transports: the barrier manager cannot
-    /// exit while a peer might still be retransmitting a request whose
-    /// response was lost, so it polls here — serving duplicates from the
-    /// replay cache — until every peer's NIC has left the fabric. The
-    /// default (reliable transports) reports `Done` immediately.
-    fn shutdown_poll(&mut self) -> ShutdownPoll {
-        ShutdownPoll::Done
-    }
-
-    /// [`shutdown_poll`](Substrate::shutdown_poll) scoped to a subset of
-    /// peers: report `Done` as soon as every node in `watch` has left the
-    /// fabric. Tree barriers use this so each combining node lingers only
-    /// for its own descendants (the only peers that retransmit to it) and
-    /// the tree drains bottom-up instead of deadlocking. The default
-    /// (reliable transports) reports `Done` immediately.
-    fn shutdown_poll_watching(&mut self, _watch: &[usize]) -> ShutdownPoll {
-        ShutdownPoll::Done
-    }
-
     /// Largest message the substrate can carry in one piece. The runtime
     /// chunks diff responses to fit.
     fn max_msg(&self) -> usize {
         self.params().dsm.max_msg
-    }
-
-    /// The lookahead this transport declared to the lockstep scheduler: a
-    /// sound lower bound on the delay between its node's
-    /// `preemptible_since()` and the earliest wire injection of any future
-    /// packet (see the module docs). `Ns::ZERO` — the default, and the
-    /// answer for in-memory transports that never touch the fabric — is
-    /// always sound, merely pessimistic. Informational: the floors actually
-    /// enforced are the ones passed per-send through the NIC handle.
-    fn sched_lookahead(&self) -> Ns {
-        Ns::ZERO
     }
 }

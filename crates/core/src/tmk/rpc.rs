@@ -15,12 +15,13 @@
 //! payloads beyond the request/response envelope.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
-use tm_sim::Ns;
+use tm_sim::{Ns, Wait};
 
 use super::{Tmk, TmkEvent};
 use crate::protocol::{Request, Response};
-use crate::substrate::{Chan, IncomingMsg, Substrate, WaitOutcome};
+use crate::substrate::{Chan, IncomingMsg, Substrate};
 use crate::wire::{pool, WireWriter};
 
 /// One issued-but-uncollected rpc: the pending-response slot
@@ -393,76 +394,78 @@ impl<S: Substrate> Tmk<S> {
     /// rids are parked in their slots, requests go to the async serve
     /// queue and are dispatched in virtual-arrival order between waits.
     pub(super) fn rpc_collect(&mut self, rid: u32) -> Response {
+        self.rpc_collect_watching(rid, None)
+            .expect("an unwatched collect ends only with its response")
+    }
+
+    /// [`Self::rpc_collect`] that, given a `peer` to watch (the exit
+    /// fan), also ends when that peer has deregistered its NIC,
+    /// whichever the substrate observes first. `None` means the peer is
+    /// gone — it can only have exited after applying our release, so the
+    /// pending rpc is moot and its slot is cancelled (retransmission
+    /// timers must not keep firing into a dead node and burning the
+    /// give-up budget). Reliable transports never lose the response and
+    /// ignore the watch.
+    pub(super) fn rpc_collect_watching(&mut self, rid: u32, peer: Option<usize>) -> Option<Response> {
         debug_assert!(
             self.outstanding.iter().any(|o| o.rid == rid),
             "node {}: collect of unissued rid {rid}",
             self.me
         );
-        let lossy = self.sub.retransmit_timeout().is_some();
+        let watch = peer.as_ref().map(std::slice::from_ref);
         loop {
             if let Some(resp) = self.take_collected(rid) {
-                return resp;
+                return Some(resp);
             }
-            self.drain_serve_queue();
-            // Re-check after the drain: serving a `NoticeRelease` completes
-            // one of our *own* slots locally — blocking below with the
-            // answer already in hand would deadlock a reliable transport.
-            if let Some(resp) = self.take_collected(rid) {
-                return resp;
-            }
-            self.clock().borrow_mut().begin_wait();
-            if lossy {
-                let deadline = self
-                    .nearest_deadline()
-                    .expect("collecting with no unanswered rid");
-                match self.sub.next_incoming_until(deadline) {
-                    None => self.retransmit_due(),
-                    Some(msg) => self.absorb(msg),
+            // Re-checked after the step's drain: serving a `NoticeRelease`
+            // completes one of our *own* slots locally — blocking with
+            // the answer already in hand would deadlock a reliable
+            // transport.
+            let step = self.wait_step(watch, |t| t.take_collected(rid));
+            if let ControlFlow::Break(resp) = step {
+                if resp.is_none() {
+                    self.cancel_rpc(rid);
                 }
-            } else {
-                let msg = self.sub.next_incoming();
-                self.absorb(msg);
+                return resp;
             }
         }
     }
 
-    /// [`Self::rpc_collect`] for the exit fan: block until the response
-    /// for `rid` is in *or* `peer` has deregistered its NIC, whichever
-    /// the substrate observes first. `None` means the peer is gone — it
-    /// can only have exited after applying our release, so the pending
-    /// rpc is moot and its slot is cancelled (retransmission timers must
-    /// not keep firing into a dead node and burning the give-up budget).
-    /// Reliable transports never lose the response and collect normally.
-    pub(super) fn rpc_collect_or_peer_done(&mut self, rid: u32, peer: usize) -> Option<Response> {
-        if self.sub.retransmit_timeout().is_none() {
-            return Some(self.rpc_collect(rid));
+    /// The engine's one blocking step, shared by every loop that waits —
+    /// [`Self::rpc_collect_watching`], the barrier's arrival wait, the
+    /// shutdown linger — and the only place the **drain-before-block
+    /// invariant** lives: the serve queue is always emptied (in
+    /// virtual-arrival order) before the node blocks, because a request
+    /// gathered during an earlier absorb may be the very thing a peer is
+    /// blocked on — sleeping on it deadlocks both (the gather-burst
+    /// deadlock).
+    ///
+    /// Drain the serve queue; if the caller's `ready` re-check now yields,
+    /// break with its value without blocking; otherwise block in the
+    /// substrate's [`wait`](Substrate::wait) — bounded by the nearest
+    /// retransmission deadline on lossy transports, and by `watch` — and
+    /// absorb the message, fire the due retransmissions, or break with
+    /// `None` because every watched peer has left.
+    pub(super) fn wait_step<R>(
+        &mut self,
+        watch: Option<&[usize]>,
+        ready: impl FnOnce(&mut Self) -> Option<R>,
+    ) -> ControlFlow<Option<R>> {
+        self.drain_serve_queue();
+        if let Some(r) = ready(self) {
+            return ControlFlow::Break(Some(r));
         }
-        debug_assert!(
-            self.outstanding.iter().any(|o| o.rid == rid),
-            "node {}: collect of unissued rid {rid}",
-            self.me
-        );
-        loop {
-            if let Some(resp) = self.take_collected(rid) {
-                return Some(resp);
-            }
-            self.drain_serve_queue();
-            if let Some(resp) = self.take_collected(rid) {
-                return Some(resp);
-            }
-            self.clock().borrow_mut().begin_wait();
-            let deadline = self
-                .nearest_deadline()
-                .expect("collecting with no unanswered rid");
-            match self.sub.next_incoming_until_watching(deadline, &[peer]) {
-                WaitOutcome::Msg(msg) => self.absorb(msg),
-                WaitOutcome::Deadline => self.retransmit_due(),
-                WaitOutcome::PeersDone => {
-                    self.cancel_rpc(rid);
-                    return None;
-                }
-            }
+        self.clock().borrow_mut().begin_wait();
+        let deadline = self
+            .sub
+            .retransmit_timeout()
+            .and_then(|_| self.nearest_deadline());
+        match self.sub.wait(deadline, watch) {
+            Wait::Got(msg) => self.absorb(msg),
+            Wait::Deadline => self.retransmit_due(),
+            Wait::PeersDone => return ControlFlow::Break(None),
         }
+        ControlFlow::Continue(())
     }
 
     /// Drop `rid`'s pending slot without a response (the peer exited;
@@ -692,41 +695,14 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Lossy-transport shutdown linger: keep answering retransmitted
-    /// requests from the replay cache until every peer's NIC has left the
-    /// fabric (a client whose final release was lost depends on it).
-    pub(super) fn shutdown_linger(&mut self) {
-        self.drain_serve_queue();
-        loop {
-            match self.sub.shutdown_poll() {
-                crate::substrate::ShutdownPoll::Done => break,
-                crate::substrate::ShutdownPoll::Quiet => {}
-                crate::substrate::ShutdownPoll::Msg(msg) => self.linger_dispatch(msg),
-            }
-        }
-    }
-
-    /// Shutdown linger scoped to `watch` (a tree node's descendants):
-    /// ends as soon as every watched peer's NIC has left the fabric,
-    /// regardless of peers elsewhere in the tree — lingering on the whole
-    /// cluster would deadlock parent against lingering ancestor.
-    pub(super) fn shutdown_linger_watching(&mut self, watch: &[usize]) {
-        self.drain_serve_queue();
-        loop {
-            match self.sub.shutdown_poll_watching(watch) {
-                crate::substrate::ShutdownPoll::Done => break,
-                crate::substrate::ShutdownPoll::Quiet => {}
-                crate::substrate::ShutdownPoll::Msg(msg) => self.linger_dispatch(msg),
-            }
-        }
-    }
-
-    fn linger_dispatch(&mut self, msg: crate::substrate::IncomingMsg) {
-        if !msg.lost && msg.chan == Chan::Request {
-            self.serve(msg.from, &msg.data, msg.arrival);
-        } else if !msg.lost && msg.chan == Chan::Response {
-            self.clock().borrow_mut().stats.stale_responses_dropped += 1;
-        }
-        pool::give(msg.data);
+    /// requests from the replay cache until every node in `watch` has
+    /// left the fabric (a client whose final release was lost depends on
+    /// it). The centralized barrier manager watches every peer; a tree
+    /// node only its descendants — lingering on the whole cluster would
+    /// deadlock parent against lingering ancestor. A late response finds
+    /// no outstanding slot and is counted as stale by the absorb step.
+    pub(super) fn shutdown_linger(&mut self, watch: &[usize]) {
+        while self.wait_step(Some(watch), |_| None::<()>).is_continue() {}
     }
 }
 

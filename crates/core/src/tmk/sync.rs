@@ -526,26 +526,17 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Serve-while-waiting until `expected` arrivals (ours included) are
-    /// in the episode. Runs on the overlapped engine's absorb/drain step:
+    /// in the episode. Runs on the overlapped engine's one blocking step:
     /// requests keep being dispatched (in virtual-arrival order) — lock
     /// traffic and late subtree arrivals must make progress while we
-    /// wait. No rid is outstanding here, so any non-duplicate response is
-    /// a protocol error (the engine's stale discard panics on reliable
+    /// wait — and an arrival already sitting in the serve queue, gathered
+    /// during a preceding collect, is counted before we would block on
+    /// it. No rid is outstanding here, so any non-duplicate response is a
+    /// protocol error (the engine's stale discard panics on reliable
     /// transports and counts on lossy ones).
     fn barrier_wait_arrivals(&mut self, expected: usize) {
-        loop {
-            // Drain before checking: an arrival may already sit in the
-            // serve queue, gathered during a preceding collect (blocking
-            // with it queued would deadlock — its sender is waiting on
-            // us).
-            self.drain_serve_queue();
-            if self.barrier.count >= expected {
-                break;
-            }
-            self.clock().borrow_mut().begin_wait();
-            let msg = self.sub.next_incoming();
-            self.absorb(msg);
-        }
+        let arrived = |t: &mut Self| (t.barrier.count >= expected).then_some(());
+        while self.wait_step(None, arrived).is_continue() {}
     }
 
     fn barrier_as_manager(&mut self, id: u32) {
@@ -759,7 +750,7 @@ impl<S: Substrate> Tmk<S> {
         }
         let fanned = acks.len() as u16;
         for (node, nrid) in acks {
-            match self.rpc_collect_or_peer_done(nrid, node) {
+            match self.rpc_collect_watching(nrid, Some(node)) {
                 Some(Response::NoticeAck { barrier }) => {
                     assert_eq!(barrier, id, "ack for barrier {barrier}, expected {id}")
                 }
@@ -821,13 +812,15 @@ impl<S: Substrate> Tmk<S> {
     pub fn exit(&mut self) {
         self.barrier(u32::MAX);
         if self.sub.retransmit_timeout().is_some() {
-            if self.tree_radix().is_some() {
-                let watch = self.tree_descendants();
-                if !watch.is_empty() {
-                    self.shutdown_linger_watching(&watch);
-                }
+            let watch: Vec<usize> = if self.tree_radix().is_some() {
+                self.tree_descendants()
             } else if self.me == self.cfg.barrier_manager {
-                self.shutdown_linger();
+                (0..self.n).filter(|&i| i != self.me as usize).collect()
+            } else {
+                Vec::new()
+            };
+            if !watch.is_empty() {
+                self.shutdown_linger(&watch);
             }
         }
     }

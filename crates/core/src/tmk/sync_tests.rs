@@ -9,7 +9,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use tm_sim::clock::shared_clock;
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
 
 use crate::memsub::{mem_cluster, MemSubstrate};
 use crate::protocol::{Request, Response};
@@ -54,8 +54,8 @@ impl Substrate for LossyMem {
     fn poll_request(&mut self) -> Option<IncomingMsg> {
         self.0.poll_request()
     }
-    fn next_incoming(&mut self) -> IncomingMsg {
-        self.0.next_incoming()
+    fn wait(&mut self, deadline: Option<Ns>, watch: Option<&[usize]>) -> Wait<IncomingMsg> {
+        self.0.wait(deadline, watch)
     }
     fn retransmit_timeout(&self) -> Option<Ns> {
         Some(Ns::from_us(500))
@@ -202,4 +202,51 @@ fn queued_forward_grants_at_release_then_replays() {
     let g2 = s2.next_incoming();
     assert_eq!(g1.data, g2.data, "post-release duplicate must replay the grant");
     assert!(t1.locks[0].waiting.is_empty());
+}
+
+/// The gather-burst deadlock (PR 5), through the engine's one blocking
+/// step: a barrier arrival that lands in the same instant as the response
+/// being collected is gathered into the serve queue by that collect and
+/// is still queued when the collect returns. The manager's arrival wait
+/// must count it before it would block — its sender is blocked on the
+/// release and will send nothing more. A decoy request far in the
+/// virtual future turns a regression into a failure instead of a hang:
+/// a manager that blocked would wake on the decoy, a second later.
+#[test]
+fn request_gathered_during_a_collect_is_served_before_the_next_block() {
+    let params = Arc::new(SimParams::paper_testbed());
+    let mut eps = mem_cluster(2);
+    let e1 = eps.pop().unwrap();
+    let e0 = eps.pop().unwrap();
+    let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
+    let mut t0 = Tmk::new(mk(e0), TmkConfig::default());
+    let mut s1 = mk(e1);
+
+    let rid = t0.rpc_issue(1, Request::Page { page: 0 });
+    let _ = s1.next_incoming();
+    let at = Ns::from_us(50);
+    let arrive = Request::BarrierArrive {
+        barrier: 5,
+        vc: VectorClock::new(2),
+        records: Vec::new(),
+    };
+    s1.send_request_at(0, &encode(arrive, 100), at);
+    let mut w = crate::wire::WireWriter::pooled(64);
+    Response::NoticeAck { barrier: 0 }.encode_into(rid, &mut w);
+    s1.send_response_at(0, w.as_slice(), at);
+    w.recycle();
+    s1.send_request_at(0, &encode(Request::Page { page: 0 }, 101), Ns::from_secs(1));
+
+    assert!(matches!(t0.rpc_collect(rid), Response::NoticeAck { .. }));
+    assert_eq!(t0.serve_q.len(), 1, "arrival gathered with the response, not yet served");
+
+    t0.barrier(5);
+    assert!(
+        t0.clock().borrow().now() < Ns::from_secs(1),
+        "manager blocked with the arrival still in its serve queue"
+    );
+    let release = s1.next_incoming();
+    let (rid, resp) = Response::decode(&release.data).unwrap();
+    assert_eq!(rid, 100);
+    assert!(matches!(resp, Response::BarrierRelease { .. }));
 }

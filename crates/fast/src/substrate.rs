@@ -6,7 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tm_gm::{gm_size, DmaPool, GmEvent, GmNode, MAX_SIZE_CLASS};
 use tm_sim::faults::checksum32;
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
 use tmk::framing::{self, FragHeader, Reassembler};
 use tmk::wire::pool;
 use tmk::{Chan, IncomingMsg, Substrate};
@@ -506,10 +506,6 @@ impl Substrate for FastSubstrate {
         self.cfg.scheme
     }
 
-    fn sched_lookahead(&self) -> Ns {
-        self.gm.lookahead()
-    }
-
     fn send_request(&mut self, to: usize, data: &[u8]) -> bool {
         self.send_kind(to, REQ_PORT, FRAME_DATA, data, None);
         true // GM delivery is reliable
@@ -571,20 +567,15 @@ impl Substrate for FastSubstrate {
         None
     }
 
-    fn next_incoming(&mut self) -> IncomingMsg {
+    /// GM delivery is reliable: no timer to fire, no peer to wait out —
+    /// both conditions are ignored.
+    fn wait(&mut self, _deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
         loop {
             let (port, ev) = self.gm.blocking_receive(&[REQ_PORT, REP_PORT]);
             if let Some(msg) = self.handle_event(port, ev) {
-                return msg;
+                return Wait::Got(msg);
             }
         }
-    }
-
-    fn max_msg(&self) -> usize {
-        // Oversized frames fragment transparently; keep the runtime's
-        // chunking at the TreadMarks limit so diff responses stay
-        // single-frame.
-        self.params().dsm.max_msg
     }
 }
 

@@ -8,11 +8,11 @@
 
 use std::sync::Arc;
 
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams};
-use tm_udp::{RecvOutcome, UdpStack};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
+use tm_udp::UdpStack;
 use tmk::framing::{self, FragHeader, Reassembler};
 use tmk::wire::pool;
-use tmk::{Chan, IncomingMsg, ShutdownPoll, Substrate, WaitOutcome};
+use tmk::{Chan, IncomingMsg, Substrate};
 
 /// Socket number for asynchronous requests (SIGIO).
 pub const REQ_SOCK: u16 = 1;
@@ -25,14 +25,6 @@ const DGRAM_LIMIT: usize = 60 * 1024;
 
 const FRAME_DATA: u8 = 0;
 const FRAME_FRAG: u8 = 1;
-
-/// Wall-clock backstop for virtual-deadline waits: if no peer thread makes
-/// progress for this long, something real (not simulated) is wrong.
-const HANG_GUARD: std::time::Duration = std::time::Duration::from_secs(1);
-
-/// Shorter wall guard for the shutdown linger, where "nothing arrives"
-/// is the expected steady state (peers exit without a goodbye).
-const LINGER_GUARD: std::time::Duration = std::time::Duration::from_millis(25);
 
 /// The per-node UDP/GM endpoint.
 pub struct UdpSubstrate {
@@ -52,10 +44,6 @@ impl UdpSubstrate {
             next_xid: 1,
             partials: Reassembler::new(),
         }
-    }
-
-    pub fn stack(&self) -> &UdpStack {
-        &self.udp
     }
 
     /// Gather `parts` into a pooled buffer and push the datagram — no
@@ -161,50 +149,6 @@ impl UdpSubstrate {
             _ => self.malformed(),
         }
     }
-
-    /// One shutdown-linger quantum: wait up to an rto (virtual) / the
-    /// linger guard (wall clock) for late traffic, handing back whatever
-    /// arrives. Shared by the cluster-wide and subtree-scoped lingers.
-    fn linger_quantum(&mut self) -> ShutdownPoll {
-        let deadline = self.udp.clock().borrow().now() + self.udp.params().udp.rto;
-        match self
-            .udp
-            .recv_any_timeout(&[REQ_SOCK, REP_SOCK], deadline, LINGER_GUARD)
-        {
-            Some((sock, d)) => match self.handle(sock, d) {
-                Some(msg) => ShutdownPoll::Msg(msg),
-                None => ShutdownPoll::Quiet,
-            },
-            None => ShutdownPoll::Quiet,
-        }
-    }
-
-    /// Lockstep shutdown linger: block until a late datagram is served or
-    /// every watched peer's NIC deregistration lands as a scheduler
-    /// `Done` event. No wall-clock `peers_alive` poll and no rto quantum
-    /// count — both the served-message set and the lingering node's final
-    /// virtual clock are deterministic.
-    fn linger_done_watch(&mut self, watch: &[usize]) -> ShutdownPoll {
-        match self.udp.recv_any_or_dead(&[REQ_SOCK, REP_SOCK], watch) {
-            Some((sock, d)) => match self.handle(sock, d) {
-                Some(msg) => ShutdownPoll::Msg(msg),
-                None => ShutdownPoll::Quiet,
-            },
-            None => ShutdownPoll::Done,
-        }
-    }
-
-    /// All peers of this node (the cluster-wide linger's watch set).
-    fn all_peers(&self) -> Vec<usize> {
-        let me = self.udp.node();
-        (0..self.udp.nprocs()).filter(|&i| i != me).collect()
-    }
-
-    /// Whether this cluster runs under the conservative lockstep
-    /// scheduler (selects the deterministic linger path).
-    fn lockstep(&self) -> bool {
-        self.udp.params().sched == tm_sim::SchedMode::Lockstep
-    }
 }
 
 impl Substrate for UdpSubstrate {
@@ -228,10 +172,6 @@ impl Substrate for UdpSubstrate {
         AsyncScheme::Sigio {
             cost: self.udp.params().host.sigio,
         }
-    }
-
-    fn sched_lookahead(&self) -> Ns {
-        self.udp.lookahead()
     }
 
     fn send_request(&mut self, to: usize, data: &[u8]) -> bool {
@@ -273,41 +213,19 @@ impl Substrate for UdpSubstrate {
         None
     }
 
-    fn next_incoming(&mut self) -> IncomingMsg {
+    fn wait(&mut self, deadline: Option<Ns>, watch: Option<&[usize]>) -> Wait<IncomingMsg> {
+        // One `recv` (one select()) per datagram: non-final fragments
+        // and malformed frames are consumed here and the wait goes round
+        // again under the same conditions.
         loop {
-            let (sock, d) = self.udp.recv_any(&[REQ_SOCK, REP_SOCK]);
-            if let Some(msg) = self.handle(sock, d) {
-                return msg;
-            }
-        }
-    }
-
-    fn next_incoming_until(&mut self, deadline: Ns) -> Option<IncomingMsg> {
-        loop {
-            let (sock, d) = self
-                .udp
-                .recv_any_timeout(&[REQ_SOCK, REP_SOCK], deadline, HANG_GUARD)?;
-            if let Some(msg) = self.handle(sock, d) {
-                return Some(msg);
-            }
-        }
-    }
-
-    fn next_incoming_until_watching(&mut self, deadline: Ns, watch: &[usize]) -> WaitOutcome {
-        loop {
-            match self.udp.recv_any_timeout_watching(
-                &[REQ_SOCK, REP_SOCK],
-                watch,
-                deadline,
-                HANG_GUARD,
-            ) {
-                RecvOutcome::Datagram((sock, d)) => {
+            match self.udp.recv(&[REQ_SOCK, REP_SOCK], deadline, watch) {
+                Wait::Got((sock, d)) => {
                     if let Some(msg) = self.handle(sock, d) {
-                        return WaitOutcome::Msg(msg);
+                        return Wait::Got(msg);
                     }
                 }
-                RecvOutcome::Timeout => return WaitOutcome::Deadline,
-                RecvOutcome::PeersDone => return WaitOutcome::PeersDone,
+                Wait::Deadline => return Wait::Deadline,
+                Wait::PeersDone => return Wait::PeersDone,
             }
         }
     }
@@ -324,27 +242,6 @@ impl Substrate for UdpSubstrate {
 
     fn peer_alive(&self, node: usize) -> bool {
         self.udp.peers_alive_in(&[node])
-    }
-
-    fn shutdown_poll(&mut self) -> ShutdownPoll {
-        if self.lockstep() {
-            let watch = self.all_peers();
-            return self.linger_done_watch(&watch);
-        }
-        if !self.udp.peers_alive() {
-            return ShutdownPoll::Done;
-        }
-        self.linger_quantum()
-    }
-
-    fn shutdown_poll_watching(&mut self, watch: &[usize]) -> ShutdownPoll {
-        if self.lockstep() {
-            return self.linger_done_watch(watch);
-        }
-        if !self.udp.peers_alive_in(watch) {
-            return ShutdownPoll::Done;
-        }
-        self.linger_quantum()
     }
 }
 

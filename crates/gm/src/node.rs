@@ -17,6 +17,10 @@ use crate::size::gm_size;
 pub const NUM_PORTS: u8 = 8;
 /// Port 0 belongs to the GM mapper daemon.
 pub const MAPPER_PORT: u8 = 0;
+/// What a blocked node listens on: every GM port, whatever ports the
+/// caller asked for — a directed send may target any of them and must
+/// still wake the node.
+const GM_PORTS: [u16; NUM_PORTS as usize - 1] = [1, 2, 3, 4, 5, 6, 7];
 
 /// Errors surfaced by the GM API model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,13 +241,6 @@ impl GmNode {
         let p = self.port_mut(port)?;
         p.recv_buffers[size as usize] += 1;
         Ok(())
-    }
-
-    /// Total buffers currently preposted on a port for a size class.
-    pub fn buffers_posted(&self, port: u8, size: u8) -> u32 {
-        self.ports[port as usize]
-            .as_ref()
-            .map_or(0, |p| p.recv_buffers[size as usize])
     }
 
     /// Reap tokens whose sends completed by `now`.
@@ -506,12 +503,6 @@ impl GmNode {
             // the drain already picked it up.
             let sig = self.nic.delivery_signature();
             self.absorb_failures(port);
-            if let Some(ps) = self.ports[port as usize].as_mut() {
-                if ps.disabled {
-                    // Surface the failure exactly once as an event.
-                    ps.disabled = true;
-                }
-            }
             self.sort_arrivals();
             let now = self.clock.borrow().now();
             let gm = self.params.gm.clone();
@@ -610,18 +601,9 @@ impl GmNode {
             // on the scheduler, carrying our floor so peers' grants are
             // not blocked by a sleeping node).
             let floor = self.sched_floor();
-            let pkt = self.nic.recv_any_floored(&Self::port_filter(ports), floor);
-            // Push it back through the demux by re-stashing: simplest is to
-            // handle it directly here.
+            let pkt = self.nic.wait(Some(&GM_PORTS), None, None, floor).got();
             self.handle_parked(pkt);
         }
-    }
-
-    fn port_filter(ports: &[u8]) -> Vec<u16> {
-        // We must wake for *any* GM port traffic (directed sends may target
-        // other ports), so listen on all GM ports.
-        let _ = ports;
-        (1..NUM_PORTS as u16).collect()
     }
 
     fn handle_parked(&mut self, pkt: RawPacket) {

@@ -1,6 +1,6 @@
 //! The switch fabric: per-link serialization and cut-through forwarding.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -35,14 +35,10 @@ pub struct Fabric {
     links: Vec<LinkState>,
     inboxes: Vec<Sender<RawPacket>>,
     /// Which nodes still hold their NIC (cleared by `NicHandle::drop`).
-    /// Shutdown protocols under fault injection poll this: the barrier
-    /// manager lingers, answering duplicate requests, until every peer is
-    /// gone.
+    /// Free-running waits with a watch set, and the retransmission
+    /// give-up budget, read this; under lockstep a departure is the
+    /// scheduler's `Done` event instead.
     alive: Vec<AtomicBool>,
-    /// Count of set flags in `alive`, so the shutdown-linger poll loop is
-    /// one atomic load instead of a full scan. Decremented *after* the
-    /// flag clears, so the count is always ≥ the number of set flags.
-    live: AtomicUsize,
     /// Extra switch traversals beyond the first (multi-stage fabrics for
     /// >16 nodes; the paper's 16-node testbed used a single crossbar).
     extra_hops: u32,
@@ -96,7 +92,6 @@ impl Fabric {
             links,
             inboxes,
             alive,
-            live: AtomicUsize::new(n),
             extra_hops,
             sched,
             shutdown_races: AtomicU64::new(0),
@@ -115,12 +110,8 @@ impl Fabric {
 
     /// Mark a node's NIC as gone (called from `NicHandle::drop`).
     pub(crate) fn mark_dead(&self, node: NodeId) {
-        // Clear-then-decrement keeps `live` an upper bound on the set
-        // flags at every instant (a transient over-count only makes a
-        // linger poll spin once more, never exit early).
-        if self.alive[node].swap(false, Ordering::AcqRel) {
-            self.live.fetch_sub(1, Ordering::AcqRel);
-        }
+        // Pairs with the Acquire loads in `any_alive`.
+        self.alive[node].store(false, Ordering::Release);
         if let Some(sched) = &self.sched {
             sched.mark_done(node);
         }
@@ -137,40 +128,7 @@ impl Fabric {
         self.shutdown_races.load(Ordering::Relaxed)
     }
 
-    /// Whether any node other than `me` still holds its NIC. O(1) via the
-    /// live count (the linger loops poll this on every quantum); checked
-    /// against the flag scan in debug builds.
-    pub fn others_alive(&self, me: NodeId) -> bool {
-        let fast = self.live_others(me);
-        #[cfg(debug_assertions)]
-        if !fast {
-            // Clear-then-decrement makes `live` an upper bound on the set
-            // flags at every instant, and both are monotone decreasing, so
-            // "count says dead" is the one verdict the scan can soundly
-            // contradict: a zero count with a flag still set means the
-            // fast path would end a linger while a peer could still
-            // retransmit. (fast=true with all flags clear is the benign
-            // transient of a `mark_dead` caught between its two steps.)
-            let slow = self
-                .alive
-                .iter()
-                .enumerate()
-                .any(|(i, a)| i != me && a.load(Ordering::Acquire));
-            debug_assert!(!slow, "live count dropped below set alive flags");
-        }
-        fast
-    }
-
-    fn live_others(&self, me: NodeId) -> bool {
-        let mut live = self.live.load(Ordering::Acquire);
-        if self.alive[me].load(Ordering::Acquire) {
-            live = live.saturating_sub(1);
-        }
-        live > 0
-    }
-
-    /// Whether any of `nodes` still holds its NIC. Tree-barrier shutdown
-    /// lingers watch only their own subtree through this.
+    /// Whether any of `nodes` still holds its NIC.
     pub fn any_alive(&self, nodes: &[NodeId]) -> bool {
         nodes.iter().any(|&i| self.alive[i].load(Ordering::Acquire))
     }
@@ -204,6 +162,12 @@ impl Fabric {
     ///
     /// Loopback (`src == dst`) skips the wire but still pays NIC
     /// processing, as GM does.
+    ///
+    /// Under [`SchedMode::Lockstep`] the sender's floor after the
+    /// transmit defaults to `inject_time`, which is sound only for
+    /// callers whose successive injections are monotone. Transports with
+    /// clock access, and fault paths that delay packets, use
+    /// [`Fabric::transmit_floored`] with a clock-derived floor instead.
     #[allow(clippy::too_many_arguments)]
     pub fn transmit(
         &self,
@@ -215,44 +179,21 @@ impl Fabric {
         inject_time: Ns,
         directed: Option<(u32, u64)>,
     ) -> Ns {
-        self.transmit_flagged(src, dst, src_port, dst_port, payload, inject_time, directed, false)
-    }
-
-    /// [`Fabric::transmit`] with an explicit loss tombstone flag. A lost
-    /// packet occupies the wire like a real one (the bytes were sent; the
-    /// drop happens in flight) and still lands in the receiver's inbox so
-    /// the receiving thread wakes at its virtual arrival, but carries
-    /// `lost = true` so no payload is delivered.
-    ///
-    /// Under [`SchedMode::Lockstep`] the sender's floor after the
-    /// transmit defaults to `inject_time`, which is sound only for
-    /// callers whose successive injections are monotone (true for every
-    /// in-tree transport's plain-send path). Fault paths that delay
-    /// packets must use [`Fabric::transmit_floored`] with a clock-derived
-    /// floor instead.
-    #[allow(clippy::too_many_arguments)]
-    pub fn transmit_flagged(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        src_port: u16,
-        dst_port: u16,
-        payload: Bytes,
-        inject_time: Ns,
-        directed: Option<(u32, u64)>,
-        lost: bool,
-    ) -> Ns {
         self.transmit_floored(
-            src, dst, src_port, dst_port, payload, inject_time, directed, lost, inject_time,
+            src, dst, src_port, dst_port, payload, inject_time, directed, false, inject_time,
         )
     }
 
-    /// The full transmit entry point: [`Fabric::transmit_flagged`] plus an
-    /// explicit lockstep floor. `floor_after` is a sound lower bound on
-    /// the virtual time of *any* packet `src` may inject after this one —
-    /// transports compute it as their clock's preemptible-window start
-    /// plus their declared lookahead. Ignored under
-    /// [`SchedMode::FreeRun`].
+    /// The full transmit entry point: [`Fabric::transmit`] plus a loss
+    /// tombstone flag and an explicit lockstep floor. A `lost` packet
+    /// occupies the wire like a real one (the bytes were sent; the drop
+    /// happens in flight) and still lands in the receiver's inbox so the
+    /// receiving thread wakes at its virtual arrival, but carries
+    /// `lost = true` so no payload is delivered. `floor_after` is a sound
+    /// lower bound on the virtual time of *any* packet `src` may inject
+    /// after this one — transports compute it as their clock's
+    /// preemptible-window start plus their declared lookahead. Ignored
+    /// under [`SchedMode::FreeRun`].
     #[allow(clippy::too_many_arguments)]
     pub fn transmit_floored(
         &self,
@@ -416,19 +357,16 @@ mod tests {
     }
 
     #[test]
-    fn live_count_tracks_mark_dead() {
+    fn any_alive_tracks_mark_dead() {
         let (f, nics) = fabric(4);
         // Keep the NICs alive for the duration of the test; their Drop
         // would otherwise call mark_dead underneath us.
-        assert!(f.others_alive(0));
         f.mark_dead(1);
         f.mark_dead(2);
-        assert_eq!(f.live.load(Ordering::Acquire), 2);
-        assert!(f.others_alive(0), "node 3 still up");
-        assert!(f.any_alive(&[3]));
+        assert!(f.any_alive(&[1, 2, 3]), "node 3 still up");
         assert!(!f.any_alive(&[1, 2]));
         f.mark_dead(3);
-        assert!(!f.others_alive(0), "only we remain");
+        assert!(!f.any_alive(&[1, 2, 3]));
         assert!(f.any_alive(&[0]), "we are still alive");
         drop(nics);
     }

@@ -19,5 +19,5 @@ pub mod nic;
 pub mod packet;
 
 pub use fabric::Fabric;
-pub use nic::{DeadlineWatchRecv, NicHandle};
+pub use nic::NicHandle;
 pub use packet::{NodeId, RawPacket};

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
-use tm_sim::{Ns, WakeReason};
+use tm_sim::{Ns, Wait, WakeReason};
 
 use crate::fabric::Fabric;
 use crate::packet::{NodeId, RawPacket};
@@ -13,18 +13,17 @@ use crate::packet::{NodeId, RawPacket};
 /// Ports below this value belong to GM; at or above, to the sockets layer.
 pub const SOCKET_PORT_BASE: u16 = 1024;
 
-/// Outcome of a combined deadline + done-watch receive
-/// ([`NicHandle::recv_any_deadline_done_watch`]).
-#[derive(Debug)]
-pub enum DeadlineWatchRecv {
-    /// A packet arrived (at or before the deadline, or handed over by
-    /// the final drain after the watched peers departed).
-    Pkt(RawPacket),
-    /// The deadline became the cluster's next event.
-    Timeout,
-    /// Every watched peer deregistered its NIC, and no packet remained.
-    PeersDone,
-}
+/// Wall-clock backstop of a free-running wait that carries a virtual
+/// deadline: if the channel stays silent this long in real time, nothing
+/// is in flight at all (only a receive-buffer overflow swallows traffic
+/// without a tombstone) and the wait reports its deadline. Virtual-time
+/// behavior never depends on the value.
+const HANG_GUARD: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// Liveness re-poll period of a free-running watch-only wait (a shutdown
+/// linger, where "nothing arrives" is the expected steady state: peers
+/// exit without a goodbye).
+const LINGER_GUARD: std::time::Duration = std::time::Duration::from_millis(25);
 
 /// A node's handle on its NIC. Owned by the node thread.
 ///
@@ -58,22 +57,10 @@ impl NicHandle {
         &self.fabric
     }
 
-    /// Whether any peer node still holds its NIC (see
-    /// [`Fabric::others_alive`]).
-    pub fn others_alive(&self) -> bool {
-        self.fabric.others_alive(self.node)
-    }
-
     /// Whether any of `nodes` still holds its NIC (see
-    /// [`Fabric::any_alive`]). Subtree-scoped shutdown lingers use this.
+    /// [`Fabric::any_alive`]).
     pub fn any_alive(&self, nodes: &[NodeId]) -> bool {
         self.fabric.any_alive(nodes)
-    }
-
-    /// Whether this cluster runs under the conservative lockstep
-    /// scheduler (see [`tm_sim::sched`]).
-    pub fn lockstep(&self) -> bool {
-        self.fabric.sched().is_some()
     }
 
     /// Declare this node's substrate lookahead to the lockstep scheduler
@@ -104,7 +91,7 @@ impl NicHandle {
     /// then deterministic), or `false` if a delivery raced in first (the
     /// caller must re-drain and re-examine its queues). `seen` is the
     /// [`NicHandle::delivery_signature`] sampled before the caller's
-    /// drain; `floor` as in [`NicHandle::recv_any_floored`]. Under
+    /// drain; `floor` as in [`NicHandle::wait`]. Under
     /// free-run this returns `true` immediately — free-run polls are
     /// allowed to race.
     pub fn poll_quiesce(&self, t: Ns, seen: u64, floor: Ns) -> bool {
@@ -163,22 +150,9 @@ impl NicHandle {
     /// Inject a fault-injection loss tombstone: the packet occupies the
     /// wire and wakes the receiver at its virtual arrival, but is flagged
     /// `lost` so the receiver layer discards (and counts) it instead of
-    /// delivering the payload.
-    pub fn inject_lost(
-        &self,
-        dst: NodeId,
-        src_port: u16,
-        dst_port: u16,
-        payload: Bytes,
-        inject_time: Ns,
-    ) -> Ns {
-        self.inject_lost_floored(dst, src_port, dst_port, payload, inject_time, inject_time)
-    }
-
-    /// [`NicHandle::inject_lost`] with an explicit lockstep floor (see
-    /// [`NicHandle::inject_floored`]). Fault paths that delay or
-    /// duplicate packets must use this: a reordered packet's injection
-    /// time is *not* a sound floor for the node's next send.
+    /// delivering the payload. `floor_after` as in
+    /// [`NicHandle::inject_floored`] — a delayed or duplicated packet's
+    /// injection time is *not* a sound floor for the node's next send.
     pub fn inject_lost_floored(
         &self,
         dst: NodeId,
@@ -264,248 +238,120 @@ impl NicHandle {
         best.map(|(i, _)| i)
     }
 
-    /// Block until a packet is available on *any* of `ports`; returns it.
-    /// FIFO across the wire per sender; arrival order across senders is
-    /// channel order (which respects each sender's injection order) under
-    /// free-run, and virtual-key grant order under lockstep.
-    pub fn recv_any_blocking(&mut self, ports: &[u16]) -> RawPacket {
-        self.recv_any_floored(ports, Ns::ZERO)
-    }
-
-    /// [`NicHandle::recv_any_blocking`] with an explicit lockstep park
-    /// floor: a sound lower bound on any packet this node may inject
-    /// after waking (clock preemptible-window start + declared
-    /// lookahead). `Ns::ZERO` is always safe — the woken node then
-    /// blocks all grants until its next scheduler interaction — and is
-    /// what the floor-less wrapper passes. Ignored under free-run.
-    pub fn recv_any_floored(&mut self, ports: &[u16], floor: Ns) -> RawPacket {
+    /// The one blocking receive: wait for a packet on any of `ports`
+    /// (all ports when `None`), or — when `deadline` is set — until that
+    /// virtual time becomes the cluster's next event, or — when `watch`
+    /// is set — until every node in it has deregistered its NIC,
+    /// whichever the scheduler orders first.
+    ///
+    /// * A queued packet whose arrival lies past the deadline stays
+    ///   queued: the timer fires first, deterministically, and
+    ///   [`Wait::Deadline`] is reported without parking. Likewise after a
+    ///   `Timeout` wake only a packet with `arrival <= deadline` is
+    ///   handed over.
+    /// * On `PeersDone` a final drain hands over a packet whatever its
+    ///   arrival: the departing peers' last transmits were granted
+    ///   (program order) before their drops. This is what lets the exit
+    ///   fan cancel a retransmission timer the moment its consumer is
+    ///   gone instead of firing into a dead node, and what makes the set
+    ///   of packets a shutdown linger serves a pure function of the
+    ///   program.
+    /// * Selection among queued packets is by earliest virtual arrival;
+    ///   per sender the wire is FIFO.
+    ///
+    /// `floor` is the lockstep park floor: a sound lower bound on any
+    /// packet this node may inject after waking (clock
+    /// preemptible-window start + declared lookahead). `Ns::ZERO` is
+    /// always safe — the woken node then blocks all grants until its next
+    /// scheduler interaction.
+    ///
+    /// This is the only place above [`Fabric`] that knows whether a
+    /// scheduler exists. Without one (free-run) the wait sleeps on the
+    /// channel: unbounded when neither condition is given (a protocol
+    /// deadlock then visibly hangs), otherwise in wall-clock slices of
+    /// `HANG_GUARD` (deadline set: true silence that long *is* the
+    /// deadline) or `LINGER_GUARD` (watch only: re-check the liveness
+    /// flags and sleep again).
+    pub fn wait(
+        &mut self,
+        ports: Option<&[u16]>,
+        deadline: Option<Ns>,
+        watch: Option<&[NodeId]>,
+        floor: Ns,
+    ) -> Wait<RawPacket> {
         let sched = self.fabric.sched().cloned();
         loop {
             // Capture the delivery signature *before* draining: if a
             // delivery lands between our drain and our park, the
             // signature mismatch makes the park bounce back immediately
             // instead of sleeping through the wakeup.
-            let sig = sched.as_ref().map(|s| s.delivery_count(self.node));
+            let sig = self.delivery_signature();
             self.drain();
-            if let Some(i) = self.best_queued_idx(Some(ports)) {
-                return self.queues[i].1.pop_front().expect("non-empty");
+            if let Some(i) = self.best_queued_idx(ports) {
+                return self.pop_if_due(i, deadline).map_or(Wait::Deadline, Wait::Got);
             }
-            match (&sched, sig) {
-                (Some(s), Some(sig)) => {
-                    // Park on the scheduler (never the channel): cluster
-                    // deadlock panics there with the parked-node set.
-                    let _ = s.park(self.node, sig, None, floor);
-                }
-                _ => match self.rx.recv() {
-                    Ok(pkt) => self.stash(pkt),
-                    Err(_) => panic!(
-                        "node {}: waiting on ports {ports:?} but all senders shut down (protocol deadlock or premature exit)",
-                        self.node
-                    ),
-                },
-            }
-        }
-    }
-
-    /// Lockstep-only bounded receive: block until a packet with arrival
-    /// ≤ `deadline` is available on any of `ports`, or until the
-    /// deadline itself becomes the cluster's next event. Returns `None`
-    /// on timeout — including when the earliest queued packet arrives
-    /// *after* the deadline (it stays queued; the caller's virtual clock
-    /// jumps to the deadline). `floor` as in
-    /// [`NicHandle::recv_any_floored`]. This replaces the wall-clock
-    /// guard of [`NicHandle::recv_any_bounded`] with a deterministic
-    /// virtual-time timeout.
-    pub fn recv_any_deadline(
-        &mut self,
-        ports: &[u16],
-        deadline: Ns,
-        floor: Ns,
-    ) -> Option<RawPacket> {
-        let sched = self
-            .fabric
-            .sched()
-            .cloned()
-            .expect("recv_any_deadline requires SchedMode::Lockstep");
-        loop {
-            let sig = sched.delivery_count(self.node);
-            self.drain();
-            if let Some(i) = self.best_queued_idx(Some(ports)) {
-                let q = &mut self.queues[i].1;
-                if q.front().expect("non-empty").arrival <= deadline {
-                    return q.pop_front();
-                }
-                // The next event for this node is already past the
-                // deadline: the timeout fires first, deterministically.
-                return None;
-            }
-            match sched.park(self.node, sig, Some(deadline), floor) {
+            let woke = match &sched {
+                // Park on the scheduler (never the channel): cluster
+                // deadlock panics there with the parked-node set.
+                Some(s) => s.park(self.node, sig, deadline, watch, floor),
+                None => self.sleep_unscheduled(deadline, watch),
+            };
+            // One last look at the queues: after a timeout only a packet
+            // due by the deadline counts; after the peers' departure
+            // whatever their final grants delivered does.
+            let (due_by, otherwise) = match woke {
                 WakeReason::Delivered => continue,
-                WakeReason::PeersDone => unreachable!("plain parks carry no done-watch"),
-                WakeReason::Timeout => {
-                    self.drain();
-                    if let Some(i) = self.best_queued_idx(Some(ports)) {
-                        let q = &mut self.queues[i].1;
-                        if q.front().expect("non-empty").arrival <= deadline {
-                            return q.pop_front();
-                        }
-                    }
-                    return None;
-                }
-            }
-        }
-    }
-
-    /// Lockstep-only shutdown-linger receive: block until a packet is
-    /// available on any of `ports`, or until every node in `watch` has
-    /// deregistered its NIC (dropped its handle), in which case `None`
-    /// is returned. Deregistration is routed through the scheduler as a
-    /// `Done` event ([`tm_sim::LockstepSched::park_done_watch`]), so the
-    /// exact set of packets served before the `None` — and therefore
-    /// every post-exit counter — is deterministic; no wall-clock
-    /// liveness flag is consulted. `floor` as in
-    /// [`NicHandle::recv_any_floored`].
-    pub fn recv_any_done_watch(
-        &mut self,
-        ports: &[u16],
-        watch: &[NodeId],
-        floor: Ns,
-    ) -> Option<RawPacket> {
-        let sched = self
-            .fabric
-            .sched()
-            .cloned()
-            .expect("recv_any_done_watch requires SchedMode::Lockstep");
-        loop {
-            let sig = sched.delivery_count(self.node);
+                WakeReason::Timeout => (deadline, Wait::Deadline),
+                WakeReason::PeersDone => (None, Wait::PeersDone),
+            };
             self.drain();
-            if let Some(i) = self.best_queued_idx(Some(ports)) {
-                return self.queues[i].1.pop_front();
-            }
-            match sched.park_done_watch(self.node, watch, sig, floor) {
-                WakeReason::Delivered => continue,
-                WakeReason::PeersDone => {
-                    // The watched peers' final transmits were granted
-                    // before their drops; one last drain picks them up.
-                    self.drain();
-                    return match self.best_queued_idx(Some(ports)) {
-                        Some(i) => self.queues[i].1.pop_front(),
-                        None => None,
-                    };
-                }
-                WakeReason::Timeout => unreachable!("no deadline on a done-watch park"),
-            }
+            return self
+                .best_queued_idx(ports)
+                .and_then(|i| self.pop_if_due(i, due_by))
+                .map_or(otherwise, Wait::Got);
         }
     }
 
-    /// Combined deadline + done-watch receive (lockstep only): block for
-    /// a packet on `ports` until virtual time `deadline` becomes the
-    /// cluster's next event *or* every node in `watch` deregisters its
-    /// NIC — whichever the scheduler orders first. This is the exit
-    /// fan's wait: the deadline keeps a lost notice's retransmission
-    /// timer live while the watched consumer can still be reached, and
-    /// the done-watch cancels that timer deterministically the moment
-    /// the consumer is gone, so a retransmission never fires into a dead
-    /// node. On `PeersDone` a final drain hands over any packet the
-    /// departing peers' last transmits delivered (their grants are
-    /// ordered before their drops).
-    pub fn recv_any_deadline_done_watch(
-        &mut self,
-        ports: &[u16],
-        watch: &[NodeId],
-        deadline: Ns,
-        floor: Ns,
-    ) -> DeadlineWatchRecv {
-        let sched = self
-            .fabric
-            .sched()
-            .cloned()
-            .expect("recv_any_deadline_done_watch requires SchedMode::Lockstep");
-        loop {
-            let sig = sched.delivery_count(self.node);
-            self.drain();
-            if let Some(i) = self.best_queued_idx(Some(ports)) {
-                let q = &mut self.queues[i].1;
-                if q.front().expect("non-empty").arrival <= deadline {
-                    return DeadlineWatchRecv::Pkt(q.pop_front().expect("non-empty"));
-                }
-                // The next event for this node is already past the
-                // deadline: the timeout fires first, deterministically.
-                return DeadlineWatchRecv::Timeout;
-            }
-            match sched.park_deadline_done_watch(self.node, watch, sig, deadline, floor) {
-                WakeReason::Delivered => continue,
-                WakeReason::PeersDone => {
-                    self.drain();
-                    return match self.best_queued_idx(Some(ports)) {
-                        // A packet the peer's final grant delivered wins
-                        // over the cancellation, whatever its arrival —
-                        // matching `recv_any_done_watch`'s last drain.
-                        Some(i) => DeadlineWatchRecv::Pkt(
-                            self.queues[i].1.pop_front().expect("non-empty"),
-                        ),
-                        None => DeadlineWatchRecv::PeersDone,
-                    };
-                }
-                WakeReason::Timeout => {
-                    self.drain();
-                    if let Some(i) = self.best_queued_idx(Some(ports)) {
-                        let q = &mut self.queues[i].1;
-                        if q.front().expect("non-empty").arrival <= deadline {
-                            return DeadlineWatchRecv::Pkt(q.pop_front().expect("non-empty"));
-                        }
-                    }
-                    return DeadlineWatchRecv::Timeout;
-                }
-            }
+    /// Pop the front packet of demux queue `i` unless it arrives after
+    /// `deadline` (no deadline: pop it whatever its arrival).
+    fn pop_if_due(&mut self, i: usize, deadline: Option<Ns>) -> Option<RawPacket> {
+        let q = &mut self.queues[i].1;
+        let arrival = q.front().expect("best_queued_idx yields non-empty queues").arrival;
+        if deadline.is_some_and(|d| arrival > d) {
+            return None;
         }
+        q.pop_front()
     }
 
-    /// Like [`NicHandle::recv_any_blocking`], but the park on an empty
-    /// channel is bounded by a *wall-clock* guard. This is the thin
-    /// escape hatch for hang detection under free-run: virtual-time code
-    /// never depends on the guard's value for correctness — it only
-    /// fires when the cluster is truly silent (e.g. a datagram was
-    /// silently dropped with no tombstone, which only receive-buffer
-    /// overflow can produce). Returns `None` if the guard expires with
-    /// nothing queued. Lockstep callers use
-    /// [`NicHandle::recv_any_deadline`] instead.
-    pub fn recv_any_bounded(
-        &mut self,
-        ports: &[u16],
-        guard: std::time::Duration,
-    ) -> Option<RawPacket> {
-        loop {
-            self.drain();
-            if let Some(i) = self.best_queued_idx(Some(ports)) {
-                return Some(self.queues[i].1.pop_front().expect("non-empty"));
-            }
-            match self.rx.recv_timeout(guard) {
-                Ok(pkt) => self.stash(pkt),
-                Err(_) => return None,
-            }
+    /// The free-run half of [`NicHandle::wait`]: sleep on the channel
+    /// and report what ended the sleep in the scheduler's vocabulary.
+    fn sleep_unscheduled(&mut self, deadline: Option<Ns>, watch: Option<&[NodeId]>) -> WakeReason {
+        if watch.is_some_and(|w| !self.fabric.any_alive(w)) {
+            return WakeReason::PeersDone;
         }
+        let arrived = if deadline.is_none() && watch.is_none() {
+            Some(self.rx.recv().unwrap_or_else(|_| {
+                panic!(
+                    "node {}: all senders shut down (protocol deadlock or premature exit)",
+                    self.node
+                )
+            }))
+        } else {
+            let guard = if deadline.is_some() { HANG_GUARD } else { LINGER_GUARD };
+            self.rx.recv_timeout(guard).ok()
+        };
+        match arrived {
+            Some(pkt) => self.stash(pkt),
+            None if deadline.is_some() => return WakeReason::Timeout,
+            // Watch only: go round again and re-read the liveness flags.
+            None => {}
+        }
+        WakeReason::Delivered
     }
 
-    /// Block until any packet at all arrives (used by raw benchmarks).
+    /// Block until any packet at all arrives (raw benchmarks and tests).
     pub fn recv_blocking(&mut self) -> RawPacket {
-        let sched = self.fabric.sched().cloned();
-        loop {
-            let sig = sched.as_ref().map(|s| s.delivery_count(self.node));
-            self.drain();
-            if let Some(i) = self.best_queued_idx(None) {
-                return self.queues[i].1.pop_front().expect("non-empty");
-            }
-            match (&sched, sig) {
-                (Some(s), Some(sig)) => {
-                    let _ = s.park(self.node, sig, None, Ns::ZERO);
-                }
-                _ => match self.rx.recv() {
-                    Ok(pkt) => self.stash(pkt),
-                    Err(_) => panic!("node {}: all senders shut down", self.node),
-                },
-            }
-        }
+        self.wait(None, None, None, Ns::ZERO).got()
     }
 }
 
@@ -540,37 +386,140 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_picks_earliest_arrival() {
+    fn wait_picks_earliest_arrival() {
         let (f, mut nics) = pair();
         // Loopback packet lands at 10ms on port 5; a wire packet from node
         // 0 lands microseconds in on port 6. Although the late one is
         // queued first, selection must follow virtual arrival time.
         f.transmit(1, 1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(10), None);
         f.transmit(0, 1, 0, 6, Bytes::from_static(b"early"), Ns(0), None);
-        let got = nics[1].recv_any_blocking(&[5, 6]);
+        let got = nics[1].wait(Some(&[5, 6]), None, None, Ns::ZERO).got();
         assert_eq!(&got.payload[..], b"early");
     }
 
     #[test]
-    fn recv_any_ignores_other_ports() {
+    fn wait_ignores_other_ports() {
         let (f, mut nics) = pair();
         f.transmit(0, 1, 0, 7, Bytes::from_static(b"other"), Ns(0), None);
         f.transmit(0, 1, 0, 5, Bytes::from_static(b"mine"), Ns(0), None);
-        let got = nics[1].recv_any_blocking(&[5]);
+        let got = nics[1].wait(Some(&[5]), None, None, Ns::ZERO).got();
         assert_eq!(&got.payload[..], b"mine");
         // The port-7 packet is still queued.
         assert_eq!(nics[1].queued(7), 1);
     }
 
     #[test]
-    fn blocking_recv_waits_for_sender_thread() {
+    fn blocking_wait_waits_for_sender_thread() {
         use std::thread;
         let (f, mut nics) = pair();
         let mut n1 = nics.remove(1);
-        let t = thread::spawn(move || n1.recv_any_blocking(&[3]).payload);
+        let t = thread::spawn(move || n1.wait(Some(&[3]), None, None, Ns::ZERO).got().payload);
         thread::sleep(std::time::Duration::from_millis(20));
         f.transmit(0, 1, 0, 3, Bytes::from_static(b"wake"), Ns(0), None);
         assert_eq!(&t.join().unwrap()[..], b"wake");
+    }
+
+    /// Free-run: a watch set that is already gone ends the wait at once,
+    /// after one last look at the queues.
+    #[test]
+    fn free_run_watch_reports_departed_peers() {
+        let (f, mut nics) = pair();
+        let mut n1 = nics.remove(1);
+        f.transmit(0, 1, 0, 5, Bytes::from_static(b"last"), Ns(0), None);
+        drop(nics);
+        let got = n1.wait(Some(&[5]), None, Some(&[0]), Ns::ZERO);
+        assert!(matches!(got, Wait::Got(p) if &p.payload[..] == b"last"));
+        assert!(matches!(n1.wait(Some(&[5]), None, Some(&[0]), Ns::ZERO), Wait::PeersDone));
+    }
+
+    /// [`NicHandle::wait`] under lockstep, over its {deadline, no
+    /// deadline} × {watch, no watch} matrix. Node 1 waits on port 5; node
+    /// 0 is the sender and the watched peer. Every outcome is decided by
+    /// virtual keys, so none of this depends on thread timing.
+    #[test]
+    fn lockstep_wait_matrix() {
+        use std::thread;
+        const DEADLINE: Ns = Ns(100_000);
+        let cluster = |n: usize| {
+            let (f, mut nics) = Fabric::new(n, Arc::new(SimParams::lockstep_testbed()));
+            let waiter = nics.remove(1);
+            let peer = nics.remove(0);
+            // Any further node is gone from the start (its floor would
+            // otherwise hold every grant back).
+            drop(nics);
+            (f, waiter, peer)
+        };
+        for deadline in [None, Some(DEADLINE)] {
+            for watch in [None, Some([0usize])] {
+                let cell = format!("deadline={deadline:?} watch={watch:?}");
+                let watch = watch.as_ref().map(|w| &w[..]);
+
+                // Delivery wins: an in-time packet is handed over.
+                let (_f, mut waiter, peer) = cluster(2);
+                let got = thread::scope(|s| {
+                    let h = s.spawn(|| waiter.wait(Some(&[5]), deadline, watch, Ns::ZERO));
+                    peer.inject(1, 0, 5, Bytes::from_static(b"hit"), Ns(1_000), None);
+                    h.join().unwrap()
+                });
+                assert!(matches!(got, Wait::Got(p) if &p.payload[..] == b"hit"), "{cell}");
+
+                if deadline.is_some() {
+                    // Deadline wins over a later-keyed transmit, however
+                    // early (in wall time) its sender asked; the packet
+                    // is there for the next wait.
+                    let (_f, mut waiter, peer) = cluster(2);
+                    let (first, second) = thread::scope(|s| {
+                        let h = s.spawn(|| {
+                            let first = waiter.wait(Some(&[5]), deadline, watch, Ns::ZERO);
+                            (first, waiter.wait(Some(&[5]), None, None, Ns::ZERO).got())
+                        });
+                        peer.inject(1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(1), None);
+                        h.join().unwrap()
+                    });
+                    assert!(matches!(first, Wait::Deadline), "{cell}: got {first:?}");
+                    assert_eq!(&second.payload[..], b"late", "{cell}");
+
+                    // A queued packet past the deadline stays queued and
+                    // reports Deadline without parking (a park would
+                    // hang here: node 0 never commits to anything).
+                    let (f, mut waiter, _peer) = cluster(2);
+                    f.transmit(1, 1, 0, 5, Bytes::from_static(b"far"), Ns::from_ms(10), None);
+                    let got = waiter.wait(Some(&[5]), deadline, watch, Ns::ZERO);
+                    assert!(matches!(got, Wait::Deadline), "{cell}: got {got:?}");
+                    assert_eq!(waiter.queued(5), 1, "{cell}");
+                }
+
+                if watch.is_some() {
+                    // Peers-done wins: the watched peer leaves silently.
+                    let (_f, mut waiter, peer) = cluster(2);
+                    let got = thread::scope(|s| {
+                        let h = s.spawn(|| waiter.wait(Some(&[5]), deadline, watch, Ns::ZERO));
+                        drop(peer);
+                        h.join().unwrap()
+                    });
+                    assert!(matches!(got, Wait::PeersDone), "{cell}: got {got:?}");
+
+                    // The final drain on PeersDone hands over a packet
+                    // whatever its arrival. The transmit to (departed)
+                    // node 2 is granted only once node 1 is parked, so
+                    // the loopback push that follows lands behind the
+                    // waiter's drain, uncredited; the peer's departure
+                    // is then what wakes it.
+                    let (f, mut waiter, peer) = cluster(3);
+                    let got = thread::scope(|s| {
+                        let h = s.spawn(|| waiter.wait(Some(&[5]), deadline, watch, Ns::ZERO));
+                        peer.inject(2, 0, 0, Bytes::new(), Ns(1_000), None);
+                        f.transmit(1, 1, 0, 5, Bytes::from_static(b"far"), Ns::from_ms(10), None);
+                        drop(peer);
+                        h.join().unwrap()
+                    });
+                    assert!(
+                        matches!(&got, Wait::Got(p) if p.arrival > DEADLINE && &p.payload[..] == b"far"),
+                        "{cell}: got {got:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

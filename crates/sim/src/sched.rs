@@ -150,10 +150,34 @@ pub enum WakeReason {
     /// The park's virtual deadline became the cluster's next event.
     Timeout,
     /// Every node in the park's done-watch set has deregistered its NIC
-    /// ([`LockstepSched::mark_done`]); reported by
-    /// [`LockstepSched::park_done_watch`] and
-    /// [`LockstepSched::park_deadline_done_watch`].
+    /// ([`LockstepSched::mark_done`]).
     PeersDone,
+}
+
+/// Outcome of a blocking wait at any layer above the scheduler — the NIC's
+/// `wait`, the UDP stack's `recv`, a substrate's `wait`: *a message, or a
+/// virtual deadline, or a set of peers leaving*, whichever came first.
+#[derive(Debug)]
+pub enum Wait<T> {
+    /// Something arrived (at or before the deadline, if one was given).
+    Got(T),
+    /// The virtual deadline passed first.
+    Deadline,
+    /// Every watched peer deregistered its NIC first.
+    PeersDone,
+}
+
+impl<T> Wait<T> {
+    /// The arrival of a wait that was given neither a deadline nor a
+    /// watch set, and so can end no other way.
+    pub fn got(self) -> T {
+        match self {
+            Wait::Got(t) => t,
+            Wait::Deadline | Wait::PeersDone => {
+                panic!("a wait with no deadline and no watch can only end in an arrival")
+            }
+        }
+    }
 }
 
 /// A totally ordered event key: virtual time, then node id, then the
@@ -460,69 +484,35 @@ impl LockstepSched {
         self.state.lock().unwrap().nodes[node].deliveries
     }
 
-    /// Park `node` until a packet is delivered to it or — when `deadline`
-    /// is `Some(d)` — until virtual time `d` becomes the cluster's next
-    /// event. `seen_deliveries` is the value of
-    /// [`LockstepSched::delivery_count`] captured before the caller
-    /// last drained its inbox; `floor` is the node's floor while parked
-    /// and on timeout release (its preemptible-window start plus
-    /// lookahead).
+    /// The one blocking wait: park `node` until a packet is delivered to
+    /// it, or — when `deadline` is `Some(d)` — until virtual time `d`
+    /// becomes the cluster's next event ([`WakeReason::Timeout`]), or —
+    /// when `watch` is `Some(w)` — until every node in `w` has
+    /// deregistered its NIC ([`LockstepSched::mark_done`];
+    /// [`WakeReason::PeersDone`], immediately if the set is already
+    /// drained), whichever the scheduler orders first.
+    ///
+    /// `seen_deliveries` is the value of
+    /// [`LockstepSched::delivery_count`] captured before the caller last
+    /// drained its inbox: if a delivery has happened since, the park
+    /// bounces back as [`WakeReason::Delivered`] instead of sleeping on a
+    /// stale view. `floor` is the node's floor while parked and on
+    /// release (its preemptible-window start plus lookahead).
+    ///
+    /// The deadline is what retransmission timers run on; the watch is
+    /// what makes shutdown lingers and the exit fan deterministic: "have
+    /// my peers exited?" is not a wall-clock poll of liveness flags but an
+    /// ordered scheduler event, serialized against every delivery and
+    /// grant, so the messages a lingering node serves before concluding
+    /// `PeersDone` — and whether a timer armed against a departing peer
+    /// fires or cancels — are pure functions of the program.
     pub fn park(
         &self,
         node: usize,
         seen_deliveries: u64,
         deadline: Option<Ns>,
-        floor: Ns,
-    ) -> WakeReason {
-        self.park_inner(node, seen_deliveries, deadline, floor, None)
-    }
-
-    /// Park `node` until a packet is delivered to it or every node in
-    /// `watch` has deregistered its NIC ([`LockstepSched::mark_done`]).
-    /// Returns [`WakeReason::PeersDone`] immediately when the watch set
-    /// is already drained. This is what makes shutdown lingers
-    /// deterministic: "have my peers exited?" stops being a wall-clock
-    /// poll of liveness flags and becomes an ordered scheduler event —
-    /// the release is serialized against every delivery and grant, so the
-    /// number of messages a lingering manager serves before concluding
-    /// `Done` is a pure function of the program.
-    ///
-    /// `seen_deliveries` and `floor` are as for [`LockstepSched::park`].
-    pub fn park_done_watch(
-        &self,
-        node: usize,
-        watch: &[usize],
-        seen_deliveries: u64,
-        floor: Ns,
-    ) -> WakeReason {
-        self.park_inner(node, seen_deliveries, None, floor, Some(watch))
-    }
-
-    /// Park `node` until a packet is delivered, virtual time `deadline`
-    /// becomes the cluster's next event, *or* every node in `watch` has
-    /// deregistered its NIC — whichever comes first. This is the exit
-    /// fan's wait: the deadline keeps a lost notice's retransmission
-    /// timer live while the consumer can still be reached, and the
-    /// done-watch cancels that timer the moment the consumer is gone, so
-    /// a retransmission never fires into a dead node.
-    pub fn park_deadline_done_watch(
-        &self,
-        node: usize,
-        watch: &[usize],
-        seen_deliveries: u64,
-        deadline: Ns,
-        floor: Ns,
-    ) -> WakeReason {
-        self.park_inner(node, seen_deliveries, Some(deadline), floor, Some(watch))
-    }
-
-    fn park_inner(
-        &self,
-        node: usize,
-        seen_deliveries: u64,
-        deadline: Option<Ns>,
-        floor: Ns,
         watch: Option<&[usize]>,
+        floor: Ns,
     ) -> WakeReason {
         let mut s = self.state.lock().unwrap();
         if s.nodes[node].deliveries != seen_deliveries {
@@ -623,7 +613,7 @@ impl LockstepSched {
                 return true;
             }
         }
-        match self.park(node, seen_deliveries, Some(t), floor) {
+        match self.park(node, seen_deliveries, Some(t), None, floor) {
             WakeReason::Delivered => false,
             WakeReason::PeersDone => unreachable!("plain parks carry no done-watch"),
             WakeReason::Timeout => {
@@ -994,7 +984,7 @@ mod tests {
                     let sched = Arc::clone(&sched);
                     handles.push(thread::spawn(move || {
                         let seen = sched.delivery_count(2);
-                        sched.park(2, seen, None, Ns(0));
+                        sched.park(2, seen, None, None, Ns(0));
                         // A woken node keeps its (here: zero) floor until it
                         // commits to its next fabric action; committing is
                         // what unblocks later-keyed grants.
@@ -1103,7 +1093,7 @@ mod tests {
             let sched = Arc::clone(&sched);
             handles.push(thread::spawn(move || {
                 let seen = sched.delivery_count(3);
-                sched.park(3, seen, None, Ns(0));
+                sched.park(3, seen, None, None, Ns(0));
                 sched.mark_done(3);
             }));
         }
@@ -1143,31 +1133,103 @@ mod tests {
         assert_eq!(sched.max_concurrent_grants(), 1);
     }
 
-    /// A park with a deadline wakes by timeout when its deadline is the
-    /// next event; a park raced by a delivery refuses to sleep.
+    /// The one park over its {deadline, no deadline} × {watch, no watch}
+    /// matrix. In every cell a delivery releases the parked node, and a
+    /// delivery that raced the caller's drain bounces the park without
+    /// sleeping; a deadline releases by `Timeout` once it is the
+    /// cluster's next event; a watch releases by `PeersDone` when the
+    /// last watched node deregisters (immediately if it already has),
+    /// and yields to a delivery that came first.
     #[test]
-    fn deadline_park_times_out_deterministically() {
-        let sched = Arc::new(LockstepSched::new(2));
-        let s2 = Arc::clone(&sched);
-        let t = thread::spawn(move || {
-            let seen = s2.delivery_count(1);
-            s2.park(1, seen, Some(Ns(5_000)), Ns(100))
-        });
-        // Node 0 finishing leaves node 1's deadline as the only event.
-        sched.mark_done(0);
-        assert_eq!(t.join().unwrap(), WakeReason::Timeout);
-    }
+    fn park_matrix() {
+        let deliver = |sched: &LockstepSched, dst: usize| {
+            let mut s = sched.state.lock().unwrap();
+            sched.deliver_locked(&mut s, dst, Ns(42));
+        };
+        // Wait (in wall time) until `node` is parked, so the release
+        // under test is what wakes it, not the raced-park bounce.
+        let await_parked = |sched: &LockstepSched, node: usize| loop {
+            if matches!(sched.state.lock().unwrap().nodes[node].st, St::Parked { .. }) {
+                return;
+            }
+            thread::yield_now();
+        };
+        for deadline in [None, Some(Ns(5_000))] {
+            for watch in [None, Some(vec![0usize, 2])] {
+                let cell = format!("deadline={deadline:?} watch={watch:?}");
+                // Nodes 0 and 2 run with floors far above the deadline, so
+                // it is grantable at once; node 1 is the parker.
+                let fresh = || {
+                    let sched = Arc::new(LockstepSched::new(3));
+                    {
+                        let mut s = sched.state.lock().unwrap();
+                        s.nodes[0].st = St::Running { floor: Ns(1_000_000) };
+                        s.nodes[2].st = St::Running { floor: Ns(1_000_000) };
+                    }
+                    sched
+                };
+                let park = |sched: &Arc<LockstepSched>, seen: u64| {
+                    let (sched, watch) = (Arc::clone(sched), watch.clone());
+                    thread::spawn(move || sched.park(1, seen, deadline, watch.as_deref(), Ns(100)))
+                };
 
-    #[test]
-    fn raced_park_refuses_to_sleep() {
-        let sched = LockstepSched::new(2);
-        let seen = sched.delivery_count(1);
-        // A transmit completes after the count was read but before the
-        // park: the park must bounce back as Delivered.
-        let mut s = sched.state.lock().unwrap();
-        sched.deliver_locked(&mut s, 1, Ns(42));
-        drop(s);
-        assert_eq!(sched.park(1, seen, None, Ns(0)), WakeReason::Delivered);
+                // Raced park bounces, whatever else is armed.
+                let sched = fresh();
+                let seen = sched.delivery_count(1);
+                deliver(&sched, 1);
+                assert_eq!(
+                    sched.park(1, seen, deadline, watch.as_deref(), Ns(0)),
+                    WakeReason::Delivered,
+                    "{cell}: raced park must bounce"
+                );
+
+                match deadline {
+                    // Deadline wins: it is the only event on offer.
+                    Some(_) => {
+                        let sched = fresh();
+                        let t = park(&sched, sched.delivery_count(1));
+                        assert_eq!(t.join().unwrap(), WakeReason::Timeout, "{cell}");
+                    }
+                    // Delivery wins (with a deadline armed the park above
+                    // would race it, so this runs in the untimed cells).
+                    None => {
+                        let sched = fresh();
+                        let t = park(&sched, sched.delivery_count(1));
+                        await_parked(&sched, 1);
+                        deliver(&sched, 1);
+                        assert_eq!(t.join().unwrap(), WakeReason::Delivered, "{cell}");
+                    }
+                }
+
+                if watch.is_some() {
+                    // Peers-done wins, and only when the *last* watched
+                    // node goes: the deadline (if any) sits beyond node
+                    // 0's floor until node 0 itself deregisters, and
+                    // mark_done's watch release runs before its dispatch.
+                    let sched = fresh();
+                    {
+                        let mut s = sched.state.lock().unwrap();
+                        s.nodes[0].st = St::Running { floor: Ns(0) };
+                    }
+                    let t = park(&sched, sched.delivery_count(1));
+                    await_parked(&sched, 1);
+                    sched.mark_done(2);
+                    assert!(
+                        matches!(sched.state.lock().unwrap().nodes[1].st, St::Parked { .. }),
+                        "{cell}: released with a watched peer still alive"
+                    );
+                    sched.mark_done(0);
+                    assert_eq!(t.join().unwrap(), WakeReason::PeersDone, "{cell}");
+                    // An already-drained watch set settles inline.
+                    let seen = sched.delivery_count(1);
+                    assert_eq!(
+                        sched.park(1, seen, deadline, watch.as_deref(), Ns(100)),
+                        WakeReason::PeersDone,
+                        "{cell}: drained watch set"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1230,88 +1292,12 @@ mod tests {
         assert!(!sched.poll_quiesce(1, Ns(100), seen, Ns(0)));
     }
 
-    /// A done-watch park releases with `PeersDone` when the last watched
-    /// node deregisters, and immediately when the set is already done.
-    #[test]
-    fn done_watch_park_releases_on_mark_done() {
-        let sched = Arc::new(LockstepSched::new(3));
-        let s2 = Arc::clone(&sched);
-        let t = thread::spawn(move || {
-            let seen = s2.delivery_count(0);
-            s2.park_done_watch(0, &[1, 2], seen, Ns(100))
-        });
-        sched.mark_done(1);
-        // One peer alive: the watcher must still be parked; give the
-        // spawned thread a chance to park before the final mark_done.
-        thread::sleep(std::time::Duration::from_millis(5));
-        sched.mark_done(2);
-        assert_eq!(t.join().unwrap(), WakeReason::PeersDone);
-        // Already-drained watch sets settle inline.
-        let seen = sched.delivery_count(0);
-        assert_eq!(
-            sched.park_done_watch(0, &[1, 2], seen, Ns(100)),
-            WakeReason::PeersDone
-        );
-    }
-
-    /// A delivery beats the done-watch: the watcher wakes `Delivered`,
-    /// serves, and only concludes `PeersDone` on a re-park.
-    #[test]
-    fn done_watch_park_yields_to_deliveries() {
-        let sched = LockstepSched::new(2);
-        let seen = sched.delivery_count(0);
-        let mut s = sched.state.lock().unwrap();
-        sched.deliver_locked(&mut s, 0, Ns(42));
-        drop(s);
-        assert_eq!(
-            sched.park_done_watch(0, &[1], seen, Ns(0)),
-            WakeReason::Delivered
-        );
-    }
-
-    /// The combined deadline+done-watch park (the exit fan's wait) fires
-    /// whichever release comes first: timeout while the watched peer is
-    /// alive, `PeersDone` when the peer deregisters before the deadline.
-    #[test]
-    fn deadline_done_watch_park_releases_both_ways() {
-        // Timeout first: peer 0 stays alive (running with a high floor).
-        let sched = Arc::new(LockstepSched::new(2));
-        {
-            let mut s = sched.state.lock().unwrap();
-            s.nodes[0].st = St::Running { floor: Ns(1_000_000) };
-        }
-        let s2 = Arc::clone(&sched);
-        let t = thread::spawn(move || {
-            let seen = s2.delivery_count(1);
-            s2.park_deadline_done_watch(1, &[0], seen, Ns(5_000), Ns(100))
-        });
-        assert_eq!(t.join().unwrap(), WakeReason::Timeout);
-
-        // Peer-done first: the watched node deregisters while the
-        // deadline still sits beyond its (infinite) floor horizon.
-        let sched = Arc::new(LockstepSched::new(2));
-        let s2 = Arc::clone(&sched);
-        let t = thread::spawn(move || {
-            let seen = s2.delivery_count(1);
-            s2.park_deadline_done_watch(1, &[0], seen, Ns(5_000), Ns(100))
-        });
-        thread::sleep(std::time::Duration::from_millis(5));
-        sched.mark_done(0);
-        let r = t.join().unwrap();
-        // Both releases are legitimate here (node 0's mark_done also
-        // leaves the deadline as the next event); what matters is that
-        // PeersDone is possible and nothing hangs. Pin the determinism:
-        // mark_done's watch release runs before its dispatch, so the
-        // watcher must see PeersDone.
-        assert_eq!(r, WakeReason::PeersDone);
-    }
-
     #[test]
     #[should_panic(expected = "lockstep deadlock")]
     fn all_parked_no_event_is_a_deadlock() {
         let sched = Arc::new(LockstepSched::new(2));
         sched.mark_done(0);
         let seen = sched.delivery_count(1);
-        sched.park(1, seen, None, Ns(0));
+        sched.park(1, seen, None, None, Ns(0));
     }
 }

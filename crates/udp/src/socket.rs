@@ -15,9 +15,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tm_myrinet::{DeadlineWatchRecv, NicHandle, NodeId, RawPacket};
+use tm_myrinet::{NicHandle, NodeId, RawPacket};
 use tm_sim::faults::checksum32;
-use tm_sim::{Ns, SharedClock, SimParams};
+use tm_sim::{Ns, SharedClock, SimParams, Wait};
 
 /// Sockets live above the GM port namespace on the shared fabric.
 pub const SOCKET_PORT_BASE: u16 = 1024;
@@ -43,19 +43,6 @@ pub struct Datagram {
     /// use it purely as a virtual-time wake signal. Zero-fault runs never
     /// see one.
     pub lost: bool,
-}
-
-/// Outcome of a deadline-bounded receive that also watches for peer
-/// departure (see
-/// [`recv_any_timeout_watching`](UdpStack::recv_any_timeout_watching)).
-#[derive(Debug)]
-pub enum RecvOutcome {
-    /// A datagram became ready on one of the selected ports.
-    Datagram((u16, Datagram)),
-    /// The virtual deadline passed first; the clock has advanced to it.
-    Timeout,
-    /// Every watched peer deregistered its NIC first.
-    PeersDone,
 }
 
 struct SocketState {
@@ -157,14 +144,8 @@ impl UdpStack {
         &self.params
     }
 
-    /// Whether any peer node's NIC is still registered on the fabric
-    /// (shutdown-linger support under fault injection).
-    pub fn peers_alive(&self) -> bool {
-        self.nic.others_alive()
-    }
-
     /// Whether any of `nodes` still has its NIC registered — the
-    /// subtree-scoped liveness check behind tree-barrier shutdown lingers.
+    /// liveness input to the DSM's retransmission give-up budget.
     pub fn peers_alive_in(&self, nodes: &[usize]) -> bool {
         self.nic.any_alive(nodes)
     }
@@ -508,161 +489,52 @@ impl UdpStack {
 
     /// Blocking `recvfrom()` on one port.
     pub fn recvfrom(&mut self, port: u16) -> Datagram {
-        self.recv_any(&[port]).1
+        self.recv(&[port], None, None).got().1
     }
 
-    /// `select()` + `recvfrom()`: block until a datagram is available on
-    /// any of `ports`. Charges the select syscall and a scheduler wakeup
-    /// if the process actually slept.
-    pub fn recv_any(&mut self, ports: &[u16]) -> (u16, Datagram) {
-        self.clock.borrow_mut().advance(self.params.host.syscall); // select()
-        loop {
-            if let Some((port, _)) = self.earliest_queued(ports) {
-                return self.pop_ready(port);
-            }
-            // Park on the NIC channel (under lockstep, on the
-            // scheduler) until something arrives for us.
-            let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            let floor = self.sched_floor();
-            let pkt = self.nic.recv_any_floored(&filter, floor);
-            self.admit(pkt);
-        }
-    }
-
-    /// Like [`recv_any`](UdpStack::recv_any) but bounded by a *virtual*
-    /// deadline: returns `None` (with the clock advanced to `deadline`)
-    /// if no datagram becomes ready by then. This is what the DSM's
-    /// retransmission timer runs on — determinism requires the timeout to
-    /// be virtual.
+    /// `select()` + `recvfrom()`, the one blocking receive: wait for a
+    /// datagram to become ready on any of `ports`, or — when `deadline`
+    /// is set — until that *virtual* time (the DSM's retransmission timer
+    /// runs on this; determinism requires the timeout to be virtual), or
+    /// — when `watch` is set — until every node in it has deregistered
+    /// its NIC (a shutdown linger's "all my peers exited", and the exit
+    /// fan's timer cancelling instead of firing into a dead node). Which
+    /// of the three comes first is the NIC's verdict
+    /// ([`NicHandle::wait`]).
     ///
-    /// `guard` is the thin wall-clock escape hatch: if the NIC channel
-    /// stays silent that long in real time, the wait is abandoned as a
-    /// hang. Virtual-time behavior never depends on its value — it only
-    /// fires when nothing is in flight at all (e.g. a receive-buffer
-    /// overflow swallowed the last traffic without a tombstone).
-    pub fn recv_any_timeout(
+    /// Charges the select syscall once per call, plus a scheduler wakeup
+    /// and the delivery costs if a datagram is handed over. A datagram
+    /// that becomes ready only after the deadline stays queued: the timer
+    /// fires first. On [`Wait::Deadline`] the clock has advanced to the
+    /// deadline; on [`Wait::PeersDone`] it is untouched.
+    pub fn recv(
         &mut self,
         ports: &[u16],
-        deadline: Ns,
-        guard: std::time::Duration,
-    ) -> Option<(u16, Datagram)> {
+        deadline: Option<Ns>,
+        watch: Option<&[usize]>,
+    ) -> Wait<(u16, Datagram)> {
         self.clock.borrow_mut().advance(self.params.host.syscall); // select()
         loop {
             if let Some((port, ready)) = self.earliest_queued(ports) {
-                if ready <= deadline {
-                    return Some(self.pop_ready(port));
+                if deadline.is_some_and(|d| ready > d) {
+                    // Queued, but it lands after the deadline: the timer
+                    // fires first.
+                    break;
                 }
-                // Something is queued but lands after the deadline: the
-                // timer fires first.
-                self.clock.borrow_mut().wait_until(deadline);
-                return None;
+                return Wait::Got(self.pop_ready(port));
             }
-            let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            if self.nic.lockstep() {
-                // Deterministic timeout: the deadline is a scheduler
-                // event; the wall-clock guard is never consulted.
-                let floor = self.sched_floor();
-                match self.nic.recv_any_deadline(&filter, deadline, floor) {
-                    Some(pkt) => self.admit(pkt),
-                    None => {
-                        self.clock.borrow_mut().wait_until(deadline);
-                        return None;
-                    }
-                }
-            } else {
-                match self.nic.recv_any_bounded(&filter, guard) {
-                    Some(pkt) => self.admit(pkt),
-                    None => {
-                        // True wall-clock silence: treat as a virtual
-                        // timeout.
-                        self.clock.borrow_mut().wait_until(deadline);
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`recv_any_timeout`](UdpStack::recv_any_timeout) that additionally
-    /// resolves when every node in `watch` has deregistered its NIC. The
-    /// exit fan's retransmission timer runs on this: a timeout armed
-    /// against a peer that already left the fabric must cancel rather
-    /// than fire into a dead node. Under lockstep the three-way race
-    /// (datagram / deadline / peers-done) is resolved by the scheduler in
-    /// virtual time; free-running, peer departure is checked before each
-    /// bounded wait and the wall-clock `guard` keeps its hang-escape
-    /// role.
-    pub fn recv_any_timeout_watching(
-        &mut self,
-        ports: &[u16],
-        watch: &[usize],
-        deadline: Ns,
-        guard: std::time::Duration,
-    ) -> RecvOutcome {
-        self.clock.borrow_mut().advance(self.params.host.syscall); // select()
-        loop {
-            if let Some((port, ready)) = self.earliest_queued(ports) {
-                if ready <= deadline {
-                    return RecvOutcome::Datagram(self.pop_ready(port));
-                }
-                self.clock.borrow_mut().wait_until(deadline);
-                return RecvOutcome::Timeout;
-            }
-            let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            if self.nic.lockstep() {
-                let floor = self.sched_floor();
-                match self
-                    .nic
-                    .recv_any_deadline_done_watch(&filter, watch, deadline, floor)
-                {
-                    DeadlineWatchRecv::Pkt(pkt) => self.admit(pkt),
-                    DeadlineWatchRecv::Timeout => {
-                        self.clock.borrow_mut().wait_until(deadline);
-                        return RecvOutcome::Timeout;
-                    }
-                    DeadlineWatchRecv::PeersDone => return RecvOutcome::PeersDone,
-                }
-            } else {
-                if !self.nic.any_alive(watch) {
-                    return RecvOutcome::PeersDone;
-                }
-                match self.nic.recv_any_bounded(&filter, guard) {
-                    Some(pkt) => self.admit(pkt),
-                    None => {
-                        self.clock.borrow_mut().wait_until(deadline);
-                        return RecvOutcome::Timeout;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Shutdown-linger receive under lockstep: block until a datagram is
-    /// ready on any of `ports` or every node in `watch` has deregistered
-    /// its NIC — the latter returns `None` and is the deterministic
-    /// "all peers exited" signal (NIC deregistration is a scheduler
-    /// `Done` event; no wall-clock liveness flag is read, so the set of
-    /// late datagrams served before `None` is a pure function of the
-    /// program). Panics unless the cluster runs under
-    /// `SchedMode::Lockstep`; free-running lingers keep the wall-clock
-    /// quantum of [`recv_any_timeout`](UdpStack::recv_any_timeout).
-    pub fn recv_any_or_dead(
-        &mut self,
-        ports: &[u16],
-        watch: &[usize],
-    ) -> Option<(u16, Datagram)> {
-        self.clock.borrow_mut().advance(self.params.host.syscall); // select()
-        loop {
-            if let Some((port, _)) = self.earliest_queued(ports) {
-                return Some(self.pop_ready(port));
-            }
+            // Park on the NIC until something arrives for us.
             let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
             let floor = self.sched_floor();
-            match self.nic.recv_any_done_watch(&filter, watch, floor) {
-                Some(pkt) => self.admit(pkt),
-                None => return None,
+            match self.nic.wait(Some(&filter), deadline, watch, floor) {
+                Wait::Got(pkt) => self.admit(pkt),
+                Wait::Deadline => break,
+                Wait::PeersDone => return Wait::PeersDone,
             }
         }
+        let deadline = deadline.expect("only a wait with a deadline times out");
+        self.clock.borrow_mut().wait_until(deadline);
+        Wait::Deadline
     }
 
     /// Does any bound SIGIO socket have traffic (regardless of virtual
@@ -673,15 +545,6 @@ impl UdpStack {
         self.sockets
             .iter()
             .any(|s| s.sigio && s.queue.iter().any(|d| !d.lost))
-    }
-
-    /// Peek the earliest ready-time on a port without consuming.
-    pub fn peek_ready(&mut self, port: u16) -> Option<Ns> {
-        self.drain();
-        self.sockets
-            .iter()
-            .find(|s| s.port == port)
-            .and_then(|s| s.queue.front().map(|d| d.ready))
     }
 }
 
@@ -737,7 +600,7 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_selects_earliest() {
+    fn recv_selects_earliest() {
         let mut s = stacks(2);
         let mut b = s.pop().unwrap();
         let mut a = s.pop().unwrap();
@@ -746,7 +609,7 @@ mod tests {
         b.bind(3, false);
         a.sendto(1, 2, 1, b"first");
         a.sendto(1, 3, 1, b"second");
-        let (port, d) = b.recv_any(&[2, 3]);
+        let (port, d) = b.recv(&[2, 3], None, None).got();
         assert_eq!(port, 2);
         assert_eq!(&d.data[..], b"first");
     }
@@ -786,8 +649,8 @@ mod tests {
         a.bind(1, false);
         b.bind(2, false);
         assert!(!a.sendto(1, 2, 1, b"doomed"));
-        // The receiver still wakes: recv_any surfaces the tombstone.
-        let (port, d) = b.recv_any(&[2]);
+        // The receiver still wakes: recv surfaces the tombstone.
+        let (port, d) = b.recv(&[2], None, None).got();
         assert_eq!(port, 2);
         assert!(d.lost);
         // But the polled path never shows it.
@@ -811,8 +674,8 @@ mod tests {
         b.bind(2, false);
         assert!(a.sendto(1, 2, 1, b"twice"));
         assert_eq!(a.clock().borrow().stats.dgrams_duplicated, 1);
-        let (_, d1) = b.recv_any(&[2]);
-        let (_, d2) = b.recv_any(&[2]);
+        let (_, d1) = b.recv(&[2], None, None).got();
+        let (_, d2) = b.recv(&[2], None, None).got();
         assert_eq!(&d1.data[..], b"twice");
         assert_eq!(&d2.data[..], b"twice");
     }
@@ -834,7 +697,7 @@ mod tests {
         b.bind(2, false);
         assert!(a.sendto(1, 2, 1, b"garbled"));
         assert_eq!(a.clock().borrow().stats.dgrams_corrupted, 1);
-        let (_, d) = b.recv_any(&[2]);
+        let (_, d) = b.recv(&[2], None, None).got();
         assert!(d.lost, "CRC reject must become a tombstone");
         assert_eq!(b.clock().borrow().stats.crc_rejected, 1);
     }
@@ -862,7 +725,7 @@ mod tests {
         let mut clean = 0;
         for _ in 0..20 {
             a.sendto(1, 2, 1, b"payload");
-            let (_, d) = b.recv_any(&[2]);
+            let (_, d) = b.recv(&[2], None, None).got();
             if !d.lost {
                 // Trailer must be stripped before delivery.
                 assert_eq!(&d.data[..], b"payload");
@@ -900,33 +763,43 @@ mod tests {
         assert_eq!(b.clock().borrow().stats.dgrams_dropped, 3);
     }
 
+    /// A deadline wait whose timer fires first: over a silent wire (under
+    /// lockstep, where the deadline is a scheduler event — free-running
+    /// it would sit out the NIC's wall-clock hang guard), and ahead of a
+    /// datagram that is already queued but becomes ready only after the
+    /// deadline. Either way the clock has advanced to the deadline
+    /// (virtual, not wall time) and nothing is consumed.
     #[test]
-    fn recv_timeout_returns_none_when_silent() {
-        let mut s = stacks(2);
-        let mut b = s.pop().unwrap();
-        b.bind(2, false);
-        let deadline = b.clock().borrow().now() + Ns::from_us(500);
-        let got = b.recv_any_timeout(&[2], deadline, std::time::Duration::from_millis(20));
-        assert!(got.is_none());
-        // The virtual clock advanced to the deadline, not to wall time.
-        assert!(b.clock().borrow().now() >= deadline);
-    }
-
-    #[test]
-    fn recv_timeout_expires_before_late_arrival() {
-        let mut s = stacks(2);
-        let mut b = s.pop().unwrap();
-        let mut a = s.pop().unwrap();
-        a.bind(1, false);
-        b.bind(2, false);
-        a.sendto(1, 2, 1, b"late");
-        // The datagram is ready ~tens of µs in; deadline far earlier.
-        let deadline = b.clock().borrow().now() + Ns(10);
-        let got = b.recv_any_timeout(&[2], deadline, std::time::Duration::from_secs(1));
-        assert!(got.is_none(), "timer must fire before the late datagram");
-        // The datagram is still there for a later receive.
-        let (_, d) = b.recv_any(&[2]);
-        assert_eq!(&d.data[..], b"late");
+    fn recv_deadline_fires_before_silence_and_late_arrivals() {
+        for late_arrival in [false, true] {
+            let params = if late_arrival {
+                SimParams::paper_testbed()
+            } else {
+                SimParams::lockstep_testbed()
+            };
+            let mut s = stacks_with(2, params);
+            let mut b = s.pop().unwrap();
+            let mut a = s.pop().unwrap();
+            a.bind(1, false);
+            b.bind(2, false);
+            let wait = if late_arrival {
+                // Ready ~tens of µs in; the deadline is far earlier.
+                a.sendto(1, 2, 1, b"late");
+                Ns(10)
+            } else {
+                // The silent peer leaves, so its floor holds no grant back.
+                drop(a);
+                Ns::from_us(500)
+            };
+            let deadline = b.clock().borrow().now() + wait;
+            let got = b.recv(&[2], Some(deadline), None);
+            assert!(matches!(got, Wait::Deadline), "late_arrival={late_arrival}: {got:?}");
+            assert!(b.clock().borrow().now() >= deadline);
+            if late_arrival {
+                // The datagram is still there for a later receive.
+                assert_eq!(&b.recvfrom(2).data[..], b"late");
+            }
+        }
     }
 
     #[test]
