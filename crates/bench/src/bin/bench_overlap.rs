@@ -9,15 +9,19 @@
 //!
 //! - `serial` — one outstanding RPC at a time: k × PAGES round trips,
 //!   paid end to end (the spec baseline);
-//! - `parallel` — the same k × PAGES requests issued before any response
-//!   is collected, so the cost approaches the slowest round trip per
-//!   fault wave;
 //! - `coalesced` — one `MultiDiff` request per writer covering all of
-//!   its pages: k messages total.
+//!   its pages, all k issued before any response is collected.
+//!
+//! (An in-between engine — the k × PAGES single-page requests issued up
+//! front — measured 2.04 ms against 7.70 ms serial and 1.21 ms coalesced
+//! at four writers, and was deleted.)
 //!
 //! All times are *simulated* cluster nanoseconds on FAST/GM (the paper
-//! testbed), so the numbers are deterministic and comparable across
-//! machines.
+//! testbed). The storm runs under the conservative lockstep scheduler
+//! regardless of `E2_SCHED`, as `bench_prefetch` does: k writers' responses
+//! converge on the reader's rx link, so a free-running sample differs
+//! from the next one, and the committed JSON is diffed byte for byte in
+//! CI.
 //!
 //! Usage: `cargo run --release -p tm-bench --bin bench_overlap [out.json]`
 
@@ -67,11 +71,7 @@ fn storm_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
 }
 
 fn run(writers: usize, engine: DiffFetch) -> u64 {
-    // `E2_SCHED=lockstep` runs the storm under the conservative lockstep
-    // scheduler (byte-reproducible; see `tm_sim::sched`); `bench_lockstep`
-    // measures the wall-clock price of that determinism on this same
-    // storm.
-    let params = Arc::new(tm_bench::bench_testbed());
+    let params = Arc::new(tm_sim::SimParams::lockstep_testbed());
     let cfg = FastConfig::paper(&params);
     let tcfg = TmkConfig {
         diff_fetch: engine,
@@ -91,24 +91,19 @@ fn main() {
     let ks = [1usize, 2, 4];
     for (i, &k) in ks.iter().enumerate() {
         let serial = run(k, DiffFetch::Serial);
-        let parallel = run(k, DiffFetch::Parallel);
         let coalesced = run(k, DiffFetch::Coalesced);
         println!(
-            "writers={k}: serial={serial}ns parallel={parallel}ns coalesced={coalesced}ns \
+            "writers={k}: serial={serial}ns coalesced={coalesced}ns \
              (serial/coalesced = {:.2}x)",
             serial as f64 / coalesced.max(1) as f64
         );
         assert!(
-            parallel < serial,
-            "k={k}: parallel ({parallel}) must beat serial ({serial})"
-        );
-        assert!(
-            coalesced <= parallel,
-            "k={k}: coalesced ({coalesced}) must not lose to parallel ({parallel})"
+            coalesced < serial,
+            "k={k}: coalesced ({coalesced}) must beat serial ({serial})"
         );
         let comma = if i + 1 < ks.len() { "," } else { "" };
         json.push_str(&format!(
-            "    {{ \"writers\": {k}, \"serial_ns\": {serial}, \"parallel_ns\": {parallel}, \
+            "    {{ \"writers\": {k}, \"serial_ns\": {serial}, \
              \"coalesced_ns\": {coalesced}, \"serial_over_coalesced\": {:.2} }}{comma}\n",
             serial as f64 / coalesced.max(1) as f64
         ));

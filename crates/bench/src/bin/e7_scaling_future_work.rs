@@ -28,7 +28,7 @@ use std::sync::Arc;
 use tm_bench::{print_header, AppSpec};
 use tm_fast::{run_fast_dsm, FastConfig, Transport};
 use tm_sim::runner::NodeOutcome;
-use tm_sim::{Ns, SchedMode, SimParams, TokenMode};
+use tm_sim::{Ns, SchedMode, SimParams};
 use tmk::memsub::run_mem_dsm;
 use tmk::{BarrierAlgo, Substrate, Tmk, TmkConfig};
 
@@ -77,30 +77,31 @@ fn ideal_barrier(n: usize, algo: BarrierAlgo) -> Ns {
     avg(&run_mem_dsm(n, params, Ns::ZERO, cfg(algo), barrier_body))
 }
 
-/// Wall-clock seconds for one `n`-node tree-barrier run under
-/// `mode`/`tokens`.
-fn wall_once(n: usize, mode: SchedMode, tokens: TokenMode) -> f64 {
-    let mut p = SimParams::paper_testbed();
-    p.sched = mode;
-    p.tokens = tokens;
-    let params = Arc::new(p);
+/// One `n`-node tree-barrier run under `mode`: wall-clock seconds and
+/// every node's price per barrier.
+fn wall_once(n: usize, mode: SchedMode) -> (f64, Vec<u64>) {
+    let params = Arc::new(SimParams {
+        sched: mode,
+        ..SimParams::paper_testbed()
+    });
     let fc = FastConfig::paper(&params);
     let t0 = std::time::Instant::now();
-    run_fast_dsm(
+    let out = run_fast_dsm(
         n,
         params,
         fc,
         cfg(BarrierAlgo::Tree { radix: radix() }),
         barrier_body,
     );
-    t0.elapsed().as_secs_f64()
+    let wall = t0.elapsed().as_secs_f64();
+    (wall, out.iter().map(|o| o.result).collect())
 }
 
 /// CI smoke: small clusters, assertion-carrying. Proves the tree barrier
 /// actually pays off and stays sub-linear without the 128-node runtime,
-/// then prices the lockstep scheduler at 128 nodes: per-receiver tokens
-/// must beat (or at worst match) the single-token baseline, and stay
-/// under a host-dependent overhead ceiling vs free-run.
+/// then runs lockstep at 128 nodes — the scale at which its liveness bugs
+/// showed — and holds it to what it promises: every rep prices the barrier
+/// identically on every node.
 fn smoke() {
     print_header("E7 smoke: tree vs centralized barrier (8/16/32 nodes)");
     println!(
@@ -131,50 +132,34 @@ fn smoke() {
     println!();
     println!("ok: tree < centralized at 16/32 nodes, 32-node tree < 2x 8-node");
 
-    // Lockstep's wall-clock price at scale, in both token modes. Reps
-    // alternate regimes (host noise is bursty enough to bias a fixed
-    // order — see bench_lockstep) and best-of minimums are compared:
-    // scheduler overhead is a floor, and the floor is what the grant
-    // protocol adds. Two gates: (1) per-receiver tokens must not lose to
-    // the single token at 128 nodes — this is the scale regression the
-    // tokens exist to fix (measured ~20% ahead: fewer blocked episodes,
-    // since a transmit to a free rx link grants without parking);
-    // (2) an absolute overhead ceiling vs free-run. On a single-CPU host
-    // grants cannot overlap at all — every handoff is a context switch
-    // through a 128-deep run queue — so the ceiling is looser there
-    // (measured ≈2.2x after the per-node sleep slots and fixpoint
-    // dispatch; it was 6.3x before them).
+    // Three lockstep reps at 128 nodes, alternating with free-run reps so
+    // the printed wall ratio (best of each; informational — the repo
+    // benchmark's `wall_s` is the gated wall-clock figure) is not biased
+    // by bursty host noise.
     const WALL_NODES: usize = 128;
     const WALL_REPS: usize = 3;
-    let (mut free_w, mut lock_w, mut single_w) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut free_w, mut lock_w) = (f64::INFINITY, f64::INFINITY);
+    let mut prices: Vec<Vec<u64>> = Vec::new();
     for _ in 0..WALL_REPS {
-        free_w = free_w.min(wall_once(WALL_NODES, SchedMode::FreeRun, TokenMode::PerReceiver));
-        lock_w = lock_w.min(wall_once(WALL_NODES, SchedMode::Lockstep, TokenMode::PerReceiver));
-        single_w = single_w.min(wall_once(WALL_NODES, SchedMode::Lockstep, TokenMode::Single));
+        free_w = free_w.min(wall_once(WALL_NODES, SchedMode::FreeRun).0);
+        let (w, price) = wall_once(WALL_NODES, SchedMode::Lockstep);
+        lock_w = lock_w.min(w);
+        prices.push(price);
     }
-    let ratio = lock_w / free_w.max(1e-9);
-    let single_ratio = single_w / free_w.max(1e-9);
     println!();
     println!(
         "lockstep wall at {WALL_NODES} nodes (tree barrier, best of {WALL_REPS}): \
-         freerun={free_w:.3}s lockstep(single)={single_w:.3}s ({single_ratio:.2}x) \
-         lockstep(per-receiver)={lock_w:.3}s ({ratio:.2}x)"
+         freerun={free_w:.3}s lockstep={lock_w:.3}s ({:.2}x)",
+        lock_w / free_w.max(1e-9)
     );
     assert!(
-        lock_w <= single_w * 1.05,
-        "per-receiver tokens must not lose to the single token at \
-         {WALL_NODES} nodes ({lock_w:.3}s vs {single_w:.3}s)"
-    );
-    let single_cpu = std::thread::available_parallelism().map_or(true, |p| p.get() == 1);
-    let ceiling = if single_cpu { 4.0 } else { 2.5 };
-    assert!(
-        ratio <= ceiling,
-        "per-receiver lockstep at {WALL_NODES} nodes must stay within \
-         {ceiling}x of free-run wall-clock on this host (got {ratio:.2}x)"
+        prices.windows(2).all(|w| w[0] == w[1]),
+        "lockstep reps at {WALL_NODES} nodes priced the barrier differently"
     );
     println!(
-        "ok: per-receiver <= single token at {WALL_NODES} nodes, \
-         overhead {ratio:.2}x <= {ceiling}x"
+        "ok: {WALL_REPS} lockstep reps at {WALL_NODES} nodes agree on every node's barrier price \
+         (mean {})",
+        Ns(prices[0].iter().sum::<u64>() / WALL_NODES as u64)
     );
 }
 

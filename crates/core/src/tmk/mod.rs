@@ -98,12 +98,11 @@ pub enum DiffFetch {
     /// TreadMarks specification baseline. A k-writer fault costs the sum
     /// of the k round trips.
     Serial,
-    /// Issue every per-writer `Diff` request up front, then collect the
-    /// responses; the fault costs ~max(RTT) instead of the sum.
-    Parallel,
-    /// Like `Parallel`, and additionally merge all pages owed by one
-    /// writer into a single `MultiDiff` message — fewer messages, which
-    /// is where FAST/GM's fixed per-message costs bite.
+    /// Issue one request per last-writer up front — all pages owed by
+    /// that writer merged into a single `MultiDiff` message — then
+    /// collect the responses: the fault costs ~max(RTT) instead of the
+    /// sum, in the fewest messages, which is where FAST/GM's fixed
+    /// per-message costs bite.
     Coalesced,
 }
 
@@ -189,8 +188,8 @@ pub enum TmkEvent {
     /// outstanding-rpc depth gauge reads its maximum).
     RpcIssued { rid: u32, depth: u32 },
     /// The coherence layer fanned `requests` concurrent diff fetches to
-    /// `writers` distinct nodes in one round (parallel/coalesced engines
-    /// only; a serial fetch never emits this).
+    /// `writers` distinct nodes in one round (the coalesced engine only;
+    /// a serial fetch never emits this).
     DiffFanout { writers: u16, requests: u16 },
     /// The sync layer overlapped `fetches` page fetches implied by a
     /// grant's write notices with the tail of lock acquire `lock`

@@ -85,8 +85,7 @@ impl Fabric {
         }
         let extra_hops = 2 * (levels - 1);
         let alive = (0..n).map(|_| AtomicBool::new(true)).collect();
-        let sched = (params.sched == SchedMode::Lockstep)
-            .then(|| Arc::new(LockstepSched::new_with_tokens(n, params.tokens)));
+        let sched = (params.sched == SchedMode::Lockstep).then(|| Arc::new(LockstepSched::new(n)));
         let fabric = Arc::new(Fabric {
             params,
             links,

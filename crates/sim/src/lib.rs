@@ -33,6 +33,6 @@ pub use clock::{AsyncScheme, NodeClock, SharedClock};
 pub use faults::FaultPlan;
 pub use params::SimParams;
 pub use runner::{run_cluster, NodeEnv};
-pub use sched::{LockstepSched, SchedMode, TokenMode, Wait, WakeReason};
+pub use sched::{LockstepSched, SchedMode, Wait, WakeReason};
 pub use stats::NodeStats;
 pub use time::Ns;

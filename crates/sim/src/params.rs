@@ -14,7 +14,7 @@
 
 use crate::clock::AsyncScheme;
 use crate::faults::FaultPlan;
-use crate::sched::{SchedMode, TokenMode};
+use crate::sched::SchedMode;
 use crate::time::Ns;
 
 /// Wire and switch model for the Myrinet-2000 fabric.
@@ -239,12 +239,6 @@ pub struct SimParams {
     /// arbitration under contention) or conservative lockstep
     /// (byte-reproducible). See [`crate::sched`].
     pub sched: SchedMode,
-    /// Reservation-token granularity for the lockstep scheduler: one
-    /// cluster-wide token ([`TokenMode::Single`], the PR 6 baseline) or
-    /// one per rx link ([`TokenMode::PerReceiver`], the default —
-    /// transmits to distinct receivers overlap). Ignored under
-    /// [`SchedMode::FreeRun`].
-    pub tokens: TokenMode,
 }
 
 impl SimParams {

@@ -18,8 +18,8 @@
 //! Link reservations are split into a two-phase *request/grant*: a node
 //! asking to transmit parks in [`LockstepSched::request_transmit`] until
 //! the scheduler grants its key; a transmit announces its destination at
-//! phase one, and grants to *distinct* rx links may be issued
-//! concurrently (see [`TokenMode`]).
+//! phase one, and grants to *distinct* rx links may be outstanding at
+//! once (see "Per-receiver tokens").
 //!
 //! The safety rule is the conservative horizon. Each node carries a
 //! **floor**: a lower bound on the key of any event it could still
@@ -36,20 +36,17 @@
 //!
 //! # Per-receiver tokens
 //!
-//! The original scheduler held one cluster-wide reservation token: at
-//! most one transmit was inside the fabric between its grant and its
-//! `finish_transmit`. That serializes *all* transmits, even though two
-//! grants only truly conflict when they race for the same receiver's rx
-//! link. [`TokenMode::PerReceiver`] (the default) instead keeps one token
-//! per rx link and grants a transmit when:
+//! Two grants only truly conflict when they race for the same
+//! receiver's rx link, so the scheduler keeps one reservation token per
+//! rx link — held by a transmit between its grant and its
+//! `finish_transmit` — and grants a transmit when:
 //!
 //! 1. **Horizon** — every running node's floor is strictly above the
-//!    transmit's inject time (unchanged).
+//!    transmit's inject time.
 //! 2. **Per-link order** — its rx link's token is free (no in-flight
 //!    transmit to the same destination) and its key is the minimum among
 //!    pending transmits to that destination. Each inbox therefore
-//!    receives packets in global key order, exactly as under the single
-//!    token.
+//!    receives packets in global key order.
 //! 3. **Pairwise hazards** — for every earlier-keyed pending event and
 //!    every in-flight transmit, the *consequences* of either event (the
 //!    sender's post-transmit floor, and the wake of its — possibly
@@ -58,16 +55,18 @@
 //!    produce a smaller-keyed transmit onto a link whose order was
 //!    already committed.
 //!
-//! Reproducibility is preserved because each rx link's reservation
-//! sequence — and therefore each inbox's arrival sequence — is the same
-//! one the serial schedule produces: per-link tokens serialize same-link
-//! reservations in key order, tx links are only ever touched by their
-//! owner's thread, and the hazard rule guarantees no not-yet-visible
-//! event can undercut a committed grant on any link it could reach. A
-//! node's inputs (its inbox sequence and deadline expiries) are thus a
-//! pure function of the program, and by the same induction as before so
-//! is every virtual timestamp, counter and memory image — only the
-//! wall-clock overlap of disjoint-link grants changes.
+//! Reproducibility holds because each rx link's reservation sequence —
+//! and therefore each inbox's arrival sequence — is the one a fully
+//! serial schedule (grant the global minimum, only with the fabric empty)
+//! produces: per-link tokens serialize same-link reservations in key
+//! order, tx links are only ever touched by their owner's thread, and the
+//! hazard rule guarantees no not-yet-visible event can undercut a
+//! committed grant on any link it could reach. A node's inputs (its
+//! inbox sequence and deadline expiries) are thus a pure function of the
+//! program, and by induction so is every virtual timestamp, counter and
+//! memory image. (The serial schedule was a second token mode until it
+//! lost its measurement — DESIGN.md, "One CPU"; `tests/lockstep.rs` pins
+//! fingerprints recorded under it.)
 //!
 //! Blocking receives park through the scheduler too
 //! ([`LockstepSched::park`]): a parked node's next event is unknowable
@@ -75,6 +74,12 @@
 //! virtual deadline for timeout waits (the DSM retransmission timer), in
 //! which case the deadline is an event like any other and the wall-clock
 //! hang guard of the free-running path is never consulted.
+//!
+//! # One CPU
+//!
+//! The node threads of a lockstep cluster share one CPU
+//! ([`crate::runner`], "Placement"), so a blocked node never spins: the
+//! thread that will post its release needs the core it would burn.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -106,36 +111,6 @@ impl SchedMode {
         match s.to_ascii_lowercase().as_str() {
             "" | "free" | "freerun" => Some(SchedMode::FreeRun),
             "lockstep" => Some(SchedMode::Lockstep),
-            _ => None,
-        }
-    }
-}
-
-/// Granularity of the lockstep scheduler's reservation tokens.
-///
-/// * `Single` — one cluster-wide token: at most one transmit is inside
-///   the fabric at a time. The original (PR 6) regime; kept as the
-///   baseline for equivalence tests and overhead measurements.
-/// * `PerReceiver` — one token per rx link: transmits to distinct
-///   receivers proceed concurrently, subject to the hazard rules in the
-///   module docs. Produces the byte-identical schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TokenMode {
-    /// One cluster-wide reservation token (fully serial grants).
-    Single,
-    /// One reservation token per receiver link (concurrent disjoint grants).
-    #[default]
-    PerReceiver,
-}
-
-impl TokenMode {
-    /// Parse from an environment-style string: `single` selects
-    /// [`TokenMode::Single`]; `per-receiver`, `per_receiver` or the
-    /// empty string select [`TokenMode::PerReceiver`].
-    pub fn parse(s: &str) -> Option<TokenMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "single" => Some(TokenMode::Single),
-            "" | "per-receiver" | "per_receiver" | "perreceiver" => Some(TokenMode::PerReceiver),
             _ => None,
         }
     }
@@ -239,12 +214,10 @@ struct InFlight {
 struct State {
     nodes: Vec<NodeSt>,
     /// Transmits between grant and `finish_transmit`, one per held
-    /// rx-link token. Under [`TokenMode::Single`] at most one entry;
-    /// under [`TokenMode::PerReceiver`] at most one per distinct `dst`.
-    /// Tracking `src` lets `mark_done` release a token held by a node
-    /// that unwinds mid-transmit.
+    /// rx-link token — at most one per distinct `dst`. Tracking `src`
+    /// lets `mark_done` release a token held by a node that unwinds
+    /// mid-transmit.
     in_flight: Vec<InFlight>,
-    tokens: TokenMode,
     /// High-water mark of `in_flight.len()` — the gauge tests use to
     /// prove concurrent grants actually happened.
     max_grants: usize,
@@ -262,13 +235,10 @@ struct State {
 /// Release signals travel through `sigs`, one atomic per node, set
 /// (while the state lock is held) by whichever thread decides the
 /// release and consumed by the single blocked owner. Keeping the signal
-/// outside the mutex lets waiters *spin briefly before sleeping*
-/// (`await_signal`): the typical grant handoff — the
-/// dispatching thread marks a transmit granted, the granted thread
-/// resumes, reserves its links, and finishes — is far shorter than a
-/// futex round trip, and under [`TokenMode::Single`] that wake latency
-/// sits on the fully serialized critical path of *every* transmit in
-/// the cluster.
+/// outside the mutex lets a waiter *yield a few times before sleeping*
+/// (`await_signal`): on the cluster's one CPU a yield hands the core
+/// straight to the would-be signaller, and the typical grant hand-off is
+/// shorter than a futex round trip.
 pub struct LockstepSched {
     state: Mutex<State>,
     /// Per-node sleep slots, each with its own mutex: a waiter must never
@@ -277,10 +247,6 @@ pub struct LockstepSched {
     waiters: Vec<WaitSlot>,
     /// Per-node release signal: `SIG_NONE` or an encoded [`WakeReason`].
     sigs: Vec<AtomicU8>,
-    /// Busy-wait iterations before yielding in [`LockstepSched::await_signal`].
-    /// Zero on a single-CPU host: spinning there steals the only core from
-    /// the thread that would post the signal.
-    spins: u32,
     /// `yield_now` rounds before the condvar sleep. Sized to the cluster:
     /// small clusters have short waits where a yield beats a futex round
     /// trip; at 100+ threads every yield walks a long run queue, so
@@ -316,16 +282,10 @@ fn sig_decode(v: u8) -> Option<WakeReason> {
 }
 
 impl LockstepSched {
-    /// A scheduler for `n` nodes with the default per-receiver tokens,
-    /// all initially running with floor 0 (no event can be granted until
-    /// every node has committed to its first fabric action — the
-    /// conservative cold start).
+    /// A scheduler for `n` nodes, all initially running with floor 0 (no
+    /// event can be granted until every node has committed to its first
+    /// fabric action — the conservative cold start).
     pub fn new(n: usize) -> LockstepSched {
-        LockstepSched::new_with_tokens(n, TokenMode::default())
-    }
-
-    /// A scheduler for `n` nodes with an explicit [`TokenMode`].
-    pub fn new_with_tokens(n: usize, tokens: TokenMode) -> LockstepSched {
         let nodes = (0..n)
             .map(|_| NodeSt {
                 st: St::Running { floor: Ns::ZERO },
@@ -338,7 +298,6 @@ impl LockstepSched {
             state: Mutex::new(State {
                 nodes,
                 in_flight: Vec::new(),
-                tokens,
                 max_grants: 0,
             }),
             waiters: (0..n)
@@ -348,10 +307,6 @@ impl LockstepSched {
                 })
                 .collect(),
             sigs: (0..n).map(|_| AtomicU8::new(SIG_NONE)).collect(),
-            spins: match std::thread::available_parallelism() {
-                Ok(p) if p.get() > 1 => 200,
-                _ => 0,
-            },
             yields: if n <= 32 { 8 } else { 2 },
         }
     }
@@ -378,22 +333,14 @@ impl LockstepSched {
     }
 
     /// Block `node`'s thread until its release signal is posted:
-    /// spin briefly when a second CPU could be posting it concurrently
-    /// (the grant handoff is usually much shorter than a futex round
-    /// trip), politely yield a few times (on a single CPU this hands the
-    /// core straight to the would-be signaler), then sleep on the node's
-    /// *private* condvar — never on the state lock, which the signaler
+    /// politely yield a few times (on the cluster's one CPU this hands
+    /// the core straight to the would-be signaller), then sleep on the
+    /// node's *private* condvar — never on the state lock, which the signaller
     /// and every other node need. The wait mechanics are invisible to
     /// the virtual schedule — release decisions are made entirely from
     /// virtual state under the state lock — so this is pure wall-clock
     /// tuning.
     fn await_signal(&self, node: usize) -> WakeReason {
-        for _ in 0..self.spins {
-            if let Some(r) = self.take_sig(node) {
-                return r;
-            }
-            std::hint::spin_loop();
-        }
         for _ in 0..self.yields {
             if let Some(r) = self.take_sig(node) {
                 return r;
@@ -426,8 +373,8 @@ impl LockstepSched {
     }
 
     /// The highest number of simultaneously in-flight (granted but not
-    /// finished) transmits observed so far. Always ≤ 1 under
-    /// [`TokenMode::Single`]; ≥ 2 proves per-receiver grants overlapped.
+    /// finished) transmits observed so far; ≥ 2 proves grants to
+    /// distinct receivers overlapped.
     pub fn max_concurrent_grants(&self) -> usize {
         self.state.lock().unwrap().max_grants
     }
@@ -441,9 +388,9 @@ impl LockstepSched {
     /// On return the caller holds `dst`'s rx-link reservation token: it
     /// must perform its link reservations and inbox delivery, then call
     /// [`LockstepSched::finish_transmit`]. Grants to distinct receivers
-    /// may overlap (see [`TokenMode`]); grants to the same receiver are
-    /// serialized in key order, so the CAS loops in the fabric's reserve
-    /// path stay uncontended per link.
+    /// may overlap (module docs, "Per-receiver tokens"); grants to the
+    /// same receiver are serialized in key order, so the CAS loops in the
+    /// fabric's reserve path stay uncontended per link.
     pub fn request_transmit(&self, node: usize, dst: usize, inject: Ns, floor_after: Ns) {
         let mut s = self.state.lock().unwrap();
         let seq = s.nodes[node].next_seq();
@@ -568,19 +515,18 @@ impl LockstepSched {
             // Fast path: the poll's deadline event would be granted the
             // moment it was created — no candidate event with a smaller
             // key, every running floor above `t`, and the in-flight rules
-            // of the poller's token mode hold. Settling inline is then
-            // schedule-equivalent to the park below (the dispatcher would
-            // release this deadline before anything else), minus the
-            // sleep/wake round trip that a poll-heavy engine pays on
-            // every miss. The seq that the park would have consumed is
+            // hold. Settling inline is then schedule-equivalent to the
+            // park below (the dispatcher would release this deadline
+            // before anything else), minus the sleep/wake round trip
+            // that a poll-heavy engine pays on every miss. The seq that the park would have consumed is
             // skipped, which is harmless: a node has at most one live
             // candidate at a time, so seq never arbitrates between
-            // coexisting events. Under per-receiver tokens the fabric is
-            // legitimately busy most of the time — that is the point of
-            // the mode — so the fast path must tolerate in-flight
-            // transmits; `grantable_concurrently` (with no earlier
-            // candidate, which the horizon scan just established) is
-            // exactly the dispatcher's own admission test.
+            // coexisting events. The fabric is legitimately busy most of
+            // the time — that is the point of per-receiver tokens — so
+            // the fast path must tolerate in-flight transmits;
+            // `grantable_concurrently` (with no earlier candidate, which
+            // the horizon scan just established) is exactly the
+            // dispatcher's own admission test.
             let me = Key { t, node, seq: 0 };
             let horizon_clear = s.nodes.iter().enumerate().all(|(i, n)| {
                 i == node
@@ -594,14 +540,7 @@ impl LockstepSched {
                     }
             });
             let settled_now = horizon_clear
-                && (s.in_flight.is_empty()
-                    || (s.tokens == TokenMode::PerReceiver
-                        && self.grantable_concurrently(
-                            &s,
-                            me,
-                            &Cand::Deadline { owner: node },
-                            &[],
-                        )));
+                && self.grantable_concurrently(&s, me, &Cand::Deadline { owner: node }, &[]);
             if settled_now {
                 let la = s.nodes[node].lookahead;
                 if let St::Running { floor: f } = &mut s.nodes[node].st {
@@ -721,10 +660,7 @@ impl LockstepSched {
     /// Grant every releasable event. Called with the state lock held
     /// after every transition; wakes each granted node's own condvar.
     ///
-    /// Candidates are scanned in key order. Under [`TokenMode::Single`]
-    /// only the global minimum is ever considered and nothing is granted
-    /// while a transmit is in flight — the original serial regime. Under
-    /// [`TokenMode::PerReceiver`] a candidate is granted when it passes
+    /// Candidates are scanned in key order; one is granted when it passes
     /// the horizon rule, its rx-link token is free, and the pairwise
     /// hazard rule holds against every earlier-keyed candidate and every
     /// in-flight transmit (module docs, "Per-receiver tokens").
@@ -767,7 +703,6 @@ impl LockstepSched {
                 return;
             }
             cands.sort_by_key(|c| c.0);
-            let serial = s.tokens == TokenMode::Single;
             // One pass over the sorted candidates, granting as it goes.
             // A grant mid-pass leaves its (now stale) entry in `cands`,
             // which only *adds* same-link and hazard rejections for later
@@ -780,15 +715,10 @@ impl LockstepSched {
             let mut granted_any = false;
             for ci in 0..cands.len() {
                 let (key, idx, ev) = cands[ci];
-                if serial && (ci > 0 || !s.in_flight.is_empty()) {
-                    // Single token: only the global minimum, and only
-                    // with the fabric empty, may be granted.
-                    break;
-                }
                 if key.t >= min_running {
                     continue;
                 }
-                if !serial && !self.grantable_concurrently(s, key, &ev, &cands[..ci]) {
+                if !self.grantable_concurrently(s, key, &ev, &cands[..ci]) {
                     continue;
                 }
                 granted_any = true;
@@ -959,68 +889,55 @@ mod tests {
         assert_eq!(SchedMode::default(), SchedMode::FreeRun);
     }
 
-    #[test]
-    fn token_mode_parses() {
-        assert_eq!(TokenMode::parse("single"), Some(TokenMode::Single));
-        assert_eq!(TokenMode::parse("per-receiver"), Some(TokenMode::PerReceiver));
-        assert_eq!(TokenMode::parse("PER_RECEIVER"), Some(TokenMode::PerReceiver));
-        assert_eq!(TokenMode::parse(""), Some(TokenMode::PerReceiver));
-        assert_eq!(TokenMode::parse("bogus"), None);
-        assert_eq!(TokenMode::default(), TokenMode::PerReceiver);
-    }
-
     /// Two nodes race to transmit to the *same* receiver; the grant order
-    /// must follow virtual keys, not wall-clock arrival at the scheduler
-    /// — under either token mode, since the rx link is shared.
+    /// must follow virtual keys, not wall-clock arrival at the scheduler.
     #[test]
     fn grants_follow_virtual_keys() {
-        for tokens in [TokenMode::Single, TokenMode::PerReceiver] {
-            for _ in 0..20 {
-                let sched = Arc::new(LockstepSched::new_with_tokens(3, tokens));
-                let order = Arc::new(Mutex::new(Vec::new()));
-                let mut handles = Vec::new();
-                // Node 2 parks immediately so only 0 and 1 race.
-                {
-                    let sched = Arc::clone(&sched);
-                    handles.push(thread::spawn(move || {
-                        let seen = sched.delivery_count(2);
-                        sched.park(2, seen, None, None, Ns(0));
-                        // A woken node keeps its (here: zero) floor until it
-                        // commits to its next fabric action; committing is
-                        // what unblocks later-keyed grants.
-                        sched.mark_done(2);
-                    }));
-                }
-                for (node, inject) in [(0usize, Ns(2_000)), (1usize, Ns(1_000))] {
-                    let sched = Arc::clone(&sched);
-                    let order = Arc::clone(&order);
-                    handles.push(thread::spawn(move || {
-                        // Stagger wall-clock arrival adversarially.
-                        if node == 1 {
-                            thread::sleep(std::time::Duration::from_millis(5));
-                        }
-                        sched.request_transmit(node, 2, inject, inject + Ns(1_000_000));
-                        order.lock().unwrap().push(node);
-                        sched.finish_transmit(node, 2, inject + Ns(10_000));
-                        sched.mark_done(node);
-                    }));
-                }
-                // Wait for both transmits to complete, then unblock node 2's
-                // park by letting its delivery land.
-                for h in handles {
-                    h.join().unwrap();
-                }
-                assert_eq!(
-                    *order.lock().unwrap(),
-                    vec![1, 0],
-                    "grants must follow (virtual time, node, seq) order"
-                );
-                assert_eq!(
-                    sched.max_concurrent_grants(),
-                    1,
-                    "same-receiver transmits must never overlap"
-                );
+        for _ in 0..20 {
+            let sched = Arc::new(LockstepSched::new(3));
+            let order = Arc::new(Mutex::new(Vec::new()));
+            let mut handles = Vec::new();
+            // Node 2 parks immediately so only 0 and 1 race.
+            {
+                let sched = Arc::clone(&sched);
+                handles.push(thread::spawn(move || {
+                    let seen = sched.delivery_count(2);
+                    sched.park(2, seen, None, None, Ns(0));
+                    // A woken node keeps its (here: zero) floor until it
+                    // commits to its next fabric action; committing is
+                    // what unblocks later-keyed grants.
+                    sched.mark_done(2);
+                }));
             }
+            for (node, inject) in [(0usize, Ns(2_000)), (1usize, Ns(1_000))] {
+                let sched = Arc::clone(&sched);
+                let order = Arc::clone(&order);
+                handles.push(thread::spawn(move || {
+                    // Stagger wall-clock arrival adversarially.
+                    if node == 1 {
+                        thread::sleep(std::time::Duration::from_millis(5));
+                    }
+                    sched.request_transmit(node, 2, inject, inject + Ns(1_000_000));
+                    order.lock().unwrap().push(node);
+                    sched.finish_transmit(node, 2, inject + Ns(10_000));
+                    sched.mark_done(node);
+                }));
+            }
+            // Wait for both transmits to complete, then unblock node 2's
+            // park by letting its delivery land.
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(
+                *order.lock().unwrap(),
+                vec![1, 0],
+                "grants must follow (virtual time, node, seq) order"
+            );
+            assert_eq!(
+                sched.max_concurrent_grants(),
+                1,
+                "same-receiver transmits must never overlap"
+            );
         }
     }
 
@@ -1041,8 +958,8 @@ mod tests {
             let rendezvous = Arc::clone(&rendezvous);
             handles.push(thread::spawn(move || {
                 sched.request_transmit(node, dst, inject, Ns(1_000_000));
-                // Under a single cluster-wide token this rendezvous would
-                // deadlock: the second grant needs the first to finish.
+                // Were grants serialized cluster-wide this rendezvous would
+                // deadlock: the second grant would need the first to finish.
                 rendezvous.wait();
                 sched.finish_transmit(node, dst, inject + Ns(10_000));
                 sched.mark_done(node);
@@ -1052,29 +969,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(sched.max_concurrent_grants(), 2);
-    }
-
-    /// The same disjoint-receiver schedule under `TokenMode::Single`
-    /// never overlaps grants, whatever the wall-clock interleaving.
-    #[test]
-    fn single_token_serializes_disjoint_receivers() {
-        let sched = Arc::new(LockstepSched::new_with_tokens(4, TokenMode::Single));
-        sched.mark_done(2);
-        sched.mark_done(3);
-        let mut handles = Vec::new();
-        for (node, dst, inject) in [(0usize, 2usize, Ns(1_000)), (1, 3, Ns(2_000))] {
-            let sched = Arc::clone(&sched);
-            handles.push(thread::spawn(move || {
-                sched.request_transmit(node, dst, inject, Ns(1_000_000));
-                thread::sleep(std::time::Duration::from_millis(2));
-                sched.finish_transmit(node, dst, inject + Ns(10_000));
-                sched.mark_done(node);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(sched.max_concurrent_grants(), 1);
     }
 
     /// An in-flight transmit to a parked, floor-zero receiver blocks a

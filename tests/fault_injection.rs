@@ -279,24 +279,22 @@ fn run_storm_under(engine: DiffFetch, plan: FaultPlan) -> (Vec<u8>, NodeStats) {
 }
 
 #[test]
-fn parallel_diff_fetch_survives_ten_percent_loss() {
+fn overlapped_diff_fetch_survives_ten_percent_loss() {
     // The overlapped engine's per-rid retransmission timers, out-of-order
     // collection and full-outstanding-set stale discard all under fire at
     // once: three rids in flight per fault, 10% of datagrams vanish.
     // Memory must match a clean serial run byte for byte.
     let (clean, _) = run_storm_under(DiffFetch::Serial, FaultPlan::default());
-    for engine in [DiffFetch::Parallel, DiffFetch::Coalesced] {
-        let (snap, s) = run_storm_under(
-            engine,
-            FaultPlan {
-                drop_probability: 0.10,
-                ..FaultPlan::default()
-            },
-        );
-        assert_eq!(snap, clean, "{engine:?} memory corrupted by loss recovery");
-        assert!(s.dgrams_dropped > 0, "plan injected no drops: {s:?}");
-        assert!(s.retransmits > 0, "drops recovered without retransmits? {s:?}");
-    }
+    let (snap, s) = run_storm_under(
+        DiffFetch::Coalesced,
+        FaultPlan {
+            drop_probability: 0.10,
+            ..FaultPlan::default()
+        },
+    );
+    assert_eq!(snap, clean, "memory corrupted by loss recovery");
+    assert!(s.dgrams_dropped > 0, "plan injected no drops: {s:?}");
+    assert!(s.retransmits > 0, "drops recovered without retransmits? {s:?}");
 }
 
 #[test]

@@ -10,14 +10,16 @@
 //! byte. A third battery cross-checks the two regimes: over randomized
 //! drop/duplicate/reorder fault schedules, FreeRun and Lockstep must
 //! converge to identical shared memory (scheduling may reorder recovery,
-//! never corrupt it).
+//! never corrupt it). A fourth pins the schedule itself: fingerprints
+//! recorded under the fully serial scheduler the per-receiver tokens
+//! replaced.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
-use tm_sim::{FaultPlan, Ns, SimParams, TokenMode};
+use tm_sim::{FaultPlan, Ns, SimParams};
 use tmk::{Substrate, Tmk, TmkConfig};
 
 const NODES: usize = 4;
@@ -102,6 +104,49 @@ fn fast_lockstep_double_run_is_byte_identical() {
     );
 }
 
+/// The property one-CPU placement buys (`tm_sim::runner`, "Placement"):
+/// a lockstep cluster is exact wherever it is launched from — no external
+/// `taskset`, whatever the caller's affinity mask. The body is the repo
+/// benchmark's `sync64_fast` in small: FAST/GM, rounds of {lock; one-word
+/// update; unlock; barrier}, almost no data, so hand-offs between node
+/// threads are all there is. 16 nodes × 5 rounds is the smallest shape
+/// that diverged reliably at the parent commit on a 2-CPU host, where
+/// node threads ran on every core (7 and 12 distinct outcomes in 12 and
+/// 18 runs; 16 × 3 and 12 × 5 gave one outcome in 18) — the unsound
+/// running-node-floor hypothesis of DESIGN.md "Residual divergences (3)".
+#[test]
+fn fast_lockstep_is_exact_on_all_cores() {
+    const STORM_NODES: usize = 16;
+    const ROUNDS: usize = 5;
+    const LOCKS: usize = 4;
+    const RUNS: usize = 6;
+    let run = || {
+        let p = lockstep_params();
+        let cfg = FastConfig::paper(&p);
+        let out = run_fast_dsm(STORM_NODES, p, cfg, TmkConfig::default(), |tmk| {
+            let me = tmk.proc_id();
+            let words = tmk.malloc(4096);
+            tmk.barrier(0);
+            for r in 0..ROUNDS {
+                let l = (me + r) % LOCKS;
+                tmk.acquire(l as u32);
+                let v = tmk.get_u32(words, l);
+                tmk.set_u32(words, l, v + (me * 31 + r) as u32 + 1);
+                tmk.release(l as u32);
+                tmk.barrier(1 + r as u32);
+            }
+            (0..LOCKS)
+                .flat_map(|l| tmk.get_u32(words, l).to_le_bytes())
+                .collect()
+        });
+        fingerprint(&out)
+    };
+    let first = run();
+    for i in 1..RUNS {
+        assert_eq!(run(), first, "run {i} of {RUNS} diverged from run 0");
+    }
+}
+
 #[test]
 fn udp_lockstep_double_run_is_byte_identical() {
     let run = |seed: u64| {
@@ -174,20 +219,16 @@ fn memory_under(sched_lockstep: bool, faults: FaultPlan) -> Vec<u8> {
     out[0].result.clone()
 }
 
-/// Full lockstep fingerprint of the workload under a given token mode and
-/// fault plan. The fingerprint covers every node's final virtual clock,
-/// all stat counters, and the memory snapshot — any per-inbox delivery
-/// reordering shifts virtual arrival times and therefore clocks and
-/// counters, so fingerprint equality pins the per-inbox delivery order,
-/// not just the converged memory.
-fn fingerprint_under_tokens(tokens: TokenMode, faults: FaultPlan) -> Vec<(u64, String, Vec<u8>)> {
-    let mut p = SimParams::lockstep_testbed();
-    p.tokens = tokens;
-    p.faults = faults;
-    let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), |tmk| {
-        perturbed_workload(tmk, 0)
-    });
-    fingerprint(&out)
+/// A fault plan from per-mille rates, as both batteries below state them.
+fn plan_pm(seed: u64, drop_pm: u32, dup_pm: u32, reorder_pm: u32) -> FaultPlan {
+    FaultPlan {
+        seed,
+        drop_probability: f64::from(drop_pm) / 1000.0,
+        duplicate_probability: f64::from(dup_pm) / 1000.0,
+        reorder_probability: f64::from(reorder_pm) / 1000.0,
+        reorder_delay: Ns::from_us(250),
+        ..FaultPlan::default()
+    }
 }
 
 proptest! {
@@ -204,59 +245,88 @@ proptest! {
         dup_pm in 0u32..60,
         reorder_pm in 0u32..60,
     ) {
-        let plan = FaultPlan {
-            seed,
-            drop_probability: drop_pm as f64 / 1000.0,
-            duplicate_probability: dup_pm as f64 / 1000.0,
-            reorder_probability: reorder_pm as f64 / 1000.0,
-            reorder_delay: Ns::from_us(250),
-            ..FaultPlan::default()
-        };
+        let plan = plan_pm(seed, drop_pm, dup_pm, reorder_pm);
         let free = memory_under(false, plan.clone());
         let lock = memory_under(true, plan);
         prop_assert_eq!(free, lock, "schedulers disagree on final memory");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+/// FNV-1a, 64 bit: folds the parts of a fingerprint too long to pin in
+/// the clear (25 counters and 16 KiB of memory per node).
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
 
-    /// Token-mode equivalence: per-receiver reservation tokens may only
-    /// add wall-clock concurrency, never change the virtual schedule.
-    /// Over randomized drop/duplicate/reorder fault schedules, the
-    /// single-token and per-receiver lockstep runs must produce identical
-    /// full fingerprints — memory, per-node virtual clocks, and every
-    /// stat counter — which pins the per-inbox delivery order byte for
-    /// byte (see [`fingerprint_under_tokens`]).
-    #[test]
-    fn single_and_per_receiver_tokens_agree_on_everything(
-        seed in 1u64..1_000_000,
-        drop_pm in 0u32..80,
-        dup_pm in 0u32..60,
-        reorder_pm in 0u32..60,
-    ) {
-        let plan = FaultPlan {
-            seed,
-            drop_probability: drop_pm as f64 / 1000.0,
-            duplicate_probability: dup_pm as f64 / 1000.0,
-            reorder_probability: reorder_pm as f64 / 1000.0,
-            reorder_delay: Ns::from_us(250),
-            ..FaultPlan::default()
-        };
-        let single = fingerprint_under_tokens(TokenMode::Single, plan.clone());
-        let per_rx = fingerprint_under_tokens(TokenMode::PerReceiver, plan);
-        prop_assert_eq!(single, per_rx, "token modes produced different schedules");
+/// The per-receiver-token scheduler produces the *serial* schedule — the
+/// one a single cluster-wide reservation token (grant the global minimum
+/// key, only with the fabric empty) defines. That scheduler was the
+/// `Single` token mode until ISSUE 15 deleted it, and a proptest compared
+/// the two modes over random fault schedules; these are its goldens.
+///
+/// Every row was RECORDED AT THE PARENT COMMIT (f107a49) UNDER THE
+/// `Single` TOKEN MODE — the serial reference, run twice — and confirmed
+/// equal under the `PerReceiver` mode there, before either name was
+/// removed: `(fault seed, drop ‰, dup ‰, reorder ‰)` → the three nodes'
+/// finish times in ns, in the clear, and an FNV-1a digest over every
+/// node's full stat counters (`Debug` format) and memory snapshot. Any
+/// per-inbox delivery reordering shifts virtual arrival times and
+/// therefore clocks and counters, so equality pins the per-inbox delivery
+/// order, not just the converged memory. A finish time that moves means
+/// the schedule moved: do not re-pin it. (A new `NodeStats` field changes
+/// only the digests; re-record those only while every finish time still
+/// matches.)
+#[test]
+fn per_receiver_schedule_matches_the_recorded_serial_schedule() {
+    #[rustfmt::skip]
+    let goldens: [(u64, u32, u32, u32, [u64; 3], u64); 8] = [
+        (1,        0,  0,  0, [3_254_188, 3_272_438, 3_279_457], 0x9b2e_63ad_8289_d030),
+        (7,       50,  0,  0, [5_045_744, 5_062_494, 5_069_513], 0x0763_8247_d5a7_bcd2),
+        (11,       0, 50,  0, [3_264_125, 3_280_875, 3_287_894], 0x118a_3502_084a_ab6b),
+        (13,       0,  0, 50, [5_328_739, 5_345_489, 5_352_508], 0x443e_73f6_4eed_2e1d),
+        (42,      79, 59, 59, [5_997_938, 6_014_688, 6_021_707], 0xf8aa_c152_e949_757a),
+        (4242,    20, 10, 30, [4_408_262, 4_425_012, 4_432_031], 0x7a2f_62a4_09b8_1d57),
+        (987_654, 60,  5,  0, [3_465_302, 3_482_052, 3_489_071], 0x6406_4eae_83e5_0f0d),
+        (31_337,  10, 40, 20, [4_061_149, 4_077_899, 4_084_918], 0x219b_6854_7c44_1779),
+    ];
+    for (seed, drop_pm, dup_pm, reorder_pm, finish, digest) in goldens {
+        let mut p = SimParams::lockstep_testbed();
+        p.faults = plan_pm(seed, drop_pm, dup_pm, reorder_pm);
+        let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), |tmk| {
+            perturbed_workload(tmk, 0)
+        });
+        let plan = (seed, drop_pm, dup_pm, reorder_pm);
+        let mut got = Vec::new();
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for (t, stats, mem) in fingerprint(&out) {
+            got.push(t);
+            fnv1a(&mut h, stats.as_bytes());
+            fnv1a(&mut h, &mem);
+        }
+        assert_eq!(
+            got, finish,
+            "plan {plan:?}: finish times left the serial schedule"
+        );
+        assert_eq!(
+            h, digest,
+            "plan {plan:?}: counters or memory left the serial schedule"
+        );
     }
 }
 
 /// 128-node smoke: a ring of one-shot sends to pairwise-distinct
-/// receivers must actually overlap under per-receiver tokens. No grant
+/// receivers must actually overlap (per-receiver tokens). No grant
 /// can fire while any node has yet to announce its transmit (its floor
 /// still bounds every candidate), so by the time the scheduler dispatches,
 /// all 128 Pending transmits are visible at once; with disjoint rx links
 /// and far-future sender floors they are granted in one batch — the
 /// concurrency gauge must therefore observe at least two simultaneous
-/// in-flight grants (the single-token scheduler pins it at exactly 1).
+/// in-flight grants. The fabric is driven by hand here, not through
+/// `run_cluster`, so these threads keep the whole host: this is the one
+/// all-core lockstep run left (DESIGN.md, "Residual divergences (3)").
 #[test]
 fn per_receiver_tokens_overlap_disjoint_receivers_at_128_nodes() {
     use bytes::Bytes;
