@@ -11,7 +11,7 @@ use tm_gm::gm_cluster;
 use tm_sim::clock::shared_clock;
 use tm_sim::SimParams;
 use tmk::diff::Diff;
-use tmk::wire::{pool, WireWriter};
+use tmk::wire::pool;
 use tmk::{Substrate, Tmk, TmkConfig};
 
 fn barrier_round<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
@@ -77,14 +77,6 @@ fn bench_diff_ops(c: &mut Criterion) {
     g.bench_function("create_4k_sparse", |b| b.iter(|| Diff::create(&twin, &cur)));
     g.bench_function("create_scalar_4k_sparse", |b| {
         b.iter(|| Diff::create_scalar(&twin, &cur))
-    });
-    g.bench_function("create_into_4k_sparse", |b| {
-        b.iter(|| {
-            let mut w = WireWriter::pooled(512);
-            let runs = Diff::create_into(&twin, &cur, &mut w);
-            w.recycle();
-            runs
-        })
     });
     let d = Diff::create(&twin, &cur);
     let mut page = twin.clone();

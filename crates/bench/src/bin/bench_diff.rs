@@ -3,12 +3,13 @@
 //!
 //! Unlike E1–E7 (which report *simulated* cluster time), this measures
 //! how much real host CPU the reproduction burns per operation: diff
-//! create/apply on a 4 KiB sparse page, small-frame and fragmented sends
-//! on the FAST substrate, and a 1 MB page-fetch storm through the full
-//! DSM. `create_scalar` is the pre-optimization word-by-word loop kept as
-//! the executable specification — its row doubles as the baseline the
-//! u64-chunked scanner is judged against (the `speedup_create_vs_scalar`
-//! field).
+//! create/apply on a 4 KiB sparse page (16 runs), create/encode/decode on
+//! a word-alternating one (512 runs — what red-black SOR writes),
+//! small-frame and fragmented sends on the FAST substrate, and a 1 MB
+//! page-fetch storm through the full DSM. `create_scalar` is the
+//! pre-optimization word-by-word loop kept as the executable specification
+//! — its row doubles as the baseline the u64-chunked scanner is judged
+//! against (the `speedup_create_vs_scalar` field).
 //!
 //! Usage: `cargo run --release -p tm-bench --bin bench_diff [out.json]`
 
@@ -20,7 +21,7 @@ use tm_gm::gm_cluster;
 use tm_sim::clock::shared_clock;
 use tm_sim::SimParams;
 use tmk::diff::Diff;
-use tmk::wire::{pool, WireWriter};
+use tmk::wire::{pool, WireReader, WireWriter};
 use tmk::{Substrate, TmkConfig};
 
 /// Time `f` with a calibrated repetition count; returns ns per call.
@@ -41,10 +42,14 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
     }
 }
 
-fn sparse_page() -> (Vec<u8>, Vec<u8>) {
+/// A 4 KiB twin and a current page with one byte changed every `stride`:
+/// 256 is the sparse Figure 3 shape (16 runs); 8 is every other word —
+/// 512 four-byte runs, the most a page can hold and exactly what a
+/// red-black SOR sweep leaves behind.
+fn page_pair(stride: usize) -> (Vec<u8>, Vec<u8>) {
     let twin = vec![0u8; 4096];
     let mut cur = twin.clone();
-    for i in (0..cur.len()).step_by(256) {
+    for i in (0..cur.len()).step_by(stride) {
         cur[i] = 0xA5;
     }
     (twin, cur)
@@ -62,7 +67,7 @@ fn main() {
     let mut cases: Vec<Case> = Vec::new();
 
     // --- diff engine -----------------------------------------------------
-    let (twin, cur) = sparse_page();
+    let (twin, cur) = page_pair(256);
     let create = time_ns(|| {
         std::hint::black_box(Diff::create(&twin, &cur));
     });
@@ -77,15 +82,6 @@ fn main() {
         name: "diff_create_4k_sparse_scalar_baseline",
         ns_per_op: scalar,
     });
-    let create_into = time_ns(|| {
-        let mut w = WireWriter::pooled(512);
-        std::hint::black_box(Diff::create_into(&twin, &cur, &mut w));
-        w.recycle();
-    });
-    cases.push(Case {
-        name: "diff_create_into_4k_sparse",
-        ns_per_op: create_into,
-    });
     let d = Diff::create(&twin, &cur);
     let mut page = twin.clone();
     let apply = time_ns(|| {
@@ -96,6 +92,30 @@ fn main() {
         name: "diff_apply_4k_sparse",
         ns_per_op: apply,
     });
+    let (twin, cur) = page_pair(8);
+    cases.push(Case {
+        name: "diff_create_4k_alternating",
+        ns_per_op: time_ns(|| {
+            std::hint::black_box(Diff::create(&twin, &cur));
+        }),
+    });
+    let d = Diff::create(&twin, &cur);
+    assert_eq!(d.run_count(), 512);
+    let mut w = WireWriter::pooled(8192);
+    cases.push(Case {
+        name: "diff_encode_4k_alternating",
+        ns_per_op: time_ns(|| {
+            w.clear();
+            std::hint::black_box(&d).encode(&mut w);
+        }),
+    });
+    cases.push(Case {
+        name: "diff_decode_4k_alternating",
+        ns_per_op: time_ns(|| {
+            std::hint::black_box(Diff::decode(&mut WireReader::new(w.as_slice())));
+        }),
+    });
+    w.recycle();
 
     // --- framing path ----------------------------------------------------
     let params = Arc::new(SimParams::paper_testbed());

@@ -13,6 +13,9 @@
 //! word-by-word scan ([`Diff::create_scalar`], kept as the executable
 //! specification); an equivalence property test pins that down.
 
+use std::iter::successors;
+use std::ops::Range;
+
 use crate::wire::{WireReader, WireWriter};
 
 /// Comparison granularity, bytes. TreadMarks compares 32-bit words.
@@ -119,157 +122,154 @@ pub fn is_all_zero(buf: &[u8]) -> bool {
     buf[i..].iter().all(|&b| b == 0)
 }
 
-/// A run-length-encoded page delta: sorted, non-overlapping runs.
+/// A run-length-encoded page delta, held as its wire image: one buffer,
+/// `[runs u16][(off u16, len u16, payload)…]`, little-endian. Runs are
+/// non-empty, ascending and non-overlapping — true of everything
+/// [`Diff::create`] emits and checked once by [`Diff::decode`] — so
+/// [`Diff::apply`] needs no per-run validation beyond
+/// [`extent`](Diff::extent)` <= target.len()`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diff {
-    runs: Vec<(u32, Vec<u8>)>,
+    image: Vec<u8>,
+    /// End offset of the last run (0 when empty).
+    extent: usize,
 }
 
+/// Size of the run-count header and of one run's `(off, len)` header.
+const COUNT_HDR: usize = 2;
+const RUN_HDR: usize = 4;
+
 impl Diff {
+    /// Build the image of the runs `cur[r]`, streamed in ascending order
+    /// into a pooled scratch buffer that is never regrown — runs are
+    /// separated by at least one equal word, so `k` runs carrying `p`
+    /// payload bytes span `p + WORD·(k-1) <= n` and encode to at most
+    /// `n + COUNT_HDR + RUN_HDR` bytes — then copied out at exactly its
+    /// size (a retained diff of a sparse page is a few dozen bytes).
+    fn from_runs(cur: &[u8], runs: impl Iterator<Item = Range<usize>>) -> Diff {
+        assert!(cur.len() <= u16::MAX as usize, "page exceeds u16 offsets");
+        let mut w = WireWriter::pooled(cur.len() + COUNT_HDR + RUN_HDR);
+        let count_slot = w.reserve_u16();
+        let (mut count, mut extent) = (0u16, 0);
+        for r in runs {
+            w.u16(r.start as u16).u16(r.len() as u16);
+            w.raw(&cur[r.clone()]);
+            count += 1;
+            extent = r.end;
+        }
+        w.patch_u16(count_slot, count);
+        let image = w.as_slice().to_vec();
+        w.recycle();
+        Diff { image, extent }
+    }
+
     /// Compare `twin` (before) and `cur` (after); encode changed runs at
-    /// word granularity. Slices must be the same length.
+    /// word granularity, streaming straight into the image. Slices must
+    /// be the same length.
     pub fn create(twin: &[u8], cur: &[u8]) -> Diff {
         assert_eq!(twin.len(), cur.len(), "twin/page size mismatch");
-        let mut runs: Vec<(u32, Vec<u8>)> = Vec::new();
-        let n = cur.len();
-        let mut i = skip_equal(twin, cur, 0);
-        while i < n {
-            let start = i;
-            i = skip_diff(twin, cur, i);
-            runs.push((start as u32, cur[start..i].to_vec()));
-            i = skip_equal(twin, cur, i);
-        }
-        Diff { runs }
+        let run_from = |i| {
+            let start = skip_equal(twin, cur, i);
+            (start < cur.len()).then(|| start..skip_diff(twin, cur, start))
+        };
+        Diff::from_runs(cur, successors(run_from(0), |r| run_from(r.end)))
     }
 
-    /// The original word-by-word comparison loop: the executable
-    /// specification for run boundaries, and the benchmark baseline the
-    /// chunked [`Diff::create`] is measured against.
+    /// The original word-by-word comparison: the executable specification
+    /// for run boundaries, and the benchmark baseline the chunked
+    /// [`Diff::create`] is measured against.
     pub fn create_scalar(twin: &[u8], cur: &[u8]) -> Diff {
         assert_eq!(twin.len(), cur.len(), "twin/page size mismatch");
-        let mut runs: Vec<(u32, Vec<u8>)> = Vec::new();
-        let mut i = 0;
         let n = cur.len();
-        while i < n {
-            let end = (i + WORD).min(n);
-            if twin[i..end] != cur[i..end] {
-                // Start of a changed run; extend word by word.
-                let start = i;
-                while i < n {
-                    let e = (i + WORD).min(n);
-                    if twin[i..e] == cur[i..e] {
-                        break;
-                    }
-                    i = e;
-                }
-                runs.push((start as u32, cur[start..i].to_vec()));
-            } else {
-                i = end;
+        let differs = |i: usize| twin[i..(i + WORD).min(n)] != cur[i..(i + WORD).min(n)];
+        let run_from = |mut i: usize| {
+            while i < n && !differs(i) {
+                i += WORD;
             }
-        }
-        Diff { runs }
-    }
-
-    /// Compare and encode in one pass, writing the wire form straight into
-    /// `w` with no intermediate `Vec<(u32, Vec<u8>)>`. Byte-identical to
-    /// `Diff::create(..).encode(&mut w)`; the run count is backpatched.
-    /// Returns the number of runs written.
-    pub fn create_into(twin: &[u8], cur: &[u8], w: &mut WireWriter) -> usize {
-        assert_eq!(twin.len(), cur.len(), "twin/page size mismatch");
-        let slot = w.reserve_u16();
-        let mut count = 0usize;
-        let n = cur.len();
-        let mut i = skip_equal(twin, cur, 0);
-        while i < n {
             let start = i;
-            i = skip_diff(twin, cur, i);
-            w.u16(start as u16);
-            w.u16((i - start) as u16);
-            w.raw(&cur[start..i]);
-            count += 1;
-            i = skip_equal(twin, cur, i);
-        }
-        w.patch_u16(slot, count as u16);
-        count
+            while i < n && differs(i) {
+                i += WORD;
+            }
+            (start < n).then(|| start..i.min(n))
+        };
+        Diff::from_runs(cur, successors(run_from(0), |r| run_from(r.end)))
     }
 
     /// An empty diff (no words changed).
     pub fn empty() -> Diff {
-        Diff { runs: Vec::new() }
+        Diff::from_runs(&[], std::iter::empty())
     }
 
-    /// A diff carrying the entire page (used when a whole-page overwrite
-    /// skipped fetching the old content: every word is authoritative).
+    /// A diff carrying the entire (non-empty) page (used when a
+    /// whole-page overwrite skipped fetching the old content: every word
+    /// is authoritative).
     pub fn full(cur: &[u8]) -> Diff {
-        Diff {
-            runs: vec![(0, cur.to_vec())],
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        assert!(!cur.is_empty(), "full diff of an empty page");
+        Diff::from_runs(cur, std::iter::once(0..cur.len()))
     }
 
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        u16::from_le_bytes([self.image[0], self.image[1]]) as usize
     }
 
     /// Total payload bytes carried (what the wire pays for).
     pub fn payload_bytes(&self) -> usize {
-        self.runs.iter().map(|(_, d)| d.len()).sum()
+        self.image.len() - COUNT_HDR - RUN_HDR * self.run_count()
     }
 
     /// Encoded size on the wire: header + per-run (offset u16, len u16) +
     /// payload.
     pub fn encoded_len(&self) -> usize {
-        2 + self.runs.len() * 4 + self.payload_bytes()
+        self.image.len()
+    }
+
+    /// End offset of the last run: the diff applies to any target at
+    /// least this long. A receiver checks it against its page size once.
+    pub fn extent(&self) -> usize {
+        self.extent
+    }
+
+    /// The runs in ascending order as `(offset, payload)`.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        let mut rest = &self.image[COUNT_HDR..];
+        std::iter::from_fn(move || {
+            let (&[o0, o1, l0, l1], tail) = rest.split_first_chunk()?;
+            let (data, tail) = tail.split_at(u16::from_le_bytes([l0, l1]) as usize);
+            rest = tail;
+            Some((u16::from_le_bytes([o0, o1]) as usize, data))
+        })
     }
 
     /// Overlay the diff onto `target` (the receiving node's copy).
     /// In-place: only `copy_from_slice` into the existing page, never a
-    /// reallocation.
+    /// reallocation. Panics if `target` is shorter than [`Diff::extent`].
     pub fn apply(&self, target: &mut [u8]) {
-        for (off, data) in &self.runs {
-            let off = *off as usize;
+        let target = &mut target[..self.extent];
+        for (off, data) in self.runs() {
             target[off..off + data.len()].copy_from_slice(data);
         }
     }
 
-    /// Decode-and-apply in one pass: overlay an encoded diff from the wire
-    /// directly onto `target`, with no per-run `Vec` materialization.
-    /// `None` on malformed input or a run that falls outside the page
-    /// (target is left partially updated only on the malformed path,
-    /// which the protocol layer treats as fatal).
-    pub fn apply_wire(r: &mut WireReader, target: &mut [u8]) -> Option<()> {
-        let n = r.u16()? as usize;
-        for _ in 0..n {
-            let off = r.u16()? as usize;
-            let len = r.u16()? as usize;
-            let data = r.raw_bytes(len)?;
-            target.get_mut(off..off + len)?.copy_from_slice(data);
-        }
-        Some(())
-    }
-
     pub fn encode(&self, w: &mut WireWriter) {
-        w.u16(self.runs.len() as u16);
-        for (off, data) in &self.runs {
-            w.u16(*off as u16);
-            w.u16(data.len() as u16);
-            w.raw(data);
-        }
+        w.raw(&self.image);
     }
 
+    /// One bounds-checking walk to find the image's extent on the wire
+    /// and validate it, then one copy. `None` for a truncated image, an
+    /// empty run, or runs that are not ascending and non-overlapping.
     pub fn decode(r: &mut WireReader) -> Option<Diff> {
-        let n = r.u16()? as usize;
-        let mut runs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let off = r.u16()? as u32;
-            let len = r.u16()? as usize;
-            let data = r.raw_bytes(len)?.to_vec();
-            runs.push((off, data));
+        let mut walk = WireReader::new(r.peek_rest());
+        let mut extent = 0;
+        for _ in 0..walk.u16()? {
+            let off = walk.u16()? as usize;
+            let len = walk.u16()? as usize;
+            if len == 0 || off < extent {
+                return None;
+            }
+            extent = off + walk.raw_bytes(len)?.len();
         }
-        Some(Diff { runs })
+        let image = r.raw_bytes(r.remaining() - walk.remaining())?.to_vec();
+        Some(Diff { image, extent })
     }
 }
 
@@ -289,7 +289,7 @@ mod tests {
     fn no_change_is_empty() {
         let page = vec![7u8; 128];
         let d = Diff::create(&page, &page);
-        assert!(d.is_empty());
+        assert_eq!(d.run_count(), 0);
         assert_eq!(d.encoded_len(), 2);
     }
 
@@ -381,8 +381,9 @@ mod tests {
             d.apply(&mut target);
             assert_eq!(target, cur, "tail change lost at len={len}");
             // The run must end exactly at the page end, not past it.
-            let (off, data) = (&d.runs[0].0, &d.runs[0].1);
-            assert_eq!(*off as usize + data.len(), len);
+            let (off, data) = d.runs().next().expect("one run");
+            assert_eq!(off + data.len(), len);
+            assert_eq!(d.extent(), len);
         }
     }
 
@@ -404,21 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn create_into_matches_create_then_encode() {
-        let twin = vec![0u8; 4096];
-        let mut cur = twin.clone();
-        for at in [0usize, 7, 8, 100, 101, 2048, 4090, 4095] {
-            cur[at] = cur[at].wrapping_add(1);
-        }
-        let mut expected = WireWriter::new();
-        Diff::create(&twin, &cur).encode(&mut expected);
-        let mut got = WireWriter::new();
-        let runs = Diff::create_into(&twin, &cur, &mut got);
-        assert_eq!(got.as_slice(), expected.as_slice());
-        assert_eq!(runs, Diff::create(&twin, &cur).run_count());
-    }
-
-    #[test]
     fn all_zero_scan() {
         assert!(is_all_zero(&[]));
         for len in [1usize, 7, 8, 9, 63, 64, 65] {
@@ -432,13 +418,101 @@ mod tests {
         }
     }
 
-    #[test]
-    fn apply_wire_rejects_out_of_range_runs() {
+    /// Hand-assemble an image from `(off, payload)` runs, valid or not.
+    fn image(runs: &[(u16, &[u8])]) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.u16(1).u16(60).u16(8).raw(&[0xEE; 8]); // run ends at 68 > 64
-        let buf = w.finish();
-        let mut page = vec![0u8; 64];
-        assert!(Diff::apply_wire(&mut WireReader::new(&buf), &mut page).is_none());
+        w.u16(runs.len() as u16);
+        for (off, data) in runs {
+            w.u16(*off).u16(data.len() as u16).raw(data);
+        }
+        w.finish()
+    }
+
+    fn decode(buf: &[u8]) -> Option<Diff> {
+        Diff::decode(&mut WireReader::new(buf))
+    }
+
+    #[test]
+    fn image_accessors_are_consistent() {
+        let twin = vec![0u8; 4096];
+        let mut cur = twin.clone();
+        for w in (0..4096).step_by(8) {
+            cur[w] = 1; // every other word: the red-black SOR shape
+        }
+        let d = Diff::create(&twin, &cur);
+        assert_eq!(d.run_count(), 512);
+        assert_eq!(d.payload_bytes(), 512 * 4);
+        assert_eq!(d.encoded_len(), 2 + 512 * 8);
+        assert_eq!(d.extent(), 4092);
+        assert_eq!(d.runs().count(), 512);
+        assert!(d
+            .runs()
+            .all(|(off, data)| off % 8 == 0 && data == [1, 0, 0, 0]));
+        let mut w = WireWriter::new();
+        d.encode(&mut w);
+        assert_eq!(w.len(), d.encoded_len());
+        assert_eq!(Diff::empty().extent(), 0);
+        assert_eq!(Diff::empty().encoded_len(), 2);
+    }
+
+    #[test]
+    fn decode_consumes_exactly_one_image() {
+        let mut buf = image(&[(4, &[1; 4]), (12, &[2; 8])]);
+        buf.extend_from_slice(&[0xEE; 3]); // whatever follows on the wire
+        let mut r = WireReader::new(&buf);
+        let d = Diff::decode(&mut r).expect("well-formed");
+        assert_eq!(r.remaining(), 3);
+        assert_eq!((d.run_count(), d.payload_bytes(), d.extent()), (2, 12, 20));
+    }
+
+    #[test]
+    fn decode_rejects_truncated_images() {
+        let good = image(&[(0, &[7; 4]), (8, &[9; 4])]);
+        assert!(decode(&good).is_some());
+        // Cut anywhere — count, run header or payload — and it is gone.
+        for cut in 0..good.len() {
+            assert!(decode(&good[..cut]).is_none(), "cut at {cut}");
+        }
+        // A run count that promises more runs than the bytes hold.
+        let mut lying = good.clone();
+        lying[0] = 3;
+        assert!(decode(&lying).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_unordered_and_overlapping_runs() {
+        assert!(
+            decode(&image(&[(8, &[1; 4]), (0, &[2; 4])])).is_none(),
+            "descending"
+        );
+        assert!(
+            decode(&image(&[(0, &[1; 8]), (4, &[2; 4])])).is_none(),
+            "overlapping"
+        );
+        assert!(
+            decode(&image(&[(4, &[1; 4]), (4, &[2; 4])])).is_none(),
+            "repeated offset"
+        );
+        assert!(decode(&image(&[(4, &[])])).is_none(), "empty run");
+        // Adjacent runs do not overlap: legal, if never emitted by create.
+        assert!(decode(&image(&[(0, &[1; 4]), (4, &[2; 4])])).is_some());
+    }
+
+    /// A well-framed image reaching past the page is caught by one
+    /// compare on `extent`, before `apply` is ever entered.
+    #[test]
+    fn extent_exposes_out_of_range_runs() {
+        let d = decode(&image(&[(60, &[0xEE; 8])])).expect("well-framed");
+        assert_eq!(d.extent(), 68); // > a 64-byte page: the receiver drops it
+        let far = decode(&image(&[(u16::MAX, &[1; 4])])).expect("well-framed");
+        assert_eq!(far.extent(), u16::MAX as usize + 4);
+    }
+
+    #[test]
+    #[should_panic]
+    fn apply_past_the_target_panics_before_writing() {
+        let d = decode(&image(&[(0, &[1; 4]), (60, &[2; 8])])).expect("well-framed");
+        d.apply(&mut [0u8; 64]);
     }
 
     proptest! {
@@ -457,28 +531,35 @@ mod tests {
             prop_assert_eq!(Diff::create(&twin, &cur), Diff::create_scalar(&twin, &cur));
         }
 
-        /// Streaming encode is byte-identical to create-then-encode, and
-        /// apply_wire replays it onto the twin to reproduce `cur`.
+        /// The decoder accepts exactly the images whose runs are
+        /// non-empty, ascending and non-overlapping, and whatever it
+        /// accepts applies cleanly to any target at least `extent` long.
         #[test]
-        fn create_into_and_apply_wire_identity(
-            twin in proptest::collection::vec(any::<u8>(), 1..600),
-            flips in proptest::collection::vec((0usize..600, any::<u8>()), 0..48)
+        fn decode_accepts_exactly_the_valid_images(
+            steps in proptest::collection::vec(
+                (0usize..10, proptest::collection::vec(any::<u8>(), 0..6)), 0..6)
         ) {
-            let mut cur = twin.clone();
-            for (i, v) in flips {
-                let i = i % cur.len();
-                cur[i] = v;
+            // Each run starts `step - 2` past the previous run's end: mostly
+            // legal gaps, some overlaps, some empty payloads.
+            let mut end = 0usize;
+            let mut valid = true;
+            let mut runs: Vec<(u16, &[u8])> = Vec::new();
+            for (step, data) in &steps {
+                let off = (end + step).saturating_sub(2);
+                valid &= !data.is_empty() && off >= end;
+                end = off + data.len();
+                runs.push((off as u16, data));
             }
-            let mut expected = WireWriter::new();
-            Diff::create(&twin, &cur).encode(&mut expected);
-            let mut got = WireWriter::new();
-            Diff::create_into(&twin, &cur, &mut got);
-            prop_assert_eq!(got.as_slice(), expected.as_slice());
-
-            let mut target = twin.clone();
-            Diff::apply_wire(&mut WireReader::new(got.as_slice()), &mut target)
-                .expect("well-formed");
-            prop_assert_eq!(target, cur);
+            let decoded = decode(&image(&runs));
+            prop_assert_eq!(decoded.is_some(), valid);
+            if let Some(d) = decoded {
+                prop_assert_eq!(d.extent(), end);
+                let mut target = vec![0u8; d.extent()];
+                d.apply(&mut target);
+                for (off, data) in runs {
+                    prop_assert_eq!(&target[off as usize..][..data.len()], data);
+                }
+            }
         }
 
         /// apply(create(t, c), t) == c — the fundamental diff identity.

@@ -151,14 +151,6 @@ impl Page {
         let b = self.my_diffs.partition_point(|(s, _)| *s <= hi).max(a);
         Some(&self.my_diffs[a..b])
     }
-
-    /// Owned variant of [`diffs_range`] (kept for tests and callers that
-    /// need the diffs to outlive the page borrow).
-    ///
-    /// [`diffs_range`]: Page::diffs_range
-    pub fn diffs_in(&self, lo: u32, hi: u32) -> Option<Vec<(u32, Diff)>> {
-        self.diffs_range(lo, hi).map(<[_]>::to_vec)
-    }
 }
 
 #[cfg(test)]
@@ -238,10 +230,10 @@ mod tests {
         for seq in 1..=5 {
             p.my_diffs.push((seq, Diff::empty()));
         }
-        assert!(p.diffs_in(2, 4).is_some_and(|v| v.len() == 3));
+        assert!(p.diffs_range(2, 4).is_some_and(|v| v.len() == 3));
         p.trim_diffs(2); // keeps seq 4, 5
-        assert!(p.diffs_in(2, 4).is_none(), "gc'd range must signal None");
-        assert!(p.diffs_in(4, 5).is_some_and(|v| v.len() == 2));
-        assert!(p.diffs_in(5, 4).is_some_and(|v| v.is_empty()));
+        assert!(p.diffs_range(2, 4).is_none(), "gc'd range must signal None");
+        assert!(p.diffs_range(4, 5).is_some_and(|v| v.len() == 2));
+        assert!(p.diffs_range(5, 4).is_some_and(|v| v.is_empty()));
     }
 }

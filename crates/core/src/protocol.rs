@@ -156,6 +156,30 @@ fn decode_applied(r: &mut WireReader) -> Option<Vec<u32>> {
     Some(v)
 }
 
+/// `[count u16][(seq u32, diff image)…]`: the diff list of a `Diffs`
+/// entry. Each diff goes out as one copy of its image.
+pub(crate) fn encode_seq_diffs(diffs: &[(u32, Diff)], w: &mut WireWriter) {
+    w.u16(diffs.len() as u16);
+    for (seq, d) in diffs {
+        w.u32(*seq);
+        d.encode(w);
+    }
+}
+
+fn decode_seq_diffs(r: &mut WireReader) -> Option<Vec<(u32, Diff)>> {
+    let n = r.u16()? as usize;
+    // Bounded by what the frame can hold, not by what it claims.
+    let mut diffs = Vec::with_capacity(n.min(r.remaining() / 6));
+    for _ in 0..n {
+        diffs.push((r.u32()?, Diff::decode(r)?));
+    }
+    Some(diffs)
+}
+
+fn max_extent(diffs: &[(u32, Diff)]) -> usize {
+    diffs.iter().map(|(_, d)| d.extent()).max().unwrap_or(0)
+}
+
 impl Request {
     /// Encode with the correlation id envelope.
     pub fn encode(&self, rid: u32) -> Vec<u8> {
@@ -288,11 +312,8 @@ impl PageDiffs {
     pub fn encode_into(&self, w: &mut WireWriter) {
         match self {
             PageDiffs::Diffs { covered_hi, diffs } => {
-                w.u8(1).u32(*covered_hi).u16(diffs.len() as u16);
-                for (seq, d) in diffs {
-                    w.u32(*seq);
-                    d.encode(w);
-                }
+                w.u8(1).u32(*covered_hi);
+                encode_seq_diffs(diffs, w);
             }
             PageDiffs::Full { applied, data } => {
                 w.u8(2);
@@ -308,16 +329,10 @@ impl PageDiffs {
 
     fn decode(r: &mut WireReader) -> Option<PageDiffs> {
         Some(match r.u8()? {
-            1 => {
-                let covered_hi = r.u32()?;
-                let n = r.u16()? as usize;
-                let mut diffs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let seq = r.u32()?;
-                    diffs.push((seq, Diff::decode(r)?));
-                }
-                PageDiffs::Diffs { covered_hi, diffs }
-            }
+            1 => PageDiffs::Diffs {
+                covered_hi: r.u32()?,
+                diffs: decode_seq_diffs(r)?,
+            },
             2 => PageDiffs::Full {
                 applied: decode_applied(r)?,
                 data: r.bytes()?.to_vec(),
@@ -346,11 +361,8 @@ impl Response {
                 covered_hi,
                 diffs,
             } => {
-                w.u8(1).u32(*page).u32(*covered_hi).u16(diffs.len() as u16);
-                for (seq, d) in diffs {
-                    w.u32(*seq);
-                    d.encode(w);
-                }
+                w.u8(1).u32(*page).u32(*covered_hi);
+                encode_seq_diffs(diffs, w);
             }
             Response::FullPage {
                 page,
@@ -397,25 +409,34 @@ impl Response {
         }
     }
 
+    /// The largest [`Diff::extent`] this response carries (0 if it carries
+    /// no diff). [`Response::decode`] has already validated every image;
+    /// the one thing it cannot know is the receiver's page size, so the
+    /// receiver compares this against it once, before anything is applied.
+    pub(crate) fn diff_extent(&self) -> usize {
+        match self {
+            Response::Diffs { diffs, .. } => max_extent(diffs),
+            Response::MultiDiffs { pages } => pages
+                .iter()
+                .map(|(_, pd)| match pd {
+                    PageDiffs::Diffs { diffs, .. } => max_extent(diffs),
+                    PageDiffs::Full { .. } | PageDiffs::Zero { .. } => 0,
+                })
+                .max()
+                .unwrap_or(0),
+            _ => 0,
+        }
+    }
+
     pub fn decode(buf: &[u8]) -> Option<(u32, Response)> {
         let mut r = WireReader::new(buf);
         let rid = r.u32()?;
         let resp = match r.u8()? {
-            1 => {
-                let page = r.u32()?;
-                let covered_hi = r.u32()?;
-                let n = r.u16()? as usize;
-                let mut diffs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let seq = r.u32()?;
-                    diffs.push((seq, Diff::decode(&mut r)?));
-                }
-                Response::Diffs {
-                    page,
-                    covered_hi,
-                    diffs,
-                }
-            }
+            1 => Response::Diffs {
+                page: r.u32()?,
+                covered_hi: r.u32()?,
+                diffs: decode_seq_diffs(&mut r)?,
+            },
             2 => Response::FullPage {
                 page: r.u32()?,
                 applied: decode_applied(&mut r)?,

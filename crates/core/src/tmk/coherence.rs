@@ -14,7 +14,7 @@ use super::{DiffFetch, Tmk, TmkEvent};
 use crate::diff::Diff;
 use crate::interval::IntervalRecord;
 use crate::page::{Access, Page, PageId, Pending};
-use crate::protocol::{PageDiffs, Request, Response};
+use crate::protocol::{encode_seq_diffs, PageDiffs, Request, Response};
 use crate::substrate::Substrate;
 use crate::vc::VectorClock;
 use crate::wire::{pool, WireWriter};
@@ -259,11 +259,8 @@ impl<S: Substrate> Tmk<S> {
                 } else {
                     all[..take].last().map(|(s, _)| *s).unwrap_or(lo)
                 };
-                w.u32(rid).u8(1).u32(pid).u32(covered_hi).u16(take as u16);
-                for (seq, d) in &all[..take] {
-                    w.u32(*seq);
-                    d.encode(w);
-                }
+                w.u32(rid).u8(1).u32(pid).u32(covered_hi);
+                encode_seq_diffs(&all[..take], w);
                 cost
             }
             // Requested diffs were GC'd: fall back to a full page.
@@ -343,11 +340,8 @@ impl<S: Substrate> Tmk<S> {
                     } else {
                         all[..take].last().map(|(s, _)| *s).unwrap_or(lo)
                     };
-                    w.u8(1).u32(covered_hi).u16(take as u16);
-                    for (seq, d) in &all[..take] {
-                        w.u32(*seq);
-                        d.encode(w);
-                    }
+                    w.u8(1).u32(covered_hi);
+                    encode_seq_diffs(&all[..take], w);
                 }
                 None => {
                     // Requested diffs were GC'd: inline full-page fallback.

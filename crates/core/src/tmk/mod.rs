@@ -285,6 +285,10 @@ impl<S: Substrate> Tmk<S> {
         let n = sub.nprocs();
         let me = sub.my_id() as u16;
         let page_size = sub.params().dsm.page_size;
+        assert!(
+            page_size.is_multiple_of(8) && page_size <= u16::MAX as usize,
+            "page size {page_size}: typed accessors need whole f64s per page, diffs u16 offsets"
+        );
         Tmk {
             sub,
             me,

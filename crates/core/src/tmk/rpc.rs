@@ -11,8 +11,9 @@
 //! `(from, rid)` [`ReplayCache`], stale-response discard keyed on the
 //! outstanding set), the `serve` dispatcher that fans incoming requests
 //! out to the coherence and sync layers, and the shutdown linger. This
-//! layer talks only to the [`Substrate`]; it never inspects protocol
-//! payloads beyond the request/response envelope.
+//! layer talks only to the [`Substrate`]; of protocol payloads it looks at
+//! the request/response envelope and at whether a decoded response fits
+//! this node's page size, nothing else.
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -569,7 +570,11 @@ impl<S: Substrate> Tmk<S> {
     /// is the one currently being collected.
     fn absorb_response(&mut self, msg: IncomingMsg) {
         let lossy = self.sub.retransmit_timeout().is_some();
-        let Some((rid, resp)) = Response::decode(&msg.data) else {
+        // Decoding validated every diff image; a diff reaching past our
+        // page is as malformed as a truncated one and goes the same way.
+        let decoded =
+            Response::decode(&msg.data).filter(|(_, r)| r.diff_extent() <= self.page_size);
+        let Some((rid, resp)) = decoded else {
             assert!(lossy, "node {}: malformed response", self.me);
             self.clock().borrow_mut().stats.malformed_dropped += 1;
             pool::give(msg.data);

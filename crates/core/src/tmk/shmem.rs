@@ -65,16 +65,19 @@ impl<S: Substrate> Tmk<S> {
 
     // ----- data access ----------------------------------------------------
 
-    /// Read `out.len()` bytes from `(region, off)`.
-    pub fn read_bytes(&mut self, id: SharedId, off: usize, out: &mut [u8]) {
-        if out.is_empty() {
+    /// Fault in the pages under `len` bytes at `(region, off)` and hand
+    /// `f` each page's share of the span in turn, with its offset into
+    /// the span. Every read accessor goes through here, so they all take
+    /// the same faults in the same order.
+    fn read_span(&mut self, id: SharedId, off: usize, len: usize, mut f: impl FnMut(usize, &[u8])) {
+        if len == 0 {
             return;
         }
         let r = &self.regions[id.0];
-        assert!(off + out.len() <= r.len, "read beyond region");
+        assert!(off + len <= r.len, "read beyond region");
         let start_page = r.start_page;
         let first = (start_page + off / self.page_size) as PageId;
-        let last = (start_page + (off + out.len() - 1) / self.page_size) as PageId;
+        let last = (start_page + (off + len - 1) / self.page_size) as PageId;
         if last > first {
             // Multi-page read: fault the whole span in one overlapped
             // batch so diff fetches to distinct writers fly together.
@@ -82,32 +85,39 @@ impl<S: Substrate> Tmk<S> {
             self.ensure_readable_batch(&pids);
         }
         let mut done = 0;
-        while done < out.len() {
+        while done < len {
             let abs = off + done;
             let pid = (start_page + abs / self.page_size) as PageId;
             self.ensure_readable(pid);
             let in_page = abs % self.page_size;
-            let take = (self.page_size - in_page).min(out.len() - done);
+            let take = (self.page_size - in_page).min(len - done);
             let page = &self.pages[pid as usize];
-            out[done..done + take].copy_from_slice(&page.data[in_page..in_page + take]);
+            f(done, &page.data[in_page..in_page + take]);
             done += take;
         }
     }
 
-    /// Write `src` to `(region, off)`.
-    pub fn write_bytes(&mut self, id: SharedId, off: usize, src: &[u8]) {
-        if src.is_empty() {
+    /// The write-side twin of [`Self::read_span`]: `f` fills each page's
+    /// share of the span.
+    fn write_span(
+        &mut self,
+        id: SharedId,
+        off: usize,
+        len: usize,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) {
+        if len == 0 {
             return;
         }
         let r = &self.regions[id.0];
-        assert!(off + src.len() <= r.len, "write beyond region");
+        assert!(off + len <= r.len, "write beyond region");
         let start_page = r.start_page;
         let mut done = 0;
-        while done < src.len() {
+        while done < len {
             let abs = off + done;
             let pid = (start_page + abs / self.page_size) as PageId;
             let in_page = abs % self.page_size;
-            let take = (self.page_size - in_page).min(src.len() - done);
+            let take = (self.page_size - in_page).min(len - done);
             if in_page == 0 && take == self.page_size {
                 // Whole-page overwrite: no need to fetch content we are
                 // about to replace (first-touch writes of fresh arrays
@@ -117,9 +127,55 @@ impl<S: Substrate> Tmk<S> {
                 self.ensure_writable(pid);
             }
             let page = &mut self.pages[pid as usize];
-            page.data[in_page..in_page + take].copy_from_slice(&src[done..done + take]);
+            f(done, &mut page.data[in_page..in_page + take]);
             done += take;
         }
+    }
+
+    /// Read `out.len()` bytes from `(region, off)`.
+    pub fn read_bytes(&mut self, id: SharedId, off: usize, out: &mut [u8]) {
+        self.read_span(id, off, out.len(), |done, page| {
+            out[done..done + page.len()].copy_from_slice(page);
+        });
+    }
+
+    /// Write `src` to `(region, off)`.
+    pub fn write_bytes(&mut self, id: SharedId, off: usize, src: &[u8]) {
+        self.write_span(id, off, src.len(), |done, page| {
+            page.copy_from_slice(&src[done..done + page.len()]);
+        });
+    }
+
+    /// Bulk typed read: convert straight from the page bytes into `out`.
+    /// Elements are `W`-aligned in a region and `W` divides the page size
+    /// (checked in `Tmk::new`), so none straddles a page.
+    fn read_elems<T, const W: usize>(
+        &mut self,
+        id: SharedId,
+        idx: usize,
+        out: &mut [T],
+        from_le: fn([u8; W]) -> T,
+    ) {
+        self.read_span(id, idx * W, out.len() * W, |done, page| {
+            for (v, b) in out[done / W..].iter_mut().zip(page.chunks_exact(W)) {
+                *v = from_le(b.try_into().expect("chunks_exact yields W bytes"));
+            }
+        });
+    }
+
+    /// Bulk typed write: convert straight from `src` into the page bytes.
+    fn write_elems<T: Copy, const W: usize>(
+        &mut self,
+        id: SharedId,
+        idx: usize,
+        src: &[T],
+        to_le: fn(T) -> [u8; W],
+    ) {
+        self.write_span(id, idx * W, src.len() * W, |done, page| {
+            for (v, b) in src[done / W..].iter().zip(page.chunks_exact_mut(W)) {
+                b.copy_from_slice(&to_le(*v));
+            }
+        });
     }
 
     // Typed helpers ------------------------------------------------------
@@ -162,40 +218,22 @@ impl<S: Substrate> Tmk<S> {
 
     /// Bulk f32 read starting at element `idx`.
     pub fn read_f32s(&mut self, id: SharedId, idx: usize, out: &mut [f32]) {
-        let mut bytes = vec![0u8; out.len() * 4];
-        self.read_bytes(id, idx * 4, &mut bytes);
-        for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-            out[i] = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
+        self.read_elems(id, idx, out, f32::from_le_bytes);
     }
 
     /// Bulk f32 write starting at element `idx`.
     pub fn write_f32s(&mut self, id: SharedId, idx: usize, src: &[f32]) {
-        let mut bytes = Vec::with_capacity(src.len() * 4);
-        for v in src {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write_bytes(id, idx * 4, &bytes);
+        self.write_elems(id, idx, src, f32::to_le_bytes);
     }
 
     /// Bulk f64 read starting at element `idx`.
     pub fn read_f64s(&mut self, id: SharedId, idx: usize, out: &mut [f64]) {
-        let mut bytes = vec![0u8; out.len() * 8];
-        self.read_bytes(id, idx * 8, &mut bytes);
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(chunk);
-            out[i] = f64::from_le_bytes(b);
-        }
+        self.read_elems(id, idx, out, f64::from_le_bytes);
     }
 
     /// Bulk f64 write starting at element `idx`.
     pub fn write_f64s(&mut self, id: SharedId, idx: usize, src: &[f64]) {
-        let mut bytes = Vec::with_capacity(src.len() * 8);
-        for v in src {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write_bytes(id, idx * 8, &bytes);
+        self.write_elems(id, idx, src, f64::to_le_bytes);
     }
 
     /// Introspection for tests: the page state of `(region, off)`.

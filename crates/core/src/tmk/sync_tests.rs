@@ -250,3 +250,41 @@ fn request_gathered_during_a_collect_is_served_before_the_next_block() {
     assert_eq!(rid, 100);
     assert!(matches!(resp, Response::BarrierRelease { .. }));
 }
+
+/// A `Diffs` response that decodes cleanly but whose diff reaches past
+/// the page goes down the malformed-message path — counted, dropped,
+/// the slot left waiting — instead of reaching an index panic in `apply`.
+/// The well-formed retransmission behind it completes the rpc.
+#[test]
+fn well_framed_diff_past_the_page_is_dropped_as_malformed() {
+    let params = Arc::new(SimParams::paper_testbed());
+    let page_size = params.dsm.page_size;
+    let mut eps = mem_cluster(2);
+    let e1 = eps.pop().unwrap();
+    let e0 = eps.pop().unwrap();
+    let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
+    let mut t0 = Tmk::new(LossyMem(mk(e0)), TmkConfig::default());
+    let mut s1 = mk(e1);
+
+    let (page, lo, hi) = (0, 1, 1);
+    let rid = t0.rpc_issue(1, Request::Diff { page, lo, hi });
+    let _ = s1.next_incoming();
+    // A `Diffs` answer carrying one diff with one 8-byte run at `off`.
+    let diffs_with_run_at = |off: usize| {
+        let mut w = crate::wire::WireWriter::new();
+        w.u32(rid).u8(1).u32(0).u32(1).u16(1).u32(1);
+        w.u16(1).u16(off as u16).u16(8).raw(&[0xEE; 8]);
+        w.finish()
+    };
+    let bad = diffs_with_run_at(page_size - 2);
+    let (_, decoded) = Response::decode(&bad).expect("framing is fine");
+    assert_eq!(decoded.diff_extent(), page_size + 6);
+    s1.send_response_at(0, &bad, Ns::from_us(10));
+    s1.send_response_at(0, &diffs_with_run_at(page_size - 8), Ns::from_us(20));
+
+    match t0.rpc_collect(rid) {
+        Response::Diffs { diffs, .. } => assert_eq!(diffs[0].1.extent(), page_size),
+        other => panic!("expected Diffs, got {other:?}"),
+    }
+    assert_eq!(t0.clock().borrow().stats.malformed_dropped, 1);
+}

@@ -315,9 +315,14 @@ impl<'a> WireReader<'a> {
         self.take(n)
     }
 
+    /// All remaining bytes, without consuming them.
+    pub fn peek_rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     /// All remaining bytes.
     pub fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
+        let s = self.peek_rest();
         self.pos = self.buf.len();
         s
     }

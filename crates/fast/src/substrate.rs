@@ -142,10 +142,9 @@ impl FastSubstrate {
             gm.provide_receive_buffer(REP_PORT, size).expect("prepost");
             prepost_bytes += 1 << size;
         }
-        // The prepost slabs live in registered memory.
-        gm.book
-            .register(prepost_bytes)
-            .expect("register prepost slabs");
+        // The prepost slabs live in pinned memory (accounting only: the
+        // simulator never addresses them).
+        gm.book.pin(prepost_bytes).expect("pin prepost slabs");
         let corrupt_rng = if gm.params().faults.corrupt_probability > 0.0 {
             let seed = gm.params().faults.stream_seed(gm.node(), FAULT_SALT_FAST);
             Some(SmallRng::seed_from_u64(seed))

@@ -8,9 +8,12 @@
 //! TreadMarks' own structures).
 //!
 //! [`RegBook`] is a node's registration accounting: it charges pin time per
-//! page and enforces the physical-memory budget. [`Region`] is a registered
-//! span usable as a directed-send (RDMA) target. [`DmaPool`] is a bump pool
-//! of registered send/receive buffers, handed out as [`PooledBuf`]s — the
+//! page and enforces the physical-memory budget. Memory the simulator only
+//! has to *account* for (the send pool, the prepost slabs) is
+//! [pinned](RegBook::pin) and costs the host nothing; memory a peer's
+//! directed send lands in is [registered](RegBook::register) and gets a
+//! [`Region`] to hold the bytes. [`DmaPool`] is a bump pool of registered
+//! send/receive buffers, handed out as [`PooledBuf`]s — the
 //! proof-of-registration token the send path demands.
 
 use tm_sim::{Ns, SharedClock, SimParams};
@@ -18,10 +21,14 @@ use tm_sim::{Ns, SharedClock, SimParams};
 /// Identifier of a registered region, carried in directed-send packets.
 pub type RegionId = u32;
 
-/// A registered memory region owned by one node.
+/// A pinned span owned by one node. `data` is its host backing: the
+/// registered length for a [registered](RegBook::register) region, empty
+/// for an accounting-only [pin](RegBook::pin).
 #[derive(Debug)]
 pub struct Region {
     pub id: RegionId,
+    /// Bytes charged against the pin budget (whole pages).
+    pinned: usize,
     pub data: Vec<u8>,
 }
 
@@ -63,18 +70,19 @@ impl RegBook {
         self.pinned_bytes
     }
 
-    /// Register `len` bytes; charges pin time per page and returns the
-    /// region id.
-    pub fn register(&mut self, len: usize) -> Result<RegionId, RegError> {
+    /// Pin `len` bytes: charge pin time per page, count them against the
+    /// budget and hand out an id. Accounting only — nothing on the host
+    /// backs the span, so it cannot be a directed-send target.
+    pub fn pin(&mut self, len: usize) -> Result<RegionId, RegError> {
         let pages = len.div_ceil(self.page_size).max(1);
-        let bytes = pages * self.page_size;
-        if self.pinned_bytes + bytes > self.limit_bytes {
+        let pinned = pages * self.page_size;
+        if self.pinned_bytes + pinned > self.limit_bytes {
             return Err(RegError::OutOfPinnedMemory {
-                requested: bytes,
+                requested: pinned,
                 available: self.limit_bytes - self.pinned_bytes,
             });
         }
-        self.pinned_bytes += bytes;
+        self.pinned_bytes += pinned;
         self.clock
             .borrow_mut()
             .advance(Ns(self.pin_page.0 * pages as u64));
@@ -82,17 +90,24 @@ impl RegBook {
         self.next_region += 1;
         self.regions.push(Region {
             id,
-            data: vec![0; len],
+            pinned,
+            data: Vec::new(),
         });
+        Ok(id)
+    }
+
+    /// [`pin`](RegBook::pin) `len` bytes and back them with a zeroed,
+    /// addressable [`Region`] a directed send can write into.
+    pub fn register(&mut self, len: usize) -> Result<RegionId, RegError> {
+        let id = self.pin(len)?;
+        self.regions.last_mut().expect("just pinned").data = vec![0; len];
         Ok(id)
     }
 
     /// Deregister (unpin) a region.
     pub fn deregister(&mut self, id: RegionId) {
         if let Some(i) = self.regions.iter().position(|r| r.id == id) {
-            let r = self.regions.remove(i);
-            let pages = r.data.len().div_ceil(self.page_size).max(1);
-            self.pinned_bytes -= pages * self.page_size;
+            self.pinned_bytes -= self.regions.remove(i).pinned;
         }
     }
 
@@ -140,9 +155,10 @@ pub struct DmaPool {
 
 impl DmaPool {
     /// Carve a pool of `count` buffers of `buf_len` bytes out of newly
-    /// registered memory.
+    /// pinned memory. The pool keeps its own buffer storage (`free`), so
+    /// the pinned span itself is accounting only.
     pub fn new(book: &mut RegBook, count: usize, buf_len: usize) -> Result<Self, RegError> {
-        let region = book.register(count * buf_len)?;
+        let region = book.pin(count * buf_len)?;
         Ok(DmaPool {
             region,
             capacity: count,
@@ -233,6 +249,23 @@ mod tests {
         assert_eq!(b.pinned_bytes(), 8192);
         assert_eq!(clock.borrow().now(), Ns(2_000)); // 2 pages * 1us pin
         assert_eq!(b.region(id).unwrap().data.len(), 5000);
+    }
+
+    /// The send pool and the prepost slabs are megabytes per node that
+    /// nothing ever reads or writes: pinning them must charge, count and
+    /// limit exactly as registering does, and allocate nothing.
+    #[test]
+    fn pin_accounts_like_register_without_backing() {
+        let (mut p, mut r) = (book(1 << 20), book(1 << 20));
+        let (pc, rc) = (p.clock.clone(), r.clock.clone());
+        let id = p.pin(5000).unwrap();
+        r.register(5000).unwrap();
+        assert_eq!(p.pinned_bytes(), r.pinned_bytes());
+        assert_eq!(pc.borrow().now(), rc.borrow().now());
+        assert_eq!(p.region(id).unwrap().data.capacity(), 0);
+        assert_eq!(p.pin(1 << 20), r.register(1 << 20));
+        p.deregister(id);
+        assert_eq!(p.pinned_bytes(), 0);
     }
 
     #[test]
