@@ -216,8 +216,15 @@ impl Substrate for MemSubstrate {
 
     /// Reliable and in-memory: nothing is ever lost, so no timer needs
     /// to fire and no peer needs waiting out — both conditions are
-    /// ignored.
+    /// ignored. The wait is a channel receive, which no scheduler sees:
+    /// inside a lockstep context it would stop the whole cluster, sender
+    /// included, so that is refused loudly.
     fn wait(&mut self, _deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
+        assert!(
+            tm_sim::context::current().is_none(),
+            "MemSubstrate blocks in the operating system and cannot run inside a lockstep \
+             context; run it on threads (`run_mem_dsm` does)"
+        );
         loop {
             self.drain();
             if let Some(msg) = self.pop_earliest() {
@@ -241,6 +248,11 @@ impl Substrate for MemSubstrate {
 /// Run a DSM program over the in-memory substrate: one thread per node,
 /// each given a ready [`crate::Tmk`] runtime. Returns per-node outcomes in
 /// node order.
+///
+/// One thread per node *whatever `params.sched` says*: there is no fabric
+/// here and therefore no scheduler, and [`MemSubstrate::wait`] blocks in a
+/// channel receive. The cluster runs on a copy of `params` with
+/// `sched: FreeRun`; the cost fields the nodes read are unchanged.
 pub fn run_mem_dsm<R, F>(
     n: usize,
     params: Arc<SimParams>,
@@ -256,6 +268,10 @@ where
     let endpoints: Mutex<Vec<Option<MemEndpoint>>> =
         Mutex::new(mem_cluster(n).into_iter().map(Some).collect());
     let endpoints = Arc::new(endpoints);
+    let params = Arc::new(SimParams {
+        sched: tm_sim::SchedMode::FreeRun,
+        ..(*params).clone()
+    });
     tm_sim::run_cluster(n, params, move |env| {
         let ep = endpoints.lock()[env.id].take().expect("endpoint taken twice");
         let sub = MemSubstrate::new(
@@ -333,6 +349,33 @@ mod tests {
         };
         assert_eq!(msg.data, b"req");
         assert_eq!(b.clock().borrow().now(), Ns::from_us(50));
+    }
+
+    /// `run_mem_dsm` keeps its threads under lockstep params (on a shared
+    /// thread the first blocked receive would hang the cluster), and a
+    /// `MemSubstrate` that does find itself in a lockstep context says so
+    /// instead of hanging.
+    #[test]
+    fn lockstep_params_run_on_threads_and_a_context_is_refused() {
+        let lockstep = Arc::new(SimParams::lockstep_testbed());
+        let cfg = crate::TmkConfig::default();
+        let out = run_mem_dsm(2, Arc::clone(&lockstep), Ns::from_us(5), cfg, |tmk| {
+            for i in 0..3 {
+                tmk.barrier(i);
+            }
+            tm_sim::context::current()
+        });
+        assert!(out.iter().all(|o| o.result.is_none() && o.finish > Ns::ZERO));
+
+        let refused = std::panic::catch_unwind(|| {
+            tm_sim::run_cluster(1, lockstep, |env| {
+                let ep = mem_cluster(1).pop().unwrap();
+                let params = Arc::clone(&env.params);
+                MemSubstrate::new(ep, env.clock.clone(), params, Ns::ZERO, Ns::ZERO).wait(None, None)
+            })
+        });
+        let msg = refused.err().expect("must panic").downcast::<&str>().expect("a message");
+        assert!(msg.contains("cannot run inside a lockstep context"), "{msg}");
     }
 
     #[test]

@@ -26,16 +26,14 @@
 //!
 //! # Scheduling contract (lockstep mode)
 //!
-//! Under the lockstep scheduler (`tm_sim::sched`) the fabric serializes
-//! transmits through a conservative two-phase request/grant protocol. A
-//! substrate participates by declaring a *lookahead* — a lower bound on
-//! the virtual delay between the moment its node becomes preemptible and
-//! the earliest instant any future packet of its can reach the wire — and
-//! by passing a clock-derived floor with every send and every blocking
-//! wait it routes through its NIC handle. Both transports in this
-//! workspace do so at construction time (`GmNode::new`, `UdpStack::new`),
-//! so implementations layered on them inherit the contract for free; the
-//! declared values are `GmNode::lookahead` and `UdpStack::lookahead`.
+//! Under the lockstep scheduler (`tm_sim::sched`) a cluster's nodes are
+//! contexts on one thread and the fabric releases one event at a time, in
+//! virtual-key order. A substrate has nothing to declare for that: it
+//! participates by routing every send, every blocking wait and every
+//! poll miss through its NIC handle, which both transports in this
+//! workspace do. What it must *not* do is block in the operating system —
+//! the node that would unblock it shares the thread; [`crate::memsub`],
+//! whose waits are channel receives, therefore always runs on threads.
 //! Nothing at this level or above knows which scheduling regime is in
 //! force.
 

@@ -121,15 +121,6 @@ pub struct GmNode {
     ports: Vec<Option<PortState>>,
     /// Registered-memory book for this node.
     pub book: RegBook,
-    /// Lockstep lookahead: the minimum modeled cost between the start of
-    /// this node's preemptible window and its next packet reaching the
-    /// wire. For GM that is the NIC DMA-descriptor pickup (`nic_tx`) plus
-    /// the smaller of the `gm_send` host overhead and the handler floor —
-    /// `send_overhead`, since every response handler charges at least
-    /// `handler_dispatch` (> `send_overhead`) before its `send_at`, and
-    /// responses are emitted immediately after the service window that
-    /// prices them (no deferred batch of stale-priced responses).
-    la: Ns,
 }
 
 /// Build the GM-level cluster state: the fabric, the shared failure board
@@ -154,8 +145,6 @@ impl GmNode {
         pin_limit: usize,
     ) -> Self {
         let book = RegBook::new(clock.clone(), &params, pin_limit);
-        let la = params.net.nic_tx + params.gm.send_overhead;
-        nic.declare_lookahead(la);
         GmNode {
             nic,
             clock,
@@ -163,19 +152,7 @@ impl GmNode {
             board,
             ports: (0..NUM_PORTS).map(|_| None).collect(),
             book,
-            la,
         }
-    }
-
-    /// Current lockstep floor: a sound lower bound on the injection time
-    /// of any future packet from this node (see [`tm_sim::sched`]).
-    fn sched_floor(&self) -> Ns {
-        self.clock.borrow().preemptible_since() + self.la
-    }
-
-    /// The lookahead declared to the lockstep scheduler at construction.
-    pub fn lookahead(&self) -> Ns {
-        self.la
     }
 
     pub fn node(&self) -> NodeId {
@@ -292,9 +269,8 @@ impl GmNode {
         let inject = self.clock.borrow().now() + net_tx;
         // …then the NIC DMAs and drives the wire off-host.
         let payload = Bytes::copy_from_slice(&buf.data[..len]);
-        let floor = self.sched_floor();
         self.nic
-            .inject_floored(dst, port as u16, dst_port as u16, payload, inject, None, floor);
+            .inject(dst, port as u16, dst_port as u16, payload, inject, None);
         let p = self.port_mut(port)?;
         p.token_returns.push(inject);
         {
@@ -335,9 +311,8 @@ impl GmNode {
         p.send_tokens -= 1;
         let inject = at + net_tx;
         let payload = Bytes::copy_from_slice(&buf.data[..len]);
-        let floor = self.sched_floor();
         self.nic
-            .inject_floored(dst, port as u16, dst_port as u16, payload, inject, None, floor);
+            .inject(dst, port as u16, dst_port as u16, payload, inject, None);
         let p = self.port_mut(port)?;
         p.token_returns.push(inject);
         {
@@ -380,15 +355,13 @@ impl GmNode {
         self.clock.borrow_mut().advance(gm.send_overhead);
         let inject = self.clock.borrow().now() + net_tx;
         let payload = Bytes::copy_from_slice(&buf.data[..len]);
-        let floor = self.sched_floor();
-        self.nic.inject_floored(
+        self.nic.inject(
             dst,
             port as u16,
             port as u16,
             payload,
             inject,
             Some((region, offset)),
-            floor,
         );
         let p = self.port_mut(port)?;
         p.token_returns.push(inject);
@@ -488,20 +461,12 @@ impl GmNode {
     /// Poll one port (`gm_receive`): non-blocking; returns a message whose
     /// arrival is at or before the node's current virtual time.
     ///
-    /// Under lockstep a miss is *settled* before it is reported: a packet
-    /// whose virtual arrival is ≤ now may still be wall-clock in flight
-    /// (its transmit granted but not yet pushed), and whether this poll
-    /// sees it must not depend on thread timing. The NIC's
-    /// [`poll_quiesce`](tm_myrinet::NicHandle::poll_quiesce) parks the
-    /// poll as an ordered scheduler event at `now`; it either confirms
-    /// nothing ≤ now is outstanding (miss, deterministically) or bounces
-    /// because a delivery landed (re-examine the queues).
+    /// Under lockstep a miss is *settled* before it is reported
+    /// ([`poll_quiesce`](tm_myrinet::NicHandle::poll_quiesce)): an event
+    /// earlier than now that the scheduler has not released yet may still
+    /// deliver a packet whose virtual arrival is ≤ now.
     pub fn receive(&mut self, port: u8) -> Result<Option<GmEvent>, GmError> {
         loop {
-            // Delivery signature *before* the drain in sort_arrivals: a
-            // packet granted after this sample bounces the quiesce even if
-            // the drain already picked it up.
-            let sig = self.nic.delivery_signature();
             self.absorb_failures(port);
             self.sort_arrivals();
             let now = self.clock.borrow().now();
@@ -524,13 +489,12 @@ impl GmNode {
                     }));
                 }
             }
-            let floor = self.sched_floor();
-            if self.nic.poll_quiesce(now, sig, floor) {
+            if self.nic.poll_quiesce(now) {
                 // Free-run, or lockstep with the miss settled.
                 self.clock.borrow_mut().advance(gm.recv_poll_miss);
                 return Ok(None);
             }
-            // A delivery raced the quiesce: re-drain and look again.
+            // A delivery came first: re-drain and look again.
         }
     }
 
@@ -598,10 +562,8 @@ impl GmNode {
                 continue;
             }
             // Genuinely idle: park on the NIC channel (under lockstep,
-            // on the scheduler, carrying our floor so peers' grants are
-            // not blocked by a sleeping node).
-            let floor = self.sched_floor();
-            let pkt = self.nic.wait(Some(&GM_PORTS), None, None, floor).got();
+            // on the scheduler).
+            let pkt = self.nic.wait(Some(&GM_PORTS), None, None).got();
             self.handle_parked(pkt);
         }
     }

@@ -11,25 +11,16 @@ use crate::nic::NicHandle;
 use crate::packet::{NodeId, RawPacket, FRAME_OVERHEAD};
 
 /// One node's full-duplex link state: the virtual time at which each
-/// direction is next free. Updated with CAS loops so concurrent node
-/// threads serialize their occupancy correctly.
-///
-/// Writer disciplines, audited for the lockstep scheduler's concurrent
-/// per-receiver grants: `tx_free` is only ever advanced by the owning
-/// node's own thread (a node has at most one transmit in flight), so it
-/// is effectively single-writer in *both* regimes. `rx_free` has many
-/// potential writers; under free-run they arbitrate by wall-clock CAS
-/// order, while under lockstep the per-receiver token makes the current
-/// grant holder the unique writer, and same-link grants are issued in
-/// virtual-key order — concurrent reservations on *distinct* rx links
-/// touch disjoint atomics and cannot perturb each other's occupancy
-/// sequence.
+/// direction is next free. Free-running, concurrent node threads serialize
+/// their occupancy with CAS loops, in wall-clock order; under lockstep one
+/// transmit at a time is released, in virtual-key order, so every CAS
+/// succeeds first time and the order is the keys'.
 struct LinkState {
     tx_free: AtomicU64,
     rx_free: AtomicU64,
 }
 
-/// The cluster interconnect. Shared (`Arc`) by every node thread.
+/// The cluster interconnect. Shared (`Arc`) by every node.
 pub struct Fabric {
     params: Arc<SimParams>,
     links: Vec<LinkState>,
@@ -42,11 +33,10 @@ pub struct Fabric {
     /// Extra switch traversals beyond the first (multi-stage fabrics for
     /// >16 nodes; the paper's 16-node testbed used a single crossbar).
     extra_hops: u32,
-    /// The conservative lockstep scheduler, present iff the cluster runs
-    /// under [`SchedMode::Lockstep`]. Every transmit then goes through a
-    /// two-phase request/grant keyed on virtual injection time; each rx
-    /// link's reservation CAS runs uncontended under its per-receiver
-    /// token (see [`LinkState`]).
+    /// The lockstep scheduler, present iff the cluster runs under
+    /// [`SchedMode::Lockstep`]. Every transmit then waits for its virtual
+    /// injection time to be the cluster's minimum event key before it
+    /// reserves its links.
     sched: Option<Arc<LockstepSched>>,
     /// Sends that found the destination's inbox already closed: the
     /// receiver dropped its NIC while the packet was in flight. Always
@@ -57,7 +47,7 @@ pub struct Fabric {
 
 impl Fabric {
     /// Build a fabric for `n` nodes; returns the shared fabric plus one
-    /// [`NicHandle`] per node (to be moved into that node's thread).
+    /// [`NicHandle`] per node (to be moved into that node's body).
     pub fn new(n: usize, params: Arc<SimParams>) -> (Arc<Fabric>, Vec<NicHandle>) {
         assert!(n >= 1);
         let mut inboxes = Vec::with_capacity(n);
@@ -118,7 +108,7 @@ impl Fabric {
 
     /// The lockstep scheduler, when this cluster runs under
     /// [`SchedMode::Lockstep`].
-    pub fn sched(&self) -> Option<&Arc<LockstepSched>> {
+    pub(crate) fn sched(&self) -> Option<&Arc<LockstepSched>> {
         self.sched.as_ref()
     }
 
@@ -160,13 +150,11 @@ impl Fabric {
     /// the receiver (wire + switch + NIC-rx included).
     ///
     /// Loopback (`src == dst`) skips the wire but still pays NIC
-    /// processing, as GM does.
-    ///
-    /// Under [`SchedMode::Lockstep`] the sender's floor after the
-    /// transmit defaults to `inject_time`, which is sound only for
-    /// callers whose successive injections are monotone. Transports with
-    /// clock access, and fault paths that delay packets, use
-    /// [`Fabric::transmit_floored`] with a clock-derived floor instead.
+    /// processing, as GM does. A `lost` packet — a fault-injection
+    /// tombstone — occupies the wire like a real one (the bytes were sent;
+    /// the drop happens in flight) and still lands in the receiver's inbox
+    /// so the receiver wakes at its virtual arrival, but carries
+    /// `lost = true` so no payload is delivered.
     #[allow(clippy::too_many_arguments)]
     pub fn transmit(
         &self,
@@ -177,60 +165,24 @@ impl Fabric {
         payload: Bytes,
         inject_time: Ns,
         directed: Option<(u32, u64)>,
-    ) -> Ns {
-        self.transmit_floored(
-            src, dst, src_port, dst_port, payload, inject_time, directed, false, inject_time,
-        )
-    }
-
-    /// The full transmit entry point: [`Fabric::transmit`] plus a loss
-    /// tombstone flag and an explicit lockstep floor. A `lost` packet
-    /// occupies the wire like a real one (the bytes were sent; the drop
-    /// happens in flight) and still lands in the receiver's inbox so the
-    /// receiving thread wakes at its virtual arrival, but carries
-    /// `lost = true` so no payload is delivered. `floor_after` is a sound
-    /// lower bound on the virtual time of *any* packet `src` may inject
-    /// after this one — transports compute it as their clock's
-    /// preemptible-window start plus their declared lookahead. Ignored
-    /// under [`SchedMode::FreeRun`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn transmit_floored(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        src_port: u16,
-        dst_port: u16,
-        payload: Bytes,
-        inject_time: Ns,
-        directed: Option<(u32, u64)>,
         lost: bool,
-        floor_after: Ns,
     ) -> Ns {
         assert!(src < self.nprocs() && dst < self.nprocs(), "bad node id");
         let net = &self.params.net;
         let wire = Ns::for_bytes(payload.len() + FRAME_OVERHEAD, net.link_mb_s);
         if src == dst {
             // Loopback skips the wire *and* the scheduler: it never
-            // leaves the node, so it is same-thread program order.
+            // leaves the node, so it is program order.
             let arrival = inject_time + net.nic_rx;
             self.push(src, dst, src_port, dst_port, payload, arrival, directed, lost);
             return arrival;
         }
-        // Two-phase request/grant: announce the destination and block
-        // until the scheduler grants this injection's (time, node, seq)
-        // key. While granted we hold `dst`'s rx-link reservation token.
-        // Grants to *distinct* receivers may run this section
-        // concurrently (per-receiver tokens), which stays deterministic
-        // because every atomic below is still single-writer at any
-        // instant: `links[src].tx_free` is only ever CASed by this
-        // node's own thread (one transmit per node at a time), and
-        // `links[dst].rx_free` only by the unique holder of `dst`'s
-        // token — same-receiver grants are serialized in virtual-key
-        // order, so each rx link's occupancy sequence is the one the
-        // fully serial schedule produces and the free-running path's
-        // wall-clock arbitration is gone.
+        // Under lockstep, wait until this injection is the cluster's
+        // minimum event. Nothing else runs between the release and the
+        // delivery below, so the reservations are uncontended and each
+        // link's occupancy sequence follows the keys.
         if let Some(sched) = &self.sched {
-            sched.request_transmit(src, dst, inject_time, floor_after);
+            sched.request_transmit(src, dst, inject_time);
         }
         // Occupy our tx link.
         let tx_start = Self::reserve(&self.links[src].tx_free, inject_time, wire);
@@ -242,10 +194,8 @@ impl Fabric {
         let arrival = rx_start + wire + net.nic_rx;
         let delivered =
             self.push(src, dst, src_port, dst_port, payload, arrival, directed, lost);
-        if let Some(sched) = &self.sched {
-            // Release `dst`'s rx-link token; credit the delivery (waking
-            // `dst` if parked) only if the packet actually landed.
-            sched.finish_transmit(src, if delivered { dst } else { src }, arrival);
+        if let (Some(sched), true) = (&self.sched, delivered) {
+            sched.deliver(dst);
         }
         arrival
     }
@@ -286,6 +236,23 @@ impl Fabric {
     }
 }
 
+/// Test harness: an `n`-node lockstep cluster in which node `i` runs
+/// `body(fabric, nic i)`; the bodies' results in node order.
+#[cfg(test)]
+pub(crate) fn lockstep_cluster<R: Send + 'static>(
+    n: usize,
+    body: impl Fn(&Arc<Fabric>, NicHandle) -> R + Send + Sync + 'static,
+) -> Vec<R> {
+    let params = Arc::new(SimParams::lockstep_testbed());
+    let (fabric, nics) = Fabric::new(n, Arc::clone(&params));
+    let nics = parking_lot::Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>());
+    let out = tm_sim::run_cluster(n, params, move |env| {
+        let nic = nics.lock()[env.id].take().expect("nic taken twice");
+        body(&fabric, nic)
+    });
+    out.into_iter().map(|o| o.result).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +264,7 @@ mod tests {
     #[test]
     fn transmit_delivers_to_inbox() {
         let (f, mut nics) = fabric(2);
-        let arr = f.transmit(0, 1, 2, 3, Bytes::from_static(b"hi"), Ns(0), None);
+        let arr = f.transmit(0, 1, 2, 3, Bytes::from_static(b"hi"), Ns(0), None, false);
         let pkt = nics[1].recv_blocking();
         assert_eq!(pkt.src, 0);
         assert_eq!(pkt.src_port, 2);
@@ -309,10 +276,10 @@ mod tests {
     #[test]
     fn larger_packets_take_longer() {
         let (f, _nics) = fabric(2);
-        let a1 = f.transmit(0, 1, 0, 0, Bytes::from(vec![0u8; 10]), Ns(0), None);
+        let a1 = f.transmit(0, 1, 0, 0, Bytes::from(vec![0u8; 10]), Ns(0), None, false);
         // Same link now busy, so measure from a later, free time.
         let t = Ns::from_ms(1);
-        let a2 = f.transmit(0, 1, 0, 0, Bytes::from(vec![0u8; 100_000]), t, None);
+        let a2 = f.transmit(0, 1, 0, 0, Bytes::from(vec![0u8; 100_000]), t, None, false);
         assert!(a2 - t > a1, "100KB should take longer than 10B");
     }
 
@@ -323,15 +290,15 @@ mod tests {
         let wire = Ns::for_bytes(big + FRAME_OVERHEAD, f.params().net.link_mb_s);
         // Two senders target node 2 at the same instant: the second
         // transfer must queue behind the first on node 2's rx link.
-        let a1 = f.transmit(0, 2, 0, 0, Bytes::from(vec![0u8; big]), Ns(0), None);
-        let a2 = f.transmit(1, 2, 0, 0, Bytes::from(vec![0u8; big]), Ns(0), None);
+        let a1 = f.transmit(0, 2, 0, 0, Bytes::from(vec![0u8; big]), Ns(0), None, false);
+        let a2 = f.transmit(1, 2, 0, 0, Bytes::from(vec![0u8; big]), Ns(0), None, false);
         assert!(a2 >= a1 + wire - Ns(1000), "a1={a1:?} a2={a2:?} wire={wire:?}");
     }
 
     #[test]
     fn loopback_skips_wire() {
         let (f, mut nics) = fabric(2);
-        let arr = f.transmit(0, 0, 1, 1, Bytes::from_static(b"self"), Ns(100), None);
+        let arr = f.transmit(0, 0, 1, 1, Bytes::from_static(b"self"), Ns(100), None, false);
         assert_eq!(arr, Ns(100) + f.params().net.nic_rx);
         let pkt = nics[0].recv_blocking();
         assert_eq!(pkt.src, 0);
@@ -374,7 +341,7 @@ mod tests {
     #[should_panic(expected = "bad node id")]
     fn bad_destination_panics() {
         let (f, _nics) = fabric(2);
-        f.transmit(0, 5, 0, 0, Bytes::new(), Ns(0), None);
+        f.transmit(0, 5, 0, 0, Bytes::new(), Ns(0), None, false);
     }
 
     #[test]
@@ -384,45 +351,36 @@ mod tests {
         // Node 1 departs; a late in-flight packet must evaporate (be
         // counted), not panic — even with no fault plan active.
         drop(nics.remove(1));
-        f.transmit(0, 1, 0, 0, Bytes::from_static(b"late"), Ns(0), None);
+        f.transmit(0, 1, 0, 0, Bytes::from_static(b"late"), Ns(0), None, false);
         assert_eq!(f.shutdown_races(), 1);
     }
 
-    /// Two senders contend for one rx link with adversarial wall-clock
-    /// staggering: under lockstep the grant (and therefore the rx-link
+    /// Two senders contend for one rx link, and the one with the *later*
+    /// virtual key asks first: the release (and therefore the rx-link
     /// queueing order and every arrival time) must follow virtual keys,
-    /// identically on every run.
+    /// whichever order the nodes run in.
     #[test]
     fn lockstep_serializes_rx_contention_by_virtual_key() {
-        use std::thread;
-        let run = |stagger_ms: u64| -> Vec<(NodeId, Ns)> {
-            let params = Arc::new(SimParams::lockstep_testbed());
-            let (_f, mut nics) = Fabric::new(3, params);
-            let mut receiver = nics.remove(2);
-            let mut senders = vec![];
-            for (nic, inject, delay_ms) in [
-                (nics.remove(1), Ns(1_000), 0u64),
-                (nics.remove(0), Ns(2_000), stagger_ms),
-            ] {
-                senders.push(thread::spawn(move || {
-                    thread::sleep(std::time::Duration::from_millis(delay_ms));
-                    nic.inject(2, 0, 0, Bytes::from(vec![0u8; 10_000]), inject, None);
-                }));
-            }
-            let recv_thread = thread::spawn(move || {
-                let a = receiver.recv_blocking();
-                let b = receiver.recv_blocking();
-                vec![(a.src, a.arrival), (b.src, b.arrival)]
+        // Node 2 receives; `late` injects at 2 µs, the other sender at 1 µs.
+        let run = |late: NodeId| -> Vec<(NodeId, Ns)> {
+            let out = lockstep_cluster(3, move |_, mut nic| {
+                if nic.node() == 2 {
+                    let (a, b) = (nic.recv_blocking(), nic.recv_blocking());
+                    return vec![(a.src, a.arrival), (b.src, b.arrival)];
+                }
+                let inject = if nic.node() == late { Ns(2_000) } else { Ns(1_000) };
+                nic.inject(2, 0, 0, Bytes::from(vec![0u8; 10_000]), inject, None);
+                vec![]
             });
-            for s in senders {
-                s.join().unwrap();
-            }
-            recv_thread.join().unwrap()
+            out.into_iter().nth(2).unwrap()
         };
-        let fast = run(0);
-        let slow = run(30);
-        assert_eq!(fast, slow, "arrival schedule must not depend on wall clock");
-        assert_eq!(fast[0].0, 1, "virtual key 1000 (node 1) must win the rx link");
+        // Contexts start in node order, so with `late == 0` the later key
+        // is on offer before the earlier one exists.
+        let asked_first = run(0);
+        assert_eq!(asked_first[0].0, 1, "virtual key 1000 (node 1) must win the rx link");
+        assert!(asked_first[1].1 > asked_first[0].1);
+        let asked_second: Vec<_> = run(1).into_iter().map(|(src, at)| (1 - src, at)).collect();
+        assert_eq!(asked_first, asked_second, "arrival schedule must follow keys, not asking order");
     }
 
     #[test]
@@ -436,7 +394,7 @@ mod tests {
             handles.push(thread::spawn(move || {
                 let mut starts = vec![];
                 for _ in 0..50 {
-                    let a = f.transmit(0, 1, 0, 0, Bytes::from(vec![0u8; 10_000]), Ns(0), None);
+                    let a = f.transmit(0, 1, 0, 0, Bytes::from(vec![0u8; 10_000]), Ns(0), None, false);
                     starts.push(a);
                 }
                 starts

@@ -10,9 +10,10 @@
 //! this fabric, which is exactly the physical situation of the paper —
 //! UDP/GM and FAST/GM ran over the same NICs and switch.
 //!
-//! Delivery is via real channels: a node thread blocking on
+//! Delivery is via real channels: a free-running node thread blocking on
 //! [`NicHandle::recv_blocking`] is genuinely parked until a packet lands,
-//! so protocol deadlocks deadlock.
+//! so protocol deadlocks deadlock; a lockstep node's context is suspended
+//! in the scheduler instead, which reports them.
 
 pub mod fabric;
 pub mod nic;

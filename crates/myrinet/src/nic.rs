@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
-use tm_sim::{Ns, Wait, WakeReason};
+use tm_sim::{Ns, Wait};
 
 use crate::fabric::Fabric;
 use crate::packet::{NodeId, RawPacket};
@@ -25,12 +25,13 @@ const HANG_GUARD: std::time::Duration = std::time::Duration::from_secs(1);
 /// exit without a goodbye).
 const LINGER_GUARD: std::time::Duration = std::time::Duration::from_millis(25);
 
-/// A node's handle on its NIC. Owned by the node thread.
+/// A node's handle on its NIC. Owned by the node.
 ///
 /// Incoming packets land on one channel; the handle demultiplexes them into
-/// per-port queues on demand. Blocking receives park the OS thread — if the
-/// protocol above deadlocks, the simulation visibly hangs rather than
-/// producing wrong numbers.
+/// per-port queues on demand. A free-running blocking receive parks the OS
+/// thread — if the protocol above deadlocks, the simulation visibly hangs
+/// rather than producing wrong numbers; under lockstep it suspends the
+/// node's context, and a deadlock is a panic naming every node's state.
 pub struct NicHandle {
     node: NodeId,
     rx: Receiver<RawPacket>,
@@ -63,49 +64,21 @@ impl NicHandle {
         self.fabric.any_alive(nodes)
     }
 
-    /// Declare this node's substrate lookahead to the lockstep scheduler
-    /// (no-op under free-run): a sound lower bound on the virtual time
-    /// between the start of the node's preemptible window and its next
-    /// packet reaching the wire. Transports call this once at
-    /// construction.
-    pub fn declare_lookahead(&self, la: Ns) {
-        if let Some(sched) = self.fabric.sched() {
-            sched.declare_lookahead(self.node, la);
-        }
-    }
-
-    /// This node's current delivery count under lockstep (0 under
-    /// free-run): the race-detection signature for
-    /// [`NicHandle::poll_quiesce`]. Sample it *before* draining the
-    /// channel, so a delivery that lands between the drain and the
-    /// quiesce bounces the quiesce instead of being missed.
-    pub fn delivery_signature(&self) -> u64 {
-        self.fabric
-            .sched()
-            .map_or(0, |s| s.delivery_count(self.node))
-    }
-
     /// Lockstep-only settlement of a non-blocking poll at virtual time
-    /// `t`: returns `true` once the scheduler proves no packet with
-    /// virtual arrival ≤ `t` can still be in flight (the poll's miss is
-    /// then deterministic), or `false` if a delivery raced in first (the
-    /// caller must re-drain and re-examine its queues). `seen` is the
-    /// [`NicHandle::delivery_signature`] sampled before the caller's
-    /// drain; `floor` as in [`NicHandle::wait`]. Under
-    /// free-run this returns `true` immediately — free-run polls are
-    /// allowed to race.
-    pub fn poll_quiesce(&self, t: Ns, seen: u64, floor: Ns) -> bool {
+    /// `t`: returns `true` once the scheduler has released every event
+    /// earlier than `t` (the poll's miss is then deterministic), or
+    /// `false` if one of them delivered a packet here first (the caller
+    /// must re-drain and re-examine its queues). Under free-run this
+    /// returns `true` immediately — free-run polls are allowed to race.
+    pub fn poll_quiesce(&self, t: Ns) -> bool {
         match self.fabric.sched() {
-            Some(s) => s.poll_quiesce(self.node, t, seen, floor),
+            Some(s) => s.park(self.node, Some(t), None) == Wait::Deadline,
             None => true,
         }
     }
 
     /// Inject a packet from this node (sender side). Thin forwarding to
     /// [`Fabric::transmit`]; cost accounting is the caller's business.
-    /// Under lockstep the sender's post-transmit floor defaults to the
-    /// injection time — sound only for monotone injectors; transports
-    /// with clock access use [`NicHandle::inject_floored`].
     pub fn inject(
         &self,
         dst: NodeId,
@@ -116,63 +89,23 @@ impl NicHandle {
         directed: Option<(u32, u64)>,
     ) -> Ns {
         self.fabric
-            .transmit(self.node, dst, src_port, dst_port, payload, inject_time, directed)
-    }
-
-    /// [`NicHandle::inject`] with an explicit lockstep floor:
-    /// `floor_after` bounds from below every packet this node may inject
-    /// after this one (clock preemptible-window start + declared
-    /// lookahead). Ignored under free-run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn inject_floored(
-        &self,
-        dst: NodeId,
-        src_port: u16,
-        dst_port: u16,
-        payload: Bytes,
-        inject_time: Ns,
-        directed: Option<(u32, u64)>,
-        floor_after: Ns,
-    ) -> Ns {
-        self.fabric.transmit_floored(
-            self.node,
-            dst,
-            src_port,
-            dst_port,
-            payload,
-            inject_time,
-            directed,
-            false,
-            floor_after,
-        )
+            .transmit(self.node, dst, src_port, dst_port, payload, inject_time, directed, false)
     }
 
     /// Inject a fault-injection loss tombstone: the packet occupies the
     /// wire and wakes the receiver at its virtual arrival, but is flagged
     /// `lost` so the receiver layer discards (and counts) it instead of
-    /// delivering the payload. `floor_after` as in
-    /// [`NicHandle::inject_floored`] — a delayed or duplicated packet's
-    /// injection time is *not* a sound floor for the node's next send.
-    pub fn inject_lost_floored(
+    /// delivering the payload.
+    pub fn inject_lost(
         &self,
         dst: NodeId,
         src_port: u16,
         dst_port: u16,
         payload: Bytes,
         inject_time: Ns,
-        floor_after: Ns,
     ) -> Ns {
-        self.fabric.transmit_floored(
-            self.node,
-            dst,
-            src_port,
-            dst_port,
-            payload,
-            inject_time,
-            None,
-            true,
-            floor_after,
-        )
+        self.fabric
+            .transmit(self.node, dst, src_port, dst_port, payload, inject_time, None, true)
     }
 
     fn queue_mut(&mut self, port: u16) -> &mut VecDeque<RawPacket> {
@@ -259,12 +192,6 @@ impl NicHandle {
     /// * Selection among queued packets is by earliest virtual arrival;
     ///   per sender the wire is FIFO.
     ///
-    /// `floor` is the lockstep park floor: a sound lower bound on any
-    /// packet this node may inject after waking (clock
-    /// preemptible-window start + declared lookahead). `Ns::ZERO` is
-    /// always safe — the woken node then blocks all grants until its next
-    /// scheduler interaction.
-    ///
     /// This is the only place above [`Fabric`] that knows whether a
     /// scheduler exists. Without one (free-run) the wait sleeps on the
     /// channel: unbounded when neither condition is given (a protocol
@@ -277,32 +204,27 @@ impl NicHandle {
         ports: Option<&[u16]>,
         deadline: Option<Ns>,
         watch: Option<&[NodeId]>,
-        floor: Ns,
     ) -> Wait<RawPacket> {
         let sched = self.fabric.sched().cloned();
         loop {
-            // Capture the delivery signature *before* draining: if a
-            // delivery lands between our drain and our park, the
-            // signature mismatch makes the park bounce back immediately
-            // instead of sleeping through the wakeup.
-            let sig = self.delivery_signature();
             self.drain();
             if let Some(i) = self.best_queued_idx(ports) {
                 return self.pop_if_due(i, deadline).map_or(Wait::Deadline, Wait::Got);
             }
             let woke = match &sched {
-                // Park on the scheduler (never the channel): cluster
-                // deadlock panics there with the parked-node set.
-                Some(s) => s.park(self.node, sig, deadline, watch, floor),
+                // Park on the scheduler (never the channel): a cluster
+                // deadlock is a panic naming every node's state. On one
+                // thread nothing can land between the drain and the park.
+                Some(s) => s.park(self.node, deadline, watch),
                 None => self.sleep_unscheduled(deadline, watch),
             };
             // One last look at the queues: after a timeout only a packet
             // due by the deadline counts; after the peers' departure
             // whatever their final grants delivered does.
             let (due_by, otherwise) = match woke {
-                WakeReason::Delivered => continue,
-                WakeReason::Timeout => (deadline, Wait::Deadline),
-                WakeReason::PeersDone => (None, Wait::PeersDone),
+                Wait::Got(()) => continue,
+                Wait::Deadline => (deadline, Wait::Deadline),
+                Wait::PeersDone => (None, Wait::PeersDone),
             };
             self.drain();
             return self
@@ -325,9 +247,9 @@ impl NicHandle {
 
     /// The free-run half of [`NicHandle::wait`]: sleep on the channel
     /// and report what ended the sleep in the scheduler's vocabulary.
-    fn sleep_unscheduled(&mut self, deadline: Option<Ns>, watch: Option<&[NodeId]>) -> WakeReason {
+    fn sleep_unscheduled(&mut self, deadline: Option<Ns>, watch: Option<&[NodeId]>) -> Wait<()> {
         if watch.is_some_and(|w| !self.fabric.any_alive(w)) {
-            return WakeReason::PeersDone;
+            return Wait::PeersDone;
         }
         let arrived = if deadline.is_none() && watch.is_none() {
             Some(self.rx.recv().unwrap_or_else(|_| {
@@ -342,16 +264,16 @@ impl NicHandle {
         };
         match arrived {
             Some(pkt) => self.stash(pkt),
-            None if deadline.is_some() => return WakeReason::Timeout,
+            None if deadline.is_some() => return Wait::Deadline,
             // Watch only: go round again and re-read the liveness flags.
             None => {}
         }
-        WakeReason::Delivered
+        Wait::Got(())
     }
 
     /// Block until any packet at all arrives (raw benchmarks and tests).
     pub fn recv_blocking(&mut self) -> RawPacket {
-        self.wait(None, None, None, Ns::ZERO).got()
+        self.wait(None, None, None).got()
     }
 }
 
@@ -373,8 +295,8 @@ mod tests {
     #[test]
     fn poll_port_demuxes() {
         let (f, mut nics) = pair();
-        f.transmit(0, 1, 9, 5, Bytes::from_static(b"a"), Ns(0), None);
-        f.transmit(0, 1, 9, 6, Bytes::from_static(b"b"), Ns(0), None);
+        f.transmit(0, 1, 9, 5, Bytes::from_static(b"a"), Ns(0), None, false);
+        f.transmit(0, 1, 9, 6, Bytes::from_static(b"b"), Ns(0), None, false);
         // Give the channel a moment: sends are synchronous in-process, so
         // they're already there.
         let n1 = &mut nics[1];
@@ -391,18 +313,18 @@ mod tests {
         // Loopback packet lands at 10ms on port 5; a wire packet from node
         // 0 lands microseconds in on port 6. Although the late one is
         // queued first, selection must follow virtual arrival time.
-        f.transmit(1, 1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(10), None);
-        f.transmit(0, 1, 0, 6, Bytes::from_static(b"early"), Ns(0), None);
-        let got = nics[1].wait(Some(&[5, 6]), None, None, Ns::ZERO).got();
+        f.transmit(1, 1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(10), None, false);
+        f.transmit(0, 1, 0, 6, Bytes::from_static(b"early"), Ns(0), None, false);
+        let got = nics[1].wait(Some(&[5, 6]), None, None).got();
         assert_eq!(&got.payload[..], b"early");
     }
 
     #[test]
     fn wait_ignores_other_ports() {
         let (f, mut nics) = pair();
-        f.transmit(0, 1, 0, 7, Bytes::from_static(b"other"), Ns(0), None);
-        f.transmit(0, 1, 0, 5, Bytes::from_static(b"mine"), Ns(0), None);
-        let got = nics[1].wait(Some(&[5]), None, None, Ns::ZERO).got();
+        f.transmit(0, 1, 0, 7, Bytes::from_static(b"other"), Ns(0), None, false);
+        f.transmit(0, 1, 0, 5, Bytes::from_static(b"mine"), Ns(0), None, false);
+        let got = nics[1].wait(Some(&[5]), None, None).got();
         assert_eq!(&got.payload[..], b"mine");
         // The port-7 packet is still queued.
         assert_eq!(nics[1].queued(7), 1);
@@ -413,9 +335,9 @@ mod tests {
         use std::thread;
         let (f, mut nics) = pair();
         let mut n1 = nics.remove(1);
-        let t = thread::spawn(move || n1.wait(Some(&[3]), None, None, Ns::ZERO).got().payload);
+        let t = thread::spawn(move || n1.wait(Some(&[3]), None, None).got().payload);
         thread::sleep(std::time::Duration::from_millis(20));
-        f.transmit(0, 1, 0, 3, Bytes::from_static(b"wake"), Ns(0), None);
+        f.transmit(0, 1, 0, 3, Bytes::from_static(b"wake"), Ns(0), None, false);
         assert_eq!(&t.join().unwrap()[..], b"wake");
     }
 
@@ -425,98 +347,101 @@ mod tests {
     fn free_run_watch_reports_departed_peers() {
         let (f, mut nics) = pair();
         let mut n1 = nics.remove(1);
-        f.transmit(0, 1, 0, 5, Bytes::from_static(b"last"), Ns(0), None);
+        f.transmit(0, 1, 0, 5, Bytes::from_static(b"last"), Ns(0), None, false);
         drop(nics);
-        let got = n1.wait(Some(&[5]), None, Some(&[0]), Ns::ZERO);
+        let got = n1.wait(Some(&[5]), None, Some(&[0]));
         assert!(matches!(got, Wait::Got(p) if &p.payload[..] == b"last"));
-        assert!(matches!(n1.wait(Some(&[5]), None, Some(&[0]), Ns::ZERO), Wait::PeersDone));
+        assert!(matches!(n1.wait(Some(&[5]), None, Some(&[0])), Wait::PeersDone));
     }
 
     /// [`NicHandle::wait`] under lockstep, over its {deadline, no
     /// deadline} × {watch, no watch} matrix. Node 1 waits on port 5; node
-    /// 0 is the sender and the watched peer. Every outcome is decided by
-    /// virtual keys, so none of this depends on thread timing.
+    /// 0 is the sender and the watched peer; any further node leaves at
+    /// once. Every outcome is decided by virtual keys.
     #[test]
     fn lockstep_wait_matrix() {
-        use std::thread;
+        use crate::fabric::lockstep_cluster;
         const DEADLINE: Ns = Ns(100_000);
-        let cluster = |n: usize| {
-            let (f, mut nics) = Fabric::new(n, Arc::new(SimParams::lockstep_testbed()));
-            let waiter = nics.remove(1);
-            let peer = nics.remove(0);
-            // Any further node is gone from the start (its floor would
-            // otherwise hold every grant back).
-            drop(nics);
-            (f, waiter, peer)
-        };
+        fn show(w: Wait<RawPacket>) -> String {
+            match w {
+                Wait::Got(p) => format!("got {}", String::from_utf8_lossy(&p.payload)),
+                Wait::Deadline => "deadline".into(),
+                Wait::PeersDone => "peers done".into(),
+            }
+        }
+        /// What node 1 saw when every node ran `body`.
+        fn waiter_saw(
+            n: usize,
+            body: impl Fn(&Arc<Fabric>, NicHandle) -> Vec<String> + Send + Sync + 'static,
+        ) -> Vec<String> {
+            lockstep_cluster(n, body).swap_remove(1)
+        }
         for deadline in [None, Some(DEADLINE)] {
             for watch in [None, Some([0usize])] {
                 let cell = format!("deadline={deadline:?} watch={watch:?}");
-                let watch = watch.as_ref().map(|w| &w[..]);
+                let wait = move |nic: &mut NicHandle| {
+                    show(nic.wait(Some(&[5]), deadline, watch.as_ref().map(|w| &w[..])))
+                };
 
                 // Delivery wins: an in-time packet is handed over.
-                let (_f, mut waiter, peer) = cluster(2);
-                let got = thread::scope(|s| {
-                    let h = s.spawn(|| waiter.wait(Some(&[5]), deadline, watch, Ns::ZERO));
-                    peer.inject(1, 0, 5, Bytes::from_static(b"hit"), Ns(1_000), None);
-                    h.join().unwrap()
+                let saw = waiter_saw(2, move |_, mut nic| match nic.node() {
+                    1 => vec![wait(&mut nic)],
+                    _ => {
+                        nic.inject(1, 0, 5, Bytes::from_static(b"hit"), Ns(1_000), None);
+                        vec![]
+                    }
                 });
-                assert!(matches!(got, Wait::Got(p) if &p.payload[..] == b"hit"), "{cell}");
+                assert_eq!(saw, ["got hit"], "{cell}");
 
                 if deadline.is_some() {
-                    // Deadline wins over a later-keyed transmit, however
-                    // early (in wall time) its sender asked; the packet
-                    // is there for the next wait.
-                    let (_f, mut waiter, peer) = cluster(2);
-                    let (first, second) = thread::scope(|s| {
-                        let h = s.spawn(|| {
-                            let first = waiter.wait(Some(&[5]), deadline, watch, Ns::ZERO);
-                            (first, waiter.wait(Some(&[5]), None, None, Ns::ZERO).got())
-                        });
-                        peer.inject(1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(1), None);
-                        h.join().unwrap()
+                    // Deadline wins over a later-keyed transmit, although
+                    // its sender asked first (node 0 runs first); the
+                    // packet is there for the next wait.
+                    let saw = waiter_saw(2, move |_, mut nic| match nic.node() {
+                        1 => vec![wait(&mut nic), show(nic.wait(Some(&[5]), None, None))],
+                        _ => {
+                            nic.inject(1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(1), None);
+                            vec![]
+                        }
                     });
-                    assert!(matches!(first, Wait::Deadline), "{cell}: got {first:?}");
-                    assert_eq!(&second.payload[..], b"late", "{cell}");
+                    assert_eq!(saw, ["deadline", "got late"], "{cell}");
 
                     // A queued packet past the deadline stays queued and
-                    // reports Deadline without parking (a park would
-                    // hang here: node 0 never commits to anything).
-                    let (f, mut waiter, _peer) = cluster(2);
-                    f.transmit(1, 1, 0, 5, Bytes::from_static(b"far"), Ns::from_ms(10), None);
-                    let got = waiter.wait(Some(&[5]), deadline, watch, Ns::ZERO);
-                    assert!(matches!(got, Wait::Deadline), "{cell}: got {got:?}");
-                    assert_eq!(waiter.queued(5), 1, "{cell}");
+                    // reports Deadline without parking.
+                    let saw = waiter_saw(2, move |f, mut nic| match nic.node() {
+                        1 => {
+                            f.transmit(1, 1, 0, 5, Bytes::from_static(b"far"), Ns::from_ms(10), None, false);
+                            vec![wait(&mut nic), format!("{} queued", nic.queued(5))]
+                        }
+                        _ => vec![],
+                    });
+                    assert_eq!(saw, ["deadline", "1 queued"], "{cell}");
                 }
 
                 if watch.is_some() {
                     // Peers-done wins: the watched peer leaves silently.
-                    let (_f, mut waiter, peer) = cluster(2);
-                    let got = thread::scope(|s| {
-                        let h = s.spawn(|| waiter.wait(Some(&[5]), deadline, watch, Ns::ZERO));
-                        drop(peer);
-                        h.join().unwrap()
+                    let saw = waiter_saw(2, move |_, mut nic| match nic.node() {
+                        1 => vec![wait(&mut nic)],
+                        _ => vec![],
                     });
-                    assert!(matches!(got, Wait::PeersDone), "{cell}: got {got:?}");
+                    assert_eq!(saw, ["peers done"], "{cell}");
 
                     // The final drain on PeersDone hands over a packet
-                    // whatever its arrival. The transmit to (departed)
-                    // node 2 is granted only once node 1 is parked, so
-                    // the loopback push that follows lands behind the
-                    // waiter's drain, uncredited; the peer's departure
-                    // is then what wakes it.
-                    let (f, mut waiter, peer) = cluster(3);
-                    let got = thread::scope(|s| {
-                        let h = s.spawn(|| waiter.wait(Some(&[5]), deadline, watch, Ns::ZERO));
-                        peer.inject(2, 0, 0, Bytes::new(), Ns(1_000), None);
-                        f.transmit(1, 1, 0, 5, Bytes::from_static(b"far"), Ns::from_ms(10), None);
-                        drop(peer);
-                        h.join().unwrap()
+                    // whatever its arrival. Node 0's transmit to (departed)
+                    // node 2 is released only once node 1 is parked, so the
+                    // loopback push it then makes on node 1's behalf lands
+                    // behind the waiter's drain, uncredited; the peer's
+                    // departure is what wakes the waiter.
+                    let saw = waiter_saw(3, move |f, mut nic| match nic.node() {
+                        1 => vec![wait(&mut nic)],
+                        0 => {
+                            nic.inject(2, 0, 0, Bytes::new(), Ns(1_000), None);
+                            f.transmit(1, 1, 0, 5, Bytes::from_static(b"far"), Ns::from_ms(10), None, false);
+                            vec![]
+                        }
+                        _ => vec![],
                     });
-                    assert!(
-                        matches!(&got, Wait::Got(p) if p.arrival > DEADLINE && &p.payload[..] == b"far"),
-                        "{cell}: got {got:?}"
-                    );
+                    assert_eq!(saw, ["got far"], "{cell}");
                 }
             }
         }
@@ -525,7 +450,7 @@ mod tests {
     #[test]
     fn peek_does_not_consume() {
         let (f, mut nics) = pair();
-        f.transmit(0, 1, 0, 5, Bytes::from_static(b"x"), Ns(0), None);
+        f.transmit(0, 1, 0, 5, Bytes::from_static(b"x"), Ns(0), None, false);
         assert!(nics[1].peek_port(5).is_some());
         assert!(nics[1].peek_port(5).is_some());
         assert!(nics[1].poll_port(5).is_some());

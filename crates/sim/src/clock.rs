@@ -98,14 +98,6 @@ impl NodeClock {
         self.now
     }
 
-    /// Start of the current preemptible window. Every future cost this
-    /// node charges begins at or after this point, which makes
-    /// `preemptible_since() + lookahead` a sound scheduler floor (see
-    /// [`crate::sched`]).
-    pub fn preemptible_since(&self) -> Ns {
-        self.preemptible_since
-    }
-
     /// Non-interruptible protocol work (message construction, diff
     /// creation, handler bodies…).
     pub fn advance(&mut self, d: Ns) {

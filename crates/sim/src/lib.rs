@@ -2,9 +2,11 @@
 //!
 //! The paper's evaluation ran on a 16-node Pentium-III / Myrinet-2000
 //! cluster. That hardware does not exist here, so the entire reproduction
-//! runs on a *virtual-time* substrate: every simulated node is a real OS
-//! thread executing the real DSM protocol code, but time is a per-node
-//! logical clock advanced by modeled costs instead of wall time.
+//! runs on a *virtual-time* substrate: every simulated node executes the
+//! real DSM protocol code — on an OS thread of its own when the cluster
+//! free-runs, as a context on the caller's thread under the lockstep
+//! scheduler — but time is a per-node logical clock advanced by modeled
+//! costs instead of wall time.
 //!
 //! The pieces:
 //!
@@ -16,12 +18,20 @@
 //! * [`params`] — the calibrated cost model (Myrinet wire model, GM host
 //!   overheads, UDP kernel-stack costs, DSM memory-management costs).
 //! * [`stats`] — per-node event counters used by the experiment harness.
-//! * [`runner`] — spawns one thread per node and joins results.
+//! * [`runner`] — runs one body per node, in either regime, and joins the
+//!   results.
+//! * [`sched`] — the lockstep scheduler: one event at a time, minimum
+//!   virtual key first.
+//! * [`context`] — the stackful contexts lockstep nodes run as: the one
+//!   module in the workspace that is not safe Rust (CI greps for that).
 //!
 //! Nothing in this crate knows about GM, UDP, or TreadMarks; it is the
 //! substrate everything else is built on.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod clock;
+pub mod context;
 pub mod faults;
 pub mod params;
 pub mod runner;
@@ -33,6 +43,6 @@ pub use clock::{AsyncScheme, NodeClock, SharedClock};
 pub use faults::FaultPlan;
 pub use params::SimParams;
 pub use runner::{run_cluster, NodeEnv};
-pub use sched::{LockstepSched, SchedMode, Wait, WakeReason};
+pub use sched::{LockstepSched, SchedMode, Wait};
 pub use stats::NodeStats;
 pub use time::Ns;

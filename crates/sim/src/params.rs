@@ -224,7 +224,7 @@ impl Default for CpuParams {
 }
 
 /// Everything, bundled. One of these is shared (via `Arc`) by the fabric
-/// and all node threads.
+/// and all nodes.
 #[derive(Debug, Clone, Default)]
 pub struct SimParams {
     pub net: MyrinetParams,
@@ -235,8 +235,8 @@ pub struct SimParams {
     pub cpu: CpuParams,
     /// Deterministic fault-injection plan; all-off by default.
     pub faults: FaultPlan,
-    /// Thread-interleaving regime: free-running (fast, wall-clock
-    /// arbitration under contention) or conservative lockstep
+    /// Node-interleaving regime: free-running threads (wall-clock
+    /// arbitration under contention) or lockstep contexts on one thread
     /// (byte-reproducible). See [`crate::sched`].
     pub sched: SchedMode,
 }
@@ -247,9 +247,9 @@ impl SimParams {
         SimParams::default()
     }
 
-    /// The paper's testbed under the conservative lockstep scheduler
+    /// The paper's testbed under the lockstep scheduler
     /// ([`SchedMode::Lockstep`]): identical cost model, byte-reproducible
-    /// thread interleaving. The default for all pinned-output tests.
+    /// node interleaving. The default for all pinned-output tests.
     pub fn lockstep_testbed() -> Self {
         SimParams {
             sched: SchedMode::Lockstep,

@@ -1,42 +1,47 @@
-//! Cluster runner: one OS thread per simulated node.
+//! Cluster runner: one node body per simulated node, joined into per-node
+//! outcomes.
 //!
 //! The runner knows nothing about transports or DSM — it only hands each
-//! node thread its identity and a fresh [`SharedClock`], runs the node body,
-//! and joins the per-node results. Higher layers (tm-fast, tmk, tm-bench)
+//! node body its identity and a fresh [`SharedClock`], runs it, and
+//! collects the per-node results. Higher layers (tm-fast, tmk, tm-bench)
 //! build their per-node state inside the body closure.
 //!
-//! # Placement
+//! # Two regimes
 //!
-//! A lockstep cluster's node threads share **one CPU**: the one the caller
-//! of [`run_cluster`] was on at entry. The scheduler hands the cluster from
-//! one node to the next, so a second core buys a cross-core wake-up per
-//! hand-off and nothing else — measured on four workloads, all-core lockstep
-//! was 1.3–4.3× slower than one-CPU lockstep (DESIGN.md, "One CPU"). The
-//! CPU is derived, not configured: it lies inside the caller's affinity mask
-//! by construction, so concurrent clusters (parallel `cargo test`) spread
-//! over the host the way their callers do, and a caller already confined to
-//! one CPU keeps it. Only the node threads are confined, each by itself;
-//! the caller's mask is never touched. Free-run clusters are not confined —
-//! they are the regime that uses the cores. Placement carries no
-//! correctness: off Linux, or if the kernel refuses, the cluster runs
-//! wherever the caller may.
+//! Under [`SchedMode::FreeRun`] every node is a real OS thread and the
+//! cluster uses the host's cores. Under [`SchedMode::Lockstep`] the nodes
+//! are cooperatively switched contexts on the *caller's* thread
+//! ([`crate::context`]): the lockstep scheduler releases one event at a
+//! time, so threads would buy no parallelism, only a kernel hand-off per
+//! event. A lockstep node body therefore must not block in the operating
+//! system (a channel receive, a sleep, a lock another node holds): the node
+//! that would unblock it shares the thread. Blocking on the fabric —
+//! through a `NicHandle` — is what suspends a context.
 
+use std::cell::RefCell;
+use std::panic::resume_unwind;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::thread;
 
 use crate::clock::{shared_clock, SharedClock};
+use crate::context;
 use crate::params::SimParams;
 use crate::sched::SchedMode;
 use crate::stats::NodeStats;
 use crate::time::Ns;
 
-/// Identity and environment handed to each node thread.
+/// Stack of one node body, in either regime: application kernels recurse
+/// and keep page-sized buffers on it.
+pub const NODE_STACK: usize = 16 << 20;
+
+/// Identity and environment handed to each node body.
 pub struct NodeEnv {
     /// This node's id in `0..nprocs`.
     pub id: usize,
     /// Cluster size.
     pub nprocs: usize,
-    /// The node's virtual clock (node-thread local).
+    /// The node's virtual clock (node local).
     pub clock: SharedClock,
     /// The shared cost model.
     pub params: Arc<SimParams>,
@@ -51,100 +56,73 @@ pub struct NodeOutcome<R> {
     pub result: R,
 }
 
-/// The CPU the calling thread is executing on, where the host can say.
-fn current_cpu() -> Option<usize> {
-    #[cfg(target_os = "linux")]
-    {
-        extern "C" {
-            fn sched_getcpu() -> i32;
-        }
-        // SAFETY: takes no arguments and touches no memory of ours.
-        usize::try_from(unsafe { sched_getcpu() }).ok()
-    }
-    #[cfg(not(target_os = "linux"))]
-    None
-}
-
-/// Confine the calling thread to `cpu`; `false` if the host cannot or the
-/// kernel will not.
-fn confine_self(cpu: usize) -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        use std::ffi::c_ulong;
-        extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const c_ulong) -> i32;
-        }
-        // `cpu_set_t`: 1024 bits, CPU `c` is bit `c` counting from the
-        // low bit of word 0.
-        const BITS: usize = c_ulong::BITS as usize;
-        let mut set = [0 as c_ulong; 1024 / BITS];
-        let Some(word) = set.get_mut(cpu / BITS) else {
-            return false;
-        };
-        *word = 1 << (cpu % BITS);
-        // SAFETY: `set` is a live buffer of exactly the size passed; pid 0
-        // names the calling thread.
-        unsafe { sched_setaffinity(0, std::mem::size_of_val(&set), set.as_ptr()) == 0 }
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = cpu;
-        false
+fn run_node<R>(
+    id: usize,
+    nprocs: usize,
+    params: &Arc<SimParams>,
+    body: impl Fn(&NodeEnv) -> R,
+) -> NodeOutcome<R> {
+    let env = NodeEnv {
+        id,
+        nprocs,
+        clock: shared_clock(),
+        params: Arc::clone(params),
+    };
+    let result = body(&env);
+    let clock = env.clock.borrow();
+    NodeOutcome {
+        id,
+        finish: clock.now(),
+        stats: clock.stats.clone(),
+        result,
     }
 }
 
-/// Spawn `nprocs` node threads, run `body` on each, and join.
+/// Run `body` once per node and collect the outcomes, ordered by node id:
+/// on `nprocs` threads under [`SchedMode::FreeRun`], as `nprocs` contexts
+/// on this thread under [`SchedMode::Lockstep`] (module docs).
 ///
-/// Under [`SchedMode::Lockstep`] every node thread first confines itself to
-/// the CPU this call was entered on (module docs, "Placement").
-///
-/// The outcome vector is ordered by node id. Panics in any node are
-/// propagated (a protocol deadlock shows up as a hung test, which is
-/// intentional: blocking is real blocking).
+/// A node body's panic is re-raised here with its own payload. A protocol
+/// deadlock is a panic naming every node's state under lockstep; free-run
+/// it shows up as a hung test, which is intentional: blocking is real
+/// blocking. A lockstep `run_cluster` inside a lockstep node body is
+/// rejected.
 pub fn run_cluster<R, F>(nprocs: usize, params: Arc<SimParams>, body: F) -> Vec<NodeOutcome<R>>
 where
     R: Send + 'static,
     F: Fn(&NodeEnv) -> R + Send + Sync + 'static,
 {
     assert!(nprocs >= 1, "cluster needs at least one node");
-    let home = (params.sched == SchedMode::Lockstep)
-        .then(current_cpu)
-        .flatten();
-    let body = Arc::new(body);
-    let mut handles = Vec::with_capacity(nprocs);
-    for id in 0..nprocs {
-        let body = Arc::clone(&body);
-        let params = Arc::clone(&params);
-        handles.push(
-            thread::Builder::new()
-                .name(format!("node-{id}"))
-                .stack_size(16 << 20)
-                .spawn(move || {
-                    if let Some(cpu) = home {
-                        confine_self(cpu);
-                    }
-                    let env = NodeEnv {
-                        id,
-                        nprocs,
-                        clock: shared_clock(),
-                        params,
-                    };
-                    let result = body(&env);
-                    let clock = env.clock.borrow();
-                    NodeOutcome {
-                        id,
-                        finish: clock.now(),
-                        stats: clock.stats.clone(),
-                        result,
-                    }
+    match params.sched {
+        SchedMode::Lockstep => {
+            let outcomes = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&outcomes);
+            context::run(nprocs, NODE_STACK, move |id| {
+                let outcome = run_node(id, nprocs, &params, &body);
+                sink.borrow_mut().push(outcome);
+            });
+            let mut outcomes = outcomes.take();
+            outcomes.sort_by_key(|o| o.id);
+            outcomes
+        }
+        SchedMode::FreeRun => {
+            let body = Arc::new(body);
+            let handles: Vec<_> = (0..nprocs)
+                .map(|id| {
+                    let (body, params) = (Arc::clone(&body), Arc::clone(&params));
+                    thread::Builder::new()
+                        .name(format!("node-{id}"))
+                        .stack_size(NODE_STACK)
+                        .spawn(move || run_node(id, nprocs, &params, &*body))
+                        .expect("spawn node thread")
                 })
-                .expect("spawn node thread"),
-        );
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        }
     }
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread panicked"))
-        .collect()
 }
 
 /// The paper reports "execution time" as the time of the slowest node.
@@ -164,11 +142,14 @@ pub fn cluster_stats<R>(outcomes: &[NodeOutcome<R>]) -> NodeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::panic_message;
 
     #[test]
     fn runs_all_nodes_and_orders_results() {
         let out = run_cluster(4, Arc::new(SimParams::default()), |env| {
-            env.clock.borrow_mut().advance(Ns(100 * (env.id as u64 + 1)));
+            env.clock
+                .borrow_mut()
+                .advance(Ns(100 * (env.id as u64 + 1)));
             env.id * 10
         });
         assert_eq!(out.len(), 4);
@@ -195,59 +176,57 @@ mod tests {
         assert_eq!(out[0].result, 42);
     }
 
-    /// The calling thread's affinity mask as the kernel prints it: `0-1`,
-    /// `3`, `0,2-5`.
-    #[cfg(target_os = "linux")]
-    fn allowed() -> String {
-        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
-        let list = status
-            .lines()
-            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"));
-        list.expect("no Cpus_allowed_list").trim().to_string()
+    fn regimes() -> [Arc<SimParams>; 2] {
+        [
+            Arc::new(SimParams::paper_testbed()),
+            Arc::new(SimParams::lockstep_testbed()),
+        ]
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn lockstep_nodes_share_the_callers_cpu_and_nobody_else_moves() {
-        let masks = |params: &Arc<SimParams>| -> Vec<String> {
-            let out = run_cluster(5, Arc::clone(params), |_| allowed());
-            out.into_iter().map(|o| o.result).collect()
+    fn lockstep_nodes_are_contexts_on_the_callers_thread_and_free_run_nodes_are_threads() {
+        let caller = thread::current().id();
+        let [free_run, lockstep] = regimes();
+        let whereabouts = |params| {
+            let out = run_cluster(3, params, |_| (thread::current().id(), context::current()));
+            out.into_iter().map(|o| o.result).collect::<Vec<_>>()
         };
-        let lockstep = Arc::new(SimParams::lockstep_testbed());
-        let freerun = Arc::new(SimParams::paper_testbed());
-        // On a thread of our own, so that confining the caller below
-        // cannot leak into whatever the harness runs on this one next.
-        thread::spawn(move || {
-            let mine = allowed();
-            let (before, nodes, after) = (current_cpu(), masks(&lockstep), current_cpu());
-            let cpu: usize = nodes[0].parse().expect("exactly one CPU in a node's mask");
-            assert!(
-                nodes.iter().all(|m| *m == nodes[0]),
-                "nodes disagree: {nodes:?}"
-            );
-            let in_mine = mine.split(',').any(|range| {
-                let (lo, hi) = range.split_once('-').unwrap_or((range, range));
-                (lo.parse().unwrap()..=hi.parse().unwrap()).contains(&cpu)
+        assert_eq!(
+            whereabouts(lockstep),
+            [(caller, Some(0)), (caller, Some(1)), (caller, Some(2))]
+        );
+        assert!(whereabouts(free_run)
+            .iter()
+            .all(|(t, c)| *t != caller && c.is_none()));
+        assert_eq!(context::current(), None);
+    }
+
+    #[test]
+    fn a_node_panic_leaves_run_cluster_with_its_own_payload() {
+        for params in regimes() {
+            let sched = params.sched;
+            let msg = panic_message(|| {
+                run_cluster(3, params, |env| {
+                    assert!(env.id != 1, "node {} says no", env.id)
+                });
             });
-            assert!(in_mine, "CPU {cpu} is outside the caller's mask {mine}");
-            if before == after {
-                assert_eq!(Some(cpu), before, "not the CPU the caller entered on");
-            }
-            assert_eq!(allowed(), mine, "lockstep run changed the caller's mask");
+            assert_eq!(msg, "node 1 says no", "{sched:?}");
+        }
+    }
 
-            assert!(
-                masks(&freerun).iter().all(|m| *m == mine),
-                "free-run nodes moved"
-            );
-            assert_eq!(allowed(), mine, "free-run run changed the caller's mask");
-
-            // A caller already confined to one CPU: the nodes join it there.
-            assert!(confine_self(cpu));
-            assert!(masks(&lockstep).iter().all(|m| *m == cpu.to_string()));
-            assert_eq!(allowed(), cpu.to_string());
-        })
-        .join()
-        .unwrap();
+    #[test]
+    fn a_lockstep_cluster_inside_a_lockstep_node_is_rejected_and_a_free_run_one_is_not() {
+        let [free_run, lockstep] = regimes();
+        let inner = run_cluster(1, Arc::clone(&lockstep), move |_| {
+            run_cluster(2, Arc::clone(&free_run), |env| env.id)[1].result
+        });
+        assert_eq!(inner[0].result, 1);
+        let msg = panic_message(|| {
+            run_cluster(1, Arc::clone(&lockstep), move |_| {
+                run_cluster(1, Arc::clone(&lockstep), |_| ());
+            });
+        });
+        assert!(msg.contains("nested lockstep cluster"), "{msg}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Conservative lockstep scheduler: byte-reproducible virtual-time runs.
+//! Lockstep scheduler: byte-reproducible virtual-time runs.
 //!
 //! # Why
 //!
@@ -11,95 +11,63 @@
 //!
 //! # How
 //!
-//! [`LockstepSched`] is a conservative parallel-discrete-event scheduler
-//! in the Chandy–Misra tradition. Every *fabric action* — a wire
-//! transmission, or the expiry of a virtual receive deadline — becomes an
-//! **event** with a totally ordered key `(virtual time, node id, seq)`.
-//! Link reservations are split into a two-phase *request/grant*: a node
-//! asking to transmit parks in [`LockstepSched::request_transmit`] until
-//! the scheduler grants its key; a transmit announces its destination at
-//! phase one, and grants to *distinct* rx links may be outstanding at
-//! once (see "Per-receiver tokens").
+//! Under [`SchedMode::Lockstep`] the nodes of a cluster are contexts on one
+//! thread ([`crate::context`]), and every *fabric action* — a wire
+//! transmission, the expiry of a virtual receive deadline, the settlement
+//! of a non-blocking poll — is an **event** with a totally ordered key
+//! `(virtual time, node id)`. A node has at most one event on offer, so
+//! keys never tie. [`LockstepSched`] is the quiescence rule and nothing
+//! else: **an event is released only when no node is running, and then
+//! the minimum key goes, alone.**
 //!
-//! The safety rule is the conservative horizon. Each node carries a
-//! **floor**: a lower bound on the key of any event it could still
-//! produce. Floors come from the node's own clock (its preemptible-window
-//! start) plus a per-substrate **lookahead** — the minimum modeled cost
-//! between resuming execution and the next packet reaching the wire (GM:
-//! NIC DMA-descriptor setup plus the `gm_send` host overhead; UDP: the
-//! syscall + protocol-stack floor; both: the NIC tx engine). A pending
-//! event is dispatched only when every node that is still *running* (not
-//! parked, not pending, not finished) has a floor strictly above its key
-//! — i.e. no straggler can still create an earlier event — plus the
-//! per-link and hazard rules below. Ties never happen: keys are unique by
-//! `(node, seq)`.
+//! A node that must wait — [`LockstepSched::request_transmit`] before it
+//! may reserve links, [`LockstepSched::park`] in a blocking receive or on a
+//! poll miss — records its key and suspends its context. When no context
+//! is left to run, [`crate::context::run`] asks the scheduler
+//! ([`Driver::next`]), which releases the owner of the minimum key; that
+//! context then runs until it waits again. A delivery
+//! ([`LockstepSched::deliver`]) or a departure
+//! ([`LockstepSched::mark_done`]) releases the parked nodes it concerns at
+//! once; they run, first released first, before the next key is looked at.
+//! A node whose own key is the minimum while every other node is waiting
+//! or gone is not suspended at all — the wait settles inline, which is
+//! what the suspension would have come to.
 //!
-//! # Per-receiver tokens
+//! Reproducibility is by construction. A context runs until it waits, so
+//! between two scheduler calls of one node nothing else in the cluster
+//! moves: there is no simultaneity to order and no preemption to survive.
+//! Each transmit reserves its links and lands in its receiver's inbox
+//! before any other event is released, in global key order; a node's
+//! inputs (its inbox sequence, its deadline expiries, which peers it saw
+//! leave) are therefore a pure function of the program, and by induction
+//! so is every virtual timestamp, counter and memory image.
 //!
-//! Two grants only truly conflict when they race for the same
-//! receiver's rx link, so the scheduler keeps one reservation token per
-//! rx link — held by a transmit between its grant and its
-//! `finish_transmit` — and grants a transmit when:
-//!
-//! 1. **Horizon** — every running node's floor is strictly above the
-//!    transmit's inject time.
-//! 2. **Per-link order** — its rx link's token is free (no in-flight
-//!    transmit to the same destination) and its key is the minimum among
-//!    pending transmits to that destination. Each inbox therefore
-//!    receives packets in global key order.
-//! 3. **Pairwise hazards** — for every earlier-keyed pending event and
-//!    every in-flight transmit, the *consequences* of either event (the
-//!    sender's post-transmit floor, and the wake of its — possibly
-//!    parked, floor-zero — receiver) must not be able to inject below the
-//!    other's key. Without this, a granted event's wake chain could
-//!    produce a smaller-keyed transmit onto a link whose order was
-//!    already committed.
-//!
-//! Reproducibility holds because each rx link's reservation sequence —
-//! and therefore each inbox's arrival sequence — is the one a fully
-//! serial schedule (grant the global minimum, only with the fabric empty)
-//! produces: per-link tokens serialize same-link reservations in key
-//! order, tx links are only ever touched by their owner's thread, and the
-//! hazard rule guarantees no not-yet-visible event can undercut a
-//! committed grant on any link it could reach. A node's inputs (its
-//! inbox sequence and deadline expiries) are thus a pure function of the
-//! program, and by induction so is every virtual timestamp, counter and
-//! memory image. (The serial schedule was a second token mode until it
-//! lost its measurement — DESIGN.md, "One CPU"; `tests/lockstep.rs` pins
-//! fingerprints recorded under it.)
-//!
-//! Blocking receives park through the scheduler too
-//! ([`LockstepSched::park`]): a parked node's next event is unknowable
-//! until a packet is delivered to it (floor = +∞), or bounded by its
-//! virtual deadline for timeout waits (the DSM retransmission timer), in
-//! which case the deadline is an event like any other and the wall-clock
-//! hang guard of the free-running path is never consulted.
-//!
-//! # One CPU
-//!
-//! The node threads of a lockstep cluster share one CPU
-//! ([`crate::runner`], "Placement"), so a blocked node never spins: the
-//! thread that will post its release needs the core it would burn.
+//! A cluster in which every node waits and no key is on offer can never
+//! move again. The free-running path would hang in `Receiver::recv`;
+//! here [`crate::context::run`] panics with every node's state
+//! ([`Driver::describe`]).
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::context::{self, Driver};
 use crate::time::Ns;
 
-/// How the cluster's node threads are interleaved.
+/// How the cluster's nodes are interleaved.
 ///
-/// * `FreeRun` — node threads run unsynchronized; link reservations
-///   arbitrate by compare-and-swap in wall-clock order. Fast, and
-///   deterministic only for workloads whose message order is fully
-///   serialized by data dependencies.
-/// * `Lockstep` — all fabric actions are sequenced by [`LockstepSched`]
-///   in virtual-key order; runs are byte-reproducible.
+/// * `FreeRun` — one OS thread per node, unsynchronized; link reservations
+///   arbitrate by compare-and-swap in wall-clock order. Uses the host's
+///   cores, and is deterministic only for workloads whose message order is
+///   fully serialized by data dependencies.
+/// * `Lockstep` — one context per node on the caller's thread; all fabric
+///   actions are sequenced by [`LockstepSched`] in virtual-key order; runs
+///   are byte-reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedMode {
     /// Free-running threads, wall-clock CAS arbitration (the fast default).
     #[default]
     FreeRun,
-    /// Conservative lockstep: deterministic, byte-reproducible runs.
+    /// Lockstep on one thread: deterministic, byte-reproducible runs.
     Lockstep,
 }
 
@@ -116,29 +84,20 @@ impl SchedMode {
     }
 }
 
-/// Why a parked node was released.
+/// Outcome of a blocking wait at every layer — the scheduler's `park`
+/// (`Wait<()>`), the NIC's `wait`, the UDP stack's `recv`, a substrate's
+/// `wait`: *a message, or a virtual deadline, or a set of peers leaving*,
+/// whichever came first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WakeReason {
-    /// A packet was delivered to the node's inbox (or had already been
-    /// delivered when the park was attempted — re-drain and re-check).
-    Delivered,
-    /// The park's virtual deadline became the cluster's next event.
-    Timeout,
-    /// Every node in the park's done-watch set has deregistered its NIC
-    /// ([`LockstepSched::mark_done`]).
-    PeersDone,
-}
-
-/// Outcome of a blocking wait at any layer above the scheduler — the NIC's
-/// `wait`, the UDP stack's `recv`, a substrate's `wait`: *a message, or a
-/// virtual deadline, or a set of peers leaving*, whichever came first.
-#[derive(Debug)]
 pub enum Wait<T> {
     /// Something arrived (at or before the deadline, if one was given).
+    /// From `park`: a packet was delivered to the node's inbox — re-drain.
     Got(T),
-    /// The virtual deadline passed first.
+    /// The virtual deadline passed first: it became the cluster's next
+    /// event.
     Deadline,
-    /// Every watched peer deregistered its NIC first.
+    /// Every watched peer deregistered its NIC first
+    /// ([`LockstepSched::mark_done`]).
     PeersDone,
 }
 
@@ -155,729 +114,237 @@ impl<T> Wait<T> {
     }
 }
 
-/// A totally ordered event key: virtual time, then node id, then the
-/// node's own event sequence number. Unique by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
-    t: Ns,
-    node: usize,
-    seq: u64,
-}
+/// A totally ordered event key: virtual time, then node id. A node offers
+/// at most one event at a time, so keys on offer never tie.
+type Key = (Ns, usize);
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 enum St {
-    /// Executing between fabric actions. `floor` bounds from below the
-    /// virtual time of any event this node can still produce.
-    Running { floor: Ns },
-    /// Blocked in `request_transmit`, waiting for its key to be granted.
-    /// `dst` is the announced receiver — the rx link the grant reserves.
-    Pending { key: Key, floor_after: Ns, dst: usize },
-    /// Blocked in `park`: waiting for a delivery, and — if `deadline` is
-    /// set — for at most that much virtual time. `watch` additionally
-    /// releases the park once every listed node is `Done` — NIC
-    /// deregistration as a scheduler event.
+    /// Not waiting on the scheduler: executing, released and about to be
+    /// resumed, or not started yet.
+    #[default]
+    Running,
+    /// Suspended in `request_transmit` until `key` is the minimum. `dst`
+    /// is only for the deadlock message.
+    Pending { key: Key, dst: usize },
+    /// Suspended in `park`: waiting for a delivery, for at most until
+    /// `deadline` if one is set, and — if `watch` is set — only while some
+    /// listed node is not yet `Done`.
     Parked {
         deadline: Option<Key>,
-        floor: Ns,
         watch: Option<Vec<usize>>,
     },
     /// The node's NIC has left the fabric; it produces no more events.
     Done,
 }
 
-#[derive(Debug)]
-struct NodeSt {
-    st: St,
-    /// Per-node event sequence for key uniqueness.
-    seq: u64,
-    /// Declared substrate lookahead (see module docs). Zero until a
-    /// substrate claims better; zero is always safe, only slower.
-    lookahead: Ns,
-    /// Count of packets ever delivered to this node's inbox. Parking
-    /// passes the last value it observed before draining; a mismatch
-    /// means a delivery raced the park and the node must re-drain instead
-    /// of sleeping (the classic eventcount handshake).
-    deliveries: u64,
+impl St {
+    /// The event this state offers, if any.
+    fn key(&self) -> Option<Key> {
+        match self {
+            St::Pending { key, .. } => Some(*key),
+            St::Parked { deadline, .. } => *deadline,
+            St::Running | St::Done => None,
+        }
+    }
 }
 
-/// A granted transmit that has not yet called `finish_transmit`: it holds
-/// its destination's rx-link token. Its sender is `Running{floor_after}`
-/// (covered by the horizon rule); its receiver-side consequence — the
-/// wake of `dst` — is bounded by `dst`'s wake floor in the hazard rule.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    key: Key,
-    src: usize,
-    dst: usize,
+#[derive(Default)]
+struct NodeSt {
+    st: St,
+    /// The context suspended on this node's behalf while it waits.
+    ctx: usize,
+    /// Why it was released; taken by the node when it resumes.
+    wake: Option<Wait<()>>,
 }
 
 struct State {
     nodes: Vec<NodeSt>,
-    /// Transmits between grant and `finish_transmit`, one per held
-    /// rx-link token — at most one per distinct `dst`. Tracking `src`
-    /// lets `mark_done` release a token held by a node that unwinds
-    /// mid-transmit.
-    in_flight: Vec<InFlight>,
-    /// High-water mark of `in_flight.len()` — the gauge tests use to
-    /// prove concurrent grants actually happened.
-    max_grants: usize,
+    /// Contexts of released nodes, in release order.
+    ready: VecDeque<usize>,
 }
 
-/// The conservative lockstep scheduler for one cluster fabric. Shared
-/// (`Arc`) by every node thread; all methods are called from node
-/// threads (the scheduler has no thread of its own).
-///
-/// One condvar per node, not one shared: a grant releases exactly one
-/// thread, and waking the whole cluster to have everyone re-check and
-/// re-sleep is a futex storm that dominates the scheduler's wall-clock
-/// overhead on poll-heavy workloads.
-///
-/// Release signals travel through `sigs`, one atomic per node, set
-/// (while the state lock is held) by whichever thread decides the
-/// release and consumed by the single blocked owner. Keeping the signal
-/// outside the mutex lets a waiter *yield a few times before sleeping*
-/// (`await_signal`): on the cluster's one CPU a yield hands the core
-/// straight to the would-be signaller, and the typical grant hand-off is
-/// shorter than a futex round trip.
+impl State {
+    fn release(&mut self, node: usize, why: Wait<()>) {
+        let n = &mut self.nodes[node];
+        n.st = St::Running;
+        n.wake = Some(why);
+        self.ready.push_back(n.ctx);
+    }
+
+    fn all_done(&self, nodes: &[usize]) -> bool {
+        nodes.iter().all(|&i| matches!(self.nodes[i].st, St::Done))
+    }
+}
+
+/// The lockstep scheduler of one cluster fabric (module docs). Every
+/// method is called by the node it names, from that node's context; the
+/// mutex is never contended and never held across a suspension — it is
+/// there because the fabric that owns the scheduler is `Sync`.
 pub struct LockstepSched {
     state: Mutex<State>,
-    /// Per-node sleep slots, each with its own mutex: a waiter must never
-    /// sleep holding (or contending for) the state lock — with a hundred
-    /// parked nodes that one lock becomes the whole cluster's convoy.
-    waiters: Vec<WaitSlot>,
-    /// Per-node release signal: `SIG_NONE` or an encoded [`WakeReason`].
-    sigs: Vec<AtomicU8>,
-    /// `yield_now` rounds before the condvar sleep. Sized to the cluster:
-    /// small clusters have short waits where a yield beats a futex round
-    /// trip; at 100+ threads every yield walks a long run queue, so
-    /// sleeping promptly is cheaper for everyone.
-    yields: u32,
-}
-
-/// One node's private sleep slot (see [`LockstepSched::await_signal`]).
-struct WaitSlot {
-    m: Mutex<()>,
-    cv: Condvar,
-}
-
-/// No release pending.
-const SIG_NONE: u8 = 0;
-
-fn sig_encode(r: WakeReason) -> u8 {
-    match r {
-        WakeReason::Delivered => 1,
-        WakeReason::Timeout => 2,
-        WakeReason::PeersDone => 3,
-    }
-}
-
-fn sig_decode(v: u8) -> Option<WakeReason> {
-    match v {
-        SIG_NONE => None,
-        1 => Some(WakeReason::Delivered),
-        2 => Some(WakeReason::Timeout),
-        3 => Some(WakeReason::PeersDone),
-        _ => unreachable!("corrupt release signal {v}"),
-    }
 }
 
 impl LockstepSched {
-    /// A scheduler for `n` nodes, all initially running with floor 0 (no
-    /// event can be granted until every node has committed to its first
-    /// fabric action — the conservative cold start).
+    /// A scheduler for `n` nodes, all running: nothing is released until
+    /// each has either committed to its first fabric action or left.
     pub fn new(n: usize) -> LockstepSched {
-        let nodes = (0..n)
-            .map(|_| NodeSt {
-                st: St::Running { floor: Ns::ZERO },
-                seq: 0,
-                lookahead: Ns::ZERO,
-                deliveries: 0,
-            })
-            .collect();
+        let nodes = (0..n).map(|_| NodeSt::default()).collect();
+        let ready = VecDeque::new();
         LockstepSched {
-            state: Mutex::new(State {
-                nodes,
-                in_flight: Vec::new(),
-                max_grants: 0,
-            }),
-            waiters: (0..n)
-                .map(|_| WaitSlot {
-                    m: Mutex::new(()),
-                    cv: Condvar::new(),
-                })
-                .collect(),
-            sigs: (0..n).map(|_| AtomicU8::new(SIG_NONE)).collect(),
-            yields: if n <= 32 { 8 } else { 2 },
+            state: Mutex::new(State { nodes, ready }),
         }
     }
 
-    /// Post `node`'s release signal. Must be called with the state lock
-    /// held: the lock serializes signal production with the node's state
-    /// transition, and a node has at most one release per blocked episode
-    /// (its state leaves `Pending`/`Parked` in the same critical section
-    /// that posts the signal, so no second producer can fire). Taking the
-    /// slot mutex around the notify closes the lost-wakeup window against
-    /// a waiter that checked `sigs` just before the store and is about to
-    /// sleep (lock order is always state -> slot, never the reverse).
-    fn signal(&self, node: usize, reason: WakeReason) {
-        self.sigs[node].store(sig_encode(reason), Ordering::Release);
-        let slot = &self.waiters[node];
-        drop(slot.m.lock().unwrap());
-        slot.cv.notify_one();
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("a scheduler call panicked")
     }
 
-    /// Consume `node`'s release signal, if posted. Only ever called by
-    /// the node's own (single) blocked thread.
-    fn take_sig(&self, node: usize) -> Option<WakeReason> {
-        sig_decode(self.sigs[node].swap(SIG_NONE, Ordering::Acquire))
-    }
-
-    /// Block `node`'s thread until its release signal is posted:
-    /// politely yield a few times (on the cluster's one CPU this hands
-    /// the core straight to the would-be signaller), then sleep on the
-    /// node's *private* condvar — never on the state lock, which the signaller
-    /// and every other node need. The wait mechanics are invisible to
-    /// the virtual schedule — release decisions are made entirely from
-    /// virtual state under the state lock — so this is pure wall-clock
-    /// tuning.
-    fn await_signal(&self, node: usize) -> WakeReason {
-        for _ in 0..self.yields {
-            if let Some(r) = self.take_sig(node) {
-                return r;
+    /// Wait in state `st` until released. Settles inline — no suspension —
+    /// when `st` offers a key, every other node is waiting or gone, and
+    /// the key is below all of theirs: the context would be suspended only
+    /// to be the one `next` picks.
+    fn block(self: &Arc<Self>, node: usize, st: St) -> Wait<()> {
+        {
+            let mut s = self.lock();
+            let behind = |n: &NodeSt, key| match n.st {
+                St::Running => false,
+                _ => n.st.key().is_none_or(|k| key < k),
+            };
+            let mut others = s.nodes.iter().enumerate().filter(|(i, _)| *i != node);
+            let settled = |key| others.all(|(_, n)| behind(n, key));
+            if st.key().is_some_and(settled) {
+                return Wait::Deadline;
             }
-            std::thread::yield_now();
+            let Some(ctx) = context::current() else {
+                drop(s);
+                panic!(
+                    "node {node} must wait ({st:?}) but is not running in a lockstep cluster's \
+                     context: drive a lockstep fabric from `run_cluster` bodies, or build it \
+                     free-run\n{}",
+                    self.describe()
+                );
+            };
+            let wake = None;
+            s.nodes[node] = NodeSt { st, ctx, wake };
         }
-        let slot = &self.waiters[node];
-        let mut g = slot.m.lock().unwrap();
-        loop {
-            if let Some(r) = self.take_sig(node) {
-                return r;
-            }
-            g = slot.cv.wait(g).unwrap();
+        context::suspend(self);
+        let wake = self.lock().nodes[node].wake.take();
+        wake.expect("resumed without a release")
+    }
+
+    /// Announce a transmit whose NIC injection happens at virtual time
+    /// `inject`, and wait until the scheduler releases it. On return the
+    /// caller reserves its links and pushes the packet — nothing else in
+    /// the cluster runs meanwhile — then reports where it landed with
+    /// [`LockstepSched::deliver`]. `dst` is named only for diagnostics.
+    pub fn request_transmit(self: &Arc<Self>, node: usize, dst: usize, inject: Ns) {
+        let key = (inject, node);
+        self.block(node, St::Pending { key, dst });
+    }
+
+    /// A packet has been pushed into `dst`'s inbox: release `dst` if it is
+    /// parked. A node that is running, pending or done finds the packet
+    /// when it next drains.
+    pub fn deliver(&self, dst: usize) {
+        let mut s = self.lock();
+        if matches!(s.nodes[dst].st, St::Parked { .. }) {
+            s.release(dst, Wait::Got(()));
         }
-    }
-
-    /// Declare `node`'s substrate lookahead: a sound lower bound on the
-    /// virtual time between the start of its current preemptible window
-    /// and its next packet reaching the wire. Larger values let the
-    /// dispatcher release events sooner; `Ns::ZERO` (the default) is
-    /// always safe.
-    pub fn declare_lookahead(&self, node: usize, la: Ns) {
-        let mut s = self.state.lock().unwrap();
-        s.nodes[node].lookahead = la;
-    }
-
-    /// The declared lookahead for `node` (diagnostics / tests).
-    pub fn lookahead(&self, node: usize) -> Ns {
-        self.state.lock().unwrap().nodes[node].lookahead
-    }
-
-    /// The highest number of simultaneously in-flight (granted but not
-    /// finished) transmits observed so far; ≥ 2 proves grants to
-    /// distinct receivers overlapped.
-    pub fn max_concurrent_grants(&self) -> usize {
-        self.state.lock().unwrap().max_grants
-    }
-
-    /// Phase one of the two-phase link reservation: announce a transmit
-    /// to `dst` whose NIC injection happens at virtual time `inject`,
-    /// and block until the scheduler grants it. `floor_after` is the
-    /// node's floor once this transmit is done (its preemptible-window
-    /// start plus its lookahead); the caller computes it from its clock.
-    ///
-    /// On return the caller holds `dst`'s rx-link reservation token: it
-    /// must perform its link reservations and inbox delivery, then call
-    /// [`LockstepSched::finish_transmit`]. Grants to distinct receivers
-    /// may overlap (module docs, "Per-receiver tokens"); grants to the
-    /// same receiver are serialized in key order, so the CAS loops in the
-    /// fabric's reserve path stay uncontended per link.
-    pub fn request_transmit(&self, node: usize, dst: usize, inject: Ns, floor_after: Ns) {
-        let mut s = self.state.lock().unwrap();
-        let seq = s.nodes[node].next_seq();
-        let key = Key {
-            t: inject,
-            node,
-            seq,
-        };
-        s.nodes[node].st = St::Pending {
-            key,
-            floor_after,
-            dst,
-        };
-        self.dispatch(&mut s);
-        drop(s);
-        self.await_signal(node);
-    }
-
-    /// Phase two: the granted transmit has reserved its links and pushed
-    /// the packet (arriving at `arrival`) into `dst`'s inbox. Releases
-    /// the sender's rx-link token and wakes `dst` if it is parked. For a
-    /// loopback or a delivery to a finished node pass `dst == node` /
-    /// the dead node; both degenerate gracefully.
-    pub fn finish_transmit(&self, node: usize, dst: usize, arrival: Ns) {
-        let mut s = self.state.lock().unwrap();
-        s.in_flight.retain(|f| f.src != node);
-        if dst != node {
-            self.deliver_locked(&mut s, dst, arrival);
-        }
-        self.dispatch(&mut s);
-    }
-
-    /// The number of packets ever delivered to `node`'s inbox. Capture
-    /// this *before* draining the inbox and pass it to
-    /// [`LockstepSched::park`]; the scheduler refuses to sleep if a
-    /// delivery has happened since, closing the drain/park race.
-    pub fn delivery_count(&self, node: usize) -> u64 {
-        self.state.lock().unwrap().nodes[node].deliveries
     }
 
     /// The one blocking wait: park `node` until a packet is delivered to
     /// it, or — when `deadline` is `Some(d)` — until virtual time `d`
-    /// becomes the cluster's next event ([`WakeReason::Timeout`]), or —
+    /// becomes the cluster's next event ([`Wait::Deadline`]), or —
     /// when `watch` is `Some(w)` — until every node in `w` has
     /// deregistered its NIC ([`LockstepSched::mark_done`];
-    /// [`WakeReason::PeersDone`], immediately if the set is already
-    /// drained), whichever the scheduler orders first.
+    /// [`Wait::PeersDone`], immediately if the set is already
+    /// drained), whichever the scheduler orders first. The caller drains
+    /// its inbox first; on one thread nothing can land in between.
     ///
-    /// `seen_deliveries` is the value of
-    /// [`LockstepSched::delivery_count`] captured before the caller last
-    /// drained its inbox: if a delivery has happened since, the park
-    /// bounces back as [`WakeReason::Delivered`] instead of sleeping on a
-    /// stale view. `floor` is the node's floor while parked and on
-    /// release (its preemptible-window start plus lookahead).
-    ///
-    /// The deadline is what retransmission timers run on; the watch is
+    /// The deadline is what retransmission timers run on, and what settles
+    /// a *non-blocking poll*: a free-running poll races in-flight traffic,
+    /// and the answer steers retroactive request service, so under lockstep
+    /// a poll miss at virtual time `t` is a park on deadline `t` —
+    /// `Timeout` means every earlier event has been released and "nothing
+    /// arrived by `t`" is final, `Delivered` means look again. The watch is
     /// what makes shutdown lingers and the exit fan deterministic: "have
     /// my peers exited?" is not a wall-clock poll of liveness flags but an
-    /// ordered scheduler event, serialized against every delivery and
-    /// grant, so the messages a lingering node serves before concluding
-    /// `PeersDone` — and whether a timer armed against a departing peer
-    /// fires or cancels — are pure functions of the program.
+    /// ordered scheduler event, so the messages a lingering node serves
+    /// before concluding `PeersDone` — and whether a timer armed against a
+    /// departing peer fires or cancels — are pure functions of the program.
     pub fn park(
-        &self,
+        self: &Arc<Self>,
         node: usize,
-        seen_deliveries: u64,
         deadline: Option<Ns>,
         watch: Option<&[usize]>,
-        floor: Ns,
-    ) -> WakeReason {
-        let mut s = self.state.lock().unwrap();
-        if s.nodes[node].deliveries != seen_deliveries {
-            // A delivery raced our drain; don't sleep on a stale view.
-            return WakeReason::Delivered;
+    ) -> Wait<()> {
+        if watch.is_some_and(|w| self.lock().all_done(w)) {
+            return Wait::PeersDone;
         }
-        if let Some(w) = watch {
-            if w.iter().all(|&x| matches!(s.nodes[x].st, St::Done)) {
-                return WakeReason::PeersDone;
-            }
-        }
-        let deadline = deadline.map(|t| {
-            let seq = s.nodes[node].next_seq();
-            Key { t, node, seq }
-        });
-        s.nodes[node].st = St::Parked {
-            deadline,
-            floor,
-            watch: watch.map(|w| w.to_vec()),
+        let st = St::Parked {
+            deadline: deadline.map(|t| (t, node)),
+            watch: watch.map(<[usize]>::to_vec),
         };
-        self.dispatch(&mut s);
-        drop(s);
-        self.await_signal(node)
+        self.block(node, st)
     }
 
-    /// Settle a *non-blocking poll*: may the node conclude that nothing
-    /// with virtual arrival `<= t` will ever reach its inbox?
-    ///
-    /// A free-running poll races in-flight traffic — whether a packet
-    /// whose virtual arrival is already in the poller's past has been
-    /// *pushed yet* is pure wall-clock luck, and the answer steers
-    /// retroactive request service, so it must be deterministic. Under
-    /// lockstep the poll becomes an event like any other: the node parks
-    /// on deadline `t` and the dispatcher releases it only once every
-    /// earlier event has been granted and no running node's floor allows
-    /// an earlier injection. Cycles of concurrent pollers resolve by key
-    /// order (the earliest poll settles first).
-    ///
-    /// Returns `false` if a delivery landed instead — the caller must
-    /// re-drain its queues and re-poll (the new packet may still be in
-    /// its virtual future). Returns `true` when the "empty" answer is
-    /// final; the node's floor is then raised to `t` plus its lookahead,
-    /// which is sound because every post-settle send is either a program
-    /// send priced at or after `t` or a response to an arrival after `t`.
-    ///
-    /// `seen_deliveries` and `floor` are as for [`LockstepSched::park`].
-    pub fn poll_quiesce(&self, node: usize, t: Ns, seen_deliveries: u64, floor: Ns) -> bool {
-        {
-            let mut s = self.state.lock().unwrap();
-            if s.nodes[node].deliveries != seen_deliveries {
-                return false;
-            }
-            // Fast path: the poll's deadline event would be granted the
-            // moment it was created — no candidate event with a smaller
-            // key, every running floor above `t`, and the in-flight rules
-            // hold. Settling inline is then schedule-equivalent to the
-            // park below (the dispatcher would release this deadline
-            // before anything else), minus the sleep/wake round trip
-            // that a poll-heavy engine pays on every miss. The seq that the park would have consumed is
-            // skipped, which is harmless: a node has at most one live
-            // candidate at a time, so seq never arbitrates between
-            // coexisting events. The fabric is legitimately busy most of
-            // the time — that is the point of per-receiver tokens — so
-            // the fast path must tolerate in-flight transmits;
-            // `grantable_concurrently` (with no earlier candidate, which
-            // the horizon scan just established) is exactly the
-            // dispatcher's own admission test.
-            let me = Key { t, node, seq: 0 };
-            let horizon_clear = s.nodes.iter().enumerate().all(|(i, n)| {
-                i == node
-                    || match &n.st {
-                        St::Running { floor } => t < *floor,
-                        St::Pending { key, .. } => *key > me,
-                        St::Parked {
-                            deadline: Some(d), ..
-                        } => *d > me,
-                        St::Parked { deadline: None, .. } | St::Done => true,
-                    }
-            });
-            let settled_now = horizon_clear
-                && self.grantable_concurrently(&s, me, &Cand::Deadline { owner: node }, &[]);
-            if settled_now {
-                let la = s.nodes[node].lookahead;
-                if let St::Running { floor: f } = &mut s.nodes[node].st {
-                    // Same floor the slow path lands on: the park floor,
-                    // raised by the settled poll's horizon.
-                    *f = floor.max(t + la);
-                }
-                self.dispatch(&mut s);
-                return true;
-            }
-        }
-        match self.park(node, seen_deliveries, Some(t), None, floor) {
-            WakeReason::Delivered => false,
-            WakeReason::PeersDone => unreachable!("plain parks carry no done-watch"),
-            WakeReason::Timeout => {
-                let mut s = self.state.lock().unwrap();
-                let la = s.nodes[node].lookahead;
-                if let St::Running { floor } = &mut s.nodes[node].st {
-                    *floor = (*floor).max(t + la);
-                }
-                self.dispatch(&mut s);
-                true
-            }
-        }
-    }
-
-    /// `node`'s NIC has left the fabric: it produces no further events.
-    /// Called on the node's own thread (from the NIC handle's drop).
+    /// `node`'s NIC has left the fabric (its handle was dropped): it
+    /// produces no further events, and every parked watcher whose whole
+    /// watch set is now gone is released.
     pub fn mark_done(&self, node: usize) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.lock();
         s.nodes[node].st = St::Done;
-        // If the node unwound between its grant and `finish_transmit`
-        // (a panic mid-reservation), free its rx-link token so the rest
-        // of the cluster can drain and surface the failure.
-        s.in_flight.retain(|f| f.src != node);
-        // This deregistration may complete a done-watch: release every
-        // parked watcher whose whole watch set is now `Done`. Ordering is
-        // deterministic — the watcher only parked after draining its
-        // inbox, and this node's final transmits were granted (program
-        // order) before its drop reached here.
-        let released: Vec<usize> = s
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| match &n.st {
-                St::Parked {
-                    watch: Some(w), ..
-                } => w.iter().all(|&x| matches!(s.nodes[x].st, St::Done)),
-                _ => false,
-            })
-            .map(|(i, _)| i)
+        let released: Vec<usize> = (0..s.nodes.len())
+            .filter(
+                |&i| matches!(&s.nodes[i].st, St::Parked { watch: Some(w), .. } if s.all_done(w)),
+            )
             .collect();
         for i in released {
-            let floor = match s.nodes[i].st {
-                St::Parked { floor, .. } => floor,
-                _ => unreachable!(),
-            };
-            s.nodes[i].st = St::Running { floor };
-            self.signal(i, WakeReason::PeersDone);
-        }
-        self.dispatch(&mut s);
-    }
-
-    /// Deliver-without-transmit: wake `dst` for a packet that reached its
-    /// inbox outside the two-phase path (shutdown races deliver nothing;
-    /// loopbacks never leave the node). Exposed for the fabric only.
-    fn deliver_locked(&self, s: &mut State, dst: usize, _arrival: Ns) {
-        let n = &mut s.nodes[dst];
-        n.deliveries += 1;
-        if let St::Parked { floor, .. } = n.st {
-            // Resume with the park floor unchanged: the woken node might
-            // react to an *earlier-queued* packet on another port, not the
-            // one that woke it, so the arrival time of the waking packet
-            // is not a sound lower bound — the park floor still is (the
-            // preemptible window only moves forward while blocked).
-            n.st = St::Running { floor };
-            self.signal(dst, WakeReason::Delivered);
-        }
-        // Running / Pending / Done nodes will find the packet when they
-        // next drain; their floors already bound any response to it.
-    }
-
-    /// A lower bound on the key time of any *new* event `node` could
-    /// produce as a consequence of a future delivery (or of resuming at
-    /// all). `None` means the node is `Done` and produces nothing.
-    fn wake_floor(n: &NodeSt) -> Option<Ns> {
-        match &n.st {
-            St::Running { floor } => Some(*floor),
-            // A pending sender reacts to nothing until its own transmit
-            // completes; its post-transmit injections are bounded below
-            // by the floor it declared for that point.
-            St::Pending { floor_after, .. } => Some(*floor_after),
-            St::Parked { floor, .. } => Some(*floor),
-            St::Done => None,
+            s.release(i, Wait::PeersDone);
         }
     }
+}
 
-    /// A lower bound on the key time of anything that can *happen
-    /// because of* candidate event `(key, ev)` — the sender's
-    /// post-transmit floor and/or the wake of the node it touches.
-    fn hazard(s: &State, ev: &Cand) -> Option<Ns> {
-        match *ev {
-            Cand::Transmit {
-                dst, floor_after, ..
-            } => {
-                let wake = Self::wake_floor(&s.nodes[dst]);
-                Some(match wake {
-                    Some(w) => floor_after.min(w),
-                    None => floor_after,
-                })
-            }
-            Cand::Deadline { owner } => Self::wake_floor(&s.nodes[owner]),
-            Cand::Granted => unreachable!("tombstones are never candidates"),
+impl Driver for LockstepSched {
+    fn next(&self) -> Option<usize> {
+        let mut s = self.lock();
+        if s.ready.is_empty() {
+            let (_, node) = s.nodes.iter().filter_map(|n| n.st.key()).min()?;
+            s.release(node, Wait::Deadline);
         }
+        s.ready.pop_front()
     }
 
-    /// Grant every releasable event. Called with the state lock held
-    /// after every transition; wakes each granted node's own condvar.
-    ///
-    /// Candidates are scanned in key order; one is granted when it passes
-    /// the horizon rule, its rx-link token is free, and the pairwise
-    /// hazard rule holds against every earlier-keyed candidate and every
-    /// in-flight transmit (module docs, "Per-receiver tokens").
-    fn dispatch(&self, s: &mut State) {
-        // One allocation for the whole call: the candidate scratch list is
-        // rebuilt (but not reallocated) after every grant.
-        let mut cands: Vec<(Key, usize, Cand)> = Vec::with_capacity(s.nodes.len());
-        loop {
-            cands.clear();
-            // The conservative horizon collapses to one number: a key is
-            // safe iff it is below the minimum floor of every running
-            // node (in-flight senders are `Running{floor_after}` and are
-            // covered here too). Computing it once per rescan instead of
-            // scanning all nodes per candidate is what keeps dispatch
-            // affordable at 128 nodes.
-            let mut min_running = Ns(u64::MAX);
-            for (i, n) in s.nodes.iter().enumerate() {
-                match &n.st {
-                    St::Pending {
-                        key,
-                        floor_after,
-                        dst,
-                    } => cands.push((
-                        *key,
-                        i,
-                        Cand::Transmit {
-                            dst: *dst,
-                            floor_after: *floor_after,
-                        },
-                    )),
-                    St::Parked {
-                        deadline: Some(d), ..
-                    } => cands.push((*d, i, Cand::Deadline { owner: i })),
-                    St::Running { floor } => min_running = min_running.min(*floor),
-                    _ => {}
-                }
+    fn describe(&self) -> String {
+        let s = self.lock();
+        let line = |(i, n): (usize, &NodeSt)| match &n.st {
+            St::Pending { key, dst } => {
+                format!("  node {i}: transmit to node {dst} pending at {}\n", key.0)
             }
-            if cands.is_empty() {
-                self.check_deadlock(s);
-                return;
-            }
-            cands.sort_by_key(|c| c.0);
-            // One pass over the sorted candidates, granting as it goes.
-            // A grant mid-pass leaves its (now stale) entry in `cands`,
-            // which only *adds* same-link and hazard rejections for later
-            // candidates — every mid-pass grant is one the
-            // rebuild-after-every-grant schedule would also make, so the
-            // fixpoint reached by repeating full passes until one grants
-            // nothing is the same, at one sort per pass instead of one
-            // sort per grant (the difference between O(grants · C log C)
-            // and O(passes · C log C) — decisive at 128 nodes).
-            let mut granted_any = false;
-            for ci in 0..cands.len() {
-                let (key, idx, ev) = cands[ci];
-                if key.t >= min_running {
-                    continue;
-                }
-                if !self.grantable_concurrently(s, key, &ev, &cands[..ci]) {
-                    continue;
-                }
-                granted_any = true;
-                match ev {
-                    Cand::Transmit { dst, floor_after } => {
-                        s.in_flight.push(InFlight { key, src: idx, dst });
-                        s.max_grants = s.max_grants.max(s.in_flight.len());
-                        s.nodes[idx].st = St::Running { floor: floor_after };
-                        // The granted sender runs again below this floor's
-                        // horizon; later candidates must respect it.
-                        min_running = min_running.min(floor_after);
-                        self.signal(idx, WakeReason::Delivered);
-                    }
-                    Cand::Deadline { .. } => {
-                        let floor = match s.nodes[idx].st {
-                            St::Parked { floor, .. } => floor,
-                            _ => unreachable!(),
-                        };
-                        s.nodes[idx].st = St::Running { floor };
-                        min_running = min_running.min(floor);
-                        self.signal(idx, WakeReason::Timeout);
-                    }
-                    Cand::Granted => unreachable!("tombstones are never granted"),
-                }
-                cands[ci].2 = Cand::Granted;
-            }
-            if !granted_any {
-                return;
-            }
-        }
-    }
-
-    /// The per-link and pairwise-hazard half of the grant rule for
-    /// candidate `(key, ev)`. `earlier` holds every candidate with a
-    /// smaller key (the scan is in key order).
-    fn grantable_concurrently(
-        &self,
-        s: &State,
-        key: Key,
-        ev: &Cand,
-        earlier: &[(Key, usize, Cand)],
-    ) -> bool {
-        // The rx link this event touches: the receiver of a transmit, or
-        // the owner of a deadline (whose "nothing arrived by t" verdict a
-        // racing delivery would falsify).
-        let touches = match *ev {
-            Cand::Transmit { dst, .. } => dst,
-            Cand::Deadline { owner } => owner,
-            Cand::Granted => unreachable!("tombstones are never candidates"),
+            st => format!("  node {i}: {st:?}\n"),
         };
-        for f in &s.in_flight {
-            // Per-link token: an in-flight transmit owns its receiver's
-            // rx link, and its landing must not race a deadline verdict
-            // on that same receiver.
-            if f.dst == touches {
-                return false;
-            }
-            // The in-flight transmit's landing will wake `f.dst`, whose
-            // subsequent injections are only bounded by its wake floor;
-            // they must not be able to undercut this grant on any link.
-            match Self::wake_floor(&s.nodes[f.dst]) {
-                Some(w) if w <= key.t => return false,
-                _ => {}
-            }
-            // Symmetric direction, for the rare in-flight transmit with a
-            // *larger* key (granted before this candidate appeared): our
-            // consequences must not undercut its committed reservation.
-            if key < f.key {
-                match Self::hazard(s, ev) {
-                    Some(h) if h <= f.key.t => return false,
-                    None => {}
-                    _ => {}
-                }
-            }
-        }
-        for (ekey, _eidx, eev) in earlier {
-            let etouches = match *eev {
-                Cand::Transmit { dst, .. } => dst,
-                Cand::Deadline { owner } => owner,
-                // Granted this pass: its link is in the in-flight set and
-                // its floors are in the horizon minimum — the fresh
-                // rescan would not see it as a candidate at all.
-                Cand::Granted => continue,
-            };
-            // Same link: per-link key order says the earlier event goes
-            // first (for transmits this is the "minimum key among
-            // transmits targeting the same rx link" rule; for a
-            // transmit/deadline pair on one node, the delivery and the
-            // verdict must not commute).
-            if etouches == touches {
-                return false;
-            }
-            // Jumping ahead of the earlier event is only sound when
-            // neither event's consequences can undercut the other: the
-            // earlier event's wake chain must not inject below our key,
-            // and ours must not inject below its.
-            match Self::hazard(s, eev) {
-                Some(h) if h <= key.t => return false,
-                _ => {}
-            }
-            match Self::hazard(s, ev) {
-                Some(h) if h <= ekey.t => return false,
-                _ => {}
-            }
-        }
-        true
-    }
-
-    /// With no event on offer, every node must be running (it will commit
-    /// to an event eventually), mid-transmit, or done. A node parked
-    /// without a deadline at that point can never be woken: the
-    /// free-running path would hang in `Receiver::recv`; lockstep turns
-    /// it into a diagnosis.
-    fn check_deadlock(&self, s: &State) {
-        let any_running = s
-            .nodes
-            .iter()
-            .any(|n| matches!(n.st, St::Running { .. }));
-        if any_running || !s.in_flight.is_empty() {
-            return;
-        }
-        let stuck: Vec<usize> = s
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n.st, St::Parked { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            stuck.is_empty(),
-            "lockstep deadlock: nodes {stuck:?} parked with no event in \
-             flight (protocol deadlock or premature peer exit)"
-        );
-    }
-}
-
-/// A dispatchable candidate event (borrowed view of a node's state).
-#[derive(Debug, Clone, Copy)]
-enum Cand {
-    Transmit { dst: usize, floor_after: Ns },
-    Deadline { owner: usize },
-    /// Granted earlier in the current dispatch pass; skipped by later
-    /// candidates' pairwise checks (its constraints now live in the
-    /// in-flight set and the horizon minimum).
-    Granted,
-}
-
-impl NodeSt {
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
+        s.nodes.iter().enumerate().map(line).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
+    use crate::context::panic_message;
+
+    /// Run `body(node, sched)` as every node of a fresh `n`-node scheduler,
+    /// each in a context of its own; a node that returns has left.
+    fn cluster(n: usize, body: impl Fn(usize, &Arc<LockstepSched>) + 'static) {
+        let sched = Arc::new(LockstepSched::new(n));
+        context::run(n, 256 << 10, move |node| {
+            body(node, &sched);
+            sched.mark_done(node);
+        });
+    }
 
     #[test]
     fn sched_mode_parses() {
@@ -889,309 +356,152 @@ mod tests {
         assert_eq!(SchedMode::default(), SchedMode::FreeRun);
     }
 
-    /// Two nodes race to transmit to the *same* receiver; the grant order
-    /// must follow virtual keys, not wall-clock arrival at the scheduler.
+    /// Two nodes transmit to the same receiver and the later key asks
+    /// first (contexts start in node order): releases follow `(virtual
+    /// time, node)`, one at a time, and a delivery's receiver runs before
+    /// the next key is looked at.
     #[test]
-    fn grants_follow_virtual_keys() {
-        for _ in 0..20 {
-            let sched = Arc::new(LockstepSched::new(3));
-            let order = Arc::new(Mutex::new(Vec::new()));
-            let mut handles = Vec::new();
-            // Node 2 parks immediately so only 0 and 1 race.
-            {
-                let sched = Arc::clone(&sched);
-                handles.push(thread::spawn(move || {
-                    let seen = sched.delivery_count(2);
-                    sched.park(2, seen, None, None, Ns(0));
-                    // A woken node keeps its (here: zero) floor until it
-                    // commits to its next fabric action; committing is
-                    // what unblocks later-keyed grants.
-                    sched.mark_done(2);
-                }));
-            }
-            for (node, inject) in [(0usize, Ns(2_000)), (1usize, Ns(1_000))] {
-                let sched = Arc::clone(&sched);
-                let order = Arc::clone(&order);
-                handles.push(thread::spawn(move || {
-                    // Stagger wall-clock arrival adversarially.
-                    if node == 1 {
-                        thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    sched.request_transmit(node, 2, inject, inject + Ns(1_000_000));
-                    order.lock().unwrap().push(node);
-                    sched.finish_transmit(node, 2, inject + Ns(10_000));
-                    sched.mark_done(node);
-                }));
-            }
-            // Wait for both transmits to complete, then unblock node 2's
-            // park by letting its delivery land.
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(
-                *order.lock().unwrap(),
-                vec![1, 0],
-                "grants must follow (virtual time, node, seq) order"
-            );
-            assert_eq!(
-                sched.max_concurrent_grants(),
-                1,
-                "same-receiver transmits must never overlap"
-            );
-        }
-    }
-
-    /// Transmits to *distinct* receivers overlap under per-receiver
-    /// tokens: both grants are live at once (proved by both threads
-    /// meeting at a barrier between grant and finish, and by the gauge).
-    #[test]
-    fn disjoint_receivers_grant_concurrently() {
-        let sched = Arc::new(LockstepSched::new(4));
-        // Receivers 2 and 3 are done: their wake floors are +inf, so the
-        // hazard rule cannot block on them.
-        sched.mark_done(2);
-        sched.mark_done(3);
-        let rendezvous = Arc::new(std::sync::Barrier::new(2));
-        let mut handles = Vec::new();
-        for (node, dst, inject) in [(0usize, 2usize, Ns(1_000)), (1, 3, Ns(2_000))] {
-            let sched = Arc::clone(&sched);
-            let rendezvous = Arc::clone(&rendezvous);
-            handles.push(thread::spawn(move || {
-                sched.request_transmit(node, dst, inject, Ns(1_000_000));
-                // Were grants serialized cluster-wide this rendezvous would
-                // deadlock: the second grant would need the first to finish.
-                rendezvous.wait();
-                sched.finish_transmit(node, dst, inject + Ns(10_000));
-                sched.mark_done(node);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(sched.max_concurrent_grants(), 2);
-    }
-
-    /// An in-flight transmit to a parked, floor-zero receiver blocks a
-    /// later-keyed grant to a *different* receiver: the parked node's
-    /// wake could inject below the later key, so overlapping would
-    /// commit an inbox order the serial schedule might not produce.
-    #[test]
-    fn parked_receiver_wake_hazard_blocks_overlap() {
-        let sched = Arc::new(LockstepSched::new(4));
-        sched.mark_done(2);
-        let granted1 = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut handles = Vec::new();
-        // Node 3 parks with floor 0 (a blocking receive that declared no
-        // better bound).
-        {
-            let sched = Arc::clone(&sched);
-            handles.push(thread::spawn(move || {
-                let seen = sched.delivery_count(3);
-                sched.park(3, seen, None, None, Ns(0));
-                sched.mark_done(3);
-            }));
-        }
-        thread::sleep(std::time::Duration::from_millis(5));
-        // Node 0 transmits to the parked node 3 and holds the grant.
-        let s0 = Arc::clone(&sched);
-        let hold = Arc::new(std::sync::Barrier::new(2));
-        let h0 = Arc::clone(&hold);
-        handles.push(thread::spawn(move || {
-            s0.request_transmit(0, 3, Ns(1_000), Ns(1_000_000));
-            h0.wait();
-            thread::sleep(std::time::Duration::from_millis(10));
-            s0.finish_transmit(0, 3, Ns(11_000));
-            s0.mark_done(0);
-        }));
-        // Node 1's transmit to the (done, hazard-free) node 2 carries a
-        // later key; it must stay blocked while node 0 is in flight,
-        // because node 3's wake floor (0) could undercut it.
-        let s1 = Arc::clone(&sched);
-        let g1 = Arc::clone(&granted1);
-        handles.push(thread::spawn(move || {
-            s1.request_transmit(1, 2, Ns(5_000), Ns(1_000_000));
-            g1.store(true, std::sync::atomic::Ordering::SeqCst);
-            s1.finish_transmit(1, 2, Ns(15_000));
-            s1.mark_done(1);
-        }));
-        hold.wait(); // node 0 is granted and in flight
-        thread::sleep(std::time::Duration::from_millis(5));
-        assert!(
-            !granted1.load(std::sync::atomic::Ordering::SeqCst),
-            "later-keyed grant overlapped an in-flight transmit whose \
-             receiver could wake below its key"
-        );
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(sched.max_concurrent_grants(), 1);
-    }
-
-    /// The one park over its {deadline, no deadline} × {watch, no watch}
-    /// matrix. In every cell a delivery releases the parked node, and a
-    /// delivery that raced the caller's drain bounces the park without
-    /// sleeping; a deadline releases by `Timeout` once it is the
-    /// cluster's next event; a watch releases by `PeersDone` when the
-    /// last watched node deregisters (immediately if it already has),
-    /// and yields to a delivery that came first.
-    #[test]
-    fn park_matrix() {
-        let deliver = |sched: &LockstepSched, dst: usize| {
-            let mut s = sched.state.lock().unwrap();
-            sched.deliver_locked(&mut s, dst, Ns(42));
-        };
-        // Wait (in wall time) until `node` is parked, so the release
-        // under test is what wakes it, not the raced-park bounce.
-        let await_parked = |sched: &LockstepSched, node: usize| loop {
-            if matches!(sched.state.lock().unwrap().nodes[node].st, St::Parked { .. }) {
-                return;
-            }
-            thread::yield_now();
-        };
-        for deadline in [None, Some(Ns(5_000))] {
-            for watch in [None, Some(vec![0usize, 2])] {
-                let cell = format!("deadline={deadline:?} watch={watch:?}");
-                // Nodes 0 and 2 run with floors far above the deadline, so
-                // it is grantable at once; node 1 is the parker.
-                let fresh = || {
-                    let sched = Arc::new(LockstepSched::new(3));
-                    {
-                        let mut s = sched.state.lock().unwrap();
-                        s.nodes[0].st = St::Running { floor: Ns(1_000_000) };
-                        s.nodes[2].st = St::Running { floor: Ns(1_000_000) };
-                    }
-                    sched
-                };
-                let park = |sched: &Arc<LockstepSched>, seen: u64| {
-                    let (sched, watch) = (Arc::clone(sched), watch.clone());
-                    thread::spawn(move || sched.park(1, seen, deadline, watch.as_deref(), Ns(100)))
-                };
-
-                // Raced park bounces, whatever else is armed.
-                let sched = fresh();
-                let seen = sched.delivery_count(1);
-                deliver(&sched, 1);
-                assert_eq!(
-                    sched.park(1, seen, deadline, watch.as_deref(), Ns(0)),
-                    WakeReason::Delivered,
-                    "{cell}: raced park must bounce"
-                );
-
-                match deadline {
-                    // Deadline wins: it is the only event on offer.
-                    Some(_) => {
-                        let sched = fresh();
-                        let t = park(&sched, sched.delivery_count(1));
-                        assert_eq!(t.join().unwrap(), WakeReason::Timeout, "{cell}");
-                    }
-                    // Delivery wins (with a deadline armed the park above
-                    // would race it, so this runs in the untimed cells).
-                    None => {
-                        let sched = fresh();
-                        let t = park(&sched, sched.delivery_count(1));
-                        await_parked(&sched, 1);
-                        deliver(&sched, 1);
-                        assert_eq!(t.join().unwrap(), WakeReason::Delivered, "{cell}");
-                    }
-                }
-
-                if watch.is_some() {
-                    // Peers-done wins, and only when the *last* watched
-                    // node goes: the deadline (if any) sits beyond node
-                    // 0's floor until node 0 itself deregisters, and
-                    // mark_done's watch release runs before its dispatch.
-                    let sched = fresh();
-                    {
-                        let mut s = sched.state.lock().unwrap();
-                        s.nodes[0].st = St::Running { floor: Ns(0) };
-                    }
-                    let t = park(&sched, sched.delivery_count(1));
-                    await_parked(&sched, 1);
-                    sched.mark_done(2);
+    fn the_minimum_key_goes_first_whoever_asked_first() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&log);
+        cluster(4, move |node, sched| match node {
+            0 | 1 | 3 => {
+                // Nodes 1 and 3 tie on time; the node id breaks it.
+                let inject = [Ns(2_000), Ns(1_000), Ns(0), Ns(1_000)][node];
+                sched.request_transmit(node, 2, inject);
+                if node == 1 {
+                    let waiting = sched.describe();
                     assert!(
-                        matches!(sched.state.lock().unwrap().nodes[1].st, St::Parked { .. }),
-                        "{cell}: released with a watched peer still alive"
+                        waiting.contains("node 0: transmit to node 2 pending at 2.00us"),
+                        "{waiting}"
                     );
-                    sched.mark_done(0);
-                    assert_eq!(t.join().unwrap(), WakeReason::PeersDone, "{cell}");
-                    // An already-drained watch set settles inline.
-                    let seen = sched.delivery_count(1);
-                    assert_eq!(
-                        sched.park(1, seen, deadline, watch.as_deref(), Ns(100)),
-                        WakeReason::PeersDone,
-                        "{cell}: drained watch set"
+                    assert!(
+                        waiting.contains("node 3: transmit") && waiting.contains("node 1: Running")
                     );
                 }
+                sink.borrow_mut().push(format!("{node} released"));
+                sched.deliver(2);
             }
-        }
-    }
-
-    #[test]
-    fn lookahead_unblocks_grants_past_running_floors() {
-        let sched = Arc::new(LockstepSched::new(2));
-        sched.declare_lookahead(0, Ns(3_400));
-        // Node 1 transmits at t=2_000. Node 0 is running with floor
-        // 10_000 (reported via a finished park), so 2_000 < 10_000 and
-        // the grant fires without waiting for node 0 to commit.
-        let s2 = Arc::clone(&sched);
-        let t = thread::spawn(move || {
-            s2.request_transmit(1, 0, Ns(2_000), Ns(5_400));
-            s2.finish_transmit(1, 0, Ns(12_000));
+            _ => {
+                let why = sched.park(2, None, None);
+                sink.borrow_mut().push(format!("2 woke: {why:?}"));
+            }
         });
-        // Stand node 0 up as Running{floor: 10_000}: park then release
-        // by delivery is the mechanism, so emulate directly.
-        {
-            let mut s = sched.state.lock().unwrap();
-            s.nodes[0].st = St::Running { floor: Ns(10_000) };
-            sched.dispatch(&mut s);
-            // dispatch notifies the granted node's condvar itself.
-        }
-        t.join().unwrap();
+        assert_eq!(
+            *log.borrow(),
+            ["1 released", "2 woke: Got(())", "3 released", "0 released"]
+        );
     }
 
-    /// Two concurrent pollers whose stale floors sit below each other's
-    /// poll times would deadlock under a naive "wait until every floor
-    /// passes t" rule. As ordered events they settle smallest key first.
+    /// A parked deadline is an event like a transmit: it loses to an
+    /// earlier-keyed delivery and beats a later-keyed one, which then finds
+    /// the node running and is left for its next drain.
     #[test]
-    fn concurrent_polls_settle_in_key_order() {
-        let sched = Arc::new(LockstepSched::new(2));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mut hs = Vec::new();
-        for (node, t) in [(0usize, Ns(100)), (1, Ns(50))] {
-            let s = Arc::clone(&sched);
-            let order = Arc::clone(&order);
-            hs.push(thread::spawn(move || {
-                let seen = s.delivery_count(node);
-                let settled = s.poll_quiesce(node, t, seen, Ns(10));
-                order.lock().unwrap().push(node);
-                // A settled poller keeps running; committing (here: done)
-                // is what lets later-keyed polls settle behind it.
-                s.mark_done(node);
-                settled
-            }));
+    fn a_deadline_loses_to_an_earlier_delivery_and_beats_a_later_one() {
+        for (inject, want) in [(Ns(1_000), Wait::Got(())), (Ns(9_000), Wait::Deadline)] {
+            cluster(2, move |node, sched| match node {
+                0 => {
+                    sched.request_transmit(0, 1, inject);
+                    sched.deliver(1);
+                }
+                _ => assert_eq!(
+                    sched.park(1, Some(Ns(5_000)), None),
+                    want,
+                    "inject at {inject}"
+                ),
+            });
         }
-        for h in hs {
-            assert!(h.join().unwrap(), "poll failed to settle");
-        }
-        assert_eq!(*order.lock().unwrap(), vec![1, 0]);
     }
 
+    /// A watch releases by `PeersDone` when the *last* watched node leaves
+    /// — with or without a (later) deadline armed — at once if the set is
+    /// already gone, and not at all if a delivery comes first.
     #[test]
-    fn poll_raced_by_delivery_returns_false() {
-        let sched = LockstepSched::new(2);
-        let seen = sched.delivery_count(1);
-        let mut s = sched.state.lock().unwrap();
-        sched.deliver_locked(&mut s, 1, Ns(42));
-        drop(s);
-        assert!(!sched.poll_quiesce(1, Ns(100), seen, Ns(0)));
+    fn a_watch_is_released_by_the_last_departure() {
+        for deadline in [None, Some(Ns::from_ms(1))] {
+            cluster(3, move |node, sched| match node {
+                1 => {
+                    assert_eq!(sched.park(1, deadline, Some(&[0, 2])), Wait::PeersDone);
+                    // Both are gone now: no suspension, no event consumed.
+                    assert_eq!(sched.park(1, deadline, Some(&[0, 2])), Wait::PeersDone);
+                }
+                _ => {
+                    // Let node 1 park first; then leave, node 0 before 2.
+                    assert_eq!(
+                        sched.park(node, Some(Ns(10 + node as u64)), None),
+                        Wait::Deadline
+                    );
+                    let parked = sched.describe().contains("node 1: Parked");
+                    assert!(parked, "released with a watched peer still alive");
+                }
+            });
+        }
+        cluster(2, |node, sched| match node {
+            0 => {
+                sched.request_transmit(0, 1, Ns(1_000));
+                sched.deliver(1);
+            }
+            _ => assert_eq!(sched.park(1, None, Some(&[0])), Wait::Got(())),
+        });
     }
 
+    /// A node whose key is the minimum while every other node waits or is
+    /// gone settles inline. Driven from a plain thread, where a suspension
+    /// would panic, so returning at all is the proof; the one wait that
+    /// does not qualify says what it needed.
     #[test]
-    #[should_panic(expected = "lockstep deadlock")]
-    fn all_parked_no_event_is_a_deadlock() {
-        let sched = Arc::new(LockstepSched::new(2));
-        sched.mark_done(0);
-        let seen = sched.delivery_count(1);
-        sched.park(1, seen, None, None, Ns(0));
+    fn the_minimum_key_of_a_quiescent_cluster_settles_without_a_switch() {
+        let sched = Arc::new(LockstepSched::new(3));
+        sched.mark_done(2);
+        sched.lock().nodes[1].st = St::Parked {
+            deadline: Some((Ns(1_000), 1)),
+            watch: None,
+        };
+        sched.request_transmit(0, 1, Ns(999));
+        assert_eq!(sched.park(0, Some(Ns(999)), None), Wait::Deadline);
+        // Equal times: the lower node id is the smaller key.
+        assert_eq!(sched.park(0, Some(Ns(1_000)), None), Wait::Deadline);
+        assert!(
+            sched.describe().contains("node 0: Running"),
+            "an inline settle leaves no trace"
+        );
+
+        let msg = panic_message(|| sched.request_transmit(0, 1, Ns(1_001)));
+        assert!(
+            msg.contains("node 0 must wait") && msg.contains("free-run"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("node 1: Parked { deadline: Some((Ns(1000), 1)), watch: None }"),
+            "{msg}"
+        );
+        // So does a running peer, whatever the keys: it may yet offer less.
+        sched.lock().nodes[1].st = St::Running;
+        let msg = panic_message(|| sched.request_transmit(0, 1, Ns(1)));
+        assert!(msg.contains("node 1: Running"), "{msg}");
+    }
+
+    /// Every node waiting and no key on offer: the free-running path would
+    /// hang; lockstep names every node's state.
+    #[test]
+    fn a_cluster_that_cannot_move_is_a_diagnosis() {
+        let msg = panic_message(|| {
+            cluster(3, |node, sched| match node {
+                0 => {}
+                1 => drop(sched.park(1, None, None)),
+                _ => drop(sched.park(2, None, Some(&[1]))),
+            })
+        });
+        assert!(msg.starts_with("lockstep deadlock"), "{msg}");
+        assert!(msg.contains("contexts [1, 2] have not finished"), "{msg}");
+        assert!(msg.contains("node 0: Done"), "{msg}");
+        assert!(
+            msg.contains("node 1: Parked { deadline: None, watch: None }"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("node 2: Parked { deadline: None, watch: Some([1]) }"),
+            "{msg}"
+        );
     }
 }

@@ -68,14 +68,6 @@ pub struct UdpStack {
     sockbuf: usize,
     /// Datagrams dropped (loss model + buffer overflow).
     pub drops: u64,
-    /// Lockstep lookahead: minimum modeled cost between the start of this
-    /// node's preemptible window and its next packet reaching the wire.
-    /// For the kernel path that is the NIC tx engine plus the smaller of
-    /// (a) the sendto floor (`syscall + tx_proto`) and (b) the handler
-    /// floor (`handler_dispatch`, charged before any `sendto_at`
-    /// response, which is always emitted immediately after the service
-    /// window that prices it).
-    la: Ns,
 }
 
 impl UdpStack {
@@ -98,12 +90,6 @@ impl UdpStack {
         } else {
             SOCKBUF_DATAGRAMS
         };
-        let la = params.net.nic_tx
-            + params
-                .dsm
-                .handler_dispatch
-                .min(params.host.syscall + params.udp.tx_proto);
-        nic.declare_lookahead(la);
         UdpStack {
             nic,
             clock,
@@ -113,19 +99,7 @@ impl UdpStack {
             fault_rng,
             sockbuf,
             drops: 0,
-            la,
         }
-    }
-
-    /// Current lockstep floor: a sound lower bound on the injection time
-    /// of any future datagram from this node (see [`tm_sim::sched`]).
-    fn sched_floor(&self) -> Ns {
-        self.clock.borrow().preemptible_since() + self.la
-    }
-
-    /// The lookahead declared to the lockstep scheduler at construction.
-    pub fn lookahead(&self) -> Ns {
-        self.la
     }
 
     pub fn node(&self) -> NodeId {
@@ -224,16 +198,8 @@ impl UdpStack {
         let legacy_p = self.params.udp.drop_probability;
         if self.fault_rng.is_none() && legacy_p == 0.0 {
             // Clean fast path: bit-identical to the pre-fault stack.
-            let floor = self.sched_floor();
-            self.nic.inject_floored(
-                dst,
-                sp,
-                dp,
-                Bytes::copy_from_slice(data),
-                inject,
-                None,
-                floor,
-            );
+            self.nic
+                .inject(dst, sp, dp, Bytes::copy_from_slice(data), inject, None);
             return true;
         }
         let f = self.params.faults.clone();
@@ -254,9 +220,7 @@ impl UdpStack {
         if dropped {
             self.drops += 1;
             self.clock.borrow_mut().stats.dgrams_dropped += 1;
-            let floor = self.sched_floor();
-            self.nic
-                .inject_lost_floored(dst, sp, dp, Bytes::from(buf), inject, floor);
+            self.nic.inject_lost(dst, sp, dp, Bytes::from(buf), inject);
             return false;
         }
         if f.corrupt_probability > 0.0 {
@@ -281,21 +245,10 @@ impl UdpStack {
             duplicate = r.random::<f64>() < f.duplicate_probability;
         }
         let payload = Bytes::from(buf);
-        let floor = self.sched_floor();
-        // When a duplicate follows, this node's very next injection is at
-        // `at + 1ns` — the floor after the main copy must not promise
-        // anything later than that.
-        let main_floor = if duplicate {
-            (at + Ns(1)).min(floor)
-        } else {
-            floor
-        };
-        self.nic
-            .inject_floored(dst, sp, dp, payload.clone(), at, None, main_floor);
+        self.nic.inject(dst, sp, dp, payload.clone(), at, None);
         if duplicate {
             self.clock.borrow_mut().stats.dgrams_duplicated += 1;
-            self.nic
-                .inject_floored(dst, sp, dp, payload, at + Ns(1), None, floor);
+            self.nic.inject(dst, sp, dp, payload, at + Ns(1), None);
         }
         true
     }
@@ -409,12 +362,9 @@ impl UdpStack {
     ///
     /// Under lockstep a miss is settled through the NIC's
     /// [`poll_quiesce`](tm_myrinet::NicHandle::poll_quiesce) before being
-    /// reported, so the set of datagrams this poll observes never depends
-    /// on wall-clock thread timing (see `GmNode::receive` in `tm-gm`
-    /// for the same pattern on the user-space path).
+    /// reported, as on the user-space path (`GmNode::receive` in `tm-gm`).
     pub fn try_recvfrom(&mut self, port: u16) -> Option<Datagram> {
         loop {
-            let sig = self.nic.delivery_signature();
             self.drain();
             let now = self.clock.borrow().now();
             let syscall = self.params.host.syscall;
@@ -432,12 +382,11 @@ impl UdpStack {
                 c.stats.bytes_recv += d.data.len() as u64;
                 return Some(d);
             }
-            let floor = self.sched_floor();
-            if self.nic.poll_quiesce(now, sig, floor) {
+            if self.nic.poll_quiesce(now) {
                 self.clock.borrow_mut().advance(syscall);
                 return None;
             }
-            // A delivery raced the quiesce: re-drain and look again.
+            // A delivery came first: re-drain and look again.
         }
     }
 
@@ -525,8 +474,7 @@ impl UdpStack {
             }
             // Park on the NIC until something arrives for us.
             let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            let floor = self.sched_floor();
-            match self.nic.wait(Some(&filter), deadline, watch, floor) {
+            match self.nic.wait(Some(&filter), deadline, watch) {
                 Wait::Got(pkt) => self.admit(pkt),
                 Wait::Deadline => break,
                 Wait::PeersDone => return Wait::PeersDone,
@@ -787,7 +735,8 @@ mod tests {
                 a.sendto(1, 2, 1, b"late");
                 Ns(10)
             } else {
-                // The silent peer leaves, so its floor holds no grant back.
+                // The silent peer leaves: every other node gone and the
+                // deadline the only key on offer, the wait settles inline.
                 drop(a);
                 Ns::from_us(500)
             };

@@ -1,21 +1,18 @@
 //! Lockstep-scheduler reproducibility tests.
 //!
-//! Under `SchedMode::Lockstep` the fabric serializes transmits through the
-//! conservative virtual-time scheduler (`tm_sim::sched`), so a run's
-//! observable outcome — shared memory, per-node stats, per-node virtual
-//! clocks — must not depend on wall-clock thread interleaving at all. We
-//! prove it the hard way: the same workload runs twice with *different*
-//! seeded wall-clock perturbation (each node sleeps pseudo-random real-time
-//! amounts between DSM operations), and the two runs must agree byte for
-//! byte. A third battery cross-checks the two regimes: over randomized
+//! Under `SchedMode::Lockstep` a cluster's nodes are contexts on the
+//! caller's thread and the fabric releases one event at a time, in
+//! virtual-key order (`tm_sim::sched`), so a run's observable outcome —
+//! shared memory, per-node stats, per-node virtual clocks — is a function
+//! of the program alone. Four batteries: the same workload run twice (and
+//! from two OS threads at once) must agree byte for byte; over randomized
 //! drop/duplicate/reorder fault schedules, FreeRun and Lockstep must
 //! converge to identical shared memory (scheduling may reorder recovery,
-//! never corrupt it). A fourth pins the schedule itself: fingerprints
-//! recorded under the fully serial scheduler the per-receiver tokens
-//! replaced.
+//! never corrupt it); and the schedule itself is pinned: fingerprints
+//! recorded under the threaded, fully serial scheduler this one descends
+//! from.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
@@ -30,27 +27,13 @@ fn lockstep_params() -> Arc<SimParams> {
     Arc::new(SimParams::lockstep_testbed())
 }
 
-/// Deterministic per-(seed, node, step) wall-clock jitter: an xorshift over
-/// the mixed key picks a sleep in [0, 200)us. The *virtual* outcome of a
-/// lockstep run must be independent of every one of these sleeps.
-fn jitter(seed: u64, node: usize, step: u64) {
-    let mut x = seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    std::thread::sleep(Duration::from_micros(x % 200));
-}
-
-/// Contended barrier + lock + multi-writer round, with wall-clock jitter
-/// injected between operations. Returns the node's full memory snapshot —
-/// the byte-identity payload.
-fn perturbed_workload<S: Substrate>(tmk: &mut Tmk<S>, seed: u64) -> Vec<u8> {
+/// Contended barrier + lock + multi-writer round. Returns the node's full
+/// memory snapshot — the byte-identity payload.
+fn workload<S: Substrate>(tmk: &mut Tmk<S>) -> Vec<u8> {
     let r = tmk.malloc(PAGES * 4096);
     let me = tmk.proc_id();
-    jitter(seed, me, 0);
     tmk.barrier(0);
-    for it in 0..INCRS {
-        jitter(seed, me, 1 + it as u64);
+    for _ in 0..INCRS {
         tmk.acquire(0);
         let v = tmk.get_u32(r, 0);
         tmk.set_u32(r, 0, v + 1);
@@ -61,7 +44,6 @@ fn perturbed_workload<S: Substrate>(tmk: &mut Tmk<S>, seed: u64) -> Vec<u8> {
     // Stripes start at word 16 so the lock-guarded counter in word 0
     // survives to the final snapshot.
     for p in 0..PAGES {
-        jitter(seed, me, 100 + p as u64);
         for w in 0..8usize {
             tmk.set_u32(r, p * 1024 + 16 + me * 8 + w, ((me as u32) << 16) | w as u32);
         }
@@ -82,21 +64,20 @@ fn fingerprint(out: &[tm_sim::runner::NodeOutcome<Vec<u8>>]) -> Vec<(u64, String
         .collect()
 }
 
+fn fast_run() -> Vec<(u64, String, Vec<u8>)> {
+    let p = lockstep_params();
+    let cfg = FastConfig::paper(&p);
+    fingerprint(&run_fast_dsm(NODES, p, cfg, TmkConfig::default(), workload))
+}
+
+fn udp_run() -> Vec<(u64, String, Vec<u8>)> {
+    fingerprint(&run_udp_dsm(NODES, lockstep_params(), TmkConfig::default(), workload))
+}
+
 #[test]
 fn fast_lockstep_double_run_is_byte_identical() {
-    let run = |seed: u64| {
-        let p = lockstep_params();
-        let cfg = FastConfig::paper(&p);
-        let out = run_fast_dsm(NODES, p, cfg, TmkConfig::default(), move |tmk| {
-            perturbed_workload(tmk, seed)
-        });
-        fingerprint(&out)
-    };
-    // Different jitter seeds → different wall-clock interleavings. The
-    // virtual outcome must not notice.
-    let a = run(0x5eed_0001);
-    let b = run(0x5eed_0002);
-    assert_eq!(a, b, "FAST/GM lockstep run diverged across jitter seeds");
+    let a = fast_run();
+    assert_eq!(a, fast_run(), "FAST/GM lockstep run diverged from its repeat");
     assert_eq!(
         a[0].2[..4],
         (NODES as u32 * INCRS).to_le_bytes(),
@@ -104,16 +85,43 @@ fn fast_lockstep_double_run_is_byte_identical() {
     );
 }
 
-/// The property one-CPU placement buys (`tm_sim::runner`, "Placement"):
-/// a lockstep cluster is exact wherever it is launched from — no external
+#[test]
+fn udp_lockstep_double_run_is_byte_identical() {
+    assert_eq!(udp_run(), udp_run(), "UDP/GM lockstep run diverged from its repeat");
+}
+
+/// Two lockstep clusters at once, one per OS thread, each fingerprint
+/// equal to the same cluster run alone: the executor and everything it
+/// switches between are thread-local, so concurrent clusters (parallel
+/// `cargo test`) cannot see each other. The barrier forces the overlap.
+#[test]
+fn concurrent_lockstep_clusters_do_not_see_each_other() {
+    let (fast_alone, udp_alone) = (fast_run(), udp_run());
+    let start = std::sync::Barrier::new(2);
+    let (fast_both, udp_both) = std::thread::scope(|s| {
+        let fast = s.spawn(|| {
+            start.wait();
+            (0..3).map(|_| fast_run()).collect::<Vec<_>>()
+        });
+        let udp = s.spawn(|| {
+            start.wait();
+            (0..3).map(|_| udp_run()).collect::<Vec<_>>()
+        });
+        (fast.join().unwrap(), udp.join().unwrap())
+    });
+    assert!(fast_both.iter().all(|f| *f == fast_alone), "FAST/GM cluster was disturbed");
+    assert!(udp_both.iter().all(|f| *f == udp_alone), "UDP/GM cluster was disturbed");
+}
+
+/// A lockstep cluster is exact wherever it is launched from — no external
 /// `taskset`, whatever the caller's affinity mask. The body is the repo
 /// benchmark's `sync64_fast` in small: FAST/GM, rounds of {lock; one-word
-/// update; unlock; barrier}, almost no data, so hand-offs between node
-/// threads are all there is. 16 nodes × 5 rounds is the smallest shape
-/// that diverged reliably at the parent commit on a 2-CPU host, where
-/// node threads ran on every core (7 and 12 distinct outcomes in 12 and
-/// 18 runs; 16 × 3 and 12 × 5 gave one outcome in 18) — the unsound
-/// running-node-floor hypothesis of DESIGN.md "Residual divergences (3)".
+/// update; unlock; barrier}, almost no data, so hand-offs between nodes
+/// are all there is. 16 nodes × 5 rounds is the smallest shape that
+/// diverged reliably while lockstep nodes were threads on every core of a
+/// 2-CPU host (7 and 12 distinct outcomes in 12 and 18 runs). As contexts
+/// on one thread there is no interleaving left to diverge on; the test
+/// stays as the regression it was written to be.
 #[test]
 fn fast_lockstep_is_exact_on_all_cores() {
     const STORM_NODES: usize = 16;
@@ -148,19 +156,6 @@ fn fast_lockstep_is_exact_on_all_cores() {
 }
 
 #[test]
-fn udp_lockstep_double_run_is_byte_identical() {
-    let run = |seed: u64| {
-        let out = run_udp_dsm(NODES, lockstep_params(), TmkConfig::default(), move |tmk| {
-            perturbed_workload(tmk, seed)
-        });
-        fingerprint(&out)
-    };
-    let a = run(0xabcd_0001);
-    let b = run(0xabcd_0002);
-    assert_eq!(a, b, "UDP/GM lockstep run diverged across jitter seeds");
-}
-
-#[test]
 fn udp_lockstep_pins_faulty_run_signatures() {
     // The 4-node concurrent workload whose fault counters were documented
     // as wall-clock-dependent under FreeRun (see tests/fault_injection.rs,
@@ -168,17 +163,15 @@ fn udp_lockstep_pins_faulty_run_signatures() {
     // version must reproduce exactly — the barrier manager's shutdown
     // linger included: peer departure is an ordered scheduler event, so
     // node 0's finish, idle time and linger-served duplicate counters are
-    // as pinned as everyone else's (DESIGN.md, "Residual divergences").
-    let run = |seed: u64| {
+    // as pinned as everyone else's.
+    let run = || {
         let mut p = SimParams::lockstep_testbed();
         p.faults = FaultPlan {
             drop_probability: 0.08,
             duplicate_probability: 0.05,
             ..FaultPlan::default()
         };
-        let out = run_udp_dsm(NODES, Arc::new(p), TmkConfig::default(), move |tmk| {
-            perturbed_workload(tmk, seed)
-        });
+        let out = run_udp_dsm(NODES, Arc::new(p), TmkConfig::default(), workload);
         let snaps: Vec<Vec<u8>> = out.iter().map(|o| o.result.clone()).collect();
         // Every node's whole outcome, virtual clock included.
         let nodes: Vec<(u64, String)> = out
@@ -187,8 +180,8 @@ fn udp_lockstep_pins_faulty_run_signatures() {
             .collect();
         (snaps, nodes)
     };
-    let (snaps_a, nodes_a) = run(0xfa17_0001);
-    let (snaps_b, nodes_b) = run(0xfa17_0002);
+    let (snaps_a, nodes_a) = run();
+    let (snaps_b, nodes_b) = run();
     assert_eq!(snaps_a, snaps_b, "lossy lockstep runs saw different memory");
     assert!(
         snaps_a.iter().all(|s| *s == snaps_a[0]),
@@ -202,7 +195,7 @@ fn udp_lockstep_pins_faulty_run_signatures() {
 }
 
 /// Shared-memory outcome of the workload under a given scheduler mode and
-/// fault plan (no jitter — this battery varies the *fault schedule*).
+/// fault plan.
 fn memory_under(sched_lockstep: bool, faults: FaultPlan) -> Vec<u8> {
     let mut p = if sched_lockstep {
         SimParams::lockstep_testbed()
@@ -210,9 +203,7 @@ fn memory_under(sched_lockstep: bool, faults: FaultPlan) -> Vec<u8> {
         SimParams::paper_testbed()
     };
     p.faults = faults;
-    let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), |tmk| {
-        perturbed_workload(tmk, 0)
-    });
+    let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), workload);
     for o in &out {
         assert_eq!(o.result, out[0].result, "node {} snapshot diverges", o.id);
     }
@@ -261,26 +252,24 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// The per-receiver-token scheduler produces the *serial* schedule — the
-/// one a single cluster-wide reservation token (grant the global minimum
-/// key, only with the fabric empty) defines. That scheduler was the
-/// `Single` token mode until ISSUE 15 deleted it, and a proptest compared
-/// the two modes over random fault schedules; these are its goldens.
-///
-/// Every row was RECORDED AT THE PARENT COMMIT (f107a49) UNDER THE
-/// `Single` TOKEN MODE — the serial reference, run twice — and confirmed
-/// equal under the `PerReceiver` mode there, before either name was
-/// removed: `(fault seed, drop ‰, dup ‰, reorder ‰)` → the three nodes'
-/// finish times in ns, in the clear, and an FNV-1a digest over every
-/// node's full stat counters (`Debug` format) and memory snapshot. Any
-/// per-inbox delivery reordering shifts virtual arrival times and
-/// therefore clocks and counters, so equality pins the per-inbox delivery
-/// order, not just the converged memory. A finish time that moves means
-/// the schedule moved: do not re-pin it. (A new `NodeStats` field changes
-/// only the digests; re-record those only while every finish time still
-/// matches.)
+/// The scheduler produces the *serial* schedule: release the global
+/// minimum key, only when no node is running. These goldens predate it by
+/// two schedulers: every row was RECORDED AT COMMIT f107a49 UNDER THE
+/// THREADED `Single` TOKEN MODE — one cluster-wide reservation token, the
+/// serial reference, run twice — confirmed equal there under the
+/// per-receiver-token scheduler that replaced it (ISSUE 15), and
+/// reproduced unchanged by the one-thread quiescence scheduler that
+/// replaced that (ISSUE 17): `(fault seed, drop ‰, dup ‰, reorder ‰)` →
+/// the three nodes' finish times in ns, in the clear, and an FNV-1a digest
+/// over every node's full stat counters (`Debug` format) and memory
+/// snapshot. Any per-inbox delivery reordering shifts virtual arrival
+/// times and therefore clocks and counters, so equality pins the per-inbox
+/// delivery order, not just the converged memory. A finish time that moves
+/// means the schedule moved: do not re-pin it. (A new `NodeStats` field
+/// changes only the digests; re-record those only while every finish time
+/// still matches.)
 #[test]
-fn per_receiver_schedule_matches_the_recorded_serial_schedule() {
+fn lockstep_schedule_matches_the_recorded_serial_schedule() {
     #[rustfmt::skip]
     let goldens: [(u64, u32, u32, u32, [u64; 3], u64); 8] = [
         (1,        0,  0,  0, [3_254_188, 3_272_438, 3_279_457], 0x9b2e_63ad_8289_d030),
@@ -295,9 +284,7 @@ fn per_receiver_schedule_matches_the_recorded_serial_schedule() {
     for (seed, drop_pm, dup_pm, reorder_pm, finish, digest) in goldens {
         let mut p = SimParams::lockstep_testbed();
         p.faults = plan_pm(seed, drop_pm, dup_pm, reorder_pm);
-        let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), |tmk| {
-            perturbed_workload(tmk, 0)
-        });
+        let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), workload);
         let plan = (seed, drop_pm, dup_pm, reorder_pm);
         let mut got = Vec::new();
         let mut h = 0xcbf2_9ce4_8422_2325;
@@ -315,52 +302,4 @@ fn per_receiver_schedule_matches_the_recorded_serial_schedule() {
             "plan {plan:?}: counters or memory left the serial schedule"
         );
     }
-}
-
-/// 128-node smoke: a ring of one-shot sends to pairwise-distinct
-/// receivers must actually overlap (per-receiver tokens). No grant
-/// can fire while any node has yet to announce its transmit (its floor
-/// still bounds every candidate), so by the time the scheduler dispatches,
-/// all 128 Pending transmits are visible at once; with disjoint rx links
-/// and far-future sender floors they are granted in one batch — the
-/// concurrency gauge must therefore observe at least two simultaneous
-/// in-flight grants. The fabric is driven by hand here, not through
-/// `run_cluster`, so these threads keep the whole host: this is the one
-/// all-core lockstep run left (DESIGN.md, "Residual divergences (3)").
-#[test]
-fn per_receiver_tokens_overlap_disjoint_receivers_at_128_nodes() {
-    use bytes::Bytes;
-    const N: usize = 128;
-    let params = Arc::new(SimParams::lockstep_testbed());
-    let (fabric, nics) = tm_myrinet::Fabric::new(N, params);
-    let mut threads = Vec::new();
-    for (i, mut nic) in nics.into_iter().enumerate() {
-        threads.push(std::thread::spawn(move || {
-            let dst = (i + 1) % N;
-            // One send ever: the post-transmit floor is effectively
-            // infinite, so no grant need wait on this node again.
-            nic.inject_floored(
-                dst,
-                0,
-                0,
-                Bytes::from(vec![i as u8; 4096]),
-                Ns::from_us(1000 + i as u64),
-                None,
-                Ns::from_secs(3600),
-            );
-            let pkt = nic.recv_blocking();
-            assert_eq!(pkt.src, (i + N - 1) % N, "ring delivery broke");
-        }));
-    }
-    for t in threads {
-        t.join().unwrap();
-    }
-    let grants = fabric
-        .sched()
-        .expect("lockstep params must install the scheduler")
-        .max_concurrent_grants();
-    assert!(
-        grants >= 2,
-        "disjoint receivers never overlapped: max concurrent grants = {grants}"
-    );
 }
