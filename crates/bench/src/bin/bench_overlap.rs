@@ -17,11 +17,7 @@
 //! at four writers, and was deleted.)
 //!
 //! All times are *simulated* cluster nanoseconds on FAST/GM (the paper
-//! testbed). The storm runs under the conservative lockstep scheduler
-//! regardless of `E2_SCHED`, as `bench_prefetch` does: k writers' responses
-//! converge on the reader's rx link, so a free-running sample differs
-//! from the next one, and the committed JSON is diffed byte for byte in
-//! CI.
+//! testbed); the committed JSON is diffed byte for byte in CI.
 //!
 //! Usage: `cargo run --release -p tm-bench --bin bench_overlap [out.json]`
 
@@ -71,7 +67,7 @@ fn storm_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
 }
 
 fn run(writers: usize, engine: DiffFetch) -> u64 {
-    let params = Arc::new(tm_sim::SimParams::lockstep_testbed());
+    let params = Arc::new(tm_sim::SimParams::paper_testbed());
     let cfg = FastConfig::paper(&params);
     let tcfg = TmkConfig {
         diff_fetch: engine,

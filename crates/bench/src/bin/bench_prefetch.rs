@@ -14,10 +14,8 @@
 //!   the stride detector runs volleys ahead of the fault stream and the
 //!   sweep converges toward one overlapped fetch per window.
 //!
-//! Both run under the conservative lockstep scheduler regardless of
-//! `E2_SCHED`: the storm's handoff spin is schedule-dependent under
-//! freerun, and pinned JSON output needs exact numbers. All times are
-//! *simulated* cluster nanoseconds on FAST/GM (the paper testbed).
+//! All times are *simulated* cluster nanoseconds on FAST/GM (the paper
+//! testbed); the committed JSON is diffed byte for byte in CI.
 //!
 //! Usage: `cargo run --release -p tm-bench --bin bench_prefetch [out.json]`
 
@@ -111,15 +109,8 @@ fn strided_sweep_body<S: Substrate>(tmk: &mut Tmk<S>) -> (u64, u64, u64, u64) {
     out
 }
 
-/// The paper testbed pinned to lockstep (see module docs).
-fn params() -> Arc<tm_sim::SimParams> {
-    let mut p = tm_bench::bench_testbed();
-    p.sched = tm_sim::SchedMode::Lockstep;
-    Arc::new(p)
-}
-
 fn run_storm(lp: LockPath) -> u64 {
-    let params = params();
+    let params = Arc::new(tm_sim::SimParams::paper_testbed());
     let cfg = FastConfig::paper(&params);
     let tcfg = TmkConfig {
         lock_path: lp,
@@ -130,7 +121,7 @@ fn run_storm(lp: LockPath) -> u64 {
 }
 
 fn run_sweep(depth: usize) -> (u64, u64, u64, u64) {
-    let params = params();
+    let params = Arc::new(tm_sim::SimParams::paper_testbed());
     let cfg = FastConfig::paper(&params);
     let tcfg = TmkConfig {
         prefetch_depth: depth,

@@ -16,12 +16,11 @@ const ROUNDS: u64 = 20;
 const PAGES: usize = 64;
 
 /// Paper testbed + the fault plan under test (`E2_FAULT_LOSS`,
-/// `E2_FAULT_SEED`), under the scheduler regime picked by `E2_SCHED` —
-/// see [`tm_bench::Opts`] for every knob. Under `lockstep` two
+/// `E2_FAULT_SEED`) — see [`tm_bench::Opts`] for every knob. Two
 /// invocations of this binary produce byte-identical stdout for every
-/// row, Barrier and Lock (indirect) included.
+/// row.
 fn bench_params() -> SimParams {
-    let mut p = tm_bench::bench_testbed();
+    let mut p = SimParams::paper_testbed();
     p.faults = tm_bench::opts().fault_plan();
     p
 }
@@ -422,17 +421,8 @@ fn main() {
         // Pipelined synchronization: the overlapped lock path must beat
         // the serial baseline on the TSP-like lock storm, and the stride
         // prefetcher must land hits (and help) on the SOR-like sweep.
-        // The storm's only ordering is the lock handoff itself (a spin on
-        // the turn marker), whose duration is schedule-dependent under
-        // freerun — these two comparisons always run under lockstep so
-        // the asserted margins are exact, not statistical.
-        let lockstep_params = || {
-            let mut p = bench_params();
-            p.sched = tm_sim::SchedMode::Lockstep;
-            Arc::new(p)
-        };
         let run_lock = |lp: LockPath| {
-            let params = lockstep_params();
+            let params = Arc::new(bench_params());
             let cfg = FastConfig::paper(&params);
             let tcfg = TmkConfig {
                 lock_path: lp,
@@ -452,7 +442,7 @@ fn main() {
             "overlapped lock path ({lock_overlapped}) must beat serial ({lock_serial})"
         );
         let run_sweep = |depth: usize| {
-            let params = lockstep_params();
+            let params = Arc::new(bench_params());
             let cfg = FastConfig::paper(&params);
             let tcfg = TmkConfig {
                 prefetch_depth: depth,

@@ -28,13 +28,10 @@ use std::sync::Arc;
 use tm_bench::{print_header, AppSpec};
 use tm_fast::{run_fast_dsm, FastConfig, Transport};
 use tm_sim::runner::NodeOutcome;
-use tm_sim::{Ns, SchedMode, SimParams};
+use tm_sim::{Ns, SimParams};
 use tmk::memsub::run_mem_dsm;
 use tmk::{BarrierAlgo, Substrate, Tmk, TmkConfig};
 
-// Enough rounds to average out the wall-clock link-arbitration jitter
-// documented in DESIGN.md ("Determinism boundary") — at 10 rounds the
-// per-run mean still swings ~±15%.
 const ROUNDS: u64 = 60;
 
 /// Combining-tree radix (`E7_RADIX`, see [`tm_bench::Opts::e7_radix`]).
@@ -63,43 +60,30 @@ fn cfg(algo: BarrierAlgo) -> TmkConfig {
 }
 
 /// Average barrier time on FAST/GM under the given algorithm.
-/// `E2_SCHED=lockstep` makes every row byte-reproducible (see
-/// [`tm_bench::Opts::sched`]).
 fn fast_barrier(n: usize, algo: BarrierAlgo) -> Ns {
-    let params = Arc::new(tm_bench::bench_testbed());
+    let params = Arc::new(SimParams::paper_testbed());
     let fc = FastConfig::paper(&params);
     avg(&run_fast_dsm(n, params, fc, cfg(algo), barrier_body))
 }
 
 /// Average barrier time on the ideal (zero-cost) substrate.
 fn ideal_barrier(n: usize, algo: BarrierAlgo) -> Ns {
-    let params = Arc::new(tm_bench::bench_testbed());
+    let params = Arc::new(SimParams::paper_testbed());
     avg(&run_mem_dsm(n, params, Ns::ZERO, cfg(algo), barrier_body))
 }
 
-/// One `n`-node tree-barrier run under `mode`: wall-clock seconds and
-/// every node's price per barrier.
-fn wall_once(n: usize, mode: SchedMode) -> (f64, Vec<u64>) {
-    let params = Arc::new(SimParams {
-        sched: mode,
-        ..SimParams::paper_testbed()
-    });
+/// One `n`-node tree-barrier run: every node's price per barrier.
+fn prices(n: usize) -> Vec<u64> {
+    let params = Arc::new(SimParams::paper_testbed());
     let fc = FastConfig::paper(&params);
-    let t0 = std::time::Instant::now();
-    let out = run_fast_dsm(
-        n,
-        params,
-        fc,
-        cfg(BarrierAlgo::Tree { radix: radix() }),
-        barrier_body,
-    );
-    let wall = t0.elapsed().as_secs_f64();
-    (wall, out.iter().map(|o| o.result).collect())
+    let algo = BarrierAlgo::Tree { radix: radix() };
+    let out = run_fast_dsm(n, params, fc, cfg(algo), barrier_body);
+    out.iter().map(|o| o.result).collect()
 }
 
 /// CI smoke: small clusters, assertion-carrying. Proves the tree barrier
 /// actually pays off and stays sub-linear without the 128-node runtime,
-/// then runs lockstep at 128 nodes — the scale at which its liveness bugs
+/// then runs 128 nodes — the scale at which the scheduler's liveness bugs
 /// showed — and holds it to what it promises: every rep prices the barrier
 /// identically on every node.
 fn smoke() {
@@ -132,34 +116,18 @@ fn smoke() {
     println!();
     println!("ok: tree < centralized at 16/32 nodes, 32-node tree < 2x 8-node");
 
-    // Three lockstep reps at 128 nodes, alternating with free-run reps so
-    // the printed wall ratio (best of each; informational — the repo
-    // benchmark's `wall_s` is the gated wall-clock figure) is not biased
-    // by bursty host noise.
     const WALL_NODES: usize = 128;
     const WALL_REPS: usize = 3;
-    let (mut free_w, mut lock_w) = (f64::INFINITY, f64::INFINITY);
-    let mut prices: Vec<Vec<u64>> = Vec::new();
-    for _ in 0..WALL_REPS {
-        free_w = free_w.min(wall_once(WALL_NODES, SchedMode::FreeRun).0);
-        let (w, price) = wall_once(WALL_NODES, SchedMode::Lockstep);
-        lock_w = lock_w.min(w);
-        prices.push(price);
-    }
+    let reps: Vec<Vec<u64>> = (0..WALL_REPS).map(|_| prices(WALL_NODES)).collect();
+    assert!(
+        reps.windows(2).all(|w| w[0] == w[1]),
+        "reps at {WALL_NODES} nodes priced the barrier differently"
+    );
     println!();
     println!(
-        "lockstep wall at {WALL_NODES} nodes (tree barrier, best of {WALL_REPS}): \
-         freerun={free_w:.3}s lockstep={lock_w:.3}s ({:.2}x)",
-        lock_w / free_w.max(1e-9)
-    );
-    assert!(
-        prices.windows(2).all(|w| w[0] == w[1]),
-        "lockstep reps at {WALL_NODES} nodes priced the barrier differently"
-    );
-    println!(
-        "ok: {WALL_REPS} lockstep reps at {WALL_NODES} nodes agree on every node's barrier price \
+        "ok: {WALL_REPS} reps at {WALL_NODES} nodes agree on every node's barrier price \
          (mean {})",
-        Ns(prices[0].iter().sum::<u64>() / WALL_NODES as u64)
+        Ns(reps[0].iter().sum::<u64>() / WALL_NODES as u64)
     );
 }
 

@@ -19,7 +19,7 @@ use tm_apps::{
 };
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, Transport};
 use tm_sim::runner::cluster_time;
-use tm_sim::{FaultPlan, Ns, SchedMode, SimParams};
+use tm_sim::{FaultPlan, Ns, SimParams};
 use tmk::{
     BarrierAlgo, DiffFetch, LayerMetrics, LockPath, MetricsHandle, Substrate, Tmk, TmkConfig,
 };
@@ -185,13 +185,6 @@ pub fn run_spec(transport: Transport, n: usize, spec: &AppSpec) -> Ns {
 /// matrix cell fails instead of silently testing the default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Opts {
-    /// `E2_SCHED`: `freerun` (the default) or `lockstep`. Under
-    /// `lockstep` every row of every experiment is byte-reproducible
-    /// across invocations (see `tm_sim::sched`); the pinned
-    /// `results/*.txt` files are regenerated in that regime. Free-run
-    /// output is pinned only for rows whose message order is serialized
-    /// by data dependencies.
-    pub sched: SchedMode,
     /// `E2_FAULT_LOSS`: datagram drop probability of the fault plan
     /// under test (default 0: the plan stays disabled and stdout is
     /// byte-identical to a faultless build).
@@ -240,9 +233,6 @@ impl Opts {
         // Unset and empty both mean "the default".
         let val = |name: &str| get(name).filter(|v| !v.is_empty());
         Opts {
-            sched: val("E2_SCHED").map_or(SchedMode::FreeRun, |v| {
-                SchedMode::parse(&v).unwrap_or_else(|| bad("E2_SCHED", &v, "freerun|lockstep"))
-            }),
             fault_loss: val("E2_FAULT_LOSS").map_or(0.0, |v| {
                 let p: f64 = num("E2_FAULT_LOSS", &v, "a probability in [0, 1]");
                 if !(0.0..=1.0).contains(&p) {
@@ -319,17 +309,10 @@ pub fn opts() -> &'static Opts {
     })
 }
 
-/// The paper testbed under the `E2_SCHED` regime.
-pub fn bench_testbed() -> SimParams {
-    let mut p = SimParams::paper_testbed();
-    p.sched = opts().sched;
-    p
-}
-
 /// Like [`run_spec`] but with a precomputed sequential reference — sweep
 /// binaries compute the reference once per problem instance.
 pub fn run_spec_with(transport: Transport, n: usize, spec: &AppSpec, want: &AppResult) -> Ns {
-    let params = Arc::new(bench_testbed());
+    let params = Arc::new(SimParams::paper_testbed());
     let outcomes = match transport {
         Transport::Fast => {
             let cfg = FastConfig::paper(&params);
@@ -397,7 +380,6 @@ mod tests {
     #[test]
     fn opts_default_when_unset_or_empty() {
         let unset = parse(&[]);
-        assert_eq!(unset.sched, SchedMode::FreeRun);
         assert_eq!(unset.fault_loss, 0.0);
         assert_eq!(unset.fault_seed, None);
         assert_eq!(unset.barrier_algo, BarrierAlgo::Centralized);
@@ -409,7 +391,6 @@ mod tests {
         // Empty values select the defaults too — except the on/off
         // flags, which are on whenever they are set at all.
         let empty = parse(&[
-            ("E2_SCHED", ""),
             ("E2_FAULT_LOSS", ""),
             ("E2_FAULT_SEED", ""),
             ("E2_BARRIER_ALGO", ""),
@@ -425,7 +406,6 @@ mod tests {
     #[test]
     fn opts_parse_good_values() {
         let o = parse(&[
-            ("E2_SCHED", "lockstep"),
             ("E2_FAULT_LOSS", "0.01"),
             ("E2_FAULT_SEED", "42"),
             ("E2_BARRIER_ALGO", "nictree:8"),
@@ -435,7 +415,6 @@ mod tests {
             ("E7_RADIX", "4"),
             ("E3_METRICS", "1"),
         ]);
-        assert_eq!(o.sched, SchedMode::Lockstep);
         assert_eq!(o.fault_plan().drop_probability, 0.01);
         assert_eq!(o.fault_plan().seed, 42);
         assert_eq!(o.barrier_algo, BarrierAlgo::NicTree { radix: 8 });
@@ -457,7 +436,6 @@ mod tests {
             ("E2_FAULT_SEED", "x"),
             ("E2_PREFETCH", "two"),
             ("E7_RADIX", "k"),
-            ("E2_SCHED", "bogus"),
             ("E2_BARRIER_ALGO", "tree:x"),
             ("E2_BARRIER_ALGO", "ring"),
             ("E2_DIFF_FETCH", "bogus"),

@@ -5,12 +5,20 @@
 //!   full transport stack underneath;
 //! * the "infinitely fast network" ablation point — set `latency` to zero
 //!   and the remaining execution time is pure protocol + compute.
+//!
+//! There is no fabric here, but there is a scheduler: a `mem_cluster` is a
+//! client of `tm_sim::sched` exactly as the Myrinet fabric is. A send waits
+//! for its departure time to be the cluster's minimum event key, pushes,
+//! and reports the delivery; a blocking wait parks; a poll miss is a park
+//! on deadline *now*; dropping the endpoint marks the node done. So a
+//! memsub run is as byte-reproducible as a fabric run, and a memsub
+//! deadlock is the same diagnosis.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
+use tm_sim::{AsyncScheme, LockstepSched, Ns, SharedClock, SimParams, Wait};
 
 use crate::substrate::{Chan, IncomingMsg, Substrate};
 
@@ -21,23 +29,32 @@ struct MemMsg {
     arrival: Ns,
 }
 
-/// Construction halves: move one [`MemEndpoint`] into each node thread and
+/// Construction halves: move one [`MemEndpoint`] into each node body and
 /// wrap it with [`MemSubstrate::new`].
 pub struct MemEndpoint {
     id: usize,
     rx: Receiver<MemMsg>,
     txs: Vec<Sender<MemMsg>>,
+    sched: Arc<LockstepSched>,
+}
+
+impl Drop for MemEndpoint {
+    fn drop(&mut self) {
+        self.sched.mark_done(self.id);
+    }
 }
 
 /// Build endpoints for an `n`-node in-memory cluster.
 pub fn mem_cluster(n: usize) -> Vec<MemEndpoint> {
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+    let sched = Arc::new(LockstepSched::new(n));
     rxs.into_iter()
         .enumerate()
         .map(|(id, rx)| MemEndpoint {
             id,
             rx,
             txs: txs.clone(),
+            sched: Arc::clone(&sched),
         })
         .collect()
 }
@@ -75,6 +92,33 @@ impl MemSubstrate {
             requests: VecDeque::new(),
             responses: VecDeque::new(),
         }
+    }
+
+    /// Send `data` on `chan`, leaving at virtual time `depart`: released by
+    /// the scheduler in departure-key order, so every inbox fills in an
+    /// order the program alone decides.
+    fn send(&mut self, to: usize, chan: Chan, data: &[u8], depart: Ns) {
+        {
+            let mut c = self.clock.borrow_mut();
+            c.stats.msgs_sent += 1;
+            c.stats.bytes_sent += data.len() as u64;
+        }
+        self.ep.sched.request_transmit(self.ep.id, to, depart);
+        self.ep.txs[to]
+            .send(MemMsg {
+                from: self.ep.id,
+                chan,
+                data: data.to_vec(),
+                arrival: depart + self.latency,
+            })
+            .expect("peer gone");
+        self.ep.sched.deliver(to);
+    }
+
+    /// Whether a poll's miss at virtual time `now` is final: `false` if an
+    /// earlier-keyed send landed here first (re-drain and look again).
+    fn miss_settled(&self, now: Ns) -> bool {
+        self.ep.sched.park(self.ep.id, Some(now), None) == Wait::Deadline
     }
 
     fn stash(&mut self, m: MemMsg) {
@@ -141,36 +185,12 @@ impl Substrate for MemSubstrate {
     fn send_request(&mut self, to: usize, data: &[u8]) -> bool {
         self.clock.borrow_mut().advance(self.send_cost);
         let now = self.clock.borrow().now();
-        {
-            let mut c = self.clock.borrow_mut();
-            c.stats.msgs_sent += 1;
-            c.stats.bytes_sent += data.len() as u64;
-        }
-        self.ep.txs[to]
-            .send(MemMsg {
-                from: self.ep.id,
-                chan: Chan::Request,
-                data: data.to_vec(),
-                arrival: now + self.latency,
-            })
-            .expect("peer gone");
+        self.send(to, Chan::Request, data, now);
         true
     }
 
     fn send_request_at(&mut self, to: usize, data: &[u8], at: Ns) {
-        {
-            let mut c = self.clock.borrow_mut();
-            c.stats.msgs_sent += 1;
-            c.stats.bytes_sent += data.len() as u64;
-        }
-        self.ep.txs[to]
-            .send(MemMsg {
-                from: self.ep.id,
-                chan: Chan::Request,
-                data: data.to_vec(),
-                arrival: at + self.latency,
-            })
-            .expect("peer gone");
+        self.send(to, Chan::Request, data, at);
     }
 
     fn response_cost(&self, _len: usize) -> Ns {
@@ -178,53 +198,41 @@ impl Substrate for MemSubstrate {
     }
 
     fn send_response_at(&mut self, to: usize, data: &[u8], at: Ns) {
-        {
-            let mut c = self.clock.borrow_mut();
-            c.stats.msgs_sent += 1;
-            c.stats.bytes_sent += data.len() as u64;
-        }
-        self.ep.txs[to]
-            .send(MemMsg {
-                from: self.ep.id,
-                chan: Chan::Response,
-                data: data.to_vec(),
-                arrival: at + self.latency,
-            })
-            .expect("peer gone");
+        self.send(to, Chan::Response, data, at);
     }
 
     fn poll_request(&mut self) -> Option<IncomingMsg> {
-        self.drain();
-        let now = self.clock.borrow().now();
-        if self.requests.front().is_some_and(|m| m.arrival <= now) {
-            self.requests.pop_front()
-        } else {
-            None
+        loop {
+            self.drain();
+            let now = self.clock.borrow().now();
+            if self.requests.front().is_some_and(|m| m.arrival <= now) {
+                return self.requests.pop_front();
+            }
+            if self.miss_settled(now) {
+                return None;
+            }
         }
     }
 
     fn poll_incoming(&mut self) -> Option<IncomingMsg> {
-        self.drain();
-        let now = self.clock.borrow().now();
-        let arrived = |q: &VecDeque<IncomingMsg>| q.front().is_some_and(|m| m.arrival <= now);
-        if arrived(&self.requests) || arrived(&self.responses) {
-            self.pop_earliest()
-        } else {
-            None
+        loop {
+            self.drain();
+            let now = self.clock.borrow().now();
+            let arrived = |q: &VecDeque<IncomingMsg>| q.front().is_some_and(|m| m.arrival <= now);
+            if arrived(&self.requests) || arrived(&self.responses) {
+                return self.pop_earliest();
+            }
+            if self.miss_settled(now) {
+                return None;
+            }
         }
     }
 
     /// Reliable and in-memory: nothing is ever lost, so no timer needs
     /// to fire and no peer needs waiting out — both conditions are
-    /// ignored. The wait is a channel receive, which no scheduler sees:
-    /// inside a lockstep context it would stop the whole cluster, sender
-    /// included, so that is refused loudly.
+    /// ignored, and the park can only end in a delivery (or, if none can
+    /// ever come, in the scheduler's deadlock diagnosis).
     fn wait(&mut self, _deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
-        assert!(
-            tm_sim::context::current().is_none(),
-            "MemSubstrate blocks in the operating system and cannot run inside a lockstep \
-             context; run it on threads (`run_mem_dsm` does)"
-        );
         loop {
             self.drain();
             if let Some(msg) = self.pop_earliest() {
@@ -234,25 +242,14 @@ impl Substrate for MemSubstrate {
                 c.stats.bytes_recv += msg.data.len() as u64;
                 return Wait::Got(msg);
             }
-            match self.ep.rx.recv() {
-                Ok(m) => self.stash(m),
-                Err(_) => panic!(
-                    "node {}: blocked with all peers gone (deadlock or premature exit)",
-                    self.ep.id
-                ),
-            }
+            self.ep.sched.park(self.ep.id, None, None);
         }
     }
 }
 
-/// Run a DSM program over the in-memory substrate: one thread per node,
-/// each given a ready [`crate::Tmk`] runtime. Returns per-node outcomes in
-/// node order.
-///
-/// One thread per node *whatever `params.sched` says*: there is no fabric
-/// here and therefore no scheduler, and [`MemSubstrate::wait`] blocks in a
-/// channel receive. The cluster runs on a copy of `params` with
-/// `sched: FreeRun`; the cost fields the nodes read are unchanged.
+/// Run a DSM program over the in-memory substrate: an ordinary
+/// [`tm_sim::run_cluster`] in which each node is given a ready
+/// [`crate::Tmk`] runtime. Returns per-node outcomes in node order.
 pub fn run_mem_dsm<R, F>(
     n: usize,
     params: Arc<SimParams>,
@@ -267,11 +264,6 @@ where
     use parking_lot::Mutex;
     let endpoints: Mutex<Vec<Option<MemEndpoint>>> =
         Mutex::new(mem_cluster(n).into_iter().map(Some).collect());
-    let endpoints = Arc::new(endpoints);
-    let params = Arc::new(SimParams {
-        sched: tm_sim::SchedMode::FreeRun,
-        ..(*params).clone()
-    });
     tm_sim::run_cluster(n, params, move |env| {
         let ep = endpoints.lock()[env.id].take().expect("endpoint taken twice");
         let sub = MemSubstrate::new(
@@ -351,31 +343,29 @@ mod tests {
         assert_eq!(b.clock().borrow().now(), Ns::from_us(50));
     }
 
-    /// `run_mem_dsm` keeps its threads under lockstep params (on a shared
-    /// thread the first blocked receive would hang the cluster), and a
-    /// `MemSubstrate` that does find itself in a lockstep context says so
-    /// instead of hanging.
+    /// A node that waits for a message nobody will send does not hang the
+    /// run: `run_cluster` panics with every node's state.
     #[test]
-    fn lockstep_params_run_on_threads_and_a_context_is_refused() {
-        let lockstep = Arc::new(SimParams::lockstep_testbed());
-        let cfg = crate::TmkConfig::default();
-        let out = run_mem_dsm(2, Arc::clone(&lockstep), Ns::from_us(5), cfg, |tmk| {
-            for i in 0..3 {
-                tmk.barrier(i);
-            }
-            tm_sim::context::current()
-        });
-        assert!(out.iter().all(|o| o.result.is_none() && o.finish > Ns::ZERO));
-
-        let refused = std::panic::catch_unwind(|| {
-            tm_sim::run_cluster(1, lockstep, |env| {
-                let ep = mem_cluster(1).pop().unwrap();
+    fn a_wait_nobody_answers_is_a_deadlock_diagnosis() {
+        let eps = parking_lot::Mutex::new(mem_cluster(3).into_iter().map(Some).collect::<Vec<_>>());
+        let stuck = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tm_sim::run_cluster(3, Arc::new(SimParams::paper_testbed()), move |env| {
+                let ep = eps.lock()[env.id].take().unwrap();
                 let params = Arc::clone(&env.params);
-                MemSubstrate::new(ep, env.clock.clone(), params, Ns::ZERO, Ns::ZERO).wait(None, None)
+                let mut sub = MemSubstrate::new(ep, env.clock.clone(), params, Ns::ZERO, Ns::ZERO);
+                match env.id {
+                    0 => sub.send_request_at(1, b"only one", Ns(7)),
+                    1 => drop((sub.next_incoming(), sub.next_incoming())),
+                    _ => {}
+                }
             })
-        });
-        let msg = refused.err().expect("must panic").downcast::<&str>().expect("a message");
-        assert!(msg.contains("cannot run inside a lockstep context"), "{msg}");
+        }));
+        let payload = stuck.err().expect("must panic");
+        let msg = payload.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.starts_with("lockstep deadlock"), "{msg}");
+        assert!(msg.contains("contexts [1] have not finished"), "{msg}");
+        assert!(msg.contains("node 0: Done") && msg.contains("node 2: Done"), "{msg}");
+        assert!(msg.contains("node 1: Parked { deadline: None, watch: None }"), "{msg}");
     }
 
     #[test]

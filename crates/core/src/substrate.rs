@@ -24,18 +24,16 @@
 //! (FAST/GM, [`crate::memsub`]) never lose a message and never arm a
 //! timer, so they ignore both conditions and simply block.
 //!
-//! # Scheduling contract (lockstep mode)
+//! # Scheduling contract
 //!
-//! Under the lockstep scheduler (`tm_sim::sched`) a cluster's nodes are
-//! contexts on one thread and the fabric releases one event at a time, in
-//! virtual-key order. A substrate has nothing to declare for that: it
-//! participates by routing every send, every blocking wait and every
-//! poll miss through its NIC handle, which both transports in this
-//! workspace do. What it must *not* do is block in the operating system —
-//! the node that would unblock it shares the thread; [`crate::memsub`],
-//! whose waits are channel receives, therefore always runs on threads.
-//! Nothing at this level or above knows which scheduling regime is in
-//! force.
+//! A cluster's nodes are contexts on one thread and the scheduler
+//! (`tm_sim::sched`) releases one event at a time, in virtual-key order. A
+//! substrate has nothing to declare for that: it participates by routing
+//! every send, every blocking wait and every poll miss through a scheduler
+//! client — its NIC handle for the two transports, the scheduler itself
+//! for [`crate::memsub`]. What it must *not* do is block in the operating
+//! system: the node that would unblock it shares the thread. Nothing at
+//! this level or above knows a scheduler exists.
 
 use std::sync::Arc;
 

@@ -1,6 +1,6 @@
 //! The Tmk runtime: the TreadMarks API over a [`Substrate`].
 //!
-//! One `Tmk` lives in each node thread. The API mirrors TreadMarks':
+//! One `Tmk` lives in each node body. The API mirrors TreadMarks':
 //! `malloc`/`distribute`, `barrier`, lock `acquire`/`release`, plus the
 //! byte/typed accessors that stand in for direct loads and stores (they
 //! drive the page-fault state machine an mprotect build would).

@@ -799,7 +799,7 @@ impl<S: Substrate> Tmk<S> {
         self.respond(from, rid, Response::NoticeAck { barrier }, arrival, cost);
     }
 
-    /// Final synchronization before the node thread returns: a barrier, so
+    /// Final synchronization before the node body returns: a barrier, so
     /// no peer is left blocked on us.
     ///
     /// On a lossy transport every node that answers barrier arrivals

@@ -13,8 +13,7 @@
 //! allocations per message once the pool is warm.
 
 /// Thread-local buffer pool with GM-style power-of-two size classes: one
-/// pool per node when nodes are threads, one per cluster when they are
-/// lockstep contexts sharing the caller's thread.
+/// pool per cluster, whose nodes are contexts sharing the caller's thread.
 ///
 /// A class `s` holds buffers of capacity `2^s`; `take(cap)` hands out the
 /// smallest class that fits, `give(v)` returns a buffer to its class.

@@ -1,5 +1,5 @@
 //! End-to-end DSM protocol tests over the in-memory substrate: real
-//! multi-threaded clusters exercising lazy release consistency, locks,
+//! multi-node clusters exercising lazy release consistency, locks,
 //! barriers, twins/diffs, false sharing and GC fallback — independent of
 //! any transport model.
 

@@ -90,32 +90,6 @@ where
     })
 }
 
-/// Transport-erased runner for harness code that sweeps both subsystems.
-/// The body must be writable against the `Substrate`-generic `Tmk`; in
-/// practice benches define `fn body<S: Substrate>(tmk: &mut Tmk<S>)` and
-/// pass it twice.
-pub fn run_dsm<R, FF, FU>(
-    transport: Transport,
-    n: usize,
-    params: Arc<SimParams>,
-    tmk_cfg: TmkConfig,
-    fast_body: FF,
-    udp_body: FU,
-) -> Vec<NodeOutcome<R>>
-where
-    R: Send + 'static,
-    FF: Fn(&mut Tmk<FastSubstrate>) -> R + Send + Sync + 'static,
-    FU: Fn(&mut Tmk<UdpSubstrate>) -> R + Send + Sync + 'static,
-{
-    match transport {
-        Transport::Fast => {
-            let cfg = FastConfig::paper(&params);
-            run_fast_dsm(n, params, cfg, tmk_cfg, fast_body)
-        }
-        Transport::Udp => run_udp_dsm(n, params, tmk_cfg, udp_body),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

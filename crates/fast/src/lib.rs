@@ -31,6 +31,6 @@ pub mod cluster;
 pub mod substrate;
 pub mod udp;
 
-pub use cluster::{run_dsm, run_fast_dsm, run_udp_dsm, Transport};
+pub use cluster::{run_fast_dsm, run_udp_dsm, Transport};
 pub use substrate::{FastConfig, FastSubstrate};
 pub use udp::UdpSubstrate;

@@ -235,8 +235,7 @@ impl Substrate for UdpSubstrate {
         let lossy = p.faults.lossy()
             || p.faults.duplicate_probability > 0.0
             || p.faults.reorder_probability > 0.0
-            || p.faults.recvbuf_datagrams > 0
-            || p.udp.drop_probability > 0.0;
+            || p.faults.recvbuf_datagrams > 0;
         lossy.then(|| p.udp.rto)
     }
 

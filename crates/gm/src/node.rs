@@ -57,7 +57,7 @@ pub enum GmEvent {
     SendFailure { port: u8, dst: NodeId, dst_port: u8 },
 }
 
-/// Cross-thread blackboard on which receivers report rejected sends
+/// Cross-node blackboard on which receivers report rejected sends
 /// (sender-side resend timer expiry). Indexed `[node][port]`.
 pub struct FailureBoard {
     flags: Vec<[AtomicBool; NUM_PORTS as usize]>,
@@ -112,7 +112,7 @@ struct PortState {
     disabled: bool,
 }
 
-/// One node's GM endpoint. Owned by the node thread.
+/// One node's GM endpoint. Owned by the node.
 pub struct GmNode {
     nic: NicHandle,
     clock: SharedClock,
@@ -124,7 +124,7 @@ pub struct GmNode {
 }
 
 /// Build the GM-level cluster state: the fabric, the shared failure board
-/// and the per-node NIC handles. Each node thread then wraps its handle
+/// and the per-node NIC handles. Each node body then wraps its handle
 /// with [`GmNode::new`].
 pub fn gm_cluster(
     n: usize,
@@ -401,34 +401,39 @@ impl GmNode {
         Ok(())
     }
 
-    /// Sort newly arrived packets into per-port state; apply directed
-    /// sends to their target regions.
+    /// Admit one arrived packet: a directed send is written straight into
+    /// its registered region; anything else takes a preposted buffer of
+    /// its size class, or waits unmatched for one.
+    fn admit(&mut self, pkt: RawPacket) {
+        if let Some((region, offset)) = pkt.directed {
+            if let Some(r) = self.book.region_mut(region) {
+                let off = offset as usize;
+                let end = off + pkt.payload.len();
+                assert!(
+                    end <= r.data.len(),
+                    "directed send overruns region {region}"
+                );
+                r.data[off..end].copy_from_slice(&pkt.payload);
+            }
+            return;
+        }
+        if let Some(p) = self.ports[pkt.dst_port as usize].as_mut() {
+            let size = gm_size(pkt.payload.len());
+            if p.recv_buffers[size as usize] > 0 {
+                p.recv_buffers[size as usize] -= 1;
+                p.ready.push_back(pkt);
+            } else {
+                p.unmatched.push_back(pkt);
+            }
+        } // packets to closed ports vanish (GM drops them)
+    }
+
+    /// Sort newly arrived packets into per-port state.
     fn sort_arrivals(&mut self) {
         // Drain every GM port's raw queue.
         for port in 1..NUM_PORTS {
             while let Some(pkt) = self.nic.poll_port(port as u16) {
-                if let Some((region, offset)) = pkt.directed {
-                    // RDMA write straight into the registered region.
-                    if let Some(r) = self.book.region_mut(region) {
-                        let off = offset as usize;
-                        let end = off + pkt.payload.len();
-                        assert!(
-                            end <= r.data.len(),
-                            "directed send overruns region {region}"
-                        );
-                        r.data[off..end].copy_from_slice(&pkt.payload);
-                    }
-                    continue;
-                }
-                if let Some(p) = self.ports[port as usize].as_mut() {
-                    let size = gm_size(pkt.payload.len());
-                    if p.recv_buffers[size as usize] > 0 {
-                        p.recv_buffers[size as usize] -= 1;
-                        p.ready.push_back(pkt);
-                    } else {
-                        p.unmatched.push_back(pkt);
-                    }
-                } // packets to closed ports vanish (GM drops them)
+                self.admit(pkt);
             }
         }
         // Retry unmatched packets against buffers provided since, and
@@ -461,7 +466,7 @@ impl GmNode {
     /// Poll one port (`gm_receive`): non-blocking; returns a message whose
     /// arrival is at or before the node's current virtual time.
     ///
-    /// Under lockstep a miss is *settled* before it is reported
+    /// A miss is *settled* before it is reported
     /// ([`poll_quiesce`](tm_myrinet::NicHandle::poll_quiesce)): an event
     /// earlier than now that the scheduler has not released yet may still
     /// deliver a packet whose virtual arrival is ≤ now.
@@ -490,7 +495,6 @@ impl GmNode {
                 }
             }
             if self.nic.poll_quiesce(now) {
-                // Free-run, or lockstep with the miss settled.
                 self.clock.borrow_mut().advance(gm.recv_poll_miss);
                 return Ok(None);
             }
@@ -561,32 +565,9 @@ impl GmNode {
                 self.clock.borrow_mut().wait_until(earliest + timeout + Ns(1));
                 continue;
             }
-            // Genuinely idle: park on the NIC channel (under lockstep,
-            // on the scheduler).
+            // Genuinely idle: park on the NIC.
             let pkt = self.nic.wait(Some(&GM_PORTS), None, None).got();
-            self.handle_parked(pkt);
-        }
-    }
-
-    fn handle_parked(&mut self, pkt: RawPacket) {
-        let port = pkt.dst_port as usize;
-        if let Some((region, offset)) = pkt.directed {
-            if let Some(r) = self.book.region_mut(region) {
-                let off = offset as usize;
-                let end = off + pkt.payload.len();
-                assert!(end <= r.data.len(), "directed send overruns region");
-                r.data[off..end].copy_from_slice(&pkt.payload);
-            }
-            return;
-        }
-        if let Some(p) = self.ports[port].as_mut() {
-            let size = gm_size(pkt.payload.len());
-            if p.recv_buffers[size as usize] > 0 {
-                p.recv_buffers[size as usize] -= 1;
-                p.ready.push_back(pkt);
-            } else {
-                p.unmatched.push_back(pkt);
-            }
+            self.admit(pkt);
         }
     }
 

@@ -1,20 +1,20 @@
 //! The switch fabric: per-link serialization and cut-through forwarding.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use tm_sim::{LockstepSched, Ns, SchedMode, SimParams};
+use tm_sim::{LockstepSched, Ns, SimParams};
 
 use crate::nic::NicHandle;
 use crate::packet::{NodeId, RawPacket, FRAME_OVERHEAD};
 
 /// One node's full-duplex link state: the virtual time at which each
-/// direction is next free. Free-running, concurrent node threads serialize
-/// their occupancy with CAS loops, in wall-clock order; under lockstep one
-/// transmit at a time is released, in virtual-key order, so every CAS
-/// succeeds first time and the order is the keys'.
+/// direction is next free. The scheduler releases one transmit at a time,
+/// in virtual-key order, so reservations never race and each link's
+/// occupancy sequence is the keys' (atomics only because the fabric is
+/// shared behind an `Arc`).
 struct LinkState {
     tx_free: AtomicU64,
     rx_free: AtomicU64,
@@ -25,19 +25,14 @@ pub struct Fabric {
     params: Arc<SimParams>,
     links: Vec<LinkState>,
     inboxes: Vec<Sender<RawPacket>>,
-    /// Which nodes still hold their NIC (cleared by `NicHandle::drop`).
-    /// Free-running waits with a watch set, and the retransmission
-    /// give-up budget, read this; under lockstep a departure is the
-    /// scheduler's `Done` event instead.
-    alive: Vec<AtomicBool>,
     /// Extra switch traversals beyond the first (multi-stage fabrics for
     /// >16 nodes; the paper's 16-node testbed used a single crossbar).
     extra_hops: u32,
-    /// The lockstep scheduler, present iff the cluster runs under
-    /// [`SchedMode::Lockstep`]. Every transmit then waits for its virtual
+    /// The cluster's scheduler. Every transmit waits for its virtual
     /// injection time to be the cluster's minimum event key before it
-    /// reserves its links.
-    sched: Option<Arc<LockstepSched>>,
+    /// reserves its links; a node that has dropped its NIC is `Done`
+    /// there, which is all the liveness the fabric keeps.
+    sched: Arc<LockstepSched>,
     /// Sends that found the destination's inbox already closed: the
     /// receiver dropped its NIC while the packet was in flight. Always
     /// tolerated (a powered-off host simply eats late wire traffic) and
@@ -74,15 +69,12 @@ impl Fabric {
             levels += 1;
         }
         let extra_hops = 2 * (levels - 1);
-        let alive = (0..n).map(|_| AtomicBool::new(true)).collect();
-        let sched = (params.sched == SchedMode::Lockstep).then(|| Arc::new(LockstepSched::new(n)));
         let fabric = Arc::new(Fabric {
             params,
             links,
             inboxes,
-            alive,
             extra_hops,
-            sched,
+            sched: Arc::new(LockstepSched::new(n)),
             shutdown_races: AtomicU64::new(0),
         });
         let handles = receivers
@@ -97,19 +89,8 @@ impl Fabric {
         self.links.len()
     }
 
-    /// Mark a node's NIC as gone (called from `NicHandle::drop`).
-    pub(crate) fn mark_dead(&self, node: NodeId) {
-        // Pairs with the Acquire loads in `any_alive`.
-        self.alive[node].store(false, Ordering::Release);
-        if let Some(sched) = &self.sched {
-            sched.mark_done(node);
-        }
-    }
-
-    /// The lockstep scheduler, when this cluster runs under
-    /// [`SchedMode::Lockstep`].
-    pub(crate) fn sched(&self) -> Option<&Arc<LockstepSched>> {
-        self.sched.as_ref()
+    pub(crate) fn sched(&self) -> &Arc<LockstepSched> {
+        &self.sched
     }
 
     /// How many in-flight packets hit an already-departed node's inbox.
@@ -119,7 +100,7 @@ impl Fabric {
 
     /// Whether any of `nodes` still holds its NIC.
     pub fn any_alive(&self, nodes: &[NodeId]) -> bool {
-        nodes.iter().any(|&i| self.alive[i].load(Ordering::Acquire))
+        !self.sched.all_done(nodes)
     }
 
     pub fn params(&self) -> &SimParams {
@@ -127,21 +108,13 @@ impl Fabric {
     }
 
     /// Reserve `dur` of occupancy on a link, starting no earlier than
-    /// `earliest`. Returns the actual start time.
+    /// `earliest`. Returns the actual start time. `Relaxed`, and a load
+    /// and a store rather than a read-modify-write: the caller holds the
+    /// scheduler's release, so no other reservation is in progress.
     fn reserve(slot: &AtomicU64, earliest: Ns, dur: Ns) -> Ns {
-        let mut cur = slot.load(Ordering::Relaxed);
-        loop {
-            let start = cur.max(earliest.0);
-            match slot.compare_exchange_weak(
-                cur,
-                start + dur.0,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ns(start),
-                Err(actual) => cur = actual,
-            }
-        }
+        let start = slot.load(Ordering::Relaxed).max(earliest.0);
+        slot.store(start + dur.0, Ordering::Relaxed);
+        Ns(start)
     }
 
     /// Inject a packet. `inject_time` is the virtual time at which the
@@ -177,13 +150,11 @@ impl Fabric {
             self.push(src, dst, src_port, dst_port, payload, arrival, directed, lost);
             return arrival;
         }
-        // Under lockstep, wait until this injection is the cluster's
-        // minimum event. Nothing else runs between the release and the
-        // delivery below, so the reservations are uncontended and each
-        // link's occupancy sequence follows the keys.
-        if let Some(sched) = &self.sched {
-            sched.request_transmit(src, dst, inject_time);
-        }
+        // Wait until this injection is the cluster's minimum event.
+        // Nothing else runs between the release and the delivery below,
+        // so the reservations are uncontended and each link's occupancy
+        // sequence follows the keys.
+        self.sched.request_transmit(src, dst, inject_time);
         // Occupy our tx link.
         let tx_start = Self::reserve(&self.links[src].tx_free, inject_time, wire);
         // Head reaches the switch; cut-through forwards it as soon as
@@ -194,8 +165,8 @@ impl Fabric {
         let arrival = rx_start + wire + net.nic_rx;
         let delivered =
             self.push(src, dst, src_port, dst_port, payload, arrival, directed, lost);
-        if let (Some(sched), true) = (&self.sched, delivered) {
-            sched.deliver(dst);
+        if delivered {
+            self.sched.deliver(dst);
         }
         arrival
     }
@@ -236,14 +207,14 @@ impl Fabric {
     }
 }
 
-/// Test harness: an `n`-node lockstep cluster in which node `i` runs
+/// Test harness: an `n`-node cluster in which node `i` runs
 /// `body(fabric, nic i)`; the bodies' results in node order.
 #[cfg(test)]
-pub(crate) fn lockstep_cluster<R: Send + 'static>(
+pub(crate) fn cluster<R: Send + 'static>(
     n: usize,
     body: impl Fn(&Arc<Fabric>, NicHandle) -> R + Send + Sync + 'static,
 ) -> Vec<R> {
-    let params = Arc::new(SimParams::lockstep_testbed());
+    let params = Arc::new(SimParams::paper_testbed());
     let (fabric, nics) = Fabric::new(n, Arc::clone(&params));
     let nics = parking_lot::Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>());
     let out = tm_sim::run_cluster(n, params, move |env| {
@@ -323,18 +294,16 @@ mod tests {
     }
 
     #[test]
-    fn any_alive_tracks_mark_dead() {
+    fn any_alive_tracks_dropped_nics() {
         let (f, nics) = fabric(4);
-        // Keep the NICs alive for the duration of the test; their Drop
-        // would otherwise call mark_dead underneath us.
-        f.mark_dead(1);
-        f.mark_dead(2);
+        let mut nics: Vec<_> = nics.into_iter().map(Some).collect();
+        nics[1] = None;
+        nics[2] = None;
         assert!(f.any_alive(&[1, 2, 3]), "node 3 still up");
         assert!(!f.any_alive(&[1, 2]));
-        f.mark_dead(3);
+        nics[3] = None;
         assert!(!f.any_alive(&[1, 2, 3]));
         assert!(f.any_alive(&[0]), "we are still alive");
-        drop(nics);
     }
 
     #[test]
@@ -360,10 +329,10 @@ mod tests {
     /// queueing order and every arrival time) must follow virtual keys,
     /// whichever order the nodes run in.
     #[test]
-    fn lockstep_serializes_rx_contention_by_virtual_key() {
+    fn rx_contention_is_serialized_by_virtual_key() {
         // Node 2 receives; `late` injects at 2 µs, the other sender at 1 µs.
         let run = |late: NodeId| -> Vec<(NodeId, Ns)> {
-            let out = lockstep_cluster(3, move |_, mut nic| {
+            let out = cluster(3, move |_, mut nic| {
                 if nic.node() == 2 {
                     let (a, b) = (nic.recv_blocking(), nic.recv_blocking());
                     return vec![(a.src, a.arrival), (b.src, b.arrival)];
@@ -381,34 +350,5 @@ mod tests {
         assert!(asked_first[1].1 > asked_first[0].1);
         let asked_second: Vec<_> = run(1).into_iter().map(|(src, at)| (1 - src, at)).collect();
         assert_eq!(asked_first, asked_second, "arrival schedule must follow keys, not asking order");
-    }
-
-    #[test]
-    fn concurrent_reservations_never_overlap() {
-        use std::thread;
-        let (f, _nics) = fabric(2);
-        let wire = Ns::for_bytes(10_000 + FRAME_OVERHEAD, f.params().net.link_mb_s);
-        let mut handles = vec![];
-        for _ in 0..8 {
-            let f = Arc::clone(&f);
-            handles.push(thread::spawn(move || {
-                let mut starts = vec![];
-                for _ in 0..50 {
-                    let a = f.transmit(0, 1, 0, 0, Bytes::from(vec![0u8; 10_000]), Ns(0), None, false);
-                    starts.push(a);
-                }
-                starts
-            }));
-        }
-        let mut all: Vec<Ns> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort();
-        // 400 packets over one serialized link: arrivals must be spaced by
-        // at least the wire time of one packet.
-        for w in all.windows(2) {
-            assert!(w[1] - w[0] >= wire - Ns(2), "overlapping occupancy");
-        }
     }
 }

@@ -10,10 +10,11 @@
 //! this fabric, which is exactly the physical situation of the paper —
 //! UDP/GM and FAST/GM ran over the same NICs and switch.
 //!
-//! Delivery is via real channels: a free-running node thread blocking on
-//! [`NicHandle::recv_blocking`] is genuinely parked until a packet lands,
-//! so protocol deadlocks deadlock; a lockstep node's context is suspended
-//! in the scheduler instead, which reports them.
+//! Every transmit and every wait goes through the cluster's scheduler
+//! (`tm_sim::sched`), which the fabric owns: a node blocked in
+//! [`NicHandle::recv_blocking`] is a suspended context, packets land in
+//! virtual-key order, and a protocol deadlock is reported with every
+//! node's state instead of hanging.
 
 pub mod fabric;
 pub mod nic;

@@ -13,25 +13,13 @@ use crate::packet::{NodeId, RawPacket};
 /// Ports below this value belong to GM; at or above, to the sockets layer.
 pub const SOCKET_PORT_BASE: u16 = 1024;
 
-/// Wall-clock backstop of a free-running wait that carries a virtual
-/// deadline: if the channel stays silent this long in real time, nothing
-/// is in flight at all (only a receive-buffer overflow swallows traffic
-/// without a tombstone) and the wait reports its deadline. Virtual-time
-/// behavior never depends on the value.
-const HANG_GUARD: std::time::Duration = std::time::Duration::from_secs(1);
-
-/// Liveness re-poll period of a free-running watch-only wait (a shutdown
-/// linger, where "nothing arrives" is the expected steady state: peers
-/// exit without a goodbye).
-const LINGER_GUARD: std::time::Duration = std::time::Duration::from_millis(25);
-
 /// A node's handle on its NIC. Owned by the node.
 ///
 /// Incoming packets land on one channel; the handle demultiplexes them into
-/// per-port queues on demand. A free-running blocking receive parks the OS
-/// thread — if the protocol above deadlocks, the simulation visibly hangs
-/// rather than producing wrong numbers; under lockstep it suspends the
-/// node's context, and a deadlock is a panic naming every node's state.
+/// per-port queues on demand. A blocking receive parks on the cluster's
+/// scheduler, which suspends the node's context; if the protocol above
+/// deadlocks, the run panics naming every node's state rather than
+/// hanging or producing wrong numbers.
 pub struct NicHandle {
     node: NodeId,
     rx: Receiver<RawPacket>,
@@ -64,17 +52,13 @@ impl NicHandle {
         self.fabric.any_alive(nodes)
     }
 
-    /// Lockstep-only settlement of a non-blocking poll at virtual time
-    /// `t`: returns `true` once the scheduler has released every event
-    /// earlier than `t` (the poll's miss is then deterministic), or
-    /// `false` if one of them delivered a packet here first (the caller
-    /// must re-drain and re-examine its queues). Under free-run this
-    /// returns `true` immediately — free-run polls are allowed to race.
+    /// Settlement of a non-blocking poll's miss at virtual time `t`:
+    /// returns `true` once the scheduler has released every event earlier
+    /// than `t` (the miss is then final), or `false` if one of them
+    /// delivered a packet here first (the caller must re-drain and
+    /// re-examine its queues).
     pub fn poll_quiesce(&self, t: Ns) -> bool {
-        match self.fabric.sched() {
-            Some(s) => s.park(self.node, Some(t), None) == Wait::Deadline,
-            None => true,
-        }
+        self.fabric.sched().park(self.node, Some(t), None) == Wait::Deadline
     }
 
     /// Inject a packet from this node (sender side). Thin forwarding to
@@ -192,36 +176,27 @@ impl NicHandle {
     /// * Selection among queued packets is by earliest virtual arrival;
     ///   per sender the wire is FIFO.
     ///
-    /// This is the only place above [`Fabric`] that knows whether a
-    /// scheduler exists. Without one (free-run) the wait sleeps on the
-    /// channel: unbounded when neither condition is given (a protocol
-    /// deadlock then visibly hangs), otherwise in wall-clock slices of
-    /// `HANG_GUARD` (deadline set: true silence that long *is* the
-    /// deadline) or `LINGER_GUARD` (watch only: re-check the liveness
-    /// flags and sleep again).
+    /// The park is on the scheduler, never the channel: a cluster in which
+    /// nothing can end the wait is a panic naming every node's state —
+    /// from `run_cluster` when every node is stuck, from here when the
+    /// fabric is driven by hand outside a cluster and the wait has neither
+    /// a deadline nor a departed watch set to end it.
     pub fn wait(
         &mut self,
         ports: Option<&[u16]>,
         deadline: Option<Ns>,
         watch: Option<&[NodeId]>,
     ) -> Wait<RawPacket> {
-        let sched = self.fabric.sched().cloned();
         loop {
             self.drain();
             if let Some(i) = self.best_queued_idx(ports) {
                 return self.pop_if_due(i, deadline).map_or(Wait::Deadline, Wait::Got);
             }
-            let woke = match &sched {
-                // Park on the scheduler (never the channel): a cluster
-                // deadlock is a panic naming every node's state. On one
-                // thread nothing can land between the drain and the park.
-                Some(s) => s.park(self.node, deadline, watch),
-                None => self.sleep_unscheduled(deadline, watch),
-            };
-            // One last look at the queues: after a timeout only a packet
-            // due by the deadline counts; after the peers' departure
-            // whatever their final grants delivered does.
-            let (due_by, otherwise) = match woke {
+            // On one thread nothing can land between the drain and the
+            // park. After it, one last look at the queues: after a timeout
+            // only a packet due by the deadline counts; after the peers'
+            // departure whatever their final grants delivered does.
+            let (due_by, otherwise) = match self.fabric.sched().park(self.node, deadline, watch) {
                 Wait::Got(()) => continue,
                 Wait::Deadline => (deadline, Wait::Deadline),
                 Wait::PeersDone => (None, Wait::PeersDone),
@@ -245,32 +220,6 @@ impl NicHandle {
         q.pop_front()
     }
 
-    /// The free-run half of [`NicHandle::wait`]: sleep on the channel
-    /// and report what ended the sleep in the scheduler's vocabulary.
-    fn sleep_unscheduled(&mut self, deadline: Option<Ns>, watch: Option<&[NodeId]>) -> Wait<()> {
-        if watch.is_some_and(|w| !self.fabric.any_alive(w)) {
-            return Wait::PeersDone;
-        }
-        let arrived = if deadline.is_none() && watch.is_none() {
-            Some(self.rx.recv().unwrap_or_else(|_| {
-                panic!(
-                    "node {}: all senders shut down (protocol deadlock or premature exit)",
-                    self.node
-                )
-            }))
-        } else {
-            let guard = if deadline.is_some() { HANG_GUARD } else { LINGER_GUARD };
-            self.rx.recv_timeout(guard).ok()
-        };
-        match arrived {
-            Some(pkt) => self.stash(pkt),
-            None if deadline.is_some() => return Wait::Deadline,
-            // Watch only: go round again and re-read the liveness flags.
-            None => {}
-        }
-        Wait::Got(())
-    }
-
     /// Block until any packet at all arrives (raw benchmarks and tests).
     pub fn recv_blocking(&mut self) -> RawPacket {
         self.wait(None, None, None).got()
@@ -279,7 +228,7 @@ impl NicHandle {
 
 impl Drop for NicHandle {
     fn drop(&mut self) {
-        self.fabric.mark_dead(self.node);
+        self.fabric.sched().mark_done(self.node);
     }
 }
 
@@ -330,21 +279,10 @@ mod tests {
         assert_eq!(nics[1].queued(7), 1);
     }
 
+    /// A watch set that is already gone ends the wait at once, after one
+    /// last look at the queues.
     #[test]
-    fn blocking_wait_waits_for_sender_thread() {
-        use std::thread;
-        let (f, mut nics) = pair();
-        let mut n1 = nics.remove(1);
-        let t = thread::spawn(move || n1.wait(Some(&[3]), None, None).got().payload);
-        thread::sleep(std::time::Duration::from_millis(20));
-        f.transmit(0, 1, 0, 3, Bytes::from_static(b"wake"), Ns(0), None, false);
-        assert_eq!(&t.join().unwrap()[..], b"wake");
-    }
-
-    /// Free-run: a watch set that is already gone ends the wait at once,
-    /// after one last look at the queues.
-    #[test]
-    fn free_run_watch_reports_departed_peers() {
+    fn a_departed_watch_set_ends_the_wait_after_a_last_look() {
         let (f, mut nics) = pair();
         let mut n1 = nics.remove(1);
         f.transmit(0, 1, 0, 5, Bytes::from_static(b"last"), Ns(0), None, false);
@@ -354,13 +292,27 @@ mod tests {
         assert!(matches!(n1.wait(Some(&[5]), None, Some(&[0])), Wait::PeersDone));
     }
 
-    /// [`NicHandle::wait`] under lockstep, over its {deadline, no
+    /// A hand-driven wait that nothing can end — no packet queued, no
+    /// deadline, no watch set — is a diagnosis, not a hang.
+    #[test]
+    fn a_hand_driven_wait_nothing_can_end_is_a_diagnosis() {
+        let (_f, mut nics) = pair();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            nics[1].wait(None, None, None)
+        }))
+        .expect_err("must not block");
+        let msg = payload.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("node 1 waits") && msg.contains("outside a cluster context"), "{msg}");
+        assert!(msg.contains("node 0: Running"), "{msg}");
+    }
+
+    /// [`NicHandle::wait`] inside a cluster, over its {deadline, no
     /// deadline} × {watch, no watch} matrix. Node 1 waits on port 5; node
     /// 0 is the sender and the watched peer; any further node leaves at
     /// once. Every outcome is decided by virtual keys.
     #[test]
-    fn lockstep_wait_matrix() {
-        use crate::fabric::lockstep_cluster;
+    fn wait_matrix() {
+        use crate::fabric::cluster;
         const DEADLINE: Ns = Ns(100_000);
         fn show(w: Wait<RawPacket>) -> String {
             match w {
@@ -374,7 +326,7 @@ mod tests {
             n: usize,
             body: impl Fn(&Arc<Fabric>, NicHandle) -> Vec<String> + Send + Sync + 'static,
         ) -> Vec<String> {
-            lockstep_cluster(n, body).swap_remove(1)
+            cluster(n, body).swap_remove(1)
         }
         for deadline in [None, Some(DEADLINE)] {
             for watch in [None, Some([0usize])] {

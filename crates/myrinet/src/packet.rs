@@ -29,7 +29,7 @@ pub struct RawPacket {
     /// silently, which is exactly GM's semantics.
     pub directed: Option<(u32, u64)>,
     /// Fault-injection tombstone: the packet was "lost" in flight. It
-    /// still traverses the fabric so the receiving thread wakes at the
+    /// still traverses the fabric so the receiving node wakes at the
     /// packet's virtual arrival time (keeping loss handling deterministic
     /// — no wall-clock timeout guessing), but receivers must not deliver
     /// its payload. Real hardware gives no such courtesy; the sim uses it

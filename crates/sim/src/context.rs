@@ -1,10 +1,9 @@
 //! Stackful contexts on the caller's thread — and all of the workspace's
 //! `unsafe`.
 //!
-//! A lockstep cluster's nodes take turns: the scheduler ([`crate::sched`])
-//! releases one event at a time, so an OS thread per node would buy no
-//! parallelism, only a kernel hand-off per turn. Here a node is a
-//! *context* instead: a 16 MB `mmap`'d stack (lowest 64 KiB a `PROT_NONE`
+//! A cluster's nodes take turns: the scheduler ([`crate::sched`]) releases
+//! one event at a time, so an OS thread per node would buy no parallelism,
+//! only a kernel hand-off per turn. Here a node is a *context* instead: a 16 MB `mmap`'d stack (lowest 64 KiB a `PROT_NONE`
 //! guard) plus a saved stack pointer. [`run`] starts `n` of them on the
 //! thread that calls it and resumes them one at a time; a context runs
 //! until it calls [`suspend`] or its body returns, and nothing else on the
@@ -17,7 +16,7 @@
 //! signal-mask save (glibc's `swapcontext` pays a `rt_sigprocmask` per
 //! switch). It exists for Linux on x86_64 and aarch64 (the aarch64 half has
 //! been assembled and disassembled, never executed); on any other target
-//! [`run`] panics naming the target, and free-run clusters are unaffected.
+//! [`run`] — and so every `run_cluster` — panics naming the target.
 //!
 //! What a reader with a debugger should know: a suspended context is not a
 //! thread. `info threads` shows one thread per *cluster*; the stacks of the
@@ -41,7 +40,7 @@
 
 use std::sync::Arc;
 
-/// Decides which suspended context runs next: the lockstep scheduler.
+/// Decides which suspended context runs next: the scheduler.
 pub trait Driver {
     /// The context to resume now — one released earlier (first released,
     /// first resumed), failing that the owner of the minimum pending event,
@@ -315,8 +314,8 @@ mod imp {
             let mut e = e.borrow_mut();
             assert!(
                 e.is_none(),
-                "nested lockstep cluster: this thread is already running one (a lockstep \
-                 `run_cluster` inside a node body must be free-run, or on a thread of its own)"
+                "nested lockstep cluster: this thread is already running one (a `run_cluster` \
+                 inside a node body needs a thread of its own)"
             );
             *e = Some(exec);
         });
@@ -440,8 +439,8 @@ mod imp {
 
     pub fn run(_n: usize, _stack_bytes: usize, _body: impl Fn(usize) + 'static) {
         panic!(
-            "SchedMode::Lockstep runs nodes as stackful contexts, which tm-sim implements for \
-             Linux on x86_64 and aarch64; this target is {}-{}. SchedMode::FreeRun works here.",
+            "run_cluster runs nodes as stackful contexts, which tm-sim implements for Linux on \
+             x86_64 and aarch64; this target is {}-{}",
             std::env::consts::ARCH,
             std::env::consts::OS
         );

@@ -3,10 +3,10 @@
 //! The paper's evaluation ran on a 16-node Pentium-III / Myrinet-2000
 //! cluster. That hardware does not exist here, so the entire reproduction
 //! runs on a *virtual-time* substrate: every simulated node executes the
-//! real DSM protocol code — on an OS thread of its own when the cluster
-//! free-runs, as a context on the caller's thread under the lockstep
-//! scheduler — but time is a per-node logical clock advanced by modeled
-//! costs instead of wall time.
+//! real DSM protocol code, as a context on the thread that called
+//! [`run_cluster`], but time is a per-node logical clock advanced by
+//! modeled costs instead of wall time, and which node moves next is
+//! decided from those clocks alone — every run is byte-reproducible.
 //!
 //! The pieces:
 //!
@@ -18,12 +18,11 @@
 //! * [`params`] — the calibrated cost model (Myrinet wire model, GM host
 //!   overheads, UDP kernel-stack costs, DSM memory-management costs).
 //! * [`stats`] — per-node event counters used by the experiment harness.
-//! * [`runner`] — runs one body per node, in either regime, and joins the
-//!   results.
-//! * [`sched`] — the lockstep scheduler: one event at a time, minimum
-//!   virtual key first.
-//! * [`context`] — the stackful contexts lockstep nodes run as: the one
-//!   module in the workspace that is not safe Rust (CI greps for that).
+//! * [`runner`] — runs one body per node and collects the results.
+//! * [`sched`] — the scheduler: one event at a time, minimum virtual key
+//!   first, and only when no node is running.
+//! * [`context`] — the stackful contexts nodes run as: the one module in
+//!   the workspace that is not safe Rust (CI greps for that).
 //!
 //! Nothing in this crate knows about GM, UDP, or TreadMarks; it is the
 //! substrate everything else is built on.
@@ -43,6 +42,6 @@ pub use clock::{AsyncScheme, NodeClock, SharedClock};
 pub use faults::FaultPlan;
 pub use params::SimParams;
 pub use runner::{run_cluster, NodeEnv};
-pub use sched::{LockstepSched, SchedMode, Wait};
+pub use sched::{LockstepSched, Wait};
 pub use stats::NodeStats;
 pub use time::Ns;

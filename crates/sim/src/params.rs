@@ -14,7 +14,6 @@
 
 use crate::clock::AsyncScheme;
 use crate::faults::FaultPlan;
-use crate::sched::SchedMode;
 use crate::time::Ns;
 
 /// Wire and switch model for the Myrinet-2000 fabric.
@@ -142,10 +141,6 @@ pub struct UdpParams {
     pub mtu: usize,
     /// Per-fragment kernel bookkeeping beyond the first.
     pub per_fragment: Ns,
-    /// Probability an entire datagram is dropped (UDP is unreliable; the
-    /// paper could not even measure UDP/GM bandwidth because of this).
-    /// Timing runs default to 0.
-    pub drop_probability: f64,
     /// Initial DSM retransmission timeout (virtual time). Only consulted
     /// when the run is lossy; a zero-fault run never arms the timer.
     /// Stock TreadMarks used a comparable per-request UDP timeout.
@@ -164,7 +159,6 @@ impl Default for UdpParams {
             rx_interrupt: Ns(8_000),
             mtu: 1_500,
             per_fragment: Ns(2_000),
-            drop_probability: 0.0,
             rto: Ns::from_us(400),
             rto_retries: 12,
         }
@@ -235,10 +229,6 @@ pub struct SimParams {
     pub cpu: CpuParams,
     /// Deterministic fault-injection plan; all-off by default.
     pub faults: FaultPlan,
-    /// Node-interleaving regime: free-running threads (wall-clock
-    /// arbitration under contention) or lockstep contexts on one thread
-    /// (byte-reproducible). See [`crate::sched`].
-    pub sched: SchedMode,
 }
 
 impl SimParams {
@@ -247,14 +237,11 @@ impl SimParams {
         SimParams::default()
     }
 
-    /// The paper's testbed under the lockstep scheduler
-    /// ([`SchedMode::Lockstep`]): identical cost model, byte-reproducible
-    /// node interleaving. The default for all pinned-output tests.
+    /// The same value as [`SimParams::paper_testbed`]: every cluster runs
+    /// on the scheduler ([`crate::sched`]) now, so there is no second
+    /// regime to select. Kept for `benchmark/`, which still calls it.
     pub fn lockstep_testbed() -> Self {
-        SimParams {
-            sched: SchedMode::Lockstep,
-            ..SimParams::default()
-        }
+        SimParams::paper_testbed()
     }
 
     /// The async scheme the paper adopted for FAST/GM (modified firmware).

@@ -6,33 +6,31 @@
 //! collects the per-node results. Higher layers (tm-fast, tmk, tm-bench)
 //! build their per-node state inside the body closure.
 //!
-//! # Two regimes
+//! # One thread
 //!
-//! Under [`SchedMode::FreeRun`] every node is a real OS thread and the
-//! cluster uses the host's cores. Under [`SchedMode::Lockstep`] the nodes
-//! are cooperatively switched contexts on the *caller's* thread
-//! ([`crate::context`]): the lockstep scheduler releases one event at a
-//! time, so threads would buy no parallelism, only a kernel hand-off per
-//! event. A lockstep node body therefore must not block in the operating
-//! system (a channel receive, a sleep, a lock another node holds): the node
-//! that would unblock it shares the thread. Blocking on the fabric —
-//! through a `NicHandle` — is what suspends a context.
+//! The nodes are cooperatively switched contexts on the *caller's* thread
+//! ([`crate::context`]): the scheduler ([`crate::sched`]) releases one
+//! event at a time, so threads would buy no parallelism, only a kernel
+//! hand-off per event and a wall-clock order no run could reproduce. A
+//! node body therefore must not block in the operating system (a channel
+//! receive, a sleep, a lock another node holds): the node that would
+//! unblock it shares the thread. Blocking on the cluster's scheduler —
+//! through a `NicHandle` or a `MemSubstrate` — is what suspends a context.
+//! Cores are for independent clusters: each `run_cluster` call is confined
+//! to its thread, so any number may run side by side.
 
 use std::cell::RefCell;
-use std::panic::resume_unwind;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::thread;
 
 use crate::clock::{shared_clock, SharedClock};
 use crate::context;
 use crate::params::SimParams;
-use crate::sched::SchedMode;
 use crate::stats::NodeStats;
 use crate::time::Ns;
 
-/// Stack of one node body, in either regime: application kernels recurse
-/// and keep page-sized buffers on it.
+/// Stack of one node body: application kernels recurse and keep
+/// page-sized buffers on it.
 pub const NODE_STACK: usize = 16 << 20;
 
 /// Identity and environment handed to each node body.
@@ -78,51 +76,33 @@ fn run_node<R>(
     }
 }
 
-/// Run `body` once per node and collect the outcomes, ordered by node id:
-/// on `nprocs` threads under [`SchedMode::FreeRun`], as `nprocs` contexts
-/// on this thread under [`SchedMode::Lockstep`] (module docs).
+/// Run `body` once per node, as `nprocs` contexts on this thread (module
+/// docs), and collect the outcomes, ordered by node id.
 ///
-/// A node body's panic is re-raised here with its own payload. A protocol
-/// deadlock is a panic naming every node's state under lockstep; free-run
-/// it shows up as a hung test, which is intentional: blocking is real
-/// blocking. A lockstep `run_cluster` inside a lockstep node body is
-/// rejected.
+/// A node body's panic is re-raised here with its own payload; a protocol
+/// deadlock is a panic naming every node's state. A `run_cluster` inside a
+/// node body is rejected. The `Send + Sync` bounds predate the one-thread
+/// runner and are kept for its callers' signatures.
+///
+/// # Panics
+///
+/// Off Linux on x86_64 / aarch64, naming the target: the context switch
+/// ([`crate::context`]) exists for those two only.
 pub fn run_cluster<R, F>(nprocs: usize, params: Arc<SimParams>, body: F) -> Vec<NodeOutcome<R>>
 where
     R: Send + 'static,
     F: Fn(&NodeEnv) -> R + Send + Sync + 'static,
 {
     assert!(nprocs >= 1, "cluster needs at least one node");
-    match params.sched {
-        SchedMode::Lockstep => {
-            let outcomes = Rc::new(RefCell::new(Vec::new()));
-            let sink = Rc::clone(&outcomes);
-            context::run(nprocs, NODE_STACK, move |id| {
-                let outcome = run_node(id, nprocs, &params, &body);
-                sink.borrow_mut().push(outcome);
-            });
-            let mut outcomes = outcomes.take();
-            outcomes.sort_by_key(|o| o.id);
-            outcomes
-        }
-        SchedMode::FreeRun => {
-            let body = Arc::new(body);
-            let handles: Vec<_> = (0..nprocs)
-                .map(|id| {
-                    let (body, params) = (Arc::clone(&body), Arc::clone(&params));
-                    thread::Builder::new()
-                        .name(format!("node-{id}"))
-                        .stack_size(NODE_STACK)
-                        .spawn(move || run_node(id, nprocs, &params, &*body))
-                        .expect("spawn node thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-                .collect()
-        }
-    }
+    let outcomes = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&outcomes);
+    context::run(nprocs, NODE_STACK, move |id| {
+        let outcome = run_node(id, nprocs, &params, &body);
+        sink.borrow_mut().push(outcome);
+    });
+    let mut outcomes = outcomes.take();
+    outcomes.sort_by_key(|o| o.id);
+    outcomes
 }
 
 /// The paper reports "execution time" as the time of the slowest node.
@@ -176,54 +156,35 @@ mod tests {
         assert_eq!(out[0].result, 42);
     }
 
-    fn regimes() -> [Arc<SimParams>; 2] {
-        [
-            Arc::new(SimParams::paper_testbed()),
-            Arc::new(SimParams::lockstep_testbed()),
-        ]
-    }
-
     #[test]
-    fn lockstep_nodes_are_contexts_on_the_callers_thread_and_free_run_nodes_are_threads() {
-        let caller = thread::current().id();
-        let [free_run, lockstep] = regimes();
-        let whereabouts = |params| {
-            let out = run_cluster(3, params, |_| (thread::current().id(), context::current()));
-            out.into_iter().map(|o| o.result).collect::<Vec<_>>()
-        };
+    fn nodes_are_contexts_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let out = run_cluster(3, Arc::new(SimParams::default()), |_| {
+            (std::thread::current().id(), context::current())
+        });
+        let whereabouts: Vec<_> = out.into_iter().map(|o| o.result).collect();
         assert_eq!(
-            whereabouts(lockstep),
+            whereabouts,
             [(caller, Some(0)), (caller, Some(1)), (caller, Some(2))]
         );
-        assert!(whereabouts(free_run)
-            .iter()
-            .all(|(t, c)| *t != caller && c.is_none()));
         assert_eq!(context::current(), None);
     }
 
     #[test]
     fn a_node_panic_leaves_run_cluster_with_its_own_payload() {
-        for params in regimes() {
-            let sched = params.sched;
-            let msg = panic_message(|| {
-                run_cluster(3, params, |env| {
-                    assert!(env.id != 1, "node {} says no", env.id)
-                });
+        let msg = panic_message(|| {
+            run_cluster(3, Arc::new(SimParams::default()), |env| {
+                assert!(env.id != 1, "node {} says no", env.id)
             });
-            assert_eq!(msg, "node 1 says no", "{sched:?}");
-        }
+        });
+        assert_eq!(msg, "node 1 says no");
     }
 
     #[test]
-    fn a_lockstep_cluster_inside_a_lockstep_node_is_rejected_and_a_free_run_one_is_not() {
-        let [free_run, lockstep] = regimes();
-        let inner = run_cluster(1, Arc::clone(&lockstep), move |_| {
-            run_cluster(2, Arc::clone(&free_run), |env| env.id)[1].result
-        });
-        assert_eq!(inner[0].result, 1);
+    fn a_cluster_inside_a_node_body_is_rejected() {
         let msg = panic_message(|| {
-            run_cluster(1, Arc::clone(&lockstep), move |_| {
-                run_cluster(1, Arc::clone(&lockstep), |_| ());
+            run_cluster(1, Arc::new(SimParams::default()), |env| {
+                run_cluster(1, Arc::clone(&env.params), |_| ());
             });
         });
         assert!(msg.contains("nested lockstep cluster"), "{msg}");

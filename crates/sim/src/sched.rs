@@ -1,24 +1,22 @@
-//! Lockstep scheduler: byte-reproducible virtual-time runs.
+//! The scheduler: every cluster is a byte-reproducible virtual-time run.
 //!
 //! # Why
 //!
-//! Every number this simulator reports is virtual-time arithmetic, yet a
-//! free-running cluster is not reproducible: when several node threads
-//! transmit to the same destination "at once", the *wall-clock* order in
-//! which they win the fabric's link-reservation CAS decides the virtual
-//! queueing order on the shared rx link. Barrier storms (N arrivals
-//! converging on the manager) therefore jitter run to run.
+//! Every number this simulator reports is virtual-time arithmetic, so the
+//! order in which nodes act on shared state — who reserves a contended rx
+//! link first, whether a poll sees a packet, which peers a lingering node
+//! saw leave — must be a function of the program, not of the host. It is:
+//! the nodes of a cluster are contexts on one thread ([`crate::context`])
+//! and this module decides, from virtual time alone, which of them moves.
 //!
 //! # How
 //!
-//! Under [`SchedMode::Lockstep`] the nodes of a cluster are contexts on one
-//! thread ([`crate::context`]), and every *fabric action* — a wire
-//! transmission, the expiry of a virtual receive deadline, the settlement
-//! of a non-blocking poll — is an **event** with a totally ordered key
-//! `(virtual time, node id)`. A node has at most one event on offer, so
-//! keys never tie. [`LockstepSched`] is the quiescence rule and nothing
-//! else: **an event is released only when no node is running, and then
-//! the minimum key goes, alone.**
+//! Every *fabric action* — a wire transmission, the expiry of a virtual
+//! receive deadline, the settlement of a non-blocking poll — is an
+//! **event** with a totally ordered key `(virtual time, node id)`. A node
+//! has at most one event on offer, so keys never tie. [`LockstepSched`] is
+//! the quiescence rule and nothing else: **an event is released only when
+//! no node is running, and then the minimum key goes, alone.**
 //!
 //! A node that must wait — [`LockstepSched::request_transmit`] before it
 //! may reserve links, [`LockstepSched::park`] in a blocking receive or on a
@@ -42,47 +40,31 @@
 //! leave) are therefore a pure function of the program, and by induction
 //! so is every virtual timestamp, counter and memory image.
 //!
+//! The scheduler's clients are the Myrinet fabric (`tm-myrinet`) and the
+//! in-memory substrate (`tmk::memsub`): a send is `request_transmit`,
+//! push, `deliver`; a blocking receive is `park`; a poll miss is a park on
+//! deadline *now*; dropping the endpoint is `mark_done`.
+//!
+//! # Outside a context
+//!
+//! A test that builds a fabric and drives both ends from its own thread
+//! runs no contexts: the caller is the only thing running, so program
+//! order *is* the order. A wait that offers a key (a transmit, a deadline,
+//! a poll miss) settles at once; one that offers none could only be ended
+//! by code that will never run, and panics with every node's state.
+//!
+//! # Failure is a diagnosis
+//!
 //! A cluster in which every node waits and no key is on offer can never
-//! move again. The free-running path would hang in `Receiver::recv`;
-//! here [`crate::context::run`] panics with every node's state
-//! ([`Driver::describe`]).
+//! move again: [`crate::context::run`] panics with every node's state
+//! ([`Driver::describe`]). Nothing in the workspace blocks in the
+//! operating system, so nothing hangs.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::context::{self, Driver};
 use crate::time::Ns;
-
-/// How the cluster's nodes are interleaved.
-///
-/// * `FreeRun` — one OS thread per node, unsynchronized; link reservations
-///   arbitrate by compare-and-swap in wall-clock order. Uses the host's
-///   cores, and is deterministic only for workloads whose message order is
-///   fully serialized by data dependencies.
-/// * `Lockstep` — one context per node on the caller's thread; all fabric
-///   actions are sequenced by [`LockstepSched`] in virtual-key order; runs
-///   are byte-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// Free-running threads, wall-clock CAS arbitration (the fast default).
-    #[default]
-    FreeRun,
-    /// Lockstep on one thread: deterministic, byte-reproducible runs.
-    Lockstep,
-}
-
-impl SchedMode {
-    /// Parse from an environment-style string: `lockstep` (any case)
-    /// selects [`SchedMode::Lockstep`]; `freerun`, `free` or the empty
-    /// string select [`SchedMode::FreeRun`].
-    pub fn parse(s: &str) -> Option<SchedMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "" | "free" | "freerun" => Some(SchedMode::FreeRun),
-            "lockstep" => Some(SchedMode::Lockstep),
-            _ => None,
-        }
-    }
-}
 
 /// Outcome of a blocking wait at every layer — the scheduler's `park`
 /// (`Wait<()>`), the NIC's `wait`, the UDP stack's `recv`, a substrate's
@@ -177,10 +159,11 @@ impl State {
     }
 }
 
-/// The lockstep scheduler of one cluster fabric (module docs). Every
-/// method is called by the node it names, from that node's context; the
-/// mutex is never contended and never held across a suspension — it is
-/// there because the fabric that owns the scheduler is `Sync`.
+/// The scheduler of one cluster (module docs). Every method is called by
+/// the node it names — from that node's context, or from the one thread
+/// that drives every node by hand; the mutex is never contended and never
+/// held across a suspension — it is there because the fabric that owns the
+/// scheduler is `Sync`.
 pub struct LockstepSched {
     state: Mutex<State>,
 }
@@ -203,7 +186,8 @@ impl LockstepSched {
     /// Wait in state `st` until released. Settles inline — no suspension —
     /// when `st` offers a key, every other node is waiting or gone, and
     /// the key is below all of theirs: the context would be suspended only
-    /// to be the one `next` picks.
+    /// to be the one `next` picks. Outside a context (module docs) any key
+    /// settles, and a wait without one is refused.
     fn block(self: &Arc<Self>, node: usize, st: St) -> Wait<()> {
         {
             let mut s = self.lock();
@@ -218,12 +202,13 @@ impl LockstepSched {
             }
             let Some(ctx) = context::current() else {
                 drop(s);
-                panic!(
-                    "node {node} must wait ({st:?}) but is not running in a lockstep cluster's \
-                     context: drive a lockstep fabric from `run_cluster` bodies, or build it \
-                     free-run\n{}",
+                assert!(
+                    st.key().is_some(),
+                    "node {node} waits ({st:?}) outside a cluster context with no transmit, \
+                     deadline or poll on offer: nothing that could end the wait will ever run\n{}",
                     self.describe()
                 );
+                return Wait::Deadline;
             };
             let wake = None;
             s.nodes[node] = NodeSt { st, ctx, wake };
@@ -263,23 +248,23 @@ impl LockstepSched {
     /// its inbox first; on one thread nothing can land in between.
     ///
     /// The deadline is what retransmission timers run on, and what settles
-    /// a *non-blocking poll*: a free-running poll races in-flight traffic,
-    /// and the answer steers retroactive request service, so under lockstep
-    /// a poll miss at virtual time `t` is a park on deadline `t` —
-    /// `Timeout` means every earlier event has been released and "nothing
-    /// arrived by `t`" is final, `Delivered` means look again. The watch is
-    /// what makes shutdown lingers and the exit fan deterministic: "have
-    /// my peers exited?" is not a wall-clock poll of liveness flags but an
-    /// ordered scheduler event, so the messages a lingering node serves
-    /// before concluding `PeersDone` — and whether a timer armed against a
-    /// departing peer fires or cancels — are pure functions of the program.
+    /// a *non-blocking poll*: the answer steers retroactive request
+    /// service, and traffic keyed earlier than the poll may not have been
+    /// released yet, so a poll miss at virtual time `t` is a park on
+    /// deadline `t` — [`Wait::Deadline`] means every earlier event has been
+    /// released and "nothing arrived by `t`" is final, [`Wait::Got`] means
+    /// look again. The watch is what makes shutdown lingers and the exit
+    /// fan deterministic: "have my peers exited?" is an ordered scheduler
+    /// event, so the messages a lingering node serves before concluding
+    /// `PeersDone` — and whether a timer armed against a departing peer
+    /// fires or cancels — are pure functions of the program.
     pub fn park(
         self: &Arc<Self>,
         node: usize,
         deadline: Option<Ns>,
         watch: Option<&[usize]>,
     ) -> Wait<()> {
-        if watch.is_some_and(|w| self.lock().all_done(w)) {
+        if watch.is_some_and(|w| self.all_done(w)) {
             return Wait::PeersDone;
         }
         let st = St::Parked {
@@ -287,6 +272,13 @@ impl LockstepSched {
             watch: watch.map(<[usize]>::to_vec),
         };
         self.block(node, st)
+    }
+
+    /// Whether every node in `nodes` has left
+    /// ([`LockstepSched::mark_done`]): the cluster's one record of
+    /// liveness.
+    pub fn all_done(&self, nodes: &[usize]) -> bool {
+        self.lock().all_done(nodes)
     }
 
     /// `node`'s NIC has left the fabric (its handle was dropped): it
@@ -344,16 +336,6 @@ mod tests {
             body(node, &sched);
             sched.mark_done(node);
         });
-    }
-
-    #[test]
-    fn sched_mode_parses() {
-        assert_eq!(SchedMode::parse("lockstep"), Some(SchedMode::Lockstep));
-        assert_eq!(SchedMode::parse("LOCKSTEP"), Some(SchedMode::Lockstep));
-        assert_eq!(SchedMode::parse(""), Some(SchedMode::FreeRun));
-        assert_eq!(SchedMode::parse("freerun"), Some(SchedMode::FreeRun));
-        assert_eq!(SchedMode::parse("bogus"), None);
-        assert_eq!(SchedMode::default(), SchedMode::FreeRun);
     }
 
     /// Two nodes transmit to the same receiver and the later key asks
@@ -445,44 +427,64 @@ mod tests {
         });
     }
 
-    /// A node whose key is the minimum while every other node waits or is
-    /// gone settles inline. Driven from a plain thread, where a suspension
-    /// would panic, so returning at all is the proof; the one wait that
-    /// does not qualify says what it needed.
+    /// Inside a context: a node whose key is the minimum while every other
+    /// node waits or is gone settles inline, leaving no trace; a node whose
+    /// key is not the minimum is suspended until it is.
     #[test]
     fn the_minimum_key_of_a_quiescent_cluster_settles_without_a_switch() {
-        let sched = Arc::new(LockstepSched::new(3));
-        sched.mark_done(2);
-        sched.lock().nodes[1].st = St::Parked {
-            deadline: Some((Ns(1_000), 1)),
-            watch: None,
-        };
-        sched.request_transmit(0, 1, Ns(999));
-        assert_eq!(sched.park(0, Some(Ns(999)), None), Wait::Deadline);
-        // Equal times: the lower node id is the smaller key.
-        assert_eq!(sched.park(0, Some(Ns(1_000)), None), Wait::Deadline);
-        assert!(
-            sched.describe().contains("node 0: Running"),
-            "an inline settle leaves no trace"
-        );
-
-        let msg = panic_message(|| sched.request_transmit(0, 1, Ns(1_001)));
-        assert!(
-            msg.contains("node 0 must wait") && msg.contains("free-run"),
-            "{msg}"
-        );
-        assert!(
-            msg.contains("node 1: Parked { deadline: Some((Ns(1000), 1)), watch: None }"),
-            "{msg}"
-        );
-        // So does a running peer, whatever the keys: it may yet offer less.
-        sched.lock().nodes[1].st = St::Running;
-        let msg = panic_message(|| sched.request_transmit(0, 1, Ns(1)));
-        assert!(msg.contains("node 1: Running"), "{msg}");
+        cluster(3, |node, sched| match node {
+            0 => {
+                // Suspended (node 1 has not started); resumed with node 1
+                // parked on 1000 and node 2 gone.
+                assert_eq!(sched.park(0, Some(Ns(5)), None), Wait::Deadline);
+                sched.request_transmit(0, 1, Ns(999));
+                // Equal times: the lower node id is the smaller key.
+                assert_eq!(sched.park(0, Some(Ns(1_000)), None), Wait::Deadline);
+                let seen = sched.describe();
+                assert!(seen.contains("node 0: Running"), "{seen}");
+                assert!(seen.contains("node 1: Parked"), "{seen}");
+                // A later key must wait: node 1's deadline goes first.
+                sched.request_transmit(0, 1, Ns(1_001));
+                assert!(sched.describe().contains("node 1: Done"));
+            }
+            1 => assert_eq!(sched.park(1, Some(Ns(1_000)), None), Wait::Deadline),
+            _ => {}
+        });
     }
 
-    /// Every node waiting and no key on offer: the free-running path would
-    /// hang; lockstep names every node's state.
+    /// Outside a context the caller is the only thing running, so program
+    /// order is the order: a wait that offers a key settles at once,
+    /// whatever the other nodes' states say; one that offers none can never
+    /// end and is refused with every node's state.
+    #[test]
+    fn outside_a_context_a_keyed_wait_settles_and_a_keyless_one_is_refused() {
+        let sched = Arc::new(LockstepSched::new(3));
+        sched.mark_done(2);
+        // Node 1 "running" with nothing on offer would hold node 0 back
+        // inside a context; here nobody else can run.
+        sched.request_transmit(0, 1, Ns(1_001));
+        assert_eq!(sched.park(0, Some(Ns(999)), None), Wait::Deadline);
+        assert_eq!(sched.park(0, Some(Ns(999)), Some(&[1])), Wait::Deadline);
+        assert_eq!(sched.park(0, None, Some(&[2])), Wait::PeersDone);
+        assert!(
+            sched.describe().contains("node 0: Running"),
+            "settling leaves no trace"
+        );
+        for watch in [None, Some(&[1usize][..])] {
+            let msg = panic_message(|| {
+                let _ = sched.park(0, None, watch);
+            });
+            assert!(msg.contains("node 0 waits"), "{msg}");
+            assert!(msg.contains("outside a cluster context"), "{msg}");
+            assert!(
+                msg.contains("node 1: Running") && msg.contains("node 2: Done"),
+                "{msg}"
+            );
+        }
+    }
+
+    /// Every node waiting and no key on offer: the run names every node's
+    /// state instead of hanging.
     #[test]
     fn a_cluster_that_cannot_move_is_a_diagnosis() {
         let msg = panic_message(|| {

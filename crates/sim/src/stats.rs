@@ -37,7 +37,8 @@ pub struct NodeStats {
     /// Barrier episodes participated in.
     pub barriers: u64,
     // --- fault & reliability counters ---------------------------------
-    /// Datagrams lost in flight (injected drops + legacy drop_probability).
+    /// Datagrams lost: dropped in flight by the fault plan, or on socket
+    /// receive-buffer overflow.
     pub dgrams_dropped: u64,
     /// Datagrams delivered twice by the fault plan.
     pub dgrams_duplicated: u64,

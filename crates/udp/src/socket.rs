@@ -4,7 +4,7 @@
 //! passes through `UdpStack::push_wire`, where the seeded per-node
 //! fault stream decides drop / duplicate / reorder / corrupt. Losses are
 //! injected as *tombstones* — `RawPacket { lost: true }` still traverses
-//! the fabric so the receiving thread wakes at the datagram's virtual
+//! the fabric so the receiving node wakes at the datagram's virtual
 //! arrival time. That keeps loss observable in virtual time (no
 //! wall-clock timeout guessing), which is what makes retransmission
 //! counts exactly reproducible.
@@ -53,13 +53,12 @@ struct SocketState {
     pub sigio: bool,
 }
 
-/// One node's kernel socket layer. Owned by the node thread.
+/// One node's kernel socket layer. Owned by the node.
 pub struct UdpStack {
     nic: NicHandle,
     clock: SharedClock,
     params: Arc<SimParams>,
     sockets: Vec<SocketState>,
-    rng: SmallRng,
     /// Fault-plan stream; `Some` only when the plan injects datagram
     /// faults, so zero-fault runs draw nothing and stay bit-identical.
     fault_rng: Option<SmallRng>,
@@ -72,7 +71,6 @@ pub struct UdpStack {
 
 impl UdpStack {
     pub fn new(nic: NicHandle, clock: SharedClock, params: Arc<SimParams>) -> Self {
-        let seed = 0x7ead_a55e_u64 ^ (nic.node() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let f = &params.faults;
         let fault_rng = if f.drop_probability > 0.0
             || f.duplicate_probability > 0.0
@@ -95,7 +93,6 @@ impl UdpStack {
             clock,
             params,
             sockets: Vec::new(),
-            rng: SmallRng::seed_from_u64(seed),
             fault_rng,
             sockbuf,
             drops: 0,
@@ -183,8 +180,8 @@ impl UdpStack {
         self.push_wire(dst, dst_port, src_port, data, inject)
     }
 
-    /// Put one datagram on the wire, applying the loss model and the
-    /// fault plan. Returns `false` when the datagram was dropped.
+    /// Put one datagram on the wire, applying the fault plan. Returns
+    /// `false` when the datagram was dropped.
     fn push_wire(
         &mut self,
         dst: NodeId,
@@ -195,8 +192,7 @@ impl UdpStack {
     ) -> bool {
         let sp = SOCKET_PORT_BASE + src_port;
         let dp = SOCKET_PORT_BASE + dst_port;
-        let legacy_p = self.params.udp.drop_probability;
-        if self.fault_rng.is_none() && legacy_p == 0.0 {
+        if self.fault_rng.is_none() {
             // Clean fast path: bit-identical to the pre-fault stack.
             self.nic
                 .inject(dst, sp, dp, Bytes::copy_from_slice(data), inject, None);
@@ -209,19 +205,16 @@ impl UdpStack {
         if f.checksum_frames() {
             buf.extend_from_slice(&checksum32(data).to_le_bytes());
         }
-        // Loss: the legacy knob draws from the legacy stream (unchanged
-        // sequence), the plan from its own. Both leave a tombstone so the
-        // receiver still wakes at the would-be arrival.
-        let mut dropped = legacy_p > 0.0 && self.rng.random::<f64>() < legacy_p;
-        if !dropped && f.drop_probability > 0.0 {
+        if f.drop_probability > 0.0 {
             let r = self.fault_rng.as_mut().expect("fault rng");
-            dropped = r.random::<f64>() < f.drop_probability;
-        }
-        if dropped {
-            self.drops += 1;
-            self.clock.borrow_mut().stats.dgrams_dropped += 1;
-            self.nic.inject_lost(dst, sp, dp, Bytes::from(buf), inject);
-            return false;
+            if r.random::<f64>() < f.drop_probability {
+                // A tombstone, so the receiver still wakes at the
+                // would-be arrival.
+                self.drops += 1;
+                self.clock.borrow_mut().stats.dgrams_dropped += 1;
+                self.nic.inject_lost(dst, sp, dp, Bytes::from(buf), inject);
+                return false;
+            }
         }
         if f.corrupt_probability > 0.0 {
             let r = self.fault_rng.as_mut().expect("fault rng");
@@ -360,7 +353,7 @@ impl UdpStack {
     /// kernel processing completed by the node's current virtual time.
     /// Tombstones are discarded silently — the kernel never saw them.
     ///
-    /// Under lockstep a miss is settled through the NIC's
+    /// A miss is settled through the NIC's
     /// [`poll_quiesce`](tm_myrinet::NicHandle::poll_quiesce) before being
     /// reported, as on the user-space path (`GmNode::receive` in `tm-gm`).
     pub fn try_recvfrom(&mut self, port: u16) -> Option<Datagram> {
@@ -563,25 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_probability_loses_datagrams() {
-        let params = {
-            let mut p = SimParams::paper_testbed();
-            p.udp.drop_probability = 1.0;
-            p
-        };
-        let mut s = stacks_with(2, params);
-        let mut b = s.pop().unwrap();
-        let mut a = s.pop().unwrap();
-        a.bind(1, false);
-        b.bind(2, false);
-        assert!(!a.sendto(1, 2, 1, b"doomed"));
-        assert_eq!(a.drops, 1);
-        assert_eq!(a.clock().borrow().stats.dgrams_dropped, 1);
-        b.clock().borrow_mut().advance(Ns::from_ms(10));
-        assert!(b.try_recvfrom(2).is_none());
-    }
-
-    #[test]
     fn dropped_datagram_leaves_a_tombstone() {
         let params = {
             let mut p = SimParams::paper_testbed();
@@ -597,11 +571,15 @@ mod tests {
         a.bind(1, false);
         b.bind(2, false);
         assert!(!a.sendto(1, 2, 1, b"doomed"));
+        assert_eq!(a.drops, 1);
+        assert_eq!(a.clock().borrow().stats.dgrams_dropped, 1);
         // The receiver still wakes: recv surfaces the tombstone.
         let (port, d) = b.recv(&[2], None, None).got();
         assert_eq!(port, 2);
         assert!(d.lost);
-        // But the polled path never shows it.
+        // But the polled path never shows it, however late it looks.
+        assert!(!a.sendto(1, 2, 1, b"doomed too"));
+        b.clock().borrow_mut().advance(Ns::from_ms(10));
         assert!(b.try_recvfrom(2).is_none());
     }
 
@@ -711,21 +689,14 @@ mod tests {
         assert_eq!(b.clock().borrow().stats.dgrams_dropped, 3);
     }
 
-    /// A deadline wait whose timer fires first: over a silent wire (under
-    /// lockstep, where the deadline is a scheduler event — free-running
-    /// it would sit out the NIC's wall-clock hang guard), and ahead of a
-    /// datagram that is already queued but becomes ready only after the
-    /// deadline. Either way the clock has advanced to the deadline
+    /// A deadline wait whose timer fires first: over a silent wire, and
+    /// ahead of a datagram that is already queued but becomes ready only
+    /// after the deadline. Either way the clock has advanced to the deadline
     /// (virtual, not wall time) and nothing is consumed.
     #[test]
     fn recv_deadline_fires_before_silence_and_late_arrivals() {
         for late_arrival in [false, true] {
-            let params = if late_arrival {
-                SimParams::paper_testbed()
-            } else {
-                SimParams::lockstep_testbed()
-            };
-            let mut s = stacks_with(2, params);
+            let mut s = stacks(2);
             let mut b = s.pop().unwrap();
             let mut a = s.pop().unwrap();
             a.bind(1, false);
@@ -735,9 +706,6 @@ mod tests {
                 a.sendto(1, 2, 1, b"late");
                 Ns(10)
             } else {
-                // The silent peer leaves: every other node gone and the
-                // deadline the only key on offer, the wait settles inline.
-                drop(a);
                 Ns::from_us(500)
             };
             let deadline = b.clock().borrow().now() + wait;

@@ -9,8 +9,8 @@
 //! see).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::cell::Cell;
+use std::sync::Arc;
 
 use tm_apps::{sor_parallel, sor_seq, SorConfig};
 use tm_fast::{run_fast_dsm, FastConfig};
@@ -19,17 +19,26 @@ use tmk::diff::Diff;
 use tmk::wire::{WireReader, WireWriter};
 use tmk::TmkConfig;
 
-/// Counts every `alloc` and `realloc`, on every thread.
+/// Counts every `alloc` and `realloc`, per thread: a cluster's nodes are
+/// contexts on the thread that runs it, so a test's own count is all of its
+/// run's and none of its neighbours' or the harness's.
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // Not counted during thread teardown, when the slot is gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic
-// that publishes no other data.
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` without a destructor, so touching it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -38,7 +47,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -47,21 +56,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The counter is process-wide and the harness runs tests on parallel
-/// threads: each test holds this while it counts.
-static COUNTING: Mutex<()> = Mutex::new(());
-
-/// The lock guards no data, so a test that failed while holding it leaves
-/// nothing broken behind: the other test still reports its own result.
-fn counting() -> MutexGuard<'static, ()> {
-    COUNTING.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Allocations made anywhere in the process while `f` runs.
+/// Allocations made on this thread while `f` runs.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.get();
     let r = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, r)
+    (ALLOCS.get() - before, r)
 }
 
 /// Every other word changed: the 512-run page a red-black sweep leaves.
@@ -76,7 +75,6 @@ fn alternating_page() -> (Vec<u8>, Vec<u8>) {
 
 #[test]
 fn a_512_run_diff_costs_a_constant_number_of_allocations() {
-    let _guard = counting();
     let (twin, cur) = alternating_page();
     // Warm the thread's buffer pool and size the writer up front: neither
     // is a per-diff cost.
@@ -108,18 +106,16 @@ fn a_512_run_diff_costs_a_constant_number_of_allocations() {
     }
 }
 
-/// Allocations one small lockstep SOR run may make, cluster set-up and
-/// scheduler included (those wobble by a handful with thread timing, so
-/// this is a ceiling, not an equality). One buffer per diff: about 5 100.
-/// One `Vec` per run: 74 726, more than ten times the budget.
+/// Allocations one small SOR run may make, cluster set-up and scheduler
+/// included. One buffer per diff: 3 704. One `Vec` per run: more than ten
+/// times the budget.
 const SOR_BUDGET: u64 = 7_000;
 
 #[test]
 fn a_small_lockstep_sor_run_stays_inside_its_allocation_budget() {
-    let _guard = counting();
     let cfg = SorConfig::new(64, 512, 2);
     let (want, _) = sor_seq(&cfg);
-    let params = Arc::new(SimParams::lockstep_testbed());
+    let params = Arc::new(SimParams::paper_testbed());
     let fast = FastConfig::paper(&params);
     let (allocs, out) = allocs_during(|| {
         run_fast_dsm(4, params, fast, TmkConfig::default(), move |tmk| {

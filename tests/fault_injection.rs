@@ -106,9 +106,8 @@ fn one_percent_loss_completes_with_identical_memory() {
 /// A fully serialized 2-node round: every message is ordered by a data
 /// or barrier dependency, so each node's send sequence is its program
 /// order and the seeded drop schedule lands on the same datagrams every
-/// run. (The 4-node workload above is *correct* under loss but its
-/// concurrent requesters race in wall-clock time, so global counter
-/// totals vary run to run — see DESIGN.md, "Failure model".)
+/// run. (So does it on the concurrent 4-node workload above, since the
+/// scheduler orders every send — `tests/lockstep.rs` pins that one.)
 fn serialized_workload<S: Substrate>(tmk: &mut Tmk<S>) -> u32 {
     let r = tmk.malloc(2 * 4096);
     tmk.barrier(0);

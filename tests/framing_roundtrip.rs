@@ -103,7 +103,7 @@ fn udp_roundtrips_across_the_datagram_limit() {
 /// Responses straddling the rendezvous threshold travel announce → pull →
 /// RDMA → complete; below it they use a preposted buffer. Either way the
 /// requester must see identical bytes. Needs both nodes live (the pull is
-/// serviced by the responder), hence the threaded cluster.
+/// serviced by the responder), hence the cluster.
 #[test]
 fn fast_rendezvous_threshold_roundtrips() {
     let params = params();

@@ -1,30 +1,31 @@
-//! Lockstep-scheduler reproducibility tests.
+//! Reproducibility tests.
 //!
-//! Under `SchedMode::Lockstep` a cluster's nodes are contexts on the
-//! caller's thread and the fabric releases one event at a time, in
-//! virtual-key order (`tm_sim::sched`), so a run's observable outcome —
-//! shared memory, per-node stats, per-node virtual clocks — is a function
-//! of the program alone. Four batteries: the same workload run twice (and
-//! from two OS threads at once) must agree byte for byte; over randomized
-//! drop/duplicate/reorder fault schedules, FreeRun and Lockstep must
-//! converge to identical shared memory (scheduling may reorder recovery,
-//! never corrupt it); and the schedule itself is pinned: fingerprints
-//! recorded under the threaded, fully serial scheduler this one descends
-//! from.
+//! A cluster's nodes are contexts on the caller's thread and the
+//! scheduler releases one event at a time, in virtual-key order
+//! (`tm_sim::sched`), so a run's observable outcome — shared memory,
+//! per-node stats, per-node virtual clocks — is a function of the program
+//! alone, on every substrate. Four batteries: the same workload run twice
+//! (and from two OS threads at once) must agree byte for byte, over
+//! FAST/GM, UDP/GM and the in-memory substrate; over randomized
+//! drop/duplicate/reorder fault schedules a faulty run must converge to
+//! the fault-free run's shared memory (faults may reorder recovery, never
+//! corrupt it); and the schedule itself is pinned: fingerprints recorded
+//! under the threaded, fully serial scheduler this one descends from.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::{FaultPlan, Ns, SimParams};
+use tmk::memsub::run_mem_dsm;
 use tmk::{Substrate, Tmk, TmkConfig};
 
 const NODES: usize = 4;
 const PAGES: usize = 4;
 const INCRS: u32 = 6;
 
-fn lockstep_params() -> Arc<SimParams> {
-    Arc::new(SimParams::lockstep_testbed())
+fn params() -> Arc<SimParams> {
+    Arc::new(SimParams::paper_testbed())
 }
 
 /// Contended barrier + lock + multi-writer round. Returns the node's full
@@ -65,13 +66,13 @@ fn fingerprint(out: &[tm_sim::runner::NodeOutcome<Vec<u8>>]) -> Vec<(u64, String
 }
 
 fn fast_run() -> Vec<(u64, String, Vec<u8>)> {
-    let p = lockstep_params();
+    let p = params();
     let cfg = FastConfig::paper(&p);
     fingerprint(&run_fast_dsm(NODES, p, cfg, TmkConfig::default(), workload))
 }
 
 fn udp_run() -> Vec<(u64, String, Vec<u8>)> {
-    fingerprint(&run_udp_dsm(NODES, lockstep_params(), TmkConfig::default(), workload))
+    fingerprint(&run_udp_dsm(NODES, params(), TmkConfig::default(), workload))
 }
 
 #[test]
@@ -113,41 +114,44 @@ fn concurrent_lockstep_clusters_do_not_see_each_other() {
     assert!(udp_both.iter().all(|f| *f == udp_alone), "UDP/GM cluster was disturbed");
 }
 
-/// A lockstep cluster is exact wherever it is launched from — no external
-/// `taskset`, whatever the caller's affinity mask. The body is the repo
-/// benchmark's `sync64_fast` in small: FAST/GM, rounds of {lock; one-word
+const STORM_NODES: usize = 16;
+
+/// The repo benchmark's `sync64_fast` in small: rounds of {lock; one-word
 /// update; unlock; barrier}, almost no data, so hand-offs between nodes
-/// are all there is. 16 nodes × 5 rounds is the smallest shape that
-/// diverged reliably while lockstep nodes were threads on every core of a
-/// 2-CPU host (7 and 12 distinct outcomes in 12 and 18 runs). As contexts
-/// on one thread there is no interleaving left to diverge on; the test
-/// stays as the regression it was written to be.
-#[test]
-fn fast_lockstep_is_exact_on_all_cores() {
-    const STORM_NODES: usize = 16;
+/// are all there is. Returns the lock-guarded words.
+fn storm<S: Substrate>(tmk: &mut Tmk<S>) -> Vec<u8> {
     const ROUNDS: usize = 5;
     const LOCKS: usize = 4;
+    let me = tmk.proc_id();
+    let words = tmk.malloc(4096);
+    tmk.barrier(0);
+    for r in 0..ROUNDS {
+        let l = (me + r) % LOCKS;
+        tmk.acquire(l as u32);
+        let v = tmk.get_u32(words, l);
+        tmk.set_u32(words, l, v + (me * 31 + r) as u32 + 1);
+        tmk.release(l as u32);
+        tmk.barrier(1 + r as u32);
+    }
+    (0..LOCKS)
+        .flat_map(|l| tmk.get_u32(words, l).to_le_bytes())
+        .collect()
+}
+
+/// A cluster is exact wherever it is launched from — no external
+/// `taskset`, whatever the caller's affinity mask. 16 nodes × 5 rounds of
+/// [`storm`] over FAST/GM is the smallest shape that diverged reliably
+/// while nodes were threads on every core of a 2-CPU host (7 and 12
+/// distinct outcomes in 12 and 18 runs). As contexts on one thread there is
+/// no interleaving left to diverge on; the test stays as the regression it
+/// was written to be.
+#[test]
+fn fast_lockstep_is_exact_on_all_cores() {
     const RUNS: usize = 6;
     let run = || {
-        let p = lockstep_params();
+        let p = params();
         let cfg = FastConfig::paper(&p);
-        let out = run_fast_dsm(STORM_NODES, p, cfg, TmkConfig::default(), |tmk| {
-            let me = tmk.proc_id();
-            let words = tmk.malloc(4096);
-            tmk.barrier(0);
-            for r in 0..ROUNDS {
-                let l = (me + r) % LOCKS;
-                tmk.acquire(l as u32);
-                let v = tmk.get_u32(words, l);
-                tmk.set_u32(words, l, v + (me * 31 + r) as u32 + 1);
-                tmk.release(l as u32);
-                tmk.barrier(1 + r as u32);
-            }
-            (0..LOCKS)
-                .flat_map(|l| tmk.get_u32(words, l).to_le_bytes())
-                .collect()
-        });
-        fingerprint(&out)
+        fingerprint(&run_fast_dsm(STORM_NODES, p, cfg, TmkConfig::default(), storm))
     };
     let first = run();
     for i in 1..RUNS {
@@ -155,17 +159,32 @@ fn fast_lockstep_is_exact_on_all_cores() {
     }
 }
 
+/// The in-memory substrate is a scheduler client like the fabric: the same
+/// storm over `run_mem_dsm` fingerprints identically twice — finish times
+/// and idle counters included, which no run on OS threads could repeat.
+#[test]
+fn memsub_double_run_is_byte_identical() {
+    let run = || {
+        let cfg = TmkConfig::default();
+        fingerprint(&run_mem_dsm(STORM_NODES, params(), Ns::from_us(5), cfg, storm))
+    };
+    let first = run();
+    assert_eq!(run(), first, "memsub run diverged from its repeat");
+    assert!(
+        first.iter().all(|f| f.2 == first[0].2 && f.0 > 0),
+        "nodes disagree on the lock-guarded words"
+    );
+}
+
 #[test]
 fn udp_lockstep_pins_faulty_run_signatures() {
-    // The 4-node concurrent workload whose fault counters were documented
-    // as wall-clock-dependent under FreeRun (see tests/fault_injection.rs,
-    // "A fully serialized 2-node round"): under Lockstep the *concurrent*
-    // version must reproduce exactly — the barrier manager's shutdown
-    // linger included: peer departure is an ordered scheduler event, so
-    // node 0's finish, idle time and linger-served duplicate counters are
-    // as pinned as everyone else's.
+    // The 4-node concurrent workload whose fault counters depended on the
+    // wall clock while nodes were threads: it must reproduce exactly — the
+    // barrier manager's shutdown linger included: peer departure is an
+    // ordered scheduler event, so node 0's finish, idle time and
+    // linger-served duplicate counters are as pinned as everyone else's.
     let run = || {
-        let mut p = SimParams::lockstep_testbed();
+        let mut p = SimParams::paper_testbed();
         p.faults = FaultPlan {
             drop_probability: 0.08,
             duplicate_probability: 0.05,
@@ -194,14 +213,9 @@ fn udp_lockstep_pins_faulty_run_signatures() {
     );
 }
 
-/// Shared-memory outcome of the workload under a given scheduler mode and
-/// fault plan.
-fn memory_under(sched_lockstep: bool, faults: FaultPlan) -> Vec<u8> {
-    let mut p = if sched_lockstep {
-        SimParams::lockstep_testbed()
-    } else {
-        SimParams::paper_testbed()
-    };
+/// Shared-memory outcome of the workload under a fault plan.
+fn memory_under(faults: FaultPlan) -> Vec<u8> {
+    let mut p = SimParams::paper_testbed();
     p.faults = faults;
     let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), workload);
     for o in &out {
@@ -225,21 +239,19 @@ fn plan_pm(seed: u64, drop_pm: u32, dup_pm: u32, reorder_pm: u32) -> FaultPlan {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Scheduling regime equivalence: over randomized drop/duplicate/
-    /// reorder schedules, FreeRun and Lockstep recover to the *same*
-    /// shared memory. The scheduler may only change when things happen,
-    /// never what the DSM computes.
+    /// Over randomized drop/duplicate/reorder schedules the faulty run
+    /// recovers to the *same* shared memory as the fault-free run. Faults
+    /// may only change when things happen, never what the DSM computes.
     #[test]
-    fn freerun_and_lockstep_agree_on_memory(
+    fn faulty_and_fault_free_runs_agree_on_memory(
         seed in 1u64..1_000_000,
         drop_pm in 0u32..80,      // ‰ (per-mille) → ≤ 8% loss
         dup_pm in 0u32..60,
         reorder_pm in 0u32..60,
     ) {
-        let plan = plan_pm(seed, drop_pm, dup_pm, reorder_pm);
-        let free = memory_under(false, plan.clone());
-        let lock = memory_under(true, plan);
-        prop_assert_eq!(free, lock, "schedulers disagree on final memory");
+        let faulty = memory_under(plan_pm(seed, drop_pm, dup_pm, reorder_pm));
+        let clean = memory_under(FaultPlan::default());
+        prop_assert_eq!(faulty, clean, "faults changed the final memory");
     }
 }
 
@@ -282,7 +294,7 @@ fn lockstep_schedule_matches_the_recorded_serial_schedule() {
         (31_337,  10, 40, 20, [4_061_149, 4_077_899, 4_084_918], 0x219b_6854_7c44_1779),
     ];
     for (seed, drop_pm, dup_pm, reorder_pm, finish, digest) in goldens {
-        let mut p = SimParams::lockstep_testbed();
+        let mut p = SimParams::paper_testbed();
         p.faults = plan_pm(seed, drop_pm, dup_pm, reorder_pm);
         let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), workload);
         let plan = (seed, drop_pm, dup_pm, reorder_pm);

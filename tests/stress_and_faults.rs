@@ -126,13 +126,13 @@ fn gm_buffer_exhaustion_disables_and_recovers() {
     assert!(a.send(2, 1, 2, &buf, 16).is_ok());
 }
 
-/// UDP loss: with the loss model on, datagrams vanish after the sender
-/// pays its costs (socket-level check; DSM timing runs keep loss at 0,
-/// as documented in DESIGN.md).
+/// UDP loss: with the fault plan dropping, datagrams vanish after the
+/// sender pays its costs (socket-level check; DSM timing runs keep loss at
+/// 0, as documented in DESIGN.md).
 #[test]
 fn udp_loss_model_loses() {
     let mut p = SimParams::paper_testbed();
-    p.udp.drop_probability = 0.5;
+    p.faults.drop_probability = 0.5;
     let p = Arc::new(p);
     let (_f, mut nics) = tm_myrinet::Fabric::new(2, Arc::clone(&p));
     let mut b = tm_udp::UdpStack::new(nics.pop().unwrap(), shared_clock(), Arc::clone(&p));
