@@ -7,11 +7,10 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use tm_bench::print_header;
 use tm_fast::{FastConfig, FastSubstrate};
 use tm_gm::{gm_cluster, gm_size, DmaPool};
-use tm_sim::{run_cluster, Ns, SimParams};
+use tm_sim::{run_cluster_with, Ns, SimParams};
 use tm_udp::UdpStack;
 use tmk::Substrate;
 
@@ -23,9 +22,7 @@ const BW_MSG_BYTES: usize = 64 * 1024;
 fn raw_gm() -> (f64, f64) {
     let params = Arc::new(SimParams::paper_testbed());
     let (_f, board, nics) = gm_cluster(2, Arc::clone(&params));
-    let nics = Arc::new(Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>()));
-    let out = run_cluster(2, Arc::clone(&params), move |env| {
-        let nic = nics.lock()[env.id].take().unwrap();
+    let out = run_cluster_with(params, nics, move |env, nic| {
         let mut gm = tm_gm::GmNode::new(
             nic,
             env.clock.clone(),
@@ -101,9 +98,7 @@ fn raw_gm() -> (f64, f64) {
 fn fast_gm() -> (f64, f64) {
     let params = Arc::new(SimParams::paper_testbed());
     let (_f, board, nics) = gm_cluster(2, Arc::clone(&params));
-    let nics = Arc::new(Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>()));
-    let out = run_cluster(2, Arc::clone(&params), move |env| {
-        let nic = nics.lock()[env.id].take().unwrap();
+    let out = run_cluster_with(params, nics, move |env, nic| {
         let mut sub = FastSubstrate::new(
             nic,
             env.clock.clone(),
@@ -159,9 +154,7 @@ fn fast_gm() -> (f64, f64) {
 fn udp_gm() -> (f64, f64) {
     let params = Arc::new(SimParams::paper_testbed());
     let (_f, nics) = tm_myrinet::Fabric::new(2, Arc::clone(&params));
-    let nics = Arc::new(Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>()));
-    let out = run_cluster(2, Arc::clone(&params), move |env| {
-        let nic = nics.lock()[env.id].take().unwrap();
+    let out = run_cluster_with(params, nics, move |env, nic| {
         let mut udp = UdpStack::new(nic, env.clock.clone(), Arc::clone(&env.params));
         udp.bind(9, false);
         let me = env.id;

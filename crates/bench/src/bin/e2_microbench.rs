@@ -6,11 +6,11 @@
 
 use std::sync::Arc;
 
-use tm_bench::{print_header, print_row, print_row_header};
+use tm_bench::{print_header, print_row, print_row_header, with_metrics};
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::stats::NodeStats;
 use tm_sim::{Ns, SimParams};
-use tmk::{DiffFetch, LayerMetrics, LockPath, MetricsHandle, Substrate, Tmk, TmkConfig};
+use tmk::{DiffFetch, LockPath, MetricsHandle, Substrate, Tmk, TmkConfig};
 
 const ROUNDS: u64 = 20;
 const PAGES: usize = 64;
@@ -37,36 +37,10 @@ fn tally<R>(outcomes: &[tm_sim::runner::NodeOutcome<R>]) {
     }
 }
 
-/// Per-layer event tallies across every workload and node, reported at
-/// the end when `E2_METRICS` is set. Off by default so stdout stays
-/// byte-identical to an uninstrumented run.
-static METRICS: std::sync::Mutex<Option<LayerMetrics>> = std::sync::Mutex::new(None);
-
-fn metrics_enabled() -> bool {
-    tm_bench::opts().e2_metrics
-}
-
 /// The DSM configuration under test (`E2_BARRIER_ALGO`, `E2_DIFF_FETCH`,
 /// `E2_LOCK_PATH`, `E2_PREFETCH`).
 fn tmk_cfg() -> TmkConfig {
     tm_bench::opts().tmk_config()
-}
-
-/// Run one benchmark body, tapping the event hook into the global tally
-/// when metrics are requested. The hook charges no virtual time, so the
-/// measured numbers are identical either way.
-fn instrumented<S: Substrate>(tmk: &mut Tmk<S>, body: fn(&mut Tmk<S>) -> u64) -> u64 {
-    let handle = metrics_enabled().then(|| MetricsHandle::install(tmk));
-    let r = body(tmk);
-    if let Some(h) = handle {
-        METRICS
-            .lock()
-            .unwrap()
-            .get_or_insert_with(LayerMetrics::default)
-            .merge(&h.snapshot());
-        tmk.clear_event_hook();
-    }
-    r
 }
 
 // The bodies are generic functions; a tiny macro instantiates them for
@@ -75,12 +49,12 @@ macro_rules! on_both {
     ($n:expr, $f:ident) => {{
         let udp = {
             let params = Arc::new(bench_params());
-            run_udp_dsm($n, params, tmk_cfg(), move |tmk| instrumented(tmk, $f))
+            run_udp_dsm($n, params, tmk_cfg(), move |tmk| with_metrics(tmk, $f))
         };
         let fast = {
             let params = Arc::new(bench_params());
             let cfg = FastConfig::paper(&params);
-            run_fast_dsm($n, params, cfg, tmk_cfg(), move |tmk| instrumented(tmk, $f))
+            run_fast_dsm($n, params, cfg, tmk_cfg(), move |tmk| with_metrics(tmk, $f))
         };
         tally(&udp);
         tally(&fast);
@@ -347,6 +321,9 @@ fn avg_nonzero(v: &[tm_sim::runner::NodeOutcome<u64>]) -> Ns {
 }
 
 fn main() {
+    // Per-layer event tallies (`E2_METRICS`): off by default so stdout
+    // stays byte-identical to an uninstrumented run.
+    tm_bench::set_metrics_enabled(tm_bench::opts().e2_metrics);
     print_header("E2: TreadMarks microbenchmarks (Figure 3)");
     print_row_header();
 
@@ -474,9 +451,8 @@ fn main() {
 
     // Per-layer event tallies: only when explicitly requested, so the
     // default output above stays byte-identical.
-    if metrics_enabled() {
-        let m = METRICS.lock().unwrap();
-        let metrics = m.as_ref().cloned().unwrap_or_default();
+    if tm_bench::opts().e2_metrics {
+        let metrics = tm_bench::take_metrics().unwrap_or_default();
         println!();
         println!(
             "per-layer events (all workloads, both transports, algo={:?}):",

@@ -10,11 +10,10 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use tm_bench::print_header;
 use tm_fast::{FastConfig, FastSubstrate};
 use tm_gm::gm_cluster;
-use tm_sim::{run_cluster, AsyncScheme, Ns, SimParams};
+use tm_sim::{run_cluster_with, AsyncScheme, Ns, SimParams};
 use tm_udp::UdpStack;
 use tmk::Substrate;
 
@@ -27,9 +26,7 @@ const HANDLER: Ns = Ns::from_us(5);
 fn fast_with_scheme(scheme: AsyncScheme) -> (f64, f64) {
     let params = Arc::new(SimParams::paper_testbed());
     let (_f, board, nics) = gm_cluster(2, Arc::clone(&params));
-    let nics = Arc::new(Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>()));
-    let out = run_cluster(2, Arc::clone(&params), move |env| {
-        let nic = nics.lock()[env.id].take().unwrap();
+    let out = run_cluster_with(params, nics, move |env, nic| {
         let mut cfg = FastConfig::paper(&env.params);
         cfg.scheme = scheme;
         let mut sub = FastSubstrate::new(
@@ -72,9 +69,7 @@ fn fast_with_scheme(scheme: AsyncScheme) -> (f64, f64) {
 fn udp_sigio() -> (f64, f64) {
     let params = Arc::new(SimParams::paper_testbed());
     let (_f, nics) = tm_myrinet::Fabric::new(2, Arc::clone(&params));
-    let nics = Arc::new(Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>()));
-    let out = run_cluster(2, Arc::clone(&params), move |env| {
-        let nic = nics.lock()[env.id].take().unwrap();
+    let out = run_cluster_with(params, nics, move |env, nic| {
         let mut udp = UdpStack::new(nic, env.clock.clone(), Arc::clone(&env.params));
         udp.bind(1, true);
         let sigio = AsyncScheme::Sigio {

@@ -24,10 +24,11 @@ use tmk::{
     BarrierAlgo, DiffFetch, LayerMetrics, LockPath, MetricsHandle, Substrate, Tmk, TmkConfig,
 };
 
-/// Cross-run metrics accumulator: when a sweep binary turns
-/// instrumentation on ([`set_metrics_enabled`]), every [`run_spec_with`]
-/// run taps each node's event hook and folds the tallies in here. The
-/// hook charges no virtual time, so timed results are unchanged.
+/// Cross-run metrics accumulator: when a binary turns instrumentation on
+/// ([`set_metrics_enabled`]), every [`with_metrics`] body — each
+/// [`run_spec_with`] run is one — taps its node's event hook and folds
+/// the tallies in here. The hook charges no virtual time, so timed
+/// results are unchanged.
 static METRICS: Mutex<Option<LayerMetrics>> = Mutex::new(None);
 static METRICS_ON: AtomicBool = AtomicBool::new(false);
 
@@ -41,7 +42,9 @@ pub fn take_metrics() -> Option<LayerMetrics> {
     METRICS.lock().unwrap().take()
 }
 
-fn with_metrics<S: Substrate, R>(tmk: &mut Tmk<S>, body: impl FnOnce(&mut Tmk<S>) -> R) -> R {
+/// Run one node body, folding its event tallies into the accumulator when
+/// instrumentation is on.
+pub fn with_metrics<S: Substrate, R>(tmk: &mut Tmk<S>, body: impl FnOnce(&mut Tmk<S>) -> R) -> R {
     let handle = METRICS_ON
         .load(Ordering::Relaxed)
         .then(|| MetricsHandle::install(tmk));

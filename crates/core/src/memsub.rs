@@ -14,133 +14,24 @@
 //! memsub run is as byte-reproducible as a fabric run, and a memsub
 //! deadlock is the same diagnosis.
 
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use tm_sim::{AsyncScheme, LockstepSched, Ns, SharedClock, SimParams, Wait};
 
 use crate::substrate::{Chan, IncomingMsg, Substrate};
 
-struct MemMsg {
-    from: usize,
-    chan: Chan,
-    data: Vec<u8>,
-    arrival: Ns,
-}
-
-/// Construction halves: move one [`MemEndpoint`] into each node body and
-/// wrap it with [`MemSubstrate::new`].
-pub struct MemEndpoint {
-    id: usize,
-    rx: Receiver<MemMsg>,
-    txs: Vec<Sender<MemMsg>>,
-    sched: Arc<LockstepSched>,
-}
-
-impl Drop for MemEndpoint {
-    fn drop(&mut self) {
-        self.sched.mark_done(self.id);
-    }
-}
-
-/// Build endpoints for an `n`-node in-memory cluster.
-pub fn mem_cluster(n: usize) -> Vec<MemEndpoint> {
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-    let sched = Arc::new(LockstepSched::new(n));
-    rxs.into_iter()
-        .enumerate()
-        .map(|(id, rx)| MemEndpoint {
-            id,
-            rx,
-            txs: txs.clone(),
-            sched: Arc::clone(&sched),
-        })
-        .collect()
-}
-
-/// The per-node substrate object.
-pub struct MemSubstrate {
-    ep: MemEndpoint,
-    nprocs: usize,
-    clock: SharedClock,
-    params: Arc<SimParams>,
-    /// One-way message latency (0 for the ideal-network ablation).
-    latency: Ns,
-    /// Host-side cost charged per send.
-    send_cost: Ns,
+/// A node's inbox, which senders push into and the node's substrate reads
+/// in place: one queue per channel.
+#[derive(Default)]
+struct Inbox {
     requests: VecDeque<IncomingMsg>,
     responses: VecDeque<IncomingMsg>,
 }
 
-impl MemSubstrate {
-    pub fn new(
-        ep: MemEndpoint,
-        clock: SharedClock,
-        params: Arc<SimParams>,
-        latency: Ns,
-        send_cost: Ns,
-    ) -> Self {
-        let nprocs = ep.txs.len();
-        MemSubstrate {
-            ep,
-            nprocs,
-            clock,
-            params,
-            latency,
-            send_cost,
-            requests: VecDeque::new(),
-            responses: VecDeque::new(),
-        }
-    }
-
-    /// Send `data` on `chan`, leaving at virtual time `depart`: released by
-    /// the scheduler in departure-key order, so every inbox fills in an
-    /// order the program alone decides.
-    fn send(&mut self, to: usize, chan: Chan, data: &[u8], depart: Ns) {
-        {
-            let mut c = self.clock.borrow_mut();
-            c.stats.msgs_sent += 1;
-            c.stats.bytes_sent += data.len() as u64;
-        }
-        self.ep.sched.request_transmit(self.ep.id, to, depart);
-        self.ep.txs[to]
-            .send(MemMsg {
-                from: self.ep.id,
-                chan,
-                data: data.to_vec(),
-                arrival: depart + self.latency,
-            })
-            .expect("peer gone");
-        self.ep.sched.deliver(to);
-    }
-
-    /// Whether a poll's miss at virtual time `now` is final: `false` if an
-    /// earlier-keyed send landed here first (re-drain and look again).
-    fn miss_settled(&self, now: Ns) -> bool {
-        self.ep.sched.park(self.ep.id, Some(now), None) == Wait::Deadline
-    }
-
-    fn stash(&mut self, m: MemMsg) {
-        let msg = IncomingMsg {
-            from: m.from,
-            chan: m.chan,
-            data: m.data,
-            arrival: m.arrival,
-            lost: false,
-        };
-        match msg.chan {
-            Chan::Request => self.requests.push_back(msg),
-            Chan::Response => self.responses.push_back(msg),
-        }
-    }
-
-    fn drain(&mut self) {
-        while let Ok(m) = self.ep.rx.try_recv() {
-            self.stash(m);
-        }
-    }
-
+impl Inbox {
     /// Earliest-arrival message across both queues.
     fn pop_earliest(&mut self) -> Option<IncomingMsg> {
         let rq = self.requests.front().map(|m| m.arrival);
@@ -160,13 +51,119 @@ impl MemSubstrate {
     }
 }
 
+/// Construction halves: move one [`MemEndpoint`] into each node body and
+/// wrap it with [`MemSubstrate::new`]. It shares the cluster's scheduler
+/// and inboxes with its peers, so it stays on the cluster's thread:
+///
+/// ```compile_fail
+/// fn crosses_threads<T: Send>() {}
+/// crosses_threads::<tmk::memsub::MemEndpoint>();
+/// ```
+pub struct MemEndpoint {
+    id: usize,
+    /// Every node's inbox; `None` once its endpoint has dropped.
+    inboxes: Rc<[RefCell<Option<Inbox>>]>,
+    sched: Rc<LockstepSched>,
+}
+
+impl Drop for MemEndpoint {
+    fn drop(&mut self) {
+        self.inboxes[self.id].take();
+        self.sched.mark_done(self.id);
+    }
+}
+
+/// Build endpoints for an `n`-node in-memory cluster.
+pub fn mem_cluster(n: usize) -> Vec<MemEndpoint> {
+    let inboxes: Rc<[_]> = (0..n)
+        .map(|_| RefCell::new(Some(Inbox::default())))
+        .collect();
+    let sched = Rc::new(LockstepSched::new(n));
+    (0..n)
+        .map(|id| MemEndpoint {
+            id,
+            inboxes: Rc::clone(&inboxes),
+            sched: Rc::clone(&sched),
+        })
+        .collect()
+}
+
+/// The per-node substrate object.
+pub struct MemSubstrate {
+    ep: MemEndpoint,
+    clock: SharedClock,
+    params: Arc<SimParams>,
+    /// One-way message latency (0 for the ideal-network ablation).
+    latency: Ns,
+    /// Host-side cost charged per send.
+    send_cost: Ns,
+}
+
+impl MemSubstrate {
+    pub fn new(
+        ep: MemEndpoint,
+        clock: SharedClock,
+        params: Arc<SimParams>,
+        latency: Ns,
+        send_cost: Ns,
+    ) -> Self {
+        MemSubstrate {
+            ep,
+            clock,
+            params,
+            latency,
+            send_cost,
+        }
+    }
+
+    /// This node's inbox. Borrowed for the length of one queue operation
+    /// and never across a park: the sender that ends the wait pushes here.
+    fn inbox(&self) -> RefMut<'_, Inbox> {
+        RefMut::map(self.ep.inboxes[self.ep.id].borrow_mut(), |i| {
+            i.as_mut().expect("closes when this endpoint drops")
+        })
+    }
+
+    /// Send `data` on `chan`, leaving at virtual time `depart`: released by
+    /// the scheduler in departure-key order, so every inbox fills in an
+    /// order the program alone decides.
+    fn send(&mut self, to: usize, chan: Chan, data: &[u8], depart: Ns) {
+        {
+            let mut c = self.clock.borrow_mut();
+            c.stats.msgs_sent += 1;
+            c.stats.bytes_sent += data.len() as u64;
+        }
+        self.ep.sched.request_transmit(self.ep.id, to, depart);
+        let msg = IncomingMsg {
+            from: self.ep.id,
+            chan,
+            data: data.to_vec(),
+            arrival: depart + self.latency,
+            lost: false,
+        };
+        let mut inbox = self.ep.inboxes[to].borrow_mut();
+        let inbox = inbox.as_mut().expect("peer gone");
+        match chan {
+            Chan::Request => inbox.requests.push_back(msg),
+            Chan::Response => inbox.responses.push_back(msg),
+        }
+        self.ep.sched.deliver(to);
+    }
+
+    /// Whether a poll's miss at virtual time `now` is final: `false` if an
+    /// earlier-keyed send landed here first (look again).
+    fn miss_settled(&self, now: Ns) -> bool {
+        self.ep.sched.park(self.ep.id, Some(now), None) == Wait::Deadline
+    }
+}
+
 impl Substrate for MemSubstrate {
     fn my_id(&self) -> usize {
         self.ep.id
     }
 
     fn nprocs(&self) -> usize {
-        self.nprocs
+        self.ep.inboxes.len()
     }
 
     fn clock(&self) -> &SharedClock {
@@ -203,10 +200,12 @@ impl Substrate for MemSubstrate {
 
     fn poll_request(&mut self) -> Option<IncomingMsg> {
         loop {
-            self.drain();
             let now = self.clock.borrow().now();
-            if self.requests.front().is_some_and(|m| m.arrival <= now) {
-                return self.requests.pop_front();
+            {
+                let mut inbox = self.inbox();
+                if inbox.requests.front().is_some_and(|m| m.arrival <= now) {
+                    return inbox.requests.pop_front();
+                }
             }
             if self.miss_settled(now) {
                 return None;
@@ -216,11 +215,13 @@ impl Substrate for MemSubstrate {
 
     fn poll_incoming(&mut self) -> Option<IncomingMsg> {
         loop {
-            self.drain();
             let now = self.clock.borrow().now();
             let arrived = |q: &VecDeque<IncomingMsg>| q.front().is_some_and(|m| m.arrival <= now);
-            if arrived(&self.requests) || arrived(&self.responses) {
-                return self.pop_earliest();
+            {
+                let mut inbox = self.inbox();
+                if arrived(&inbox.requests) || arrived(&inbox.responses) {
+                    return inbox.pop_earliest();
+                }
             }
             if self.miss_settled(now) {
                 return None;
@@ -234,8 +235,8 @@ impl Substrate for MemSubstrate {
     /// ever come, in the scheduler's deadlock diagnosis).
     fn wait(&mut self, _deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
         loop {
-            self.drain();
-            if let Some(msg) = self.pop_earliest() {
+            let earliest = self.inbox().pop_earliest();
+            if let Some(msg) = earliest {
                 let mut c = self.clock.borrow_mut();
                 c.wait_until(msg.arrival);
                 c.stats.msgs_recv += 1;
@@ -258,14 +259,10 @@ pub fn run_mem_dsm<R, F>(
     body: F,
 ) -> Vec<tm_sim::runner::NodeOutcome<R>>
 where
-    R: Send + 'static,
-    F: Fn(&mut crate::Tmk<MemSubstrate>) -> R + Send + Sync + 'static,
+    R: 'static,
+    F: Fn(&mut crate::Tmk<MemSubstrate>) -> R + 'static,
 {
-    use parking_lot::Mutex;
-    let endpoints: Mutex<Vec<Option<MemEndpoint>>> =
-        Mutex::new(mem_cluster(n).into_iter().map(Some).collect());
-    tm_sim::run_cluster(n, params, move |env| {
-        let ep = endpoints.lock()[env.id].take().expect("endpoint taken twice");
+    tm_sim::run_cluster_with(params, mem_cluster(n), move |env, ep| {
         let sub = MemSubstrate::new(
             ep,
             env.clock.clone(),
@@ -347,10 +344,9 @@ mod tests {
     /// run: `run_cluster` panics with every node's state.
     #[test]
     fn a_wait_nobody_answers_is_a_deadlock_diagnosis() {
-        let eps = parking_lot::Mutex::new(mem_cluster(3).into_iter().map(Some).collect::<Vec<_>>());
         let stuck = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            tm_sim::run_cluster(3, Arc::new(SimParams::paper_testbed()), move |env| {
-                let ep = eps.lock()[env.id].take().unwrap();
+            let params = Arc::new(SimParams::paper_testbed());
+            tm_sim::run_cluster_with(params, mem_cluster(3), |env, ep| {
                 let params = Arc::clone(&env.params);
                 let mut sub = MemSubstrate::new(ep, env.clock.clone(), params, Ns::ZERO, Ns::ZERO);
                 match env.id {

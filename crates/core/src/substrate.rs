@@ -32,8 +32,10 @@
 //! every send, every blocking wait and every poll miss through a scheduler
 //! client — its NIC handle for the two transports, the scheduler itself
 //! for [`crate::memsub`]. What it must *not* do is block in the operating
-//! system: the node that would unblock it shares the thread. Nothing at
-//! this level or above knows a scheduler exists.
+//! system, or leave the cluster's thread: the node that would unblock it
+//! shares that thread. The second half needs no care — a substrate holds
+//! a [`SharedClock`] and a scheduler client, both `Rc`, so it is `!Send`.
+//! Nothing at this level or above knows a scheduler exists.
 
 use std::sync::Arc;
 

@@ -11,8 +11,8 @@ use tmk::{Tmk, TmkConfig};
 
 fn run<R, F>(n: usize, body: F) -> Vec<tm_sim::runner::NodeOutcome<R>>
 where
-    R: Send + 'static,
-    F: Fn(&mut Tmk<MemSubstrate>) -> R + Send + Sync + 'static,
+    R: 'static,
+    F: Fn(&mut Tmk<MemSubstrate>) -> R + 'static,
 {
     run_mem_dsm(
         n,

@@ -6,15 +6,14 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use tm_gm::gm_cluster;
-use tm_myrinet::{Fabric, NicHandle};
+use tm_myrinet::Fabric;
 use tm_sim::runner::NodeOutcome;
-use tm_sim::{run_cluster, SimParams};
+use tm_sim::{run_cluster_with, SimParams};
+use tm_udp::UdpSubstrate;
 use tmk::{Tmk, TmkConfig};
 
 use crate::substrate::{FastConfig, FastSubstrate};
-use crate::udp::UdpSubstrate;
 
 /// Which communication subsystem to bind TreadMarks to — the paper's two
 /// contenders.
@@ -44,14 +43,11 @@ pub fn run_fast_dsm<R, F>(
     body: F,
 ) -> Vec<NodeOutcome<R>>
 where
-    R: Send + 'static,
-    F: Fn(&mut Tmk<FastSubstrate>) -> R + Send + Sync + 'static,
+    R: 'static,
+    F: Fn(&mut Tmk<FastSubstrate>) -> R + 'static,
 {
     let (_fabric, board, nics) = gm_cluster(n, Arc::clone(&params));
-    let nics: Arc<Mutex<Vec<Option<NicHandle>>>> =
-        Arc::new(Mutex::new(nics.into_iter().map(Some).collect()));
-    run_cluster(n, params, move |env| {
-        let nic = nics.lock()[env.id].take().expect("nic taken twice");
+    run_cluster_with(params, nics, move |env, nic| {
         let sub = FastSubstrate::new(
             nic,
             env.clock.clone(),
@@ -74,14 +70,11 @@ pub fn run_udp_dsm<R, F>(
     body: F,
 ) -> Vec<NodeOutcome<R>>
 where
-    R: Send + 'static,
-    F: Fn(&mut Tmk<UdpSubstrate>) -> R + Send + Sync + 'static,
+    R: 'static,
+    F: Fn(&mut Tmk<UdpSubstrate>) -> R + 'static,
 {
     let (_fabric, nics) = Fabric::new(n, Arc::clone(&params));
-    let nics: Arc<Mutex<Vec<Option<NicHandle>>>> =
-        Arc::new(Mutex::new(nics.into_iter().map(Some).collect()));
-    run_cluster(n, params, move |env| {
-        let nic = nics.lock()[env.id].take().expect("nic taken twice");
+    run_cluster_with(params, nics, move |env, nic| {
         let sub = UdpSubstrate::new(nic, env.clock.clone(), Arc::clone(&env.params));
         let mut tmk = Tmk::new(sub, tmk_cfg.clone());
         let r = body(&mut tmk);

@@ -22,15 +22,13 @@
 //!    port; the polling-thread and timer alternatives remain available as
 //!    [`tm_sim::AsyncScheme`] options for the ablation (E6).
 //!
-//! The crate also provides [`udp::UdpSubstrate`] — TreadMarks' stock
-//! sockets/UDP binding over the same fabric — so benchmarks can swap
-//! UDP/GM for FAST/GM with one type parameter, and cluster-runner helpers
-//! ([`cluster`]) used by the examples, tests and benches.
+//! [`cluster`] holds the cluster runners the examples, tests and benches
+//! use — one per transport, so a benchmark swaps UDP/GM (`tm-udp`'s
+//! [`UdpSubstrate`], re-exported here) for FAST/GM with one type parameter.
 
 pub mod cluster;
 pub mod substrate;
-pub mod udp;
 
 pub use cluster::{run_fast_dsm, run_udp_dsm, Transport};
 pub use substrate::{FastConfig, FastSubstrate};
-pub use udp::UdpSubstrate;
+pub use tm_udp::UdpSubstrate;

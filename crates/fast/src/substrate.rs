@@ -651,12 +651,7 @@ mod tests {
         // complete, transparently to the caller.
         let params = Arc::new(SimParams::paper_testbed());
         let (_f, board, nics) = tm_gm::gm_cluster(2, Arc::clone(&params));
-        let nics = std::sync::Mutex::new(
-            nics.into_iter().map(Some).collect::<Vec<_>>(),
-        );
-        let nics = Arc::new(nics);
-        let out = tm_sim::run_cluster(2, Arc::clone(&params), move |env| {
-            let nic = nics.lock().unwrap()[env.id].take().unwrap();
+        let out = tm_sim::run_cluster_with(params, nics, move |env, nic| {
             let mut cfg = FastConfig::paper(&env.params);
             cfg.rendezvous = true;
             let mut sub = FastSubstrate::new(

@@ -1,12 +1,12 @@
 //! The per-node GM endpoint: ports, tokens, preposted buffers, sends,
 //! polled receives, directed sends, and the resend-timeout failure mode.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use tm_myrinet::{Fabric, NicHandle, NodeId, RawPacket};
 use tm_sim::{Ns, SharedClock, SimParams};
 
@@ -58,40 +58,33 @@ pub enum GmEvent {
 }
 
 /// Cross-node blackboard on which receivers report rejected sends
-/// (sender-side resend timer expiry). Indexed `[node][port]`.
+/// (sender-side resend timer expiry): the sending `(node, port)` of each,
+/// until that sender absorbs it. Empty on every clean run.
 pub struct FailureBoard {
-    flags: Vec<[AtomicBool; NUM_PORTS as usize]>,
-    /// (src, src_port, dst, dst_port) of each rejected send, for events.
-    records: Mutex<Vec<(NodeId, u8, NodeId, u8)>>,
+    rejected: RefCell<Vec<(NodeId, u8)>>,
 }
 
 impl FailureBoard {
-    pub fn new(n: usize) -> Arc<Self> {
+    // Cluster state like the fabric, so an `Rc` is what it wants to be in;
+    // it is an `Arc` because the frozen `benchmark/src/ladder.rs` hands it
+    // on as `Arc::clone(&board)`.
+    #[allow(clippy::arc_with_non_send_sync)]
+    pub fn new() -> Arc<Self> {
         Arc::new(FailureBoard {
-            flags: (0..n).map(|_| Default::default()).collect(),
-            records: Mutex::new(Vec::new()),
+            rejected: RefCell::new(Vec::new()),
         })
     }
 
-    fn post(&self, src: NodeId, src_port: u8, dst: NodeId, dst_port: u8) {
-        self.flags[src][src_port as usize].store(true, Ordering::Release);
-        self.records.lock().push((src, src_port, dst, dst_port));
+    fn post(&self, src: NodeId, src_port: u8) {
+        self.rejected.borrow_mut().push((src, src_port));
     }
 
-    fn take(&self, node: NodeId, port: u8) -> Option<(NodeId, u8)> {
-        if self.flags[node][port as usize].swap(false, Ordering::AcqRel) {
-            let mut recs = self.records.lock();
-            if let Some(i) = recs
-                .iter()
-                .position(|&(s, p, _, _)| s == node && p == port)
-            {
-                let (_, _, d, dp) = recs.remove(i);
-                return Some((d, dp));
-            }
-            Some((usize::MAX, 0))
-        } else {
-            None
-        }
+    /// Clear the rejected sends of `(node, port)`; whether there were any.
+    fn take(&self, node: NodeId, port: u8) -> bool {
+        let mut rejected = self.rejected.borrow_mut();
+        let before = rejected.len();
+        rejected.retain(|&sender| sender != (node, port));
+        rejected.len() < before
     }
 }
 
@@ -129,9 +122,9 @@ pub struct GmNode {
 pub fn gm_cluster(
     n: usize,
     params: Arc<SimParams>,
-) -> (Arc<Fabric>, Arc<FailureBoard>, Vec<NicHandle>) {
+) -> (Rc<Fabric>, Arc<FailureBoard>, Vec<NicHandle>) {
     let (fabric, nics) = Fabric::new(n, params);
-    let board = FailureBoard::new(n);
+    let board = FailureBoard::new();
     (fabric, board, nics)
 }
 
@@ -376,7 +369,7 @@ impl GmNode {
     /// Move the failure-board flag (set by a remote receiver) into local
     /// port state.
     fn absorb_failures(&mut self, port: u8) {
-        if let Some((_, _)) = self.board.take(self.node(), port) {
+        if self.board.take(self.node(), port) {
             if let Some(p) = self.ports[port as usize].as_mut() {
                 p.disabled = true;
             }
@@ -453,8 +446,7 @@ impl GmNode {
                 } else if now.saturating_sub(pkt.arrival) > timeout {
                     // Sender's resend timer fired: the send fails and the
                     // sending port is disabled.
-                    self.board
-                        .post(pkt.src, pkt.src_port as u8, self.nic.node(), port as u8);
+                    self.board.post(pkt.src, pkt.src_port as u8);
                 } else {
                     still.push_back(pkt);
                 }

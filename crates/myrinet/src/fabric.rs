@@ -1,30 +1,39 @@
 //! The switch fabric: per-link serialization and cut-through forwarding.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use tm_sim::{LockstepSched, Ns, SimParams};
 
-use crate::nic::NicHandle;
+use crate::nic::{Inbox, NicHandle};
 use crate::packet::{NodeId, RawPacket, FRAME_OVERHEAD};
 
 /// One node's full-duplex link state: the virtual time at which each
 /// direction is next free. The scheduler releases one transmit at a time,
-/// in virtual-key order, so reservations never race and each link's
-/// occupancy sequence is the keys' (atomics only because the fabric is
-/// shared behind an `Arc`).
+/// in virtual-key order, so each link's occupancy sequence is the keys'.
+#[derive(Default)]
 struct LinkState {
-    tx_free: AtomicU64,
-    rx_free: AtomicU64,
+    tx_free: Cell<Ns>,
+    rx_free: Cell<Ns>,
 }
 
-/// The cluster interconnect. Shared (`Arc`) by every node.
+/// The cluster interconnect, shared (`Rc`) by every node's [`NicHandle`].
+/// Like everything that makes up a cluster it stays on the thread that
+/// built it:
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<tm_myrinet::Fabric>();
+/// ```
 pub struct Fabric {
     params: Arc<SimParams>,
     links: Vec<LinkState>,
-    inboxes: Vec<Sender<RawPacket>>,
+    /// Each node's inbox, which [`Fabric::transmit`] pushes into and the
+    /// node's [`NicHandle`] reads in place; `None` once that handle has
+    /// dropped.
+    inboxes: Vec<RefCell<Option<Inbox>>>,
     /// Extra switch traversals beyond the first (multi-stage fabrics for
     /// >16 nodes; the paper's 16-node testbed used a single crossbar).
     extra_hops: u32,
@@ -32,32 +41,19 @@ pub struct Fabric {
     /// injection time to be the cluster's minimum event key before it
     /// reserves its links; a node that has dropped its NIC is `Done`
     /// there, which is all the liveness the fabric keeps.
-    sched: Arc<LockstepSched>,
+    sched: Rc<LockstepSched>,
     /// Sends that found the destination's inbox already closed: the
     /// receiver dropped its NIC while the packet was in flight. Always
     /// tolerated (a powered-off host simply eats late wire traffic) and
     /// counted here so tests can assert on clean runs.
-    shutdown_races: AtomicU64,
+    shutdown_races: Cell<u64>,
 }
 
 impl Fabric {
     /// Build a fabric for `n` nodes; returns the shared fabric plus one
     /// [`NicHandle`] per node (to be moved into that node's body).
-    pub fn new(n: usize, params: Arc<SimParams>) -> (Arc<Fabric>, Vec<NicHandle>) {
+    pub fn new(n: usize, params: Arc<SimParams>) -> (Rc<Fabric>, Vec<NicHandle>) {
         assert!(n >= 1);
-        let mut inboxes = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<RawPacket>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            inboxes.push(tx);
-            receivers.push(rx);
-        }
-        let links = (0..n)
-            .map(|_| LinkState {
-                tx_free: AtomicU64::new(0),
-                rx_free: AtomicU64::new(0),
-            })
-            .collect();
         // A 16-port crossbar covers 16 nodes in one hop. Larger clusters
         // are a folded Clos of 16-port crossbars: a path crosses up the
         // leaf stages to a spine and back down, so each additional level
@@ -69,18 +65,18 @@ impl Fabric {
             levels += 1;
         }
         let extra_hops = 2 * (levels - 1);
-        let fabric = Arc::new(Fabric {
+        let fabric = Rc::new(Fabric {
             params,
-            links,
-            inboxes,
+            links: (0..n).map(|_| LinkState::default()).collect(),
+            inboxes: (0..n)
+                .map(|_| RefCell::new(Some(Inbox::default())))
+                .collect(),
             extra_hops,
-            sched: Arc::new(LockstepSched::new(n)),
-            shutdown_races: AtomicU64::new(0),
+            sched: Rc::new(LockstepSched::new(n)),
+            shutdown_races: Cell::new(0),
         });
-        let handles = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(id, rx)| NicHandle::new(id, rx, Arc::clone(&fabric)))
+        let handles = (0..n)
+            .map(|id| NicHandle::new(id, Rc::clone(&fabric)))
             .collect();
         (fabric, handles)
     }
@@ -89,13 +85,17 @@ impl Fabric {
         self.links.len()
     }
 
-    pub(crate) fn sched(&self) -> &Arc<LockstepSched> {
+    pub(crate) fn sched(&self) -> &Rc<LockstepSched> {
         &self.sched
+    }
+
+    pub(crate) fn inbox(&self, node: NodeId) -> &RefCell<Option<Inbox>> {
+        &self.inboxes[node]
     }
 
     /// How many in-flight packets hit an already-departed node's inbox.
     pub fn shutdown_races(&self) -> u64 {
-        self.shutdown_races.load(Ordering::Relaxed)
+        self.shutdown_races.get()
     }
 
     /// Whether any of `nodes` still holds its NIC.
@@ -108,13 +108,11 @@ impl Fabric {
     }
 
     /// Reserve `dur` of occupancy on a link, starting no earlier than
-    /// `earliest`. Returns the actual start time. `Relaxed`, and a load
-    /// and a store rather than a read-modify-write: the caller holds the
-    /// scheduler's release, so no other reservation is in progress.
-    fn reserve(slot: &AtomicU64, earliest: Ns, dur: Ns) -> Ns {
-        let start = slot.load(Ordering::Relaxed).max(earliest.0);
-        slot.store(start + dur.0, Ordering::Relaxed);
-        Ns(start)
+    /// `earliest`. Returns the actual start time.
+    fn reserve(slot: &Cell<Ns>, earliest: Ns, dur: Ns) -> Ns {
+        let start = slot.get().max(earliest);
+        slot.set(start + dur);
+        start
     }
 
     /// Inject a packet. `inject_time` is the virtual time at which the
@@ -152,8 +150,7 @@ impl Fabric {
         }
         // Wait until this injection is the cluster's minimum event.
         // Nothing else runs between the release and the delivery below,
-        // so the reservations are uncontended and each link's occupancy
-        // sequence follows the keys.
+        // so each link's occupancy sequence follows the keys.
         self.sched.request_transmit(src, dst, inject_time);
         // Occupy our tx link.
         let tx_start = Self::reserve(&self.links[src].tx_free, inject_time, wire);
@@ -172,11 +169,11 @@ impl Fabric {
     }
 
     /// Enqueue a packet into `dst`'s inbox; returns whether it landed.
-    /// The channel send can only fail if the receiver node already
-    /// finished — legitimate late wire traffic racing the destination's
-    /// shutdown (a retransmission, a replayed response, a barrier
-    /// arrival to a departed manager). A powered-off host eats such
-    /// packets; we count them instead of treating them as errors.
+    /// It does not if the receiver has already dropped its NIC —
+    /// legitimate late wire traffic racing the destination's shutdown (a
+    /// retransmission, a replayed response, a barrier arrival to a
+    /// departed manager). A powered-off host eats such packets; we count
+    /// them instead of treating them as errors.
     #[allow(clippy::too_many_arguments)]
     fn push(
         &self,
@@ -198,11 +195,15 @@ impl Fabric {
             directed,
             lost,
         };
-        if self.inboxes[dst].send(pkt).is_err() {
-            self.shutdown_races.fetch_add(1, Ordering::Relaxed);
-            false
-        } else {
-            true
+        match self.inboxes[dst].borrow_mut().as_mut() {
+            Some(inbox) => {
+                inbox.port(dst_port).push_back(pkt);
+                true
+            }
+            None => {
+                self.shutdown_races.set(self.shutdown_races.get() + 1);
+                false
+            }
         }
     }
 }
@@ -210,17 +211,13 @@ impl Fabric {
 /// Test harness: an `n`-node cluster in which node `i` runs
 /// `body(fabric, nic i)`; the bodies' results in node order.
 #[cfg(test)]
-pub(crate) fn cluster<R: Send + 'static>(
+pub(crate) fn cluster<R: 'static>(
     n: usize,
-    body: impl Fn(&Arc<Fabric>, NicHandle) -> R + Send + Sync + 'static,
+    body: impl Fn(&Rc<Fabric>, NicHandle) -> R + 'static,
 ) -> Vec<R> {
     let params = Arc::new(SimParams::paper_testbed());
     let (fabric, nics) = Fabric::new(n, Arc::clone(&params));
-    let nics = parking_lot::Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>());
-    let out = tm_sim::run_cluster(n, params, move |env| {
-        let nic = nics.lock()[env.id].take().expect("nic taken twice");
-        body(&fabric, nic)
-    });
+    let out = tm_sim::run_cluster_with(params, nics, move |_, nic| body(&fabric, nic));
     out.into_iter().map(|o| o.result).collect()
 }
 
@@ -228,7 +225,7 @@ pub(crate) fn cluster<R: Send + 'static>(
 mod tests {
     use super::*;
 
-    fn fabric(n: usize) -> (Arc<Fabric>, Vec<NicHandle>) {
+    fn fabric(n: usize) -> (Rc<Fabric>, Vec<NicHandle>) {
         Fabric::new(n, Arc::new(SimParams::paper_testbed()))
     }
 
@@ -318,10 +315,12 @@ mod tests {
         let (f, mut nics) = fabric(2);
         assert_eq!(f.shutdown_races(), 0);
         // Node 1 departs; a late in-flight packet must evaporate (be
-        // counted), not panic — even with no fault plan active.
+        // counted, not delivered), not panic — even with no fault plan
+        // active.
         drop(nics.remove(1));
         f.transmit(0, 1, 0, 0, Bytes::from_static(b"late"), Ns(0), None, false);
         assert_eq!(f.shutdown_races(), 1);
+        assert!(f.inbox(1).borrow().is_none(), "a closed inbox is gone");
     }
 
     /// Two senders contend for one rx link, and the one with the *later*

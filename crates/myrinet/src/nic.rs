@@ -1,10 +1,10 @@
 //! Receive side of a node's NIC: demultiplexing and blocking waits.
 
+use std::cell::RefMut;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 use tm_sim::{Ns, Wait};
 
 use crate::fabric::Fabric;
@@ -13,36 +13,61 @@ use crate::packet::{NodeId, RawPacket};
 /// Ports below this value belong to GM; at or above, to the sockets layer.
 pub const SOCKET_PORT_BASE: u16 = 1024;
 
-/// A node's handle on its NIC. Owned by the node.
+/// A node's inbox: one queue per destination port, in the order the ports
+/// were first used by either side (which is how [`NicHandle::wait`] breaks
+/// a tie between equal arrivals). Owned by the [`Fabric`], which pushes
+/// into it; the node's [`NicHandle`] reads it in place.
+#[derive(Default)]
+pub(crate) struct Inbox(Vec<(u16, VecDeque<RawPacket>)>);
+
+impl Inbox {
+    /// The queue of `port`, allocated on first use.
+    pub(crate) fn port(&mut self, port: u16) -> &mut VecDeque<RawPacket> {
+        let found = self.0.iter().position(|(p, _)| *p == port);
+        let i = found.unwrap_or_else(|| {
+            self.0.push((port, VecDeque::new()));
+            self.0.len() - 1
+        });
+        &mut self.0[i].1
+    }
+}
+
+/// A node's handle on its NIC. Owned by the node, and — like the fabric
+/// and scheduler behind it — bound to the cluster's thread:
 ///
-/// Incoming packets land on one channel; the handle demultiplexes them into
-/// per-port queues on demand. A blocking receive parks on the cluster's
-/// scheduler, which suspends the node's context; if the protocol above
-/// deadlocks, the run panics naming every node's state rather than
-/// hanging or producing wrong numbers.
+/// ```compile_fail
+/// fn crosses_threads<T: Send>() {}
+/// crosses_threads::<tm_myrinet::NicHandle>();
+/// ```
+///
+/// Incoming packets sit in the node's inbox, demultiplexed per port as
+/// they land. A blocking receive parks on the cluster's scheduler, which
+/// suspends the node's context; if the protocol above deadlocks, the run
+/// panics naming every node's state rather than hanging or producing
+/// wrong numbers.
 pub struct NicHandle {
     node: NodeId,
-    rx: Receiver<RawPacket>,
-    fabric: Arc<Fabric>,
-    /// Demux queues, keyed by dst_port. Sparse: allocated on first use.
-    queues: Vec<(u16, VecDeque<RawPacket>)>,
+    fabric: Rc<Fabric>,
 }
 
 impl NicHandle {
-    pub(crate) fn new(node: NodeId, rx: Receiver<RawPacket>, fabric: Arc<Fabric>) -> Self {
-        NicHandle {
-            node,
-            rx,
-            fabric,
-            queues: Vec::new(),
-        }
+    pub(crate) fn new(node: NodeId, fabric: Rc<Fabric>) -> Self {
+        NicHandle { node, fabric }
+    }
+
+    /// This node's inbox. Borrowed for the length of one queue operation
+    /// and never across a park: the sender that ends the wait pushes here.
+    fn inbox(&self) -> RefMut<'_, Inbox> {
+        RefMut::map(self.fabric.inbox(self.node).borrow_mut(), |i| {
+            i.as_mut().expect("closes when this handle drops")
+        })
     }
 
     pub fn node(&self) -> NodeId {
         self.node
     }
 
-    pub fn fabric(&self) -> &Arc<Fabric> {
+    pub fn fabric(&self) -> &Rc<Fabric> {
         &self.fabric
     }
 
@@ -55,8 +80,8 @@ impl NicHandle {
     /// Settlement of a non-blocking poll's miss at virtual time `t`:
     /// returns `true` once the scheduler has released every event earlier
     /// than `t` (the miss is then final), or `false` if one of them
-    /// delivered a packet here first (the caller must re-drain and
-    /// re-examine its queues).
+    /// delivered a packet here first (the caller must re-examine its
+    /// queues).
     pub fn poll_quiesce(&self, t: Ns) -> bool {
         self.fabric.sched().park(self.node, Some(t), None) == Wait::Deadline
     }
@@ -92,58 +117,25 @@ impl NicHandle {
             .transmit(self.node, dst, src_port, dst_port, payload, inject_time, None, true)
     }
 
-    fn queue_mut(&mut self, port: u16) -> &mut VecDeque<RawPacket> {
-        if let Some(i) = self.queues.iter().position(|(p, _)| *p == port) {
-            &mut self.queues[i].1
-        } else {
-            self.queues.push((port, VecDeque::new()));
-            let last = self.queues.len() - 1;
-            &mut self.queues[last].1
-        }
-    }
-
-    fn stash(&mut self, pkt: RawPacket) {
-        let port = pkt.dst_port;
-        self.queue_mut(port).push_back(pkt);
-    }
-
-    /// Drain everything currently sitting in the channel into the demux
-    /// queues (non-blocking).
-    pub fn drain(&mut self) {
-        while let Ok(pkt) = self.rx.try_recv() {
-            self.stash(pkt);
-        }
-    }
-
     /// Non-blocking poll of one port.
     pub fn poll_port(&mut self, port: u16) -> Option<RawPacket> {
-        self.drain();
-        self.queue_mut(port).pop_front()
-    }
-
-    /// Peek the earliest-queued packet on a port without consuming it.
-    pub fn peek_port(&mut self, port: u16) -> Option<&RawPacket> {
-        self.drain();
-        // Split lookup to satisfy borrowck: position first, then index.
-        let i = self.queues.iter().position(|(p, _)| *p == port)?;
-        self.queues[i].1.front()
+        self.inbox().port(port).pop_front()
     }
 
     /// Number of packets queued for a port.
-    pub fn queued(&mut self, port: u16) -> usize {
-        self.drain();
-        self.queues
-            .iter()
-            .find(|(p, _)| *p == port)
-            .map_or(0, |(_, q)| q.len())
+    #[cfg(test)]
+    fn queued(&self, port: u16) -> usize {
+        let inbox = self.inbox();
+        let queue = inbox.0.iter().find(|(p, _)| *p == port);
+        queue.map_or(0, |(_, q)| q.len())
     }
 
     /// Index of the demux queue whose front packet has the smallest
     /// arrival time among `ports` (or all ports when `None`) —
-    /// virtual-time fairness between ports. Callers drain first.
+    /// virtual-time fairness between ports.
     fn best_queued_idx(&self, ports: Option<&[u16]>) -> Option<usize> {
         let mut best: Option<(usize, Ns)> = None;
-        for (i, (p, q)) in self.queues.iter().enumerate() {
+        for (i, (p, q)) in self.inbox().0.iter().enumerate() {
             if ports.is_none_or(|ps| ps.contains(p)) {
                 if let Some(front) = q.front() {
                     if best.is_none_or(|(_, a)| front.arrival < a) {
@@ -166,7 +158,7 @@ impl NicHandle {
     ///   [`Wait::Deadline`] is reported without parking. Likewise after a
     ///   `Timeout` wake only a packet with `arrival <= deadline` is
     ///   handed over.
-    /// * On `PeersDone` a final drain hands over a packet whatever its
+    /// * On `PeersDone` a final look hands over a packet whatever its
     ///   arrival: the departing peers' last transmits were granted
     ///   (program order) before their drops. This is what lets the exit
     ///   fan cancel a retransmission timer the moment its consumer is
@@ -176,11 +168,11 @@ impl NicHandle {
     /// * Selection among queued packets is by earliest virtual arrival;
     ///   per sender the wire is FIFO.
     ///
-    /// The park is on the scheduler, never the channel: a cluster in which
-    /// nothing can end the wait is a panic naming every node's state —
-    /// from `run_cluster` when every node is stuck, from here when the
-    /// fabric is driven by hand outside a cluster and the wait has neither
-    /// a deadline nor a departed watch set to end it.
+    /// The park is on the scheduler: a cluster in which nothing can end
+    /// the wait is a panic naming every node's state — from `run_cluster`
+    /// when every node is stuck, from here when the fabric is driven by
+    /// hand outside a cluster and the wait has neither a deadline nor a
+    /// departed watch set to end it.
     pub fn wait(
         &mut self,
         ports: Option<&[u16]>,
@@ -188,11 +180,10 @@ impl NicHandle {
         watch: Option<&[NodeId]>,
     ) -> Wait<RawPacket> {
         loop {
-            self.drain();
             if let Some(i) = self.best_queued_idx(ports) {
                 return self.pop_if_due(i, deadline).map_or(Wait::Deadline, Wait::Got);
             }
-            // On one thread nothing can land between the drain and the
+            // On one thread nothing can land between the look and the
             // park. After it, one last look at the queues: after a timeout
             // only a packet due by the deadline counts; after the peers'
             // departure whatever their final grants delivered does.
@@ -201,7 +192,6 @@ impl NicHandle {
                 Wait::Deadline => (deadline, Wait::Deadline),
                 Wait::PeersDone => (None, Wait::PeersDone),
             };
-            self.drain();
             return self
                 .best_queued_idx(ports)
                 .and_then(|i| self.pop_if_due(i, due_by))
@@ -212,7 +202,8 @@ impl NicHandle {
     /// Pop the front packet of demux queue `i` unless it arrives after
     /// `deadline` (no deadline: pop it whatever its arrival).
     fn pop_if_due(&mut self, i: usize, deadline: Option<Ns>) -> Option<RawPacket> {
-        let q = &mut self.queues[i].1;
+        let mut inbox = self.inbox();
+        let q = &mut inbox.0[i].1;
         let arrival = q.front().expect("best_queued_idx yields non-empty queues").arrival;
         if deadline.is_some_and(|d| arrival > d) {
             return None;
@@ -228,16 +219,19 @@ impl NicHandle {
 
 impl Drop for NicHandle {
     fn drop(&mut self) {
+        self.fabric.inbox(self.node).take();
         self.fabric.sched().mark_done(self.node);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use tm_sim::SimParams;
 
-    fn pair() -> (Arc<Fabric>, Vec<NicHandle>) {
+    fn pair() -> (Rc<Fabric>, Vec<NicHandle>) {
         Fabric::new(2, Arc::new(SimParams::paper_testbed()))
     }
 
@@ -246,8 +240,6 @@ mod tests {
         let (f, mut nics) = pair();
         f.transmit(0, 1, 9, 5, Bytes::from_static(b"a"), Ns(0), None, false);
         f.transmit(0, 1, 9, 6, Bytes::from_static(b"b"), Ns(0), None, false);
-        // Give the channel a moment: sends are synchronous in-process, so
-        // they're already there.
         let n1 = &mut nics[1];
         let on5 = n1.poll_port(5).expect("packet on port 5");
         assert_eq!(&on5.payload[..], b"a");
@@ -324,7 +316,7 @@ mod tests {
         /// What node 1 saw when every node ran `body`.
         fn waiter_saw(
             n: usize,
-            body: impl Fn(&Arc<Fabric>, NicHandle) -> Vec<String> + Send + Sync + 'static,
+            body: impl Fn(&Rc<Fabric>, NicHandle) -> Vec<String> + 'static,
         ) -> Vec<String> {
             cluster(n, body).swap_remove(1)
         }
@@ -378,11 +370,11 @@ mod tests {
                     });
                     assert_eq!(saw, ["peers done"], "{cell}");
 
-                    // The final drain on PeersDone hands over a packet
+                    // The final look on PeersDone hands over a packet
                     // whatever its arrival. Node 0's transmit to (departed)
                     // node 2 is released only once node 1 is parked, so the
                     // loopback push it then makes on node 1's behalf lands
-                    // behind the waiter's drain, uncredited; the peer's
+                    // behind the waiter's look, uncredited; the peer's
                     // departure is what wakes the waiter.
                     let saw = waiter_saw(3, move |f, mut nic| match nic.node() {
                         1 => vec![wait(&mut nic)],
@@ -397,15 +389,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let (f, mut nics) = pair();
-        f.transmit(0, 1, 0, 5, Bytes::from_static(b"x"), Ns(0), None, false);
-        assert!(nics[1].peek_port(5).is_some());
-        assert!(nics[1].peek_port(5).is_some());
-        assert!(nics[1].poll_port(5).is_some());
-        assert!(nics[1].peek_port(5).is_none());
     }
 }

@@ -167,8 +167,9 @@ impl Default for NodeClock {
 }
 
 /// The clock is shared between the substrate, the DSM runtime and the
-/// application *within one node thread*; `Rc<RefCell<…>>` keeps that cheap
-/// and statically single-threaded.
+/// application *within one node*; `Rc<RefCell<…>>` keeps that cheap and
+/// makes everything that holds one — every layer of a node's stack —
+/// statically bound to the cluster's thread.
 pub type SharedClock = Rc<RefCell<NodeClock>>;
 
 /// Convenience constructor for a node-local shared clock.

@@ -38,7 +38,7 @@
 //!   Two clusters on two OS threads cannot see each other — every piece of
 //!   state here is thread-local.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Decides which suspended context runs next: the scheduler.
 pub trait Driver {
@@ -62,9 +62,8 @@ mod imp {
     use std::cell::RefCell;
     use std::ffi::{c_int, c_void};
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::rc::Rc;
 
-    use super::{Arc, Driver};
+    use super::{Driver, Rc};
 
     type Payload = Box<dyn Any + Send>;
 
@@ -250,7 +249,7 @@ mod imp {
         /// The caller's stack pointer while a context runs.
         home_sp: usize,
         current: Option<usize>,
-        driver: Option<Arc<dyn Driver>>,
+        driver: Option<Rc<dyn Driver>>,
         /// The panic that ended the context that just switched home.
         panic: Option<Payload>,
     }
@@ -387,13 +386,13 @@ mod imp {
     /// # Panics
     ///
     /// Outside a context.
-    pub fn suspend<D: Driver + 'static>(driver: &Arc<D>) {
+    pub fn suspend<D: Driver + 'static>(driver: &Rc<D>) {
         let (save, to) = with_exec(|e| {
             let i = e.current.expect("suspend outside a context");
             match &e.driver {
-                None => e.driver = Some(Arc::clone(driver) as Arc<dyn Driver>),
+                None => e.driver = Some(Rc::clone(driver) as Rc<dyn Driver>),
                 Some(d) => assert!(
-                    std::ptr::addr_eq(Arc::as_ptr(d), Arc::as_ptr(driver)),
+                    std::ptr::addr_eq(Rc::as_ptr(d), Rc::as_ptr(driver)),
                     "one lockstep cluster, two schedulers: its nodes wait on different fabrics"
                 ),
             }
@@ -431,7 +430,7 @@ mod imp {
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
 mod imp {
-    use super::{Arc, Driver};
+    use super::{Driver, Rc};
 
     pub fn current() -> Option<usize> {
         None
@@ -446,7 +445,7 @@ mod imp {
         );
     }
 
-    pub fn suspend<D: Driver + 'static>(_driver: &Arc<D>) {
+    pub fn suspend<D: Driver + 'static>(_driver: &Rc<D>) {
         unreachable!("no context exists on this target");
     }
 }
@@ -467,8 +466,6 @@ mod tests {
     use std::cell::RefCell;
     use std::collections::VecDeque;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::rc::Rc;
-    use std::sync::Mutex;
 
     use super::*;
 
@@ -476,11 +473,11 @@ mod tests {
 
     /// Resumes contexts in the order they suspended.
     #[derive(Default)]
-    struct Fifo(Mutex<VecDeque<usize>>);
+    struct Fifo(RefCell<VecDeque<usize>>);
 
     impl Driver for Fifo {
         fn next(&self) -> Option<usize> {
-            self.0.lock().unwrap().pop_front()
+            self.0.borrow_mut().pop_front()
         }
 
         fn describe(&self) -> String {
@@ -488,10 +485,9 @@ mod tests {
         }
     }
 
-    fn yield_to(fifo: &Arc<Fifo>) {
+    fn yield_to(fifo: &Rc<Fifo>) {
         fifo.0
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .push_back(current().expect("in a context"));
         suspend(fifo);
     }
@@ -523,7 +519,7 @@ mod tests {
 
     #[test]
     fn suspended_contexts_resume_in_the_order_the_driver_names() {
-        let fifo = Arc::new(Fifo::default());
+        let fifo = Rc::new(Fifo::default());
         let log = Rc::new(RefCell::new(Vec::new()));
         let sink = Rc::clone(&log);
         run(3, STACK, move |i| {
@@ -542,7 +538,7 @@ mod tests {
     fn a_megabyte_of_recursion_fits_and_survives_a_suspension() {
         /// Recurse until the stack is 1 MB deeper than `top`, suspend
         /// there, and count the frames on the way back up.
-        fn dive(top: usize, fifo: &Arc<Fifo>) -> usize {
+        fn dive(top: usize, fifo: &Rc<Fifo>) -> usize {
             let pad = std::hint::black_box([1u8; 512]);
             if top - (&raw const pad as usize) >= 1 << 20 {
                 yield_to(fifo);
@@ -550,7 +546,7 @@ mod tests {
             }
             dive(top, fifo) + pad[0] as usize
         }
-        let fifo = Arc::new(Fifo::default());
+        let fifo = Rc::new(Fifo::default());
         let depths = Rc::new(RefCell::new(Vec::new()));
         let sink = Rc::clone(&depths);
         run(2, 2 << 20, move |_| {
@@ -567,8 +563,8 @@ mod tests {
 
     #[test]
     fn a_panic_keeps_its_payload_and_the_thread_stays_usable() {
-        let fifo = Arc::new(Fifo::default());
-        let f = Arc::clone(&fifo);
+        let fifo = Rc::new(Fifo::default());
+        let f = Rc::clone(&fifo);
         let payload = catch_unwind(AssertUnwindSafe(|| {
             run(3, STACK, move |i| {
                 yield_to(&f);
@@ -595,7 +591,7 @@ mod tests {
 
     #[test]
     fn a_driver_with_nothing_to_release_is_a_deadlock() {
-        let fifo = Arc::new(Fifo::default());
+        let fifo = Rc::new(Fifo::default());
         let msg = panic_message(|| {
             run(2, STACK, move |i| {
                 if i == 1 {
@@ -614,6 +610,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no lockstep cluster runs on this thread")]
     fn suspend_needs_a_context() {
-        suspend(&Arc::new(Fifo::default()));
+        suspend(&Rc::new(Fifo::default()));
     }
 }

@@ -41,7 +41,7 @@ pub mod time;
 pub use clock::{AsyncScheme, NodeClock, SharedClock};
 pub use faults::FaultPlan;
 pub use params::SimParams;
-pub use runner::{run_cluster, NodeEnv};
+pub use runner::{run_cluster, run_cluster_with, NodeEnv};
 pub use sched::{LockstepSched, Wait};
 pub use stats::NodeStats;
 pub use time::Ns;

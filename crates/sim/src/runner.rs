@@ -12,12 +12,16 @@
 //! ([`crate::context`]): the scheduler ([`crate::sched`]) releases one
 //! event at a time, so threads would buy no parallelism, only a kernel
 //! hand-off per event and a wall-clock order no run could reproduce. A
-//! node body therefore must not block in the operating system (a channel
-//! receive, a sleep, a lock another node holds): the node that would
-//! unblock it shares the thread. Blocking on the cluster's scheduler —
-//! through a `NicHandle` or a `MemSubstrate` — is what suspends a context.
-//! Cores are for independent clusters: each `run_cluster` call is confined
-//! to its thread, so any number may run side by side.
+//! node body therefore must not block in the operating system (a sleep, a
+//! lock another node holds): the node that would unblock it shares the
+//! thread. Blocking on the cluster's scheduler — through a `NicHandle` or
+//! a `MemSubstrate` — is what suspends a context. The types hold the rule:
+//! those handles, the scheduler and the node clocks are `Rc`/`RefCell`
+//! data, so no bound here asks for `Send` or `Sync` and a cluster's state
+//! cannot be handed to another thread. What does cross threads is plain
+//! data — [`SimParams`] going in, [`NodeOutcome`]s coming out. Cores are
+//! for independent clusters: each `run_cluster` call is confined to its
+//! thread, so any number may run side by side.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -54,35 +58,12 @@ pub struct NodeOutcome<R> {
     pub result: R,
 }
 
-fn run_node<R>(
-    id: usize,
-    nprocs: usize,
-    params: &Arc<SimParams>,
-    body: impl Fn(&NodeEnv) -> R,
-) -> NodeOutcome<R> {
-    let env = NodeEnv {
-        id,
-        nprocs,
-        clock: shared_clock(),
-        params: Arc::clone(params),
-    };
-    let result = body(&env);
-    let clock = env.clock.borrow();
-    NodeOutcome {
-        id,
-        finish: clock.now(),
-        stats: clock.stats.clone(),
-        result,
-    }
-}
-
 /// Run `body` once per node, as `nprocs` contexts on this thread (module
 /// docs), and collect the outcomes, ordered by node id.
 ///
 /// A node body's panic is re-raised here with its own payload; a protocol
 /// deadlock is a panic naming every node's state. A `run_cluster` inside a
-/// node body is rejected. The `Send + Sync` bounds predate the one-thread
-/// runner and are kept for its callers' signatures.
+/// node body is rejected.
 ///
 /// # Panics
 ///
@@ -90,15 +71,46 @@ fn run_node<R>(
 /// ([`crate::context`]) exists for those two only.
 pub fn run_cluster<R, F>(nprocs: usize, params: Arc<SimParams>, body: F) -> Vec<NodeOutcome<R>>
 where
-    R: Send + 'static,
-    F: Fn(&NodeEnv) -> R + Send + Sync + 'static,
+    R: 'static,
+    F: Fn(&NodeEnv) -> R + 'static,
 {
+    run_cluster_with(params, vec![(); nprocs], move |env, ()| body(env))
+}
+
+/// [`run_cluster`] for `parts.len()` nodes, handing node *i* the value
+/// `parts[i]` to own: its NIC handle, its endpoint — whatever was built for
+/// it before the cluster started.
+pub fn run_cluster_with<P, R, F>(
+    params: Arc<SimParams>,
+    parts: Vec<P>,
+    body: F,
+) -> Vec<NodeOutcome<R>>
+where
+    P: 'static,
+    R: 'static,
+    F: Fn(&NodeEnv, P) -> R + 'static,
+{
+    let nprocs = parts.len();
     assert!(nprocs >= 1, "cluster needs at least one node");
+    let parts = RefCell::new(parts.into_iter().map(Some).collect::<Vec<_>>());
     let outcomes = Rc::new(RefCell::new(Vec::new()));
     let sink = Rc::clone(&outcomes);
     context::run(nprocs, NODE_STACK, move |id| {
-        let outcome = run_node(id, nprocs, &params, &body);
-        sink.borrow_mut().push(outcome);
+        let part = parts.borrow_mut()[id].take().expect("part taken twice");
+        let env = NodeEnv {
+            id,
+            nprocs,
+            clock: shared_clock(),
+            params: Arc::clone(&params),
+        };
+        let result = body(&env, part);
+        let clock = env.clock.borrow();
+        sink.borrow_mut().push(NodeOutcome {
+            id,
+            finish: clock.now(),
+            stats: clock.stats.clone(),
+            result,
+        });
     });
     let mut outcomes = outcomes.take();
     outcomes.sort_by_key(|o| o.id);
@@ -191,8 +203,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one node")]
-    fn zero_nodes_rejected() {
-        run_cluster(0, Arc::new(SimParams::default()), |_| ());
+    fn zero_nodes_and_empty_parts_are_rejected() {
+        let params = Arc::new(SimParams::default());
+        let p = Arc::clone(&params);
+        let msg = panic_message(|| drop(run_cluster(0, p, |_| ())));
+        assert!(msg.contains("at least one node"), "{msg}");
+        let msg = panic_message(|| drop(run_cluster_with(params, Vec::<u8>::new(), |_, _| ())));
+        assert!(msg.contains("at least one node"), "{msg}");
+    }
+
+    /// Node *i* owns `parts[i]`; a part needs to be neither `Clone` nor
+    /// `Send`.
+    #[test]
+    fn each_node_is_handed_its_own_part() {
+        struct Part(Rc<usize>);
+        let parts = (0..4).map(|i| Part(Rc::new(i * 7))).collect();
+        let out = run_cluster_with(Arc::new(SimParams::default()), parts, |env, part: Part| {
+            assert_eq!(env.nprocs, 4);
+            Rc::try_unwrap(part.0).expect("sole owner")
+        });
+        let got: Vec<_> = out.iter().map(|o| (o.id, o.result)).collect();
+        assert_eq!(got, [(0, 0), (1, 7), (2, 14), (3, 21)]);
+    }
+
+    /// A node body may capture thread-bound state: here an `Rc` log of the
+    /// order the scheduler releases three deadlines in, latest node first.
+    #[test]
+    fn a_node_body_may_capture_unsendable_state() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let (sink, sched) = (Rc::clone(&log), Rc::new(crate::LockstepSched::new(3)));
+        run_cluster(3, Arc::new(SimParams::default()), move |env| {
+            sched.park(env.id, Some(Ns(30 - 10 * env.id as u64)), None);
+            sink.borrow_mut().push(env.id);
+            sched.mark_done(env.id);
+        });
+        assert_eq!(*log.borrow(), [2, 1, 0]);
     }
 }

@@ -58,10 +58,13 @@
 //! A cluster in which every node waits and no key is on offer can never
 //! move again: [`crate::context::run`] panics with every node's state
 //! ([`Driver::describe`]). Nothing in the workspace blocks in the
-//! operating system, so nothing hangs.
+//! operating system and no lock stands between two nodes — the scheduler
+//! and its clients are `Rc`/`RefCell` data of one thread — so nothing
+//! hangs.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
 use crate::context::{self, Driver};
 use crate::time::Ns;
@@ -161,11 +164,16 @@ impl State {
 
 /// The scheduler of one cluster (module docs). Every method is called by
 /// the node it names — from that node's context, or from the one thread
-/// that drives every node by hand; the mutex is never contended and never
-/// held across a suspension — it is there because the fabric that owns the
-/// scheduler is `Sync`.
+/// that drives every node by hand. A cluster never leaves its thread, and
+/// the type says so: shared by `Rc`, state in a `RefCell` that is never
+/// borrowed across a suspension.
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<tm_sim::LockstepSched>();
+/// ```
 pub struct LockstepSched {
-    state: Mutex<State>,
+    state: RefCell<State>,
 }
 
 impl LockstepSched {
@@ -175,12 +183,8 @@ impl LockstepSched {
         let nodes = (0..n).map(|_| NodeSt::default()).collect();
         let ready = VecDeque::new();
         LockstepSched {
-            state: Mutex::new(State { nodes, ready }),
+            state: RefCell::new(State { nodes, ready }),
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("a scheduler call panicked")
     }
 
     /// Wait in state `st` until released. Settles inline — no suspension —
@@ -188,9 +192,9 @@ impl LockstepSched {
     /// the key is below all of theirs: the context would be suspended only
     /// to be the one `next` picks. Outside a context (module docs) any key
     /// settles, and a wait without one is refused.
-    fn block(self: &Arc<Self>, node: usize, st: St) -> Wait<()> {
+    fn block(self: &Rc<Self>, node: usize, st: St) -> Wait<()> {
         {
-            let mut s = self.lock();
+            let mut s = self.state.borrow_mut();
             let behind = |n: &NodeSt, key| match n.st {
                 St::Running => false,
                 _ => n.st.key().is_none_or(|k| key < k),
@@ -214,7 +218,7 @@ impl LockstepSched {
             s.nodes[node] = NodeSt { st, ctx, wake };
         }
         context::suspend(self);
-        let wake = self.lock().nodes[node].wake.take();
+        let wake = self.state.borrow_mut().nodes[node].wake.take();
         wake.expect("resumed without a release")
     }
 
@@ -223,7 +227,7 @@ impl LockstepSched {
     /// caller reserves its links and pushes the packet — nothing else in
     /// the cluster runs meanwhile — then reports where it landed with
     /// [`LockstepSched::deliver`]. `dst` is named only for diagnostics.
-    pub fn request_transmit(self: &Arc<Self>, node: usize, dst: usize, inject: Ns) {
+    pub fn request_transmit(self: &Rc<Self>, node: usize, dst: usize, inject: Ns) {
         let key = (inject, node);
         self.block(node, St::Pending { key, dst });
     }
@@ -232,7 +236,7 @@ impl LockstepSched {
     /// parked. A node that is running, pending or done finds the packet
     /// when it next drains.
     pub fn deliver(&self, dst: usize) {
-        let mut s = self.lock();
+        let mut s = self.state.borrow_mut();
         if matches!(s.nodes[dst].st, St::Parked { .. }) {
             s.release(dst, Wait::Got(()));
         }
@@ -259,7 +263,7 @@ impl LockstepSched {
     /// `PeersDone` — and whether a timer armed against a departing peer
     /// fires or cancels — are pure functions of the program.
     pub fn park(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         node: usize,
         deadline: Option<Ns>,
         watch: Option<&[usize]>,
@@ -278,14 +282,14 @@ impl LockstepSched {
     /// ([`LockstepSched::mark_done`]): the cluster's one record of
     /// liveness.
     pub fn all_done(&self, nodes: &[usize]) -> bool {
-        self.lock().all_done(nodes)
+        self.state.borrow().all_done(nodes)
     }
 
     /// `node`'s NIC has left the fabric (its handle was dropped): it
     /// produces no further events, and every parked watcher whose whole
     /// watch set is now gone is released.
     pub fn mark_done(&self, node: usize) {
-        let mut s = self.lock();
+        let mut s = self.state.borrow_mut();
         s.nodes[node].st = St::Done;
         let released: Vec<usize> = (0..s.nodes.len())
             .filter(
@@ -300,7 +304,7 @@ impl LockstepSched {
 
 impl Driver for LockstepSched {
     fn next(&self) -> Option<usize> {
-        let mut s = self.lock();
+        let mut s = self.state.borrow_mut();
         if s.ready.is_empty() {
             let (_, node) = s.nodes.iter().filter_map(|n| n.st.key()).min()?;
             s.release(node, Wait::Deadline);
@@ -309,7 +313,7 @@ impl Driver for LockstepSched {
     }
 
     fn describe(&self) -> String {
-        let s = self.lock();
+        let s = self.state.borrow();
         let line = |(i, n): (usize, &NodeSt)| match &n.st {
             St::Pending { key, dst } => {
                 format!("  node {i}: transmit to node {dst} pending at {}\n", key.0)
@@ -322,16 +326,13 @@ impl Driver for LockstepSched {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     use super::*;
     use crate::context::panic_message;
 
     /// Run `body(node, sched)` as every node of a fresh `n`-node scheduler,
     /// each in a context of its own; a node that returns has left.
-    fn cluster(n: usize, body: impl Fn(usize, &Arc<LockstepSched>) + 'static) {
-        let sched = Arc::new(LockstepSched::new(n));
+    fn cluster(n: usize, body: impl Fn(usize, &Rc<LockstepSched>) + 'static) {
+        let sched = Rc::new(LockstepSched::new(n));
         context::run(n, 256 << 10, move |node| {
             body(node, &sched);
             sched.mark_done(node);
@@ -458,7 +459,7 @@ mod tests {
     /// end and is refused with every node's state.
     #[test]
     fn outside_a_context_a_keyed_wait_settles_and_a_keyless_one_is_refused() {
-        let sched = Arc::new(LockstepSched::new(3));
+        let sched = Rc::new(LockstepSched::new(3));
         sched.mark_done(2);
         // Node 1 "running" with nothing on offer would hold node 0 back
         // inside a context; here nobody else can run.

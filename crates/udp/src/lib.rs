@@ -15,6 +15,12 @@
 //! UDP/GM bandwidth "could not be measured accurately because of the
 //! unreliable nature of UDP"; timing runs here default to zero loss.
 
+//!
+//! [`UdpSubstrate`] binds TreadMarks to that stack: the stock sockets
+//! binding the paper's FAST/GM replaces.
+
 pub mod socket;
+pub mod substrate;
 
 pub use socket::{Datagram, UdpStack, SOCKET_PORT_BASE};
+pub use substrate::UdpSubstrate;

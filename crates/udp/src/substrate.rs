@@ -9,10 +9,11 @@
 use std::sync::Arc;
 
 use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
-use tm_udp::UdpStack;
 use tmk::framing::{self, FragHeader, Reassembler};
 use tmk::wire::pool;
 use tmk::{Chan, IncomingMsg, Substrate};
+
+use crate::socket::{Datagram, UdpStack};
 
 /// Socket number for asynchronous requests (SIGIO).
 pub const REQ_SOCK: u16 = 1;
@@ -98,7 +99,7 @@ impl UdpSubstrate {
     /// Handle one datagram; `Some` when a full message is available.
     /// Loss tombstones surface as `IncomingMsg { lost: true }` so blocked
     /// requesters observe the loss at its deterministic virtual time.
-    fn handle(&mut self, sock: u16, d: tm_udp::Datagram) -> Option<IncomingMsg> {
+    fn handle(&mut self, sock: u16, d: Datagram) -> Option<IncomingMsg> {
         let chan = if sock == REQ_SOCK {
             Chan::Request
         } else {

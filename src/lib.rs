@@ -8,9 +8,9 @@
 //! * [`myrinet`] — simulated Myrinet-2000 fabric + LANai NIC
 //! * [`gm`] — the GM user-level message layer (ports, preposted
 //!   buffers by size class, registered memory, send tokens)
-//! * [`udp`] — the kernel sockets/UDP baseline (UDP/GM)
-//! * [`fast`] — FAST/GM, the paper's substrate (+ the UDP binding and
-//!   cluster runners)
+//! * [`udp`] — the kernel sockets/UDP baseline (UDP/GM) and its binding
+//!   to TreadMarks
+//! * [`fast`] — FAST/GM, the paper's substrate (+ the cluster runners)
 //! * [`tmk`] — the TreadMarks lazy-release-consistency DSM runtime
 //! * [`apps`] — SOR, Jacobi, TSP and 3D-FFT with sequential references
 //!

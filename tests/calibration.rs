@@ -4,10 +4,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use tm_fast::{FastConfig, FastSubstrate};
 use tm_gm::{gm_cluster, gm_size, DmaPool};
-use tm_sim::{run_cluster, Ns, SimParams};
+use tm_sim::{run_cluster_with, Ns, SimParams};
 use tm_udp::UdpStack;
 use tmk::Substrate;
 
@@ -16,9 +15,7 @@ use tmk::Substrate;
 fn gm_latency_matches_paper() {
     let params = Arc::new(SimParams::paper_testbed());
     let (_f, board, nics) = gm_cluster(2, Arc::clone(&params));
-    let nics = Arc::new(Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>()));
-    let out = run_cluster(2, Arc::clone(&params), move |env| {
-        let nic = nics.lock()[env.id].take().unwrap();
+    let out = run_cluster_with(params, nics, move |env, nic| {
         let mut gm = tm_gm::GmNode::new(
             nic,
             env.clock.clone(),
@@ -63,9 +60,7 @@ fn substrate_latency_ordering() {
     // FAST
     let params = Arc::new(SimParams::paper_testbed());
     let (_f, board, nics) = gm_cluster(2, Arc::clone(&params));
-    let nics = Arc::new(Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>()));
-    let fast = run_cluster(2, Arc::clone(&params), move |env| {
-        let nic = nics.lock()[env.id].take().unwrap();
+    let fast = run_cluster_with(params, nics, move |env, nic| {
         let mut sub = FastSubstrate::new(
             nic,
             env.clock.clone(),
@@ -91,9 +86,7 @@ fn substrate_latency_ordering() {
     // UDP
     let params = Arc::new(SimParams::paper_testbed());
     let (_f, nics) = tm_myrinet::Fabric::new(2, Arc::clone(&params));
-    let nics = Arc::new(Mutex::new(nics.into_iter().map(Some).collect::<Vec<_>>()));
-    let udp = run_cluster(2, Arc::clone(&params), move |env| {
-        let nic = nics.lock()[env.id].take().unwrap();
+    let udp = run_cluster_with(params, nics, move |env, nic| {
         let mut u = UdpStack::new(nic, env.clock.clone(), Arc::clone(&env.params));
         u.bind(3, false);
         if env.id == 0 {

@@ -108,13 +108,9 @@ fn udp_roundtrips_across_the_datagram_limit() {
 fn fast_rendezvous_threshold_roundtrips() {
     let params = params();
     let (_f, board, nics) = gm_cluster(2, Arc::clone(&params));
-    let nics = Arc::new(std::sync::Mutex::new(
-        nics.into_iter().map(Some).collect::<Vec<_>>(),
-    ));
     // gm_size(len + 2) crosses rdv_min_size=14 at len = 8191.
     let lens = [8189usize, 8190, 8191, 8192, 20_000];
-    let out = tm_sim::run_cluster(2, Arc::clone(&params), move |env| {
-        let nic = nics.lock().unwrap()[env.id].take().unwrap();
+    let out = tm_sim::run_cluster_with(params, nics, move |env, nic| {
         let mut cfg = FastConfig::paper(&env.params);
         cfg.rendezvous = true;
         let mut sub = FastSubstrate::new(

@@ -114,6 +114,21 @@ fn concurrent_lockstep_clusters_do_not_see_each_other() {
     assert!(udp_both.iter().all(|f| *f == udp_alone), "UDP/GM cluster was disturbed");
 }
 
+/// What goes into a cluster and what comes out of it is plain data and
+/// does cross threads — the scope above, the repo benchmark's rep thread.
+/// The cluster itself (`NicHandle`, `MemEndpoint`, `Fabric`,
+/// `LockstepSched`) does not: `compile_fail` doctests on those types.
+#[test]
+fn what_enters_and_leaves_a_cluster_crosses_threads() {
+    fn crosses_threads<T: Send>() {}
+    crosses_threads::<tm_sim::runner::NodeOutcome<Vec<u8>>>();
+    crosses_threads::<tm_sim::NodeStats>();
+    crosses_threads::<tmk::LayerMetrics>();
+    crosses_threads::<SimParams>();
+    crosses_threads::<TmkConfig>();
+    crosses_threads::<FastConfig>();
+}
+
 const STORM_NODES: usize = 16;
 
 /// The repo benchmark's `sync64_fast` in small: rounds of {lock; one-word
