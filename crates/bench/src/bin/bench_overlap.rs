@@ -25,34 +25,19 @@ use std::sync::Arc;
 
 use tm_fast::{run_fast_dsm, FastConfig};
 
+use tm_bench::diff_storm_body;
 use tmk::{DiffFetch, Substrate, Tmk, TmkConfig};
 
 const PAGES: usize = 64;
 
 /// Reader's virtual cost of the whole-region read (zero on writers).
 fn storm_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
-    let region = tmk.malloc(PAGES * 4096);
-    let me = tmk.proc_id();
-    let writers = tmk.nprocs() - 1;
-    // Everyone warms every page: writers need resident copies so their
-    // stores produce diffs, and the reader needs stale copies so the
-    // measured read is a pure diff-fetch storm.
-    for p in 0..PAGES {
-        let _ = tmk.get_u32(region, p * 1024);
-    }
-    tmk.barrier(0);
-    if me < writers {
-        for p in 0..PAGES {
-            tmk.set_u32(region, p * 1024 + me * 16, 1 + me as u32);
-        }
-    }
-    tmk.barrier(1);
-    let mut cost = 0u64;
-    if me == writers {
+    diff_storm_body(tmk, PAGES, |tmk, region| {
+        let writers = tmk.nprocs() - 1;
         let mut buf = vec![0u8; PAGES * 4096];
         let t0 = tmk.clock().borrow().now();
         tmk.read_bytes(region, 0, &mut buf);
-        cost = (tmk.clock().borrow().now() - t0).0;
+        let cost = (tmk.clock().borrow().now() - t0).0;
         // Every writer's word must have landed on every page.
         for p in 0..PAGES {
             for w in 0..writers {
@@ -61,9 +46,8 @@ fn storm_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
                 assert_eq!(v, 1 + w as u32, "page {p} writer {w}");
             }
         }
-    }
-    tmk.barrier(2);
-    cost
+        cost
+    })
 }
 
 fn run(writers: usize, engine: DiffFetch) -> u64 {

@@ -23,91 +23,12 @@ use std::sync::Arc;
 
 use tm_fast::{run_fast_dsm, FastConfig};
 
-use tmk::{LockPath, MetricsHandle, Substrate, Tmk, TmkConfig};
+use tm_bench::{lock_storm_body, strided_sweep_body, tallied};
+use tmk::{LockPath, TmkConfig};
 
 const STORM_PAGES: usize = 16;
 const STORM_ROUNDS: u64 = 8;
 const SWEEP_PAGES: usize = 48;
-
-/// Node 1's per-round cost of taking the lock and reading the block the
-/// holder just wrote (zero on node 0).
-fn lock_storm_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
-    let region = tmk.malloc(STORM_PAGES * 4096);
-    tmk.distribute(region);
-    let me = tmk.proc_id();
-    for p in 0..STORM_PAGES {
-        let _ = tmk.get_u32(region, p * 1024);
-    }
-    tmk.barrier(0);
-    let mut ns = 0u64;
-    for r in 0..STORM_ROUNDS {
-        let want = r as u32 + 1;
-        if me == 0 {
-            tmk.acquire(0);
-            // Payload pages first, the turn marker (page 0) last: a reader
-            // that observes the marker holds notices for the whole interval.
-            for p in 1..STORM_PAGES {
-                tmk.set_u32(region, p * 1024 + 4, want);
-            }
-            tmk.set_u32(region, 4, want);
-            tmk.release(0);
-        } else {
-            let t0 = tmk.clock().borrow().now();
-            loop {
-                tmk.acquire(0);
-                if tmk.get_u32(region, 4) == want {
-                    break;
-                }
-                tmk.release(0);
-            }
-            for p in 1..STORM_PAGES {
-                assert_eq!(tmk.get_u32(region, p * 1024 + 4), want, "storm payload");
-            }
-            tmk.release(0);
-            ns += (tmk.clock().borrow().now() - t0).0;
-        }
-        tmk.barrier(1 + r as u32);
-    }
-    ns / STORM_ROUNDS
-}
-
-/// Reader's per-page cost of the ascending sweep plus the prefetch
-/// tallies `(ns_per_page, issued, hits, wasted)` (zeros on the writer).
-fn strided_sweep_body<S: Substrate>(tmk: &mut Tmk<S>) -> (u64, u64, u64, u64) {
-    let region = tmk.malloc(SWEEP_PAGES * 4096);
-    tmk.distribute(region);
-    let me = tmk.proc_id();
-    for p in 0..SWEEP_PAGES {
-        let _ = tmk.get_u32(region, p * 1024);
-    }
-    tmk.barrier(0);
-    if me == 0 {
-        for p in 0..SWEEP_PAGES {
-            tmk.set_u32(region, p * 1024, p as u32 + 1);
-        }
-    }
-    tmk.barrier(1);
-    let mut out = (0u64, 0u64, 0u64, 0u64);
-    if me == 1 {
-        let h = MetricsHandle::install(tmk);
-        let t0 = tmk.clock().borrow().now();
-        for p in 0..SWEEP_PAGES {
-            assert_eq!(tmk.get_u32(region, p * 1024), p as u32 + 1, "sweep payload");
-        }
-        let ns = (tmk.clock().borrow().now() - t0).0 / SWEEP_PAGES as u64;
-        let m = h.snapshot();
-        let count = |k: &str| m.get(k).map_or(0, |e| e.count);
-        out = (
-            ns,
-            count("prefetch_issued"),
-            count("prefetch_hit"),
-            count("prefetch_wasted"),
-        );
-        tmk.clear_event_hook();
-    }
-    tmk.barrier(2);
-    out
-}
 
 fn run_storm(lp: LockPath) -> u64 {
     let params = Arc::new(tm_sim::SimParams::paper_testbed());
@@ -116,10 +37,14 @@ fn run_storm(lp: LockPath) -> u64 {
         lock_path: lp,
         ..TmkConfig::default()
     };
-    let out = run_fast_dsm(2, params, cfg, tcfg, lock_storm_body);
+    let out = run_fast_dsm(2, params, cfg, tcfg, |tmk| {
+        lock_storm_body(tmk, STORM_PAGES, STORM_ROUNDS)
+    });
     out[1].result
 }
 
+/// Reader's per-page cost of the ascending sweep plus its prefetch
+/// tallies: `(ns_per_page, issued, hits, wasted)`.
 fn run_sweep(depth: usize) -> (u64, u64, u64, u64) {
     let params = Arc::new(tm_sim::SimParams::paper_testbed());
     let cfg = FastConfig::paper(&params);
@@ -127,7 +52,16 @@ fn run_sweep(depth: usize) -> (u64, u64, u64, u64) {
         prefetch_depth: depth,
         ..TmkConfig::default()
     };
-    let out = run_fast_dsm(2, params, cfg, tcfg, strided_sweep_body);
+    let out = run_fast_dsm(2, params, cfg, tcfg, |tmk| {
+        let (ns, m) = tallied(tmk, |tmk| strided_sweep_body(tmk, SWEEP_PAGES));
+        let count = |k: &str| m.get(k).map_or(0, |e| e.count);
+        (
+            ns,
+            count("prefetch_issued"),
+            count("prefetch_hit"),
+            count("prefetch_wasted"),
+        )
+    });
     out[1].result
 }
 

@@ -6,19 +6,25 @@
 
 use std::sync::Arc;
 
-use tm_bench::{print_header, print_row, print_row_header, with_metrics};
+use tm_bench::{
+    diff_storm_body, lock_storm_body, print_header, print_row, print_row_header,
+    strided_sweep_body, tallied, with_metrics,
+};
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::stats::NodeStats;
 use tm_sim::{Ns, SimParams};
-use tmk::{DiffFetch, LockPath, MetricsHandle, Substrate, Tmk, TmkConfig};
+use tmk::{DiffFetch, LockPath, Substrate, Tmk, TmkConfig};
 
 const ROUNDS: u64 = 20;
 const PAGES: usize = 64;
+/// The smoke run's lock storm and strided sweep (`bench_prefetch`'s sizes).
+const STORM_PAGES: usize = 16;
+const STORM_ROUNDS: u64 = 8;
+const SWEEP_PAGES: usize = 48;
 
-/// Paper testbed + the fault plan under test (`E2_FAULT_LOSS`,
-/// `E2_FAULT_SEED`) — see [`tm_bench::Opts`] for every knob. Two
-/// invocations of this binary produce byte-identical stdout for every
-/// row.
+/// Paper testbed + the fault plan under test (`E2_FAULT_LOSS`) — see
+/// [`tm_bench::Opts`] for every knob. Two invocations of this binary
+/// produce byte-identical stdout for every row.
 fn bench_params() -> SimParams {
     let mut p = SimParams::paper_testbed();
     p.faults = tm_bench::opts().fault_plan();
@@ -37,8 +43,7 @@ fn tally<R>(outcomes: &[tm_sim::runner::NodeOutcome<R>]) {
     }
 }
 
-/// The DSM configuration under test (`E2_BARRIER_ALGO`, `E2_DIFF_FETCH`,
-/// `E2_LOCK_PATH`, `E2_PREFETCH`).
+/// The DSM configuration under test (`E2_LOCK_PATH`, `E2_PREFETCH`).
 fn tmk_cfg() -> TmkConfig {
     tm_bench::opts().tmk_config()
 }
@@ -199,120 +204,19 @@ fn diff_large_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
     diff_body(tmk, true)
 }
 
-/// Multi-writer diff: nodes `0..n-1` each write a disjoint word of every
-/// page; the last node, holding stale copies, re-reads one word per page
-/// and pays one diff fetch per writer per page fault. Under the
+/// Multi-writer diff ([`diff_storm_body`]): the reader re-reads one word
+/// per page and pays one diff fetch per writer per page fault. Under the
 /// overlapped engine the k requests fly concurrently, so the fault cost
 /// approaches the slowest round trip instead of the sum of k of them.
 fn diff_multi_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
-    let region = tmk.malloc(PAGES * 4096);
-    let me = tmk.proc_id();
-    let writers = tmk.nprocs() - 1;
-    // Everyone warms every page: writers need resident copies so their
-    // stores produce diffs, and the reader needs stale copies so the
-    // measured access is a diff fetch rather than a page fetch.
-    for p in 0..PAGES {
-        let _ = tmk.get_u32(region, p * 1024);
-    }
-    tmk.barrier(0);
-    if me < writers {
-        // Disjoint words of the same pages: concurrent multi-writer
-        // intervals, the workload TreadMarks' diff protocol exists for.
-        for p in 0..PAGES {
-            tmk.set_u32(region, p * 1024 + me * 16, 7 + me as u32);
-        }
-    }
-    tmk.barrier(1);
-    let mut per_page = 0u64;
-    if me == writers {
+    diff_storm_body(tmk, PAGES, |tmk, region| {
         let t0 = tmk.clock().borrow().now();
         for p in 0..PAGES {
             let v = tmk.get_u32(region, p * 1024);
             assert_ne!(v, 0, "writer 0's diff must have been applied");
         }
-        per_page = (tmk.clock().borrow().now() - t0).0 / PAGES as u64;
-    }
-    tmk.barrier(2);
-    per_page
-}
-
-/// TSP-like lock storm: the holder (node 0) writes a block of pages
-/// under the lock, node 1 acquires and reads them. The only ordering
-/// between the write and the read is the lock transfer itself, so the
-/// grant carries the write notices — under `LockPath::Overlapped` the
-/// diff fetches they imply are batched at acquire time instead of
-/// faulting one round trip at a time inside the critical section.
-fn lock_storm_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
-    const K: usize = 16;
-    const STORM_ROUNDS: u64 = 8;
-    let region = tmk.malloc(K * 4096);
-    tmk.distribute(region);
-    let me = tmk.proc_id();
-    for p in 0..K {
-        let _ = tmk.get_u32(region, p * 1024);
-    }
-    tmk.barrier(0);
-    let mut ns = 0u64;
-    for r in 0..STORM_ROUNDS {
-        let want = r as u32 + 1;
-        if me == 0 {
-            tmk.acquire(0);
-            // Payload pages first, the turn marker (page 0) last: a reader
-            // that observes the marker holds notices for the whole interval.
-            for p in 1..K {
-                tmk.set_u32(region, p * 1024 + 4, want);
-            }
-            tmk.set_u32(region, 4, want);
-            tmk.release(0);
-        } else {
-            let t0 = tmk.clock().borrow().now();
-            loop {
-                tmk.acquire(0);
-                if tmk.get_u32(region, 4) == want {
-                    break;
-                }
-                tmk.release(0);
-            }
-            for p in 1..K {
-                assert_eq!(tmk.get_u32(region, p * 1024 + 4), want, "lock-storm payload");
-            }
-            tmk.release(0);
-            ns += (tmk.clock().borrow().now() - t0).0;
-        }
-        tmk.barrier(1 + r as u32);
-    }
-    ns / STORM_ROUNDS
-}
-
-/// SOR-like strided sweep: node 0 writes one word of every page, then
-/// node 1 reads the pages in ascending order after a barrier. Every read
-/// faults, and the constant stride lets the prefetcher run ahead of the
-/// fault stream when `prefetch_depth > 0`.
-fn strided_sweep_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
-    const P: usize = 48;
-    let region = tmk.malloc(P * 4096);
-    tmk.distribute(region);
-    let me = tmk.proc_id();
-    for p in 0..P {
-        let _ = tmk.get_u32(region, p * 1024);
-    }
-    tmk.barrier(0);
-    if me == 0 {
-        for p in 0..P {
-            tmk.set_u32(region, p * 1024, p as u32 + 1);
-        }
-    }
-    tmk.barrier(1);
-    let mut ns = 0u64;
-    if me == 1 {
-        let t0 = tmk.clock().borrow().now();
-        for p in 0..P {
-            assert_eq!(tmk.get_u32(region, p * 1024), p as u32 + 1, "sweep payload");
-        }
-        ns = (tmk.clock().borrow().now() - t0).0 / P as u64;
-    }
-    tmk.barrier(2);
-    ns
+        (tmk.clock().borrow().now() - t0).0 / PAGES as u64
+    })
 }
 
 fn avg_nonzero(v: &[tm_sim::runner::NodeOutcome<u64>]) -> Ns {
@@ -405,7 +309,9 @@ fn main() {
                 lock_path: lp,
                 ..tmk_cfg()
             };
-            let out = run_fast_dsm(2, params, cfg, tcfg, lock_storm_body);
+            let out = run_fast_dsm(2, params, cfg, tcfg, |tmk| {
+                lock_storm_body(tmk, STORM_PAGES, STORM_ROUNDS)
+            });
             out[1].result
         };
         let lock_serial = run_lock(LockPath::Serial);
@@ -426,13 +332,10 @@ fn main() {
                 ..tmk_cfg()
             };
             let out = run_fast_dsm(2, params, cfg, tcfg, |tmk| {
-                let h = MetricsHandle::install(tmk);
-                let ns = strided_sweep_body(tmk);
-                let hits = h.snapshot().get("prefetch_hit").map_or(0, |e| e.count);
-                tmk.clear_event_hook();
-                (ns, hits)
+                let (ns, tally) = tallied(tmk, |tmk| strided_sweep_body(tmk, SWEEP_PAGES));
+                (ns, tally.get("prefetch_hit").map_or(0, |e| e.count))
             });
-            (out[1].result.0, out[1].result.1)
+            out[1].result
         };
         let (sweep0, hits0) = run_sweep(0);
         let (sweep8, hits8) = run_sweep(8);
@@ -454,10 +357,7 @@ fn main() {
     if tm_bench::opts().e2_metrics {
         let metrics = tm_bench::take_metrics().unwrap_or_default();
         println!();
-        println!(
-            "per-layer events (all workloads, both transports, algo={:?}):",
-            tm_bench::opts().barrier_algo
-        );
+        println!("per-layer events (all workloads, both transports):");
         print!("{}", metrics.render());
     }
 

@@ -34,10 +34,10 @@ use tmk::{BarrierAlgo, Substrate, Tmk, TmkConfig};
 
 const ROUNDS: u64 = 60;
 
-/// Combining-tree radix (`E7_RADIX`, see [`tm_bench::Opts::e7_radix`]).
-fn radix() -> u16 {
-    tm_bench::opts().e7_radix
-}
+/// Combining-tree radix: 8 fits 128 nodes in two levels (1 + k + k² ≥
+/// 128) while keeping any single node's serialized arrival work well under
+/// the centralized manager's n−1.
+const RADIX: u16 = 8;
 
 fn barrier_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
     tmk.barrier(0); // warmup
@@ -76,7 +76,7 @@ fn ideal_barrier(n: usize, algo: BarrierAlgo) -> Ns {
 fn prices(n: usize) -> Vec<u64> {
     let params = Arc::new(SimParams::paper_testbed());
     let fc = FastConfig::paper(&params);
-    let algo = BarrierAlgo::Tree { radix: radix() };
+    let algo = BarrierAlgo::Tree { radix: RADIX };
     let out = run_fast_dsm(n, params, fc, cfg(algo), barrier_body);
     out.iter().map(|o| o.result).collect()
 }
@@ -92,12 +92,12 @@ fn smoke() {
         "{:>6} {:>14} {:>14}",
         "nodes",
         "centralized",
-        format!("tree({})", radix())
+        format!("tree({RADIX})")
     );
     let mut tree = Vec::new();
     for n in [8usize, 16, 32] {
         let c = fast_barrier(n, BarrierAlgo::Centralized);
-        let t = fast_barrier(n, BarrierAlgo::Tree { radix: radix() });
+        let t = fast_barrier(n, BarrierAlgo::Tree { radix: RADIX });
         println!("{n:>6} {:>14} {:>14}", format!("{c}"), format!("{t}"));
         if n >= 16 {
             assert!(
@@ -141,21 +141,20 @@ fn main() {
 
     println!();
     println!("-- barrier vs cluster size, by algorithm --");
-    let k = radix();
     println!(
         "{:>6} {:>14} {:>12} {:>14} {:>12}",
         "nodes",
         "centralized",
-        format!("tree({k})"),
-        format!("nic-tree({k})"),
+        format!("tree({RADIX})"),
+        format!("nic-tree({RADIX})"),
         "ideal tree"
     );
     let mut tree = Vec::new();
     for n in [16usize, 32, 64, 128] {
         let central = fast_barrier(n, BarrierAlgo::Centralized);
-        let t = fast_barrier(n, BarrierAlgo::Tree { radix: radix() });
-        let nic = fast_barrier(n, BarrierAlgo::NicTree { radix: radix() });
-        let ideal = ideal_barrier(n, BarrierAlgo::Tree { radix: radix() });
+        let t = fast_barrier(n, BarrierAlgo::Tree { radix: RADIX });
+        let nic = fast_barrier(n, BarrierAlgo::NicTree { radix: RADIX });
+        let ideal = ideal_barrier(n, BarrierAlgo::Tree { radix: RADIX });
         println!(
             "{n:>6} {:>14} {:>12} {:>14} {:>12}",
             format!("{central}"),

@@ -20,9 +20,7 @@ use tm_apps::{
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, Transport};
 use tm_sim::runner::cluster_time;
 use tm_sim::{FaultPlan, Ns, SimParams};
-use tmk::{
-    BarrierAlgo, DiffFetch, LayerMetrics, LockPath, MetricsHandle, Substrate, Tmk, TmkConfig,
-};
+use tmk::{LayerMetrics, LockPath, MetricsHandle, SharedId, Substrate, Tmk, TmkConfig};
 
 /// Cross-run metrics accumulator: when a binary turns instrumentation on
 /// ([`set_metrics_enabled`]), every [`with_metrics`] body — each
@@ -42,22 +40,149 @@ pub fn take_metrics() -> Option<LayerMetrics> {
     METRICS.lock().unwrap().take()
 }
 
+/// Run one node body with a tallying event hook installed; returns the
+/// body's result and the node's tally.
+pub fn tallied<S: Substrate, R>(
+    tmk: &mut Tmk<S>,
+    body: impl FnOnce(&mut Tmk<S>) -> R,
+) -> (R, LayerMetrics) {
+    let handle = MetricsHandle::install(tmk);
+    let r = body(tmk);
+    tmk.clear_event_hook();
+    (r, handle.snapshot())
+}
+
 /// Run one node body, folding its event tallies into the accumulator when
 /// instrumentation is on.
 pub fn with_metrics<S: Substrate, R>(tmk: &mut Tmk<S>, body: impl FnOnce(&mut Tmk<S>) -> R) -> R {
-    let handle = METRICS_ON
-        .load(Ordering::Relaxed)
-        .then(|| MetricsHandle::install(tmk));
-    let r = body(tmk);
-    if let Some(h) = handle {
-        METRICS
-            .lock()
-            .unwrap()
-            .get_or_insert_with(LayerMetrics::default)
-            .merge(&h.snapshot());
-        tmk.clear_event_hook();
+    if !METRICS_ON.load(Ordering::Relaxed) {
+        return body(tmk);
     }
+    let (r, tally) = tallied(tmk, body);
+    METRICS
+        .lock()
+        .unwrap()
+        .get_or_insert_with(LayerMetrics::default)
+        .merge(&tally);
     r
+}
+
+// ----- microbenchmark bodies more than one binary runs ----------------------
+
+/// TSP-like lock storm: the holder (node 0) writes a block of `pages`
+/// pages under the lock, node 1 acquires and reads them, `rounds` times.
+/// The only ordering between the write and the read is the lock transfer
+/// itself, so the grant carries the write notices — under
+/// `LockPath::Overlapped` the diff fetches they imply are batched at
+/// acquire time instead of faulting one round trip at a time inside the
+/// critical section. Returns node 1's cost per round (zero on node 0).
+pub fn lock_storm_body<S: Substrate>(tmk: &mut Tmk<S>, pages: usize, rounds: u64) -> u64 {
+    let region = tmk.malloc(pages * 4096);
+    tmk.distribute(region);
+    let me = tmk.proc_id();
+    for p in 0..pages {
+        let _ = tmk.get_u32(region, p * 1024);
+    }
+    tmk.barrier(0);
+    let mut ns = 0u64;
+    for r in 0..rounds {
+        let want = r as u32 + 1;
+        if me == 0 {
+            tmk.acquire(0);
+            // Payload pages first, the turn marker (page 0) last: a reader
+            // that observes the marker holds notices for the whole interval.
+            for p in 1..pages {
+                tmk.set_u32(region, p * 1024 + 4, want);
+            }
+            tmk.set_u32(region, 4, want);
+            tmk.release(0);
+        } else {
+            let t0 = tmk.clock().borrow().now();
+            loop {
+                tmk.acquire(0);
+                if tmk.get_u32(region, 4) == want {
+                    break;
+                }
+                tmk.release(0);
+            }
+            for p in 1..pages {
+                assert_eq!(
+                    tmk.get_u32(region, p * 1024 + 4),
+                    want,
+                    "lock-storm payload"
+                );
+            }
+            tmk.release(0);
+            ns += (tmk.clock().borrow().now() - t0).0;
+        }
+        tmk.barrier(1 + r as u32);
+    }
+    ns / rounds
+}
+
+/// SOR-like strided sweep: node 0 writes one word of each of `pages`
+/// pages, then node 1 reads the pages in ascending order after a barrier.
+/// Every read faults, and the constant stride lets the prefetcher run
+/// ahead of the fault stream when `prefetch_depth > 0`. Returns the
+/// reader's cost per page (zero on the writer).
+pub fn strided_sweep_body<S: Substrate>(tmk: &mut Tmk<S>, pages: usize) -> u64 {
+    let region = tmk.malloc(pages * 4096);
+    tmk.distribute(region);
+    let me = tmk.proc_id();
+    for p in 0..pages {
+        let _ = tmk.get_u32(region, p * 1024);
+    }
+    tmk.barrier(0);
+    if me == 0 {
+        for p in 0..pages {
+            tmk.set_u32(region, p * 1024, p as u32 + 1);
+        }
+    }
+    tmk.barrier(1);
+    let mut ns = 0u64;
+    if me == 1 {
+        let t0 = tmk.clock().borrow().now();
+        for p in 0..pages {
+            assert_eq!(tmk.get_u32(region, p * 1024), p as u32 + 1, "sweep payload");
+        }
+        ns = (tmk.clock().borrow().now() - t0).0 / pages as u64;
+    }
+    tmk.barrier(2);
+    ns
+}
+
+/// Multi-writer diff storm: nodes `0..n-1` each write a disjoint word
+/// (`1 + id`, at word `16 * id`) of every one of `pages` pages; the last
+/// node, holding stale copies, then runs `read` — the measured access,
+/// whose value is returned (zero on the writers). Each page it touches
+/// faults with one pending write notice per writer, so the diff-fetch
+/// engine decides what the read costs.
+pub fn diff_storm_body<S: Substrate>(
+    tmk: &mut Tmk<S>,
+    pages: usize,
+    read: impl FnOnce(&mut Tmk<S>, SharedId) -> u64,
+) -> u64 {
+    let region = tmk.malloc(pages * 4096);
+    let me = tmk.proc_id();
+    let writers = tmk.nprocs() - 1;
+    // Everyone warms every page: writers need resident copies so their
+    // stores produce diffs, and the reader needs stale copies so the
+    // measured access is a diff fetch rather than a page fetch.
+    for p in 0..pages {
+        let _ = tmk.get_u32(region, p * 1024);
+    }
+    tmk.barrier(0);
+    if me < writers {
+        // Disjoint words of the same pages: concurrent multi-writer
+        // intervals, the workload TreadMarks' diff protocol exists for.
+        for p in 0..pages {
+            tmk.set_u32(region, p * 1024 + me * 16, 1 + me as u32);
+        }
+    }
+    tmk.barrier(1);
+    let cost = if me == writers { read(tmk, region) } else { 0 };
+    tmk.barrier(2);
+    cost
 }
 
 /// What an application run returns (for validation).
@@ -192,26 +317,12 @@ pub struct Opts {
     /// under test (default 0: the plan stays disabled and stdout is
     /// byte-identical to a faultless build).
     pub fault_loss: f64,
-    /// `E2_FAULT_SEED`: base seed of the fault plan (default: the
-    /// plan's own).
-    pub fault_seed: Option<u64>,
-    /// `E2_BARRIER_ALGO`: `centralized` (the default), `tree:<radix>` or
-    /// `nictree:<radix>` (radix 4 when omitted).
-    pub barrier_algo: BarrierAlgo,
-    /// `E2_DIFF_FETCH`: `coalesced` (the default) or `serial` (the
-    /// one-outstanding-RPC spec baseline).
-    pub diff_fetch: DiffFetch,
     /// `E2_LOCK_PATH`: `serial` (the message-for-message spec baseline,
     /// the default) or `overlapped`.
     pub lock_path: LockPath,
     /// `E2_PREFETCH`: stride-prefetch depth; 0 (the default) leaves the
     /// prefetcher inert.
     pub prefetch_depth: usize,
-    /// `E7_RADIX`: combining-tree radix for E7. The default (8) fits 128
-    /// nodes in two levels (1 + k + k² ≥ 128) while keeping any single
-    /// node's serialized arrival work well under the centralized
-    /// manager's n−1.
-    pub e7_radix: u16,
     /// `E2_METRICS` / `E3_METRICS` (set = on): print per-layer event
     /// tallies at the end. Off by default so stdout stays byte-identical
     /// to an uninstrumented run.
@@ -243,29 +354,12 @@ impl Opts {
                 }
                 p
             }),
-            fault_seed: val("E2_FAULT_SEED").map(|v| num("E2_FAULT_SEED", &v, "a u64")),
-            barrier_algo: val("E2_BARRIER_ALGO").map_or(BarrierAlgo::Centralized, |v| {
-                let (kind, radix) = v.split_once(':').unwrap_or((&v, "4"));
-                let want = "centralized|tree[:<radix>]|nictree[:<radix>]";
-                match kind {
-                    "centralized" => BarrierAlgo::Centralized,
-                    "tree" => BarrierAlgo::Tree { radix: num("E2_BARRIER_ALGO", radix, want) },
-                    "nictree" => BarrierAlgo::NicTree { radix: num("E2_BARRIER_ALGO", radix, want) },
-                    _ => bad("E2_BARRIER_ALGO", &v, want),
-                }
-            }),
-            diff_fetch: val("E2_DIFF_FETCH").map_or(DiffFetch::Coalesced, |v| match v.as_str() {
-                "coalesced" => DiffFetch::Coalesced,
-                "serial" => DiffFetch::Serial,
-                _ => bad("E2_DIFF_FETCH", &v, "coalesced|serial"),
-            }),
             lock_path: val("E2_LOCK_PATH").map_or(LockPath::Serial, |v| match v.as_str() {
                 "serial" => LockPath::Serial,
                 "overlapped" => LockPath::Overlapped,
                 _ => bad("E2_LOCK_PATH", &v, "serial|overlapped"),
             }),
             prefetch_depth: val("E2_PREFETCH").map_or(0, |v| num("E2_PREFETCH", &v, "a depth")),
-            e7_radix: val("E7_RADIX").map_or(8, |v| num("E7_RADIX", &v, "a u16 radix")),
             e2_metrics: get("E2_METRICS").is_some(),
             e3_metrics: get("E3_METRICS").is_some(),
             e2_smoke: get("E2_SMOKE").is_some(),
@@ -273,25 +367,19 @@ impl Opts {
         }
     }
 
-    /// The fault plan under test (`E2_FAULT_LOSS`, `E2_FAULT_SEED`).
+    /// The fault plan under test (`E2_FAULT_LOSS`).
     pub fn fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan {
+        FaultPlan {
             drop_probability: self.fault_loss,
             ..FaultPlan::default()
-        };
-        if let Some(seed) = self.fault_seed {
-            plan.seed = seed;
         }
-        plan
     }
 
-    /// The DSM configuration under test (`E2_BARRIER_ALGO`,
-    /// `E2_DIFF_FETCH`, `E2_LOCK_PATH`, `E2_PREFETCH`), so the same
-    /// microbenchmarks run against every path without a recompile.
+    /// The DSM configuration under test (`E2_LOCK_PATH`, `E2_PREFETCH`),
+    /// so the same microbenchmarks run against every path without a
+    /// recompile.
     pub fn tmk_config(&self) -> TmkConfig {
         TmkConfig {
-            barrier_algo: self.barrier_algo,
-            diff_fetch: self.diff_fetch,
             lock_path: self.lock_path,
             prefetch_depth: self.prefetch_depth,
             ..TmkConfig::default()
@@ -384,23 +472,16 @@ mod tests {
     fn opts_default_when_unset_or_empty() {
         let unset = parse(&[]);
         assert_eq!(unset.fault_loss, 0.0);
-        assert_eq!(unset.fault_seed, None);
-        assert_eq!(unset.barrier_algo, BarrierAlgo::Centralized);
-        assert_eq!(unset.diff_fetch, DiffFetch::Coalesced);
         assert_eq!(unset.lock_path, LockPath::Serial);
-        assert_eq!((unset.prefetch_depth, unset.e7_radix), (0, 8));
+        assert_eq!(unset.prefetch_depth, 0);
         assert!(!(unset.e2_metrics || unset.e3_metrics || unset.e2_smoke || unset.e7_smoke));
         assert!(!unset.fault_plan().enabled());
         // Empty values select the defaults too — except the on/off
         // flags, which are on whenever they are set at all.
         let empty = parse(&[
             ("E2_FAULT_LOSS", ""),
-            ("E2_FAULT_SEED", ""),
-            ("E2_BARRIER_ALGO", ""),
-            ("E2_DIFF_FETCH", ""),
             ("E2_LOCK_PATH", ""),
             ("E2_PREFETCH", ""),
-            ("E7_RADIX", ""),
         ]);
         assert_eq!(empty, unset);
         assert!(parse(&[("E2_SMOKE", "")]).e2_smoke);
@@ -410,40 +491,26 @@ mod tests {
     fn opts_parse_good_values() {
         let o = parse(&[
             ("E2_FAULT_LOSS", "0.01"),
-            ("E2_FAULT_SEED", "42"),
-            ("E2_BARRIER_ALGO", "nictree:8"),
-            ("E2_DIFF_FETCH", "serial"),
             ("E2_LOCK_PATH", "overlapped"),
             ("E2_PREFETCH", "8"),
-            ("E7_RADIX", "4"),
             ("E3_METRICS", "1"),
         ]);
         assert_eq!(o.fault_plan().drop_probability, 0.01);
-        assert_eq!(o.fault_plan().seed, 42);
-        assert_eq!(o.barrier_algo, BarrierAlgo::NicTree { radix: 8 });
-        assert_eq!(parse(&[("E2_BARRIER_ALGO", "tree")]).barrier_algo, BarrierAlgo::Tree { radix: 4 });
+        assert_eq!(o.fault_plan().seed, FaultPlan::default().seed);
         let cfg = o.tmk_config();
-        assert_eq!(cfg.diff_fetch, DiffFetch::Serial);
         assert_eq!(cfg.lock_path, LockPath::Overlapped);
-        assert_eq!((cfg.prefetch_depth, o.e7_radix), (8, 4));
+        assert_eq!(cfg.prefetch_depth, 8);
         assert!(o.e3_metrics && !o.e2_metrics);
     }
 
-    /// The four knobs that used to fall through `.parse().ok()` to their
-    /// default, and the enum-valued ones, all name the variable.
+    /// A value that does not parse names its variable instead of falling
+    /// through to the default.
     #[test]
     fn opts_malformed_values_panic_naming_the_variable() {
         for (name, value) in [
             ("E2_FAULT_LOSS", "0,1"),
             ("E2_FAULT_LOSS", "1.5"),
-            ("E2_FAULT_SEED", "x"),
             ("E2_PREFETCH", "two"),
-            ("E7_RADIX", "k"),
-            ("E2_BARRIER_ALGO", "tree:x"),
-            ("E2_BARRIER_ALGO", "ring"),
-            ("E2_DIFF_FETCH", "bogus"),
-            // Was a mode until it lost its measurement (BENCH_overlap).
-            ("E2_DIFF_FETCH", "parallel"),
             ("E2_LOCK_PATH", "bogus"),
         ] {
             let err = std::panic::catch_unwind(|| parse(&[(name, value)]))
@@ -451,6 +518,39 @@ mod tests {
             let msg = err.downcast_ref::<String>().expect("panic message");
             assert!(msg.contains(name), "{name}={value}: {msg}");
         }
+    }
+
+    /// The parser asks for the seven variables `Opts` documents and for no
+    /// other: a variable that used to be an option (the fault seed, the
+    /// barrier algorithm, the diff engine, E7's radix) is not read, so a
+    /// value in it — here one that parses as nothing — changes nothing and
+    /// is not an error.
+    #[test]
+    fn opts_reads_seven_variables_and_no_other() {
+        const READ: [&str; 7] = [
+            "E2_FAULT_LOSS",
+            "E2_LOCK_PATH",
+            "E2_METRICS",
+            "E2_PREFETCH",
+            "E2_SMOKE",
+            "E3_METRICS",
+            "E7_SMOKE",
+        ];
+        let asked = std::cell::RefCell::new(Vec::new());
+        let o = Opts::parse(|name| {
+            asked.borrow_mut().push(name.to_string());
+            (!READ.contains(&name)).then(|| "?".to_string())
+        });
+        assert_eq!(o, parse(&[]));
+        let mut asked = asked.into_inner();
+        asked.sort();
+        assert_eq!(asked, READ);
+        let (cfg, def) = (o.tmk_config(), TmkConfig::default());
+        assert_eq!(
+            (cfg.barrier_algo, cfg.diff_fetch),
+            (def.barrier_algo, def.diff_fetch)
+        );
+        assert_eq!(o.fault_plan().seed, FaultPlan::default().seed);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Per-layer metrics sink on the [`TmkEvent`] hook.
 //!
 //! [`MetricsHandle::install`] attaches a tallying hook to one node's
-//! runtime: every emitted event bumps a per-variant counter, records the
-//! virtual time at emission (first and last), and files the emission time
-//! into a log2-bucketed histogram — the shape of *when* a layer was busy,
-//! not just how often. Gauge-like events (the overlapped RPC engine's
-//! outstanding-request depth) additionally track their high-water mark.
+//! runtime: every emitted event bumps a per-variant counter and records
+//! the virtual time at emission (first and last). Gauge-like events (the
+//! overlapped RPC engine's outstanding-request depth) additionally track
+//! their high-water mark.
 //! Harnesses merge the per-node tallies into one [`LayerMetrics`] and
 //! print it next to `NodeStats` — this is how tree-barrier hops
 //! (`barrier_arrive_forwarded` / `barrier_release_fanned`) and RPC
@@ -21,72 +20,6 @@ use std::rc::Rc;
 use crate::substrate::Substrate;
 use crate::tmk::{Tmk, TmkEvent};
 
-/// Number of log2 buckets: bucket `i` holds values whose bit length is
-/// `i` (bucket 0 is the value zero). 44 bits of nanoseconds is ~4.8
-/// hours of virtual time — far past any simulated run.
-pub const HIST_BUCKETS: usize = 44;
-
-/// A log2-bucketed histogram of `u64` samples (virtual-time nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Log2Hist {
-    buckets: [u64; HIST_BUCKETS],
-}
-
-impl Default for Log2Hist {
-    fn default() -> Self {
-        Log2Hist {
-            buckets: [0; HIST_BUCKETS],
-        }
-    }
-}
-
-impl Log2Hist {
-    /// Bucket index for a sample: its bit length, clamped to the table.
-    pub fn bucket_of(v: u64) -> usize {
-        ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-    }
-
-    pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-    }
-
-    pub fn merge(&mut self, other: &Log2Hist) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// `(bucket_index, count)` for every non-empty bucket, ascending.
-    pub fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-    }
-
-    /// The contiguous occupied span: `(bucket_index, count)` from the
-    /// first non-empty bucket through the last, *including* interior
-    /// zeros. This is what [`LayerMetrics::render`] prints — leading and
-    /// trailing empties are skipped but the span itself never develops
-    /// holes, so two runs whose samples land in slightly different
-    /// buckets produce line diffs (`2^i:0` vs `2^i:2`), not column
-    /// shifts.
-    pub fn span(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let first = self.buckets.iter().position(|&c| c > 0);
-        let last = self.buckets.iter().rposition(|&c| c > 0);
-        let range = match (first, last) {
-            (Some(a), Some(b)) => a..b + 1,
-            _ => 0..0,
-        };
-        range.map(|i| (i, self.buckets[i]))
-    }
-}
-
 /// Tally for one event variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventStat {
@@ -95,8 +28,6 @@ pub struct EventStat {
     pub first_ns: u64,
     /// Virtual time (ns) of the last emission seen.
     pub last_ns: u64,
-    /// Log2 histogram of emission times.
-    pub hist: Log2Hist,
 }
 
 /// Per-variant event tallies, keyed by
@@ -124,12 +55,10 @@ impl LayerMetrics {
             count: 0,
             first_ns: now_ns,
             last_ns: now_ns,
-            hist: Log2Hist::default(),
         });
         e.count += 1;
         e.first_ns = e.first_ns.min(now_ns);
         e.last_ns = e.last_ns.max(now_ns);
-        e.hist.record(now_ns);
     }
 
     /// Record an event with its gauge side-channels: the variant tally
@@ -166,7 +95,6 @@ impl LayerMetrics {
                     e.count += o.count;
                     e.first_ns = e.first_ns.min(o.first_ns);
                     e.last_ns = e.last_ns.max(o.last_ns);
-                    e.hist.merge(&o.hist);
                 }
                 None => {
                     self.stats.insert(kind, *o);
@@ -191,24 +119,18 @@ impl LayerMetrics {
         self.stats.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Render as aligned `kind count [first..last]us` lines, each with its
-    /// emission-time histogram (`2^i:count` for non-empty log2(ns)
-    /// buckets), followed by the gauges.
+    /// Render as aligned `kind count [first..last]us` lines, followed by
+    /// the gauges.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let width = self.stats.keys().map(|k| k.len()).max().unwrap_or(0);
         for (kind, e) in &self.stats {
             out.push_str(&format!(
-                "  {kind:width$}  x{:<8} t={:.1}..{:.1}us",
+                "  {kind:width$}  x{:<8} t={:.1}..{:.1}us\n",
                 e.count,
                 e.first_ns as f64 / 1_000.0,
                 e.last_ns as f64 / 1_000.0,
             ));
-            out.push_str("  hist(ns)");
-            for (i, c) in e.hist.span() {
-                out.push_str(&format!(" 2^{i}:{c}"));
-            }
-            out.push('\n');
         }
         for (name, v) in &self.gauges {
             out.push_str(&format!("  {name:width$}  max={v}\n"));
@@ -258,7 +180,6 @@ mod tests {
         assert_eq!(e.count, 3);
         assert_eq!(e.first_ns, 100);
         assert_eq!(e.last_ns, 900);
-        assert_eq!(e.hist.count(), 3);
     }
 
     #[test]
@@ -274,7 +195,6 @@ mod tests {
         assert_eq!(e.count, 3);
         assert_eq!(e.first_ns, 5);
         assert_eq!(e.last_ns, 50);
-        assert_eq!(e.hist.count(), 3);
         assert_eq!(a.get("page_fetched").unwrap().count, 1);
     }
 
@@ -287,52 +207,6 @@ mod tests {
         let a_pos = r.find("a_kind").unwrap();
         let b_pos = r.find("b_kind").unwrap();
         assert!(a_pos < b_pos, "alphabetical order");
-    }
-
-    #[test]
-    fn log2_buckets_split_by_bit_length() {
-        let mut h = Log2Hist::default();
-        h.record(0); // bucket 0
-        h.record(1); // bucket 1
-        h.record(2); // bucket 2
-        h.record(3); // bucket 2
-        h.record(1 << 20); // bucket 21
-        h.record(u64::MAX); // clamped to the last bucket
-        assert_eq!(Log2Hist::bucket_of(0), 0);
-        assert_eq!(Log2Hist::bucket_of(1), 1);
-        assert_eq!(Log2Hist::bucket_of(3), 2);
-        assert_eq!(Log2Hist::bucket_of(u64::MAX), HIST_BUCKETS - 1);
-        let got: Vec<(usize, u64)> = h.nonzero().collect();
-        assert_eq!(got, vec![(0, 1), (1, 1), (2, 2), (21, 1), (43, 1)]);
-        assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn span_fills_interior_zeros_only() {
-        let mut h = Log2Hist::default();
-        h.record(2); // bucket 2
-        h.record(1 << 4); // bucket 5
-        let got: Vec<(usize, u64)> = h.span().collect();
-        assert_eq!(got, vec![(2, 1), (3, 0), (4, 0), (5, 1)]);
-        assert_eq!(Log2Hist::default().span().count(), 0);
-    }
-
-    /// The rendered histogram must be a contiguous ascending span —
-    /// leading/trailing empties skipped, interior zeros printed — so two
-    /// runs with slightly different samples diff line-by-line instead of
-    /// shifting columns.
-    #[test]
-    fn render_prints_contiguous_ascending_span() {
-        let mut m = LayerMetrics::default();
-        m.record("k", 2); // bucket 2
-        m.record("k", 1 << 4); // bucket 5
-        let r = m.render();
-        assert!(
-            r.contains("hist(ns) 2^2:1 2^3:0 2^4:0 2^5:1"),
-            "contiguous span: {r}"
-        );
-        assert!(!r.contains("2^0:"), "leading empties skipped: {r}");
-        assert!(!r.contains("2^6:"), "trailing empties skipped: {r}");
     }
 
     #[test]

@@ -140,7 +140,7 @@ pub enum PageDiffs {
     Zero { applied: Vec<u32> },
 }
 
-pub(crate) fn encode_applied(applied: &[u32], w: &mut WireWriter) {
+fn encode_applied(applied: &[u32], w: &mut WireWriter) {
     w.u16(applied.len() as u16);
     for &a in applied {
         w.u32(a);
@@ -158,7 +158,7 @@ fn decode_applied(r: &mut WireReader) -> Option<Vec<u32>> {
 
 /// `[count u16][(seq u32, diff image)…]`: the diff list of a `Diffs`
 /// entry. Each diff goes out as one copy of its image.
-pub(crate) fn encode_seq_diffs(diffs: &[(u32, Diff)], w: &mut WireWriter) {
+fn encode_seq_diffs(diffs: &[(u32, Diff)], w: &mut WireWriter) {
     w.u16(diffs.len() as u16);
     for (seq, d) in diffs {
         w.u32(*seq);
@@ -178,6 +178,90 @@ fn decode_seq_diffs(r: &mut WireReader) -> Option<Vec<(u32, Diff)>> {
 
 fn max_extent(diffs: &[(u32, Diff)]) -> usize {
     diffs.iter().map(|(_, d)| d.extent()).max().unwrap_or(0)
+}
+
+/// One page's answer to a diff or page fetch, borrowed: what the serve
+/// path encodes straight from the page table, and what the owned
+/// [`Response`] / [`PageDiffs`] encoders delegate to. The single-page
+/// responses and the entries of a `MultiDiffs` share tags and bodies, so
+/// the two vocabularies cannot drift apart.
+pub(crate) enum PageRef<'a> {
+    /// [`Response::Diffs`] / [`PageDiffs::Diffs`].
+    Diffs {
+        covered_hi: u32,
+        diffs: &'a [(u32, Diff)],
+    },
+    /// [`Response::FullPage`] / [`PageDiffs::Full`].
+    Full { applied: &'a [u32], data: &'a [u8] },
+    /// [`Response::ZeroPage`] / [`PageDiffs::Zero`].
+    Zero { applied: &'a [u32] },
+}
+
+impl PageRef<'_> {
+    fn tag(&self) -> u8 {
+        match self {
+            PageRef::Diffs { .. } => 1,
+            PageRef::Full { .. } => 2,
+            PageRef::Zero { .. } => 5,
+        }
+    }
+
+    fn encode_body(&self, w: &mut WireWriter) {
+        match self {
+            PageRef::Diffs { covered_hi, diffs } => {
+                w.u32(*covered_hi);
+                encode_seq_diffs(diffs, w);
+            }
+            PageRef::Full { applied, data } => {
+                encode_applied(applied, w);
+                w.bytes(data);
+            }
+            PageRef::Zero { applied } => encode_applied(applied, w),
+        }
+    }
+
+    /// Encode as the whole response to a single-page fetch of `page`.
+    pub(crate) fn encode_response(&self, rid: u32, page: PageId, w: &mut WireWriter) {
+        w.u32(rid).u8(self.tag()).u32(page);
+        self.encode_body(w);
+    }
+
+    /// Encode as `page`'s entry of a `MultiDiffs` opened with
+    /// [`begin_multi_diffs`].
+    pub(crate) fn encode_entry(&self, page: PageId, w: &mut WireWriter) {
+        w.u32(page).u8(self.tag());
+        self.encode_body(w);
+    }
+}
+
+/// Open a `MultiDiffs` response. Returns where its entry count goes —
+/// [`WireWriter::patch_u16`] it once the [`PageRef::encode_entry`] calls
+/// are made; a responder stops adding entries when its budget is spent.
+pub(crate) fn begin_multi_diffs(rid: u32, w: &mut WireWriter) -> usize {
+    w.u32(rid).u8(7);
+    w.reserve_u16()
+}
+
+/// How many of `all` — a writer's retained diffs of one page with
+/// `seq <= hi`, ascending — go into an answer of at most `budget` bytes,
+/// and the `covered_hi` that answer settles: `hi` when everything fit, the
+/// last included seq when the answer is a chunk (the requester re-requests
+/// the remainder). At least one diff always goes out, so the covered
+/// ceiling advances.
+pub(crate) fn chunk_diffs(all: &[(u32, Diff)], hi: u32, budget: usize) -> (usize, u32) {
+    let mut take = 0usize;
+    let mut sz = 16usize;
+    for (_, d) in all {
+        let dl = d.encoded_len() + 4;
+        if take > 0 && sz + dl > budget {
+            break;
+        }
+        sz += dl;
+        take += 1;
+    }
+    // A chunk holds at least the first diff, so `take - 1` exists.
+    let covered_hi = if take == all.len() { hi } else { all[take - 1].0 };
+    (take, covered_hi)
 }
 
 impl Request {
@@ -306,24 +390,14 @@ impl Request {
 }
 
 impl PageDiffs {
-    /// Encode one page entry (without the page id, which the caller
-    /// writes). The sub-tags reuse the single-page response tags so the
-    /// two vocabularies can't drift apart silently.
-    pub fn encode_into(&self, w: &mut WireWriter) {
+    fn page_ref(&self) -> PageRef<'_> {
         match self {
-            PageDiffs::Diffs { covered_hi, diffs } => {
-                w.u8(1).u32(*covered_hi);
-                encode_seq_diffs(diffs, w);
-            }
-            PageDiffs::Full { applied, data } => {
-                w.u8(2);
-                encode_applied(applied, w);
-                w.bytes(data);
-            }
-            PageDiffs::Zero { applied } => {
-                w.u8(5);
-                encode_applied(applied, w);
-            }
+            PageDiffs::Diffs { covered_hi, diffs } => PageRef::Diffs {
+                covered_hi: *covered_hi,
+                diffs,
+            },
+            PageDiffs::Full { applied, data } => PageRef::Full { applied, data },
+            PageDiffs::Zero { applied } => PageRef::Zero { applied },
         }
     }
 
@@ -354,57 +428,52 @@ impl Response {
 
     /// Encode into an existing (typically pooled) writer.
     pub fn encode_into(&self, rid: u32, w: &mut WireWriter) {
-        w.u32(rid);
         match self {
             Response::Diffs {
                 page,
                 covered_hi,
                 diffs,
-            } => {
-                w.u8(1).u32(*page).u32(*covered_hi);
-                encode_seq_diffs(diffs, w);
+            } => PageRef::Diffs {
+                covered_hi: *covered_hi,
+                diffs,
             }
+            .encode_response(rid, *page, w),
             Response::FullPage {
                 page,
                 applied,
                 data,
-            } => {
-                w.u8(2).u32(*page);
-                encode_applied(applied, w);
-                w.bytes(data);
+            } => PageRef::Full { applied, data }.encode_response(rid, *page, w),
+            Response::ZeroPage { page, applied } => {
+                PageRef::Zero { applied }.encode_response(rid, *page, w)
             }
             Response::Grant { lock, vc, records } => {
-                w.u8(3).u32(*lock);
+                w.u32(rid).u8(3).u32(*lock);
                 vc.encode(w);
                 encode_records(records, w);
             }
             Response::BarrierRelease { vc, records } => {
-                w.u8(4);
+                w.u32(rid).u8(4);
                 vc.encode(w);
                 encode_records(records, w);
-            }
-            Response::ZeroPage { page, applied } => {
-                w.u8(5).u32(*page);
-                encode_applied(applied, w);
             }
             Response::BarrierTreeRelease {
                 barrier,
                 vc,
                 records,
             } => {
-                w.u8(6).u32(*barrier);
+                w.u32(rid).u8(6).u32(*barrier);
                 vc.encode(w);
                 encode_records(records, w);
             }
             Response::MultiDiffs { pages } => {
-                w.u8(7).u16(pages.len() as u16);
+                let count = begin_multi_diffs(rid, w);
                 for (page, pd) in pages {
-                    w.u32(*page);
-                    pd.encode_into(w);
+                    pd.page_ref().encode_entry(*page, w);
                 }
+                w.patch_u16(count, pages.len() as u16);
             }
             Response::NoticeAck { barrier } => {
-                w.u8(8).u32(*barrier);
+                w.u32(rid).u8(8).u32(*barrier);
             }
         }
     }
@@ -603,6 +672,24 @@ mod tests {
             }
             other => panic!("bad decode: {other:?}"),
         }
+    }
+
+    #[test]
+    fn chunking_settles_what_it_includes() {
+        let twin = vec![0u8; 64];
+        let mut cur = twin.clone();
+        cur[8] = 1;
+        let d = Diff::create(&twin, &cur);
+        let each = d.encoded_len() + 4;
+        let all: Vec<(u32, Diff)> = (3..=6).map(|seq| (seq, d.clone())).collect();
+        // Everything fits: the whole requested range is settled, including
+        // seqs past the last diff.
+        assert_eq!(chunk_diffs(&all, 9, 16 + 4 * each), (4, 9));
+        // A chunk settles up to its last included seq.
+        assert_eq!(chunk_diffs(&all, 9, 16 + 2 * each), (2, 4));
+        // One diff always goes out, whatever the budget.
+        assert_eq!(chunk_diffs(&all, 9, 0), (1, 3));
+        assert_eq!(chunk_diffs(&[], 9, 0), (0, 9));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Owns the page table and its fault transitions (twin on first write,
 //! invalidate on write notice), interval records and their propagation,
-//! diff creation/fetch/application in causal order, the serve-side
-//! encoders for `Diff` and `Page` requests, and the post-barrier epoch
-//! GC. The layer above (sync) calls in to flush and apply intervals at
-//! synchronization points; this layer calls down into rpc to move pages
-//! and diffs.
+//! diff creation/fetch/application in causal order, what a `Diff` or
+//! `Page` request is answered with and what answering costs (the bytes
+//! are `protocol`'s business), and the post-barrier epoch GC. The layer
+//! above (sync) calls in to flush and apply intervals at synchronization
+//! points; this layer calls down into rpc to move pages and diffs.
 
 use tm_sim::Ns;
 
@@ -14,7 +14,7 @@ use super::{DiffFetch, Tmk, TmkEvent};
 use crate::diff::Diff;
 use crate::interval::IntervalRecord;
 use crate::page::{Access, Page, PageId, Pending};
-use crate::protocol::{encode_seq_diffs, PageDiffs, Request, Response};
+use crate::protocol::{begin_multi_diffs, chunk_diffs, PageDiffs, PageRef, Request, Response};
 use crate::substrate::Substrate;
 use crate::vc::VectorClock;
 use crate::wire::{pool, WireWriter};
@@ -218,11 +218,52 @@ impl<S: Substrate> Tmk<S> {
         self.log.newer_than(&self.last_barrier_vc)
     }
 
-    // ----- serve-side encoders ---------------------------------------------
+    // ----- serve side: what a fetch is answered with, and its cost ----------
 
-    /// Encode a `Diffs` response directly from the page's retained diff
-    /// list (borrowed — no `Vec<(u32, Diff)>` clone). Byte-identical to
-    /// `Response::Diffs { .. }.encode(rid)`.
+    /// This node's answer to a fetch of `pid`'s diffs `lo..=hi` in at most
+    /// `budget` bytes — borrowed from the page's retained diff list, no
+    /// `Vec<(u32, Diff)>` clone — and the modeled cost of producing it.
+    /// Chunked to the budget (the requester re-requests the remainder); a
+    /// full page when the requested diffs were garbage-collected.
+    fn diffs_answer(&self, pid: PageId, lo: u32, hi: u32, budget: usize) -> (PageRef<'_>, Ns) {
+        let Some(all) = self.pages[pid as usize].diffs_range(lo, hi) else {
+            return self.full_page_answer(pid);
+        };
+        let params = self.sub.params();
+        let (take, covered_hi) = chunk_diffs(all, hi, budget);
+        let diffs = &all[..take];
+        let cost = diffs
+            .iter()
+            .map(|(_, d)| {
+                params.dsm.diff_overhead + Ns::for_bytes(d.payload_bytes(), params.host.memcpy_mb_s)
+            })
+            .sum();
+        (PageRef::Diffs { covered_hi, diffs }, cost)
+    }
+
+    /// The stable copy of a page (the twin if the current interval is
+    /// writing it) plus its applied vector, straight from the page's
+    /// buffers. All-zero pages (freshly allocated memory on first touch)
+    /// travel as a compact marker.
+    fn full_page_answer(&self, pid: PageId) -> (PageRef<'_>, Ns) {
+        let params = self.sub.params();
+        let page = &self.pages[pid as usize];
+        assert!(
+            page.has_copy(),
+            "node {} asked for page {pid} it never held",
+            self.me
+        );
+        let applied = &page.applied;
+        let data = page.twin.as_deref().unwrap_or(&page.data);
+        let scan = Ns::for_bytes(data.len(), params.dsm.diff_scan_mb_s);
+        if crate::diff::is_all_zero(data) {
+            return (PageRef::Zero { applied }, scan);
+        }
+        let copy = Ns::for_bytes(data.len(), params.host.memcpy_mb_s);
+        (PageRef::Full { applied, data }, scan + copy)
+    }
+
+    /// Answer a `Diff` request into `w`; returns the cost.
     pub(super) fn encode_diff_response(
         &self,
         rid: u32,
@@ -231,142 +272,42 @@ impl<S: Substrate> Tmk<S> {
         hi: u32,
         w: &mut WireWriter,
     ) -> Ns {
-        let params = self.sub.params();
-        let max = self.sub.max_msg();
-        let page = &self.pages[pid as usize];
-        match page.diffs_range(lo, hi) {
-            Some(all) => {
-                // Chunk to the substrate's message limit; the requester
-                // re-requests the remainder. First pass picks the cut.
-                let total = all.len();
-                let mut take = 0usize;
-                let mut sz = 16usize;
-                let mut cost = Ns::ZERO;
-                for (_, d) in all {
-                    let dl = d.encoded_len() + 4;
-                    if take > 0 && sz + dl > max {
-                        break;
-                    }
-                    sz += dl;
-                    cost += params.dsm.diff_overhead
-                        + Ns::for_bytes(d.payload_bytes(), params.host.memcpy_mb_s);
-                    take += 1;
-                }
-                // Everything fit: the whole range is settled; truncated:
-                // settled up to the last included diff.
-                let covered_hi = if take == total {
-                    hi
-                } else {
-                    all[..take].last().map(|(s, _)| *s).unwrap_or(lo)
-                };
-                w.u32(rid).u8(1).u32(pid).u32(covered_hi);
-                encode_seq_diffs(&all[..take], w);
-                cost
-            }
-            // Requested diffs were GC'd: fall back to a full page.
-            None => self.encode_full_page(rid, pid, w),
-        }
+        let (answer, cost) = self.diffs_answer(pid, lo, hi, self.sub.max_msg());
+        answer.encode_response(rid, pid, w);
+        cost
     }
 
-    /// Encode the stable copy of a page (the twin if the current interval
-    /// is writing it) plus its applied vector, straight from the page's
-    /// buffers. All-zero pages (freshly allocated memory on first touch)
-    /// travel as a compact marker. Byte-identical to encoding
-    /// `Response::FullPage`/`Response::ZeroPage`.
+    /// Answer a `Page` request into `w`; returns the cost.
     pub(super) fn encode_full_page(&self, rid: u32, pid: PageId, w: &mut WireWriter) -> Ns {
-        let params = self.sub.params();
-        let page = &self.pages[pid as usize];
-        assert!(
-            page.has_copy(),
-            "node {} asked for page {pid} it never held",
-            self.me
-        );
-        let stable = page.twin.as_deref().unwrap_or(&page.data);
-        let scan = Ns::for_bytes(stable.len(), params.dsm.diff_scan_mb_s);
-        if crate::diff::is_all_zero(stable) {
-            w.u32(rid).u8(5).u32(pid);
-            crate::protocol::encode_applied(&page.applied, w);
-            return scan;
-        }
-        w.u32(rid).u8(2).u32(pid);
-        crate::protocol::encode_applied(&page.applied, w);
-        w.bytes(stable);
-        scan + Ns::for_bytes(stable.len(), params.host.memcpy_mb_s)
+        let (answer, cost) = self.full_page_answer(pid);
+        answer.encode_response(rid, pid, w);
+        cost
     }
 
-    /// Encode a `MultiDiffs` response for a coalesced multi-page request,
-    /// page entries serialized by reference like [`Self::encode_diff_response`].
-    /// Byte-identical to encoding `Response::MultiDiffs`. Pages that do
-    /// not fit the substrate's message budget are omitted entirely — the
-    /// requester's round loop re-requests what is still owed.
+    /// Answer a coalesced `MultiDiff` request into `w`; returns the cost.
+    /// Pages that do not fit the substrate's message budget are omitted
+    /// entirely — the requester's round loop re-requests what is still
+    /// owed.
     pub(super) fn encode_multi_diff_response(
         &self,
         rid: u32,
         pages: &[(PageId, u32, u32)],
         w: &mut WireWriter,
     ) -> Ns {
-        let params = self.sub.params();
         let max = self.sub.max_msg();
-        w.u32(rid).u8(7);
-        let count_pos = w.reserve_u16();
+        let count = begin_multi_diffs(rid, w);
         let mut included = 0u16;
         let mut cost = Ns::ZERO;
         for &(pid, lo, hi) in pages {
             if included > 0 && w.len() >= max {
                 break;
             }
-            let budget = max.saturating_sub(w.len());
-            let page = &self.pages[pid as usize];
-            w.u32(pid);
-            match page.diffs_range(lo, hi) {
-                Some(all) => {
-                    // Chunk within the remaining budget; at least one diff
-                    // always goes out so the covered ceiling advances.
-                    let total = all.len();
-                    let mut take = 0usize;
-                    let mut sz = 16usize;
-                    for (_, d) in all {
-                        let dl = d.encoded_len() + 4;
-                        if take > 0 && sz + dl > budget {
-                            break;
-                        }
-                        sz += dl;
-                        cost += params.dsm.diff_overhead
-                            + Ns::for_bytes(d.payload_bytes(), params.host.memcpy_mb_s);
-                        take += 1;
-                    }
-                    let covered_hi = if take == total {
-                        hi
-                    } else {
-                        all[..take].last().map(|(s, _)| *s).unwrap_or(lo)
-                    };
-                    w.u8(1).u32(covered_hi);
-                    encode_seq_diffs(&all[..take], w);
-                }
-                None => {
-                    // Requested diffs were GC'd: inline full-page fallback.
-                    assert!(
-                        page.has_copy(),
-                        "node {} asked for page {pid} it never held",
-                        self.me
-                    );
-                    let stable = page.twin.as_deref().unwrap_or(&page.data);
-                    let scan = Ns::for_bytes(stable.len(), params.dsm.diff_scan_mb_s);
-                    if crate::diff::is_all_zero(stable) {
-                        w.u8(5);
-                        crate::protocol::encode_applied(&page.applied, w);
-                        cost += scan;
-                    } else {
-                        w.u8(2);
-                        crate::protocol::encode_applied(&page.applied, w);
-                        w.bytes(stable);
-                        cost += scan + Ns::for_bytes(stable.len(), params.host.memcpy_mb_s);
-                    }
-                }
-            }
+            let (answer, c) = self.diffs_answer(pid, lo, hi, max.saturating_sub(w.len()));
+            answer.encode_entry(pid, w);
+            cost += c;
             included += 1;
         }
-        w.patch_u16(count_pos, included);
+        w.patch_u16(count, included);
         cost
     }
 

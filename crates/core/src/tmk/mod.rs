@@ -21,7 +21,7 @@
 //!   `read_bytes`/`write_bytes`, the typed accessors. Calls into
 //!   coherence for fault transitions.
 //! * `sync` — distributed locks (manager forwarding, token migration)
-//!   and the centralized barrier. Calls into coherence for interval
+//!   and the barrier tree. Calls into coherence for interval
 //!   flush/apply and into rpc to move messages.
 //! * `coherence` — lazy release consistency proper: the page table,
 //!   twins, diff fetch/apply, interval records, write notices, epoch GC.
@@ -69,19 +69,22 @@ use sync::{BarrierEpisode, LockState};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedId(pub usize);
 
-/// Barrier algorithm selection (the E7 scaling knob).
+/// The barrier's combining tree (the E7 scaling knob). There is one
+/// algorithm — gather arrivals up a tree rooted at node 0, fan the release
+/// back down — and this names its radix, its wire layout and who pays for
+/// the combining.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierAlgo {
-    /// Every node sends its arrival to the single barrier manager, which
-    /// serializes all merge + release work (the paper's implementation;
-    /// O(n) cost at the manager).
+    /// Radix n−1: every node sends its arrival to node 0, which serializes
+    /// all merge + release work (the paper's implementation; O(n) cost at
+    /// the manager), in the paper's `BarrierArrive` / `BarrierRelease`
+    /// wire layout.
     Centralized,
-    /// Radix-`radix` combining tree rooted at the barrier manager: each
-    /// interior node merges its children's arrivals and forwards one
-    /// combined arrival upward; the root fans the release back down.
-    /// O(log_k n) tree depth, at most `radix` serialized arrivals per
-    /// node. Combining is charged at host handler cost (interrupt +
-    /// dispatch), like any other request.
+    /// Radix-`radix` combining tree: each interior node merges its
+    /// children's arrivals and forwards one combined arrival upward; the
+    /// root fans the release back down. O(log_k n) tree depth, at most
+    /// `radix` serialized arrivals per node. Combining is charged at host
+    /// handler cost (interrupt + dispatch), like any other request.
     Tree { radix: u16 },
     /// The same combining tree, but with merge and fan-out charged at
     /// NIC-firmware cost on the asynchronous port instead of
@@ -129,8 +132,6 @@ pub enum LockPath {
 pub struct TmkConfig {
     /// Diffs retained per page before GC falls back to full-page serves.
     pub diff_keep: usize,
-    /// Which node runs barriers (the tree root for tree algorithms).
-    pub barrier_manager: u16,
     /// How barrier arrivals are combined and releases fanned out.
     pub barrier_algo: BarrierAlgo,
     /// How pending diffs are fetched at a page fault.
@@ -149,7 +150,6 @@ impl Default for TmkConfig {
     fn default() -> Self {
         TmkConfig {
             diff_keep: 256,
-            barrier_manager: 0,
             barrier_algo: BarrierAlgo::Centralized,
             diff_fetch: DiffFetch::Coalesced,
             lock_path: LockPath::Serial,

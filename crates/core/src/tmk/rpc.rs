@@ -200,11 +200,12 @@ impl<S: Substrate> Tmk<S> {
                 rid: orig_rid,
                 vc,
             } => self.serve_acquire_fwd(from, rid, lock, requester, orig_rid, vc, arrival, cost),
+            // One clock is a childless subtree's floor and ceiling both.
             Request::BarrierArrive {
                 barrier,
                 vc,
                 records,
-            } => self.serve_barrier_arrive(from, rid, barrier, vc, records, arrival, cost),
+            } => self.serve_tree_arrive(from, rid, barrier, vc.clone(), vc, records, arrival, cost),
             Request::BarrierTreeArrive {
                 barrier,
                 min_vc,
@@ -702,10 +703,10 @@ impl<S: Substrate> Tmk<S> {
     /// Lossy-transport shutdown linger: keep answering retransmitted
     /// requests from the replay cache until every node in `watch` has
     /// left the fabric (a client whose final release was lost depends on
-    /// it). The centralized barrier manager watches every peer; a tree
-    /// node only its descendants — lingering on the whole cluster would
-    /// deadlock parent against lingering ancestor. A late response finds
-    /// no outstanding slot and is counted as stale by the absorb step.
+    /// it). A node watches its barrier-tree descendants — lingering on the
+    /// whole cluster would deadlock parent against lingering ancestor. A
+    /// late response finds no outstanding slot and is counted as stale by
+    /// the absorb step.
     pub(super) fn shutdown_linger(&mut self, watch: &[usize]) {
         while self.wait_step(Some(watch), |_| None::<()>).is_continue() {}
     }

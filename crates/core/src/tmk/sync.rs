@@ -6,16 +6,18 @@
 //! (third-node) acquisition are exactly the two cases of the paper's
 //! Lock microbenchmark.
 //!
-//! Barriers come in two shapes, selected by
-//! [`TmkConfig::barrier_algo`](super::TmkConfig): the paper's centralized
-//! barrier at [`TmkConfig::barrier_manager`](super::TmkConfig) (arrivals
-//! carry fresh interval records; the release broadcasts the union), and a
-//! radix-k combining tree rooted at the same node, where each interior
-//! node merges its children's arrivals (record union, vector-clock meet
-//! and join) into one combined arrival and the root fans the release back
-//! down. [`BarrierAlgo::NicTree`](super::BarrierAlgo) charges the
-//! combining at NIC-firmware cost instead of host interrupt + handler
-//! dispatch — the paper's §5 NIC-based barrier suggestion.
+//! The barrier is one gather-broadcast tree rooted at node 0, of the
+//! radix [`TmkConfig::barrier_algo`](super::TmkConfig) names: a node waits
+//! for one arrival per child subtree, merges them with its own state
+//! (record union, vector-clock meet and join) into one combined arrival
+//! for its parent, and on release fans it back down to its children. The
+//! paper's centralized manager is the radix n−1 case — every other node a
+//! childless child of the root — and
+//! [`BarrierAlgo::Centralized`](super::BarrierAlgo) means exactly that,
+//! spoken in the paper's wire layout ("barrier wire layout" below).
+//! [`BarrierAlgo::NicTree`](super::BarrierAlgo) charges the combining at
+//! NIC-firmware cost instead of host interrupt + handler dispatch — the
+//! paper's §5 NIC-based barrier suggestion.
 //!
 //! This layer calls down into coherence (flush/apply intervals at every
 //! synchronization point, epoch GC after barriers) and rpc (moving
@@ -49,9 +51,9 @@ pub(super) struct LockState {
 
 pub(super) struct BarrierEpisode {
     arrived: Vec<bool>,
-    /// Per arriving node: rid, coverage floor, coverage ceiling. For a
-    /// centralized client the floor and ceiling are both its vector time;
-    /// for a tree child they are the meet and join over its whole subtree.
+    /// Per arriving child: rid, coverage floor, coverage ceiling — the meet
+    /// and join over its whole subtree (both its own vector time when it
+    /// is childless).
     /// The release back to that node carries every record newer than the
     /// floor; the ceilings merge into the global barrier time.
     clients: Vec<Option<(u32, VectorClock, VectorClock)>>,
@@ -74,6 +76,73 @@ impl BarrierEpisode {
             id: None,
             records: Vec::new(),
         }
+    }
+}
+
+// ----- barrier wire layout --------------------------------------------------
+//
+// Two layouts carry the one protocol, and the bytes are the contract (message
+// sizes price the goldens): the paper's `BarrierArrive` / `BarrierRelease`,
+// with room for one clock and so only for a childless arrival — all a
+// one-level tree ever sends — and `BarrierTreeArrive` / `BarrierTreeRelease`
+// for every other radix. `tree` below is [`Tmk::tree_wire`]; nothing outside
+// these functions knows which layout is spoken.
+
+fn barrier_arrival(
+    tree: bool,
+    barrier: u32,
+    min_vc: VectorClock,
+    vc: VectorClock,
+    records: Vec<IntervalRecord>,
+) -> Request {
+    if tree {
+        Request::BarrierTreeArrive {
+            barrier,
+            min_vc,
+            vc,
+            records,
+        }
+    } else {
+        debug_assert_eq!(min_vc, vc, "one clock carries a childless arrival");
+        Request::BarrierArrive {
+            barrier,
+            vc,
+            records,
+        }
+    }
+}
+
+fn barrier_release(
+    tree: bool,
+    barrier: u32,
+    vc: VectorClock,
+    records: Vec<IntervalRecord>,
+) -> Response {
+    if tree {
+        Response::BarrierTreeRelease {
+            barrier,
+            vc,
+            records,
+        }
+    } else {
+        Response::BarrierRelease { vc, records }
+    }
+}
+
+/// The merged vector time and missing records of barrier `id`'s release,
+/// whichever layout it arrived in.
+fn open_barrier_release(id: u32, resp: Response) -> (VectorClock, Vec<IntervalRecord>) {
+    match resp {
+        Response::BarrierRelease { vc, records } => (vc, records),
+        Response::BarrierTreeRelease {
+            barrier,
+            vc,
+            records,
+        } => {
+            assert_eq!(barrier, id, "release for barrier {barrier}, expected {id}");
+            (vc, records)
+        }
+        other => panic!("expected a barrier release, got {other:?}"),
     }
 }
 
@@ -180,42 +249,11 @@ impl<S: Substrate> Tmk<S> {
         }
     }
 
-    /// A client's `BarrierArrive` reached us as the barrier manager.
-    // The parameter list mirrors the BarrierArrive wire fields one-to-one.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn serve_barrier_arrive(
-        &mut self,
-        from: usize,
-        rid: u32,
-        barrier: u32,
-        vc: VectorClock,
-        records: Vec<IntervalRecord>,
-        arrival: Ns,
-        mut cost: Ns,
-    ) {
-        debug_assert_eq!(self.cfg.barrier_manager, self.me);
-        match self.barrier.id {
-            None => self.barrier.id = Some(barrier),
-            Some(b) => assert_eq!(
-                b, barrier,
-                "barrier mismatch: node {from} arrived at {barrier}, episode is {b}"
-            ),
-        }
-        cost += Ns(200 * records.len() as u64);
-        self.stash_barrier_records(records);
-        if !self.barrier.arrived[from] {
-            self.barrier.arrived[from] = true;
-            self.barrier.count += 1;
-        }
-        self.barrier.clients[from] = Some((rid, vc.clone(), vc));
-        self.charge_service(arrival, cost);
-        self.note_pending();
-    }
-
-    /// A child's combined `BarrierTreeArrive` reached us as its tree
-    /// parent. Same deferred-incorporation discipline as the centralized
-    /// manager; under `NicTree` the merge is charged at NIC-firmware cost
-    /// with no host interrupt (the host CPU is never preempted).
+    /// A child's barrier arrival reached us as its tree parent, in either
+    /// wire layout (`rpc::serve` hands a `BarrierArrive`'s one clock in as
+    /// floor and ceiling both). Nothing is incorporated until our own
+    /// departure; under `NicTree` the merge is charged at NIC-firmware
+    /// cost with no host interrupt (the host CPU is never preempted).
     // The parameter list mirrors the BarrierTreeArrive wire fields one-to-one.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn serve_tree_arrive(
@@ -231,7 +269,7 @@ impl<S: Substrate> Tmk<S> {
     ) {
         debug_assert!(
             self.tree_children().contains(&from),
-            "tree arrival from {from}, not a child of {}",
+            "barrier arrival from {from}, not a child of {}",
             self.me
         );
         match self.barrier.id {
@@ -407,70 +445,54 @@ impl<S: Substrate> Tmk<S> {
 
     // ----- barrier tree topology --------------------------------------------
 
-    /// Combining radix, or `None` for the centralized algorithm.
-    fn tree_radix(&self) -> Option<usize> {
+    /// Combining radix: the most children a tree node has. The centralized
+    /// algorithm is the one-level tree, every other node a child of the
+    /// root.
+    fn tree_radix(&self) -> usize {
         match self.cfg.barrier_algo {
-            super::BarrierAlgo::Centralized => None,
+            super::BarrierAlgo::Centralized => (self.n - 1).max(1),
             super::BarrierAlgo::Tree { radix } | super::BarrierAlgo::NicTree { radix } => {
-                Some(radix.max(1) as usize)
+                radix.max(1) as usize
             }
         }
     }
 
-    /// Logical id in the tree: nodes renumbered so the barrier manager is
-    /// logical 0 (the root), which keeps the root knob meaningful at every
-    /// radix.
-    fn tree_lid(&self, node: usize) -> usize {
-        (node + self.n - self.cfg.barrier_manager as usize) % self.n
-    }
-
-    fn tree_node(&self, lid: usize) -> usize {
-        (lid + self.cfg.barrier_manager as usize) % self.n
-    }
-
-    /// Our parent in the combining tree (`None` at the root, and always
-    /// `None` under the centralized algorithm).
+    /// Our parent in the tree (`None` at the root, node 0).
     fn tree_parent(&self) -> Option<usize> {
-        let k = self.tree_radix()?;
-        let lid = self.tree_lid(self.me as usize);
-        if lid == 0 {
-            None
-        } else {
-            Some(self.tree_node((lid - 1) / k))
-        }
+        let me = self.me as usize;
+        (me != 0).then(|| (me - 1) / self.tree_radix())
     }
 
-    /// Our direct children in the combining tree (empty for leaves and
-    /// under the centralized algorithm).
-    fn tree_children(&self) -> Vec<usize> {
-        let Some(k) = self.tree_radix() else {
-            return Vec::new();
-        };
-        let lid = self.tree_lid(self.me as usize);
-        (k * lid + 1..=k * lid + k)
-            .take_while(|&c| c < self.n)
-            .map(|c| self.tree_node(c))
-            .collect()
+    /// `node`'s direct children (empty for a leaf).
+    fn tree_children_of(&self, node: usize) -> std::ops::Range<usize> {
+        let k = self.tree_radix();
+        (k * node + 1).min(self.n)..(k * node + k + 1).min(self.n)
+    }
+
+    fn tree_children(&self) -> std::ops::Range<usize> {
+        self.tree_children_of(self.me as usize)
     }
 
     /// Every node in our subtree, excluding ourselves. The shutdown linger
     /// watches exactly these: they are the only peers whose retransmitted
     /// arrivals we are responsible for answering.
     fn tree_descendants(&self) -> Vec<usize> {
-        let Some(k) = self.tree_radix() else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
-        let mut frontier = vec![self.tree_lid(self.me as usize)];
-        while let Some(lid) = frontier.pop() {
-            for c in k * lid + 1..=k * lid + k {
-                if c < self.n {
-                    out.push(self.tree_node(c));
-                    frontier.push(c);
-                }
+        let mut frontier = vec![self.me as usize];
+        while let Some(node) = frontier.pop() {
+            for c in self.tree_children_of(node) {
+                out.push(c);
+                frontier.push(c);
             }
         }
         out
+    }
+
+    /// Whether barrier messages travel in the tree layout (see "barrier
+    /// wire layout" above). It also says whether combining hops are
+    /// reported: a one-level tree has none.
+    fn tree_wire(&self) -> bool {
+        !matches!(self.cfg.barrier_algo, super::BarrierAlgo::Centralized)
     }
 
     // ----- barrier ----------------------------------------------------------
@@ -485,35 +507,11 @@ impl<S: Substrate> Tmk<S> {
         let flush_cost = self.flush_interval();
         self.clock().borrow_mut().advance(flush_cost);
         self.clock().borrow_mut().stats.barriers += 1;
-        match self.tree_radix() {
-            None if self.me == self.cfg.barrier_manager => self.barrier_as_manager(id),
-            None => {
-                let records = self.records_since_epoch();
-                let resp = self.rpc(
-                    self.cfg.barrier_manager as usize,
-                    Request::BarrierArrive {
-                        barrier: id,
-                        vc: self.vc.clone(),
-                        records,
-                    },
-                );
-                match resp {
-                    Response::BarrierRelease { vc, records } => {
-                        let cost = self.apply_records(records);
-                        self.vc.join(&vc);
-                        self.clock().borrow_mut().advance(cost);
-                        self.epoch_gc(vc);
-                    }
-                    other => panic!("expected BarrierRelease, got {other:?}"),
-                }
-            }
-            Some(_) => self.barrier_tree(id),
-        }
+        self.barrier_tree(id);
         self.emit(TmkEvent::BarrierCrossed { id });
     }
 
-    /// Note our own arrival in the current episode (manager / tree-node
-    /// local bookkeeping).
+    /// Note our own arrival in the current episode.
     fn barrier_arrive_self(&mut self, id: u32) {
         match self.barrier.id {
             None => self.barrier.id = Some(id),
@@ -539,32 +537,19 @@ impl<S: Substrate> Tmk<S> {
         while self.wait_step(None, arrived).is_continue() {}
     }
 
-    fn barrier_as_manager(&mut self, id: u32) {
-        self.barrier_arrive_self(id);
-        self.barrier_wait_arrivals(self.n);
-        // Everyone is here: departure. Incorporate the arrivals' interval
-        // records and vector times, invalidate, then release the clients.
-        // The stashed records move into apply_records — no clone.
-        let BarrierEpisode {
-            records, clients, ..
-        } = std::mem::replace(&mut self.barrier, BarrierEpisode::new(self.n));
-        let apply_cost = self.apply_records(records);
-        self.clock().borrow_mut().advance(apply_cost);
-        for slot in clients.iter().flatten() {
-            self.vc.join(&slot.2);
-        }
-        let merged = self.vc.clone();
-        self.fan_release(id, clients, &merged);
-        self.epoch_gc(merged);
-    }
-
-    /// Tree-barrier path, for the root, interior nodes and leaves alike.
+    /// The barrier, for the root, interior nodes and leaves alike.
     fn barrier_tree(&mut self, id: u32) {
-        let children = self.tree_children();
+        let children = self.tree_children().len();
         self.barrier_arrive_self(id);
-        // Wait for one combined arrival per direct child subtree (leaves
-        // skip straight through).
-        self.barrier_wait_arrivals(children.len() + 1);
+        // Wait for one combined arrival per direct child subtree. A
+        // childless node has nothing to wait for and must not pass through
+        // the wait step on its way: its arrival leaves *before* it drains
+        // its serve queue (a request already queued is served from inside
+        // the arrival rpc, after the send), which is the order the paper's
+        // barrier client has and the goldens price.
+        if children > 0 {
+            self.barrier_wait_arrivals(children + 1);
+        }
         let episode = std::mem::replace(&mut self.barrier, BarrierEpisode::new(self.n));
         match self.tree_parent() {
             None => self.tree_depart_root(id, episode),
@@ -572,8 +557,10 @@ impl<S: Substrate> Tmk<S> {
         }
     }
 
-    /// Root departure: the episode now covers the whole cluster. Merge,
-    /// fan the release down, advance the epoch.
+    /// Root departure: the episode now covers the whole cluster.
+    /// Incorporate the arrivals' interval records and vector times,
+    /// invalidate, fan the release down, advance the epoch. The stashed
+    /// records move into apply_records — no clone.
     fn tree_depart_root(&mut self, id: u32, episode: BarrierEpisode) {
         let BarrierEpisode {
             records, clients, ..
@@ -589,10 +576,10 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Interior/leaf upward phase: merge our children's combined arrivals
-    /// with our own state, forward one `BarrierTreeArrive` to our parent,
-    /// and on release fan it down to our children before advancing the
-    /// epoch. Like the centralized manager, we must not incorporate the
-    /// children's intervals until our own release arrives.
+    /// with our own state, forward one arrival to our parent, and on
+    /// release fan it down to our children before advancing the epoch.
+    /// Like the root, we must not incorporate the children's intervals
+    /// until our own release arrives.
     fn tree_combine_upward(&mut self, id: u32, parent: usize, episode: BarrierEpisode) {
         let BarrierEpisode {
             mut records,
@@ -610,42 +597,31 @@ impl<S: Substrate> Tmk<S> {
         // Our own fresh records ride along with the stashed subtree union
         // (records_since_epoch also re-covers third-party intervals we
         // learned through locks, so nothing is lost to the stash dedup).
+        // The log holds each (node, seq) once: only the stash can collide.
+        let stashed = records.len();
         for rec in self.records_since_epoch() {
-            if !records.iter().any(|r| r.node == rec.node && r.seq == rec.seq) {
+            let dup = |r: &IntervalRecord| r.node == rec.node && r.seq == rec.seq;
+            if !records[..stashed].iter().any(dup) {
                 records.push(rec);
             }
         }
-        self.emit(TmkEvent::BarrierArriveForwarded {
-            barrier: id,
-            to: parent as u16,
-            children: clients.iter().flatten().count() as u16,
-        });
-        let resp = self.rpc(
-            parent,
-            Request::BarrierTreeArrive {
+        let tree = self.tree_wire();
+        if tree {
+            self.emit(TmkEvent::BarrierArriveForwarded {
                 barrier: id,
-                min_vc,
-                vc: max_vc,
-                records,
-            },
-        );
-        match resp {
-            Response::BarrierTreeRelease {
-                barrier,
-                vc,
-                records,
-            } => {
-                assert_eq!(barrier, id, "release for barrier {barrier}, expected {id}");
-                let cost = self.apply_records(records);
-                self.vc.join(&vc);
-                self.clock().borrow_mut().advance(cost);
-                // Fan down before the epoch advances: newer_than against
-                // the children's floors needs the pre-GC log.
-                self.fan_release(id, clients, &vc);
-                self.epoch_gc(vc);
-            }
-            other => panic!("expected BarrierTreeRelease, got {other:?}"),
+                to: parent as u16,
+                children: clients.iter().flatten().count() as u16,
+            });
         }
+        let resp = self.rpc(parent, barrier_arrival(tree, id, min_vc, max_vc, records));
+        let (vc, records) = open_barrier_release(id, resp);
+        let cost = self.apply_records(records);
+        self.vc.join(&vc);
+        self.clock().borrow_mut().advance(cost);
+        // Fan down before the epoch advances: newer_than against the
+        // children's floors needs the pre-GC log.
+        self.fan_release(id, clients, &vc);
+        self.epoch_gc(vc);
     }
 
     /// Release every arrival in `clients`: each gets the merged barrier
@@ -658,7 +634,7 @@ impl<S: Substrate> Tmk<S> {
         clients: Vec<Option<(u32, VectorClock, VectorClock)>>,
         merged: &VectorClock,
     ) {
-        let tree = self.tree_radix().is_some();
+        let tree = self.tree_wire();
         let offloaded = matches!(self.cfg.barrier_algo, super::BarrierAlgo::NicTree { .. });
         if matches!(self.cfg.lock_path, super::LockPath::Overlapped) && !offloaded {
             // Overlapped write-notice distribution: every consumer's
@@ -675,18 +651,7 @@ impl<S: Substrate> Tmk<S> {
         for (node, slot) in clients.into_iter().enumerate() {
             let Some((rid, floor, _)) = slot else { continue };
             let records = self.log.newer_than(&floor);
-            let resp = if tree {
-                Response::BarrierTreeRelease {
-                    barrier: id,
-                    vc: merged.clone(),
-                    records,
-                }
-            } else {
-                Response::BarrierRelease {
-                    vc: merged.clone(),
-                    records,
-                }
-            };
+            let resp = barrier_release(tree, id, merged.clone(), records);
             let mut w = WireWriter::pooled(128);
             resp.encode_into(rid, &mut w);
             let cost = if offloaded {
@@ -786,16 +751,7 @@ impl<S: Substrate> Tmk<S> {
         mut cost: Ns,
     ) {
         cost += Ns(200 * records.len() as u64);
-        let release = if tree {
-            Response::BarrierTreeRelease {
-                barrier,
-                vc,
-                records,
-            }
-        } else {
-            Response::BarrierRelease { vc, records }
-        };
-        self.complete_local(reply_rid, release);
+        self.complete_local(reply_rid, barrier_release(tree, barrier, vc, records));
         self.respond(from, rid, Response::NoticeAck { barrier }, arrival, cost);
     }
 
@@ -805,20 +761,13 @@ impl<S: Substrate> Tmk<S> {
     /// On a lossy transport every node that answers barrier arrivals
     /// additionally lingers: a peer whose exit release was lost keeps
     /// retransmitting its arrival, and only our replay cache can answer
-    /// it. The centralized manager watches the whole cluster; a tree node
-    /// watches its descendants — leaves exit immediately and the tree
-    /// drains bottom-up (a parent lingering on *all* peers would deadlock
-    /// against its own lingering ancestors).
+    /// it. A node watches its descendants — leaves exit immediately and
+    /// the tree drains bottom-up (a parent lingering on *all* peers would
+    /// deadlock against its own lingering ancestors).
     pub fn exit(&mut self) {
         self.barrier(u32::MAX);
         if self.sub.retransmit_timeout().is_some() {
-            let watch: Vec<usize> = if self.tree_radix().is_some() {
-                self.tree_descendants()
-            } else if self.me == self.cfg.barrier_manager {
-                (0..self.n).filter(|&i| i != self.me as usize).collect()
-            } else {
-                Vec::new()
-            };
+            let watch = self.tree_descendants();
             if !watch.is_empty() {
                 self.shutdown_linger(&watch);
             }

@@ -42,17 +42,18 @@ pub struct FastConfig {
     /// How asynchronous requests reach the host (§2.2.4). The paper's
     /// adopted choice is the NIC interrupt.
     pub scheme: AsyncScheme,
-    /// `o`: outstanding small requests allowed per peer (§2.2.2).
-    pub outstanding_per_peer: usize,
-    /// Eliminate the large preposted size classes (≥ `rdv_min_size`) and
+    /// Eliminate the large preposted size classes (14 and up) and
     /// carry big messages with a pin-and-RDMA rendezvous instead
     /// (§2.2.2's memory-saving alternative).
     pub rendezvous: bool,
-    /// First size class handled by rendezvous when enabled.
-    pub rdv_min_size: u8,
-    /// Physical memory this node may pin.
-    pub pin_limit: usize,
 }
+
+/// `o`: outstanding small requests allowed per peer (§2.2.2).
+const OUTSTANDING_PER_PEER: usize = 4;
+/// First size class handled by rendezvous when it is enabled.
+const RDV_MIN_SIZE: u8 = 14;
+/// Physical memory a node may pin (the GM registration budget).
+const PIN_BUDGET: usize = 256 << 20;
 
 impl FastConfig {
     /// The configuration the paper adopted, for a cluster of `params`'
@@ -60,10 +61,16 @@ impl FastConfig {
     pub fn paper(params: &SimParams) -> Self {
         FastConfig {
             scheme: params.interrupt_scheme(),
-            outstanding_per_peer: 4,
             rendezvous: false,
-            rdv_min_size: 14,
-            pin_limit: 256 << 20,
+        }
+    }
+
+    /// Largest size class with preposted receive buffers.
+    fn top_class(&self) -> u8 {
+        if self.rendezvous {
+            RDV_MIN_SIZE - 1
+        } else {
+            MAX_SIZE_CLASS
         }
     }
 }
@@ -110,19 +117,15 @@ impl FastSubstrate {
         board: Arc<tm_gm::FailureBoard>,
         cfg: FastConfig,
     ) -> Self {
-        let mut gm = GmNode::new(nic, clock, params, board, cfg.pin_limit);
+        let mut gm = GmNode::new(nic, clock, params, board, PIN_BUDGET);
         let interrupts = matches!(cfg.scheme, AsyncScheme::Interrupt { .. });
         gm.open_port(REQ_PORT, interrupts).expect("open REQ port");
         gm.open_port(REP_PORT, false).expect("open REP port");
         let pool = DmaPool::new(&mut gm.book, 16, 32 * 1024).expect("register send pool");
 
         let n = gm.nprocs();
-        let o = cfg.outstanding_per_peer.max(1);
-        let top = if cfg.rendezvous {
-            cfg.rdv_min_size - 1
-        } else {
-            MAX_SIZE_CLASS
-        };
+        let o = OUTSTANDING_PER_PEER;
+        let top = cfg.top_class();
         let mut prepost_bytes = 0usize;
         // Asynchronous side: small request classes get o·(n−1) buffers;
         // the larger classes (barrier arrivals) one per peer. The paper
@@ -182,12 +185,7 @@ impl FastSubstrate {
 
     /// Largest single GM frame the prepost strategy can always receive.
     fn frame_limit(&self) -> usize {
-        let top = if self.cfg.rendezvous {
-            self.cfg.rdv_min_size - 1
-        } else {
-            MAX_SIZE_CLASS
-        };
-        tm_gm::gm_max_length(top)
+        tm_gm::gm_max_length(self.cfg.top_class())
     }
 
     /// Push a `[kind] ++ body` frame through GM, gathering the parts
@@ -299,7 +297,7 @@ impl FastSubstrate {
 
     /// Whether an outbound message must use the rendezvous path.
     fn needs_rendezvous(&self, len: usize) -> bool {
-        self.cfg.rendezvous && gm_size(len + 1) >= self.cfg.rdv_min_size
+        self.cfg.rendezvous && gm_size(len + 1) >= RDV_MIN_SIZE
     }
 
     /// Count and drop a frame that can't be interpreted (truncated header

@@ -69,6 +69,10 @@ impl AsyncScheme {
 
 /// A single node's virtual clock.
 ///
+/// `now` moves in the four methods below and nowhere else, and each books
+/// what it adds into one of [`NodeStats`]' five time buckets, so
+/// [`NodeStats::booked_time`] is `now`.
+///
 /// * `compute(d)` models application computation — *interruptible*: requests
 ///   that arrived during the segment are retroactively serviced inside it.
 /// * `advance(d)` models protocol/handler work — not interruptible
@@ -102,6 +106,7 @@ impl NodeClock {
     /// creation, handler bodies…).
     pub fn advance(&mut self, d: Ns) {
         self.now += d;
+        self.stats.protocol_time += d;
         self.preemptible_since = self.now;
     }
 
@@ -150,6 +155,7 @@ impl NodeClock {
             // Retroactive preemption: displaced computation resumes after
             // the handler, plus the interrupt/dispatch overhead.
             self.now += dur + scheme.cpu_overhead();
+            self.stats.async_overhead_time += scheme.cpu_overhead();
         }
         // Later retro-services in the same segment cannot begin before this
         // one finished.
@@ -274,6 +280,25 @@ mod tests {
         let s = AsyncScheme::Sigio { cost: Ns::from_us(22) };
         assert_eq!(s.earliest_service(Ns::from_us(10)), Ns::from_us(32));
         assert_eq!(s.cpu_overhead(), Ns::from_us(22));
+    }
+
+    #[test]
+    fn every_move_of_now_is_booked_in_one_bucket() {
+        let mut c = NodeClock::new();
+        c.advance(Ns(100));
+        c.compute(Ns::from_us(100));
+        // Retroactive: 5us handler + 7us interrupt overhead displace the
+        // computation.
+        c.service_window(Ns::from_us(10), &INTR, Ns::from_us(5));
+        c.begin_wait();
+        // Idle: the node waits for the request, then serves it.
+        c.service_window(Ns::from_us(200), &INTR, Ns::from_us(5));
+        c.wait_until(Ns::from_us(300));
+        let s = &c.stats;
+        assert_eq!(s.protocol_time, Ns(100));
+        assert_eq!(s.async_overhead_time, Ns::from_us(7));
+        assert_eq!(s.service_time, Ns::from_us(10));
+        assert_eq!(s.booked_time(), c.now());
     }
 
     #[test]

@@ -22,6 +22,13 @@ pub struct NodeStats {
     pub compute_time: Ns,
     /// Virtual time spent blocked (waiting on responses, locks, barriers).
     pub idle_time: Ns,
+    /// Virtual time spent in non-interruptible protocol work on the node's
+    /// own behalf (`NodeClock::advance`: faults, twins, diffs, message
+    /// construction, the substrate's host path).
+    pub protocol_time: Ns,
+    /// Virtual time the async scheme's delivery overhead (interrupt, SIGIO,
+    /// polling tax) added to work a request preempted retroactively.
+    pub async_overhead_time: Ns,
     /// DSM: page faults taken (read + write).
     pub page_faults: u64,
     /// DSM: full pages fetched from a remote node.
@@ -61,6 +68,18 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
+    /// The five time buckets — compute, service, idle, protocol, async
+    /// overhead — summed. `NodeClock` books every nanosecond it adds to
+    /// `now` into exactly one of them, so for one node this is its finish
+    /// time.
+    pub fn booked_time(&self) -> Ns {
+        self.compute_time
+            + self.service_time
+            + self.idle_time
+            + self.protocol_time
+            + self.async_overhead_time
+    }
+
     /// Fold another node's counters into this one (cluster aggregation).
     pub fn merge(&mut self, other: &NodeStats) {
         self.msgs_sent += other.msgs_sent;
@@ -71,6 +90,8 @@ impl NodeStats {
         self.service_time += other.service_time;
         self.compute_time += other.compute_time;
         self.idle_time += other.idle_time;
+        self.protocol_time += other.protocol_time;
+        self.async_overhead_time += other.async_overhead_time;
         self.page_faults += other.page_faults;
         self.pages_fetched += other.pages_fetched;
         self.diffs_created += other.diffs_created;
@@ -122,6 +143,8 @@ mod tests {
             service_time: Ns(30),
             compute_time: Ns(40),
             idle_time: Ns(50),
+            protocol_time: Ns(60),
+            async_overhead_time: Ns(70),
             page_faults: 4,
             pages_fetched: 5,
             diffs_created: 6,
@@ -145,6 +168,7 @@ mod tests {
         assert_eq!(a.msgs_sent, 2);
         assert_eq!(a.bytes_recv, 40);
         assert_eq!(a.service_time, Ns(60));
+        assert_eq!((a.protocol_time, a.async_overhead_time), (Ns(120), Ns(140)));
         assert_eq!(a.barriers, 20);
         assert_eq!(a.twins_created, 16);
         assert_eq!(a.dgrams_dropped, 22);

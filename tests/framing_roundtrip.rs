@@ -108,7 +108,7 @@ fn udp_roundtrips_across_the_datagram_limit() {
 fn fast_rendezvous_threshold_roundtrips() {
     let params = params();
     let (_f, board, nics) = gm_cluster(2, Arc::clone(&params));
-    // gm_size(len + 2) crosses rdv_min_size=14 at len = 8191.
+    // gm_size(len + 2) reaches the rendezvous class (14) at len = 8191.
     let lens = [8189usize, 8190, 8191, 8192, 20_000];
     let out = tm_sim::run_cluster_with(params, nics, move |env, nic| {
         let mut cfg = FastConfig::paper(&env.params);

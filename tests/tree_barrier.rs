@@ -1,6 +1,8 @@
 //! Combining-tree barrier correctness.
 //!
-//! Two properties, both direct consequences of LRC:
+//! There is one barrier algorithm — a gather-broadcast tree of some radix
+//! — and the centralized manager is its radix n−1 case, spoken in the
+//! paper's wire layout. Four properties:
 //!
 //! 1. **Visibility** — after a barrier, every node observes every other
 //!    node's pre-barrier writes, whatever the combining topology. Swept
@@ -13,13 +15,22 @@
 //!    reliability layer (rto + replay cache) as everything else. A 10%
 //!    drop plan over UDP must complete with memory identical to a clean
 //!    run.
+//! 3. **One path** — `Centralized` and `Tree { radix: n-1 }` are the same
+//!    tree: same messages, same requests served, same diffs; they differ
+//!    in wire bytes only.
+//! 4. **Send before drain** — a childless node's arrival leaves before it
+//!    looks at its serve queue, the order the paper's barrier client has
+//!    and every golden prices.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use tm_fast::run_udp_dsm;
+use tm_sim::runner::cluster_stats;
 use tm_sim::{FaultPlan, NodeStats, Ns, SimParams};
 use tmk::memsub::run_mem_dsm;
-use tmk::{BarrierAlgo, Substrate, Tmk, TmkConfig};
+use tmk::{BarrierAlgo, Substrate, Tmk, TmkConfig, TmkEvent};
 
 const ROUNDS: u32 = 3;
 
@@ -87,9 +98,8 @@ fn barrier_visibility_is_radix_independent() {
             BarrierAlgo::Tree { radix: 2 },
             BarrierAlgo::Tree { radix: 4 },
             BarrierAlgo::Tree { radix: 8 },
-            // n-ary: the whole cluster as the root's children — the tree
-            // degenerates to the centralized shape but takes the tree
-            // code path (combined arrivals, tree releases).
+            // n-ary: the whole cluster as the root's children — the
+            // centralized shape in the tree's wire layout.
             BarrierAlgo::Tree {
                 radix: (n - 1) as u16,
             },
@@ -106,26 +116,30 @@ fn barrier_visibility_is_radix_independent() {
     }
 }
 
+/// Run the visibility workload over UDP/GM under `plan`; returns the
+/// (consensus) memory image and the cluster's counters.
+fn udp_run(n: usize, algo: BarrierAlgo, plan: FaultPlan) -> (Vec<u8>, NodeStats) {
+    let mut p = SimParams::paper_testbed();
+    p.faults = plan;
+    let out = run_udp_dsm(n, Arc::new(p), cfg(algo), visibility_workload);
+    for o in &out {
+        assert_eq!(
+            o.result, out[0].result,
+            "{algo:?}/{n}: node {} image diverges",
+            o.id
+        );
+    }
+    (out[0].result.clone(), cluster_stats(&out))
+}
+
 #[test]
 fn tree_barrier_survives_ten_percent_loss() {
-    let run = |plan: FaultPlan| -> (Vec<u8>, NodeStats) {
-        let mut p = SimParams::paper_testbed();
-        p.faults = plan;
-        let out = run_udp_dsm(
-            8,
-            Arc::new(p),
-            cfg(BarrierAlgo::Tree { radix: 2 }),
-            visibility_workload,
-        );
-        let mut agg = NodeStats::default();
-        for o in &out {
-            agg.merge(&o.stats);
-            assert_eq!(o.result, out[0].result, "node {} image diverges", o.id);
-        }
-        (out[0].result.clone(), agg)
-    };
+    let run = |plan| udp_run(8, BarrierAlgo::Tree { radix: 2 }, plan);
     let (clean, s) = run(FaultPlan::default());
-    assert!(!s.any_faults(), "clean run fired reliability machinery: {s:?}");
+    assert!(
+        !s.any_faults(),
+        "clean run fired reliability machinery: {s:?}"
+    );
     let (lossy, s) = run(FaultPlan {
         drop_probability: 0.10,
         ..FaultPlan::default()
@@ -136,4 +150,108 @@ fn tree_barrier_survives_ten_percent_loss() {
         "tree arrivals/releases recovered without retransmits? {s:?}"
     );
     assert_eq!(lossy, clean, "loss recovery corrupted shared memory");
+}
+
+/// The centralized manager is the tree of radix n−1: the same nodes send
+/// the same messages for the same reasons. Only the bytes differ — the
+/// tree layout's arrival carries a second clock, its release a barrier id.
+#[test]
+fn centralized_is_the_radix_n_minus_one_tree() {
+    for n in [4usize, 8, 16] {
+        let nary = BarrierAlgo::Tree {
+            radix: (n - 1) as u16,
+        };
+        let (image_c, c) = udp_run(n, BarrierAlgo::Centralized, FaultPlan::default());
+        let (image_t, t) = udp_run(n, nary, FaultPlan::default());
+        assert_eq!(image_c, image_t, "{n} nodes: memory image");
+        let counts = |s: &NodeStats| (s.msgs_sent, s.requests_served, s.barriers, s.diffs_applied);
+        assert_eq!(
+            counts(&c),
+            counts(&t),
+            "{n} nodes: msgs / served / barriers / diffs"
+        );
+        assert!(
+            c.bytes_sent < t.bytes_sent,
+            "{n} nodes: the layouts differ in bytes"
+        );
+    }
+}
+
+/// What node `LEAF` did, in order, in one [`in_flight`] run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Step {
+    /// It issued an rpc (its page fetch, then its barrier arrival).
+    Issued,
+    /// It served `ASKER`'s lock request.
+    Served,
+    /// Its page fetch returned; the next thing it does is enter the barrier.
+    Fetched,
+}
+
+const LEAF: usize = 5;
+const ASKER: usize = 6;
+
+/// 16 nodes, one barrier. `LEAF` — childless, like every node but the
+/// root — page-faults (an rpc) and walks straight into the barrier;
+/// `ASKER` computes for `delay`, then asks for a lock `LEAF` manages.
+/// Returns `LEAF`'s steps.
+fn in_flight(delay: Ns) -> Vec<Step> {
+    let params = Arc::new(SimParams::paper_testbed());
+    let out = run_udp_dsm(16, params, cfg(BarrierAlgo::Centralized), move |tmk| {
+        let me = tmk.proc_id();
+        let steps = Rc::new(RefCell::new(Vec::new()));
+        let r = tmk.malloc(16 * 4096);
+        tmk.barrier(0);
+        if me == LEAF {
+            let sink = Rc::clone(&steps);
+            tmk.set_event_hook(move |ev| match *ev {
+                TmkEvent::RpcIssued { .. } => sink.borrow_mut().push(Step::Issued),
+                TmkEvent::RequestServed { from: ASKER, .. } => sink.borrow_mut().push(Step::Served),
+                _ => {}
+            });
+            // First touch of a page homed elsewhere: one blocking rpc.
+            let _ = tmk.get_u32(r, 9 * 1024);
+            steps.borrow_mut().push(Step::Fetched);
+        } else if me == ASKER {
+            tmk.compute_ns(delay);
+            tmk.acquire(LEAF as u32);
+            tmk.release(LEAF as u32);
+        }
+        tmk.barrier(1);
+        tmk.clear_event_hook();
+        steps.take()
+    });
+    out[LEAF].result.clone()
+}
+
+/// A request gathered while the leaf collected its last rpc before the
+/// barrier — it landed in the instants before that rpc's response, so the
+/// collect queued it and returned — is still in the serve queue at barrier
+/// entry. The leaf sends its arrival first and serves the request from
+/// inside the arrival rpc; a leaf that passed through the arrival wait
+/// (`wait_step` drains before it looks) would serve it first and arrive
+/// late by the service time, which is what moved `e3` / `e4` by 6–7 µs
+/// when it was tried. The window is a dozen µs wide (41–52 µs here) and
+/// where it lies is the cost model's business, so the lock request is
+/// swept across the fetch in 2 µs steps: early ones are served inside the
+/// fetch, late ones inside the arrival rpc, and none in between.
+#[test]
+fn a_leaf_sends_its_arrival_before_it_drains_its_serve_queue() {
+    use Step::*;
+    let (mut inside_fetch, mut inside_arrival) = (0, 0);
+    for us in (0..120).step_by(2) {
+        let steps = in_flight(Ns::from_us(us));
+        if steps == [Issued, Served, Fetched, Issued] {
+            inside_fetch += 1;
+        } else if steps == [Issued, Fetched, Issued, Served] {
+            inside_arrival += 1;
+        } else {
+            panic!("lock request {us} us in: the leaf drained before it sent ({steps:?})");
+        }
+    }
+    assert!(
+        inside_fetch > 0 && inside_arrival > 0,
+        "the sweep must cross the end of the fetch \
+         ({inside_fetch} served inside it, {inside_arrival} after it)"
+    );
 }
