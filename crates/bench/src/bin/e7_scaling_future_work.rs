@@ -10,14 +10,10 @@
 //!    first scaling wall the paper anticipates) and for the radix-8
 //!    combining tree ([`tmk::BarrierAlgo::Tree`]), which bounds any
 //!    node's serialized work at radix arrivals;
-//! 2. the same tree with NIC-offloaded combining
-//!    ([`tmk::BarrierAlgo::NicTree`]) — arrivals are merged by LANai
-//!    firmware at `nic_combine` cost instead of a host interrupt plus
-//!    handler, the paper's concrete §5 suggestion;
-//! 3. the tree on an *ideal* (zero-latency, zero-overhead) substrate —
+//! 2. the tree on an *ideal* (zero-latency, zero-overhead) substrate —
 //!    the algorithmic floor, i.e. what a perfect network could at best
 //!    recover once the algorithm itself scales;
-//! 4. Jacobi at a fixed problem size across cluster sizes, showing where
+//! 3. Jacobi at a fixed problem size across cluster sizes, showing where
 //!    added nodes stop paying for themselves on each transport.
 //!
 //! `E7_SMOKE=1` runs a small assertion-carrying subset (8/16/32 nodes,
@@ -142,24 +138,21 @@ fn main() {
     println!();
     println!("-- barrier vs cluster size, by algorithm --");
     println!(
-        "{:>6} {:>14} {:>12} {:>14} {:>12}",
+        "{:>6} {:>14} {:>12} {:>12}",
         "nodes",
         "centralized",
         format!("tree({RADIX})"),
-        format!("nic-tree({RADIX})"),
         "ideal tree"
     );
     let mut tree = Vec::new();
     for n in [16usize, 32, 64, 128] {
         let central = fast_barrier(n, BarrierAlgo::Centralized);
         let t = fast_barrier(n, BarrierAlgo::Tree { radix: RADIX });
-        let nic = fast_barrier(n, BarrierAlgo::NicTree { radix: RADIX });
         let ideal = ideal_barrier(n, BarrierAlgo::Tree { radix: RADIX });
         println!(
-            "{n:>6} {:>14} {:>12} {:>14} {:>12}",
+            "{n:>6} {:>14} {:>12} {:>12}",
             format!("{central}"),
             format!("{t}"),
-            format!("{nic}"),
             format!("{ideal}"),
         );
         tree.push((n, t));
@@ -171,10 +164,7 @@ fn main() {
         t3.0 as f64 / t0.0.max(1) as f64
     );
     println!("the centralized column grows linearly (serialized arrivals at");
-    println!("the manager); the radix-8 tree grows with depth. nic-tree");
-    println!("replaces each interior host interrupt + handler with a LANai");
-    println!("combining step — the paper's §5 suggestion — and sits between");
-    println!("the tree and the ideal-network floor.");
+    println!("the manager); the radix-8 tree grows with depth.");
 
     println!();
     println!("-- Jacobi 512x512, fixed size, growing cluster --");

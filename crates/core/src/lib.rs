@@ -22,9 +22,7 @@
 //!   acquisition — the two cases of the paper's Lock microbenchmark.
 //! * **Barriers**: the paper's centralized barrier (arrivals carry fresh
 //!   intervals to the manager; the release broadcasts the union) plus a
-//!   radix-k combining-tree barrier with an optional NIC-offloaded
-//!   combining cost model (the §5 future-work suggestion) — see
-//!   [`tmk::BarrierAlgo`].
+//!   radix-k combining-tree barrier — see [`tmk::BarrierAlgo`].
 //! * **Request/response protocol** ([`protocol`]): asynchronous requests
 //!   and synchronous responses, exactly the split the paper's Figure 1
 //!   draws — requests interrupt the peer, responses are awaited.

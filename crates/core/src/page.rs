@@ -83,10 +83,6 @@ impl Page {
         !self.data.is_empty()
     }
 
-    pub fn is_dirty(&self) -> bool {
-        self.twin.is_some()
-    }
-
     /// Record an incoming write notice. Ignores notices already applied or
     /// already pending. Transitions the access state.
     pub fn add_notice(&mut self, node: u16, seq: u32, vc: VectorClock) {

@@ -55,7 +55,7 @@ pub enum Request {
     /// barrier release pushed as an issued *request* so the releaser can
     /// fan all consumers through the overlapped engine and collect the
     /// [`Response::NoticeAck`]s out of order (per-rid retransmission
-    /// replaces the fire-and-forget replay-cache recovery path). The
+    /// replaces the fire-and-forget replay-record recovery path). The
     /// consumer completes its own blocked arrival rpc `reply_rid` with
     /// the equivalent release response. `tree` selects which release
     /// vocabulary that synthesized response uses.

@@ -28,8 +28,10 @@
 //!   Calls into rpc to fetch pages and diffs.
 //! * `rpc` — request/response plumbing: rid allocation, the blocking
 //!   `rpc` discipline (serve-while-waiting), retransmission timers, the
-//!   `(from, rid)` replay cache, the `serve` dispatcher, shutdown linger.
-//!   Talks only to the [`Substrate`].
+//!   replay records (a slot per requester for its open acquire and its
+//!   open barrier arrival, a FIFO for idempotent fetches), the `serve`
+//!   dispatcher, the reply path every handler's frame leaves through,
+//!   shutdown linger. The only layer that talks to the [`Substrate`].
 //!
 //! This module holds what the layers share: the [`Tmk`] struct itself,
 //! its configuration, and the [`TmkEvent`] observability seam.
@@ -61,7 +63,7 @@ mod rpc;
 mod shmem;
 mod sync;
 
-use rpc::{OutstandingRpc, QueuedRequest, ReplayCache};
+use rpc::{OutstandingRpc, QueuedRequest, ReplayKey, ReplayRecords};
 use shmem::RegionInfo;
 use sync::{BarrierEpisode, LockState};
 
@@ -71,8 +73,7 @@ pub struct SharedId(pub usize);
 
 /// The barrier's combining tree (the E7 scaling knob). There is one
 /// algorithm — gather arrivals up a tree rooted at node 0, fan the release
-/// back down — and this names its radix, its wire layout and who pays for
-/// the combining.
+/// back down — and this names its radix and its wire layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierAlgo {
     /// Radix n−1: every node sends its arrival to node 0, which serializes
@@ -86,11 +87,6 @@ pub enum BarrierAlgo {
     /// `radix` serialized arrivals per node. Combining is charged at host
     /// handler cost (interrupt + dispatch), like any other request.
     Tree { radix: u16 },
-    /// The same combining tree, but with merge and fan-out charged at
-    /// NIC-firmware cost on the asynchronous port instead of
-    /// host-interrupt + handler cost — the paper's §5 NIC-based barrier
-    /// suggestion. See `MyrinetParams::nic_combine`.
-    NicTree { radix: u16 },
 }
 
 /// How the coherence layer moves pending diffs at a page fault — the
@@ -238,11 +234,10 @@ pub struct Tmk<S: Substrate> {
     next_rid: u32,
     /// Responder-side duplicate suppression (lossy transports only; stays
     /// empty — and cost-free — on reliable ones).
-    replay: ReplayCache,
+    replay: ReplayRecords,
     /// Key of the request currently being dispatched, for filing its
-    /// replay-cache entry at the response site. `None` on reliable
-    /// transports.
-    serving: Option<(usize, u32)>,
+    /// replay record at the response site. `None` on reliable transports.
+    serving: Option<ReplayKey>,
     /// Issued-but-uncollected rpcs: the overlapped engine's pending-
     /// response table. Responses are matched against the whole set, so
     /// any number of rids can be in flight at once.
@@ -285,6 +280,8 @@ impl<S: Substrate> Tmk<S> {
         let n = sub.nprocs();
         let me = sub.my_id() as u16;
         let page_size = sub.params().dsm.page_size;
+        // A reliable transport never sees a duplicate and keeps no records.
+        let lossy_peers = if sub.retransmit_timeout().is_some() { n } else { 0 };
         assert!(
             page_size.is_multiple_of(8) && page_size <= u16::MAX as usize,
             "page size {page_size}: typed accessors need whole f64s per page, diffs u16 offsets"
@@ -306,7 +303,7 @@ impl<S: Substrate> Tmk<S> {
             next_rid: 1,
             cfg,
             page_size,
-            replay: ReplayCache::new(),
+            replay: ReplayRecords::new(lossy_peers),
             serving: None,
             outstanding: Vec::new(),
             serve_q: Vec::new(),
@@ -359,10 +356,5 @@ impl<S: Substrate> Tmk<S> {
         if let Some(h) = self.event_hook.as_mut() {
             h(&ev);
         }
-    }
-
-    /// Introspection: current vector time.
-    pub fn vector_time(&self) -> &VectorClock {
-        &self.vc
     }
 }

@@ -7,14 +7,19 @@
 //! requests to an async serve queue drained in virtual-arrival order
 //! (the TreadMarks SIGIO discipline, minus the re-entrant dispatch) —
 //! DSM-level reliability on lossy transports (per-rid virtual-time
-//! retransmission timers with exponential backoff, the bounded
-//! `(from, rid)` [`ReplayCache`], stale-response discard keyed on the
-//! outstanding set), the `serve` dispatcher that fans incoming requests
-//! out to the coherence and sync layers, and the shutdown linger. This
-//! layer talks only to the [`Substrate`]; of protocol payloads it looks at
-//! the request/response envelope and at whether a decoded response fits
+//! retransmission timers with exponential backoff, the responder's
+//! [`ReplayRecords`] — a slot per requester for its one open acquire and
+//! its one open barrier arrival, a bounded FIFO for idempotent fetches —
+//! stale-response discard keyed on the outstanding set), the `serve`
+//! dispatcher that fans incoming requests out to the coherence and sync
+//! layers, the reply path every frame a handler emits leaves through
+//! ([`Tmk::send_in_window`], [`Tmk::respond_now`]), and the shutdown
+//! linger. This is the only layer that talks to the [`Substrate`]; of
+//! protocol payloads it looks at the request/response envelope, at which
+//! requests block their sender, and at whether a decoded response fits
 //! this node's page size, nothing else.
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
@@ -71,74 +76,138 @@ pub(super) struct QueuedRequest {
 /// (lossy transports retransmit; handlers must stay idempotent).
 #[derive(Debug, Clone)]
 pub(super) enum ReplayAction {
-    /// The original is still queued (lock wait, barrier wait): swallow
-    /// duplicates; the eventual grant/release goes out through the
-    /// normal path (which upgrades this entry to `Respond`).
+    /// Nothing to send. The original is still queued (lock wait, barrier
+    /// wait) and its grant/release goes out through the normal path, which
+    /// upgrades this record to `Sent` — or the requester has since issued
+    /// a later request of the same class, so it holds the answer already.
     Pending,
-    /// We already responded with these bytes: re-send them (the original
-    /// response may have been the loss that triggered the retransmit).
-    Respond { to: usize, bytes: Vec<u8> },
-    /// We forwarded the request (lock manager → owner): re-forward the
-    /// identical bytes — same forwarded rid, so dedup chains compose.
-    Forward { to: usize, bytes: Vec<u8> },
+    /// We put these bytes on `chan` for `to`: send them again. On
+    /// [`Chan::Response`] they answered the request (the original answer
+    /// may be the loss that triggered the retransmit); on
+    /// [`Chan::Request`] they forwarded it (lock manager → owner), and the
+    /// identical frame carries the same forwarded rid, so dedup chains
+    /// compose.
+    Sent { chan: Chan, to: usize, bytes: Vec<u8> },
 }
 
-/// Bounded responder-side replay cache entry, keyed on `(from, rid)`.
+/// The two requests a node blocks on. It has at most one of each open —
+/// one acquire, one barrier arrival — which is what makes a slot per
+/// requester per class an exact record.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Class {
+    Acquire,
+    Barrier,
+}
+
+/// Where the replay record of a request lives.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum ReplayKey {
+    /// A blocking request — serving it changes lock or barrier state, so
+    /// it is served at most once: `requester`'s slot of `class`, holding
+    /// the request's rid *in the requester's rid space*. A forwarded
+    /// acquire names its requester and original rid on the wire, so the
+    /// manager's and the owner's records of one acquire carry one key.
+    Slot(Class, usize, u32),
+    /// An idempotent fetch or notice (`Diff`, `MultiDiff`, `Page`,
+    /// `NoticeRelease`): `(from, rid)` in the bounded data FIFO.
+    Data(usize, u32),
+}
+
+impl ReplayKey {
+    /// Classify a decoded request that `from` sent under `rid`.
+    fn of(from: usize, rid: u32, req: &Request) -> ReplayKey {
+        match *req {
+            Request::Acquire { .. } => ReplayKey::Slot(Class::Acquire, from, rid),
+            Request::AcquireFwd { requester, rid, .. } => {
+                ReplayKey::Slot(Class::Acquire, requester as usize, rid)
+            }
+            Request::BarrierArrive { .. } | Request::BarrierTreeArrive { .. } => {
+                ReplayKey::Slot(Class::Barrier, from, rid)
+            }
+            Request::Diff { .. }
+            | Request::MultiDiff { .. }
+            | Request::Page { .. }
+            | Request::NoticeRelease { .. } => ReplayKey::Data(from, rid),
+        }
+    }
+}
+
+/// Data-FIFO depth. Not a correctness parameter: a record evicted before
+/// its duplicate arrives costs re-running an idempotent handler (a
+/// re-encode at handler cost instead of a replay at dispatch cost) and
+/// nothing else. Kept at the depth the goldens' virtual times were
+/// recorded under.
+pub(super) const DATA_FIFO_CAP: usize = 128;
+
+/// Responder-side duplicate suppression (lossy transports only; stays
+/// empty — and cost-free — on reliable ones).
+///
+/// A blocking request's record is its requester's slot
+/// ([`ReplayKey::Slot`]): no capacity, no scan, and nothing but the same
+/// requester's *next* request of the same class displaces it — by which
+/// time the requester holds the answer. Against a slot, an equal rid is a
+/// duplicate to replay, a smaller one a late duplicate of a completed
+/// request (swallowed, never re-executed: re-running it would queue a
+/// waiter nobody is behind), a larger one new. Idempotent requests share a
+/// FIFO of the responses sent.
 #[derive(Debug)]
-struct ReplayEntry {
-    from: usize,
-    rid: u32,
-    action: ReplayAction,
+pub(super) struct ReplayRecords {
+    /// `slots[requester][class]`: rid and action of that requester's
+    /// latest blocking request of that class to reach this node.
+    slots: Vec<[Option<(u32, ReplayAction)>; 2]>,
+    /// `(from, rid, the response sent)`, oldest first.
+    data: VecDeque<(usize, u32, ReplayAction)>,
 }
 
-/// Replay-cache depth. With one outstanding request per peer plus
-/// forwards, live duplicates are always much younger than this.
-const REPLAY_CACHE_CAP: usize = 128;
-
-/// Bounded responder-side duplicate suppression, keyed on `(from, rid)`.
-/// FIFO eviction; `remember` upgrades in place so a queued request's
-/// entry follows it from [`ReplayAction::Pending`] to the terminal
-/// action taken when it is finally answered.
-#[derive(Debug, Default)]
-pub(super) struct ReplayCache {
-    entries: VecDeque<ReplayEntry>,
-}
-
-impl ReplayCache {
-    pub(super) fn new() -> Self {
-        ReplayCache {
-            entries: VecDeque::new(),
+impl ReplayRecords {
+    /// Records for requests from `n` nodes.
+    pub(super) fn new(n: usize) -> Self {
+        ReplayRecords {
+            slots: vec![[None, None]; n],
+            data: VecDeque::new(),
         }
     }
 
-    /// The recorded action for `(from, rid)`, if the request was seen.
-    pub(super) fn lookup(&self, from: usize, rid: u32) -> Option<&ReplayAction> {
-        self.entries
-            .iter()
-            .find(|e| e.from == from && e.rid == rid)
-            .map(|e| &e.action)
+    /// The recorded action for `key`, if the request was seen.
+    pub(super) fn lookup(&self, key: ReplayKey) -> Option<ReplayAction> {
+        match key {
+            ReplayKey::Slot(class, requester, rid) => {
+                let (seen, action) = self.slots[requester][class as usize].as_ref()?;
+                match rid.cmp(seen) {
+                    Ordering::Equal => Some(action.clone()),
+                    Ordering::Less => Some(ReplayAction::Pending),
+                    Ordering::Greater => None,
+                }
+            }
+            ReplayKey::Data(from, rid) => self
+                .data
+                .iter()
+                .find(|e| e.0 == from && e.1 == rid)
+                .map(|e| e.2.clone()),
+        }
     }
 
-    /// Record (or upgrade in place) the action taken for `(from, rid)`,
-    /// evicting the oldest entry at capacity.
-    pub(super) fn remember(&mut self, from: usize, rid: u32, action: ReplayAction) {
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.from == from && e.rid == rid)
-        {
-            e.action = action;
-            return;
+    /// Record the action taken for `key`. A slot is written by its
+    /// request's first copy and upgraded by its answer; a data record is
+    /// written once (a found record is replayed, not re-served), evicting
+    /// the oldest at capacity.
+    pub(super) fn remember(&mut self, key: ReplayKey, action: ReplayAction) {
+        match key {
+            ReplayKey::Slot(class, requester, rid) => {
+                let slot = &mut self.slots[requester][class as usize];
+                debug_assert!(
+                    slot.as_ref().is_none_or(|(seen, _)| *seen <= rid),
+                    "node {requester}'s {class:?} slot moved backwards to rid {rid}"
+                );
+                *slot = Some((rid, action));
+            }
+            ReplayKey::Data(from, rid) => {
+                if self.data.len() >= DATA_FIFO_CAP {
+                    self.data.pop_front();
+                }
+                self.data.push_back((from, rid, action));
+            }
         }
-        if self.entries.len() >= REPLAY_CACHE_CAP {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(ReplayEntry { from, rid, action });
-    }
-
-    #[cfg(test)]
-    pub(super) fn len(&self) -> usize {
-        self.entries.len()
     }
 }
 
@@ -160,14 +229,15 @@ impl<S: Substrate> Tmk<S> {
         };
         trace!(self, "serve from={from} rid={rid} req={req:?}");
         if self.sub.retransmit_timeout().is_some() {
-            if self.replay.lookup(from, rid).is_some() {
+            let key = ReplayKey::of(from, rid, &req);
+            if let Some(action) = self.replay.lookup(key) {
                 // A retransmission of a request we already handled (or
                 // still hold queued): replay the recorded action instead
                 // of re-running the (state-mutating) handler.
-                self.replay_duplicate(from, rid, arrival);
+                self.replay_duplicate(action, arrival);
                 return;
             }
-            self.serving = Some((from, rid));
+            self.serving = Some(key);
         }
         let cost = self.sub.params().dsm.handler_dispatch;
         match req {
@@ -199,7 +269,7 @@ impl<S: Substrate> Tmk<S> {
                 requester,
                 rid: orig_rid,
                 vc,
-            } => self.serve_acquire_fwd(from, rid, lock, requester, orig_rid, vc, arrival, cost),
+            } => self.serve_acquire_fwd(lock, requester, orig_rid, vc, arrival, cost),
             // One clock is a childless subtree's floor and ceiling both.
             Request::BarrierArrive {
                 barrier,
@@ -228,42 +298,40 @@ impl<S: Substrate> Tmk<S> {
 
     // ----- duplicate-request suppression ------------------------------------
 
-    /// If the request being served hasn't recorded an action yet, park it
-    /// in the replay cache as pending (response comes later — queued lock
-    /// grant, barrier release). A retransmission arriving meanwhile is
-    /// then recognized and suppressed instead of re-queued.
+    /// If the request being served hasn't recorded an action yet, record
+    /// it as pending (response comes later — queued lock grant, barrier
+    /// release). A retransmission arriving meanwhile is then recognized
+    /// and suppressed instead of re-queued.
     pub(super) fn note_pending(&mut self) {
-        if let Some((f, r)) = self.serving.take() {
-            self.replay.remember(f, r, ReplayAction::Pending);
+        if let Some(key) = self.serving.take() {
+            self.replay.remember(key, ReplayAction::Pending);
         }
     }
 
-    /// A retransmitted request matched the replay cache: re-emit the
-    /// recorded effect without re-running the handler. Pending entries
-    /// (response still owed) are swallowed — the eventual grant/release
-    /// answers the original rid.
-    fn replay_duplicate(&mut self, from: usize, rid: u32, arrival: Ns) {
+    /// A retransmitted request matched its replay record: re-emit the
+    /// recorded effect without re-running the handler. Pending records
+    /// (response still owed, or long since received) are swallowed — the
+    /// eventual grant/release answers the original rid.
+    fn replay_duplicate(&mut self, action: ReplayAction, arrival: Ns) {
         self.clock().borrow_mut().stats.dup_requests_suppressed += 1;
         let cost = self.sub.params().dsm.handler_dispatch;
-        let action = self.replay.lookup(from, rid).expect("caller checked").clone();
         match action {
             ReplayAction::Pending => {
                 self.charge_service(arrival, cost);
             }
-            ReplayAction::Respond { to, bytes } => {
-                let total = cost + self.sub.response_cost(bytes.len());
-                let finish = self.charge_service(arrival, total);
-                self.sub.send_response_at(to, &bytes, finish);
-            }
-            ReplayAction::Forward { to, bytes } => {
-                let total = cost + self.sub.response_cost(bytes.len());
-                let finish = self.charge_service(arrival, total);
-                self.sub.send_request_at(to, &bytes, finish);
+            ReplayAction::Sent { chan, to, bytes } => {
+                self.send_in_window(chan, to, &bytes, arrival, cost)
             }
         }
     }
 
-    // ----- response emission ------------------------------------------------
+    // ----- reply emission ---------------------------------------------------
+    //
+    // Every frame that leaves a handler leaves through one of two functions,
+    // which own its cost, its send time and its replay record:
+    // `send_in_window`, from inside the service window of the request being
+    // served, and `respond_now`, from the node's own program (a queued grant
+    // at release, a barrier release at departure).
 
     /// Charge the service window for a request with no (immediate)
     /// response; returns the service completion time.
@@ -274,15 +342,54 @@ impl<S: Substrate> Tmk<S> {
             .service_window(arrival, &scheme, cost)
     }
 
-    /// Charge a NIC-offloaded service window: the work happens in NIC
-    /// firmware on the asynchronous port, so no host interrupt is raised
-    /// and no handler-dispatch cost is paid — service begins at arrival
-    /// (or after earlier NIC work), costed by `cost` alone.
-    pub(super) fn charge_service_offloaded(&mut self, arrival: Ns, cost: Ns) -> Ns {
-        let scheme = tm_sim::AsyncScheme::Interrupt { cost: Ns::ZERO };
-        self.clock()
-            .borrow_mut()
-            .service_window(arrival, &scheme, cost)
+    /// Charge the service window that began at `arrival` for `cost` plus
+    /// the substrate's cost of the frame, put `bytes` on `chan` at its
+    /// completion, and record the send for the request being served (none
+    /// when this *is* a replay, or on a reliable transport, which pays no
+    /// copy here).
+    fn send_in_window(&mut self, chan: Chan, to: usize, bytes: &[u8], arrival: Ns, cost: Ns) {
+        let cost = cost + self.sub.response_cost(bytes.len());
+        let finish = self.charge_service(arrival, cost);
+        match chan {
+            Chan::Response => self.sub.send_response_at(to, bytes, finish),
+            Chan::Request => self.sub.send_request_at(to, bytes, finish),
+        }
+        if let Some(key) = self.serving.take() {
+            let bytes = bytes.to_vec();
+            self.replay
+                .remember(key, ReplayAction::Sent { chan, to, bytes });
+        }
+    }
+
+    /// Answer `requester`'s parked request `(class, rid)` out of band — long
+    /// after its service window closed, on our own time: advance the clock
+    /// by `cost` plus the substrate's cost of the frame, send now, and
+    /// upgrade the requester's slot so a duplicate of the request (its
+    /// answer may be the next loss) replays these bytes.
+    pub(super) fn respond_now(
+        &mut self,
+        class: Class,
+        requester: usize,
+        rid: u32,
+        resp: Response,
+        cost: Ns,
+    ) {
+        let mut w = WireWriter::pooled(128);
+        resp.encode_into(rid, &mut w);
+        let total = cost + self.sub.response_cost(w.len());
+        self.clock().borrow_mut().advance(total);
+        let now = self.clock().borrow().now();
+        self.sub.send_response_at(requester, w.as_slice(), now);
+        if self.sub.retransmit_timeout().is_some() {
+            let sent = ReplayAction::Sent {
+                chan: Chan::Response,
+                to: requester,
+                bytes: w.as_slice().to_vec(),
+            };
+            self.replay
+                .remember(ReplayKey::Slot(class, requester, rid), sent);
+        }
+        w.recycle();
     }
 
     /// Charge the service window and emit the response at its completion.
@@ -294,42 +401,18 @@ impl<S: Substrate> Tmk<S> {
 
     /// Emit an already-encoded response at service completion, returning
     /// the frame buffer to the pool after the substrate copies it out.
-    pub(super) fn respond_wire(&mut self, to: usize, w: WireWriter, arrival: Ns, mut cost: Ns) {
-        cost += self.sub.response_cost(w.len());
-        let finish = self.charge_service(arrival, cost);
-        self.sub.send_response_at(to, w.as_slice(), finish);
-        if let Some((from, rid)) = self.serving.take() {
-            let bytes = w.as_slice().to_vec();
-            self.replay
-                .remember(from, rid, ReplayAction::Respond { to, bytes });
-        }
+    pub(super) fn respond_wire(&mut self, to: usize, w: WireWriter, arrival: Ns, cost: Ns) {
+        self.send_in_window(Chan::Response, to, w.as_slice(), arrival, cost);
         w.recycle();
     }
 
-    /// Forward an encoded request on behalf of the one being served (lock
-    /// manager → owner), recording the forward for replay.
-    pub(super) fn forward_wire(&mut self, to: usize, w: WireWriter, arrival: Ns, mut cost: Ns) {
-        cost += self.sub.response_cost(w.len());
-        let finish = self.charge_service(arrival, cost);
-        self.sub.send_request_at(to, w.as_slice(), finish);
-        if let Some((f, r)) = self.serving.take() {
-            let bytes = w.as_slice().to_vec();
-            self.replay
-                .remember(f, r, ReplayAction::Forward { to, bytes });
-        }
+    /// Forward `req` under `rid` on behalf of the request being served (lock
+    /// manager → owner); the forward is that request's replay record.
+    pub(super) fn forward(&mut self, to: usize, rid: u32, req: Request, arrival: Ns, cost: Ns) {
+        let mut w = WireWriter::pooled(64);
+        req.encode_into(rid, &mut w);
+        self.send_in_window(Chan::Request, to, w.as_slice(), arrival, cost);
         w.recycle();
-    }
-
-    /// Record the out-of-band response sent for request `(via)` — a queued
-    /// grant or barrier release that goes out long after its serve window.
-    /// The bytes are only copied on lossy transports; reliable ones pay
-    /// nothing here.
-    pub(super) fn remember_response(&mut self, via: (usize, u32), to: usize, bytes: &[u8]) {
-        if self.sub.retransmit_timeout().is_some() {
-            let bytes = bytes.to_vec();
-            self.replay
-                .remember(via.0, via.1, ReplayAction::Respond { to, bytes });
-        }
     }
 
     // ----- the overlapped rpc engine ----------------------------------------
@@ -701,7 +784,7 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Lossy-transport shutdown linger: keep answering retransmitted
-    /// requests from the replay cache until every node in `watch` has
+    /// requests from the replay records until every node in `watch` has
     /// left the fabric (a client whose final release was lost depends on
     /// it). A node watches its barrier-tree descendants — lingering on the
     /// whole cluster would deadlock parent against lingering ancestor. A
@@ -717,83 +800,116 @@ mod tests {
     use super::*;
 
     fn respond(to: usize, b: &[u8]) -> ReplayAction {
-        ReplayAction::Respond {
+        ReplayAction::Sent {
+            chan: Chan::Response,
             to,
             bytes: b.to_vec(),
         }
     }
 
+    fn acquire(requester: usize, rid: u32) -> ReplayKey {
+        ReplayKey::Slot(Class::Acquire, requester, rid)
+    }
+
     #[test]
     fn remember_then_lookup() {
-        let mut c = ReplayCache::new();
-        assert!(c.lookup(3, 7).is_none());
-        c.remember(3, 7, ReplayAction::Pending);
-        assert!(matches!(c.lookup(3, 7), Some(ReplayAction::Pending)));
+        let mut c = ReplayRecords::new(8);
+        assert!(c.lookup(ReplayKey::Data(3, 7)).is_none());
+        c.remember(ReplayKey::Data(3, 7), respond(3, b"page"));
+        assert!(c.lookup(ReplayKey::Data(3, 7)).is_some());
         // Same rid from a different node is a different request.
-        assert!(c.lookup(4, 7).is_none());
+        assert!(c.lookup(ReplayKey::Data(4, 7)).is_none());
+        // A requester's acquire and its barrier arrival are different slots.
+        c.remember(acquire(3, 7), ReplayAction::Pending);
+        assert!(c.lookup(ReplayKey::Slot(Class::Barrier, 3, 7)).is_none());
     }
 
     #[test]
     fn upgrade_in_place_pending_to_respond() {
         // A queued lock acquire is Pending until the grant goes out; the
-        // upgrade must replace the entry, not shadow it with a second one.
-        let mut c = ReplayCache::new();
-        c.remember(2, 11, ReplayAction::Pending);
-        c.remember(2, 11, respond(2, b"grant"));
-        assert_eq!(c.len(), 1);
-        match c.lookup(2, 11) {
-            Some(ReplayAction::Respond { to, bytes }) => {
-                assert_eq!(*to, 2);
+        // upgrade replaces the record.
+        let mut c = ReplayRecords::new(8);
+        c.remember(acquire(2, 11), ReplayAction::Pending);
+        assert!(matches!(c.lookup(acquire(2, 11)), Some(ReplayAction::Pending)));
+        c.remember(acquire(2, 11), respond(2, b"grant"));
+        match c.lookup(acquire(2, 11)) {
+            Some(ReplayAction::Sent { to, bytes, .. }) => {
+                assert_eq!(to, 2);
                 assert_eq!(bytes, b"grant");
             }
-            other => panic!("expected Respond, got {other:?}"),
+            other => panic!("expected Sent, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_slot_orders_its_requesters_rids() {
+        let mut c = ReplayRecords::new(8);
+        c.remember(acquire(2, 11), respond(2, b"grant"));
+        // The requester's next acquire is new — and once recorded, a late
+        // copy of the completed one is swallowed, never new again.
+        assert!(c.lookup(acquire(2, 12)).is_none());
+        c.remember(acquire(2, 12), ReplayAction::Pending);
+        assert!(matches!(c.lookup(acquire(2, 11)), Some(ReplayAction::Pending)));
+        assert!(c.lookup(acquire(2, 13)).is_none());
     }
 
     #[test]
     fn fifo_eviction_at_capacity() {
-        let mut c = ReplayCache::new();
-        for rid in 0..REPLAY_CACHE_CAP as u32 {
-            c.remember(1, rid, ReplayAction::Pending);
+        let mut c = ReplayRecords::new(8);
+        for rid in 0..DATA_FIFO_CAP as u32 {
+            c.remember(ReplayKey::Data(1, rid), respond(1, b"d"));
         }
-        assert_eq!(c.len(), REPLAY_CACHE_CAP);
-        assert!(c.lookup(1, 0).is_some());
+        assert_eq!(c.data.len(), DATA_FIFO_CAP);
+        assert!(c.lookup(ReplayKey::Data(1, 0)).is_some());
         // One more evicts the oldest, and only the oldest.
-        c.remember(1, REPLAY_CACHE_CAP as u32, ReplayAction::Pending);
-        assert_eq!(c.len(), REPLAY_CACHE_CAP);
-        assert!(c.lookup(1, 0).is_none());
-        assert!(c.lookup(1, 1).is_some());
-        assert!(c.lookup(1, REPLAY_CACHE_CAP as u32).is_some());
+        c.remember(ReplayKey::Data(1, DATA_FIFO_CAP as u32), respond(1, b"d"));
+        assert_eq!(c.data.len(), DATA_FIFO_CAP);
+        assert!(c.lookup(ReplayKey::Data(1, 0)).is_none());
+        assert!(c.lookup(ReplayKey::Data(1, 1)).is_some());
+        assert!(c.lookup(ReplayKey::Data(1, DATA_FIFO_CAP as u32)).is_some());
     }
 
     #[test]
     fn upgrade_does_not_evict() {
-        // In-place upgrades at capacity must not push anything out.
-        let mut c = ReplayCache::new();
-        for rid in 0..REPLAY_CACHE_CAP as u32 {
-            c.remember(1, rid, ReplayAction::Pending);
+        // A slot upgrade with the FIFO at capacity pushes nothing out, and
+        // no amount of data traffic pushes a slot out.
+        let mut c = ReplayRecords::new(8);
+        c.remember(acquire(1, 5), ReplayAction::Pending);
+        for rid in 6..6 + 2 * DATA_FIFO_CAP as u32 {
+            c.remember(ReplayKey::Data(1, rid), respond(1, b"d"));
         }
-        c.remember(1, 5, respond(1, b"late-grant"));
-        assert_eq!(c.len(), REPLAY_CACHE_CAP);
-        assert!(c.lookup(1, 0).is_some(), "oldest entry evicted by upgrade");
+        c.remember(acquire(1, 5), respond(1, b"late-grant"));
+        assert_eq!(c.data.len(), DATA_FIFO_CAP);
+        assert!(c.lookup(ReplayKey::Data(1, 6 + DATA_FIFO_CAP as u32)).is_some());
+        assert!(matches!(
+            c.lookup(acquire(1, 5)),
+            Some(ReplayAction::Sent { .. })
+        ));
     }
 
     #[test]
     fn forwarded_grant_keyed_on_forward_identity() {
-        // A forwarded acquire reaches the owner as (manager, fwd_rid); the
-        // grant is recorded under that key so the *manager's* retransmitted
-        // forward replays it — the original requester never retransmits to
-        // the owner directly.
-        let mut c = ReplayCache::new();
-        let (manager, fwd_rid) = (0usize, 42u32);
-        let requester = 2usize;
-        c.remember(manager, fwd_rid, ReplayAction::Pending);
-        c.remember(manager, fwd_rid, respond(requester, b"grant-bytes"));
-        match c.lookup(manager, fwd_rid) {
-            Some(ReplayAction::Respond { to, .. }) => assert_eq!(*to, requester),
-            other => panic!("expected Respond to requester, got {other:?}"),
+        // A forwarded acquire names its requester and original rid, and
+        // that — not the `(manager, fwd_rid)` envelope it travels in — is
+        // its identity at the owner: the grant is recorded under it, so a
+        // re-forwarded `AcquireFwd` finds the grant, whatever envelope the
+        // manager sends it in.
+        let (manager, requester, rid) = (0usize, 2usize, 42u32);
+        let fwd = Request::AcquireFwd {
+            lock: 0,
+            requester: requester as u16,
+            rid,
+            vc: crate::vc::VectorClock::new(3),
+        };
+        let mut c = ReplayRecords::new(3);
+        let key = ReplayKey::of(manager, 900, &fwd);
+        c.remember(key, ReplayAction::Pending);
+        c.remember(key, respond(requester, b"grant-bytes"));
+        match c.lookup(ReplayKey::of(manager, 901, &fwd)) {
+            Some(ReplayAction::Sent { to, .. }) => assert_eq!(to, requester),
+            other => panic!("expected the grant to the requester, got {other:?}"),
         }
-        // The requester's own (requester, rid) key is untouched.
-        assert!(c.lookup(requester, fwd_rid).is_none());
+        // Nothing was filed under the manager.
+        assert!(c.lookup(acquire(manager, 900)).is_none());
     }
 }

@@ -7,7 +7,7 @@
 //! coherence layer for the fault transitions an mprotect implementation
 //! would take, charging the modeled fault costs.
 
-use crate::page::{Access, PageId};
+use crate::page::PageId;
 use crate::substrate::Substrate;
 
 use super::{SharedId, Tmk};
@@ -50,17 +50,6 @@ impl<S: Substrate> Tmk<S> {
             self.me,
             id.0
         );
-    }
-
-    /// Bytes in a region.
-    pub fn region_len(&self, id: SharedId) -> usize {
-        self.regions[id.0].len
-    }
-
-    fn page_of(&self, id: SharedId, off: usize) -> PageId {
-        let r = &self.regions[id.0];
-        assert!(off < r.len, "offset {off} outside region of {} bytes", r.len);
-        (r.start_page + off / self.page_size) as PageId
     }
 
     // ----- data access ----------------------------------------------------
@@ -190,22 +179,6 @@ impl<S: Substrate> Tmk<S> {
         self.write_bytes(id, idx * 4, &v.to_le_bytes());
     }
 
-    pub fn get_i32(&mut self, id: SharedId, idx: usize) -> i32 {
-        self.get_u32(id, idx) as i32
-    }
-
-    pub fn set_i32(&mut self, id: SharedId, idx: usize, v: i32) {
-        self.set_u32(id, idx, v as u32);
-    }
-
-    pub fn get_f32(&mut self, id: SharedId, idx: usize) -> f32 {
-        f32::from_bits(self.get_u32(id, idx))
-    }
-
-    pub fn set_f32(&mut self, id: SharedId, idx: usize, v: f32) {
-        self.set_u32(id, idx, v.to_bits());
-    }
-
     pub fn get_f64(&mut self, id: SharedId, idx: usize) -> f64 {
         let mut b = [0u8; 8];
         self.read_bytes(id, idx * 8, &mut b);
@@ -234,11 +207,5 @@ impl<S: Substrate> Tmk<S> {
     /// Bulk f64 write starting at element `idx`.
     pub fn write_f64s(&mut self, id: SharedId, idx: usize, src: &[f64]) {
         self.write_elems(id, idx, src, f64::to_le_bytes);
-    }
-
-    /// Introspection for tests: the page state of `(region, off)`.
-    pub fn page_state(&self, id: SharedId, off: usize) -> Access {
-        let pid = self.page_of(id, off);
-        self.pages[pid as usize].state
     }
 }

@@ -15,19 +15,17 @@
 //! childless child of the root — and
 //! [`BarrierAlgo::Centralized`](super::BarrierAlgo) means exactly that,
 //! spoken in the paper's wire layout ("barrier wire layout" below).
-//! [`BarrierAlgo::NicTree`](super::BarrierAlgo) charges the combining at
-//! NIC-firmware cost instead of host interrupt + handler dispatch — the
-//! paper's §5 NIC-based barrier suggestion.
 //!
 //! This layer calls down into coherence (flush/apply intervals at every
 //! synchronization point, epoch GC after barriers) and rpc (moving
-//! grants, arrivals and releases; recording out-of-band responses in the
-//! replay cache).
+//! grants, arrivals and releases — every frame leaves through rpc's reply
+//! path, which also keeps the replay records).
 
 use std::collections::VecDeque;
 
 use tm_sim::Ns;
 
+use super::rpc::Class;
 use super::{Tmk, TmkEvent};
 use crate::interval::IntervalRecord;
 use crate::protocol::{Request, Response};
@@ -40,13 +38,8 @@ pub(super) struct LockState {
     owner_hint: u16,
     have_token: bool,
     busy: bool,
-    /// Requests waiting for our release: (requester, rid, their vc,
-    /// arrival key). The arrival key is the `(from, rid)` the request
-    /// last reached us under — identical to `(requester, rid)` for a
-    /// direct acquire, but the forwarding manager's `(manager, fwd_rid)`
-    /// for a forwarded one. Replay-cache upgrades go through it so a
-    /// retransmitted forward finds the grant we eventually sent.
-    waiting: VecDeque<(u16, u32, VectorClock, (usize, u32))>,
+    /// Requests waiting for our release: (requester, rid, their vc).
+    waiting: VecDeque<(u16, u32, VectorClock)>,
 }
 
 pub(super) struct BarrierEpisode {
@@ -197,7 +190,7 @@ impl<S: Substrate> Tmk<S> {
             } else {
                 // We hold it busy (or the token is en route to us):
                 // grant at release.
-                ls.waiting.push_back((from as u16, rid, vc, (from, rid)));
+                ls.waiting.push_back((from as u16, rid, vc));
                 ls.owner_hint = from as u16;
                 self.charge_service(arrival, cost);
                 self.note_pending();
@@ -213,20 +206,14 @@ impl<S: Substrate> Tmk<S> {
                 vc,
             };
             let fwd_rid = self.rid();
-            let mut w = WireWriter::pooled(64);
-            fwd.encode_into(fwd_rid, &mut w);
-            self.forward_wire(owner, w, arrival, cost);
+            self.forward(owner, fwd_rid, fwd, arrival, cost);
         }
     }
 
     /// A forwarded acquire reached us as the token's owner: grant now if
     /// the token is free, else queue until our release.
-    // The parameter list mirrors the AcquireFwd wire fields one-to-one.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn serve_acquire_fwd(
         &mut self,
-        from: usize,
-        rid: u32,
         lock: u32,
         requester: u16,
         orig_rid: u32,
@@ -243,7 +230,7 @@ impl<S: Substrate> Tmk<S> {
             self.respond(requester as usize, orig_rid, resp, arrival, cost);
             self.emit(TmkEvent::LockGranted { lock, to: requester });
         } else {
-            ls.waiting.push_back((requester, orig_rid, vc, (from, rid)));
+            ls.waiting.push_back((requester, orig_rid, vc));
             self.charge_service(arrival, cost);
             self.note_pending();
         }
@@ -252,8 +239,7 @@ impl<S: Substrate> Tmk<S> {
     /// A child's barrier arrival reached us as its tree parent, in either
     /// wire layout (`rpc::serve` hands a `BarrierArrive`'s one clock in as
     /// floor and ceiling both). Nothing is incorporated until our own
-    /// departure; under `NicTree` the merge is charged at NIC-firmware
-    /// cost with no host interrupt (the host CPU is never preempted).
+    /// departure.
     // The parameter list mirrors the BarrierTreeArrive wire fields one-to-one.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn serve_tree_arrive(
@@ -286,13 +272,7 @@ impl<S: Substrate> Tmk<S> {
             self.barrier.count += 1;
         }
         self.barrier.clients[from] = Some((rid, min_vc, vc));
-        if let super::BarrierAlgo::NicTree { .. } = self.cfg.barrier_algo {
-            let net = &self.sub.params().net;
-            let c = net.nic_combine + Ns(net.nic_combine_per_record.0 * nrec);
-            self.charge_service_offloaded(arrival, c);
-        } else {
-            self.charge_service(arrival, cost + Ns(200 * nrec));
-        }
+        self.charge_service(arrival, cost + Ns(200 * nrec));
         self.note_pending();
     }
 
@@ -427,19 +407,12 @@ impl<S: Substrate> Tmk<S> {
         if !ls.have_token || ls.busy {
             return;
         }
-        let Some((requester, rid, rvc, via)) = ls.waiting.pop_front() else {
+        let Some((requester, rid, rvc)) = ls.waiting.pop_front() else {
             return;
         };
         let (resp, cost) = self.make_grant(lock, &rvc);
         self.locks[lock as usize].have_token = false;
-        let mut w = WireWriter::pooled(128);
-        resp.encode_into(rid, &mut w);
-        let total = cost + self.sub.response_cost(w.len());
-        self.clock().borrow_mut().advance(total);
-        let now = self.clock().borrow().now();
-        self.sub.send_response_at(requester as usize, w.as_slice(), now);
-        self.remember_response(via, requester as usize, w.as_slice());
-        w.recycle();
+        self.respond_now(Class::Acquire, requester as usize, rid, resp, cost);
         self.emit(TmkEvent::LockGranted { lock, to: requester });
     }
 
@@ -451,9 +424,7 @@ impl<S: Substrate> Tmk<S> {
     fn tree_radix(&self) -> usize {
         match self.cfg.barrier_algo {
             super::BarrierAlgo::Centralized => (self.n - 1).max(1),
-            super::BarrierAlgo::Tree { radix } | super::BarrierAlgo::NicTree { radix } => {
-                radix.max(1) as usize
-            }
+            super::BarrierAlgo::Tree { radix } => radix.max(1) as usize,
         }
     }
 
@@ -625,9 +596,7 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Release every arrival in `clients`: each gets the merged barrier
-    /// time plus all records newer than its coverage floor. Under
-    /// `NicTree` the fan-out is charged at NIC-firmware cost; otherwise at
-    /// the substrate's host response cost.
+    /// time plus all records newer than its coverage floor.
     fn fan_release(
         &mut self,
         id: u32,
@@ -635,16 +604,13 @@ impl<S: Substrate> Tmk<S> {
         merged: &VectorClock,
     ) {
         let tree = self.tree_wire();
-        let offloaded = matches!(self.cfg.barrier_algo, super::BarrierAlgo::NicTree { .. });
-        if matches!(self.cfg.lock_path, super::LockPath::Overlapped) && !offloaded {
+        if matches!(self.cfg.lock_path, super::LockPath::Overlapped) {
             // Overlapped write-notice distribution: every consumer's
             // release goes out as an issued request; acks collect out of
             // order. The exit fan rides the same path: each ack collect
             // watches its consumer's NIC, so a retransmission timer armed
             // against a consumer that applied the release and tore down
-            // cancels instead of firing into the dead node. Only the
-            // NIC-offloaded fan stays serial (its cost model is the
-            // point).
+            // cancels instead of firing into the dead node.
             return self.fan_release_overlapped(id, tree, clients, merged);
         }
         let mut fanned = 0u16;
@@ -652,20 +618,9 @@ impl<S: Substrate> Tmk<S> {
             let Some((rid, floor, _)) = slot else { continue };
             let records = self.log.newer_than(&floor);
             let resp = barrier_release(tree, id, merged.clone(), records);
-            let mut w = WireWriter::pooled(128);
-            resp.encode_into(rid, &mut w);
-            let cost = if offloaded {
-                self.sub.params().net.nic_combine
-            } else {
-                self.sub.response_cost(w.len()) + Ns(500)
-            };
-            self.clock().borrow_mut().advance(cost);
-            let now = self.clock().borrow().now();
-            self.sub.send_response_at(node, w.as_slice(), now);
             // A lost release leaves the peer retransmitting its arrival;
-            // answer the duplicate from the cache.
-            self.remember_response((node, rid), node, w.as_slice());
-            w.recycle();
+            // its slot answers the duplicate.
+            self.respond_now(Class::Barrier, node, rid, resp, Ns(500));
             fanned += 1;
         }
         if tree && fanned > 0 {
@@ -760,7 +715,7 @@ impl<S: Substrate> Tmk<S> {
     ///
     /// On a lossy transport every node that answers barrier arrivals
     /// additionally lingers: a peer whose exit release was lost keeps
-    /// retransmitting its arrival, and only our replay cache can answer
+    /// retransmitting its arrival, and only our record of it can answer
     /// it. A node watches its descendants — leaves exit immediately and
     /// the tree drains bottom-up (a parent lingering on *all* peers would
     /// deadlock against its own lingering ancestors).

@@ -1,8 +1,8 @@
 //! Lock grant-forwarding chain tests over the in-memory substrate — no
 //! fabric, no threads. Each test drives the `serve` dispatcher by hand
 //! with wire-encoded requests, so the manager → owner → requester chain
-//! and its replay-cache behavior under retransmission are exercised at
-//! the layer seam, deterministically.
+//! and its replay records under retransmission are exercised at the layer
+//! seam, deterministically.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -11,6 +11,7 @@ use std::sync::Arc;
 use tm_sim::clock::shared_clock;
 use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
 
+use super::super::rpc::DATA_FIFO_CAP;
 use crate::memsub::{mem_cluster, MemSubstrate};
 use crate::protocol::{Request, Response};
 use crate::substrate::{Chan, IncomingMsg, Substrate};
@@ -18,7 +19,7 @@ use crate::vc::VectorClock;
 use crate::{Tmk, TmkConfig, TmkEvent};
 
 /// [`MemSubstrate`] plus a fixed retransmission timeout: flips the rpc
-/// layer onto its lossy path (replay cache active) without any loss
+/// layer onto its lossy path (replay records kept) without any loss
 /// model underneath — the tests inject duplicates by calling `serve`
 /// twice with the same bytes.
 struct LossyMem(MemSubstrate);
@@ -153,7 +154,7 @@ fn retransmitted_acquire_replays_forward_and_grant() {
     assert_eq!(fwd1.data, fwd2.data, "replayed forward must be byte-identical");
     assert_eq!(t0.clock().borrow().stats.dup_requests_suppressed, 1);
     // The owner grants on the first copy and replays the recorded grant
-    // on the duplicate, keyed on the *forward's* (manager, fwd_rid).
+    // on the duplicate, found in the requester's slot.
     t1.serve(fwd1.from, &fwd1.data, fwd1.arrival);
     t1.serve(fwd2.from, &fwd2.data, fwd2.arrival);
     assert_eq!(t1.clock().borrow().stats.dup_requests_suppressed, 1);
@@ -181,7 +182,7 @@ fn queued_forward_grants_at_release_then_replays() {
         900,
     );
     // Owner is busy: the forward parks in the wait queue, Pending in the
-    // replay cache.
+    // requester's slot.
     t1.serve(0, &fwd, Ns(10));
     assert_eq!(t1.locks[0].waiting.len(), 1);
     // A retransmitted forward meanwhile is swallowed, not double-queued.
@@ -196,12 +197,47 @@ fn queued_forward_grants_at_release_then_replays() {
     assert_eq!(rid, 31);
     assert!(matches!(resp, Response::Grant { lock: 0, .. }));
     assert!(!t1.locks[0].have_token, "token must migrate with the grant");
-    // ...and upgrades the Pending entry in place, so a late duplicate of
+    // ...and upgrades the Pending record in place, so a late duplicate of
     // the forward replays the grant instead of re-queueing.
     t1.serve(0, &fwd, Ns(2000));
     let g2 = s2.next_incoming();
     assert_eq!(g1.data, g2.data, "post-release duplicate must replay the grant");
     assert!(t1.locks[0].waiting.is_empty());
+}
+
+/// A forward and a grant are obligations; the page fetches around them are
+/// not. More fetches than the data FIFO holds, served between an acquire
+/// and its retransmission, displace neither the manager's forward (its
+/// loss re-ran the acquire against an owner hint naming the requester
+/// itself) nor the owner's grant (its loss queued a waiter twice).
+#[test]
+fn data_traffic_displaces_neither_a_forward_nor_a_grant() {
+    let (mut t0, mut t1, mut s2) = chain();
+    seed_owner(&mut t0, &mut t1);
+    let fetch_storm = |t: &mut Tmk<LossyMem>, s2: &mut MemSubstrate| {
+        // Each node serves the page it is home to.
+        let page = t.me as u32;
+        for i in 0..2 * DATA_FIFO_CAP as u32 {
+            t.serve(2, &encode(Request::Page { page }, 1000 + i), Ns(1000));
+            assert_eq!(s2.next_incoming().chan, Chan::Response);
+        }
+    };
+    let acq = acquire_bytes(9);
+    t0.serve(2, &acq, Ns(100));
+    let fwd1 = t1.sub.next_incoming();
+    fetch_storm(&mut t0, &mut s2);
+    t0.serve(2, &acq, Ns(2000));
+    let fwd2 = t1.sub.next_incoming();
+    assert_eq!(fwd1.data, fwd2.data, "the forward must replay, not re-run");
+    assert_eq!(t0.locks[0].owner_hint, 2);
+
+    t1.serve(fwd1.from, &fwd1.data, fwd1.arrival);
+    let g1 = s2.next_incoming();
+    fetch_storm(&mut t1, &mut s2);
+    t1.serve(fwd2.from, &fwd2.data, fwd2.arrival);
+    let g2 = s2.next_incoming();
+    assert_eq!(g1.data, g2.data, "the grant must replay, not re-queue");
+    assert!(t1.locks[0].waiting.is_empty(), "phantom waiter");
 }
 
 /// The gather-burst deadlock (PR 5), through the engine's one blocking

@@ -190,12 +190,12 @@ impl FastSubstrate {
 
     /// Push a `[kind] ++ body` frame through GM, gathering the parts
     /// straight into a registered send buffer (no intermediate frame
-    /// allocation) and reclaiming the buffer after completion. `charge`
-    /// pays DEMUX + the fast-path copy cost (the immediate-send path);
-    /// scheduled sends pass their pre-accounted departure time instead.
-    fn push_frame(&mut self, to: usize, port: u8, parts: &[&[u8]], charge: bool, at: Option<Ns>) {
+    /// allocation) and reclaiming the buffer after completion. An
+    /// immediate send (`at` is `None`) pays DEMUX + the fast-path copy
+    /// cost; a scheduled one passes its pre-accounted departure time.
+    fn push_frame(&mut self, to: usize, port: u8, parts: &[&[u8]], at: Option<Ns>) {
         let mut len: usize = parts.iter().map(|p| p.len()).sum();
-        if charge {
+        if at.is_none() {
             self.gm.clock().borrow_mut().advance(DEMUX);
             let cost = Ns::for_bytes(len, self.gm.params().host.fast_copy_mb_s);
             self.gm.clock().borrow_mut().advance(cost);
@@ -263,7 +263,7 @@ impl FastSubstrate {
     fn send_kind(&mut self, to: usize, port: u8, kind: u8, body: &[u8], at: Option<Ns>) {
         let flen = body.len() + 1;
         if flen <= self.frame_limit() {
-            self.push_frame(to, port, &[&[kind], body], at.is_none(), at);
+            self.push_frame(to, port, &[&[kind], body], at);
             return;
         }
         let chunk = self.frame_limit() - 10; // frag header + slack
@@ -283,9 +283,9 @@ impl FastSubstrate {
             }
             .head(FRAME_FRAG);
             if lo == 0 {
-                self.push_frame(to, port, &[&head, &[kind], &body[..hi - 1]], t.is_none(), t);
+                self.push_frame(to, port, &[&head, &[kind], &body[..hi - 1]], t);
             } else {
-                self.push_frame(to, port, &[&head, &body[lo - 1..hi - 1]], t.is_none(), t);
+                self.push_frame(to, port, &[&head, &body[lo - 1..hi - 1]], t);
             }
             // Successive fragments leave back-to-back; the spacing is
             // the copy cost the handler already accounted per byte.

@@ -236,42 +236,7 @@ impl GmNode {
         buf: &PooledBuf,
         len: usize,
     ) -> Result<Ns, GmError> {
-        assert!(len <= buf.data.len());
-        // Check the failure board first: a rejected earlier send disables
-        // the port before anything else can happen on it.
-        self.absorb_failures(port);
-        let now = self.clock.borrow().now();
-        let gm = self.params.gm.clone();
-        let net_tx = self.params.net.nic_tx;
-        if self.params.faults.token_starved(now) {
-            // Injected starvation window: behave exactly as if every
-            // token were outstanding.
-            return Err(GmError::NoSendTokens);
-        }
-        let p = self.port_mut(port)?;
-        if p.disabled {
-            return Err(GmError::PortDisabled(port));
-        }
-        Self::reap_tokens(p, now);
-        if p.send_tokens == 0 {
-            return Err(GmError::NoSendTokens);
-        }
-        p.send_tokens -= 1;
-        // Host builds the descriptor and rings the doorbell…
-        self.clock.borrow_mut().advance(gm.send_overhead);
-        let inject = self.clock.borrow().now() + net_tx;
-        // …then the NIC DMAs and drives the wire off-host.
-        let payload = Bytes::copy_from_slice(&buf.data[..len]);
-        self.nic
-            .inject(dst, port as u16, dst_port as u16, payload, inject, None);
-        let p = self.port_mut(port)?;
-        p.token_returns.push(inject);
-        {
-            let mut c = self.clock.borrow_mut();
-            c.stats.msgs_sent += 1;
-            c.stats.bytes_sent += len as u64;
-        }
-        Ok(inject)
+        self.post(port, dst, dst_port, buf, len, None, None)
     }
 
     /// Like [`send`](GmNode::send) but injects at virtual time `at` without
@@ -287,33 +252,7 @@ impl GmNode {
         len: usize,
         at: Ns,
     ) -> Result<Ns, GmError> {
-        assert!(len <= buf.data.len());
-        self.absorb_failures(port);
-        let net_tx = self.params.net.nic_tx;
-        if self.params.faults.token_starved(at) {
-            return Err(GmError::NoSendTokens);
-        }
-        let p = self.port_mut(port)?;
-        if p.disabled {
-            return Err(GmError::PortDisabled(port));
-        }
-        Self::reap_tokens(p, at);
-        if p.send_tokens == 0 {
-            return Err(GmError::NoSendTokens);
-        }
-        p.send_tokens -= 1;
-        let inject = at + net_tx;
-        let payload = Bytes::copy_from_slice(&buf.data[..len]);
-        self.nic
-            .inject(dst, port as u16, dst_port as u16, payload, inject, None);
-        let p = self.port_mut(port)?;
-        p.token_returns.push(inject);
-        {
-            let mut c = self.clock.borrow_mut();
-            c.stats.msgs_sent += 1;
-            c.stats.bytes_sent += len as u64;
-        }
-        Ok(inject)
+        self.post(port, dst, dst_port, buf, len, Some(at), None)
     }
 
     /// `gm_directed_send`: RDMA-write `buf[..len]` into `(region, offset)`
@@ -328,41 +267,60 @@ impl GmNode {
         buf: &PooledBuf,
         len: usize,
     ) -> Result<Ns, GmError> {
+        self.post(port, dst, port, buf, len, None, Some((region, offset)))
+    }
+
+    /// The one send: take a token and hand `buf[..len]` to the NIC — at
+    /// `at` with the host's work already charged, or now, charging
+    /// `send_overhead`; into `target` if the send is directed.
+    #[allow(clippy::too_many_arguments)]
+    fn post(
+        &mut self,
+        port: u8,
+        dst: NodeId,
+        dst_port: u8,
+        buf: &PooledBuf,
+        len: usize,
+        at: Option<Ns>,
+        target: Option<(RegionId, u64)>,
+    ) -> Result<Ns, GmError> {
         assert!(len <= buf.data.len());
+        // Check the failure board first: a rejected earlier send disables
+        // the port before anything else can happen on it.
         self.absorb_failures(port);
-        let now = self.clock.borrow().now();
-        let gm = self.params.gm.clone();
-        let net_tx = self.params.net.nic_tx;
-        if self.params.faults.token_starved(now) {
+        let when = at.unwrap_or_else(|| self.clock.borrow().now());
+        if self.params.faults.token_starved(when) {
+            // Injected starvation window: behave exactly as if every
+            // token were outstanding.
             return Err(GmError::NoSendTokens);
         }
         let p = self.port_mut(port)?;
         if p.disabled {
             return Err(GmError::PortDisabled(port));
         }
-        Self::reap_tokens(p, now);
+        Self::reap_tokens(p, when);
         if p.send_tokens == 0 {
             return Err(GmError::NoSendTokens);
         }
         p.send_tokens -= 1;
-        self.clock.borrow_mut().advance(gm.send_overhead);
-        let inject = self.clock.borrow().now() + net_tx;
+        let start = match at {
+            Some(t) => t,
+            None => {
+                // Host builds the descriptor and rings the doorbell…
+                let mut c = self.clock.borrow_mut();
+                c.advance(self.params.gm.send_overhead);
+                c.now()
+            }
+        };
+        let inject = start + self.params.net.nic_tx;
+        // …then the NIC DMAs and drives the wire off-host.
         let payload = Bytes::copy_from_slice(&buf.data[..len]);
-        self.nic.inject(
-            dst,
-            port as u16,
-            port as u16,
-            payload,
-            inject,
-            Some((region, offset)),
-        );
-        let p = self.port_mut(port)?;
-        p.token_returns.push(inject);
-        {
-            let mut c = self.clock.borrow_mut();
-            c.stats.msgs_sent += 1;
-            c.stats.bytes_sent += len as u64;
-        }
+        self.nic
+            .inject(dst, port as u16, dst_port as u16, payload, inject, target);
+        self.port_mut(port)?.token_returns.push(inject);
+        let mut c = self.clock.borrow_mut();
+        c.stats.msgs_sent += 1;
+        c.stats.bytes_sent += len as u64;
         Ok(inject)
     }
 

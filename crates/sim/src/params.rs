@@ -33,15 +33,6 @@ pub struct MyrinetParams {
     /// Cost of raising a host interrupt from the NIC (the firmware
     /// modification of §2.2.4).
     pub host_interrupt: Ns,
-    /// LANai-side cost of merging one combined barrier arrival in firmware
-    /// (vector-clock meet/join plus record-set union), used by the
-    /// NIC-offloaded combining-tree barrier (§5 future work). Charged per
-    /// arrival *instead of* `host_interrupt` + the host handler dispatch.
-    pub nic_combine: Ns,
-    /// LANai-side per-record cost while combining (the firmware walks the
-    /// piggybacked write-notice list); the 132 MHz LANai is slower per item
-    /// than the host CPU, but never pays the PCI + interrupt crossing.
-    pub nic_combine_per_record: Ns,
 }
 
 impl Default for MyrinetParams {
@@ -52,8 +43,6 @@ impl Default for MyrinetParams {
             nic_tx: Ns(2_500),
             nic_rx: Ns(2_800),
             host_interrupt: Ns(7_000),
-            nic_combine: Ns(1_500),
-            nic_combine_per_record: Ns(400),
         }
     }
 }
@@ -95,9 +84,6 @@ impl Default for HostParams {
 /// GM user-level API model (§1.2 of the paper, and the GM API spec).
 #[derive(Debug, Clone)]
 pub struct GmParams {
-    /// Ports per NIC. GM offers 8; port 0 is reserved for the mapper,
-    /// leaving seven usable (the paper: "That gives us only seven ports").
-    pub num_ports: u8,
     /// Host CPU cost of gm_send_with_callback (descriptor build + doorbell).
     pub send_overhead: Ns,
     /// Host CPU cost of one gm_receive poll that finds an event.
@@ -116,7 +102,6 @@ pub struct GmParams {
 impl Default for GmParams {
     fn default() -> Self {
         GmParams {
-            num_ports: 8,
             send_overhead: Ns(900),
             recv_poll_hit: Ns(2_500),
             recv_poll_miss: Ns(150),
@@ -271,7 +256,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let p = SimParams::paper_testbed();
-        assert_eq!(p.gm.num_ports, 8);
         assert_eq!(p.dsm.page_size, 4096);
         assert!(p.net.link_mb_s > 200.0 && p.net.link_mb_s <= 250.0);
         assert!(p.host.fast_copy_mb_s > p.host.memcpy_mb_s);

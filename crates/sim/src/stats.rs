@@ -55,7 +55,7 @@ pub struct NodeStats {
     pub dgrams_corrupted: u64,
     /// DSM-level request retransmissions (timeout or observed loss).
     pub retransmits: u64,
-    /// Duplicate requests absorbed by the responder's replay cache.
+    /// Duplicate requests absorbed by the responder's replay records.
     pub dup_requests_suppressed: u64,
     /// Stale/duplicate responses discarded by the requester.
     pub stale_responses_dropped: u64,

@@ -12,7 +12,7 @@
 //!    performance knob, never a semantic one.
 //! 2. **Loss recovery** — tree arrivals and releases are ordinary
 //!    requests/responses, so they must retransmit through the same
-//!    reliability layer (rto + replay cache) as everything else. A 10%
+//!    reliability layer (rto + replay records) as everything else. A 10%
 //!    drop plan over UDP must complete with memory identical to a clean
 //!    run.
 //! 3. **One path** — `Centralized` and `Tree { radix: n-1 }` are the same
@@ -103,7 +103,6 @@ fn barrier_visibility_is_radix_independent() {
             BarrierAlgo::Tree {
                 radix: (n - 1) as u16,
             },
-            BarrierAlgo::NicTree { radix: 4 },
         ];
         let reference = mem_image(n, algos[0]);
         for algo in &algos[1..] {
