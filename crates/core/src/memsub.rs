@@ -32,22 +32,18 @@ struct Inbox {
 }
 
 impl Inbox {
-    /// Earliest-arrival message across both queues.
-    fn pop_earliest(&mut self) -> Option<IncomingMsg> {
+    /// Earliest-arrival message across both queues, if it arrives by `by`
+    /// (no bound: whatever its arrival).
+    fn pop_due(&mut self, by: Option<Ns>) -> Option<IncomingMsg> {
         let rq = self.requests.front().map(|m| m.arrival);
         let rs = self.responses.front().map(|m| m.arrival);
-        match (rq, rs) {
-            (None, None) => None,
-            (Some(_), None) => self.requests.pop_front(),
-            (None, Some(_)) => self.responses.pop_front(),
-            (Some(a), Some(b)) => {
-                if a <= b {
-                    self.requests.pop_front()
-                } else {
-                    self.responses.pop_front()
-                }
-            }
-        }
+        let q = match (rq, rs) {
+            (None, None) => return None,
+            (Some(a), Some(b)) if b < a => &mut self.responses,
+            (None, Some(_)) => &mut self.responses,
+            _ => &mut self.requests,
+        };
+        q.pop_front_if(|m| by.is_none_or(|t| m.arrival <= t))
     }
 }
 
@@ -216,34 +212,32 @@ impl Substrate for MemSubstrate {
     fn poll_incoming(&mut self) -> Option<IncomingMsg> {
         loop {
             let now = self.clock.borrow().now();
-            let arrived = |q: &VecDeque<IncomingMsg>| q.front().is_some_and(|m| m.arrival <= now);
-            {
-                let mut inbox = self.inbox();
-                if arrived(&inbox.requests) || arrived(&inbox.responses) {
-                    return inbox.pop_earliest();
-                }
-            }
-            if self.miss_settled(now) {
-                return None;
+            let arrived = self.inbox().pop_due(Some(now));
+            if arrived.is_some() || self.miss_settled(now) {
+                return arrived;
             }
         }
     }
 
-    /// Reliable and in-memory: nothing is ever lost, so no timer needs
-    /// to fire and no peer needs waiting out — both conditions are
-    /// ignored, and the park can only end in a delivery (or, if none can
-    /// ever come, in the scheduler's deadlock diagnosis).
-    fn wait(&mut self, _deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
+    /// Reliable and in-memory: nothing is ever lost, so no peer needs
+    /// waiting out — `watch` is not read, and a park without a deadline can
+    /// only end in a delivery (or, if none can ever come, in the scheduler's
+    /// deadlock diagnosis).
+    fn wait(&mut self, deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
         loop {
-            let earliest = self.inbox().pop_earliest();
-            if let Some(msg) = earliest {
+            let due = self.inbox().pop_due(deadline);
+            if let Some(msg) = due {
                 let mut c = self.clock.borrow_mut();
                 c.wait_until(msg.arrival);
                 c.stats.msgs_recv += 1;
                 c.stats.bytes_recv += msg.data.len() as u64;
                 return Wait::Got(msg);
             }
-            self.ep.sched.park(self.ep.id, None, None);
+            if self.ep.sched.park(self.ep.id, deadline, None) == Wait::Deadline {
+                let d = deadline.expect("only a wait with a deadline times out");
+                self.clock.borrow_mut().wait_until(d);
+                return Wait::Deadline;
+            }
         }
     }
 }
@@ -323,21 +317,6 @@ mod tests {
         assert!(b.poll_request().is_none(), "not arrived in virtual time");
         b.clock().borrow_mut().advance(Ns::from_us(50));
         assert!(b.poll_request().is_some());
-    }
-
-    /// The reliable `wait` never reports a deadline or departed peers: a
-    /// deadline already in the past and a watch set are both ignored,
-    /// and the message is handed over at its arrival time.
-    #[test]
-    fn wait_ignores_a_past_deadline() {
-        let (mut a, mut b) = pair();
-        b.clock().borrow_mut().advance(Ns::from_us(50));
-        a.send_request(1, b"req");
-        let Wait::Got(msg) = b.wait(Some(Ns(1)), Some(&[0])) else {
-            panic!("a reliable wait can only end in an arrival");
-        };
-        assert_eq!(msg.data, b"req");
-        assert_eq!(b.clock().borrow().now(), Ns::from_us(50));
     }
 
     /// A node that waits for a message nobody will send does not hang the

@@ -15,14 +15,16 @@
 //! # The one blocking wait
 //!
 //! "Receive a response" — and everything else a node blocks on: a
-//! barrier manager's arrivals, a retransmission timer, a shutdown linger
-//! — is one operation, [`Substrate::wait`]: *a message, or a virtual
-//! deadline, or a set of peers leaving the fabric*, whichever comes
-//! first, reported as a [`Wait`]. Each layer below defines the same
-//! operation once and passes it down: `UdpStack::recv` over
-//! `NicHandle::wait` over `LockstepSched::park`. Reliable transports
-//! (FAST/GM, [`crate::memsub`]) never lose a message and never arm a
-//! timer, so they ignore both conditions and simply block.
+//! barrier manager's arrivals, a retransmission timer, a shutdown linger,
+//! the end of a compute segment — is one operation, [`Substrate::wait`]:
+//! *a message, or a virtual deadline, or a set of peers leaving the
+//! fabric*, whichever comes first, reported as a [`Wait`]. Each layer
+//! below defines the same operation once and passes it down:
+//! `UdpStack::recv` or `GmNode::blocking_receive_by` over
+//! `NicHandle::wait` over `LockstepSched::park`. The deadline means the
+//! same thing on every substrate; the watch is read only where a message
+//! can be lost (FAST/GM and [`crate::memsub`] never need to wait a peer
+//! out).
 //!
 //! # Scheduling contract
 //!
@@ -97,8 +99,7 @@ pub trait Substrate {
 
     /// Send a response whose service (handler + send) completed at virtual
     /// time `at`. Does **not** charge the clock — the runtime already
-    /// accounted the work via the service window (which may lie in the
-    /// node's past: retroactive interrupt preemption).
+    /// accounted the work via the service window.
     fn send_response_at(&mut self, to: usize, data: &[u8], at: Ns);
 
     /// Non-blocking: a request whose arrival is at or before the node's
@@ -117,18 +118,17 @@ pub trait Substrate {
 
     /// The one blocking wait: block until any request or response
     /// arrives, or — when `deadline` is set — until that *virtual* time
-    /// passes (the runtime's retransmission timer runs on this), or —
-    /// when `watch` is set — until every node in it has deregistered its
-    /// NIC (a shutdown linger's end; the exit fan's cue to *cancel* a
-    /// timer armed against a peer that is already gone instead of firing
-    /// into a dead node).
+    /// passes (the runtime's retransmission timer and its compute segments
+    /// run on this), or — when `watch` is set, on a transport that can lose
+    /// a message — until every node in it has deregistered its NIC (a
+    /// shutdown linger's end; the exit fan's cue to *cancel* a timer armed
+    /// against a peer that is already gone instead of firing into a dead
+    /// node).
     ///
     /// On [`Wait::Got`] the clock has advanced to the message's arrival
     /// if the node was idle-waiting; on [`Wait::Deadline`] it has
-    /// advanced to the deadline; on [`Wait::PeersDone`] it is untouched.
-    /// Transports without a loss model never time out and have no one to
-    /// wait out, so they ignore both conditions and block for the next
-    /// message.
+    /// advanced to the deadline, and a message that arrives later stays
+    /// queued for the next wait; on [`Wait::PeersDone`] it is untouched.
     fn wait(&mut self, deadline: Option<Ns>, watch: Option<&[usize]>) -> Wait<IncomingMsg>;
 
     /// [`wait`](Substrate::wait) with no deadline and no watch: block

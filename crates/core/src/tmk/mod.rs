@@ -7,9 +7,8 @@
 //!
 //! All protocol work is costed through the node's virtual clock; handler
 //! work triggered by peers' asynchronous requests goes through
-//! [`tm_sim::NodeClock::service_window`], which models interrupt
-//! preemption — including retroactively, when the request arrived while
-//! this node was computing.
+//! [`tm_sim::NodeClock::service_window`], whether the request found this
+//! node blocked or computing ([`Tmk::compute_ns`] is a wait too).
 //!
 //! # Layering
 //!
@@ -27,7 +26,8 @@
 //!   twins, diff fetch/apply, interval records, write notices, epoch GC.
 //!   Calls into rpc to fetch pages and diffs.
 //! * `rpc` — request/response plumbing: rid allocation, the blocking
-//!   `rpc` discipline (serve-while-waiting), retransmission timers, the
+//!   `rpc` discipline (serve-while-waiting, [`Tmk::compute`] included),
+//!   retransmission timers, the
 //!   replay records (a slot per requester for its open acquire and its
 //!   open barrier arrival, a FIFO for idempotent fetches), the `serve`
 //!   dispatcher, the reply path every handler's frame leaves through,
@@ -36,7 +36,7 @@
 //! This module holds what the layers share: the [`Tmk`] struct itself,
 //! its configuration, and the [`TmkEvent`] observability seam.
 
-use tm_sim::{Ns, SharedClock, SimParams};
+use tm_sim::{SharedClock, SimParams};
 
 use crate::interval::IntervalLog;
 use crate::page::{Page, PageId};
@@ -325,17 +325,6 @@ impl<S: Substrate> Tmk<S> {
 
     pub fn params(&self) -> &std::sync::Arc<SimParams> {
         self.sub.params()
-    }
-
-    /// Charge `units` of application computation (interruptible).
-    pub fn compute(&mut self, units: u64) {
-        let cost = self.sub.params().work(units);
-        self.clock().borrow_mut().compute(cost);
-    }
-
-    /// Charge an explicit computation duration (interruptible).
-    pub fn compute_ns(&mut self, d: Ns) {
-        self.clock().borrow_mut().compute(d);
     }
 
     /// Install an observer for layer-boundary [`TmkEvent`]s, replacing any

@@ -219,8 +219,8 @@ impl<S: Substrate> Tmk<S> {
         r
     }
 
-    /// Service one incoming request. `arrival` drives the interrupt
-    /// preemption model.
+    /// Service one incoming request. `arrival` is what the async scheme
+    /// times its delivery from.
     pub(super) fn serve(&mut self, from: usize, data: &[u8], arrival: Ns) {
         let Some((rid, req)) = Request::decode(data) else {
             // Undecodable frame (possible on lossy wires): discard, count.
@@ -516,14 +516,14 @@ impl<S: Substrate> Tmk<S> {
         }
     }
 
-    /// The engine's one blocking step, shared by every loop that waits —
-    /// [`Self::rpc_collect_watching`], the barrier's arrival wait, the
-    /// shutdown linger — and the only place the **drain-before-block
+    /// The engine's one blocking step, shared by every loop that waits for
+    /// a message — [`Self::rpc_collect_watching`], the barrier's arrival
+    /// wait, the shutdown linger — and the only place the **drain-before-block
     /// invariant** lives: the serve queue is always emptied (in
     /// virtual-arrival order) before the node blocks, because a request
     /// gathered during an earlier absorb may be the very thing a peer is
     /// blocked on — sleeping on it deadlocks both (the gather-burst
-    /// deadlock).
+    /// deadlock). ([`Self::compute_ns`] blocks too, but for a bounded time.)
     ///
     /// Drain the serve queue; if the caller's `ready` re-check now yields,
     /// break with its value without blocking; otherwise block in the
@@ -540,7 +540,6 @@ impl<S: Substrate> Tmk<S> {
         if let Some(r) = ready(self) {
             return ControlFlow::Break(Some(r));
         }
-        self.clock().borrow_mut().begin_wait();
         let deadline = self
             .sub
             .retransmit_timeout()
@@ -551,6 +550,37 @@ impl<S: Substrate> Tmk<S> {
             Wait::PeersDone => return ControlFlow::Break(None),
         }
         ControlFlow::Continue(())
+    }
+
+    /// Application computation of `units` work units.
+    pub fn compute(&mut self, units: u64) {
+        let cost = self.sub.params().work(units);
+        self.compute_ns(cost);
+    }
+
+    /// Application computation lasting `d` — the blocking step with a
+    /// deadline. A node that computes waits for its segment's end on its
+    /// transport like any blocked node, so a request that arrives meanwhile
+    /// ends the wait and is served through its service window. The
+    /// computation ran until the delivery took the CPU; what is left of it
+    /// resumes when the queue is drained, so the segment lasts `d` plus, for
+    /// each interruption, the async scheme's CPU overhead and the handlers.
+    pub fn compute_ns(&mut self, d: Ns) {
+        let scheme = self.sub.scheme();
+        let idle_at_start = self.clock().borrow().stats.idle_time;
+        let mut remaining = d;
+        loop {
+            let start = self.clock().borrow().now();
+            let Wait::Got(msg) = self.sub.wait(Some(start + remaining), None) else {
+                break;
+            };
+            let taken_at = scheme.earliest_service(msg.arrival);
+            let ran = taken_at.saturating_sub(scheme.cpu_overhead() + start);
+            remaining -= ran.min(remaining);
+            self.absorb(msg);
+            self.drain_serve_queue();
+        }
+        self.clock().borrow_mut().book_compute(idle_at_start, d);
     }
 
     /// Drop `rid`'s pending slot without a response (the peer exited;
@@ -770,8 +800,8 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Service any requests that have already arrived (called at natural
-    /// application boundaries; with interrupts the service window still
-    /// starts at the request's arrival, preempting retroactively).
+    /// application boundaries that do not otherwise wait: a loop on a cached
+    /// lock token never computes and never blocks).
     pub fn poll_serve(&mut self) {
         while let Some(msg) = self.sub.poll_request() {
             if msg.lost {

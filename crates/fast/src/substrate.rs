@@ -564,11 +564,14 @@ impl Substrate for FastSubstrate {
         None
     }
 
-    /// GM delivery is reliable: no timer to fire, no peer to wait out —
-    /// both conditions are ignored.
-    fn wait(&mut self, _deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
+    /// GM delivery is reliable, so no peer needs waiting out: `watch` is
+    /// not read.
+    fn wait(&mut self, deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
         loop {
-            let (port, ev) = self.gm.blocking_receive(&[REQ_PORT, REP_PORT]);
+            let Some((port, ev)) = self.gm.blocking_receive_by(&[REQ_PORT, REP_PORT], deadline)
+            else {
+                return Wait::Deadline;
+            };
             if let Some(msg) = self.handle_event(port, ev) {
                 return Wait::Got(msg);
             }

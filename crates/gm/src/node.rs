@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use tm_myrinet::{Fabric, NicHandle, NodeId, RawPacket};
-use tm_sim::{Ns, SharedClock, SimParams};
+use tm_sim::{Ns, SharedClock, SimParams, Wait};
 
 use crate::memory::{PooledBuf, RegBook, RegionId};
 use crate::size::gm_size;
@@ -241,8 +241,7 @@ impl GmNode {
 
     /// Like [`send`](GmNode::send) but injects at virtual time `at` without
     /// charging the clock — for responses emitted from request handlers,
-    /// whose host work was already accounted through the service window
-    /// (possibly retroactively).
+    /// whose host work was already accounted through the service window.
     pub fn send_at(
         &mut self,
         port: u8,
@@ -456,6 +455,19 @@ impl GmNode {
     /// clock to the message's arrival (plus the poll-hit cost). Returns
     /// `(port, event)`.
     pub fn blocking_receive(&mut self, ports: &[u8]) -> (u8, GmEvent) {
+        self.blocking_receive_by(ports, None)
+            .expect("a receive without a deadline ends in a message")
+    }
+
+    /// [`blocking_receive`](GmNode::blocking_receive) that gives up at
+    /// virtual time `deadline`: `None`, with the clock at the deadline,
+    /// unless a message arrives by then.
+    pub fn blocking_receive_by(
+        &mut self,
+        ports: &[u8],
+        deadline: Option<Ns>,
+    ) -> Option<(u8, GmEvent)> {
+        let expired = |at: Ns| deadline.is_some_and(|d| at > d);
         loop {
             self.absorb_failures_all(ports);
             self.sort_arrivals();
@@ -471,6 +483,9 @@ impl GmNode {
                 }
             }
             if let Some((port, arrival)) = best {
+                if expired(arrival) {
+                    break;
+                }
                 let gm_hit = self.params.gm.recv_poll_hit;
                 let p = self.ports[port as usize].as_mut().expect("open");
                 let pkt = p.ready.pop_front().expect("non-empty");
@@ -481,7 +496,7 @@ impl GmNode {
                     c.stats.msgs_recv += 1;
                     c.stats.bytes_recv += pkt.payload.len() as u64;
                 }
-                return (
+                return Some((
                     port,
                     GmEvent::Recv {
                         src: pkt.src,
@@ -490,35 +505,34 @@ impl GmNode {
                         data: pkt.payload,
                         arrival,
                     },
-                );
+                ));
             }
             // Nothing matched. If there are unmatched packets and nothing
             // else can arrive to change that, the sender's resend timer
             // is what fires next: jump the clock there so `sort_arrivals`
             // rejects them (and the failure becomes observable).
-            let has_unmatched = ports.iter().any(|&port| {
-                self.ports[port as usize]
-                    .as_ref()
-                    .is_some_and(|p| !p.unmatched.is_empty())
-            });
-            if has_unmatched {
-                let timeout = self.params.gm.resend_timeout;
-                let earliest = ports
-                    .iter()
-                    .filter_map(|&port| {
-                        self.ports[port as usize]
-                            .as_ref()
-                            .and_then(|p| p.unmatched.front().map(|pkt| pkt.arrival))
-                    })
-                    .min()
-                    .expect("has unmatched");
-                self.clock.borrow_mut().wait_until(earliest + timeout + Ns(1));
+            let unmatched_since = ports
+                .iter()
+                .filter_map(|&port| self.ports[port as usize].as_ref()?.unmatched.front())
+                .map(|pkt| pkt.arrival)
+                .min();
+            if let Some(earliest) = unmatched_since {
+                let fires = earliest + self.params.gm.resend_timeout + Ns(1);
+                if expired(fires) {
+                    break;
+                }
+                self.clock.borrow_mut().wait_until(fires);
                 continue;
             }
             // Genuinely idle: park on the NIC.
-            let pkt = self.nic.wait(Some(&GM_PORTS), None, None).got();
-            self.admit(pkt);
+            match self.nic.wait(Some(&GM_PORTS), deadline, None) {
+                Wait::Got(pkt) => self.admit(pkt),
+                _ => break,
+            }
         }
+        let deadline = deadline.expect("only a receive with a deadline times out");
+        self.clock.borrow_mut().wait_until(deadline);
+        None
     }
 
     fn absorb_failures_all(&mut self, ports: &[u8]) {

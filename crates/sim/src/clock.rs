@@ -1,15 +1,14 @@
-//! Per-node virtual clocks with retroactive interrupt preemption.
+//! Per-node virtual clocks and the asynchronous-delivery schemes.
 //!
-//! The paper's whole design discussion (§2.2.4) revolves around *when an
+//! The paper's design discussion (§2.2.4) revolves around *when an
 //! asynchronous request gets serviced*: GM has no asynchronous notification,
 //! so the authors compare a polling thread, a periodic timer, and a firmware
-//! modification that raises a host interrupt. We model all three with one
-//! mechanism: when a node observes a pending request, the *virtual* start of
-//! servicing is computed from the request's arrival time and the async
-//! scheme in force — even if the node's clock has already advanced past the
-//! arrival (the node was "computing" when the interrupt would have fired).
-//! The displaced computation is pushed back by the service duration, exactly
-//! as preemption does on real hardware.
+//! modification that raises a host interrupt. An [`AsyncScheme`] says when a
+//! request that arrived at `t` can first be handled and what that costs the
+//! CPU; the clock serves it then, or as soon as the node's non-interruptible
+//! work is over. A node that computes is not a special case: it waits for
+//! its segment's end on its transport, like any blocked node, and a request
+//! that arrives meanwhile ends the wait.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -69,33 +68,26 @@ impl AsyncScheme {
 
 /// A single node's virtual clock.
 ///
-/// `now` moves in the four methods below and nowhere else, and each books
-/// what it adds into one of [`NodeStats`]' five time buckets, so
+/// `now` moves in the three methods below and nowhere else, and each books
+/// what it adds into one of [`NodeStats`]' time buckets, so
 /// [`NodeStats::booked_time`] is `now`.
 ///
-/// * `compute(d)` models application computation — *interruptible*: requests
-///   that arrived during the segment are retroactively serviced inside it.
 /// * `advance(d)` models protocol/handler work — not interruptible
 ///   (TreadMarks disables SIGIO inside handlers; the paper calls out that
 ///   interrupts are "often disabled for consistency reasons").
+/// * `wait_until(t)` is a blocked node's jump to the event that ends its
+///   wait — a computing node's too ([`Self::book_compute`]).
 /// * `service_window(arrival, scheme, dur)` computes when an async request
 ///   is handled and charges the node for it.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct NodeClock {
     now: Ns,
-    /// Start of the window we are allowed to retroactively preempt — the
-    /// beginning of the current compute segment or wait.
-    preemptible_since: Ns,
     pub stats: NodeStats,
 }
 
 impl NodeClock {
     pub fn new() -> Self {
-        NodeClock {
-            now: Ns::ZERO,
-            preemptible_since: Ns::ZERO,
-            stats: NodeStats::default(),
-        }
+        Self::default()
     }
 
     pub fn now(&self) -> Ns {
@@ -107,21 +99,6 @@ impl NodeClock {
     pub fn advance(&mut self, d: Ns) {
         self.now += d;
         self.stats.protocol_time += d;
-        self.preemptible_since = self.now;
-    }
-
-    /// Interruptible application computation. Requests arriving inside this
-    /// segment may be serviced retroactively (see [`Self::service_window`]).
-    pub fn compute(&mut self, d: Ns) {
-        self.preemptible_since = self.now;
-        self.now += d;
-        self.stats.compute_time += d;
-    }
-
-    /// Begin blocking (waiting for a response / barrier / lock): the wait
-    /// window is preemptible from now on.
-    pub fn begin_wait(&mut self) {
-        self.preemptible_since = self.now;
     }
 
     /// Jump forward to an external event time (e.g. a response arrival).
@@ -131,44 +108,34 @@ impl NodeClock {
             self.stats.idle_time += t - self.now;
             self.now = t;
         }
-        self.preemptible_since = self.now;
     }
 
     /// Service an asynchronous request: returns the virtual time at which
     /// the *response* can leave this node (service begin + `dur`), and
-    /// charges the clock.
-    ///
-    /// Semantics: the service begins at the later of (a) the moment the
-    /// async scheme can deliver the request and (b) the start of the current
-    /// preemptible window. If that point is in our past, the request was
-    /// handled *during* work we already accounted — the displaced work is
-    /// pushed back by `dur` plus the scheme's CPU overhead. If it is in our
-    /// future, we idle until it.
+    /// charges the clock. The service begins when the async scheme can
+    /// deliver the request, or now if the node was busy past that; the node
+    /// waits out the difference.
     pub fn service_window(&mut self, arrival: Ns, scheme: &AsyncScheme, dur: Ns) -> Ns {
-        let begin = scheme.earliest_service(arrival).max(self.preemptible_since);
-        let finish = begin + dur;
-        if begin >= self.now {
-            // We were idle (blocked) when it became serviceable.
-            self.stats.idle_time += begin - self.now;
-            self.now = finish;
-        } else {
-            // Retroactive preemption: displaced computation resumes after
-            // the handler, plus the interrupt/dispatch overhead.
-            self.now += dur + scheme.cpu_overhead();
-            self.stats.async_overhead_time += scheme.cpu_overhead();
-        }
-        // Later retro-services in the same segment cannot begin before this
-        // one finished.
-        self.preemptible_since = self.preemptible_since.max(finish);
+        self.wait_until(scheme.earliest_service(arrival));
+        self.now += dur;
         self.stats.requests_served += 1;
         self.stats.service_time += dur;
-        finish
+        self.now
     }
-}
 
-impl Default for NodeClock {
-    fn default() -> Self {
-        Self::new()
+    /// Close a compute segment of `d` that began when `stats.idle_time`
+    /// read `idle_at_start`: the node was computing, not blocked, while it
+    /// waited for the segment's end. Of the waiting booked since, `d` is
+    /// computation; what the segment waited beyond that is the async
+    /// scheme's delivery overhead on the requests served inside it. (A wait
+    /// that costs host time of its own — UDP's `select()` — leaves less
+    /// than `d` to re-book; that time stays where the transport booked it.)
+    pub fn book_compute(&mut self, idle_at_start: Ns, d: Ns) {
+        let waited = self.stats.idle_time - idle_at_start;
+        let computed = waited.min(d);
+        self.stats.idle_time = idle_at_start;
+        self.stats.compute_time += computed;
+        self.stats.async_overhead_time += waited - computed;
     }
 }
 
@@ -190,15 +157,6 @@ mod tests {
     const INTR: AsyncScheme = AsyncScheme::Interrupt { cost: Ns(7_000) };
 
     #[test]
-    fn advance_and_compute_move_time() {
-        let mut c = NodeClock::new();
-        c.advance(Ns(100));
-        c.compute(Ns(900));
-        assert_eq!(c.now(), Ns(1_000));
-        assert_eq!(c.stats.compute_time, Ns(900));
-    }
-
-    #[test]
     fn wait_until_only_moves_forward() {
         let mut c = NodeClock::new();
         c.advance(Ns(500));
@@ -212,7 +170,6 @@ mod tests {
     #[test]
     fn service_while_idle_waits_for_arrival() {
         let mut c = NodeClock::new();
-        c.begin_wait();
         // Request arrives at t=10us, interrupt costs 7us, handler 5us.
         let finish = c.service_window(Ns::from_us(10), &INTR, Ns::from_us(5));
         assert_eq!(finish, Ns::from_us(22));
@@ -220,38 +177,17 @@ mod tests {
     }
 
     #[test]
-    fn service_preempts_computation_retroactively() {
+    fn service_of_a_busy_node_begins_now() {
         let mut c = NodeClock::new();
-        c.compute(Ns::from_us(100)); // segment [0, 100us]
-        // Arrived at 10us: with interrupts it was handled at 17us, inside
-        // the segment. The response leaves at 22us even though the node's
-        // clock already reads 100us; computation is pushed to 112us
-        // (5us handler + 7us interrupt overhead).
-        let finish = c.service_window(Ns::from_us(10), &INTR, Ns::from_us(5));
-        assert_eq!(finish, Ns::from_us(22));
-        assert_eq!(c.now(), Ns::from_us(112));
-    }
-
-    #[test]
-    fn retro_services_are_serialized() {
-        let mut c = NodeClock::new();
-        c.compute(Ns::from_us(100));
+        c.advance(Ns::from_us(50)); // handler work: not interruptible
         let f1 = c.service_window(Ns::from_us(10), &INTR, Ns::from_us(5));
+        // Deliverable at 17us, but the node was busy until 50us; a second
+        // request queues behind the first.
+        assert_eq!(f1, Ns::from_us(55));
         let f2 = c.service_window(Ns::from_us(11), &INTR, Ns::from_us(5));
-        assert_eq!(f1, Ns::from_us(22));
-        // Second can't begin before the first finished (22us > 11+7us).
-        assert_eq!(f2, Ns::from_us(27));
-    }
-
-    #[test]
-    fn advance_blocks_retroactive_preemption() {
-        let mut c = NodeClock::new();
-        c.advance(Ns::from_us(50)); // handler work: not preemptible
-        let finish = c.service_window(Ns::from_us(10), &INTR, Ns::from_us(5));
-        // Earliest service is 17us but the preemptible window starts at
-        // 50us, so service runs [50, 55]us.
-        assert_eq!(finish, Ns::from_us(55));
-        assert_eq!(c.now(), Ns::from_us(55));
+        assert_eq!(f2, Ns::from_us(60));
+        assert_eq!(c.now(), Ns::from_us(60));
+        assert_eq!(c.stats.idle_time, Ns::ZERO);
     }
 
     #[test]
@@ -282,29 +218,45 @@ mod tests {
         assert_eq!(s.cpu_overhead(), Ns::from_us(22));
     }
 
+    /// A compute segment is a wait: 100us of work during which one request
+    /// arrives at 10us, is delivered at 17us and handled for 5us, so the
+    /// segment ends at 112us.
     #[test]
     fn every_move_of_now_is_booked_in_one_bucket() {
         let mut c = NodeClock::new();
         c.advance(Ns(100));
-        c.compute(Ns::from_us(100));
-        // Retroactive: 5us handler + 7us interrupt overhead displace the
-        // computation.
+        let idle_at_start = c.stats.idle_time;
+        c.wait_until(Ns::from_us(10));
         c.service_window(Ns::from_us(10), &INTR, Ns::from_us(5));
-        c.begin_wait();
-        // Idle: the node waits for the request, then serves it.
+        c.wait_until(Ns(100) + Ns::from_us(112));
+        c.book_compute(idle_at_start, Ns::from_us(100));
+        // Blocked: the node waits for the next request, then serves it.
         c.service_window(Ns::from_us(200), &INTR, Ns::from_us(5));
         c.wait_until(Ns::from_us(300));
         let s = &c.stats;
         assert_eq!(s.protocol_time, Ns(100));
+        assert_eq!(s.compute_time, Ns::from_us(100));
         assert_eq!(s.async_overhead_time, Ns::from_us(7));
         assert_eq!(s.service_time, Ns::from_us(10));
         assert_eq!(s.booked_time(), c.now());
     }
 
+    /// A wait that charged host time of its own leaves less than the
+    /// segment's length to re-book, and nothing is invented.
+    #[test]
+    fn book_compute_never_books_more_than_was_waited() {
+        let mut c = NodeClock::new();
+        c.advance(Ns(700)); // the park's own syscall
+        c.wait_until(Ns(10_000));
+        c.book_compute(Ns::ZERO, Ns(10_000));
+        assert_eq!(c.stats.compute_time, Ns(9_300));
+        assert_eq!(c.stats.async_overhead_time, Ns::ZERO);
+        assert_eq!(c.stats.booked_time(), c.now());
+    }
+
     #[test]
     fn stats_count_services() {
         let mut c = NodeClock::new();
-        c.begin_wait();
         c.service_window(Ns(0), &INTR, Ns(100));
         c.service_window(Ns(0), &INTR, Ns(100));
         assert_eq!(c.stats.requests_served, 2);

@@ -11,10 +11,9 @@
 //! The pieces:
 //!
 //! * [`Ns`] — the time unit (nanoseconds, `u64`).
-//! * [`NodeClock`] — a per-node clock supporting *retroactive preemption*,
-//!   which is how we model interrupt-driven servicing of asynchronous
-//!   requests that arrive while a node is computing (the central design
-//!   point of the paper, §2.2.4).
+//! * [`NodeClock`] — a per-node clock, and the [`AsyncScheme`]s that say
+//!   when an asynchronous request reaches a busy node and at what cost (the
+//!   central design point of the paper, §2.2.4).
 //! * [`params`] — the calibrated cost model (Myrinet wire model, GM host
 //!   overheads, UDP kernel-stack costs, DSM memory-management costs).
 //! * [`stats`] — per-node event counters used by the experiment harness.

@@ -156,10 +156,10 @@ mod tests {
     #[test]
     fn stats_are_collected() {
         let out = run_cluster(2, Arc::new(SimParams::default()), |env| {
-            env.clock.borrow_mut().compute(Ns(500));
+            env.clock.borrow_mut().advance(Ns(500));
         });
         let agg = cluster_stats(&out);
-        assert_eq!(agg.compute_time, Ns(1000));
+        assert_eq!(agg.protocol_time, Ns(1000));
     }
 
     #[test]

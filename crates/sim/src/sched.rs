@@ -251,8 +251,8 @@ impl LockstepSched {
     /// drained), whichever the scheduler orders first. The caller drains
     /// its inbox first; on one thread nothing can land in between.
     ///
-    /// The deadline is what retransmission timers run on, and what settles
-    /// a *non-blocking poll*: the answer steers retroactive request
+    /// The deadline is what retransmission timers and compute segments run
+    /// on, and what settles a *non-blocking poll*: the answer steers request
     /// service, and traffic keyed earlier than the poll may not have been
     /// released yet, so a poll miss at virtual time `t` is a park on
     /// deadline `t` — [`Wait::Deadline`] means every earlier event has been

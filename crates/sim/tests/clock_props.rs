@@ -5,38 +5,49 @@ use proptest::prelude::*;
 use tm_sim::{AsyncScheme, Ns, NodeClock};
 
 proptest! {
-    /// The clock never goes backwards, whatever mix of operations runs.
+    /// The clock never goes backwards and every nanosecond of it is booked
+    /// in one bucket, whatever mix of operations runs — a compute segment
+    /// closed over any stretch of them included.
     #[test]
-    fn clock_is_monotone(ops in proptest::collection::vec((0u8..4, 0u64..1_000_000), 1..64)) {
+    fn clock_is_monotone_and_fully_booked(
+        ops in proptest::collection::vec((0u8..4, 0u64..1_000_000), 1..64),
+    ) {
         let mut c = NodeClock::new();
         let scheme = AsyncScheme::Interrupt { cost: Ns::from_us(7) };
         let mut last = Ns::ZERO;
+        let mut idle_at_start = Ns::ZERO;
         for (kind, val) in ops {
             match kind {
                 0 => c.advance(Ns(val)),
-                1 => c.compute(Ns(val)),
+                1 => {
+                    c.book_compute(idle_at_start, Ns(val));
+                    idle_at_start = c.stats.idle_time;
+                }
                 2 => c.wait_until(Ns(val)),
                 _ => {
                     c.service_window(Ns(val), &scheme, Ns(val / 2 + 1));
                 }
             }
             prop_assert!(c.now() >= last, "clock regressed");
+            prop_assert_eq!(c.stats.booked_time(), c.now());
             last = c.now();
         }
     }
 
-    /// Service completion never precedes the scheme's earliest delivery.
+    /// A service never begins before the scheme can deliver the request,
+    /// nor before the node is free.
     #[test]
-    fn service_respects_scheme_latency(
+    fn service_respects_scheme_latency_and_the_nodes_own_work(
         arrival in 0u64..1_000_000,
         dur in 1u64..100_000,
         pre in 0u64..2_000_000,
     ) {
         let scheme = AsyncScheme::Interrupt { cost: Ns::from_us(7) };
         let mut c = NodeClock::new();
-        c.compute(Ns(pre));
+        c.advance(Ns(pre));
         let finish = c.service_window(Ns(arrival), &scheme, Ns(dur));
-        prop_assert!(finish >= scheme.earliest_service(Ns(arrival)) + Ns(dur));
+        let begin = finish - Ns(dur);
+        prop_assert_eq!(begin, scheme.earliest_service(Ns(arrival)).max(Ns(pre)));
     }
 
     /// Back-to-back services of the same arrival serialize: each later
@@ -45,7 +56,7 @@ proptest! {
     fn services_serialize(count in 2usize..10, arrival in 0u64..100_000) {
         let scheme = AsyncScheme::Interrupt { cost: Ns::from_us(7) };
         let mut c = NodeClock::new();
-        c.compute(Ns::from_ms(1));
+        c.advance(Ns::from_ms(1));
         let mut prev = Ns::ZERO;
         for _ in 0..count {
             let f = c.service_window(Ns(arrival), &scheme, Ns(5_000));

@@ -191,22 +191,20 @@ fn memsub_double_run_is_byte_identical() {
     );
 }
 
-/// [`storm`] behind a stretch of computation, uneven across nodes, so no
-/// time bucket the stack can fill is empty.
+/// [`storm`] behind a stretch of computation, 40 us shorter on each next
+/// node — the barrier's root computes longest, so its children's arrivals
+/// interrupt its segment one by one — so no time bucket the stack can fill
+/// is empty.
 fn storm_after_compute<S: Substrate>(tmk: &mut Tmk<S>) -> Vec<u8> {
-    tmk.compute_ns(Ns::from_us(40 * (1 + tmk.proc_id() as u64 % 5)));
+    tmk.compute_ns(Ns::from_us(40 * (STORM_NODES - tmk.proc_id()) as u64));
     storm(tmk)
 }
 
-/// The coarse half of the time ledger: `NodeClock` moves `now` in four
+/// The coarse half of the time ledger: `NodeClock` moves `now` in three
 /// methods and each books what it adds, so a node's five buckets —
 /// compute, service, idle, protocol, async overhead — sum to its finish
 /// time to the nanosecond, on both transports and with retransmission and
-/// the shutdown linger in play. (The fifth reads zero in every run today:
-/// the receive paths of FAST/GM and UDP/GM `advance` before
-/// `service_window` sees a request, so no service begins in the node's
-/// past, and memsub's delivery is free. It is booked because
-/// `service_window` can add it, not because a run does.)
+/// the shutdown linger in play.
 #[test]
 fn time_buckets_sum_to_finish_on_every_node() {
     fn check(what: &str, out: &[tm_sim::runner::NodeOutcome<Vec<u8>>]) -> tm_sim::NodeStats {
@@ -220,6 +218,7 @@ fn time_buckets_sum_to_finish_on_every_node() {
             all.service_time,
             all.idle_time,
             all.protocol_time,
+            all.async_overhead_time,
         ];
         assert!(
             filled.iter().all(|&t| t > Ns::ZERO),
@@ -229,8 +228,13 @@ fn time_buckets_sum_to_finish_on_every_node() {
     }
     let (p, tcfg) = (params(), TmkConfig::default());
     let cfg = FastConfig::paper(&p);
-    let out = run_fast_dsm(STORM_NODES, p, cfg, tcfg.clone(), storm_after_compute);
+    let out = run_fast_dsm(STORM_NODES, p, cfg.clone(), tcfg.clone(), storm_after_compute);
     check("FAST/GM x16", &out);
+    // The fifth bucket is what delivery costs a node that was computing:
+    // a run that never computes books none.
+    let out = run_fast_dsm(STORM_NODES, params(), cfg, tcfg.clone(), storm);
+    let all = tm_sim::runner::cluster_stats(&out);
+    assert_eq!((all.compute_time, all.async_overhead_time), (Ns::ZERO, Ns::ZERO));
     let out = run_udp_dsm(STORM_NODES, params(), tcfg.clone(), storm_after_compute);
     check("UDP/GM x16", &out);
     let mut lossy = SimParams::paper_testbed();
@@ -238,6 +242,33 @@ fn time_buckets_sum_to_finish_on_every_node() {
     let out = run_udp_dsm(8, Arc::new(lossy), tcfg, storm_after_compute);
     let all = check("lossy UDP/GM x8", &out);
     assert!(all.retransmits > 0, "the lossy run lost nothing: {all:?}");
+}
+
+/// A compute segment is a park on the scheduler — an event like a transmit
+/// or a blocked wait — so a run that computes fingerprints identically
+/// twice on every substrate, segment ends and the requests served inside
+/// them included.
+#[test]
+fn a_run_that_computes_is_byte_identical_on_every_substrate() {
+    type Run = fn() -> Vec<(u64, String, Vec<u8>)>;
+    let runs: [(&str, Run); 3] = [
+        ("FAST/GM", || {
+            let (p, tcfg) = (params(), TmkConfig::default());
+            let cfg = FastConfig::paper(&p);
+            fingerprint(&run_fast_dsm(STORM_NODES, p, cfg, tcfg, storm_after_compute))
+        }),
+        ("UDP/GM", || {
+            let tcfg = TmkConfig::default();
+            fingerprint(&run_udp_dsm(STORM_NODES, params(), tcfg, storm_after_compute))
+        }),
+        ("memsub", || {
+            let (lat, tcfg) = (Ns::from_us(5), TmkConfig::default());
+            fingerprint(&run_mem_dsm(STORM_NODES, params(), lat, tcfg, storm_after_compute))
+        }),
+    ];
+    for (what, run) in runs {
+        assert_eq!(run(), run(), "{what}: a run that computes diverged from its repeat");
+    }
 }
 
 #[test]
