@@ -6,6 +6,13 @@
 //! the write notices: the pages written during the interval. Records
 //! propagate lazily — on lock grants to the acquirer, on barriers through
 //! the manager — and drive page invalidation at the receiver.
+//!
+//! A record is immutable and shared: it is built once — by the writer when
+//! it closes the interval, by everyone else when a message naming it is
+//! decoded — behind an [`Rc`], and the log, a barrier stash, a message being
+//! assembled and every page the record invalidates hold that one object.
+
+use std::rc::Rc;
 
 use crate::page::PageId;
 use crate::vc::VectorClock;
@@ -15,15 +22,48 @@ use crate::wire::{WireReader, WireWriter};
 /// end — receivers use it to apply diffs for a page in causal order when
 /// several writers touched the page between two of their synchronizations
 /// (migratory data under locks).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct IntervalRecord {
     pub node: u16,
     pub seq: u32,
     pub vc: VectorClock,
-    pub pages: Vec<PageId>,
+    /// Strictly ascending, so the range encoding walks it in place.
+    pages: Vec<PageId>,
 }
 
 impl IntervalRecord {
+    /// The record of interval `seq` of `node`, closed at vector time `vc`,
+    /// that wrote `pages` (any order, repeats allowed).
+    pub fn new(node: u16, seq: u32, vc: VectorClock, mut pages: Vec<PageId>) -> Rc<Self> {
+        if !pages.is_sorted_by(|a, b| a < b) {
+            pages.sort_unstable();
+            pages.dedup();
+        }
+        Rc::new(IntervalRecord {
+            node,
+            seq,
+            vc,
+            pages,
+        })
+    }
+
+    /// A stand-in for interval `seq` of `node` that names no page: what a
+    /// page queues for a diff it is owed without having been told of it (a
+    /// full-page adoption that regressed an axis, a diff returned ahead of
+    /// its notice). Its synthetic vector time — `seq` on the writer's own
+    /// axis, nothing else — sorts it before anything that causally follows
+    /// the real interval.
+    pub fn repair(nprocs: usize, node: u16, seq: u32) -> Rc<Self> {
+        let mut vc = VectorClock::new(nprocs);
+        vc.set(node as usize, seq);
+        Self::new(node, seq, vc, Vec::new())
+    }
+
+    /// The pages written, ascending.
+    pub fn pages(&self) -> &[PageId] {
+        &self.pages
+    }
+
     /// Write notices are encoded as ranges over the sorted page list —
     /// applications write contiguous spans (grid bands, planes, queue
     /// slots), so a record listing a thousand pages usually costs eight
@@ -32,47 +72,42 @@ impl IntervalRecord {
         w.u16(self.node);
         w.u32(self.seq);
         self.vc.encode(w);
-        let mut sorted = self.pages.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut ranges: Vec<(u32, u32)> = Vec::new();
-        for p in sorted {
-            match ranges.last_mut() {
-                Some((start, len)) if *start + *len == p => *len += 1,
-                _ => ranges.push((p, 1)),
-            }
-        }
-        w.u32(ranges.len() as u32);
-        for (start, len) in ranges {
-            w.u32(start);
-            w.u32(len);
+        let ranges = || self.pages.chunk_by(|a, b| a + 1 == *b);
+        w.u32(ranges().count() as u32);
+        for run in ranges() {
+            w.u32(run[0]);
+            w.u32(run.len() as u32);
         }
     }
 
-    pub fn decode(r: &mut WireReader) -> Option<IntervalRecord> {
+    pub fn decode(r: &mut WireReader) -> Option<Rc<IntervalRecord>> {
         let node = r.u16()?;
         let seq = r.u32()?;
         let vc = VectorClock::decode(r)?;
         let nranges = r.u32()? as usize;
-        let mut pages = Vec::new();
-        for _ in 0..nranges {
-            let start = r.u32()?;
-            let len = r.u32()?;
-            pages.extend(start..start + len);
+        // Sized before it is filled: one allocation however scattered.
+        let body = r.raw_bytes(nranges.checked_mul(8)?)?;
+        let ranges = || {
+            let mut rd = WireReader::new(body);
+            std::iter::from_fn(move || Some((rd.u32()?, rd.u32()?)))
+        };
+        let mut pages = Vec::with_capacity(ranges().map(|(_, len)| len as usize).sum());
+        for (start, len) in ranges() {
+            pages.extend(start..start.checked_add(len)?);
         }
-        Some(IntervalRecord { node, seq, vc, pages })
+        Some(Self::new(node, seq, vc, pages))
     }
 }
 
 /// Encode a batch of records (u32 count prefix).
-pub fn encode_records(records: &[IntervalRecord], w: &mut WireWriter) {
+pub fn encode_records(records: &[Rc<IntervalRecord>], w: &mut WireWriter) {
     w.u32(records.len() as u32);
     for rec in records {
         rec.encode(w);
     }
 }
 
-pub fn decode_records(r: &mut WireReader) -> Option<Vec<IntervalRecord>> {
+pub fn decode_records(r: &mut WireReader) -> Option<Vec<Rc<IntervalRecord>>> {
     let n = r.u32()? as usize;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -86,7 +121,7 @@ pub fn decode_records(r: &mut WireReader) -> Option<Vec<IntervalRecord>> {
 #[derive(Debug, Default)]
 pub struct IntervalLog {
     /// Per source node, records sorted by `seq`.
-    by_node: Vec<Vec<IntervalRecord>>,
+    by_node: Vec<Vec<Rc<IntervalRecord>>>,
 }
 
 impl IntervalLog {
@@ -97,7 +132,7 @@ impl IntervalLog {
     }
 
     /// Insert a record if not already present. Returns true if new.
-    pub fn insert(&mut self, rec: IntervalRecord) -> bool {
+    pub fn insert(&mut self, rec: Rc<IntervalRecord>) -> bool {
         let list = &mut self.by_node[rec.node as usize];
         match list.binary_search_by_key(&rec.seq, |r| r.seq) {
             Ok(_) => false,
@@ -109,8 +144,8 @@ impl IntervalLog {
     }
 
     /// All records strictly newer than `vc` — what a peer with vector time
-    /// `vc` is missing.
-    pub fn newer_than(&self, vc: &VectorClock) -> Vec<IntervalRecord> {
+    /// `vc` is missing. Handles to the log's own records: nothing is copied.
+    pub fn newer_than(&self, vc: &VectorClock) -> Vec<Rc<IntervalRecord>> {
         let mut out = Vec::new();
         for (node, list) in self.by_node.iter().enumerate() {
             let floor = vc.get(node);
@@ -145,15 +180,10 @@ impl IntervalLog {
 mod tests {
     use super::*;
 
-    fn rec(node: u16, seq: u32, pages: &[u32]) -> IntervalRecord {
+    fn rec(node: u16, seq: u32, pages: &[u32]) -> Rc<IntervalRecord> {
         let mut vc = VectorClock::new(4);
         vc.set(node as usize, seq);
-        IntervalRecord {
-            node,
-            seq,
-            vc,
-            pages: pages.to_vec(),
-        }
+        IntervalRecord::new(node, seq, vc, pages.to_vec())
     }
 
     #[test]
@@ -233,6 +263,36 @@ mod tests {
         let mut sorted = pages.clone();
         sorted.sort_unstable();
         assert_eq!(back.pages, sorted);
+    }
+
+    #[test]
+    fn a_record_is_its_ascending_page_set() {
+        // Whatever order and repeats it was built from: `encode` walks the
+        // list in place, so the list itself has to be the set.
+        let r = rec(0, 1, &[5, 1, 2, 9, 5, 3, 1]);
+        assert_eq!(r.pages(), [1, 2, 3, 5, 9]);
+        let mut w = WireWriter::new();
+        r.encode(&mut w);
+        let buf = w.finish();
+        let mut rd = WireReader::new(&buf);
+        assert_eq!((rd.u16(), rd.u32()), (Some(0), Some(1)));
+        assert_eq!(VectorClock::decode(&mut rd).as_ref(), Some(&r.vc));
+        let mut words = Vec::new();
+        while let Some(x) = rd.u32() {
+            words.push(x);
+        }
+        assert_eq!(
+            words,
+            [3, 1, 3, 5, 1, 9, 1],
+            "count, then (start, len) per range"
+        );
+        // Ranges that overlap or arrive out of order decode to the set too.
+        let mut w = WireWriter::new();
+        w.u16(0).u32(1);
+        r.vc.encode(&mut w);
+        w.u32(2).u32(4).u32(3).u32(2).u32(4);
+        let back = IntervalRecord::decode(&mut WireReader::new(&w.finish())).unwrap();
+        assert_eq!(back.pages(), [2, 3, 4, 5, 6]);
     }
 
     #[test]

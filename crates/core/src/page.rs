@@ -1,8 +1,10 @@
 //! Per-page state: the access state machine, twins, pending write notices,
 //! retained diffs.
 
+use std::rc::Rc;
+
 use crate::diff::Diff;
-use crate::vc::VectorClock;
+use crate::interval::IntervalRecord;
 
 /// Global page number within the shared address space.
 pub type PageId = u32;
@@ -25,14 +27,11 @@ pub enum Access {
     WriteInvalid,
 }
 
-/// A pending (not yet applied) write notice for this page. Carries the
-/// writing interval's vector time so diffs can be applied in causal order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pending {
-    pub node: u16,
-    pub seq: u32,
-    pub vc: VectorClock,
-}
+/// A pending (not yet applied) write notice for this page: a handle to the
+/// writing interval's record, the same object every other page that interval
+/// wrote holds, whose vector time orders the diffs causally at apply time. A
+/// notice a page queues for itself is an [`IntervalRecord::repair`].
+pub type Pending = Rc<IntervalRecord>;
 
 /// One shared page's local bookkeeping.
 #[derive(Debug)]
@@ -85,15 +84,15 @@ impl Page {
 
     /// Record an incoming write notice. Ignores notices already applied or
     /// already pending. Transitions the access state.
-    pub fn add_notice(&mut self, node: u16, seq: u32, vc: VectorClock) {
-        if self.applied[node as usize] >= seq {
+    pub fn add_notice(&mut self, rec: &Pending) {
+        if self.applied[rec.node as usize] >= rec.seq {
             return;
         }
-        if self.pending.iter().any(|p| p.node == node && p.seq == seq) {
+        let key = (rec.node, rec.seq);
+        let Err(at) = self.pending.binary_search_by_key(&key, |p| (p.node, p.seq)) else {
             return;
-        }
-        self.pending.push(Pending { node, seq, vc });
-        self.pending.sort_by_key(|p| (p.node, p.seq));
+        };
+        self.pending.insert(at, Rc::clone(rec));
         self.state = match self.state {
             Access::Unmapped => Access::Unmapped,
             Access::Write | Access::WriteInvalid => Access::WriteInvalid,
@@ -153,14 +152,8 @@ impl Page {
 mod tests {
     use super::*;
 
-    fn vc_of(node: u16, seq: u32) -> VectorClock {
-        let mut v = VectorClock::new(4);
-        v.set(node as usize, seq);
-        v
-    }
-
     fn notice(p: &mut Page, node: u16, seq: u32) {
-        p.add_notice(node, seq, vc_of(node, seq));
+        p.add_notice(&IntervalRecord::repair(4, node, seq));
     }
 
     #[test]

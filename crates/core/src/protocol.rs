@@ -6,6 +6,8 @@
 //! grants are produced by a *third* node when the manager forwards, so the
 //! id is what ties the grant back to the acquire.
 
+use std::rc::Rc;
+
 use crate::diff::Diff;
 use crate::interval::{decode_records, encode_records, IntervalRecord};
 use crate::page::PageId;
@@ -33,7 +35,7 @@ pub enum Request {
     BarrierArrive {
         barrier: u32,
         vc: VectorClock,
-        records: Vec<IntervalRecord>,
+        records: Vec<Rc<IntervalRecord>>,
     },
     /// Combined barrier arrival from a whole subtree of the radix-k
     /// combining tree, sent by a node to its tree parent. `min_vc` is the
@@ -44,7 +46,7 @@ pub enum Request {
         barrier: u32,
         min_vc: VectorClock,
         vc: VectorClock,
-        records: Vec<IntervalRecord>,
+        records: Vec<Rc<IntervalRecord>>,
     },
     /// Coalesced diff fetch: one `(page, lo, hi)` range per page, all
     /// owed by the same writer. Merges what would otherwise be one
@@ -64,7 +66,7 @@ pub enum Request {
         tree: bool,
         reply_rid: u32,
         vc: VectorClock,
-        records: Vec<IntervalRecord>,
+        records: Vec<Rc<IntervalRecord>>,
     },
 }
 
@@ -95,12 +97,12 @@ pub enum Response {
     Grant {
         lock: u32,
         vc: VectorClock,
-        records: Vec<IntervalRecord>,
+        records: Vec<Rc<IntervalRecord>>,
     },
     /// Barrier release: merged vector time plus missing records.
     BarrierRelease {
         vc: VectorClock,
-        records: Vec<IntervalRecord>,
+        records: Vec<Rc<IntervalRecord>>,
     },
     /// A whole page that is entirely zero — no payload needed. Common for
     /// first-touch fetches of freshly allocated memory.
@@ -111,7 +113,7 @@ pub enum Response {
     BarrierTreeRelease {
         barrier: u32,
         vc: VectorClock,
-        records: Vec<IntervalRecord>,
+        records: Vec<Rc<IntervalRecord>>,
     },
     /// Answer to a `MultiDiff`: one entry per page the responder managed
     /// to pack under its message-size budget. Pages omitted from the
@@ -558,13 +560,8 @@ mod tests {
         v
     }
 
-    fn rec(node: u16, seq: u32, vcv: &[u32], pages: &[u32]) -> IntervalRecord {
-        IntervalRecord {
-            node,
-            seq,
-            vc: vc(vcv),
-            pages: pages.to_vec(),
-        }
+    fn rec(node: u16, seq: u32, vcv: &[u32], pages: &[u32]) -> Rc<IntervalRecord> {
+        IntervalRecord::new(node, seq, vc(vcv), pages.to_vec())
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! above (sync) calls in to flush and apply intervals at synchronization
 //! points; this layer calls down into rpc to move pages and diffs.
 
+use std::rc::Rc;
+
 use tm_sim::Ns;
 
 use super::{DiffFetch, Tmk, TmkEvent};
@@ -147,25 +149,20 @@ impl<S: Substrate> Tmk<S> {
             pages_written.push(pid);
             self.clock().borrow_mut().stats.diffs_created += 1;
         }
-        let rec = IntervalRecord {
-            node: self.me,
-            seq,
-            vc: self.vc.clone(),
-            pages: pages_written,
-        };
-        trace!(self, "flush seq={} pages={:?}", seq, rec.pages);
+        // The interval's one clock and one page list, on this node.
+        let rec = IntervalRecord::new(self.me, seq, self.vc.clone(), pages_written);
+        trace!(self, "flush seq={} pages={:?}", seq, rec.pages());
         self.log.insert(rec);
         cost
     }
 
     /// Incorporate interval records learned from a grant or release:
-    /// insert into the log and invalidate the named pages. Records move
-    /// straight through — novelty is checked up front so nothing is
-    /// cloned just to find out the log already had it.
-    pub(super) fn apply_records(&mut self, records: Vec<IntervalRecord>) -> Ns {
-        let mut fresh: Vec<IntervalRecord> = Vec::with_capacity(records.len());
+    /// insert into the log and invalidate the named pages. The log and
+    /// every invalidated page end up holding the handle that came in.
+    pub(super) fn apply_records(&mut self, records: Vec<Rc<IntervalRecord>>) -> Ns {
+        let mut fresh: Vec<Rc<IntervalRecord>> = Vec::with_capacity(records.len());
         for rec in records {
-            trace!(self, "record n{} seq={} pages={:?}", rec.node, rec.seq, rec.pages);
+            trace!(self, "record n{} seq={} pages={:?}", rec.node, rec.seq, rec.pages());
             // Novelty check covers both the log and this batch: barrier
             // arrivals from different clients often relay the same record.
             if self.log.contains(rec.node, rec.seq)
@@ -184,20 +181,20 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Invalidate pages named by `records`' write notices.
-    fn notice_records(&mut self, records: &[IntervalRecord]) -> Ns {
+    fn notice_records(&mut self, records: &[Rc<IntervalRecord>]) -> Ns {
         let mprotect = self.sub.params().dsm.mprotect;
         let mut cost = Ns::ZERO;
         for rec in records {
             if rec.node == self.me {
                 continue;
             }
-            if let Some(&max_pid) = rec.pages.iter().max() {
+            if let Some(&max_pid) = rec.pages().last() {
                 self.ensure_pages(max_pid as usize + 1);
             }
-            for &pid in &rec.pages {
+            for &pid in rec.pages() {
                 let page = &mut self.pages[pid as usize];
                 let before = page.state;
-                page.add_notice(rec.node, rec.seq, rec.vc.clone());
+                page.add_notice(rec);
                 if page.state != before {
                     cost += mprotect;
                 }
@@ -214,7 +211,7 @@ impl<S: Substrate> Tmk<S> {
 
     /// Interval records newer than the last barrier epoch (what a barrier
     /// arrival relays to the manager).
-    pub(super) fn records_since_epoch(&self) -> Vec<IntervalRecord> {
+    pub(super) fn records_since_epoch(&self) -> Vec<Rc<IntervalRecord>> {
         self.log.newer_than(&self.last_barrier_vc)
     }
 
@@ -431,10 +428,9 @@ impl<S: Substrate> Tmk<S> {
     /// `applied[v]` below ours): adopting it wholesale would regress those
     /// writers' words. We repair: our own newer flushed intervals are
     /// replayed from `my_diffs`, and deficits on other axes are re-queued
-    /// as pending notices so the normal diff fetch re-applies them (their
-    /// synthetic vector time makes them sort before anything causally
-    /// newer; concurrent repairs touch disjoint words in race-free
-    /// programs).
+    /// as pending notices ([`IntervalRecord::repair`]) so the normal diff
+    /// fetch re-applies them (concurrent repairs touch disjoint words in
+    /// race-free programs).
     fn adopt_full_page(&mut self, pid: PageId, applied: Vec<u32>, data: Vec<u8>) {
         let params = self.sub.params().clone();
         let mut cost = Ns::for_bytes(data.len(), params.host.memcpy_mb_s) + params.dsm.mprotect;
@@ -482,9 +478,7 @@ impl<S: Substrate> Tmk<S> {
             }
             if old > page.applied[v] {
                 for seq in page.applied[v] + 1..=old {
-                    let mut vcv = VectorClock::new(n);
-                    vcv.set(v, seq);
-                    page.add_notice(v as u16, seq, vcv);
+                    page.add_notice(&IntervalRecord::repair(n, v as u16, seq));
                 }
             }
         }
@@ -983,26 +977,11 @@ impl<S: Substrate> Tmk<S> {
                 .pending
                 .iter()
                 .find(|p| p.node == writer && p.seq == seq)
-                .cloned();
-            match pend {
-                Some(p) => st.collected.push((p, d)),
-                None => {
-                    // Returned but not (yet) noticed: the covered ceiling
-                    // will advance past it, so it must be applied now. Its
-                    // synthetic vector time sorts it before anything that
-                    // causally follows it.
-                    let mut vcv = VectorClock::new(self.n);
-                    vcv.set(writer as usize, seq);
-                    st.collected.push((
-                        Pending {
-                            node: writer,
-                            seq,
-                            vc: vcv,
-                        },
-                        d,
-                    ));
-                }
-            }
+                .cloned()
+                // Returned but not (yet) noticed: the covered ceiling
+                // will advance past it, so it must be applied now.
+                .unwrap_or_else(|| IntervalRecord::repair(self.n, writer, seq));
+            st.collected.push((pend, d));
         }
     }
 
@@ -1093,3 +1072,7 @@ impl<S: Substrate> Tmk<S> {
         self.clock().borrow_mut().advance(cost);
     }
 }
+
+#[cfg(test)]
+#[path = "coherence_tests.rs"]
+mod tests;

@@ -137,13 +137,16 @@ impl<S: Substrate> Tmk<S> {
 
     /// Bulk typed read: convert straight from the page bytes into `out`.
     /// Elements are `W`-aligned in a region and `W` divides the page size
-    /// (checked in `Tmk::new`), so none straddles a page.
+    /// (checked in `Tmk::new`), so none straddles a page. The converter is
+    /// a type parameter, not a `fn` pointer: called through a pointer it
+    /// cannot inline, and a row of SOR is a call per element instead of a
+    /// copy.
     fn read_elems<T, const W: usize>(
         &mut self,
         id: SharedId,
         idx: usize,
         out: &mut [T],
-        from_le: fn([u8; W]) -> T,
+        from_le: impl Fn([u8; W]) -> T,
     ) {
         self.read_span(id, idx * W, out.len() * W, |done, page| {
             for (v, b) in out[done / W..].iter_mut().zip(page.chunks_exact(W)) {
@@ -158,7 +161,7 @@ impl<S: Substrate> Tmk<S> {
         id: SharedId,
         idx: usize,
         src: &[T],
-        to_le: fn(T) -> [u8; W],
+        to_le: impl Fn(T) -> [u8; W],
     ) {
         self.write_span(id, idx * W, src.len() * W, |done, page| {
             for (v, b) in src[done / W..].iter().zip(page.chunks_exact_mut(W)) {

@@ -22,6 +22,7 @@
 //! path, which also keeps the replay records).
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use tm_sim::Ns;
 
@@ -57,7 +58,7 @@ pub(super) struct BarrierEpisode {
     id: Option<u32>,
     /// Records collected from arrivals, noticed at departure (the manager
     /// must not invalidate its own pages before it reaches the barrier).
-    records: Vec<IntervalRecord>,
+    records: Vec<Rc<IntervalRecord>>,
 }
 
 impl BarrierEpisode {
@@ -86,7 +87,7 @@ fn barrier_arrival(
     barrier: u32,
     min_vc: VectorClock,
     vc: VectorClock,
-    records: Vec<IntervalRecord>,
+    records: Vec<Rc<IntervalRecord>>,
 ) -> Request {
     if tree {
         Request::BarrierTreeArrive {
@@ -109,7 +110,7 @@ fn barrier_release(
     tree: bool,
     barrier: u32,
     vc: VectorClock,
-    records: Vec<IntervalRecord>,
+    records: Vec<Rc<IntervalRecord>>,
 ) -> Response {
     if tree {
         Response::BarrierTreeRelease {
@@ -124,7 +125,7 @@ fn barrier_release(
 
 /// The merged vector time and missing records of barrier `id`'s release,
 /// whichever layout it arrived in.
-fn open_barrier_release(id: u32, resp: Response) -> (VectorClock, Vec<IntervalRecord>) {
+fn open_barrier_release(id: u32, resp: Response) -> (VectorClock, Vec<Rc<IntervalRecord>>) {
     match resp {
         Response::BarrierRelease { vc, records } => (vc, records),
         Response::BarrierTreeRelease {
@@ -249,7 +250,7 @@ impl<S: Substrate> Tmk<S> {
         barrier: u32,
         min_vc: VectorClock,
         vc: VectorClock,
-        records: Vec<IntervalRecord>,
+        records: Vec<Rc<IntervalRecord>>,
         arrival: Ns,
         cost: Ns,
     ) {
@@ -280,7 +281,7 @@ impl<S: Substrate> Tmk<S> {
     /// incorporate arrivals' intervals (records OR vector time) before its
     /// own release: doing so would make its interim lock grants claim
     /// coverage of write notices it never forwarded.
-    fn stash_barrier_records(&mut self, records: Vec<IntervalRecord>) {
+    fn stash_barrier_records(&mut self, records: Vec<Rc<IntervalRecord>>) {
         for rec in records {
             let stashed = self
                 .barrier
@@ -367,7 +368,7 @@ impl<S: Substrate> Tmk<S> {
                     super::LockPath::Overlapped => records
                         .iter()
                         .filter(|r| r.node != self.me)
-                        .flat_map(|r| r.pages.iter().copied())
+                        .flat_map(|r| r.pages().iter().copied())
                         .collect(),
                 };
                 let cost = self.apply_records(records);
@@ -530,8 +531,7 @@ impl<S: Substrate> Tmk<S> {
 
     /// Root departure: the episode now covers the whole cluster.
     /// Incorporate the arrivals' interval records and vector times,
-    /// invalidate, fan the release down, advance the epoch. The stashed
-    /// records move into apply_records — no clone.
+    /// invalidate, fan the release down, advance the epoch.
     fn tree_depart_root(&mut self, id: u32, episode: BarrierEpisode) {
         let BarrierEpisode {
             records, clients, ..
@@ -571,7 +571,7 @@ impl<S: Substrate> Tmk<S> {
         // The log holds each (node, seq) once: only the stash can collide.
         let stashed = records.len();
         for rec in self.records_since_epoch() {
-            let dup = |r: &IntervalRecord| r.node == rec.node && r.seq == rec.seq;
+            let dup = |r: &Rc<IntervalRecord>| r.node == rec.node && r.seq == rec.seq;
             if !records[..stashed].iter().any(dup) {
                 records.push(rec);
             }
@@ -701,7 +701,7 @@ impl<S: Substrate> Tmk<S> {
         tree: bool,
         reply_rid: u32,
         vc: VectorClock,
-        records: Vec<IntervalRecord>,
+        records: Vec<Rc<IntervalRecord>>,
         arrival: Ns,
         mut cost: Ns,
     ) {

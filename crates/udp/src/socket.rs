@@ -333,9 +333,9 @@ impl UdpStack {
 
     /// Pull NIC arrivals into socket buffers.
     fn drain(&mut self) {
-        // Collect bound ports first (borrow discipline).
-        let ports: Vec<u16> = self.sockets.iter().map(|s| s.port).collect();
-        for port in ports {
+        // By index: `admit` needs `&mut self`, and this runs on every poll.
+        for i in 0..self.sockets.len() {
+            let port = self.sockets[i].port;
             while let Some(pkt) = self.nic.poll_port(SOCKET_PORT_BASE + port) {
                 self.admit(pkt);
             }

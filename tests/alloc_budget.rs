@@ -1,4 +1,4 @@
-//! Allocation budget for the diff data path.
+//! Allocation budgets for the diff data path and for interval metadata.
 //!
 //! A diff is one buffer from twin-compare to apply. What that buys is a
 //! *count* — heap allocations per diff operation and per DSM run — so it is
@@ -7,6 +7,10 @@
 //! has 512 runs; one `Vec` per run is 512 allocations per create, clone
 //! and decode, and that is what this binary's own counting allocator would
 //! see).
+//!
+//! Interval metadata is pinned the same way: an interval record is one
+//! shared object per node, so a write notice is a handle, and a run that
+//! does nothing but queue notices must not allocate per notice.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +21,7 @@ use tm_fast::{run_fast_dsm, FastConfig};
 use tm_sim::SimParams;
 use tmk::diff::Diff;
 use tmk::wire::{WireReader, WireWriter};
-use tmk::TmkConfig;
+use tmk::{Substrate, Tmk, TmkConfig};
 
 /// Counts every `alloc` and `realloc`, per thread: a cluster's nodes are
 /// contexts on the thread that runs it, so a test's own count is all of its
@@ -107,9 +111,10 @@ fn a_512_run_diff_costs_a_constant_number_of_allocations() {
 }
 
 /// Allocations one small SOR run may make, cluster set-up and scheduler
-/// included. One buffer per diff: 3 704. One `Vec` per run: more than ten
-/// times the budget.
-const SOR_BUDGET: u64 = 7_000;
+/// included: 2 932 measured, plus a quarter. With a clock cloned into every
+/// page-notice the same run makes 3 816; with one `Vec` per diff run, more
+/// than ten times the budget.
+const SOR_BUDGET: u64 = 3_700;
 
 #[test]
 fn a_small_lockstep_sor_run_stays_inside_its_allocation_budget() {
@@ -128,5 +133,57 @@ fn a_small_lockstep_sor_run_stays_inside_its_allocation_budget() {
     assert!(
         allocs <= SOR_BUDGET,
         "4-node 64x512 SOR made {allocs} heap allocations (budget {SOR_BUDGET})"
+    );
+}
+
+const STORM_NODES: usize = 16;
+const STORM_PAGES: usize = 512;
+const STORM_ROUNDS: u32 = 32;
+
+/// Allocations the notice storm below may make: 99 701 measured, plus a
+/// quarter. Every node learns of every other node's interval at every
+/// barrier and every interval names 32 pages, so 245 760 notices are queued;
+/// a clock of its own for each of them (and a sorted copy of the page list
+/// per encode) makes the same run cost 414 069.
+const STORM_BUDGET: u64 = 125_000;
+
+/// Every node rewrites one word of each page it manages, barrier after
+/// barrier, and nobody reads anybody else's: no page or diff ever moves, so
+/// what is left is interval metadata — records relayed through the barrier
+/// root and a notice queued on every page they name.
+fn notice_storm<S: Substrate>(tmk: &mut Tmk<S>) -> u32 {
+    let me = tmk.proc_id();
+    let words_per_page = tmk.params().dsm.page_size / 4;
+    let mine = |k: usize| (k * STORM_NODES + me) * words_per_page;
+    let region = tmk.malloc(STORM_PAGES * words_per_page * 4);
+    tmk.barrier(0);
+    for round in 1..=STORM_ROUNDS {
+        for k in 0..STORM_PAGES / STORM_NODES {
+            tmk.set_u32(region, mine(k), round);
+        }
+        tmk.barrier(round);
+    }
+    tmk.get_u32(region, mine(0))
+}
+
+#[test]
+fn a_notice_costs_no_allocation_of_its_own() {
+    let params = Arc::new(SimParams::paper_testbed());
+    let fast = FastConfig::paper(&params);
+    let (allocs, out) = allocs_during(|| {
+        run_fast_dsm(
+            STORM_NODES,
+            params,
+            fast,
+            TmkConfig::default(),
+            notice_storm,
+        )
+    });
+    for o in &out {
+        assert_eq!(o.result, STORM_ROUNDS, "node {} lost its own writes", o.id);
+    }
+    assert!(
+        allocs <= STORM_BUDGET,
+        "{STORM_NODES}-node notice storm made {allocs} heap allocations (budget {STORM_BUDGET})"
     );
 }
