@@ -127,7 +127,7 @@ fn fast_gm() -> (f64, f64) {
             0.0
         };
         // Bandwidth: stream max-size requests.
-        let chunk = sub.max_msg();
+        let chunk = sub.params().dsm.max_msg;
         let bw = if me == 0 {
             let payload = vec![7u8; chunk];
             let t0 = env.clock.borrow().now();

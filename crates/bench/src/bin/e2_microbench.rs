@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use tm_bench::{
     diff_storm_body, lock_storm_body, print_header, print_row, print_row_header,
-    strided_sweep_body, tallied, with_metrics,
+    strided_sweep_body, tallied,
 };
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::stats::NodeStats;
@@ -54,12 +54,12 @@ macro_rules! on_both {
     ($n:expr, $f:ident) => {{
         let udp = {
             let params = Arc::new(bench_params());
-            run_udp_dsm($n, params, tmk_cfg(), move |tmk| with_metrics(tmk, $f))
+            run_udp_dsm($n, params, tmk_cfg(), $f)
         };
         let fast = {
             let params = Arc::new(bench_params());
             let cfg = FastConfig::paper(&params);
-            run_fast_dsm($n, params, cfg, tmk_cfg(), move |tmk| with_metrics(tmk, $f))
+            run_fast_dsm($n, params, cfg, tmk_cfg(), $f)
         };
         tally(&udp);
         tally(&fast);
@@ -225,9 +225,6 @@ fn avg_nonzero(v: &[tm_sim::runner::NodeOutcome<u64>]) -> Ns {
 }
 
 fn main() {
-    // Per-layer event tallies (`E2_METRICS`): off by default so stdout
-    // stays byte-identical to an uninstrumented run.
-    tm_bench::set_metrics_enabled(tm_bench::opts().e2_metrics);
     print_header("E2: TreadMarks microbenchmarks (Figure 3)");
     print_row_header();
 
@@ -350,15 +347,6 @@ fn main() {
             "prefetched sweep ({sweep8}) must beat the demand-fault sweep ({sweep0})"
         );
         println!("e2-smoke: pipelined-sync assertions passed");
-    }
-
-    // Per-layer event tallies: only when explicitly requested, so the
-    // default output above stays byte-identical.
-    if tm_bench::opts().e2_metrics {
-        let metrics = tm_bench::take_metrics().unwrap_or_default();
-        println!();
-        println!("per-layer events (all workloads, both transports):");
-        print!("{}", metrics.render());
     }
 
     // Fault-injection report: only when the plan actually injects

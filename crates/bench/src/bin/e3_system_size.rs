@@ -12,11 +12,6 @@ use tm_fast::Transport;
 use tm_sim::Ns;
 
 fn main() {
-    // Per-layer event tallies (histograms, RPC-depth gauge) across every
-    // run, printed at the end when `E3_METRICS` is set. Off by default so
-    // the default output stays byte-identical to an uninstrumented run.
-    let metrics_on = tm_bench::opts().e3_metrics;
-    tm_bench::set_metrics_enabled(metrics_on);
     print_header("E3: execution time vs system size (Figure 4)");
     for app in AppSpec::APPS {
         let spec = AppSpec::default_instance(app);
@@ -53,11 +48,4 @@ fn main() {
     println!();
     println!("speedups are relative to the same transport's 4-node time,");
     println!("matching the paper's 4->16 node scaling discussion (§3.3.2).");
-
-    if metrics_on {
-        let metrics = tm_bench::take_metrics().unwrap_or_default();
-        println!();
-        println!("per-layer events (all apps, all sizes, both transports):");
-        print!("{}", metrics.render());
-    }
 }

@@ -3,13 +3,14 @@
 //! The paper weighed three options for delivering GM's poll-only receives
 //! to a busy TreadMarks process — a periodic timer, a dedicated polling
 //! thread, and a NIC-firmware interrupt — and adopted the interrupt.
-//! This ablation measures request/response latency through each scheme's
-//! delivery model (the service window opens when the interrupt fires /
-//! the poller notices / the timer ticks), plus the stock UDP SIGIO path,
-//! and the virtual time the peer spends on servicing. Those two columns
-//! are RPCs into a peer that only serves; the third is what §2.2.4 argues
-//! about — page fetches into a peer that is *computing*, and what each one
-//! takes out of its computation.
+//! This ablation measures request/response latency through the interrupt's
+//! and the timer's delivery (the service window opens when the interrupt
+//! fires / the timer ticks), plus the stock UDP SIGIO path, and the virtual
+//! time the peer spends on servicing. Those two columns are RPCs into a
+//! peer that only serves; the third is what §2.2.4 argues about — page
+//! fetches into a peer that is *computing*, and what each one takes out of
+//! its computation. The polling thread has no row: its cost is a processor
+//! that spins, which nothing here charges.
 
 use std::sync::Arc;
 
@@ -56,7 +57,7 @@ fn fast_with_scheme(scheme: AsyncScheme) -> (f64, f64) {
         } else {
             // Peer: service each request through the scheme's delivery
             // model — the service window starts when the timer tick /
-            // poll pass / interrupt would have delivered it.
+            // interrupt would have delivered it.
             for _ in 0..ROUNDS {
                 let msg = sub.next_incoming();
                 let scheme = sub.scheme();
@@ -155,13 +156,6 @@ fn main() {
             },
         ),
         (
-            "FAST + polling thread",
-            AsyncScheme::PollingThread {
-                dispatch: Ns::from_us(1),
-                cpu_tax: Ns::from_us(4),
-            },
-        ),
-        (
             "FAST + 100us timer",
             AsyncScheme::Timer {
                 period: Ns::from_us(100),
@@ -203,8 +197,5 @@ fn main() {
     println!("computing peer: mean page-fetch latency + computation displaced per");
     println!("fetch, {ROUNDS} fetches into one {BUSY} compute segment. The timers displace");
     println!("least and answer 2-17x later; SIGIO displaces 2.4x the interrupt's and");
-    println!("answers 2.2x later. The polling thread is not separated from the");
-    println!("interrupt in the paper's direction: its modeled cost is a per-request");
-    println!("tax (4 us, under the interrupt's 7 us), so it reads faster and cheaper;");
-    println!("a CPU that spins whether or not a request comes is not modeled.");
+    println!("answers 2.2x later.");
 }

@@ -10,8 +10,7 @@
 //! size ladders, transport-sweeping runners that also *validate every
 //! timed run against the sequential reference*, and table formatting.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use tm_apps::{
     fft_parallel, fft_seq, jacobi_parallel, jacobi_seq, sor_parallel, sor_seq, tsp_parallel,
@@ -21,24 +20,6 @@ use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, Transport};
 use tm_sim::runner::cluster_time;
 use tm_sim::{FaultPlan, Ns, SimParams};
 use tmk::{LayerMetrics, LockPath, MetricsHandle, SharedId, Substrate, Tmk, TmkConfig};
-
-/// Cross-run metrics accumulator: when a binary turns instrumentation on
-/// ([`set_metrics_enabled`]), every [`with_metrics`] body — each
-/// [`run_spec_with`] run is one — taps its node's event hook and folds
-/// the tallies in here. The hook charges no virtual time, so timed
-/// results are unchanged.
-static METRICS: Mutex<Option<LayerMetrics>> = Mutex::new(None);
-static METRICS_ON: AtomicBool = AtomicBool::new(false);
-
-/// Enable/disable per-layer event tallying for subsequent runs.
-pub fn set_metrics_enabled(on: bool) {
-    METRICS_ON.store(on, Ordering::Relaxed);
-}
-
-/// Take (and clear) the accumulated metrics, if any were recorded.
-pub fn take_metrics() -> Option<LayerMetrics> {
-    METRICS.lock().unwrap().take()
-}
 
 /// Run one node body with a tallying event hook installed; returns the
 /// body's result and the node's tally.
@@ -50,21 +31,6 @@ pub fn tallied<S: Substrate, R>(
     let r = body(tmk);
     tmk.clear_event_hook();
     (r, handle.snapshot())
-}
-
-/// Run one node body, folding its event tallies into the accumulator when
-/// instrumentation is on.
-pub fn with_metrics<S: Substrate, R>(tmk: &mut Tmk<S>, body: impl FnOnce(&mut Tmk<S>) -> R) -> R {
-    if !METRICS_ON.load(Ordering::Relaxed) {
-        return body(tmk);
-    }
-    let (r, tally) = tallied(tmk, body);
-    METRICS
-        .lock()
-        .unwrap()
-        .get_or_insert_with(LayerMetrics::default)
-        .merge(&tally);
-    r
 }
 
 // ----- microbenchmark bodies more than one binary runs ----------------------
@@ -323,11 +289,6 @@ pub struct Opts {
     /// `E2_PREFETCH`: stride-prefetch depth; 0 (the default) leaves the
     /// prefetcher inert.
     pub prefetch_depth: usize,
-    /// `E2_METRICS` / `E3_METRICS` (set = on): print per-layer event
-    /// tallies at the end. Off by default so stdout stays byte-identical
-    /// to an uninstrumented run.
-    pub e2_metrics: bool,
-    pub e3_metrics: bool,
     /// `E2_SMOKE` / `E7_SMOKE` (set = on): run the assertion-carrying
     /// CI subsets.
     pub e2_smoke: bool,
@@ -360,8 +321,6 @@ impl Opts {
                 _ => bad("E2_LOCK_PATH", &v, "serial|overlapped"),
             }),
             prefetch_depth: val("E2_PREFETCH").map_or(0, |v| num("E2_PREFETCH", &v, "a depth")),
-            e2_metrics: get("E2_METRICS").is_some(),
-            e3_metrics: get("E3_METRICS").is_some(),
             e2_smoke: get("E2_SMOKE").is_some(),
             e7_smoke: get("E7_SMOKE").is_some(),
         }
@@ -408,15 +367,11 @@ pub fn run_spec_with(transport: Transport, n: usize, spec: &AppSpec, want: &AppR
         Transport::Fast => {
             let cfg = FastConfig::paper(&params);
             let s = spec.clone();
-            run_fast_dsm(n, params, cfg, TmkConfig::default(), move |tmk| {
-                with_metrics(tmk, |tmk| s.body(tmk))
-            })
+            run_fast_dsm(n, params, cfg, TmkConfig::default(), move |tmk| s.body(tmk))
         }
         Transport::Udp => {
             let s = spec.clone();
-            run_udp_dsm(n, params, TmkConfig::default(), move |tmk| {
-                with_metrics(tmk, |tmk| s.body(tmk))
-            })
+            run_udp_dsm(n, params, TmkConfig::default(), move |tmk| s.body(tmk))
         }
     };
     for o in &outcomes {
@@ -474,7 +429,7 @@ mod tests {
         assert_eq!(unset.fault_loss, 0.0);
         assert_eq!(unset.lock_path, LockPath::Serial);
         assert_eq!(unset.prefetch_depth, 0);
-        assert!(!(unset.e2_metrics || unset.e3_metrics || unset.e2_smoke || unset.e7_smoke));
+        assert!(!(unset.e2_smoke || unset.e7_smoke));
         assert!(!unset.fault_plan().enabled());
         // Empty values select the defaults too — except the on/off
         // flags, which are on whenever they are set at all.
@@ -493,14 +448,14 @@ mod tests {
             ("E2_FAULT_LOSS", "0.01"),
             ("E2_LOCK_PATH", "overlapped"),
             ("E2_PREFETCH", "8"),
-            ("E3_METRICS", "1"),
+            ("E7_SMOKE", "1"),
         ]);
         assert_eq!(o.fault_plan().drop_probability, 0.01);
         assert_eq!(o.fault_plan().seed, FaultPlan::default().seed);
         let cfg = o.tmk_config();
         assert_eq!(cfg.lock_path, LockPath::Overlapped);
         assert_eq!(cfg.prefetch_depth, 8);
-        assert!(o.e3_metrics && !o.e2_metrics);
+        assert!(o.e7_smoke && !o.e2_smoke);
     }
 
     /// A value that does not parse names its variable instead of falling
@@ -520,20 +475,18 @@ mod tests {
         }
     }
 
-    /// The parser asks for the seven variables `Opts` documents and for no
+    /// The parser asks for the five variables `Opts` documents and for no
     /// other: a variable that used to be an option (the fault seed, the
-    /// barrier algorithm, the diff engine, E7's radix) is not read, so a
-    /// value in it — here one that parses as nothing — changes nothing and
-    /// is not an error.
+    /// barrier algorithm, the diff engine, E7's radix, the two metrics
+    /// printers) is not read, so a value in it — here one that parses as
+    /// nothing — changes nothing and is not an error.
     #[test]
-    fn opts_reads_seven_variables_and_no_other() {
-        const READ: [&str; 7] = [
+    fn opts_reads_five_variables_and_no_other() {
+        const READ: [&str; 5] = [
             "E2_FAULT_LOSS",
             "E2_LOCK_PATH",
-            "E2_METRICS",
             "E2_PREFETCH",
             "E2_SMOKE",
-            "E3_METRICS",
             "E7_SMOKE",
         ];
         let asked = std::cell::RefCell::new(Vec::new());

@@ -5,10 +5,10 @@
 //! the virtual time at emission (first and last). Gauge-like events (the
 //! overlapped RPC engine's outstanding-request depth) additionally track
 //! their high-water mark.
-//! Harnesses merge the per-node tallies into one [`LayerMetrics`] and
-//! print it next to `NodeStats` — this is how tree-barrier hops
-//! (`barrier_arrive_forwarded` / `barrier_release_fanned`) and RPC
-//! overlap depth are observable without a debugger.
+//! Harnesses merge the per-node tallies into one [`LayerMetrics`] and read
+//! counts and gauges out of it by name — this is how tree-barrier hops
+//! (`barrier_arrive_forwarded` / `barrier_release_fanned`), prefetch hits
+//! and RPC overlap depth are observable without a debugger.
 //!
 //! The hook charges no virtual time and allocates only on the first
 //! occurrence of each variant, so installing it does not perturb results.
@@ -109,34 +109,6 @@ impl LayerMetrics {
     pub fn get(&self, kind: &str) -> Option<&EventStat> {
         self.stats.get(kind)
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.stats.is_empty() && self.gauges.is_empty()
-    }
-
-    /// Iterate tallies in stable (alphabetical) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &EventStat)> {
-        self.stats.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Render as aligned `kind count [first..last]us` lines, followed by
-    /// the gauges.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let width = self.stats.keys().map(|k| k.len()).max().unwrap_or(0);
-        for (kind, e) in &self.stats {
-            out.push_str(&format!(
-                "  {kind:width$}  x{:<8} t={:.1}..{:.1}us\n",
-                e.count,
-                e.first_ns as f64 / 1_000.0,
-                e.last_ns as f64 / 1_000.0,
-            ));
-        }
-        for (name, v) in &self.gauges {
-            out.push_str(&format!("  {name:width$}  max={v}\n"));
-        }
-        out
-    }
 }
 
 /// A node-local metrics sink: shared ownership of the tally that the
@@ -199,17 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn render_is_stable_and_aligned() {
-        let mut m = LayerMetrics::default();
-        m.record("b_kind", 1_000);
-        m.record("a_kind", 2_000);
-        let r = m.render();
-        let a_pos = r.find("a_kind").unwrap();
-        let b_pos = r.find("b_kind").unwrap();
-        assert!(a_pos < b_pos, "alphabetical order");
-    }
-
-    #[test]
     fn lock_pipelined_feeds_depth_gauge() {
         let mut m = LayerMetrics::default();
         m.record_event(&TmkEvent::LockPipelined { lock: 0, fetches: 2 }, 10);
@@ -231,7 +192,5 @@ mod tests {
         other.record_event(&TmkEvent::RpcIssued { rid: 9, depth: 7 }, 40);
         m.merge(&other);
         assert_eq!(m.gauge(GAUGE_RPC_DEPTH), Some(7));
-        let r = m.render();
-        assert!(r.contains("outstanding_rpc_depth"), "gauge rendered: {r}");
     }
 }

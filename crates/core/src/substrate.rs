@@ -157,10 +157,4 @@ pub trait Substrate {
     fn peer_alive(&self, _node: usize) -> bool {
         true
     }
-
-    /// Largest message the substrate can carry in one piece. The runtime
-    /// chunks diff responses to fit.
-    fn max_msg(&self) -> usize {
-        self.params().dsm.max_msg
-    }
 }

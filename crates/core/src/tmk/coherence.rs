@@ -151,7 +151,6 @@ impl<S: Substrate> Tmk<S> {
         }
         // The interval's one clock and one page list, on this node.
         let rec = IntervalRecord::new(self.me, seq, self.vc.clone(), pages_written);
-        trace!(self, "flush seq={} pages={:?}", seq, rec.pages());
         self.log.insert(rec);
         cost
     }
@@ -162,14 +161,11 @@ impl<S: Substrate> Tmk<S> {
     pub(super) fn apply_records(&mut self, records: Vec<Rc<IntervalRecord>>) -> Ns {
         let mut fresh: Vec<Rc<IntervalRecord>> = Vec::with_capacity(records.len());
         for rec in records {
-            trace!(self, "record n{} seq={} pages={:?}", rec.node, rec.seq, rec.pages());
             // Novelty check covers both the log and this batch: barrier
             // arrivals from different clients often relay the same record.
-            if self.log.contains(rec.node, rec.seq)
-                || fresh.iter().any(|f| f.node == rec.node && f.seq == rec.seq)
+            if !self.log.contains(rec.node, rec.seq)
+                && !fresh.iter().any(|f| f.node == rec.node && f.seq == rec.seq)
             {
-                trace!(self, "record n{} seq={} already known", rec.node, rec.seq);
-            } else {
                 fresh.push(rec);
             }
         }
@@ -269,7 +265,7 @@ impl<S: Substrate> Tmk<S> {
         hi: u32,
         w: &mut WireWriter,
     ) -> Ns {
-        let (answer, cost) = self.diffs_answer(pid, lo, hi, self.sub.max_msg());
+        let (answer, cost) = self.diffs_answer(pid, lo, hi, self.sub.params().dsm.max_msg);
         answer.encode_response(rid, pid, w);
         cost
     }
@@ -291,7 +287,7 @@ impl<S: Substrate> Tmk<S> {
         pages: &[(PageId, u32, u32)],
         w: &mut WireWriter,
     ) -> Ns {
-        let max = self.sub.max_msg();
+        let max = self.sub.params().dsm.max_msg;
         let count = begin_multi_diffs(rid, w);
         let mut included = 0u16;
         let mut cost = Ns::ZERO;

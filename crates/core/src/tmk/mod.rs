@@ -43,21 +43,6 @@ use crate::page::{Page, PageId};
 use crate::substrate::Substrate;
 use crate::vc::VectorClock;
 
-/// Whether `TMK_TRACE` is set. Read once per process: `trace!` sits on
-/// every served request, issued rpc and absorbed response.
-fn trace_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("TMK_TRACE").is_some())
-}
-
-macro_rules! trace {
-    ($self:expr, $($arg:tt)*) => {
-        if crate::tmk::trace_enabled() {
-            eprintln!("[n{} t{}] {}", $self.me, $self.clock().borrow().now(), format!($($arg)*));
-        }
-    };
-}
-
 mod coherence;
 mod rpc;
 mod shmem;

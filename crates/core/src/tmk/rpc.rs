@@ -227,7 +227,6 @@ impl<S: Substrate> Tmk<S> {
             self.clock().borrow_mut().stats.malformed_dropped += 1;
             return;
         };
-        trace!(self, "serve from={from} rid={rid} req={req:?}");
         if self.sub.retransmit_timeout().is_some() {
             let key = ReplayKey::of(from, rid, &req);
             if let Some(action) = self.replay.lookup(key) {
@@ -438,7 +437,6 @@ impl<S: Substrate> Tmk<S> {
     /// each is collected exactly once via [`Self::rpc_collect`].
     pub(super) fn rpc_issue(&mut self, to: usize, req: Request) -> u32 {
         let rid = self.rid();
-        trace!(self, "rpc to={to} rid={rid} req={req:?}");
         let mut w = WireWriter::pooled(64);
         req.encode_into(rid, &mut w);
         self.rpc_issue_encoded(to, rid, w);
@@ -603,7 +601,6 @@ impl<S: Substrate> Tmk<S> {
     pub(super) fn complete_local(&mut self, rid: u32, resp: Response) -> bool {
         match self.outstanding.iter().position(|o| o.rid == rid) {
             Some(i) if self.outstanding[i].response.is_none() => {
-                trace!(self, "complete-local rid={rid} resp={resp:?}");
                 self.outstanding[i].response = Some(resp);
                 true
             }
@@ -702,7 +699,6 @@ impl<S: Substrate> Tmk<S> {
         );
         match self.outstanding.iter().position(|o| o.rid == rid) {
             Some(i) if self.outstanding[i].response.is_none() => {
-                trace!(self, "collect rid={rid} resp={resp:?}");
                 self.outstanding[i].response = Some(resp);
             }
             Some(_) => {

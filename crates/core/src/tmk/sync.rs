@@ -299,7 +299,6 @@ impl<S: Substrate> Tmk<S> {
     fn make_grant(&mut self, lock: u32, rvc: &VectorClock) -> (Response, Ns) {
         let flush_cost = self.flush_interval();
         let records = self.log.newer_than(rvc);
-        trace!(self, "grant lock={} rvc={:?} records={:?}", lock, rvc, records.iter().map(|r| (r.node, r.seq)).collect::<Vec<_>>());
         let cost = flush_cost + Ns(200 * records.len() as u64);
         (
             Response::Grant {
@@ -471,7 +470,6 @@ impl<S: Substrate> Tmk<S> {
 
     /// `Tmk_barrier`.
     pub fn barrier(&mut self, id: u32) {
-        trace!(self, "barrier {id} enter");
         // Settle speculative traffic before synchronizing: in-flight
         // prefetch volleys are collected (and their stale stages
         // discarded) so nothing issued against the old epoch survives it.

@@ -14,13 +14,16 @@
 //!    for asynchronous barrier traffic, and one buffer per size 4…15 for
 //!    the single outstanding synchronous response — about
 //!    `64KB·(n−1) + 64KB` of registered memory, exactly the paper's
-//!    arithmetic (reproduced by experiment E5).
+//!    arithmetic ([`prepost_bytes`], which experiment E5 also evaluates at
+//!    class 13 for the rendezvous alternative the paper sizes). Every
+//!    message, however large, lands in a preposted buffer: there is one
+//!    data path.
 //! 3. **Buffer management** (§2.2.3): outgoing messages are copied into a
 //!    pool of registered send buffers (paying the copy, saving the
 //!    repinning); incoming requests are processed in place.
 //! 4. **Asynchronous messages** (§2.2.4): NIC interrupt on the request
-//!    port; the polling-thread and timer alternatives remain available as
-//!    [`tm_sim::AsyncScheme`] options for the ablation (E6).
+//!    port; the timer alternative remains available as a
+//!    [`tm_sim::AsyncScheme`] option for the ablation (E6).
 //!
 //! [`cluster`] holds the cluster runners the examples, tests and benches
 //! use — one per transport, so a benchmark swaps UDP/GM (`tm-udp`'s
@@ -30,5 +33,5 @@ pub mod cluster;
 pub mod substrate;
 
 pub use cluster::{run_fast_dsm, run_udp_dsm, Transport};
-pub use substrate::{FastConfig, FastSubstrate};
+pub use substrate::{prepost_bytes, FastConfig, FastSubstrate};
 pub use tm_udp::UdpSubstrate;

@@ -21,13 +21,15 @@
 //! * **≤ 8 ports, port 0 reserved for the mapper** ([`GmNode::open_port`]):
 //!   the constraint that forces the paper's two-port connection
 //!   multiplexing design.
-//! * **Connectionless reliable delivery, send tokens, directed sends**
-//!   (RDMA writes into a remote registered region).
+//! * **Connectionless reliable delivery and send tokens**: every message
+//!   lands in a preposted buffer; GM's directed send (an RDMA write into a
+//!   remote registered region) is not modeled, because FAST/GM as the paper
+//!   built it never needs one.
 
 pub mod memory;
 pub mod node;
 pub mod size;
 
-pub use memory::{DmaPool, PooledBuf, RegBook, Region};
+pub use memory::{DmaPool, PooledBuf, RegBook};
 pub use node::{gm_cluster, FailureBoard, GmError, GmEvent, GmNode, MAPPER_PORT, NUM_PORTS};
 pub use size::{gm_max_length, gm_size, MAX_SIZE_CLASS};

@@ -7,30 +7,14 @@
 //! keeps a pool of registered send buffers rather than registering
 //! TreadMarks' own structures).
 //!
-//! [`RegBook`] is a node's registration accounting: it charges pin time per
-//! page and enforces the physical-memory budget. Memory the simulator only
-//! has to *account* for (the send pool, the prepost slabs) is
-//! [pinned](RegBook::pin) and costs the host nothing; memory a peer's
-//! directed send lands in is [registered](RegBook::register) and gets a
-//! [`Region`] to hold the bytes. [`DmaPool`] is a bump pool of registered
-//! send/receive buffers, handed out as [`PooledBuf`]s — the
+//! [`RegBook`] is a node's registration accounting: [`pin`](RegBook::pin)
+//! charges pin time per page and enforces the physical-memory budget. What
+//! it pins — the send pool, the prepost slabs — the simulator never
+//! addresses, so nothing on the host backs it. [`DmaPool`] is a bump pool of
+//! registered send buffers, handed out as [`PooledBuf`]s — the
 //! proof-of-registration token the send path demands.
 
 use tm_sim::{Ns, SharedClock, SimParams};
-
-/// Identifier of a registered region, carried in directed-send packets.
-pub type RegionId = u32;
-
-/// A pinned span owned by one node. `data` is its host backing: the
-/// registered length for a [registered](RegBook::register) region, empty
-/// for an accounting-only [pin](RegBook::pin).
-#[derive(Debug)]
-pub struct Region {
-    pub id: RegionId,
-    /// Bytes charged against the pin budget (whole pages).
-    pinned: usize,
-    pub data: Vec<u8>,
-}
 
 /// Registration accounting for one node.
 pub struct RegBook {
@@ -39,8 +23,6 @@ pub struct RegBook {
     page_size: usize,
     limit_bytes: usize,
     pinned_bytes: usize,
-    next_region: RegionId,
-    regions: Vec<Region>,
 }
 
 /// Errors from registration.
@@ -61,8 +43,6 @@ impl RegBook {
             page_size: params.dsm.page_size,
             limit_bytes,
             pinned_bytes: 0,
-            next_region: 1,
-            regions: Vec::new(),
         }
     }
 
@@ -70,10 +50,9 @@ impl RegBook {
         self.pinned_bytes
     }
 
-    /// Pin `len` bytes: charge pin time per page, count them against the
-    /// budget and hand out an id. Accounting only — nothing on the host
-    /// backs the span, so it cannot be a directed-send target.
-    pub fn pin(&mut self, len: usize) -> Result<RegionId, RegError> {
+    /// Pin `len` bytes: charge pin time per page and count the whole pages
+    /// against the budget. Pinned memory stays pinned for the node's life.
+    pub fn pin(&mut self, len: usize) -> Result<(), RegError> {
         let pages = len.div_ceil(self.page_size).max(1);
         let pinned = pages * self.page_size;
         if self.pinned_bytes + pinned > self.limit_bytes {
@@ -86,37 +65,7 @@ impl RegBook {
         self.clock
             .borrow_mut()
             .advance(Ns(self.pin_page.0 * pages as u64));
-        let id = self.next_region;
-        self.next_region += 1;
-        self.regions.push(Region {
-            id,
-            pinned,
-            data: Vec::new(),
-        });
-        Ok(id)
-    }
-
-    /// [`pin`](RegBook::pin) `len` bytes and back them with a zeroed,
-    /// addressable [`Region`] a directed send can write into.
-    pub fn register(&mut self, len: usize) -> Result<RegionId, RegError> {
-        let id = self.pin(len)?;
-        self.regions.last_mut().expect("just pinned").data = vec![0; len];
-        Ok(id)
-    }
-
-    /// Deregister (unpin) a region.
-    pub fn deregister(&mut self, id: RegionId) {
-        if let Some(i) = self.regions.iter().position(|r| r.id == id) {
-            self.pinned_bytes -= self.regions.remove(i).pinned;
-        }
-    }
-
-    pub fn region(&self, id: RegionId) -> Option<&Region> {
-        self.regions.iter().find(|r| r.id == id)
-    }
-
-    pub fn region_mut(&mut self, id: RegionId) -> Option<&mut Region> {
-        self.regions.iter_mut().find(|r| r.id == id)
+        Ok(())
     }
 }
 
@@ -124,7 +73,6 @@ impl RegBook {
 /// the send path that its bytes are DMA-reachable.
 #[derive(Debug, Clone)]
 pub struct PooledBuf {
-    pub region: RegionId,
     pub data: Vec<u8>,
 }
 
@@ -142,7 +90,6 @@ impl PooledBuf {
 /// messages into registered buffers rather than registering TreadMarks'
 /// data structures).
 pub struct DmaPool {
-    region: RegionId,
     capacity: usize,
     outstanding: usize,
     max_outstanding: usize,
@@ -158,9 +105,8 @@ impl DmaPool {
     /// pinned memory. The pool keeps its own buffer storage (`free`), so
     /// the pinned span itself is accounting only.
     pub fn new(book: &mut RegBook, count: usize, buf_len: usize) -> Result<Self, RegError> {
-        let region = book.pin(count * buf_len)?;
+        book.pin(count * buf_len)?;
         Ok(DmaPool {
-            region,
             capacity: count,
             outstanding: 0,
             max_outstanding: 0,
@@ -195,10 +141,7 @@ impl DmaPool {
         for p in parts {
             data.extend_from_slice(p);
         }
-        Some(PooledBuf {
-            region: self.region,
-            data,
-        })
+        Some(PooledBuf { data })
     }
 
     /// Return a buffer to the pool (send completion callback fired).
@@ -242,38 +185,20 @@ mod tests {
     }
 
     #[test]
-    fn register_rounds_to_pages_and_charges_time() {
+    fn pin_rounds_to_pages_and_charges_time() {
         let mut b = book(1 << 20);
         let clock = b.clock.clone();
-        let id = b.register(5000).unwrap(); // 2 pages
+        b.pin(5000).unwrap(); // 2 pages
         assert_eq!(b.pinned_bytes(), 8192);
         assert_eq!(clock.borrow().now(), Ns(2_000)); // 2 pages * 1us pin
-        assert_eq!(b.region(id).unwrap().data.len(), 5000);
-    }
-
-    /// The send pool and the prepost slabs are megabytes per node that
-    /// nothing ever reads or writes: pinning them must charge, count and
-    /// limit exactly as registering does, and allocate nothing.
-    #[test]
-    fn pin_accounts_like_register_without_backing() {
-        let (mut p, mut r) = (book(1 << 20), book(1 << 20));
-        let (pc, rc) = (p.clock.clone(), r.clock.clone());
-        let id = p.pin(5000).unwrap();
-        r.register(5000).unwrap();
-        assert_eq!(p.pinned_bytes(), r.pinned_bytes());
-        assert_eq!(pc.borrow().now(), rc.borrow().now());
-        assert_eq!(p.region(id).unwrap().data.capacity(), 0);
-        assert_eq!(p.pin(1 << 20), r.register(1 << 20));
-        p.deregister(id);
-        assert_eq!(p.pinned_bytes(), 0);
     }
 
     #[test]
     fn budget_is_enforced() {
         let mut b = book(8192);
-        b.register(4096).unwrap();
-        b.register(4096).unwrap();
-        let err = b.register(1).unwrap_err();
+        b.pin(4096).unwrap();
+        b.pin(4096).unwrap();
+        let err = b.pin(1).unwrap_err();
         assert_eq!(
             err,
             RegError::OutOfPinnedMemory {
@@ -281,16 +206,6 @@ mod tests {
                 available: 0
             }
         );
-    }
-
-    #[test]
-    fn deregister_releases_budget() {
-        let mut b = book(8192);
-        let id = b.register(8192).unwrap();
-        assert!(b.register(1).is_err());
-        b.deregister(id);
-        assert_eq!(b.pinned_bytes(), 0);
-        assert!(b.register(4096).is_ok());
     }
 
     #[test]
@@ -320,13 +235,5 @@ mod tests {
         let again = pool.take_parts(&[b"x"]).unwrap();
         assert_eq!(again.data, b"x");
         assert_eq!(again.data.capacity(), cap);
-    }
-
-    #[test]
-    fn region_mut_is_writable() {
-        let mut b = book(1 << 20);
-        let id = b.register(16).unwrap();
-        b.region_mut(id).unwrap().data[3] = 0xAB;
-        assert_eq!(b.region(id).unwrap().data[3], 0xAB);
     }
 }

@@ -1,5 +1,5 @@
 //! The per-node GM endpoint: ports, tokens, preposted buffers, sends,
-//! polled receives, directed sends, and the resend-timeout failure mode.
+//! polled receives, and the resend-timeout failure mode.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -10,7 +10,7 @@ use bytes::Bytes;
 use tm_myrinet::{Fabric, NicHandle, NodeId, RawPacket};
 use tm_sim::{Ns, SharedClock, SimParams, Wait};
 
-use crate::memory::{PooledBuf, RegBook, RegionId};
+use crate::memory::{PooledBuf, RegBook};
 use crate::size::gm_size;
 
 /// Max ports per NIC (GM exposes 8).
@@ -18,8 +18,8 @@ pub const NUM_PORTS: u8 = 8;
 /// Port 0 belongs to the GM mapper daemon.
 pub const MAPPER_PORT: u8 = 0;
 /// What a blocked node listens on: every GM port, whatever ports the
-/// caller asked for — a directed send may target any of them and must
-/// still wake the node.
+/// caller asked for — an arrival on any of them is admitted (or left
+/// unmatched) by `sort_arrivals` before the node looks again.
 const GM_PORTS: [u16; NUM_PORTS as usize - 1] = [1, 2, 3, 4, 5, 6, 7];
 
 /// Errors surfaced by the GM API model.
@@ -236,7 +236,7 @@ impl GmNode {
         buf: &PooledBuf,
         len: usize,
     ) -> Result<Ns, GmError> {
-        self.post(port, dst, dst_port, buf, len, None, None)
+        self.post(port, dst, dst_port, buf, len, None)
     }
 
     /// Like [`send`](GmNode::send) but injects at virtual time `at` without
@@ -251,28 +251,12 @@ impl GmNode {
         len: usize,
         at: Ns,
     ) -> Result<Ns, GmError> {
-        self.post(port, dst, dst_port, buf, len, Some(at), None)
-    }
-
-    /// `gm_directed_send`: RDMA-write `buf[..len]` into `(region, offset)`
-    /// on `dst`. Consumes no receive buffer and raises no receive event at
-    /// the target.
-    pub fn directed_send(
-        &mut self,
-        port: u8,
-        dst: NodeId,
-        region: RegionId,
-        offset: u64,
-        buf: &PooledBuf,
-        len: usize,
-    ) -> Result<Ns, GmError> {
-        self.post(port, dst, port, buf, len, None, Some((region, offset)))
+        self.post(port, dst, dst_port, buf, len, Some(at))
     }
 
     /// The one send: take a token and hand `buf[..len]` to the NIC — at
     /// `at` with the host's work already charged, or now, charging
-    /// `send_overhead`; into `target` if the send is directed.
-    #[allow(clippy::too_many_arguments)]
+    /// `send_overhead`.
     fn post(
         &mut self,
         port: u8,
@@ -281,7 +265,6 @@ impl GmNode {
         buf: &PooledBuf,
         len: usize,
         at: Option<Ns>,
-        target: Option<(RegionId, u64)>,
     ) -> Result<Ns, GmError> {
         assert!(len <= buf.data.len());
         // Check the failure board first: a rejected earlier send disables
@@ -315,7 +298,7 @@ impl GmNode {
         // …then the NIC DMAs and drives the wire off-host.
         let payload = Bytes::copy_from_slice(&buf.data[..len]);
         self.nic
-            .inject(dst, port as u16, dst_port as u16, payload, inject, target);
+            .inject(dst, port as u16, dst_port as u16, payload, inject, None);
         self.port_mut(port)?.token_returns.push(inject);
         let mut c = self.clock.borrow_mut();
         c.stats.msgs_sent += 1;
@@ -351,22 +334,9 @@ impl GmNode {
         Ok(())
     }
 
-    /// Admit one arrived packet: a directed send is written straight into
-    /// its registered region; anything else takes a preposted buffer of
-    /// its size class, or waits unmatched for one.
+    /// Admit one arrived packet: it takes a preposted buffer of its size
+    /// class, or waits unmatched for one.
     fn admit(&mut self, pkt: RawPacket) {
-        if let Some((region, offset)) = pkt.directed {
-            if let Some(r) = self.book.region_mut(region) {
-                let off = offset as usize;
-                let end = off + pkt.payload.len();
-                assert!(
-                    end <= r.data.len(),
-                    "directed send overruns region {region}"
-                );
-                r.data[off..end].copy_from_slice(&pkt.payload);
-            }
-            return;
-        }
         if let Some(p) = self.ports[pkt.dst_port as usize].as_mut() {
             let size = gm_size(pkt.payload.len());
             if p.recv_buffers[size as usize] > 0 {
@@ -540,12 +510,6 @@ impl GmNode {
             self.absorb_failures(p);
         }
     }
-
-    /// Read bytes out of a registered region (completion of a rendezvous
-    /// directed transfer).
-    pub fn region_bytes(&self, region: RegionId) -> Option<&[u8]> {
-        self.book.region(region).map(|r| r.data.as_slice())
-    }
 }
 
 #[cfg(test)]
@@ -682,20 +646,6 @@ mod tests {
             }
         }
         assert!(sent >= tokens.min(8));
-    }
-
-    #[test]
-    fn directed_send_writes_remote_region() {
-        let (mut a, mut b) = two_nodes();
-        a.open_port(2, false).unwrap();
-        b.open_port(2, false).unwrap();
-        let region = b.book.register(4096).unwrap();
-        let buf = pooled(&mut a, b"rdma-payload");
-        a.directed_send(2, 1, region, 100, &buf, 12).unwrap();
-        // The write is applied when b next touches its NIC.
-        b.clock().borrow_mut().advance(Ns::from_us(100));
-        let _ = b.receive(2).unwrap();
-        assert_eq!(&b.region_bytes(region).unwrap()[100..112], b"rdma-payload");
     }
 
     #[test]

@@ -16,20 +16,16 @@ use std::rc::Rc;
 use crate::stats::NodeStats;
 use crate::time::Ns;
 
-/// How a node learns about asynchronous (request) messages — the three
-/// alternatives of §2.2.4 of the paper.
+/// How a node learns about asynchronous (request) messages: two of the
+/// three alternatives of §2.2.4 of the paper, and stock UDP's SIGIO. The
+/// third, a dedicated polling thread, is not modeled: what the paper holds
+/// against it is a processor spinning whether or not a request comes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AsyncScheme {
     /// Modified NIC firmware raises a host interrupt on the async port.
     /// `cost` is interrupt delivery + handler dispatch latency. This is the
     /// scheme the paper adopts for FAST/GM.
     Interrupt { cost: Ns },
-    /// A dedicated thread spins on the receive queue. Dispatch is fast but
-    /// the thread steals a CPU; we model the dispatch latency plus a
-    /// per-service CPU tax on the application (`cpu_tax` is charged to the
-    /// computation for every serviced request, standing in for the stolen
-    /// cycles on the paper's 4-way SMP nodes).
-    PollingThread { dispatch: Ns, cpu_tax: Ns },
     /// A timer wakes a thread every `period` to check for requests: the
     /// request waits, on average, half a period (we model the worst-ish
     /// case deterministically: service begins at the next tick).
@@ -45,7 +41,6 @@ impl AsyncScheme {
     pub fn earliest_service(&self, arrival: Ns) -> Ns {
         match *self {
             AsyncScheme::Interrupt { cost } => arrival + cost,
-            AsyncScheme::PollingThread { dispatch, .. } => arrival + dispatch,
             AsyncScheme::Timer { period, dispatch } => {
                 // Next tick at or after arrival.
                 let ticks = (arrival.0 + period.0 - 1) / period.0.max(1);
@@ -59,7 +54,6 @@ impl AsyncScheme {
     pub fn cpu_overhead(&self) -> Ns {
         match *self {
             AsyncScheme::Interrupt { cost } => cost,
-            AsyncScheme::PollingThread { cpu_tax, .. } => cpu_tax,
             AsyncScheme::Timer { dispatch, .. } => dispatch,
             AsyncScheme::Sigio { cost } => cost,
         }
@@ -199,16 +193,6 @@ mod tests {
         assert_eq!(s.earliest_service(Ns::from_us(1)), Ns::from_us(102));
         assert_eq!(s.earliest_service(Ns::from_us(100)), Ns::from_us(102));
         assert_eq!(s.earliest_service(Ns::from_us(101)), Ns::from_us(202));
-    }
-
-    #[test]
-    fn polling_thread_dispatches_fast() {
-        let s = AsyncScheme::PollingThread {
-            dispatch: Ns::from_us(1),
-            cpu_tax: Ns::from_us(3),
-        };
-        assert_eq!(s.earliest_service(Ns::from_us(10)), Ns::from_us(11));
-        assert_eq!(s.cpu_overhead(), Ns::from_us(3));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct NodeStats {
     /// construction, the substrate's host path).
     pub protocol_time: Ns,
     /// Virtual time the async scheme's delivery overhead (interrupt, SIGIO,
-    /// polling tax) added to compute segments that served requests.
+    /// timer dispatch) added to compute segments that served requests.
     pub async_overhead_time: Ns,
     /// DSM: page faults taken (read + write).
     pub page_faults: u64,

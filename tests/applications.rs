@@ -168,21 +168,6 @@ fn fast_gm_beats_udp_gm_on_every_app() {
     );
 }
 
-/// The rendezvous configuration (E5's memory saver) still runs the DSM
-/// correctly — large diffs/pages take the pin-and-RDMA path.
-#[test]
-fn rendezvous_configuration_runs_apps() {
-    let cfg = JacobiConfig::new(64, 3);
-    let want = jacobi_seq(&cfg);
-    let mut fc = FastConfig::paper(&params());
-    fc.rendezvous = true;
-    let c = cfg.clone();
-    let out = run_fast_dsm(4, params(), fc, TmkConfig::default(), move |tmk| {
-        jacobi_parallel(tmk, &c)
-    });
-    assert!(out.iter().all(|o| o.result == want));
-}
-
 /// Protocol stats are visible and plausible at cluster level.
 #[test]
 fn cluster_stats_are_consistent() {

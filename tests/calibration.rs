@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use tm_fast::{FastConfig, FastSubstrate};
-use tm_gm::{gm_cluster, gm_size, DmaPool};
+use tm_gm::{gm_cluster, gm_size, DmaPool, MAX_SIZE_CLASS};
 use tm_sim::{run_cluster_with, Ns, SimParams};
 use tm_udp::UdpStack;
 use tmk::Substrate;
@@ -117,38 +117,31 @@ fn substrate_latency_ordering() {
 }
 
 /// The §2.2.2 memory arithmetic: eager preposting needs roughly
-/// 64KB·(n−1)+64KB; the rendezvous variant roughly a third of that.
+/// 64KB·(n−1)+64KB, and the substrate preposts exactly what
+/// `prepost_bytes` says at the top class; stopping at class 13 (the
+/// rendezvous alternative the paper sizes) needs roughly a third of that.
 #[test]
 fn prepost_memory_matches_paper_formula() {
     for n in [4usize, 16, 256] {
         let params = Arc::new(SimParams::paper_testbed());
         let (_f, board, mut nics) = gm_cluster(n, Arc::clone(&params));
-        let nic = nics.remove(0);
-        let mut cfg = FastConfig::paper(&params);
+        let cfg = FastConfig::paper(&params);
         let eager = FastSubstrate::new(
-            nic,
-            tm_sim::clock::shared_clock(),
-            Arc::clone(&params),
-            Arc::clone(&board),
-            cfg.clone(),
-        )
-        .prepost_bytes;
-        let formula = 64 * 1024 * (n - 1) + 64 * 1024;
-        let ratio = eager as f64 / formula as f64;
-        assert!(
-            (0.8..1.4).contains(&ratio),
-            "n={n}: prepost {eager}B vs formula {formula}B (ratio {ratio:.2})"
-        );
-        cfg.rendezvous = true;
-        let nic = nics.remove(0);
-        let rdv = FastSubstrate::new(
-            nic,
+            nics.remove(0),
             tm_sim::clock::shared_clock(),
             Arc::clone(&params),
             board,
             cfg,
         )
         .prepost_bytes;
+        assert_eq!(eager, tm_fast::prepost_bytes(n, MAX_SIZE_CLASS));
+        let formula = 64 * 1024 * (n - 1) + 64 * 1024;
+        let ratio = eager as f64 / formula as f64;
+        assert!(
+            (0.8..1.4).contains(&ratio),
+            "n={n}: prepost {eager}B vs formula {formula}B (ratio {ratio:.2})"
+        );
+        let rdv = tm_fast::prepost_bytes(n, 13);
         assert!(
             (rdv as f64) < 0.45 * eager as f64,
             "n={n}: rendezvous {rdv}B should be well under eager {eager}B"

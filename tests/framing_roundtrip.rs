@@ -1,7 +1,7 @@
 //! Framing-path round-trip tests: a message of any size must survive
 //! `send` → (fragmentation) → reassembly → surfacing *byte-identical* on
-//! both substrates. Deterministic sweeps pin every GM size-class boundary
-//! and the rendezvous threshold; proptest fills in random sizes.
+//! both substrates. Deterministic sweeps pin every GM size-class boundary;
+//! proptest fills in random sizes.
 
 use std::sync::Arc;
 
@@ -17,11 +17,10 @@ fn params() -> Arc<SimParams> {
     Arc::new(SimParams::paper_testbed())
 }
 
-fn fast_pair(rendezvous: bool) -> (FastSubstrate, FastSubstrate) {
+fn fast_pair() -> (FastSubstrate, FastSubstrate) {
     let params = params();
     let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&params));
-    let mut cfg = FastConfig::paper(&params);
-    cfg.rendezvous = rendezvous;
+    let cfg = FastConfig::paper(&params);
     let b = FastSubstrate::new(
         nics.pop().unwrap(),
         shared_clock(),
@@ -75,7 +74,7 @@ fn class_boundary_lengths() -> Vec<usize> {
 
 #[test]
 fn fast_roundtrips_every_size_class_boundary() {
-    let (mut a, mut b) = fast_pair(false);
+    let (mut a, mut b) = fast_pair();
     for len in class_boundary_lengths() {
         roundtrip(&mut a, &mut b, len);
     }
@@ -100,55 +99,12 @@ fn udp_roundtrips_across_the_datagram_limit() {
     }
 }
 
-/// Responses straddling the rendezvous threshold travel announce → pull →
-/// RDMA → complete; below it they use a preposted buffer. Either way the
-/// requester must see identical bytes. Needs both nodes live (the pull is
-/// serviced by the responder), hence the cluster.
-#[test]
-fn fast_rendezvous_threshold_roundtrips() {
-    let params = params();
-    let (_f, board, nics) = gm_cluster(2, Arc::clone(&params));
-    // gm_size(len + 2) reaches the rendezvous class (14) at len = 8191.
-    let lens = [8189usize, 8190, 8191, 8192, 20_000];
-    let out = tm_sim::run_cluster_with(params, nics, move |env, nic| {
-        let mut cfg = FastConfig::paper(&env.params);
-        cfg.rendezvous = true;
-        let mut sub = FastSubstrate::new(
-            nic,
-            env.clock.clone(),
-            Arc::clone(&env.params),
-            Arc::clone(&board),
-            cfg,
-        );
-        if env.id == 0 {
-            for &len in &lens {
-                sub.send_request(1, &len.to_le_bytes());
-                let rep = sub.next_incoming();
-                assert_eq!(rep.chan, Chan::Response);
-                assert_eq!(rep.data, payload(len), "rendezvous echo of {len} bytes");
-            }
-            sub.send_request(1, b"done");
-            true
-        } else {
-            loop {
-                let req = sub.next_incoming();
-                if req.data == b"done" {
-                    break true;
-                }
-                let len = usize::from_le_bytes(req.data[..8].try_into().unwrap());
-                sub.send_response_at(0, &payload(len), req.arrival + Ns::from_us(10));
-            }
-        }
-    });
-    assert!(out.iter().all(|o| o.result));
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn fast_random_lengths_roundtrip(len in 0usize..100_000) {
-        let (mut a, mut b) = fast_pair(false);
+        let (mut a, mut b) = fast_pair();
         roundtrip(&mut a, &mut b, len);
     }
 

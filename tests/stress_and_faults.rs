@@ -146,16 +146,16 @@ fn udp_loss_model_loses() {
     assert!(a.drops < 60, "expected some arrivals, got {} drops", a.drops);
 }
 
-/// Pinned-memory budget: registration fails loudly when the physical
-/// budget is exhausted (the failure §2.2.2's sizing avoids).
+/// Pinned-memory budget: pinning fails loudly when the physical budget is
+/// exhausted (the failure §2.2.2's sizing avoids).
 #[test]
 fn pin_budget_is_enforced_end_to_end() {
     let p = params();
     let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&p));
     let nic = nics.remove(0);
     let mut gm = GmNode::new(nic, shared_clock(), p, board, 1 << 20); // 1 MB
-    assert!(gm.book.register(512 << 10).is_ok());
-    assert!(gm.book.register(768 << 10).is_err());
+    assert!(gm.book.pin(512 << 10).is_ok());
+    assert!(gm.book.pin(768 << 10).is_err());
 }
 
 /// GM send with no tokens errors rather than blocking silently.
