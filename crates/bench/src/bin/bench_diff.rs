@@ -8,8 +8,9 @@
 //! small-frame and fragmented sends on the FAST substrate, and a 1 MB
 //! page-fetch storm through the full DSM. `create_scalar` is the
 //! pre-optimization word-by-word loop kept as the executable specification
-//! — its row doubles as the baseline the u64-chunked scanner is judged
-//! against (the `speedup_create_vs_scalar` field).
+//! — its rows double as the baselines the mask-driven `create` is judged
+//! against on both page shapes (`speedup_create_vs_scalar` on the sparse
+//! page, `speedup_alternating_vs_scalar` on the SOR one; each must be ≥ 2×).
 //!
 //! Usage: `cargo run --release -p tm-bench --bin bench_diff [out.json]`
 
@@ -55,6 +56,18 @@ fn page_pair(stride: usize) -> (Vec<u8>, Vec<u8>) {
     (twin, cur)
 }
 
+/// `body` from `tx` to node 1, surfaced at `rx`; then `tx` waits until
+/// `rx`'s time, as it would for a reply. Left apart, the receiver's clock
+/// gains on the sender's with every frame, and once the gap passes GM's
+/// resend timeout a fragment queued for a free buffer is rejected on
+/// arrival — a message that never completes, so the receive panics.
+fn round_trip(tx: &mut FastSubstrate, rx: &mut FastSubstrate, body: &[u8]) {
+    tx.send_request(1, body);
+    pool::give(rx.next_incoming().data);
+    let now = rx.clock().borrow().now();
+    tx.clock().borrow_mut().wait_until(now);
+}
+
 struct Case {
     name: &'static str,
     ns_per_op: f64,
@@ -93,11 +106,19 @@ fn main() {
         ns_per_op: apply,
     });
     let (twin, cur) = page_pair(8);
+    let alternating = time_ns(|| {
+        std::hint::black_box(Diff::create(&twin, &cur));
+    });
     cases.push(Case {
         name: "diff_create_4k_alternating",
-        ns_per_op: time_ns(|| {
-            std::hint::black_box(Diff::create(&twin, &cur));
-        }),
+        ns_per_op: alternating,
+    });
+    let alternating_scalar = time_ns(|| {
+        std::hint::black_box(Diff::create_scalar(&twin, &cur));
+    });
+    cases.push(Case {
+        name: "diff_create_4k_alternating_scalar_baseline",
+        ns_per_op: alternating_scalar,
     });
     let d = Diff::create(&twin, &cur);
     assert_eq!(d.run_count(), 512);
@@ -136,21 +157,13 @@ fn main() {
         cfg,
     );
     let small = [7u8; 64];
-    let frame = time_ns(|| {
-        tx.send_request(1, &small);
-        let m = rx.next_incoming();
-        pool::give(m.data);
-    });
+    let frame = time_ns(|| round_trip(&mut tx, &mut rx, &small));
     cases.push(Case {
         name: "fast_frame_64B_roundtrip",
         ns_per_op: frame,
     });
     let big = vec![3u8; 64 * 1024];
-    let frag = time_ns(|| {
-        tx.send_request(1, &big);
-        let m = rx.next_incoming();
-        pool::give(m.data);
-    });
+    let frag = time_ns(|| round_trip(&mut tx, &mut rx, &big));
     cases.push(Case {
         name: "fast_fragmented_64KiB_roundtrip",
         ns_per_op: frag,
@@ -190,9 +203,11 @@ fn main() {
 
     // --- emit ------------------------------------------------------------
     let speedup = scalar / create;
+    let speedup_alternating = alternating_scalar / alternating;
     let mut json = String::from("{\n  \"bench\": \"BENCH_diff\",\n  \"page_size\": 4096,\n");
     json.push_str(&format!(
-        "  \"speedup_create_vs_scalar\": {speedup:.2},\n  \"cases\": {{\n"
+        "  \"speedup_create_vs_scalar\": {speedup:.2},\n  \
+         \"speedup_alternating_vs_scalar\": {speedup_alternating:.2},\n  \"cases\": {{\n"
     ));
     for (i, c) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };
@@ -209,6 +224,11 @@ fn main() {
     println!("wrote {out_path}");
     assert!(
         speedup >= 2.0,
-        "chunked diff-create must be >= 2x the scalar baseline (got {speedup:.2}x)"
+        "diff-create on a sparse page must be >= 2x the scalar baseline (got {speedup:.2}x)"
+    );
+    assert!(
+        speedup_alternating >= 2.0,
+        "diff-create on the red-black SOR page must be >= 2x the scalar baseline \
+         (got {speedup_alternating:.2}x)"
     );
 }

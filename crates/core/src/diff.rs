@@ -6,12 +6,17 @@
 //! cross the wire instead of whole pages — the Diff microbenchmark of the
 //! paper's Figure 3 times exactly this machinery.
 //!
-//! The comparison itself is the dominant host cost for sparse pages, so
-//! [`Diff::create`] scans eight bytes per iteration (`u64::from_ne_bytes`)
-//! and only drops to the protocol's 32-bit word granularity inside a
-//! mismatching chunk. Run boundaries are identical to the scalar
-//! word-by-word scan ([`Diff::create_scalar`], kept as the executable
-//! specification); an equivalence property test pins that down.
+//! [`Diff::create`] makes two passes. The first builds a change mask, one
+//! bit per 32-bit word: an equal 256-byte span costs one array compare,
+//! and any other span gets its 64-bit mask word from flat, branch-free
+//! loops. The second reads the runs off the mask a mask word at a time
+//! (a run starts where a bit rises and ends where it falls) and writes
+//! them into an image allocated once at its exact size. Red-black SOR
+//! leaves every other word changed, 512 one-word runs per page, so the
+//! cost per run matters as much as the cost of skipping equal words. Run
+//! boundaries are identical to the scalar word-by-word scan
+//! ([`Diff::create_scalar`], kept as the executable specification); an
+//! equivalence property test pins that down.
 
 use std::iter::successors;
 use std::ops::Range;
@@ -21,105 +26,47 @@ use crate::wire::{WireReader, WireWriter};
 /// Comparison granularity, bytes. TreadMarks compares 32-bit words.
 pub const WORD: usize = 4;
 
-/// u64 fast-scan chunk: two words per comparison.
-const CHUNK: usize = 8;
+/// Page bytes one mask word covers: 64 words.
+const SPAN: usize = 64 * WORD;
 
-/// Wide fast-scan block: fixed-size array equality compiles to a SIMD
-/// compare, so long equal stretches cost one branch per 64 bytes.
-const BLOCK: usize = 64;
+/// Mask words for the largest u16-addressable page.
+const MASK_WORDS: usize = (u16::MAX as usize).div_ceil(SPAN);
 
-#[inline]
-fn load64(b: &[u8], i: usize) -> u64 {
-    u64::from_ne_bytes(b[i..i + CHUNK].try_into().unwrap())
+/// Bit `k` set iff word `k` of the span differs. Both loops are flat and
+/// fixed-length, so the compiler vectorises them: one `!=` per word into a
+/// byte, then each 8 bytes of 0 / 1 gathered into 8 bits by one multiply
+/// (byte `j` lands on bit `56 + j`, and no two partial products overlap).
+fn span_mask(twin: &[u8; SPAN], cur: &[u8; SPAN]) -> u64 {
+    let word = |b: &[u8]| u32::from_ne_bytes(b.try_into().unwrap());
+    let mut ne = [0u8; 64];
+    for (k, (a, b)) in ne
+        .iter_mut()
+        .zip(twin.chunks_exact(WORD).zip(cur.chunks_exact(WORD)))
+    {
+        *k = (word(a) != word(b)) as u8;
+    }
+    ne.chunks_exact(8).enumerate().fold(0, |m, (i, bytes)| {
+        let v = u64::from_le_bytes(bytes.try_into().unwrap());
+        m | (v.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i)
+    })
 }
 
-/// `i` addresses a chunk whose u64s differ; return the offset of its first
-/// differing word.
-#[inline]
-fn diff_word_in_chunk(twin: &[u8], cur: &[u8], i: usize) -> usize {
-    if twin[i..i + WORD] != cur[i..i + WORD] {
-        i
-    } else {
-        i + WORD
-    }
-}
-
-/// From word-aligned `i`, advance past equal words; returns the offset of
-/// the first differing word (or `n`). Equal regions are skipped 64 bytes
-/// per comparison, narrowing to a u64 and then to word granularity only
-/// around a mismatch — run boundaries stay exactly word-granular.
-#[inline]
-fn skip_equal(twin: &[u8], cur: &[u8], mut i: usize) -> usize {
-    let n = cur.len();
-    // Step one word if needed so the u64 loop runs chunk-aligned.
-    if !i.is_multiple_of(CHUNK) && i + WORD <= n {
-        if twin[i..i + WORD] != cur[i..i + WORD] {
-            return i;
-        }
-        i += WORD;
-    }
-    // Chunk-step up to block alignment.
-    while !i.is_multiple_of(BLOCK) && i + CHUNK <= n {
-        if load64(twin, i) != load64(cur, i) {
-            return diff_word_in_chunk(twin, cur, i);
-        }
-        i += CHUNK;
-    }
-    // Wide scan: one SIMD compare per 64 bytes.
-    while i + BLOCK <= n {
-        let a: &[u8; BLOCK] = twin[i..i + BLOCK].try_into().unwrap();
-        let b: &[u8; BLOCK] = cur[i..i + BLOCK].try_into().unwrap();
-        if a != b {
-            break;
-        }
-        i += BLOCK;
-    }
-    // Narrow scan inside (or after) the mismatching block.
-    while i + CHUNK <= n {
-        if load64(twin, i) != load64(cur, i) {
-            return diff_word_in_chunk(twin, cur, i);
-        }
-        i += CHUNK;
-    }
-    // Tail shorter than a chunk: word-by-word.
-    while i < n {
-        let e = (i + WORD).min(n);
-        if twin[i..e] != cur[i..e] {
-            return i;
-        }
-        i = e;
-    }
-    n
-}
-
-/// From the start of a changed run at `i`, advance past differing words;
-/// returns the offset of the first equal word (or `n`). Word granularity
-/// here is load-bearing: it decides where runs end on the wire.
-#[inline]
-fn skip_diff(twin: &[u8], cur: &[u8], mut i: usize) -> usize {
-    let n = cur.len();
-    while i < n {
-        let e = (i + WORD).min(n);
-        if twin[i..e] == cur[i..e] {
-            return i;
-        }
-        i = e;
-    }
-    n
+/// The mask word of a span shorter than [`SPAN`]; a partial last word is
+/// compared on the bytes it has.
+fn tail_mask(twin: &[u8], cur: &[u8]) -> u64 {
+    twin.chunks(WORD)
+        .zip(cur.chunks(WORD))
+        .enumerate()
+        .fold(0, |m, (k, (a, b))| m | ((a != b) as u64) << k)
 }
 
 /// `true` iff every byte is zero, scanned a u64 at a time (the full-page
 /// serve path uses this to spot freshly-zeroed pages and send a compact
 /// `ZeroPage` marker instead of the payload).
 pub fn is_all_zero(buf: &[u8]) -> bool {
-    let mut i = 0;
-    while i + CHUNK <= buf.len() {
-        if u64::from_ne_bytes(buf[i..i + CHUNK].try_into().unwrap()) != 0 {
-            return false;
-        }
-        i += CHUNK;
-    }
-    buf[i..].iter().all(|&b| b == 0)
+    let mut chunks = buf.chunks_exact(8);
+    chunks.all(|c| u64::from_ne_bytes(c.try_into().unwrap()) == 0)
+        && chunks.remainder().iter().all(|&b| b == 0)
 }
 
 /// A run-length-encoded page delta, held as its wire image: one buffer,
@@ -164,19 +111,88 @@ impl Diff {
     }
 
     /// Compare `twin` (before) and `cur` (after); encode changed runs at
-    /// word granularity, streaming straight into the image. Slices must
-    /// be the same length.
+    /// word granularity. Slices must be the same length.
+    ///
+    /// Pass one fills a stack mask, bit `w` set iff word `w` differs
+    /// (`span_mask`). Its popcounts size the image exactly:
+    /// `m & !(m << 1 | carry)` marks the first word of each run, and the
+    /// payload is four bytes per set bit, less whatever a partial last
+    /// word lacks. Pass two walks the mask a word at a time, with `up` the
+    /// mask shifted up one word: `starts = m & !up` and `ends = !m & up`
+    /// alternate, so each start pairs with the next end, and a run still
+    /// open at bit 63 is closed by the next mask word's first end, or by
+    /// the page end. Each run's header and payload are written by index
+    /// into the one allocation.
     pub fn create(twin: &[u8], cur: &[u8]) -> Diff {
         assert_eq!(twin.len(), cur.len(), "twin/page size mismatch");
-        let run_from = |i| {
-            let start = skip_equal(twin, cur, i);
-            (start < cur.len()).then(|| start..skip_diff(twin, cur, start))
+        let n = cur.len();
+        assert!(n <= u16::MAX as usize, "page exceeds u16 offsets");
+        let words = n.div_ceil(WORD);
+        let mut mask = [0u64; MASK_WORDS];
+        let spans = twin.chunks_exact(SPAN).zip(cur.chunks_exact(SPAN));
+        for (m, (a, b)) in mask.iter_mut().zip(spans) {
+            let (a, b): (&[u8; SPAN], &[u8; SPAN]) = (a.try_into().unwrap(), b.try_into().unwrap());
+            if a != b {
+                *m = span_mask(a, b);
+            }
+        }
+        let full = n / SPAN * SPAN;
+        if full < n {
+            mask[n / SPAN] = tail_mask(&twin[full..], &cur[full..]);
+        }
+        let mask = &mask[..words.div_ceil(64)];
+
+        let (mut runs, mut changed, mut carry) = (0, 0, 0);
+        for &m in mask {
+            runs += (m & !(m << 1 | carry)).count_ones() as usize;
+            changed += m.count_ones() as usize;
+            carry = m >> 63;
+        }
+        let last_changed = words > 0 && mask[(words - 1) / 64] >> ((words - 1) % 64) & 1 == 1;
+        let short = if last_changed { words * WORD - n } else { 0 };
+        let mut image = vec![0; COUNT_HDR + RUN_HDR * runs + changed * WORD - short];
+        image[..COUNT_HDR].copy_from_slice(&(runs as u16).to_le_bytes());
+
+        let (mut at, mut extent) = (COUNT_HDR, 0);
+        let mut emit = |start: usize, end: usize| {
+            let (off, end) = (start * WORD, (end * WORD).min(n));
+            let run = &mut image[at..at + RUN_HDR + end - off];
+            run[..2].copy_from_slice(&(off as u16).to_le_bytes());
+            run[2..RUN_HDR].copy_from_slice(&((end - off) as u16).to_le_bytes());
+            run[RUN_HDR..].copy_from_slice(&cur[off..end]);
+            at += run.len();
+            extent = end;
         };
-        Diff::from_runs(cur, successors(run_from(0), |r| run_from(r.end)))
+        let (mut prev, mut open) = (0, 0);
+        for (i, &m) in mask.iter().enumerate() {
+            let base = i * 64;
+            let up = m << 1 | prev >> 63;
+            let (mut starts, mut ends) = (m & !up, !m & up);
+            if prev >> 63 == 1 && ends != 0 {
+                emit(open, base + ends.trailing_zeros() as usize);
+                ends &= ends - 1;
+            }
+            while starts != 0 {
+                let s = base + starts.trailing_zeros() as usize;
+                starts &= starts - 1;
+                if ends == 0 {
+                    open = s;
+                } else {
+                    emit(s, base + ends.trailing_zeros() as usize);
+                    ends &= ends - 1;
+                }
+            }
+            prev = m;
+        }
+        if prev >> 63 == 1 {
+            emit(open, words);
+        }
+        debug_assert_eq!(at, image.len());
+        Diff { image, extent }
     }
 
     /// The original word-by-word comparison: the executable specification
-    /// for run boundaries, and the benchmark baseline the chunked
+    /// for run boundaries, and the benchmark baseline the mask-driven
     /// [`Diff::create`] is measured against.
     pub fn create_scalar(twin: &[u8], cur: &[u8]) -> Diff {
         assert_eq!(twin.len(), cur.len(), "twin/page size mismatch");
@@ -404,6 +420,75 @@ mod tests {
         assert_eq!(target, cur);
     }
 
+    /// `create` agrees with the spec, applies back to `cur`, and its image
+    /// carries no slack: a retained diff is resident memory.
+    fn check(twin: &[u8], cur: &[u8]) -> Diff {
+        let d = Diff::create(twin, cur);
+        assert_eq!(d, Diff::create_scalar(twin, cur), "len={}", cur.len());
+        assert_eq!(d.image.capacity(), d.image.len());
+        let mut target = twin.to_vec();
+        d.apply(&mut target);
+        assert_eq!(target, cur);
+        d
+    }
+
+    /// `len` zero bytes with `bytes` set to 1.
+    fn edited(len: usize, bytes: Range<usize>) -> (Vec<u8>, Vec<u8>) {
+        let twin = vec![0u8; len];
+        let mut cur = twin.clone();
+        cur[bytes].fill(1);
+        (twin, cur)
+    }
+
+    #[test]
+    fn a_run_crosses_a_mask_word() {
+        let (twin, cur) = edited(4096, 252..260); // words 63 and 64
+        let d = check(&twin, &cur);
+        assert_eq!(d.runs().collect::<Vec<_>>(), [(252, &cur[252..260])]);
+    }
+
+    #[test]
+    fn a_run_ends_exactly_at_a_mask_word() {
+        let (twin, cur) = edited(4096, 200..256); // ends at word 64
+        let d = check(&twin, &cur);
+        assert_eq!((d.run_count(), d.extent()), (1, 256));
+        // ...and one that picks up again right after it is a second run.
+        let (twin, mut cur) = edited(4096, 200..256);
+        cur[260] = 1;
+        assert_eq!(check(&twin, &cur).run_count(), 2);
+    }
+
+    #[test]
+    fn the_whole_page_is_one_run() {
+        for len in [4096, 4097, 4099] {
+            let (twin, cur) = edited(len, 0..len);
+            let d = check(&twin, &cur);
+            assert_eq!((d.run_count(), d.payload_bytes()), (1, len));
+        }
+    }
+
+    /// A page whose length is a multiple of 256 bytes ends on a mask-word
+    /// boundary: the run still open there is closed by the page end.
+    #[test]
+    fn a_run_open_at_the_page_end_is_closed() {
+        for len in [256, 4096, 8192] {
+            let (twin, cur) = edited(len, len - 12..len);
+            let d = check(&twin, &cur);
+            assert_eq!((d.run_count(), d.extent()), (1, len));
+        }
+    }
+
+    #[test]
+    fn a_partial_last_word_changes_around_a_page() {
+        for len in 4093..=4097 {
+            for at in [len - 1, len - 5] {
+                let (twin, cur) = edited(len, at..at + 1);
+                let d = check(&twin, &cur);
+                assert_eq!(d.extent(), (at / WORD * WORD + WORD).min(len));
+            }
+        }
+    }
+
     #[test]
     fn all_zero_scan() {
         assert!(is_all_zero(&[]));
@@ -516,10 +601,11 @@ mod tests {
     }
 
     proptest! {
-        /// The chunked scan and the scalar specification agree exactly —
-        /// same runs, same boundaries — for arbitrary lengths and edits.
+        /// The mask-driven create and the scalar specification agree
+        /// exactly — same runs, same boundaries — for arbitrary lengths and
+        /// edits.
         #[test]
-        fn chunked_equals_scalar(
+        fn mask_equals_scalar(
             twin in proptest::collection::vec(any::<u8>(), 1..600),
             flips in proptest::collection::vec((0usize..600, any::<u8>()), 0..48)
         ) {
@@ -529,6 +615,25 @@ mod tests {
                 cur[i] = v;
             }
             prop_assert_eq!(Diff::create(&twin, &cur), Diff::create_scalar(&twin, &cur));
+        }
+
+        /// The same on whole pages, one with a partial last word, edited
+        /// in runs long enough to cross mask words and reach the page end.
+        #[test]
+        fn mask_equals_scalar_on_pages(
+            tail in 0usize..2,
+            edits in proptest::collection::vec((0usize..4097, 1usize..600, any::<u8>()), 0..12)
+        ) {
+            let len = 4096 + tail;
+            let twin: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let mut cur = twin.clone();
+            for (start, run, v) in edits {
+                let start = start % len;
+                for b in &mut cur[start..(start + run).min(len)] {
+                    *b = b.wrapping_add(v | 1);
+                }
+            }
+            check(&twin, &cur);
         }
 
         /// The decoder accepts exactly the images whose runs are

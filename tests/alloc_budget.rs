@@ -80,11 +80,8 @@ fn alternating_page() -> (Vec<u8>, Vec<u8>) {
 #[test]
 fn a_512_run_diff_costs_a_constant_number_of_allocations() {
     let (twin, cur) = alternating_page();
-    // Warm the thread's buffer pool and size the writer up front: neither
-    // is a per-diff cost.
-    let d = Diff::create(&twin, &cur);
-    assert_eq!(d.run_count(), 512);
-    let mut w = WireWriter::with_capacity(2 * d.encoded_len());
+    // Size the writer up front: it is not a per-diff cost.
+    let mut w = WireWriter::with_capacity(2 * (2 + 512 * 8));
     let mut target = twin.clone();
 
     let (create, d) = allocs_during(|| Diff::create(&twin, &cur));
@@ -93,11 +90,16 @@ fn a_512_run_diff_costs_a_constant_number_of_allocations() {
     let (decode, back) = allocs_during(|| Diff::decode(&mut WireReader::new(w.as_slice())));
     let (apply, ()) = allocs_during(|| d.apply(&mut target));
 
+    assert_eq!(d.run_count(), 512);
     assert_eq!(back.as_ref(), Some(&d));
     assert_eq!(copy, d);
     assert_eq!(target, cur);
+    // The image is the one allocation; the change mask lives on the stack.
+    assert_eq!(
+        create, 1,
+        "create of a 512-run diff made {create} heap allocations"
+    );
     for (op, n) in [
-        ("create", create),
         ("clone", clone),
         ("encode", encode),
         ("decode", decode),
