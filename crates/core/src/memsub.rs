@@ -175,11 +175,10 @@ impl Substrate for MemSubstrate {
         AsyncScheme::Interrupt { cost: Ns::ZERO }
     }
 
-    fn send_request(&mut self, to: usize, data: &[u8]) -> bool {
+    fn send_request(&mut self, to: usize, data: &[u8]) {
         self.clock.borrow_mut().advance(self.send_cost);
         let now = self.clock.borrow().now();
         self.send(to, Chan::Request, data, now);
-        true
     }
 
     fn send_request_at(&mut self, to: usize, data: &[u8], at: Ns) {

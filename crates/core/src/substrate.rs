@@ -80,11 +80,7 @@ pub trait Substrate {
     fn scheme(&self) -> AsyncScheme;
 
     /// Send an asynchronous request; charges the clock for the send path.
-    /// Returns `false` if the transport knows the request was lost on the
-    /// way out (UDP drop injection) — the requester can then time out in
-    /// virtual time without waiting for a response that will never come.
-    /// Reliable transports always return `true`.
-    fn send_request(&mut self, to: usize, data: &[u8]) -> bool;
+    fn send_request(&mut self, to: usize, data: &[u8]);
 
     /// Send a request from *inside a request handler* whose service window
     /// completed at virtual time `at` (lock-manager forwarding). Like
@@ -137,23 +133,17 @@ pub trait Substrate {
         self.wait(None, None).got()
     }
 
-    /// Initial retransmission timeout, if this transport needs DSM-level
-    /// reliability under the current fault plan. `None` (the default, and
-    /// the answer for every reliable transport and for lossless runs)
-    /// selects the legacy send-once path.
+    /// Initial retransmission timeout, if this transport can lose a message
+    /// under the current fault plan. `None` (the default, and the answer
+    /// for every reliable transport) builds no reliability state at all.
     fn retransmit_timeout(&self) -> Option<Ns> {
         None
     }
 
-    /// Can this substrate still observe `node`'s NIC on the fabric?
-    /// Liveness input to the retransmission budget: a timeout against an
-    /// observably *live* peer indicates clock skew between requester and
-    /// responder (e.g. a spinning consumer advancing its virtual clock
-    /// only ~600 ns per probe while the requester's backed-off deadlines
-    /// recede), not a lost peer, and therefore must not consume the
-    /// give-up budget. The default — in-memory and reliable transports,
-    /// which expose no liveness signal and never retransmit — reports
-    /// `true`.
+    /// Can this substrate still observe `node`'s NIC on the fabric? The
+    /// retransmission give-up budget counts only timeouts against a peer
+    /// that is not. The default — transports that never retransmit —
+    /// reports `true`.
     fn peer_alive(&self, _node: usize) -> bool {
         true
     }

@@ -27,11 +27,12 @@
 //!   Calls into rpc to fetch pages and diffs.
 //! * `rpc` — request/response plumbing: rid allocation, the blocking
 //!   `rpc` discipline (serve-while-waiting, [`Tmk::compute`] included),
-//!   retransmission timers, the
-//!   replay records (a slot per requester for its open acquire and its
-//!   open barrier arrival, a FIFO for idempotent fetches), the `serve`
-//!   dispatcher, the reply path every handler's frame leaves through,
-//!   shutdown linger. The only layer that talks to the [`Substrate`].
+//!   the `serve` dispatcher, the reply path every handler's frame leaves
+//!   through, shutdown linger. With `reliable`, the only layer that talks
+//!   to the [`Substrate`].
+//! * `reliable` — built only on a lossy transport: per-rid retransmission
+//!   timers and the replay records (a slot per requester for its open
+//!   acquire and its open barrier arrival, a FIFO for idempotent fetches).
 //!
 //! This module holds what the layers share: the [`Tmk`] struct itself,
 //! its configuration, and the [`TmkEvent`] observability seam.
@@ -44,11 +45,13 @@ use crate::substrate::Substrate;
 use crate::vc::VectorClock;
 
 mod coherence;
+mod reliable;
 mod rpc;
 mod shmem;
 mod sync;
 
-use rpc::{OutstandingRpc, QueuedRequest, ReplayKey, ReplayRecords};
+use reliable::Reliable;
+use rpc::{OutstandingRpc, QueuedRequest};
 use shmem::RegionInfo;
 use sync::{BarrierEpisode, LockState};
 
@@ -217,12 +220,9 @@ pub struct Tmk<S: Substrate> {
     // rpc layer --------------------------------------------------------
     sub: S,
     next_rid: u32,
-    /// Responder-side duplicate suppression (lossy transports only; stays
-    /// empty — and cost-free — on reliable ones).
-    replay: ReplayRecords,
-    /// Key of the request currently being dispatched, for filing its
-    /// replay record at the response site. `None` on reliable transports.
-    serving: Option<ReplayKey>,
+    /// Retransmission and duplicate suppression: `Some` only on a
+    /// transport that can lose a message.
+    rel: Option<Reliable>,
     /// Issued-but-uncollected rpcs: the overlapped engine's pending-
     /// response table. Responses are matched against the whole set, so
     /// any number of rids can be in flight at once.
@@ -265,8 +265,9 @@ impl<S: Substrate> Tmk<S> {
         let n = sub.nprocs();
         let me = sub.my_id() as u16;
         let page_size = sub.params().dsm.page_size;
-        // A reliable transport never sees a duplicate and keeps no records.
-        let lossy_peers = if sub.retransmit_timeout().is_some() { n } else { 0 };
+        let rel = sub
+            .retransmit_timeout()
+            .map(|rto0| Reliable::new(rto0, sub.params().udp.rto_retries, n));
         assert!(
             page_size.is_multiple_of(8) && page_size <= u16::MAX as usize,
             "page size {page_size}: typed accessors need whole f64s per page, diffs u16 offsets"
@@ -288,8 +289,7 @@ impl<S: Substrate> Tmk<S> {
             next_rid: 1,
             cfg,
             page_size,
-            replay: ReplayRecords::new(lossy_peers),
-            serving: None,
+            rel,
             outstanding: Vec::new(),
             serve_q: Vec::new(),
             event_hook: None,

@@ -1,0 +1,455 @@
+//! DSM-level reliability, which GM gives FAST/GM for free and UDP makes
+//! TreadMarks carry itself. [`Tmk::new`] asks the substrate for its
+//! [`retransmit_timeout`](Substrate::retransmit_timeout) once and builds a
+//! [`Reliable`] only when there is one: the backoff and give-up rule of
+//! each issued rpc's [`Resend`] timer, and the responder's
+//! [`ReplayRecords`]. A reliable transport builds none of this.
+
+use std::cmp::Ordering;
+use std::collections::VecDeque;
+
+use tm_sim::Ns;
+
+use super::{Tmk, TmkEvent};
+use crate::protocol::Request;
+use crate::substrate::{Chan, Substrate};
+
+/// The lossy-transport state of one node: `Some` in [`Tmk`] exactly when
+/// the substrate can lose a message.
+#[derive(Debug)]
+pub(super) struct Reliable {
+    /// Initial retransmission timeout.
+    rto0: Ns,
+    /// Backoff ceiling, `rto0 << give_up`.
+    rto_ceiling: Ns,
+    /// Silent retransmissions of one rid before the node gives up.
+    give_up: u32,
+    /// Responder-side duplicate suppression.
+    replay: ReplayRecords,
+    /// Key of the request currently being dispatched, for filing its
+    /// replay record at the response site.
+    serving: Option<ReplayKey>,
+}
+
+impl Reliable {
+    /// Reliability for an `n`-node cluster whose first timeout is `rto0`
+    /// and whose give-up budget is `give_up` silent retransmissions.
+    pub(super) fn new(rto0: Ns, give_up: u32, n: usize) -> Self {
+        Reliable {
+            rto0,
+            rto_ceiling: rto0 * (1u64 << give_up.min(20)),
+            give_up,
+            replay: ReplayRecords::new(n),
+            serving: None,
+        }
+    }
+
+    /// The timer of a request issued at `now`, retaining its `frame`.
+    pub(super) fn resend(&self, frame: Vec<u8>, now: Ns) -> Resend {
+        Resend {
+            frame,
+            rto: self.rto0,
+            deadline: now + self.rto0,
+            attempts: 0,
+            silent: 0,
+        }
+    }
+
+    /// Start serving `from`'s request `rid`: the recorded action if it is
+    /// a duplicate, else `None` with the request's key held for
+    /// [`Self::settle`].
+    pub(super) fn admit(&mut self, from: usize, rid: u32, req: &Request) -> Option<ReplayAction> {
+        let key = ReplayKey::of(from, rid, req);
+        let seen = self.replay.lookup(key);
+        self.serving = seen.is_none().then_some(key);
+        seen
+    }
+
+    /// Record `action()` for the request being served, if it has no record
+    /// yet (none while replaying, or once a handler has answered).
+    pub(super) fn settle(&mut self, action: impl FnOnce() -> ReplayAction) {
+        if let Some(key) = self.serving.take() {
+            self.replay.remember(key, action());
+        }
+    }
+
+    /// Upgrade requester `to`'s slot of `class` to the answer sent out of
+    /// band, so a duplicate of the request replays it.
+    pub(super) fn answered(&mut self, class: Class, to: usize, rid: u32, bytes: &[u8]) {
+        let sent = ReplayAction::Sent { chan: Chan::Response, to, bytes: bytes.to_vec() };
+        self.replay.remember(ReplayKey::Slot(class, to, rid), sent);
+    }
+
+    /// End of a dispatch: handlers that responded already settled the
+    /// key; anything left would mis-attribute a later response.
+    pub(super) fn served(&mut self) {
+        self.serving = None;
+    }
+
+    #[cfg(test)]
+    pub(super) fn requesters(&self) -> usize {
+        self.replay.slots.len()
+    }
+}
+
+/// The retransmission timer of one issued rpc (lossy transports only).
+#[derive(Debug)]
+pub(super) struct Resend {
+    /// The encoded request, kept for retransmission.
+    pub(super) frame: Vec<u8>,
+    /// Current (backed-off) retransmission timeout.
+    rto: Ns,
+    /// Virtual-time deadline of the next retransmission.
+    deadline: Ns,
+    attempts: u32,
+    /// Retransmissions fired while the peer was *not* observably alive on
+    /// the fabric: only these count against the give-up budget.
+    silent: u32,
+}
+
+/// What to do when a duplicate of an already-seen request arrives
+/// (lossy transports retransmit; handlers must stay idempotent).
+#[derive(Debug, Clone)]
+pub(super) enum ReplayAction {
+    /// Nothing to send. The original is still queued (lock wait, barrier
+    /// wait) and its grant/release goes out through the normal path, which
+    /// upgrades this record to `Sent` — or the requester has since issued
+    /// a later request of the same class, so it holds the answer already.
+    Pending,
+    /// We put these bytes on `chan` for `to`: send them again. On
+    /// [`Chan::Response`] they answered the request (the original answer
+    /// may be the loss that triggered the retransmit); on
+    /// [`Chan::Request`] they forwarded it (lock manager → owner), and the
+    /// identical frame carries the same forwarded rid, so dedup chains
+    /// compose.
+    Sent { chan: Chan, to: usize, bytes: Vec<u8> },
+}
+
+/// The two requests a node blocks on. It has at most one of each open —
+/// one acquire, one barrier arrival — which is what makes a slot per
+/// requester per class an exact record.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Class {
+    Acquire,
+    Barrier,
+}
+
+/// Where the replay record of a request lives.
+#[derive(Debug, Clone, Copy)]
+enum ReplayKey {
+    /// A blocking request — serving it changes lock or barrier state, so
+    /// it is served at most once: `requester`'s slot of `class`, holding
+    /// the request's rid *in the requester's rid space*. A forwarded
+    /// acquire names its requester and original rid on the wire, so the
+    /// manager's and the owner's records of one acquire carry one key.
+    Slot(Class, usize, u32),
+    /// An idempotent fetch or notice (`Diff`, `MultiDiff`, `Page`,
+    /// `NoticeRelease`): `(from, rid)` in the bounded data FIFO.
+    Data(usize, u32),
+}
+
+impl ReplayKey {
+    /// Classify a decoded request that `from` sent under `rid`.
+    fn of(from: usize, rid: u32, req: &Request) -> ReplayKey {
+        match *req {
+            Request::Acquire { .. } => ReplayKey::Slot(Class::Acquire, from, rid),
+            Request::AcquireFwd { requester, rid, .. } => {
+                ReplayKey::Slot(Class::Acquire, requester as usize, rid)
+            }
+            Request::BarrierArrive { .. } | Request::BarrierTreeArrive { .. } => {
+                ReplayKey::Slot(Class::Barrier, from, rid)
+            }
+            Request::Diff { .. }
+            | Request::MultiDiff { .. }
+            | Request::Page { .. }
+            | Request::NoticeRelease { .. } => ReplayKey::Data(from, rid),
+        }
+    }
+}
+
+/// Data-FIFO depth. Not a correctness parameter: a record evicted before
+/// its duplicate arrives costs re-running an idempotent handler (a
+/// re-encode at handler cost instead of a replay at dispatch cost) and
+/// nothing else. Kept at the depth the goldens' virtual times were
+/// recorded under.
+pub(super) const DATA_FIFO_CAP: usize = 128;
+
+/// Responder-side duplicate suppression.
+///
+/// A blocking request's record is its requester's slot
+/// ([`ReplayKey::Slot`]): no capacity, no scan, and nothing but the same
+/// requester's *next* request of the same class displaces it — by which
+/// time the requester holds the answer. Against a slot, an equal rid is a
+/// duplicate to replay, a smaller one a late duplicate of a completed
+/// request (swallowed, never re-executed: re-running it would queue a
+/// waiter nobody is behind), a larger one new. Idempotent requests share a
+/// FIFO of the responses sent.
+#[derive(Debug)]
+struct ReplayRecords {
+    /// `slots[requester][class]`: rid and action of that requester's
+    /// latest blocking request of that class to reach this node.
+    slots: Vec<[Option<(u32, ReplayAction)>; 2]>,
+    /// `(from, rid, the response sent)`, oldest first.
+    data: VecDeque<(usize, u32, ReplayAction)>,
+}
+
+impl ReplayRecords {
+    /// Records for requests from `n` nodes.
+    fn new(n: usize) -> Self {
+        ReplayRecords {
+            slots: vec![[None, None]; n],
+            data: VecDeque::new(),
+        }
+    }
+
+    /// The recorded action for `key`, if the request was seen.
+    fn lookup(&self, key: ReplayKey) -> Option<ReplayAction> {
+        match key {
+            ReplayKey::Slot(class, requester, rid) => {
+                let (seen, action) = self.slots[requester][class as usize].as_ref()?;
+                match rid.cmp(seen) {
+                    Ordering::Equal => Some(action.clone()),
+                    Ordering::Less => Some(ReplayAction::Pending),
+                    Ordering::Greater => None,
+                }
+            }
+            ReplayKey::Data(from, rid) => self
+                .data
+                .iter()
+                .find(|e| e.0 == from && e.1 == rid)
+                .map(|e| e.2.clone()),
+        }
+    }
+
+    /// Record the action taken for `key`. A slot is written by its
+    /// request's first copy and upgraded by its answer; a data record is
+    /// written once (a found record is replayed, not re-served), evicting
+    /// the oldest at capacity.
+    fn remember(&mut self, key: ReplayKey, action: ReplayAction) {
+        match key {
+            ReplayKey::Slot(class, requester, rid) => {
+                let slot = &mut self.slots[requester][class as usize];
+                debug_assert!(
+                    slot.as_ref().is_none_or(|(seen, _)| *seen <= rid),
+                    "node {requester}'s {class:?} slot moved backwards to rid {rid}"
+                );
+                *slot = Some((rid, action));
+            }
+            ReplayKey::Data(from, rid) => {
+                if self.data.len() >= DATA_FIFO_CAP {
+                    self.data.pop_front();
+                }
+                self.data.push_back((from, rid, action));
+            }
+        }
+    }
+}
+
+impl<S: Substrate> Tmk<S> {
+    /// If the request being served hasn't recorded an action yet, record
+    /// it as pending (response comes later — queued lock grant, barrier
+    /// release). A retransmission arriving meanwhile is then recognized
+    /// and suppressed instead of re-queued.
+    pub(super) fn note_pending(&mut self) {
+        if let Some(rel) = self.rel.as_mut() {
+            rel.settle(|| ReplayAction::Pending);
+        }
+    }
+
+    /// A retransmitted request matched its replay record: re-emit the
+    /// recorded effect without re-running the handler. Pending records
+    /// (response still owed, or long since received) are swallowed — the
+    /// eventual grant/release answers the original rid.
+    pub(super) fn replay_duplicate(&mut self, action: ReplayAction, arrival: Ns) {
+        self.clock().borrow_mut().stats.dup_requests_suppressed += 1;
+        let cost = self.sub.params().dsm.handler_dispatch;
+        match action {
+            ReplayAction::Pending => {
+                self.charge_service(arrival, cost);
+            }
+            ReplayAction::Sent { chan, to, bytes } => {
+                self.send_in_window(chan, to, &bytes, arrival, cost)
+            }
+        }
+    }
+
+    /// Earliest retransmission deadline over unanswered slots.
+    pub(super) fn nearest_deadline(&self) -> Option<Ns> {
+        self.outstanding
+            .iter()
+            .filter(|o| o.response.is_none())
+            .filter_map(|o| o.resend.as_ref().map(|r| r.deadline))
+            .min()
+    }
+
+    /// Retransmit every unanswered slot whose deadline has passed.
+    pub(super) fn retransmit_due(&mut self) {
+        let now = self.clock().borrow().now();
+        self.retransmit_where(|r, _| r.deadline <= now);
+    }
+
+    /// Retransmit every unanswered slot addressed to `to` (its response
+    /// was observed lost — no point sitting out the rest of the timer).
+    pub(super) fn retransmit_to(&mut self, to: usize) {
+        self.retransmit_where(|_, peer| peer == to);
+    }
+
+    /// Fire one retransmission for every unanswered slot whose timer and
+    /// destination match `pred`.
+    ///
+    /// An expired timer counts against the give-up budget only when the
+    /// peer is *not* alive on the fabric. Against a live peer the timeout
+    /// is clock skew, not loss: a spinning consumer advances its virtual
+    /// clock only ~600 ns per probe, so our backed-off deadlines recede
+    /// faster than its clock. For the same reason the backoff stops at the
+    /// ceiling — unbounded doubling would let one skew-induced timeout push
+    /// the next deadline past the end of the run.
+    fn retransmit_where(&mut self, pred: impl Fn(&Resend, usize) -> bool) {
+        let Some(rel) = self.rel.as_ref() else { return };
+        let (cap, ceiling) = (rel.give_up, rel.rto_ceiling);
+        for i in 0..self.outstanding.len() {
+            let o = &mut self.outstanding[i];
+            let (rid, to) = (o.rid, o.to);
+            let Some(mut r) = o.resend.take_if(|r| o.response.is_none() && pred(r, to)) else {
+                continue;
+            };
+            r.attempts += 1;
+            if !self.sub.peer_alive(to) {
+                r.silent += 1;
+                assert!(
+                    r.silent <= cap,
+                    "node {}: rid {rid} to {to}: gave up after {cap} silent retransmissions \
+                     ({} total)",
+                    self.me,
+                    r.attempts
+                );
+            }
+            self.clock().borrow_mut().stats.retransmits += 1;
+            self.emit(TmkEvent::RetransmitFired { rid, attempt: r.attempts });
+            self.sub.send_request(to, &r.frame);
+            let now = self.clock().borrow().now();
+            r.rto = (r.rto * 2).min(ceiling);
+            r.deadline = now + r.rto;
+            self.outstanding[i].resend = Some(r);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn respond(to: usize, b: &[u8]) -> ReplayAction {
+        ReplayAction::Sent {
+            chan: Chan::Response,
+            to,
+            bytes: b.to_vec(),
+        }
+    }
+
+    fn acquire(requester: usize, rid: u32) -> ReplayKey {
+        ReplayKey::Slot(Class::Acquire, requester, rid)
+    }
+
+    #[test]
+    fn remember_then_lookup() {
+        let mut c = ReplayRecords::new(8);
+        assert!(c.lookup(ReplayKey::Data(3, 7)).is_none());
+        c.remember(ReplayKey::Data(3, 7), respond(3, b"page"));
+        assert!(c.lookup(ReplayKey::Data(3, 7)).is_some());
+        // Same rid from a different node is a different request.
+        assert!(c.lookup(ReplayKey::Data(4, 7)).is_none());
+        // A requester's acquire and its barrier arrival are different slots.
+        c.remember(acquire(3, 7), ReplayAction::Pending);
+        assert!(c.lookup(ReplayKey::Slot(Class::Barrier, 3, 7)).is_none());
+    }
+
+    #[test]
+    fn upgrade_in_place_pending_to_respond() {
+        // A queued lock acquire is Pending until the grant goes out; the
+        // upgrade replaces the record.
+        let mut c = ReplayRecords::new(8);
+        c.remember(acquire(2, 11), ReplayAction::Pending);
+        assert!(matches!(c.lookup(acquire(2, 11)), Some(ReplayAction::Pending)));
+        c.remember(acquire(2, 11), respond(2, b"grant"));
+        match c.lookup(acquire(2, 11)) {
+            Some(ReplayAction::Sent { to, bytes, .. }) => {
+                assert_eq!(to, 2);
+                assert_eq!(bytes, b"grant");
+            }
+            other => panic!("expected Sent, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_slot_orders_its_requesters_rids() {
+        let mut c = ReplayRecords::new(8);
+        c.remember(acquire(2, 11), respond(2, b"grant"));
+        // The requester's next acquire is new — and once recorded, a late
+        // copy of the completed one is swallowed, never new again.
+        assert!(c.lookup(acquire(2, 12)).is_none());
+        c.remember(acquire(2, 12), ReplayAction::Pending);
+        assert!(matches!(c.lookup(acquire(2, 11)), Some(ReplayAction::Pending)));
+        assert!(c.lookup(acquire(2, 13)).is_none());
+    }
+
+    #[test]
+    fn fifo_eviction_at_capacity() {
+        let mut c = ReplayRecords::new(8);
+        for rid in 0..DATA_FIFO_CAP as u32 {
+            c.remember(ReplayKey::Data(1, rid), respond(1, b"d"));
+        }
+        assert_eq!(c.data.len(), DATA_FIFO_CAP);
+        assert!(c.lookup(ReplayKey::Data(1, 0)).is_some());
+        // One more evicts the oldest, and only the oldest.
+        c.remember(ReplayKey::Data(1, DATA_FIFO_CAP as u32), respond(1, b"d"));
+        assert_eq!(c.data.len(), DATA_FIFO_CAP);
+        assert!(c.lookup(ReplayKey::Data(1, 0)).is_none());
+        assert!(c.lookup(ReplayKey::Data(1, 1)).is_some());
+        assert!(c.lookup(ReplayKey::Data(1, DATA_FIFO_CAP as u32)).is_some());
+    }
+
+    #[test]
+    fn upgrade_does_not_evict() {
+        // A slot upgrade with the FIFO at capacity pushes nothing out, and
+        // no amount of data traffic pushes a slot out.
+        let mut c = ReplayRecords::new(8);
+        c.remember(acquire(1, 5), ReplayAction::Pending);
+        for rid in 6..6 + 2 * DATA_FIFO_CAP as u32 {
+            c.remember(ReplayKey::Data(1, rid), respond(1, b"d"));
+        }
+        c.remember(acquire(1, 5), respond(1, b"late-grant"));
+        assert_eq!(c.data.len(), DATA_FIFO_CAP);
+        assert!(c.lookup(ReplayKey::Data(1, 6 + DATA_FIFO_CAP as u32)).is_some());
+        assert!(matches!(
+            c.lookup(acquire(1, 5)),
+            Some(ReplayAction::Sent { .. })
+        ));
+    }
+
+    #[test]
+    fn forwarded_grant_keyed_on_forward_identity() {
+        // A forwarded acquire names its requester and original rid, and
+        // that — not the `(manager, fwd_rid)` envelope it travels in — is
+        // its identity at the owner: the grant is recorded under it, so a
+        // re-forwarded `AcquireFwd` finds the grant, whatever envelope the
+        // manager sends it in.
+        let (manager, requester, rid) = (0usize, 2usize, 42u32);
+        let fwd = Request::AcquireFwd {
+            lock: 0,
+            requester: requester as u16,
+            rid,
+            vc: crate::vc::VectorClock::new(3),
+        };
+        let mut c = ReplayRecords::new(3);
+        let key = ReplayKey::of(manager, 900, &fwd);
+        c.remember(key, ReplayAction::Pending);
+        c.remember(key, respond(requester, b"grant-bytes"));
+        match c.lookup(ReplayKey::of(manager, 901, &fwd)) {
+            Some(ReplayAction::Sent { to, .. }) => assert_eq!(to, requester),
+            other => panic!("expected the grant to the requester, got {other:?}"),
+        }
+        // Nothing was filed under the manager.
+        assert!(c.lookup(acquire(manager, 900)).is_none());
+    }
+}

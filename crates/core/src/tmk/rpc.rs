@@ -6,25 +6,21 @@
 //! responses against the whole outstanding-rid set, and defers incoming
 //! requests to an async serve queue drained in virtual-arrival order
 //! (the TreadMarks SIGIO discipline, minus the re-entrant dispatch) —
-//! DSM-level reliability on lossy transports (per-rid virtual-time
-//! retransmission timers with exponential backoff, the responder's
-//! [`ReplayRecords`] — a slot per requester for its one open acquire and
-//! its one open barrier arrival, a bounded FIFO for idempotent fetches —
-//! stale-response discard keyed on the outstanding set), the `serve`
-//! dispatcher that fans incoming requests out to the coherence and sync
-//! layers, the reply path every frame a handler emits leaves through
-//! ([`Tmk::send_in_window`], [`Tmk::respond_now`]), and the shutdown
-//! linger. This is the only layer that talks to the [`Substrate`]; of
-//! protocol payloads it looks at the request/response envelope, at which
+//! the `serve` dispatcher that fans incoming requests out to the
+//! coherence and sync layers, the reply path every frame a handler emits
+//! leaves through ([`Tmk::send_in_window`], [`Tmk::respond_now`]), and the
+//! shutdown linger. On a lossy transport each of these consults the
+//! node's `reliable` state (timers, replay records) at one point. This and
+//! `reliable` are the only layers that talk to the [`Substrate`]; of
+//! protocol payloads rpc looks at the request/response envelope, at which
 //! requests block their sender, and at whether a decoded response fits
 //! this node's page size, nothing else.
 
-use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use tm_sim::{Ns, Wait};
 
+use super::reliable::{Class, ReplayAction, Resend};
 use super::{Tmk, TmkEvent};
 use crate::protocol::{Request, Response};
 use crate::substrate::{Chan, IncomingMsg, Substrate};
@@ -37,30 +33,14 @@ use crate::wire::{pool, WireWriter};
 /// (`response` filled by the collector's absorb loop, possibly while
 /// collecting a different rid) → *collected* (slot removed, frame
 /// returned to the pool). On lossy transports an issued slot also cycles
-/// through *retransmitting* whenever its per-rid deadline passes.
+/// through *retransmitting* whenever its `resend` deadline passes.
 #[derive(Debug)]
 pub(super) struct OutstandingRpc {
-    rid: u32,
-    to: usize,
-    /// The encoded request, kept for retransmission. Empty on reliable
-    /// transports (they never resend).
-    frame: Vec<u8>,
-    /// Current (backed-off) retransmission timeout. Unused on reliable
-    /// transports.
-    rto: Ns,
-    /// Virtual-time deadline of the next retransmission. When the
-    /// transport reports the send dropped on the way out, this deadline
-    /// is simply the earliest useful resend time — the collect loop's
-    /// bounded wait covers both cases.
-    deadline: Ns,
-    attempts: u32,
-    /// Retransmissions fired while the peer was *not* observably alive on
-    /// the fabric. Only these count against the give-up budget: a timeout
-    /// against a live peer is clock skew (a spinning consumer advances
-    /// its virtual clock only ~600 ns per probe while our backed-off
-    /// deadlines recede), not evidence of loss.
-    silent: u32,
-    response: Option<Response>,
+    pub(super) rid: u32,
+    pub(super) to: usize,
+    pub(super) response: Option<Response>,
+    /// The retransmission timer; `None` on reliable transports.
+    pub(super) resend: Option<Resend>,
 }
 
 /// A request deferred to the async serve queue: received mid-collect and
@@ -70,145 +50,6 @@ pub(super) struct QueuedRequest {
     from: usize,
     data: Vec<u8>,
     arrival: Ns,
-}
-
-/// What to do when a duplicate of an already-seen request arrives
-/// (lossy transports retransmit; handlers must stay idempotent).
-#[derive(Debug, Clone)]
-pub(super) enum ReplayAction {
-    /// Nothing to send. The original is still queued (lock wait, barrier
-    /// wait) and its grant/release goes out through the normal path, which
-    /// upgrades this record to `Sent` — or the requester has since issued
-    /// a later request of the same class, so it holds the answer already.
-    Pending,
-    /// We put these bytes on `chan` for `to`: send them again. On
-    /// [`Chan::Response`] they answered the request (the original answer
-    /// may be the loss that triggered the retransmit); on
-    /// [`Chan::Request`] they forwarded it (lock manager → owner), and the
-    /// identical frame carries the same forwarded rid, so dedup chains
-    /// compose.
-    Sent { chan: Chan, to: usize, bytes: Vec<u8> },
-}
-
-/// The two requests a node blocks on. It has at most one of each open —
-/// one acquire, one barrier arrival — which is what makes a slot per
-/// requester per class an exact record.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum Class {
-    Acquire,
-    Barrier,
-}
-
-/// Where the replay record of a request lives.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum ReplayKey {
-    /// A blocking request — serving it changes lock or barrier state, so
-    /// it is served at most once: `requester`'s slot of `class`, holding
-    /// the request's rid *in the requester's rid space*. A forwarded
-    /// acquire names its requester and original rid on the wire, so the
-    /// manager's and the owner's records of one acquire carry one key.
-    Slot(Class, usize, u32),
-    /// An idempotent fetch or notice (`Diff`, `MultiDiff`, `Page`,
-    /// `NoticeRelease`): `(from, rid)` in the bounded data FIFO.
-    Data(usize, u32),
-}
-
-impl ReplayKey {
-    /// Classify a decoded request that `from` sent under `rid`.
-    fn of(from: usize, rid: u32, req: &Request) -> ReplayKey {
-        match *req {
-            Request::Acquire { .. } => ReplayKey::Slot(Class::Acquire, from, rid),
-            Request::AcquireFwd { requester, rid, .. } => {
-                ReplayKey::Slot(Class::Acquire, requester as usize, rid)
-            }
-            Request::BarrierArrive { .. } | Request::BarrierTreeArrive { .. } => {
-                ReplayKey::Slot(Class::Barrier, from, rid)
-            }
-            Request::Diff { .. }
-            | Request::MultiDiff { .. }
-            | Request::Page { .. }
-            | Request::NoticeRelease { .. } => ReplayKey::Data(from, rid),
-        }
-    }
-}
-
-/// Data-FIFO depth. Not a correctness parameter: a record evicted before
-/// its duplicate arrives costs re-running an idempotent handler (a
-/// re-encode at handler cost instead of a replay at dispatch cost) and
-/// nothing else. Kept at the depth the goldens' virtual times were
-/// recorded under.
-pub(super) const DATA_FIFO_CAP: usize = 128;
-
-/// Responder-side duplicate suppression (lossy transports only; stays
-/// empty — and cost-free — on reliable ones).
-///
-/// A blocking request's record is its requester's slot
-/// ([`ReplayKey::Slot`]): no capacity, no scan, and nothing but the same
-/// requester's *next* request of the same class displaces it — by which
-/// time the requester holds the answer. Against a slot, an equal rid is a
-/// duplicate to replay, a smaller one a late duplicate of a completed
-/// request (swallowed, never re-executed: re-running it would queue a
-/// waiter nobody is behind), a larger one new. Idempotent requests share a
-/// FIFO of the responses sent.
-#[derive(Debug)]
-pub(super) struct ReplayRecords {
-    /// `slots[requester][class]`: rid and action of that requester's
-    /// latest blocking request of that class to reach this node.
-    slots: Vec<[Option<(u32, ReplayAction)>; 2]>,
-    /// `(from, rid, the response sent)`, oldest first.
-    data: VecDeque<(usize, u32, ReplayAction)>,
-}
-
-impl ReplayRecords {
-    /// Records for requests from `n` nodes.
-    pub(super) fn new(n: usize) -> Self {
-        ReplayRecords {
-            slots: vec![[None, None]; n],
-            data: VecDeque::new(),
-        }
-    }
-
-    /// The recorded action for `key`, if the request was seen.
-    pub(super) fn lookup(&self, key: ReplayKey) -> Option<ReplayAction> {
-        match key {
-            ReplayKey::Slot(class, requester, rid) => {
-                let (seen, action) = self.slots[requester][class as usize].as_ref()?;
-                match rid.cmp(seen) {
-                    Ordering::Equal => Some(action.clone()),
-                    Ordering::Less => Some(ReplayAction::Pending),
-                    Ordering::Greater => None,
-                }
-            }
-            ReplayKey::Data(from, rid) => self
-                .data
-                .iter()
-                .find(|e| e.0 == from && e.1 == rid)
-                .map(|e| e.2.clone()),
-        }
-    }
-
-    /// Record the action taken for `key`. A slot is written by its
-    /// request's first copy and upgraded by its answer; a data record is
-    /// written once (a found record is replayed, not re-served), evicting
-    /// the oldest at capacity.
-    pub(super) fn remember(&mut self, key: ReplayKey, action: ReplayAction) {
-        match key {
-            ReplayKey::Slot(class, requester, rid) => {
-                let slot = &mut self.slots[requester][class as usize];
-                debug_assert!(
-                    slot.as_ref().is_none_or(|(seen, _)| *seen <= rid),
-                    "node {requester}'s {class:?} slot moved backwards to rid {rid}"
-                );
-                *slot = Some((rid, action));
-            }
-            ReplayKey::Data(from, rid) => {
-                if self.data.len() >= DATA_FIFO_CAP {
-                    self.data.pop_front();
-                }
-                self.data.push_back((from, rid, action));
-            }
-        }
-    }
 }
 
 impl<S: Substrate> Tmk<S> {
@@ -227,16 +68,14 @@ impl<S: Substrate> Tmk<S> {
             self.clock().borrow_mut().stats.malformed_dropped += 1;
             return;
         };
-        if self.sub.retransmit_timeout().is_some() {
-            let key = ReplayKey::of(from, rid, &req);
-            if let Some(action) = self.replay.lookup(key) {
+        if let Some(rel) = self.rel.as_mut() {
+            if let Some(action) = rel.admit(from, rid, &req) {
                 // A retransmission of a request we already handled (or
                 // still hold queued): replay the recorded action instead
                 // of re-running the (state-mutating) handler.
                 self.replay_duplicate(action, arrival);
                 return;
             }
-            self.serving = Some(key);
         }
         let cost = self.sub.params().dsm.handler_dispatch;
         match req {
@@ -290,37 +129,8 @@ impl<S: Substrate> Tmk<S> {
             } => self.serve_notice_release(from, rid, barrier, tree, reply_rid, vc, records, arrival, cost),
         }
         self.emit(TmkEvent::RequestServed { from, rid });
-        // Handlers that responded already cleared this via the remember
-        // hooks; anything left would mis-attribute a later response.
-        self.serving = None;
-    }
-
-    // ----- duplicate-request suppression ------------------------------------
-
-    /// If the request being served hasn't recorded an action yet, record
-    /// it as pending (response comes later — queued lock grant, barrier
-    /// release). A retransmission arriving meanwhile is then recognized
-    /// and suppressed instead of re-queued.
-    pub(super) fn note_pending(&mut self) {
-        if let Some(key) = self.serving.take() {
-            self.replay.remember(key, ReplayAction::Pending);
-        }
-    }
-
-    /// A retransmitted request matched its replay record: re-emit the
-    /// recorded effect without re-running the handler. Pending records
-    /// (response still owed, or long since received) are swallowed — the
-    /// eventual grant/release answers the original rid.
-    fn replay_duplicate(&mut self, action: ReplayAction, arrival: Ns) {
-        self.clock().borrow_mut().stats.dup_requests_suppressed += 1;
-        let cost = self.sub.params().dsm.handler_dispatch;
-        match action {
-            ReplayAction::Pending => {
-                self.charge_service(arrival, cost);
-            }
-            ReplayAction::Sent { chan, to, bytes } => {
-                self.send_in_window(chan, to, &bytes, arrival, cost)
-            }
+        if let Some(rel) = self.rel.as_mut() {
+            rel.served();
         }
     }
 
@@ -346,17 +156,22 @@ impl<S: Substrate> Tmk<S> {
     /// completion, and record the send for the request being served (none
     /// when this *is* a replay, or on a reliable transport, which pays no
     /// copy here).
-    fn send_in_window(&mut self, chan: Chan, to: usize, bytes: &[u8], arrival: Ns, cost: Ns) {
+    pub(super) fn send_in_window(
+        &mut self,
+        chan: Chan,
+        to: usize,
+        bytes: &[u8],
+        arrival: Ns,
+        cost: Ns,
+    ) {
         let cost = cost + self.sub.response_cost(bytes.len());
         let finish = self.charge_service(arrival, cost);
         match chan {
             Chan::Response => self.sub.send_response_at(to, bytes, finish),
             Chan::Request => self.sub.send_request_at(to, bytes, finish),
         }
-        if let Some(key) = self.serving.take() {
-            let bytes = bytes.to_vec();
-            self.replay
-                .remember(key, ReplayAction::Sent { chan, to, bytes });
+        if let Some(rel) = self.rel.as_mut() {
+            rel.settle(|| ReplayAction::Sent { chan, to, bytes: bytes.to_vec() });
         }
     }
 
@@ -379,14 +194,8 @@ impl<S: Substrate> Tmk<S> {
         self.clock().borrow_mut().advance(total);
         let now = self.clock().borrow().now();
         self.sub.send_response_at(requester, w.as_slice(), now);
-        if self.sub.retransmit_timeout().is_some() {
-            let sent = ReplayAction::Sent {
-                chan: Chan::Response,
-                to: requester,
-                bytes: w.as_slice().to_vec(),
-            };
-            self.replay
-                .remember(ReplayKey::Slot(class, requester, rid), sent);
+        if let Some(rel) = self.rel.as_mut() {
+            rel.answered(class, requester, rid, w.as_slice());
         }
         w.recycle();
     }
@@ -448,26 +257,14 @@ impl<S: Substrate> Tmk<S> {
     /// retransmission, on reliable ones it goes straight back to the pool.
     pub(super) fn rpc_issue_encoded(&mut self, to: usize, rid: u32, w: WireWriter) {
         self.sub.send_request(to, w.as_slice());
-        let (frame, rto, deadline) = match self.sub.retransmit_timeout() {
-            Some(rto0) => {
-                let now = self.clock().borrow().now();
-                (w.finish(), rto0, now + rto0)
-            }
+        let resend = match self.rel.as_ref() {
+            Some(rel) => Some(rel.resend(w.finish(), self.clock().borrow().now())),
             None => {
                 w.recycle();
-                (Vec::new(), Ns::ZERO, Ns::ZERO)
+                None
             }
         };
-        self.outstanding.push(OutstandingRpc {
-            rid,
-            to,
-            frame,
-            rto,
-            deadline,
-            attempts: 0,
-            silent: 0,
-            response: None,
-        });
+        self.outstanding.push(OutstandingRpc { rid, to, response: None, resend });
         let depth = self.outstanding.len() as u32;
         self.emit(TmkEvent::RpcIssued { rid, depth });
     }
@@ -538,10 +335,7 @@ impl<S: Substrate> Tmk<S> {
         if let Some(r) = ready(self) {
             return ControlFlow::Break(Some(r));
         }
-        let deadline = self
-            .sub
-            .retransmit_timeout()
-            .and_then(|_| self.nearest_deadline());
+        let deadline = self.rel.as_ref().and_then(|_| self.nearest_deadline());
         match self.sub.wait(deadline, watch) {
             Wait::Got(msg) => self.absorb(msg),
             Wait::Deadline => self.retransmit_due(),
@@ -582,14 +376,21 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Drop `rid`'s pending slot without a response (the peer exited;
-    /// the rpc is moot), recycling the retained retransmission frame.
+    /// the rpc is moot).
     pub(super) fn cancel_rpc(&mut self, rid: u32) {
         if let Some(i) = self.outstanding.iter().position(|o| o.rid == rid) {
-            let slot = self.outstanding.swap_remove(i);
-            if !slot.frame.is_empty() {
-                pool::give(slot.frame);
-            }
+            self.remove_slot(i);
         }
+    }
+
+    /// Remove slot `i`, returning its retained retransmission frame to the
+    /// pool, and hand back its response.
+    fn remove_slot(&mut self, i: usize) -> Option<Response> {
+        let slot = self.outstanding.swap_remove(i);
+        if let Some(r) = slot.resend {
+            pool::give(r.frame);
+        }
+        slot.response
     }
 
     /// File `resp` into the local outstanding slot for `rid`, as if it had
@@ -608,27 +409,13 @@ impl<S: Substrate> Tmk<S> {
         }
     }
 
-    /// Remove `rid`'s slot if its response has arrived, recycling the
-    /// retained retransmission frame.
+    /// Remove `rid`'s slot if its response has arrived.
     fn take_collected(&mut self, rid: u32) -> Option<Response> {
         let i = self
             .outstanding
             .iter()
             .position(|o| o.rid == rid && o.response.is_some())?;
-        let slot = self.outstanding.swap_remove(i);
-        if !slot.frame.is_empty() {
-            pool::give(slot.frame);
-        }
-        slot.response
-    }
-
-    /// Earliest retransmission deadline over unanswered slots.
-    fn nearest_deadline(&self) -> Option<Ns> {
-        self.outstanding
-            .iter()
-            .filter(|o| o.response.is_none())
-            .map(|o| o.deadline)
-            .min()
+        self.remove_slot(i)
     }
 
     /// Classify one delivered message: responses are matched against the
@@ -680,7 +467,7 @@ impl<S: Substrate> Tmk<S> {
     /// for rid A must never be mistaken for rid B's answer just because B
     /// is the one currently being collected.
     fn absorb_response(&mut self, msg: IncomingMsg) {
-        let lossy = self.sub.retransmit_timeout().is_some();
+        let lossy = self.rel.is_some();
         // Decoding validated every diff image; a diff reaching past our
         // page is as malformed as a truncated one and goes the same way.
         let decoded =
@@ -732,69 +519,6 @@ impl<S: Substrate> Tmk<S> {
         }
     }
 
-    /// Retransmit every unanswered slot whose deadline has passed.
-    fn retransmit_due(&mut self) {
-        let now = self.clock().borrow().now();
-        self.retransmit_where(|o| o.deadline <= now);
-    }
-
-    /// Retransmit every unanswered slot addressed to `to` (its response
-    /// was observed lost — no point sitting out the rest of the timer).
-    fn retransmit_to(&mut self, to: usize) {
-        self.retransmit_where(|o| o.to == to);
-    }
-
-    /// Fire one retransmission for every unanswered slot matching `pred`.
-    ///
-    /// The give-up budget is clamped to observable peer progress: an
-    /// expired timer only counts against `rto_retries` when the peer is
-    /// *not* alive on the fabric. Against a live peer the timeout is
-    /// requester/responder clock skew, not loss — a spinning consumer
-    /// advances its virtual clock only ~600 ns per probe, so the
-    /// requester's exponentially backed-off deadlines recede faster than
-    /// the peer's clock and a naive budget exhausts against a healthy
-    /// node. For the same reason the exponential backoff is capped at
-    /// `rto0 << rto_retries`: unbounded doubling would let a single
-    /// skew-induced timeout push the next deadline past the end of the
-    /// run.
-    fn retransmit_where(&mut self, pred: impl Fn(&OutstandingRpc) -> bool) {
-        let cap = self.sub.params().udp.rto_retries;
-        let rto_ceiling = self
-            .sub
-            .retransmit_timeout()
-            .map(|rto0| rto0 * (1u64 << cap.min(20)));
-        for i in 0..self.outstanding.len() {
-            if self.outstanding[i].response.is_some() || !pred(&self.outstanding[i]) {
-                continue;
-            }
-            let (rid, to) = (self.outstanding[i].rid, self.outstanding[i].to);
-            self.outstanding[i].attempts += 1;
-            let attempt = self.outstanding[i].attempts;
-            if !self.sub.peer_alive(to) {
-                self.outstanding[i].silent += 1;
-                let silent = self.outstanding[i].silent;
-                assert!(
-                    silent <= cap,
-                    "node {}: rid {rid} to {to}: gave up after {cap} silent retransmissions \
-                     ({attempt} total)",
-                    self.me
-                );
-            }
-            self.clock().borrow_mut().stats.retransmits += 1;
-            self.emit(TmkEvent::RetransmitFired { rid, attempt });
-            let frame = std::mem::take(&mut self.outstanding[i].frame);
-            self.sub.send_request(to, &frame);
-            let now = self.clock().borrow().now();
-            let slot = &mut self.outstanding[i];
-            slot.frame = frame;
-            slot.rto = slot.rto * 2;
-            if let Some(ceiling) = rto_ceiling {
-                slot.rto = slot.rto.min(ceiling);
-            }
-            slot.deadline = now + slot.rto;
-        }
-    }
-
     /// Service any requests that have already arrived (called at natural
     /// application boundaries that do not otherwise wait: a loop on a cached
     /// lock token never computes and never blocks).
@@ -818,124 +542,5 @@ impl<S: Substrate> Tmk<S> {
     /// the absorb step.
     pub(super) fn shutdown_linger(&mut self, watch: &[usize]) {
         while self.wait_step(Some(watch), |_| None::<()>).is_continue() {}
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn respond(to: usize, b: &[u8]) -> ReplayAction {
-        ReplayAction::Sent {
-            chan: Chan::Response,
-            to,
-            bytes: b.to_vec(),
-        }
-    }
-
-    fn acquire(requester: usize, rid: u32) -> ReplayKey {
-        ReplayKey::Slot(Class::Acquire, requester, rid)
-    }
-
-    #[test]
-    fn remember_then_lookup() {
-        let mut c = ReplayRecords::new(8);
-        assert!(c.lookup(ReplayKey::Data(3, 7)).is_none());
-        c.remember(ReplayKey::Data(3, 7), respond(3, b"page"));
-        assert!(c.lookup(ReplayKey::Data(3, 7)).is_some());
-        // Same rid from a different node is a different request.
-        assert!(c.lookup(ReplayKey::Data(4, 7)).is_none());
-        // A requester's acquire and its barrier arrival are different slots.
-        c.remember(acquire(3, 7), ReplayAction::Pending);
-        assert!(c.lookup(ReplayKey::Slot(Class::Barrier, 3, 7)).is_none());
-    }
-
-    #[test]
-    fn upgrade_in_place_pending_to_respond() {
-        // A queued lock acquire is Pending until the grant goes out; the
-        // upgrade replaces the record.
-        let mut c = ReplayRecords::new(8);
-        c.remember(acquire(2, 11), ReplayAction::Pending);
-        assert!(matches!(c.lookup(acquire(2, 11)), Some(ReplayAction::Pending)));
-        c.remember(acquire(2, 11), respond(2, b"grant"));
-        match c.lookup(acquire(2, 11)) {
-            Some(ReplayAction::Sent { to, bytes, .. }) => {
-                assert_eq!(to, 2);
-                assert_eq!(bytes, b"grant");
-            }
-            other => panic!("expected Sent, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn a_slot_orders_its_requesters_rids() {
-        let mut c = ReplayRecords::new(8);
-        c.remember(acquire(2, 11), respond(2, b"grant"));
-        // The requester's next acquire is new — and once recorded, a late
-        // copy of the completed one is swallowed, never new again.
-        assert!(c.lookup(acquire(2, 12)).is_none());
-        c.remember(acquire(2, 12), ReplayAction::Pending);
-        assert!(matches!(c.lookup(acquire(2, 11)), Some(ReplayAction::Pending)));
-        assert!(c.lookup(acquire(2, 13)).is_none());
-    }
-
-    #[test]
-    fn fifo_eviction_at_capacity() {
-        let mut c = ReplayRecords::new(8);
-        for rid in 0..DATA_FIFO_CAP as u32 {
-            c.remember(ReplayKey::Data(1, rid), respond(1, b"d"));
-        }
-        assert_eq!(c.data.len(), DATA_FIFO_CAP);
-        assert!(c.lookup(ReplayKey::Data(1, 0)).is_some());
-        // One more evicts the oldest, and only the oldest.
-        c.remember(ReplayKey::Data(1, DATA_FIFO_CAP as u32), respond(1, b"d"));
-        assert_eq!(c.data.len(), DATA_FIFO_CAP);
-        assert!(c.lookup(ReplayKey::Data(1, 0)).is_none());
-        assert!(c.lookup(ReplayKey::Data(1, 1)).is_some());
-        assert!(c.lookup(ReplayKey::Data(1, DATA_FIFO_CAP as u32)).is_some());
-    }
-
-    #[test]
-    fn upgrade_does_not_evict() {
-        // A slot upgrade with the FIFO at capacity pushes nothing out, and
-        // no amount of data traffic pushes a slot out.
-        let mut c = ReplayRecords::new(8);
-        c.remember(acquire(1, 5), ReplayAction::Pending);
-        for rid in 6..6 + 2 * DATA_FIFO_CAP as u32 {
-            c.remember(ReplayKey::Data(1, rid), respond(1, b"d"));
-        }
-        c.remember(acquire(1, 5), respond(1, b"late-grant"));
-        assert_eq!(c.data.len(), DATA_FIFO_CAP);
-        assert!(c.lookup(ReplayKey::Data(1, 6 + DATA_FIFO_CAP as u32)).is_some());
-        assert!(matches!(
-            c.lookup(acquire(1, 5)),
-            Some(ReplayAction::Sent { .. })
-        ));
-    }
-
-    #[test]
-    fn forwarded_grant_keyed_on_forward_identity() {
-        // A forwarded acquire names its requester and original rid, and
-        // that — not the `(manager, fwd_rid)` envelope it travels in — is
-        // its identity at the owner: the grant is recorded under it, so a
-        // re-forwarded `AcquireFwd` finds the grant, whatever envelope the
-        // manager sends it in.
-        let (manager, requester, rid) = (0usize, 2usize, 42u32);
-        let fwd = Request::AcquireFwd {
-            lock: 0,
-            requester: requester as u16,
-            rid,
-            vc: crate::vc::VectorClock::new(3),
-        };
-        let mut c = ReplayRecords::new(3);
-        let key = ReplayKey::of(manager, 900, &fwd);
-        c.remember(key, ReplayAction::Pending);
-        c.remember(key, respond(requester, b"grant-bytes"));
-        match c.lookup(ReplayKey::of(manager, 901, &fwd)) {
-            Some(ReplayAction::Sent { to, .. }) => assert_eq!(to, requester),
-            other => panic!("expected the grant to the requester, got {other:?}"),
-        }
-        // Nothing was filed under the manager.
-        assert!(c.lookup(acquire(manager, 900)).is_none());
     }
 }

@@ -26,7 +26,7 @@ use std::rc::Rc;
 
 use tm_sim::Ns;
 
-use super::rpc::Class;
+use super::reliable::Class;
 use super::{Tmk, TmkEvent};
 use crate::interval::IntervalRecord;
 use crate::protocol::{Request, Response};
@@ -719,7 +719,7 @@ impl<S: Substrate> Tmk<S> {
     /// deadlock against its own lingering ancestors).
     pub fn exit(&mut self) {
         self.barrier(u32::MAX);
-        if self.sub.retransmit_timeout().is_some() {
+        if self.rel.is_some() {
             let watch = self.tree_descendants();
             if !watch.is_empty() {
                 self.shutdown_linger(&watch);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use tm_sim::clock::shared_clock;
 use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
 
-use super::super::rpc::DATA_FIFO_CAP;
+use super::super::reliable::DATA_FIFO_CAP;
 use crate::memsub::{mem_cluster, MemSubstrate};
 use crate::protocol::{Request, Response};
 use crate::substrate::{Chan, IncomingMsg, Substrate};
@@ -40,7 +40,7 @@ impl Substrate for LossyMem {
     fn scheme(&self) -> AsyncScheme {
         self.0.scheme()
     }
-    fn send_request(&mut self, to: usize, data: &[u8]) -> bool {
+    fn send_request(&mut self, to: usize, data: &[u8]) {
         self.0.send_request(to, data)
     }
     fn send_request_at(&mut self, to: usize, data: &[u8], at: Ns) {
@@ -323,4 +323,29 @@ fn well_framed_diff_past_the_page_is_dropped_as_malformed() {
         other => panic!("expected Diffs, got {other:?}"),
     }
     assert_eq!(t0.clock().borrow().stats.malformed_dropped, 1);
+}
+
+/// A reliable transport builds no reliability: no replay records, and an
+/// issued rpc keeps no frame and arms no timer.
+#[test]
+fn a_reliable_transport_builds_no_resend_state() {
+    let params = Arc::new(SimParams::paper_testbed());
+    let mut eps = mem_cluster(2);
+    let e1 = eps.pop().unwrap();
+    let e0 = eps.pop().unwrap();
+    let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
+    let mut t0 = Tmk::new(mk(e0), TmkConfig::default());
+    let _s1 = mk(e1);
+    assert!(t0.rel.is_none());
+    t0.rpc_issue(1, Request::Page { page: 0 });
+    assert!(t0.outstanding[0].resend.is_none());
+}
+
+/// A lossy transport keeps one replay slot pair per node of the cluster.
+#[test]
+fn a_lossy_transport_keeps_a_replay_slot_per_node() {
+    let (t0, _t1, _s2) = chain();
+    let rel = t0.rel.as_ref().expect("a retransmit timeout builds reliability");
+    assert_eq!(rel.requesters(), t0.nprocs());
+    assert_eq!(t0.nprocs(), 3);
 }

@@ -2,10 +2,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use tm_gm::{DmaPool, GmEvent, GmNode, MAX_SIZE_CLASS};
-use tm_sim::faults::checksum32;
 use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
 use tmk::framing::{self, FragHeader, Reassembler};
 use tmk::wire::pool;
@@ -26,9 +23,6 @@ const DEMUX: Ns = Ns(150);
 /// A fragment of a larger frame: [4][xid u32][idx u16][total u16][bytes].
 const FRAME_FRAG: u8 = 4;
 
-/// Fault-stream salt for the FAST substrate's corruption injector (keeps
-/// its draws decorrelated from the UDP stack's on the same node).
-const FAULT_SALT_FAST: u64 = 0xfa57;
 /// Give up after this many token-starvation polls for a single frame —
 /// past it the run is wedged, not congested.
 const TOKEN_STALL_CAP: u32 = 4096;
@@ -89,9 +83,6 @@ pub struct FastSubstrate {
     partials: Reassembler<u8>,
     /// Registered bytes devoted to preposted receive buffers (E5).
     pub prepost_bytes: usize,
-    /// Seeded corruption injector; `Some` only when the fault plan asks
-    /// for payload corruption (so zero-fault runs draw nothing).
-    corrupt_rng: Option<SmallRng>,
 }
 
 impl FastSubstrate {
@@ -122,12 +113,6 @@ impl FastSubstrate {
         // simulator never addresses them).
         let prepost = prepost_bytes(n, MAX_SIZE_CLASS);
         gm.book.pin(prepost).expect("pin prepost slabs");
-        let corrupt_rng = if gm.params().faults.corrupt_probability > 0.0 {
-            let seed = gm.params().faults.stream_seed(gm.node(), FAULT_SALT_FAST);
-            Some(SmallRng::seed_from_u64(seed))
-        } else {
-            None
-        };
         FastSubstrate {
             gm,
             pool,
@@ -135,7 +120,6 @@ impl FastSubstrate {
             next_xfer: 1,
             partials: Reassembler::new(),
             prepost_bytes: prepost,
-            corrupt_rng,
         }
     }
 
@@ -160,35 +144,13 @@ impl FastSubstrate {
     /// immediate send (`at` is `None`) pays DEMUX + the fast-path copy
     /// cost; a scheduled one passes its pre-accounted departure time.
     fn push_frame(&mut self, to: usize, port: u8, parts: &[&[u8]], at: Option<Ns>) {
-        let mut len: usize = parts.iter().map(|p| p.len()).sum();
+        let len: usize = parts.iter().map(|p| p.len()).sum();
         if at.is_none() {
             self.gm.clock().borrow_mut().advance(DEMUX);
             let cost = Ns::for_bytes(len, self.gm.params().host.fast_copy_mb_s);
             self.gm.clock().borrow_mut().advance(cost);
         }
-        // Fault path: append a checksum trailer so injected corruption is
-        // detected at the receiver instead of mis-decoded; then maybe flip
-        // a byte. Gated on the plan so clean runs gather zero-copy.
-        let buf = if self.gm.params().faults.checksum_frames() {
-            let mut img = Vec::with_capacity(len + 4);
-            for p in parts {
-                img.extend_from_slice(p);
-            }
-            let crc = checksum32(&img).to_le_bytes();
-            img.extend_from_slice(&crc);
-            if let Some(rng) = self.corrupt_rng.as_mut() {
-                let p = self.gm.params().faults.corrupt_probability;
-                if rng.random::<f64>() < p {
-                    let i = (rng.random::<u64>() as usize) % img.len();
-                    img[i] ^= 0x20;
-                    self.gm.clock().borrow_mut().stats.dgrams_corrupted += 1;
-                }
-            }
-            len = img.len();
-            self.pool.take_parts(&[&img]).expect("send pool exhausted")
-        } else {
-            self.pool.take_parts(parts).expect("send pool exhausted")
-        };
+        let buf = self.pool.take_parts(parts).expect("send pool exhausted");
         let mut at = at;
         // Token starvation (injected or burst backpressure): poll for
         // completion callbacks at the GM callback stride, bounded so a
@@ -264,7 +226,8 @@ impl FastSubstrate {
     }
 
     /// Count and drop a frame that can't be interpreted (truncated header
-    /// or unknown kind — possible once fault injection flips bytes).
+    /// or unknown kind). GM delivers every frame intact, so only a sender
+    /// bug produces one.
     fn malformed(&mut self) -> Option<IncomingMsg> {
         self.gm.clock().borrow_mut().stats.malformed_dropped += 1;
         None
@@ -295,21 +258,6 @@ impl FastSubstrate {
         } else {
             Chan::Response
         };
-        // Under a corruption plan every frame carries a checksum trailer:
-        // verify and strip it, counting (not mis-decoding) flipped frames.
-        let mut data = data;
-        if self.gm.params().faults.checksum_frames() {
-            if data.len() < 5 {
-                return self.malformed();
-            }
-            let body_len = data.len() - 4;
-            let want = u32::from_le_bytes(data[body_len..].try_into().expect("4-byte trailer"));
-            if checksum32(&data[..body_len]) != want {
-                self.gm.clock().borrow_mut().stats.crc_rejected += 1;
-                return None;
-            }
-            data = bytes::Bytes::copy_from_slice(&data[..body_len]);
-        }
         if data.is_empty() {
             return self.malformed();
         }
@@ -383,9 +331,8 @@ impl Substrate for FastSubstrate {
         self.cfg.scheme
     }
 
-    fn send_request(&mut self, to: usize, data: &[u8]) -> bool {
+    fn send_request(&mut self, to: usize, data: &[u8]) {
         self.send_data(to, REQ_PORT, data, None);
-        true // GM delivery is reliable
     }
 
     fn send_request_at(&mut self, to: usize, data: &[u8], at: Ns) {

@@ -11,8 +11,7 @@
 //! retransmission counts asserted in tests.
 //!
 //! The plan lives on [`crate::SimParams`]; consumers (the UDP socket
-//! model, the GM node model, the FAST substrate) read the knobs that
-//! apply to their layer. Everything defaults to off, and consumers must
+//! model, the GM node model) read the knobs that apply to their layer. Everything defaults to off, and consumers must
 //! not construct RNGs or change wire formats unless the relevant knob is
 //! non-zero — zero-fault runs stay bit-identical to a build without any
 //! of this code.
@@ -38,9 +37,10 @@ pub struct FaultPlan {
     pub reorder_probability: f64,
     /// Extra in-flight delay applied to reordered datagrams.
     pub reorder_delay: Ns,
-    /// Probability one payload byte of a datagram/frame is flipped.
-    /// Enabling this also turns on wire checksums (see
-    /// [`FaultPlan::checksum_frames`]).
+    /// Probability one payload byte of a datagram is flipped — UDP
+    /// datagrams only: GM resends a frame that fails its link-level CRC in
+    /// firmware, so FAST/GM never sees one. Enabling this also turns on
+    /// wire checksums (see [`FaultPlan::checksum_frames`]).
     pub corrupt_probability: f64,
     /// GM token starvation: when non-zero, sends fail with
     /// `NoSendTokens` during the first `token_starvation_duration` of
@@ -100,9 +100,9 @@ impl FaultPlan {
             && now.0 % self.token_starvation_period.0 < self.token_starvation_duration.0
     }
 
-    /// Seed for one consumer's fault stream on one node. Distinct salts
-    /// keep e.g. the UDP drop stream independent of the FAST corruption
-    /// stream so enabling one fault never perturbs another's sequence.
+    /// Seed for one consumer's fault stream on one node. A distinct salt
+    /// per consumer keeps one stream independent of another's, so adding a
+    /// consumer never perturbs an existing sequence.
     pub fn stream_seed(&self, node: usize, salt: u64) -> u64 {
         self.seed
             ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)

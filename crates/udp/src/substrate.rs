@@ -48,34 +48,29 @@ impl UdpSubstrate {
     }
 
     /// Gather `parts` into a pooled buffer and push the datagram — no
-    /// per-send frame allocation. Returns `false` if the stack knows the
-    /// datagram was dropped by fault injection.
-    fn send_dgram(&mut self, to: usize, sock: u16, parts: &[&[u8]], at: Option<Ns>) -> bool {
+    /// per-send frame allocation.
+    fn send_dgram(&mut self, to: usize, sock: u16, parts: &[&[u8]], at: Option<Ns>) {
         let mut buf = pool::take(parts.iter().map(|p| p.len()).sum());
         for p in parts {
             buf.extend_from_slice(p);
         }
-        let delivered = match at {
+        match at {
             None => self.udp.sendto(to, sock, sock, &buf),
             Some(t) => self.udp.sendto_at(to, sock, sock, &buf, t),
         };
         pool::give(buf);
-        delivered
     }
 
     /// Send one message, fragmenting above the IP reassembly limit. The
     /// fragment header is built on the stack and gathered together with a
-    /// chunk of the caller's payload. Returns `false` if any fragment was
-    /// known-dropped on the way out (the whole message is then doomed —
-    /// reassembly can never complete).
-    fn send_msg(&mut self, to: usize, sock: u16, data: &[u8], at: Option<Ns>) -> bool {
+    /// chunk of the caller's payload.
+    fn send_msg(&mut self, to: usize, sock: u16, data: &[u8], at: Option<Ns>) {
         if data.len() < DGRAM_LIMIT {
             return self.send_dgram(to, sock, &[&[FRAME_DATA], data], at);
         }
         let plan = framing::plan(data.len(), DGRAM_LIMIT);
         let xid = self.next_xid;
         self.next_xid += 1;
-        let mut all = true;
         for (i, range) in plan.ranges().enumerate() {
             let head = FragHeader {
                 xid,
@@ -83,9 +78,8 @@ impl UdpSubstrate {
                 total: plan.total as u16,
             }
             .head(FRAME_FRAG);
-            all &= self.send_dgram(to, sock, &[&head, &data[range]], at.map(|t| t + Ns(i as u64)));
+            self.send_dgram(to, sock, &[&head, &data[range]], at.map(|t| t + Ns(i as u64)));
         }
-        all
     }
 
     /// Count and drop a frame that can't be interpreted (truncated header,
@@ -175,8 +169,8 @@ impl Substrate for UdpSubstrate {
         }
     }
 
-    fn send_request(&mut self, to: usize, data: &[u8]) -> bool {
-        self.send_msg(to, REQ_SOCK, data, None)
+    fn send_request(&mut self, to: usize, data: &[u8]) {
+        self.send_msg(to, REQ_SOCK, data, None);
     }
 
     fn send_request_at(&mut self, to: usize, data: &[u8], at: Ns) {

@@ -296,6 +296,21 @@ fn overlapped_diff_fetch_survives_ten_percent_loss() {
     assert!(s.retransmits > 0, "drops recovered without retransmits? {s:?}");
 }
 
+/// Run the FAST workload under `plan`; return node 0's snapshot and the
+/// aggregated stats.
+fn run_fast_under(plan: FaultPlan) -> (Vec<u8>, NodeStats) {
+    let params = with_plan(plan);
+    let cfg = FastConfig::paper(&params);
+    let out = run_fast_dsm(NODES, params, cfg, TmkConfig::default(), workload);
+    let mut agg = NodeStats::default();
+    for o in &out {
+        agg.merge(&o.stats);
+        assert_eq!(o.result.1, NODES as u32 * INCRS, "node {} counter", o.id);
+        assert_eq!(o.result.0, out[0].result.0, "node {} snapshot", o.id);
+    }
+    (out[0].result.0.clone(), agg)
+}
+
 #[test]
 fn fast_survives_token_starvation() {
     // GM-side fault: the send-token pool runs dry for 20us out of every
@@ -306,16 +321,26 @@ fn fast_survives_token_starvation() {
         token_starvation_duration: Ns::from_us(20),
         ..FaultPlan::default()
     };
-    let params = with_plan(plan);
-    let cfg = FastConfig::paper(&params);
-    let out = run_fast_dsm(NODES, params, cfg, TmkConfig::default(), workload);
-    let mut agg = NodeStats::default();
-    for o in &out {
-        agg.merge(&o.stats);
-        assert_eq!(o.result.1, NODES as u32 * INCRS);
-        assert_eq!(o.result.0, out[0].result.0);
-    }
+    let (_, agg) = run_fast_under(plan);
     assert!(agg.token_stalls > 0, "starvation windows never bit: {agg:?}");
+}
+
+#[test]
+fn fast_stays_reliable_under_a_corruption_plan() {
+    // GM resends a frame that fails its link-level CRC in firmware, so a
+    // corruption plan reaches UDP datagrams only: FAST sees every frame
+    // intact and carries no retransmission to recover one.
+    let (clean, _) = run_fast_under(FaultPlan::default());
+    let (snap, s) = run_fast_under(FaultPlan {
+        corrupt_probability: 0.05,
+        ..FaultPlan::default()
+    });
+    assert_eq!(snap, clean);
+    assert_eq!(
+        (s.dgrams_corrupted, s.crc_rejected, s.retransmits),
+        (0, 0, 0),
+        "{s:?}"
+    );
 }
 
 // ----- the lossy lock chain -------------------------------------------------
