@@ -3,10 +3,13 @@
 //!
 //! Unlike E1–E7 (which report *simulated* cluster time), this measures
 //! how much real host CPU the reproduction burns per operation: diff
-//! create/apply on a 4 KiB sparse page (16 runs), create/encode/decode on
-//! a word-alternating one (512 runs — what red-black SOR writes),
-//! small-frame and fragmented sends on the FAST substrate, and a 1 MB
-//! page-fetch storm through the full DSM. `create_scalar` is the
+//! create/apply/encode/decode on a 4 KiB sparse page (16 runs: a few-run
+//! diff, the kind 3D-FFT's transposes fetch by the thousand) and
+//! create/encode/decode on a word-alternating one (512 runs — what
+//! red-black SOR writes), small-frame and fragmented sends on the FAST
+//! substrate, and a 1 MB page-fetch storm through the full DSM.
+//! `retained_bytes` gives what a writer holds per diff of each shape beside
+//! what it sends. `create_scalar` is the
 //! pre-optimization word-by-word loop kept as the executable specification
 //! — its rows double as the baselines the mask-driven `create` is judged
 //! against on both page shapes (`speedup_create_vs_scalar` on the sparse
@@ -68,6 +71,20 @@ fn round_trip(tx: &mut FastSubstrate, rx: &mut FastSubstrate, body: &[u8]) {
     tx.clock().borrow_mut().wait_until(now);
 }
 
+/// Host ns to encode `d` into a pooled frame, and to decode it back out.
+fn codec_ns(d: &Diff) -> (f64, f64) {
+    let mut w = WireWriter::pooled(8192);
+    let encode = time_ns(|| {
+        w.clear();
+        std::hint::black_box(d).encode(&mut w);
+    });
+    let decode = time_ns(|| {
+        std::hint::black_box(Diff::decode(&mut WireReader::new(w.as_slice())));
+    });
+    w.recycle();
+    (encode, decode)
+}
+
 struct Case {
     name: &'static str,
     ns_per_op: f64,
@@ -95,15 +112,24 @@ fn main() {
         name: "diff_create_4k_sparse_scalar_baseline",
         ns_per_op: scalar,
     });
-    let d = Diff::create(&twin, &cur);
+    let sparse = Diff::create(&twin, &cur);
     let mut page = twin.clone();
     let apply = time_ns(|| {
-        d.apply(&mut page);
+        sparse.apply(&mut page);
         std::hint::black_box(&page);
     });
     cases.push(Case {
         name: "diff_apply_4k_sparse",
         ns_per_op: apply,
+    });
+    let (encode, decode) = codec_ns(&sparse);
+    cases.push(Case {
+        name: "diff_encode_4k_sparse",
+        ns_per_op: encode,
+    });
+    cases.push(Case {
+        name: "diff_decode_4k_sparse",
+        ns_per_op: decode,
     });
     let (twin, cur) = page_pair(8);
     let alternating = time_ns(|| {
@@ -120,23 +146,22 @@ fn main() {
         name: "diff_create_4k_alternating_scalar_baseline",
         ns_per_op: alternating_scalar,
     });
-    let d = Diff::create(&twin, &cur);
-    assert_eq!(d.run_count(), 512);
-    let mut w = WireWriter::pooled(8192);
+    let red_black = Diff::create(&twin, &cur);
+    assert_eq!(red_black.run_count(), 512);
+    let (encode, decode) = codec_ns(&red_black);
     cases.push(Case {
         name: "diff_encode_4k_alternating",
-        ns_per_op: time_ns(|| {
-            w.clear();
-            std::hint::black_box(&d).encode(&mut w);
-        }),
+        ns_per_op: encode,
     });
     cases.push(Case {
         name: "diff_decode_4k_alternating",
-        ns_per_op: time_ns(|| {
-            std::hint::black_box(Diff::decode(&mut WireReader::new(w.as_slice())));
-        }),
+        ns_per_op: decode,
     });
-    w.recycle();
+    let retained = [
+        ("alternating", red_black),
+        ("sparse", sparse),
+        ("full", Diff::full(&cur)),
+    ];
 
     // --- framing path ----------------------------------------------------
     let params = Arc::new(SimParams::paper_testbed());
@@ -216,6 +241,15 @@ fn main() {
             c.name,
             c.ns_per_op,
             1e9 / c.ns_per_op
+        ));
+    }
+    json.push_str("  },\n  \"retained_bytes\": {\n");
+    for (i, (shape, d)) in retained.iter().enumerate() {
+        let comma = if i + 1 < retained.len() { "," } else { "" };
+        json.push_str(&format!(
+            "    \"{shape}\": {{ \"retained\": {}, \"encoded_len\": {} }}{comma}\n",
+            d.retained_bytes(),
+            d.encoded_len()
         ));
     }
     json.push_str("  }\n}\n");

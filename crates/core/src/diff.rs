@@ -6,20 +6,17 @@
 //! cross the wire instead of whole pages — the Diff microbenchmark of the
 //! paper's Figure 3 times exactly this machinery.
 //!
-//! [`Diff::create`] makes two passes. The first builds a change mask, one
-//! bit per 32-bit word: an equal 256-byte span costs one array compare,
-//! and any other span gets its 64-bit mask word from flat, branch-free
-//! loops. The second reads the runs off the mask a mask word at a time
-//! (a run starts where a bit rises and ends where it falls) and writes
-//! them into an image allocated once at its exact size. Red-black SOR
-//! leaves every other word changed, 512 one-word runs per page, so the
-//! cost per run matters as much as the cost of skipping equal words. Run
-//! boundaries are identical to the scalar word-by-word scan
-//! ([`Diff::create_scalar`], kept as the executable specification); an
-//! equivalence property test pins that down.
+//! A writer keeps each diff until a reader asks, so a [`Diff`] is held as
+//! what changed — a 2-bit class per 64-word span (none, all or some
+//! changed), a mask per mixed span, the changed words — and its `(off,
+//! len)` run list is written only by [`Diff::encode`]: a red-black SOR page
+//! (512 one-word runs) holds 2 180 bytes and sends 4 098. [`Diff::create`]
+//! fills a stack mask, one bit per word, and sizes its one allocation from
+//! the mask's popcounts; every walk over runs pairs the masks' rising and
+//! falling edges (`each_run`). Runs equal the scalar word-by-word scan
+//! ([`Diff::create_scalar`], the executable specification), property-tested.
 
 use std::iter::successors;
-use std::ops::Range;
 
 use crate::wire::{WireReader, WireWriter};
 
@@ -31,6 +28,20 @@ const SPAN: usize = 64 * WORD;
 
 /// Mask words for the largest u16-addressable page.
 const MASK_WORDS: usize = (u16::MAX as usize).div_ceil(SPAN);
+
+/// The furthest a run may reach: one word past the last word-aligned u16
+/// offset.
+const MAX_EXTENT: usize = u16::MAX as usize + 1;
+
+/// A span's class, two bits of a little-endian u32 that classes sixteen
+/// spans: every word of it changed, or some (its mask is stored). Zero is
+/// none.
+const ALL: u8 = 1;
+const MIXED: u8 = 2;
+
+/// Size of the run-count header and of one run's `(off, len)` header.
+const COUNT_HDR: usize = 2;
+const RUN_HDR: usize = 4;
 
 /// Bit `k` set iff word `k` of the span differs. Both loops are flat and
 /// fixed-length, so the compiler vectorises them: one `!=` per word into a
@@ -69,65 +80,240 @@ pub fn is_all_zero(buf: &[u8]) -> bool {
         && chunks.remainder().iter().all(|&b| b == 0)
 }
 
-/// A run-length-encoded page delta, held as its wire image: one buffer,
-/// `[runs u16][(off u16, len u16, payload)…]`, little-endian. Runs are
-/// non-empty, ascending and non-overlapping — true of everything
-/// [`Diff::create`] emits and checked once by [`Diff::decode`] — so
-/// [`Diff::apply`] needs no per-run validation beyond
-/// [`extent`](Diff::extent)` <= target.len()`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Diff {
-    image: Vec<u8>,
-    /// End offset of the last run (0 when empty).
-    extent: usize,
+/// Bytes of class words a diff reaching `extent` bytes holds.
+fn class_bytes(extent: usize) -> usize {
+    extent.div_ceil(SPAN).div_ceil(16) * 4
 }
 
-/// Size of the run-count header and of one run's `(off, len)` header.
-const COUNT_HDR: usize = 2;
-const RUN_HDR: usize = 4;
+/// `len` zero bytes, allocated and then cleared: for the few hundred bytes
+/// a sparse diff holds, glibc's `calloc` costs nearly twice as much.
+#[allow(clippy::slow_vector_initialization)]
+fn zeroed(len: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(len);
+    buf.resize(len, 0);
+    buf
+}
 
-impl Diff {
-    /// Build the image of the runs `cur[r]`, streamed in ascending order
-    /// into a pooled scratch buffer that is never regrown — runs are
-    /// separated by at least one equal word, so `k` runs carrying `p`
-    /// payload bytes span `p + WORD·(k-1) <= n` and encode to at most
-    /// `n + COUNT_HDR + RUN_HDR` bytes — then copied out at exactly its
-    /// size (a retained diff of a sparse page is a few dozen bytes).
-    fn from_runs(cur: &[u8], runs: impl Iterator<Item = Range<usize>>) -> Diff {
-        assert!(cur.len() <= u16::MAX as usize, "page exceeds u16 offsets");
-        let mut w = WireWriter::pooled(cur.len() + COUNT_HDR + RUN_HDR);
-        let count_slot = w.reserve_u16();
-        let (mut count, mut extent) = (0u16, 0);
-        for r in runs {
-            w.u16(r.start as u16).u16(r.len() as u16);
-            w.raw(&cur[r.clone()]);
-            count += 1;
-            extent = r.end;
+/// Set span `j`'s class.
+fn set_class(classes: &mut [u8], j: usize, class: u8) {
+    classes[j / 4] |= class << (j % 4 * 2);
+}
+
+/// Call `run(start, end)` for every run, in words, ascending, of the
+/// classes and masks in `head` (a diff reaching `extent` bytes). Only
+/// spans with a class are visited: sixteen to a class word, each found by
+/// its lowest set bit. With `up` a span's mask shifted up one word,
+/// `starts = m & !up` and `ends = !m & up` alternate, so each start pairs
+/// with the next end; a run still open at bit 63 is closed by the next
+/// span's first end, or where the visited spans stop being consecutive.
+fn each_run(head: &[u8], extent: usize, mut run: impl FnMut(usize, usize)) {
+    let (classes, masks) = head.split_at(class_bytes(extent));
+    let mut masks = masks.chunks_exact(8);
+    let (mut prev, mut open, mut next) = (0u64, 0, 0);
+    for (k, c) in classes.chunks_exact(4).enumerate() {
+        let c = u32::from_le_bytes(c.try_into().unwrap());
+        let mut live = (c | c >> 1) & 0x5555_5555;
+        while live != 0 {
+            let bit = live.trailing_zeros();
+            live &= live - 1;
+            let base = 64 * (16 * k + bit as usize / 2);
+            let m = if c >> bit & 3 == u32::from(ALL) {
+                u64::MAX
+            } else {
+                let m = masks.next().expect("a stored mask per mixed span");
+                u64::from_le_bytes(m.try_into().unwrap())
+            };
+            if base != next && prev >> 63 == 1 {
+                run(open, next);
+                prev = 0;
+            }
+            let up = m << 1 | prev >> 63;
+            let (mut starts, mut ends) = (m & !up, !m & up);
+            if prev >> 63 == 1 && ends != 0 {
+                run(open, base + ends.trailing_zeros() as usize);
+                ends &= ends - 1;
+            }
+            while starts != 0 {
+                let s = base + starts.trailing_zeros() as usize;
+                starts &= starts - 1;
+                if ends == 0 {
+                    open = s;
+                } else {
+                    run(s, base + ends.trailing_zeros() as usize);
+                    ends &= ends - 1;
+                }
+            }
+            (prev, next) = (m, base + 64);
         }
-        w.patch_u16(count_slot, count);
-        let image = w.as_slice().to_vec();
-        w.recycle();
-        Diff { image, extent }
+    }
+    if prev >> 63 == 1 {
+        run(open, next);
+    }
+}
+
+/// `dst.copy_from_slice(src)`, with the one-word runs that fill a
+/// red-black page copied as a move rather than a `memcpy` call.
+fn copy_run(dst: &mut [u8], src: &[u8]) {
+    match (
+        <&mut [u8; WORD]>::try_from(&mut *dst),
+        <&[u8; WORD]>::try_from(src),
+    ) {
+        (Ok(d), Ok(s)) => *d = *s,
+        _ => dst.copy_from_slice(src),
+    }
+}
+
+/// What a wire image takes to hold, counted by one walk that admits only
+/// the canonical form [`Diff::encode`] emits.
+#[derive(Default)]
+struct Shape {
+    runs: usize,
+    payload: usize,
+    extent: usize,
+    /// Mixed spans so far, and one past the last of them.
+    mixed: usize,
+    mixed_end: usize,
+}
+
+impl Shape {
+    /// Count the run `off..off + len`, or `None` unless it is non-empty,
+    /// starts on a word at least one word past the previous run (which
+    /// must have ended on a word), and ends by [`MAX_EXTENT`]. A span is
+    /// mixed unless one run covers all 64 of its words, so only a run's
+    /// first and last span can be.
+    fn admit(&mut self, off: usize, len: usize) -> Option<()> {
+        let end = off + len;
+        let after_gap = self.runs == 0 || (self.extent.is_multiple_of(WORD) && off > self.extent);
+        if len == 0 || !off.is_multiple_of(WORD) || !after_gap || end > MAX_EXTENT {
+            return None;
+        }
+        let (s, e) = (off / WORD, end.div_ceil(WORD));
+        let (first, last) = (s / 64, (e - 1) / 64);
+        if (s % 64 != 0 || e < 64 * first + 64) && first >= self.mixed_end {
+            (self.mixed, self.mixed_end) = (self.mixed + 1, first + 1);
+        }
+        if last > first && e % 64 != 0 {
+            (self.mixed, self.mixed_end) = (self.mixed + 1, last + 1);
+        }
+        self.runs += 1;
+        self.payload += len;
+        self.extent = end;
+        Some(())
     }
 
-    /// Compare `twin` (before) and `cur` (after); encode changed runs at
+    /// Hold the runs of `body`, the image this shape admitted: one
+    /// allocation at exactly its size.
+    fn fill(self, body: &[u8]) -> Diff {
+        let class_len = class_bytes(self.extent);
+        let head = class_len + 8 * self.mixed;
+        let mut buf = zeroed(head + self.payload);
+        let (held, mut words) = buf.split_at_mut(head);
+        let (classes, masks) = held.split_at_mut(class_len);
+        let mut masks = masks.chunks_exact_mut(8);
+        let mut close = |span: usize, mask: u64| {
+            if mask == u64::MAX {
+                set_class(classes, span, ALL);
+            } else {
+                let slot = masks.next().expect("admit counted every mixed span");
+                slot.copy_from_slice(&mask.to_le_bytes());
+                set_class(classes, span, MIXED);
+            }
+        };
+        // The mask being gathered, its span, and where the next run's
+        // header is.
+        let (mut mask, mut span, mut at) = (0u64, 0, 0);
+        for _ in 0..self.runs {
+            let &[o0, o1, l0, l1] = body[at..].first_chunk().expect("admit read this header");
+            let (off, len) = (
+                u16::from_le_bytes([o0, o1]) as usize,
+                u16::from_le_bytes([l0, l1]) as usize,
+            );
+            let data = &body[at + RUN_HDR..][..len];
+            at += RUN_HDR + len;
+            let (s, e) = (off / WORD, (off + len).div_ceil(WORD));
+            let (first, last) = (s / 64, (e - 1) / 64);
+            if first != span && mask != 0 {
+                close(span, mask);
+                mask = 0;
+            }
+            if first == last {
+                (span, mask) = (first, mask | u64::MAX >> (64 - (e - s)) << (s % 64));
+            } else {
+                close(first, mask | u64::MAX << (s % 64));
+                for j in first + 1..last {
+                    close(j, u64::MAX);
+                }
+                (span, mask) = (last, u64::MAX >> (64 * last + 64 - e));
+            }
+            let (dst, rest) = std::mem::take(&mut words).split_at_mut(len);
+            copy_run(dst, data);
+            words = rest;
+        }
+        if mask != 0 {
+            close(span, mask);
+        }
+        Diff::new(buf, head, self.runs, self.extent)
+    }
+}
+
+/// A page delta, held as what changed: one buffer of
+/// `[class words][mask per mixed span, u64][changed words]`. Its runs are
+/// non-empty, ascending and at least a word apart, and only the last may
+/// end inside a word — true of everything [`Diff::create`] emits and
+/// checked once by [`Diff::decode`] — so [`Diff::apply`] needs no per-run
+/// validation beyond [`extent`](Diff::extent)` <= target.len()`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Diff {
+    buf: Box<[u8]>,
+    /// Bytes of `buf` before the words: classes and masks.
+    head: u16,
+    runs: u16,
+    /// End offset of the last run (0 when empty).
+    extent: u32,
+}
+
+impl Diff {
+    fn new(buf: Vec<u8>, head: usize, runs: usize, extent: usize) -> Diff {
+        debug_assert_eq!(buf.len(), buf.capacity());
+        Diff {
+            buf: buf.into_boxed_slice(),
+            head: head as u16,
+            runs: runs as u16,
+            extent: extent as u32,
+        }
+    }
+
+    /// Hold canonical `(offset, payload)` runs of a page of `n` bytes:
+    /// their wire image, decoded.
+    fn from_runs<'a>(n: usize, runs: impl Iterator<Item = (usize, &'a [u8])>) -> Diff {
+        assert!(n <= u16::MAX as usize, "page exceeds u16 offsets");
+        // `k` runs carrying `p` bytes span `p + WORD·(k-1) <= n`.
+        let mut w = WireWriter::pooled(n + COUNT_HDR + RUN_HDR);
+        let count = w.reserve_u16();
+        let mut k = 0;
+        for (off, data) in runs {
+            w.u16(off as u16).u16(data.len() as u16).raw(data);
+            k += 1;
+        }
+        w.patch_u16(count, k);
+        let d = Diff::decode(&mut WireReader::new(w.as_slice())).expect("canonical runs");
+        w.recycle();
+        d
+    }
+
+    /// Compare `twin` (before) and `cur` (after); keep the changed runs at
     /// word granularity. Slices must be the same length.
     ///
-    /// Pass one fills a stack mask, bit `w` set iff word `w` differs
-    /// (`span_mask`). Its popcounts size the image exactly:
-    /// `m & !(m << 1 | carry)` marks the first word of each run, and the
-    /// payload is four bytes per set bit, less whatever a partial last
-    /// word lacks. Pass two walks the mask a word at a time, with `up` the
-    /// mask shifted up one word: `starts = m & !up` and `ends = !m & up`
-    /// alternate, so each start pairs with the next end, and a run still
-    /// open at bit 63 is closed by the next mask word's first end, or by
-    /// the page end. Each run's header and payload are written by index
-    /// into the one allocation.
+    /// The stack mask has bit `w` set iff word `w` differs (`span_mask`).
+    /// Its popcounts size the buffer exactly: `m & !(m << 1 | carry)` marks
+    /// the first word of each run, the words are four bytes per set bit
+    /// (less whatever a partial last word lacks), and every mask word that
+    /// is neither empty nor full is stored. Then the classes and mixed
+    /// masks are written and each run's words gathered.
     pub fn create(twin: &[u8], cur: &[u8]) -> Diff {
         assert_eq!(twin.len(), cur.len(), "twin/page size mismatch");
         let n = cur.len();
         assert!(n <= u16::MAX as usize, "page exceeds u16 offsets");
-        let words = n.div_ceil(WORD);
         let mut mask = [0u64; MASK_WORDS];
         let spans = twin.chunks_exact(SPAN).zip(cur.chunks_exact(SPAN));
         for (m, (a, b)) in mask.iter_mut().zip(spans) {
@@ -140,55 +326,44 @@ impl Diff {
         if full < n {
             mask[n / SPAN] = tail_mask(&twin[full..], &cur[full..]);
         }
-        let mask = &mask[..words.div_ceil(64)];
+        let spans = mask.iter().rposition(|&m| m != 0).map_or(0, |i| i + 1);
+        let mask = &mask[..spans];
 
-        let (mut runs, mut changed, mut carry) = (0, 0, 0);
+        let (mut runs, mut changed, mut mixed, mut carry) = (0, 0, 0, 0);
         for &m in mask {
             runs += (m & !(m << 1 | carry)).count_ones() as usize;
             changed += m.count_ones() as usize;
+            mixed += usize::from(m != u64::MAX && m != 0);
             carry = m >> 63;
         }
-        let last_changed = words > 0 && mask[(words - 1) / 64] >> ((words - 1) % 64) & 1 == 1;
-        let short = if last_changed { words * WORD - n } else { 0 };
-        let mut image = vec![0; COUNT_HDR + RUN_HDR * runs + changed * WORD - short];
-        image[..COUNT_HDR].copy_from_slice(&(runs as u16).to_le_bytes());
-
-        let (mut at, mut extent) = (COUNT_HDR, 0);
-        let mut emit = |start: usize, end: usize| {
-            let (off, end) = (start * WORD, (end * WORD).min(n));
-            let run = &mut image[at..at + RUN_HDR + end - off];
-            run[..2].copy_from_slice(&(off as u16).to_le_bytes());
-            run[2..RUN_HDR].copy_from_slice(&((end - off) as u16).to_le_bytes());
-            run[RUN_HDR..].copy_from_slice(&cur[off..end]);
-            at += run.len();
-            extent = end;
-        };
-        let (mut prev, mut open) = (0, 0);
-        for (i, &m) in mask.iter().enumerate() {
-            let base = i * 64;
-            let up = m << 1 | prev >> 63;
-            let (mut starts, mut ends) = (m & !up, !m & up);
-            if prev >> 63 == 1 && ends != 0 {
-                emit(open, base + ends.trailing_zeros() as usize);
-                ends &= ends - 1;
+        let words = mask
+            .last()
+            .map_or(0, |m| 64 * spans - m.leading_zeros() as usize);
+        let extent = (words * WORD).min(n);
+        let class_len = class_bytes(extent);
+        let head = class_len + 8 * mixed;
+        let mut buf = zeroed(head + changed * WORD - (words * WORD - extent));
+        let (held, words) = buf.split_at_mut(head);
+        let (classes, masks) = held.split_at_mut(class_len);
+        let mut masks = masks.chunks_exact_mut(8);
+        for (j, &m) in mask.iter().enumerate() {
+            if m == u64::MAX {
+                set_class(classes, j, ALL);
+            } else if m != 0 {
+                let slot = masks
+                    .next()
+                    .expect("the popcounts counted every mixed span");
+                slot.copy_from_slice(&m.to_le_bytes());
+                set_class(classes, j, MIXED);
             }
-            while starts != 0 {
-                let s = base + starts.trailing_zeros() as usize;
-                starts &= starts - 1;
-                if ends == 0 {
-                    open = s;
-                } else {
-                    emit(s, base + ends.trailing_zeros() as usize);
-                    ends &= ends - 1;
-                }
-            }
-            prev = m;
         }
-        if prev >> 63 == 1 {
-            emit(open, words);
-        }
-        debug_assert_eq!(at, image.len());
-        Diff { image, extent }
+        let mut at = 0;
+        each_run(held, extent, |s, e| {
+            let data = &cur[s * WORD..(e * WORD).min(n)];
+            copy_run(&mut words[at..at + data.len()], data);
+            at += data.len();
+        });
+        Diff::new(buf, head, runs, extent)
     }
 
     /// The original word-by-word comparison: the executable specification
@@ -208,12 +383,13 @@ impl Diff {
             }
             (start < n).then(|| start..i.min(n))
         };
-        Diff::from_runs(cur, successors(run_from(0), |r| run_from(r.end)))
+        let runs = successors(run_from(0), |r| run_from(r.end));
+        Diff::from_runs(n, runs.map(|r| (r.start, &cur[r])))
     }
 
     /// An empty diff (no words changed).
     pub fn empty() -> Diff {
-        Diff::from_runs(&[], std::iter::empty())
+        Diff::new(Vec::new(), 0, 0, 0)
     }
 
     /// A diff carrying the entire (non-empty) page (used when a
@@ -221,71 +397,95 @@ impl Diff {
     /// is authoritative).
     pub fn full(cur: &[u8]) -> Diff {
         assert!(!cur.is_empty(), "full diff of an empty page");
-        Diff::from_runs(cur, std::iter::once(0..cur.len()))
+        Diff::from_runs(cur.len(), std::iter::once((0, cur)))
     }
 
     pub fn run_count(&self) -> usize {
-        u16::from_le_bytes([self.image[0], self.image[1]]) as usize
+        self.runs as usize
     }
 
     /// Total payload bytes carried (what the wire pays for).
     pub fn payload_bytes(&self) -> usize {
-        self.image.len() - COUNT_HDR - RUN_HDR * self.run_count()
+        self.buf.len() - self.head as usize
     }
 
     /// Encoded size on the wire: header + per-run (offset u16, len u16) +
     /// payload.
     pub fn encoded_len(&self) -> usize {
-        self.image.len()
+        COUNT_HDR + RUN_HDR * self.run_count() + self.payload_bytes()
+    }
+
+    /// Heap bytes the diff holds while it is retained.
+    pub fn retained_bytes(&self) -> usize {
+        self.buf.len()
     }
 
     /// End offset of the last run: the diff applies to any target at
     /// least this long. A receiver checks it against its page size once.
     pub fn extent(&self) -> usize {
-        self.extent
+        self.extent as usize
+    }
+
+    /// Call `f(offset, payload)` for each run, ascending.
+    fn each<'a>(&'a self, mut f: impl FnMut(usize, &'a [u8])) {
+        let (head, mut words) = self.buf.split_at(self.head as usize);
+        let extent = self.extent();
+        each_run(head, extent, |s, e| {
+            let off = s * WORD;
+            let (data, rest) = words.split_at((e * WORD).min(extent) - off);
+            words = rest;
+            f(off, data);
+        });
     }
 
     /// The runs in ascending order as `(offset, payload)`.
     pub fn runs(&self) -> impl Iterator<Item = (usize, &[u8])> {
-        let mut rest = &self.image[COUNT_HDR..];
-        std::iter::from_fn(move || {
-            let (&[o0, o1, l0, l1], tail) = rest.split_first_chunk()?;
-            let (data, tail) = tail.split_at(u16::from_le_bytes([l0, l1]) as usize);
-            rest = tail;
-            Some((u16::from_le_bytes([o0, o1]) as usize, data))
-        })
+        let mut runs = Vec::with_capacity(self.run_count());
+        self.each(|off, data| runs.push((off, data)));
+        runs.into_iter()
     }
 
     /// Overlay the diff onto `target` (the receiving node's copy).
     /// In-place: only `copy_from_slice` into the existing page, never a
     /// reallocation. Panics if `target` is shorter than [`Diff::extent`].
     pub fn apply(&self, target: &mut [u8]) {
-        let target = &mut target[..self.extent];
-        for (off, data) in self.runs() {
-            target[off..off + data.len()].copy_from_slice(data);
-        }
+        let target = &mut target[..self.extent()];
+        self.each(|off, data| copy_run(&mut target[off..off + data.len()], data));
     }
 
+    /// Write the wire image, `[runs u16][(off u16, len u16, payload)…]`
+    /// little-endian: each run's header and payload by index into space
+    /// sized once from [`Diff::encoded_len`].
     pub fn encode(&self, w: &mut WireWriter) {
-        w.raw(&self.image);
+        let out = w.raw_mut(self.encoded_len());
+        out[..COUNT_HDR].copy_from_slice(&self.runs.to_le_bytes());
+        let mut at = COUNT_HDR;
+        self.each(|off, data| {
+            let run = &mut out[at..at + RUN_HDR + data.len()];
+            run[..2].copy_from_slice(&(off as u16).to_le_bytes());
+            run[2..RUN_HDR].copy_from_slice(&(data.len() as u16).to_le_bytes());
+            copy_run(&mut run[RUN_HDR..], data);
+            at += run.len();
+        });
+        debug_assert_eq!(at, out.len());
     }
 
-    /// One bounds-checking walk to find the image's extent on the wire
-    /// and validate it, then one copy. `None` for a truncated image, an
-    /// empty run, or runs that are not ascending and non-overlapping.
+    /// Accept exactly what [`Diff::encode`] emits: one validating walk over
+    /// the run headers, then one walk that fills the held form. `None` for
+    /// a truncated image or runs that are empty, off a word, less than a
+    /// word apart, ending inside a word before the last, or reaching past
+    /// 64 KiB.
     pub fn decode(r: &mut WireReader) -> Option<Diff> {
-        let mut walk = WireReader::new(r.peek_rest());
-        let mut extent = 0;
-        for _ in 0..walk.u16()? {
-            let off = walk.u16()? as usize;
-            let len = walk.u16()? as usize;
-            if len == 0 || off < extent {
-                return None;
-            }
-            extent = off + walk.raw_bytes(len)?.len();
+        let (&count, body) = r.peek_rest().split_first_chunk()?;
+        let mut shape = Shape::default();
+        let mut at = 0;
+        for _ in 0..u16::from_le_bytes(count) {
+            let &[o0, o1, l0, l1] = body.get(at..)?.first_chunk()?;
+            let len = u16::from_le_bytes([l0, l1]) as usize;
+            shape.admit(u16::from_le_bytes([o0, o1]) as usize, len)?;
+            at += RUN_HDR + len;
         }
-        let image = r.raw_bytes(r.remaining() - walk.remaining())?.to_vec();
-        Some(Diff { image, extent })
+        Some(shape.fill(&r.raw_bytes(COUNT_HDR + at)?[COUNT_HDR..]))
     }
 }
 
@@ -293,6 +493,7 @@ impl Diff {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::ops::Range;
 
     fn roundtrip(d: &Diff) -> Diff {
         let mut w = WireWriter::new();
@@ -307,6 +508,7 @@ mod tests {
         let d = Diff::create(&page, &page);
         assert_eq!(d.run_count(), 0);
         assert_eq!(d.encoded_len(), 2);
+        assert_eq!(d, Diff::empty());
     }
 
     #[test]
@@ -420,12 +622,12 @@ mod tests {
         assert_eq!(target, cur);
     }
 
-    /// `create` agrees with the spec, applies back to `cur`, and its image
-    /// carries no slack: a retained diff is resident memory.
+    /// `create` agrees with the spec, sends the spec's runs, and applies
+    /// back to `cur`.
     fn check(twin: &[u8], cur: &[u8]) -> Diff {
         let d = Diff::create(twin, cur);
         assert_eq!(d, Diff::create_scalar(twin, cur), "len={}", cur.len());
-        assert_eq!(d.image.capacity(), d.image.len());
+        assert_eq!(encoded(&d), spec_image(twin, cur));
         let mut target = twin.to_vec();
         d.apply(&mut target);
         assert_eq!(target, cur);
@@ -464,6 +666,7 @@ mod tests {
             let (twin, cur) = edited(len, 0..len);
             let d = check(&twin, &cur);
             assert_eq!((d.run_count(), d.payload_bytes()), (1, len));
+            assert_eq!(d, Diff::full(&cur));
         }
     }
 
@@ -487,6 +690,25 @@ mod tests {
                 assert_eq!(d.extent(), (at / WORD * WORD + WORD).min(len));
             }
         }
+    }
+
+    /// A span every word of which changed stores no mask; one with some
+    /// stores eight bytes; one with none, nothing but its class.
+    #[test]
+    fn a_page_retains_its_words_and_the_masks_of_mixed_spans() {
+        let (twin, cur) = edited(4096, 0..4096);
+        assert_eq!(check(&twin, &cur).retained_bytes(), 4 + 4096);
+        let mut alternating = twin.clone();
+        for w in alternating.iter_mut().step_by(8) {
+            *w = 1;
+        }
+        assert_eq!(
+            check(&twin, &alternating).retained_bytes(),
+            4 + 16 * 8 + 2048
+        );
+        let (twin, cur) = edited(4096, 1024..1028); // one word of span 4
+        assert_eq!(check(&twin, &cur).retained_bytes(), 4 + 8 + 4);
+        assert_eq!(Diff::empty().retained_bytes(), 0);
     }
 
     #[test]
@@ -513,12 +735,30 @@ mod tests {
         w.finish()
     }
 
+    /// The image of the runs `create_scalar` finds.
+    fn spec_image(twin: &[u8], cur: &[u8]) -> Vec<u8> {
+        let spec = Diff::create_scalar(twin, cur);
+        image(
+            &spec
+                .runs()
+                .map(|(off, data)| (off as u16, data))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    fn encoded(d: &Diff) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        d.encode(&mut w);
+        assert_eq!(w.len(), d.encoded_len());
+        w.finish()
+    }
+
     fn decode(buf: &[u8]) -> Option<Diff> {
         Diff::decode(&mut WireReader::new(buf))
     }
 
     #[test]
-    fn image_accessors_are_consistent() {
+    fn accessors_are_consistent() {
         let twin = vec![0u8; 4096];
         let mut cur = twin.clone();
         for w in (0..4096).step_by(8) {
@@ -533,9 +773,7 @@ mod tests {
         assert!(d
             .runs()
             .all(|(off, data)| off % 8 == 0 && data == [1, 0, 0, 0]));
-        let mut w = WireWriter::new();
-        d.encode(&mut w);
-        assert_eq!(w.len(), d.encoded_len());
+        assert_eq!(encoded(&d).len(), d.encoded_len());
         assert_eq!(Diff::empty().extent(), 0);
         assert_eq!(Diff::empty().encoded_len(), 2);
     }
@@ -579,8 +817,18 @@ mod tests {
             "repeated offset"
         );
         assert!(decode(&image(&[(4, &[])])).is_none(), "empty run");
-        // Adjacent runs do not overlap: legal, if never emitted by create.
-        assert!(decode(&image(&[(0, &[1; 4]), (4, &[2; 4])])).is_some());
+        // Adjacent runs are one run: `encode` never splits it.
+        assert!(
+            decode(&image(&[(0, &[1; 4]), (4, &[2; 4])])).is_none(),
+            "adjacent"
+        );
+        assert!(decode(&image(&[(2, &[1; 4])])).is_none(), "off a word");
+        // Only the last run may end inside a word.
+        assert!(
+            decode(&image(&[(0, &[1; 3]), (8, &[2; 4])])).is_none(),
+            "mid-image partial word"
+        );
+        assert!(decode(&image(&[(0, &[1; 4]), (8, &[2; 3])])).is_some());
     }
 
     /// A well-framed image reaching past the page is caught by one
@@ -589,8 +837,10 @@ mod tests {
     fn extent_exposes_out_of_range_runs() {
         let d = decode(&image(&[(60, &[0xEE; 8])])).expect("well-framed");
         assert_eq!(d.extent(), 68); // > a 64-byte page: the receiver drops it
-        let far = decode(&image(&[(u16::MAX, &[1; 4])])).expect("well-framed");
-        assert_eq!(far.extent(), u16::MAX as usize + 4);
+        let last = u16::MAX - 3; // the last word-aligned offset
+        let far = decode(&image(&[(last, &[1; 4])])).expect("well-framed");
+        assert_eq!(far.extent(), u16::MAX as usize + 1);
+        assert!(decode(&image(&[(last, &[1; 8])])).is_none(), "past 64 KiB");
     }
 
     #[test]
@@ -636,29 +886,53 @@ mod tests {
             check(&twin, &cur);
         }
 
+        /// What `create` sends is, byte for byte, the run list the scalar
+        /// specification finds: holding a diff as masks and words moved
+        /// nothing on the wire.
+        #[test]
+        fn encode_spells_the_scalar_runs(
+            twin in proptest::collection::vec(any::<u8>(), 1..1200),
+            flips in proptest::collection::vec((0usize..1200, 1usize..80, any::<u8>()), 0..24)
+        ) {
+            let mut cur = twin.clone();
+            for (start, run, v) in flips {
+                let start = start % cur.len();
+                let end = (start + run).min(cur.len());
+                cur[start..end].fill(v);
+            }
+            prop_assert_eq!(encoded(&Diff::create(&twin, &cur)), spec_image(&twin, &cur));
+        }
+
         /// The decoder accepts exactly the images whose runs are
-        /// non-empty, ascending and non-overlapping, and whatever it
-        /// accepts applies cleanly to any target at least `extent` long.
+        /// non-empty, on a word, at least a word apart, and end inside a
+        /// word only last — and whatever it accepts applies cleanly to any
+        /// target at least `extent` long and encodes back to itself.
         #[test]
         fn decode_accepts_exactly_the_valid_images(
-            steps in proptest::collection::vec(
-                (0usize..10, proptest::collection::vec(any::<u8>(), 0..6)), 0..6)
+            steps in proptest::collection::vec((0usize..3, 0usize..6, 0usize..3, 0usize..6), 0..6)
         ) {
-            // Each run starts `step - 2` past the previous run's end: mostly
-            // legal gaps, some overlaps, some empty payloads.
+            // Each run starts `gap` words past the word the previous run
+            // ended in, sometimes nudged off its word, and carries `words`
+            // words, sometimes short of a byte or two.
             let mut end = 0usize;
             let mut valid = true;
-            let mut runs: Vec<(u16, &[u8])> = Vec::new();
-            for (step, data) in &steps {
-                let off = (end + step).saturating_sub(2);
-                valid &= !data.is_empty() && off >= end;
-                end = off + data.len();
-                runs.push((off as u16, data));
+            let mut payloads = Vec::new();
+            let mut offs = Vec::new();
+            for (i, &(gap, nudge, words, short)) in steps.iter().enumerate() {
+                let off = (end.div_ceil(WORD) + gap) * WORD + nudge.saturating_sub(3);
+                let len = (words * WORD).saturating_sub(short.saturating_sub(3));
+                valid &= len > 0 && off.is_multiple_of(WORD) && (i == 0 || (end.is_multiple_of(WORD) && off > end));
+                end = off + len;
+                offs.push(off as u16);
+                payloads.push(vec![i as u8 + 1; len]);
             }
-            let decoded = decode(&image(&runs));
+            let runs: Vec<(u16, &[u8])> = offs.iter().copied().zip(payloads.iter().map(Vec::as_slice)).collect();
+            let wire = image(&runs);
+            let decoded = decode(&wire);
             prop_assert_eq!(decoded.is_some(), valid);
             if let Some(d) = decoded {
                 prop_assert_eq!(d.extent(), end);
+                prop_assert_eq!(encoded(&d), wire);
                 let mut target = vec![0u8; d.extent()];
                 d.apply(&mut target);
                 for (off, data) in runs {

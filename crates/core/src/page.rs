@@ -106,22 +106,6 @@ impl Page {
         self.pending.retain(|p| !(p.node == node && p.seq <= seq));
     }
 
-    /// The set of writers we still need diffs from, with the lowest and
-    /// highest missing seq for each.
-    pub fn missing_by_writer(&self) -> Vec<(u16, u32, u32)> {
-        let mut out: Vec<(u16, u32, u32)> = Vec::new();
-        for p in &self.pending {
-            match out.iter_mut().find(|(n, _, _)| *n == p.node) {
-                Some((_, lo, hi)) => {
-                    *lo = (*lo).min(p.seq);
-                    *hi = (*hi).max(p.seq);
-                }
-                None => out.push((p.node, p.seq, p.seq)),
-            }
-        }
-        out
-    }
-
     /// Retain only the most recent `keep` diffs (barrier-epoch GC). Older
     /// requests are served with a full page instead.
     pub fn trim_diffs(&mut self, keep: usize) {
@@ -200,17 +184,6 @@ mod tests {
         p.applied_notice(1, 2);
         assert!(p.pending.is_empty());
         assert_eq!(p.applied[1], 2);
-    }
-
-    #[test]
-    fn missing_by_writer_ranges() {
-        let mut p = Page::new_resident(3, 0, 64);
-        notice(&mut p, 1, 2);
-        notice(&mut p, 1, 4);
-        notice(&mut p, 2, 7);
-        let m = p.missing_by_writer();
-        assert!(m.contains(&(1, 2, 4)));
-        assert!(m.contains(&(2, 7, 7)));
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn decode_applied(r: &mut WireReader) -> Option<Vec<u32>> {
 }
 
 /// `[count u16][(seq u32, diff image)…]`: the diff list of a `Diffs`
-/// entry. Each diff goes out as one copy of its image.
+/// entry. Each diff writes its image straight into the frame.
 fn encode_seq_diffs(diffs: &[(u32, Diff)], w: &mut WireWriter) {
     w.u16(diffs.len() as u16);
     for (seq, d) in diffs {

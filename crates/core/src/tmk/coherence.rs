@@ -89,6 +89,25 @@ enum StagedPage {
     },
 }
 
+/// Add `p`, a notice pending on `pid`, to what its writer owes: writers in
+/// first-owed order, each page once, its `(lo, hi)` widened to cover `p`.
+fn owe(need: &mut Vec<WriterNeed>, pid: PageId, p: &Pending) {
+    let pages = match need.iter().position(|(n, _)| *n == p.node) {
+        Some(i) => &mut need[i].1,
+        None => {
+            need.push((p.node, Vec::new()));
+            &mut need.last_mut().expect("just pushed").1
+        }
+    };
+    match pages.iter_mut().find(|(q, _, _)| *q == pid) {
+        Some((_, lo, hi)) => {
+            *lo = (*lo).min(p.seq);
+            *hi = (*hi).max(p.seq);
+        }
+        None => pages.push((pid, p.seq, p.seq)),
+    }
+}
+
 fn covered_of(covered: &[(u16, u32)], node: u16) -> u32 {
     covered
         .iter()
@@ -570,20 +589,7 @@ impl<S: Substrate> Tmk<S> {
                         // Settled as nonexistent.
                         continue;
                     }
-                    let pages = match need.iter_mut().position(|(n, _)| *n == p.node) {
-                        Some(i) => &mut need[i].1,
-                        None => {
-                            need.push((p.node, Vec::new()));
-                            &mut need.last_mut().expect("just pushed").1
-                        }
-                    };
-                    match pages.iter_mut().find(|(q, _, _)| *q == st.pid) {
-                        Some((_, lo, hi)) => {
-                            *lo = (*lo).min(p.seq);
-                            *hi = (*hi).max(p.seq);
-                        }
-                        None => pages.push((st.pid, p.seq, p.seq)),
-                    }
+                    owe(&mut need, st.pid, p);
                 }
             }
             if need.is_empty() {
@@ -680,20 +686,7 @@ impl<S: Substrate> Tmk<S> {
                 continue;
             }
             for p in &page.pending {
-                let pages = match need.iter_mut().position(|(n, _)| *n == p.node) {
-                    Some(i) => &mut need[i].1,
-                    None => {
-                        need.push((p.node, Vec::new()));
-                        &mut need.last_mut().expect("just pushed").1
-                    }
-                };
-                match pages.iter_mut().find(|(q, _, _)| *q == pid) {
-                    Some((_, lo, hi)) => {
-                        *lo = (*lo).min(p.seq);
-                        *hi = (*hi).max(p.seq);
-                    }
-                    None => pages.push((pid, p.seq, p.seq)),
-                }
+                owe(&mut need, pid, p);
             }
             targets.push(pid);
         }

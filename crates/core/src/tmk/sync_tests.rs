@@ -312,9 +312,9 @@ fn well_framed_diff_past_the_page_is_dropped_as_malformed() {
         w.u16(1).u16(off as u16).u16(8).raw(&[0xEE; 8]);
         w.finish()
     };
-    let bad = diffs_with_run_at(page_size - 2);
+    let bad = diffs_with_run_at(page_size - 4);
     let (_, decoded) = Response::decode(&bad).expect("framing is fine");
-    assert_eq!(decoded.diff_extent(), page_size + 6);
+    assert_eq!(decoded.diff_extent(), page_size + 4);
     s1.send_response_at(0, &bad, Ns::from_us(10));
     s1.send_response_at(0, &diffs_with_run_at(page_size - 8), Ns::from_us(20));
 

@@ -199,6 +199,14 @@ impl WireWriter {
         self
     }
 
+    /// Append `n` zero bytes and hand them back to be written by index —
+    /// for an encoder that knows its exact size before it writes.
+    pub fn raw_mut(&mut self, n: usize) -> &mut [u8] {
+        let at = self.buf.len();
+        self.buf.resize(at + n, 0);
+        &mut self.buf[at..]
+    }
+
     /// Reserve a u16 slot to be filled in later (e.g. a run count that is
     /// only known after streaming the runs). Returns the slot's offset for
     /// [`patch_u16`].

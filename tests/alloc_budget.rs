@@ -6,7 +6,8 @@
 //! day a per-run allocation creeps back in (a diff of a red-black SOR page
 //! has 512 runs; one `Vec` per run is 512 allocations per create, clone
 //! and decode, and that is what this binary's own counting allocator would
-//! see).
+//! see). What a writer retains is that buffer, so its requested size is
+//! pinned too, per page shape.
 //!
 //! Interval metadata is pinned the same way: an interval record is one
 //! shared object per node, so a write notice is a handle, and a run that
@@ -30,19 +31,22 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
-    // Not counted during thread teardown, when the slot is gone.
+fn count(bytes: usize) {
+    // Not counted during thread teardown, when the slots are gone.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` without a destructor, so touching it never allocates.
+// upholds the `GlobalAlloc` contract; the counters are const-initialised
+// thread-local `Cell`s without a destructor, so touching them never
+// allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -51,7 +55,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -60,21 +64,31 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations made on this thread while `f` runs, and the bytes they
+/// requested.
+fn heap_during<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
+    let (allocs, bytes) = (ALLOCS.get(), BYTES.get());
+    let r = f();
+    (ALLOCS.get() - allocs, BYTES.get() - bytes, r)
+}
+
 /// Allocations made on this thread while `f` runs.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.get();
-    let r = f();
-    (ALLOCS.get() - before, r)
+    let (n, _, r) = heap_during(f);
+    (n, r)
+}
+
+/// A zeroed 4 KiB twin and the page `edit` leaves.
+fn page(edit: impl FnOnce(&mut [u8])) -> (Vec<u8>, Vec<u8>) {
+    let twin = vec![0u8; 4096];
+    let mut cur = twin.clone();
+    edit(&mut cur);
+    (twin, cur)
 }
 
 /// Every other word changed: the 512-run page a red-black sweep leaves.
 fn alternating_page() -> (Vec<u8>, Vec<u8>) {
-    let twin = vec![0u8; 4096];
-    let mut cur = twin.clone();
-    for i in (0..cur.len()).step_by(8) {
-        cur[i] = 0xA5;
-    }
-    (twin, cur)
+    page(|p| p.iter_mut().step_by(8).for_each(|b| *b = 0xA5))
 }
 
 #[test]
@@ -94,20 +108,41 @@ fn a_512_run_diff_costs_a_constant_number_of_allocations() {
     assert_eq!(back.as_ref(), Some(&d));
     assert_eq!(copy, d);
     assert_eq!(target, cur);
-    // The image is the one allocation; the change mask lives on the stack.
-    assert_eq!(
-        create, 1,
-        "create of a 512-run diff made {create} heap allocations"
-    );
-    for (op, n) in [
-        ("clone", clone),
-        ("encode", encode),
-        ("decode", decode),
-        ("apply", apply),
-    ] {
+    // The held form is the one allocation; the change mask lives on the
+    // stack, and decode's validating walk needs none.
+    for (op, n) in [("create", create), ("decode", decode)] {
+        assert_eq!(n, 1, "{op} of a 512-run diff made {n} heap allocations");
+    }
+    for (op, n) in [("clone", clone), ("encode", encode), ("apply", apply)] {
         assert!(
             n <= 2,
             "{op} of a 512-run diff made {n} heap allocations (budget 2)"
+        );
+    }
+}
+
+/// A retained diff is what changed — classes, the masks of mixed spans and
+/// the changed words — not its wire image: the one allocation `create`
+/// makes is pinned per page shape.
+#[test]
+fn a_retained_diff_is_sized_by_what_changed() {
+    let full = page(|p| p.fill(0xA5));
+    // 3D-FFT's transpose: four 64-byte runs at a 1 KiB stride.
+    let transpose = page(|p| (0..4).for_each(|r| p[r * 1024 + 192..][..64].fill(0xA5)));
+    for (shape, (twin, cur), budget) in [
+        // 4 098 bytes as a wire image; 4 + 128 + 2 048 held.
+        ("red-black", alternating_page(), 2_200),
+        // A twin's malloc class: freed twins are reused for it.
+        ("full page", full, 4_104),
+        // 274 bytes as a wire image.
+        ("transpose", transpose, 300),
+    ] {
+        let (allocs, bytes, d) = heap_during(|| Diff::create(&twin, &cur));
+        assert_eq!(allocs, 1, "{shape}: create made {allocs} heap allocations");
+        assert_eq!(bytes, d.retained_bytes() as u64, "{shape}");
+        assert!(
+            bytes <= budget,
+            "{shape}: a retained diff holds {bytes} bytes (budget {budget})"
         );
     }
 }
