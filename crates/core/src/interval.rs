@@ -99,6 +99,16 @@ impl IntervalRecord {
     }
 }
 
+/// Put `items` in an order in which nothing comes before an item whose
+/// record's vector time it strictly dominates — the order a page applies
+/// its fetched diffs in. One stable sort by [`VectorClock::sum`]: a strictly
+/// dominated clock has the smaller sum, so the order extends happens-before,
+/// and equal sums keep their input order. Concurrent writers touch disjoint
+/// words in a race-free program, so which extension it is does not matter.
+pub fn causal_order<T>(items: &mut [T], record: impl Fn(&T) -> &IntervalRecord) {
+    items.sort_by_cached_key(|x| record(x).vc.sum());
+}
+
 /// Encode a batch of records (u32 count prefix).
 pub fn encode_records(records: &[Rc<IntervalRecord>], w: &mut WireWriter) {
     w.u32(records.len() as u32);
@@ -179,6 +189,7 @@ impl IntervalLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec(node: u16, seq: u32, pages: &[u32]) -> Rc<IntervalRecord> {
         let mut vc = VectorClock::new(4);
@@ -293,6 +304,94 @@ mod tests {
         w.u32(2).u32(4).u32(3).u32(2).u32(4);
         let back = IntervalRecord::decode(&mut WireReader::new(&w.finish())).unwrap();
         assert_eq!(back.pages(), [2, 3, 4, 5, 6]);
+    }
+
+    /// Strictly below in the happens-before order.
+    fn before(a: &IntervalRecord, b: &IntervalRecord) -> bool {
+        a.vc.dominated_by(&b.vc) && a.vc != b.vc
+    }
+
+    proptest! {
+        /// Over random clocks, repair stand-ins among them: nothing comes
+        /// before a record it strictly dominates, and equal sums keep their
+        /// input order.
+        #[test]
+        fn causal_order_extends_happens_before(
+            shapes in proptest::collection::vec(
+                (proptest::collection::vec(0u32..4, 4), 0u16..4, any::<bool>()),
+                // Up to 20 items an unstable sort sorts by insertion, which
+                // is stable too: go past that.
+                1..48,
+            )
+        ) {
+            let mut items: Vec<(usize, Rc<IntervalRecord>)> = shapes
+                .into_iter()
+                .map(|(axes, node, repair)| {
+                    let seq = axes[node as usize];
+                    if repair {
+                        IntervalRecord::repair(4, node, seq)
+                    } else {
+                        let mut vc = VectorClock::new(4);
+                        axes.iter().enumerate().for_each(|(p, &x)| vc.set(p, x));
+                        IntervalRecord::new(node, seq, vc, Vec::new())
+                    }
+                })
+                .enumerate()
+                .collect();
+            causal_order(&mut items, |(_, r)| r);
+            for (i, (at, a)) in items.iter().enumerate() {
+                for (later, b) in &items[i + 1..] {
+                    prop_assert!(!before(b, a), "{b:?} follows {a:?}");
+                    if a.vc.sum() == b.vc.sum() {
+                        prop_assert!(at < later, "equal sums reordered");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `sync64_fast`'s fault: 63 writers, concurrent since the last barrier,
+    /// each changed one word of the page — applied in the order collected,
+    /// all of them. A lock chain on one word, collected backwards, is
+    /// applied forwards: the last holder's value stays.
+    #[test]
+    fn causal_order_of_concurrent_one_word_writers_and_a_lock_chain() {
+        use crate::diff::Diff;
+        const N: usize = 64;
+        let barrier = VectorClock::new(N);
+        let words = |edit: &dyn Fn(&mut [u8])| {
+            let mut page = vec![0u8; 4096];
+            edit(&mut page);
+            Diff::create(&[0u8; 4096], &page)
+        };
+        let mut concurrent: Vec<(Rc<IntervalRecord>, Diff)> = (1..N as u16)
+            .map(|w| {
+                let mut vc = barrier.clone();
+                vc.tick(w as usize);
+                let d = words(&|p| p[w as usize * 4] = w as u8);
+                (IntervalRecord::new(w, 1, vc, vec![0]), d)
+            })
+            .collect();
+        causal_order(&mut concurrent, |(r, _)| r);
+        let order: Vec<u16> = concurrent.iter().map(|(r, _)| r.node).collect();
+        assert_eq!(order, (1..N as u16).collect::<Vec<_>>());
+        let mut page = vec![0u8; 4096];
+        concurrent.iter().for_each(|(_, d)| d.apply(&mut page));
+        assert!((1..N).all(|w| page[w * 4] == w as u8));
+
+        let mut vc = barrier;
+        let mut chain: Vec<(Rc<IntervalRecord>, Diff)> = (1..N as u16)
+            .map(|w| {
+                vc.tick(w as usize);
+                let d = words(&|p| p[0] = w as u8);
+                (IntervalRecord::new(w, 1, vc.clone(), vec![0]), d)
+            })
+            .collect();
+        chain.reverse();
+        causal_order(&mut chain, |(r, _)| r);
+        let mut page = vec![0u8; 4096];
+        chain.iter().for_each(|(_, d)| d.apply(&mut page));
+        assert_eq!(page[0], N as u8 - 1);
     }
 
     #[test]

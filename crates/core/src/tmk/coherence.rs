@@ -14,7 +14,7 @@ use tm_sim::Ns;
 
 use super::{DiffFetch, Tmk, TmkEvent};
 use crate::diff::Diff;
-use crate::interval::IntervalRecord;
+use crate::interval::{causal_order, IntervalRecord};
 use crate::page::{Access, Page, PageId, Pending};
 use crate::protocol::{begin_multi_diffs, chunk_diffs, PageDiffs, PageRef, Request, Response};
 use crate::substrate::Substrate;
@@ -961,15 +961,14 @@ impl<S: Substrate> Tmk<S> {
             Some((_, h)) => *h = (*h).max(covered_hi),
             None => st.covered.push((writer, covered_hi)),
         }
+        let pending = &self.pages[st.pid as usize].pending;
         for (seq, d) in diffs {
-            let pend = self.pages[st.pid as usize]
-                .pending
-                .iter()
-                .find(|p| p.node == writer && p.seq == seq)
-                .cloned()
+            let pend = match pending.binary_search_by_key(&(writer, seq), |p| (p.node, p.seq)) {
+                Ok(i) => Rc::clone(&pending[i]),
                 // Returned but not (yet) noticed: the covered ceiling
                 // will advance past it, so it must be applied now.
-                .unwrap_or_else(|| IntervalRecord::repair(self.n, writer, seq));
+                Err(_) => IntervalRecord::repair(self.n, writer, seq),
+            };
             st.collected.push((pend, d));
         }
     }
@@ -1002,30 +1001,12 @@ impl<S: Substrate> Tmk<S> {
             mut collected,
             covered,
         } = st;
-        // Causal sort: repeatedly take a minimal element (nothing else
-        // happens-before it).
-        let mut ordered: Vec<(Pending, Diff)> = Vec::with_capacity(collected.len());
-        while !collected.is_empty() {
-            let mut pick = 0;
-            for i in 0..collected.len() {
-                let candidate = &collected[i].0;
-                let minimal = collected.iter().enumerate().all(|(j, (other, _))| {
-                    j == i
-                        || !(other.vc.dominated_by(&candidate.vc)
-                            && other.vc != candidate.vc)
-                });
-                if minimal {
-                    pick = i;
-                    break;
-                }
-            }
-            ordered.push(collected.remove(pick));
-        }
+        causal_order(&mut collected, |(pend, _)| pend);
         // Apply in order, to data and (if present) twin.
         let mut cost = Ns::ZERO;
         let mut applied_count = 0u64;
         let page = &mut self.pages[pid as usize];
-        for (pend, d) in ordered {
+        for (pend, d) in collected {
             d.apply(&mut page.data);
             if let Some(twin) = page.twin.as_mut() {
                 d.apply(twin);

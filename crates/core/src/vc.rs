@@ -64,6 +64,12 @@ impl VectorClock {
         self.v.iter().zip(&other.v).all(|(a, b)| a <= b)
     }
 
+    /// Σ of the counters: strictly monotone in the happens-before order
+    /// (`a ≤ b` and `a ≠ b` imply `a.sum() < b.sum()`).
+    pub fn sum(&self) -> u64 {
+        self.v.iter().map(|&x| u64::from(x)).sum()
+    }
+
     /// Neither dominates: concurrent.
     pub fn concurrent_with(&self, other: &VectorClock) -> bool {
         !self.dominated_by(other) && !other.dominated_by(self)

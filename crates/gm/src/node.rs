@@ -105,6 +105,44 @@ struct PortState {
     disabled: bool,
 }
 
+impl PortState {
+    /// Take a preposted buffer of the size class of a `len`-byte message,
+    /// if one is left.
+    fn take_buffer(&mut self, len: usize) -> bool {
+        let free = &mut self.recv_buffers[gm_size(len) as usize];
+        if *free == 0 {
+            return false;
+        }
+        *free -= 1;
+        true
+    }
+
+    /// Retry the unmatched packets in queue order against buffers provided
+    /// since: a match moves to `ready`, a packet past the sender's resend
+    /// window is rejected (its sender's port is disabled), and the rest stay
+    /// where they are. A poll that changes nothing moves and allocates
+    /// nothing; an emptied queue gives its capacity back, so a burst's
+    /// deque does not outlive the burst.
+    fn retry_unmatched(&mut self, now: Ns, timeout: Ns, board: &FailureBoard) {
+        let mut i = 0;
+        while i < self.unmatched.len() {
+            let (len, arrival) = (self.unmatched[i].payload.len(), self.unmatched[i].arrival);
+            if self.take_buffer(len) {
+                let pkt = self.unmatched.remove(i).expect("in range");
+                self.ready.push_back(pkt);
+            } else if now.saturating_sub(arrival) > timeout {
+                let pkt = self.unmatched.remove(i).expect("in range");
+                board.post(pkt.src, pkt.src_port as u8);
+            } else {
+                i += 1;
+            }
+        }
+        if self.unmatched.is_empty() {
+            self.unmatched = VecDeque::new();
+        }
+    }
+}
+
 /// One node's GM endpoint. Owned by the node.
 pub struct GmNode {
     nic: NicHandle,
@@ -336,11 +374,9 @@ impl GmNode {
 
     /// Admit one arrived packet: it takes a preposted buffer of its size
     /// class, or waits unmatched for one.
-    fn admit(&mut self, pkt: RawPacket) {
-        if let Some(p) = self.ports[pkt.dst_port as usize].as_mut() {
-            let size = gm_size(pkt.payload.len());
-            if p.recv_buffers[size as usize] > 0 {
-                p.recv_buffers[size as usize] -= 1;
+    fn admit(ports: &mut [Option<PortState>], pkt: RawPacket) {
+        if let Some(p) = ports[pkt.dst_port as usize].as_mut() {
+            if p.take_buffer(pkt.payload.len()) {
                 p.ready.push_back(pkt);
             } else {
                 p.unmatched.push_back(pkt);
@@ -348,37 +384,18 @@ impl GmNode {
         } // packets to closed ports vanish (GM drops them)
     }
 
-    /// Sort newly arrived packets into per-port state.
+    /// Sort newly arrived packets into per-port state: admit everything the
+    /// NIC holds for a GM port (ports in number order, each in arrival
+    /// order), then retry each port's unmatched packets in place. The order
+    /// is part of the model — a fresh arrival takes a just-provided buffer
+    /// ahead of an older unmatched packet of its class.
     fn sort_arrivals(&mut self) {
-        // Drain every GM port's raw queue.
-        for port in 1..NUM_PORTS {
-            while let Some(pkt) = self.nic.poll_port(port as u16) {
-                self.admit(pkt);
-            }
-        }
-        // Retry unmatched packets against buffers provided since, and
-        // reject those that have exceeded the sender's resend window.
+        let ports = &mut self.ports;
+        self.nic.drain_ports(&GM_PORTS, |pkt| Self::admit(ports, pkt));
         let now = self.clock.borrow().now();
         let timeout = self.params.gm.resend_timeout;
-        for port in 1..NUM_PORTS as usize {
-            let Some(p) = self.ports[port].as_mut() else {
-                continue;
-            };
-            let mut still = VecDeque::new();
-            while let Some(pkt) = p.unmatched.pop_front() {
-                let size = gm_size(pkt.payload.len());
-                if p.recv_buffers[size as usize] > 0 {
-                    p.recv_buffers[size as usize] -= 1;
-                    p.ready.push_back(pkt);
-                } else if now.saturating_sub(pkt.arrival) > timeout {
-                    // Sender's resend timer fired: the send fails and the
-                    // sending port is disabled.
-                    self.board.post(pkt.src, pkt.src_port as u8);
-                } else {
-                    still.push_back(pkt);
-                }
-            }
-            p.unmatched = still;
+        for p in self.ports.iter_mut().flatten() {
+            p.retry_unmatched(now, timeout, &self.board);
         }
     }
 
@@ -496,7 +513,7 @@ impl GmNode {
             }
             // Genuinely idle: park on the NIC.
             match self.nic.wait(Some(&GM_PORTS), deadline, None) {
-                Wait::Got(pkt) => self.admit(pkt),
+                Wait::Got(pkt) => Self::admit(&mut self.ports, pkt),
                 _ => break,
             }
         }
@@ -517,14 +534,21 @@ mod tests {
     use super::*;
     use tm_sim::clock::shared_clock;
 
-    fn two_nodes() -> (GmNode, GmNode) {
+    /// A hand-driven `n`-node GM cluster.
+    fn gm_nodes(n: usize) -> Vec<GmNode> {
         let params = Arc::new(SimParams::paper_testbed());
-        let (_fabric, board, mut nics) = gm_cluster(2, Arc::clone(&params));
-        let n1 = nics.pop().unwrap();
-        let n0 = nics.pop().unwrap();
-        let a = GmNode::new(n0, shared_clock(), Arc::clone(&params), Arc::clone(&board), 64 << 20);
-        let b = GmNode::new(n1, shared_clock(), params, board, 64 << 20);
-        (a, b)
+        let (_fabric, board, nics) = gm_cluster(n, Arc::clone(&params));
+        let node = |nic| {
+            let params = Arc::clone(&params);
+            GmNode::new(nic, shared_clock(), params, Arc::clone(&board), 64 << 20)
+        };
+        nics.into_iter().map(node).collect()
+    }
+
+    fn two_nodes() -> (GmNode, GmNode) {
+        let mut nodes = gm_nodes(2);
+        let b = nodes.pop().unwrap();
+        (nodes.pop().unwrap(), b)
     }
 
     fn pooled(node: &mut GmNode, data: &[u8]) -> PooledBuf {
@@ -616,6 +640,53 @@ mod tests {
         let ev = b.receive(3).unwrap();
         assert!(matches!(ev, Some(GmEvent::Recv { .. })));
         assert!(!a.port_disabled(2));
+    }
+
+    /// FAST's reply port under an overlapped fetch: one preposted buffer per
+    /// size class and 63 same-class replies in flight, received one at a
+    /// time with the buffer re-provided after each. They come out in
+    /// arrival order; a packet that lands while the rest wait unmatched
+    /// takes the next provided buffer ahead of them (admit, then retry);
+    /// and whatever is still unmatched past the resend window fails its
+    /// sender.
+    #[test]
+    fn a_burst_on_a_one_buffer_port_is_received_in_order() {
+        const SENDERS: u8 = 63;
+        let mut tx = gm_nodes(SENDERS as usize + 1);
+        let mut rx = tx.remove(0);
+        let class = gm_size(8);
+        rx.open_port(3, false).unwrap();
+        rx.provide_receive_buffer(3, class).unwrap();
+        let send = |node: &mut GmNode, tag: u8| {
+            let buf = pooled(node, &[tag; 8]);
+            node.send(2, 0, 3, &buf, 8).unwrap();
+        };
+        for (w, node) in (1..=SENDERS).zip(&mut tx) {
+            node.open_port(2, false).unwrap();
+            send(node, w);
+        }
+        rx.clock().borrow_mut().advance(Ns::from_ms(1));
+        let next = |rx: &mut GmNode| match rx.receive(3).unwrap() {
+            Some(GmEvent::Recv { data, .. }) => {
+                rx.provide_receive_buffer(3, class).unwrap();
+                data[0]
+            }
+            other => panic!("expected a reply, got {other:?}"),
+        };
+        let first: Vec<u8> = (0..10).map(|_| next(&mut rx)).collect();
+        assert_eq!(first, (1..=10).collect::<Vec<_>>());
+        send(&mut tx[0], 200);
+        let fresh = next(&mut rx);
+        assert_eq!(fresh, 200, "a fresh arrival takes the provided buffer first");
+        let more: Vec<u8> = (0..20).map(|_| next(&mut rx)).collect();
+        assert_eq!(more, (11..=30).collect::<Vec<_>>());
+        // Past the resend window the provided buffer still goes to the
+        // oldest waiting reply; every later one fails its sender.
+        rx.clock().borrow_mut().advance(Ns::from_secs(4));
+        assert_eq!(next(&mut rx), 31);
+        assert!(rx.receive(3).unwrap().is_none());
+        let disabled: Vec<bool> = tx.iter_mut().map(|node| node.port_disabled(2)).collect();
+        assert_eq!(disabled, (1..=SENDERS).map(|w| w > 31).collect::<Vec<_>>());
     }
 
     #[test]

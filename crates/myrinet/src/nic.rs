@@ -122,6 +122,22 @@ impl NicHandle {
         self.inbox().port(port).pop_front()
     }
 
+    /// Hand every packet queued on `ports` to `take`, port by port in the
+    /// order given and each port's queue in arrival order, under one borrow
+    /// of the inbox. Unlike [`NicHandle::poll_port`] it allocates no queue
+    /// for a port nothing has landed on. `take` must not touch this node's
+    /// inbox.
+    pub fn drain_ports(&mut self, ports: &[u16], mut take: impl FnMut(RawPacket)) {
+        let mut inbox = self.inbox();
+        for &port in ports {
+            if let Some((_, q)) = inbox.0.iter_mut().find(|(p, _)| *p == port) {
+                while let Some(pkt) = q.pop_front() {
+                    take(pkt);
+                }
+            }
+        }
+    }
+
     /// Number of packets queued for a port.
     #[cfg(test)]
     fn queued(&self, port: u16) -> usize {
@@ -246,6 +262,20 @@ mod tests {
         assert!(n1.poll_port(5).is_none());
         let on6 = n1.poll_port(6).expect("packet on port 6");
         assert_eq!(&on6.payload[..], b"b");
+    }
+
+    /// One drain empties the named ports in the order named, each in
+    /// arrival order, and leaves every other port queued.
+    #[test]
+    fn drain_ports_follows_the_named_order() {
+        let (f, mut nics) = pair();
+        for (port, body) in [(6, b"b1"), (5, b"a1"), (7, b"c0"), (6, b"b2"), (5, b"a2")] {
+            f.transmit(0, 1, 9, port, Bytes::from_static(body), Ns(0), None, false);
+        }
+        let mut got = Vec::new();
+        nics[1].drain_ports(&[5, 6, 8], |p| got.push(p.payload.to_vec()));
+        assert_eq!(got, [b"a1", b"a2", b"b1", b"b2"]);
+        assert_eq!((nics[1].queued(5), nics[1].queued(7)), (0, 1));
     }
 
     #[test]

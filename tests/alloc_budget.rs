@@ -12,6 +12,9 @@
 //! Interval metadata is pinned the same way: an interval record is one
 //! shared object per node, so a write notice is a handle, and a run that
 //! does nothing but queue notices must not allocate per notice.
+//!
+//! A GM poll retries the port's unmatched packets in place, so polling a
+//! port that holds a burst it has no buffers for allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,7 +22,9 @@ use std::sync::Arc;
 
 use tm_apps::{sor_parallel, sor_seq, SorConfig};
 use tm_fast::{run_fast_dsm, FastConfig};
-use tm_sim::SimParams;
+use tm_gm::{gm_cluster, gm_size, DmaPool, GmNode};
+use tm_sim::clock::shared_clock;
+use tm_sim::{Ns, SimParams};
 use tmk::diff::Diff;
 use tmk::wire::{WireReader, WireWriter};
 use tmk::{Substrate, Tmk, TmkConfig};
@@ -171,6 +176,38 @@ fn a_small_lockstep_sor_run_stays_inside_its_allocation_budget() {
         allocs <= SOR_BUDGET,
         "4-node 64x512 SOR made {allocs} heap allocations (budget {SOR_BUDGET})"
     );
+}
+
+/// A GM port holding a burst it has no buffers for is polled again and
+/// again while the replies wait: each poll retries every unmatched packet,
+/// and a poll that matches nothing allocates nothing.
+#[test]
+fn polling_a_port_with_unmatched_packets_allocates_nothing() {
+    let params = Arc::new(SimParams::paper_testbed());
+    let (_fabric, board, mut nics) = gm_cluster(2, Arc::clone(&params));
+    let node = |nic| {
+        let params = Arc::clone(&params);
+        GmNode::new(nic, shared_clock(), params, Arc::clone(&board), 1 << 20)
+    };
+    let mut rx = node(nics.pop().expect("node 1"));
+    let mut tx = node(nics.pop().expect("node 0"));
+    rx.open_port(3, false).unwrap();
+    tx.open_port(2, false).unwrap();
+    let mut pool = DmaPool::new(&mut tx.book, 1, 64).unwrap();
+    let buf = pool.take(&[7; 8]).unwrap();
+    for _ in 0..params.gm.send_tokens {
+        tx.send(2, 1, 3, &buf, 8).unwrap();
+    }
+    rx.clock().borrow_mut().advance(Ns::from_ms(1));
+    assert!(rx.receive(3).unwrap().is_none(), "no buffer was provided");
+    let (allocs, ()) = allocs_during(|| {
+        for _ in 0..100 {
+            assert!(rx.receive(3).unwrap().is_none());
+        }
+    });
+    assert_eq!(allocs, 0, "100 polls over unmatched packets allocated");
+    rx.provide_receive_buffer(3, gm_size(8)).unwrap();
+    assert!(rx.receive(3).unwrap().is_some(), "the packets were waiting");
 }
 
 const STORM_NODES: usize = 16;
