@@ -120,32 +120,6 @@ impl MemSubstrate {
         })
     }
 
-    /// Send `data` on `chan`, leaving at virtual time `depart`: released by
-    /// the scheduler in departure-key order, so every inbox fills in an
-    /// order the program alone decides.
-    fn send(&mut self, to: usize, chan: Chan, data: &[u8], depart: Ns) {
-        {
-            let mut c = self.clock.borrow_mut();
-            c.stats.msgs_sent += 1;
-            c.stats.bytes_sent += data.len() as u64;
-        }
-        self.ep.sched.request_transmit(self.ep.id, to, depart);
-        let msg = IncomingMsg {
-            from: self.ep.id,
-            chan,
-            data: data.to_vec(),
-            arrival: depart + self.latency,
-            lost: false,
-        };
-        let mut inbox = self.ep.inboxes[to].borrow_mut();
-        let inbox = inbox.as_mut().expect("peer gone");
-        match chan {
-            Chan::Request => inbox.requests.push_back(msg),
-            Chan::Response => inbox.responses.push_back(msg),
-        }
-        self.ep.sched.deliver(to);
-    }
-
     /// Whether a poll's miss at virtual time `now` is final: `false` if an
     /// earlier-keyed send landed here first (look again).
     fn miss_settled(&self, now: Ns) -> bool {
@@ -175,22 +149,37 @@ impl Substrate for MemSubstrate {
         AsyncScheme::Interrupt { cost: Ns::ZERO }
     }
 
-    fn send_request(&mut self, to: usize, data: &[u8]) {
-        self.clock.borrow_mut().advance(self.send_cost);
-        let now = self.clock.borrow().now();
-        self.send(to, Chan::Request, data, now);
-    }
-
-    fn send_request_at(&mut self, to: usize, data: &[u8], at: Ns) {
-        self.send(to, Chan::Request, data, at);
+    /// Released by the scheduler in departure-key order, so every inbox
+    /// fills in an order the program alone decides.
+    fn send(&mut self, to: usize, chan: Chan, data: &[u8], at: Option<Ns>) {
+        let depart = {
+            let mut c = self.clock.borrow_mut();
+            if at.is_none() {
+                c.advance(self.send_cost);
+            }
+            c.stats.msgs_sent += 1;
+            c.stats.bytes_sent += data.len() as u64;
+            at.unwrap_or(c.now())
+        };
+        self.ep.sched.request_transmit(self.ep.id, to, depart);
+        let msg = IncomingMsg {
+            from: self.ep.id,
+            chan,
+            data: data.to_vec(),
+            arrival: depart + self.latency,
+            lost: false,
+        };
+        let mut inbox = self.ep.inboxes[to].borrow_mut();
+        let inbox = inbox.as_mut().expect("peer gone");
+        match chan {
+            Chan::Request => inbox.requests.push_back(msg),
+            Chan::Response => inbox.responses.push_back(msg),
+        }
+        self.ep.sched.deliver(to);
     }
 
     fn response_cost(&self, _len: usize) -> Ns {
         self.send_cost
-    }
-
-    fn send_response_at(&mut self, to: usize, data: &[u8], at: Ns) {
-        self.send(to, Chan::Response, data, at);
     }
 
     fn poll_request(&mut self) -> Option<IncomingMsg> {
@@ -328,7 +317,7 @@ mod tests {
                 let params = Arc::clone(&env.params);
                 let mut sub = MemSubstrate::new(ep, env.clock.clone(), params, Ns::ZERO, Ns::ZERO);
                 match env.id {
-                    0 => sub.send_request_at(1, b"only one", Ns(7)),
+                    0 => sub.send(1, Chan::Request, b"only one", Some(Ns(7))),
                     1 => drop((sub.next_incoming(), sub.next_incoming())),
                     _ => {}
                 }

@@ -53,7 +53,7 @@ pub enum Chan {
 }
 
 /// A message delivered by the substrate.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct IncomingMsg {
     pub from: usize,
     pub chan: Chan,
@@ -79,24 +79,27 @@ pub trait Substrate {
     /// (NIC interrupt for FAST/GM, SIGIO for UDP, …).
     fn scheme(&self) -> AsyncScheme;
 
-    /// Send an asynchronous request; charges the clock for the send path.
-    fn send_request(&mut self, to: usize, data: &[u8]);
+    /// Send `data` on `chan`. `None`: now, charging the clock for the send
+    /// path. `Some(at)`: a frame whose work the runtime already accounted
+    /// (a handler's service window, which included
+    /// [`response_cost`](Substrate::response_cost)) leaves at virtual time
+    /// `at`, and the clock is not charged.
+    fn send(&mut self, to: usize, chan: Chan, data: &[u8], at: Option<Ns>);
 
-    /// Send a request from *inside a request handler* whose service window
-    /// completed at virtual time `at` (lock-manager forwarding). Like
-    /// [`send_response_at`](Substrate::send_response_at), does not charge
-    /// the clock.
-    fn send_request_at(&mut self, to: usize, data: &[u8], at: Ns);
+    /// Send an asynchronous request now.
+    fn send_request(&mut self, to: usize, data: &[u8]) {
+        self.send(to, Chan::Request, data, None)
+    }
 
-    /// Host-side cost of emitting a response of `len` bytes. The runtime
-    /// folds this into the request's service duration before calling
-    /// [`send_response_at`](Substrate::send_response_at).
+    /// Send a response whose service (handler + send) completed at `at`.
+    fn send_response_at(&mut self, to: usize, data: &[u8], at: Ns) {
+        self.send(to, Chan::Response, data, Some(at))
+    }
+
+    /// Host-side cost of emitting a frame of `len` bytes from a handler.
+    /// The runtime folds this into the request's service duration before
+    /// it sends at the window's end.
     fn response_cost(&self, len: usize) -> Ns;
-
-    /// Send a response whose service (handler + send) completed at virtual
-    /// time `at`. Does **not** charge the clock — the runtime already
-    /// accounted the work via the service window.
-    fn send_response_at(&mut self, to: usize, data: &[u8], at: Ns);
 
     /// Non-blocking: a request whose arrival is at or before the node's
     /// current virtual time, if any.
@@ -106,11 +109,7 @@ pub trait Substrate {
     /// is at or before the node's current virtual time. The overlapped
     /// rpc engine drains this after a blocking receive to gather the
     /// whole arrived burst, then dispatches it in virtual-arrival order.
-    /// The default covers transports whose synchronous channel is only
-    /// ever read while blocked.
-    fn poll_incoming(&mut self) -> Option<IncomingMsg> {
-        self.poll_request()
-    }
+    fn poll_incoming(&mut self) -> Option<IncomingMsg>;
 
     /// The one blocking wait: block until any request or response
     /// arrives, or — when `deadline` is set — until that *virtual* time

@@ -166,10 +166,7 @@ impl<S: Substrate> Tmk<S> {
     ) {
         let cost = cost + self.sub.response_cost(bytes.len());
         let finish = self.charge_service(arrival, cost);
-        match chan {
-            Chan::Response => self.sub.send_response_at(to, bytes, finish),
-            Chan::Request => self.sub.send_request_at(to, bytes, finish),
-        }
+        self.sub.send(to, chan, bytes, Some(finish));
         if let Some(rel) = self.rel.as_mut() {
             rel.settle(|| ReplayAction::Sent { chan, to, bytes: bytes.to_vec() });
         }

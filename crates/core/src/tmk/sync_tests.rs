@@ -40,20 +40,17 @@ impl Substrate for LossyMem {
     fn scheme(&self) -> AsyncScheme {
         self.0.scheme()
     }
-    fn send_request(&mut self, to: usize, data: &[u8]) {
-        self.0.send_request(to, data)
-    }
-    fn send_request_at(&mut self, to: usize, data: &[u8], at: Ns) {
-        self.0.send_request_at(to, data, at)
+    fn send(&mut self, to: usize, chan: Chan, data: &[u8], at: Option<Ns>) {
+        self.0.send(to, chan, data, at)
     }
     fn response_cost(&self, len: usize) -> Ns {
         self.0.response_cost(len)
     }
-    fn send_response_at(&mut self, to: usize, data: &[u8], at: Ns) {
-        self.0.send_response_at(to, data, at)
-    }
     fn poll_request(&mut self) -> Option<IncomingMsg> {
         self.0.poll_request()
+    }
+    fn poll_incoming(&mut self) -> Option<IncomingMsg> {
+        self.0.poll_incoming()
     }
     fn wait(&mut self, deadline: Option<Ns>, watch: Option<&[usize]>) -> Wait<IncomingMsg> {
         self.0.wait(deadline, watch)
@@ -266,12 +263,13 @@ fn request_gathered_during_a_collect_is_served_before_the_next_block() {
         vc: VectorClock::new(2),
         records: Vec::new(),
     };
-    s1.send_request_at(0, &encode(arrive, 100), at);
+    s1.send(0, Chan::Request, &encode(arrive, 100), Some(at));
     let mut w = crate::wire::WireWriter::pooled(64);
     Response::NoticeAck { barrier: 0 }.encode_into(rid, &mut w);
     s1.send_response_at(0, w.as_slice(), at);
     w.recycle();
-    s1.send_request_at(0, &encode(Request::Page { page: 0 }, 101), Ns::from_secs(1));
+    let decoy = encode(Request::Page { page: 0 }, 101);
+    s1.send(0, Chan::Request, &decoy, Some(Ns::from_secs(1)));
 
     assert!(matches!(t0.rpc_collect(rid), Response::NoticeAck { .. }));
     assert_eq!(t0.serve_q.len(), 1, "arrival gathered with the response, not yet served");

@@ -4,8 +4,7 @@ use std::sync::Arc;
 
 use tm_gm::{DmaPool, GmEvent, GmNode, MAX_SIZE_CLASS};
 use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
-use tmk::framing::{self, FragHeader, Reassembler};
-use tmk::wire::pool;
+use tmk::framing::{Codec, Malformed};
 use tmk::{Chan, IncomingMsg, Substrate};
 
 /// GM port carrying asynchronous requests (interrupt-enabled: the
@@ -14,14 +13,10 @@ pub const REQ_PORT: u8 = 1;
 /// GM port carrying synchronous responses (polled).
 pub const REP_PORT: u8 = 2;
 
-/// Wire frame kinds (one prefix byte on every GM message).
-const FRAME_DATA: u8 = 0;
 /// Host cost of building/parsing the FAST frame header and demultiplexing
 /// the connectionless GM id to a connection (§2.2.1) — the small tax that
 /// puts FAST/GM at 9.4 µs where raw GM sits at 8.99 µs.
 const DEMUX: Ns = Ns(150);
-/// A fragment of a larger frame: [4][xid u32][idx u16][total u16][bytes].
-const FRAME_FRAG: u8 = 4;
 
 /// Give up after this many token-starvation polls for a single frame —
 /// past it the run is wedged, not congested.
@@ -78,9 +73,8 @@ pub struct FastSubstrate {
     gm: GmNode,
     pool: DmaPool,
     cfg: FastConfig,
-    next_xfer: u32,
-    /// Shared fragment reassembly, demuxed per GM port.
-    partials: Reassembler<u8>,
+    /// Frames of at most the largest preposted class.
+    codec: Codec,
     /// Registered bytes devoted to preposted receive buffers (E5).
     pub prepost_bytes: usize,
 }
@@ -117,8 +111,7 @@ impl FastSubstrate {
             gm,
             pool,
             cfg,
-            next_xfer: 1,
-            partials: Reassembler::new(),
+            codec: Codec::new(tm_gm::gm_max_length(MAX_SIZE_CLASS)),
             prepost_bytes: prepost,
         }
     }
@@ -138,9 +131,9 @@ impl FastSubstrate {
         self.pool.fresh_takes()
     }
 
-    /// Push a `[kind] ++ body` frame through GM, gathering the parts
-    /// straight into a registered send buffer (no intermediate frame
-    /// allocation) and reclaiming the buffer after completion. An
+    /// Push one codec frame through GM, gathering its parts straight into
+    /// a registered send buffer (no intermediate frame allocation) and
+    /// reclaiming the buffer after completion. An
     /// immediate send (`at` is `None`) pays DEMUX + the fast-path copy
     /// cost; a scheduled one passes its pre-accounted departure time.
     fn push_frame(&mut self, to: usize, port: u8, parts: &[&[u8]], at: Option<Ns>) {
@@ -185,57 +178,10 @@ impl FastSubstrate {
         self.pool.recycle_buf(buf);
     }
 
-    /// Send `[FRAME_DATA] ++ body`, fragmenting when it exceeds the
-    /// largest preposted class. Fragment payloads are gathered
-    /// scatter-gather from the logical frame — the frame itself is never
-    /// materialized.
-    fn send_data(&mut self, to: usize, port: u8, body: &[u8], at: Option<Ns>) {
-        let flen = body.len() + 1;
-        let limit = tm_gm::gm_max_length(MAX_SIZE_CLASS);
-        if flen <= limit {
-            self.push_frame(to, port, &[&[FRAME_DATA], body], at);
-            return;
-        }
-        let chunk = limit - 10; // frag header + slack
-        let plan = framing::plan(flen, chunk);
-        assert!(plan.total <= u16::MAX as usize);
-        let xid = self.next_xfer;
-        self.next_xfer += 1;
-        let mut t = at;
-        for (i, range) in plan.ranges().enumerate() {
-            // Fragment i carries bytes [lo, hi) of the `[kind] ++ body`
-            // stream — identical chunk boundaries to slicing a built frame.
-            let (lo, hi) = (range.start, range.end);
-            let head = FragHeader {
-                xid,
-                idx: i as u16,
-                total: plan.total as u16,
-            }
-            .head(FRAME_FRAG);
-            if lo == 0 {
-                self.push_frame(to, port, &[&head, &[FRAME_DATA], &body[..hi - 1]], t);
-            } else {
-                self.push_frame(to, port, &[&head, &body[lo - 1..hi - 1]], t);
-            }
-            // Successive fragments leave back-to-back; the spacing is
-            // the copy cost the handler already accounted per byte.
-            if let Some(t) = t.as_mut() {
-                *t += Ns(1);
-            }
-        }
-    }
-
-    /// Count and drop a frame that can't be interpreted (truncated header
-    /// or unknown kind). GM delivers every frame intact, so only a sender
-    /// bug produces one.
-    fn malformed(&mut self) -> Option<IncomingMsg> {
-        self.gm.clock().borrow_mut().stats.malformed_dropped += 1;
-        None
-    }
-
     /// Handle one GM receive event; `Some` if it surfaces to the DSM
     /// runtime, `None` if it was a fragment of a frame still incomplete or
-    /// a frame dropped as malformed.
+    /// a frame dropped as malformed (GM delivers every frame intact, so
+    /// only a sender bug produces one).
     fn handle_event(&mut self, port: u8, ev: GmEvent) -> Option<IncomingMsg> {
         let GmEvent::Recv {
             src,
@@ -258,55 +204,12 @@ impl FastSubstrate {
         } else {
             Chan::Response
         };
-        if data.is_empty() {
-            return self.malformed();
-        }
-        let kind = data[0];
-        let body = &data[1..];
-        match kind {
-            FRAME_DATA => {
-                let mut payload = pool::take(body.len());
-                payload.extend_from_slice(body);
-                Some(IncomingMsg {
-                    from: src,
-                    chan,
-                    data: payload,
-                    arrival,
-                    lost: false,
-                })
-            }
-            FRAME_FRAG => {
-                let Some((h, frag)) = FragHeader::parse(body) else {
-                    return self.malformed();
-                };
-                let mut payload = pool::take(frag.len());
-                payload.extend_from_slice(frag);
-                match self.partials.insert(src, port, h, payload, arrival) {
-                    framing::Insert::Pending => None,
-                    framing::Insert::Malformed => self.malformed(),
-                    framing::Insert::Complete(frame) => {
-                        // Single-copy reassembly straight into the surfaced
-                        // message: chunk 0's kind byte is checked and
-                        // skipped here, so the runtime payload is never
-                        // re-copied. Only DATA frames are ever sent.
-                        assert_eq!(frame.first_byte(), FRAME_DATA, "only data frames fragment");
-                        let chan = if frame.tag == REQ_PORT {
-                            Chan::Request
-                        } else {
-                            Chan::Response
-                        };
-                        Some(IncomingMsg {
-                            from: frame.src,
-                            chan,
-                            arrival: frame.arrival,
-                            data: frame.assemble(1),
-                            lost: false,
-                        })
-                    }
-                }
-            }
-            _ => self.malformed(),
-        }
+        self.codec
+            .accept(src, chan, &data, arrival)
+            .unwrap_or_else(|Malformed| {
+                self.gm.clock().borrow_mut().stats.malformed_dropped += 1;
+                None
+            })
     }
 }
 
@@ -331,22 +234,20 @@ impl Substrate for FastSubstrate {
         self.cfg.scheme
     }
 
-    fn send_request(&mut self, to: usize, data: &[u8]) {
-        self.send_data(to, REQ_PORT, data, None);
-    }
-
-    fn send_request_at(&mut self, to: usize, data: &[u8], at: Ns) {
-        self.send_data(to, REQ_PORT, data, Some(at));
+    fn send(&mut self, to: usize, chan: Chan, data: &[u8], at: Option<Ns>) {
+        let port = match chan {
+            Chan::Request => REQ_PORT,
+            Chan::Response => REP_PORT,
+        };
+        for piece in self.codec.pieces(data, at) {
+            self.push_frame(to, port, &piece.parts(), piece.at);
+        }
     }
 
     fn response_cost(&self, len: usize) -> Ns {
         DEMUX
             + Ns::for_bytes(len, self.gm.params().host.fast_copy_mb_s)
             + self.gm.params().gm.send_overhead
-    }
-
-    fn send_response_at(&mut self, to: usize, data: &[u8], at: Ns) {
-        self.send_data(to, REP_PORT, data, Some(at));
     }
 
     fn poll_request(&mut self) -> Option<IncomingMsg> {
@@ -395,6 +296,7 @@ mod tests {
     use super::*;
     use tm_gm::gm_cluster;
     use tm_sim::clock::shared_clock;
+    use tmk::wire::pool;
 
     fn pair() -> (FastSubstrate, FastSubstrate) {
         let params = Arc::new(SimParams::paper_testbed());
@@ -457,6 +359,24 @@ mod tests {
         assert_eq!(rep.data.len(), 20_000);
         assert!(rep.data.iter().all(|&x| x == 0xCD));
         assert_eq!((a.pinned_bytes(), b.pinned_bytes()), pinned);
+    }
+
+    /// E1's 32 KiB messages are the only FAST/GM traffic that fragments:
+    /// the 32 769-byte stream cuts into a 32 766-byte and a 21-byte frame
+    /// at the largest preposted class, and `results/e1.txt` prices both.
+    #[test]
+    fn a_32k_body_cuts_into_the_two_frames_e1_prices() {
+        let (mut a, mut b) = pair();
+        assert_eq!(tm_gm::gm_max_length(MAX_SIZE_CLASS), 32_767);
+        let body = vec![0x5Au8; 32 * 1024];
+        let lens: Vec<usize> = a
+            .codec
+            .pieces(&body, None)
+            .map(|p| p.parts().iter().map(|s| s.len()).sum())
+            .collect();
+        assert_eq!(lens, [32_766, 21]);
+        a.send_request(1, &body);
+        assert_eq!(b.next_incoming().data, body);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
-use tmk::framing::{self, FragHeader, Reassembler};
+use tmk::framing::{Codec, Malformed};
 use tmk::wire::pool;
 use tmk::{Chan, IncomingMsg, Substrate};
 
@@ -22,17 +22,13 @@ pub const REP_SOCK: u16 = 2;
 
 /// Largest UDP datagram payload we send (IP reassembly limit, minus
 /// headroom for the frame header).
-const DGRAM_LIMIT: usize = 60 * 1024;
-
-const FRAME_DATA: u8 = 0;
-const FRAME_FRAG: u8 = 1;
+pub const DGRAM_LIMIT: usize = 60 * 1024;
 
 /// The per-node UDP/GM endpoint.
 pub struct UdpSubstrate {
     udp: UdpStack,
-    next_xid: u32,
-    /// Shared fragment reassembly, demuxed per socket.
-    partials: Reassembler<u16>,
+    /// Frames of at most one datagram.
+    codec: Codec,
 }
 
 impl UdpSubstrate {
@@ -42,8 +38,7 @@ impl UdpSubstrate {
         udp.bind(REP_SOCK, false);
         UdpSubstrate {
             udp,
-            next_xid: 1,
-            partials: Reassembler::new(),
+            codec: Codec::new(DGRAM_LIMIT),
         }
     }
 
@@ -61,38 +56,11 @@ impl UdpSubstrate {
         pool::give(buf);
     }
 
-    /// Send one message, fragmenting above the IP reassembly limit. The
-    /// fragment header is built on the stack and gathered together with a
-    /// chunk of the caller's payload.
-    fn send_msg(&mut self, to: usize, sock: u16, data: &[u8], at: Option<Ns>) {
-        if data.len() < DGRAM_LIMIT {
-            return self.send_dgram(to, sock, &[&[FRAME_DATA], data], at);
-        }
-        let plan = framing::plan(data.len(), DGRAM_LIMIT);
-        let xid = self.next_xid;
-        self.next_xid += 1;
-        for (i, range) in plan.ranges().enumerate() {
-            let head = FragHeader {
-                xid,
-                idx: i as u16,
-                total: plan.total as u16,
-            }
-            .head(FRAME_FRAG);
-            self.send_dgram(to, sock, &[&head, &data[range]], at.map(|t| t + Ns(i as u64)));
-        }
-    }
-
-    /// Count and drop a frame that can't be interpreted (truncated header,
-    /// inconsistent fragment geometry, unknown kind — all possible once
-    /// fault injection corrupts bytes).
-    fn malformed(&mut self) -> Option<IncomingMsg> {
-        self.udp.clock().borrow_mut().stats.malformed_dropped += 1;
-        None
-    }
-
     /// Handle one datagram; `Some` when a full message is available.
     /// Loss tombstones surface as `IncomingMsg { lost: true }` so blocked
-    /// requesters observe the loss at its deterministic virtual time.
+    /// requesters observe the loss at its deterministic virtual time. A
+    /// frame the codec cannot read (possible once fault injection corrupts
+    /// bytes) is counted and dropped.
     fn handle(&mut self, sock: u16, d: Datagram) -> Option<IncomingMsg> {
         let chan = if sock == REQ_SOCK {
             Chan::Request
@@ -108,41 +76,12 @@ impl UdpSubstrate {
                 lost: true,
             });
         }
-        if d.data.is_empty() {
-            return self.malformed();
-        }
-        match d.data[0] {
-            FRAME_DATA => {
-                let mut payload = pool::take(d.data.len() - 1);
-                payload.extend_from_slice(&d.data[1..]);
-                Some(IncomingMsg {
-                    from: d.src,
-                    chan,
-                    data: payload,
-                    arrival: d.ready,
-                    lost: false,
-                })
-            }
-            FRAME_FRAG => {
-                let Some((h, frag)) = FragHeader::parse(&d.data[1..]) else {
-                    return self.malformed();
-                };
-                let mut payload = pool::take(frag.len());
-                payload.extend_from_slice(frag);
-                match self.partials.insert(d.src, sock, h, payload, d.ready) {
-                    framing::Insert::Pending => None,
-                    framing::Insert::Malformed => self.malformed(),
-                    framing::Insert::Complete(frame) => Some(IncomingMsg {
-                        from: frame.src,
-                        chan,
-                        arrival: frame.arrival,
-                        data: frame.assemble(0),
-                        lost: false,
-                    }),
-                }
-            }
-            _ => self.malformed(),
-        }
+        self.codec
+            .accept(d.src, chan, &d.data, d.ready)
+            .unwrap_or_else(|Malformed| {
+                self.udp.clock().borrow_mut().stats.malformed_dropped += 1;
+                None
+            })
     }
 }
 
@@ -169,20 +108,18 @@ impl Substrate for UdpSubstrate {
         }
     }
 
-    fn send_request(&mut self, to: usize, data: &[u8]) {
-        self.send_msg(to, REQ_SOCK, data, None);
-    }
-
-    fn send_request_at(&mut self, to: usize, data: &[u8], at: Ns) {
-        self.send_msg(to, REQ_SOCK, data, Some(at));
+    fn send(&mut self, to: usize, chan: Chan, data: &[u8], at: Option<Ns>) {
+        let sock = match chan {
+            Chan::Request => REQ_SOCK,
+            Chan::Response => REP_SOCK,
+        };
+        for piece in self.codec.pieces(data, at) {
+            self.send_dgram(to, sock, &piece.parts(), piece.at);
+        }
     }
 
     fn response_cost(&self, len: usize) -> Ns {
         self.udp.tx_cost(len + 1)
-    }
-
-    fn send_response_at(&mut self, to: usize, data: &[u8], at: Ns) {
-        self.send_msg(to, REP_SOCK, data, Some(at));
     }
 
     fn poll_request(&mut self) -> Option<IncomingMsg> {

@@ -80,21 +80,20 @@ fn fast_roundtrips_every_size_class_boundary() {
     }
 }
 
+/// A body travels whole while `[DATA] ++ body` fits one datagram; past it
+/// the stream cuts at `DGRAM_LIMIT − 10`, so bodies of `k·(limit − 10)`
+/// bytes and one either side straddle each later split.
 #[test]
 fn udp_roundtrips_across_the_datagram_limit() {
-    const DGRAM_LIMIT: usize = 60 * 1024;
+    use tm_udp::substrate::DGRAM_LIMIT;
+    let chunk = DGRAM_LIMIT - 10;
     let (mut a, mut b) = udp_pair();
-    for len in [
-        0,
-        1,
-        63,
-        64,
-        DGRAM_LIMIT - 2,
-        DGRAM_LIMIT - 1,
-        DGRAM_LIMIT,
-        DGRAM_LIMIT + 1,
-        2 * DGRAM_LIMIT + 333,
-    ] {
+    let mut lens = vec![0, 1, 63, 64, DGRAM_LIMIT - 2, DGRAM_LIMIT - 1, DGRAM_LIMIT];
+    for k in [2, 3] {
+        lens.extend([k * chunk - 2, k * chunk - 1, k * chunk]);
+    }
+    lens.push(2 * DGRAM_LIMIT + 333);
+    for len in lens {
         roundtrip(&mut a, &mut b, len);
     }
 }
