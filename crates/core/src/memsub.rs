@@ -123,7 +123,7 @@ impl MemSubstrate {
     /// Whether a poll's miss at virtual time `now` is final: `false` if an
     /// earlier-keyed send landed here first (look again).
     fn miss_settled(&self, now: Ns) -> bool {
-        self.ep.sched.park(self.ep.id, Some(now), None) == Wait::Deadline
+        self.ep.sched.park(self.ep.id, Some(now)) == Wait::Deadline
     }
 }
 
@@ -207,11 +207,9 @@ impl Substrate for MemSubstrate {
         }
     }
 
-    /// Reliable and in-memory: nothing is ever lost, so no peer needs
-    /// waiting out — `watch` is not read, and a park without a deadline can
-    /// only end in a delivery (or, if none can ever come, in the scheduler's
-    /// deadlock diagnosis).
-    fn wait(&mut self, deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
+    /// A park without a deadline can only end in a delivery (or, if none
+    /// can ever come, in the scheduler's deadlock diagnosis).
+    fn wait(&mut self, deadline: Option<Ns>) -> Wait<IncomingMsg> {
         loop {
             let due = self.inbox().pop_due(deadline);
             if let Some(msg) = due {
@@ -221,7 +219,7 @@ impl Substrate for MemSubstrate {
                 c.stats.bytes_recv += msg.data.len() as u64;
                 return Wait::Got(msg);
             }
-            if self.ep.sched.park(self.ep.id, deadline, None) == Wait::Deadline {
+            if self.ep.sched.park(self.ep.id, deadline) == Wait::Deadline {
                 let d = deadline.expect("only a wait with a deadline times out");
                 self.clock.borrow_mut().wait_until(d);
                 return Wait::Deadline;
@@ -328,7 +326,7 @@ mod tests {
         assert!(msg.starts_with("lockstep deadlock"), "{msg}");
         assert!(msg.contains("contexts [1] have not finished"), "{msg}");
         assert!(msg.contains("node 0: Done") && msg.contains("node 2: Done"), "{msg}");
-        assert!(msg.contains("node 1: Parked { deadline: None, watch: None }"), "{msg}");
+        assert!(msg.contains("node 1: Parked { deadline: None }"), "{msg}");
     }
 
     #[test]

@@ -68,6 +68,9 @@ pub enum Request {
         vc: VectorClock,
         records: Vec<Rc<IntervalRecord>>,
     },
+    /// The sender has passed the exit barrier and left (lossy transports
+    /// only): nothing it owes is still coming. Answered by nothing.
+    Gone,
 }
 
 /// Synchronous response bodies.
@@ -335,6 +338,9 @@ impl Request {
                 vc.encode(w);
                 encode_records(records, w);
             }
+            Request::Gone => {
+                w.u8(9);
+            }
         }
     }
 
@@ -385,6 +391,7 @@ impl Request {
                 vc: VectorClock::decode(&mut r)?,
                 records: decode_records(&mut r)?,
             },
+            9 => Request::Gone,
             _ => return None,
         };
         Some((rid, req))
@@ -758,6 +765,14 @@ mod tests {
         let buf = ack.encode(61);
         assert!(buf.len() < 16, "ack must be compact");
         assert_eq!(Response::decode(&buf), Some((61, ack)));
+    }
+
+    #[test]
+    fn gone_roundtrips_in_its_rid_envelope() {
+        let buf = Request::Gone.encode(77);
+        assert_eq!(buf, [77, 0, 0, 0, 9], "a rid and a kind byte, no body");
+        assert_eq!(Request::decode(&buf), Some((77, Request::Gone)));
+        assert!(Request::decode(&buf[..4]).is_none());
     }
 
     #[test]

@@ -17,14 +17,12 @@
 //! "Receive a response" — and everything else a node blocks on: a
 //! barrier manager's arrivals, a retransmission timer, a shutdown linger,
 //! the end of a compute segment — is one operation, [`Substrate::wait`]:
-//! *a message, or a virtual deadline, or a set of peers leaving the
-//! fabric*, whichever comes first, reported as a [`Wait`]. Each layer
-//! below defines the same operation once and passes it down:
-//! `UdpStack::recv` or `GmNode::blocking_receive_by` over
-//! `NicHandle::wait` over `LockstepSched::park`. The deadline means the
-//! same thing on every substrate; the watch is read only where a message
-//! can be lost (FAST/GM and [`crate::memsub`] never need to wait a peer
-//! out).
+//! *a message or a virtual deadline*, whichever comes first, reported as
+//! a [`Wait`]. Each layer below defines the same operation once and
+//! passes it down: `UdpStack::recv` or `GmNode::blocking_receive_by` over
+//! `NicHandle::wait` over the scheduler's park. The deadline means the
+//! same thing on every substrate. Nothing here reports whether a peer is
+//! still there: a node learns that from what arrives on the wire.
 //!
 //! # Scheduling contract
 //!
@@ -113,23 +111,19 @@ pub trait Substrate {
 
     /// The one blocking wait: block until any request or response
     /// arrives, or — when `deadline` is set — until that *virtual* time
-    /// passes (the runtime's retransmission timer and its compute segments
-    /// run on this), or — when `watch` is set, on a transport that can lose
-    /// a message — until every node in it has deregistered its NIC (a
-    /// shutdown linger's end; the exit fan's cue to *cancel* a timer armed
-    /// against a peer that is already gone instead of firing into a dead
-    /// node).
+    /// passes (the runtime's retransmission timers, compute segments and
+    /// shutdown linger run on this).
     ///
     /// On [`Wait::Got`] the clock has advanced to the message's arrival
     /// if the node was idle-waiting; on [`Wait::Deadline`] it has
     /// advanced to the deadline, and a message that arrives later stays
-    /// queued for the next wait; on [`Wait::PeersDone`] it is untouched.
-    fn wait(&mut self, deadline: Option<Ns>, watch: Option<&[usize]>) -> Wait<IncomingMsg>;
+    /// queued for the next wait.
+    fn wait(&mut self, deadline: Option<Ns>) -> Wait<IncomingMsg>;
 
-    /// [`wait`](Substrate::wait) with no deadline and no watch: block
-    /// until any request or response arrives.
+    /// [`wait`](Substrate::wait) with no deadline: block until any
+    /// request or response arrives.
     fn next_incoming(&mut self) -> IncomingMsg {
-        self.wait(None, None).got()
+        self.wait(None).got()
     }
 
     /// Initial retransmission timeout, if this transport can lose a message
@@ -137,13 +131,5 @@ pub trait Substrate {
     /// for every reliable transport) builds no reliability state at all.
     fn retransmit_timeout(&self) -> Option<Ns> {
         None
-    }
-
-    /// Can this substrate still observe `node`'s NIC on the fabric? The
-    /// retransmission give-up budget counts only timeouts against a peer
-    /// that is not. The default — transports that never retransmit —
-    /// reports `true`.
-    fn peer_alive(&self, _node: usize) -> bool {
-        true
     }
 }

@@ -12,6 +12,7 @@ use std::rc::Rc;
 
 use tm_sim::Ns;
 
+use super::rpc::UNANSWERED;
 use super::{DiffFetch, Tmk, TmkEvent};
 use crate::diff::Diff;
 use crate::interval::{causal_order, IntervalRecord};
@@ -620,7 +621,7 @@ impl<S: Substrate> Tmk<S> {
                     }
                     self.note_fanout(need.len(), issued.len());
                     for (rid, writer) in issued {
-                        let resp = self.rpc_collect(rid);
+                        let resp = self.rpc_collect(rid).expect(UNANSWERED);
                         self.handle_fetch_response(&mut states, writer, resp);
                     }
                 }
@@ -729,7 +730,7 @@ impl<S: Substrate> Tmk<S> {
             }
         }
         for v in due {
-            let resp = self.rpc_collect(v.rid);
+            let resp = self.rpc_collect(v.rid).expect(UNANSWERED);
             self.stage_response(&v, resp);
         }
         let staged = std::mem::take(&mut self.pf.staged);

@@ -32,7 +32,8 @@
 //!   to the [`Substrate`].
 //! * `reliable` — built only on a lossy transport: per-rid retransmission
 //!   timers and the replay records (a slot per requester for its open
-//!   acquire and its open barrier arrival, a FIFO for idempotent fetches).
+//!   acquire and its open barrier arrival, a FIFO for idempotent fetches),
+//!   and what tells the node a peer has left: its `Gone`, or silence.
 //!
 //! This module holds what the layers share: the [`Tmk`] struct itself,
 //! its configuration, and the [`TmkEvent`] observability seam.

@@ -2,8 +2,14 @@
 //! TreadMarks carry itself. [`Tmk::new`] asks the substrate for its
 //! [`retransmit_timeout`](Substrate::retransmit_timeout) once and builds a
 //! [`Reliable`] only when there is one: the backoff and give-up rule of
-//! each issued rpc's [`Resend`] timer, and the responder's
-//! [`ReplayRecords`]. A reliable transport builds none of this.
+//! each issued rpc's [`Resend`] timer, the responder's [`ReplayRecords`],
+//! and what the node has heard — when a frame last arrived, and which
+//! peers have said [`Request::Gone`]. A reliable transport builds none of
+//! this.
+//!
+//! A node learns that a peer is gone from the wire alone, as a sender in
+//! the paper does from its own timer: from the peer's `Gone`, or from
+//! silence at the backoff ceiling.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -20,20 +26,29 @@ use crate::substrate::{Chan, Substrate};
 pub(super) struct Reliable {
     /// Initial retransmission timeout.
     rto0: Ns,
-    /// Backoff ceiling, `rto0 << give_up`.
+    /// Backoff ceiling, `rto0 << give_up`: a timeout this long counts
+    /// toward giving up, and a shutdown linger this silent ends.
     rto_ceiling: Ns,
-    /// Silent retransmissions of one rid before the node gives up.
+    /// Timeouts of one rid at the ceiling, with nothing heard from its
+    /// peer, before the node gives up.
     give_up: u32,
     /// Responder-side duplicate suppression.
     replay: ReplayRecords,
     /// Key of the request currently being dispatched, for filing its
     /// replay record at the response site.
     serving: Option<ReplayKey>,
+    /// Arrival of the latest frame from any peer.
+    heard: Ns,
+    /// `gone[p]`: peer `p` has said `Gone`.
+    gone: Vec<bool>,
+    /// Past the exit barrier: every wait also ends on silence.
+    leaving: bool,
 }
 
 impl Reliable {
     /// Reliability for an `n`-node cluster whose first timeout is `rto0`
-    /// and whose give-up budget is `give_up` silent retransmissions.
+    /// and whose give-up budget is `give_up` silent timeouts at the
+    /// ceiling.
     pub(super) fn new(rto0: Ns, give_up: u32, n: usize) -> Self {
         Reliable {
             rto0,
@@ -41,6 +56,9 @@ impl Reliable {
             give_up,
             replay: ReplayRecords::new(n),
             serving: None,
+            heard: Ns::ZERO,
+            gone: vec![false; n],
+            leaving: false,
         }
     }
 
@@ -56,12 +74,12 @@ impl Reliable {
     }
 
     /// Start serving `from`'s request `rid`: the recorded action if it is
-    /// a duplicate, else `None` with the request's key held for
-    /// [`Self::settle`].
+    /// a duplicate, else `None` with the request's key (if it files a
+    /// record) held for [`Self::settle`].
     pub(super) fn admit(&mut self, from: usize, rid: u32, req: &Request) -> Option<ReplayAction> {
         let key = ReplayKey::of(from, rid, req);
-        let seen = self.replay.lookup(key);
-        self.serving = seen.is_none().then_some(key);
+        let seen = key.and_then(|k| self.replay.lookup(k));
+        self.serving = key.filter(|_| seen.is_none());
         seen
     }
 
@@ -102,8 +120,8 @@ pub(super) struct Resend {
     /// Virtual-time deadline of the next retransmission.
     deadline: Ns,
     attempts: u32,
-    /// Retransmissions fired while the peer was *not* observably alive on
-    /// the fabric: only these count against the give-up budget.
+    /// Timeouts at the backoff ceiling since a frame last arrived from the
+    /// peer: only these count against the give-up budget.
     silent: u32,
 }
 
@@ -149,9 +167,10 @@ enum ReplayKey {
 }
 
 impl ReplayKey {
-    /// Classify a decoded request that `from` sent under `rid`.
-    fn of(from: usize, rid: u32, req: &Request) -> ReplayKey {
-        match *req {
+    /// Classify a decoded request that `from` sent under `rid`; `None` for
+    /// a `Gone`, which files no record.
+    fn of(from: usize, rid: u32, req: &Request) -> Option<ReplayKey> {
+        Some(match *req {
             Request::Acquire { .. } => ReplayKey::Slot(Class::Acquire, from, rid),
             Request::AcquireFwd { requester, rid, .. } => {
                 ReplayKey::Slot(Class::Acquire, requester as usize, rid)
@@ -163,7 +182,8 @@ impl ReplayKey {
             | Request::MultiDiff { .. }
             | Request::Page { .. }
             | Request::NoticeRelease { .. } => ReplayKey::Data(from, rid),
-        }
+            Request::Gone => return None,
+        })
     }
 }
 
@@ -273,6 +293,46 @@ impl<S: Substrate> Tmk<S> {
         }
     }
 
+    /// A frame from `from` arrived at `at`: its silence starts over.
+    pub(super) fn heard(&mut self, from: usize, at: Ns) {
+        let Some(rel) = self.rel.as_mut() else { return };
+        rel.heard = rel.heard.max(at);
+        for o in self.outstanding.iter_mut().filter(|o| o.to == from) {
+            if let Some(r) = o.resend.as_mut() {
+                r.silent = 0;
+            }
+        }
+    }
+
+    /// `from` has said `Gone`: whatever it owed us is not coming.
+    pub(super) fn serve_gone(&mut self, from: usize, arrival: Ns, cost: Ns) {
+        self.charge_service(arrival, cost);
+        let rel = self.rel.as_mut().expect("only a lossy transport says Gone");
+        rel.gone[from] = true;
+    }
+
+    /// Whether `peer` has said `Gone`.
+    pub(super) fn is_gone(&self, peer: usize) -> bool {
+        self.rel.as_ref().is_some_and(|rel| rel.gone[peer])
+    }
+
+    /// The exit barrier has released this node: from now on its waits —
+    /// the exit fan's ack collects, the shutdown linger — are for peers
+    /// that answer at once or have left, so `rto_ceiling` of silence means
+    /// they have left, whether or not their `Gone` got through.
+    pub(super) fn start_leaving(&mut self) {
+        if let Some(rel) = self.rel.as_mut() {
+            rel.leaving = true;
+        }
+    }
+
+    /// When a leaving node's wait ends for silence: `rto_ceiling` after
+    /// the latest frame heard.
+    pub(super) fn silence_deadline(&self) -> Option<Ns> {
+        let rel = self.rel.as_ref().filter(|rel| rel.leaving)?;
+        Some(rel.heard + rel.rto_ceiling)
+    }
+
     /// Earliest retransmission deadline over unanswered slots.
     pub(super) fn nearest_deadline(&self) -> Option<Ns> {
         self.outstanding
@@ -297,16 +357,17 @@ impl<S: Substrate> Tmk<S> {
     /// Fire one retransmission for every unanswered slot whose timer and
     /// destination match `pred`.
     ///
-    /// An expired timer counts against the give-up budget only when the
-    /// peer is *not* alive on the fabric. Against a live peer the timeout
-    /// is clock skew, not loss: a spinning consumer advances its virtual
-    /// clock only ~600 ns per probe, so our backed-off deadlines recede
-    /// faster than its clock. For the same reason the backoff stops at the
-    /// ceiling — unbounded doubling would let one skew-induced timeout push
-    /// the next deadline past the end of the run.
+    /// The backoff doubles up to `rto_ceiling`. A timeout counts against
+    /// the give-up budget only once it has waited the whole ceiling: a peer
+    /// holding the request queued (a lock held across a long computation)
+    /// answers nothing for as long as it holds it, and the climb to the
+    /// ceiling alone takes `give_up` timeouts. A loss tombstone's early
+    /// resend is no timeout and counts nothing — a real node never sees a
+    /// dropped datagram.
     fn retransmit_where(&mut self, pred: impl Fn(&Resend, usize) -> bool) {
         let Some(rel) = self.rel.as_ref() else { return };
         let (cap, ceiling) = (rel.give_up, rel.rto_ceiling);
+        let woke = self.clock().borrow().now();
         for i in 0..self.outstanding.len() {
             let o = &mut self.outstanding[i];
             let (rid, to) = (o.rid, o.to);
@@ -314,7 +375,7 @@ impl<S: Substrate> Tmk<S> {
                 continue;
             };
             r.attempts += 1;
-            if !self.sub.peer_alive(to) {
+            if r.rto == ceiling && r.deadline <= woke {
                 r.silent += 1;
                 assert!(
                     r.silent <= cap,
@@ -442,10 +503,10 @@ mod tests {
             vc: crate::vc::VectorClock::new(3),
         };
         let mut c = ReplayRecords::new(3);
-        let key = ReplayKey::of(manager, 900, &fwd);
+        let key = ReplayKey::of(manager, 900, &fwd).expect("a forward files a record");
         c.remember(key, ReplayAction::Pending);
         c.remember(key, respond(requester, b"grant-bytes"));
-        match c.lookup(ReplayKey::of(manager, 901, &fwd)) {
+        match c.lookup(ReplayKey::of(manager, 901, &fwd).expect("a record")) {
             Some(ReplayAction::Sent { to, .. }) => assert_eq!(to, requester),
             other => panic!("expected the grant to the requester, got {other:?}"),
         }

@@ -9,9 +9,10 @@
 //! the `serve` dispatcher that fans incoming requests out to the
 //! coherence and sync layers, the reply path every frame a handler emits
 //! leaves through ([`Tmk::send_in_window`], [`Tmk::respond_now`]), and the
-//! shutdown linger. On a lossy transport each of these consults the
-//! node's `reliable` state (timers, replay records) at one point. This and
-//! `reliable` are the only layers that talk to the [`Substrate`]; of
+//! shutdown's `Gone` and linger. On a lossy transport each of these
+//! consults the node's `reliable` state (timers, replay records, what it
+//! has heard) at one point. This and `reliable` are the only layers that
+//! talk to the [`Substrate`]; of
 //! protocol payloads rpc looks at the request/response envelope, at which
 //! requests block their sender, and at whether a decoded response fits
 //! this node's page size, nothing else.
@@ -127,6 +128,7 @@ impl<S: Substrate> Tmk<S> {
                 vc,
                 records,
             } => self.serve_notice_release(from, rid, barrier, tree, reply_rid, vc, records, arrival, cost),
+            Request::Gone => self.serve_gone(from, arrival, cost),
         }
         self.emit(TmkEvent::RequestServed { from, rid });
         if let Some(rel) = self.rel.as_mut() {
@@ -220,6 +222,16 @@ impl<S: Substrate> Tmk<S> {
         w.recycle();
     }
 
+    /// Tell `to` that this node is leaving: a [`Request::Gone`], sent
+    /// once and answered by nothing.
+    pub(super) fn send_gone(&mut self, to: usize) {
+        let rid = self.rid();
+        let mut w = WireWriter::pooled(8);
+        Request::Gone.encode_into(rid, &mut w);
+        self.sub.send_request(to, w.as_slice());
+        w.recycle();
+    }
+
     // ----- the overlapped rpc engine ----------------------------------------
 
     /// Send a request and block for its response, servicing peers'
@@ -227,7 +239,7 @@ impl<S: Substrate> Tmk<S> {
     /// issue + collect; overlap-aware callers split the two.
     pub(super) fn rpc(&mut self, to: usize, req: Request) -> Response {
         let rid = self.rpc_issue(to, req);
-        self.rpc_collect(rid)
+        self.rpc_collect(rid).expect(UNANSWERED)
     }
 
     /// Legacy entry for callers that pre-chose the rid (acquire's
@@ -235,7 +247,7 @@ impl<S: Substrate> Tmk<S> {
     /// block for its response.
     pub(super) fn rpc_encoded(&mut self, to: usize, rid: u32, w: WireWriter) -> Response {
         self.rpc_issue_encoded(to, rid, w);
-        self.rpc_collect(rid)
+        self.rpc_collect(rid).expect(UNANSWERED)
     }
 
     /// Allocate a rid, register its pending-response slot and send the
@@ -270,47 +282,41 @@ impl<S: Substrate> Tmk<S> {
     /// the substrate delivers meanwhile: responses for *other* outstanding
     /// rids are parked in their slots, requests go to the async serve
     /// queue and are dispatched in virtual-arrival order between waits.
-    pub(super) fn rpc_collect(&mut self, rid: u32) -> Response {
-        self.rpc_collect_watching(rid, None)
-            .expect("an unwatched collect ends only with its response")
-    }
-
-    /// [`Self::rpc_collect`] that, given a `peer` to watch (the exit
-    /// fan), also ends when that peer has deregistered its NIC,
-    /// whichever the substrate observes first. `None` means the peer is
-    /// gone — it can only have exited after applying our release, so the
-    /// pending rpc is moot and its slot is cancelled (retransmission
-    /// timers must not keep firing into a dead node and burning the
-    /// give-up budget). Reliable transports never lose the response and
-    /// ignore the watch.
-    pub(super) fn rpc_collect_watching(&mut self, rid: u32, peer: Option<usize>) -> Option<Response> {
-        debug_assert!(
-            self.outstanding.iter().any(|o| o.rid == rid),
-            "node {}: collect of unissued rid {rid}",
-            self.me
-        );
-        let watch = peer.as_ref().map(std::slice::from_ref);
-        loop {
-            if let Some(resp) = self.take_collected(rid) {
-                return Some(resp);
+    ///
+    /// `None` — the rid cancelled, its timer with it — if the peer says
+    /// `Gone` first, or if a node past its exit barrier hears nothing for
+    /// `rto_ceiling`. Both happen only on the exit fan, whose consumer
+    /// applies the release, passes the barrier and may leave before its
+    /// ack survives the wire: it can only have left after applying the
+    /// release, so the ack is moot.
+    pub(super) fn rpc_collect(&mut self, rid: u32) -> Option<Response> {
+        let to = self.outstanding.iter().find(|o| o.rid == rid).map(|o| o.to);
+        let to = to.unwrap_or_else(|| panic!("node {}: collect of unissued rid {rid}", self.me));
+        let collected = |t: &mut Self| match t.take_collected(rid) {
+            Some(resp) => Some(Some(resp)),
+            None => t.is_gone(to).then_some(None),
+        };
+        let resp = loop {
+            if let Some(resp) = collected(self) {
+                break resp;
             }
             // Re-checked after the step's drain: serving a `NoticeRelease`
             // completes one of our *own* slots locally — blocking with
             // the answer already in hand would deadlock a reliable
-            // transport.
-            let step = self.wait_step(watch, |t| t.take_collected(rid));
-            if let ControlFlow::Break(resp) = step {
-                if resp.is_none() {
-                    self.cancel_rpc(rid);
-                }
-                return resp;
+            // transport — and serving a `Gone` ends the collect.
+            if let ControlFlow::Break(resp) = self.wait_step(collected) {
+                break resp.flatten();
             }
+        };
+        if resp.is_none() {
+            self.cancel_rpc(rid);
         }
+        resp
     }
 
     /// The engine's one blocking step, shared by every loop that waits for
-    /// a message — [`Self::rpc_collect_watching`], the barrier's arrival
-    /// wait, the shutdown linger — and the only place the **drain-before-block
+    /// a message — [`Self::rpc_collect`], the barrier's arrival wait, the
+    /// shutdown linger — and the only place the **drain-before-block
     /// invariant** lives: the serve queue is always emptied (in
     /// virtual-arrival order) before the node blocks, because a request
     /// gathered during an earlier absorb may be the very thing a peer is
@@ -319,24 +325,26 @@ impl<S: Substrate> Tmk<S> {
     ///
     /// Drain the serve queue; if the caller's `ready` re-check now yields,
     /// break with its value without blocking; otherwise block in the
-    /// substrate's [`wait`](Substrate::wait) — bounded by the nearest
-    /// retransmission deadline on lossy transports, and by `watch` — and
-    /// absorb the message, fire the due retransmissions, or break with
-    /// `None` because every watched peer has left.
+    /// substrate's [`wait`](Substrate::wait) — bounded, on lossy
+    /// transports, by the nearest retransmission deadline and, once the
+    /// node is leaving, by its silence deadline — and absorb the message,
+    /// fire the due retransmissions, or break with `None` for silence.
     pub(super) fn wait_step<R>(
         &mut self,
-        watch: Option<&[usize]>,
         ready: impl FnOnce(&mut Self) -> Option<R>,
     ) -> ControlFlow<Option<R>> {
         self.drain_serve_queue();
         if let Some(r) = ready(self) {
             return ControlFlow::Break(Some(r));
         }
-        let deadline = self.rel.as_ref().and_then(|_| self.nearest_deadline());
-        match self.sub.wait(deadline, watch) {
+        let silence = self.silence_deadline();
+        let resend = self.rel.as_ref().and_then(|_| self.nearest_deadline());
+        match self.sub.wait(resend.into_iter().chain(silence).min()) {
             Wait::Got(msg) => self.absorb(msg),
+            Wait::Deadline if silence.is_some_and(|s| s <= self.clock().borrow().now()) => {
+                return ControlFlow::Break(None)
+            }
             Wait::Deadline => self.retransmit_due(),
-            Wait::PeersDone => return ControlFlow::Break(None),
         }
         ControlFlow::Continue(())
     }
@@ -360,7 +368,7 @@ impl<S: Substrate> Tmk<S> {
         let mut remaining = d;
         loop {
             let start = self.clock().borrow().now();
-            let Wait::Got(msg) = self.sub.wait(Some(start + remaining), None) else {
+            let Wait::Got(msg) = self.sub.wait(Some(start + remaining)) else {
                 break;
             };
             let taken_at = scheme.earliest_service(msg.arrival);
@@ -372,9 +380,9 @@ impl<S: Substrate> Tmk<S> {
         self.clock().borrow_mut().book_compute(idle_at_start, d);
     }
 
-    /// Drop `rid`'s pending slot without a response (the peer exited;
+    /// Drop `rid`'s pending slot without a response (the peer has left;
     /// the rpc is moot).
-    pub(super) fn cancel_rpc(&mut self, rid: u32) {
+    fn cancel_rpc(&mut self, rid: u32) {
         if let Some(i) = self.outstanding.iter().position(|o| o.rid == rid) {
             self.remove_slot(i);
         }
@@ -452,6 +460,7 @@ impl<S: Substrate> Tmk<S> {
     }
 
     fn queue_request(&mut self, msg: IncomingMsg) {
+        self.heard(msg.from, msg.arrival);
         self.serve_q.push(QueuedRequest {
             from: msg.from,
             data: msg.data,
@@ -464,6 +473,7 @@ impl<S: Substrate> Tmk<S> {
     /// for rid A must never be mistaken for rid B's answer just because B
     /// is the one currently being collected.
     fn absorb_response(&mut self, msg: IncomingMsg) {
+        self.heard(msg.from, msg.arrival);
         let lossy = self.rel.is_some();
         // Decoding validated every diff image; a diff reaching past our
         // page is as malformed as a truncated one and goes the same way.
@@ -531,13 +541,17 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Lossy-transport shutdown linger: keep answering retransmitted
-    /// requests from the replay records until every node in `watch` has
-    /// left the fabric (a client whose final release was lost depends on
-    /// it). A node watches its barrier-tree descendants — lingering on the
-    /// whole cluster would deadlock parent against lingering ancestor. A
-    /// late response finds no outstanding slot and is counted as stale by
-    /// the absorb step.
-    pub(super) fn shutdown_linger(&mut self, watch: &[usize]) {
-        while self.wait_step(Some(watch), |_| None::<()>).is_continue() {}
+    /// requests from the replay records — a child whose exit release was
+    /// lost depends on it — until every one of `children` has said `Gone`,
+    /// or until `rto_ceiling` passes with no frame heard (a `Gone` can be
+    /// lost too). A child says `Gone` only after its own linger, so the
+    /// whole subtree has left. A late response finds no outstanding slot
+    /// and is counted as stale by the absorb step.
+    pub(super) fn shutdown_linger(&mut self, children: std::ops::Range<usize>) {
+        let all_gone = |t: &mut Self| children.clone().all(|c| t.is_gone(c)).then_some(());
+        while self.wait_step(all_gone).is_continue() {}
     }
 }
+
+/// Why an rpc that must be answered was not.
+pub(super) const UNANSWERED: &str = "a peer left with an rpc to it unanswered";

@@ -434,29 +434,10 @@ impl<S: Substrate> Tmk<S> {
         (me != 0).then(|| (me - 1) / self.tree_radix())
     }
 
-    /// `node`'s direct children (empty for a leaf).
-    fn tree_children_of(&self, node: usize) -> std::ops::Range<usize> {
-        let k = self.tree_radix();
-        (k * node + 1).min(self.n)..(k * node + k + 1).min(self.n)
-    }
-
+    /// Our direct children (empty for a leaf).
     fn tree_children(&self) -> std::ops::Range<usize> {
-        self.tree_children_of(self.me as usize)
-    }
-
-    /// Every node in our subtree, excluding ourselves. The shutdown linger
-    /// watches exactly these: they are the only peers whose retransmitted
-    /// arrivals we are responsible for answering.
-    fn tree_descendants(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut frontier = vec![self.me as usize];
-        while let Some(node) = frontier.pop() {
-            for c in self.tree_children_of(node) {
-                out.push(c);
-                frontier.push(c);
-            }
-        }
-        out
+        let (k, me) = (self.tree_radix(), self.me as usize);
+        (k * me + 1).min(self.n)..(k * me + k + 1).min(self.n)
     }
 
     /// Whether barrier messages travel in the tree layout (see "barrier
@@ -504,7 +485,7 @@ impl<S: Substrate> Tmk<S> {
     /// transports and counts on lossy ones).
     fn barrier_wait_arrivals(&mut self, expected: usize) {
         let arrived = |t: &mut Self| (t.barrier.count >= expected).then_some(());
-        while self.wait_step(None, arrived).is_continue() {}
+        while self.wait_step(arrived).is_continue() {}
     }
 
     /// The barrier, for the root, interior nodes and leaves alike.
@@ -601,14 +582,17 @@ impl<S: Substrate> Tmk<S> {
         clients: Vec<Option<(u32, VectorClock, VectorClock)>>,
         merged: &VectorClock,
     ) {
+        if id == u32::MAX {
+            self.start_leaving();
+        }
         let tree = self.tree_wire();
         if matches!(self.cfg.lock_path, super::LockPath::Overlapped) {
             // Overlapped write-notice distribution: every consumer's
             // release goes out as an issued request; acks collect out of
-            // order. The exit fan rides the same path: each ack collect
-            // watches its consumer's NIC, so a retransmission timer armed
-            // against a consumer that applied the release and tore down
-            // cancels instead of firing into the dead node.
+            // order. The exit fan rides the same path: a consumer's `Gone`,
+            // or silence, ends its ack collect and cancels the
+            // retransmission timer instead of leaving it to fire into the
+            // departed node.
             return self.fan_release_overlapped(id, tree, clients, merged);
         }
         let mut fanned = 0u16;
@@ -637,12 +621,13 @@ impl<S: Substrate> Tmk<S> {
     /// release is re-driven by *our* timer instead of waiting out the
     /// consumer's arrival retransmission.
     ///
-    /// Ack collection watches each consumer's NIC: on the exit fan a
-    /// consumer applies the release, passes the barrier and may tear down
-    /// before its ack (or our retransmitted notice) survives the wire. A
-    /// departed consumer *proves* the release was applied — it can only
-    /// have exited past the barrier — so the pending ack rpc is cancelled
-    /// instead of retransmitted into the dead node.
+    /// On the exit fan a consumer applies the release, passes the barrier
+    /// and may leave before its ack (or our retransmitted notice) survives
+    /// the wire. Its `Gone` *proves* the release was applied — it is sent
+    /// only past the barrier — and so does silence once we are past it
+    /// too, for a consumer that is still there answers every retransmitted
+    /// notice: [`Self::rpc_collect`] cancels the ack rpc instead of
+    /// retransmitting it into the departed node.
     fn fan_release_overlapped(
         &mut self,
         id: u32,
@@ -650,7 +635,7 @@ impl<S: Substrate> Tmk<S> {
         clients: Vec<Option<(u32, VectorClock, VectorClock)>>,
         merged: &VectorClock,
     ) {
-        let mut acks: Vec<(usize, u32)> = Vec::new();
+        let mut acks = Vec::new();
         for (node, slot) in clients.into_iter().enumerate() {
             let Some((rid, floor, _)) = slot else { continue };
             let records = self.log.newer_than(&floor);
@@ -664,15 +649,15 @@ impl<S: Substrate> Tmk<S> {
                     records,
                 },
             );
-            acks.push((node, nrid));
+            acks.push(nrid);
         }
         let fanned = acks.len() as u16;
-        for (node, nrid) in acks {
-            match self.rpc_collect_watching(nrid, Some(node)) {
+        for nrid in acks {
+            match self.rpc_collect(nrid) {
                 Some(Response::NoticeAck { barrier }) => {
                     assert_eq!(barrier, id, "ack for barrier {barrier}, expected {id}")
                 }
-                // Consumer already deregistered: release applied, ack moot.
+                // The consumer has left: release applied, ack moot.
                 None => {}
                 Some(other) => panic!("expected NoticeAck, got {other:?}"),
             }
@@ -711,19 +696,22 @@ impl<S: Substrate> Tmk<S> {
     /// Final synchronization before the node body returns: a barrier, so
     /// no peer is left blocked on us.
     ///
-    /// On a lossy transport every node that answers barrier arrivals
-    /// additionally lingers: a peer whose exit release was lost keeps
-    /// retransmitting its arrival, and only our record of it can answer
-    /// it. A node watches its descendants — leaves exit immediately and
-    /// the tree drains bottom-up (a parent lingering on *all* peers would
-    /// deadlock against its own lingering ancestors).
+    /// On a lossy transport a node with tree children then lingers: a
+    /// child whose exit release was lost keeps retransmitting its arrival,
+    /// and only our record of it can answer it. The linger lasts until
+    /// every child has said `Gone` (or falls silent), and then we say
+    /// `Gone` to our parent — the tree drains bottom-up, leaves first.
     pub fn exit(&mut self) {
         self.barrier(u32::MAX);
-        if self.rel.is_some() {
-            let watch = self.tree_descendants();
-            if !watch.is_empty() {
-                self.shutdown_linger(&watch);
-            }
+        if self.rel.is_none() {
+            return;
+        }
+        let children = self.tree_children();
+        if !children.is_empty() {
+            self.shutdown_linger(children);
+        }
+        if let Some(parent) = self.tree_parent() {
+            self.send_gone(parent);
         }
     }
 }

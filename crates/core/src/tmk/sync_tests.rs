@@ -21,8 +21,12 @@ use crate::{Tmk, TmkConfig, TmkEvent};
 /// [`MemSubstrate`] plus a fixed retransmission timeout: flips the rpc
 /// layer onto its lossy path (replay records kept) without any loss
 /// model underneath — the tests inject duplicates by calling `serve`
-/// twice with the same bytes.
-struct LossyMem(MemSubstrate);
+/// twice with the same bytes, and losses by not sending. The count is
+/// of the `Gone` frames this node sent.
+struct LossyMem(MemSubstrate, u32);
+
+/// Retransmission timeout of [`LossyMem`].
+const RTO: Ns = Ns::from_us(500);
 
 impl Substrate for LossyMem {
     fn my_id(&self) -> usize {
@@ -41,6 +45,9 @@ impl Substrate for LossyMem {
         self.0.scheme()
     }
     fn send(&mut self, to: usize, chan: Chan, data: &[u8], at: Option<Ns>) {
+        if chan == Chan::Request && Request::decode(data).is_some_and(|(_, r)| r == Request::Gone) {
+            self.1 += 1;
+        }
         self.0.send(to, chan, data, at)
     }
     fn response_cost(&self, len: usize) -> Ns {
@@ -52,11 +59,11 @@ impl Substrate for LossyMem {
     fn poll_incoming(&mut self) -> Option<IncomingMsg> {
         self.0.poll_incoming()
     }
-    fn wait(&mut self, deadline: Option<Ns>, watch: Option<&[usize]>) -> Wait<IncomingMsg> {
-        self.0.wait(deadline, watch)
+    fn wait(&mut self, deadline: Option<Ns>) -> Wait<IncomingMsg> {
+        self.0.wait(deadline)
     }
     fn retransmit_timeout(&self) -> Option<Ns> {
-        Some(Ns::from_us(500))
+        Some(RTO)
     }
 }
 
@@ -70,8 +77,8 @@ fn chain() -> (Tmk<LossyMem>, Tmk<LossyMem>, MemSubstrate) {
     let e1 = eps.pop().unwrap();
     let e0 = eps.pop().unwrap();
     let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
-    let t0 = Tmk::new(LossyMem(mk(e0)), TmkConfig::default());
-    let t1 = Tmk::new(LossyMem(mk(e1)), TmkConfig::default());
+    let t0 = Tmk::new(LossyMem(mk(e0), 0), TmkConfig::default());
+    let t1 = Tmk::new(LossyMem(mk(e1), 0), TmkConfig::default());
     let s2 = mk(e2);
     (t0, t1, s2)
 }
@@ -271,7 +278,7 @@ fn request_gathered_during_a_collect_is_served_before_the_next_block() {
     let decoy = encode(Request::Page { page: 0 }, 101);
     s1.send(0, Chan::Request, &decoy, Some(Ns::from_secs(1)));
 
-    assert!(matches!(t0.rpc_collect(rid), Response::NoticeAck { .. }));
+    assert!(matches!(t0.rpc_collect(rid), Some(Response::NoticeAck { .. })));
     assert_eq!(t0.serve_q.len(), 1, "arrival gathered with the response, not yet served");
 
     t0.barrier(5);
@@ -297,7 +304,7 @@ fn well_framed_diff_past_the_page_is_dropped_as_malformed() {
     let e1 = eps.pop().unwrap();
     let e0 = eps.pop().unwrap();
     let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
-    let mut t0 = Tmk::new(LossyMem(mk(e0)), TmkConfig::default());
+    let mut t0 = Tmk::new(LossyMem(mk(e0), 0), TmkConfig::default());
     let mut s1 = mk(e1);
 
     let (page, lo, hi) = (0, 1, 1);
@@ -317,7 +324,7 @@ fn well_framed_diff_past_the_page_is_dropped_as_malformed() {
     s1.send_response_at(0, &diffs_with_run_at(page_size - 8), Ns::from_us(20));
 
     match t0.rpc_collect(rid) {
-        Response::Diffs { diffs, .. } => assert_eq!(diffs[0].1.extent(), page_size),
+        Some(Response::Diffs { diffs, .. }) => assert_eq!(diffs[0].1.extent(), page_size),
         other => panic!("expected Diffs, got {other:?}"),
     }
     assert_eq!(t0.clock().borrow().stats.malformed_dropped, 1);
@@ -346,4 +353,142 @@ fn a_lossy_transport_keeps_a_replay_slot_per_node() {
     let rel = t0.rel.as_ref().expect("a retransmit timeout builds reliability");
     assert_eq!(rel.requesters(), t0.nprocs());
     assert_eq!(t0.nprocs(), 3);
+}
+
+// ----- how a node learns that a peer is gone --------------------------------
+
+/// Node 0 of an `n`-node memsub cluster on the lossy path, under `cfg`,
+/// and bare substrates for the others, which the test drives by hand.
+fn root_and_peers(n: usize, cfg: TmkConfig) -> (Tmk<LossyMem>, Vec<MemSubstrate>) {
+    let params = Arc::new(SimParams::paper_testbed());
+    let mut eps = mem_cluster(n).into_iter();
+    let mut mk = || {
+        let ep = eps.next().expect("one endpoint per node");
+        MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500))
+    };
+    let t0 = Tmk::new(LossyMem(mk(), 0), cfg);
+    (t0, (1..n).map(|_| mk()).collect())
+}
+
+/// `peer`'s arrival at the exit barrier, at `at`.
+fn exit_arrival(peer: &mut MemSubstrate, at: Ns) {
+    let n = peer.nprocs();
+    let arrive = Request::BarrierArrive {
+        barrier: u32::MAX,
+        vc: VectorClock::new(n),
+        records: Vec::new(),
+    };
+    peer.send(0, Chan::Request, &encode(arrive, 1), Some(at));
+}
+
+/// `peer` says `Gone` at `at`.
+fn gone(peer: &mut MemSubstrate, at: Ns) {
+    peer.send(0, Chan::Request, &encode(Request::Gone, 2), Some(at));
+}
+
+/// The overlapped lock path, whose barrier fans its release as requests.
+fn overlapped() -> TmkConfig {
+    TmkConfig {
+        lock_path: crate::LockPath::Overlapped,
+        ..TmkConfig::default()
+    }
+}
+
+/// The backoff ceiling: the linger's silence, and the timeout that counts.
+fn rto_ceiling(t: &Tmk<LossyMem>) -> Ns {
+    RTO * (1u64 << t.params().udp.rto_retries)
+}
+
+/// On the lossy path every node but the root says `Gone` exactly once,
+/// to its tree parent and after its own children have, so every parent
+/// leaves after each of its children — on the 3-node centralized barrier
+/// and down a 7-node binary tree, where an interior node's `Gone` stands
+/// for its whole subtree.
+#[test]
+fn every_child_says_gone_once_and_its_parent_leaves_after_it() {
+    use crate::BarrierAlgo::{Centralized, Tree};
+    for (n, algo) in [(3, Centralized), (7, Tree { radix: 2 })] {
+        let params = Arc::new(SimParams::paper_testbed());
+        let cfg = TmkConfig {
+            barrier_algo: algo,
+            ..TmkConfig::default()
+        };
+        let out = tm_sim::run_cluster_with(params, mem_cluster(n), move |env, ep| {
+            let params = Arc::clone(&env.params);
+            let sub = MemSubstrate::new(ep, env.clock.clone(), params, Ns::from_us(5), Ns(500));
+            let mut tmk = Tmk::new(LossyMem(sub, 0), cfg.clone());
+            tmk.barrier(0);
+            tmk.acquire(0);
+            tmk.release(0);
+            tmk.exit();
+            tmk.sub.1
+        });
+        for o in &out[1..] {
+            let (node, sent) = (o.id, o.result);
+            assert_eq!(sent, 1, "{algo:?}: node {node} sent {sent} Gone frames");
+            // Both trees have radix 2 (the centralized one is radix n - 1).
+            let parent = &out[(o.id - 1) / 2];
+            assert!(
+                parent.finish > o.finish,
+                "{algo:?}: node {} left before its child {}",
+                parent.id,
+                o.id
+            );
+        }
+        assert_eq!(out[0].result, 0, "{algo:?}: the root has no parent to tell");
+    }
+}
+
+/// A child's `Gone` is lost: the root's linger ends `rto_ceiling` after
+/// the last frame it heard — the other child's `Gone` — to the nanosecond.
+#[test]
+fn a_lost_gone_ends_the_linger_rto_ceiling_after_the_last_frame_heard() {
+    let (mut t0, mut peers) = root_and_peers(3, TmkConfig::default());
+    exit_arrival(&mut peers[0], Ns::from_us(10));
+    exit_arrival(&mut peers[1], Ns::from_us(20));
+    let last_heard = Ns::from_ms(1);
+    gone(&mut peers[0], last_heard);
+    t0.exit();
+    assert_eq!(t0.clock().borrow().now(), last_heard + rto_ceiling(&t0));
+    for peer in &mut peers {
+        let release = peer.next_incoming();
+        match Response::decode(&release.data) {
+            Some((1, Response::BarrierRelease { .. })) => {}
+            other => panic!("expected the exit release, got {other:?}"),
+        }
+    }
+}
+
+/// Overlapped exit fan, ack lost: the consumer applied the release and
+/// left, and its `Gone` ends the ack collect at once — the rid cancelled,
+/// no timer left to fire into the departed node.
+#[test]
+fn an_exit_fan_whose_ack_is_lost_ends_on_the_consumers_gone() {
+    let (mut t0, mut peers) = root_and_peers(2, overlapped());
+    exit_arrival(&mut peers[0], Ns::from_us(10));
+    gone(&mut peers[0], Ns::from_us(100));
+    t0.exit();
+    match Request::decode(&peers[0].next_incoming().data) {
+        Some((_, Request::NoticeRelease { barrier, .. })) => assert_eq!(barrier, u32::MAX),
+        other => panic!("expected the exit release, got {other:?}"),
+    }
+    assert!(t0.outstanding.is_empty(), "ack rid outlived the Gone");
+    assert_eq!(t0.clock().borrow().stats.retransmits, 0);
+    assert!(t0.clock().borrow().now() < Ns::from_us(100) + RTO);
+}
+
+/// Overlapped exit fan, ack *and* `Gone` lost: the consumer still left
+/// after applying the release, and a node past its exit barrier takes
+/// `rto_ceiling` of silence for that. The collect ends there instead of
+/// retransmitting on to the give-up: the 12 retransmissions of the climb
+/// fit in the ceiling, none at it.
+#[test]
+fn an_exit_fan_that_hears_nothing_ends_on_silence() {
+    let (mut t0, mut peers) = root_and_peers(2, overlapped());
+    let arrived = Ns::from_us(10);
+    exit_arrival(&mut peers[0], arrived);
+    t0.exit();
+    assert!(t0.outstanding.is_empty());
+    assert_eq!(t0.clock().borrow().stats.retransmits, 12);
+    assert_eq!(t0.clock().borrow().now(), arrived + rto_ceiling(&t0));
 }

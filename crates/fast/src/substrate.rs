@@ -276,9 +276,7 @@ impl Substrate for FastSubstrate {
         None
     }
 
-    /// GM delivery is reliable, so no peer needs waiting out: `watch` is
-    /// not read.
-    fn wait(&mut self, deadline: Option<Ns>, _watch: Option<&[usize]>) -> Wait<IncomingMsg> {
+    fn wait(&mut self, deadline: Option<Ns>) -> Wait<IncomingMsg> {
         loop {
             let Some((port, ev)) = self.gm.blocking_receive_by(&[REQ_PORT, REP_PORT], deadline)
             else {

@@ -512,9 +512,9 @@ impl GmNode {
                 continue;
             }
             // Genuinely idle: park on the NIC.
-            match self.nic.wait(Some(&GM_PORTS), deadline, None) {
+            match self.nic.wait(Some(&GM_PORTS), deadline) {
                 Wait::Got(pkt) => Self::admit(&mut self.ports, pkt),
-                _ => break,
+                Wait::Deadline => break,
             }
         }
         let deadline = deadline.expect("only a receive with a deadline times out");

@@ -40,7 +40,7 @@ pub struct Fabric {
     /// The cluster's scheduler. Every transmit waits for its virtual
     /// injection time to be the cluster's minimum event key before it
     /// reserves its links; a node that has dropped its NIC is `Done`
-    /// there, which is all the liveness the fabric keeps.
+    /// there and offers no more events.
     sched: Rc<LockstepSched>,
     /// Sends that found the destination's inbox already closed: the
     /// receiver dropped its NIC while the packet was in flight. Always
@@ -96,11 +96,6 @@ impl Fabric {
     /// How many in-flight packets hit an already-departed node's inbox.
     pub fn shutdown_races(&self) -> u64 {
         self.shutdown_races.get()
-    }
-
-    /// Whether any of `nodes` still holds its NIC.
-    pub fn any_alive(&self, nodes: &[NodeId]) -> bool {
-        !self.sched.all_done(nodes)
     }
 
     pub fn params(&self) -> &SimParams {
@@ -288,19 +283,6 @@ mod tests {
         assert_eq!(f64n.extra_hops, 2);
         assert_eq!(f256.extra_hops, 2);
         assert_eq!(f257.extra_hops, 4);
-    }
-
-    #[test]
-    fn any_alive_tracks_dropped_nics() {
-        let (f, nics) = fabric(4);
-        let mut nics: Vec<_> = nics.into_iter().map(Some).collect();
-        nics[1] = None;
-        nics[2] = None;
-        assert!(f.any_alive(&[1, 2, 3]), "node 3 still up");
-        assert!(!f.any_alive(&[1, 2]));
-        nics[3] = None;
-        assert!(!f.any_alive(&[1, 2, 3]));
-        assert!(f.any_alive(&[0]), "we are still alive");
     }
 
     #[test]

@@ -1,4 +1,8 @@
 //! Receive side of a node's NIC: demultiplexing and blocking waits.
+//!
+//! A wait ends on a packet or a virtual deadline. Nothing here says
+//! whether a peer's NIC is still on the fabric: like a real host, a node
+//! learns that a peer has left only from the packets it receives.
 
 use std::cell::RefMut;
 use std::collections::VecDeque;
@@ -71,19 +75,13 @@ impl NicHandle {
         &self.fabric
     }
 
-    /// Whether any of `nodes` still holds its NIC (see
-    /// [`Fabric::any_alive`]).
-    pub fn any_alive(&self, nodes: &[NodeId]) -> bool {
-        self.fabric.any_alive(nodes)
-    }
-
     /// Settlement of a non-blocking poll's miss at virtual time `t`:
     /// returns `true` once the scheduler has released every event earlier
     /// than `t` (the miss is then final), or `false` if one of them
     /// delivered a packet here first (the caller must re-examine its
     /// queues).
     pub fn poll_quiesce(&self, t: Ns) -> bool {
-        self.fabric.sched().park(self.node, Some(t), None) == Wait::Deadline
+        self.fabric.sched().park(self.node, Some(t)) == Wait::Deadline
     }
 
     /// Inject a packet from this node (sender side). Thin forwarding to
@@ -165,53 +163,36 @@ impl NicHandle {
 
     /// The one blocking receive: wait for a packet on any of `ports`
     /// (all ports when `None`), or — when `deadline` is set — until that
-    /// virtual time becomes the cluster's next event, or — when `watch`
-    /// is set — until every node in it has deregistered its NIC,
-    /// whichever the scheduler orders first.
+    /// virtual time becomes the cluster's next event, whichever the
+    /// scheduler orders first.
     ///
     /// * A queued packet whose arrival lies past the deadline stays
     ///   queued: the timer fires first, deterministically, and
     ///   [`Wait::Deadline`] is reported without parking. Likewise after a
-    ///   `Timeout` wake only a packet with `arrival <= deadline` is
-    ///   handed over.
-    /// * On `PeersDone` a final look hands over a packet whatever its
-    ///   arrival: the departing peers' last transmits were granted
-    ///   (program order) before their drops. This is what lets the exit
-    ///   fan cancel a retransmission timer the moment its consumer is
-    ///   gone instead of firing into a dead node, and what makes the set
-    ///   of packets a shutdown linger serves a pure function of the
-    ///   program.
+    ///   deadline wake only a packet with `arrival <= deadline` is handed
+    ///   over.
     /// * Selection among queued packets is by earliest virtual arrival;
     ///   per sender the wire is FIFO.
     ///
     /// The park is on the scheduler: a cluster in which nothing can end
     /// the wait is a panic naming every node's state — from `run_cluster`
     /// when every node is stuck, from here when the fabric is driven by
-    /// hand outside a cluster and the wait has neither a deadline nor a
-    /// departed watch set to end it.
-    pub fn wait(
-        &mut self,
-        ports: Option<&[u16]>,
-        deadline: Option<Ns>,
-        watch: Option<&[NodeId]>,
-    ) -> Wait<RawPacket> {
+    /// hand outside a cluster and the wait has no deadline to end it.
+    pub fn wait(&mut self, ports: Option<&[u16]>, deadline: Option<Ns>) -> Wait<RawPacket> {
         loop {
             if let Some(i) = self.best_queued_idx(ports) {
                 return self.pop_if_due(i, deadline).map_or(Wait::Deadline, Wait::Got);
             }
             // On one thread nothing can land between the look and the
-            // park. After it, one last look at the queues: after a timeout
-            // only a packet due by the deadline counts; after the peers'
-            // departure whatever their final grants delivered does.
-            let (due_by, otherwise) = match self.fabric.sched().park(self.node, deadline, watch) {
-                Wait::Got(()) => continue,
-                Wait::Deadline => (deadline, Wait::Deadline),
-                Wait::PeersDone => (None, Wait::PeersDone),
-            };
+            // park. After a deadline wake, one last look at the queues:
+            // a packet due by the deadline still counts.
+            if self.fabric.sched().park(self.node, deadline) == Wait::Got(()) {
+                continue;
+            }
             return self
                 .best_queued_idx(ports)
-                .and_then(|i| self.pop_if_due(i, due_by))
-                .map_or(otherwise, Wait::Got);
+                .and_then(|i| self.pop_if_due(i, deadline))
+                .map_or(Wait::Deadline, Wait::Got);
         }
     }
 
@@ -229,7 +210,7 @@ impl NicHandle {
 
     /// Block until any packet at all arrives (raw benchmarks and tests).
     pub fn recv_blocking(&mut self) -> RawPacket {
-        self.wait(None, None, None).got()
+        self.wait(None, None).got()
     }
 }
 
@@ -286,7 +267,7 @@ mod tests {
         // queued first, selection must follow virtual arrival time.
         f.transmit(1, 1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(10), None, false);
         f.transmit(0, 1, 0, 6, Bytes::from_static(b"early"), Ns(0), None, false);
-        let got = nics[1].wait(Some(&[5, 6]), None, None).got();
+        let got = nics[1].wait(Some(&[5, 6]), None).got();
         assert_eq!(&got.payload[..], b"early");
     }
 
@@ -295,32 +276,19 @@ mod tests {
         let (f, mut nics) = pair();
         f.transmit(0, 1, 0, 7, Bytes::from_static(b"other"), Ns(0), None, false);
         f.transmit(0, 1, 0, 5, Bytes::from_static(b"mine"), Ns(0), None, false);
-        let got = nics[1].wait(Some(&[5]), None, None).got();
+        let got = nics[1].wait(Some(&[5]), None).got();
         assert_eq!(&got.payload[..], b"mine");
         // The port-7 packet is still queued.
         assert_eq!(nics[1].queued(7), 1);
     }
 
-    /// A watch set that is already gone ends the wait at once, after one
-    /// last look at the queues.
-    #[test]
-    fn a_departed_watch_set_ends_the_wait_after_a_last_look() {
-        let (f, mut nics) = pair();
-        let mut n1 = nics.remove(1);
-        f.transmit(0, 1, 0, 5, Bytes::from_static(b"last"), Ns(0), None, false);
-        drop(nics);
-        let got = n1.wait(Some(&[5]), None, Some(&[0]));
-        assert!(matches!(got, Wait::Got(p) if &p.payload[..] == b"last"));
-        assert!(matches!(n1.wait(Some(&[5]), None, Some(&[0])), Wait::PeersDone));
-    }
-
     /// A hand-driven wait that nothing can end — no packet queued, no
-    /// deadline, no watch set — is a diagnosis, not a hang.
+    /// deadline — is a diagnosis, not a hang.
     #[test]
     fn a_hand_driven_wait_nothing_can_end_is_a_diagnosis() {
         let (_f, mut nics) = pair();
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            nics[1].wait(None, None, None)
+            nics[1].wait(None, None)
         }))
         .expect_err("must not block");
         let msg = payload.downcast_ref::<String>().expect("a formatted message");
@@ -328,10 +296,9 @@ mod tests {
         assert!(msg.contains("node 0: Running"), "{msg}");
     }
 
-    /// [`NicHandle::wait`] inside a cluster, over its {deadline, no
-    /// deadline} × {watch, no watch} matrix. Node 1 waits on port 5; node
-    /// 0 is the sender and the watched peer; any further node leaves at
-    /// once. Every outcome is decided by virtual keys.
+    /// [`NicHandle::wait`] inside a cluster, with and without a deadline.
+    /// Node 1 waits on port 5; node 0 is the sender. Every outcome is
+    /// decided by virtual keys.
     #[test]
     fn wait_matrix() {
         use crate::fabric::cluster;
@@ -340,83 +307,52 @@ mod tests {
             match w {
                 Wait::Got(p) => format!("got {}", String::from_utf8_lossy(&p.payload)),
                 Wait::Deadline => "deadline".into(),
-                Wait::PeersDone => "peers done".into(),
             }
         }
         /// What node 1 saw when every node ran `body`.
         fn waiter_saw(
-            n: usize,
             body: impl Fn(&Rc<Fabric>, NicHandle) -> Vec<String> + 'static,
         ) -> Vec<String> {
-            cluster(n, body).swap_remove(1)
+            cluster(2, body).swap_remove(1)
         }
         for deadline in [None, Some(DEADLINE)] {
-            for watch in [None, Some([0usize])] {
-                let cell = format!("deadline={deadline:?} watch={watch:?}");
-                let wait = move |nic: &mut NicHandle| {
-                    show(nic.wait(Some(&[5]), deadline, watch.as_ref().map(|w| &w[..])))
-                };
+            let cell = format!("deadline={deadline:?}");
+            let wait = move |nic: &mut NicHandle| show(nic.wait(Some(&[5]), deadline));
 
-                // Delivery wins: an in-time packet is handed over.
-                let saw = waiter_saw(2, move |_, mut nic| match nic.node() {
-                    1 => vec![wait(&mut nic)],
+            // Delivery wins: an in-time packet is handed over.
+            let saw = waiter_saw(move |_, mut nic| match nic.node() {
+                1 => vec![wait(&mut nic)],
+                _ => {
+                    nic.inject(1, 0, 5, Bytes::from_static(b"hit"), Ns(1_000), None);
+                    vec![]
+                }
+            });
+            assert_eq!(saw, ["got hit"], "{cell}");
+
+            if deadline.is_some() {
+                // Deadline wins over a later-keyed transmit, although its
+                // sender asked first (node 0 runs first); the packet is
+                // there for the next wait.
+                let saw = waiter_saw(move |_, mut nic| match nic.node() {
+                    1 => vec![wait(&mut nic), show(nic.wait(Some(&[5]), None))],
                     _ => {
-                        nic.inject(1, 0, 5, Bytes::from_static(b"hit"), Ns(1_000), None);
+                        nic.inject(1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(1), None);
                         vec![]
                     }
                 });
-                assert_eq!(saw, ["got hit"], "{cell}");
+                assert_eq!(saw, ["deadline", "got late"], "{cell}");
 
-                if deadline.is_some() {
-                    // Deadline wins over a later-keyed transmit, although
-                    // its sender asked first (node 0 runs first); the
-                    // packet is there for the next wait.
-                    let saw = waiter_saw(2, move |_, mut nic| match nic.node() {
-                        1 => vec![wait(&mut nic), show(nic.wait(Some(&[5]), None, None))],
-                        _ => {
-                            nic.inject(1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(1), None);
-                            vec![]
-                        }
-                    });
-                    assert_eq!(saw, ["deadline", "got late"], "{cell}");
-
-                    // A queued packet past the deadline stays queued and
-                    // reports Deadline without parking.
-                    let saw = waiter_saw(2, move |f, mut nic| match nic.node() {
-                        1 => {
-                            f.transmit(1, 1, 0, 5, Bytes::from_static(b"far"), Ns::from_ms(10), None, false);
-                            vec![wait(&mut nic), format!("{} queued", nic.queued(5))]
-                        }
-                        _ => vec![],
-                    });
-                    assert_eq!(saw, ["deadline", "1 queued"], "{cell}");
-                }
-
-                if watch.is_some() {
-                    // Peers-done wins: the watched peer leaves silently.
-                    let saw = waiter_saw(2, move |_, mut nic| match nic.node() {
-                        1 => vec![wait(&mut nic)],
-                        _ => vec![],
-                    });
-                    assert_eq!(saw, ["peers done"], "{cell}");
-
-                    // The final look on PeersDone hands over a packet
-                    // whatever its arrival. Node 0's transmit to (departed)
-                    // node 2 is released only once node 1 is parked, so the
-                    // loopback push it then makes on node 1's behalf lands
-                    // behind the waiter's look, uncredited; the peer's
-                    // departure is what wakes the waiter.
-                    let saw = waiter_saw(3, move |f, mut nic| match nic.node() {
-                        1 => vec![wait(&mut nic)],
-                        0 => {
-                            nic.inject(2, 0, 0, Bytes::new(), Ns(1_000), None);
-                            f.transmit(1, 1, 0, 5, Bytes::from_static(b"far"), Ns::from_ms(10), None, false);
-                            vec![]
-                        }
-                        _ => vec![],
-                    });
-                    assert_eq!(saw, ["got far"], "{cell}");
-                }
+                // A queued packet past the deadline stays queued and
+                // reports Deadline without parking.
+                let saw = waiter_saw(move |f, mut nic| match nic.node() {
+                    1 => {
+                        let far = Bytes::from_static(b"far");
+                        f.transmit(1, 1, 0, 5, far, Ns::from_ms(10), None, false);
+                        vec![wait(&mut nic), format!("{} queued", nic.queued(5))]
+                    }
+                    _ => vec![],
+                });
+                assert_eq!(saw, ["deadline", "1 queued"], "{cell}");
             }
         }
     }

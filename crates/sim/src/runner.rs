@@ -233,7 +233,7 @@ mod tests {
         let log = Rc::new(RefCell::new(Vec::new()));
         let (sink, sched) = (Rc::clone(&log), Rc::new(crate::LockstepSched::new(3)));
         run_cluster(3, Arc::new(SimParams::default()), move |env| {
-            sched.park(env.id, Some(Ns(30 - 10 * env.id as u64)), None);
+            sched.park(env.id, Some(Ns(30 - 10 * env.id as u64)));
             sink.borrow_mut().push(env.id);
             sched.mark_done(env.id);
         });

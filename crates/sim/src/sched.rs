@@ -4,8 +4,8 @@
 //!
 //! Every number this simulator reports is virtual-time arithmetic, so the
 //! order in which nodes act on shared state — who reserves a contended rx
-//! link first, whether a poll sees a packet, which peers a lingering node
-//! saw leave — must be a function of the program, not of the host. It is:
+//! link first, whether a poll sees a packet — must be a function of the
+//! program, not of the host. It is:
 //! the nodes of a cluster are contexts on one thread ([`crate::context`])
 //! and this module decides, from virtual time alone, which of them moves.
 //!
@@ -24,9 +24,10 @@
 //! is left to run, [`crate::context::run`] asks the scheduler
 //! ([`Driver::next`]), which releases the owner of the minimum key; that
 //! context then runs until it waits again. A delivery
-//! ([`LockstepSched::deliver`]) or a departure
-//! ([`LockstepSched::mark_done`]) releases the parked nodes it concerns at
-//! once; they run, first released first, before the next key is looked at.
+//! ([`LockstepSched::deliver`]) releases the parked node it concerns at
+//! once; it runs before the next key is looked at. A departure
+//! ([`LockstepSched::mark_done`]) releases nobody: a node learns that a
+//! peer has left only from what the peer sent it.
 //! A node whose own key is the minimum while every other node is waiting
 //! or gone is not suspended at all — the wait settles inline, which is
 //! what the suspension would have come to.
@@ -36,9 +37,9 @@
 //! moves: there is no simultaneity to order and no preemption to survive.
 //! Each transmit reserves its links and lands in its receiver's inbox
 //! before any other event is released, in global key order; a node's
-//! inputs (its inbox sequence, its deadline expiries, which peers it saw
-//! leave) are therefore a pure function of the program, and by induction
-//! so is every virtual timestamp, counter and memory image.
+//! inputs (its inbox sequence, its deadline expiries) are therefore a pure
+//! function of the program, and by induction so is every virtual
+//! timestamp, counter and memory image.
 //!
 //! The scheduler's clients are the Myrinet fabric (`tm-myrinet`) and the
 //! in-memory substrate (`tmk::memsub`): a send is `request_transmit`,
@@ -71,8 +72,7 @@ use crate::time::Ns;
 
 /// Outcome of a blocking wait at every layer — the scheduler's `park`
 /// (`Wait<()>`), the NIC's `wait`, the UDP stack's `recv`, a substrate's
-/// `wait`: *a message, or a virtual deadline, or a set of peers leaving*,
-/// whichever came first.
+/// `wait`: *a message or a virtual deadline*, whichever came first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wait<T> {
     /// Something arrived (at or before the deadline, if one was given).
@@ -81,20 +81,15 @@ pub enum Wait<T> {
     /// The virtual deadline passed first: it became the cluster's next
     /// event.
     Deadline,
-    /// Every watched peer deregistered its NIC first
-    /// ([`LockstepSched::mark_done`]).
-    PeersDone,
 }
 
 impl<T> Wait<T> {
-    /// The arrival of a wait that was given neither a deadline nor a
-    /// watch set, and so can end no other way.
+    /// The arrival of a wait that was given no deadline, and so can end no
+    /// other way.
     pub fn got(self) -> T {
         match self {
             Wait::Got(t) => t,
-            Wait::Deadline | Wait::PeersDone => {
-                panic!("a wait with no deadline and no watch can only end in an arrival")
-            }
+            Wait::Deadline => panic!("a wait with no deadline can only end in an arrival"),
         }
     }
 }
@@ -113,12 +108,8 @@ enum St {
     /// is only for the deadlock message.
     Pending { key: Key, dst: usize },
     /// Suspended in `park`: waiting for a delivery, for at most until
-    /// `deadline` if one is set, and — if `watch` is set — only while some
-    /// listed node is not yet `Done`.
-    Parked {
-        deadline: Option<Key>,
-        watch: Option<Vec<usize>>,
-    },
+    /// `deadline` if one is set.
+    Parked { deadline: Option<Key> },
     /// The node's NIC has left the fabric; it produces no more events.
     Done,
 }
@@ -128,7 +119,7 @@ impl St {
     fn key(&self) -> Option<Key> {
         match self {
             St::Pending { key, .. } => Some(*key),
-            St::Parked { deadline, .. } => *deadline,
+            St::Parked { deadline } => *deadline,
             St::Running | St::Done => None,
         }
     }
@@ -232,10 +223,6 @@ impl State {
         debug_assert_eq!(first, self.nodes.iter().filter_map(|n| n.st.key()).min());
         first
     }
-
-    fn all_done(&self, nodes: &[usize]) -> bool {
-        nodes.iter().all(|&i| matches!(self.nodes[i].st, St::Done))
-    }
 }
 
 /// The scheduler of one cluster (module docs). Every method is called by
@@ -319,61 +306,26 @@ impl LockstepSched {
 
     /// The one blocking wait: park `node` until a packet is delivered to
     /// it, or — when `deadline` is `Some(d)` — until virtual time `d`
-    /// becomes the cluster's next event ([`Wait::Deadline`]), or —
-    /// when `watch` is `Some(w)` — until every node in `w` has
-    /// deregistered its NIC ([`LockstepSched::mark_done`];
-    /// [`Wait::PeersDone`], immediately if the set is already
-    /// drained), whichever the scheduler orders first. The caller drains
-    /// its inbox first; on one thread nothing can land in between.
+    /// becomes the cluster's next event ([`Wait::Deadline`]), whichever
+    /// the scheduler orders first. The caller drains its inbox first; on
+    /// one thread nothing can land in between.
     ///
-    /// The deadline is what retransmission timers and compute segments run
-    /// on, and what settles a *non-blocking poll*: the answer steers request
-    /// service, and traffic keyed earlier than the poll may not have been
-    /// released yet, so a poll miss at virtual time `t` is a park on
-    /// deadline `t` — [`Wait::Deadline`] means every earlier event has been
-    /// released and "nothing arrived by `t`" is final, [`Wait::Got`] means
-    /// look again. The watch is what makes shutdown lingers and the exit
-    /// fan deterministic: "have my peers exited?" is an ordered scheduler
-    /// event, so the messages a lingering node serves before concluding
-    /// `PeersDone` — and whether a timer armed against a departing peer
-    /// fires or cancels — are pure functions of the program.
-    pub fn park(
-        self: &Rc<Self>,
-        node: usize,
-        deadline: Option<Ns>,
-        watch: Option<&[usize]>,
-    ) -> Wait<()> {
-        if watch.is_some_and(|w| self.all_done(w)) {
-            return Wait::PeersDone;
-        }
-        let st = St::Parked {
-            deadline: deadline.map(|t| (t, node)),
-            watch: watch.map(<[usize]>::to_vec),
-        };
-        self.block(node, st)
-    }
-
-    /// Whether every node in `nodes` has left
-    /// ([`LockstepSched::mark_done`]): the cluster's one record of
-    /// liveness.
-    pub fn all_done(&self, nodes: &[usize]) -> bool {
-        self.state.borrow().all_done(nodes)
+    /// The deadline is what retransmission timers, compute segments and
+    /// the shutdown linger's silence run on, and what settles a
+    /// *non-blocking poll*: the answer steers request service, and traffic
+    /// keyed earlier than the poll may not have been released yet, so a
+    /// poll miss at virtual time `t` is a park on deadline `t` —
+    /// [`Wait::Deadline`] means every earlier event has been released and
+    /// "nothing arrived by `t`" is final, [`Wait::Got`] means look again.
+    pub fn park(self: &Rc<Self>, node: usize, deadline: Option<Ns>) -> Wait<()> {
+        let deadline = deadline.map(|t| (t, node));
+        self.block(node, St::Parked { deadline })
     }
 
     /// `node`'s NIC has left the fabric (its handle was dropped): it
-    /// produces no further events, and every parked watcher whose whole
-    /// watch set is now gone is released.
+    /// produces no further events.
     pub fn mark_done(&self, node: usize) {
-        let mut s = self.state.borrow_mut();
-        s.set(node, St::Done);
-        let released: Vec<usize> = (0..s.nodes.len())
-            .filter(
-                |&i| matches!(&s.nodes[i].st, St::Parked { watch: Some(w), .. } if s.all_done(w)),
-            )
-            .collect();
-        for i in released {
-            s.release(i, Wait::PeersDone);
-        }
+        self.state.borrow_mut().set(node, St::Done);
     }
 }
 
@@ -441,7 +393,7 @@ mod tests {
                 sched.deliver(2);
             }
             _ => {
-                let why = sched.park(2, None, None);
+                let why = sched.park(2, None);
                 sink.borrow_mut().push(format!("2 woke: {why:?}"));
             }
         });
@@ -462,44 +414,27 @@ mod tests {
                     sched.request_transmit(0, 1, inject);
                     sched.deliver(1);
                 }
-                _ => assert_eq!(
-                    sched.park(1, Some(Ns(5_000)), None),
-                    want,
-                    "inject at {inject}"
-                ),
+                _ => assert_eq!(sched.park(1, Some(Ns(5_000))), want, "inject at {inject}"),
             });
         }
     }
 
-    /// A watch releases by `PeersDone` when the *last* watched node leaves
-    /// — with or without a (later) deadline armed — at once if the set is
-    /// already gone, and not at all if a delivery comes first.
+    /// A departure releases nobody: a node parked on a deadline sleeps
+    /// through its peers leaving and wakes at its deadline, and one parked
+    /// on a delivery is still waiting for it.
     #[test]
-    fn a_watch_is_released_by_the_last_departure() {
-        for deadline in [None, Some(Ns::from_ms(1))] {
-            cluster(3, move |node, sched| match node {
-                1 => {
-                    assert_eq!(sched.park(1, deadline, Some(&[0, 2])), Wait::PeersDone);
-                    // Both are gone now: no suspension, no event consumed.
-                    assert_eq!(sched.park(1, deadline, Some(&[0, 2])), Wait::PeersDone);
-                }
-                _ => {
-                    // Let node 1 park first; then leave, node 0 before 2.
-                    assert_eq!(
-                        sched.park(node, Some(Ns(10 + node as u64)), None),
-                        Wait::Deadline
-                    );
-                    let parked = sched.describe().contains("node 1: Parked");
-                    assert!(parked, "released with a watched peer still alive");
-                }
-            });
-        }
-        cluster(2, |node, sched| match node {
-            0 => {
-                sched.request_transmit(0, 1, Ns(1_000));
-                sched.deliver(1);
+    fn a_departure_releases_nobody() {
+        cluster(3, |node, sched| match node {
+            1 => {
+                assert_eq!(sched.park(1, Some(Ns::from_ms(1))), Wait::Deadline);
+                let seen = sched.describe();
+                assert!(seen.contains("node 0: Done"), "{seen}");
+                assert!(seen.contains("node 2: Parked { deadline: None }"), "{seen}");
+                sched.request_transmit(1, 2, Ns::from_ms(2));
+                sched.deliver(2);
             }
-            _ => assert_eq!(sched.park(1, None, Some(&[0])), Wait::Got(())),
+            0 => {}
+            _ => assert_eq!(sched.park(2, None), Wait::Got(())),
         });
     }
 
@@ -512,10 +447,10 @@ mod tests {
             0 => {
                 // Suspended (node 1 has not started); resumed with node 1
                 // parked on 1000 and node 2 gone.
-                assert_eq!(sched.park(0, Some(Ns(5)), None), Wait::Deadline);
+                assert_eq!(sched.park(0, Some(Ns(5))), Wait::Deadline);
                 sched.request_transmit(0, 1, Ns(999));
                 // Equal times: the lower node id is the smaller key.
-                assert_eq!(sched.park(0, Some(Ns(1_000)), None), Wait::Deadline);
+                assert_eq!(sched.park(0, Some(Ns(1_000))), Wait::Deadline);
                 let seen = sched.describe();
                 assert!(seen.contains("node 0: Running"), "{seen}");
                 assert!(seen.contains("node 1: Parked"), "{seen}");
@@ -523,7 +458,7 @@ mod tests {
                 sched.request_transmit(0, 1, Ns(1_001));
                 assert!(sched.describe().contains("node 1: Done"));
             }
-            1 => assert_eq!(sched.park(1, Some(Ns(1_000)), None), Wait::Deadline),
+            1 => assert_eq!(sched.park(1, Some(Ns(1_000))), Wait::Deadline),
             _ => {}
         });
     }
@@ -539,28 +474,24 @@ mod tests {
         // Node 1 "running" with nothing on offer would hold node 0 back
         // inside a context; here nobody else can run.
         sched.request_transmit(0, 1, Ns(1_001));
-        assert_eq!(sched.park(0, Some(Ns(999)), None), Wait::Deadline);
-        assert_eq!(sched.park(0, Some(Ns(999)), Some(&[1])), Wait::Deadline);
-        assert_eq!(sched.park(0, None, Some(&[2])), Wait::PeersDone);
+        assert_eq!(sched.park(0, Some(Ns(999))), Wait::Deadline);
         assert!(
             sched.describe().contains("node 0: Running"),
             "settling leaves no trace"
         );
-        for watch in [None, Some(&[1usize][..])] {
-            let msg = panic_message(|| {
-                let _ = sched.park(0, None, watch);
-            });
-            assert!(msg.contains("node 0 waits"), "{msg}");
-            assert!(msg.contains("outside a cluster context"), "{msg}");
-            assert!(
-                msg.contains("node 1: Running") && msg.contains("node 2: Done"),
-                "{msg}"
-            );
-        }
+        let msg = panic_message(|| {
+            let _ = sched.park(0, None);
+        });
+        assert!(msg.contains("node 0 waits"), "{msg}");
+        assert!(msg.contains("outside a cluster context"), "{msg}");
+        assert!(
+            msg.contains("node 1: Running") && msg.contains("node 2: Done"),
+            "{msg}"
+        );
     }
 
-    /// 64 contexts mixing transmits, deliveries, deadline and watched waits
-    /// and departures, drawn from a seeded generator: each seed releases in
+    /// 64 contexts mixing transmits, deliveries, deadline waits and
+    /// departures, drawn from a seeded generator: each seed releases in
     /// the same order on every run, and in a debug build every `next` and
     /// `block` checks the index against the scan it replaced.
     #[test]
@@ -577,14 +508,13 @@ mod tests {
                 for _ in 0..4 + draw(12) {
                     t += 1 + draw(500);
                     let peer = (node + 1 + draw(N as u64 - 1) as usize) % N;
-                    let what = match draw(3) {
+                    let what = match draw(2) {
                         0 => {
                             sched.request_transmit(node, peer, Ns(t));
                             sched.deliver(peer);
                             format!("tx {peer}")
                         }
-                        1 => format!("{:?}", sched.park(node, Some(Ns(t)), None)),
-                        _ => format!("{:?}", sched.park(node, Some(Ns(t)), Some(&[peer]))),
+                        _ => format!("{:?}", sched.park(node, Some(Ns(t)))),
                     };
                     sink.borrow_mut().push(format!("{node}@{t}: {what}"));
                 }
@@ -593,7 +523,7 @@ mod tests {
         }
         for seed in 1..=3 {
             let log = release_log(seed);
-            for what in ["tx", "Got", "Deadline", "PeersDone"] {
+            for what in ["tx", "Got", "Deadline"] {
                 let seen = log.iter().any(|l| l.contains(what));
                 assert!(seen, "seed {seed}: no {what}");
             }
@@ -608,20 +538,12 @@ mod tests {
         let msg = panic_message(|| {
             cluster(3, |node, sched| match node {
                 0 => {}
-                1 => drop(sched.park(1, None, None)),
-                _ => drop(sched.park(2, None, Some(&[1]))),
+                _ => drop(sched.park(node, None)),
             })
         });
         assert!(msg.starts_with("lockstep deadlock"), "{msg}");
         assert!(msg.contains("contexts [1, 2] have not finished"), "{msg}");
         assert!(msg.contains("node 0: Done"), "{msg}");
-        assert!(
-            msg.contains("node 1: Parked { deadline: None, watch: None }"),
-            "{msg}"
-        );
-        assert!(
-            msg.contains("node 2: Parked { deadline: None, watch: Some([1]) }"),
-            "{msg}"
-        );
+        assert!(msg.contains("node 1: Parked { deadline: None }"), "{msg}");
     }
 }

@@ -115,12 +115,6 @@ impl UdpStack {
         &self.params
     }
 
-    /// Whether any of `nodes` still has its NIC registered — the
-    /// liveness input to the DSM's retransmission give-up budget.
-    pub fn peers_alive_in(&self, nodes: &[usize]) -> bool {
-        self.nic.any_alive(nodes)
-    }
-
     /// `socket() + bind()`: claim a local port. `sigio` models O_ASYNC.
     pub fn bind(&mut self, port: u16, sigio: bool) {
         assert!(
@@ -431,30 +425,21 @@ impl UdpStack {
 
     /// Blocking `recvfrom()` on one port.
     pub fn recvfrom(&mut self, port: u16) -> Datagram {
-        self.recv(&[port], None, None).got().1
+        self.recv(&[port], None).got().1
     }
 
     /// `select()` + `recvfrom()`, the one blocking receive: wait for a
     /// datagram to become ready on any of `ports`, or — when `deadline`
     /// is set — until that *virtual* time (the DSM's retransmission timer
-    /// runs on this; determinism requires the timeout to be virtual), or
-    /// — when `watch` is set — until every node in it has deregistered
-    /// its NIC (a shutdown linger's "all my peers exited", and the exit
-    /// fan's timer cancelling instead of firing into a dead node). Which
-    /// of the three comes first is the NIC's verdict
-    /// ([`NicHandle::wait`]).
+    /// runs on this; determinism requires the timeout to be virtual).
+    /// Which comes first is the NIC's verdict ([`NicHandle::wait`]).
     ///
     /// Charges the select syscall once per call, plus a scheduler wakeup
     /// and the delivery costs if a datagram is handed over. A datagram
     /// that becomes ready only after the deadline stays queued: the timer
     /// fires first. On [`Wait::Deadline`] the clock has advanced to the
-    /// deadline; on [`Wait::PeersDone`] it is untouched.
-    pub fn recv(
-        &mut self,
-        ports: &[u16],
-        deadline: Option<Ns>,
-        watch: Option<&[usize]>,
-    ) -> Wait<(u16, Datagram)> {
+    /// deadline.
+    pub fn recv(&mut self, ports: &[u16], deadline: Option<Ns>) -> Wait<(u16, Datagram)> {
         self.clock.borrow_mut().advance(self.params.host.syscall); // select()
         loop {
             if let Some((port, ready)) = self.earliest_queued(ports) {
@@ -467,10 +452,9 @@ impl UdpStack {
             }
             // Park on the NIC until something arrives for us.
             let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            match self.nic.wait(Some(&filter), deadline, watch) {
+            match self.nic.wait(Some(&filter), deadline) {
                 Wait::Got(pkt) => self.admit(pkt),
                 Wait::Deadline => break,
-                Wait::PeersDone => return Wait::PeersDone,
             }
         }
         let deadline = deadline.expect("only a wait with a deadline times out");
@@ -550,7 +534,7 @@ mod tests {
         b.bind(3, false);
         a.sendto(1, 2, 1, b"first");
         a.sendto(1, 3, 1, b"second");
-        let (port, d) = b.recv(&[2, 3], None, None).got();
+        let (port, d) = b.recv(&[2, 3], None).got();
         assert_eq!(port, 2);
         assert_eq!(&d.data[..], b"first");
     }
@@ -574,7 +558,7 @@ mod tests {
         assert_eq!(a.drops, 1);
         assert_eq!(a.clock().borrow().stats.dgrams_dropped, 1);
         // The receiver still wakes: recv surfaces the tombstone.
-        let (port, d) = b.recv(&[2], None, None).got();
+        let (port, d) = b.recv(&[2], None).got();
         assert_eq!(port, 2);
         assert!(d.lost);
         // But the polled path never shows it, however late it looks.
@@ -600,8 +584,8 @@ mod tests {
         b.bind(2, false);
         assert!(a.sendto(1, 2, 1, b"twice"));
         assert_eq!(a.clock().borrow().stats.dgrams_duplicated, 1);
-        let (_, d1) = b.recv(&[2], None, None).got();
-        let (_, d2) = b.recv(&[2], None, None).got();
+        let (_, d1) = b.recv(&[2], None).got();
+        let (_, d2) = b.recv(&[2], None).got();
         assert_eq!(&d1.data[..], b"twice");
         assert_eq!(&d2.data[..], b"twice");
     }
@@ -623,7 +607,7 @@ mod tests {
         b.bind(2, false);
         assert!(a.sendto(1, 2, 1, b"garbled"));
         assert_eq!(a.clock().borrow().stats.dgrams_corrupted, 1);
-        let (_, d) = b.recv(&[2], None, None).got();
+        let (_, d) = b.recv(&[2], None).got();
         assert!(d.lost, "CRC reject must become a tombstone");
         assert_eq!(b.clock().borrow().stats.crc_rejected, 1);
     }
@@ -651,7 +635,7 @@ mod tests {
         let mut clean = 0;
         for _ in 0..20 {
             a.sendto(1, 2, 1, b"payload");
-            let (_, d) = b.recv(&[2], None, None).got();
+            let (_, d) = b.recv(&[2], None).got();
             if !d.lost {
                 // Trailer must be stripped before delivery.
                 assert_eq!(&d.data[..], b"payload");
@@ -709,7 +693,7 @@ mod tests {
                 Ns::from_us(500)
             };
             let deadline = b.clock().borrow().now() + wait;
-            let got = b.recv(&[2], Some(deadline), None);
+            let got = b.recv(&[2], Some(deadline));
             assert!(matches!(got, Wait::Deadline), "late_arrival={late_arrival}: {got:?}");
             assert!(b.clock().borrow().now() >= deadline);
             if late_arrival {

@@ -145,19 +145,16 @@ impl Substrate for UdpSubstrate {
         None
     }
 
-    fn wait(&mut self, deadline: Option<Ns>, watch: Option<&[usize]>) -> Wait<IncomingMsg> {
+    fn wait(&mut self, deadline: Option<Ns>) -> Wait<IncomingMsg> {
         // One `recv` (one select()) per datagram: non-final fragments
         // and malformed frames are consumed here and the wait goes round
-        // again under the same conditions.
+        // again under the same deadline.
         loop {
-            match self.udp.recv(&[REQ_SOCK, REP_SOCK], deadline, watch) {
-                Wait::Got((sock, d)) => {
-                    if let Some(msg) = self.handle(sock, d) {
-                        return Wait::Got(msg);
-                    }
-                }
-                Wait::Deadline => return Wait::Deadline,
-                Wait::PeersDone => return Wait::PeersDone,
+            let Wait::Got((sock, d)) = self.udp.recv(&[REQ_SOCK, REP_SOCK], deadline) else {
+                return Wait::Deadline;
+            };
+            if let Some(msg) = self.handle(sock, d) {
+                return Wait::Got(msg);
             }
         }
     }
@@ -169,10 +166,6 @@ impl Substrate for UdpSubstrate {
             || p.faults.reorder_probability > 0.0
             || p.faults.recvbuf_datagrams > 0;
         lossy.then(|| p.udp.rto)
-    }
-
-    fn peer_alive(&self, node: usize) -> bool {
-        self.udp.peers_alive_in(&[node])
     }
 }
 

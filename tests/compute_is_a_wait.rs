@@ -97,17 +97,17 @@ fn deadline_is_honoured<S: Substrate>(what: &str, mut a: S, mut b: S) {
     let (early, late) = (t0 + Ns::from_us(3), t0 + Ns::from_ms(1));
     a.send_request(1, b"req");
     assert!(
-        matches!(b.wait(Some(early), None), Wait::Deadline),
+        matches!(b.wait(Some(early)), Wait::Deadline),
         "{what}: a message was handed over before it arrived"
     );
     assert_eq!(b.clock().borrow().now(), early, "{what}");
-    let Wait::Got(msg) = b.wait(Some(late), None) else {
+    let Wait::Got(msg) = b.wait(Some(late)) else {
         panic!("{what}: the message was lost to an earlier deadline");
     };
     assert_eq!(msg.data, b"req", "{what}");
     let now = b.clock().borrow().now();
     assert!(early < msg.arrival && msg.arrival <= now && now < late, "{what}: {msg:?} at {now}");
-    assert!(matches!(b.wait(Some(late), None), Wait::Deadline), "{what}");
+    assert!(matches!(b.wait(Some(late)), Wait::Deadline), "{what}");
     assert_eq!(b.clock().borrow().now(), late, "{what}");
 }
 

@@ -10,10 +10,14 @@
 //! replayed diff corrupts page bytes, a lost message without
 //! retransmission deadlocks the run.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
-use tm_sim::{FaultPlan, NodeStats, Ns, SimParams};
+use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, UdpSubstrate};
+use tm_myrinet::Fabric;
+use tm_sim::clock::shared_clock;
+use tm_sim::{run_cluster_with, FaultPlan, NodeStats, Ns, SimParams};
 use tmk::{DiffFetch, Substrate, Tmk, TmkConfig, TmkEvent};
 
 const NODES: usize = 4;
@@ -441,4 +445,100 @@ fn lossy_lock_chain_sweep() {
             lock_chain_finishes(loss, seed);
         }
     }
+}
+
+// ----- how a node learns that a peer is gone ---------------------------------
+
+/// Node 0, lock 0's manager, holds the lock across 10 s of computation
+/// while node 1 waits for it on a lossy wire. Node 1's acquire is queued,
+/// so its retransmissions are swallowed and it hears nothing for ten
+/// seconds — but that is a peer holding a request, not a peer gone. The
+/// backoff reaches its 1.64 s ceiling after 12 timeouts and only the
+/// timeouts at the ceiling count toward giving up: 5 here, of 12 allowed.
+/// A rule that counted every silent timeout would give up at the 13th,
+/// about 3.3 s in.
+#[test]
+fn a_lock_held_across_ten_seconds_of_compute_is_waited_out() {
+    let plan = FaultPlan {
+        seed: 3,
+        drop_probability: 0.01,
+        ..FaultPlan::default()
+    };
+    let out = run_udp_dsm(2, with_plan(plan), TmkConfig::default(), |tmk| {
+        tmk.barrier(0);
+        tmk.acquire(0);
+        if tmk.proc_id() == 0 {
+            tmk.compute_ns(Ns::from_secs(10));
+        }
+        tmk.release(0);
+        tmk.clock().borrow().now()
+    });
+    let got_lock = out[1].result;
+    assert!(got_lock > Ns::from_secs(10), "got the lock at {got_lock}");
+    assert_eq!(out[1].stats.retransmits, 17, "{:?}", out[1].stats);
+}
+
+/// Node 0 holds lock 0 for 30 s, fetching one page from node 1 every 5 s
+/// of it. Node 1's acquire sits at the ceiling for far longer than the
+/// 13 silent timeouts it may count, but each fetch is a frame from node 0
+/// and starts its silence over: a peer that is heard from is waited out,
+/// however long it holds the request.
+#[test]
+fn a_peer_that_is_heard_from_is_waited_out_however_long_it_holds_a_request() {
+    let plan = FaultPlan {
+        seed: 3,
+        drop_probability: 0.01,
+        ..FaultPlan::default()
+    };
+    let out = run_udp_dsm(2, with_plan(plan), TmkConfig::default(), |tmk| {
+        let r = tmk.malloc(12 * 4096);
+        tmk.barrier(0);
+        tmk.acquire(0);
+        if tmk.proc_id() == 0 {
+            for odd in (1..12).step_by(2) {
+                tmk.compute_ns(Ns::from_secs(5));
+                // Page `odd` is managed by node 1: a first touch fetches it.
+                let _ = tmk.get_u32(r, odd * 1024);
+            }
+        }
+        tmk.release(0);
+        tmk.clock().borrow().now()
+    });
+    let got_lock = out[1].result;
+    assert!(got_lock > Ns::from_secs(30), "got the lock at {got_lock}");
+}
+
+/// An rpc to a peer that has left gives up once its timer has sat at the
+/// backoff ceiling 13 times with nothing heard: 12 timeouts climbing to
+/// 1.64 s, then 13 of 1.64 s each — 25 attempts, and a pinned virtual
+/// time just short of 23 s.
+#[test]
+fn an_rpc_to_a_departed_peer_gives_up_after_silence_at_the_ceiling() {
+    let params = with_plan(FaultPlan {
+        drop_probability: 0.01,
+        ..FaultPlan::default()
+    });
+    let (_fabric, nics) = Fabric::new(2, Arc::clone(&params));
+    let clock = shared_clock();
+    let requester = Rc::clone(&clock);
+    let gave_up = catch_unwind(AssertUnwindSafe(|| {
+        run_cluster_with(Arc::clone(&params), nics, move |env, nic| {
+            if env.id == 0 {
+                let sub = UdpSubstrate::new(nic, Rc::clone(&requester), Arc::clone(&env.params));
+                let mut tmk = Tmk::new(sub, TmkConfig::default());
+                // Lock 1's manager is node 1, which has already left.
+                tmk.acquire(1);
+            }
+        })
+    }));
+    let Err(payload) = gave_up else {
+        panic!("an rpc nobody answers must give up")
+    };
+    let msg = payload.downcast_ref::<String>().expect("a message");
+    assert!(
+        msg.contains("to 1: gave up after 12 silent retransmissions (25 total)"),
+        "{msg}"
+    );
+    let gave_up_at = clock.borrow().now();
+    assert_eq!(gave_up_at, Ns(22_937_370_450), "gave up at {gave_up_at}");
 }
