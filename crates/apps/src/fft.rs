@@ -179,6 +179,16 @@ pub fn fft_seq(cfg: &FftConfig) -> f64 {
 /// Parallel 3-D FFT. Returns the same weighted checksum as [`fft_seq`],
 /// identical on every node.
 pub fn fft_parallel<S: Substrate>(tmk: &mut Tmk<S>, cfg: &FftConfig) -> f64 {
+    fft_parallel_with(tmk, cfg, |_| {})
+}
+
+/// [`fft_parallel`], calling `at_transpose` on the node just after it
+/// crosses the barrier that ends the transpose.
+pub fn fft_parallel_with<S: Substrate>(
+    tmk: &mut Tmk<S>,
+    cfg: &FftConfig,
+    at_transpose: impl FnOnce(&mut Tmk<S>),
+) -> f64 {
     let n = cfg.size;
     let slab_bytes = 2 * n * n * n * 8;
     let a = tmk.malloc(slab_bytes);
@@ -259,6 +269,7 @@ pub fn fft_parallel<S: Substrate>(tmk: &mut Tmk<S>, cfg: &FftConfig) -> f64 {
     }
     tmk.compute((n * n * zlen) as u64 * 2);
     tmk.barrier(2);
+    at_transpose(tmk);
 
     // Phase 3: FFT along the transposed axis, local in B.
     let mut butterflies = 0u64;

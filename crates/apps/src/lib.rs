@@ -26,7 +26,7 @@ pub mod partition;
 pub mod sor;
 pub mod tsp;
 
-pub use fft::{fft_parallel, fft_seq, FftConfig};
+pub use fft::{fft_parallel, fft_parallel_with, fft_seq, FftConfig};
 pub use jacobi::{jacobi_parallel, jacobi_seq, JacobiConfig};
 pub use partition::band;
 pub use sor::{sor_parallel, sor_seq, SorConfig};

@@ -15,16 +15,26 @@
 //! the mask's popcounts; every walk over runs pairs the masks' rising and
 //! falling edges (`each_run`). Runs equal the scalar word-by-word scan
 //! ([`Diff::create_scalar`], the executable specification), property-tested.
+//!
+//! A page copy and its twin hold only the spans written or received
+//! ([`Spans`]), so the page-side entry points work span by span:
+//! [`Diff::of_twin`] compares only the spans the twin copied,
+//! [`Diff::apply_page`] holds the spans a diff's runs reach, and
+//! [`Diff::apply_held`] writes only into the spans a twin holds. On a page
+//! holding every span each is the slice path of [`Diff::create`] /
+//! [`Diff::apply`], which stay the dense entry points.
 
 use std::iter::successors;
 
+use crate::page::Spans;
 use crate::wire::{WireReader, WireWriter};
 
 /// Comparison granularity, bytes. TreadMarks compares 32-bit words.
 pub const WORD: usize = 4;
 
-/// Page bytes one mask word covers: 64 words.
-const SPAN: usize = 64 * WORD;
+/// Page bytes one mask word covers, 64 words: the unit of the change
+/// masks, and the unit a page copy and its twin are held in.
+pub const SPAN: usize = 64 * WORD;
 
 /// Mask words for the largest u16-addressable page.
 const MASK_WORDS: usize = (u16::MAX as usize).div_ceil(SPAN);
@@ -302,14 +312,9 @@ impl Diff {
     }
 
     /// Compare `twin` (before) and `cur` (after); keep the changed runs at
-    /// word granularity. Slices must be the same length.
-    ///
-    /// The stack mask has bit `w` set iff word `w` differs (`span_mask`).
-    /// Its popcounts size the buffer exactly: `m & !(m << 1 | carry)` marks
-    /// the first word of each run, the words are four bytes per set bit
-    /// (less whatever a partial last word lacks), and every mask word that
-    /// is neither empty nor full is stored. Then the classes and mixed
-    /// masks are written and each run's words gathered.
+    /// word granularity. Slices must be the same length. A stack mask gets
+    /// bit `w` set iff word `w` differs (`span_mask`), and `from_mask`
+    /// builds the diff from it.
     pub fn create(twin: &[u8], cur: &[u8]) -> Diff {
         assert_eq!(twin.len(), cur.len(), "twin/page size mismatch");
         let n = cur.len();
@@ -326,6 +331,47 @@ impl Diff {
         if full < n {
             mask[n / SPAN] = tail_mask(&twin[full..], &cur[full..]);
         }
+        Diff::from_mask(&mask, n, |start, end| &cur[start..end])
+    }
+
+    /// [`Diff::create`] of a page copy against its twin, comparing only
+    /// the spans the twin holds: the others were not written. A twin's
+    /// spans are spans its page holds, so a run's words are one slice of
+    /// the page; with every span held this is `create` on the two slices.
+    pub fn of_twin(twin: &Spans, page: &Spans) -> Diff {
+        if twin.is_dense() {
+            return Diff::create(twin.held_slice(), page.held_slice());
+        }
+        let held = "a page holds every span its twin does";
+        let mut mask = [0u64; MASK_WORDS];
+        for (k, a) in twin.spans() {
+            let b = page.get(k * SPAN, a.len()).expect(held);
+            mask[k] = match (<&[u8; SPAN]>::try_from(a), <&[u8; SPAN]>::try_from(b)) {
+                (Ok(a), Ok(b)) if a == b => 0,
+                (Ok(a), Ok(b)) => span_mask(a, b),
+                _ => tail_mask(a, b),
+            };
+        }
+        Diff::from_mask(&mask, page.page_len(), |start, end| {
+            page.get(start, end - start).expect(held)
+        })
+    }
+
+    /// The diff of a page of `n` bytes whose changed words are the set
+    /// bits of `mask`, gathered through `page(start, end)` (page bytes
+    /// `start..end`, one run's).
+    ///
+    /// The popcounts size the buffer exactly: `m & !(m << 1 | carry)`
+    /// marks the first word of each run, the words are four bytes per set
+    /// bit (less whatever a partial last word lacks), and every mask word
+    /// that is neither empty nor full is stored. Then the classes and
+    /// mixed masks are written and each run's words gathered.
+    #[inline]
+    fn from_mask<'a>(
+        mask: &[u64; MASK_WORDS],
+        n: usize,
+        page: impl Fn(usize, usize) -> &'a [u8],
+    ) -> Diff {
         let spans = mask.iter().rposition(|&m| m != 0).map_or(0, |i| i + 1);
         let mask = &mask[..spans];
 
@@ -358,8 +404,8 @@ impl Diff {
             }
         }
         let mut at = 0;
-        each_run(held, extent, |s, e| {
-            let data = &cur[s * WORD..(e * WORD).min(n)];
+        each_run(held, extent, move |s, e| {
+            let data = page(s * WORD, (e * WORD).min(n));
             copy_run(&mut words[at..at + data.len()], data);
             at += data.len();
         });
@@ -451,6 +497,44 @@ impl Diff {
     pub fn apply(&self, target: &mut [u8]) {
         let target = &mut target[..self.extent()];
         self.each(|off, data| copy_run(&mut target[off..off + data.len()], data));
+    }
+
+    /// [`Diff::apply`] to a page copy: the spans the runs reach are held
+    /// first (zeroed, if they were not), so each run is one slice.
+    pub fn apply_page(&self, page: &mut Spans) {
+        assert!(self.extent() <= page.page_len(), "diff reaches past the page");
+        page.hold(self.touched());
+        if page.is_dense() {
+            return self.apply(page.whole());
+        }
+        self.each(|off, data| copy_run(page.write(off, data.len()), data));
+    }
+
+    /// [`Diff::apply`] to a twin: only into the spans it holds. One it does
+    /// not hold reads as the page, which gets the diff too.
+    pub fn apply_held(&self, twin: &mut Spans) {
+        assert!(self.extent() <= twin.page_len(), "diff reaches past the page");
+        if twin.is_dense() {
+            return self.apply(twin.whole());
+        }
+        if self.touched() & twin.held() != 0 {
+            self.each(|off, data| twin.overlay(off, data));
+        }
+    }
+
+    /// The spans this diff changes words in, one bit each: each 2-bit
+    /// class folded onto its low bit, sixteen low bits packed per word.
+    fn touched(&self) -> u64 {
+        let classes = &self.buf[..class_bytes(self.extent())];
+        classes.chunks_exact(4).enumerate().fold(0, |m, (i, c)| {
+            let c = u32::from_le_bytes(c.try_into().unwrap());
+            let mut x = (c | c >> 1) & 0x5555_5555;
+            x = (x | x >> 1) & 0x3333_3333;
+            x = (x | x >> 2) & 0x0f0f_0f0f;
+            x = (x | x >> 4) & 0x00ff_00ff;
+            x = (x | x >> 8) & 0x0000_ffff;
+            m | u64::from(x) << (16 * i)
+        })
     }
 
     /// Write the wire image, `[runs u16][(off u16, len u16, payload)…]`

@@ -12,11 +12,13 @@
 //! * **Vector timestamps & intervals** ([`vc`], [`interval`]): each node's
 //!   execution is carved into intervals delimited by synchronization;
 //!   write notices propagate lazily along the happens-before order.
-//! * **Twins & diffs** ([`diff`]): the first write to a page in an interval
-//!   copies it (twin); at interval end the twin/page comparison yields a
-//!   run-length-encoded diff. Multiple concurrent writers to one page are
-//!   supported (diffs are applied to both data and twin), which is what
-//!   makes false sharing survivable.
+//! * **Twins & diffs** ([`diff`], [`page`]): a write in an interval first
+//!   copies the 256-byte spans it reaches into the page's twin; at interval
+//!   end comparing those spans with the page yields a run-length-encoded
+//!   diff. A page copy holds only the spans written or received. Multiple
+//!   concurrent writers to one page are supported (diffs are applied to
+//!   the copy and to the spans the twin holds), which is what makes false
+//!   sharing survivable.
 //! * **Distributed locks** ([`tmk`]): statically assigned managers,
 //!   migrating ownership, direct (manager-owned) and indirect (third-node)
 //!   acquisition — the two cases of the paper's Lock microbenchmark.

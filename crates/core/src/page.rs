@@ -1,13 +1,383 @@
-//! Per-page state: the access state machine, twins, pending write notices,
-//! retained diffs.
+//! Per-page state: the access state machine, the page copy and its twin,
+//! pending write notices, retained diffs.
+//!
+//! A page copy and its twin are [`Spans`]: they hold only the [`SPAN`]-byte
+//! spans a node wrote or received. An `mprotect` build copies and twins
+//! whole pages because protection is page-granular; the access guards here
+//! see every byte range written, so a write copies into the twin just the
+//! spans it reaches, just before it writes them. A span a page copy does
+//! not hold reads as zero; one a twin does not hold reads as the page
+//! itself. A copy holding every span is its bytes in page order — one
+//! slice, which every hot path uses as it is.
 
 use std::rc::Rc;
 
-use crate::diff::Diff;
+use crate::diff::{is_all_zero, Diff, SPAN};
 use crate::interval::IntervalRecord;
+use crate::wire::pool;
 
 /// Global page number within the shared address space.
 pub type PageId = u32;
+
+/// The largest page [`Spans`] can hold: one bit of a `u64` per span.
+pub(crate) const MAX_PAGE: usize = 64 * SPAN;
+
+/// What a span that is not held reads as.
+static ZEROS: [u8; SPAN] = [0; SPAN];
+
+/// The spans under bytes `off..off + len` (`len > 0`), one bit each.
+fn spans_of(off: usize, len: usize) -> u64 {
+    debug_assert!(len > 0, "an empty range has no spans");
+    let (first, last) = (off / SPAN, (off + len - 1) / SPAN);
+    u64::MAX >> (63 - last) & u64::MAX << first
+}
+
+/// The set bits of `m`, ascending.
+fn bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let k = m.trailing_zeros() as usize;
+        m &= m.wrapping_sub(1);
+        (k < 64).then_some(k)
+    })
+}
+
+/// A page's bytes, held span by span: a mask of the spans held, and those
+/// spans' bytes in ascending order in one pooled buffer. Every span is
+/// [`SPAN`] bytes but a page's last, which is what the page leaves.
+#[derive(Debug)]
+pub struct Spans {
+    held: u64,
+    len: u16,
+    bytes: Vec<u8>,
+}
+
+impl Spans {
+    /// A page of `len` bytes that holds no span.
+    pub(crate) fn zero(len: usize) -> Spans {
+        assert!(len <= MAX_PAGE, "a {len}-byte page has more than 64 spans");
+        Spans {
+            held: 0,
+            len: len as u16,
+            bytes: Vec::new(),
+        }
+    }
+
+    /// A page that holds every span: `bytes` is the page.
+    pub(crate) fn dense(bytes: Vec<u8>) -> Spans {
+        let mut s = Spans::zero(bytes.len());
+        if !bytes.is_empty() {
+            s.held = u64::MAX >> (64 - bytes.len().div_ceil(SPAN));
+        }
+        s.bytes = bytes;
+        s
+    }
+
+    /// Bytes in the page.
+    pub(crate) fn page_len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// The spans held: bit `k` for bytes `SPAN·k..`.
+    pub(crate) fn held(&self) -> u64 {
+        self.held
+    }
+
+    /// Every span is held: the buffer is the page.
+    #[inline]
+    pub(crate) fn is_dense(&self) -> bool {
+        self.bytes.len() == self.page_len()
+    }
+
+    /// The held spans' bytes, ascending; the page itself when dense.
+    pub(crate) fn held_slice(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Heap bytes held: the buffer's capacity.
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.bytes.capacity()
+    }
+
+    /// Where held span `k` starts in the buffer.
+    #[inline]
+    fn at(&self, k: usize) -> usize {
+        (self.held & !(u64::MAX << k)).count_ones() as usize * SPAN
+    }
+
+    fn span_len(&self, k: usize) -> usize {
+        SPAN.min(self.page_len() - k * SPAN)
+    }
+
+    /// Buffer bytes the spans `held` take.
+    fn bytes_for(&self, held: u64) -> usize {
+        let last = (self.page_len() - 1) / SPAN;
+        let short = if held >> last & 1 == 1 {
+            SPAN * (last + 1) - self.page_len()
+        } else {
+            0
+        };
+        held.count_ones() as usize * SPAN - short
+    }
+
+    /// The held spans, ascending, as `(k, bytes)`.
+    pub(crate) fn spans(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        let mut at = 0;
+        bits(self.held).map(move |k| {
+            let l = self.span_len(k);
+            at += l;
+            (k, &self.bytes[at - l..at])
+        })
+    }
+
+    /// Bytes `off..off + len` as one slice, if every span under them is
+    /// held (held spans that follow one another are adjacent in the
+    /// buffer).
+    #[inline]
+    pub(crate) fn get(&self, off: usize, len: usize) -> Option<&[u8]> {
+        if self.is_dense() {
+            return Some(&self.bytes[off..off + len]);
+        }
+        if spans_of(off, len) & !self.held != 0 {
+            return None;
+        }
+        let at = self.at(off / SPAN) + off % SPAN;
+        Some(&self.bytes[at..at + len])
+    }
+
+    /// Bytes `off..off + len` as consecutive pieces `(at, bytes)`: the rest
+    /// of the range when the spans under it are held, else one span, a
+    /// span not held reading as zeros. Pieces split only at span
+    /// boundaries; a page holding every span is one piece.
+    #[inline]
+    pub(crate) fn read(&self, off: usize, len: usize) -> impl Iterator<Item = (usize, &[u8])> {
+        let mut done = 0;
+        std::iter::from_fn(move || {
+            if done == len {
+                return None;
+            }
+            let o = off + done;
+            let piece = self.get(o, len - done).unwrap_or_else(|| {
+                let take = (SPAN - o % SPAN).min(len - done);
+                self.get(o, take).unwrap_or(&ZEROS[..take])
+            });
+            done += piece.len();
+            Some((done - piece.len(), piece))
+        })
+    }
+
+    /// Bytes `off..off + len` to overwrite, holding the spans under them
+    /// that were not held (zeroed).
+    #[inline]
+    pub(crate) fn write(&mut self, off: usize, len: usize) -> &mut [u8] {
+        if self.is_dense() {
+            return &mut self.bytes[off..off + len];
+        }
+        self.hold(spans_of(off, len));
+        let at = self.at(off / SPAN) + off % SPAN;
+        &mut self.bytes[at..at + len]
+    }
+
+    /// The whole page, every span held.
+    pub(crate) fn whole(&mut self) -> &mut [u8] {
+        self.write(0, self.page_len())
+    }
+
+    /// Hold `spans` as well; each one not held yet starts zeroed.
+    pub(crate) fn hold(&mut self, spans: u64) {
+        self.hold_from(spans, None);
+    }
+
+    /// Hold `spans` as well, each one not held yet filled from `src`'s
+    /// (zeros where there is no `src` or it holds none). New spans above
+    /// every held one are appended; otherwise the spans above a new one
+    /// move up in place, or, when the buffer is too small, everything
+    /// moves once into a pooled buffer of the new size.
+    fn hold_from(&mut self, spans: u64, src: Option<&Spans>) {
+        let new = spans & !self.held;
+        if new == 0 {
+            return;
+        }
+        let held = self.held | new;
+        let need = self.bytes_for(held);
+        let fill = |k: usize, l: usize| src.and_then(|s| s.get(k * SPAN, l));
+        if need > self.bytes.capacity() {
+            let mut grown = pool::take(need);
+            for k in bits(held) {
+                let l = self.span_len(k);
+                if self.held >> k & 1 == 1 {
+                    let at = self.at(k);
+                    grown.extend_from_slice(&self.bytes[at..at + l]);
+                } else if let Some(s) = fill(k, l) {
+                    grown.extend_from_slice(s);
+                } else {
+                    grown.resize(grown.len() + l, 0);
+                }
+            }
+            pool::give(std::mem::replace(&mut self.bytes, grown));
+        } else if self.held >> new.trailing_zeros() == 0 {
+            // Appended: a run of spans `src` holds is one copy.
+            let lo = new.trailing_zeros() as usize;
+            if new >> lo & (new >> lo).wrapping_add(1) == 0 {
+                let len = self.bytes_for(new);
+                if let Some(s) = src.and_then(|s| s.get(lo * SPAN, len)) {
+                    self.bytes.extend_from_slice(s);
+                    self.held = held;
+                    return;
+                }
+            }
+            for k in bits(new) {
+                let l = self.span_len(k);
+                match fill(k, l) {
+                    Some(s) => self.bytes.extend_from_slice(s),
+                    None => self.bytes.resize(self.bytes.len() + l, 0),
+                }
+            }
+        } else {
+            let (mut old, mut at) = (self.bytes.len(), need);
+            self.bytes.resize(need, 0);
+            let mut m = held;
+            // Top down; once the new spans are placed the rest is in place.
+            while old != at {
+                let k = 63 - m.leading_zeros() as usize;
+                m ^= 1 << k;
+                let l = self.span_len(k);
+                at -= l;
+                if self.held >> k & 1 == 1 {
+                    old -= l;
+                    self.bytes.copy_within(old..old + l, at);
+                } else {
+                    let dst = &mut self.bytes[at..at + l];
+                    match fill(k, l) {
+                        Some(s) => dst.copy_from_slice(s),
+                        None => dst.fill(0),
+                    }
+                }
+            }
+        }
+        self.held = held;
+    }
+
+    /// As a twin: copy `page`'s spans under bytes `off..off + len` that
+    /// this twin does not hold yet. Its first copy sizes the buffer for
+    /// every span the page holds, so a twin of a full page is one buffer.
+    #[inline]
+    pub(crate) fn cover(&mut self, page: &Spans, off: usize, len: usize) {
+        let missing = spans_of(off, len) & !self.held;
+        if missing != 0 {
+            if self.bytes.capacity() == 0 {
+                self.bytes = pool::take(page.bytes_for(page.held | missing));
+            }
+            self.hold_from(missing, Some(page));
+        }
+    }
+
+    /// Make every held span a copy of `page`'s (zeros where it holds
+    /// none).
+    fn rebase(&mut self, page: &Spans) {
+        for k in bits(self.held) {
+            let (at, l) = (self.at(k), self.span_len(k));
+            let dst = &mut self.bytes[at..at + l];
+            match page.get(k * SPAN, l) {
+                Some(src) => dst.copy_from_slice(src),
+                None => dst.fill(0),
+            }
+        }
+    }
+
+    /// Copy `data` to bytes `off..`, into the spans held only.
+    pub(crate) fn overlay(&mut self, off: usize, data: &[u8]) {
+        let end = off + data.len();
+        for k in bits(spans_of(off, data.len()) & self.held) {
+            let (lo, hi) = (off.max(k * SPAN), end.min(k * SPAN + SPAN));
+            let at = self.at(k) + lo - k * SPAN;
+            self.bytes[at..at + hi - lo].copy_from_slice(&data[lo - off..hi - off]);
+        }
+    }
+
+    /// Lay the held spans over `out`, a page image.
+    pub(crate) fn write_into(&self, out: &mut [u8]) {
+        if self.is_dense() {
+            out.copy_from_slice(&self.bytes);
+            return;
+        }
+        for (k, s) in self.spans() {
+            out[k * SPAN..k * SPAN + s.len()].copy_from_slice(s);
+        }
+    }
+
+    /// Hand the buffer back to the pool.
+    pub(crate) fn recycle(self) {
+        if self.bytes.capacity() > 0 {
+            pool::give(self.bytes);
+        }
+    }
+}
+
+/// A page's stable copy as a full-page serve sends it: the twin's spans
+/// laid over the page, or, when one buffer is the whole of it, that slice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stable<'a> {
+    Bytes(&'a [u8]),
+    Spans {
+        page: &'a Spans,
+        twin: Option<&'a Spans>,
+    },
+}
+
+impl Stable<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Stable::Bytes(b) => b.len(),
+            Stable::Spans { page, .. } => page.page_len(),
+        }
+    }
+
+    /// Every byte is zero: the serve sends a `ZeroPage` marker instead.
+    pub(crate) fn is_zero(&self) -> bool {
+        match *self {
+            Stable::Bytes(b) => is_all_zero(b),
+            Stable::Spans { page, twin } => {
+                let over = twin.map_or(0, Spans::held);
+                twin.is_none_or(|t| is_all_zero(t.held_slice()))
+                    && page
+                        .spans()
+                        .all(|(k, s)| over >> k & 1 == 1 || is_all_zero(s))
+            }
+        }
+    }
+
+    /// Write the image into `out`, which is zeroed and [`len`](Self::len)
+    /// bytes long.
+    pub(crate) fn write_into(&self, out: &mut [u8]) {
+        match *self {
+            Stable::Bytes(b) => out.copy_from_slice(b),
+            Stable::Spans { page, twin } => {
+                page.write_into(out);
+                if let Some(t) = twin {
+                    t.write_into(out);
+                }
+            }
+        }
+    }
+}
+
+/// Heap bytes a node holds for its shared pages, by owner.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HeldBytes {
+    pub pages: usize,
+    pub twins: usize,
+    pub diffs: usize,
+}
+
+impl std::iter::Sum for HeldBytes {
+    fn sum<I: Iterator<Item = HeldBytes>>(it: I) -> HeldBytes {
+        it.fold(HeldBytes::default(), |a, b| HeldBytes {
+            pages: a.pages + b.pages,
+            twins: a.twins + b.twins,
+            diffs: a.diffs + b.diffs,
+        })
+    }
+}
 
 /// The mprotect-equivalent access state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,10 +407,13 @@ pub type Pending = Rc<IntervalRecord>;
 #[derive(Debug)]
 pub struct Page {
     pub state: Access,
-    /// Local copy; empty until first validated.
-    pub data: Vec<u8>,
-    /// Copy taken at first write of the current interval.
-    pub twin: Option<Vec<u8>>,
+    /// The local copy: the spans this node wrote or received. A resident
+    /// page, an adopted zero page and an unmapped one hold none.
+    pub data: Spans,
+    /// The page as the current interval found it: each span is copied in
+    /// just before the interval's first write to it, so one it does not
+    /// hold reads as `data`. Its spans are always spans `data` holds.
+    pub twin: Option<Box<Spans>>,
     /// Manager (owner of the authoritative initial copy): the allocating
     /// node.
     pub manager: u16,
@@ -57,10 +430,10 @@ pub struct Page {
 }
 
 impl Page {
-    pub fn new(nprocs: usize, manager: u16) -> Self {
+    pub fn new(nprocs: usize, manager: u16, page_size: usize) -> Self {
         Page {
             state: Access::Unmapped,
-            data: Vec::new(),
+            data: Spans::zero(page_size),
             twin: None,
             manager,
             applied: vec![0; nprocs],
@@ -72,14 +445,86 @@ impl Page {
 
     /// A freshly allocated page on its manager: valid and zeroed.
     pub fn new_resident(nprocs: usize, manager: u16, page_size: usize) -> Self {
-        let mut p = Self::new(nprocs, manager);
-        p.data = vec![0; page_size];
+        let mut p = Self::new(nprocs, manager, page_size);
         p.state = Access::Read;
         p
     }
 
-    pub fn has_copy(&self) -> bool {
-        !self.data.is_empty()
+    /// Open the current interval's writes with a twin that holds nothing.
+    pub(crate) fn start_twin(&mut self) {
+        self.twin = Some(Box::new(Spans::zero(self.data.page_len())));
+    }
+
+    /// Bytes `off..off + len` to overwrite in the current interval: the
+    /// twin first copies the spans under them it does not hold.
+    #[inline]
+    pub(crate) fn write(&mut self, off: usize, len: usize) -> &mut [u8] {
+        if let Some(twin) = self.twin.as_deref_mut() {
+            twin.cover(&self.data, off, len);
+        }
+        self.data.write(off, len)
+    }
+
+    /// Apply a fetched diff: to the copy, holding the spans its runs
+    /// reach, and to the spans the twin holds.
+    pub(crate) fn apply(&mut self, d: &Diff) {
+        d.apply_page(&mut self.data);
+        if let Some(twin) = self.twin.as_deref_mut() {
+            d.apply_held(twin);
+        }
+    }
+
+    /// Close the interval's writes: the diff against the twin, or of the
+    /// whole page after an overwrite. The twin's buffer goes back to the
+    /// pool.
+    pub(crate) fn take_diff(&mut self) -> Diff {
+        let twin = self.twin.take().expect("dirty page without twin");
+        let d = if std::mem::take(&mut self.force_full_diff) {
+            Diff::full(self.data.whole())
+        } else {
+            Diff::of_twin(&twin, &self.data)
+        };
+        twin.recycle();
+        d
+    }
+
+    /// Adopt `image`, a page a peer sent, keeping uncommitted writes: they
+    /// are replayed on it, and the twin takes its bytes for the spans the
+    /// twin holds. Returns whether there was a twin.
+    pub(crate) fn adopt(&mut self, image: Spans) -> bool {
+        let old = std::mem::replace(&mut self.data, image);
+        let Some(twin) = self.twin.as_deref_mut() else {
+            old.recycle();
+            return false;
+        };
+        let own = Diff::of_twin(twin, &old);
+        old.recycle();
+        twin.rebase(&self.data);
+        self.data.hold(twin.held);
+        own.apply_page(&mut self.data);
+        true
+    }
+
+    /// The stable copy a full-page serve sends: the twin's spans laid over
+    /// the page.
+    pub(crate) fn stable(&self) -> Stable<'_> {
+        match self.twin.as_deref() {
+            None if self.data.is_dense() => Stable::Bytes(self.data.held_slice()),
+            Some(t) if t.is_dense() => Stable::Bytes(t.held_slice()),
+            twin => Stable::Spans {
+                page: &self.data,
+                twin,
+            },
+        }
+    }
+
+    /// Heap bytes this page holds: its copy, its twin, its retained diffs.
+    pub(crate) fn held_bytes(&self) -> HeldBytes {
+        HeldBytes {
+            pages: self.data.held_bytes(),
+            twins: self.twin.as_ref().map_or(0, |t| t.held_bytes()),
+            diffs: self.my_diffs.iter().map(|(_, d)| d.retained_bytes()).sum(),
+        }
     }
 
     /// Record an incoming write notice. Ignores notices already applied or
@@ -106,8 +551,8 @@ impl Page {
         self.pending.retain(|p| !(p.node == node && p.seq <= seq));
     }
 
-    /// Retain only the most recent `keep` diffs (barrier-epoch GC). Older
-    /// requests are served with a full page instead.
+    /// Retain only the most recent `keep` diffs; older requests are served
+    /// with a full page instead. Runs at every flush.
     pub fn trim_diffs(&mut self, keep: usize) {
         if self.my_diffs.len() > keep {
             let cut = self.my_diffs.len() - keep;
@@ -135,6 +580,8 @@ impl Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireWriter;
+    use proptest::prelude::*;
 
     fn notice(p: &mut Page, node: u16, seq: u32) {
         p.add_notice(&IntervalRecord::repair(4, node, seq));
@@ -142,12 +589,12 @@ mod tests {
 
     #[test]
     fn fresh_pages() {
-        let p = Page::new(4, 2);
+        let p = Page::new(4, 2, 4096);
         assert_eq!(p.state, Access::Unmapped);
-        assert!(!p.has_copy());
         let r = Page::new_resident(4, 2, 4096);
         assert_eq!(r.state, Access::Read);
-        assert_eq!(r.data.len(), 4096);
+        assert_eq!(r.data.page_len(), 4096);
+        assert_eq!(r.held_bytes(), HeldBytes::default(), "a resident page holds nothing");
     }
 
     #[test]
@@ -158,7 +605,7 @@ mod tests {
         assert_eq!(p.pending.len(), 1);
         // Dirty page + notice = WriteInvalid (false-sharing case).
         let mut q = Page::new_resident(2, 0, 64);
-        q.twin = Some(q.data.clone());
+        q.start_twin();
         q.state = Access::Write;
         notice(&mut q, 1, 1);
         assert_eq!(q.state, Access::WriteInvalid);
@@ -197,5 +644,152 @@ mod tests {
         assert!(p.diffs_range(2, 4).is_none(), "gc'd range must signal None");
         assert!(p.diffs_range(4, 5).is_some_and(|v| v.len() == 2));
         assert!(p.diffs_range(5, 4).is_some_and(|v| v.is_empty()));
+    }
+
+    /// The whole page as a reader sees it.
+    fn image(s: &Spans) -> Vec<u8> {
+        let mut out = vec![0u8; s.page_len()];
+        for (at, piece) in s.read(0, s.page_len()) {
+            out[at..at + piece.len()].copy_from_slice(piece);
+        }
+        out
+    }
+
+    #[test]
+    fn a_span_store_holds_what_was_written_in_page_order() {
+        let mut s = Spans::zero(4096);
+        s.write(1024 + 192, 64).fill(3);
+        s.write(192, 64).fill(1);
+        s.write(3 * 1024 + 192, 64).fill(7);
+        assert_eq!(s.held(), 1 | 1 << 4 | 1 << 12);
+        assert_eq!(s.held_slice().len(), 3 * SPAN);
+        let mut want = vec![0u8; 4096];
+        want[192..256].fill(1);
+        want[1024 + 192..1024 + 256].fill(3);
+        want[3 * 1024 + 192..3 * 1024 + 256].fill(7);
+        assert_eq!(image(&s), want);
+        // A range across two held spans is one slice; one across a hole
+        // is not.
+        s.write(250, 12).fill(9);
+        want[250..262].fill(9);
+        assert!(s.get(250, 12).is_some());
+        assert!(s.get(1000, 100).is_none());
+        assert!(!s.is_dense());
+        s.whole();
+        assert!(s.is_dense());
+        assert_eq!(s.held_slice(), &want[..]);
+    }
+
+    #[test]
+    fn a_page_shorter_than_a_span_or_ending_inside_one() {
+        for len in [8, 64, 4104] {
+            let mut s = Spans::zero(len);
+            s.write(len - 8, 8).fill(5);
+            assert_eq!(s.held_slice().len(), len - (len - 1) / SPAN * SPAN);
+            let mut want = vec![0u8; len];
+            want[len - 8..].fill(5);
+            assert_eq!(image(&s), want);
+            s.write(0, 4).fill(6);
+            want[..4].fill(6);
+            assert_eq!(image(&s), want);
+        }
+    }
+
+    const LEN: usize = 4096;
+
+    fn encoded(d: &Diff) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        d.encode(&mut w);
+        w.finish()
+    }
+
+    /// What a full-page serve sends for the page: `None` for a zero page.
+    fn served(p: &Page) -> Option<Vec<u8>> {
+        let s = p.stable();
+        (!s.is_zero()).then(|| {
+            let mut out = vec![0u8; s.len()];
+            s.write_into(&mut out);
+            out
+        })
+    }
+
+    proptest! {
+        /// A page copy and twin held span by span behave exactly as whole
+        /// pages do — the same encoded diffs, the same stable copy, the
+        /// same zero-page decision — through partial writes, peers' diffs
+        /// (applied to the twin too while writing), zero and full
+        /// adoptions, flushes and serves. Each step is `(kind, a, b, v,
+        /// runs)`: kinds 0–3 write `b` bytes of `v` at `a`, 4–5 apply a
+        /// peer's diff of `runs`, 6 adopts a zero page (`b` even) or a full
+        /// one, 7 flushes, 8 serves. `Diff::create` over whole pages is the
+        /// specification, as `create_scalar` is for `create`.
+        #[test]
+        fn a_span_page_matches_a_dense_page(
+            steps in proptest::collection::vec(
+                (0u8..9, 0usize..LEN, 1usize..600, any::<u8>(),
+                 proptest::collection::vec((0usize..LEN, 1usize..80), 1..6)),
+                1..40)
+        ) {
+            let mut page = Page::new_resident(2, 0, LEN);
+            let (mut model, mut model_twin) = (vec![0u8; LEN], None::<Vec<u8>>);
+            for (kind, a, b, v, runs) in steps {
+                match kind {
+                    0..=3 => {
+                        let len = b.min(LEN - a);
+                        if page.twin.is_none() {
+                            page.start_twin();
+                            model_twin = Some(model.clone());
+                        }
+                        page.write(a, len).fill(v);
+                        model[a..a + len].fill(v);
+                    }
+                    4 | 5 => {
+                        let mut theirs = model.clone();
+                        for (off, len) in runs {
+                            theirs[off..(off + len).min(LEN)].fill(v);
+                        }
+                        let d = Diff::create(&model, &theirs);
+                        page.apply(&d);
+                        d.apply(&mut model);
+                        if let Some(t) = model_twin.as_mut() {
+                            d.apply(t);
+                        }
+                    }
+                    6 => {
+                        let full = b % 2 == 1;
+                        let img: Vec<u8> = if full {
+                            (0..LEN).map(|i| (i as u8).wrapping_mul(v)).collect()
+                        } else {
+                            vec![0; LEN]
+                        };
+                        let spans = if full { Spans::dense(img.clone()) } else { Spans::zero(LEN) };
+                        prop_assert_eq!(page.adopt(spans), model_twin.is_some());
+                        if let Some(t) = model_twin.as_mut() {
+                            let own = Diff::create(t, &model);
+                            t.copy_from_slice(&img);
+                            model = img;
+                            own.apply(&mut model);
+                        } else {
+                            model = img;
+                        }
+                    }
+                    7 => {
+                        if let Some(t) = model_twin.take() {
+                            let d = page.take_diff();
+                            prop_assert_eq!(encoded(&d), encoded(&Diff::create(&t, &model)));
+                        }
+                    }
+                    _ => {
+                        let stable = model_twin.as_ref().unwrap_or(&model);
+                        let want = (!is_all_zero(stable)).then(|| stable.clone());
+                        prop_assert_eq!(served(&page), want);
+                    }
+                }
+                prop_assert_eq!(image(&page.data), model.clone());
+                if let Some(t) = page.twin.as_deref() {
+                    prop_assert_eq!(t.held() & !page.data.held(), 0, "a twin span its page lacks");
+                }
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use crate::diff::Diff;
 use crate::interval::{decode_records, encode_records, IntervalRecord};
-use crate::page::PageId;
+use crate::page::{PageId, Stable};
 use crate::vc::VectorClock;
 use crate::wire::{WireReader, WireWriter};
 
@@ -197,7 +197,10 @@ pub(crate) enum PageRef<'a> {
         diffs: &'a [(u32, Diff)],
     },
     /// [`Response::FullPage`] / [`PageDiffs::Full`].
-    Full { applied: &'a [u32], data: &'a [u8] },
+    Full {
+        applied: &'a [u32],
+        data: Stable<'a>,
+    },
     /// [`Response::ZeroPage`] / [`PageDiffs::Zero`].
     Zero { applied: &'a [u32] },
 }
@@ -219,7 +222,12 @@ impl PageRef<'_> {
             }
             PageRef::Full { applied, data } => {
                 encode_applied(applied, w);
-                w.bytes(data);
+                if let Stable::Bytes(b) = data {
+                    w.bytes(b);
+                } else {
+                    w.u32(data.len() as u32);
+                    data.write_into(w.raw_mut(data.len()));
+                }
             }
             PageRef::Zero { applied } => encode_applied(applied, w),
         }
@@ -405,7 +413,10 @@ impl PageDiffs {
                 covered_hi: *covered_hi,
                 diffs,
             },
-            PageDiffs::Full { applied, data } => PageRef::Full { applied, data },
+            PageDiffs::Full { applied, data } => PageRef::Full {
+                applied,
+                data: Stable::Bytes(data),
+            },
             PageDiffs::Zero { applied } => PageRef::Zero { applied },
         }
     }
@@ -451,7 +462,11 @@ impl Response {
                 page,
                 applied,
                 data,
-            } => PageRef::Full { applied, data }.encode_response(rid, *page, w),
+            } => PageRef::Full {
+                applied,
+                data: Stable::Bytes(data),
+            }
+            .encode_response(rid, *page, w),
             Response::ZeroPage { page, applied } => {
                 PageRef::Zero { applied }.encode_response(rid, *page, w)
             }

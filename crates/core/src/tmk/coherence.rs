@@ -16,11 +16,11 @@ use super::rpc::UNANSWERED;
 use super::{DiffFetch, Tmk, TmkEvent};
 use crate::diff::Diff;
 use crate::interval::{causal_order, IntervalRecord};
-use crate::page::{Access, Page, PageId, Pending};
+use crate::page::{Access, HeldBytes, Page, PageId, Pending, Spans};
 use crate::protocol::{begin_multi_diffs, chunk_diffs, PageDiffs, PageRef, Request, Response};
 use crate::substrate::Substrate;
 use crate::vc::VectorClock;
-use crate::wire::{pool, WireWriter};
+use crate::wire::WireWriter;
 
 /// Per-page bookkeeping for one (possibly multi-page) diff fetch.
 struct PageFetchState {
@@ -126,10 +126,16 @@ impl<S: Substrate> Tmk<S> {
             let page = if self.me == manager {
                 Page::new_resident(self.n, manager, self.page_size)
             } else {
-                Page::new(self.n, manager)
+                Page::new(self.n, manager, self.page_size)
             };
             self.pages.push(page);
         }
+    }
+
+    /// Heap bytes this node holds for shared pages — page copies, twins
+    /// and retained diffs — summed over the page table.
+    pub fn held_bytes(&self) -> HeldBytes {
+        self.pages.iter().map(Page::held_bytes).sum()
     }
 
     // ----- interval machinery ---------------------------------------------
@@ -148,14 +154,7 @@ impl<S: Substrate> Tmk<S> {
         let dirty = std::mem::take(&mut self.dirty);
         for pid in dirty {
             let page = &mut self.pages[pid as usize];
-            let twin = page.twin.take().expect("dirty page without twin");
-            let d = if page.force_full_diff {
-                page.force_full_diff = false;
-                Diff::full(&page.data)
-            } else {
-                Diff::create(&twin, &page.data)
-            };
-            pool::give(twin); // twin buffers cycle through the pool
+            let d = page.take_diff();
             cost += Ns::for_bytes(self.page_size, params.dsm.diff_scan_mb_s)
                 + params.dsm.diff_overhead
                 + params.dsm.mprotect;
@@ -254,25 +253,25 @@ impl<S: Substrate> Tmk<S> {
         (PageRef::Diffs { covered_hi, diffs }, cost)
     }
 
-    /// The stable copy of a page (the twin if the current interval is
-    /// writing it) plus its applied vector, straight from the page's
-    /// buffers. All-zero pages (freshly allocated memory on first touch)
-    /// travel as a compact marker.
+    /// The stable copy of a page (its twin's spans laid over it while the
+    /// current interval writes it) plus its applied vector, written
+    /// straight from the page's buffers. All-zero pages (freshly allocated
+    /// memory on first touch) travel as a compact marker.
     fn full_page_answer(&self, pid: PageId) -> (PageRef<'_>, Ns) {
         let params = self.sub.params();
         let page = &self.pages[pid as usize];
         assert!(
-            page.has_copy(),
+            page.state != Access::Unmapped,
             "node {} asked for page {pid} it never held",
             self.me
         );
         let applied = &page.applied;
-        let data = page.twin.as_deref().unwrap_or(&page.data);
-        let scan = Ns::for_bytes(data.len(), params.dsm.diff_scan_mb_s);
-        if crate::diff::is_all_zero(data) {
+        let data = page.stable();
+        let scan = Ns::for_bytes(self.page_size, params.dsm.diff_scan_mb_s);
+        if data.is_zero() {
             return (PageRef::Zero { applied }, scan);
         }
-        let copy = Ns::for_bytes(data.len(), params.host.memcpy_mb_s);
+        let copy = Ns::for_bytes(self.page_size, params.host.memcpy_mb_s);
         (PageRef::Full { applied, data }, scan + copy)
     }
 
@@ -326,7 +325,16 @@ impl<S: Substrate> Tmk<S> {
 
     // ----- faults -----------------------------------------------------------
 
+    /// A readable page is one check, inlined into every access; the fault
+    /// itself is `read_fault`.
+    #[inline]
     pub(super) fn ensure_readable(&mut self, pid: PageId) {
+        if !matches!(self.pages[pid as usize].state, Access::Read | Access::Write) {
+            self.read_fault(pid);
+        }
+    }
+
+    fn read_fault(&mut self, pid: PageId) {
         match self.pages[pid as usize].state {
             Access::Read | Access::Write => {}
             Access::Unmapped => {
@@ -352,11 +360,11 @@ impl<S: Substrate> Tmk<S> {
         let params = self.sub.params().clone();
         let page = &mut self.pages[pid as usize];
         if page.state == Access::Read {
-            // Write fault: twin the page into a pooled buffer (twins are
-            // created and retired every interval — prime churn).
-            let mut twin = pool::take(page.data.len());
-            twin.extend_from_slice(&page.data);
-            page.twin = Some(twin);
+            // Write fault: open a twin. It copies each span just before
+            // the interval first writes it, into a pooled buffer (twins
+            // are created and retired every interval — prime churn); the
+            // charge is still a whole page's copy.
+            page.start_twin();
             page.state = Access::Write;
             self.dirty.push(pid);
             let mut c = self.clock().borrow_mut();
@@ -387,9 +395,6 @@ impl<S: Substrate> Tmk<S> {
         }
         let params = self.sub.params().clone();
         let page = &mut self.pages[pid as usize];
-        if !page.has_copy() {
-            page.data = vec![0; self.page_size];
-        }
         // Absorb pending notices without fetching their diffs.
         let pending = std::mem::take(&mut page.pending);
         for p in &pending {
@@ -397,9 +402,7 @@ impl<S: Substrate> Tmk<S> {
         }
         let mut cost = params.dsm.page_fault + params.dsm.mprotect;
         if page.twin.is_none() {
-            let mut twin = pool::take(page.data.len());
-            twin.extend_from_slice(&page.data);
-            page.twin = Some(twin);
+            page.start_twin();
             self.dirty.push(pid);
             cost += params.dsm.twin_overhead
                 + Ns::for_bytes(self.page_size, params.host.memcpy_mb_s);
@@ -421,15 +424,13 @@ impl<S: Substrate> Tmk<S> {
         let resp = self.rpc(manager, Request::Page { page: pid });
         match resp {
             Response::FullPage { page, applied, data } => {
-                assert_eq!(page, pid);
-                self.adopt_full_page(pid, applied, data);
+                assert_eq!(page, pid);                self.adopt_full_page(pid, applied, Spans::dense(data));
                 self.clock().borrow_mut().stats.pages_fetched += 1;
                 self.emit(TmkEvent::PageFetched { page: pid });
             }
             Response::ZeroPage { page, applied } => {
                 assert_eq!(page, pid);
-                let zeros = vec![0u8; self.page_size];
-                self.adopt_full_page(pid, applied, zeros);
+                self.adopt_full_page(pid, applied, Spans::zero(self.page_size));
                 self.clock().borrow_mut().stats.pages_fetched += 1;
                 self.emit(TmkEvent::PageFetched { page: pid });
             }
@@ -447,39 +448,30 @@ impl<S: Substrate> Tmk<S> {
     /// as pending notices ([`IntervalRecord::repair`]) so the normal diff
     /// fetch re-applies them (concurrent repairs touch disjoint words in
     /// race-free programs).
-    fn adopt_full_page(&mut self, pid: PageId, applied: Vec<u32>, data: Vec<u8>) {
+    fn adopt_full_page(&mut self, pid: PageId, applied: Vec<u32>, image: Spans) {
         let params = self.sub.params().clone();
-        let mut cost = Ns::for_bytes(data.len(), params.host.memcpy_mb_s) + params.dsm.mprotect;
+        let mut cost = Ns::for_bytes(image.page_len(), params.host.memcpy_mb_s) + params.dsm.mprotect;
         let me = self.me as usize;
         let n = self.n;
         let page = &mut self.pages[pid as usize];
-        if let Some(twin) = page.twin.take() {
-            // We hold uncommitted writes: replay them on the new base.
-            let own = Diff::create(&twin, &page.data);
-            pool::give(twin);
+        // Uncommitted writes are replayed on the new base (`Page::adopt`).
+        if page.adopt(image) {
             cost += Ns::for_bytes(self.page_size, params.dsm.diff_scan_mb_s);
-            // One copy (data -> new twin) is inherent — page and twin are
-            // distinct buffers — but it lands in a pooled one, and the
-            // displaced page buffer goes back to the pool.
-            let mut new_twin = pool::take(self.page_size);
-            new_twin.extend_from_slice(&data[..self.page_size.min(data.len())]);
-            pool::give(std::mem::replace(&mut page.data, data));
-            page.twin = Some(new_twin);
-            own.apply(&mut page.data);
-        } else {
-            pool::give(std::mem::replace(&mut page.data, data));
         }
         // Adopt the responder's view…
         let old_applied = std::mem::replace(&mut page.applied, applied);
         // …then repair our own axis from locally retained diffs (applied
-        // by reference: my_diffs and data are disjoint fields).
+        // by reference: my_diffs, data and twin are disjoint fields).
         if old_applied[me] > page.applied[me] {
             let lo = page.applied[me];
-            for (seq, d) in &page.my_diffs {
+            let Page {
+                my_diffs, data, twin, ..
+            } = page;
+            for (seq, d) in my_diffs.iter() {
                 if *seq > lo && *seq <= old_applied[me] {
-                    d.apply(&mut page.data);
-                    if let Some(t) = page.twin.as_mut() {
-                        d.apply(t);
+                    d.apply_page(data);
+                    if let Some(t) = twin.as_deref_mut() {
+                        d.apply_held(t);
                     }
                     cost += params.dsm.diff_overhead;
                 }
@@ -774,11 +766,11 @@ impl<S: Substrate> Tmk<S> {
                     }
                 }
                 StagedPage::Full { applied, data } => {
-                    self.adopt_fetched_full(states, pid, applied, data);
+                    self.adopt_fetched_full(states, pid, applied, Spans::dense(data));
                 }
                 StagedPage::Zero { applied } => {
-                    let zeros = vec![0u8; self.page_size];
-                    self.adopt_fetched_full(states, pid, applied, zeros);
+                    let zero = Spans::zero(self.page_size);
+                    self.adopt_fetched_full(states, pid, applied, zero);
                 }
             }
         }
@@ -927,23 +919,23 @@ impl<S: Substrate> Tmk<S> {
                             self.absorb_page_diffs(st, writer, covered_hi, diffs);
                         }
                         PageDiffs::Full { applied, data } => {
-                            self.adopt_fetched_full(states, page, applied, data);
+                            self.adopt_fetched_full(states, page, applied, Spans::dense(data));
                         }
                         PageDiffs::Zero { applied } => {
-                            let zeros = vec![0u8; self.page_size];
-                            self.adopt_fetched_full(states, page, applied, zeros);
+                            let zero = Spans::zero(self.page_size);
+                            self.adopt_fetched_full(states, page, applied, zero);
                         }
                     }
                 }
             }
             Response::ZeroPage { page, applied } => {
-                let zeros = vec![0u8; self.page_size];
-                self.adopt_fetched_full(states, page, applied, zeros);
+                let zero = Spans::zero(self.page_size);
+                self.adopt_fetched_full(states, page, applied, zero);
             }
             Response::FullPage { page, applied, data } => {
                 // GC fallback: adopt, then continue with whatever is
                 // still pending.
-                self.adopt_fetched_full(states, page, applied, data);
+                self.adopt_fetched_full(states, page, applied, Spans::dense(data));
             }
             other => panic!("expected Diffs/FullPage, got {other:?}"),
         }
@@ -981,9 +973,9 @@ impl<S: Substrate> Tmk<S> {
         states: &mut [PageFetchState],
         pid: PageId,
         applied: Vec<u32>,
-        data: Vec<u8>,
+        image: Spans,
     ) {
-        self.adopt_full_page(pid, applied, data);
+        self.adopt_full_page(pid, applied, image);
         self.clock().borrow_mut().stats.pages_fetched += 1;
         self.emit(TmkEvent::PageFetched { page: pid });
         if let Some(st) = states.iter_mut().find(|s| s.pid == pid) {
@@ -1008,10 +1000,7 @@ impl<S: Substrate> Tmk<S> {
         let mut applied_count = 0u64;
         let page = &mut self.pages[pid as usize];
         for (pend, d) in collected {
-            d.apply(&mut page.data);
-            if let Some(twin) = page.twin.as_mut() {
-                d.apply(twin);
-            }
+            page.apply(&d);
             cost += params.dsm.diff_overhead
                 + Ns::for_bytes(d.payload_bytes(), params.host.memcpy_mb_s);
             page.applied_notice(pend.node, pend.seq);

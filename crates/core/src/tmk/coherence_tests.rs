@@ -111,7 +111,11 @@ fn a_repair_notice_sorts_where_the_real_one_would() {
     let repair = apply_out_of_order(IntervalRecord::repair(NODES, 1, 1));
     for t in [&real, &repair] {
         let page = &t.pages[0];
-        assert_eq!(page.data[0], 2, "the causally later write lands last");
+        assert_eq!(
+            page.data.get(0, 1),
+            Some(&[2][..]),
+            "the causally later write lands last"
+        );
         assert_eq!(page.applied, [0, 1, 1]);
         assert!(page.pending.is_empty());
         assert_eq!(page.state, Access::Read);

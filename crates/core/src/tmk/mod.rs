@@ -41,7 +41,7 @@
 use tm_sim::{SharedClock, SimParams};
 
 use crate::interval::IntervalLog;
-use crate::page::{Page, PageId};
+use crate::page::{Page, PageId, MAX_PAGE};
 use crate::substrate::Substrate;
 use crate::vc::VectorClock;
 
@@ -270,8 +270,8 @@ impl<S: Substrate> Tmk<S> {
             .retransmit_timeout()
             .map(|rto0| Reliable::new(rto0, sub.params().udp.rto_retries, n));
         assert!(
-            page_size.is_multiple_of(8) && page_size <= u16::MAX as usize,
-            "page size {page_size}: typed accessors need whole f64s per page, diffs u16 offsets"
+            page_size.is_multiple_of(8) && page_size <= MAX_PAGE,
+            "page size {page_size}: typed accessors need whole f64s per page, a page's spans one u64"
         );
         Tmk {
             sub,

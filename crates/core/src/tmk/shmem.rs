@@ -56,8 +56,9 @@ impl<S: Substrate> Tmk<S> {
 
     /// Fault in the pages under `len` bytes at `(region, off)` and hand
     /// `f` each page's share of the span in turn, with its offset into
-    /// the span. Every read accessor goes through here, so they all take
-    /// the same faults in the same order.
+    /// the span — as one slice, or span by span where the page holds only
+    /// some of them. Every read accessor goes through here, so they all
+    /// take the same faults in the same order.
     fn read_span(&mut self, id: SharedId, off: usize, len: usize, mut f: impl FnMut(usize, &[u8])) {
         if len == 0 {
             return;
@@ -81,7 +82,9 @@ impl<S: Substrate> Tmk<S> {
             let in_page = abs % self.page_size;
             let take = (self.page_size - in_page).min(len - done);
             let page = &self.pages[pid as usize];
-            f(done, &page.data[in_page..in_page + take]);
+            for (at, piece) in page.data.read(in_page, take) {
+                f(done + at, piece);
+            }
             done += take;
         }
     }
@@ -115,8 +118,7 @@ impl<S: Substrate> Tmk<S> {
             } else {
                 self.ensure_writable(pid);
             }
-            let page = &mut self.pages[pid as usize];
-            f(done, &mut page.data[in_page..in_page + take]);
+            f(done, self.pages[pid as usize].write(in_page, take));
             done += take;
         }
     }
@@ -137,7 +139,8 @@ impl<S: Substrate> Tmk<S> {
 
     /// Bulk typed read: convert straight from the page bytes into `out`.
     /// Elements are `W`-aligned in a region and `W` divides the page size
-    /// (checked in `Tmk::new`), so none straddles a page. The converter is
+    /// (checked in `Tmk::new`) and the 256-byte span, so none straddles a
+    /// page or a piece `read_span` hands over. The converter is
     /// a type parameter, not a `fn` pointer: called through a pointer it
     /// cannot inline, and a row of SOR is a call per element instead of a
     /// copy.

@@ -20,12 +20,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use tm_apps::{sor_parallel, sor_seq, SorConfig};
-use tm_fast::{run_fast_dsm, FastConfig};
+use tm_apps::{fft_parallel_with, fft_seq, sor_parallel, sor_seq, FftConfig, SorConfig};
+use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_gm::{gm_cluster, gm_size, DmaPool, GmNode};
 use tm_sim::clock::shared_clock;
 use tm_sim::{Ns, SimParams};
 use tmk::diff::Diff;
+use tmk::page::HeldBytes;
 use tmk::wire::{WireReader, WireWriter};
 use tmk::{Substrate, Tmk, TmkConfig};
 
@@ -208,6 +209,87 @@ fn polling_a_port_with_unmatched_packets_allocates_nothing() {
     assert_eq!(allocs, 0, "100 polls over unmatched packets allocated");
     rx.provide_receive_buffer(3, gm_size(8)).unwrap();
     assert!(rx.receive(3).unwrap().is_some(), "the packets were waiting");
+}
+
+/// A page copy and its twin hold the spans written or received, not the
+/// page: node 1 adopts node 0's fresh page 0 as a `ZeroPage` and holds
+/// nothing for it, then writes the FFT transpose's four 64-byte pieces at a
+/// 1 KiB stride into it and holds four 256-byte spans in the copy and four
+/// in the twin (whole-page copies hold 4 096 + 4 096). Node 0 writes a
+/// red-black sweep over its own page 2, which reaches every span: the whole
+/// page, twice.
+#[test]
+fn a_page_holds_the_spans_it_wrote_or_received() {
+    let params = Arc::new(SimParams::paper_testbed());
+    let fast = FastConfig::paper(&params);
+    let out = run_fast_dsm(2, params, fast, TmkConfig::default(), |tmk| {
+        let words = tmk.params().dsm.page_size / 4;
+        let region = tmk.malloc(6 * words * 4);
+        tmk.barrier(0);
+        let mut seen = Vec::new();
+        if tmk.proc_id() == 1 {
+            // The first fetch warms the message path's buffers.
+            tmk.get_u32(region, 4 * words);
+            let (_, bytes, _) = heap_during(|| tmk.get_u32(region, 0));
+            seen.push((bytes, tmk.held_bytes()));
+            for r in 0..4 {
+                tmk.write_bytes(region, r * 1024 + 192, &[0xA5; 64]);
+            }
+        } else {
+            (2 * words..3 * words)
+                .step_by(2)
+                .for_each(|w| tmk.set_u32(region, w, 7));
+        }
+        seen.push((0, tmk.held_bytes()));
+        tmk.barrier(1);
+        seen
+    });
+    let held = |pages, twins| HeldBytes {
+        pages,
+        twins,
+        diffs: 0,
+    };
+    let [(fetched, zero), (0, transpose)] = out[1].result[..] else {
+        panic!("node 1 took two snapshots: {:?}", out[1].result);
+    };
+    assert_eq!(zero, HeldBytes::default(), "an adopted zero page holds nothing");
+    // The message path's own few allocations (136 bytes measured), no
+    // buffer for the page.
+    assert!(
+        fetched < 256,
+        "fetching a zero page requested {fetched} heap bytes"
+    );
+    assert_eq!(transpose, held(1024, 1024), "FFT transpose shape");
+    assert_eq!(out[0].result, [(0, held(4096, 4096))], "red-black page");
+}
+
+/// Heap bytes the whole 16-node cluster holds for shared pages as each
+/// node leaves the barrier that ends FFT 64³'s transpose over UDP/GM —
+/// page copies, twins (none: the barrier flushed them), retained diffs.
+/// Every node has written four 64-byte pieces into each of array B's 1 024
+/// pages and holds a span of each piece: 16 × 1 024 × 1 KiB, plus its own
+/// 64 pages of array A. With whole-page copies the same snapshot reads
+/// 75 239 424 bytes of pages.
+#[test]
+fn fft_transpose_holds_its_spans_not_its_pages() {
+    let cfg = FftConfig::new(64);
+    let want = fft_seq(&cfg);
+    let params = Arc::new(SimParams::paper_testbed());
+    let out = run_udp_dsm(16, params, TmkConfig::default(), move |tmk| {
+        let mut held = HeldBytes::default();
+        let sum = fft_parallel_with(tmk, &cfg, |t| held = t.held_bytes());
+        (sum, held)
+    });
+    assert!(out.iter().all(|o| o.result.0 == want), "FFT checksum");
+    let cluster: HeldBytes = out.iter().map(|o| o.result.1).sum();
+    assert_eq!(
+        cluster,
+        HeldBytes {
+            pages: 20 * 1024 * 1024,
+            twins: 0,
+            diffs: 13_115_756,
+        }
+    );
 }
 
 const STORM_NODES: usize = 16;
