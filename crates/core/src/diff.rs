@@ -16,13 +16,14 @@
 //! falling edges (`each_run`). Runs equal the scalar word-by-word scan
 //! ([`Diff::create_scalar`], the executable specification), property-tested.
 //!
-//! A page copy and its twin hold only the spans written or received
-//! ([`Spans`]), so the page-side entry points work span by span:
-//! [`Diff::of_twin`] compares only the spans the twin copied,
-//! [`Diff::apply_page`] holds the spans a diff's runs reach, and
-//! [`Diff::apply_held`] writes only into the spans a twin holds. On a page
-//! holding every span each is the slice path of [`Diff::create`] /
-//! [`Diff::apply`], which stay the dense entry points.
+//! A page copy and its twin hold only the units written or received
+//! ([`Spans`]: a 64-byte unit of a 4 KiB page, at most a whole span of a
+//! larger one), so the page-side entry points work unit by unit:
+//! [`Diff::of_twin`] compares only the units the twin copied, a span or a
+//! quarter of one at a time, [`Diff::apply_page`] holds the units a diff's
+//! runs reach, and [`Diff::apply_held`] writes only into the units a twin
+//! holds. On a page holding every unit each is the slice path of
+//! [`Diff::create`] / [`Diff::apply`], which stay the dense entry points.
 
 use std::iter::successors;
 
@@ -33,8 +34,16 @@ use crate::wire::{WireReader, WireWriter};
 pub const WORD: usize = 4;
 
 /// Page bytes one mask word covers, 64 words: the unit of the change
-/// masks, and the unit a page copy and its twin are held in.
+/// masks and of the diff's span classes.
 pub const SPAN: usize = 64 * WORD;
+
+/// A quarter of a span: sixteen words, the smallest unit a page copy is
+/// held in.
+const QUARTER: usize = SPAN / 4;
+
+// A page's unit is a 64th of it rounded up to a power of two: a quarter, a
+// half or the whole of a span, never more.
+const _: () = assert!(crate::page::MAX_PAGE <= 64 * SPAN);
 
 /// Mask words for the largest u16-addressable page.
 const MASK_WORDS: usize = (u16::MAX as usize).div_ceil(SPAN);
@@ -53,11 +62,13 @@ const MIXED: u8 = 2;
 const COUNT_HDR: usize = 2;
 const RUN_HDR: usize = 4;
 
-/// Bit `k` set iff word `k` of the span differs. Both loops are flat and
-/// fixed-length, so the compiler vectorises them: one `!=` per word into a
-/// byte, then each 8 bytes of 0 / 1 gathered into 8 bits by one multiply
-/// (byte `j` lands on bit `56 + j`, and no two partial products overlap).
-fn span_mask(twin: &[u8; SPAN], cur: &[u8; SPAN]) -> u64 {
+/// Bit `k` set iff word `k` of the `B` bytes (a [`SPAN`] or a
+/// [`QUARTER`]) differs. Both loops are flat and fixed-length, so the
+/// compiler vectorises them: one `!=` per word into a byte, then each 8
+/// bytes of 0 / 1 gathered into 8 bits by one multiply (byte `j` lands on
+/// bit `56 + j`, and no two partial products overlap).
+fn word_mask<const B: usize>(twin: &[u8; B], cur: &[u8; B]) -> u64 {
+    const { assert!(B <= SPAN && B.is_multiple_of(8 * WORD)) };
     let word = |b: &[u8]| u32::from_ne_bytes(b.try_into().unwrap());
     let mut ne = [0u8; 64];
     for (k, (a, b)) in ne
@@ -66,10 +77,38 @@ fn span_mask(twin: &[u8; SPAN], cur: &[u8; SPAN]) -> u64 {
     {
         *k = (word(a) != word(b)) as u8;
     }
-    ne.chunks_exact(8).enumerate().fold(0, |m, (i, bytes)| {
-        let v = u64::from_le_bytes(bytes.try_into().unwrap());
-        m | (v.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i)
-    })
+    ne[..B / WORD]
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |m, (i, bytes)| {
+            let v = u64::from_le_bytes(bytes.try_into().unwrap());
+            m | (v.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i)
+        })
+}
+
+/// Set in `mask` the bits of the words that differ between `twin` and
+/// `cur`, page bytes `off..` with `off` on a [`QUARTER`]: a whole span at
+/// a time where one is, else a quarter, and word by word only where the
+/// page ends inside a quarter.
+fn mark(mask: &mut [u64; MASK_WORDS], mut off: usize, mut twin: &[u8], mut cur: &[u8]) {
+    debug_assert!(off.is_multiple_of(QUARTER) && twin.len() == cur.len());
+    while !twin.is_empty() {
+        let take = if off.is_multiple_of(SPAN) && twin.len() >= SPAN {
+            SPAN
+        } else {
+            QUARTER.min(twin.len())
+        };
+        let ((a, rest_a), (b, rest_b)) = (twin.split_at(take), cur.split_at(take));
+        if a != b {
+            let m = match take {
+                SPAN => word_mask::<SPAN>(a.try_into().unwrap(), b.try_into().unwrap()),
+                QUARTER => word_mask::<QUARTER>(a.try_into().unwrap(), b.try_into().unwrap()),
+                _ => tail_mask(a, b),
+            };
+            mask[off / SPAN] |= m << (off % SPAN / WORD);
+        }
+        (twin, cur, off) = (rest_a, rest_b, off + take);
+    }
 }
 
 /// The mask word of a span shorter than [`SPAN`]; a partial last word is
@@ -79,6 +118,18 @@ fn tail_mask(twin: &[u8], cur: &[u8]) -> u64 {
         .zip(cur.chunks(WORD))
         .enumerate()
         .fold(0, |m, (k, (a, b))| m | ((a != b) as u64) << k)
+}
+
+/// Bit `q` set iff 16-bit quarter `q` of `m` is not zero: each quarter
+/// ORed down onto its low bit, and the four low bits gathered by one
+/// multiply (bit `16q` lands on bit `48 + q`, and no two partial products
+/// overlap there).
+fn quarters(m: u64) -> u64 {
+    let mut x = m | m >> 8;
+    x |= x >> 4;
+    x |= x >> 2;
+    x |= x >> 1;
+    (x & 0x0001_0001_0001_0001).wrapping_mul(0x0001_0002_0004_0008) >> 48 & 0xf
 }
 
 /// `true` iff every byte is zero, scanned a u64 at a time (the full-page
@@ -313,7 +364,7 @@ impl Diff {
 
     /// Compare `twin` (before) and `cur` (after); keep the changed runs at
     /// word granularity. Slices must be the same length. A stack mask gets
-    /// bit `w` set iff word `w` differs (`span_mask`), and `from_mask`
+    /// bit `w` set iff word `w` differs (`word_mask`), and `from_mask`
     /// builds the diff from it.
     pub fn create(twin: &[u8], cur: &[u8]) -> Diff {
         assert_eq!(twin.len(), cur.len(), "twin/page size mismatch");
@@ -324,7 +375,7 @@ impl Diff {
         for (m, (a, b)) in mask.iter_mut().zip(spans) {
             let (a, b): (&[u8; SPAN], &[u8; SPAN]) = (a.try_into().unwrap(), b.try_into().unwrap());
             if a != b {
-                *m = span_mask(a, b);
+                *m = word_mask(a, b);
             }
         }
         let full = n / SPAN * SPAN;
@@ -335,22 +386,18 @@ impl Diff {
     }
 
     /// [`Diff::create`] of a page copy against its twin, comparing only
-    /// the spans the twin holds: the others were not written. A twin's
-    /// spans are spans its page holds, so a run's words are one slice of
-    /// the page; with every span held this is `create` on the two slices.
+    /// the units the twin holds: the others were not written. A twin's
+    /// units are units its page holds, so each run of them, like each run
+    /// of a diff's words, is one slice of the page; with every unit held
+    /// this is `create` on the two slices.
     pub fn of_twin(twin: &Spans, page: &Spans) -> Diff {
         if twin.is_dense() {
             return Diff::create(twin.held_slice(), page.held_slice());
         }
-        let held = "a page holds every span its twin does";
+        let held = "a page holds every unit its twin does";
         let mut mask = [0u64; MASK_WORDS];
-        for (k, a) in twin.spans() {
-            let b = page.get(k * SPAN, a.len()).expect(held);
-            mask[k] = match (<&[u8; SPAN]>::try_from(a), <&[u8; SPAN]>::try_from(b)) {
-                (Ok(a), Ok(b)) if a == b => 0,
-                (Ok(a), Ok(b)) => span_mask(a, b),
-                _ => tail_mask(a, b),
-            };
+        for (off, a) in twin.runs() {
+            mark(&mut mask, off, a, page.get(off, a.len()).expect(held));
         }
         Diff::from_mask(&mask, page.page_len(), |start, end| {
             page.get(start, end - start).expect(held)
@@ -499,42 +546,65 @@ impl Diff {
         self.each(|off, data| copy_run(&mut target[off..off + data.len()], data));
     }
 
-    /// [`Diff::apply`] to a page copy: the spans the runs reach are held
+    /// [`Diff::apply`] to a page copy: the units the runs reach are held
     /// first (zeroed, if they were not), so each run is one slice.
     pub fn apply_page(&self, page: &mut Spans) {
         assert!(self.extent() <= page.page_len(), "diff reaches past the page");
-        page.hold(self.touched());
+        if !page.is_dense() {
+            page.hold(self.touched(page.unit()));
+        }
         if page.is_dense() {
             return self.apply(page.whole());
         }
         self.each(|off, data| copy_run(page.write(off, data.len()), data));
     }
 
-    /// [`Diff::apply`] to a twin: only into the spans it holds. One it does
+    /// [`Diff::apply`] to a twin: only into the units it holds. One it does
     /// not hold reads as the page, which gets the diff too.
     pub fn apply_held(&self, twin: &mut Spans) {
         assert!(self.extent() <= twin.page_len(), "diff reaches past the page");
         if twin.is_dense() {
             return self.apply(twin.whole());
         }
-        if self.touched() & twin.held() != 0 {
+        if self.touched(twin.unit()) & twin.held() != 0 {
             self.each(|off, data| twin.overlay(off, data));
         }
     }
 
-    /// The spans this diff changes words in, one bit each: each 2-bit
-    /// class folded onto its low bit, sixteen low bits packed per word.
-    fn touched(&self) -> u64 {
-        let classes = &self.buf[..class_bytes(self.extent())];
-        classes.chunks_exact(4).enumerate().fold(0, |m, (i, c)| {
+    /// The `unit`-byte pieces of the page this diff changes words in, one
+    /// bit each, for a `unit` of a quarter, a half or the whole of a
+    /// [`SPAN`]. A span every word of which changed reaches all of its
+    /// units; a mixed span, those holding a non-zero 16-bit quarter of its
+    /// mask. Only spans with a class are visited.
+    fn touched(&self, unit: usize) -> u64 {
+        let per = SPAN / unit;
+        debug_assert!(matches!(per, 1 | 2 | 4), "a {unit}-byte unit");
+        let (classes, masks) = self.buf[..self.head as usize].split_at(class_bytes(self.extent()));
+        let mut masks = masks.chunks_exact(8);
+        let mut units = 0;
+        for (k, c) in classes.chunks_exact(4).enumerate() {
             let c = u32::from_le_bytes(c.try_into().unwrap());
-            let mut x = (c | c >> 1) & 0x5555_5555;
-            x = (x | x >> 1) & 0x3333_3333;
-            x = (x | x >> 2) & 0x0f0f_0f0f;
-            x = (x | x >> 4) & 0x00ff_00ff;
-            x = (x | x >> 8) & 0x0000_ffff;
-            m | u64::from(x) << (16 * i)
-        })
+            let mut live = (c | c >> 1) & 0x5555_5555;
+            while live != 0 {
+                let bit = live.trailing_zeros();
+                live &= live - 1;
+                let q = if c >> bit & 3 == u32::from(ALL) {
+                    0xf
+                } else {
+                    let m = masks.next().expect("a stored mask per mixed span");
+                    quarters(u64::from_le_bytes(m.try_into().unwrap()))
+                };
+                // Quarters to units: each pair to a half, or all four to
+                // the span.
+                let u = match per {
+                    4 => q,
+                    2 => (q | q >> 1) & 1 | (q | q >> 1) >> 1 & 2,
+                    _ => u64::from(q != 0),
+                };
+                units |= u << (per * (16 * k + bit as usize / 2));
+            }
+        }
+        units
     }
 
     /// Write the wire image, `[runs u16][(off u16, len u16, payload)…]`

@@ -13,12 +13,12 @@
 //!   execution is carved into intervals delimited by synchronization;
 //!   write notices propagate lazily along the happens-before order.
 //! * **Twins & diffs** ([`diff`], [`page`]): a write in an interval first
-//!   copies the 256-byte spans it reaches into the page's twin; at interval
-//!   end comparing those spans with the page yields a run-length-encoded
-//!   diff. A page copy holds only the spans written or received. Multiple
-//!   concurrent writers to one page are supported (diffs are applied to
-//!   the copy and to the spans the twin holds), which is what makes false
-//!   sharing survivable.
+//!   copies the units of the page it reaches into the page's twin (a unit
+//!   is 64 bytes of a 4 KiB page); at interval end comparing those units
+//!   with the page yields a run-length-encoded diff. A page copy holds only
+//!   the units written or received. Multiple concurrent writers to one
+//!   page are supported (diffs are applied to the copy and to the units
+//!   the twin holds), which is what makes false sharing survivable.
 //! * **Distributed locks** ([`tmk`]): statically assigned managers,
 //!   migrating ownership, direct (manager-owned) and indirect (third-node)
 //!   acquisition — the two cases of the paper's Lock microbenchmark.

@@ -1,36 +1,34 @@
 //! Per-page state: the access state machine, the page copy and its twin,
 //! pending write notices, retained diffs.
 //!
-//! A page copy and its twin are [`Spans`]: they hold only the [`SPAN`]-byte
-//! spans a node wrote or received. An `mprotect` build copies and twins
-//! whole pages because protection is page-granular; the access guards here
-//! see every byte range written, so a write copies into the twin just the
-//! spans it reaches, just before it writes them. A span a page copy does
-//! not hold reads as zero; one a twin does not hold reads as the page
-//! itself. A copy holding every span is its bytes in page order — one
-//! slice, which every hot path uses as it is.
+//! A page copy and its twin are [`Spans`]: they hold only the units of the
+//! page a node wrote or received. A unit is a 64th of the page, rounded up
+//! to a power of two and never under 64 bytes — 64 bytes of a 4 KiB page,
+//! 256 of the largest. An `mprotect` build copies and twins whole pages
+//! because protection is page-granular; the access guards here see every
+//! byte range written, so a write copies into the twin just the units it
+//! reaches, just before it writes them. A unit a page copy does not hold
+//! reads as zero; one a twin does not hold reads as the page itself. A copy
+//! holding every unit is its bytes in page order — one slice, which every
+//! hot path uses as it is.
 
 use std::rc::Rc;
 
-use crate::diff::{is_all_zero, Diff, SPAN};
+use crate::diff::{is_all_zero, Diff};
 use crate::interval::IntervalRecord;
 use crate::wire::pool;
 
 /// Global page number within the shared address space.
 pub type PageId = u32;
 
-/// The largest page [`Spans`] can hold: one bit of a `u64` per span.
-pub(crate) const MAX_PAGE: usize = 64 * SPAN;
+/// The largest unit, that of the largest page.
+const MAX_UNIT: usize = 256;
 
-/// What a span that is not held reads as.
-static ZEROS: [u8; SPAN] = [0; SPAN];
+/// The largest page [`Spans`] can hold: one bit of a `u64` per unit.
+pub(crate) const MAX_PAGE: usize = 64 * MAX_UNIT;
 
-/// The spans under bytes `off..off + len` (`len > 0`), one bit each.
-fn spans_of(off: usize, len: usize) -> u64 {
-    debug_assert!(len > 0, "an empty range has no spans");
-    let (first, last) = (off / SPAN, (off + len - 1) / SPAN);
-    u64::MAX >> (63 - last) & u64::MAX << first
-}
+/// What a unit that is not held reads as.
+static ZEROS: [u8; MAX_UNIT] = [0; MAX_UNIT];
 
 /// The set bits of `m`, ascending.
 fn bits(mut m: u64) -> impl Iterator<Item = usize> {
@@ -41,32 +39,57 @@ fn bits(mut m: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A page's bytes, held span by span: a mask of the spans held, and those
-/// spans' bytes in ascending order in one pooled buffer. Every span is
-/// [`SPAN`] bytes but a page's last, which is what the page leaves.
+/// The run of set bits of `m` from bit `k` (which is set) up, as a mask.
+fn run_at(m: u64, k: usize) -> u64 {
+    u64::MAX >> (64 - (m >> k).trailing_ones()) << k
+}
+
+/// Append bytes `off..off + len` of `src`, a page of the same length, to
+/// `out`: zeros where it holds no unit, or where there is no `src`.
+fn fill(out: &mut Vec<u8>, src: Option<&Spans>, off: usize, len: usize) {
+    match src {
+        Some(s) => s
+            .read(off, len)
+            .for_each(|(_, piece)| out.extend_from_slice(piece)),
+        None => out.resize(out.len() + len, 0),
+    }
+}
+
+/// A page's bytes, held unit by unit: a mask of the units held, and those
+/// units' bytes in ascending order in one pooled buffer. A unit is a 64th
+/// of the page, rounded up to a power of two and never under 64 bytes;
+/// every unit is that long but a page's last, which is what the page
+/// leaves.
 #[derive(Debug)]
 pub struct Spans {
     held: u64,
     len: u16,
+    /// `log2` of the unit.
+    shift: u8,
     bytes: Vec<u8>,
 }
 
 impl Spans {
-    /// A page of `len` bytes that holds no span.
+    /// A page of `len` bytes that holds no unit.
     pub(crate) fn zero(len: usize) -> Spans {
-        assert!(len <= MAX_PAGE, "a {len}-byte page has more than 64 spans");
+        assert!(
+            len <= MAX_PAGE,
+            "a {len}-byte page has units over {MAX_UNIT} bytes"
+        );
+        let unit = len.div_ceil(64).next_power_of_two().max(64);
         Spans {
             held: 0,
             len: len as u16,
+            shift: unit.trailing_zeros() as u8,
             bytes: Vec::new(),
         }
     }
 
-    /// A page that holds every span: `bytes` is the page.
+    /// A page that holds every unit: `bytes` is the page.
     pub(crate) fn dense(bytes: Vec<u8>) -> Spans {
         let mut s = Spans::zero(bytes.len());
         if !bytes.is_empty() {
-            s.held = u64::MAX >> (64 - bytes.len().div_ceil(SPAN));
+            s.held = u64::MAX >> (64 - bytes.len().div_ceil(s.unit()));
         }
         s.bytes = bytes;
         s
@@ -77,18 +100,24 @@ impl Spans {
         self.len as usize
     }
 
-    /// The spans held: bit `k` for bytes `SPAN·k..`.
+    /// Bytes in a unit: 64, 128 or 256.
+    #[inline]
+    pub(crate) fn unit(&self) -> usize {
+        1 << self.shift
+    }
+
+    /// The units held: bit `k` for bytes `unit·k..`.
     pub(crate) fn held(&self) -> u64 {
         self.held
     }
 
-    /// Every span is held: the buffer is the page.
+    /// Every unit is held: the buffer is the page.
     #[inline]
     pub(crate) fn is_dense(&self) -> bool {
         self.bytes.len() == self.page_len()
     }
 
-    /// The held spans' bytes, ascending; the page itself when dense.
+    /// The held units' bytes, ascending; the page itself when dense.
     pub(crate) fn held_slice(&self) -> &[u8] {
         &self.bytes
     }
@@ -98,56 +127,82 @@ impl Spans {
         self.bytes.capacity()
     }
 
-    /// Where held span `k` starts in the buffer.
+    /// The units under bytes `off..off + len` (`len > 0`), one bit each.
+    #[inline]
+    fn units_of(&self, off: usize, len: usize) -> u64 {
+        debug_assert!(len > 0, "an empty range has no units");
+        let (first, last) = (off >> self.shift, (off + len - 1) >> self.shift);
+        u64::MAX >> (63 - last) & u64::MAX << first
+    }
+
+    /// Where held unit `k` starts in the buffer.
     #[inline]
     fn at(&self, k: usize) -> usize {
-        (self.held & !(u64::MAX << k)).count_ones() as usize * SPAN
+        ((self.held & !(u64::MAX << k)).count_ones() as usize) << self.shift
     }
 
-    fn span_len(&self, k: usize) -> usize {
-        SPAN.min(self.page_len() - k * SPAN)
+    fn unit_len(&self, k: usize) -> usize {
+        self.unit().min(self.page_len() - (k << self.shift))
     }
 
-    /// Buffer bytes the spans `held` take.
+    /// Buffer bytes the units `held` take.
     fn bytes_for(&self, held: u64) -> usize {
-        let last = (self.page_len() - 1) / SPAN;
+        let last = (self.page_len() - 1) >> self.shift;
         let short = if held >> last & 1 == 1 {
-            SPAN * (last + 1) - self.page_len()
+            ((last + 1) << self.shift) - self.page_len()
         } else {
             0
         };
-        held.count_ones() as usize * SPAN - short
+        ((held.count_ones() as usize) << self.shift) - short
     }
 
-    /// The held spans, ascending, as `(k, bytes)`.
-    pub(crate) fn spans(&self) -> impl Iterator<Item = (usize, &[u8])> {
+    /// The held units, ascending, as `(k, bytes)`.
+    pub(crate) fn units(&self) -> impl Iterator<Item = (usize, &[u8])> {
         let mut at = 0;
         bits(self.held).map(move |k| {
-            let l = self.span_len(k);
+            let l = self.unit_len(k);
             at += l;
             (k, &self.bytes[at - l..at])
         })
     }
 
-    /// Bytes `off..off + len` as one slice, if every span under them is
-    /// held (held spans that follow one another are adjacent in the
-    /// buffer).
+    /// Each run of held units that follow one another, ascending, as
+    /// `(offset in the page, bytes)`: one slice, since such units are
+    /// adjacent in the buffer too.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        let (mut left, mut at) = (self.held, 0);
+        std::iter::from_fn(move || {
+            let k = left.trailing_zeros() as usize;
+            if k == 64 {
+                return None;
+            }
+            let run = run_at(left, k);
+            left &= !run;
+            let off = k << self.shift;
+            let l = self.bytes_for(run);
+            at += l;
+            Some((off, &self.bytes[at - l..at]))
+        })
+    }
+
+    /// Bytes `off..off + len` as one slice, if every unit under them is
+    /// held.
     #[inline]
     pub(crate) fn get(&self, off: usize, len: usize) -> Option<&[u8]> {
         if self.is_dense() {
             return Some(&self.bytes[off..off + len]);
         }
-        if spans_of(off, len) & !self.held != 0 {
+        if self.units_of(off, len) & !self.held != 0 {
             return None;
         }
-        let at = self.at(off / SPAN) + off % SPAN;
+        let at = self.at(off >> self.shift) + off % self.unit();
         Some(&self.bytes[at..at + len])
     }
 
     /// Bytes `off..off + len` as consecutive pieces `(at, bytes)`: the rest
-    /// of the range when the spans under it are held, else one span, a
-    /// span not held reading as zeros. Pieces split only at span
-    /// boundaries; a page holding every span is one piece.
+    /// of the range when the units under it are held, else one unit, a
+    /// unit not held reading as zeros. Pieces split only at unit
+    /// boundaries; a page holding every unit is one piece.
     #[inline]
     pub(crate) fn read(&self, off: usize, len: usize) -> impl Iterator<Item = (usize, &[u8])> {
         let mut done = 0;
@@ -155,99 +210,90 @@ impl Spans {
             if done == len {
                 return None;
             }
-            let o = off + done;
-            let piece = self.get(o, len - done).unwrap_or_else(|| {
-                let take = (SPAN - o % SPAN).min(len - done);
-                self.get(o, take).unwrap_or(&ZEROS[..take])
-            });
+            let (o, rest) = (off + done, len - done);
+            let piece = if self.is_dense() {
+                &self.bytes[o..o + rest]
+            } else {
+                self.piece(o, rest)
+            };
             done += piece.len();
             Some((done - piece.len(), piece))
         })
     }
 
-    /// Bytes `off..off + len` to overwrite, holding the spans under them
+    /// The first piece [`read`](Self::read) yields of bytes `off..off +
+    /// len` of a page not holding every unit.
+    fn piece(&self, off: usize, len: usize) -> &[u8] {
+        self.get(off, len).unwrap_or_else(|| {
+            let take = (self.unit() - off % self.unit()).min(len);
+            self.get(off, take).unwrap_or(&ZEROS[..take])
+        })
+    }
+
+    /// Bytes `off..off + len` to overwrite, holding the units under them
     /// that were not held (zeroed).
     #[inline]
     pub(crate) fn write(&mut self, off: usize, len: usize) -> &mut [u8] {
         if self.is_dense() {
             return &mut self.bytes[off..off + len];
         }
-        self.hold(spans_of(off, len));
-        let at = self.at(off / SPAN) + off % SPAN;
+        self.hold(self.units_of(off, len));
+        let at = self.at(off >> self.shift) + off % self.unit();
         &mut self.bytes[at..at + len]
     }
 
-    /// The whole page, every span held.
+    /// The whole page, every unit held.
     pub(crate) fn whole(&mut self) -> &mut [u8] {
         self.write(0, self.page_len())
     }
 
-    /// Hold `spans` as well; each one not held yet starts zeroed.
-    pub(crate) fn hold(&mut self, spans: u64) {
-        self.hold_from(spans, None);
+    /// Hold `units` as well; each one not held yet starts zeroed.
+    pub(crate) fn hold(&mut self, units: u64) {
+        self.hold_from(units, None);
     }
 
-    /// Hold `spans` as well, each one not held yet filled from `src`'s
-    /// (zeros where there is no `src` or it holds none). New spans above
-    /// every held one are appended; otherwise the spans above a new one
-    /// move up in place, or, when the buffer is too small, everything
-    /// moves once into a pooled buffer of the new size.
-    fn hold_from(&mut self, spans: u64, src: Option<&Spans>) {
-        let new = spans & !self.held;
+    /// Hold `units` as well, each one not held yet filled from `src`'s
+    /// (zeros where there is no `src` or it holds none), in a pooled
+    /// buffer of the new size if this one is too small. New units above
+    /// every held one are appended a run at a time; otherwise the units
+    /// above a new one move up in place.
+    fn hold_from(&mut self, units: u64, src: Option<&Spans>) {
+        let new = units & !self.held;
         if new == 0 {
             return;
         }
         let held = self.held | new;
         let need = self.bytes_for(held);
-        let fill = |k: usize, l: usize| src.and_then(|s| s.get(k * SPAN, l));
         if need > self.bytes.capacity() {
             let mut grown = pool::take(need);
-            for k in bits(held) {
-                let l = self.span_len(k);
-                if self.held >> k & 1 == 1 {
-                    let at = self.at(k);
-                    grown.extend_from_slice(&self.bytes[at..at + l]);
-                } else if let Some(s) = fill(k, l) {
-                    grown.extend_from_slice(s);
-                } else {
-                    grown.resize(grown.len() + l, 0);
-                }
-            }
+            grown.extend_from_slice(&self.bytes);
             pool::give(std::mem::replace(&mut self.bytes, grown));
-        } else if self.held >> new.trailing_zeros() == 0 {
-            // Appended: a run of spans `src` holds is one copy.
-            let lo = new.trailing_zeros() as usize;
-            if new >> lo & (new >> lo).wrapping_add(1) == 0 {
-                let len = self.bytes_for(new);
-                if let Some(s) = src.and_then(|s| s.get(lo * SPAN, len)) {
-                    self.bytes.extend_from_slice(s);
-                    self.held = held;
-                    return;
-                }
-            }
-            for k in bits(new) {
-                let l = self.span_len(k);
-                match fill(k, l) {
-                    Some(s) => self.bytes.extend_from_slice(s),
-                    None => self.bytes.resize(self.bytes.len() + l, 0),
-                }
+        }
+        if self.held >> new.trailing_zeros() == 0 {
+            let mut left = new;
+            while left != 0 {
+                let k = left.trailing_zeros() as usize;
+                let run = run_at(left, k);
+                left &= !run;
+                let len = self.bytes_for(run);
+                fill(&mut self.bytes, src, k << self.shift, len);
             }
         } else {
             let (mut old, mut at) = (self.bytes.len(), need);
             self.bytes.resize(need, 0);
             let mut m = held;
-            // Top down; once the new spans are placed the rest is in place.
+            // Top down; once the new units are placed the rest is in place.
             while old != at {
                 let k = 63 - m.leading_zeros() as usize;
                 m ^= 1 << k;
-                let l = self.span_len(k);
+                let l = self.unit_len(k);
                 at -= l;
                 if self.held >> k & 1 == 1 {
                     old -= l;
                     self.bytes.copy_within(old..old + l, at);
                 } else {
                     let dst = &mut self.bytes[at..at + l];
-                    match fill(k, l) {
+                    match src.and_then(|s| s.get(k << self.shift, l)) {
                         Some(s) => dst.copy_from_slice(s),
                         None => dst.fill(0),
                     }
@@ -257,12 +303,12 @@ impl Spans {
         self.held = held;
     }
 
-    /// As a twin: copy `page`'s spans under bytes `off..off + len` that
+    /// As a twin: copy `page`'s units under bytes `off..off + len` that
     /// this twin does not hold yet. Its first copy sizes the buffer for
-    /// every span the page holds, so a twin of a full page is one buffer.
+    /// every unit the page holds, so a twin of a full page is one buffer.
     #[inline]
     pub(crate) fn cover(&mut self, page: &Spans, off: usize, len: usize) {
-        let missing = spans_of(off, len) & !self.held;
+        let missing = self.units_of(off, len) & !self.held;
         if missing != 0 {
             if self.bytes.capacity() == 0 {
                 self.bytes = pool::take(page.bytes_for(page.held | missing));
@@ -271,37 +317,38 @@ impl Spans {
         }
     }
 
-    /// Make every held span a copy of `page`'s (zeros where it holds
+    /// Make every held unit a copy of `page`'s (zeros where it holds
     /// none).
     fn rebase(&mut self, page: &Spans) {
         for k in bits(self.held) {
-            let (at, l) = (self.at(k), self.span_len(k));
+            let (at, l) = (self.at(k), self.unit_len(k));
             let dst = &mut self.bytes[at..at + l];
-            match page.get(k * SPAN, l) {
+            match page.get(k << self.shift, l) {
                 Some(src) => dst.copy_from_slice(src),
                 None => dst.fill(0),
             }
         }
     }
 
-    /// Copy `data` to bytes `off..`, into the spans held only.
+    /// Copy `data` to bytes `off..`, into the units held only.
     pub(crate) fn overlay(&mut self, off: usize, data: &[u8]) {
         let end = off + data.len();
-        for k in bits(spans_of(off, data.len()) & self.held) {
-            let (lo, hi) = (off.max(k * SPAN), end.min(k * SPAN + SPAN));
-            let at = self.at(k) + lo - k * SPAN;
+        for k in bits(self.units_of(off, data.len()) & self.held) {
+            let base = k << self.shift;
+            let (lo, hi) = (off.max(base), end.min(base + self.unit()));
+            let at = self.at(k) + lo - base;
             self.bytes[at..at + hi - lo].copy_from_slice(&data[lo - off..hi - off]);
         }
     }
 
-    /// Lay the held spans over `out`, a page image.
+    /// Lay the held units over `out`, a page image.
     pub(crate) fn write_into(&self, out: &mut [u8]) {
         if self.is_dense() {
             out.copy_from_slice(&self.bytes);
             return;
         }
-        for (k, s) in self.spans() {
-            out[k * SPAN..k * SPAN + s.len()].copy_from_slice(s);
+        for (off, s) in self.runs() {
+            out[off..off + s.len()].copy_from_slice(s);
         }
     }
 
@@ -313,7 +360,7 @@ impl Spans {
     }
 }
 
-/// A page's stable copy as a full-page serve sends it: the twin's spans
+/// A page's stable copy as a full-page serve sends it: the twin's units
 /// laid over the page, or, when one buffer is the whole of it, that slice.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Stable<'a> {
@@ -340,7 +387,7 @@ impl Stable<'_> {
                 let over = twin.map_or(0, Spans::held);
                 twin.is_none_or(|t| is_all_zero(t.held_slice()))
                     && page
-                        .spans()
+                        .units()
                         .all(|(k, s)| over >> k & 1 == 1 || is_all_zero(s))
             }
         }
@@ -407,12 +454,12 @@ pub type Pending = Rc<IntervalRecord>;
 #[derive(Debug)]
 pub struct Page {
     pub state: Access,
-    /// The local copy: the spans this node wrote or received. A resident
+    /// The local copy: the units this node wrote or received. A resident
     /// page, an adopted zero page and an unmapped one hold none.
     pub data: Spans,
-    /// The page as the current interval found it: each span is copied in
+    /// The page as the current interval found it: each unit is copied in
     /// just before the interval's first write to it, so one it does not
-    /// hold reads as `data`. Its spans are always spans `data` holds.
+    /// hold reads as `data`. Its units are always units `data` holds.
     pub twin: Option<Box<Spans>>,
     /// Manager (owner of the authoritative initial copy): the allocating
     /// node.
@@ -456,7 +503,7 @@ impl Page {
     }
 
     /// Bytes `off..off + len` to overwrite in the current interval: the
-    /// twin first copies the spans under them it does not hold.
+    /// twin first copies the units under them it does not hold.
     #[inline]
     pub(crate) fn write(&mut self, off: usize, len: usize) -> &mut [u8] {
         if let Some(twin) = self.twin.as_deref_mut() {
@@ -465,8 +512,8 @@ impl Page {
         self.data.write(off, len)
     }
 
-    /// Apply a fetched diff: to the copy, holding the spans its runs
-    /// reach, and to the spans the twin holds.
+    /// Apply a fetched diff: to the copy, holding the units its runs
+    /// reach, and to the units the twin holds.
     pub(crate) fn apply(&mut self, d: &Diff) {
         d.apply_page(&mut self.data);
         if let Some(twin) = self.twin.as_deref_mut() {
@@ -489,7 +536,7 @@ impl Page {
     }
 
     /// Adopt `image`, a page a peer sent, keeping uncommitted writes: they
-    /// are replayed on it, and the twin takes its bytes for the spans the
+    /// are replayed on it, and the twin takes its bytes for the units the
     /// twin holds. Returns whether there was a twin.
     pub(crate) fn adopt(&mut self, image: Spans) -> bool {
         let old = std::mem::replace(&mut self.data, image);
@@ -505,7 +552,7 @@ impl Page {
         true
     }
 
-    /// The stable copy a full-page serve sends: the twin's spans laid over
+    /// The stable copy a full-page serve sends: the twin's units laid over
     /// the page.
     pub(crate) fn stable(&self) -> Stable<'_> {
         match self.twin.as_deref() {
@@ -594,7 +641,11 @@ mod tests {
         let r = Page::new_resident(4, 2, 4096);
         assert_eq!(r.state, Access::Read);
         assert_eq!(r.data.page_len(), 4096);
-        assert_eq!(r.held_bytes(), HeldBytes::default(), "a resident page holds nothing");
+        assert_eq!(
+            r.held_bytes(),
+            HeldBytes::default(),
+            "a resident page holds nothing"
+        );
     }
 
     #[test]
@@ -656,36 +707,53 @@ mod tests {
     }
 
     #[test]
-    fn a_span_store_holds_what_was_written_in_page_order() {
+    fn a_unit_store_holds_what_was_written_in_page_order() {
         let mut s = Spans::zero(4096);
+        assert_eq!(s.unit(), 64);
         s.write(1024 + 192, 64).fill(3);
         s.write(192, 64).fill(1);
         s.write(3 * 1024 + 192, 64).fill(7);
-        assert_eq!(s.held(), 1 | 1 << 4 | 1 << 12);
-        assert_eq!(s.held_slice().len(), 3 * SPAN);
+        assert_eq!(s.held(), 1 << 3 | 1 << 19 | 1 << 51);
+        assert_eq!(s.held_slice().len(), 3 * 64);
         let mut want = vec![0u8; 4096];
         want[192..256].fill(1);
         want[1024 + 192..1024 + 256].fill(3);
         want[3 * 1024 + 192..3 * 1024 + 256].fill(7);
         assert_eq!(image(&s), want);
-        // A range across two held spans is one slice; one across a hole
+        // A range across two held units is one slice; one across a hole
         // is not.
         s.write(250, 12).fill(9);
         want[250..262].fill(9);
+        assert_eq!(s.held() & 0x18, 0x18);
         assert!(s.get(250, 12).is_some());
         assert!(s.get(1000, 100).is_none());
+        assert_eq!(
+            s.runs().map(|(off, b)| (off, b.len())).collect::<Vec<_>>(),
+            [(192, 128), (1216, 64), (3264, 64)]
+        );
         assert!(!s.is_dense());
         s.whole();
         assert!(s.is_dense());
         assert_eq!(s.held_slice(), &want[..]);
     }
 
+    /// A unit is a 64th of the page, rounded up to a power of two and
+    /// never under 64 bytes; a page's last unit is what the page leaves.
     #[test]
-    fn a_page_shorter_than_a_span_or_ending_inside_one() {
-        for len in [8, 64, 4104] {
+    fn a_page_shorter_than_a_unit_or_ending_inside_one() {
+        for (len, unit) in [
+            (8, 64),
+            (64, 64),
+            (200, 64),
+            (4096, 64),
+            (4104, 128),
+            (8192, 128),
+            (16384, 256),
+        ] {
             let mut s = Spans::zero(len);
+            assert_eq!(s.unit(), unit, "a {len}-byte page");
             s.write(len - 8, 8).fill(5);
-            assert_eq!(s.held_slice().len(), len - (len - 1) / SPAN * SPAN);
+            assert_eq!(s.held_slice().len(), len - (len - 1) / unit * unit);
             let mut want = vec![0u8; len];
             want[len - 8..].fill(5);
             assert_eq!(image(&s), want);
@@ -695,7 +763,9 @@ mod tests {
         }
     }
 
-    const LEN: usize = 4096;
+    /// Page lengths the span-page property runs at: 64-, 128- and
+    /// 256-byte units, and a page whose last unit is short.
+    const LENS: [usize; 4] = [4096, 8192, 16384, 4104];
 
     fn encoded(d: &Diff) -> Vec<u8> {
         let mut w = WireWriter::new();
@@ -714,39 +784,44 @@ mod tests {
     }
 
     proptest! {
-        /// A page copy and twin held span by span behave exactly as whole
+        /// A page copy and twin held unit by unit behave exactly as whole
         /// pages do — the same encoded diffs, the same stable copy, the
         /// same zero-page decision — through partial writes, peers' diffs
         /// (applied to the twin too while writing), zero and full
-        /// adoptions, flushes and serves. Each step is `(kind, a, b, v,
-        /// runs)`: kinds 0–3 write `b` bytes of `v` at `a`, 4–5 apply a
-        /// peer's diff of `runs`, 6 adopts a zero page (`b` even) or a full
-        /// one, 7 flushes, 8 serves. `Diff::create` over whole pages is the
-        /// specification, as `create_scalar` is for `create`.
+        /// adoptions, flushes and serves, at every page length in `LENS`.
+        /// Each step is `(kind, a, b, v, runs)`: kinds 0–3 write `b` bytes
+        /// of `v` at `a`, 4–5 apply a peer's diff of `runs`, 6 adopts a
+        /// zero page (`b` even) or a full one, 7 flushes, 8 serves.
+        /// `Diff::create` over whole pages is the specification, as
+        /// `create_scalar` is for `create`.
         #[test]
         fn a_span_page_matches_a_dense_page(
+            which in 0usize..LENS.len(),
             steps in proptest::collection::vec(
-                (0u8..9, 0usize..LEN, 1usize..600, any::<u8>(),
-                 proptest::collection::vec((0usize..LEN, 1usize..80), 1..6)),
+                (0u8..9, 0usize..MAX_PAGE, 1usize..600, any::<u8>(),
+                 proptest::collection::vec((0usize..MAX_PAGE, 1usize..80), 1..6)),
                 1..40)
         ) {
-            let mut page = Page::new_resident(2, 0, LEN);
-            let (mut model, mut model_twin) = (vec![0u8; LEN], None::<Vec<u8>>);
+            let len = LENS[which];
+            let mut page = Page::new_resident(2, 0, len);
+            let (mut model, mut model_twin) = (vec![0u8; len], None::<Vec<u8>>);
             for (kind, a, b, v, runs) in steps {
+                let a = a % len;
                 match kind {
                     0..=3 => {
-                        let len = b.min(LEN - a);
+                        let n = b.min(len - a);
                         if page.twin.is_none() {
                             page.start_twin();
                             model_twin = Some(model.clone());
                         }
-                        page.write(a, len).fill(v);
-                        model[a..a + len].fill(v);
+                        page.write(a, n).fill(v);
+                        model[a..a + n].fill(v);
                     }
                     4 | 5 => {
                         let mut theirs = model.clone();
-                        for (off, len) in runs {
-                            theirs[off..(off + len).min(LEN)].fill(v);
+                        for (off, n) in runs {
+                            let off = off % len;
+                            theirs[off..(off + n).min(len)].fill(v);
                         }
                         let d = Diff::create(&model, &theirs);
                         page.apply(&d);
@@ -758,11 +833,11 @@ mod tests {
                     6 => {
                         let full = b % 2 == 1;
                         let img: Vec<u8> = if full {
-                            (0..LEN).map(|i| (i as u8).wrapping_mul(v)).collect()
+                            (0..len).map(|i| (i as u8).wrapping_mul(v)).collect()
                         } else {
-                            vec![0; LEN]
+                            vec![0; len]
                         };
-                        let spans = if full { Spans::dense(img.clone()) } else { Spans::zero(LEN) };
+                        let spans = if full { Spans::dense(img.clone()) } else { Spans::zero(len) };
                         prop_assert_eq!(page.adopt(spans), model_twin.is_some());
                         if let Some(t) = model_twin.as_mut() {
                             let own = Diff::create(t, &model);
@@ -787,7 +862,7 @@ mod tests {
                 }
                 prop_assert_eq!(image(&page.data), model.clone());
                 if let Some(t) = page.twin.as_deref() {
-                    prop_assert_eq!(t.held() & !page.data.held(), 0, "a twin span its page lacks");
+                    prop_assert_eq!(t.held() & !page.data.held(), 0, "a twin unit its page lacks");
                 }
             }
         }

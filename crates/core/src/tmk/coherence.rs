@@ -253,7 +253,7 @@ impl<S: Substrate> Tmk<S> {
         (PageRef::Diffs { covered_hi, diffs }, cost)
     }
 
-    /// The stable copy of a page (its twin's spans laid over it while the
+    /// The stable copy of a page (its twin's units laid over it while the
     /// current interval writes it) plus its applied vector, written
     /// straight from the page's buffers. All-zero pages (freshly allocated
     /// memory on first touch) travel as a compact marker.

@@ -271,7 +271,7 @@ impl<S: Substrate> Tmk<S> {
             .map(|rto0| Reliable::new(rto0, sub.params().udp.rto_retries, n));
         assert!(
             page_size.is_multiple_of(8) && page_size <= MAX_PAGE,
-            "page size {page_size}: typed accessors need whole f64s per page, a page's spans one u64"
+            "page size {page_size}: typed accessors need whole f64s per page, a page's units one u64"
         );
         Tmk {
             sub,

@@ -203,7 +203,9 @@ pub(super) const DATA_FIFO_CAP: usize = 128;
 /// duplicate to replay, a smaller one a late duplicate of a completed
 /// request (swallowed, never re-executed: re-running it would queue a
 /// waiter nobody is behind), a larger one new. Idempotent requests share a
-/// FIFO of the responses sent.
+/// FIFO of the responses sent, indexed by key so that a lookup is a binary
+/// search, not a scan of the FIFO. The scan stays as the spec, checked by
+/// `debug_assert!` on every lookup.
 #[derive(Debug)]
 struct ReplayRecords {
     /// `slots[requester][class]`: rid and action of that requester's
@@ -211,6 +213,13 @@ struct ReplayRecords {
     slots: Vec<[Option<(u32, ReplayAction)>; 2]>,
     /// `(from, rid, the response sent)`, oldest first.
     data: VecDeque<(usize, u32, ReplayAction)>,
+    /// `(data_key, push number)` of each record in `data`, sorted by key:
+    /// the record is `data[push - evicted]`. A sorted `Vec` of at most
+    /// [`DATA_FIFO_CAP`] pairs, not a hash table, which an insert and a
+    /// remove per record grow to twice that.
+    index: Vec<(u64, u64)>,
+    /// Records evicted so far: the push number of `data`'s front.
+    evicted: u64,
 }
 
 impl ReplayRecords {
@@ -219,6 +228,8 @@ impl ReplayRecords {
         ReplayRecords {
             slots: vec![[None, None]; n],
             data: VecDeque::new(),
+            index: Vec::with_capacity(DATA_FIFO_CAP),
+            evicted: 0,
         }
     }
 
@@ -233,11 +244,13 @@ impl ReplayRecords {
                     Ordering::Greater => None,
                 }
             }
-            ReplayKey::Data(from, rid) => self
-                .data
-                .iter()
-                .find(|e| e.0 == from && e.1 == rid)
-                .map(|e| e.2.clone()),
+            ReplayKey::Data(from, rid) => {
+                let key = data_key(from, rid);
+                let found = self.index.binary_search_by_key(&key, |e| e.0).ok();
+                let at = found.map(|i| (self.index[i].1 - self.evicted) as usize);
+                debug_assert_eq!(at, self.data.iter().position(|e| e.0 == from && e.1 == rid));
+                at.map(|at| self.data[at].2.clone())
+            }
         }
     }
 
@@ -257,12 +270,26 @@ impl ReplayRecords {
             }
             ReplayKey::Data(from, rid) => {
                 if self.data.len() >= DATA_FIFO_CAP {
-                    self.data.pop_front();
+                    let (f, r, _) = self.data.pop_front().expect("a full FIFO");
+                    let i = self.index.binary_search_by_key(&data_key(f, r), |e| e.0);
+                    self.index.remove(i.expect("every record held is indexed"));
+                    self.evicted += 1;
                 }
+                let push = self.evicted + self.data.len() as u64;
+                let key = data_key(from, rid);
+                let Err(i) = self.index.binary_search_by_key(&key, |e| e.0) else {
+                    panic!("node {from}'s rid {rid} filed twice while held");
+                };
+                self.index.insert(i, (key, push));
                 self.data.push_back((from, rid, action));
             }
         }
     }
+}
+
+/// A data record's key, `(from, rid)`, as one word.
+fn data_key(from: usize, rid: u32) -> u64 {
+    (from as u64) << 32 | u64::from(rid)
 }
 
 impl<S: Substrate> Tmk<S> {
@@ -468,6 +495,49 @@ mod tests {
         assert!(c.lookup(ReplayKey::Data(1, 0)).is_none());
         assert!(c.lookup(ReplayKey::Data(1, 1)).is_some());
         assert!(c.lookup(ReplayKey::Data(1, DATA_FIFO_CAP as u32)).is_some());
+    }
+
+    /// Past capacity, over seven requesters whose rids come out of order
+    /// and repeat (a repeat held is replayed, not filed; one evicted is
+    /// filed again), the index finds exactly what a scan of the FIFO
+    /// finds.
+    #[test]
+    fn lookup_matches_the_scan_past_capacity() {
+        let mut c = ReplayRecords::new(8);
+        let key = |i: u32| ReplayKey::Data(i as usize % 7, i.wrapping_mul(2_654_435_761) % 1_000);
+        let scan = |c: &ReplayRecords, k: ReplayKey| match k {
+            ReplayKey::Data(f, r) => c.data.iter().any(|e| e.0 == f && e.1 == r),
+            ReplayKey::Slot(..) => unreachable!(),
+        };
+        let mut filed = 0;
+        for i in 0..5 * DATA_FIFO_CAP as u32 {
+            if c.lookup(key(i)).is_none() {
+                c.remember(key(i), respond(0, &i.to_le_bytes()));
+                filed += 1;
+            }
+            assert!(c.data.len() <= DATA_FIFO_CAP);
+            if i % 16 == 0 {
+                for j in 0..=i + 3 {
+                    assert_eq!(
+                        c.lookup(key(j)).is_some(),
+                        scan(&c, key(j)),
+                        "after {i}, key {j}"
+                    );
+                }
+            }
+        }
+        assert_eq!(c.data.len(), DATA_FIFO_CAP);
+        assert_eq!(c.index.len(), DATA_FIFO_CAP);
+        assert_eq!(c.evicted, filed - DATA_FIFO_CAP as u64);
+        // Each key finds its own record.
+        let sent = |a: &ReplayAction| match a {
+            ReplayAction::Sent { bytes, .. } => bytes.clone(),
+            ReplayAction::Pending => Vec::new(),
+        };
+        for (f, r, action) in &c.data {
+            let found = c.lookup(ReplayKey::Data(*f, *r)).expect("held");
+            assert_eq!(sent(&found), sent(action));
+        }
     }
 
     #[test]

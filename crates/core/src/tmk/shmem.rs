@@ -139,11 +139,11 @@ impl<S: Substrate> Tmk<S> {
 
     /// Bulk typed read: convert straight from the page bytes into `out`.
     /// Elements are `W`-aligned in a region and `W` divides the page size
-    /// (checked in `Tmk::new`) and the 256-byte span, so none straddles a
-    /// page or a piece `read_span` hands over. The converter is
-    /// a type parameter, not a `fn` pointer: called through a pointer it
-    /// cannot inline, and a row of SOR is a call per element instead of a
-    /// copy.
+    /// (checked in `Tmk::new`) and every unit a page is held in (64 bytes
+    /// or more), so none straddles a page or a piece `read_span` hands
+    /// over. The converter is a type parameter, not a `fn` pointer: called
+    /// through a pointer it cannot inline, and a row of SOR is a call per
+    /// element instead of a copy.
     fn read_elems<T, const W: usize>(
         &mut self,
         id: SharedId,

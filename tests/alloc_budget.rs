@@ -211,13 +211,13 @@ fn polling_a_port_with_unmatched_packets_allocates_nothing() {
     assert!(rx.receive(3).unwrap().is_some(), "the packets were waiting");
 }
 
-/// A page copy and its twin hold the spans written or received, not the
+/// A page copy and its twin hold the units written or received, not the
 /// page: node 1 adopts node 0's fresh page 0 as a `ZeroPage` and holds
 /// nothing for it, then writes the FFT transpose's four 64-byte pieces at a
-/// 1 KiB stride into it and holds four 256-byte spans in the copy and four
-/// in the twin (whole-page copies hold 4 096 + 4 096). Node 0 writes a
-/// red-black sweep over its own page 2, which reaches every span: the whole
-/// page, twice.
+/// 1 KiB stride into it and holds four 64-byte units in the copy and four
+/// in the twin (256-byte diff spans held 1 024 + 1 024, whole-page copies
+/// 4 096 + 4 096). Node 0 writes a red-black sweep over its own page 2,
+/// which reaches every unit: the whole page, twice.
 #[test]
 fn a_page_holds_the_spans_it_wrote_or_received() {
     let params = Arc::new(SimParams::paper_testbed());
@@ -259,7 +259,7 @@ fn a_page_holds_the_spans_it_wrote_or_received() {
         fetched < 256,
         "fetching a zero page requested {fetched} heap bytes"
     );
-    assert_eq!(transpose, held(1024, 1024), "FFT transpose shape");
+    assert_eq!(transpose, held(256, 256), "FFT transpose shape");
     assert_eq!(out[0].result, [(0, held(4096, 4096))], "red-black page");
 }
 
@@ -267,9 +267,10 @@ fn a_page_holds_the_spans_it_wrote_or_received() {
 /// node leaves the barrier that ends FFT 64³'s transpose over UDP/GM —
 /// page copies, twins (none: the barrier flushed them), retained diffs.
 /// Every node has written four 64-byte pieces into each of array B's 1 024
-/// pages and holds a span of each piece: 16 × 1 024 × 1 KiB, plus its own
-/// 64 pages of array A. With whole-page copies the same snapshot reads
-/// 75 239 424 bytes of pages.
+/// pages and holds exactly those pieces, one 64-byte unit each: 16 × 1 024
+/// × 256 bytes, plus its own 64 pages of array A. Held in 256-byte diff
+/// spans the same snapshot reads 20 971 520 bytes of pages; held as whole
+/// pages, 75 239 424.
 #[test]
 fn fft_transpose_holds_its_spans_not_its_pages() {
     let cfg = FftConfig::new(64);
@@ -285,7 +286,7 @@ fn fft_transpose_holds_its_spans_not_its_pages() {
     assert_eq!(
         cluster,
         HeldBytes {
-            pages: 20 * 1024 * 1024,
+            pages: 8 * 1024 * 1024,
             twins: 0,
             diffs: 13_115_756,
         }
