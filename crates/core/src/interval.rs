@@ -9,8 +9,11 @@
 //!
 //! A record is immutable and shared: it is built once — by the writer when
 //! it closes the interval, by everyone else when a message naming it is
-//! decoded — behind an [`Rc`], and the log, a barrier stash, a message being
-//! assembled and every page the record invalidates hold that one object.
+//! decoded — behind an [`Rc`], and the log, a barrier stash and a message
+//! being assembled hold that one object. A page it invalidates keeps no
+//! handle: it raises what it owes the writer. What a fault needs of the
+//! record later — the order to apply its diff in — is its `Σvc`, which the
+//! log keeps per interval after the record itself is trimmed.
 
 use std::rc::Rc;
 
@@ -45,18 +48,6 @@ impl IntervalRecord {
             vc,
             pages,
         })
-    }
-
-    /// A stand-in for interval `seq` of `node` that names no page: what a
-    /// page queues for a diff it is owed without having been told of it (a
-    /// full-page adoption that regressed an axis, a diff returned ahead of
-    /// its notice). Its synthetic vector time — `seq` on the writer's own
-    /// axis, nothing else — sorts it before anything that causally follows
-    /// the real interval.
-    pub fn repair(nprocs: usize, node: u16, seq: u32) -> Rc<Self> {
-        let mut vc = VectorClock::new(nprocs);
-        vc.set(node as usize, seq);
-        Self::new(node, seq, vc, Vec::new())
     }
 
     /// The pages written, ascending.
@@ -99,16 +90,6 @@ impl IntervalRecord {
     }
 }
 
-/// Put `items` in an order in which nothing comes before an item whose
-/// record's vector time it strictly dominates — the order a page applies
-/// its fetched diffs in. One stable sort by [`VectorClock::sum`]: a strictly
-/// dominated clock has the smaller sum, so the order extends happens-before,
-/// and equal sums keep their input order. Concurrent writers touch disjoint
-/// words in a race-free program, so which extension it is does not matter.
-pub fn causal_order<T>(items: &mut [T], record: impl Fn(&T) -> &IntervalRecord) {
-    items.sort_by_cached_key(|x| record(x).vc.sum());
-}
-
 /// Encode a batch of records (u32 count prefix).
 pub fn encode_records(records: &[Rc<IntervalRecord>], w: &mut WireWriter) {
     w.u32(records.len() as u32);
@@ -127,29 +108,63 @@ pub fn decode_records(r: &mut WireReader) -> Option<Vec<Rc<IntervalRecord>>> {
 }
 
 /// A node's log of interval records — everything it knows about everyone,
-/// kept so it can forward the right subset at the next grant or barrier.
+/// kept so it can forward the right subset at the next grant or barrier —
+/// and the `Σvc` of every interval it ever learned, which orders fetched
+/// diffs.
 #[derive(Debug, Default)]
 pub struct IntervalLog {
     /// Per source node, records sorted by `seq`.
     by_node: Vec<Vec<Rc<IntervalRecord>>>,
+    /// Per source node, each interval's [`VectorClock::sum`], indexed by
+    /// seq (0 where none is known). Never trimmed: a page can owe a diff
+    /// long after the barrier trimmed its record.
+    sums: Vec<Vec<u64>>,
 }
 
 impl IntervalLog {
     pub fn new(nprocs: usize) -> Self {
         IntervalLog {
             by_node: vec![Vec::new(); nprocs],
+            sums: vec![Vec::new(); nprocs],
         }
     }
 
     /// Insert a record if not already present. Returns true if new.
     pub fn insert(&mut self, rec: Rc<IntervalRecord>) -> bool {
-        let list = &mut self.by_node[rec.node as usize];
+        let (node, seq) = (rec.node as usize, rec.seq as usize);
+        let list = &mut self.by_node[node];
         match list.binary_search_by_key(&rec.seq, |r| r.seq) {
             Ok(_) => false,
             Err(pos) => {
+                let sums = &mut self.sums[node];
+                if sums.len() <= seq {
+                    sums.resize(seq + 1, 0);
+                }
+                sums[seq] = rec.vc.sum();
                 list.insert(pos, rec);
                 true
             }
+        }
+    }
+
+    /// Put `items` — `(writer, seq, _)`, one per interval — in an order in
+    /// which nothing comes before an item whose interval's vector time it
+    /// strictly dominates: the order a page applies its fetched diffs in.
+    /// One stable sort by `Σvc`: a strictly dominated clock has the smaller
+    /// sum, so the order extends happens-before, and equal sums keep their
+    /// input order. Concurrent writers touch disjoint words in a race-free
+    /// program, so which extension it is does not matter. An interval this
+    /// node never learned of (a full page it adopted had applied it) sorts
+    /// by its seq, as a clock with nothing but `seq` on its writer's axis
+    /// would: before anything that causally follows it.
+    pub(crate) fn causal_order<T>(&self, items: &mut [(u16, u32, T)]) {
+        items.sort_by_key(|&(w, seq, _)| self.sum_of(w, seq));
+    }
+
+    fn sum_of(&self, node: u16, seq: u32) -> u64 {
+        match self.sums[node as usize].get(seq as usize) {
+            Some(&sum) if sum > 0 => sum,
+            _ => u64::from(seq),
         }
     }
 
@@ -188,6 +203,8 @@ impl IntervalLog {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use proptest::prelude::*;
 
@@ -307,14 +324,15 @@ mod tests {
     }
 
     /// Strictly below in the happens-before order.
-    fn before(a: &IntervalRecord, b: &IntervalRecord) -> bool {
-        a.vc.dominated_by(&b.vc) && a.vc != b.vc
+    fn before(a: &VectorClock, b: &VectorClock) -> bool {
+        a.dominated_by(b) && a != b
     }
 
     proptest! {
-        /// Over random clocks, repair stand-ins among them: nothing comes
-        /// before a record it strictly dominates, and equal sums keep their
-        /// input order.
+        /// Over random clocks, some of them intervals the log never learned
+        /// of (whose clock is taken to be `seq` on the writer's axis and
+        /// nothing else): nothing comes before an item it strictly
+        /// dominates, and equal sums keep their input order.
         #[test]
         fn causal_order_extends_happens_before(
             shapes in proptest::collection::vec(
@@ -324,25 +342,31 @@ mod tests {
                 1..48,
             )
         ) {
-            let mut items: Vec<(usize, Rc<IntervalRecord>)> = shapes
-                .into_iter()
-                .map(|(axes, node, repair)| {
-                    let seq = axes[node as usize];
-                    if repair {
-                        IntervalRecord::repair(4, node, seq)
-                    } else {
-                        let mut vc = VectorClock::new(4);
+            let mut log = IntervalLog::new(4);
+            // An interval's clock is the one it first appeared with.
+            let mut clocks: HashMap<(u16, u32), VectorClock> = HashMap::new();
+            let mut items: Vec<(u16, u32, usize)> = Vec::new();
+            for (at, (axes, node, known)) in shapes.into_iter().enumerate() {
+                let seq = axes[node as usize];
+                clocks.entry((node, seq)).or_insert_with(|| {
+                    let mut vc = VectorClock::new(4);
+                    if known {
                         axes.iter().enumerate().for_each(|(p, &x)| vc.set(p, x));
-                        IntervalRecord::new(node, seq, vc, Vec::new())
+                        log.insert(IntervalRecord::new(node, seq, vc.clone(), Vec::new()));
+                    } else {
+                        vc.set(node as usize, seq);
                     }
-                })
-                .enumerate()
-                .collect();
-            causal_order(&mut items, |(_, r)| r);
-            for (i, (at, a)) in items.iter().enumerate() {
-                for (later, b) in &items[i + 1..] {
+                    vc
+                });
+                items.push((node, seq, at));
+            }
+            log.causal_order(&mut items);
+            for (i, &(wa, sa, at)) in items.iter().enumerate() {
+                let a = &clocks[&(wa, sa)];
+                for &(wb, sb, later) in &items[i + 1..] {
+                    let b = &clocks[&(wb, sb)];
                     prop_assert!(!before(b, a), "{b:?} follows {a:?}");
-                    if a.vc.sum() == b.vc.sum() {
+                    if a.sum() == b.sum() {
                         prop_assert!(at < later, "equal sums reordered");
                     }
                 }
@@ -364,33 +388,34 @@ mod tests {
             edit(&mut page);
             Diff::create(&[0u8; 4096], &page)
         };
-        let mut concurrent: Vec<(Rc<IntervalRecord>, Diff)> = (1..N as u16)
+        let mut log = IntervalLog::new(N);
+        let mut concurrent: Vec<(u16, u32, Diff)> = (1..N as u16)
             .map(|w| {
                 let mut vc = barrier.clone();
                 vc.tick(w as usize);
-                let d = words(&|p| p[w as usize * 4] = w as u8);
-                (IntervalRecord::new(w, 1, vc, vec![0]), d)
+                log.insert(IntervalRecord::new(w, 1, vc, vec![0]));
+                (w, 1, words(&|p| p[w as usize * 4] = w as u8))
             })
             .collect();
-        causal_order(&mut concurrent, |(r, _)| r);
-        let order: Vec<u16> = concurrent.iter().map(|(r, _)| r.node).collect();
+        log.causal_order(&mut concurrent);
+        let order: Vec<u16> = concurrent.iter().map(|&(w, _, _)| w).collect();
         assert_eq!(order, (1..N as u16).collect::<Vec<_>>());
         let mut page = vec![0u8; 4096];
-        concurrent.iter().for_each(|(_, d)| d.apply(&mut page));
+        concurrent.iter().for_each(|(_, _, d)| d.apply(&mut page));
         assert!((1..N).all(|w| page[w * 4] == w as u8));
 
-        let mut vc = barrier;
-        let mut chain: Vec<(Rc<IntervalRecord>, Diff)> = (1..N as u16)
+        let (mut log, mut vc) = (IntervalLog::new(N), barrier);
+        let mut chain: Vec<(u16, u32, Diff)> = (1..N as u16)
             .map(|w| {
                 vc.tick(w as usize);
-                let d = words(&|p| p[0] = w as u8);
-                (IntervalRecord::new(w, 1, vc.clone(), vec![0]), d)
+                log.insert(IntervalRecord::new(w, 1, vc.clone(), vec![0]));
+                (w, 1, words(&|p| p[0] = w as u8))
             })
             .collect();
         chain.reverse();
-        causal_order(&mut chain, |(r, _)| r);
+        log.causal_order(&mut chain);
         let mut page = vec![0u8; 4096];
-        chain.iter().for_each(|(_, d)| d.apply(&mut page));
+        chain.iter().for_each(|(_, _, d)| d.apply(&mut page));
         assert_eq!(page[0], N as u8 - 1);
     }
 

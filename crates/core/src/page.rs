@@ -1,5 +1,10 @@
 //! Per-page state: the access state machine, the page copy and its twin,
-//! pending write notices, retained diffs.
+//! what the page is owed, retained diffs.
+//!
+//! A page owes each writer a range of intervals: it applied writer `w`'s
+//! diffs up to `applied[w]` and was told of `w`'s writes up to `owed[w]`,
+//! and a fault asks `w` for `applied[w] + 1 ..= owed[w]`. The notices
+//! themselves are not kept; the log orders what a fetch returns.
 //!
 //! A page copy and its twin are [`Spans`]: they hold only the units of the
 //! page a node wrote or received. A unit is a 64th of the page, rounded up
@@ -12,10 +17,9 @@
 //! holding every unit is its bytes in page order — one slice, which every
 //! hot path uses as it is.
 
-use std::rc::Rc;
+use std::ops::RangeInclusive;
 
 use crate::diff::{is_all_zero, Diff};
-use crate::interval::IntervalRecord;
 use crate::wire::pool;
 
 /// Global page number within the shared address space.
@@ -432,8 +436,8 @@ pub enum Access {
     /// No local copy has ever been valid: first access fetches the whole
     /// page from its manager.
     Unmapped,
-    /// Local copy exists but write notices are pending: access faults and
-    /// fetches diffs.
+    /// Local copy exists but the page is owed diffs: access faults and
+    /// fetches them.
     Invalid,
     /// Clean, readable copy.
     Read,
@@ -443,12 +447,6 @@ pub enum Access {
     /// sharing): access fetches diffs, applying them to page and twin.
     WriteInvalid,
 }
-
-/// A pending (not yet applied) write notice for this page: a handle to the
-/// writing interval's record, the same object every other page that interval
-/// wrote holds, whose vector time orders the diffs causally at apply time. A
-/// notice a page queues for itself is an [`IntervalRecord::repair`].
-pub type Pending = Rc<IntervalRecord>;
 
 /// One shared page's local bookkeeping.
 #[derive(Debug)]
@@ -466,10 +464,13 @@ pub struct Page {
     pub manager: u16,
     /// Highest interval seq per writer whose diff is incorporated locally.
     pub applied: Vec<u32>,
-    /// Write notices awaiting diff fetch, sorted by (node, seq).
-    pub pending: Vec<Pending>,
+    /// Highest interval seq per writer this page was told wrote it: the
+    /// page owes writer `w` its diffs `applied[w] + 1 ..= owed[w]`.
+    pub(crate) owed: Vec<u32>,
     /// Diffs this node created for this page: (seq, diff), newest last.
     pub my_diffs: Vec<(u32, Diff)>,
+    /// The highest seq [`trim_diffs`](Self::trim_diffs) dropped.
+    pub(crate) trimmed: u32,
     /// The current interval overwrote the whole page without fetching its
     /// old content: the flush must emit a full-page diff so readers that
     /// causally order our diff last see every word we wrote.
@@ -484,8 +485,9 @@ impl Page {
             twin: None,
             manager,
             applied: vec![0; nprocs],
-            pending: Vec::new(),
+            owed: vec![0; nprocs],
             my_diffs: Vec::new(),
+            trimmed: 0,
             force_full_diff: false,
         }
     }
@@ -574,17 +576,16 @@ impl Page {
         }
     }
 
-    /// Record an incoming write notice. Ignores notices already applied or
-    /// already pending. Transitions the access state.
-    pub fn add_notice(&mut self, rec: &Pending) {
-        if self.applied[rec.node as usize] >= rec.seq {
+    /// Record a write notice: interval `seq` of `writer` wrote this page.
+    /// Raises what the page owes `writer`; a notice at or below what it
+    /// applied or already owes changes nothing. Transitions the access
+    /// state.
+    pub fn add_notice(&mut self, writer: u16, seq: u32) {
+        let w = writer as usize;
+        if seq <= self.applied[w].max(self.owed[w]) {
             return;
         }
-        let key = (rec.node, rec.seq);
-        let Err(at) = self.pending.binary_search_by_key(&key, |p| (p.node, p.seq)) else {
-            return;
-        };
-        self.pending.insert(at, Rc::clone(rec));
+        self.owed[w] = seq;
         self.state = match self.state {
             Access::Unmapped => Access::Unmapped,
             Access::Write | Access::WriteInvalid => Access::WriteInvalid,
@@ -592,10 +593,45 @@ impl Page {
         };
     }
 
-    /// Mark a pending notice applied.
-    pub fn applied_notice(&mut self, node: u16, seq: u32) {
-        self.applied[node as usize] = self.applied[node as usize].max(seq);
-        self.pending.retain(|p| !(p.node == node && p.seq <= seq));
+    /// The seqs the page owes `writer`; empty when it owes none.
+    pub(crate) fn owed_of(&self, writer: u16) -> RangeInclusive<u32> {
+        self.applied[writer as usize] + 1..=self.owed[writer as usize]
+    }
+
+    /// The page is still owed some writer's diffs.
+    pub(crate) fn owes(&self) -> bool {
+        self.owing().next().is_some()
+    }
+
+    /// Each writer the page owes diffs, ascending, as `(writer, lo, hi)`.
+    pub(crate) fn owing(&self) -> impl Iterator<Item = (u16, u32, u32)> + '_ {
+        let seqs = self.applied.iter().zip(&self.owed).enumerate();
+        seqs.filter(|(_, (a, o))| o > a)
+            .map(|(w, (&a, &o))| (w as u16, a + 1, o))
+    }
+
+    /// Take `applied`, a full page's, as what this copy incorporates, and
+    /// return the old one. A writer it sets back stays owed up to where
+    /// the page had applied.
+    pub(crate) fn adopt_applied(&mut self, applied: Vec<u32>) -> Vec<u32> {
+        let old = std::mem::replace(&mut self.applied, applied);
+        for (o, &was) in self.owed.iter_mut().zip(&old) {
+            *o = (*o).max(was);
+        }
+        old
+    }
+
+    /// Mark `writer`'s intervals up to `seq` applied.
+    pub fn applied_notice(&mut self, writer: u16, seq: u32) {
+        let a = &mut self.applied[writer as usize];
+        *a = (*a).max(seq);
+    }
+
+    /// Mark everything owed applied without fetching it.
+    pub(crate) fn waive_owed(&mut self) {
+        for (a, &o) in self.applied.iter_mut().zip(&self.owed) {
+            *a = (*a).max(o);
+        }
     }
 
     /// Retain only the most recent `keep` diffs; older requests are served
@@ -603,19 +639,17 @@ impl Page {
     pub fn trim_diffs(&mut self, keep: usize) {
         if self.my_diffs.len() > keep {
             let cut = self.my_diffs.len() - keep;
+            self.trimmed = self.my_diffs[cut - 1].0;
             self.my_diffs.drain(..cut);
         }
     }
 
     /// Diffs with `lo <= seq <= hi`, borrowed (no per-diff clone), or
-    /// `None` if any in that range was already garbage collected.
-    /// `my_diffs` is sorted by seq (appended monotonically), so the answer
-    /// is a contiguous slice.
+    /// `None` when `lo` is at or below a trimmed seq: the requester may be
+    /// owed a diff that is gone. `my_diffs` is sorted by seq (appended
+    /// monotonically), so the answer is a contiguous slice.
     pub fn diffs_range(&self, lo: u32, hi: u32) -> Option<&[(u32, Diff)]> {
-        if self.my_diffs.is_empty() {
-            return if lo > hi { Some(&[]) } else { None };
-        }
-        if self.my_diffs[0].0 > lo {
+        if lo <= self.trimmed {
             return None;
         }
         let a = self.my_diffs.partition_point(|(s, _)| *s < lo);
@@ -626,13 +660,11 @@ impl Page {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::wire::WireWriter;
     use proptest::prelude::*;
-
-    fn notice(p: &mut Page, node: u16, seq: u32) {
-        p.add_notice(&IntervalRecord::repair(4, node, seq));
-    }
 
     #[test]
     fn fresh_pages() {
@@ -651,14 +683,14 @@ mod tests {
     #[test]
     fn notice_transitions() {
         let mut p = Page::new_resident(2, 0, 64);
-        notice(&mut p, 1, 1);
+        p.add_notice(1, 1);
         assert_eq!(p.state, Access::Invalid);
-        assert_eq!(p.pending.len(), 1);
+        assert_eq!(p.owing().collect::<Vec<_>>(), [(1, 1, 1)]);
         // Dirty page + notice = WriteInvalid (false-sharing case).
         let mut q = Page::new_resident(2, 0, 64);
         q.start_twin();
         q.state = Access::Write;
-        notice(&mut q, 1, 1);
+        q.add_notice(1, 1);
         assert_eq!(q.state, Access::WriteInvalid);
     }
 
@@ -666,21 +698,24 @@ mod tests {
     fn duplicate_and_stale_notices_ignored() {
         let mut p = Page::new_resident(2, 0, 64);
         p.applied[1] = 5;
-        notice(&mut p, 1, 4); // stale
-        assert!(p.pending.is_empty());
+        p.add_notice(1, 4); // stale
+        assert!(!p.owes());
         assert_eq!(p.state, Access::Read);
-        notice(&mut p, 1, 6);
-        notice(&mut p, 1, 6); // duplicate
-        assert_eq!(p.pending.len(), 1);
+        p.add_notice(1, 6);
+        p.add_notice(1, 6); // duplicate
+        assert_eq!(p.owing().collect::<Vec<_>>(), [(1, 6, 6)]);
     }
 
     #[test]
-    fn applied_notice_clears_pending() {
+    fn applied_notice_settles_what_is_owed() {
         let mut p = Page::new_resident(2, 0, 64);
-        notice(&mut p, 1, 1);
-        notice(&mut p, 1, 2);
+        p.add_notice(1, 1);
+        p.add_notice(1, 2);
+        assert_eq!(p.owing().collect::<Vec<_>>(), [(1, 1, 2)]);
+        p.applied_notice(1, 1);
+        assert_eq!(p.owing().collect::<Vec<_>>(), [(1, 2, 2)]);
         p.applied_notice(1, 2);
-        assert!(p.pending.is_empty());
+        assert!(!p.owes());
         assert_eq!(p.applied[1], 2);
     }
 
@@ -692,9 +727,26 @@ mod tests {
         }
         assert!(p.diffs_range(2, 4).is_some_and(|v| v.len() == 3));
         p.trim_diffs(2); // keeps seq 4, 5
+        assert_eq!(p.trimmed, 3);
         assert!(p.diffs_range(2, 4).is_none(), "gc'd range must signal None");
         assert!(p.diffs_range(4, 5).is_some_and(|v| v.len() == 2));
         assert!(p.diffs_range(5, 4).is_some_and(|v| v.is_empty()));
+    }
+
+    /// A fetch asks from just above what the requester settled, so its
+    /// `lo` can name a seq at which the writer never wrote this page: only
+    /// a seq `trim_diffs` dropped turns the answer into a full page.
+    #[test]
+    fn diffs_range_answers_none_only_at_or_below_what_was_trimmed() {
+        let mut p = Page::new_resident(2, 0, 8);
+        p.my_diffs.push((3, Diff::empty()));
+        p.my_diffs.push((5, Diff::empty()));
+        let seqs =
+            |r: Option<&[(u32, Diff)]>| r.map(|v| v.iter().map(|(s, _)| *s).collect::<Vec<_>>());
+        assert_eq!(seqs(p.diffs_range(1, 5)), Some(vec![3, 5]));
+        p.trim_diffs(1);
+        assert_eq!(seqs(p.diffs_range(3, 5)), None);
+        assert_eq!(seqs(p.diffs_range(4, 5)), Some(vec![5]));
     }
 
     /// The whole page as a reader sees it.
@@ -784,6 +836,86 @@ mod tests {
     }
 
     proptest! {
+        /// The owed ledger against a specification that keeps every
+        /// pending notice as a `(writer, seq)` set. Each step is `(kind,
+        /// writer, seq)`: 0–2 notice, 3 applies the writer's diffs up to
+        /// `seq` (the page is readable once nothing is owed), 4 adopts a
+        /// full page that applied the writer up to `seq` — an axis set
+        /// back is owed again up to where it was — and 5 overwrites the
+        /// whole page. For each writer `owing()`'s `hi` is the set's
+        /// highest seq and every pending seq lies in its range; the access
+        /// state moves as the set's does, a notice moving it when the set
+        /// takes it in.
+        #[test]
+        fn the_owed_ledger_matches_a_set_of_pending_notices(
+            unmapped in any::<bool>(),
+            steps in proptest::collection::vec((0u8..6, 0u16..4, 0u32..12), 1..60)
+        ) {
+            let mut page = if unmapped { Page::new(4, 0, 64) } else { Page::new_resident(4, 0, 64) };
+            let (mut state, mut applied) = (page.state, vec![0u32; 4]);
+            let mut pending: BTreeSet<(u16, u32)> = BTreeSet::new();
+            for (kind, w, seq) in steps {
+                let wi = w as usize;
+                match kind {
+                    0..=2 => {
+                        page.add_notice(w, seq);
+                        if seq > applied[wi] && pending.insert((w, seq)) {
+                            state = match state {
+                                Access::Unmapped => Access::Unmapped,
+                                Access::Write | Access::WriteInvalid => Access::WriteInvalid,
+                                _ => Access::Invalid,
+                            };
+                        }
+                    }
+                    3 => {
+                        page.applied_notice(w, seq);
+                        applied[wi] = applied[wi].max(seq);
+                        pending.retain(|&(n, s)| n != w || s > seq);
+                        if !page.owes() {
+                            page.state = Access::Read;
+                        }
+                        if pending.is_empty() {
+                            state = Access::Read;
+                        }
+                    }
+                    4 => {
+                        let mut full = page.applied.clone();
+                        full[wi] = seq;
+                        let old = page.adopt_applied(full);
+                        prop_assert_eq!(old[wi], applied[wi]);
+                        pending.extend((seq + 1..=applied[wi]).map(|s| (w, s)));
+                        applied[wi] = seq;
+                        pending.retain(|&(n, s)| s > applied[n as usize]);
+                        page.state = if page.owes() { Access::Invalid } else { Access::Read };
+                        state = if pending.is_empty() { Access::Read } else { Access::Invalid };
+                    }
+                    _ => {
+                        page.waive_owed();
+                        for &(n, s) in &pending {
+                            applied[n as usize] = applied[n as usize].max(s);
+                        }
+                        pending.clear();
+                        page.state = Access::Write;
+                        state = Access::Write;
+                    }
+                }
+                prop_assert_eq!(page.state, state);
+                prop_assert_eq!(&page.applied, &applied);
+                prop_assert_eq!(page.owes(), !pending.is_empty());
+                let owing: Vec<(u16, u32, u32)> = page.owing().collect();
+                for n in 0..4u16 {
+                    let seqs: Vec<u32> = pending.iter().filter(|p| p.0 == n).map(|p| p.1).collect();
+                    match owing.iter().find(|o| o.0 == n) {
+                        Some(&(_, lo, hi)) => {
+                            prop_assert_eq!(Some(&hi), seqs.last(), "writer {}", n);
+                            prop_assert!(seqs.iter().all(|s| (lo..=hi).contains(s)));
+                        }
+                        None => prop_assert!(seqs.is_empty(), "writer {} owes {:?}", n, seqs),
+                    }
+                }
+            }
+        }
+
         /// A page copy and twin held unit by unit behave exactly as whole
         /// pages do — the same encoded diffs, the same stable copy, the
         /// same zero-page decision — through partial writes, peers' diffs

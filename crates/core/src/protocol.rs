@@ -129,9 +129,10 @@ pub enum Response {
     NoticeAck { barrier: u32 },
 }
 
-/// One page's slice of a [`Response::MultiDiffs`]. Mirrors the
-/// single-page response vocabulary: diffs when the range is retained,
-/// full/zero page when GC already folded it away.
+/// One page's answer to a fetch: an entry of a [`Response::MultiDiffs`],
+/// or a single-page answer as `Response::for_each_page` hands it on.
+/// Diffs when the range is retained, the full or zero page when GC already
+/// folded it away.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PageDiffs {
     /// Same semantics as [`Response::Diffs`] for this page.
@@ -499,6 +500,27 @@ impl Response {
             Response::NoticeAck { barrier } => {
                 w.u32(rid).u8(8).u32(*barrier);
             }
+        }
+    }
+
+    /// Hand each page this fetch answer carries to `f` as a [`PageDiffs`]:
+    /// the one page of a `Diffs`, `FullPage` or `ZeroPage`, every entry of
+    /// a `MultiDiffs`. Panics on any other response.
+    pub(crate) fn for_each_page(self, mut f: impl FnMut(PageId, PageDiffs)) {
+        match self {
+            Response::Diffs {
+                page,
+                covered_hi,
+                diffs,
+            } => f(page, PageDiffs::Diffs { covered_hi, diffs }),
+            Response::FullPage {
+                page,
+                applied,
+                data,
+            } => f(page, PageDiffs::Full { applied, data }),
+            Response::ZeroPage { page, applied } => f(page, PageDiffs::Zero { applied }),
+            Response::MultiDiffs { pages } => pages.into_iter().for_each(|(page, pd)| f(page, pd)),
+            other => panic!("expected a page or its diffs, got {other:?}"),
         }
     }
 

@@ -15,8 +15,8 @@ use tm_sim::Ns;
 use super::rpc::UNANSWERED;
 use super::{DiffFetch, Tmk, TmkEvent};
 use crate::diff::Diff;
-use crate::interval::{causal_order, IntervalRecord};
-use crate::page::{Access, HeldBytes, Page, PageId, Pending, Spans};
+use crate::interval::IntervalRecord;
+use crate::page::{Access, HeldBytes, Page, PageId, Spans};
 use crate::protocol::{begin_multi_diffs, chunk_diffs, PageDiffs, PageRef, Request, Response};
 use crate::substrate::Substrate;
 use crate::vc::VectorClock;
@@ -25,12 +25,12 @@ use crate::wire::WireWriter;
 /// Per-page bookkeeping for one (possibly multi-page) diff fetch.
 struct PageFetchState {
     pid: PageId,
-    /// `(pending, diff)` pairs gathered so far, applied in causal order
-    /// once nothing is owed.
-    collected: Vec<(Pending, Diff)>,
-    /// Per-writer seq ceiling already settled by responses: pending
-    /// entries at or below it that produced no diff never wrote this
-    /// page (speculative repair ranges) and are dropped.
+    /// `(writer, seq, diff)` gathered so far, applied in causal order once
+    /// nothing is owed.
+    collected: Vec<(u16, u32, Diff)>,
+    /// Per-writer seq ceiling already settled by responses: every diff up
+    /// to it is collected, and an owed seq at or below it that produced no
+    /// diff never wrote this page.
     covered: Vec<(u16, u32)>,
 }
 
@@ -43,12 +43,13 @@ type WriterNeed = (u16, Vec<(PageId, u32, u32)>);
 /// returned. Inert when `cfg.prefetch_depth == 0` (the default) — the
 /// detector is never consulted and nothing is ever issued.
 ///
-/// LRC-safety: a volley only ever asks a writer for seqs that were
-/// *pending on the page at issue time*, and its payload is staged — at
-/// consumption the staged diffs are filtered against the page's *current*
-/// pending set, so a page whose coverage moved on (a full-page adoption, a
-/// repair notice) simply ignores the stale speculation. Speculation can
-/// waste messages; it can never weaken what a fault applies.
+/// LRC-safety: a volley asks each writer for what the page owed it at
+/// issue, and its payload is staged until the page faults. The fault folds
+/// it in as it does a demand answer, using only the diffs the page *then*
+/// owes; a payload is dropped whole if the page now owes that writer seqs
+/// below the volley's `lo` (a full-page adoption set its applied seq
+/// back). Speculation can waste messages; it can never weaken what a fault
+/// applies.
 #[derive(Default)]
 pub(super) struct Prefetcher {
     /// Last faulting page, previous inter-fault stride, and how many
@@ -59,8 +60,8 @@ pub(super) struct Prefetcher {
     /// Issued, uncollected speculative volleys.
     volleys: Vec<PrefetchVolley>,
     /// Collected speculative payloads awaiting the fault that wants them:
-    /// `(page, writer, payload)`.
-    staged: Vec<(PageId, u16, StagedPage)>,
+    /// `(page, writer, the volley's lo for the page, payload)`.
+    staged: Vec<(PageId, u16, u32, PageDiffs)>,
 }
 
 /// One speculative request to one writer: the rid to collect and the
@@ -71,41 +72,27 @@ struct PrefetchVolley {
     pages: Vec<(PageId, u32, u32)>,
 }
 
-/// A prefetched per-page payload parked until its page faults. Mirrors
-/// the fetch-response vocabulary; `Diffs` keeps the issue-time `lo` so a
-/// repair pending queued *below* it since issue blocks the stale ceiling
-/// from settling anything.
-enum StagedPage {
-    Diffs {
-        lo: u32,
-        covered_hi: u32,
-        diffs: Vec<(u32, Diff)>,
-    },
-    Full {
-        applied: Vec<u32>,
-        data: Vec<u8>,
-    },
-    Zero {
-        applied: Vec<u32>,
-    },
-}
-
-/// Add `p`, a notice pending on `pid`, to what its writer owes: writers in
-/// first-owed order, each page once, its `(lo, hi)` widened to cover `p`.
-fn owe(need: &mut Vec<WriterNeed>, pid: PageId, p: &Pending) {
-    let pages = match need.iter().position(|(n, _)| *n == p.node) {
-        Some(i) => &mut need[i].1,
+/// Add `writer`'s owed `range` of one page to a round's needs: writers in
+/// first-owed order, each with its pages in the order they came.
+fn owe(need: &mut Vec<WriterNeed>, writer: u16, range: (PageId, u32, u32)) {
+    let i = match need.iter().position(|(w, _)| *w == writer) {
+        Some(i) => i,
         None => {
-            need.push((p.node, Vec::new()));
-            &mut need.last_mut().expect("just pushed").1
+            need.push((writer, Vec::new()));
+            need.len() - 1
         }
     };
-    match pages.iter_mut().find(|(q, _, _)| *q == pid) {
-        Some((_, lo, hi)) => {
-            *lo = (*lo).min(p.seq);
-            *hi = (*hi).max(p.seq);
-        }
-        None => pages.push((pid, p.seq, p.seq)),
+    need[i].1.push(range);
+}
+
+/// A diff request for one writer's owed pages: one page alone, or several
+/// coalesced.
+fn diff_request(pages: &[(PageId, u32, u32)]) -> Request {
+    match *pages {
+        [(page, lo, hi)] => Request::Diff { page, lo, hi },
+        _ => Request::MultiDiff {
+            pages: pages.to_vec(),
+        },
     }
 }
 
@@ -175,8 +162,8 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Incorporate interval records learned from a grant or release:
-    /// insert into the log and invalidate the named pages. The log and
-    /// every invalidated page end up holding the handle that came in.
+    /// insert into the log and invalidate the named pages. The log keeps
+    /// the handle that came in; a page only raises what it owes.
     pub(super) fn apply_records(&mut self, records: Vec<Rc<IntervalRecord>>) -> Ns {
         let mut fresh: Vec<Rc<IntervalRecord>> = Vec::with_capacity(records.len());
         for rec in records {
@@ -209,7 +196,7 @@ impl<S: Substrate> Tmk<S> {
             for &pid in rec.pages() {
                 let page = &mut self.pages[pid as usize];
                 let before = page.state;
-                page.add_notice(rec);
+                page.add_notice(rec.node, rec.seq);
                 if page.state != before {
                     cost += mprotect;
                 }
@@ -335,24 +322,27 @@ impl<S: Substrate> Tmk<S> {
     }
 
     fn read_fault(&mut self, pid: PageId) {
-        match self.pages[pid as usize].state {
-            Access::Read | Access::Write => {}
-            Access::Unmapped => {
-                let fault = self.sub.params().dsm.page_fault;
-                self.clock().borrow_mut().advance(fault);
-                self.clock().borrow_mut().stats.page_faults += 1;
-                self.prefetch_note_fault(pid);
-                self.fetch_page(pid);
-                self.fetch_pending_diffs(pid);
-            }
-            Access::Invalid | Access::WriteInvalid => {
-                let fault = self.sub.params().dsm.page_fault;
-                self.clock().borrow_mut().advance(fault);
-                self.clock().borrow_mut().stats.page_faults += 1;
-                self.prefetch_note_fault(pid);
-                self.fetch_pending_diffs(pid);
-            }
+        if self.take_fault(pid) {
+            self.fetch_diffs_batch(&[pid]);
         }
+    }
+
+    /// Charge `pid`'s access fault, if it has one — fetching the whole page
+    /// first when it was never mapped — and say whether it did. What the
+    /// page is owed is left to the caller's diff fetch.
+    fn take_fault(&mut self, pid: PageId) -> bool {
+        let state = self.pages[pid as usize].state;
+        if matches!(state, Access::Read | Access::Write) {
+            return false;
+        }
+        let fault = self.sub.params().dsm.page_fault;
+        self.clock().borrow_mut().advance(fault);
+        self.clock().borrow_mut().stats.page_faults += 1;
+        self.prefetch_note_fault(pid);
+        if state == Access::Unmapped {
+            self.fetch_page(pid);
+        }
+        true
     }
 
     pub(super) fn ensure_writable(&mut self, pid: PageId) {
@@ -380,8 +370,8 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Write fault for a whole-page overwrite: skip fetching the old
-    /// content. Pending notices are marked applied — their diffs would be
-    /// overwritten verbatim (any word both we and a concurrent writer
+    /// content. What the page is owed is marked applied — those diffs would
+    /// be overwritten verbatim (any word both we and a concurrent writer
     /// touch would be a data race in the program).
     pub(super) fn ensure_writable_overwrite(&mut self, pid: PageId) {
         let state = self.pages[pid as usize].state;
@@ -395,11 +385,7 @@ impl<S: Substrate> Tmk<S> {
         }
         let params = self.sub.params().clone();
         let page = &mut self.pages[pid as usize];
-        // Absorb pending notices without fetching their diffs.
-        let pending = std::mem::take(&mut page.pending);
-        for p in &pending {
-            page.applied[p.node as usize] = page.applied[p.node as usize].max(p.seq);
-        }
+        page.waive_owed();
         let mut cost = params.dsm.page_fault + params.dsm.mprotect;
         if page.twin.is_none() {
             page.start_twin();
@@ -419,49 +405,42 @@ impl<S: Substrate> Tmk<S> {
 
     /// First touch: fetch the whole page from its manager.
     fn fetch_page(&mut self, pid: PageId) {
-        let manager = self.pages[pid as usize].manager as usize;
-        assert_ne!(manager, self.me as usize, "manager pages are resident");
-        let resp = self.rpc(manager, Request::Page { page: pid });
-        match resp {
-            Response::FullPage { page, applied, data } => {
-                assert_eq!(page, pid);                self.adopt_full_page(pid, applied, Spans::dense(data));
-                self.clock().borrow_mut().stats.pages_fetched += 1;
-                self.emit(TmkEvent::PageFetched { page: pid });
-            }
-            Response::ZeroPage { page, applied } => {
-                assert_eq!(page, pid);
-                self.adopt_full_page(pid, applied, Spans::zero(self.page_size));
-                self.clock().borrow_mut().stats.pages_fetched += 1;
-                self.emit(TmkEvent::PageFetched { page: pid });
-            }
-            other => panic!("expected FullPage, got {other:?}"),
-        }
+        let manager = self.pages[pid as usize].manager;
+        assert_ne!(manager, self.me, "manager pages are resident");
+        let resp = self.rpc(manager as usize, Request::Page { page: pid });
+        resp.for_each_page(|page, pd| {
+            assert_eq!(page, pid);
+            self.take_payload(&mut [], page, manager, pd);
+        });
     }
 
     /// Merge a received full page into local state, preserving our own
-    /// uncommitted writes if any.
+    /// uncommitted writes if any, and drop collected diffs the adoption
+    /// already settled.
     ///
     /// The responder's copy can be *behind* us on some writers' axes (its
     /// `applied[v]` below ours): adopting it wholesale would regress those
-    /// writers' words. We repair: our own newer flushed intervals are
-    /// replayed from `my_diffs`, and deficits on other axes are re-queued
-    /// as pending notices ([`IntervalRecord::repair`]) so the normal diff
-    /// fetch re-applies them (concurrent repairs touch disjoint words in
-    /// race-free programs).
-    fn adopt_full_page(&mut self, pid: PageId, applied: Vec<u32>, image: Spans) {
+    /// writers' words. Our own newer flushed intervals are replayed from
+    /// `my_diffs`; on any other axis the page stays owed what it had
+    /// applied, and the ongoing fault fetches it again (concurrent writers
+    /// touch disjoint words in race-free programs).
+    fn adopt_full_page(&mut self, states: &mut [PageFetchState], pid: PageId, pd: PageDiffs) {
+        let (applied, image) = match pd {
+            PageDiffs::Full { applied, data } => (applied, Spans::dense(data)),
+            PageDiffs::Zero { applied } => (applied, Spans::zero(self.page_size)),
+            PageDiffs::Diffs { .. } => unreachable!("diffs are collected, not adopted"),
+        };
         let params = self.sub.params().clone();
         let mut cost = Ns::for_bytes(image.page_len(), params.host.memcpy_mb_s) + params.dsm.mprotect;
         let me = self.me as usize;
-        let n = self.n;
         let page = &mut self.pages[pid as usize];
         // Uncommitted writes are replayed on the new base (`Page::adopt`).
         if page.adopt(image) {
             cost += Ns::for_bytes(self.page_size, params.dsm.diff_scan_mb_s);
         }
-        // Adopt the responder's view…
-        let old_applied = std::mem::replace(&mut page.applied, applied);
-        // …then repair our own axis from locally retained diffs (applied
-        // by reference: my_diffs, data and twin are disjoint fields).
+        let old_applied = page.adopt_applied(applied);
+        // Repair our own axis from locally retained diffs (applied by
+        // reference: my_diffs, data and twin are disjoint fields).
         if old_applied[me] > page.applied[me] {
             let lo = page.applied[me];
             let Page {
@@ -478,34 +457,19 @@ impl<S: Substrate> Tmk<S> {
             }
             page.applied[me] = old_applied[me];
         }
-        // Repair deficits on other axes by re-queuing pending notices
-        // (fetched and applied by the ongoing fault).
-        for (v, &old) in old_applied.iter().enumerate() {
-            if v == me {
-                continue;
-            }
-            if old > page.applied[v] {
-                for seq in page.applied[v] + 1..=old {
-                    page.add_notice(&IntervalRecord::repair(n, v as u16, seq));
-                }
-            }
-        }
-        let Page {
-            pending, applied, ..
-        } = page;
-        pending.retain(|p| p.seq > applied[p.node as usize]);
-        page.state = match (page.twin.is_some(), page.pending.is_empty()) {
-            (true, true) => Access::Write,
-            (true, false) => Access::WriteInvalid,
-            (false, true) => Access::Read,
-            (false, false) => Access::Invalid,
+        page.state = match (page.twin.is_some(), page.owes()) {
+            (true, false) => Access::Write,
+            (true, true) => Access::WriteInvalid,
+            (false, false) => Access::Read,
+            (false, true) => Access::Invalid,
         };
+        if let Some(st) = states.iter_mut().find(|s| s.pid == pid) {
+            st.collected
+                .retain(|(w, seq, _)| page.owed_of(*w).contains(seq));
+        }
         self.clock().borrow_mut().advance(cost);
-    }
-
-    /// Fetch and apply every pending diff for a page, in causal order.
-    fn fetch_pending_diffs(&mut self, pid: PageId) {
-        self.fetch_diffs_batch(&[pid]);
+        self.clock().borrow_mut().stats.pages_fetched += 1;
+        self.emit(TmkEvent::PageFetched { page: pid });
     }
 
     /// Fault in a span of pages at once. Each page is charged its fault
@@ -522,37 +486,21 @@ impl<S: Substrate> Tmk<S> {
             }
             return;
         }
-        let mut faulted: Vec<PageId> = Vec::new();
-        for &pid in pids {
-            match self.pages[pid as usize].state {
-                Access::Read | Access::Write => {}
-                Access::Unmapped => {
-                    let fault = self.sub.params().dsm.page_fault;
-                    self.clock().borrow_mut().advance(fault);
-                    self.clock().borrow_mut().stats.page_faults += 1;
-                    self.prefetch_note_fault(pid);
-                    self.fetch_page(pid);
-                    faulted.push(pid);
-                }
-                Access::Invalid | Access::WriteInvalid => {
-                    let fault = self.sub.params().dsm.page_fault;
-                    self.clock().borrow_mut().advance(fault);
-                    self.clock().borrow_mut().stats.page_faults += 1;
-                    self.prefetch_note_fault(pid);
-                    faulted.push(pid);
-                }
-            }
-        }
+        let faulted: Vec<PageId> = pids
+            .iter()
+            .copied()
+            .filter(|&pid| self.take_fault(pid))
+            .collect();
         if !faulted.is_empty() {
             self.fetch_diffs_batch(&faulted);
         }
     }
 
-    /// Fetch and apply pending diffs for a set of pages.
+    /// Fetch and apply what a set of pages is owed.
     ///
     /// New notices can land mid-fetch (we service peers' requests while
-    /// blocked), so each round re-derives what is pending but not yet
-    /// collected across *all* pages, then dispatches per
+    /// blocked), so each round re-derives, across *all* pages, what each
+    /// writer is owed above its settled ceiling, then dispatches per
     /// [`DiffFetch`]: serially (one blocking RPC per writer per page, the
     /// spec baseline), or coalesced (at most one request per writer per
     /// round, all issued before any is collected).
@@ -567,22 +515,13 @@ impl<S: Substrate> Tmk<S> {
             .collect();
         self.prefetch_harvest(&mut states);
         loop {
-            // Owed ranges this round, grouped by writer.
             let mut need: Vec<WriterNeed> = Vec::new();
             for st in &states {
-                for p in &self.pages[st.pid as usize].pending {
-                    if st
-                        .collected
-                        .iter()
-                        .any(|(q, _)| q.node == p.node && q.seq == p.seq)
-                    {
-                        continue;
+                for (writer, lo, hi) in self.pages[st.pid as usize].owing() {
+                    let lo = lo.max(covered_of(&st.covered, writer) + 1);
+                    if lo <= hi {
+                        owe(&mut need, writer, (st.pid, lo, hi));
                     }
-                    if p.seq <= covered_of(&st.covered, p.node) {
-                        // Settled as nonexistent.
-                        continue;
-                    }
-                    owe(&mut need, st.pid, p);
                 }
             }
             if need.is_empty() {
@@ -601,15 +540,8 @@ impl<S: Substrate> Tmk<S> {
                 DiffFetch::Coalesced => {
                     let mut issued: Vec<(u32, u16)> = Vec::new();
                     for (writer, pages) in &need {
-                        let req = if pages.len() == 1 {
-                            let (pid, lo, hi) = pages[0];
-                            Request::Diff { page: pid, lo, hi }
-                        } else {
-                            Request::MultiDiff {
-                                pages: pages.clone(),
-                            }
-                        };
-                        issued.push((self.rpc_issue(*writer as usize, req), *writer));
+                        let rid = self.rpc_issue(*writer as usize, diff_request(pages));
+                        issued.push((rid, *writer));
                     }
                     self.note_fanout(need.len(), issued.len());
                     for (rid, writer) in issued {
@@ -650,7 +582,7 @@ impl<S: Substrate> Tmk<S> {
 
     /// Issue speculative volleys for the predicted window
     /// `origin + stride .. origin + depth * stride`: only pages that are
-    /// invalid with pending notices, not already in flight or staged. The
+    /// invalid and owed diffs, not already in flight or staged. The
     /// requests ride the overlapped engine — the faulting page's demand
     /// fetch proceeds while these are in the air.
     fn prefetch_issue(&mut self, origin: PageId) {
@@ -668,31 +600,21 @@ impl<S: Substrate> Tmk<S> {
                 .volleys
                 .iter()
                 .any(|v| v.pages.iter().any(|&(p, _, _)| p == pid))
-                || self.pf.staged.iter().any(|&(p, _, _)| p == pid)
+                || self.pf.staged.iter().any(|&(p, ..)| p == pid)
             {
                 continue;
             }
             let page = &self.pages[pid as usize];
-            if !matches!(page.state, Access::Invalid | Access::WriteInvalid)
-                || page.pending.is_empty()
-            {
+            if !matches!(page.state, Access::Invalid | Access::WriteInvalid) || !page.owes() {
                 continue;
             }
-            for p in &page.pending {
-                owe(&mut need, pid, p);
+            for (writer, lo, hi) in page.owing() {
+                owe(&mut need, writer, (pid, lo, hi));
             }
             targets.push(pid);
         }
         for (writer, pages) in need {
-            let req = if pages.len() == 1 {
-                let (pid, lo, hi) = pages[0];
-                Request::Diff { page: pid, lo, hi }
-            } else {
-                Request::MultiDiff {
-                    pages: pages.clone(),
-                }
-            };
-            let rid = self.rpc_issue(writer as usize, req);
+            let rid = self.rpc_issue(writer as usize, diff_request(&pages));
             self.pf.volleys.push(PrefetchVolley { rid, writer, pages });
         }
         for pid in targets {
@@ -723,115 +645,31 @@ impl<S: Substrate> Tmk<S> {
         }
         for v in due {
             let resp = self.rpc_collect(v.rid).expect(UNANSWERED);
-            self.stage_response(&v, resp);
+            // A page the responder left out under its message budget never
+            // stages: speculation is not re-requested.
+            let lo_of = |pid: PageId| v.pages.iter().find(|p| p.0 == pid).map_or(0, |p| p.1);
+            resp.for_each_page(|page, pd| self.pf.staged.push((page, v.writer, lo_of(page), pd)));
         }
         let staged = std::mem::take(&mut self.pf.staged);
         let mut hits: Vec<PageId> = Vec::new();
-        for (pid, writer, payload) in staged {
+        for (pid, writer, lo, pd) in staged {
             if !states.iter().any(|s| s.pid == pid) {
-                self.pf.staged.push((pid, writer, payload));
+                self.pf.staged.push((pid, writer, lo, pd));
                 continue;
             }
             if !hits.contains(&pid) {
                 hits.push(pid);
             }
-            match payload {
-                StagedPage::Diffs {
-                    lo,
-                    covered_hi,
-                    diffs,
-                } => {
-                    // Validity check at apply time: only diffs the page
-                    // still awaits are usable; a pending queued *below*
-                    // the issued floor since (a repair) blocks the stale
-                    // ceiling from settling anything.
-                    let pending = &self.pages[pid as usize].pending;
-                    let filtered: Vec<(u32, Diff)> = diffs
-                        .into_iter()
-                        .filter(|(seq, _)| {
-                            pending.iter().any(|p| p.node == writer && p.seq == *seq)
-                        })
-                        .collect();
-                    let eff = if pending.iter().any(|p| p.node == writer && p.seq < lo) {
-                        0
-                    } else {
-                        covered_hi
-                    };
-                    if !filtered.is_empty() || eff > 0 {
-                        let st = states
-                            .iter_mut()
-                            .find(|s| s.pid == pid)
-                            .expect("membership checked above");
-                        self.absorb_page_diffs(st, writer, eff, filtered);
-                    }
-                }
-                StagedPage::Full { applied, data } => {
-                    self.adopt_fetched_full(states, pid, applied, Spans::dense(data));
-                }
-                StagedPage::Zero { applied } => {
-                    let zero = Spans::zero(self.page_size);
-                    self.adopt_fetched_full(states, pid, applied, zero);
-                }
+            // The staging rule: a volley's diffs are dropped if the page
+            // now owes the writer seqs below what the volley asked for.
+            let owed = self.pages[pid as usize].owed_of(writer);
+            if matches!(pd, PageDiffs::Diffs { .. }) && !owed.is_empty() && *owed.start() < lo {
+                continue;
             }
+            self.take_payload(states, pid, writer, pd);
         }
         for pid in hits {
             self.emit(TmkEvent::PrefetchHit { page: pid });
-        }
-    }
-
-    /// Break a volley's response into per-page staged payloads. Pages the
-    /// responder omitted under its message budget simply never stage —
-    /// speculation is never re-requested.
-    fn stage_response(&mut self, v: &PrefetchVolley, resp: Response) {
-        let lo_of = |pid: PageId| {
-            v.pages
-                .iter()
-                .find(|&&(p, _, _)| p == pid)
-                .map(|&(_, lo, _)| lo)
-                .unwrap_or(0)
-        };
-        match resp {
-            Response::Diffs {
-                page,
-                covered_hi,
-                diffs,
-            } => {
-                let lo = lo_of(page);
-                self.pf.staged.push((
-                    page,
-                    v.writer,
-                    StagedPage::Diffs {
-                        lo,
-                        covered_hi,
-                        diffs,
-                    },
-                ));
-            }
-            Response::MultiDiffs { pages } => {
-                for (page, pd) in pages {
-                    let entry = match pd {
-                        PageDiffs::Diffs { covered_hi, diffs } => StagedPage::Diffs {
-                            lo: lo_of(page),
-                            covered_hi,
-                            diffs,
-                        },
-                        PageDiffs::Full { applied, data } => StagedPage::Full { applied, data },
-                        PageDiffs::Zero { applied } => StagedPage::Zero { applied },
-                    };
-                    self.pf.staged.push((page, v.writer, entry));
-                }
-            }
-            Response::FullPage { page, applied, data } => {
-                self.pf
-                    .staged
-                    .push((page, v.writer, StagedPage::Full { applied, data }));
-            }
-            Response::ZeroPage { page, applied } => {
-                self.pf
-                    .staged
-                    .push((page, v.writer, StagedPage::Zero { applied }));
-            }
-            other => panic!("expected diff/page payload for prefetch, got {other:?}"),
         }
     }
 
@@ -847,7 +685,7 @@ impl<S: Substrate> Tmk<S> {
                 self.emit(TmkEvent::PrefetchWasted { page: pid });
             }
         }
-        for (pid, _, _) in std::mem::take(&mut self.pf.staged) {
+        for (pid, ..) in std::mem::take(&mut self.pf.staged) {
             self.emit(TmkEvent::PrefetchWasted { page: pid });
         }
         self.pf.last = None;
@@ -855,10 +693,10 @@ impl<S: Substrate> Tmk<S> {
         self.pf.streak = 0;
     }
 
-    /// The lock pipeline's fetch arm: batch-fetch every (mapped, invalid,
-    /// pending) page in `pids` through the overlapped engine, charging no
-    /// page faults — the point is that the faults never happen. Returns
-    /// how many pages were fetched.
+    /// The lock pipeline's fetch arm: batch-fetch every mapped, invalid
+    /// page in `pids` that is owed diffs through the overlapped engine,
+    /// charging no page faults — the point is that the faults never
+    /// happen. Returns how many pages were fetched.
     pub(super) fn pipeline_fetch(&mut self, pids: &[PageId]) -> usize {
         let mut targets: Vec<PageId> = Vec::new();
         for &pid in pids {
@@ -868,7 +706,7 @@ impl<S: Substrate> Tmk<S> {
                     self.pages[pid as usize].state,
                     Access::Invalid | Access::WriteInvalid
                 )
-                && !self.pages[pid as usize].pending.is_empty()
+                && self.pages[pid as usize].owes()
             {
                 targets.push(pid);
             }
@@ -896,92 +734,39 @@ impl<S: Substrate> Tmk<S> {
         writer: u16,
         resp: Response,
     ) {
-        match resp {
-            Response::Diffs {
-                page,
-                covered_hi,
-                diffs,
-            } => {
-                let st = states
-                    .iter_mut()
-                    .find(|s| s.pid == page)
-                    .expect("diffs for a page we did not request");
-                self.absorb_page_diffs(st, writer, covered_hi, diffs);
-            }
-            Response::MultiDiffs { pages } => {
-                for (page, pd) in pages {
-                    match pd {
-                        PageDiffs::Diffs { covered_hi, diffs } => {
-                            let st = states
-                                .iter_mut()
-                                .find(|s| s.pid == page)
-                                .expect("diffs for a page we did not request");
-                            self.absorb_page_diffs(st, writer, covered_hi, diffs);
-                        }
-                        PageDiffs::Full { applied, data } => {
-                            self.adopt_fetched_full(states, page, applied, Spans::dense(data));
-                        }
-                        PageDiffs::Zero { applied } => {
-                            let zero = Spans::zero(self.page_size);
-                            self.adopt_fetched_full(states, page, applied, zero);
-                        }
-                    }
-                }
-            }
-            Response::ZeroPage { page, applied } => {
-                let zero = Spans::zero(self.page_size);
-                self.adopt_fetched_full(states, page, applied, zero);
-            }
-            Response::FullPage { page, applied, data } => {
-                // GC fallback: adopt, then continue with whatever is
-                // still pending.
-                self.adopt_fetched_full(states, page, applied, Spans::dense(data));
-            }
-            other => panic!("expected Diffs/FullPage, got {other:?}"),
-        }
+        resp.for_each_page(|page, pd| self.take_payload(states, page, writer, pd));
     }
 
-    /// Record a writer's `Diffs` payload for one page: advance the covered
-    /// ceiling and stash the diffs against their pending notices.
-    fn absorb_page_diffs(
-        &mut self,
-        st: &mut PageFetchState,
-        writer: u16,
-        covered_hi: u32,
-        diffs: Vec<(u32, Diff)>,
-    ) {
-        match st.covered.iter_mut().find(|(n, _)| *n == writer) {
-            Some((_, h)) => *h = (*h).max(covered_hi),
-            None => st.covered.push((writer, covered_hi)),
-        }
-        let pending = &self.pages[st.pid as usize].pending;
-        for (seq, d) in diffs {
-            let pend = match pending.binary_search_by_key(&(writer, seq), |p| (p.node, p.seq)) {
-                Ok(i) => Rc::clone(&pending[i]),
-                // Returned but not (yet) noticed: the covered ceiling
-                // will advance past it, so it must be applied now.
-                Err(_) => IntervalRecord::repair(self.n, writer, seq),
-            };
-            st.collected.push((pend, d));
-        }
-    }
-
-    /// Adopt a full-page response received mid-fetch and drop collected
-    /// diffs the adoption already settled.
-    fn adopt_fetched_full(
+    /// Fold one page's payload from `writer` into the fetch states: a
+    /// writer's diffs are collected, a full page (the GC fallback, or a
+    /// first touch) adopted.
+    fn take_payload(
         &mut self,
         states: &mut [PageFetchState],
         pid: PageId,
-        applied: Vec<u32>,
-        image: Spans,
+        writer: u16,
+        pd: PageDiffs,
     ) {
-        self.adopt_full_page(pid, applied, image);
-        self.clock().borrow_mut().stats.pages_fetched += 1;
-        self.emit(TmkEvent::PageFetched { page: pid });
-        if let Some(st) = states.iter_mut().find(|s| s.pid == pid) {
-            let pending = &self.pages[pid as usize].pending;
-            st.collected
-                .retain(|(p, _)| pending.iter().any(|q| q.node == p.node && q.seq == p.seq));
+        match pd {
+            PageDiffs::Diffs { covered_hi, diffs } => {
+                let st = states
+                    .iter_mut()
+                    .find(|s| s.pid == pid)
+                    .expect("diffs for a page we did not request");
+                match st.covered.iter_mut().find(|(n, _)| *n == writer) {
+                    Some((_, h)) => *h = (*h).max(covered_hi),
+                    None => st.covered.push((writer, covered_hi)),
+                }
+                // Only what the page still owes the writer is used.
+                let owed = self.pages[pid as usize].owed_of(writer);
+                st.collected.extend(
+                    diffs
+                        .into_iter()
+                        .filter(|(seq, _)| owed.contains(seq))
+                        .map(|(seq, d)| (writer, seq, d)),
+                );
+            }
+            page => self.adopt_full_page(states, pid, page),
         }
     }
 
@@ -994,18 +779,33 @@ impl<S: Substrate> Tmk<S> {
             mut collected,
             covered,
         } = st;
-        causal_order(&mut collected, |(pend, _)| pend);
+        self.log.causal_order(&mut collected);
         // Apply in order, to data and (if present) twin.
         let mut cost = Ns::ZERO;
-        let mut applied_count = 0u64;
+        let applied_count = collected.len() as u64;
         let page = &mut self.pages[pid as usize];
-        for (pend, d) in collected {
+        for (writer, seq, d) in collected {
             page.apply(&d);
             cost += params.dsm.diff_overhead
                 + Ns::for_bytes(d.payload_bytes(), params.host.memcpy_mb_s);
-            page.applied_notice(pend.node, pend.seq);
-            applied_count += 1;
+            page.applied_notice(writer, seq);
         }
+        // Owed seqs under a settled ceiling that sent no diff never wrote
+        // the page.
+        for (writer, hi) in covered {
+            page.applied_notice(writer, hi);
+        }
+        debug_assert!(
+            !page.owes(),
+            "still owed: applied {:?}, owed {:?}",
+            page.applied,
+            page.owed
+        );
+        page.state = if page.twin.is_some() {
+            Access::Write
+        } else {
+            Access::Read
+        };
         self.clock().borrow_mut().stats.diffs_applied += applied_count;
         if applied_count > 0 {
             self.emit(TmkEvent::DiffApplied {
@@ -1014,21 +814,6 @@ impl<S: Substrate> Tmk<S> {
             });
         }
         cost += params.dsm.mprotect;
-        // Clear speculative pendings that turned out not to exist.
-        let page = &mut self.pages[pid as usize];
-        for (node, hi) in covered {
-            page.applied_notice(node, hi);
-        }
-        debug_assert!(
-            page.pending.is_empty(),
-            "unresolved pendings: {:?}",
-            page.pending
-        );
-        page.state = if page.twin.is_some() {
-            Access::Write
-        } else {
-            Access::Read
-        };
         self.clock().borrow_mut().advance(cost);
     }
 }

@@ -1,7 +1,8 @@
-//! Interval-metadata ownership, on one hand-driven node over the in-memory
-//! substrate: a record is one object however many pages wait on it, it
-//! lives exactly as long as something still holds it, and a notice a page
-//! queued for itself orders like the real one.
+//! Interval metadata on one hand-driven node over the in-memory substrate:
+//! a record is one object however many pages it invalidates, a page keeps
+//! only the range it is owed, and the log orders a fetched diff by its
+//! interval's `Σvc` — after the barrier trimmed the record too, and for an
+//! interval this node never learned of.
 
 use std::rc::Rc;
 use std::sync::Arc;
@@ -39,17 +40,16 @@ fn vc(vals: [u32; NODES]) -> VectorClock {
 }
 
 #[test]
-fn every_page_a_record_names_holds_the_same_object() {
+fn a_notice_is_an_owed_range_and_the_log_keeps_the_one_record() {
     let mut t = node0();
     let rec = IntervalRecord::new(1, 1, vc([0, 1, 0]), PAGES.to_vec());
     t.apply_records(vec![Rc::clone(&rec)]);
     for pid in PAGES {
-        let pending = &t.pages[pid as usize].pending;
-        assert_eq!(pending.len(), 1, "page {pid}");
-        assert!(Rc::ptr_eq(&pending[0], &rec), "page {pid} holds a copy");
+        let page = &t.pages[pid as usize];
+        assert_eq!(page.owing().collect::<Vec<_>>(), [(1, 1, 1)], "page {pid}");
     }
-    // Ours, the log's, and one per page: nobody made another.
-    assert_eq!(Rc::strong_count(&rec), 2 + PAGES.len());
+    // Ours and the log's: no page holds a handle.
+    assert_eq!(Rc::strong_count(&rec), 2);
     // What the log hands a grant or a release is that object again.
     assert!(Rc::ptr_eq(
         &t.log.newer_than(&VectorClock::new(NODES))[0],
@@ -59,34 +59,15 @@ fn every_page_a_record_names_holds_the_same_object() {
     let again = IntervalRecord::new(1, 1, vc([0, 1, 0]), PAGES.to_vec());
     t.apply_records(vec![Rc::clone(&again)]);
     assert_eq!(Rc::strong_count(&again), 1);
-    assert_eq!(Rc::strong_count(&rec), 2 + PAGES.len());
-}
-
-#[test]
-fn a_record_outlives_the_log_exactly_as_long_as_a_page_waits_on_it() {
-    let mut t = node0();
-    let rec = IntervalRecord::new(1, 1, vc([0, 1, 0]), PAGES.to_vec());
-    t.apply_records(vec![Rc::clone(&rec)]);
-    let watch = Rc::downgrade(&rec);
-    drop(rec);
-    assert_eq!(watch.strong_count(), 1 + PAGES.len());
-    // The barrier epoch passes the interval: the log lets go, the pages
-    // that have not fetched its diff do not.
-    t.epoch_gc(vc([0, 1, 0]));
-    assert_eq!(t.log.total_records(), 0);
-    for (applied, pid) in PAGES.into_iter().enumerate() {
-        assert_eq!(watch.strong_count(), PAGES.len() - applied);
-        t.pages[pid as usize].applied_notice(1, 1);
-    }
-    assert!(watch.upgrade().is_none(), "freed with the last notice");
+    assert_eq!(Rc::strong_count(&rec), 2);
 }
 
 /// Writer 1's interval 1, then writer 2's interval 1 which saw it: both
-/// wrote byte 0 of page 0. Collected newest first, with writer 1's notice
-/// either the real record or the page's own repair stand-in.
-fn apply_out_of_order(first: Rc<IntervalRecord>) -> Tmk<MemSubstrate> {
+/// wrote byte 0 of page 0. Their diffs are collected newest first and
+/// applied; `learn` is what the node does with the two records first.
+fn apply_out_of_order(learn: impl FnOnce(&mut Tmk<MemSubstrate>)) -> Tmk<MemSubstrate> {
     let mut t = node0();
-    let second = IntervalRecord::new(2, 1, vc([0, 1, 1]), vec![0]);
+    learn(&mut t);
     let size = t.page_size;
     let write = |byte: u8| {
         let mut cur = vec![0u8; size];
@@ -94,22 +75,40 @@ fn apply_out_of_order(first: Rc<IntervalRecord>) -> Tmk<MemSubstrate> {
         Diff::create(&vec![0u8; size], &cur)
     };
     let page = &mut t.pages[0];
-    page.add_notice(&first);
-    page.add_notice(&second);
+    page.add_notice(1, 1);
+    page.add_notice(2, 1);
     assert_eq!(page.state, Access::Invalid);
     t.apply_fetched_page(PageFetchState {
         pid: 0,
-        collected: vec![(second, write(2)), (first, write(1))],
+        collected: vec![(2, 1, write(2)), (1, 1, write(1))],
         covered: Vec::new(),
     });
     t
 }
 
+fn first() -> Rc<IntervalRecord> {
+    IntervalRecord::new(1, 1, vc([0, 1, 0]), vec![0])
+}
+
+fn second() -> Rc<IntervalRecord> {
+    IntervalRecord::new(2, 1, vc([0, 1, 1]), vec![0])
+}
+
 #[test]
-fn a_repair_notice_sorts_where_the_real_one_would() {
-    let real = apply_out_of_order(IntervalRecord::new(1, 1, vc([0, 1, 0]), vec![0]));
-    let repair = apply_out_of_order(IntervalRecord::repair(NODES, 1, 1));
-    for t in [&real, &repair] {
+fn a_record_the_log_let_go_still_orders_its_diff() {
+    let known = apply_out_of_order(|t| {
+        t.apply_records(vec![first(), second()]);
+    });
+    let trimmed = apply_out_of_order(|t| {
+        t.apply_records(vec![first(), second()]);
+        t.epoch_gc(vc([0, 1, 1]));
+        assert_eq!(t.log.total_records(), 0);
+    });
+    // Writer 1's interval came only as a full page's applied seq.
+    let unknown = apply_out_of_order(|t| {
+        t.apply_records(vec![second()]);
+    });
+    for t in [&known, &trimmed, &unknown] {
         let page = &t.pages[0];
         assert_eq!(
             page.data.get(0, 1),
@@ -117,8 +116,10 @@ fn a_repair_notice_sorts_where_the_real_one_would() {
             "the causally later write lands last"
         );
         assert_eq!(page.applied, [0, 1, 1]);
-        assert!(page.pending.is_empty());
+        assert!(!page.owes());
         assert_eq!(page.state, Access::Read);
     }
-    assert_eq!(real.clock().borrow().now(), repair.clock().borrow().now());
+    let now = |t: &Tmk<MemSubstrate>| t.clock().borrow().now();
+    assert_eq!(now(&known), now(&trimmed));
+    assert_eq!(now(&known), now(&unknown));
 }
