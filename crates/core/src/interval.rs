@@ -7,13 +7,14 @@
 //! propagate lazily — on lock grants to the acquirer, on barriers through
 //! the manager — and drive page invalidation at the receiver.
 //!
-//! A record is immutable and shared: it is built once — by the writer when
-//! it closes the interval, by everyone else when a message naming it is
-//! decoded — behind an [`Rc`], and the log, a barrier stash and a message
-//! being assembled hold that one object. A page it invalidates keeps no
-//! handle: it raises what it owes the writer. What a fault needs of the
-//! record later — the order to apply its diff in — is its `Σvc`, which the
-//! log keeps per interval after the record itself is trimmed.
+//! A record is immutable and shared, and it is its wire image: it is built
+//! once — by the writer when it closes the interval, by everyone else when
+//! a message naming it is decoded — behind an [`Rc`], and the log, a
+//! barrier stash and a message being assembled hold that one object; a
+//! relay copies its bytes. A page it invalidates keeps no handle: it raises
+//! what it owes the writer. What a fault needs of the record later — the
+//! order to apply its diff in — is its `Σvc`, which the log keeps per
+//! interval after the record itself is trimmed.
 
 use std::rc::Rc;
 
@@ -22,71 +23,96 @@ use crate::vc::VectorClock;
 use crate::wire::{WireReader, WireWriter};
 
 /// One interval's write notices, plus the vector time at the interval's
-/// end — receivers use it to apply diffs for a page in causal order when
-/// several writers touched the page between two of their synchronizations
-/// (migratory data under locks).
+/// end — receivers order diffs for a page by its `Σ` when several writers
+/// touched the page between two of their synchronizations (migratory data
+/// under locks).
+///
+/// Held as the image a message carries it in: `[node u16][seq u32]`, the
+/// clock ([`VectorClock::encode`]), then `[count u32]` and one
+/// `(first page, len)` pair of u32s per maximal run of written pages,
+/// ascending — applications write contiguous spans (grid bands, planes,
+/// queue slots), so a record listing a thousand pages usually costs eight
+/// bytes of ranges.
 #[derive(Debug, PartialEq, Eq)]
 pub struct IntervalRecord {
     pub node: u16,
     pub seq: u32,
-    pub vc: VectorClock,
-    /// Strictly ascending, so the range encoding walks it in place.
-    pages: Vec<PageId>,
+    /// [`VectorClock::sum`] of the interval's vector time.
+    pub sum: u64,
+    image: Box<[u8]>,
 }
 
 impl IntervalRecord {
     /// The record of interval `seq` of `node`, closed at vector time `vc`,
     /// that wrote `pages` (any order, repeats allowed).
-    pub fn new(node: u16, seq: u32, vc: VectorClock, mut pages: Vec<PageId>) -> Rc<Self> {
-        if !pages.is_sorted_by(|a, b| a < b) {
-            pages.sort_unstable();
-            pages.dedup();
+    pub fn new(node: u16, seq: u32, vc: &VectorClock, mut pages: Vec<PageId>) -> Rc<Self> {
+        pages.sort_unstable();
+        pages.dedup();
+        let runs = || pages.chunk_by(|a, b| a + 1 == *b);
+        let mut w = WireWriter::pooled(64);
+        w.u16(node).u32(seq);
+        vc.encode(&mut w);
+        w.u32(runs().count() as u32);
+        for run in runs() {
+            w.u32(run[0]).u32(run.len() as u32);
         }
+        let image = w.as_slice().into();
+        w.recycle();
         Rc::new(IntervalRecord {
             node,
             seq,
-            vc,
-            pages,
+            sum: vc.sum(),
+            image,
         })
     }
 
+    /// The maximal runs of pages written, ascending, as `(first, len)`.
+    pub fn ranges(&self) -> impl Iterator<Item = (PageId, u32)> + '_ {
+        // Past the header, the clock and the run count.
+        let mut r = WireReader::new(&self.image[6..]);
+        for _ in 0..r.u16().unwrap_or(0) {
+            r.u32v();
+        }
+        r.u32();
+        std::iter::from_fn(move || Some((r.u32()?, r.u32()?)))
+    }
+
     /// The pages written, ascending.
-    pub fn pages(&self) -> &[PageId] {
-        &self.pages
+    pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.ranges()
+            .flat_map(|(first, len)| (0..len).map(move |i| first + i))
     }
 
-    /// Write notices are encoded as ranges over the sorted page list —
-    /// applications write contiguous spans (grid bands, planes, queue
-    /// slots), so a record listing a thousand pages usually costs eight
-    /// bytes on the wire.
     pub fn encode(&self, w: &mut WireWriter) {
-        w.u16(self.node);
-        w.u32(self.seq);
-        self.vc.encode(w);
-        let ranges = || self.pages.chunk_by(|a, b| a + 1 == *b);
-        w.u32(ranges().count() as u32);
-        for run in ranges() {
-            w.u32(run[0]);
-            w.u32(run.len() as u32);
-        }
+        w.raw(&self.image);
     }
 
+    /// Exactly the images [`Self::new`] builds: the clock canonical, every
+    /// run non-empty and starting past the page after the previous one
+    /// ends. Anything else is `None` — a relay forwards these bytes.
     pub fn decode(r: &mut WireReader) -> Option<Rc<IntervalRecord>> {
-        let node = r.u16()?;
-        let seq = r.u32()?;
-        let vc = VectorClock::decode(r)?;
-        let nranges = r.u32()? as usize;
-        // Sized before it is filled: one allocation however scattered.
-        let body = r.raw_bytes(nranges.checked_mul(8)?)?;
-        let ranges = || {
-            let mut rd = WireReader::new(body);
-            std::iter::from_fn(move || Some((rd.u32()?, rd.u32()?)))
-        };
-        let mut pages = Vec::with_capacity(ranges().map(|(_, len)| len as usize).sum());
-        for (start, len) in ranges() {
-            pages.extend(start..start.checked_add(len)?);
+        let start = r.peek_rest();
+        let (node, seq) = (r.u16()?, r.u32()?);
+        let mut sum = 0;
+        for _ in 0..r.u16()? {
+            sum += u64::from(r.u32v()?);
         }
-        Some(Self::new(node, seq, vc, pages))
+        // The least page the next run may start at.
+        let mut next = 0u64;
+        for _ in 0..r.u32()? {
+            let (first, len) = (u64::from(r.u32()?), u64::from(r.u32()?));
+            if len == 0 || first < next || first + len > 1 << 32 {
+                return None;
+            }
+            next = first + len + 1;
+        }
+        let image = start[..start.len() - r.remaining()].into();
+        Some(Rc::new(IntervalRecord {
+            node,
+            seq,
+            sum,
+            image,
+        }))
     }
 }
 
@@ -100,7 +126,9 @@ pub fn encode_records(records: &[Rc<IntervalRecord>], w: &mut WireWriter) {
 
 pub fn decode_records(r: &mut WireReader) -> Option<Vec<Rc<IntervalRecord>>> {
     let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n);
+    // Bounded by what the frame can hold (a record is at least 12 bytes),
+    // not by what it claims.
+    let mut out = Vec::with_capacity(n.min(r.remaining() / 12));
     for _ in 0..n {
         out.push(IntervalRecord::decode(r)?);
     }
@@ -140,7 +168,7 @@ impl IntervalLog {
                 if sums.len() <= seq {
                     sums.resize(seq + 1, 0);
                 }
-                sums[seq] = rec.vc.sum();
+                sums[seq] = rec.sum;
                 list.insert(pos, rec);
                 true
             }
@@ -211,7 +239,7 @@ mod tests {
     fn rec(node: u16, seq: u32, pages: &[u32]) -> Rc<IntervalRecord> {
         let mut vc = VectorClock::new(4);
         vc.set(node as usize, seq);
-        IntervalRecord::new(node, seq, vc, pages.to_vec())
+        IntervalRecord::new(node, seq, &vc, pages.to_vec())
     }
 
     #[test]
@@ -277,7 +305,7 @@ mod tests {
         let buf = w.finish();
         assert!(buf.len() < 64, "RLE should compress: {} bytes", buf.len());
         let back = IntervalRecord::decode(&mut WireReader::new(&buf)).unwrap();
-        assert_eq!(back.pages, pages);
+        assert_eq!(back.pages().collect::<Vec<_>>(), pages);
     }
 
     #[test]
@@ -290,37 +318,94 @@ mod tests {
         let back = IntervalRecord::decode(&mut WireReader::new(&buf)).unwrap();
         let mut sorted = pages.clone();
         sorted.sort_unstable();
-        assert_eq!(back.pages, sorted);
+        assert_eq!(back.pages().collect::<Vec<_>>(), sorted);
+    }
+
+    /// A record with clock `vc` whose runs are the `(first, len)` pairs.
+    fn image(vc: &VectorClock, runs: &[(u32, u32)]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.u16(0).u32(1);
+        vc.encode(&mut w);
+        w.u32(runs.len() as u32);
+        for &(first, len) in runs {
+            w.u32(first).u32(len);
+        }
+        w.finish()
     }
 
     #[test]
     fn a_record_is_its_ascending_page_set() {
-        // Whatever order and repeats it was built from: `encode` walks the
-        // list in place, so the list itself has to be the set.
+        // Whatever order and repeats it was built from, a record holds the
+        // maximal runs of the set, ascending.
+        let mut vc = VectorClock::new(4);
+        vc.set(0, 1);
         let r = rec(0, 1, &[5, 1, 2, 9, 5, 3, 1]);
-        assert_eq!(r.pages(), [1, 2, 3, 5, 9]);
+        assert_eq!(r.pages().collect::<Vec<_>>(), [1, 2, 3, 5, 9]);
+        assert_eq!(r.ranges().collect::<Vec<_>>(), [(1, 3), (5, 1), (9, 1)]);
+        assert_eq!(r.sum, 1);
         let mut w = WireWriter::new();
         r.encode(&mut w);
-        let buf = w.finish();
-        let mut rd = WireReader::new(&buf);
-        assert_eq!((rd.u16(), rd.u32()), (Some(0), Some(1)));
-        assert_eq!(VectorClock::decode(&mut rd).as_ref(), Some(&r.vc));
-        let mut words = Vec::new();
-        while let Some(x) = rd.u32() {
-            words.push(x);
+        assert_eq!(w.finish(), image(&vc, &[(1, 3), (5, 1), (9, 1)]));
+        // A relay forwards the bytes it was given, so only that image
+        // decodes: runs that are empty, overlap, touch, arrive out of
+        // order or run past the last page are `None`.
+        for runs in [
+            &[(2, 3), (4, 2)][..],
+            &[(1, 3), (4, 1)],
+            &[(5, 1), (1, 3)],
+            &[(1, 0)],
+            &[(u32::MAX, 2)],
+        ] {
+            let buf = image(&vc, runs);
+            assert_eq!(
+                IntervalRecord::decode(&mut WireReader::new(&buf)),
+                None,
+                "{runs:?}"
+            );
         }
-        assert_eq!(
-            words,
-            [3, 1, 3, 5, 1, 9, 1],
-            "count, then (start, len) per range"
-        );
-        // Ranges that overlap or arrive out of order decode to the set too.
-        let mut w = WireWriter::new();
-        w.u16(0).u32(1);
-        r.vc.encode(&mut w);
-        w.u32(2).u32(4).u32(3).u32(2).u32(4);
-        let back = IntervalRecord::decode(&mut WireReader::new(&w.finish())).unwrap();
-        assert_eq!(back.pages(), [2, 3, 4, 5, 6]);
+        let last = image(&vc, &[(0, 1), (u32::MAX, 1)]);
+        let back = IntervalRecord::decode(&mut WireReader::new(&last)).unwrap();
+        assert_eq!(back.pages().collect::<Vec<_>>(), [0, u32::MAX]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5000))]
+
+        /// Over arbitrary bytes and over one-byte overwrites, truncations
+        /// and insertions of valid images: decoding never panics, what
+        /// decodes re-encodes to the bytes it consumed, and — where its
+        /// pages are few enough to list — it is the record
+        /// [`IntervalRecord::new`] builds from its clock and pages.
+        #[test]
+        fn decode_is_total_and_canonical(
+            junk in proptest::collection::vec(any::<u8>(), 0..64),
+            which in 0usize..3,
+            kind in 0u8..3,
+            at: usize,
+            byte: u8,
+        ) {
+            let valid = [
+                rec(0, 1, &[1, 2, 3, 9, 11, 12]),
+                rec(3, 300, &(0..1000).collect::<Vec<_>>()),
+                rec(2, 0, &[]),
+            ];
+            let mut w = WireWriter::new();
+            valid[which].encode(&mut w);
+            for buf in [junk, crate::wire::mutated(&w.finish(), kind, at, byte)] {
+                let mut r = WireReader::new(&buf);
+                let Some(rec) = IntervalRecord::decode(&mut r) else {
+                    continue;
+                };
+                let mut w = WireWriter::new();
+                rec.encode(&mut w);
+                prop_assert_eq!(&w.finish()[..], &buf[..buf.len() - r.remaining()]);
+                if rec.ranges().map(|(_, len)| u64::from(len)).sum::<u64>() <= 1 << 16 {
+                    let clock = VectorClock::decode(&mut WireReader::new(&buf[6..])).unwrap();
+                    let pages = rec.pages().collect();
+                    prop_assert_eq!(&rec, &IntervalRecord::new(rec.node, rec.seq, &clock, pages));
+                }
+            }
+        }
     }
 
     /// Strictly below in the happens-before order.
@@ -352,7 +437,7 @@ mod tests {
                     let mut vc = VectorClock::new(4);
                     if known {
                         axes.iter().enumerate().for_each(|(p, &x)| vc.set(p, x));
-                        log.insert(IntervalRecord::new(node, seq, vc.clone(), Vec::new()));
+                        log.insert(IntervalRecord::new(node, seq, &vc, Vec::new()));
                     } else {
                         vc.set(node as usize, seq);
                     }
@@ -393,7 +478,7 @@ mod tests {
             .map(|w| {
                 let mut vc = barrier.clone();
                 vc.tick(w as usize);
-                log.insert(IntervalRecord::new(w, 1, vc, vec![0]));
+                log.insert(IntervalRecord::new(w, 1, &vc, vec![0]));
                 (w, 1, words(&|p| p[w as usize * 4] = w as u8))
             })
             .collect();
@@ -408,7 +493,7 @@ mod tests {
         let mut chain: Vec<(u16, u32, Diff)> = (1..N as u16)
             .map(|w| {
                 vc.tick(w as usize);
-                log.insert(IntervalRecord::new(w, 1, vc.clone(), vec![0]));
+                log.insert(IntervalRecord::new(w, 1, &vc, vec![0]));
                 (w, 1, words(&|p| p[0] = w as u8))
             })
             .collect();

@@ -353,7 +353,8 @@ impl Request {
         }
     }
 
-    /// Decode; returns `(rid, request)`.
+    /// Decode; returns `(rid, request)`. `None` unless `buf` is exactly
+    /// what [`Self::encode`] writes for them.
     pub fn decode(buf: &[u8]) -> Option<(u32, Request)> {
         let mut r = WireReader::new(buf);
         let rid = r.u32()?;
@@ -395,7 +396,11 @@ impl Request {
             }
             8 => Request::NoticeRelease {
                 barrier: r.u32()?,
-                tree: r.u8()? != 0,
+                tree: match r.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                },
                 reply_rid: r.u32()?,
                 vc: VectorClock::decode(&mut r)?,
                 records: decode_records(&mut r)?,
@@ -403,7 +408,7 @@ impl Request {
             9 => Request::Gone,
             _ => return None,
         };
-        Some((rid, req))
+        (r.remaining() == 0).then_some((rid, req))
     }
 }
 
@@ -543,6 +548,8 @@ impl Response {
         }
     }
 
+    /// Decode; returns `(rid, response)`. `None` unless `buf` is exactly
+    /// what [`Self::encode`] writes for them.
     pub fn decode(buf: &[u8]) -> Option<(u32, Response)> {
         let mut r = WireReader::new(buf);
         let rid = r.u32()?;
@@ -587,7 +594,7 @@ impl Response {
             8 => Response::NoticeAck { barrier: r.u32()? },
             _ => return None,
         };
-        Some((rid, resp))
+        (r.remaining() == 0).then_some((rid, resp))
     }
 }
 
@@ -605,12 +612,12 @@ mod tests {
     }
 
     fn rec(node: u16, seq: u32, vcv: &[u32], pages: &[u32]) -> Rc<IntervalRecord> {
-        IntervalRecord::new(node, seq, vc(vcv), pages.to_vec())
+        IntervalRecord::new(node, seq, &vc(vcv), pages.to_vec())
     }
 
-    #[test]
-    fn request_roundtrips() {
-        let cases = vec![
+    /// A message of every request kind.
+    fn requests() -> Vec<Request> {
+        vec![
             Request::Diff {
                 page: 42,
                 lo: 1,
@@ -638,22 +645,27 @@ mod tests {
                 vc: vc(&[4, 3, 5]),
                 records: vec![rec(1, 3, &[0, 3, 1], &[7]), rec(2, 5, &[1, 0, 5], &[])],
             },
-        ];
-        for (i, req) in cases.into_iter().enumerate() {
-            let buf = req.encode(i as u32);
-            let (rid, back) = Request::decode(&buf).expect("decode");
-            assert_eq!(rid, i as u32);
-            assert_eq!(back, req);
-        }
+            Request::MultiDiff {
+                pages: vec![(3, 1, 4), (9, 2, 2)],
+            },
+            Request::NoticeRelease {
+                barrier: 4,
+                tree: true,
+                reply_rid: 310,
+                vc: vc(&[7, 2, 200]),
+                records: vec![rec(2, 200, &[1, 0, 200], &[3, 5, 6])],
+            },
+            Request::Gone,
+        ]
     }
 
-    #[test]
-    fn response_roundtrips() {
+    /// A message of every response kind.
+    fn responses() -> Vec<Response> {
         let twin = vec![0u8; 64];
         let mut cur = twin.clone();
         cur[5] = 9;
         let d = Diff::create(&twin, &cur);
-        let cases = vec![
+        vec![
             Response::Diffs {
                 page: 1,
                 covered_hi: 4,
@@ -673,13 +685,56 @@ mod tests {
                 vc: vc(&[3, 3, 3]),
                 records: vec![],
             },
+            Response::ZeroPage {
+                page: 42,
+                applied: vec![3, 0, 9, 1],
+            },
             Response::BarrierTreeRelease {
                 barrier: 9,
                 vc: vc(&[6, 6]),
                 records: vec![rec(0, 6, &[6, 2], &[1])],
             },
-        ];
-        for (i, resp) in cases.into_iter().enumerate() {
+            Response::MultiDiffs {
+                pages: vec![
+                    (
+                        3,
+                        PageDiffs::Diffs {
+                            covered_hi: 4,
+                            diffs: vec![(2, d)],
+                        },
+                    ),
+                    (
+                        9,
+                        PageDiffs::Full {
+                            applied: vec![1, 2],
+                            data: vec![7u8; 16],
+                        },
+                    ),
+                    (
+                        12,
+                        PageDiffs::Zero {
+                            applied: vec![0, 9],
+                        },
+                    ),
+                ],
+            },
+            Response::NoticeAck { barrier: 4 },
+        ]
+    }
+
+    #[test]
+    fn request_roundtrips() {
+        for (i, req) in requests().into_iter().enumerate() {
+            let buf = req.encode(i as u32);
+            let (rid, back) = Request::decode(&buf).expect("decode");
+            assert_eq!(rid, i as u32);
+            assert_eq!(back, req);
+        }
+    }
+
+    #[test]
+    fn response_roundtrips() {
+        for (i, resp) in responses().into_iter().enumerate() {
             let buf = resp.encode(100 + i as u32);
             let (rid, back) = Response::decode(&buf).expect("decode");
             assert_eq!(rid, 100 + i as u32);
@@ -816,6 +871,78 @@ mod tests {
     fn garbage_decodes_to_none() {
         assert!(Request::decode(&[1, 2, 3]).is_none());
         assert!(Response::decode(&[0, 0, 0, 0, 99]).is_none());
+    }
+
+    #[test]
+    fn a_record_count_the_frame_cannot_hold_is_none() {
+        // An empty clock, then 2^32 - 1 records: a release, and an arrival.
+        let release = [0, 0, 0, 0, 4, 0, 0, 0xff, 0xff, 0xff, 0xff];
+        assert_eq!(Response::decode(&release), None);
+        let arrive = [0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff];
+        assert_eq!(Request::decode(&arrive), None);
+    }
+
+    #[test]
+    fn only_the_bytes_encode_writes_decode() {
+        let mut buf = Request::Gone.encode(7);
+        buf.push(0);
+        assert_eq!(Request::decode(&buf), None, "a trailing byte");
+        let mut buf = Response::NoticeAck { barrier: 1 }.encode(7);
+        buf.push(0);
+        assert_eq!(Response::decode(&buf), None, "a trailing byte");
+        let flat = Request::NoticeRelease {
+            barrier: 0,
+            tree: false,
+            reply_rid: 12,
+            vc: vc(&[1, 1]),
+            records: vec![],
+        };
+        let mut buf = flat.encode(62);
+        // rid, kind, barrier: then the tree flag.
+        buf[9] = 2;
+        assert_eq!(Request::decode(&buf), None, "a tree flag of 2");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5000))]
+
+        /// Over arbitrary bytes and over one-byte overwrites, truncations
+        /// and insertions of a message of every kind: decoding never
+        /// panics, and what decodes re-encodes to the bytes it came from.
+        #[test]
+        fn request_decode_is_total_and_canonical(
+            junk in proptest::collection::vec(any::<u8>(), 0..64),
+            which: usize,
+            kind in 0u8..3,
+            at: usize,
+            byte: u8,
+        ) {
+            let all = requests();
+            let image = all[which % all.len()].encode(which as u32);
+            for buf in [junk, crate::wire::mutated(&image, kind, at, byte)] {
+                if let Some((rid, req)) = Request::decode(&buf) {
+                    prop_assert_eq!(req.encode(rid), buf);
+                }
+            }
+        }
+
+        /// [`request_decode_is_total_and_canonical`] for responses.
+        #[test]
+        fn response_decode_is_total_and_canonical(
+            junk in proptest::collection::vec(any::<u8>(), 0..64),
+            which: usize,
+            kind in 0u8..3,
+            at: usize,
+            byte: u8,
+        ) {
+            let all = responses();
+            let image = all[which % all.len()].encode(which as u32);
+            for buf in [junk, crate::wire::mutated(&image, kind, at, byte)] {
+                if let Some((rid, resp)) = Response::decode(&buf) {
+                    prop_assert_eq!(resp.encode(rid), buf);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -137,9 +137,8 @@ impl<S: Substrate> Tmk<S> {
         let params = self.sub.params().clone();
         let seq = self.vc.tick(self.me as usize);
         let mut cost = Ns::ZERO;
-        let mut pages_written = Vec::with_capacity(self.dirty.len());
         let dirty = std::mem::take(&mut self.dirty);
-        for pid in dirty {
+        for &pid in &dirty {
             let page = &mut self.pages[pid as usize];
             let d = page.take_diff();
             cost += Ns::for_bytes(self.page_size, params.dsm.diff_scan_mb_s)
@@ -152,53 +151,35 @@ impl<S: Substrate> Tmk<S> {
                 Access::WriteInvalid => Access::Invalid,
                 _ => Access::Read,
             };
-            pages_written.push(pid);
             self.clock().borrow_mut().stats.diffs_created += 1;
         }
-        // The interval's one clock and one page list, on this node.
-        let rec = IntervalRecord::new(self.me, seq, self.vc.clone(), pages_written);
+        // The interval's one record, encoded once, on this node.
+        let rec = IntervalRecord::new(self.me, seq, &self.vc, dirty);
         self.log.insert(rec);
         cost
     }
 
     /// Incorporate interval records learned from a grant or release:
-    /// insert into the log and invalidate the named pages. The log keeps
-    /// the handle that came in; a page only raises what it owes.
+    /// insert into the log and invalidate the pages a peer's new record
+    /// names. The log keeps the handle that came in and decides what is
+    /// new — barrier arrivals from different clients often relay the same
+    /// record; a page only raises what it owes.
     pub(super) fn apply_records(&mut self, records: Vec<Rc<IntervalRecord>>) -> Ns {
-        let mut fresh: Vec<Rc<IntervalRecord>> = Vec::with_capacity(records.len());
-        for rec in records {
-            // Novelty check covers both the log and this batch: barrier
-            // arrivals from different clients often relay the same record.
-            if !self.log.contains(rec.node, rec.seq)
-                && !fresh.iter().any(|f| f.node == rec.node && f.seq == rec.seq)
-            {
-                fresh.push(rec);
-            }
-        }
-        let cost = self.notice_records(&fresh);
-        for rec in fresh {
-            self.log.insert(rec);
-        }
-        cost
-    }
-
-    /// Invalidate pages named by `records`' write notices.
-    fn notice_records(&mut self, records: &[Rc<IntervalRecord>]) -> Ns {
         let mprotect = self.sub.params().dsm.mprotect;
         let mut cost = Ns::ZERO;
         for rec in records {
-            if rec.node == self.me {
+            if !self.log.insert(Rc::clone(&rec)) || rec.node == self.me {
                 continue;
             }
-            if let Some(&max_pid) = rec.pages().last() {
-                self.ensure_pages(max_pid as usize + 1);
-            }
-            for &pid in rec.pages() {
-                let page = &mut self.pages[pid as usize];
-                let before = page.state;
-                page.add_notice(rec.node, rec.seq);
-                if page.state != before {
-                    cost += mprotect;
+            for (first, len) in rec.ranges() {
+                self.ensure_pages(first as usize + len as usize);
+                for pid in (0..len).map(|i| first + i) {
+                    let page = &mut self.pages[pid as usize];
+                    let before = page.state;
+                    page.add_notice(rec.node, rec.seq);
+                    if page.state != before {
+                        cost += mprotect;
+                    }
                 }
             }
         }

@@ -42,7 +42,7 @@ fn vc(vals: [u32; NODES]) -> VectorClock {
 #[test]
 fn a_notice_is_an_owed_range_and_the_log_keeps_the_one_record() {
     let mut t = node0();
-    let rec = IntervalRecord::new(1, 1, vc([0, 1, 0]), PAGES.to_vec());
+    let rec = IntervalRecord::new(1, 1, &vc([0, 1, 0]), PAGES.to_vec());
     t.apply_records(vec![Rc::clone(&rec)]);
     for pid in PAGES {
         let page = &t.pages[pid as usize];
@@ -56,7 +56,7 @@ fn a_notice_is_an_owed_range_and_the_log_keeps_the_one_record() {
         &rec
     ));
     // A second arrival of the same interval is dropped, not adopted.
-    let again = IntervalRecord::new(1, 1, vc([0, 1, 0]), PAGES.to_vec());
+    let again = IntervalRecord::new(1, 1, &vc([0, 1, 0]), PAGES.to_vec());
     t.apply_records(vec![Rc::clone(&again)]);
     assert_eq!(Rc::strong_count(&again), 1);
     assert_eq!(Rc::strong_count(&rec), 2);
@@ -87,11 +87,11 @@ fn apply_out_of_order(learn: impl FnOnce(&mut Tmk<MemSubstrate>)) -> Tmk<MemSubs
 }
 
 fn first() -> Rc<IntervalRecord> {
-    IntervalRecord::new(1, 1, vc([0, 1, 0]), vec![0])
+    IntervalRecord::new(1, 1, &vc([0, 1, 0]), vec![0])
 }
 
 fn second() -> Rc<IntervalRecord> {
-    IntervalRecord::new(2, 1, vc([0, 1, 1]), vec![0])
+    IntervalRecord::new(2, 1, &vc([0, 1, 1]), vec![0])
 }
 
 #[test]

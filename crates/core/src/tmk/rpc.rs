@@ -242,29 +242,22 @@ impl<S: Substrate> Tmk<S> {
         self.rpc_collect(rid).expect(UNANSWERED)
     }
 
-    /// Legacy entry for callers that pre-chose the rid (acquire's
-    /// manager-forwarding path): issue the already-encoded frame, then
-    /// block for its response.
-    pub(super) fn rpc_encoded(&mut self, to: usize, rid: u32, w: WireWriter) -> Response {
-        self.rpc_issue_encoded(to, rid, w);
-        self.rpc_collect(rid).expect(UNANSWERED)
-    }
-
     /// Allocate a rid, register its pending-response slot and send the
     /// request — without blocking. Any number of rids may be outstanding;
     /// each is collected exactly once via [`Self::rpc_collect`].
     pub(super) fn rpc_issue(&mut self, to: usize, req: Request) -> u32 {
         let rid = self.rid();
-        let mut w = WireWriter::pooled(64);
-        req.encode_into(rid, &mut w);
-        self.rpc_issue_encoded(to, rid, w);
+        self.rpc_issue_as(to, rid, req);
         rid
     }
 
-    /// [`Self::rpc_issue`] for an already-encoded frame. Consumes the
-    /// writer: on lossy transports the frame is retained for per-rid
-    /// retransmission, on reliable ones it goes straight back to the pool.
-    pub(super) fn rpc_issue_encoded(&mut self, to: usize, rid: u32, w: WireWriter) {
+    /// [`Self::rpc_issue`] under a rid the caller already allocated (and
+    /// may have named in `req`, as acquire's manager path does). On lossy
+    /// transports the frame is retained for per-rid retransmission, on
+    /// reliable ones it goes straight back to the pool.
+    pub(super) fn rpc_issue_as(&mut self, to: usize, rid: u32, req: Request) {
+        let mut w = WireWriter::pooled(64);
+        req.encode_into(rid, &mut w);
         self.sub.send_request(to, w.as_slice());
         let resend = match self.rel.as_ref() {
             Some(rel) => Some(rel.resend(w.finish(), self.clock().borrow().now())),

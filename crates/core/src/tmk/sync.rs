@@ -27,12 +27,12 @@ use std::rc::Rc;
 use tm_sim::Ns;
 
 use super::reliable::Class;
+use super::rpc::UNANSWERED;
 use super::{Tmk, TmkEvent};
 use crate::interval::IntervalRecord;
 use crate::protocol::{Request, Response};
 use crate::substrate::Substrate;
 use crate::vc::VectorClock;
-use crate::wire::WireWriter;
 
 pub(super) struct LockState {
     /// Manager's record of who holds (or will next hold) the token.
@@ -160,9 +160,10 @@ impl<S: Substrate> Tmk<S> {
 
     // ----- request handlers (dispatched by rpc::serve) ----------------------
 
-    /// An `Acquire` reached us as this lock's manager: grant directly if
-    /// we hold a free token, queue if we hold it busy, else forward to
-    /// the owner hint.
+    /// An `Acquire` reached us as this lock's manager: the requester
+    /// becomes the owner hint. If the hint was us, we hold the token (or
+    /// it is on its way to us) and serve the acquire as a forwarded one —
+    /// grant now or queue; else we forward it to the hinted owner.
     pub(super) fn serve_acquire(
         &mut self,
         from: usize,
@@ -170,44 +171,24 @@ impl<S: Substrate> Tmk<S> {
         lock: u32,
         vc: VectorClock,
         arrival: Ns,
-        mut cost: Ns,
+        cost: Ns,
     ) {
         self.ensure_lock(lock);
         debug_assert_eq!(self.lock_manager(lock), self.me, "acquire sent to non-manager");
-        let ls = &mut self.locks[lock as usize];
-        if ls.owner_hint == self.me {
-            if ls.have_token && !ls.busy {
-                // Direct grant: manager holds a free token.
-                let (resp, c) = self.make_grant(lock, &vc);
-                cost += c;
-                let ls = &mut self.locks[lock as usize];
-                ls.have_token = false;
-                ls.owner_hint = from as u16;
-                self.respond(from, rid, resp, arrival, cost);
-                self.emit(TmkEvent::LockGranted {
-                    lock,
-                    to: from as u16,
-                });
-            } else {
-                // We hold it busy (or the token is en route to us):
-                // grant at release.
-                ls.waiting.push_back((from as u16, rid, vc));
-                ls.owner_hint = from as u16;
-                self.charge_service(arrival, cost);
-                self.note_pending();
-            }
+        let requester = from as u16;
+        let owner = std::mem::replace(&mut self.locks[lock as usize].owner_hint, requester);
+        if owner == self.me {
+            self.serve_acquire_fwd(lock, requester, rid, vc, arrival, cost);
         } else {
-            // Forward to the current owner; requester stays blocked.
-            let owner = ls.owner_hint as usize;
-            ls.owner_hint = from as u16;
+            // The requester stays blocked until the owner grants.
             let fwd = Request::AcquireFwd {
                 lock,
-                requester: from as u16,
+                requester,
                 rid,
                 vc,
             };
             let fwd_rid = self.rid();
-            self.forward(owner, fwd_rid, fwd, arrival, cost);
+            self.forward(owner as usize, fwd_rid, fwd, arrival, cost);
         }
     }
 
@@ -259,19 +240,9 @@ impl<S: Substrate> Tmk<S> {
             "barrier arrival from {from}, not a child of {}",
             self.me
         );
-        match self.barrier.id {
-            None => self.barrier.id = Some(barrier),
-            Some(b) => assert_eq!(
-                b, barrier,
-                "barrier mismatch: subtree {from} arrived at {barrier}, episode is {b}"
-            ),
-        }
+        self.count_arrival(from, barrier);
         let nrec = records.len() as u64;
         self.stash_barrier_records(records);
-        if !self.barrier.arrived[from] {
-            self.barrier.arrived[from] = true;
-            self.barrier.count += 1;
-        }
         self.barrier.clients[from] = Some((rid, min_vc, vc));
         self.charge_service(arrival, cost + Ns(200 * nrec));
         self.note_pending();
@@ -328,33 +299,26 @@ impl<S: Substrate> Tmk<S> {
         assert!(!ls.busy, "node {} re-acquiring lock {lock} it holds", self.me);
         self.clock().borrow_mut().stats.remote_acquires += 1;
         let mgr = self.lock_manager(lock) as usize;
-        let resp = if mgr == self.me as usize {
+        let rid = self.rid();
+        let vc = self.vc.clone();
+        let (to, req) = if mgr == self.me as usize {
             // We are the manager but the token is elsewhere: forward
-            // directly to the owner.
-            let owner = self.locks[lock as usize].owner_hint as usize;
-            debug_assert_ne!(owner, self.me as usize);
-            self.locks[lock as usize].owner_hint = self.me;
-            let rid = self.rid();
-            let req = Request::AcquireFwd {
+            // directly to the owner, under our own rid so the grant
+            // correlates.
+            let owner = std::mem::replace(&mut self.locks[lock as usize].owner_hint, self.me);
+            debug_assert_ne!(owner, self.me);
+            let fwd = Request::AcquireFwd {
                 lock,
                 requester: self.me,
                 rid,
-                vc: self.vc.clone(),
+                vc,
             };
-            // Run the rpc with the chosen rid so the grant correlates.
-            let mut w = WireWriter::pooled(64);
-            req.encode_into(rid, &mut w);
-            self.rpc_encoded(owner, rid, w)
+            (owner as usize, fwd)
         } else {
-            self.rpc(
-                mgr,
-                Request::Acquire {
-                    lock,
-                    vc: self.vc.clone(),
-                },
-            )
+            (mgr, Request::Acquire { lock, vc })
         };
-        match resp {
+        self.rpc_issue_as(to, rid, req);
+        match self.rpc_collect(rid).expect(UNANSWERED) {
             Response::Grant { lock: l, vc, records } => {
                 assert_eq!(l, lock);
                 // Under the overlapped lock path the pages these records
@@ -367,7 +331,7 @@ impl<S: Substrate> Tmk<S> {
                     super::LockPath::Overlapped => records
                         .iter()
                         .filter(|r| r.node != self.me)
-                        .flat_map(|r| r.pages().iter().copied())
+                        .flat_map(|r| r.pages())
                         .collect(),
                 };
                 let cost = self.apply_records(records);
@@ -462,14 +426,15 @@ impl<S: Substrate> Tmk<S> {
         self.emit(TmkEvent::BarrierCrossed { id });
     }
 
-    /// Note our own arrival in the current episode.
-    fn barrier_arrive_self(&mut self, id: u32) {
+    /// Count the arrival of `who` (ourselves or a child subtree) at
+    /// barrier `id` in the current episode, once.
+    fn count_arrival(&mut self, who: usize, id: u32) {
         match self.barrier.id {
             None => self.barrier.id = Some(id),
-            Some(b) => assert_eq!(b, id, "node {} at barrier {id}, episode is {b}", self.me),
+            Some(b) => assert_eq!(b, id, "node {who} arrived at barrier {id}, episode is {b}"),
         }
-        if !self.barrier.arrived[self.me as usize] {
-            self.barrier.arrived[self.me as usize] = true;
+        if !self.barrier.arrived[who] {
+            self.barrier.arrived[who] = true;
             self.barrier.count += 1;
         }
     }
@@ -491,7 +456,7 @@ impl<S: Substrate> Tmk<S> {
     /// The barrier, for the root, interior nodes and leaves alike.
     fn barrier_tree(&mut self, id: u32) {
         let children = self.tree_children().len();
-        self.barrier_arrive_self(id);
+        self.count_arrival(self.me as usize, id);
         // Wait for one combined arrival per direct child subtree. A
         // childless node has nothing to wait for and must not pass through
         // the wait step on its way: its arrival leaves *before* it drains

@@ -315,9 +315,10 @@ impl<'a> WireReader<'a> {
         })
     }
 
-    /// LEB128 variable-length u32. Rejects encodings longer than 5 bytes
-    /// or overflowing 32 bits (possible once fault injection corrupts a
-    /// continuation bit) instead of panicking.
+    /// LEB128 variable-length u32. Rejects encodings longer than 5 bytes,
+    /// overflowing 32 bits (possible once fault injection corrupts a
+    /// continuation bit) or overlong — a zero last byte after the first,
+    /// which [`WireWriter::u32v`] never writes — instead of panicking.
     #[inline]
     pub fn u32v(&mut self) -> Option<u32> {
         let mut v: u64 = 0;
@@ -325,6 +326,9 @@ impl<'a> WireReader<'a> {
             let b = self.u8()?;
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return None;
+                }
                 return u32::try_from(v).ok();
             }
         }
@@ -353,6 +357,22 @@ impl<'a> WireReader<'a> {
         self.pos = self.buf.len();
         s
     }
+}
+
+/// `image` with the byte at `at` (modulo its length plus one) overwritten
+/// (`kind` 0; appended past the end), cut short there (1) or one byte
+/// inserted there (2): what a decoder's canonical proptest feeds it besides
+/// arbitrary bytes.
+#[cfg(test)]
+pub(crate) fn mutated(image: &[u8], kind: u8, at: usize, byte: u8) -> Vec<u8> {
+    let mut v = image.to_vec();
+    let at = at % (v.len() + 1);
+    match kind {
+        0 if at < v.len() => v[at] = byte,
+        1 => v.truncate(at),
+        _ => v.insert(at, byte),
+    }
+    v
 }
 
 #[cfg(test)]
@@ -416,6 +436,10 @@ mod tests {
         // Truncated mid-value.
         let mut r = WireReader::new(&[0x80]);
         assert_eq!(r.u32v(), None);
+        // 3 in two bytes: the writer spends one.
+        let mut r = WireReader::new(&[0x83, 0x00]);
+        assert_eq!(r.u32v(), None);
+        assert_eq!(WireReader::new(&[0x00]).u32v(), Some(0));
     }
 
     #[test]

@@ -155,10 +155,11 @@ fn a_retained_diff_is_sized_by_what_changed() {
 }
 
 /// Allocations one small SOR run may make, cluster set-up and scheduler
-/// included: 2 991 measured, plus about a quarter. With a clock cloned into
-/// every page-notice the same run makes 3 816; with one `Vec` per diff run,
-/// more than ten times the budget.
-const SOR_BUDGET: u64 = 3_700;
+/// included: 2 807 measured, plus a quarter. With an interval record that
+/// held a clock and a page list beside its wire image the same run made
+/// 2 991; with a clock cloned into every page-notice, 3 816; with one `Vec`
+/// per diff run, more than ten times the budget.
+const SOR_BUDGET: u64 = 3_509;
 
 #[test]
 fn a_small_lockstep_sor_run_stays_inside_its_allocation_budget() {
@@ -298,13 +299,15 @@ const STORM_NODES: usize = 16;
 const STORM_PAGES: usize = 512;
 const STORM_ROUNDS: u32 = 32;
 
-/// Allocations the notice storm below may make: 94 803 measured, plus a
+/// Allocations the notice storm below may make: 86 712 measured, plus a
 /// quarter. Every node learns of every other node's interval at every
-/// barrier and every interval names 32 pages, so 245 760 notices arrive;
-/// a clock of its own for each of them (and a sorted copy of the page list
-/// per encode) makes the same run cost 414 069, and a handle to the record
-/// queued on each page 116 035.
-const STORM_BUDGET: u64 = 118_504;
+/// barrier and every interval names 32 pages, so 245 760 notices arrive.
+/// A record is its wire image, one allocation beside its `Rc`; one that
+/// also held a decoded clock and page list made the same run cost 94 803,
+/// a handle to the record queued on each page 116 035, and a clock of its
+/// own for each notice (and a sorted copy of the page list per encode)
+/// 414 069.
+const STORM_BUDGET: u64 = 108_390;
 
 /// Every node rewrites one word of each page it manages, barrier after
 /// barrier, and nobody reads anybody else's: no page or diff ever moves, so
