@@ -80,9 +80,7 @@ fn udp_sigio() -> (f64, f64) {
     let out = run_cluster_with(params, nics, move |env, nic| {
         let mut udp = UdpStack::new(nic, env.clock.clone(), Arc::clone(&env.params));
         udp.bind(1, true);
-        let sigio = AsyncScheme::Sigio {
-            cost: env.params.host.sigio,
-        };
+        let sigio = env.params.sigio_scheme();
         if env.id == 0 {
             let mut total = Ns::ZERO;
             for _ in 0..ROUNDS {

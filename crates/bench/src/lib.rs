@@ -284,7 +284,8 @@ pub struct Opts {
     /// byte-identical to a faultless build).
     pub fault_loss: f64,
     /// `E2_LOCK_PATH`: `serial` (the message-for-message spec baseline,
-    /// the default) or `overlapped`.
+    /// the default) or `overlapped` (an acquire batch-fetches what its
+    /// grant invalidates; the Barrier and Lock rows do not move).
     pub lock_path: LockPath,
     /// `E2_PREFETCH`: stride-prefetch depth; 0 (the default) leaves the
     /// prefetcher inert.

@@ -53,21 +53,6 @@ pub enum Request {
     /// `Diff` request per page into a single message — the per-node
     /// coalescing arm of the overlapped RPC engine.
     MultiDiff { pages: Vec<(PageId, u32, u32)> },
-    /// Overlapped write-notice distribution (`LockPath::Overlapped`): a
-    /// barrier release pushed as an issued *request* so the releaser can
-    /// fan all consumers through the overlapped engine and collect the
-    /// [`Response::NoticeAck`]s out of order (per-rid retransmission
-    /// replaces the fire-and-forget replay-record recovery path). The
-    /// consumer completes its own blocked arrival rpc `reply_rid` with
-    /// the equivalent release response. `tree` selects which release
-    /// vocabulary that synthesized response uses.
-    NoticeRelease {
-        barrier: u32,
-        tree: bool,
-        reply_rid: u32,
-        vc: VectorClock,
-        records: Vec<Rc<IntervalRecord>>,
-    },
     /// The sender has passed the exit barrier and left (lossy transports
     /// only): nothing it owes is still coming. Answered by nothing.
     Gone,
@@ -123,10 +108,6 @@ pub enum Response {
     /// response are simply still owed — the requester's fetch loop
     /// re-requests them.
     MultiDiffs { pages: Vec<(PageId, PageDiffs)> },
-    /// Acknowledgement of a [`Request::NoticeRelease`]: the consumer has
-    /// filed the synthesized release into its blocked arrival rpc. Tiny
-    /// on purpose — the payload already travelled in the request.
-    NoticeAck { barrier: u32 },
 }
 
 /// One page's answer to a fetch: an entry of a [`Response::MultiDiffs`],
@@ -336,17 +317,6 @@ impl Request {
                     w.u32(*page).u32(*lo).u32(*hi);
                 }
             }
-            Request::NoticeRelease {
-                barrier,
-                tree,
-                reply_rid,
-                vc,
-                records,
-            } => {
-                w.u8(8).u32(*barrier).u8(*tree as u8).u32(*reply_rid);
-                vc.encode(w);
-                encode_records(records, w);
-            }
             Request::Gone => {
                 w.u8(9);
             }
@@ -394,17 +364,6 @@ impl Request {
                 }
                 Request::MultiDiff { pages }
             }
-            8 => Request::NoticeRelease {
-                barrier: r.u32()?,
-                tree: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                },
-                reply_rid: r.u32()?,
-                vc: VectorClock::decode(&mut r)?,
-                records: decode_records(&mut r)?,
-            },
             9 => Request::Gone,
             _ => return None,
         };
@@ -502,9 +461,6 @@ impl Response {
                 }
                 w.patch_u16(count, pages.len() as u16);
             }
-            Response::NoticeAck { barrier } => {
-                w.u32(rid).u8(8).u32(*barrier);
-            }
         }
     }
 
@@ -591,7 +547,6 @@ impl Response {
                 }
                 Response::MultiDiffs { pages }
             }
-            8 => Response::NoticeAck { barrier: r.u32()? },
             _ => return None,
         };
         (r.remaining() == 0).then_some((rid, resp))
@@ -647,13 +602,6 @@ mod tests {
             },
             Request::MultiDiff {
                 pages: vec![(3, 1, 4), (9, 2, 2)],
-            },
-            Request::NoticeRelease {
-                barrier: 4,
-                tree: true,
-                reply_rid: 310,
-                vc: vc(&[7, 2, 200]),
-                records: vec![rec(2, 200, &[1, 0, 200], &[3, 5, 6])],
             },
             Request::Gone,
         ]
@@ -718,7 +666,6 @@ mod tests {
                     ),
                 ],
             },
-            Response::NoticeAck { barrier: 4 },
         ]
     }
 
@@ -832,34 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn notice_release_roundtrips() {
-        let req = Request::NoticeRelease {
-            barrier: 4,
-            tree: true,
-            reply_rid: 310,
-            vc: vc(&[7, 2, 9]),
-            records: vec![rec(2, 9, &[1, 0, 9], &[3, 5])],
-        };
-        let buf = req.encode(61);
-        assert_eq!(Request::decode(&buf), Some((61, req)));
-
-        let flat = Request::NoticeRelease {
-            barrier: 0,
-            tree: false,
-            reply_rid: 12,
-            vc: vc(&[1, 1]),
-            records: vec![],
-        };
-        let buf = flat.encode(62);
-        assert_eq!(Request::decode(&buf), Some((62, flat)));
-
-        let ack = Response::NoticeAck { barrier: 4 };
-        let buf = ack.encode(61);
-        assert!(buf.len() < 16, "ack must be compact");
-        assert_eq!(Response::decode(&buf), Some((61, ack)));
-    }
-
-    #[test]
     fn gone_roundtrips_in_its_rid_envelope() {
         let buf = Request::Gone.encode(77);
         assert_eq!(buf, [77, 0, 0, 0, 9], "a rid and a kind byte, no body");
@@ -887,20 +806,13 @@ mod tests {
         let mut buf = Request::Gone.encode(7);
         buf.push(0);
         assert_eq!(Request::decode(&buf), None, "a trailing byte");
-        let mut buf = Response::NoticeAck { barrier: 1 }.encode(7);
-        buf.push(0);
-        assert_eq!(Response::decode(&buf), None, "a trailing byte");
-        let flat = Request::NoticeRelease {
-            barrier: 0,
-            tree: false,
-            reply_rid: 12,
+        let mut buf = Response::BarrierRelease {
             vc: vc(&[1, 1]),
             records: vec![],
-        };
-        let mut buf = flat.encode(62);
-        // rid, kind, barrier: then the tree flag.
-        buf[9] = 2;
-        assert_eq!(Request::decode(&buf), None, "a tree flag of 2");
+        }
+        .encode(7);
+        buf.push(0);
+        assert_eq!(Response::decode(&buf), None, "a trailing byte");
     }
 
     proptest! {

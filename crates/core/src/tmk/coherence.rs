@@ -12,7 +12,6 @@ use std::rc::Rc;
 
 use tm_sim::Ns;
 
-use super::rpc::UNANSWERED;
 use super::{DiffFetch, Tmk, TmkEvent};
 use crate::diff::Diff;
 use crate::interval::IntervalRecord;
@@ -526,7 +525,7 @@ impl<S: Substrate> Tmk<S> {
                     }
                     self.note_fanout(need.len(), issued.len());
                     for (rid, writer) in issued {
-                        let resp = self.rpc_collect(rid).expect(UNANSWERED);
+                        let resp = self.rpc_collect(rid);
                         self.handle_fetch_response(&mut states, writer, resp);
                     }
                 }
@@ -625,7 +624,7 @@ impl<S: Substrate> Tmk<S> {
             }
         }
         for v in due {
-            let resp = self.rpc_collect(v.rid).expect(UNANSWERED);
+            let resp = self.rpc_collect(v.rid);
             // A page the responder left out under its message budget never
             // stages: speculation is not re-requested.
             let lo_of = |pid: PageId| v.pages.iter().find(|p| p.0 == pid).map_or(0, |p| p.1);

@@ -94,21 +94,16 @@ pub enum DiffFetch {
     Coalesced,
 }
 
-/// How the sync layer moves write notices and the fetches they imply —
-/// the synchronization-pipelining knob.
+/// When an acquire fetches the pages its grant's write notices
+/// invalidate. Barriers and every other message are the same under both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockPath {
-    /// One blocking rpc per step, faults fetched lazily one page at a
-    /// time inside the critical section — the TreadMarks specification
-    /// baseline, message-for-message.
+    /// Lazily, one fault at a time inside the critical section — the
+    /// TreadMarks specification baseline, message-for-message.
     Serial,
-    /// Pipeline the synchronization paths through the overlapped RPC
-    /// engine: a grant's write notices trigger one overlapped batch
-    /// fetch of every page they invalidate (acquire+read cost ≈
-    /// grant + max fetch instead of grant + Σ per-page round trips), and
-    /// a barrier release with multiple downstream consumers distributes
-    /// its notices via issued requests whose acks are collected out of
-    /// order.
+    /// At the grant, as one overlapped batch through the RPC engine
+    /// (acquire+read cost ≈ grant + max fetch instead of grant + Σ
+    /// per-page round trips).
     Overlapped,
 }
 
@@ -121,7 +116,7 @@ pub struct TmkConfig {
     pub barrier_algo: BarrierAlgo,
     /// How pending diffs are fetched at a page fault.
     pub diff_fetch: DiffFetch,
-    /// How lock grants and write-notice distribution are pipelined.
+    /// When an acquire fetches what its grant invalidates.
     pub lock_path: LockPath,
     /// Stride-prefetcher depth: on a detected constant-stride fault
     /// sequence, speculatively fetch up to this many predicted pages

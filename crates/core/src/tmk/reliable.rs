@@ -41,7 +41,7 @@ pub(super) struct Reliable {
     heard: Ns,
     /// `gone[p]`: peer `p` has said `Gone`.
     gone: Vec<bool>,
-    /// Past the exit barrier: every wait also ends on silence.
+    /// In the shutdown linger: its waits are also bounded by silence.
     leaving: bool,
 }
 
@@ -161,8 +161,8 @@ enum ReplayKey {
     /// acquire names its requester and original rid on the wire, so the
     /// manager's and the owner's records of one acquire carry one key.
     Slot(Class, usize, u32),
-    /// An idempotent fetch or notice (`Diff`, `MultiDiff`, `Page`,
-    /// `NoticeRelease`): `(from, rid)` in the bounded data FIFO.
+    /// An idempotent fetch (`Diff`, `MultiDiff`, `Page`): `(from, rid)` in
+    /// the bounded data FIFO.
     Data(usize, u32),
 }
 
@@ -178,10 +178,9 @@ impl ReplayKey {
             Request::BarrierArrive { .. } | Request::BarrierTreeArrive { .. } => {
                 ReplayKey::Slot(Class::Barrier, from, rid)
             }
-            Request::Diff { .. }
-            | Request::MultiDiff { .. }
-            | Request::Page { .. }
-            | Request::NoticeRelease { .. } => ReplayKey::Data(from, rid),
+            Request::Diff { .. } | Request::MultiDiff { .. } | Request::Page { .. } => {
+                ReplayKey::Data(from, rid)
+            }
             Request::Gone => return None,
         })
     }
@@ -343,13 +342,21 @@ impl<S: Substrate> Tmk<S> {
         self.rel.as_ref().is_some_and(|rel| rel.gone[peer])
     }
 
-    /// The exit barrier has released this node: from now on its waits —
-    /// the exit fan's ack collects, the shutdown linger — are for peers
-    /// that answer at once or have left, so `rto_ceiling` of silence means
-    /// they have left, whether or not their `Gone` got through.
+    /// The shutdown linger begins: from now on the node waits only for
+    /// children that have left or are about to, so `rto_ceiling` of
+    /// silence means they have left, whether or not their `Gone` got
+    /// through.
     pub(super) fn start_leaving(&mut self) {
         if let Some(rel) = self.rel.as_mut() {
             rel.leaving = true;
+        }
+    }
+
+    /// A leaving node heard nothing for `rto_ceiling`: every peer has
+    /// left.
+    pub(super) fn fall_silent(&mut self) {
+        if let Some(rel) = self.rel.as_mut() {
+            rel.gone.fill(true);
         }
     }
 

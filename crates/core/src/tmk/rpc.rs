@@ -121,13 +121,6 @@ impl<S: Substrate> Tmk<S> {
                 vc,
                 records,
             } => self.serve_tree_arrive(from, rid, barrier, min_vc, vc, records, arrival, cost),
-            Request::NoticeRelease {
-                barrier,
-                tree,
-                reply_rid,
-                vc,
-                records,
-            } => self.serve_notice_release(from, rid, barrier, tree, reply_rid, vc, records, arrival, cost),
             Request::Gone => self.serve_gone(from, arrival, cost),
         }
         self.emit(TmkEvent::RequestServed { from, rid });
@@ -239,7 +232,7 @@ impl<S: Substrate> Tmk<S> {
     /// issue + collect; overlap-aware callers split the two.
     pub(super) fn rpc(&mut self, to: usize, req: Request) -> Response {
         let rid = self.rpc_issue(to, req);
-        self.rpc_collect(rid).expect(UNANSWERED)
+        self.rpc_collect(rid)
     }
 
     /// Allocate a rid, register its pending-response slot and send the
@@ -276,35 +269,26 @@ impl<S: Substrate> Tmk<S> {
     /// rids are parked in their slots, requests go to the async serve
     /// queue and are dispatched in virtual-arrival order between waits.
     ///
-    /// `None` — the rid cancelled, its timer with it — if the peer says
-    /// `Gone` first, or if a node past its exit barrier hears nothing for
-    /// `rto_ceiling`. Both happen only on the exit fan, whose consumer
-    /// applies the release, passes the barrier and may leave before its
-    /// ack survives the wire: it can only have left after applying the
-    /// release, so the ack is moot.
-    pub(super) fn rpc_collect(&mut self, rid: u32) -> Option<Response> {
-        let to = self.outstanding.iter().find(|o| o.rid == rid).map(|o| o.to);
-        let to = to.unwrap_or_else(|| panic!("node {}: collect of unissued rid {rid}", self.me));
-        let collected = |t: &mut Self| match t.take_collected(rid) {
-            Some(resp) => Some(Some(resp)),
-            None => t.is_gone(to).then_some(None),
-        };
-        let resp = loop {
-            if let Some(resp) = collected(self) {
-                break resp;
+    /// Every rid is answered: a peer answers each request it is sent
+    /// before it leaves (a node leaves only past the exit barrier, whose
+    /// release is a response), and on a lossy transport the rid's timer
+    /// re-drives the request until the answer gets through. A peer silent
+    /// for the whole give-up budget is a panic in the timer, not a
+    /// missing answer.
+    pub(super) fn rpc_collect(&mut self, rid: u32) -> Response {
+        assert!(
+            self.outstanding.iter().any(|o| o.rid == rid),
+            "node {}: collect of unissued rid {rid}",
+            self.me
+        );
+        loop {
+            if let Some(resp) = self.take_collected(rid) {
+                return resp;
             }
-            // Re-checked after the step's drain: serving a `NoticeRelease`
-            // completes one of our *own* slots locally — blocking with
-            // the answer already in hand would deadlock a reliable
-            // transport — and serving a `Gone` ends the collect.
-            if let ControlFlow::Break(resp) = self.wait_step(collected) {
-                break resp.flatten();
+            if let ControlFlow::Break(resp) = self.wait_step(|t| t.take_collected(rid)) {
+                return resp;
             }
-        };
-        if resp.is_none() {
-            self.cancel_rpc(rid);
         }
-        resp
     }
 
     /// The engine's one blocking step, shared by every loop that waits for
@@ -319,23 +303,24 @@ impl<S: Substrate> Tmk<S> {
     /// Drain the serve queue; if the caller's `ready` re-check now yields,
     /// break with its value without blocking; otherwise block in the
     /// substrate's [`wait`](Substrate::wait) — bounded, on lossy
-    /// transports, by the nearest retransmission deadline and, once the
-    /// node is leaving, by its silence deadline — and absorb the message,
-    /// fire the due retransmissions, or break with `None` for silence.
+    /// transports, by the nearest retransmission deadline and, while the
+    /// node lingers, by its silence deadline — and absorb the message,
+    /// fire the due retransmissions, or take silence for every peer's
+    /// `Gone`.
     pub(super) fn wait_step<R>(
         &mut self,
         ready: impl FnOnce(&mut Self) -> Option<R>,
-    ) -> ControlFlow<Option<R>> {
+    ) -> ControlFlow<R> {
         self.drain_serve_queue();
         if let Some(r) = ready(self) {
-            return ControlFlow::Break(Some(r));
+            return ControlFlow::Break(r);
         }
         let silence = self.silence_deadline();
         let resend = self.rel.as_ref().and_then(|_| self.nearest_deadline());
         match self.sub.wait(resend.into_iter().chain(silence).min()) {
             Wait::Got(msg) => self.absorb(msg),
             Wait::Deadline if silence.is_some_and(|s| s <= self.clock().borrow().now()) => {
-                return ControlFlow::Break(None)
+                self.fall_silent()
             }
             Wait::Deadline => self.retransmit_due(),
         }
@@ -373,47 +358,18 @@ impl<S: Substrate> Tmk<S> {
         self.clock().borrow_mut().book_compute(idle_at_start, d);
     }
 
-    /// Drop `rid`'s pending slot without a response (the peer has left;
-    /// the rpc is moot).
-    fn cancel_rpc(&mut self, rid: u32) {
-        if let Some(i) = self.outstanding.iter().position(|o| o.rid == rid) {
-            self.remove_slot(i);
-        }
-    }
-
-    /// Remove slot `i`, returning its retained retransmission frame to the
-    /// pool, and hand back its response.
-    fn remove_slot(&mut self, i: usize) -> Option<Response> {
-        let slot = self.outstanding.swap_remove(i);
-        if let Some(r) = slot.resend {
-            pool::give(r.frame);
-        }
-        slot.response
-    }
-
-    /// File `resp` into the local outstanding slot for `rid`, as if it had
-    /// arrived on the wire — the overlapped write-notice path delivers the
-    /// release payload *inside* a request, and the consumer completes its
-    /// own blocked arrival rpc with the synthesized response. Returns
-    /// `false` (and drops `resp`) when the slot is absent or already
-    /// answered: a retransmitted `NoticeRelease` after the original landed.
-    pub(super) fn complete_local(&mut self, rid: u32, resp: Response) -> bool {
-        match self.outstanding.iter().position(|o| o.rid == rid) {
-            Some(i) if self.outstanding[i].response.is_none() => {
-                self.outstanding[i].response = Some(resp);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Remove `rid`'s slot if its response has arrived.
+    /// Remove `rid`'s slot if its response has arrived, returning its
+    /// retained retransmission frame to the pool.
     fn take_collected(&mut self, rid: u32) -> Option<Response> {
         let i = self
             .outstanding
             .iter()
             .position(|o| o.rid == rid && o.response.is_some())?;
-        self.remove_slot(i)
+        let slot = self.outstanding.swap_remove(i);
+        if let Some(r) = slot.resend {
+            pool::give(r.frame);
+        }
+        slot.response
     }
 
     /// Classify one delivered message: responses are matched against the
@@ -541,10 +497,8 @@ impl<S: Substrate> Tmk<S> {
     /// whole subtree has left. A late response finds no outstanding slot
     /// and is counted as stale by the absorb step.
     pub(super) fn shutdown_linger(&mut self, children: std::ops::Range<usize>) {
+        self.start_leaving();
         let all_gone = |t: &mut Self| children.clone().all(|c| t.is_gone(c)).then_some(());
         while self.wait_step(all_gone).is_continue() {}
     }
 }
-
-/// Why an rpc that must be answered was not.
-pub(super) const UNANSWERED: &str = "a peer left with an rpc to it unanswered";

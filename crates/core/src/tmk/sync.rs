@@ -27,7 +27,6 @@ use std::rc::Rc;
 use tm_sim::Ns;
 
 use super::reliable::Class;
-use super::rpc::UNANSWERED;
 use super::{Tmk, TmkEvent};
 use crate::interval::IntervalRecord;
 use crate::protocol::{Request, Response};
@@ -318,7 +317,7 @@ impl<S: Substrate> Tmk<S> {
             (mgr, Request::Acquire { lock, vc })
         };
         self.rpc_issue_as(to, rid, req);
-        match self.rpc_collect(rid).expect(UNANSWERED) {
+        match self.rpc_collect(rid) {
             Response::Grant { lock: l, vc, records } => {
                 assert_eq!(l, lock);
                 // Under the overlapped lock path the pages these records
@@ -540,26 +539,15 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Release every arrival in `clients`: each gets the merged barrier
-    /// time plus all records newer than its coverage floor.
+    /// time plus all records newer than its coverage floor, as the answer
+    /// to its arrival.
     fn fan_release(
         &mut self,
         id: u32,
         clients: Vec<Option<(u32, VectorClock, VectorClock)>>,
         merged: &VectorClock,
     ) {
-        if id == u32::MAX {
-            self.start_leaving();
-        }
         let tree = self.tree_wire();
-        if matches!(self.cfg.lock_path, super::LockPath::Overlapped) {
-            // Overlapped write-notice distribution: every consumer's
-            // release goes out as an issued request; acks collect out of
-            // order. The exit fan rides the same path: a consumer's `Gone`,
-            // or silence, ends its ack collect and cancels the
-            // retransmission timer instead of leaving it to fire into the
-            // departed node.
-            return self.fan_release_overlapped(id, tree, clients, merged);
-        }
         let mut fanned = 0u16;
         for (node, slot) in clients.into_iter().enumerate() {
             let Some((rid, floor, _)) = slot else { continue };
@@ -576,86 +564,6 @@ impl<S: Substrate> Tmk<S> {
                 children: fanned,
             });
         }
-    }
-
-    /// [`Self::fan_release`] on the overlapped engine: one
-    /// [`Request::NoticeRelease`] per consumer, all issued before any ack
-    /// is collected. Each consumer synthesizes its own release response
-    /// from the request payload (see [`Self::serve_notice_release`]), so
-    /// the notices gain per-rid retransmission — on lossy wires a dropped
-    /// release is re-driven by *our* timer instead of waiting out the
-    /// consumer's arrival retransmission.
-    ///
-    /// On the exit fan a consumer applies the release, passes the barrier
-    /// and may leave before its ack (or our retransmitted notice) survives
-    /// the wire. Its `Gone` *proves* the release was applied — it is sent
-    /// only past the barrier — and so does silence once we are past it
-    /// too, for a consumer that is still there answers every retransmitted
-    /// notice: [`Self::rpc_collect`] cancels the ack rpc instead of
-    /// retransmitting it into the departed node.
-    fn fan_release_overlapped(
-        &mut self,
-        id: u32,
-        tree: bool,
-        clients: Vec<Option<(u32, VectorClock, VectorClock)>>,
-        merged: &VectorClock,
-    ) {
-        let mut acks = Vec::new();
-        for (node, slot) in clients.into_iter().enumerate() {
-            let Some((rid, floor, _)) = slot else { continue };
-            let records = self.log.newer_than(&floor);
-            let nrid = self.rpc_issue(
-                node,
-                Request::NoticeRelease {
-                    barrier: id,
-                    tree,
-                    reply_rid: rid,
-                    vc: merged.clone(),
-                    records,
-                },
-            );
-            acks.push(nrid);
-        }
-        let fanned = acks.len() as u16;
-        for nrid in acks {
-            match self.rpc_collect(nrid) {
-                Some(Response::NoticeAck { barrier }) => {
-                    assert_eq!(barrier, id, "ack for barrier {barrier}, expected {id}")
-                }
-                // The consumer has left: release applied, ack moot.
-                None => {}
-                Some(other) => panic!("expected NoticeAck, got {other:?}"),
-            }
-        }
-        if tree && fanned > 0 {
-            self.emit(TmkEvent::BarrierReleaseFanned {
-                barrier: id,
-                children: fanned,
-            });
-        }
-    }
-
-    /// A releaser's `NoticeRelease` reached us: synthesize the barrier
-    /// release it carries, file it into our own blocked arrival rpc
-    /// (`reply_rid`), and ack. A duplicate whose original already landed
-    /// finds the slot gone and just re-acks — idempotent by construction.
-    // The parameter list mirrors the NoticeRelease wire fields one-to-one.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn serve_notice_release(
-        &mut self,
-        from: usize,
-        rid: u32,
-        barrier: u32,
-        tree: bool,
-        reply_rid: u32,
-        vc: VectorClock,
-        records: Vec<Rc<IntervalRecord>>,
-        arrival: Ns,
-        mut cost: Ns,
-    ) {
-        cost += Ns(200 * records.len() as u64);
-        self.complete_local(reply_rid, barrier_release(tree, barrier, vc, records));
-        self.respond(from, rid, Response::NoticeAck { barrier }, arrival, cost);
     }
 
     /// Final synchronization before the node body returns: a barrier, so

@@ -271,14 +271,15 @@ fn request_gathered_during_a_collect_is_served_before_the_next_block() {
         records: Vec::new(),
     };
     s1.send(0, Chan::Request, &encode(arrive, 100), Some(at));
-    let mut w = crate::wire::WireWriter::pooled(64);
-    Response::NoticeAck { barrier: 0 }.encode_into(rid, &mut w);
-    s1.send_response_at(0, w.as_slice(), at);
-    w.recycle();
+    let answer = Response::ZeroPage {
+        page: 0,
+        applied: vec![0, 0],
+    };
+    s1.send_response_at(0, &answer.encode(rid), at);
     let decoy = encode(Request::Page { page: 0 }, 101);
     s1.send(0, Chan::Request, &decoy, Some(Ns::from_secs(1)));
 
-    assert!(matches!(t0.rpc_collect(rid), Some(Response::NoticeAck { .. })));
+    assert_eq!(t0.rpc_collect(rid), answer);
     assert_eq!(t0.serve_q.len(), 1, "arrival gathered with the response, not yet served");
 
     t0.barrier(5);
@@ -324,7 +325,7 @@ fn well_framed_diff_past_the_page_is_dropped_as_malformed() {
     s1.send_response_at(0, &diffs_with_run_at(page_size - 8), Ns::from_us(20));
 
     match t0.rpc_collect(rid) {
-        Some(Response::Diffs { diffs, .. }) => assert_eq!(diffs[0].1.extent(), page_size),
+        Response::Diffs { diffs, .. } => assert_eq!(diffs[0].1.extent(), page_size),
         other => panic!("expected Diffs, got {other:?}"),
     }
     assert_eq!(t0.clock().borrow().stats.malformed_dropped, 1);
@@ -357,16 +358,16 @@ fn a_lossy_transport_keeps_a_replay_slot_per_node() {
 
 // ----- how a node learns that a peer is gone --------------------------------
 
-/// Node 0 of an `n`-node memsub cluster on the lossy path, under `cfg`,
+/// Node 0 of an `n`-node memsub cluster on the lossy path
 /// and bare substrates for the others, which the test drives by hand.
-fn root_and_peers(n: usize, cfg: TmkConfig) -> (Tmk<LossyMem>, Vec<MemSubstrate>) {
+fn root_and_peers(n: usize) -> (Tmk<LossyMem>, Vec<MemSubstrate>) {
     let params = Arc::new(SimParams::paper_testbed());
     let mut eps = mem_cluster(n).into_iter();
     let mut mk = || {
         let ep = eps.next().expect("one endpoint per node");
         MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500))
     };
-    let t0 = Tmk::new(LossyMem(mk(), 0), cfg);
+    let t0 = Tmk::new(LossyMem(mk(), 0), TmkConfig::default());
     (t0, (1..n).map(|_| mk()).collect())
 }
 
@@ -384,14 +385,6 @@ fn exit_arrival(peer: &mut MemSubstrate, at: Ns) {
 /// `peer` says `Gone` at `at`.
 fn gone(peer: &mut MemSubstrate, at: Ns) {
     peer.send(0, Chan::Request, &encode(Request::Gone, 2), Some(at));
-}
-
-/// The overlapped lock path, whose barrier fans its release as requests.
-fn overlapped() -> TmkConfig {
-    TmkConfig {
-        lock_path: crate::LockPath::Overlapped,
-        ..TmkConfig::default()
-    }
 }
 
 /// The backoff ceiling: the linger's silence, and the timeout that counts.
@@ -443,7 +436,7 @@ fn every_child_says_gone_once_and_its_parent_leaves_after_it() {
 /// the last frame it heard — the other child's `Gone` — to the nanosecond.
 #[test]
 fn a_lost_gone_ends_the_linger_rto_ceiling_after_the_last_frame_heard() {
-    let (mut t0, mut peers) = root_and_peers(3, TmkConfig::default());
+    let (mut t0, mut peers) = root_and_peers(3);
     exit_arrival(&mut peers[0], Ns::from_us(10));
     exit_arrival(&mut peers[1], Ns::from_us(20));
     let last_heard = Ns::from_ms(1);
@@ -457,38 +450,4 @@ fn a_lost_gone_ends_the_linger_rto_ceiling_after_the_last_frame_heard() {
             other => panic!("expected the exit release, got {other:?}"),
         }
     }
-}
-
-/// Overlapped exit fan, ack lost: the consumer applied the release and
-/// left, and its `Gone` ends the ack collect at once — the rid cancelled,
-/// no timer left to fire into the departed node.
-#[test]
-fn an_exit_fan_whose_ack_is_lost_ends_on_the_consumers_gone() {
-    let (mut t0, mut peers) = root_and_peers(2, overlapped());
-    exit_arrival(&mut peers[0], Ns::from_us(10));
-    gone(&mut peers[0], Ns::from_us(100));
-    t0.exit();
-    match Request::decode(&peers[0].next_incoming().data) {
-        Some((_, Request::NoticeRelease { barrier, .. })) => assert_eq!(barrier, u32::MAX),
-        other => panic!("expected the exit release, got {other:?}"),
-    }
-    assert!(t0.outstanding.is_empty(), "ack rid outlived the Gone");
-    assert_eq!(t0.clock().borrow().stats.retransmits, 0);
-    assert!(t0.clock().borrow().now() < Ns::from_us(100) + RTO);
-}
-
-/// Overlapped exit fan, ack *and* `Gone` lost: the consumer still left
-/// after applying the release, and a node past its exit barrier takes
-/// `rto_ceiling` of silence for that. The collect ends there instead of
-/// retransmitting on to the give-up: the 12 retransmissions of the climb
-/// fit in the ceiling, none at it.
-#[test]
-fn an_exit_fan_that_hears_nothing_ends_on_silence() {
-    let (mut t0, mut peers) = root_and_peers(2, overlapped());
-    let arrived = Ns::from_us(10);
-    exit_arrival(&mut peers[0], arrived);
-    t0.exit();
-    assert!(t0.outstanding.is_empty());
-    assert_eq!(t0.clock().borrow().stats.retransmits, 12);
-    assert_eq!(t0.clock().borrow().now(), arrived + rto_ceiling(&t0));
 }

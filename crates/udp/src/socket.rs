@@ -65,8 +65,6 @@ pub struct UdpStack {
     /// Receive-buffer depth (the fault plan can shrink it to force
     /// overflow pressure).
     sockbuf: usize,
-    /// Datagrams dropped (loss model + buffer overflow).
-    pub drops: u64,
 }
 
 impl UdpStack {
@@ -95,7 +93,6 @@ impl UdpStack {
             sockets: Vec::new(),
             fault_rng,
             sockbuf,
-            drops: 0,
         }
     }
 
@@ -204,7 +201,6 @@ impl UdpStack {
             if r.random::<f64>() < f.drop_probability {
                 // A tombstone, so the receiver still wakes at the
                 // would-be arrival.
-                self.drops += 1;
                 self.clock.borrow_mut().stats.dgrams_dropped += 1;
                 self.nic.inject_lost(dst, sp, dp, Bytes::from(buf), inject);
                 return false;
@@ -312,7 +308,6 @@ impl UdpStack {
             .expect("bound");
         if !lost && sock.queue.len() >= sockbuf {
             // Socket buffer overflow: silently dropped, like real UDP.
-            self.drops += 1;
             self.clock.borrow_mut().stats.dgrams_dropped += 1;
             return;
         }
@@ -555,7 +550,6 @@ mod tests {
         a.bind(1, false);
         b.bind(2, false);
         assert!(!a.sendto(1, 2, 1, b"doomed"));
-        assert_eq!(a.drops, 1);
         assert_eq!(a.clock().borrow().stats.dgrams_dropped, 1);
         // The receiver still wakes: recv surfaces the tombstone.
         let (port, d) = b.recv(&[2], None).got();
@@ -669,7 +663,6 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 2, "only the buffer depth survives");
-        assert_eq!(b.drops, 3);
         assert_eq!(b.clock().borrow().stats.dgrams_dropped, 3);
     }
 

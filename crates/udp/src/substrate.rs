@@ -103,9 +103,7 @@ impl Substrate for UdpSubstrate {
     }
 
     fn scheme(&self) -> AsyncScheme {
-        AsyncScheme::Sigio {
-            cost: self.udp.params().host.sigio,
-        }
+        self.udp.params().sigio_scheme()
     }
 
     fn send(&mut self, to: usize, chan: Chan, data: &[u8], at: Option<Ns>) {

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tm_fast::run_udp_dsm;
+use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::{FaultPlan, Ns, SimParams};
 use tmk::{LockPath, MetricsHandle, Substrate, Tmk, TmkConfig};
 
@@ -104,6 +104,46 @@ fn pipelined_paths_match_serial_on_clean_network() {
         let v = u32::from_le_bytes(serial[at..at + 4].try_into().unwrap());
         assert_eq!(v, (ROUNDS << 8) | p as u32, "page {p}");
     }
+}
+
+/// Barriers and lock handoffs with no shared write: there is nothing for
+/// an acquire to fetch, so the lock path must not show. Every node's finish
+/// time and message count are the same under both paths, on both
+/// transports — a barrier release is one response either way.
+#[test]
+fn the_lock_path_changes_only_what_an_acquire_fetches() {
+    fn sync_only<S: Substrate>(tmk: &mut Tmk<S>) {
+        let me = tmk.proc_id() as u32;
+        for round in 0..3 {
+            tmk.acquire(round % 2);
+            tmk.compute_ns(Ns::from_us(u64::from(me)));
+            tmk.release(round % 2);
+            tmk.barrier(round);
+        }
+    }
+    let params = Arc::new(SimParams::paper_testbed());
+    let cfg = |lock_path| TmkConfig {
+        lock_path,
+        ..TmkConfig::default()
+    };
+    let fast = |lp| {
+        let f = FastConfig::paper(&params);
+        run_fast_dsm(8, Arc::clone(&params), f, cfg(lp), sync_only)
+    };
+    let udp = |lp| run_udp_dsm(8, Arc::clone(&params), cfg(lp), sync_only);
+    let signature = |out: Vec<tm_sim::runner::NodeOutcome<()>>| -> Vec<(Ns, u64)> {
+        out.iter().map(|o| (o.finish, o.stats.msgs_sent)).collect()
+    };
+    assert_eq!(
+        signature(fast(LockPath::Overlapped)),
+        signature(fast(LockPath::Serial)),
+        "FAST/GM"
+    );
+    assert_eq!(
+        signature(udp(LockPath::Overlapped)),
+        signature(udp(LockPath::Serial)),
+        "UDP/GM"
+    );
 }
 
 proptest! {
