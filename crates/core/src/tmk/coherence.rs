@@ -449,7 +449,6 @@ impl<S: Substrate> Tmk<S> {
         }
         self.clock().borrow_mut().advance(cost);
         self.clock().borrow_mut().stats.pages_fetched += 1;
-        self.emit(TmkEvent::PageFetched { page: pid });
     }
 
     /// Fault in a span of pages at once. Each page is charged its fault
@@ -523,7 +522,6 @@ impl<S: Substrate> Tmk<S> {
                         let rid = self.rpc_issue(*writer as usize, diff_request(pages));
                         issued.push((rid, *writer));
                     }
-                    self.note_fanout(need.len(), issued.len());
                     for (rid, writer) in issued {
                         let resp = self.rpc_collect(rid);
                         self.handle_fetch_response(&mut states, writer, resp);
@@ -676,8 +674,8 @@ impl<S: Substrate> Tmk<S> {
     /// The lock pipeline's fetch arm: batch-fetch every mapped, invalid
     /// page in `pids` that is owed diffs through the overlapped engine,
     /// charging no page faults — the point is that the faults never
-    /// happen. Returns how many pages were fetched.
-    pub(super) fn pipeline_fetch(&mut self, pids: &[PageId]) -> usize {
+    /// happen.
+    pub(super) fn pipeline_fetch(&mut self, pids: &[PageId]) {
         let mut targets: Vec<PageId> = Vec::new();
         for &pid in pids {
             if (pid as usize) < self.pages.len()
@@ -691,19 +689,8 @@ impl<S: Substrate> Tmk<S> {
                 targets.push(pid);
             }
         }
-        if targets.is_empty() {
-            return 0;
-        }
-        self.fetch_diffs_batch(&targets);
-        targets.len()
-    }
-
-    fn note_fanout(&mut self, writers: usize, requests: usize) {
-        if requests > 1 {
-            self.emit(TmkEvent::DiffFanout {
-                writers: writers as u16,
-                requests: requests as u16,
-            });
+        if !targets.is_empty() {
+            self.fetch_diffs_batch(&targets);
         }
     }
 
@@ -787,12 +774,6 @@ impl<S: Substrate> Tmk<S> {
             Access::Read
         };
         self.clock().borrow_mut().stats.diffs_applied += applied_count;
-        if applied_count > 0 {
-            self.emit(TmkEvent::DiffApplied {
-                page: pid,
-                count: applied_count,
-            });
-        }
         cost += params.dsm.mprotect;
         self.clock().borrow_mut().advance(cost);
     }

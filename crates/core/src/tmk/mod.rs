@@ -138,51 +138,33 @@ impl Default for TmkConfig {
     }
 }
 
-/// Layer-boundary events, emitted at the same points the protocol
-/// counters in [`tm_sim::stats::NodeStats`] tick. The hook is the seam an
-/// observability layer (per-layer metrics, tracing) plugs into without
-/// touching protocol code; emission is free when no hook is installed.
+/// Layer-boundary events, only those something reads. An event with a
+/// [`tm_sim::stats::NodeStats`] counter is emitted where it ticks, and
+/// their cluster sums agree (`tests/event_seam.rs`). Emission is one
+/// branch when no hook is installed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TmkEvent {
-    /// The rpc layer dispatched one incoming request to a handler.
+    /// The rpc layer dispatched one request to a handler (plus
+    /// `dup_requests_suppressed`, `requests_served`). Read by `tree_barrier`.
     RequestServed { from: usize, rid: u32 },
-    /// The coherence layer adopted a full page copy from a peer.
-    PageFetched { page: PageId },
-    /// The coherence layer applied `count` diffs to a page.
-    DiffApplied { page: PageId, count: u64 },
-    /// The sync layer handed a lock token to `to`.
+    /// The sync layer handed a lock token to `to` (`remote_acquires`).
+    /// Read by the benchmark's `tmk.sync.locks_granted` and the sync tests.
     LockGranted { lock: u32, to: u16 },
-    /// This node departed barrier `id`.
-    BarrierCrossed { id: u32 },
-    /// The rpc layer's retransmission timer fired (attempt number is
-    /// 1-based).
+    /// The rpc layer's retransmission timer fired, attempt 1-based
+    /// (`retransmits`). Read by `fault_injection`'s watchdog.
     RetransmitFired { rid: u32, attempt: u32 },
-    /// Tree barrier: this node forwarded one combined arrival (covering
-    /// itself plus `children` direct subtrees) to its tree parent.
-    BarrierArriveForwarded { barrier: u32, to: u16, children: u16 },
-    /// Tree barrier: the root or an interior node fanned the release down
-    /// to `children` tree children.
-    BarrierReleaseFanned { barrier: u32, children: u16 },
-    /// The rpc layer registered a new outstanding request; `depth` is the
-    /// number of rids in flight *including* this one (the
-    /// outstanding-rpc depth gauge reads its maximum).
+    /// The rpc layer registered an outstanding request; `depth` counts the
+    /// rids in flight with it. Read by the benchmark (`tmk.rpc.issued`,
+    /// [`GAUGE_RPC_DEPTH`](crate::metrics::GAUGE_RPC_DEPTH)) and `tree_barrier`.
     RpcIssued { rid: u32, depth: u32 },
-    /// The coherence layer fanned `requests` concurrent diff fetches to
-    /// `writers` distinct nodes in one round (the coalesced engine only;
-    /// a serial fetch never emits this).
-    DiffFanout { writers: u16, requests: u16 },
-    /// The sync layer overlapped `fetches` page fetches implied by a
-    /// grant's write notices with the tail of lock acquire `lock`
-    /// (`LockPath::Overlapped` only; feeds the lock-pipeline depth
-    /// gauge).
-    LockPipelined { lock: u32, fetches: usize },
-    /// The stride prefetcher speculatively requested `page`'s pending
-    /// diffs.
+    /// The stride prefetcher requested `page`'s pending diffs. Read by
+    /// `bench_prefetch` and `lock_overlap`.
     PrefetchIssued { page: PageId },
-    /// A page fault consumed staged prefetched data for `page`.
+    /// A fault consumed staged prefetched data for `page`. Read by
+    /// `bench_prefetch`, `e2_microbench` and `lock_overlap`.
     PrefetchHit { page: PageId },
-    /// Staged prefetched data for `page` was discarded unconsumed (sync-
-    /// point drain or stale coverage).
+    /// Staged prefetched data for `page` was dropped unconsumed (drain or
+    /// stale coverage). Read by `bench_prefetch` and `lock_overlap`.
     PrefetchWasted { page: PageId },
 }
 
@@ -191,16 +173,9 @@ impl TmkEvent {
     pub fn kind(&self) -> &'static str {
         match self {
             TmkEvent::RequestServed { .. } => "request_served",
-            TmkEvent::PageFetched { .. } => "page_fetched",
-            TmkEvent::DiffApplied { .. } => "diff_applied",
             TmkEvent::LockGranted { .. } => "lock_granted",
-            TmkEvent::BarrierCrossed { .. } => "barrier_crossed",
             TmkEvent::RetransmitFired { .. } => "retransmit_fired",
-            TmkEvent::BarrierArriveForwarded { .. } => "barrier_arrive_forwarded",
-            TmkEvent::BarrierReleaseFanned { .. } => "barrier_release_fanned",
             TmkEvent::RpcIssued { .. } => "rpc_issued",
-            TmkEvent::DiffFanout { .. } => "diff_fanout",
-            TmkEvent::LockPipelined { .. } => "lock_pipelined",
             TmkEvent::PrefetchIssued { .. } => "prefetch_issued",
             TmkEvent::PrefetchHit { .. } => "prefetch_hit",
             TmkEvent::PrefetchWasted { .. } => "prefetch_wasted",

@@ -339,12 +339,7 @@ impl<S: Substrate> Tmk<S> {
                 let ls = &mut self.locks[lock as usize];
                 ls.have_token = true;
                 ls.busy = true;
-                if !pipelined.is_empty() {
-                    let fetches = self.pipeline_fetch(&pipelined);
-                    if fetches > 0 {
-                        self.emit(TmkEvent::LockPipelined { lock, fetches });
-                    }
-                }
+                self.pipeline_fetch(&pipelined);
             }
             other => panic!("expected Grant, got {other:?}"),
         }
@@ -404,8 +399,7 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Whether barrier messages travel in the tree layout (see "barrier
-    /// wire layout" above). It also says whether combining hops are
-    /// reported: a one-level tree has none.
+    /// wire layout" above).
     fn tree_wire(&self) -> bool {
         !matches!(self.cfg.barrier_algo, super::BarrierAlgo::Centralized)
     }
@@ -422,7 +416,6 @@ impl<S: Substrate> Tmk<S> {
         self.clock().borrow_mut().advance(flush_cost);
         self.clock().borrow_mut().stats.barriers += 1;
         self.barrier_tree(id);
-        self.emit(TmkEvent::BarrierCrossed { id });
     }
 
     /// Count the arrival of `who` (ourselves or a child subtree) at
@@ -519,15 +512,8 @@ impl<S: Substrate> Tmk<S> {
                 records.push(rec);
             }
         }
-        let tree = self.tree_wire();
-        if tree {
-            self.emit(TmkEvent::BarrierArriveForwarded {
-                barrier: id,
-                to: parent as u16,
-                children: clients.iter().flatten().count() as u16,
-            });
-        }
-        let resp = self.rpc(parent, barrier_arrival(tree, id, min_vc, max_vc, records));
+        let arrival = barrier_arrival(self.tree_wire(), id, min_vc, max_vc, records);
+        let resp = self.rpc(parent, arrival);
         let (vc, records) = open_barrier_release(id, resp);
         let cost = self.apply_records(records);
         self.vc.join(&vc);
@@ -548,7 +534,6 @@ impl<S: Substrate> Tmk<S> {
         merged: &VectorClock,
     ) {
         let tree = self.tree_wire();
-        let mut fanned = 0u16;
         for (node, slot) in clients.into_iter().enumerate() {
             let Some((rid, floor, _)) = slot else { continue };
             let records = self.log.newer_than(&floor);
@@ -556,13 +541,6 @@ impl<S: Substrate> Tmk<S> {
             // A lost release leaves the peer retransmitting its arrival;
             // its slot answers the duplicate.
             self.respond_now(Class::Barrier, node, rid, resp, Ns(500));
-            fanned += 1;
-        }
-        if tree && fanned > 0 {
-            self.emit(TmkEvent::BarrierReleaseFanned {
-                barrier: id,
-                children: fanned,
-            });
         }
     }
 

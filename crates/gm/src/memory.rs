@@ -92,7 +92,6 @@ impl PooledBuf {
 pub struct DmaPool {
     capacity: usize,
     outstanding: usize,
-    max_outstanding: usize,
     /// Retired buffer storage, reused by later takes — steady-state sends
     /// reuse registered memory instead of allocating per message.
     free: Vec<Vec<u8>>,
@@ -109,7 +108,6 @@ impl DmaPool {
         Ok(DmaPool {
             capacity: count,
             outstanding: 0,
-            max_outstanding: 0,
             free: Vec::new(),
             fresh: 0,
         })
@@ -129,7 +127,6 @@ impl DmaPool {
             return None;
         }
         self.outstanding += 1;
-        self.max_outstanding = self.max_outstanding.max(self.outstanding);
         let mut data = match self.free.pop() {
             Some(d) => d,
             None => {
@@ -159,11 +156,6 @@ impl DmaPool {
 
     pub fn available(&self) -> usize {
         self.capacity - self.outstanding
-    }
-
-    /// High-water mark of concurrently outstanding buffers.
-    pub fn high_water(&self) -> usize {
-        self.max_outstanding
     }
 
     /// How many takes had to allocate fresh storage instead of reusing the
@@ -219,7 +211,6 @@ mod tests {
         assert!(pool.take(b"overflow").is_none());
         pool.recycle();
         assert_eq!(pool.available(), 1);
-        assert_eq!(pool.high_water(), 2);
     }
 
     #[test]
