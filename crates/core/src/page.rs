@@ -4,7 +4,10 @@
 //! A page owes each writer a range of intervals: it applied writer `w`'s
 //! diffs up to `applied[w]` and was told of `w`'s writes up to `owed[w]`,
 //! and a fault asks `w` for `applied[w] + 1 ..= owed[w]`. The notices
-//! themselves are not kept; the log orders what a fetch returns.
+//! themselves are not kept; the log orders what a fetch returns. Those
+//! seqs are not the entry's: a `PageTable` holds every page's in one
+//! column, `applied[0..n]` then `owed[0..n]` per page, so an entry owns no
+//! heap for them. A page's manager is `pid mod n` and is not stored either.
 //!
 //! A page copy and its twin are [`Spans`]: they hold only the units of the
 //! page a node wrote or received. A unit is a 64th of the page, rounded up
@@ -17,7 +20,8 @@
 //! holding every unit is its bytes in page order — one slice, which every
 //! hot path uses as it is.
 
-use std::ops::RangeInclusive;
+use std::mem::size_of;
+use std::ops::{Index, IndexMut, RangeInclusive};
 
 use crate::diff::{is_all_zero, Diff};
 use crate::wire::pool;
@@ -418,6 +422,9 @@ pub struct HeldBytes {
     pub pages: usize,
     pub twins: usize,
     pub diffs: usize,
+    /// The page table itself: its entries, its seq column and the slots of
+    /// each page's retained-diff list.
+    pub table: usize,
 }
 
 impl std::iter::Sum for HeldBytes {
@@ -426,6 +433,7 @@ impl std::iter::Sum for HeldBytes {
             pages: a.pages + b.pages,
             twins: a.twins + b.twins,
             diffs: a.diffs + b.diffs,
+            table: a.table + b.table,
         })
     }
 }
@@ -448,7 +456,8 @@ pub enum Access {
     WriteInvalid,
 }
 
-/// One shared page's local bookkeeping.
+/// One shared page's local bookkeeping; its per-writer seqs are its
+/// `PageTable`'s.
 #[derive(Debug)]
 pub struct Page {
     pub state: Access,
@@ -459,14 +468,6 @@ pub struct Page {
     /// just before the interval's first write to it, so one it does not
     /// hold reads as `data`. Its units are always units `data` holds.
     pub twin: Option<Box<Spans>>,
-    /// Manager (owner of the authoritative initial copy): the allocating
-    /// node.
-    pub manager: u16,
-    /// Highest interval seq per writer whose diff is incorporated locally.
-    pub applied: Vec<u32>,
-    /// Highest interval seq per writer this page was told wrote it: the
-    /// page owes writer `w` its diffs `applied[w] + 1 ..= owed[w]`.
-    pub(crate) owed: Vec<u32>,
     /// Diffs this node created for this page: (seq, diff), newest last.
     pub my_diffs: Vec<(u32, Diff)>,
     /// The highest seq [`trim_diffs`](Self::trim_diffs) dropped.
@@ -478,14 +479,11 @@ pub struct Page {
 }
 
 impl Page {
-    pub fn new(nprocs: usize, manager: u16, page_size: usize) -> Self {
+    pub fn new(page_size: usize) -> Self {
         Page {
             state: Access::Unmapped,
             data: Spans::zero(page_size),
             twin: None,
-            manager,
-            applied: vec![0; nprocs],
-            owed: vec![0; nprocs],
             my_diffs: Vec::new(),
             trimmed: 0,
             force_full_diff: false,
@@ -493,8 +491,8 @@ impl Page {
     }
 
     /// A freshly allocated page on its manager: valid and zeroed.
-    pub fn new_resident(nprocs: usize, manager: u16, page_size: usize) -> Self {
-        let mut p = Self::new(nprocs, manager, page_size);
+    pub fn new_resident(page_size: usize) -> Self {
+        let mut p = Self::new(page_size);
         p.state = Access::Read;
         p
     }
@@ -567,71 +565,26 @@ impl Page {
         }
     }
 
-    /// Heap bytes this page holds: its copy, its twin, its retained diffs.
+    /// Heap bytes this page holds: its copy, its twin, its retained diffs,
+    /// and the slots of its diff list.
     pub(crate) fn held_bytes(&self) -> HeldBytes {
         HeldBytes {
             pages: self.data.held_bytes(),
             twins: self.twin.as_ref().map_or(0, |t| t.held_bytes()),
             diffs: self.my_diffs.iter().map(|(_, d)| d.retained_bytes()).sum(),
+            table: self.my_diffs.capacity() * size_of::<(u32, Diff)>(),
         }
     }
 
-    /// Record a write notice: interval `seq` of `writer` wrote this page.
-    /// Raises what the page owes `writer`; a notice at or below what it
-    /// applied or already owes changes nothing. Transitions the access
-    /// state.
-    pub fn add_notice(&mut self, writer: u16, seq: u32) {
-        let w = writer as usize;
-        if seq <= self.applied[w].max(self.owed[w]) {
-            return;
+    /// Retain `d`, this node's diff of interval `seq`, and trim the list to
+    /// its newest `keep`. A page's first diff gets a list of one slot: most
+    /// pages never retain a second.
+    pub(crate) fn retain_diff(&mut self, seq: u32, d: Diff, keep: usize) {
+        if self.my_diffs.capacity() == 0 {
+            self.my_diffs.reserve_exact(1);
         }
-        self.owed[w] = seq;
-        self.state = match self.state {
-            Access::Unmapped => Access::Unmapped,
-            Access::Write | Access::WriteInvalid => Access::WriteInvalid,
-            _ => Access::Invalid,
-        };
-    }
-
-    /// The seqs the page owes `writer`; empty when it owes none.
-    pub(crate) fn owed_of(&self, writer: u16) -> RangeInclusive<u32> {
-        self.applied[writer as usize] + 1..=self.owed[writer as usize]
-    }
-
-    /// The page is still owed some writer's diffs.
-    pub(crate) fn owes(&self) -> bool {
-        self.owing().next().is_some()
-    }
-
-    /// Each writer the page owes diffs, ascending, as `(writer, lo, hi)`.
-    pub(crate) fn owing(&self) -> impl Iterator<Item = (u16, u32, u32)> + '_ {
-        let seqs = self.applied.iter().zip(&self.owed).enumerate();
-        seqs.filter(|(_, (a, o))| o > a)
-            .map(|(w, (&a, &o))| (w as u16, a + 1, o))
-    }
-
-    /// Take `applied`, a full page's, as what this copy incorporates, and
-    /// return the old one. A writer it sets back stays owed up to where
-    /// the page had applied.
-    pub(crate) fn adopt_applied(&mut self, applied: Vec<u32>) -> Vec<u32> {
-        let old = std::mem::replace(&mut self.applied, applied);
-        for (o, &was) in self.owed.iter_mut().zip(&old) {
-            *o = (*o).max(was);
-        }
-        old
-    }
-
-    /// Mark `writer`'s intervals up to `seq` applied.
-    pub fn applied_notice(&mut self, writer: u16, seq: u32) {
-        let a = &mut self.applied[writer as usize];
-        *a = (*a).max(seq);
-    }
-
-    /// Mark everything owed applied without fetching it.
-    pub(crate) fn waive_owed(&mut self) {
-        for (a, &o) in self.applied.iter_mut().zip(&self.owed) {
-            *a = (*a).max(o);
-        }
+        self.my_diffs.push((seq, d));
+        self.trim_diffs(keep);
     }
 
     /// Retain only the most recent `keep` diffs; older requests are served
@@ -658,6 +611,150 @@ impl Page {
     }
 }
 
+/// A node's page table: an entry per shared page, indexed by [`PageId`],
+/// and one column of the entries' per-writer seqs — page `p`'s
+/// `applied[0..n]` then its `owed[0..n]`, starting at `2·n·p`. Both grow
+/// as pages are materialized; neither is ever a per-page allocation.
+#[derive(Debug)]
+pub(crate) struct PageTable {
+    n: usize,
+    entries: Vec<Page>,
+    seqs: Vec<u32>,
+}
+
+impl PageTable {
+    /// An empty table for a cluster of `nprocs` writers.
+    pub(crate) fn new(nprocs: usize) -> Self {
+        PageTable {
+            n: nprocs,
+            entries: Vec::new(),
+            seqs: Vec::new(),
+        }
+    }
+
+    /// Pages materialized.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Materialize the next page, `len()`, as `page`: it has applied and
+    /// is owed nothing.
+    pub(crate) fn push(&mut self, page: Page) {
+        self.entries.push(page);
+        self.seqs.resize(self.seqs.len() + 2 * self.n, 0);
+    }
+
+    /// Where `pid`'s seqs start in the column.
+    fn at(&self, pid: PageId) -> usize {
+        2 * self.n * pid as usize
+    }
+
+    /// `pid`'s applied and owed seqs.
+    fn seqs_mut(&mut self, pid: PageId) -> (&mut [u32], &mut [u32]) {
+        let at = self.at(pid);
+        self.seqs[at..at + 2 * self.n].split_at_mut(self.n)
+    }
+
+    /// Highest interval seq per writer whose diff `pid` incorporates.
+    pub(crate) fn applied(&self, pid: PageId) -> &[u32] {
+        let at = self.at(pid);
+        &self.seqs[at..at + self.n]
+    }
+
+    /// Highest interval seq per writer `pid` was told wrote it.
+    fn owed(&self, pid: PageId) -> &[u32] {
+        let at = self.at(pid) + self.n;
+        &self.seqs[at..at + self.n]
+    }
+
+    /// Record a write notice: interval `seq` of `writer` wrote `pid`.
+    /// Raises what the page owes `writer`; a notice at or below what it
+    /// applied or already owes changes nothing. Transitions the access
+    /// state.
+    pub(crate) fn add_notice(&mut self, pid: PageId, writer: u16, seq: u32) {
+        let w = writer as usize;
+        let (applied, owed) = self.seqs_mut(pid);
+        if seq <= applied[w].max(owed[w]) {
+            return;
+        }
+        owed[w] = seq;
+        let page = &mut self.entries[pid as usize];
+        page.state = match page.state {
+            Access::Unmapped => Access::Unmapped,
+            Access::Write | Access::WriteInvalid => Access::WriteInvalid,
+            _ => Access::Invalid,
+        };
+    }
+
+    /// The seqs `pid` owes `writer`; empty when it owes none.
+    pub(crate) fn owed_of(&self, pid: PageId, writer: u16) -> RangeInclusive<u32> {
+        let w = writer as usize;
+        self.applied(pid)[w] + 1..=self.owed(pid)[w]
+    }
+
+    /// `pid` is still owed some writer's diffs.
+    pub(crate) fn owes(&self, pid: PageId) -> bool {
+        self.owing(pid).next().is_some()
+    }
+
+    /// Each writer `pid` owes diffs, ascending, as `(writer, lo, hi)`.
+    pub(crate) fn owing(&self, pid: PageId) -> impl Iterator<Item = (u16, u32, u32)> + '_ {
+        let seqs = self.applied(pid).iter().zip(self.owed(pid)).enumerate();
+        seqs.filter(|(_, (a, o))| o > a)
+            .map(|(w, (&a, &o))| (w as u16, a + 1, o))
+    }
+
+    /// Take `applied`, a full page's, as what `pid`'s copy incorporates. A
+    /// writer it sets back stays owed up to where the page had applied.
+    /// `applied` has a seq for every writer.
+    pub(crate) fn adopt_applied(&mut self, pid: PageId, applied: &[u32]) {
+        let (mine, owed) = self.seqs_mut(pid);
+        for (o, &was) in owed.iter_mut().zip(&*mine) {
+            *o = (*o).max(was);
+        }
+        mine.copy_from_slice(applied);
+    }
+
+    /// Mark `writer`'s intervals up to `seq` applied on `pid`.
+    pub(crate) fn applied_notice(&mut self, pid: PageId, writer: u16, seq: u32) {
+        let a = &mut self.seqs_mut(pid).0[writer as usize];
+        *a = (*a).max(seq);
+    }
+
+    /// Mark everything `pid` is owed applied without fetching it.
+    pub(crate) fn waive_owed(&mut self, pid: PageId) {
+        let (applied, owed) = self.seqs_mut(pid);
+        for (a, &o) in applied.iter_mut().zip(&*owed) {
+            *a = (*a).max(o);
+        }
+    }
+
+    /// Heap bytes the table holds: every page's, and its own entries and
+    /// seq column as the `table` row.
+    pub(crate) fn held_bytes(&self) -> HeldBytes {
+        let mut held: HeldBytes = self.entries.iter().map(Page::held_bytes).sum();
+        held.table +=
+            self.entries.capacity() * size_of::<Page>() + self.seqs.capacity() * size_of::<u32>();
+        held
+    }
+}
+
+impl Index<PageId> for PageTable {
+    type Output = Page;
+
+    #[inline]
+    fn index(&self, pid: PageId) -> &Page {
+        &self.entries[pid as usize]
+    }
+}
+
+impl IndexMut<PageId> for PageTable {
+    #[inline]
+    fn index_mut(&mut self, pid: PageId) -> &mut Page {
+        &mut self.entries[pid as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
@@ -666,11 +763,22 @@ mod tests {
     use crate::wire::WireWriter;
     use proptest::prelude::*;
 
+    /// A table of `n` writers holding one 64-byte page, resident or not.
+    fn one_page(n: usize, resident: bool) -> PageTable {
+        let mut t = PageTable::new(n);
+        t.push(if resident {
+            Page::new_resident(64)
+        } else {
+            Page::new(64)
+        });
+        t
+    }
+
     #[test]
     fn fresh_pages() {
-        let p = Page::new(4, 2, 4096);
+        let p = Page::new(4096);
         assert_eq!(p.state, Access::Unmapped);
-        let r = Page::new_resident(4, 2, 4096);
+        let r = Page::new_resident(4096);
         assert_eq!(r.state, Access::Read);
         assert_eq!(r.data.page_len(), 4096);
         assert_eq!(
@@ -678,50 +786,88 @@ mod tests {
             HeldBytes::default(),
             "a resident page holds nothing"
         );
+        let t = one_page(4, true);
+        assert_eq!(t.applied(0), [0; 4]);
+        assert!(!t.owes(0));
+    }
+
+    /// The seq column is each page's `applied` then `owed`, one page
+    /// after another: a notice to one page reaches no other.
+    #[test]
+    fn each_page_owns_its_stretch_of_the_column() {
+        let mut t = PageTable::new(3);
+        for _ in 0..3 {
+            t.push(Page::new_resident(64));
+        }
+        t.add_notice(1, 2, 4);
+        t.applied_notice(2, 0, 7);
+        assert_eq!(
+            t.seqs,
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 7, 0, 0, 0, 0, 0]
+        );
+        assert_eq!(t.owing(1).collect::<Vec<_>>(), [(2, 1, 4)]);
+        assert!(!t.owes(0) && !t.owes(2));
+        assert_eq!(t.applied(2), [7, 0, 0]);
+        assert_eq!(
+            (t[0].state, t[1].state, t[2].state),
+            (Access::Read, Access::Invalid, Access::Read)
+        );
     }
 
     #[test]
     fn notice_transitions() {
-        let mut p = Page::new_resident(2, 0, 64);
-        p.add_notice(1, 1);
-        assert_eq!(p.state, Access::Invalid);
-        assert_eq!(p.owing().collect::<Vec<_>>(), [(1, 1, 1)]);
+        let mut p = one_page(2, true);
+        p.add_notice(0, 1, 1);
+        assert_eq!(p[0].state, Access::Invalid);
+        assert_eq!(p.owing(0).collect::<Vec<_>>(), [(1, 1, 1)]);
         // Dirty page + notice = WriteInvalid (false-sharing case).
-        let mut q = Page::new_resident(2, 0, 64);
-        q.start_twin();
-        q.state = Access::Write;
-        q.add_notice(1, 1);
-        assert_eq!(q.state, Access::WriteInvalid);
+        let mut q = one_page(2, true);
+        q[0].start_twin();
+        q[0].state = Access::Write;
+        q.add_notice(0, 1, 1);
+        assert_eq!(q[0].state, Access::WriteInvalid);
     }
 
     #[test]
     fn duplicate_and_stale_notices_ignored() {
-        let mut p = Page::new_resident(2, 0, 64);
-        p.applied[1] = 5;
-        p.add_notice(1, 4); // stale
-        assert!(!p.owes());
-        assert_eq!(p.state, Access::Read);
-        p.add_notice(1, 6);
-        p.add_notice(1, 6); // duplicate
-        assert_eq!(p.owing().collect::<Vec<_>>(), [(1, 6, 6)]);
+        let mut p = one_page(2, true);
+        p.applied_notice(0, 1, 5);
+        p.add_notice(0, 1, 4); // stale
+        assert!(!p.owes(0));
+        assert_eq!(p[0].state, Access::Read);
+        p.add_notice(0, 1, 6);
+        p.add_notice(0, 1, 6); // duplicate
+        assert_eq!(p.owing(0).collect::<Vec<_>>(), [(1, 6, 6)]);
     }
 
     #[test]
     fn applied_notice_settles_what_is_owed() {
-        let mut p = Page::new_resident(2, 0, 64);
-        p.add_notice(1, 1);
-        p.add_notice(1, 2);
-        assert_eq!(p.owing().collect::<Vec<_>>(), [(1, 1, 2)]);
-        p.applied_notice(1, 1);
-        assert_eq!(p.owing().collect::<Vec<_>>(), [(1, 2, 2)]);
-        p.applied_notice(1, 2);
-        assert!(!p.owes());
-        assert_eq!(p.applied[1], 2);
+        let mut p = one_page(2, true);
+        p.add_notice(0, 1, 1);
+        p.add_notice(0, 1, 2);
+        assert_eq!(p.owing(0).collect::<Vec<_>>(), [(1, 1, 2)]);
+        p.applied_notice(0, 1, 1);
+        assert_eq!(p.owing(0).collect::<Vec<_>>(), [(1, 2, 2)]);
+        p.applied_notice(0, 1, 2);
+        assert!(!p.owes(0));
+        assert_eq!(p.applied(0)[1], 2);
+    }
+
+    /// A page's first retained diff gets one slot; the second grows the
+    /// list as a `Vec` grows.
+    #[test]
+    fn a_first_diff_is_retained_in_a_list_of_one() {
+        let mut p = Page::new_resident(8);
+        p.retain_diff(1, Diff::empty(), 4);
+        assert_eq!(p.my_diffs.capacity(), 1);
+        assert_eq!(p.held_bytes().table, size_of::<(u32, Diff)>());
+        p.retain_diff(2, Diff::empty(), 4);
+        assert_eq!(p.my_diffs.capacity(), 4);
     }
 
     #[test]
     fn diff_retention_and_gc() {
-        let mut p = Page::new_resident(2, 0, 8);
+        let mut p = Page::new_resident(8);
         for seq in 1..=5 {
             p.my_diffs.push((seq, Diff::empty()));
         }
@@ -738,7 +884,7 @@ mod tests {
     /// a seq `trim_diffs` dropped turns the answer into a full page.
     #[test]
     fn diffs_range_answers_none_only_at_or_below_what_was_trimmed() {
-        let mut p = Page::new_resident(2, 0, 8);
+        let mut p = Page::new_resident(8);
         p.my_diffs.push((3, Diff::empty()));
         p.my_diffs.push((5, Diff::empty()));
         let seqs =
@@ -851,14 +997,14 @@ mod tests {
             unmapped in any::<bool>(),
             steps in proptest::collection::vec((0u8..6, 0u16..4, 0u32..12), 1..60)
         ) {
-            let mut page = if unmapped { Page::new(4, 0, 64) } else { Page::new_resident(4, 0, 64) };
-            let (mut state, mut applied) = (page.state, vec![0u32; 4]);
+            let mut page = one_page(4, !unmapped);
+            let (mut state, mut applied) = (page[0].state, vec![0u32; 4]);
             let mut pending: BTreeSet<(u16, u32)> = BTreeSet::new();
             for (kind, w, seq) in steps {
                 let wi = w as usize;
                 match kind {
                     0..=2 => {
-                        page.add_notice(w, seq);
+                        page.add_notice(0, w, seq);
                         if seq > applied[wi] && pending.insert((w, seq)) {
                             state = match state {
                                 Access::Unmapped => Access::Unmapped,
@@ -868,41 +1014,41 @@ mod tests {
                         }
                     }
                     3 => {
-                        page.applied_notice(w, seq);
+                        page.applied_notice(0, w, seq);
                         applied[wi] = applied[wi].max(seq);
                         pending.retain(|&(n, s)| n != w || s > seq);
-                        if !page.owes() {
-                            page.state = Access::Read;
+                        if !page.owes(0) {
+                            page[0].state = Access::Read;
                         }
                         if pending.is_empty() {
                             state = Access::Read;
                         }
                     }
                     4 => {
-                        let mut full = page.applied.clone();
+                        let mut full = page.applied(0).to_vec();
+                        prop_assert_eq!(full[wi], applied[wi]);
                         full[wi] = seq;
-                        let old = page.adopt_applied(full);
-                        prop_assert_eq!(old[wi], applied[wi]);
+                        page.adopt_applied(0, &full);
                         pending.extend((seq + 1..=applied[wi]).map(|s| (w, s)));
                         applied[wi] = seq;
                         pending.retain(|&(n, s)| s > applied[n as usize]);
-                        page.state = if page.owes() { Access::Invalid } else { Access::Read };
+                        page[0].state = if page.owes(0) { Access::Invalid } else { Access::Read };
                         state = if pending.is_empty() { Access::Read } else { Access::Invalid };
                     }
                     _ => {
-                        page.waive_owed();
+                        page.waive_owed(0);
                         for &(n, s) in &pending {
                             applied[n as usize] = applied[n as usize].max(s);
                         }
                         pending.clear();
-                        page.state = Access::Write;
+                        page[0].state = Access::Write;
                         state = Access::Write;
                     }
                 }
-                prop_assert_eq!(page.state, state);
-                prop_assert_eq!(&page.applied, &applied);
-                prop_assert_eq!(page.owes(), !pending.is_empty());
-                let owing: Vec<(u16, u32, u32)> = page.owing().collect();
+                prop_assert_eq!(page[0].state, state);
+                prop_assert_eq!(page.applied(0), &applied[..]);
+                prop_assert_eq!(page.owes(0), !pending.is_empty());
+                let owing: Vec<(u16, u32, u32)> = page.owing(0).collect();
                 for n in 0..4u16 {
                     let seqs: Vec<u32> = pending.iter().filter(|p| p.0 == n).map(|p| p.1).collect();
                     match owing.iter().find(|o| o.0 == n) {
@@ -935,7 +1081,7 @@ mod tests {
                 1..40)
         ) {
             let len = LENS[which];
-            let mut page = Page::new_resident(2, 0, len);
+            let mut page = Page::new_resident(len);
             let (mut model, mut model_twin) = (vec![0u8; len], None::<Vec<u8>>);
             for (kind, a, b, v, runs) in steps {
                 let a = a % len;

@@ -136,7 +136,8 @@ fn encode_applied(applied: &[u32], w: &mut WireWriter) {
 
 fn decode_applied(r: &mut WireReader) -> Option<Vec<u32>> {
     let n = r.u16()? as usize;
-    let mut v = Vec::with_capacity(n);
+    // Bounded by what the frame can hold, not by what it claims.
+    let mut v = Vec::with_capacity(n.min(r.remaining() / 4));
     for _ in 0..n {
         v.push(r.u32()?);
     }
@@ -166,6 +167,10 @@ fn decode_seq_diffs(r: &mut WireReader) -> Option<Vec<(u32, Diff)>> {
 fn max_extent(diffs: &[(u32, Diff)]) -> usize {
     diffs.iter().map(|(_, d)| d.extent()).max().unwrap_or(0)
 }
+
+/// The fewest bytes a `MultiDiffs` entry takes: its page, its tag and a
+/// `Zero`'s empty seq count.
+const MIN_ENTRY: usize = 4 + 1 + 2;
 
 /// One page's answer to a diff or page fetch, borrowed: what the serve
 /// path encodes straight from the page table, and what the owned
@@ -358,7 +363,7 @@ impl Request {
             },
             7 => {
                 let n = r.u16()? as usize;
-                let mut pages = Vec::with_capacity(n);
+                let mut pages = Vec::with_capacity(n.min(r.remaining() / 12));
                 for _ in 0..n {
                     pages.push((r.u32()?, r.u32()?, r.u32()?));
                 }
@@ -486,9 +491,7 @@ impl Response {
     }
 
     /// The largest [`Diff::extent`] this response carries (0 if it carries
-    /// no diff). [`Response::decode`] has already validated every image;
-    /// the one thing it cannot know is the receiver's page size, so the
-    /// receiver compares this against it once, before anything is applied.
+    /// no diff).
     pub(crate) fn diff_extent(&self) -> usize {
         match self {
             Response::Diffs { diffs, .. } => max_extent(diffs),
@@ -502,6 +505,29 @@ impl Response {
                 .unwrap_or(0),
             _ => 0,
         }
+    }
+
+    /// Every page this response carries has the receiver's shape: no diff
+    /// reaches past a `page_size`-byte page, and a full or zero page has
+    /// `nprocs` applied seqs and, if full, `page_size` bytes.
+    /// [`Response::decode`] has already validated every image; what it
+    /// cannot know is the receiver's cluster and page size, so the
+    /// receiver checks this once, before anything is applied.
+    pub(crate) fn fits(&self, nprocs: usize, page_size: usize) -> bool {
+        let whole = |applied: &[u32], data: Option<&Vec<u8>>| {
+            applied.len() == nprocs && data.is_none_or(|d| d.len() == page_size)
+        };
+        self.diff_extent() <= page_size
+            && match self {
+                Response::FullPage { applied, data, .. } => whole(applied, Some(data)),
+                Response::ZeroPage { applied, .. } => whole(applied, None),
+                Response::MultiDiffs { pages } => pages.iter().all(|(_, pd)| match pd {
+                    PageDiffs::Full { applied, data } => whole(applied, Some(data)),
+                    PageDiffs::Zero { applied } => whole(applied, None),
+                    PageDiffs::Diffs { .. } => true,
+                }),
+                _ => true,
+            }
     }
 
     /// Decode; returns `(rid, response)`. `None` unless `buf` is exactly
@@ -540,7 +566,7 @@ impl Response {
             },
             7 => {
                 let n = r.u16()? as usize;
-                let mut pages = Vec::with_capacity(n);
+                let mut pages = Vec::with_capacity(n.min(r.remaining() / MIN_ENTRY));
                 for _ in 0..n {
                     let page = r.u32()?;
                     pages.push((page, PageDiffs::decode(&mut r)?));

@@ -107,21 +107,25 @@ impl<S: Substrate> Tmk<S> {
     /// Materialize page-table entries up to `upto` (exclusive).
     pub(super) fn ensure_pages(&mut self, upto: usize) {
         while self.pages.len() < upto {
-            let idx = self.pages.len();
-            let manager = (idx % self.n) as u16;
-            let page = if self.me == manager {
-                Page::new_resident(self.n, manager, self.page_size)
+            let pid = self.pages.len() as PageId;
+            let page = if self.page_manager(pid) == self.me {
+                Page::new_resident(self.page_size)
             } else {
-                Page::new(self.n, manager, self.page_size)
+                Page::new(self.page_size)
             };
             self.pages.push(page);
         }
     }
 
-    /// Heap bytes this node holds for shared pages — page copies, twins
-    /// and retained diffs — summed over the page table.
+    /// A page's manager, the node that allocates it: round-robin.
+    fn page_manager(&self, pid: PageId) -> u16 {
+        (pid as usize % self.n) as u16
+    }
+
+    /// Heap bytes this node holds for shared pages — page copies, twins,
+    /// retained diffs and the page table itself.
     pub fn held_bytes(&self) -> HeldBytes {
-        self.pages.iter().map(Page::held_bytes).sum()
+        self.pages.held_bytes()
     }
 
     // ----- interval machinery ---------------------------------------------
@@ -138,18 +142,17 @@ impl<S: Substrate> Tmk<S> {
         let mut cost = Ns::ZERO;
         let dirty = std::mem::take(&mut self.dirty);
         for &pid in &dirty {
-            let page = &mut self.pages[pid as usize];
+            let page = &mut self.pages[pid];
             let d = page.take_diff();
             cost += Ns::for_bytes(self.page_size, params.dsm.diff_scan_mb_s)
                 + params.dsm.diff_overhead
                 + params.dsm.mprotect;
-            page.my_diffs.push((seq, d));
-            page.trim_diffs(self.cfg.diff_keep);
-            page.applied[self.me as usize] = seq;
+            page.retain_diff(seq, d, self.cfg.diff_keep);
             page.state = match page.state {
                 Access::WriteInvalid => Access::Invalid,
                 _ => Access::Read,
             };
+            self.pages.applied_notice(pid, self.me, seq);
             self.clock().borrow_mut().stats.diffs_created += 1;
         }
         // The interval's one record, encoded once, on this node.
@@ -173,10 +176,9 @@ impl<S: Substrate> Tmk<S> {
             for (first, len) in rec.ranges() {
                 self.ensure_pages(first as usize + len as usize);
                 for pid in (0..len).map(|i| first + i) {
-                    let page = &mut self.pages[pid as usize];
-                    let before = page.state;
-                    page.add_notice(rec.node, rec.seq);
-                    if page.state != before {
+                    let before = self.pages[pid].state;
+                    self.pages.add_notice(pid, rec.node, rec.seq);
+                    if self.pages[pid].state != before {
                         cost += mprotect;
                     }
                 }
@@ -205,7 +207,7 @@ impl<S: Substrate> Tmk<S> {
     /// Chunked to the budget (the requester re-requests the remainder); a
     /// full page when the requested diffs were garbage-collected.
     fn diffs_answer(&self, pid: PageId, lo: u32, hi: u32, budget: usize) -> (PageRef<'_>, Ns) {
-        let Some(all) = self.pages[pid as usize].diffs_range(lo, hi) else {
+        let Some(all) = self.pages[pid].diffs_range(lo, hi) else {
             return self.full_page_answer(pid);
         };
         let params = self.sub.params();
@@ -226,13 +228,13 @@ impl<S: Substrate> Tmk<S> {
     /// memory on first touch) travel as a compact marker.
     fn full_page_answer(&self, pid: PageId) -> (PageRef<'_>, Ns) {
         let params = self.sub.params();
-        let page = &self.pages[pid as usize];
+        let page = &self.pages[pid];
         assert!(
             page.state != Access::Unmapped,
             "node {} asked for page {pid} it never held",
             self.me
         );
-        let applied = &page.applied;
+        let applied = self.pages.applied(pid);
         let data = page.stable();
         let scan = Ns::for_bytes(self.page_size, params.dsm.diff_scan_mb_s);
         if data.is_zero() {
@@ -296,7 +298,7 @@ impl<S: Substrate> Tmk<S> {
     /// itself is `read_fault`.
     #[inline]
     pub(super) fn ensure_readable(&mut self, pid: PageId) {
-        if !matches!(self.pages[pid as usize].state, Access::Read | Access::Write) {
+        if !matches!(self.pages[pid].state, Access::Read | Access::Write) {
             self.read_fault(pid);
         }
     }
@@ -311,7 +313,7 @@ impl<S: Substrate> Tmk<S> {
     /// first when it was never mapped — and say whether it did. What the
     /// page is owed is left to the caller's diff fetch.
     fn take_fault(&mut self, pid: PageId) -> bool {
-        let state = self.pages[pid as usize].state;
+        let state = self.pages[pid].state;
         if matches!(state, Access::Read | Access::Write) {
             return false;
         }
@@ -328,7 +330,7 @@ impl<S: Substrate> Tmk<S> {
     pub(super) fn ensure_writable(&mut self, pid: PageId) {
         self.ensure_readable(pid);
         let params = self.sub.params().clone();
-        let page = &mut self.pages[pid as usize];
+        let page = &mut self.pages[pid];
         if page.state == Access::Read {
             // Write fault: open a twin. It copies each span just before
             // the interval first writes it, into a pooled buffer (twins
@@ -354,7 +356,7 @@ impl<S: Substrate> Tmk<S> {
     /// be overwritten verbatim (any word both we and a concurrent writer
     /// touch would be a data race in the program).
     pub(super) fn ensure_writable_overwrite(&mut self, pid: PageId) {
-        let state = self.pages[pid as usize].state;
+        let state = self.pages[pid].state;
         match state {
             Access::Write => return,
             Access::Read => {
@@ -364,8 +366,8 @@ impl<S: Substrate> Tmk<S> {
             Access::Unmapped | Access::Invalid | Access::WriteInvalid => {}
         }
         let params = self.sub.params().clone();
-        let page = &mut self.pages[pid as usize];
-        page.waive_owed();
+        self.pages.waive_owed(pid);
+        let page = &mut self.pages[pid];
         let mut cost = params.dsm.page_fault + params.dsm.mprotect;
         if page.twin.is_none() {
             page.start_twin();
@@ -375,7 +377,7 @@ impl<S: Substrate> Tmk<S> {
             let mut c = self.clock().borrow_mut();
             c.stats.twins_created += 1;
         }
-        let page = &mut self.pages[pid as usize];
+        let page = &mut self.pages[pid];
         page.force_full_diff = true;
         page.state = Access::Write;
         let mut c = self.clock().borrow_mut();
@@ -385,7 +387,7 @@ impl<S: Substrate> Tmk<S> {
 
     /// First touch: fetch the whole page from its manager.
     fn fetch_page(&mut self, pid: PageId) {
-        let manager = self.pages[pid as usize].manager;
+        let manager = self.page_manager(pid);
         assert_ne!(manager, self.me, "manager pages are resident");
         let resp = self.rpc(manager as usize, Request::Page { page: pid });
         resp.for_each_page(|page, pd| {
@@ -412,22 +414,21 @@ impl<S: Substrate> Tmk<S> {
         };
         let params = self.sub.params().clone();
         let mut cost = Ns::for_bytes(image.page_len(), params.host.memcpy_mb_s) + params.dsm.mprotect;
-        let me = self.me as usize;
-        let page = &mut self.pages[pid as usize];
+        let me = self.me;
         // Uncommitted writes are replayed on the new base (`Page::adopt`).
-        if page.adopt(image) {
+        if self.pages[pid].adopt(image) {
             cost += Ns::for_bytes(self.page_size, params.dsm.diff_scan_mb_s);
         }
-        let old_applied = page.adopt_applied(applied);
+        let (was, lo) = (self.pages.applied(pid)[me as usize], applied[me as usize]);
+        self.pages.adopt_applied(pid, &applied);
         // Repair our own axis from locally retained diffs (applied by
         // reference: my_diffs, data and twin are disjoint fields).
-        if old_applied[me] > page.applied[me] {
-            let lo = page.applied[me];
+        if was > lo {
             let Page {
                 my_diffs, data, twin, ..
-            } = page;
+            } = &mut self.pages[pid];
             for (seq, d) in my_diffs.iter() {
-                if *seq > lo && *seq <= old_applied[me] {
+                if *seq > lo && *seq <= was {
                     d.apply_page(data);
                     if let Some(t) = twin.as_deref_mut() {
                         d.apply_held(t);
@@ -435,9 +436,11 @@ impl<S: Substrate> Tmk<S> {
                     cost += params.dsm.diff_overhead;
                 }
             }
-            page.applied[me] = old_applied[me];
+            self.pages.applied_notice(pid, me, was);
         }
-        page.state = match (page.twin.is_some(), page.owes()) {
+        let owes = self.pages.owes(pid);
+        let page = &mut self.pages[pid];
+        page.state = match (page.twin.is_some(), owes) {
             (true, false) => Access::Write,
             (true, true) => Access::WriteInvalid,
             (false, false) => Access::Read,
@@ -445,7 +448,7 @@ impl<S: Substrate> Tmk<S> {
         };
         if let Some(st) = states.iter_mut().find(|s| s.pid == pid) {
             st.collected
-                .retain(|(w, seq, _)| page.owed_of(*w).contains(seq));
+                .retain(|(w, seq, _)| self.pages.owed_of(pid, *w).contains(seq));
         }
         self.clock().borrow_mut().advance(cost);
         self.clock().borrow_mut().stats.pages_fetched += 1;
@@ -496,7 +499,7 @@ impl<S: Substrate> Tmk<S> {
         loop {
             let mut need: Vec<WriterNeed> = Vec::new();
             for st in &states {
-                for (writer, lo, hi) in self.pages[st.pid as usize].owing() {
+                for (writer, lo, hi) in self.pages.owing(st.pid) {
                     let lo = lo.max(covered_of(&st.covered, writer) + 1);
                     if lo <= hi {
                         owe(&mut need, writer, (st.pid, lo, hi));
@@ -582,11 +585,12 @@ impl<S: Substrate> Tmk<S> {
             {
                 continue;
             }
-            let page = &self.pages[pid as usize];
-            if !matches!(page.state, Access::Invalid | Access::WriteInvalid) || !page.owes() {
+            if !matches!(self.pages[pid].state, Access::Invalid | Access::WriteInvalid)
+                || !self.pages.owes(pid)
+            {
                 continue;
             }
-            for (writer, lo, hi) in page.owing() {
+            for (writer, lo, hi) in self.pages.owing(pid) {
                 owe(&mut need, writer, (pid, lo, hi));
             }
             targets.push(pid);
@@ -640,7 +644,7 @@ impl<S: Substrate> Tmk<S> {
             }
             // The staging rule: a volley's diffs are dropped if the page
             // now owes the writer seqs below what the volley asked for.
-            let owed = self.pages[pid as usize].owed_of(writer);
+            let owed = self.pages.owed_of(pid, writer);
             if matches!(pd, PageDiffs::Diffs { .. }) && !owed.is_empty() && *owed.start() < lo {
                 continue;
             }
@@ -681,10 +685,10 @@ impl<S: Substrate> Tmk<S> {
             if (pid as usize) < self.pages.len()
                 && !targets.contains(&pid)
                 && matches!(
-                    self.pages[pid as usize].state,
+                    self.pages[pid].state,
                     Access::Invalid | Access::WriteInvalid
                 )
-                && self.pages[pid as usize].owes()
+                && self.pages.owes(pid)
             {
                 targets.push(pid);
             }
@@ -725,7 +729,7 @@ impl<S: Substrate> Tmk<S> {
                     None => st.covered.push((writer, covered_hi)),
                 }
                 // Only what the page still owes the writer is used.
-                let owed = self.pages[pid as usize].owed_of(writer);
+                let owed = self.pages.owed_of(pid, writer);
                 st.collected.extend(
                     diffs
                         .into_iter()
@@ -750,24 +754,23 @@ impl<S: Substrate> Tmk<S> {
         // Apply in order, to data and (if present) twin.
         let mut cost = Ns::ZERO;
         let applied_count = collected.len() as u64;
-        let page = &mut self.pages[pid as usize];
         for (writer, seq, d) in collected {
-            page.apply(&d);
+            self.pages[pid].apply(&d);
             cost += params.dsm.diff_overhead
                 + Ns::for_bytes(d.payload_bytes(), params.host.memcpy_mb_s);
-            page.applied_notice(writer, seq);
+            self.pages.applied_notice(pid, writer, seq);
         }
         // Owed seqs under a settled ceiling that sent no diff never wrote
         // the page.
         for (writer, hi) in covered {
-            page.applied_notice(writer, hi);
+            self.pages.applied_notice(pid, writer, hi);
         }
         debug_assert!(
-            !page.owes(),
-            "still owed: applied {:?}, owed {:?}",
-            page.applied,
-            page.owed
+            !self.pages.owes(pid),
+            "still owed: {:?}",
+            self.pages.owing(pid).collect::<Vec<_>>()
         );
+        let page = &mut self.pages[pid];
         page.state = if page.twin.is_some() {
             Access::Write
         } else {

@@ -45,8 +45,11 @@ fn a_notice_is_an_owed_range_and_the_log_keeps_the_one_record() {
     let rec = IntervalRecord::new(1, 1, &vc([0, 1, 0]), PAGES.to_vec());
     t.apply_records(vec![Rc::clone(&rec)]);
     for pid in PAGES {
-        let page = &t.pages[pid as usize];
-        assert_eq!(page.owing().collect::<Vec<_>>(), [(1, 1, 1)], "page {pid}");
+        assert_eq!(
+            t.pages.owing(pid).collect::<Vec<_>>(),
+            [(1, 1, 1)],
+            "page {pid}"
+        );
     }
     // Ours and the log's: no page holds a handle.
     assert_eq!(Rc::strong_count(&rec), 2);
@@ -74,10 +77,9 @@ fn apply_out_of_order(learn: impl FnOnce(&mut Tmk<MemSubstrate>)) -> Tmk<MemSubs
         cur[0] = byte;
         Diff::create(&vec![0u8; size], &cur)
     };
-    let page = &mut t.pages[0];
-    page.add_notice(1, 1);
-    page.add_notice(2, 1);
-    assert_eq!(page.state, Access::Invalid);
+    t.pages.add_notice(0, 1, 1);
+    t.pages.add_notice(0, 2, 1);
+    assert_eq!(t.pages[0].state, Access::Invalid);
     t.apply_fetched_page(PageFetchState {
         pid: 0,
         collected: vec![(2, 1, write(2)), (1, 1, write(1))],
@@ -109,15 +111,14 @@ fn a_record_the_log_let_go_still_orders_its_diff() {
         t.apply_records(vec![second()]);
     });
     for t in [&known, &trimmed, &unknown] {
-        let page = &t.pages[0];
         assert_eq!(
-            page.data.get(0, 1),
+            t.pages[0].data.get(0, 1),
             Some(&[2][..]),
             "the causally later write lands last"
         );
-        assert_eq!(page.applied, [0, 1, 1]);
-        assert!(!page.owes());
-        assert_eq!(page.state, Access::Read);
+        assert_eq!(t.pages.applied(0), [0, 1, 1]);
+        assert!(!t.pages.owes(0));
+        assert_eq!(t.pages[0].state, Access::Read);
     }
     let now = |t: &Tmk<MemSubstrate>| t.clock().borrow().now();
     assert_eq!(now(&known), now(&trimmed));

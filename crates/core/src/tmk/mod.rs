@@ -41,7 +41,7 @@
 use tm_sim::{SharedClock, SimParams};
 
 use crate::interval::IntervalLog;
-use crate::page::{Page, PageId, MAX_PAGE};
+use crate::page::{PageId, PageTable, MAX_PAGE};
 use crate::substrate::Substrate;
 use crate::vc::VectorClock;
 
@@ -205,7 +205,7 @@ pub struct Tmk<S: Substrate> {
     // coherence layer --------------------------------------------------
     vc: VectorClock,
     log: IntervalLog,
-    pages: Vec<Page>,
+    pages: PageTable,
     /// Pages twinned in the current (open) interval.
     dirty: Vec<PageId>,
     last_barrier_vc: VectorClock,
@@ -249,7 +249,7 @@ impl<S: Substrate> Tmk<S> {
             n,
             vc: VectorClock::new(n),
             log: IntervalLog::new(n),
-            pages: Vec::new(),
+            pages: PageTable::new(n),
             allocated_pages: 0,
             regions: Vec::new(),
             dirty: Vec::new(),

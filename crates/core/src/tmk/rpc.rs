@@ -425,9 +425,9 @@ impl<S: Substrate> Tmk<S> {
         self.heard(msg.from, msg.arrival);
         let lossy = self.rel.is_some();
         // Decoding validated every diff image; a diff reaching past our
-        // page is as malformed as a truncated one and goes the same way.
-        let decoded =
-            Response::decode(&msg.data).filter(|(_, r)| r.diff_extent() <= self.page_size);
+        // page, or a page not of our cluster's shape, is as malformed as a
+        // truncated one and goes the same way.
+        let decoded = Response::decode(&msg.data).filter(|(_, r)| r.fits(self.n, self.page_size));
         let Some((rid, resp)) = decoded else {
             assert!(lossy, "node {}: malformed response", self.me);
             self.clock().borrow_mut().stats.malformed_dropped += 1;

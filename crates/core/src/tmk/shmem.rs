@@ -81,7 +81,7 @@ impl<S: Substrate> Tmk<S> {
             self.ensure_readable(pid);
             let in_page = abs % self.page_size;
             let take = (self.page_size - in_page).min(len - done);
-            let page = &self.pages[pid as usize];
+            let page = &self.pages[pid];
             for (at, piece) in page.data.read(in_page, take) {
                 f(done + at, piece);
             }
@@ -118,7 +118,7 @@ impl<S: Substrate> Tmk<S> {
             } else {
                 self.ensure_writable(pid);
             }
-            f(done, self.pages[pid as usize].write(in_page, take));
+            f(done, self.pages[pid].write(in_page, take));
             done += take;
         }
     }

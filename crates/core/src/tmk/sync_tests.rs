@@ -331,6 +331,37 @@ fn well_framed_diff_past_the_page_is_dropped_as_malformed() {
     assert_eq!(t0.clock().borrow().stats.malformed_dropped, 1);
 }
 
+/// A `FullPage` that decodes cleanly but carries one applied seq on a
+/// 2-node cluster is not a page of this cluster: it goes down the
+/// malformed-message path instead of reaching the page table's seq
+/// column. The well-formed retransmission behind it completes the rpc.
+#[test]
+fn full_page_of_the_wrong_shape_is_dropped_as_malformed() {
+    let params = Arc::new(SimParams::paper_testbed());
+    let page_size = params.dsm.page_size;
+    let mut eps = mem_cluster(2);
+    let e1 = eps.pop().unwrap();
+    let e0 = eps.pop().unwrap();
+    let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
+    let mut t0 = Tmk::new(LossyMem(mk(e0), 0), TmkConfig::default());
+    let mut s1 = mk(e1);
+
+    let rid = t0.rpc_issue(1, Request::Page { page: 0 });
+    let _ = s1.next_incoming();
+    let full = |applied: Vec<u32>| Response::FullPage {
+        page: 0,
+        applied,
+        data: vec![0xEE; page_size],
+    };
+    let (_, bad) = Response::decode(&full(vec![3]).encode(rid)).expect("framing is fine");
+    assert!(!bad.fits(2, page_size));
+    s1.send_response_at(0, &full(vec![3]).encode(rid), Ns::from_us(10));
+    s1.send_response_at(0, &full(vec![3, 0]).encode(rid), Ns::from_us(20));
+
+    assert_eq!(t0.rpc_collect(rid), full(vec![3, 0]));
+    assert_eq!(t0.clock().borrow().stats.malformed_dropped, 1);
+}
+
 /// A reliable transport builds no reliability: no replay records, and an
 /// issued rpc keeps no frame and arms no timer.
 #[test]

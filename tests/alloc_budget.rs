@@ -19,6 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
 use std::sync::Arc;
 
 use tm_apps::{fft_parallel_with, fft_seq, sor_parallel, sor_seq, FftConfig, SorConfig};
@@ -27,7 +28,8 @@ use tm_gm::{gm_cluster, gm_size, DmaPool, GmNode};
 use tm_sim::clock::shared_clock;
 use tm_sim::{Ns, SimParams};
 use tmk::diff::Diff;
-use tmk::page::HeldBytes;
+use tmk::page::{HeldBytes, Page};
+use tmk::protocol::{Request, Response};
 use tmk::wire::{WireReader, WireWriter};
 use tmk::{Substrate, Tmk, TmkConfig};
 
@@ -155,11 +157,12 @@ fn a_retained_diff_is_sized_by_what_changed() {
 }
 
 /// Allocations one small SOR run may make, cluster set-up and scheduler
-/// included: 2 807 measured, plus a quarter. With an interval record that
-/// held a clock and a page list beside its wire image the same run made
-/// 2 991; with a clock cloned into every page-notice, 3 816; with one `Vec`
-/// per diff run, more than ten times the budget.
-const SOR_BUDGET: u64 = 3_509;
+/// included: 2 591 measured, plus a quarter. With two seq vectors in every
+/// page-table entry the same run made 2 807; with an interval record that
+/// also held a clock and a page list beside its wire image, 2 991; with a
+/// clock cloned into every page-notice, 3 816; with one `Vec` per diff run,
+/// more than ten times the budget.
+const SOR_BUDGET: u64 = 3_239;
 
 #[test]
 fn a_small_lockstep_sor_run_stays_inside_its_allocation_budget() {
@@ -179,6 +182,33 @@ fn a_small_lockstep_sor_run_stays_inside_its_allocation_budget() {
         allocs <= SOR_BUDGET,
         "4-node 64x512 SOR made {allocs} heap allocations (budget {SOR_BUDGET})"
     );
+}
+
+/// A frame that names more entries than it holds is refused without a
+/// vector sized for the claim: a `ZeroPage` with 65 535 applied seqs, a
+/// `MultiDiffs` answer and a `MultiDiff` request with 65 535 pages, each
+/// with nothing behind its count. Sized by the claim they asked for
+/// 262 140, 3 669 960 and 786 420 bytes.
+#[test]
+fn a_count_the_frame_cannot_hold_reserves_nothing() {
+    let frame = |tag: u8, page: bool| {
+        let mut w = WireWriter::new();
+        w.u32(1).u8(tag);
+        if page {
+            w.u32(0);
+        }
+        w.u16(u16::MAX);
+        w.finish()
+    };
+    let (zero, multi) = (frame(5, true), frame(7, false));
+    let refused = |what: &str, decode: &dyn Fn() -> bool| {
+        let (_, bytes, none) = heap_during(decode);
+        assert!(none, "a {what} that claims 65 535 entries decoded");
+        assert_eq!(bytes, 0, "decoding a {what} that claims 65 535 entries");
+    };
+    refused("ZeroPage", &|| Response::decode(&zero).is_none());
+    refused("MultiDiffs", &|| Response::decode(&multi).is_none());
+    refused("MultiDiff", &|| Request::decode(&multi).is_none());
 }
 
 /// A GM port holding a burst it has no buffers for is polled again and
@@ -213,13 +243,20 @@ fn polling_a_port_with_unmatched_packets_allocates_nothing() {
     assert!(rx.receive(3).unwrap().is_some(), "the packets were waiting");
 }
 
+/// What `held` says a node holds for its pages' data: the page table's own
+/// row left out.
+fn data(held: HeldBytes) -> HeldBytes {
+    HeldBytes { table: 0, ..held }
+}
+
 /// A page copy and its twin hold the units written or received, not the
 /// page: node 1 adopts node 0's fresh page 0 as a `ZeroPage` and holds
 /// nothing for it, then writes the FFT transpose's four 64-byte pieces at a
 /// 1 KiB stride into it and holds four 64-byte units in the copy and four
 /// in the twin (256-byte diff spans held 1 024 + 1 024, whole-page copies
 /// 4 096 + 4 096). Node 0 writes a red-black sweep over its own page 2,
-/// which reaches every unit: the whole page, twice.
+/// which reaches every unit: the whole page, twice. The page table's own
+/// bytes are left out: they are the same in every snapshot.
 #[test]
 fn a_page_holds_the_spans_it_wrote_or_received() {
     let params = Arc::new(SimParams::paper_testbed());
@@ -233,7 +270,7 @@ fn a_page_holds_the_spans_it_wrote_or_received() {
             // The first fetch warms the message path's buffers.
             tmk.get_u32(region, 4 * words);
             let (_, bytes, _) = heap_during(|| tmk.get_u32(region, 0));
-            seen.push((bytes, tmk.held_bytes()));
+            seen.push((bytes, data(tmk.held_bytes())));
             for r in 0..4 {
                 tmk.write_bytes(region, r * 1024 + 192, &[0xA5; 64]);
             }
@@ -242,14 +279,14 @@ fn a_page_holds_the_spans_it_wrote_or_received() {
                 .step_by(2)
                 .for_each(|w| tmk.set_u32(region, w, 7));
         }
-        seen.push((0, tmk.held_bytes()));
+        seen.push((0, data(tmk.held_bytes())));
         tmk.barrier(1);
         seen
     });
     let held = |pages, twins| HeldBytes {
         pages,
         twins,
-        diffs: 0,
+        ..HeldBytes::default()
     };
     let [(fetched, zero), (0, transpose)] = out[1].result[..] else {
         panic!("node 1 took two snapshots: {:?}", out[1].result);
@@ -267,12 +304,18 @@ fn a_page_holds_the_spans_it_wrote_or_received() {
 
 /// Heap bytes the whole 16-node cluster holds for shared pages as each
 /// node leaves the barrier that ends FFT 64³'s transpose over UDP/GM —
-/// page copies, twins (none: the barrier flushed them), retained diffs.
-/// Every node has written four 64-byte pieces into each of array B's 1 024
-/// pages and holds exactly those pieces, one 64-byte unit each: 16 × 1 024
-/// × 256 bytes, plus its own 64 pages of array A. Held in 256-byte diff
-/// spans the same snapshot reads 20 971 520 bytes of pages; held as whole
-/// pages, 75 239 424.
+/// page copies, twins (none: the barrier flushed them), retained diffs and
+/// the page table itself. Every node has written four 64-byte pieces into
+/// each of array B's 1 024 pages and holds exactly those pieces, one
+/// 64-byte unit each: 16 × 1 024 × 256 bytes, plus its own 64 pages of
+/// array A. Held in 256-byte diff spans the same snapshot reads 20 971 520
+/// bytes of pages; held as whole pages, 75 239 424.
+///
+/// The table row is each node's 2 050 entries (a `Vec` of capacity 4 096,
+/// 80 bytes each), its seq column (capacity 131 072 seqs) and its
+/// retained-diff lists' slots. With 128-byte entries that each held two
+/// 16-seq vectors, and a first retained diff given four slots, the same
+/// snapshot read 14 813 184.
 #[test]
 fn fft_transpose_holds_its_spans_not_its_pages() {
     let cfg = FftConfig::new(64);
@@ -291,7 +334,13 @@ fn fft_transpose_holds_its_spans_not_its_pages() {
             pages: 8 * 1024 * 1024,
             twins: 0,
             diffs: 13_115_756,
+            table: 14_286_848,
         }
+    );
+    assert!(
+        size_of::<Page>() <= 80,
+        "a page-table entry is {} bytes",
+        size_of::<Page>()
     );
 }
 
@@ -299,15 +348,16 @@ const STORM_NODES: usize = 16;
 const STORM_PAGES: usize = 512;
 const STORM_ROUNDS: u32 = 32;
 
-/// Allocations the notice storm below may make: 86 712 measured, plus a
+/// Allocations the notice storm below may make: 71 000 measured, plus a
 /// quarter. Every node learns of every other node's interval at every
 /// barrier and every interval names 32 pages, so 245 760 notices arrive.
-/// A record is its wire image, one allocation beside its `Rc`; one that
-/// also held a decoded clock and page list made the same run cost 94 803,
-/// a handle to the record queued on each page 116 035, and a clock of its
-/// own for each notice (and a sorted copy of the page list per encode)
-/// 414 069.
-const STORM_BUDGET: u64 = 108_390;
+/// A record is its wire image, one allocation beside its `Rc`, and a
+/// page's seqs live in its table's one column: with two seq vectors in
+/// every page-table entry the same run cost 86 712; a record that also
+/// held a decoded clock and page list, 94 803; a handle to the record
+/// queued on each page, 116 035; and a clock of its own for each notice
+/// (and a sorted copy of the page list per encode), 414 069.
+const STORM_BUDGET: u64 = 88_750;
 
 /// Every node rewrites one word of each page it manages, barrier after
 /// barrier, and nobody reads anybody else's: no page or diff ever moves, so
