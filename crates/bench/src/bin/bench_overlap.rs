@@ -1,7 +1,8 @@
 //! Overlapped-RPC microbenchmark, recorded as `results/BENCH_overlap.json`
-//! so successive PRs have a perf trajectory for the RPC engine.
+//! so successive PRs have a perf trajectory for the RPC engine and the
+//! lock pipeline.
 //!
-//! The workload is a k-writer diff storm: nodes `0..k` each write a
+//! The `rows` are a k-writer diff storm: nodes `0..k` each write a
 //! disjoint word of every page of a shared region, then the last node
 //! reads the whole region back in one `read_bytes`. That read faults
 //! every page with pending write notices from all k writers, so the
@@ -16,6 +17,12 @@
 //! front — measured 2.04 ms against 7.70 ms serial and 1.21 ms coalesced
 //! at four writers, and was deleted.)
 //!
+//! The `lock_storm` is TSP-like: node 0 writes a block of pages inside
+//! the critical section, node 1 acquires the lock and reads them. The
+//! only ordering is the lock handoff, so the grant carries the write
+//! notices; `LockPath::Overlapped` batch-fetches the diffs they imply at
+//! acquire time instead of faulting one round trip at a time.
+//!
 //! All times are *simulated* cluster nanoseconds on FAST/GM (the paper
 //! testbed); the committed JSON is diffed byte for byte in CI.
 //!
@@ -25,10 +32,12 @@ use std::sync::Arc;
 
 use tm_fast::{run_fast_dsm, FastConfig};
 
-use tm_bench::diff_storm_body;
-use tmk::{DiffFetch, Substrate, Tmk, TmkConfig};
+use tm_bench::{diff_storm_body, lock_storm_body};
+use tmk::{DiffFetch, LockPath, Substrate, Tmk, TmkConfig};
 
 const PAGES: usize = 64;
+const STORM_PAGES: usize = 16;
+const STORM_ROUNDS: u64 = 8;
 
 /// Reader's virtual cost of the whole-region read (zero on writers).
 fn storm_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
@@ -61,6 +70,20 @@ fn run(writers: usize, engine: DiffFetch) -> u64 {
     out[writers].result
 }
 
+/// Node 1's per-round cost of the lock storm under `lp`.
+fn run_storm(lp: LockPath) -> u64 {
+    let params = Arc::new(tm_sim::SimParams::paper_testbed());
+    let cfg = FastConfig::paper(&params);
+    let tcfg = TmkConfig {
+        lock_path: lp,
+        ..TmkConfig::default()
+    };
+    let out = run_fast_dsm(2, params, cfg, tcfg, |tmk| {
+        lock_storm_body(tmk, STORM_PAGES, STORM_ROUNDS)
+    });
+    out[1].result
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -88,7 +111,24 @@ fn main() {
             serial as f64 / coalesced.max(1) as f64
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+
+    let serial = run_storm(LockPath::Serial);
+    let overlapped = run_storm(LockPath::Overlapped);
+    let storm_speedup = serial as f64 / overlapped.max(1) as f64;
+    println!(
+        "lock storm ({STORM_PAGES} pages/round): serial={serial}ns \
+         overlapped={overlapped}ns ({storm_speedup:.2}x)"
+    );
+    assert!(
+        overlapped < serial,
+        "overlapped lock path ({overlapped}) must beat serial ({serial})"
+    );
+    json.push_str(&format!(
+        "  \"lock_storm\": {{ \"pages\": {STORM_PAGES}, \"rounds\": {STORM_ROUNDS}, \
+         \"serial_ns\": {serial}, \"overlapped_ns\": {overlapped}, \
+         \"serial_over_overlapped\": {storm_speedup:.2} }}\n}}\n"
+    ));
     std::fs::write(&out_path, &json).expect("write BENCH_overlap.json");
     println!("wrote {out_path}");
 }

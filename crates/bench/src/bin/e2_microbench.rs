@@ -6,10 +6,7 @@
 
 use std::sync::Arc;
 
-use tm_bench::{
-    diff_storm_body, lock_storm_body, print_header, print_row, print_row_header,
-    strided_sweep_body, tallied,
-};
+use tm_bench::{diff_storm_body, lock_storm_body, print_header, print_row, print_row_header};
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::stats::NodeStats;
 use tm_sim::{Ns, SimParams};
@@ -17,10 +14,9 @@ use tmk::{DiffFetch, LockPath, Substrate, Tmk, TmkConfig};
 
 const ROUNDS: u64 = 20;
 const PAGES: usize = 64;
-/// The smoke run's lock storm and strided sweep (`bench_prefetch`'s sizes).
+/// The smoke run's lock storm (`bench_overlap`'s sizes).
 const STORM_PAGES: usize = 16;
 const STORM_ROUNDS: u64 = 8;
-const SWEEP_PAGES: usize = 48;
 
 /// Paper testbed + the fault plan under test (`E2_FAULT_LOSS`) — see
 /// [`tm_bench::Opts`] for every knob. Two invocations of this binary
@@ -43,7 +39,7 @@ fn tally<R>(outcomes: &[tm_sim::runner::NodeOutcome<R>]) {
     }
 }
 
-/// The DSM configuration under test (`E2_LOCK_PATH`, `E2_PREFETCH`).
+/// The DSM configuration under test (`E2_LOCK_PATH`).
 fn tmk_cfg() -> TmkConfig {
     tm_bench::opts().tmk_config()
 }
@@ -297,8 +293,7 @@ fn main() {
         println!("e2-smoke: overlap assertions passed");
 
         // Pipelined synchronization: the overlapped lock path must beat
-        // the serial baseline on the TSP-like lock storm, and the stride
-        // prefetcher must land hits (and help) on the SOR-like sweep.
+        // the serial baseline on the TSP-like lock storm.
         let run_lock = |lp: LockPath| {
             let params = Arc::new(bench_params());
             let cfg = FastConfig::paper(&params);
@@ -320,31 +315,6 @@ fn main() {
         assert!(
             lock_overlapped < lock_serial,
             "overlapped lock path ({lock_overlapped}) must beat serial ({lock_serial})"
-        );
-        let run_sweep = |depth: usize| {
-            let params = Arc::new(bench_params());
-            let cfg = FastConfig::paper(&params);
-            let tcfg = TmkConfig {
-                prefetch_depth: depth,
-                ..tmk_cfg()
-            };
-            let out = run_fast_dsm(2, params, cfg, tcfg, |tmk| {
-                let (ns, tally) = tallied(tmk, |tmk| strided_sweep_body(tmk, SWEEP_PAGES));
-                (ns, tally.get("prefetch_hit").map_or(0, |e| e.count))
-            });
-            out[1].result
-        };
-        let (sweep0, hits0) = run_sweep(0);
-        let (sweep8, hits8) = run_sweep(8);
-        println!(
-            "e2-smoke: strided sweep (FAST, ns/page): \
-             depth0={sweep0} depth8={sweep8} hits={hits8}"
-        );
-        assert_eq!(hits0, 0, "depth 0 must keep the prefetcher inert");
-        assert!(hits8 > 0, "stride prefetcher must land hits on the sweep");
-        assert!(
-            sweep8 < sweep0,
-            "prefetched sweep ({sweep8}) must beat the demand-fault sweep ({sweep0})"
         );
         println!("e2-smoke: pipelined-sync assertions passed");
     }

@@ -19,19 +19,7 @@ use tm_apps::{
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, Transport};
 use tm_sim::runner::cluster_time;
 use tm_sim::{FaultPlan, Ns, SimParams};
-use tmk::{LayerMetrics, LockPath, MetricsHandle, SharedId, Substrate, Tmk, TmkConfig};
-
-/// Run one node body with a tallying event hook installed; returns the
-/// body's result and the node's tally.
-pub fn tallied<S: Substrate, R>(
-    tmk: &mut Tmk<S>,
-    body: impl FnOnce(&mut Tmk<S>) -> R,
-) -> (R, LayerMetrics) {
-    let handle = MetricsHandle::install(tmk);
-    let r = body(tmk);
-    tmk.clear_event_hook();
-    (r, handle.snapshot())
-}
+use tmk::{LockPath, SharedId, Substrate, Tmk, TmkConfig};
 
 // ----- microbenchmark bodies more than one binary runs ----------------------
 
@@ -84,37 +72,6 @@ pub fn lock_storm_body<S: Substrate>(tmk: &mut Tmk<S>, pages: usize, rounds: u64
         tmk.barrier(1 + r as u32);
     }
     ns / rounds
-}
-
-/// SOR-like strided sweep: node 0 writes one word of each of `pages`
-/// pages, then node 1 reads the pages in ascending order after a barrier.
-/// Every read faults, and the constant stride lets the prefetcher run
-/// ahead of the fault stream when `prefetch_depth > 0`. Returns the
-/// reader's cost per page (zero on the writer).
-pub fn strided_sweep_body<S: Substrate>(tmk: &mut Tmk<S>, pages: usize) -> u64 {
-    let region = tmk.malloc(pages * 4096);
-    tmk.distribute(region);
-    let me = tmk.proc_id();
-    for p in 0..pages {
-        let _ = tmk.get_u32(region, p * 1024);
-    }
-    tmk.barrier(0);
-    if me == 0 {
-        for p in 0..pages {
-            tmk.set_u32(region, p * 1024, p as u32 + 1);
-        }
-    }
-    tmk.barrier(1);
-    let mut ns = 0u64;
-    if me == 1 {
-        let t0 = tmk.clock().borrow().now();
-        for p in 0..pages {
-            assert_eq!(tmk.get_u32(region, p * 1024), p as u32 + 1, "sweep payload");
-        }
-        ns = (tmk.clock().borrow().now() - t0).0 / pages as u64;
-    }
-    tmk.barrier(2);
-    ns
 }
 
 /// Multi-writer diff storm: nodes `0..n-1` each write a disjoint word
@@ -287,9 +244,6 @@ pub struct Opts {
     /// the default) or `overlapped` (an acquire batch-fetches what its
     /// grant invalidates; the Barrier and Lock rows do not move).
     pub lock_path: LockPath,
-    /// `E2_PREFETCH`: stride-prefetch depth; 0 (the default) leaves the
-    /// prefetcher inert.
-    pub prefetch_depth: usize,
     /// `E2_SMOKE` / `E7_SMOKE` (set = on): run the assertion-carrying
     /// CI subsets.
     pub e2_smoke: bool,
@@ -303,25 +257,18 @@ impl Opts {
         fn bad(name: &str, v: &str, want: &str) -> ! {
             panic!("{name}={v:?} is malformed: expected {want}")
         }
-        fn num<T: std::str::FromStr>(name: &str, v: &str, want: &str) -> T {
-            v.parse().unwrap_or_else(|_| bad(name, v, want))
-        }
         // Unset and empty both mean "the default".
         let val = |name: &str| get(name).filter(|v| !v.is_empty());
         Opts {
-            fault_loss: val("E2_FAULT_LOSS").map_or(0.0, |v| {
-                let p: f64 = num("E2_FAULT_LOSS", &v, "a probability in [0, 1]");
-                if !(0.0..=1.0).contains(&p) {
-                    bad("E2_FAULT_LOSS", &v, "a probability in [0, 1]");
-                }
-                p
+            fault_loss: val("E2_FAULT_LOSS").map_or(0.0, |v| match v.parse::<f64>() {
+                Ok(p) if (0.0..=1.0).contains(&p) => p,
+                _ => bad("E2_FAULT_LOSS", &v, "a probability in [0, 1]"),
             }),
             lock_path: val("E2_LOCK_PATH").map_or(LockPath::Serial, |v| match v.as_str() {
                 "serial" => LockPath::Serial,
                 "overlapped" => LockPath::Overlapped,
                 _ => bad("E2_LOCK_PATH", &v, "serial|overlapped"),
             }),
-            prefetch_depth: val("E2_PREFETCH").map_or(0, |v| num("E2_PREFETCH", &v, "a depth")),
             e2_smoke: get("E2_SMOKE").is_some(),
             e7_smoke: get("E7_SMOKE").is_some(),
         }
@@ -335,13 +282,12 @@ impl Opts {
         }
     }
 
-    /// The DSM configuration under test (`E2_LOCK_PATH`, `E2_PREFETCH`),
+    /// The DSM configuration under test (`E2_LOCK_PATH`),
     /// so the same microbenchmarks run against every path without a
     /// recompile.
     pub fn tmk_config(&self) -> TmkConfig {
         TmkConfig {
             lock_path: self.lock_path,
-            prefetch_depth: self.prefetch_depth,
             ..TmkConfig::default()
         }
     }
@@ -429,16 +375,11 @@ mod tests {
         let unset = parse(&[]);
         assert_eq!(unset.fault_loss, 0.0);
         assert_eq!(unset.lock_path, LockPath::Serial);
-        assert_eq!(unset.prefetch_depth, 0);
         assert!(!(unset.e2_smoke || unset.e7_smoke));
         assert!(!unset.fault_plan().enabled());
         // Empty values select the defaults too — except the on/off
         // flags, which are on whenever they are set at all.
-        let empty = parse(&[
-            ("E2_FAULT_LOSS", ""),
-            ("E2_LOCK_PATH", ""),
-            ("E2_PREFETCH", ""),
-        ]);
+        let empty = parse(&[("E2_FAULT_LOSS", ""), ("E2_LOCK_PATH", "")]);
         assert_eq!(empty, unset);
         assert!(parse(&[("E2_SMOKE", "")]).e2_smoke);
     }
@@ -448,14 +389,12 @@ mod tests {
         let o = parse(&[
             ("E2_FAULT_LOSS", "0.01"),
             ("E2_LOCK_PATH", "overlapped"),
-            ("E2_PREFETCH", "8"),
             ("E7_SMOKE", "1"),
         ]);
         assert_eq!(o.fault_plan().drop_probability, 0.01);
         assert_eq!(o.fault_plan().seed, FaultPlan::default().seed);
         let cfg = o.tmk_config();
         assert_eq!(cfg.lock_path, LockPath::Overlapped);
-        assert_eq!(cfg.prefetch_depth, 8);
         assert!(o.e7_smoke && !o.e2_smoke);
     }
 
@@ -466,7 +405,6 @@ mod tests {
         for (name, value) in [
             ("E2_FAULT_LOSS", "0,1"),
             ("E2_FAULT_LOSS", "1.5"),
-            ("E2_PREFETCH", "two"),
             ("E2_LOCK_PATH", "bogus"),
         ] {
             let err = std::panic::catch_unwind(|| parse(&[(name, value)]))
@@ -476,20 +414,14 @@ mod tests {
         }
     }
 
-    /// The parser asks for the five variables `Opts` documents and for no
+    /// The parser asks for the four variables `Opts` documents and for no
     /// other: a variable that used to be an option (the fault seed, the
     /// barrier algorithm, the diff engine, E7's radix, the two metrics
     /// printers) is not read, so a value in it — here one that parses as
     /// nothing — changes nothing and is not an error.
     #[test]
-    fn opts_reads_five_variables_and_no_other() {
-        const READ: [&str; 5] = [
-            "E2_FAULT_LOSS",
-            "E2_LOCK_PATH",
-            "E2_PREFETCH",
-            "E2_SMOKE",
-            "E7_SMOKE",
-        ];
+    fn opts_reads_four_variables_and_no_other() {
+        const READ: [&str; 4] = ["E2_FAULT_LOSS", "E2_LOCK_PATH", "E2_SMOKE", "E7_SMOKE"];
         let asked = std::cell::RefCell::new(Vec::new());
         let o = Opts::parse(|name| {
             asked.borrow_mut().push(name.to_string());

@@ -5,8 +5,7 @@
 //! [`TmkEvent::RpcIssued`] also raises the outstanding-request depth
 //! gauge. Harnesses merge the per-node tallies into one [`LayerMetrics`]
 //! and read them by name: the repo benchmark's `rpc_issued` /
-//! `lock_granted` counts and [`GAUGE_RPC_DEPTH`], and the prefetch
-//! counts `tm_bench::tallied` hands `bench_prefetch` and `e2_microbench`.
+//! `lock_granted` counts and [`GAUGE_RPC_DEPTH`].
 //!
 //! The hook charges no virtual time and allocates only on the first
 //! occurrence of each variant, so installing it does not perturb results.
@@ -103,15 +102,15 @@ mod tests {
     #[test]
     fn merge_folds_counts() {
         let mut a = LayerMetrics::default();
-        a.record_event(&TmkEvent::PrefetchHit { page: 1 });
+        a.record_event(&TmkEvent::RequestServed { from: 1, rid: 1 });
         let mut b = LayerMetrics::default();
-        b.record_event(&TmkEvent::PrefetchHit { page: 2 });
-        b.record_event(&TmkEvent::PrefetchHit { page: 3 });
+        b.record_event(&TmkEvent::RequestServed { from: 0, rid: 2 });
+        b.record_event(&TmkEvent::RequestServed { from: 0, rid: 3 });
         b.record_event(&TmkEvent::LockGranted { lock: 0, to: 1 });
         a.merge(&b);
-        assert_eq!(a.get("prefetch_hit").unwrap().count, 3);
+        assert_eq!(a.get("request_served").unwrap().count, 3);
         assert_eq!(a.get("lock_granted").unwrap().count, 1);
-        assert_eq!(a.get("prefetch_wasted"), None);
+        assert_eq!(a.get("retransmit_fired"), None);
     }
 
     #[test]

@@ -32,6 +32,10 @@ pub type PageId = u32;
 /// The largest unit, that of the largest page.
 const MAX_UNIT: usize = 256;
 
+/// Diffs a page retains of its own writes; a request for an older one is
+/// served with the full page.
+pub const DIFF_KEEP: usize = 256;
+
 /// The largest page [`Spans`] can hold: one bit of a `u64` per unit.
 pub(crate) const MAX_PAGE: usize = 64 * MAX_UNIT;
 
@@ -577,14 +581,14 @@ impl Page {
     }
 
     /// Retain `d`, this node's diff of interval `seq`, and trim the list to
-    /// its newest `keep`. A page's first diff gets a list of one slot: most
-    /// pages never retain a second.
-    pub(crate) fn retain_diff(&mut self, seq: u32, d: Diff, keep: usize) {
+    /// its newest [`DIFF_KEEP`]. A page's first diff gets a list of one
+    /// slot: most pages never retain a second.
+    pub(crate) fn retain_diff(&mut self, seq: u32, d: Diff) {
         if self.my_diffs.capacity() == 0 {
             self.my_diffs.reserve_exact(1);
         }
         self.my_diffs.push((seq, d));
-        self.trim_diffs(keep);
+        self.trim_diffs(DIFF_KEEP);
     }
 
     /// Retain only the most recent `keep` diffs; older requests are served
@@ -858,10 +862,10 @@ mod tests {
     #[test]
     fn a_first_diff_is_retained_in_a_list_of_one() {
         let mut p = Page::new_resident(8);
-        p.retain_diff(1, Diff::empty(), 4);
+        p.retain_diff(1, Diff::empty());
         assert_eq!(p.my_diffs.capacity(), 1);
         assert_eq!(p.held_bytes().table, size_of::<(u32, Diff)>());
-        p.retain_diff(2, Diff::empty(), 4);
+        p.retain_diff(2, Diff::empty());
         assert_eq!(p.my_diffs.capacity(), 4);
     }
 

@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use tm_sim::Ns;
 
-use super::{DiffFetch, Tmk, TmkEvent};
+use super::{DiffFetch, Tmk};
 use crate::diff::Diff;
 use crate::interval::IntervalRecord;
 use crate::page::{Access, HeldBytes, Page, PageId, Spans};
@@ -36,40 +36,6 @@ struct PageFetchState {
 /// One writer's owed intervals in a fetch round:
 /// `(writer, [(page, lo_seq, hi_seq)])`.
 type WriterNeed = (u16, Vec<(PageId, u32, u32)>);
-
-/// Stride-prefetcher state: a detector over the page-fault sequence plus
-/// the speculative requests it has in flight and the payloads they
-/// returned. Inert when `cfg.prefetch_depth == 0` (the default) — the
-/// detector is never consulted and nothing is ever issued.
-///
-/// LRC-safety: a volley asks each writer for what the page owed it at
-/// issue, and its payload is staged until the page faults. The fault folds
-/// it in as it does a demand answer, using only the diffs the page *then*
-/// owes; a payload is dropped whole if the page now owes that writer seqs
-/// below the volley's `lo` (a full-page adoption set its applied seq
-/// back). Speculation can waste messages; it can never weaken what a fault
-/// applies.
-#[derive(Default)]
-pub(super) struct Prefetcher {
-    /// Last faulting page, previous inter-fault stride, and how many
-    /// consecutive faults repeated that stride.
-    last: Option<PageId>,
-    stride: i64,
-    streak: u32,
-    /// Issued, uncollected speculative volleys.
-    volleys: Vec<PrefetchVolley>,
-    /// Collected speculative payloads awaiting the fault that wants them:
-    /// `(page, writer, the volley's lo for the page, payload)`.
-    staged: Vec<(PageId, u16, u32, PageDiffs)>,
-}
-
-/// One speculative request to one writer: the rid to collect and the
-/// issue-time `(page, lo_seq, hi_seq)` ranges it asked for.
-struct PrefetchVolley {
-    rid: u32,
-    writer: u16,
-    pages: Vec<(PageId, u32, u32)>,
-}
 
 /// Add `writer`'s owed `range` of one page to a round's needs: writers in
 /// first-owed order, each with its pages in the order they came.
@@ -147,7 +113,7 @@ impl<S: Substrate> Tmk<S> {
             cost += Ns::for_bytes(self.page_size, params.dsm.diff_scan_mb_s)
                 + params.dsm.diff_overhead
                 + params.dsm.mprotect;
-            page.retain_diff(seq, d, self.cfg.diff_keep);
+            page.retain_diff(seq, d);
             page.state = match page.state {
                 Access::WriteInvalid => Access::Invalid,
                 _ => Access::Read,
@@ -320,7 +286,6 @@ impl<S: Substrate> Tmk<S> {
         let fault = self.sub.params().dsm.page_fault;
         self.clock().borrow_mut().advance(fault);
         self.clock().borrow_mut().stats.page_faults += 1;
-        self.prefetch_note_fault(pid);
         if state == Access::Unmapped {
             self.fetch_page(pid);
         }
@@ -495,7 +460,6 @@ impl<S: Substrate> Tmk<S> {
                 covered: Vec::new(),
             })
             .collect();
-        self.prefetch_harvest(&mut states);
         loop {
             let mut need: Vec<WriterNeed> = Vec::new();
             for st in &states {
@@ -535,144 +499,6 @@ impl<S: Substrate> Tmk<S> {
         for st in states {
             self.apply_fetched_page(st);
         }
-    }
-
-    // ----- stride prefetcher ------------------------------------------------
-
-    /// Feed one page fault to the stride detector; on a confirmed
-    /// constant stride, speculatively issue diff fetches for the next
-    /// `prefetch_depth` predicted pages.
-    fn prefetch_note_fault(&mut self, pid: PageId) {
-        if self.cfg.prefetch_depth == 0 {
-            return;
-        }
-        let Some(prev) = self.pf.last.replace(pid) else {
-            return;
-        };
-        let stride = pid as i64 - prev as i64;
-        if stride != 0 && stride == self.pf.stride {
-            self.pf.streak += 1;
-        } else {
-            self.pf.stride = stride;
-            self.pf.streak = u32::from(stride != 0);
-        }
-        if self.pf.streak >= 2 {
-            self.prefetch_issue(pid);
-        }
-    }
-
-    /// Issue speculative volleys for the predicted window
-    /// `origin + stride .. origin + depth * stride`: only pages that are
-    /// invalid and owed diffs, not already in flight or staged. The
-    /// requests ride the overlapped engine — the faulting page's demand
-    /// fetch proceeds while these are in the air.
-    fn prefetch_issue(&mut self, origin: PageId) {
-        let stride = self.pf.stride;
-        let mut need: Vec<WriterNeed> = Vec::new();
-        let mut targets: Vec<PageId> = Vec::new();
-        for k in 1..=self.cfg.prefetch_depth as i64 {
-            let t = origin as i64 + stride * k;
-            if t < 0 || t as usize >= self.pages.len() {
-                break;
-            }
-            let pid = t as PageId;
-            if self
-                .pf
-                .volleys
-                .iter()
-                .any(|v| v.pages.iter().any(|&(p, _, _)| p == pid))
-                || self.pf.staged.iter().any(|&(p, ..)| p == pid)
-            {
-                continue;
-            }
-            if !matches!(self.pages[pid].state, Access::Invalid | Access::WriteInvalid)
-                || !self.pages.owes(pid)
-            {
-                continue;
-            }
-            for (writer, lo, hi) in self.pages.owing(pid) {
-                owe(&mut need, writer, (pid, lo, hi));
-            }
-            targets.push(pid);
-        }
-        for (writer, pages) in need {
-            let rid = self.rpc_issue(writer as usize, diff_request(&pages));
-            self.pf.volleys.push(PrefetchVolley { rid, writer, pages });
-        }
-        for pid in targets {
-            self.emit(TmkEvent::PrefetchIssued { page: pid });
-        }
-    }
-
-    /// Collect every volley that targets one of the faulting pages and
-    /// fold the staged payloads for those pages into the fetch states.
-    /// Payloads for pages *not* faulting stay staged for their own fault;
-    /// volleys with no page in the batch stay in the air.
-    fn prefetch_harvest(&mut self, states: &mut [PageFetchState]) {
-        if self.pf.volleys.is_empty() && self.pf.staged.is_empty() {
-            return;
-        }
-        let mut due: Vec<PrefetchVolley> = Vec::new();
-        let mut i = 0;
-        while i < self.pf.volleys.len() {
-            let hit = self.pf.volleys[i]
-                .pages
-                .iter()
-                .any(|&(p, _, _)| states.iter().any(|s| s.pid == p));
-            if hit {
-                due.push(self.pf.volleys.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        for v in due {
-            let resp = self.rpc_collect(v.rid);
-            // A page the responder left out under its message budget never
-            // stages: speculation is not re-requested.
-            let lo_of = |pid: PageId| v.pages.iter().find(|p| p.0 == pid).map_or(0, |p| p.1);
-            resp.for_each_page(|page, pd| self.pf.staged.push((page, v.writer, lo_of(page), pd)));
-        }
-        let staged = std::mem::take(&mut self.pf.staged);
-        let mut hits: Vec<PageId> = Vec::new();
-        for (pid, writer, lo, pd) in staged {
-            if !states.iter().any(|s| s.pid == pid) {
-                self.pf.staged.push((pid, writer, lo, pd));
-                continue;
-            }
-            if !hits.contains(&pid) {
-                hits.push(pid);
-            }
-            // The staging rule: a volley's diffs are dropped if the page
-            // now owes the writer seqs below what the volley asked for.
-            let owed = self.pages.owed_of(pid, writer);
-            if matches!(pd, PageDiffs::Diffs { .. }) && !owed.is_empty() && *owed.start() < lo {
-                continue;
-            }
-            self.take_payload(states, pid, writer, pd);
-        }
-        for pid in hits {
-            self.emit(TmkEvent::PrefetchHit { page: pid });
-        }
-    }
-
-    /// Settle all speculative state: collect what is still in the air and
-    /// discard every unused payload, counting it wasted. Called on barrier
-    /// entry — nothing issued against the old epoch survives it — and a
-    /// no-op whenever the prefetcher is inert.
-    pub(super) fn prefetch_drain(&mut self) {
-        let volleys = std::mem::take(&mut self.pf.volleys);
-        for v in volleys {
-            let _ = self.rpc_collect(v.rid);
-            for &(pid, _, _) in &v.pages {
-                self.emit(TmkEvent::PrefetchWasted { page: pid });
-            }
-        }
-        for (pid, ..) in std::mem::take(&mut self.pf.staged) {
-            self.emit(TmkEvent::PrefetchWasted { page: pid });
-        }
-        self.pf.last = None;
-        self.pf.stride = 0;
-        self.pf.streak = 0;
     }
 
     /// The lock pipeline's fetch arm: batch-fetch every mapped, invalid

@@ -110,30 +110,20 @@ pub enum LockPath {
 /// Runtime tunables.
 #[derive(Debug, Clone)]
 pub struct TmkConfig {
-    /// Diffs retained per page before GC falls back to full-page serves.
-    pub diff_keep: usize,
     /// How barrier arrivals are combined and releases fanned out.
     pub barrier_algo: BarrierAlgo,
     /// How pending diffs are fetched at a page fault.
     pub diff_fetch: DiffFetch,
     /// When an acquire fetches what its grant invalidates.
     pub lock_path: LockPath,
-    /// Stride-prefetcher depth: on a detected constant-stride fault
-    /// sequence, speculatively fetch up to this many predicted pages
-    /// ahead through the overlapped engine (0 disables). Prefetched data
-    /// is staged and validated against the page's current write-notice
-    /// coverage at apply time, so the knob never weakens LRC.
-    pub prefetch_depth: usize,
 }
 
 impl Default for TmkConfig {
     fn default() -> Self {
         TmkConfig {
-            diff_keep: 256,
             barrier_algo: BarrierAlgo::Centralized,
             diff_fetch: DiffFetch::Coalesced,
             lock_path: LockPath::Serial,
-            prefetch_depth: 0,
         }
     }
 }
@@ -157,15 +147,6 @@ pub enum TmkEvent {
     /// rids in flight with it. Read by the benchmark (`tmk.rpc.issued`,
     /// [`GAUGE_RPC_DEPTH`](crate::metrics::GAUGE_RPC_DEPTH)) and `tree_barrier`.
     RpcIssued { rid: u32, depth: u32 },
-    /// The stride prefetcher requested `page`'s pending diffs. Read by
-    /// `bench_prefetch` and `lock_overlap`.
-    PrefetchIssued { page: PageId },
-    /// A fault consumed staged prefetched data for `page`. Read by
-    /// `bench_prefetch`, `e2_microbench` and `lock_overlap`.
-    PrefetchHit { page: PageId },
-    /// Staged prefetched data for `page` was dropped unconsumed (drain or
-    /// stale coverage). Read by `bench_prefetch` and `lock_overlap`.
-    PrefetchWasted { page: PageId },
 }
 
 impl TmkEvent {
@@ -176,9 +157,6 @@ impl TmkEvent {
             TmkEvent::LockGranted { .. } => "lock_granted",
             TmkEvent::RetransmitFired { .. } => "retransmit_fired",
             TmkEvent::RpcIssued { .. } => "rpc_issued",
-            TmkEvent::PrefetchIssued { .. } => "prefetch_issued",
-            TmkEvent::PrefetchHit { .. } => "prefetch_hit",
-            TmkEvent::PrefetchWasted { .. } => "prefetch_wasted",
         }
     }
 }
@@ -209,10 +187,6 @@ pub struct Tmk<S: Substrate> {
     /// Pages twinned in the current (open) interval.
     dirty: Vec<PageId>,
     last_barrier_vc: VectorClock,
-    /// Stride-prefetcher state: fault-sequence detector plus in-flight
-    /// speculative volleys and staged (collected, not yet applied)
-    /// responses. Inert when `cfg.prefetch_depth == 0`.
-    pf: coherence::Prefetcher,
     // sync layer -------------------------------------------------------
     locks: Vec<LockState>,
     barrier: BarrierEpisode,
@@ -253,7 +227,6 @@ impl<S: Substrate> Tmk<S> {
             allocated_pages: 0,
             regions: Vec::new(),
             dirty: Vec::new(),
-            pf: coherence::Prefetcher::default(),
             locks: Vec::new(),
             barrier: BarrierEpisode::new(n),
             last_barrier_vc: VectorClock::new(n),

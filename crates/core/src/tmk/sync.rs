@@ -408,10 +408,6 @@ impl<S: Substrate> Tmk<S> {
 
     /// `Tmk_barrier`.
     pub fn barrier(&mut self, id: u32) {
-        // Settle speculative traffic before synchronizing: in-flight
-        // prefetch volleys are collected (and their stale stages
-        // discarded) so nothing issued against the old epoch survives it.
-        self.prefetch_drain();
         let flush_cost = self.flush_interval();
         self.clock().borrow_mut().advance(flush_cost);
         self.clock().borrow_mut().stats.barriers += 1;

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use tm_sim::{Ns, SimParams};
 use tmk::memsub::{run_mem_dsm, MemSubstrate};
+use tmk::page::DIFF_KEEP;
 use tmk::{Tmk, TmkConfig};
 
 fn run<R, F>(n: usize, body: F) -> Vec<tm_sim::runner::NodeOutcome<R>>
@@ -217,38 +218,32 @@ fn repeated_iterations_converge() {
     }
 }
 
+/// A reader more than `DIFF_KEEP` intervals behind on a page is owed
+/// diffs its writer no longer holds: the writer serves the full page, and
+/// the reader adopts it as its one page fetch.
 #[test]
 fn gc_fallback_serves_full_pages() {
-    // diff_keep = 1 forces the full-page fallback when a node lags more
-    // than one interval behind.
-    let cfg = TmkConfig {
-        diff_keep: 1,
-        ..Default::default()
-    };
-    let out = run_mem_dsm(
-        2,
-        Arc::new(SimParams::paper_testbed()),
-        Ns::from_us(5),
-        cfg,
-        |tmk| {
-            let region = tmk.malloc(4096);
-            tmk.barrier(0);
-            if tmk.proc_id() == 0 {
-                // Many lock-delimited intervals writing the same page; the
-                // old diffs get trimmed.
-                for k in 0..10u32 {
-                    tmk.acquire(1);
-                    tmk.set_u32(region, 3, k * 7);
-                    tmk.release(1);
-                }
+    const WRITES: u32 = DIFF_KEEP as u32 + 44;
+    let out = run(2, |tmk| {
+        let region = tmk.malloc(4096);
+        let me = tmk.proc_id();
+        if me == 1 {
+            let _ = tmk.get_u32(region, 3);
+        }
+        tmk.barrier(0);
+        let before = tmk.clock().borrow().stats.pages_fetched;
+        for k in 0..WRITES {
+            if me == 0 {
+                tmk.set_u32(region, 3, k * 7);
             }
-            tmk.barrier(1);
-            tmk.get_u32(region, 3)
-        },
-    );
-    for o in &out {
-        assert_eq!(o.result, 63);
-    }
+            tmk.barrier(1 + k);
+        }
+        let v = tmk.get_u32(region, 3);
+        (v, tmk.clock().borrow().stats.pages_fetched - before)
+    });
+    let want = (WRITES - 1) * 7;
+    assert_eq!(out[0].result, (want, 0));
+    assert_eq!(out[1].result, (want, 1));
 }
 
 #[test]
