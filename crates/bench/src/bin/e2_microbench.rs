@@ -6,24 +6,21 @@
 
 use std::sync::Arc;
 
-use tm_bench::{diff_storm_body, lock_storm_body, print_header, print_row, print_row_header};
+use tm_bench::{diff_multi_body, print_header, print_row, print_row_header};
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::stats::NodeStats;
 use tm_sim::{Ns, SimParams};
-use tmk::{DiffFetch, LockPath, Substrate, Tmk, TmkConfig};
+use tmk::{Substrate, Tmk, TmkConfig};
 
 const ROUNDS: u64 = 20;
 const PAGES: usize = 64;
-/// The smoke run's lock storm (`bench_overlap`'s sizes).
-const STORM_PAGES: usize = 16;
-const STORM_ROUNDS: u64 = 8;
 
-/// Paper testbed + the fault plan under test (`E2_FAULT_LOSS`) — see
-/// [`tm_bench::Opts`] for every knob. Two invocations of this binary
-/// produce byte-identical stdout for every row.
+/// Paper testbed + the fault plan under test ([`tm_bench::fault_plan`],
+/// `E2_FAULT_LOSS`). Two invocations of this binary produce
+/// byte-identical stdout for every row.
 fn bench_params() -> SimParams {
     let mut p = SimParams::paper_testbed();
-    p.faults = tm_bench::opts().fault_plan();
+    p.faults = tm_bench::fault_plan();
     p
 }
 
@@ -39,23 +36,18 @@ fn tally<R>(outcomes: &[tm_sim::runner::NodeOutcome<R>]) {
     }
 }
 
-/// The DSM configuration under test (`E2_LOCK_PATH`).
-fn tmk_cfg() -> TmkConfig {
-    tm_bench::opts().tmk_config()
-}
-
 // The bodies are generic functions; a tiny macro instantiates them for
-// both substrates without boxing.
+// both substrates without boxing, under `TmkConfig::default()`.
 macro_rules! on_both {
-    ($n:expr, $f:ident) => {{
+    ($n:expr, $f:expr) => {{
         let udp = {
             let params = Arc::new(bench_params());
-            run_udp_dsm($n, params, tmk_cfg(), $f)
+            run_udp_dsm($n, params, TmkConfig::default(), $f)
         };
         let fast = {
             let params = Arc::new(bench_params());
             let cfg = FastConfig::paper(&params);
-            run_fast_dsm($n, params, cfg, tmk_cfg(), $f)
+            run_fast_dsm($n, params, cfg, TmkConfig::default(), $f)
         };
         tally(&udp);
         tally(&fast);
@@ -200,21 +192,6 @@ fn diff_large_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
     diff_body(tmk, true)
 }
 
-/// Multi-writer diff ([`diff_storm_body`]): the reader re-reads one word
-/// per page and pays one diff fetch per writer per page fault. Under the
-/// overlapped engine the k requests fly concurrently, so the fault cost
-/// approaches the slowest round trip instead of the sum of k of them.
-fn diff_multi_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
-    diff_storm_body(tmk, PAGES, |tmk, region| {
-        let t0 = tmk.clock().borrow().now();
-        for p in 0..PAGES {
-            let v = tmk.get_u32(region, p * 1024);
-            assert_ne!(v, 0, "writer 0's diff must have been applied");
-        }
-        (tmk.clock().borrow().now() - t0).0 / PAGES as u64
-    })
-}
-
 fn avg_nonzero(v: &[tm_sim::runner::NodeOutcome<u64>]) -> Ns {
     let vals: Vec<u64> = v.iter().map(|o| o.result).filter(|&x| x > 0).collect();
     Ns(vals.iter().sum::<u64>() / vals.len().max(1) as u64)
@@ -249,79 +226,19 @@ fn main() {
         print_row("Diff large (per page)", Ns(udp[1].result), Ns(fast[1].result));
     }
     {
-        let (udp, fast) = on_both!(2, diff_multi_body);
+        let (udp, fast) = on_both!(2, |tmk| diff_multi_body(tmk, PAGES));
         print_row("Diff 1-writer (per page)", Ns(udp[1].result), Ns(fast[1].result));
     }
     {
-        let (udp, fast) = on_both!(5, diff_multi_body);
+        let (udp, fast) = on_both!(5, |tmk| diff_multi_body(tmk, PAGES));
         print_row("Diff 4-writer (per page)", Ns(udp[4].result), Ns(fast[4].result));
     }
     println!();
     println!("paper factors: Barrier ~2.5x, Lock ~3-4x, Page ~6.2x, Diff comparable");
 
-    // Smoke assertions for CI (`E2_SMOKE`): the overlapped engine must
-    // beat the serial spec baseline on the 4-writer diff fetch, and the
-    // 4-writer fault must scale sub-linearly (< 2x the 1-writer cost)
-    // under overlap. Runs FAST/GM only; prints the numbers it compared.
-    if tm_bench::opts().e2_smoke {
-        let run = |n: usize, df: DiffFetch| {
-            let params = Arc::new(bench_params());
-            let cfg = FastConfig::paper(&params);
-            let tcfg = TmkConfig {
-                diff_fetch: df,
-                ..tmk_cfg()
-            };
-            let out = run_fast_dsm(n, params, cfg, tcfg, diff_multi_body);
-            out[n - 1].result
-        };
-        let serial = run(5, DiffFetch::Serial);
-        let coalesced = run(5, DiffFetch::Coalesced);
-        let k1 = run(2, DiffFetch::Coalesced);
-        println!();
-        println!(
-            "e2-smoke: 4-writer diff fetch (FAST, ns/page): \
-             serial={serial} coalesced={coalesced} 1-writer={k1}"
-        );
-        assert!(
-            coalesced < serial,
-            "coalesced diff fetch ({coalesced}) must beat serial ({serial})"
-        );
-        assert!(
-            coalesced < 2 * k1,
-            "4-writer fault ({coalesced}) must be sub-linear vs 1-writer ({k1})"
-        );
-        println!("e2-smoke: overlap assertions passed");
-
-        // Pipelined synchronization: the overlapped lock path must beat
-        // the serial baseline on the TSP-like lock storm.
-        let run_lock = |lp: LockPath| {
-            let params = Arc::new(bench_params());
-            let cfg = FastConfig::paper(&params);
-            let tcfg = TmkConfig {
-                lock_path: lp,
-                ..tmk_cfg()
-            };
-            let out = run_fast_dsm(2, params, cfg, tcfg, |tmk| {
-                lock_storm_body(tmk, STORM_PAGES, STORM_ROUNDS)
-            });
-            out[1].result
-        };
-        let lock_serial = run_lock(LockPath::Serial);
-        let lock_overlapped = run_lock(LockPath::Overlapped);
-        println!(
-            "e2-smoke: lock storm (FAST, ns/round): \
-             serial={lock_serial} overlapped={lock_overlapped}"
-        );
-        assert!(
-            lock_overlapped < lock_serial,
-            "overlapped lock path ({lock_overlapped}) must beat serial ({lock_serial})"
-        );
-        println!("e2-smoke: pipelined-sync assertions passed");
-    }
-
     // Fault-injection report: only when the plan actually injects
     // something, so the zero-fault output above stays byte-identical.
-    let plan = tm_bench::opts().fault_plan();
+    let plan = tm_bench::fault_plan();
     if plan.enabled() {
         let t = TALLY.lock().unwrap();
         let s = t.as_ref().cloned().unwrap_or_default();

@@ -16,8 +16,9 @@
 //! 3. Jacobi at a fixed problem size across cluster sizes, showing where
 //!    added nodes stop paying for themselves on each transport.
 //!
-//! `E7_SMOKE=1` runs a small assertion-carrying subset (8/16/32 nodes,
-//! centralized vs tree) for CI.
+//! `tests/tree_barrier.rs` holds the block-1 claims to account: tree <
+//! centralized at 16 and 32 nodes, sub-linear growth from 8 to 32, and
+//! three 128-node reps that price the barrier alike on every node.
 
 use std::sync::Arc;
 
@@ -68,71 +69,7 @@ fn ideal_barrier(n: usize, algo: BarrierAlgo) -> Ns {
     avg(&run_mem_dsm(n, params, Ns::ZERO, cfg(algo), barrier_body))
 }
 
-/// One `n`-node tree-barrier run: every node's price per barrier.
-fn prices(n: usize) -> Vec<u64> {
-    let params = Arc::new(SimParams::paper_testbed());
-    let fc = FastConfig::paper(&params);
-    let algo = BarrierAlgo::Tree { radix: RADIX };
-    let out = run_fast_dsm(n, params, fc, cfg(algo), barrier_body);
-    out.iter().map(|o| o.result).collect()
-}
-
-/// CI smoke: small clusters, assertion-carrying. Proves the tree barrier
-/// actually pays off and stays sub-linear without the 128-node runtime,
-/// then runs 128 nodes — the scale at which the scheduler's liveness bugs
-/// showed — and holds it to what it promises: every rep prices the barrier
-/// identically on every node.
-fn smoke() {
-    print_header("E7 smoke: tree vs centralized barrier (8/16/32 nodes)");
-    println!(
-        "{:>6} {:>14} {:>14}",
-        "nodes",
-        "centralized",
-        format!("tree({RADIX})")
-    );
-    let mut tree = Vec::new();
-    for n in [8usize, 16, 32] {
-        let c = fast_barrier(n, BarrierAlgo::Centralized);
-        let t = fast_barrier(n, BarrierAlgo::Tree { radix: RADIX });
-        println!("{n:>6} {:>14} {:>14}", format!("{c}"), format!("{t}"));
-        if n >= 16 {
-            assert!(
-                t < c,
-                "tree barrier must beat centralized at {n} nodes ({t} vs {c})"
-            );
-        }
-        tree.push(t);
-    }
-    assert!(
-        tree[2].0 < 2 * tree[0].0,
-        "tree barrier 32 nodes ({}) must stay under 2x its 8-node cost ({})",
-        tree[2],
-        tree[0]
-    );
-    println!();
-    println!("ok: tree < centralized at 16/32 nodes, 32-node tree < 2x 8-node");
-
-    const WALL_NODES: usize = 128;
-    const WALL_REPS: usize = 3;
-    let reps: Vec<Vec<u64>> = (0..WALL_REPS).map(|_| prices(WALL_NODES)).collect();
-    assert!(
-        reps.windows(2).all(|w| w[0] == w[1]),
-        "reps at {WALL_NODES} nodes priced the barrier differently"
-    );
-    println!();
-    println!(
-        "ok: {WALL_REPS} reps at {WALL_NODES} nodes agree on every node's barrier price \
-         (mean {})",
-        Ns(reps[0].iter().sum::<u64>() / WALL_NODES as u64)
-    );
-}
-
 fn main() {
-    if tm_bench::opts().e7_smoke {
-        smoke();
-        return;
-    }
-
     print_header("E7: scaling toward 256 nodes (paper §5, future work)");
 
     println!();

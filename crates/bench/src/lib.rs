@@ -4,11 +4,17 @@
 //! index): E1 latency/bandwidth, E2 microbenchmarks (Figure 3), E3
 //! execution time vs system size (Figure 4), E4 execution time vs
 //! application size (Figure 5 + Table 1), E5 the §2.2.2 registered-memory
-//! arithmetic, E6 the §2.2.4 async-handling ablation.
+//! arithmetic, E6 the §2.2.4 async-handling ablation, E7 the §5 scaling
+//! question (tree vs centralized barrier to 128 nodes, Jacobi at fixed
+//! size). Two more record trajectories: `bench_overlap` the diff-fetch
+//! engines and lock paths in simulated ns (`results/BENCH_overlap.json`,
+//! exact), `bench_diff` the diff engine's and framing's host ns.
 //!
-//! This library holds the shared pieces: application specs with their
-//! size ladders, transport-sweeping runners that also *validate every
-//! timed run against the sequential reference*, and table formatting.
+//! This library holds the shared pieces: the microbenchmark bodies more
+//! than one binary or test runs, application specs with their size
+//! ladders, transport-sweeping runners that also *validate every timed
+//! run against the sequential reference*, table formatting, and the one
+//! environment variable the workspace reads ([`fault_plan`]).
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,7 +25,7 @@ use tm_apps::{
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, Transport};
 use tm_sim::runner::cluster_time;
 use tm_sim::{FaultPlan, Ns, SimParams};
-use tmk::{LockPath, SharedId, Substrate, Tmk, TmkConfig};
+use tmk::{SharedId, Substrate, Tmk, TmkConfig};
 
 // ----- microbenchmark bodies more than one binary runs ----------------------
 
@@ -106,6 +112,22 @@ pub fn diff_storm_body<S: Substrate>(
     let cost = if me == writers { read(tmk, region) } else { 0 };
     tmk.barrier(2);
     cost
+}
+
+/// Multi-writer diff ([`diff_storm_body`]): the reader re-reads one word
+/// per page and pays one diff fetch per writer per page fault. Under the
+/// coalesced engine the k requests fly concurrently, so the fault cost
+/// approaches the slowest round trip instead of the sum of k of them.
+/// Returns the reader's cost per page.
+pub fn diff_multi_body<S: Substrate>(tmk: &mut Tmk<S>, pages: usize) -> u64 {
+    diff_storm_body(tmk, pages, |tmk, region| {
+        let t0 = tmk.clock().borrow().now();
+        for p in 0..pages {
+            let v = tmk.get_u32(region, p * 1024);
+            assert_ne!(v, 0, "writer 0's diff must have been applied");
+        }
+        (tmk.clock().borrow().now() - t0).0 / pages as u64
+    })
 }
 
 /// What an application run returns (for validation).
@@ -229,81 +251,41 @@ pub fn run_spec(transport: Transport, n: usize, spec: &AppSpec) -> Ns {
     run_spec_with(transport, n, spec, &want)
 }
 
-/// Every knob the bench binaries take from the environment — the one
-/// place in the workspace that reads it, parsed once per process
-/// ([`opts`]). An unset or empty variable selects the default; a value
-/// that does not parse panics naming the variable, so a mistyped CI
-/// matrix cell fails instead of silently testing the default.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Opts {
-    /// `E2_FAULT_LOSS`: datagram drop probability of the fault plan
-    /// under test (default 0: the plan stays disabled and stdout is
-    /// byte-identical to a faultless build).
-    pub fault_loss: f64,
-    /// `E2_LOCK_PATH`: `serial` (the message-for-message spec baseline,
-    /// the default) or `overlapped` (an acquire batch-fetches what its
-    /// grant invalidates; the Barrier and Lock rows do not move).
-    pub lock_path: LockPath,
-    /// `E2_SMOKE` / `E7_SMOKE` (set = on): run the assertion-carrying
-    /// CI subsets.
-    pub e2_smoke: bool,
-    pub e7_smoke: bool,
-}
-
-impl Opts {
-    /// Parse the knobs out of `get` (variable name → value, `None` when
-    /// unset). [`opts`] passes the process environment; tests pass maps.
-    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Opts {
-        fn bad(name: &str, v: &str, want: &str) -> ! {
-            panic!("{name}={v:?} is malformed: expected {want}")
-        }
-        // Unset and empty both mean "the default".
-        let val = |name: &str| get(name).filter(|v| !v.is_empty());
-        Opts {
-            fault_loss: val("E2_FAULT_LOSS").map_or(0.0, |v| match v.parse::<f64>() {
-                Ok(p) if (0.0..=1.0).contains(&p) => p,
-                _ => bad("E2_FAULT_LOSS", &v, "a probability in [0, 1]"),
-            }),
-            lock_path: val("E2_LOCK_PATH").map_or(LockPath::Serial, |v| match v.as_str() {
-                "serial" => LockPath::Serial,
-                "overlapped" => LockPath::Overlapped,
-                _ => bad("E2_LOCK_PATH", &v, "serial|overlapped"),
-            }),
-            e2_smoke: get("E2_SMOKE").is_some(),
-            e7_smoke: get("E7_SMOKE").is_some(),
-        }
-    }
-
-    /// The fault plan under test (`E2_FAULT_LOSS`).
-    pub fn fault_plan(&self) -> FaultPlan {
-        FaultPlan {
-            drop_probability: self.fault_loss,
-            ..FaultPlan::default()
-        }
-    }
-
-    /// The DSM configuration under test (`E2_LOCK_PATH`),
-    /// so the same microbenchmarks run against every path without a
-    /// recompile.
-    pub fn tmk_config(&self) -> TmkConfig {
-        TmkConfig {
-            lock_path: self.lock_path,
-            ..TmkConfig::default()
-        }
-    }
-}
-
-/// The process's [`Opts`], read from the environment on first use.
-pub fn opts() -> &'static Opts {
-    static OPTS: OnceLock<Opts> = OnceLock::new();
-    OPTS.get_or_init(|| {
-        Opts::parse(|name| {
+/// The fault plan the bench binaries run under: `E2_FAULT_LOSS`, the one
+/// environment variable the workspace reads, parsed once per process.
+pub fn fault_plan() -> FaultPlan {
+    static PLAN: OnceLock<FaultPlan> = OnceLock::new();
+    PLAN.get_or_init(|| {
+        parse_fault_plan(|name| {
             std::env::var_os(name).map(|v| {
                 v.into_string()
                     .unwrap_or_else(|v| panic!("{name}={v:?} is malformed: not UTF-8"))
             })
         })
     })
+    .clone()
+}
+
+/// [`fault_plan`]'s parse step over `get` (variable name → value, `None`
+/// when unset), so tests can pass maps. Unset or empty `E2_FAULT_LOSS`
+/// is the default, disabled plan (stdout byte-identical to a faultless
+/// build); otherwise it is the plan's datagram drop probability. A value
+/// that is not a probability in [0, 1) panics naming the variable, so a
+/// mistyped CI matrix cell fails instead of silently testing the default
+/// — and a loss of 1, under which no datagram ever arrives, fails here
+/// rather than as a retransmit give-up deep in the run.
+fn parse_fault_plan(get: impl FnOnce(&str) -> Option<String>) -> FaultPlan {
+    const VAR: &str = "E2_FAULT_LOSS";
+    let Some(v) = get(VAR).filter(|v| !v.is_empty()) else {
+        return FaultPlan::default();
+    };
+    match v.parse::<f64>() {
+        Ok(p) if (0.0..1.0).contains(&p) => FaultPlan {
+            drop_probability: p,
+            ..FaultPlan::default()
+        },
+        _ => panic!("{VAR}={v:?} is malformed: expected a probability in [0, 1)"),
+    }
 }
 
 /// Like [`run_spec`] but with a precomputed sequential reference — sweep
@@ -361,9 +343,10 @@ pub fn print_row_header() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tmk::DiffFetch;
 
-    fn parse(env: &[(&str, &str)]) -> Opts {
-        Opts::parse(|name| {
+    fn parse(env: &[(&str, &str)]) -> FaultPlan {
+        parse_fault_plan(|name| {
             env.iter()
                 .find(|(k, _)| *k == name)
                 .map(|(_, v)| v.to_string())
@@ -371,72 +354,75 @@ mod tests {
     }
 
     #[test]
-    fn opts_default_when_unset_or_empty() {
-        let unset = parse(&[]);
-        assert_eq!(unset.fault_loss, 0.0);
-        assert_eq!(unset.lock_path, LockPath::Serial);
-        assert!(!(unset.e2_smoke || unset.e7_smoke));
-        assert!(!unset.fault_plan().enabled());
-        // Empty values select the defaults too — except the on/off
-        // flags, which are on whenever they are set at all.
-        let empty = parse(&[("E2_FAULT_LOSS", ""), ("E2_LOCK_PATH", "")]);
-        assert_eq!(empty, unset);
-        assert!(parse(&[("E2_SMOKE", "")]).e2_smoke);
-    }
-
-    #[test]
-    fn opts_parse_good_values() {
-        let o = parse(&[
-            ("E2_FAULT_LOSS", "0.01"),
-            ("E2_LOCK_PATH", "overlapped"),
-            ("E7_SMOKE", "1"),
-        ]);
-        assert_eq!(o.fault_plan().drop_probability, 0.01);
-        assert_eq!(o.fault_plan().seed, FaultPlan::default().seed);
-        let cfg = o.tmk_config();
-        assert_eq!(cfg.lock_path, LockPath::Overlapped);
-        assert!(o.e7_smoke && !o.e2_smoke);
-    }
-
-    /// A value that does not parse names its variable instead of falling
-    /// through to the default.
-    #[test]
-    fn opts_malformed_values_panic_naming_the_variable() {
-        for (name, value) in [
-            ("E2_FAULT_LOSS", "0,1"),
-            ("E2_FAULT_LOSS", "1.5"),
-            ("E2_LOCK_PATH", "bogus"),
-        ] {
-            let err = std::panic::catch_unwind(|| parse(&[(name, value)]))
-                .expect_err(&format!("{name}={value} must be rejected"));
-            let msg = err.downcast_ref::<String>().expect("panic message");
-            assert!(msg.contains(name), "{name}={value}: {msg}");
+    fn fault_plan_default_when_unset_or_empty() {
+        for plan in [parse(&[]), parse(&[("E2_FAULT_LOSS", "")])] {
+            assert_eq!(plan.drop_probability, 0.0);
+            assert!(!plan.enabled());
         }
     }
 
-    /// The parser asks for the four variables `Opts` documents and for no
-    /// other: a variable that used to be an option (the fault seed, the
-    /// barrier algorithm, the diff engine, E7's radix, the two metrics
-    /// printers) is not read, so a value in it — here one that parses as
-    /// nothing — changes nothing and is not an error.
     #[test]
-    fn opts_reads_four_variables_and_no_other() {
-        const READ: [&str; 4] = ["E2_FAULT_LOSS", "E2_LOCK_PATH", "E2_SMOKE", "E7_SMOKE"];
-        let asked = std::cell::RefCell::new(Vec::new());
-        let o = Opts::parse(|name| {
-            asked.borrow_mut().push(name.to_string());
-            (!READ.contains(&name)).then(|| "?".to_string())
+    fn fault_plan_parses_a_loss_and_keeps_the_default_seed() {
+        let plan = parse(&[("E2_FAULT_LOSS", "0.01")]);
+        assert_eq!(plan.drop_probability, 0.01);
+        assert_eq!(plan.seed, FaultPlan::default().seed);
+        assert!(plan.enabled());
+    }
+
+    /// A value that does not parse names its variable instead of falling
+    /// through to the default; so does a loss of 1, which no run survives.
+    #[test]
+    fn fault_plan_malformed_values_panic_naming_the_variable() {
+        for value in ["0,1", "1.5", "1"] {
+            let err = std::panic::catch_unwind(|| parse(&[("E2_FAULT_LOSS", value)]))
+                .expect_err(&format!("E2_FAULT_LOSS={value} must be rejected"));
+            let msg = err.downcast_ref::<String>().expect("panic message");
+            assert!(msg.contains("E2_FAULT_LOSS"), "{value}: {msg}");
+        }
+    }
+
+    /// The parser asks for `E2_FAULT_LOSS` and for no other variable: one
+    /// that used to be an option (the lock path, the two smoke switches,
+    /// the fault seed, the barrier algorithm, the diff engine, E7's radix)
+    /// is not read, so a value in it — here one that parses as nothing —
+    /// changes nothing and is not an error.
+    #[test]
+    fn fault_plan_reads_one_variable_and_no_other() {
+        let mut asked = Vec::new();
+        let plan = parse_fault_plan(|name| {
+            asked.push(name.to_string());
+            (name != "E2_FAULT_LOSS").then(|| "?".to_string())
         });
-        assert_eq!(o, parse(&[]));
-        let mut asked = asked.into_inner();
-        asked.sort();
-        assert_eq!(asked, READ);
-        let (cfg, def) = (o.tmk_config(), TmkConfig::default());
-        assert_eq!(
-            (cfg.barrier_algo, cfg.diff_fetch),
-            (def.barrier_algo, def.diff_fetch)
+        assert_eq!(asked, ["E2_FAULT_LOSS"]);
+        assert!(!plan.enabled());
+        assert_eq!(plan.seed, FaultPlan::default().seed);
+    }
+
+    /// A multi-writer fault overlaps its fetches (FAST/GM, 64 pages): the
+    /// coalesced engine beats the serial one at four writers, and a
+    /// four-writer fault costs under twice a one-writer one.
+    #[test]
+    fn a_multi_writer_fault_overlaps_its_fetches() {
+        let run = |n: usize, diff_fetch: DiffFetch| {
+            let params = Arc::new(SimParams::paper_testbed());
+            let cfg = FastConfig::paper(&params);
+            let tcfg = TmkConfig {
+                diff_fetch,
+                ..TmkConfig::default()
+            };
+            run_fast_dsm(n, params, cfg, tcfg, |tmk| diff_multi_body(tmk, 64))[n - 1].result
+        };
+        let serial = run(5, DiffFetch::Serial);
+        let coalesced = run(5, DiffFetch::Coalesced);
+        let k1 = run(2, DiffFetch::Coalesced);
+        assert!(
+            coalesced < serial,
+            "coalesced diff fetch ({coalesced}) must beat serial ({serial})"
         );
-        assert_eq!(o.fault_plan().seed, FaultPlan::default().seed);
+        assert!(
+            coalesced < 2 * k1,
+            "4-writer fault ({coalesced}) must be sub-linear vs 1-writer ({k1})"
+        );
     }
 
     #[test]

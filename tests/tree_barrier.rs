@@ -21,12 +21,16 @@
 //! 4. **Send before drain** — a childless node's arrival leaves before it
 //!    looks at its serve queue, the order the paper's barrier client has
 //!    and every golden prices.
+//! 5. **It pays, the same every time** — E7's claims at the sizes a test
+//!    affords: on FAST/GM the radix-8 tree beats the centralized barrier
+//!    from 16 nodes on and grows sub-linearly, and at 128 nodes every rep
+//!    prices the barrier alike on every node.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use tm_fast::run_udp_dsm;
+use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::runner::cluster_stats;
 use tm_sim::{FaultPlan, NodeStats, Ns, SimParams};
 use tmk::memsub::run_mem_dsm;
@@ -252,5 +256,49 @@ fn a_leaf_sends_its_arrival_before_it_drains_its_serve_queue() {
         inside_fetch > 0 && inside_arrival > 0,
         "the sweep must cross the end of the fetch \
          ({inside_fetch} served inside it, {inside_arrival} after it)"
+    );
+}
+
+/// Every node's price per barrier on `n` FAST/GM nodes under `algo`:
+/// E7's barrier body, 60 barriers after a warmup one.
+fn barrier_prices(n: usize, algo: BarrierAlgo) -> Vec<u64> {
+    const ROUNDS: u64 = 60;
+    let params = Arc::new(SimParams::paper_testbed());
+    let fc = FastConfig::paper(&params);
+    let out = run_fast_dsm(n, params, fc, cfg(algo), |tmk| {
+        tmk.barrier(0);
+        let t0 = tmk.clock().borrow().now();
+        for k in 1..=ROUNDS {
+            tmk.barrier(k as u32);
+        }
+        (tmk.clock().borrow().now() - t0).0 / ROUNDS
+    });
+    out.iter().map(|o| o.result).collect()
+}
+
+/// E7's barrier block, held to what it claims without its 64- and
+/// 128-node centralized runs. 128 nodes is the scale at which the
+/// scheduler's liveness bugs showed; there, three reps must price the
+/// barrier identically on every node.
+#[test]
+fn the_tree_barrier_pays_off_and_every_rep_prices_it_alike() {
+    let tree = BarrierAlgo::Tree { radix: 8 };
+    let mean = |n: usize, algo| barrier_prices(n, algo).iter().sum::<u64>() / n as u64;
+    let [t8, t16, t32] = [8, 16, 32].map(|n| mean(n, tree));
+    for (n, t) in [(16, t16), (32, t32)] {
+        let c = mean(n, BarrierAlgo::Centralized);
+        assert!(
+            t < c,
+            "tree barrier must beat centralized at {n} nodes ({t} vs {c} ns)"
+        );
+    }
+    assert!(
+        t32 < 2 * t8,
+        "tree barrier 32 nodes ({t32} ns) must stay under 2x its 8-node cost ({t8} ns)"
+    );
+    let reps: Vec<Vec<u64>> = (0..3).map(|_| barrier_prices(128, tree)).collect();
+    assert!(
+        reps.windows(2).all(|w| w[0] == w[1]),
+        "reps at 128 nodes priced the barrier differently"
     );
 }
