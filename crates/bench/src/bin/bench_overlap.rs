@@ -21,7 +21,11 @@
 //! the critical section, node 1 acquires the lock and reads them. The
 //! only ordering is the lock handoff, so the grant carries the write
 //! notices; `LockPath::Overlapped` batch-fetches the diffs they imply at
-//! acquire time instead of faulting one round trip at a time.
+//! acquire time instead of faulting one round trip at a time. The
+//! `cold_grant` is the case that path loses: the same storm over one more
+//! page, in which node 1 reads only the turn marker — the grant's notices
+//! name 16 pages it mapped and never reads, and the overlapped path
+//! fetches them all.
 //!
 //! All times are *simulated* cluster nanoseconds on FAST/GM (the paper
 //! testbed); the committed JSON is diffed byte for byte in CI.
@@ -70,18 +74,34 @@ fn run(writers: usize, engine: DiffFetch) -> u64 {
     out[writers].result
 }
 
-/// Node 1's per-round cost of the lock storm under `lp`.
-fn run_storm(lp: LockPath) -> u64 {
+/// Node 1's per-round cost of the lock storm over `pages` pages under
+/// `lp`, reading them back if `read`.
+fn run_storm(lp: LockPath, pages: usize, read: bool) -> u64 {
     let params = Arc::new(tm_sim::SimParams::paper_testbed());
     let cfg = FastConfig::paper(&params);
     let tcfg = TmkConfig {
         lock_path: lp,
         ..TmkConfig::default()
     };
-    let out = run_fast_dsm(2, params, cfg, tcfg, |tmk| {
-        lock_storm_body(tmk, STORM_PAGES, STORM_ROUNDS)
+    let out = run_fast_dsm(2, params, cfg, tcfg, move |tmk| {
+        lock_storm_body(tmk, pages, STORM_ROUNDS, read)
     });
     out[1].result
+}
+
+/// Run the lock storm over `pages` pages under both lock paths, print it
+/// and append it to `json` as `name`; returns (serial, overlapped).
+fn storm_object(json: &mut String, name: &str, pages: usize, read: bool) -> (u64, u64) {
+    let serial = run_storm(LockPath::Serial, pages, read);
+    let overlapped = run_storm(LockPath::Overlapped, pages, read);
+    let ratio = serial as f64 / overlapped.max(1) as f64;
+    println!("{name}: serial={serial}ns overlapped={overlapped}ns ({ratio:.2}x)");
+    json.push_str(&format!(
+        "  \"{name}\": {{ \"pages\": {STORM_PAGES}, \"rounds\": {STORM_ROUNDS}, \
+         \"serial_ns\": {serial}, \"overlapped_ns\": {overlapped}, \
+         \"serial_over_overlapped\": {ratio:.2} }}"
+    ));
+    (serial, overlapped)
 }
 
 fn main() {
@@ -113,22 +133,18 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    let serial = run_storm(LockPath::Serial);
-    let overlapped = run_storm(LockPath::Overlapped);
-    let storm_speedup = serial as f64 / overlapped.max(1) as f64;
-    println!(
-        "lock storm ({STORM_PAGES} pages/round): serial={serial}ns \
-         overlapped={overlapped}ns ({storm_speedup:.2}x)"
+    let (serial, overlapped) = storm_object(&mut json, "cold_grant", STORM_PAGES + 1, false);
+    assert!(
+        serial < overlapped,
+        "a cold grant must cost the overlapped path ({overlapped}) more than serial ({serial})"
     );
+    json.push_str(",\n");
+    let (serial, overlapped) = storm_object(&mut json, "lock_storm", STORM_PAGES, true);
     assert!(
         overlapped < serial,
         "overlapped lock path ({overlapped}) must beat serial ({serial})"
     );
-    json.push_str(&format!(
-        "  \"lock_storm\": {{ \"pages\": {STORM_PAGES}, \"rounds\": {STORM_ROUNDS}, \
-         \"serial_ns\": {serial}, \"overlapped_ns\": {overlapped}, \
-         \"serial_over_overlapped\": {storm_speedup:.2} }}\n}}\n"
-    ));
+    json.push_str("\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_overlap.json");
     println!("wrote {out_path}");
 }

@@ -6,11 +6,11 @@
 
 use std::sync::Arc;
 
-use tm_bench::{diff_multi_body, print_header, print_row, print_row_header};
+use tm_bench::{diff_multi_body, paper_config, print_header, print_row, print_row_header};
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::stats::NodeStats;
 use tm_sim::{Ns, SimParams};
-use tmk::{Substrate, Tmk, TmkConfig};
+use tmk::{Substrate, Tmk};
 
 const ROUNDS: u64 = 20;
 const PAGES: usize = 64;
@@ -37,17 +37,17 @@ fn tally<R>(outcomes: &[tm_sim::runner::NodeOutcome<R>]) {
 }
 
 // The bodies are generic functions; a tiny macro instantiates them for
-// both substrates without boxing, under `TmkConfig::default()`.
+// both substrates without boxing, under `tm_bench::paper_config()`.
 macro_rules! on_both {
     ($n:expr, $f:expr) => {{
         let udp = {
             let params = Arc::new(bench_params());
-            run_udp_dsm($n, params, TmkConfig::default(), $f)
+            run_udp_dsm($n, params, paper_config(), $f)
         };
         let fast = {
             let params = Arc::new(bench_params());
             let cfg = FastConfig::paper(&params);
-            run_fast_dsm($n, params, cfg, TmkConfig::default(), $f)
+            run_fast_dsm($n, params, cfg, paper_config(), $f)
         };
         tally(&udp);
         tally(&fast);

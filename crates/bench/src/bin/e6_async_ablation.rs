@@ -14,13 +14,13 @@
 
 use std::sync::Arc;
 
-use tm_bench::print_header;
+use tm_bench::{paper_config, print_header};
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, FastSubstrate};
 use tm_gm::gm_cluster;
 use tm_sim::runner::NodeOutcome;
 use tm_sim::{run_cluster_with, AsyncScheme, Ns, SimParams};
 use tm_udp::UdpStack;
-use tmk::{Substrate, Tmk, TmkConfig};
+use tmk::{Substrate, Tmk};
 
 const ROUNDS: usize = 50;
 /// Modeled handler work per request.
@@ -173,7 +173,7 @@ fn main() {
         let (lat, busy) = fast_with_scheme(scheme);
         let mut cfg = FastConfig::paper(&params);
         cfg.scheme = scheme;
-        let out = run_fast_dsm(2, Arc::clone(&params), cfg, TmkConfig::default(), computing_peer);
+        let out = run_fast_dsm(2, Arc::clone(&params), cfg, paper_config(), computing_peer);
         println!(
             "{label:<34} {lat:>12.2} {:>16.3} {:>26}",
             busy / 1000.0,
@@ -181,7 +181,7 @@ fn main() {
         );
     }
     let (lat, busy) = udp_sigio();
-    let out = run_udp_dsm(2, params, TmkConfig::default(), computing_peer);
+    let out = run_udp_dsm(2, params, paper_config(), computing_peer);
     println!(
         "{:<34} {lat:>12.2} {:>16.3} {:>26}",
         "UDP + SIGIO (stock TreadMarks)",

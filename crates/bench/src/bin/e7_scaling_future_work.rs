@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use tm_bench::{print_header, AppSpec};
+use tm_bench::{paper_config, print_header, AppSpec};
 use tm_fast::{run_fast_dsm, FastConfig, Transport};
 use tm_sim::runner::NodeOutcome;
 use tm_sim::{Ns, SimParams};
@@ -52,7 +52,7 @@ fn avg(v: &[NodeOutcome<u64>]) -> Ns {
 fn cfg(algo: BarrierAlgo) -> TmkConfig {
     TmkConfig {
         barrier_algo: algo,
-        ..TmkConfig::default()
+        ..paper_config()
     }
 }
 

@@ -25,18 +25,37 @@ use tm_apps::{
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, Transport};
 use tm_sim::runner::cluster_time;
 use tm_sim::{FaultPlan, Ns, SimParams};
-use tmk::{SharedId, Substrate, Tmk, TmkConfig};
+use tmk::{LockPath, SharedId, Substrate, Tmk, TmkConfig};
+
+/// The runtime every committed `results/e*.txt` table runs: the default
+/// [`TmkConfig`] with the paper's lazy acquire ([`LockPath::Serial`]),
+/// so an acquire sends what TreadMarks sends, message for message. The
+/// default fetches what a grant invalidates at the grant instead
+/// (`results/BENCH_overlap.json` prices the two).
+pub fn paper_config() -> TmkConfig {
+    TmkConfig {
+        lock_path: LockPath::Serial,
+        ..TmkConfig::default()
+    }
+}
 
 // ----- microbenchmark bodies more than one binary runs ----------------------
 
 /// TSP-like lock storm: the holder (node 0) writes a block of `pages`
-/// pages under the lock, node 1 acquires and reads them, `rounds` times.
-/// The only ordering between the write and the read is the lock transfer
-/// itself, so the grant carries the write notices — under
-/// `LockPath::Overlapped` the diff fetches they imply are batched at
-/// acquire time instead of faulting one round trip at a time inside the
-/// critical section. Returns node 1's cost per round (zero on node 0).
-pub fn lock_storm_body<S: Substrate>(tmk: &mut Tmk<S>, pages: usize, rounds: u64) -> u64 {
+/// pages under the lock, node 1 acquires and (if `read`) reads them,
+/// `rounds` times. The only ordering between the write and the read is
+/// the lock transfer itself, so the grant carries the write notices —
+/// under `LockPath::Overlapped` the diff fetches they imply are batched
+/// at acquire time instead of faulting one round trip at a time inside
+/// the critical section. Without `read` the grant is cold: node 1 reads
+/// only the turn marker, and the overlapped path fetches the rest for
+/// nothing. Returns node 1's cost per round (zero on node 0).
+pub fn lock_storm_body<S: Substrate>(
+    tmk: &mut Tmk<S>,
+    pages: usize,
+    rounds: u64,
+    read: bool,
+) -> u64 {
     let region = tmk.malloc(pages * 4096);
     tmk.distribute(region);
     let me = tmk.proc_id();
@@ -65,7 +84,7 @@ pub fn lock_storm_body<S: Substrate>(tmk: &mut Tmk<S>, pages: usize, rounds: u64
                 }
                 tmk.release(0);
             }
-            for p in 1..pages {
+            for p in (1..pages).filter(|_| read) {
                 assert_eq!(
                     tmk.get_u32(region, p * 1024 + 4),
                     want,
@@ -296,11 +315,11 @@ pub fn run_spec_with(transport: Transport, n: usize, spec: &AppSpec, want: &AppR
         Transport::Fast => {
             let cfg = FastConfig::paper(&params);
             let s = spec.clone();
-            run_fast_dsm(n, params, cfg, TmkConfig::default(), move |tmk| s.body(tmk))
+            run_fast_dsm(n, params, cfg, paper_config(), move |tmk| s.body(tmk))
         }
         Transport::Udp => {
             let s = spec.clone();
-            run_udp_dsm(n, params, TmkConfig::default(), move |tmk| s.body(tmk))
+            run_udp_dsm(n, params, paper_config(), move |tmk| s.body(tmk))
         }
     };
     for o in &outcomes {

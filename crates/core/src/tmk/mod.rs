@@ -99,11 +99,14 @@ pub enum DiffFetch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockPath {
     /// Lazily, one fault at a time inside the critical section — the
-    /// TreadMarks specification baseline, message-for-message.
+    /// TreadMarks specification baseline, message-for-message, and what
+    /// the experiment tables run.
     Serial,
     /// At the grant, as one overlapped batch through the RPC engine
     /// (acquire+read cost ≈ grant + max fetch instead of grant + Σ
-    /// per-page round trips).
+    /// per-page round trips). The default; it loses when a grant
+    /// invalidates mapped pages the critical section never reads
+    /// (`bench_overlap`'s `cold_grant`).
     Overlapped,
 }
 
@@ -123,7 +126,7 @@ impl Default for TmkConfig {
         TmkConfig {
             barrier_algo: BarrierAlgo::Centralized,
             diff_fetch: DiffFetch::Coalesced,
-            lock_path: LockPath::Serial,
+            lock_path: LockPath::Overlapped,
         }
     }
 }

@@ -12,7 +12,6 @@
 //! silence at the backoff ceiling.
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 
 use tm_sim::Ns;
 
@@ -95,7 +94,7 @@ impl Reliable {
     /// band, so a duplicate of the request replays it.
     pub(super) fn answered(&mut self, class: Class, to: usize, rid: u32, bytes: &[u8]) {
         let sent = ReplayAction::Sent { chan: Chan::Response, to, bytes: bytes.to_vec() };
-        self.replay.remember(ReplayKey::Slot(class, to, rid), sent);
+        self.replay.remember(ReplayKey(class, to, rid), sent);
     }
 
     /// End of a dispatch: handlers that responded already settled the
@@ -143,152 +142,93 @@ pub(super) enum ReplayAction {
     Sent { chan: Chan, to: usize, bytes: Vec<u8> },
 }
 
-/// The two requests a node blocks on. It has at most one of each open —
-/// one acquire, one barrier arrival — which is what makes a slot per
-/// requester per class an exact record.
-#[derive(Debug, Clone, Copy)]
+/// The three requests a node waits on. It has at most one of each open
+/// to any one peer — one acquire, one barrier arrival, one fetch — which
+/// is what makes a slot per requester per class an exact record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Class {
     Acquire,
     Barrier,
+    /// A fetch (`Diff`, `MultiDiff`, `Page`). A fault round issues at most
+    /// one per writer and collects them all before the next round, a page
+    /// fetch blocks, and a handler issues no rpc.
+    Data,
 }
 
-/// Where the replay record of a request lives.
-#[derive(Debug, Clone, Copy)]
-enum ReplayKey {
-    /// A blocking request — serving it changes lock or barrier state, so
-    /// it is served at most once: `requester`'s slot of `class`, holding
-    /// the request's rid *in the requester's rid space*. A forwarded
-    /// acquire names its requester and original rid on the wire, so the
-    /// manager's and the owner's records of one acquire carry one key.
-    Slot(Class, usize, u32),
-    /// An idempotent fetch (`Diff`, `MultiDiff`, `Page`): `(from, rid)` in
-    /// the bounded data FIFO.
-    Data(usize, u32),
-}
-
-impl ReplayKey {
-    /// Classify a decoded request that `from` sent under `rid`; `None` for
-    /// a `Gone`, which files no record.
-    fn of(from: usize, rid: u32, req: &Request) -> Option<ReplayKey> {
-        Some(match *req {
-            Request::Acquire { .. } => ReplayKey::Slot(Class::Acquire, from, rid),
-            Request::AcquireFwd { requester, rid, .. } => {
-                ReplayKey::Slot(Class::Acquire, requester as usize, rid)
-            }
-            Request::BarrierArrive { .. } | Request::BarrierTreeArrive { .. } => {
-                ReplayKey::Slot(Class::Barrier, from, rid)
-            }
-            Request::Diff { .. } | Request::MultiDiff { .. } | Request::Page { .. } => {
-                ReplayKey::Data(from, rid)
-            }
+impl Class {
+    /// The class of a request; `None` for a `Gone`, which files no record.
+    pub(super) fn of(req: &Request) -> Option<Class> {
+        Some(match req {
+            Request::Acquire { .. } | Request::AcquireFwd { .. } => Class::Acquire,
+            Request::BarrierArrive { .. } | Request::BarrierTreeArrive { .. } => Class::Barrier,
+            Request::Diff { .. } | Request::MultiDiff { .. } | Request::Page { .. } => Class::Data,
             Request::Gone => return None,
         })
     }
 }
 
-/// Data-FIFO depth. Not a correctness parameter: a record evicted before
-/// its duplicate arrives costs re-running an idempotent handler (a
-/// re-encode at handler cost instead of a replay at dispatch cost) and
-/// nothing else. Kept at the depth the goldens' virtual times were
-/// recorded under.
-pub(super) const DATA_FIFO_CAP: usize = 128;
+/// Where the replay record of a request lives: `requester`'s slot of its
+/// class, holding the request's rid *in the requester's rid space*. A
+/// forwarded acquire names its requester and original rid on the wire,
+/// so the manager's and the owner's records of one acquire carry one key.
+#[derive(Debug, Clone, Copy)]
+struct ReplayKey(Class, usize, u32);
 
-/// Responder-side duplicate suppression.
-///
-/// A blocking request's record is its requester's slot
-/// ([`ReplayKey::Slot`]): no capacity, no scan, and nothing but the same
-/// requester's *next* request of the same class displaces it — by which
-/// time the requester holds the answer. Against a slot, an equal rid is a
+impl ReplayKey {
+    /// Key a decoded request that `from` sent under `rid`; `None` for a
+    /// `Gone`.
+    fn of(from: usize, rid: u32, req: &Request) -> Option<ReplayKey> {
+        let class = Class::of(req)?;
+        Some(match *req {
+            Request::AcquireFwd { requester, rid, .. } => ReplayKey(class, requester as usize, rid),
+            _ => ReplayKey(class, from, rid),
+        })
+    }
+}
+
+/// Responder-side duplicate suppression: one slot per requester per
+/// class. No capacity, no scan, and nothing but the same requester's
+/// *next* request of the same class displaces a record — by which time
+/// the requester holds the answer. Against a slot, an equal rid is a
 /// duplicate to replay, a smaller one a late duplicate of a completed
-/// request (swallowed, never re-executed: re-running it would queue a
-/// waiter nobody is behind), a larger one new. Idempotent requests share a
-/// FIFO of the responses sent, indexed by key so that a lookup is a binary
-/// search, not a scan of the FIFO. The scan stays as the spec, checked by
-/// `debug_assert!` on every lookup.
+/// request (swallowed, never re-executed: a re-run acquire would queue a
+/// waiter nobody is behind, a re-run fetch would answer a rid nobody
+/// collects), a larger one new.
 #[derive(Debug)]
 struct ReplayRecords {
     /// `slots[requester][class]`: rid and action of that requester's
-    /// latest blocking request of that class to reach this node.
-    slots: Vec<[Option<(u32, ReplayAction)>; 2]>,
-    /// `(from, rid, the response sent)`, oldest first.
-    data: VecDeque<(usize, u32, ReplayAction)>,
-    /// `(data_key, push number)` of each record in `data`, sorted by key:
-    /// the record is `data[push - evicted]`. A sorted `Vec` of at most
-    /// [`DATA_FIFO_CAP`] pairs, not a hash table, which an insert and a
-    /// remove per record grow to twice that.
-    index: Vec<(u64, u64)>,
-    /// Records evicted so far: the push number of `data`'s front.
-    evicted: u64,
+    /// latest request of that class to reach this node.
+    slots: Vec<[Option<(u32, ReplayAction)>; 3]>,
 }
 
 impl ReplayRecords {
     /// Records for requests from `n` nodes.
     fn new(n: usize) -> Self {
         ReplayRecords {
-            slots: vec![[None, None]; n],
-            data: VecDeque::new(),
-            index: Vec::with_capacity(DATA_FIFO_CAP),
-            evicted: 0,
+            slots: vec![[None, None, None]; n],
         }
     }
 
     /// The recorded action for `key`, if the request was seen.
-    fn lookup(&self, key: ReplayKey) -> Option<ReplayAction> {
-        match key {
-            ReplayKey::Slot(class, requester, rid) => {
-                let (seen, action) = self.slots[requester][class as usize].as_ref()?;
-                match rid.cmp(seen) {
-                    Ordering::Equal => Some(action.clone()),
-                    Ordering::Less => Some(ReplayAction::Pending),
-                    Ordering::Greater => None,
-                }
-            }
-            ReplayKey::Data(from, rid) => {
-                let key = data_key(from, rid);
-                let found = self.index.binary_search_by_key(&key, |e| e.0).ok();
-                let at = found.map(|i| (self.index[i].1 - self.evicted) as usize);
-                debug_assert_eq!(at, self.data.iter().position(|e| e.0 == from && e.1 == rid));
-                at.map(|at| self.data[at].2.clone())
-            }
+    fn lookup(&self, ReplayKey(class, requester, rid): ReplayKey) -> Option<ReplayAction> {
+        let (seen, action) = self.slots[requester][class as usize].as_ref()?;
+        match rid.cmp(seen) {
+            Ordering::Equal => Some(action.clone()),
+            Ordering::Less => Some(ReplayAction::Pending),
+            Ordering::Greater => None,
         }
     }
 
-    /// Record the action taken for `key`. A slot is written by its
-    /// request's first copy and upgraded by its answer; a data record is
-    /// written once (a found record is replayed, not re-served), evicting
-    /// the oldest at capacity.
-    fn remember(&mut self, key: ReplayKey, action: ReplayAction) {
-        match key {
-            ReplayKey::Slot(class, requester, rid) => {
-                let slot = &mut self.slots[requester][class as usize];
-                debug_assert!(
-                    slot.as_ref().is_none_or(|(seen, _)| *seen <= rid),
-                    "node {requester}'s {class:?} slot moved backwards to rid {rid}"
-                );
-                *slot = Some((rid, action));
-            }
-            ReplayKey::Data(from, rid) => {
-                if self.data.len() >= DATA_FIFO_CAP {
-                    let (f, r, _) = self.data.pop_front().expect("a full FIFO");
-                    let i = self.index.binary_search_by_key(&data_key(f, r), |e| e.0);
-                    self.index.remove(i.expect("every record held is indexed"));
-                    self.evicted += 1;
-                }
-                let push = self.evicted + self.data.len() as u64;
-                let key = data_key(from, rid);
-                let Err(i) = self.index.binary_search_by_key(&key, |e| e.0) else {
-                    panic!("node {from}'s rid {rid} filed twice while held");
-                };
-                self.index.insert(i, (key, push));
-                self.data.push_back((from, rid, action));
-            }
-        }
+    /// Record the action taken for `key`: written by its request's first
+    /// copy, and upgraded by a queued request's answer.
+    fn remember(&mut self, ReplayKey(class, requester, rid): ReplayKey, action: ReplayAction) {
+        let slot = &mut self.slots[requester][class as usize];
+        debug_assert!(
+            slot.as_ref().is_none_or(|(seen, _)| *seen <= rid),
+            "node {requester}'s {class:?} slot moved backwards to rid {rid}"
+        );
+        *slot = Some((rid, action));
     }
-}
-
-/// A data record's key, `(from, rid)`, as one word.
-fn data_key(from: usize, rid: u32) -> u64 {
-    (from as u64) << 32 | u64::from(rid)
 }
 
 impl<S: Substrate> Tmk<S> {
@@ -443,20 +383,33 @@ mod tests {
     }
 
     fn acquire(requester: usize, rid: u32) -> ReplayKey {
-        ReplayKey::Slot(Class::Acquire, requester, rid)
+        ReplayKey(Class::Acquire, requester, rid)
+    }
+
+    fn fetch(requester: usize, rid: u32) -> ReplayKey {
+        ReplayKey(Class::Data, requester, rid)
+    }
+
+    fn sent_bytes(action: Option<ReplayAction>) -> Vec<u8> {
+        match action {
+            Some(ReplayAction::Sent { bytes, .. }) => bytes,
+            other => panic!("expected Sent, got {other:?}"),
+        }
     }
 
     #[test]
     fn remember_then_lookup() {
         let mut c = ReplayRecords::new(8);
-        assert!(c.lookup(ReplayKey::Data(3, 7)).is_none());
-        c.remember(ReplayKey::Data(3, 7), respond(3, b"page"));
-        assert!(c.lookup(ReplayKey::Data(3, 7)).is_some());
+        assert!(c.lookup(fetch(3, 7)).is_none());
+        c.remember(fetch(3, 7), respond(3, b"page"));
+        assert!(c.lookup(fetch(3, 7)).is_some());
         // Same rid from a different node is a different request.
-        assert!(c.lookup(ReplayKey::Data(4, 7)).is_none());
-        // A requester's acquire and its barrier arrival are different slots.
+        assert!(c.lookup(fetch(4, 7)).is_none());
+        // A requester's fetch, acquire and barrier arrival are three slots.
+        assert!(c.lookup(acquire(3, 7)).is_none());
         c.remember(acquire(3, 7), ReplayAction::Pending);
-        assert!(c.lookup(ReplayKey::Slot(Class::Barrier, 3, 7)).is_none());
+        assert!(c.lookup(ReplayKey(Class::Barrier, 3, 7)).is_none());
+        assert_eq!(sent_bytes(c.lookup(fetch(3, 7))), b"page");
     }
 
     #[test]
@@ -467,13 +420,7 @@ mod tests {
         c.remember(acquire(2, 11), ReplayAction::Pending);
         assert!(matches!(c.lookup(acquire(2, 11)), Some(ReplayAction::Pending)));
         c.remember(acquire(2, 11), respond(2, b"grant"));
-        match c.lookup(acquire(2, 11)) {
-            Some(ReplayAction::Sent { to, bytes, .. }) => {
-                assert_eq!(to, 2);
-                assert_eq!(bytes, b"grant");
-            }
-            other => panic!("expected Sent, got {other:?}"),
-        }
+        assert_eq!(sent_bytes(c.lookup(acquire(2, 11))), b"grant");
     }
 
     #[test]
@@ -488,81 +435,38 @@ mod tests {
         assert!(c.lookup(acquire(2, 13)).is_none());
     }
 
+    /// A fetch's slot has the three outcomes of any slot: the rid it holds
+    /// replays the answer sent, a smaller one (a late copy of a fetch the
+    /// requester collected before it sent this one) is swallowed, a larger
+    /// one is served.
     #[test]
-    fn fifo_eviction_at_capacity() {
-        let mut c = ReplayRecords::new(8);
-        for rid in 0..DATA_FIFO_CAP as u32 {
-            c.remember(ReplayKey::Data(1, rid), respond(1, b"d"));
-        }
-        assert_eq!(c.data.len(), DATA_FIFO_CAP);
-        assert!(c.lookup(ReplayKey::Data(1, 0)).is_some());
-        // One more evicts the oldest, and only the oldest.
-        c.remember(ReplayKey::Data(1, DATA_FIFO_CAP as u32), respond(1, b"d"));
-        assert_eq!(c.data.len(), DATA_FIFO_CAP);
-        assert!(c.lookup(ReplayKey::Data(1, 0)).is_none());
-        assert!(c.lookup(ReplayKey::Data(1, 1)).is_some());
-        assert!(c.lookup(ReplayKey::Data(1, DATA_FIFO_CAP as u32)).is_some());
+    fn a_fetch_slot_replays_swallows_or_serves() {
+        let mut c = ReplayRecords::new(4);
+        c.remember(fetch(1, 20), respond(1, b"diffs"));
+        assert_eq!(sent_bytes(c.lookup(fetch(1, 20))), b"diffs");
+        assert!(matches!(c.lookup(fetch(1, 19)), Some(ReplayAction::Pending)));
+        assert!(c.lookup(fetch(1, 21)).is_none());
+        // Serving the next fetch displaces the answer to the last one,
+        // which the requester holds: its late copy is now swallowed.
+        c.remember(fetch(1, 21), respond(1, b"page"));
+        assert_eq!(sent_bytes(c.lookup(fetch(1, 21))), b"page");
+        assert!(matches!(c.lookup(fetch(1, 20)), Some(ReplayAction::Pending)));
+        assert_eq!(c.slots.len(), 4, "a record per requester, however many fetches");
     }
 
-    /// Past capacity, over seven requesters whose rids come out of order
-    /// and repeat (a repeat held is replayed, not filed; one evicted is
-    /// filed again), the index finds exactly what a scan of the FIFO
-    /// finds.
+    /// Every fetch files under its sender's data slot, under its own rid.
     #[test]
-    fn lookup_matches_the_scan_past_capacity() {
-        let mut c = ReplayRecords::new(8);
-        let key = |i: u32| ReplayKey::Data(i as usize % 7, i.wrapping_mul(2_654_435_761) % 1_000);
-        let scan = |c: &ReplayRecords, k: ReplayKey| match k {
-            ReplayKey::Data(f, r) => c.data.iter().any(|e| e.0 == f && e.1 == r),
-            ReplayKey::Slot(..) => unreachable!(),
-        };
-        let mut filed = 0;
-        for i in 0..5 * DATA_FIFO_CAP as u32 {
-            if c.lookup(key(i)).is_none() {
-                c.remember(key(i), respond(0, &i.to_le_bytes()));
-                filed += 1;
-            }
-            assert!(c.data.len() <= DATA_FIFO_CAP);
-            if i % 16 == 0 {
-                for j in 0..=i + 3 {
-                    assert_eq!(
-                        c.lookup(key(j)).is_some(),
-                        scan(&c, key(j)),
-                        "after {i}, key {j}"
-                    );
-                }
-            }
+    fn fetches_key_on_their_sender() {
+        let fetches = [
+            Request::Diff { page: 3, lo: 1, hi: 2 },
+            Request::MultiDiff { pages: vec![(3, 1, 2), (4, 1, 1)] },
+            Request::Page { page: 3 },
+        ];
+        for req in &fetches {
+            let ReplayKey(class, requester, rid) = ReplayKey::of(2, 77, req).expect("a record");
+            assert_eq!((class, requester, rid), (Class::Data, 2, 77), "{req:?}");
         }
-        assert_eq!(c.data.len(), DATA_FIFO_CAP);
-        assert_eq!(c.index.len(), DATA_FIFO_CAP);
-        assert_eq!(c.evicted, filed - DATA_FIFO_CAP as u64);
-        // Each key finds its own record.
-        let sent = |a: &ReplayAction| match a {
-            ReplayAction::Sent { bytes, .. } => bytes.clone(),
-            ReplayAction::Pending => Vec::new(),
-        };
-        for (f, r, action) in &c.data {
-            let found = c.lookup(ReplayKey::Data(*f, *r)).expect("held");
-            assert_eq!(sent(&found), sent(action));
-        }
-    }
-
-    #[test]
-    fn upgrade_does_not_evict() {
-        // A slot upgrade with the FIFO at capacity pushes nothing out, and
-        // no amount of data traffic pushes a slot out.
-        let mut c = ReplayRecords::new(8);
-        c.remember(acquire(1, 5), ReplayAction::Pending);
-        for rid in 6..6 + 2 * DATA_FIFO_CAP as u32 {
-            c.remember(ReplayKey::Data(1, rid), respond(1, b"d"));
-        }
-        c.remember(acquire(1, 5), respond(1, b"late-grant"));
-        assert_eq!(c.data.len(), DATA_FIFO_CAP);
-        assert!(c.lookup(ReplayKey::Data(1, 6 + DATA_FIFO_CAP as u32)).is_some());
-        assert!(matches!(
-            c.lookup(acquire(1, 5)),
-            Some(ReplayAction::Sent { .. })
-        ));
+        assert!(ReplayKey::of(2, 77, &Request::Gone).is_none());
     }
 
     #[test]

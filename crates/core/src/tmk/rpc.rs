@@ -249,6 +249,18 @@ impl<S: Substrate> Tmk<S> {
     /// transports the frame is retained for per-rid retransmission, on
     /// reliable ones it goes straight back to the pool.
     pub(super) fn rpc_issue_as(&mut self, to: usize, rid: u32, req: Request) {
+        // A fetch's replay slot is exact only while a node has one fetch
+        // open per peer; a lossy transport keeps both slots and frames.
+        let fetch = |req: &Request| Class::of(req) == Some(Class::Data);
+        debug_assert!(
+            !fetch(&req)
+                || !self.outstanding.iter().filter(|o| o.to == to).any(|o| {
+                    let frame = o.resend.as_ref().map(|r| &r.frame[..]).unwrap_or_default();
+                    Request::decode(frame).is_some_and(|(_, open)| fetch(&open))
+                }),
+            "node {}: a second fetch to {to} while one is outstanding",
+            self.me
+        );
         let mut w = WireWriter::pooled(64);
         req.encode_into(rid, &mut w);
         self.sub.send_request(to, w.as_slice());

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use tm_sim::clock::shared_clock;
 use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
 
-use super::super::reliable::DATA_FIFO_CAP;
 use crate::memsub::{mem_cluster, MemSubstrate};
 use crate::protocol::{Request, Response};
 use crate::substrate::{Chan, IncomingMsg, Substrate};
@@ -210,10 +209,10 @@ fn queued_forward_grants_at_release_then_replays() {
 }
 
 /// A forward and a grant are obligations; the page fetches around them are
-/// not. More fetches than the data FIFO holds, served between an acquire
-/// and its retransmission, displace neither the manager's forward (its
-/// loss re-ran the acquire against an owner hint naming the requester
-/// itself) nor the owner's grant (its loss queued a waiter twice).
+/// not. Hundreds of fetches, served between an acquire and its
+/// retransmission, displace neither the manager's forward (its loss
+/// re-ran the acquire against an owner hint naming the requester itself)
+/// nor the owner's grant (its loss queued a waiter twice).
 #[test]
 fn data_traffic_displaces_neither_a_forward_nor_a_grant() {
     let (mut t0, mut t1, mut s2) = chain();
@@ -221,7 +220,7 @@ fn data_traffic_displaces_neither_a_forward_nor_a_grant() {
     let fetch_storm = |t: &mut Tmk<LossyMem>, s2: &mut MemSubstrate| {
         // Each node serves the page it is home to.
         let page = t.me as u32;
-        for i in 0..2 * DATA_FIFO_CAP as u32 {
+        for i in 0..256 {
             t.serve(2, &encode(Request::Page { page }, 1000 + i), Ns(1000));
             assert_eq!(s2.next_incoming().chan, Chan::Response);
         }
@@ -242,6 +241,45 @@ fn data_traffic_displaces_neither_a_forward_nor_a_grant() {
     let g2 = s2.next_incoming();
     assert_eq!(g1.data, g2.data, "the grant must replay, not re-queue");
     assert!(t1.locks[0].waiting.is_empty(), "phantom waiter");
+}
+
+/// A fetch's record is its requester's slot: a retransmitted fetch gets
+/// the answer already sent, byte for byte, without re-running the
+/// handler; a late copy of a fetch the requester has since followed with
+/// another is swallowed, and the next answer out is the next fetch's.
+#[test]
+fn a_duplicate_fetch_replays_and_a_late_one_is_swallowed() {
+    let (mut t0, _t1, mut s2) = chain();
+    let page = |rid| encode(Request::Page { page: 0 }, rid);
+    let answered = |s2: &mut MemSubstrate| {
+        let msg = s2.next_incoming();
+        assert_eq!(msg.chan, Chan::Response);
+        (Response::decode(&msg.data).expect("an answer").0, msg.data)
+    };
+    t0.serve(2, &page(5), Ns(100));
+    let (rid, first) = answered(&mut s2);
+    assert_eq!(rid, 5);
+    t0.serve(2, &page(5), Ns(700));
+    assert_eq!(answered(&mut s2).1, first, "the duplicate must replay the answer");
+    t0.serve(2, &page(6), Ns(900));
+    assert_eq!(answered(&mut s2).0, 6);
+    t0.serve(2, &page(5), Ns(1200));
+    t0.serve(2, &page(7), Ns(1500));
+    assert_eq!(answered(&mut s2).0, 7, "the late copy of rid 5 must be swallowed");
+    assert_eq!(t0.clock().borrow().stats.dup_requests_suppressed, 2);
+}
+
+/// A second fetch to a peer while one is open would have the peer's fetch
+/// slot swallow one of the two: a debug build refuses to issue it. Fetches
+/// to two peers at once are a coalesced fault round, and fine.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "a second fetch to 1 while one is outstanding")]
+fn a_second_open_fetch_to_one_peer_is_refused() {
+    let (mut t0, _t1, _s2) = chain();
+    t0.rpc_issue(1, Request::Page { page: 1 });
+    t0.rpc_issue(2, Request::Page { page: 2 });
+    t0.rpc_issue(1, Request::Diff { page: 1, lo: 1, hi: 1 });
 }
 
 /// The gather-burst deadlock (PR 5), through the engine's one blocking

@@ -18,7 +18,7 @@ use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, UdpSubstrate};
 use tm_myrinet::Fabric;
 use tm_sim::clock::shared_clock;
 use tm_sim::{run_cluster_with, FaultPlan, NodeStats, Ns, SimParams};
-use tmk::{DiffFetch, Substrate, Tmk, TmkConfig, TmkEvent};
+use tmk::{DiffFetch, LockPath, Substrate, Tmk, TmkConfig, TmkEvent};
 
 const NODES: usize = 4;
 const PAGES: usize = 6;
@@ -401,9 +401,9 @@ fn lock_chain<S: Substrate>(tmk: &mut Tmk<S>) -> Vec<u32> {
     out
 }
 
-/// Run the chain at `loss` on fault seed `seed`; every node must read the
-/// closed-form sums.
-fn lock_chain_finishes(loss: f64, seed: u64) {
+/// Run the chain under `lock_path` at `loss` on fault seed `seed`; every
+/// node must read the closed-form sums.
+fn lock_chain_finishes(lock_path: LockPath, loss: f64, seed: u64) {
     let mut want = vec![0u32; MIG_PAGES * MIG_LOCKS];
     for me in 0..MIG_NODES {
         for r in 0..MIG_ROUNDS {
@@ -418,9 +418,17 @@ fn lock_chain_finishes(loss: f64, seed: u64) {
         drop_probability: loss,
         ..FaultPlan::default()
     };
-    let out = run_udp_dsm(MIG_NODES, with_plan(plan), TmkConfig::default(), lock_chain);
+    let cfg = TmkConfig {
+        lock_path,
+        ..TmkConfig::default()
+    };
+    let out = run_udp_dsm(MIG_NODES, with_plan(plan), cfg, lock_chain);
     for o in &out {
-        assert_eq!(o.result, want, "loss {loss} seed {seed}: node {} sums", o.id);
+        assert_eq!(
+            o.result, want,
+            "{lock_path:?} loss {loss} seed {seed}: node {} sums",
+            o.id
+        );
     }
 }
 
@@ -430,19 +438,24 @@ fn lossy_lock_chain_keeps_its_obligations() {
     // finished: the diff fetches' responses evicted, on seed 5, a manager's
     // forward (the duplicate acquire re-ran against an owner hint that
     // already named the requester) and, on seed 72, an owner's grant 6 ms
-    // after the grant itself was lost (the waiter was queued twice).
-    lock_chain_finishes(0.02, 5);
-    lock_chain_finishes(0.02, 72);
+    // after the grant itself was lost (the waiter was queued twice). Both
+    // schedules were the paper's lazy acquire's.
+    lock_chain_finishes(LockPath::Serial, 0.02, 5);
+    lock_chain_finishes(LockPath::Serial, 0.02, 72);
 }
 
-/// The sweep behind the two seeds above (~40 s per loss rate; CI's
-/// `fault-matrix` job runs it by name).
+/// The sweep behind the two seeds above, under both lock paths: the
+/// default's, and the paper's lazy acquire, which the default no longer
+/// runs anywhere else under loss (CI's `fault-matrix` job runs it by name
+/// in a release build).
 #[test]
 #[ignore]
 fn lossy_lock_chain_sweep() {
-    for loss in [0.02, 0.10] {
-        for seed in 1..=100 {
-            lock_chain_finishes(loss, seed);
+    for lock_path in [LockPath::Serial, LockPath::Overlapped] {
+        for loss in [0.02, 0.10] {
+            for seed in 1..=100 {
+                lock_chain_finishes(lock_path, loss, seed);
+            }
         }
     }
 }

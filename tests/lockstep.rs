@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::{FaultPlan, Ns, SimParams};
 use tmk::memsub::run_mem_dsm;
-use tmk::{Substrate, Tmk, TmkConfig};
+use tmk::{LockPath, Substrate, Tmk, TmkConfig};
 
 const NODES: usize = 4;
 const PAGES: usize = 4;
@@ -385,9 +385,15 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 /// arrived instead of leaving at the leaves' departure (+43 701 ns of
 /// cluster time; +57 746 ns on the (31 337, 10, 40, 20) row). The digests
 /// move with them (one more request served and sent per leaf). The
-/// fault-free row is untouched.
+/// fault-free row is untouched. Every row runs the paper's lazy acquire
+/// (`LockPath::Serial`), the path they were recorded under; the default
+/// fetches what a grant invalidates at the grant and finishes earlier.
 #[test]
 fn lockstep_schedule_matches_the_recorded_serial_schedule() {
+    let serial = TmkConfig {
+        lock_path: LockPath::Serial,
+        ..TmkConfig::default()
+    };
     #[rustfmt::skip]
     let goldens: [(u64, u32, u32, u32, [u64; 3], u64); 8] = [
         (1,        0,  0,  0, [3_254_188, 3_272_438, 3_279_457], 0x5f0e_6548_deae_a4e1),
@@ -402,7 +408,7 @@ fn lockstep_schedule_matches_the_recorded_serial_schedule() {
     for (seed, drop_pm, dup_pm, reorder_pm, finish, digest) in goldens {
         let mut p = SimParams::paper_testbed();
         p.faults = plan_pm(seed, drop_pm, dup_pm, reorder_pm);
-        let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), workload);
+        let out = run_udp_dsm(3, Arc::new(p), serial.clone(), workload);
         let plan = (seed, drop_pm, dup_pm, reorder_pm);
         let mut got = Vec::new();
         let mut h = 0xcbf2_9ce4_8422_2325;
