@@ -31,20 +31,16 @@ pub enum Request {
         rid: u32,
         vc: VectorClock,
     },
-    /// Barrier arrival with fresh interval records.
+    /// A subtree's barrier arrival, sent by a node to its parent in the
+    /// barrier tree. `vc` is the pointwise *join* of the subtree members'
+    /// clocks, `records` the union of their fresh interval records, and
+    /// `floor` their pointwise *meet* (the coverage floor the release must
+    /// fill), present only when it differs from `vc`. A childless node's
+    /// arrival has none: that is the paper's layout, tag 5; one with a
+    /// floor is tag 6.
     BarrierArrive {
         barrier: u32,
-        vc: VectorClock,
-        records: Vec<Rc<IntervalRecord>>,
-    },
-    /// Combined barrier arrival from a whole subtree of the radix-k
-    /// combining tree, sent by a node to its tree parent. `min_vc` is the
-    /// pointwise *meet* of the subtree members' clocks (the coverage
-    /// floor the release must fill), `vc` their pointwise *join*, and
-    /// `records` the union of the members' fresh interval records.
-    BarrierTreeArrive {
-        barrier: u32,
-        min_vc: VectorClock,
+        floor: Option<VectorClock>,
         vc: VectorClock,
         records: Vec<Rc<IntervalRecord>>,
     },
@@ -87,7 +83,9 @@ pub enum Response {
         vc: VectorClock,
         records: Vec<Rc<IntervalRecord>>,
     },
-    /// Barrier release: merged vector time plus missing records.
+    /// Barrier release, from a tree parent to a child: the globally merged
+    /// vector time plus every interval record newer than the child
+    /// subtree's coverage floor.
     BarrierRelease {
         vc: VectorClock,
         records: Vec<Rc<IntervalRecord>>,
@@ -95,14 +93,6 @@ pub enum Response {
     /// A whole page that is entirely zero — no payload needed. Common for
     /// first-touch fetches of freshly allocated memory.
     ZeroPage { page: PageId, applied: Vec<u32> },
-    /// Tree-barrier release, fanned from a tree parent to a child:
-    /// globally merged vector time plus every interval record newer than
-    /// the child subtree's `min_vc` coverage floor.
-    BarrierTreeRelease {
-        barrier: u32,
-        vc: VectorClock,
-        records: Vec<Rc<IntervalRecord>>,
-    },
     /// Answer to a `MultiDiff`: one entry per page the responder managed
     /// to pack under its message-size budget. Pages omitted from the
     /// response are simply still owed — the requester's fetch loop
@@ -298,21 +288,14 @@ impl Request {
             }
             Request::BarrierArrive {
                 barrier,
+                floor,
                 vc,
                 records,
             } => {
-                w.u8(5).u32(*barrier);
-                vc.encode(w);
-                encode_records(records, w);
-            }
-            Request::BarrierTreeArrive {
-                barrier,
-                min_vc,
-                vc,
-                records,
-            } => {
-                w.u8(6).u32(*barrier);
-                min_vc.encode(w);
+                w.u8(if floor.is_some() { 6 } else { 5 }).u32(*barrier);
+                if let Some(floor) = floor {
+                    floor.encode(w);
+                }
                 vc.encode(w);
                 encode_records(records, w);
             }
@@ -350,14 +333,13 @@ impl Request {
                 rid: r.u32()?,
                 vc: VectorClock::decode(&mut r)?,
             },
-            5 => Request::BarrierArrive {
+            tag @ (5 | 6) => Request::BarrierArrive {
                 barrier: r.u32()?,
-                vc: VectorClock::decode(&mut r)?,
-                records: decode_records(&mut r)?,
-            },
-            6 => Request::BarrierTreeArrive {
-                barrier: r.u32()?,
-                min_vc: VectorClock::decode(&mut r)?,
+                floor: if tag == 6 {
+                    Some(VectorClock::decode(&mut r)?)
+                } else {
+                    None
+                },
                 vc: VectorClock::decode(&mut r)?,
                 records: decode_records(&mut r)?,
             },
@@ -447,15 +429,6 @@ impl Response {
             }
             Response::BarrierRelease { vc, records } => {
                 w.u32(rid).u8(4);
-                vc.encode(w);
-                encode_records(records, w);
-            }
-            Response::BarrierTreeRelease {
-                barrier,
-                vc,
-                records,
-            } => {
-                w.u32(rid).u8(6).u32(*barrier);
                 vc.encode(w);
                 encode_records(records, w);
             }
@@ -559,11 +532,6 @@ impl Response {
                 page: r.u32()?,
                 applied: decode_applied(&mut r)?,
             },
-            6 => Response::BarrierTreeRelease {
-                barrier: r.u32()?,
-                vc: VectorClock::decode(&mut r)?,
-                records: decode_records(&mut r)?,
-            },
             7 => {
                 let n = r.u16()? as usize;
                 let mut pages = Vec::with_capacity(n.min(r.remaining() / MIN_ENTRY));
@@ -617,12 +585,13 @@ mod tests {
             },
             Request::BarrierArrive {
                 barrier: 1,
+                floor: None,
                 vc: vc(&[4, 4]),
                 records: vec![rec(0, 4, &[4, 0], &[1, 2])],
             },
-            Request::BarrierTreeArrive {
+            Request::BarrierArrive {
                 barrier: 2,
-                min_vc: vc(&[1, 0, 2]),
+                floor: Some(vc(&[1, 0, 2])),
                 vc: vc(&[4, 3, 5]),
                 records: vec![rec(1, 3, &[0, 3, 1], &[7]), rec(2, 5, &[1, 0, 5], &[])],
             },
@@ -659,14 +628,13 @@ mod tests {
                 vc: vc(&[3, 3, 3]),
                 records: vec![],
             },
+            Response::BarrierRelease {
+                vc: vc(&[6, 6]),
+                records: vec![rec(0, 6, &[6, 2], &[1])],
+            },
             Response::ZeroPage {
                 page: 42,
                 applied: vec![3, 0, 9, 1],
-            },
-            Response::BarrierTreeRelease {
-                barrier: 9,
-                vc: vc(&[6, 6]),
-                records: vec![rec(0, 6, &[6, 2], &[1])],
             },
             Response::MultiDiffs {
                 pages: vec![
@@ -810,6 +778,30 @@ mod tests {
         assert_eq!(buf, [77, 0, 0, 0, 9], "a rid and a kind byte, no body");
         assert_eq!(Request::decode(&buf), Some((77, Request::Gone)));
         assert!(Request::decode(&buf[..4]).is_none());
+    }
+
+    #[test]
+    fn an_arrival_carries_a_floor_only_when_it_has_one() {
+        let (floor, ceiling) = (vc(&[1, 0, 2]), vc(&[4, 3, 5]));
+        let arrive = |floor| {
+            Request::BarrierArrive {
+                barrier: 2,
+                floor,
+                vc: ceiling.clone(),
+                records: vec![],
+            }
+            .encode(7)
+        };
+        let (bare, with) = (arrive(None), arrive(Some(floor.clone())));
+        assert_eq!((bare[4], with[4]), (5, 6), "tags");
+        // The floor's clock sits between the barrier id and the ceiling;
+        // nothing else differs.
+        let mut w = WireWriter::with_capacity(16);
+        floor.encode(&mut w);
+        let floor_bytes = w.finish();
+        assert_eq!(with[5..9], bare[5..9]);
+        assert_eq!(with[9..9 + floor_bytes.len()], floor_bytes[..]);
+        assert_eq!(with[9 + floor_bytes.len()..], bare[9..]);
     }
 
     #[test]

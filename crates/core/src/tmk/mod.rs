@@ -31,8 +31,8 @@
 //!   through, shutdown linger. With `reliable`, the only layer that talks
 //!   to the [`Substrate`].
 //! * `reliable` — built only on a lossy transport: per-rid retransmission
-//!   timers and the replay records (a slot per requester for its open
-//!   acquire and its open barrier arrival, a FIFO for idempotent fetches),
+//!   timers and the replay records (a slot per requester per class: its
+//!   open acquire, its open barrier arrival, its open fetch),
 //!   and what tells the node a peer has left: its `Gone`, or silence.
 //!
 //! This module holds what the layers share: the [`Tmk`] struct itself,
@@ -62,13 +62,13 @@ pub struct SharedId(pub usize);
 
 /// The barrier's combining tree (the E7 scaling knob). There is one
 /// algorithm — gather arrivals up a tree rooted at node 0, fan the release
-/// back down — and this names its radix and its wire layout.
+/// back down — in one message vocabulary, and this names its radix and
+/// nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierAlgo {
     /// Radix n−1: every node sends its arrival to node 0, which serializes
     /// all merge + release work (the paper's implementation; O(n) cost at
-    /// the manager), in the paper's `BarrierArrive` / `BarrierRelease`
-    /// wire layout.
+    /// the manager). The same bytes as `Tree { radix: n − 1 }`.
     Centralized,
     /// Radix-`radix` combining tree: each interior node merges its
     /// children's arrivals and forwards one combined arrival upward; the

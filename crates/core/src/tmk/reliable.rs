@@ -160,7 +160,7 @@ impl Class {
     pub(super) fn of(req: &Request) -> Option<Class> {
         Some(match req {
             Request::Acquire { .. } | Request::AcquireFwd { .. } => Class::Acquire,
-            Request::BarrierArrive { .. } | Request::BarrierTreeArrive { .. } => Class::Barrier,
+            Request::BarrierArrive { .. } => Class::Barrier,
             Request::Diff { .. } | Request::MultiDiff { .. } | Request::Page { .. } => Class::Data,
             Request::Gone => return None,
         })

@@ -109,18 +109,12 @@ impl<S: Substrate> Tmk<S> {
                 rid: orig_rid,
                 vc,
             } => self.serve_acquire_fwd(lock, requester, orig_rid, vc, arrival, cost),
-            // One clock is a childless subtree's floor and ceiling both.
             Request::BarrierArrive {
                 barrier,
+                floor,
                 vc,
                 records,
-            } => self.serve_tree_arrive(from, rid, barrier, vc.clone(), vc, records, arrival, cost),
-            Request::BarrierTreeArrive {
-                barrier,
-                min_vc,
-                vc,
-                records,
-            } => self.serve_tree_arrive(from, rid, barrier, min_vc, vc, records, arrival, cost),
+            } => self.serve_tree_arrive(from, rid, barrier, floor, vc, records, arrival, cost),
             Request::Gone => self.serve_gone(from, arrival, cost),
         }
         self.emit(TmkEvent::RequestServed { from, rid });

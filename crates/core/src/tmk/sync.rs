@@ -10,11 +10,14 @@
 //! radix [`TmkConfig::barrier_algo`](super::TmkConfig) names: a node waits
 //! for one arrival per child subtree, merges them with its own state
 //! (record union, vector-clock meet and join) into one combined arrival
-//! for its parent, and on release fans it back down to its children. The
-//! paper's centralized manager is the radix n−1 case — every other node a
-//! childless child of the root — and
-//! [`BarrierAlgo::Centralized`](super::BarrierAlgo) means exactly that,
-//! spoken in the paper's wire layout ("barrier wire layout" below).
+//! for its parent, and on release fans it back down to its children. One
+//! vocabulary carries every radix: a `BarrierArrive` carries the subtree's
+//! floor (meet) only when it differs from its ceiling (join), so a
+//! childless node's arrival is the paper's, and every release is a
+//! `BarrierRelease`. The paper's centralized manager is the radix n−1
+//! case — every other node a childless child of the root — and
+//! [`BarrierAlgo::Centralized`](super::BarrierAlgo) is that tree, byte for
+//! byte.
 //!
 //! This layer calls down into coherence (flush/apply intervals at every
 //! synchronization point, epoch GC after barriers) and rpc (moving
@@ -69,73 +72,6 @@ impl BarrierEpisode {
             id: None,
             records: Vec::new(),
         }
-    }
-}
-
-// ----- barrier wire layout --------------------------------------------------
-//
-// Two layouts carry the one protocol, and the bytes are the contract (message
-// sizes price the goldens): the paper's `BarrierArrive` / `BarrierRelease`,
-// with room for one clock and so only for a childless arrival — all a
-// one-level tree ever sends — and `BarrierTreeArrive` / `BarrierTreeRelease`
-// for every other radix. `tree` below is [`Tmk::tree_wire`]; nothing outside
-// these functions knows which layout is spoken.
-
-fn barrier_arrival(
-    tree: bool,
-    barrier: u32,
-    min_vc: VectorClock,
-    vc: VectorClock,
-    records: Vec<Rc<IntervalRecord>>,
-) -> Request {
-    if tree {
-        Request::BarrierTreeArrive {
-            barrier,
-            min_vc,
-            vc,
-            records,
-        }
-    } else {
-        debug_assert_eq!(min_vc, vc, "one clock carries a childless arrival");
-        Request::BarrierArrive {
-            barrier,
-            vc,
-            records,
-        }
-    }
-}
-
-fn barrier_release(
-    tree: bool,
-    barrier: u32,
-    vc: VectorClock,
-    records: Vec<Rc<IntervalRecord>>,
-) -> Response {
-    if tree {
-        Response::BarrierTreeRelease {
-            barrier,
-            vc,
-            records,
-        }
-    } else {
-        Response::BarrierRelease { vc, records }
-    }
-}
-
-/// The merged vector time and missing records of barrier `id`'s release,
-/// whichever layout it arrived in.
-fn open_barrier_release(id: u32, resp: Response) -> (VectorClock, Vec<Rc<IntervalRecord>>) {
-    match resp {
-        Response::BarrierRelease { vc, records } => (vc, records),
-        Response::BarrierTreeRelease {
-            barrier,
-            vc,
-            records,
-        } => {
-            assert_eq!(barrier, id, "release for barrier {barrier}, expected {id}");
-            (vc, records)
-        }
-        other => panic!("expected a barrier release, got {other:?}"),
     }
 }
 
@@ -217,18 +153,17 @@ impl<S: Substrate> Tmk<S> {
         }
     }
 
-    /// A child's barrier arrival reached us as its tree parent, in either
-    /// wire layout (`rpc::serve` hands a `BarrierArrive`'s one clock in as
-    /// floor and ceiling both). Nothing is incorporated until our own
-    /// departure.
-    // The parameter list mirrors the BarrierTreeArrive wire fields one-to-one.
+    /// A child's barrier arrival reached us as its tree parent. An arrival
+    /// without a floor is one whose floor is its ceiling `vc`. Nothing is
+    /// incorporated until our own departure.
+    // The parameter list mirrors the BarrierArrive wire fields one-to-one.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn serve_tree_arrive(
         &mut self,
         from: usize,
         rid: u32,
         barrier: u32,
-        min_vc: VectorClock,
+        floor: Option<VectorClock>,
         vc: VectorClock,
         records: Vec<Rc<IntervalRecord>>,
         arrival: Ns,
@@ -242,7 +177,8 @@ impl<S: Substrate> Tmk<S> {
         self.count_arrival(from, barrier);
         let nrec = records.len() as u64;
         self.stash_barrier_records(records);
-        self.barrier.clients[from] = Some((rid, min_vc, vc));
+        let floor = floor.unwrap_or_else(|| vc.clone());
+        self.barrier.clients[from] = Some((rid, floor, vc));
         self.charge_service(arrival, cost + Ns(200 * nrec));
         self.note_pending();
     }
@@ -398,12 +334,6 @@ impl<S: Substrate> Tmk<S> {
         (k * me + 1).min(self.n)..(k * me + k + 1).min(self.n)
     }
 
-    /// Whether barrier messages travel in the tree layout (see "barrier
-    /// wire layout" above).
-    fn tree_wire(&self) -> bool {
-        !matches!(self.cfg.barrier_algo, super::BarrierAlgo::Centralized)
-    }
-
     // ----- barrier ----------------------------------------------------------
 
     /// `Tmk_barrier`.
@@ -454,69 +384,64 @@ impl<S: Substrate> Tmk<S> {
         if children > 0 {
             self.barrier_wait_arrivals(children + 1);
         }
-        let episode = std::mem::replace(&mut self.barrier, BarrierEpisode::new(self.n));
-        match self.tree_parent() {
-            None => self.tree_depart_root(id, episode),
-            Some(parent) => self.tree_combine_upward(id, parent, episode),
-        }
-    }
-
-    /// Root departure: the episode now covers the whole cluster.
-    /// Incorporate the arrivals' interval records and vector times,
-    /// invalidate, fan the release down, advance the epoch.
-    fn tree_depart_root(&mut self, id: u32, episode: BarrierEpisode) {
-        let BarrierEpisode {
-            records, clients, ..
-        } = episode;
-        let apply_cost = self.apply_records(records);
-        self.clock().borrow_mut().advance(apply_cost);
-        for slot in clients.iter().flatten() {
-            self.vc.join(&slot.2);
-        }
-        let merged = self.vc.clone();
-        self.fan_release(id, clients, &merged);
-        self.epoch_gc(merged);
-    }
-
-    /// Interior/leaf upward phase: merge our children's combined arrivals
-    /// with our own state, forward one arrival to our parent, and on
-    /// release fan it down to our children before advancing the epoch.
-    /// Like the root, we must not incorporate the children's intervals
-    /// until our own release arrives.
-    fn tree_combine_upward(&mut self, id: u32, parent: usize, episode: BarrierEpisode) {
         let BarrierEpisode {
             mut records,
             clients,
             ..
-        } = episode;
-        // Subtree coverage floor (meet) and ceiling (join) over ourselves
-        // and every child subtree.
-        let mut min_vc = self.vc.clone();
-        let mut max_vc = self.vc.clone();
-        for slot in clients.iter().flatten() {
-            min_vc.meet(&slot.1);
-            max_vc.join(&slot.2);
-        }
-        // Our own fresh records ride along with the stashed subtree union
-        // (records_since_epoch also re-covers third-party intervals we
-        // learned through locks, so nothing is lost to the stash dedup).
-        // The log holds each (node, seq) once: only the stash can collide.
-        let stashed = records.len();
-        for rec in self.records_since_epoch() {
-            let dup = |r: &Rc<IntervalRecord>| r.node == rec.node && r.seq == rec.seq;
-            if !records[..stashed].iter().any(dup) {
-                records.push(rec);
+        } = std::mem::replace(&mut self.barrier, BarrierEpisode::new(self.n));
+        // The one fork is where the release comes from. The root's episode
+        // covers the whole cluster: it releases itself, with its clock
+        // joined with every subtree's ceiling and the stashed records. Any
+        // other node merges its children's arrivals with its own state into
+        // one arrival for its parent and takes its parent's answer. Either
+        // way no child's intervals are incorporated before this point.
+        let (vc, records) = match self.tree_parent() {
+            None => {
+                let mut vc = self.vc.clone();
+                for slot in clients.iter().flatten() {
+                    vc.join(&slot.2);
+                }
+                (vc, records)
             }
-        }
-        let arrival = barrier_arrival(self.tree_wire(), id, min_vc, max_vc, records);
-        let resp = self.rpc(parent, arrival);
-        let (vc, records) = open_barrier_release(id, resp);
+            Some(parent) => {
+                // Subtree coverage floor (meet) and ceiling (join) over
+                // ourselves and every child subtree.
+                let mut floor = self.vc.clone();
+                let mut ceiling = self.vc.clone();
+                for slot in clients.iter().flatten() {
+                    floor.meet(&slot.1);
+                    ceiling.join(&slot.2);
+                }
+                // Our own fresh records ride along with the stashed subtree
+                // union (records_since_epoch also re-covers third-party
+                // intervals we learned through locks, so nothing is lost to
+                // the stash dedup). The log holds each (node, seq) once:
+                // only the stash can collide.
+                let stashed = records.len();
+                for rec in self.records_since_epoch() {
+                    let dup = |r: &Rc<IntervalRecord>| r.node == rec.node && r.seq == rec.seq;
+                    if !records[..stashed].iter().any(dup) {
+                        records.push(rec);
+                    }
+                }
+                let arrival = Request::BarrierArrive {
+                    barrier: id,
+                    floor: (floor != ceiling).then_some(floor),
+                    vc: ceiling,
+                    records,
+                };
+                match self.rpc(parent, arrival) {
+                    Response::BarrierRelease { vc, records } => (vc, records),
+                    other => panic!("expected a barrier release, got {other:?}"),
+                }
+            }
+        };
         let cost = self.apply_records(records);
         self.vc.join(&vc);
         self.clock().borrow_mut().advance(cost);
         // Fan down before the epoch advances: newer_than against the
         // children's floors needs the pre-GC log.
-        self.fan_release(id, clients, &vc);
+        self.fan_release(clients, &vc);
         self.epoch_gc(vc);
     }
 
@@ -525,15 +450,15 @@ impl<S: Substrate> Tmk<S> {
     /// to its arrival.
     fn fan_release(
         &mut self,
-        id: u32,
         clients: Vec<Option<(u32, VectorClock, VectorClock)>>,
         merged: &VectorClock,
     ) {
-        let tree = self.tree_wire();
         for (node, slot) in clients.into_iter().enumerate() {
             let Some((rid, floor, _)) = slot else { continue };
-            let records = self.log.newer_than(&floor);
-            let resp = barrier_release(tree, id, merged.clone(), records);
+            let resp = Response::BarrierRelease {
+                vc: merged.clone(),
+                records: self.log.newer_than(&floor),
+            };
             // A lost release leaves the peer retransmitting its arrival;
             // its slot answers the duplicate.
             self.respond_now(Class::Barrier, node, rid, resp, Ns(500));

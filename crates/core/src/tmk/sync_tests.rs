@@ -305,6 +305,7 @@ fn request_gathered_during_a_collect_is_served_before_the_next_block() {
     let at = Ns::from_us(50);
     let arrive = Request::BarrierArrive {
         barrier: 5,
+        floor: None,
         vc: VectorClock::new(2),
         records: Vec::new(),
     };
@@ -445,6 +446,7 @@ fn exit_arrival(peer: &mut MemSubstrate, at: Ns) {
     let n = peer.nprocs();
     let arrive = Request::BarrierArrive {
         barrier: u32::MAX,
+        floor: None,
         vc: VectorClock::new(n),
         records: Vec::new(),
     };

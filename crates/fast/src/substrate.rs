@@ -189,10 +189,7 @@ impl FastSubstrate {
             arrival,
             size,
             ..
-        } = ev
-        else {
-            panic!("unexpected GM event");
-        };
+        } = ev;
         // Replenish the buffer class we just consumed, and pay the
         // connection demux.
         self.gm.clock().borrow_mut().advance(DEMUX);

@@ -12,8 +12,8 @@
 //!   ([`size::gm_size`], [`GmNode::provide_receive_buffer`]): a message of
 //!   length `l` can only land in a buffer of size `⌈log2(l+1)⌉`. A message
 //!   with no matching buffer waits; if the receiver lets it wait past the
-//!   resend window the *send* fails via callback and the sending port is
-//!   **disabled** — re-enabling costs a network probe
+//!   resend window the sending port is **disabled** (the next send on it
+//!   returns [`GmError::PortDisabled`]) — re-enabling costs a network probe
 //!   ([`GmNode::reenable_port`]), the paper's dreaded failure mode.
 //! * **Registered (pinned) memory** ([`memory`]): send and receive buffers
 //!   must live in DMA-registered regions; pinning costs time and counts

@@ -52,9 +52,6 @@ pub enum GmEvent {
         /// Virtual time the message was fully in host memory.
         arrival: Ns,
     },
-    /// One of our sends failed: the receiver never provided a buffer
-    /// within the resend window. The sending port is now disabled.
-    SendFailure { port: u8, dst: NodeId, dst_port: u8 },
 }
 
 /// Cross-node blackboard on which receivers report rejected sends
@@ -575,13 +572,9 @@ mod tests {
         a.send(2, 1, 3, &buf, 5).unwrap();
         let (port, ev) = b.blocking_receive(&[3]);
         assert_eq!(port, 3);
-        match ev {
-            GmEvent::Recv { src, data, .. } => {
-                assert_eq!(src, 0);
-                assert_eq!(&data[..], b"hello");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let GmEvent::Recv { src, data, .. } = ev;
+        assert_eq!(src, 0);
+        assert_eq!(&data[..], b"hello");
         // The receiver's clock advanced to at least the arrival.
         assert!(b.clock().borrow().now() > Ns::from_us(5));
     }

@@ -110,7 +110,8 @@ impl Fabric {
         start
     }
 
-    /// Inject a packet. `inject_time` is the virtual time at which the
+    /// Inject a packet from `(src, src_port)` to `(dst, dst_port)`, each a
+    /// node and a port on it. `inject_time` is the virtual time at which the
     /// sending NIC starts driving the wire (the sender layer has already
     /// charged host + NIC-tx costs). Returns the packet's arrival time at
     /// the receiver (wire + switch + NIC-rx included).
@@ -121,26 +122,30 @@ impl Fabric {
     /// the drop happens in flight) and still lands in the receiver's inbox
     /// so the receiver wakes at its virtual arrival, but carries
     /// `lost = true` so no payload is delivered.
-    #[allow(clippy::too_many_arguments)]
     pub fn transmit(
         &self,
-        src: NodeId,
-        dst: NodeId,
-        src_port: u16,
-        dst_port: u16,
+        (src, src_port): (NodeId, u16),
+        (dst, dst_port): (NodeId, u16),
         payload: Bytes,
         inject_time: Ns,
-        directed: Option<(u32, u64)>,
         lost: bool,
     ) -> Ns {
         assert!(src < self.nprocs() && dst < self.nprocs(), "bad node id");
         let net = &self.params.net;
         let wire = Ns::for_bytes(payload.len() + FRAME_OVERHEAD, net.link_mb_s);
+        let packet = |arrival| RawPacket {
+            src,
+            src_port,
+            dst_port,
+            payload,
+            arrival,
+            lost,
+        };
         if src == dst {
             // Loopback skips the wire *and* the scheduler: it never
             // leaves the node, so it is program order.
             let arrival = inject_time + net.nic_rx;
-            self.push(src, dst, src_port, dst_port, payload, arrival, directed, lost);
+            self.push(dst, packet(arrival));
             return arrival;
         }
         // Wait until this injection is the cluster's minimum event.
@@ -155,9 +160,7 @@ impl Fabric {
         let at_switch = tx_start + hops;
         let rx_start = Self::reserve(&self.links[dst].rx_free, at_switch, wire);
         let arrival = rx_start + wire + net.nic_rx;
-        let delivered =
-            self.push(src, dst, src_port, dst_port, payload, arrival, directed, lost);
-        if delivered {
+        if self.push(dst, packet(arrival)) {
             self.sched.deliver(dst);
         }
         arrival
@@ -169,30 +172,10 @@ impl Fabric {
     /// retransmission, a replayed response, a barrier arrival to a
     /// departed manager). A powered-off host eats such packets; we count
     /// them instead of treating them as errors.
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        src_port: u16,
-        dst_port: u16,
-        payload: Bytes,
-        arrival: Ns,
-        directed: Option<(u32, u64)>,
-        lost: bool,
-    ) -> bool {
-        let pkt = RawPacket {
-            src,
-            src_port,
-            dst_port,
-            payload,
-            arrival,
-            directed,
-            lost,
-        };
+    fn push(&self, dst: NodeId, pkt: RawPacket) -> bool {
         match self.inboxes[dst].borrow_mut().as_mut() {
             Some(inbox) => {
-                inbox.port(dst_port).push_back(pkt);
+                inbox.port(pkt.dst_port).push_back(pkt);
                 true
             }
             None => {
@@ -227,7 +210,7 @@ mod tests {
     #[test]
     fn transmit_delivers_to_inbox() {
         let (f, mut nics) = fabric(2);
-        let arr = f.transmit(0, 1, 2, 3, Bytes::from_static(b"hi"), Ns(0), None, false);
+        let arr = f.transmit((0, 2), (1, 3), Bytes::from_static(b"hi"), Ns(0), false);
         let pkt = nics[1].recv_blocking();
         assert_eq!(pkt.src, 0);
         assert_eq!(pkt.src_port, 2);
@@ -239,10 +222,10 @@ mod tests {
     #[test]
     fn larger_packets_take_longer() {
         let (f, _nics) = fabric(2);
-        let a1 = f.transmit(0, 1, 0, 0, Bytes::from(vec![0u8; 10]), Ns(0), None, false);
+        let a1 = f.transmit((0, 0), (1, 0), Bytes::from(vec![0u8; 10]), Ns(0), false);
         // Same link now busy, so measure from a later, free time.
         let t = Ns::from_ms(1);
-        let a2 = f.transmit(0, 1, 0, 0, Bytes::from(vec![0u8; 100_000]), t, None, false);
+        let a2 = f.transmit((0, 0), (1, 0), Bytes::from(vec![0u8; 100_000]), t, false);
         assert!(a2 - t > a1, "100KB should take longer than 10B");
     }
 
@@ -253,15 +236,15 @@ mod tests {
         let wire = Ns::for_bytes(big + FRAME_OVERHEAD, f.params().net.link_mb_s);
         // Two senders target node 2 at the same instant: the second
         // transfer must queue behind the first on node 2's rx link.
-        let a1 = f.transmit(0, 2, 0, 0, Bytes::from(vec![0u8; big]), Ns(0), None, false);
-        let a2 = f.transmit(1, 2, 0, 0, Bytes::from(vec![0u8; big]), Ns(0), None, false);
+        let a1 = f.transmit((0, 0), (2, 0), Bytes::from(vec![0u8; big]), Ns(0), false);
+        let a2 = f.transmit((1, 0), (2, 0), Bytes::from(vec![0u8; big]), Ns(0), false);
         assert!(a2 >= a1 + wire - Ns(1000), "a1={a1:?} a2={a2:?} wire={wire:?}");
     }
 
     #[test]
     fn loopback_skips_wire() {
         let (f, mut nics) = fabric(2);
-        let arr = f.transmit(0, 0, 1, 1, Bytes::from_static(b"self"), Ns(100), None, false);
+        let arr = f.transmit((0, 1), (0, 1), Bytes::from_static(b"self"), Ns(100), false);
         assert_eq!(arr, Ns(100) + f.params().net.nic_rx);
         let pkt = nics[0].recv_blocking();
         assert_eq!(pkt.src, 0);
@@ -289,7 +272,7 @@ mod tests {
     #[should_panic(expected = "bad node id")]
     fn bad_destination_panics() {
         let (f, _nics) = fabric(2);
-        f.transmit(0, 5, 0, 0, Bytes::new(), Ns(0), None, false);
+        f.transmit((0, 0), (5, 0), Bytes::new(), Ns(0), false);
     }
 
     #[test]
@@ -300,7 +283,7 @@ mod tests {
         // counted, not delivered), not panic — even with no fault plan
         // active.
         drop(nics.remove(1));
-        f.transmit(0, 1, 0, 0, Bytes::from_static(b"late"), Ns(0), None, false);
+        f.transmit((0, 0), (1, 0), Bytes::from_static(b"late"), Ns(0), false);
         assert_eq!(f.shutdown_races(), 1);
         assert!(f.inbox(1).borrow().is_none(), "a closed inbox is gone");
     }

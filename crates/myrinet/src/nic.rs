@@ -14,9 +14,6 @@ use tm_sim::{Ns, Wait};
 use crate::fabric::Fabric;
 use crate::packet::{NodeId, RawPacket};
 
-/// Ports below this value belong to GM; at or above, to the sockets layer.
-pub const SOCKET_PORT_BASE: u16 = 1024;
-
 /// A node's inbox: one queue per destination port, in the order the ports
 /// were first used by either side (which is how [`NicHandle::wait`] breaks
 /// a tie between equal arrivals). Owned by the [`Fabric`], which pushes
@@ -86,6 +83,10 @@ impl NicHandle {
 
     /// Inject a packet from this node (sender side). Thin forwarding to
     /// [`Fabric::transmit`]; cost accounting is the caller's business.
+    ///
+    /// `unused` must be `None`. It is what is left of GM's directed send,
+    /// which no layer models; the parameter stays only because the repo
+    /// benchmark's NIC rung passes `None` to it.
     pub fn inject(
         &self,
         dst: NodeId,
@@ -93,10 +94,11 @@ impl NicHandle {
         dst_port: u16,
         payload: Bytes,
         inject_time: Ns,
-        directed: Option<(u32, u64)>,
+        unused: Option<(u32, u64)>,
     ) -> Ns {
+        assert!(unused.is_none(), "no layer models a directed send");
         self.fabric
-            .transmit(self.node, dst, src_port, dst_port, payload, inject_time, directed, false)
+            .transmit((self.node, src_port), (dst, dst_port), payload, inject_time, false)
     }
 
     /// Inject a fault-injection loss tombstone: the packet occupies the
@@ -112,7 +114,7 @@ impl NicHandle {
         inject_time: Ns,
     ) -> Ns {
         self.fabric
-            .transmit(self.node, dst, src_port, dst_port, payload, inject_time, None, true)
+            .transmit((self.node, src_port), (dst, dst_port), payload, inject_time, true)
     }
 
     /// Non-blocking poll of one port.
@@ -235,8 +237,8 @@ mod tests {
     #[test]
     fn poll_port_demuxes() {
         let (f, mut nics) = pair();
-        f.transmit(0, 1, 9, 5, Bytes::from_static(b"a"), Ns(0), None, false);
-        f.transmit(0, 1, 9, 6, Bytes::from_static(b"b"), Ns(0), None, false);
+        f.transmit((0, 9), (1, 5), Bytes::from_static(b"a"), Ns(0), false);
+        f.transmit((0, 9), (1, 6), Bytes::from_static(b"b"), Ns(0), false);
         let n1 = &mut nics[1];
         let on5 = n1.poll_port(5).expect("packet on port 5");
         assert_eq!(&on5.payload[..], b"a");
@@ -251,7 +253,7 @@ mod tests {
     fn drain_ports_follows_the_named_order() {
         let (f, mut nics) = pair();
         for (port, body) in [(6, b"b1"), (5, b"a1"), (7, b"c0"), (6, b"b2"), (5, b"a2")] {
-            f.transmit(0, 1, 9, port, Bytes::from_static(body), Ns(0), None, false);
+            f.transmit((0, 9), (1, port), Bytes::from_static(body), Ns(0), false);
         }
         let mut got = Vec::new();
         nics[1].drain_ports(&[5, 6, 8], |p| got.push(p.payload.to_vec()));
@@ -265,8 +267,8 @@ mod tests {
         // Loopback packet lands at 10ms on port 5; a wire packet from node
         // 0 lands microseconds in on port 6. Although the late one is
         // queued first, selection must follow virtual arrival time.
-        f.transmit(1, 1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(10), None, false);
-        f.transmit(0, 1, 0, 6, Bytes::from_static(b"early"), Ns(0), None, false);
+        f.transmit((1, 0), (1, 5), Bytes::from_static(b"late"), Ns::from_ms(10), false);
+        f.transmit((0, 0), (1, 6), Bytes::from_static(b"early"), Ns(0), false);
         let got = nics[1].wait(Some(&[5, 6]), None).got();
         assert_eq!(&got.payload[..], b"early");
     }
@@ -274,8 +276,8 @@ mod tests {
     #[test]
     fn wait_ignores_other_ports() {
         let (f, mut nics) = pair();
-        f.transmit(0, 1, 0, 7, Bytes::from_static(b"other"), Ns(0), None, false);
-        f.transmit(0, 1, 0, 5, Bytes::from_static(b"mine"), Ns(0), None, false);
+        f.transmit((0, 0), (1, 7), Bytes::from_static(b"other"), Ns(0), false);
+        f.transmit((0, 0), (1, 5), Bytes::from_static(b"mine"), Ns(0), false);
         let got = nics[1].wait(Some(&[5]), None).got();
         assert_eq!(&got.payload[..], b"mine");
         // The port-7 packet is still queued.
@@ -347,7 +349,7 @@ mod tests {
                 let saw = waiter_saw(move |f, mut nic| match nic.node() {
                     1 => {
                         let far = Bytes::from_static(b"far");
-                        f.transmit(1, 1, 0, 5, far, Ns::from_ms(10), None, false);
+                        f.transmit((1, 0), (1, 5), far, Ns::from_ms(10), false);
                         vec![wait(&mut nic), format!("{} queued", nic.queued(5))]
                     }
                     _ => vec![],

@@ -23,11 +23,6 @@ pub struct RawPacket {
     /// Virtual time at which the packet is fully in receiver NIC memory
     /// (wire + switch + receive-side NIC processing all included).
     pub arrival: Ns,
-    /// GM directed send (RDMA write): target offset in the receiver's
-    /// registered region. Directed sends consume no receive buffer and
-    /// raise no receive event; `tm-gm` applies them to the target region
-    /// silently, which is exactly GM's semantics.
-    pub directed: Option<(u32, u64)>,
     /// Fault-injection tombstone: the packet was "lost" in flight. It
     /// still traverses the fabric so the receiving node wakes at the
     /// packet's virtual arrival time (keeping loss handling deterministic
@@ -59,7 +54,6 @@ mod tests {
             dst_port: 2,
             payload: Bytes::from_static(b"hello"),
             arrival: Ns(0),
-            directed: None,
             lost: false,
         };
         assert_eq!(p.len(), 5);

@@ -130,9 +130,13 @@ pub struct UdpParams {
     /// when the run is lossy; a zero-fault run never arms the timer.
     /// Stock TreadMarks used a comparable per-request UDP timeout.
     pub rto: Ns,
-    /// Retransmission cap: after this many resends of one request the
-    /// runtime gives up and panics (a real deployment would evict the
-    /// peer). Backoff doubles the RTO on every resend.
+    /// Backoff exponent and give-up budget, not a count of resends. The
+    /// timeout doubles on every resend from `rto` up to a ceiling of
+    /// `rto · 2^rto_retries`; a request is resent at that ceiling
+    /// `rto_retries` times with nothing heard from its peer, and the next
+    /// silent ceiling timeout gives up and panics (a real deployment would
+    /// evict the peer): ~22.9 s of silence at the defaults. Any frame from
+    /// the peer starts the count over.
     pub rto_retries: u32,
 }
 

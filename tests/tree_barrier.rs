@@ -1,8 +1,8 @@
 //! Combining-tree barrier correctness.
 //!
 //! There is one barrier algorithm — a gather-broadcast tree of some radix
-//! — and the centralized manager is its radix n−1 case, spoken in the
-//! paper's wire layout. Four properties:
+//! — and the centralized manager is its radix n−1 case, byte for byte.
+//! Five properties:
 //!
 //! 1. **Visibility** — after a barrier, every node observes every other
 //!    node's pre-barrier writes, whatever the combining topology. Swept
@@ -15,9 +15,10 @@
 //!    reliability layer (rto + replay records) as everything else. A 10%
 //!    drop plan over UDP must complete with memory identical to a clean
 //!    run.
-//! 3. **One path** — `Centralized` and `Tree { radix: n-1 }` are the same
-//!    tree: same messages, same requests served, same diffs; they differ
-//!    in wire bytes only.
+//! 3. **One tree, one vocabulary** — `Centralized` and
+//!    `Tree { radix: n-1 }` are the same tree on the wire: every node's
+//!    counters (bytes and time buckets included), finish time and memory
+//!    are equal, on UDP/GM and FAST/GM.
 //! 4. **Send before drain** — a childless node's arrival leaves before it
 //!    looks at its serve queue, the order the paper's barrier client has
 //!    and every golden prices.
@@ -103,7 +104,7 @@ fn barrier_visibility_is_radix_independent() {
             BarrierAlgo::Tree { radix: 4 },
             BarrierAlgo::Tree { radix: 8 },
             // n-ary: the whole cluster as the root's children — the
-            // centralized shape in the tree's wire layout.
+            // centralized barrier under its tree name.
             BarrierAlgo::Tree {
                 radix: (n - 1) as u16,
             },
@@ -155,28 +156,40 @@ fn tree_barrier_survives_ten_percent_loss() {
     assert_eq!(lossy, clean, "loss recovery corrupted shared memory");
 }
 
-/// The centralized manager is the tree of radix n−1: the same nodes send
-/// the same messages for the same reasons. Only the bytes differ — the
-/// tree layout's arrival carries a second clock, its release a barrier id.
+/// Every node's finish time, stat counters (`Debug` text: bytes and every
+/// time bucket included) and memory image after the visibility workload
+/// on `n` nodes under `algo`, over FAST/GM or UDP/GM.
+fn outcome(n: usize, algo: BarrierAlgo, fast: bool) -> Vec<(u64, String, Vec<u8>)> {
+    let params = Arc::new(SimParams::paper_testbed());
+    let out = if fast {
+        let fc = FastConfig::paper(&params);
+        run_fast_dsm(n, params, fc, cfg(algo), visibility_workload)
+    } else {
+        run_udp_dsm(n, params, cfg(algo), visibility_workload)
+    };
+    out.iter()
+        .map(|o| (o.finish.0, format!("{:?}", o.stats), o.result.clone()))
+        .collect()
+}
+
+/// The centralized manager is the tree of radix n−1, byte for byte: every
+/// node sends the same bytes, serves the same requests, spends its time
+/// the same way and ends with the same memory.
 #[test]
 fn centralized_is_the_radix_n_minus_one_tree() {
-    for n in [4usize, 8, 16] {
+    let runs = [(4usize, false), (8, false), (16, false), (16, true)];
+    for (n, fast) in runs {
         let nary = BarrierAlgo::Tree {
             radix: (n - 1) as u16,
         };
-        let (image_c, c) = udp_run(n, BarrierAlgo::Centralized, FaultPlan::default());
-        let (image_t, t) = udp_run(n, nary, FaultPlan::default());
-        assert_eq!(image_c, image_t, "{n} nodes: memory image");
-        let counts = |s: &NodeStats| (s.msgs_sent, s.requests_served, s.barriers, s.diffs_applied);
-        assert_eq!(
-            counts(&c),
-            counts(&t),
-            "{n} nodes: msgs / served / barriers / diffs"
-        );
-        assert!(
-            c.bytes_sent < t.bytes_sent,
-            "{n} nodes: the layouts differ in bytes"
-        );
+        let c = outcome(n, BarrierAlgo::Centralized, fast);
+        let t = outcome(n, nary, fast);
+        assert_eq!(c.len(), t.len());
+        for (node, (c, t)) in c.iter().zip(&t).enumerate() {
+            let at = format!("{n} nodes (fast: {fast}), node {node}, against {nary:?}");
+            assert_eq!((c.0, &c.1), (t.0, &t.1), "{at}: finish and counters");
+            assert!(c.2 == t.2, "{at}: memory image");
+        }
     }
 }
 
