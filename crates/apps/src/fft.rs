@@ -336,8 +336,11 @@ mod tests {
         let time_energy: f64 = data.chunks(2).map(|c| c[0] * c[0] + c[1] * c[1]).sum();
         let mut freq = data.clone();
         fft1d(&mut freq);
-        let freq_energy: f64 =
-            freq.chunks(2).map(|c| c[0] * c[0] + c[1] * c[1]).sum::<f64>() / n as f64;
+        let freq_energy: f64 = freq
+            .chunks(2)
+            .map(|c| c[0] * c[0] + c[1] * c[1])
+            .sum::<f64>()
+            / n as f64;
         assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.abs());
     }
 

@@ -78,7 +78,12 @@ pub fn jacobi_seq(cfg: &JacobiConfig) -> f64 {
     }
     // Row-grouped summation (matches the parallel reduction's order).
     (0..z)
-        .map(|i| cur[i * z..(i + 1) * z].iter().map(|&v| v as f64).sum::<f64>())
+        .map(|i| {
+            cur[i * z..(i + 1) * z]
+                .iter()
+                .map(|&v| v as f64)
+                .sum::<f64>()
+        })
         .sum()
 }
 

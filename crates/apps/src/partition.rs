@@ -38,10 +38,12 @@ mod tests {
     fn balanced_within_one() {
         for total in [10usize, 97, 1024] {
             for n in [2usize, 3, 7, 16] {
-                let sizes: Vec<usize> = (0..n).map(|m| {
-                    let (s, e) = band(total, n, m);
-                    e - s
-                }).collect();
+                let sizes: Vec<usize> = (0..n)
+                    .map(|m| {
+                        let (s, e) = band(total, n, m);
+                        e - s
+                    })
+                    .collect();
                 let mx = *sizes.iter().max().unwrap();
                 let mn = *sizes.iter().min().unwrap();
                 assert!(mx - mn <= 1);

@@ -44,14 +44,7 @@ fn initial(i: usize, j: usize) -> f32 {
 /// Update one color's points in a row; returns the absolute residual
 /// contribution. `color` is (i + j) % 2.
 #[allow(clippy::too_many_arguments)]
-fn sweep_row(
-    i: usize,
-    color: usize,
-    omega: f32,
-    up: &[f32],
-    row: &mut [f32],
-    down: &[f32],
-) -> f64 {
+fn sweep_row(i: usize, color: usize, omega: f32, up: &[f32], row: &mut [f32], down: &[f32]) -> f64 {
     let cols = row.len();
     let mut res = 0f64;
     let start = 1 + (i + 1 + color) % 2;

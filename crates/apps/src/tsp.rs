@@ -33,7 +33,10 @@ pub struct TspConfig {
 
 impl TspConfig {
     pub fn new(cities: usize) -> Self {
-        TspConfig { cities, seed: 20030422 }
+        TspConfig {
+            cities,
+            seed: 20030422,
+        }
     }
 
     /// The symmetric integer distance matrix.
@@ -162,7 +165,9 @@ pub fn tsp_parallel<S: Substrate>(tmk: &mut Tmk<S>, cfg: &TspConfig) -> u32 {
     assert!(n <= MAX_PATH);
     let queue_region = tmk.malloc((QUEUE_BASE + QUEUE_CAP * ENTRY_SLOTS) * 4);
     let best_region = tmk.malloc(4096);
-    let q = Queue { region: queue_region };
+    let q = Queue {
+        region: queue_region,
+    };
 
     if tmk.proc_id() == 0 {
         tmk.set_u32(best_region, 0, u32::MAX);
@@ -222,7 +227,14 @@ pub fn tsp_parallel<S: Substrate>(tmk: &mut Tmk<S>, cfg: &TspConfig) -> u32 {
         let mut p = path.clone();
         let mut local_best = best;
         let mut nodes = 0u64;
-        dfs(&dist, &mut p, &mut visited, path_len, &mut local_best, &mut nodes);
+        dfs(
+            &dist,
+            &mut p,
+            &mut visited,
+            path_len,
+            &mut local_best,
+            &mut nodes,
+        );
         tmk.compute(nodes * UNITS_PER_NODE);
         if local_best < best {
             tmk.acquire(BEST_LOCK);

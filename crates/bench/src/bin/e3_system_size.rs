@@ -16,11 +16,7 @@ fn main() {
     for app in AppSpec::APPS {
         let spec = AppSpec::default_instance(app);
         println!();
-        println!(
-            "--- {} ({}) ---",
-            spec.name(),
-            spec.size_label()
-        );
+        println!("--- {} ({}) ---", spec.name(), spec.size_label());
         println!(
             "{:>6} {:>14} {:>14} {:>8} {:>10} {:>10}",
             "nodes", "UDP/GM", "FAST/GM", "factor", "spdup-UDP", "spdup-FAST"

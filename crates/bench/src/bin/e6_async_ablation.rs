@@ -129,7 +129,11 @@ fn computing_peer<S: Substrate>(tmk: &mut Tmk<S>) -> f64 {
     } else {
         tmk.compute_ns(BUSY);
         let c = tmk.clock().borrow();
-        assert_eq!(c.stats.requests_served - served, ROUNDS as u64, "a fetch missed the segment");
+        assert_eq!(
+            c.stats.requests_served - served,
+            ROUNDS as u64,
+            "a fetch missed the segment"
+        );
         (c.now() - t0 - BUSY).as_us() / ROUNDS as f64
     }
 }

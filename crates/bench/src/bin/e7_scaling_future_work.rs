@@ -105,7 +105,10 @@ fn main() {
 
     println!();
     println!("-- Jacobi 512x512, fixed size, growing cluster --");
-    println!("{:>6} {:>14} {:>14} {:>8}", "nodes", "UDP/GM", "FAST/GM", "factor");
+    println!(
+        "{:>6} {:>14} {:>14} {:>8}",
+        "nodes", "UDP/GM", "FAST/GM", "factor"
+    );
     let spec = AppSpec::Jacobi(tm_apps::JacobiConfig::new(512, 10));
     let want = spec.expected();
     for n in [8usize, 16, 32, 64] {

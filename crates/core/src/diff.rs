@@ -549,7 +549,10 @@ impl Diff {
     /// [`Diff::apply`] to a page copy: the units the runs reach are held
     /// first (zeroed, if they were not), so each run is one slice.
     pub fn apply_page(&self, page: &mut Spans) {
-        assert!(self.extent() <= page.page_len(), "diff reaches past the page");
+        assert!(
+            self.extent() <= page.page_len(),
+            "diff reaches past the page"
+        );
         if !page.is_dense() {
             page.hold(self.touched(page.unit()));
         }
@@ -562,7 +565,10 @@ impl Diff {
     /// [`Diff::apply`] to a twin: only into the units it holds. One it does
     /// not hold reads as the page, which gets the diff too.
     pub fn apply_held(&self, twin: &mut Spans) {
-        assert!(self.extent() <= twin.page_len(), "diff reaches past the page");
+        assert!(
+            self.extent() <= twin.page_len(),
+            "diff reaches past the page"
+        );
         if twin.is_dense() {
             return self.apply(twin.whole());
         }

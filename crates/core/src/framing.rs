@@ -320,7 +320,11 @@ impl Codec {
         let flen = body.len() + 1;
         let whole = flen <= self.limit;
         // A fragment is its head, its chunk and one byte of slack.
-        let chunk = if whole { flen } else { self.limit - FRAG_HEAD_LEN - 1 };
+        let chunk = if whole {
+            flen
+        } else {
+            self.limit - FRAG_HEAD_LEN - 1
+        };
         let p = plan(flen, chunk);
         let total = u16::try_from(p.total).expect("at most 65 535 fragments");
         let xid = self.next_xid;
@@ -555,7 +559,9 @@ mod tests {
             assert_eq!((got.data, got.arrival), (b, Ns(9)));
         }
         // An immediate send stays immediate for every piece.
-        assert!(frames(&mut tx, &body(50), None).iter().all(|f| f.1.is_none()));
+        assert!(frames(&mut tx, &body(50), None)
+            .iter()
+            .all(|f| f.1.is_none()));
     }
 
     #[test]
@@ -578,8 +584,14 @@ mod tests {
         }
         // The same transfer on the other channel is another transfer.
         assert_eq!(rx.accept(3, Chan::Response, &fs[1], Ns(40)), Ok(None));
-        let got = rx.accept(3, Chan::Request, &fs[1], Ns(20)).unwrap().unwrap();
-        assert_eq!((got.from, got.chan, got.arrival), (3, Chan::Request, Ns(31)));
+        let got = rx
+            .accept(3, Chan::Request, &fs[1], Ns(20))
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (got.from, got.chan, got.arrival),
+            (3, Chan::Request, Ns(31))
+        );
         assert_eq!(got.data, b);
         assert_eq!(rx.partials.in_flight(), 1);
     }
@@ -590,8 +602,16 @@ mod tests {
         let mut accept = |f: &[u8]| rx.accept(0, Chan::Request, f, Ns(0));
         assert_eq!(accept(&[]), Err(Malformed), "empty frame");
         assert_eq!(accept(&[7, 1, 2]), Err(Malformed), "unknown kind");
-        assert_eq!(accept(&[FRAG, 1, 0, 0, 0, 0]), Err(Malformed), "truncated header");
-        assert_eq!(accept(&frag(1, 2, 2).head()), Err(Malformed), "idx past total");
+        assert_eq!(
+            accept(&[FRAG, 1, 0, 0, 0, 0]),
+            Err(Malformed),
+            "truncated header"
+        );
+        assert_eq!(
+            accept(&frag(1, 2, 2).head()),
+            Err(Malformed),
+            "idx past total"
+        );
         // A stream whose first byte is not DATA, and one whose chunk 0 is
         // empty, reassemble to nothing a runtime can read.
         for (xid, first) in [(2, &[FRAG][..]), (3, &[][..])] {
@@ -601,7 +621,10 @@ mod tests {
             assert_eq!(accept(&f1), Err(Malformed), "transfer {xid}");
         }
         // Geometry that disagrees with the transfer's first fragment.
-        assert_eq!(accept(&[&frag(4, 0, 3).head()[..], &[DATA]].concat()), Ok(None));
+        assert_eq!(
+            accept(&[&frag(4, 0, 3).head()[..], &[DATA]].concat()),
+            Ok(None)
+        );
         assert_eq!(accept(&frag(4, 1, 2).head()), Err(Malformed));
         // An empty body is a message.
         assert_eq!(accept(&[DATA]).unwrap().unwrap().data, b"");

@@ -272,7 +272,13 @@ mod tests {
             Ns::from_us(5),
             Ns(500),
         );
-        let a = MemSubstrate::new(eps.pop().unwrap(), shared_clock(), params, Ns::from_us(5), Ns(500));
+        let a = MemSubstrate::new(
+            eps.pop().unwrap(),
+            shared_clock(),
+            params,
+            Ns::from_us(5),
+            Ns(500),
+        );
         (a, b)
     }
 
@@ -322,10 +328,15 @@ mod tests {
             })
         }));
         let payload = stuck.err().expect("must panic");
-        let msg = payload.downcast_ref::<String>().expect("a formatted message");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
         assert!(msg.starts_with("lockstep deadlock"), "{msg}");
         assert!(msg.contains("contexts [1] have not finished"), "{msg}");
-        assert!(msg.contains("node 0: Done") && msg.contains("node 2: Done"), "{msg}");
+        assert!(
+            msg.contains("node 0: Done") && msg.contains("node 2: Done"),
+            "{msg}"
+        );
         assert!(msg.contains("node 1: Parked { deadline: None }"), "{msg}");
     }
 

@@ -250,7 +250,11 @@ pub(crate) fn chunk_diffs(all: &[(u32, Diff)], hi: u32, budget: usize) -> (usize
         take += 1;
     }
     // A chunk holds at least the first diff, so `take - 1` exists.
-    let covered_hi = if take == all.len() { hi } else { all[take - 1].0 };
+    let covered_hi = if take == all.len() {
+        hi
+    } else {
+        all[take - 1].0
+    };
     (take, covered_hi)
 }
 
@@ -703,7 +707,12 @@ mod tests {
         };
         let buf = resp.encode(1);
         match Response::decode(&buf) {
-            Some((1, Response::Diffs { covered_hi, diffs, .. })) => {
+            Some((
+                1,
+                Response::Diffs {
+                    covered_hi, diffs, ..
+                },
+            )) => {
                 assert_eq!(covered_hi, 99);
                 assert!(diffs.is_empty());
             }
@@ -757,7 +766,12 @@ mod tests {
                         data: vec![7u8; 96],
                     },
                 ),
-                (12, PageDiffs::Zero { applied: vec![0, 9] }),
+                (
+                    12,
+                    PageDiffs::Zero {
+                        applied: vec![0, 9],
+                    },
+                ),
             ],
         };
         let buf = resp.encode(56);

@@ -337,8 +337,8 @@ impl<S: Substrate> Tmk<S> {
         if page.twin.is_none() {
             page.start_twin();
             self.dirty.push(pid);
-            cost += params.dsm.twin_overhead
-                + Ns::for_bytes(self.page_size, params.host.memcpy_mb_s);
+            cost +=
+                params.dsm.twin_overhead + Ns::for_bytes(self.page_size, params.host.memcpy_mb_s);
             let mut c = self.clock().borrow_mut();
             c.stats.twins_created += 1;
         }
@@ -378,7 +378,8 @@ impl<S: Substrate> Tmk<S> {
             PageDiffs::Diffs { .. } => unreachable!("diffs are collected, not adopted"),
         };
         let params = self.sub.params().clone();
-        let mut cost = Ns::for_bytes(image.page_len(), params.host.memcpy_mb_s) + params.dsm.mprotect;
+        let mut cost =
+            Ns::for_bytes(image.page_len(), params.host.memcpy_mb_s) + params.dsm.mprotect;
         let me = self.me;
         // Uncommitted writes are replayed on the new base (`Page::adopt`).
         if self.pages[pid].adopt(image) {
@@ -390,7 +391,10 @@ impl<S: Substrate> Tmk<S> {
         // reference: my_diffs, data and twin are disjoint fields).
         if was > lo {
             let Page {
-                my_diffs, data, twin, ..
+                my_diffs,
+                data,
+                twin,
+                ..
             } = &mut self.pages[pid];
             for (seq, d) in my_diffs.iter() {
                 if *seq > lo && *seq <= was {

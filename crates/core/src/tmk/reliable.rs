@@ -93,7 +93,11 @@ impl Reliable {
     /// Upgrade requester `to`'s slot of `class` to the answer sent out of
     /// band, so a duplicate of the request replays it.
     pub(super) fn answered(&mut self, class: Class, to: usize, rid: u32, bytes: &[u8]) {
-        let sent = ReplayAction::Sent { chan: Chan::Response, to, bytes: bytes.to_vec() };
+        let sent = ReplayAction::Sent {
+            chan: Chan::Response,
+            to,
+            bytes: bytes.to_vec(),
+        };
         self.replay.remember(ReplayKey(class, to, rid), sent);
     }
 
@@ -139,7 +143,11 @@ pub(super) enum ReplayAction {
     /// [`Chan::Request`] they forwarded it (lock manager → owner), and the
     /// identical frame carries the same forwarded rid, so dedup chains
     /// compose.
-    Sent { chan: Chan, to: usize, bytes: Vec<u8> },
+    Sent {
+        chan: Chan,
+        to: usize,
+        bytes: Vec<u8>,
+    },
 }
 
 /// The three requests a node waits on. It has at most one of each open
@@ -360,7 +368,10 @@ impl<S: Substrate> Tmk<S> {
                 );
             }
             self.clock().borrow_mut().stats.retransmits += 1;
-            self.emit(TmkEvent::RetransmitFired { rid, attempt: r.attempts });
+            self.emit(TmkEvent::RetransmitFired {
+                rid,
+                attempt: r.attempts,
+            });
             self.sub.send_request(to, &r.frame);
             let now = self.clock().borrow().now();
             r.rto = (r.rto * 2).min(ceiling);
@@ -418,7 +429,10 @@ mod tests {
         // upgrade replaces the record.
         let mut c = ReplayRecords::new(8);
         c.remember(acquire(2, 11), ReplayAction::Pending);
-        assert!(matches!(c.lookup(acquire(2, 11)), Some(ReplayAction::Pending)));
+        assert!(matches!(
+            c.lookup(acquire(2, 11)),
+            Some(ReplayAction::Pending)
+        ));
         c.remember(acquire(2, 11), respond(2, b"grant"));
         assert_eq!(sent_bytes(c.lookup(acquire(2, 11))), b"grant");
     }
@@ -431,7 +445,10 @@ mod tests {
         // copy of the completed one is swallowed, never new again.
         assert!(c.lookup(acquire(2, 12)).is_none());
         c.remember(acquire(2, 12), ReplayAction::Pending);
-        assert!(matches!(c.lookup(acquire(2, 11)), Some(ReplayAction::Pending)));
+        assert!(matches!(
+            c.lookup(acquire(2, 11)),
+            Some(ReplayAction::Pending)
+        ));
         assert!(c.lookup(acquire(2, 13)).is_none());
     }
 
@@ -444,22 +461,38 @@ mod tests {
         let mut c = ReplayRecords::new(4);
         c.remember(fetch(1, 20), respond(1, b"diffs"));
         assert_eq!(sent_bytes(c.lookup(fetch(1, 20))), b"diffs");
-        assert!(matches!(c.lookup(fetch(1, 19)), Some(ReplayAction::Pending)));
+        assert!(matches!(
+            c.lookup(fetch(1, 19)),
+            Some(ReplayAction::Pending)
+        ));
         assert!(c.lookup(fetch(1, 21)).is_none());
         // Serving the next fetch displaces the answer to the last one,
         // which the requester holds: its late copy is now swallowed.
         c.remember(fetch(1, 21), respond(1, b"page"));
         assert_eq!(sent_bytes(c.lookup(fetch(1, 21))), b"page");
-        assert!(matches!(c.lookup(fetch(1, 20)), Some(ReplayAction::Pending)));
-        assert_eq!(c.slots.len(), 4, "a record per requester, however many fetches");
+        assert!(matches!(
+            c.lookup(fetch(1, 20)),
+            Some(ReplayAction::Pending)
+        ));
+        assert_eq!(
+            c.slots.len(),
+            4,
+            "a record per requester, however many fetches"
+        );
     }
 
     /// Every fetch files under its sender's data slot, under its own rid.
     #[test]
     fn fetches_key_on_their_sender() {
         let fetches = [
-            Request::Diff { page: 3, lo: 1, hi: 2 },
-            Request::MultiDiff { pages: vec![(3, 1, 2), (4, 1, 1)] },
+            Request::Diff {
+                page: 3,
+                lo: 1,
+                hi: 2,
+            },
+            Request::MultiDiff {
+                pages: vec![(3, 1, 2), (4, 1, 1)],
+            },
             Request::Page { page: 3 },
         ];
         for req in &fetches {

@@ -157,7 +157,11 @@ impl<S: Substrate> Tmk<S> {
         let finish = self.charge_service(arrival, cost);
         self.sub.send(to, chan, bytes, Some(finish));
         if let Some(rel) = self.rel.as_mut() {
-            rel.settle(|| ReplayAction::Sent { chan, to, bytes: bytes.to_vec() });
+            rel.settle(|| ReplayAction::Sent {
+                chan,
+                to,
+                bytes: bytes.to_vec(),
+            });
         }
     }
 
@@ -265,7 +269,12 @@ impl<S: Substrate> Tmk<S> {
                 None
             }
         };
-        self.outstanding.push(OutstandingRpc { rid, to, response: None, resend });
+        self.outstanding.push(OutstandingRpc {
+            rid,
+            to,
+            response: None,
+            resend,
+        });
         let depth = self.outstanding.len() as u32;
         self.emit(TmkEvent::RpcIssued { rid, depth });
     }

@@ -109,7 +109,11 @@ impl<S: Substrate> Tmk<S> {
         cost: Ns,
     ) {
         self.ensure_lock(lock);
-        debug_assert_eq!(self.lock_manager(lock), self.me, "acquire sent to non-manager");
+        debug_assert_eq!(
+            self.lock_manager(lock),
+            self.me,
+            "acquire sent to non-manager"
+        );
         let requester = from as u16;
         let owner = std::mem::replace(&mut self.locks[lock as usize].owner_hint, requester);
         if owner == self.me {
@@ -145,7 +149,10 @@ impl<S: Substrate> Tmk<S> {
             cost += c;
             self.locks[lock as usize].have_token = false;
             self.respond(requester as usize, orig_rid, resp, arrival, cost);
-            self.emit(TmkEvent::LockGranted { lock, to: requester });
+            self.emit(TmkEvent::LockGranted {
+                lock,
+                to: requester,
+            });
         } else {
             ls.waiting.push_back((requester, orig_rid, vc));
             self.charge_service(arrival, cost);
@@ -231,7 +238,11 @@ impl<S: Substrate> Tmk<S> {
             self.clock().borrow_mut().advance(Ns(300));
             return;
         }
-        assert!(!ls.busy, "node {} re-acquiring lock {lock} it holds", self.me);
+        assert!(
+            !ls.busy,
+            "node {} re-acquiring lock {lock} it holds",
+            self.me
+        );
         self.clock().borrow_mut().stats.remote_acquires += 1;
         let mgr = self.lock_manager(lock) as usize;
         let rid = self.rid();
@@ -254,7 +265,11 @@ impl<S: Substrate> Tmk<S> {
         };
         self.rpc_issue_as(to, rid, req);
         match self.rpc_collect(rid) {
-            Response::Grant { lock: l, vc, records } => {
+            Response::Grant {
+                lock: l,
+                vc,
+                records,
+            } => {
                 assert_eq!(l, lock);
                 // Under the overlapped lock path the pages these records
                 // invalidate are fetched *now*, as one concurrent batch,
@@ -307,7 +322,10 @@ impl<S: Substrate> Tmk<S> {
         let (resp, cost) = self.make_grant(lock, &rvc);
         self.locks[lock as usize].have_token = false;
         self.respond_now(Class::Acquire, requester as usize, rid, resp, cost);
-        self.emit(TmkEvent::LockGranted { lock, to: requester });
+        self.emit(TmkEvent::LockGranted {
+            lock,
+            to: requester,
+        });
     }
 
     // ----- barrier tree topology --------------------------------------------
@@ -454,7 +472,9 @@ impl<S: Substrate> Tmk<S> {
         merged: &VectorClock,
     ) {
         for (node, slot) in clients.into_iter().enumerate() {
-            let Some((rid, floor, _)) = slot else { continue };
+            let Some((rid, floor, _)) = slot else {
+                continue;
+            };
             let resp = Response::BarrierRelease {
                 vc: merged.clone(),
                 records: self.log.newer_than(&floor),

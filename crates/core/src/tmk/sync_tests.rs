@@ -154,7 +154,10 @@ fn retransmitted_acquire_replays_forward_and_grant() {
     // would re-read the (now stale) owner hint.
     t0.serve(2, &acq, Ns(700));
     let fwd2 = t1.sub.next_incoming();
-    assert_eq!(fwd1.data, fwd2.data, "replayed forward must be byte-identical");
+    assert_eq!(
+        fwd1.data, fwd2.data,
+        "replayed forward must be byte-identical"
+    );
     assert_eq!(t0.clock().borrow().stats.dup_requests_suppressed, 1);
     // The owner grants on the first copy and replays the recorded grant
     // on the duplicate, found in the requester's slot.
@@ -204,7 +207,10 @@ fn queued_forward_grants_at_release_then_replays() {
     // the forward replays the grant instead of re-queueing.
     t1.serve(0, &fwd, Ns(2000));
     let g2 = s2.next_incoming();
-    assert_eq!(g1.data, g2.data, "post-release duplicate must replay the grant");
+    assert_eq!(
+        g1.data, g2.data,
+        "post-release duplicate must replay the grant"
+    );
     assert!(t1.locks[0].waiting.is_empty());
 }
 
@@ -260,12 +266,20 @@ fn a_duplicate_fetch_replays_and_a_late_one_is_swallowed() {
     let (rid, first) = answered(&mut s2);
     assert_eq!(rid, 5);
     t0.serve(2, &page(5), Ns(700));
-    assert_eq!(answered(&mut s2).1, first, "the duplicate must replay the answer");
+    assert_eq!(
+        answered(&mut s2).1,
+        first,
+        "the duplicate must replay the answer"
+    );
     t0.serve(2, &page(6), Ns(900));
     assert_eq!(answered(&mut s2).0, 6);
     t0.serve(2, &page(5), Ns(1200));
     t0.serve(2, &page(7), Ns(1500));
-    assert_eq!(answered(&mut s2).0, 7, "the late copy of rid 5 must be swallowed");
+    assert_eq!(
+        answered(&mut s2).0,
+        7,
+        "the late copy of rid 5 must be swallowed"
+    );
     assert_eq!(t0.clock().borrow().stats.dup_requests_suppressed, 2);
 }
 
@@ -279,7 +293,14 @@ fn a_second_open_fetch_to_one_peer_is_refused() {
     let (mut t0, _t1, _s2) = chain();
     t0.rpc_issue(1, Request::Page { page: 1 });
     t0.rpc_issue(2, Request::Page { page: 2 });
-    t0.rpc_issue(1, Request::Diff { page: 1, lo: 1, hi: 1 });
+    t0.rpc_issue(
+        1,
+        Request::Diff {
+            page: 1,
+            lo: 1,
+            hi: 1,
+        },
+    );
 }
 
 /// The gather-burst deadlock (PR 5), through the engine's one blocking
@@ -319,7 +340,11 @@ fn request_gathered_during_a_collect_is_served_before_the_next_block() {
     s1.send(0, Chan::Request, &decoy, Some(Ns::from_secs(1)));
 
     assert_eq!(t0.rpc_collect(rid), answer);
-    assert_eq!(t0.serve_q.len(), 1, "arrival gathered with the response, not yet served");
+    assert_eq!(
+        t0.serve_q.len(),
+        1,
+        "arrival gathered with the response, not yet served"
+    );
 
     t0.barrier(5);
     assert!(
@@ -421,7 +446,10 @@ fn a_reliable_transport_builds_no_resend_state() {
 #[test]
 fn a_lossy_transport_keeps_a_replay_slot_per_node() {
     let (t0, _t1, _s2) = chain();
-    let rel = t0.rel.as_ref().expect("a retransmit timeout builds reliability");
+    let rel = t0
+        .rel
+        .as_ref()
+        .expect("a retransmit timeout builds reliability");
     assert_eq!(rel.requesters(), t0.nprocs());
     assert_eq!(t0.nprocs(), 3);
 }

@@ -278,7 +278,12 @@ fn time_advances_and_is_consistent() {
     for o in &out {
         assert_eq!(o.result, 1);
         // 10k work units at 10ns each = 100us minimum.
-        assert!(o.finish >= Ns::from_us(100), "node {} finished at {}", o.id, o.finish);
+        assert!(
+            o.finish >= Ns::from_us(100),
+            "node {} finished at {}",
+            o.id,
+            o.finish
+        );
         assert!(o.stats.barriers >= 3);
     }
 }

@@ -388,7 +388,8 @@ impl GmNode {
     /// ahead of an older unmatched packet of its class.
     fn sort_arrivals(&mut self) {
         let ports = &mut self.ports;
-        self.nic.drain_ports(&GM_PORTS, |pkt| Self::admit(ports, pkt));
+        self.nic
+            .drain_ports(&GM_PORTS, |pkt| Self::admit(ports, pkt));
         let now = self.clock.borrow().now();
         let timeout = self.params.gm.resend_timeout;
         for p in self.ports.iter_mut().flatten() {
@@ -604,9 +605,7 @@ mod tests {
         let buf = pooled(&mut a, b"orphan");
         a.send(2, 1, 3, &buf, 6).unwrap();
         // b polls well past the resend window.
-        b.clock()
-            .borrow_mut()
-            .advance(Ns::from_secs(4));
+        b.clock().borrow_mut().advance(Ns::from_secs(4));
         assert!(b.receive(3).unwrap().is_none());
         // a's port is now disabled.
         assert!(a.port_disabled(2));
@@ -670,7 +669,10 @@ mod tests {
         assert_eq!(first, (1..=10).collect::<Vec<_>>());
         send(&mut tx[0], 200);
         let fresh = next(&mut rx);
-        assert_eq!(fresh, 200, "a fresh arrival takes the provided buffer first");
+        assert_eq!(
+            fresh, 200,
+            "a fresh arrival takes the provided buffer first"
+        );
         let more: Vec<u8> = (0..20).map(|_| next(&mut rx)).collect();
         assert_eq!(more, (11..=30).collect::<Vec<_>>());
         // Past the resend window the provided buffer still goes to the

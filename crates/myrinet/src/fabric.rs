@@ -238,7 +238,10 @@ mod tests {
         // transfer must queue behind the first on node 2's rx link.
         let a1 = f.transmit((0, 0), (2, 0), Bytes::from(vec![0u8; big]), Ns(0), false);
         let a2 = f.transmit((1, 0), (2, 0), Bytes::from(vec![0u8; big]), Ns(0), false);
-        assert!(a2 >= a1 + wire - Ns(1000), "a1={a1:?} a2={a2:?} wire={wire:?}");
+        assert!(
+            a2 >= a1 + wire - Ns(1000),
+            "a1={a1:?} a2={a2:?} wire={wire:?}"
+        );
     }
 
     #[test]
@@ -301,7 +304,11 @@ mod tests {
                     let (a, b) = (nic.recv_blocking(), nic.recv_blocking());
                     return vec![(a.src, a.arrival), (b.src, b.arrival)];
                 }
-                let inject = if nic.node() == late { Ns(2_000) } else { Ns(1_000) };
+                let inject = if nic.node() == late {
+                    Ns(2_000)
+                } else {
+                    Ns(1_000)
+                };
                 nic.inject(2, 0, 0, Bytes::from(vec![0u8; 10_000]), inject, None);
                 vec![]
             });
@@ -310,9 +317,15 @@ mod tests {
         // Contexts start in node order, so with `late == 0` the later key
         // is on offer before the earlier one exists.
         let asked_first = run(0);
-        assert_eq!(asked_first[0].0, 1, "virtual key 1000 (node 1) must win the rx link");
+        assert_eq!(
+            asked_first[0].0, 1,
+            "virtual key 1000 (node 1) must win the rx link"
+        );
         assert!(asked_first[1].1 > asked_first[0].1);
         let asked_second: Vec<_> = run(1).into_iter().map(|(src, at)| (1 - src, at)).collect();
-        assert_eq!(asked_first, asked_second, "arrival schedule must follow keys, not asking order");
+        assert_eq!(
+            asked_first, asked_second,
+            "arrival schedule must follow keys, not asking order"
+        );
     }
 }

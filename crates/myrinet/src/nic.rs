@@ -97,8 +97,13 @@ impl NicHandle {
         unused: Option<(u32, u64)>,
     ) -> Ns {
         assert!(unused.is_none(), "no layer models a directed send");
-        self.fabric
-            .transmit((self.node, src_port), (dst, dst_port), payload, inject_time, false)
+        self.fabric.transmit(
+            (self.node, src_port),
+            (dst, dst_port),
+            payload,
+            inject_time,
+            false,
+        )
     }
 
     /// Inject a fault-injection loss tombstone: the packet occupies the
@@ -113,8 +118,13 @@ impl NicHandle {
         payload: Bytes,
         inject_time: Ns,
     ) -> Ns {
-        self.fabric
-            .transmit((self.node, src_port), (dst, dst_port), payload, inject_time, true)
+        self.fabric.transmit(
+            (self.node, src_port),
+            (dst, dst_port),
+            payload,
+            inject_time,
+            true,
+        )
     }
 
     /// Non-blocking poll of one port.
@@ -183,7 +193,9 @@ impl NicHandle {
     pub fn wait(&mut self, ports: Option<&[u16]>, deadline: Option<Ns>) -> Wait<RawPacket> {
         loop {
             if let Some(i) = self.best_queued_idx(ports) {
-                return self.pop_if_due(i, deadline).map_or(Wait::Deadline, Wait::Got);
+                return self
+                    .pop_if_due(i, deadline)
+                    .map_or(Wait::Deadline, Wait::Got);
             }
             // On one thread nothing can land between the look and the
             // park. After a deadline wake, one last look at the queues:
@@ -203,7 +215,10 @@ impl NicHandle {
     fn pop_if_due(&mut self, i: usize, deadline: Option<Ns>) -> Option<RawPacket> {
         let mut inbox = self.inbox();
         let q = &mut inbox.0[i].1;
-        let arrival = q.front().expect("best_queued_idx yields non-empty queues").arrival;
+        let arrival = q
+            .front()
+            .expect("best_queued_idx yields non-empty queues")
+            .arrival;
         if deadline.is_some_and(|d| arrival > d) {
             return None;
         }
@@ -267,7 +282,13 @@ mod tests {
         // Loopback packet lands at 10ms on port 5; a wire packet from node
         // 0 lands microseconds in on port 6. Although the late one is
         // queued first, selection must follow virtual arrival time.
-        f.transmit((1, 0), (1, 5), Bytes::from_static(b"late"), Ns::from_ms(10), false);
+        f.transmit(
+            (1, 0),
+            (1, 5),
+            Bytes::from_static(b"late"),
+            Ns::from_ms(10),
+            false,
+        );
         f.transmit((0, 0), (1, 6), Bytes::from_static(b"early"), Ns(0), false);
         let got = nics[1].wait(Some(&[5, 6]), None).got();
         assert_eq!(&got.payload[..], b"early");
@@ -289,12 +310,16 @@ mod tests {
     #[test]
     fn a_hand_driven_wait_nothing_can_end_is_a_diagnosis() {
         let (_f, mut nics) = pair();
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            nics[1].wait(None, None)
-        }))
-        .expect_err("must not block");
-        let msg = payload.downcast_ref::<String>().expect("a formatted message");
-        assert!(msg.contains("node 1 waits") && msg.contains("outside a cluster context"), "{msg}");
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| nics[1].wait(None, None)))
+                .expect_err("must not block");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(
+            msg.contains("node 1 waits") && msg.contains("outside a cluster context"),
+            "{msg}"
+        );
         assert!(msg.contains("node 0: Running"), "{msg}");
     }
 

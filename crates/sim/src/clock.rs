@@ -197,7 +197,9 @@ mod tests {
 
     #[test]
     fn sigio_scheme_costs_apply() {
-        let s = AsyncScheme::Sigio { cost: Ns::from_us(22) };
+        let s = AsyncScheme::Sigio {
+            cost: Ns::from_us(22),
+        };
         assert_eq!(s.earliest_service(Ns::from_us(10)), Ns::from_us(32));
         assert_eq!(s.cpu_overhead(), Ns::from_us(22));
     }

@@ -2,7 +2,7 @@
 //! model stands on.
 
 use proptest::prelude::*;
-use tm_sim::{AsyncScheme, Ns, NodeClock};
+use tm_sim::{AsyncScheme, NodeClock, Ns};
 
 proptest! {
     /// The clock never goes backwards and every nanosecond of it is booked

@@ -19,7 +19,10 @@ fn main() {
     let cfg = FftConfig::new(32);
     let want = fft_seq(&cfg);
 
-    println!("{:>6} {:>14} {:>14} {:>8}", "nodes", "UDP/GM", "FAST/GM", "factor");
+    println!(
+        "{:>6} {:>14} {:>14} {:>8}",
+        "nodes", "UDP/GM", "FAST/GM", "factor"
+    );
     for n in [4usize, 16] {
         let params = Arc::new(SimParams::paper_testbed());
         let c = cfg.clone();

@@ -291,7 +291,11 @@ fn a_page_holds_the_spans_it_wrote_or_received() {
     let [(fetched, zero), (0, transpose)] = out[1].result[..] else {
         panic!("node 1 took two snapshots: {:?}", out[1].result);
     };
-    assert_eq!(zero, HeldBytes::default(), "an adopted zero page holds nothing");
+    assert_eq!(
+        zero,
+        HeldBytes::default(),
+        "an adopted zero page holds nothing"
+    );
     // The message path's own few allocations (136 bytes measured), no
     // buffer for the page.
     assert!(

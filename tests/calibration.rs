@@ -154,7 +154,9 @@ fn prepost_memory_matches_paper_formula() {
 #[test]
 fn interrupt_beats_timer_scheme() {
     use tm_sim::AsyncScheme;
-    let intr = AsyncScheme::Interrupt { cost: Ns::from_us(7) };
+    let intr = AsyncScheme::Interrupt {
+        cost: Ns::from_us(7),
+    };
     let timer = AsyncScheme::Timer {
         period: Ns::from_ms(1),
         dispatch: Ns::from_us(2),

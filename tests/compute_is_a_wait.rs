@@ -64,14 +64,20 @@ fn check(what: &str, latency: Ns, run: impl Fn(Ns) -> Vec<NodeOutcome<Seen>>) {
             fetch <= idle_fetch + latency,
             "{what}: a fetch into a peer computing {d} took {fetch}, {idle_fetch} into an idle one"
         );
-        assert_eq!(peer.served, 1, "{what}: the fetch was not served inside the segment");
+        assert_eq!(
+            peer.served, 1,
+            "{what}: the fetch was not served inside the segment"
+        );
         assert_eq!(
             peer.took,
             d + peer.service_time + latency,
             "{what}: a {d} segment that served one request ({} of handler)",
             peer.service_time
         );
-        assert!(peer.async_overhead_time > Ns::ZERO, "{what}: the delivery cost nothing");
+        assert!(
+            peer.async_overhead_time > Ns::ZERO,
+            "{what}: the delivery cost nothing"
+        );
     }
 }
 
@@ -80,10 +86,14 @@ fn a_fetch_into_a_computing_peer_does_not_wait_out_its_segment() {
     let p = Arc::new(SimParams::paper_testbed());
     check("FAST/GM", p.net.host_interrupt, |d| {
         let cfg = FastConfig::paper(&p);
-        run_fast_dsm(2, Arc::clone(&p), cfg, TmkConfig::default(), move |t| probe(t, d))
+        run_fast_dsm(2, Arc::clone(&p), cfg, TmkConfig::default(), move |t| {
+            probe(t, d)
+        })
     });
     check("UDP/GM", p.host.sigio, |d| {
-        run_udp_dsm(2, Arc::clone(&p), TmkConfig::default(), move |t| probe(t, d))
+        run_udp_dsm(2, Arc::clone(&p), TmkConfig::default(), move |t| {
+            probe(t, d)
+        })
     });
 }
 
@@ -106,7 +116,10 @@ fn deadline_is_honoured<S: Substrate>(what: &str, mut a: S, mut b: S) {
     };
     assert_eq!(msg.data, b"req", "{what}");
     let now = b.clock().borrow().now();
-    assert!(early < msg.arrival && msg.arrival <= now && now < late, "{what}: {msg:?} at {now}");
+    assert!(
+        early < msg.arrival && msg.arrival <= now && now < late,
+        "{what}: {msg:?} at {now}"
+    );
     assert!(matches!(b.wait(Some(late)), Wait::Deadline), "{what}");
     assert_eq!(b.clock().borrow().now(), late, "{what}");
 }

@@ -103,7 +103,13 @@ fn gm_buffer_exhaustion_disables_and_recovers() {
     let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&p));
     let n1 = nics.pop().unwrap();
     let n0 = nics.pop().unwrap();
-    let mut a = GmNode::new(n0, shared_clock(), Arc::clone(&p), Arc::clone(&board), 64 << 20);
+    let mut a = GmNode::new(
+        n0,
+        shared_clock(),
+        Arc::clone(&p),
+        Arc::clone(&board),
+        64 << 20,
+    );
     let mut b = GmNode::new(n1, shared_clock(), p, board, 64 << 20);
     a.open_port(2, false).unwrap();
     b.open_port(2, false).unwrap();
@@ -166,7 +172,13 @@ fn gm_no_send_tokens_is_reported() {
     let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&p));
     let n1 = nics.pop().unwrap();
     let n0 = nics.pop().unwrap();
-    let mut a = GmNode::new(n0, shared_clock(), Arc::clone(&p), Arc::clone(&board), 64 << 20);
+    let mut a = GmNode::new(
+        n0,
+        shared_clock(),
+        Arc::clone(&p),
+        Arc::clone(&board),
+        64 << 20,
+    );
     let _b = GmNode::new(n1, shared_clock(), p, board, 64 << 20);
     a.open_port(2, false).unwrap();
     let mut pool = DmaPool::new(&mut a.book, 4, 64).unwrap();
@@ -176,7 +188,10 @@ fn gm_no_send_tokens_is_reported() {
     // inject time, which equals `at`), so the 17th send must fail.
     let mut failures = 0;
     for _ in 0..32 {
-        if matches!(a.send_at(2, 1, 2, &buf, 1, Ns(0)), Err(GmError::NoSendTokens)) {
+        if matches!(
+            a.send_at(2, 1, 2, &buf, 1, Ns(0)),
+            Err(GmError::NoSendTokens)
+        ) {
             failures += 1;
         }
     }
