@@ -58,10 +58,10 @@ pub struct IncomingMsg {
     pub data: Vec<u8>,
     /// Virtual arrival time at this node.
     pub arrival: Ns,
-    /// Fault-injection tombstone: the message was lost in flight (dropped
-    /// or checksum-rejected). `data` must not be interpreted; the message
-    /// exists only so the receiver observes the loss at a deterministic
-    /// virtual time. Never set on a zero-fault run.
+    /// Fault-injection tombstone: the fault plan dropped the message in
+    /// flight. `data` must not be interpreted; the message exists only so
+    /// the receiver observes the loss at a deterministic virtual time.
+    /// Never set on a zero-fault run.
     pub lost: bool,
 }
 

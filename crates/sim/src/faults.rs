@@ -7,14 +7,20 @@
 //! needs faults that are *injected deterministically*: every decision is
 //! drawn from a per-node seeded RNG and scheduled on virtual time, so a
 //! given `(FaultPlan, workload)` pair always produces the identical
-//! sequence of drops, duplicates, corruptions and stalls — down to exact
+//! sequence of drops, duplicates, reorders and stalls — down to exact
 //! retransmission counts asserted in tests.
 //!
+//! The plan injects five faults: datagram drop, duplicate and reorder and
+//! socket receive-buffer depth on UDP/GM, and send-token starvation on
+//! GM. It injects no corruption: a UDP receiver's checksum turns a
+//! corrupted datagram into a drop, and GM resends a frame that fails its
+//! CRC in firmware, so corruption is either a drop or nothing.
+//!
 //! The plan lives on [`crate::SimParams`]; consumers (the UDP socket
-//! model, the GM node model) read the knobs that apply to their layer. Everything defaults to off, and consumers must
-//! not construct RNGs or change wire formats unless the relevant knob is
-//! non-zero — zero-fault runs stay bit-identical to a build without any
-//! of this code.
+//! model, the GM node model) read the knobs that apply to their layer.
+//! Everything defaults to off, and no consumer draws from an RNG unless
+//! the relevant knob is non-zero — zero-fault runs stay bit-identical to
+//! a build without any of this code.
 
 use crate::time::Ns;
 
@@ -37,11 +43,6 @@ pub struct FaultPlan {
     pub reorder_probability: f64,
     /// Extra in-flight delay applied to reordered datagrams.
     pub reorder_delay: Ns,
-    /// Probability one payload byte of a datagram is flipped — UDP
-    /// datagrams only: GM resends a frame that fails its link-level CRC in
-    /// firmware, so FAST/GM never sees one. Enabling this also turns on
-    /// wire checksums (see [`FaultPlan::checksum_frames`]).
-    pub corrupt_probability: f64,
     /// GM token starvation: when non-zero, sends fail with
     /// `NoSendTokens` during the first `token_starvation_duration` of
     /// every `token_starvation_period` of virtual time.
@@ -62,7 +63,6 @@ impl Default for FaultPlan {
             duplicate_probability: 0.0,
             reorder_probability: 0.0,
             reorder_delay: Ns::from_us(200),
-            corrupt_probability: 0.0,
             token_starvation_period: Ns(0),
             token_starvation_duration: Ns(0),
             recvbuf_datagrams: 0,
@@ -73,25 +73,17 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// Any fault at all enabled?
     pub fn enabled(&self) -> bool {
-        self.lossy()
+        self.unreliable() || self.token_starvation_period > Ns(0)
+    }
+
+    /// Does this plan make UDP/GM unreliable — can a datagram be lost,
+    /// delivered twice or overtaken? The one answer the socket's fault
+    /// stream and the substrate's retransmit timeout both read.
+    pub fn unreliable(&self) -> bool {
+        self.drop_probability > 0.0
             || self.duplicate_probability > 0.0
             || self.reorder_probability > 0.0
-            || self.corrupt_probability > 0.0
-            || self.token_starvation_period > Ns(0)
             || self.recvbuf_datagrams > 0
-    }
-
-    /// Do datagrams need end-to-end retransmission to survive this plan?
-    /// (Corruption counts: a CRC-rejected datagram is a loss.)
-    pub fn lossy(&self) -> bool {
-        self.drop_probability > 0.0 || self.corrupt_probability > 0.0
-    }
-
-    /// Should wire frames carry a checksum trailer? Only when corruption
-    /// is being injected — the trailer changes frame sizes and therefore
-    /// modeled costs, so it must not leak into zero-fault timing runs.
-    pub fn checksum_frames(&self) -> bool {
-        self.corrupt_probability > 0.0
     }
 
     /// Is virtual time `now` inside a GM token-starvation window?
@@ -110,18 +102,6 @@ impl FaultPlan {
     }
 }
 
-/// FNV-1a over the payload, used as the injected-corruption detector on
-/// wire frames. Not cryptographic — it only needs to catch the single
-/// byte flips [`FaultPlan::corrupt_probability`] injects.
-pub fn checksum32(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,24 +110,41 @@ mod tests {
     fn default_is_fully_off() {
         let f = FaultPlan::default();
         assert!(!f.enabled());
-        assert!(!f.lossy());
-        assert!(!f.checksum_frames());
+        assert!(!f.unreliable());
         assert!(!f.token_starved(Ns(0)));
         assert!(!f.token_starved(Ns(123_456_789)));
     }
 
     #[test]
-    fn lossy_when_dropping_or_corrupting() {
-        let f = FaultPlan {
-            drop_probability: 0.1,
+    fn unreliable_when_dropping_duplicating_reordering_or_overflowing() {
+        let datagram_faults = [
+            FaultPlan {
+                drop_probability: 0.1,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                duplicate_probability: 0.1,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                reorder_probability: 0.1,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                recvbuf_datagrams: 4,
+                ..FaultPlan::default()
+            },
+        ];
+        for f in datagram_faults {
+            assert!(f.unreliable() && f.enabled(), "{f:?}");
+        }
+        // Token starvation stalls GM sends; it loses no datagram.
+        let starved = FaultPlan {
+            token_starvation_period: Ns::from_ms(1),
+            token_starvation_duration: Ns::from_us(100),
             ..FaultPlan::default()
         };
-        assert!(f.lossy() && f.enabled() && !f.checksum_frames());
-        let g = FaultPlan {
-            corrupt_probability: 0.05,
-            ..FaultPlan::default()
-        };
-        assert!(g.lossy() && g.checksum_frames());
+        assert!(starved.enabled() && !starved.unreliable());
     }
 
     #[test]
@@ -172,17 +169,5 @@ mod tests {
         assert_ne!(f.stream_seed(0, 1), f.stream_seed(0, 2));
         // But they are pure functions of (plan, node, salt).
         assert_eq!(f.stream_seed(3, 7), f.stream_seed(3, 7));
-    }
-
-    #[test]
-    fn checksum_detects_single_byte_flips() {
-        let data = vec![0xABu8; 100];
-        let good = checksum32(&data);
-        for i in 0..data.len() {
-            let mut bad = data.clone();
-            bad[i] ^= 0x40;
-            assert_ne!(checksum32(&bad), good, "flip at {i} undetected");
-        }
-        assert_eq!(checksum32(&data), good);
     }
 }

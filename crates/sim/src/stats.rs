@@ -51,16 +51,12 @@ pub struct NodeStats {
     pub dgrams_duplicated: u64,
     /// Datagrams delayed past later traffic by the fault plan.
     pub dgrams_reordered: u64,
-    /// Datagrams/frames whose payload was corrupted in flight.
-    pub dgrams_corrupted: u64,
     /// DSM-level request retransmissions (timeout or observed loss).
     pub retransmits: u64,
     /// Duplicate requests absorbed by the responder's replay records.
     pub dup_requests_suppressed: u64,
     /// Stale/duplicate responses discarded by the requester.
     pub stale_responses_dropped: u64,
-    /// Frames rejected by the wire checksum (corruption detected).
-    pub crc_rejected: u64,
     /// Frames/datagrams discarded as structurally malformed.
     pub malformed_dropped: u64,
     /// GM send attempts that hit `NoSendTokens` and had to back off.
@@ -102,11 +98,9 @@ impl NodeStats {
         self.dgrams_dropped += other.dgrams_dropped;
         self.dgrams_duplicated += other.dgrams_duplicated;
         self.dgrams_reordered += other.dgrams_reordered;
-        self.dgrams_corrupted += other.dgrams_corrupted;
         self.retransmits += other.retransmits;
         self.dup_requests_suppressed += other.dup_requests_suppressed;
         self.stale_responses_dropped += other.stale_responses_dropped;
-        self.crc_rejected += other.crc_rejected;
         self.malformed_dropped += other.malformed_dropped;
         self.token_stalls += other.token_stalls;
     }
@@ -117,11 +111,9 @@ impl NodeStats {
         self.dgrams_dropped
             + self.dgrams_duplicated
             + self.dgrams_reordered
-            + self.dgrams_corrupted
             + self.retransmits
             + self.dup_requests_suppressed
             + self.stale_responses_dropped
-            + self.crc_rejected
             + self.malformed_dropped
             + self.token_stalls
             > 0
@@ -155,11 +147,9 @@ mod tests {
             dgrams_dropped: 11,
             dgrams_duplicated: 12,
             dgrams_reordered: 13,
-            dgrams_corrupted: 14,
             retransmits: 15,
             dup_requests_suppressed: 16,
             stale_responses_dropped: 17,
-            crc_rejected: 18,
             malformed_dropped: 19,
             token_stalls: 20,
         };
@@ -174,7 +164,7 @@ mod tests {
         assert_eq!(a.dgrams_dropped, 22);
         assert_eq!(a.retransmits, 30);
         assert_eq!(a.dup_requests_suppressed, 32);
-        assert_eq!(a.crc_rejected, 36);
+        assert_eq!(a.malformed_dropped, 38);
         assert_eq!(a.token_stalls, 40);
     }
 

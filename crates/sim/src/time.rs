@@ -21,11 +21,6 @@ impl Ns {
         Ns(us * 1_000)
     }
 
-    /// Construct from fractional microseconds (e.g. calibration constants).
-    pub fn from_us_f64(us: f64) -> Ns {
-        Ns((us * 1_000.0).round() as u64)
-    }
-
     /// Construct from milliseconds.
     pub const fn from_ms(ms: u64) -> Ns {
         Ns(ms * 1_000_000)
@@ -142,12 +137,6 @@ mod tests {
         assert_eq!(Ns::from_ms(2).0, 2_000_000);
         assert_eq!(Ns::from_secs(3).0, 3_000_000_000);
         assert!((Ns::from_us(7).as_us() - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fractional_us() {
-        assert_eq!(Ns::from_us_f64(1.5).0, 1_500);
-        assert_eq!(Ns::from_us_f64(0.3).0, 300);
     }
 
     #[test]

@@ -52,15 +52,15 @@ impl UdpSubstrate {
         match at {
             None => self.udp.sendto(to, sock, sock, &buf),
             Some(t) => self.udp.sendto_at(to, sock, sock, &buf, t),
-        };
+        }
         pool::give(buf);
     }
 
     /// Handle one datagram; `Some` when a full message is available.
     /// Loss tombstones surface as `IncomingMsg { lost: true }` so blocked
     /// requesters observe the loss at its deterministic virtual time. A
-    /// frame the codec cannot read (possible once fault injection corrupts
-    /// bytes) is counted and dropped.
+    /// malformed frame — one the codec cannot read — is counted and
+    /// dropped.
     fn handle(&mut self, sock: u16, d: Datagram) -> Option<IncomingMsg> {
         let chan = if sock == REQ_SOCK {
             Chan::Request
@@ -159,11 +159,7 @@ impl Substrate for UdpSubstrate {
 
     fn retransmit_timeout(&self) -> Option<Ns> {
         let p = self.udp.params();
-        let lossy = p.faults.lossy()
-            || p.faults.duplicate_probability > 0.0
-            || p.faults.reorder_probability > 0.0
-            || p.faults.recvbuf_datagrams > 0;
-        lossy.then(|| p.udp.rto)
+        p.faults.unreliable().then_some(p.udp.rto)
     }
 }
 
