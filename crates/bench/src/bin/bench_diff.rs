@@ -24,7 +24,7 @@ use tm_fast::{run_fast_dsm, FastConfig, FastSubstrate};
 use tm_gm::gm_cluster;
 use tm_sim::clock::shared_clock;
 use tm_sim::SimParams;
-use tmk::diff::Diff;
+use tmk::diff::{Diff, DiffImage};
 use tmk::wire::{pool, WireReader, WireWriter};
 use tmk::{Substrate, TmkConfig};
 
@@ -71,7 +71,8 @@ fn round_trip(tx: &mut FastSubstrate, rx: &mut FastSubstrate, body: &[u8]) {
     tx.clock().borrow_mut().wait_until(now);
 }
 
-/// Host ns to encode `d` into a pooled frame, and to decode it back out.
+/// Host ns to encode `d` into a pooled frame, and to decode its image (the
+/// check a receiver makes before it applies the image in place).
 fn codec_ns(d: &Diff) -> (f64, f64) {
     let mut w = WireWriter::pooled(8192);
     let encode = time_ns(|| {
@@ -79,7 +80,7 @@ fn codec_ns(d: &Diff) -> (f64, f64) {
         std::hint::black_box(d).encode(&mut w);
     });
     let decode = time_ns(|| {
-        std::hint::black_box(Diff::decode(&mut WireReader::new(w.as_slice())));
+        std::hint::black_box(DiffImage::decode(&mut WireReader::new(w.as_slice())));
     });
     w.recycle();
     (encode, decode)

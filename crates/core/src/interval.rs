@@ -9,9 +9,10 @@
 //!
 //! A record is immutable and shared, and it is its wire image: it is built
 //! once — by the writer when it closes the interval, by everyone else when
-//! a message naming it is decoded — behind an [`Rc`], and the log, a
-//! barrier stash and a message being assembled hold that one object; a
-//! relay copies its bytes. A page it invalidates keeps no handle: it raises
+//! a message first brings it — behind an [`Rc`], and the log, a barrier
+//! stash and a message being assembled hold that one object; a relay copies
+//! its bytes. A message that brings a record the log already holds decodes
+//! to the log's handle: only a record new to the node is allocated. A page it invalidates keeps no handle: it raises
 //! what it owes the writer. What a fault needs of the record later — the
 //! order to apply its diff in — is its `Σvc`, which the log keeps per
 //! interval after the record itself is trimmed.
@@ -87,10 +88,11 @@ impl IntervalRecord {
         w.raw(&self.image);
     }
 
-    /// Exactly the images [`Self::new`] builds: the clock canonical, every
+    /// The node, seq, `Σvc` and bytes of the image at the start of `r`:
+    /// exactly the images [`Self::new`] builds, the clock canonical, every
     /// run non-empty and starting past the page after the previous one
     /// ends. Anything else is `None` — a relay forwards these bytes.
-    pub fn decode(r: &mut WireReader) -> Option<Rc<IntervalRecord>> {
+    fn scan<'a>(r: &mut WireReader<'a>) -> Option<(u16, u32, u64, &'a [u8])> {
         let start = r.peek_rest();
         let (node, seq) = (r.u16()?, r.u32()?);
         let mut sum = 0;
@@ -106,12 +108,21 @@ impl IntervalRecord {
             }
             next = first + len + 1;
         }
-        let image = start[..start.len() - r.remaining()].into();
+        Some((node, seq, sum, &start[..start.len() - r.remaining()]))
+    }
+
+    /// The record whose image starts `r` (`scan`): the one `log`
+    /// holds when it has `(node, seq)` with these bytes, else a new one.
+    pub fn decode(r: &mut WireReader, log: &IntervalLog) -> Option<Rc<IntervalRecord>> {
+        let (node, seq, sum, image) = Self::scan(r)?;
+        if let Some(known) = log.get(node, seq).filter(|k| *k.image == *image) {
+            return Some(Rc::clone(known));
+        }
         Some(Rc::new(IntervalRecord {
             node,
             seq,
             sum,
-            image,
+            image: image.into(),
         }))
     }
 }
@@ -124,15 +135,24 @@ pub fn encode_records(records: &[Rc<IntervalRecord>], w: &mut WireWriter) {
     }
 }
 
-pub fn decode_records(r: &mut WireReader) -> Option<Vec<Rc<IntervalRecord>>> {
+/// Decode a batch of records, each against `log` ([`IntervalRecord::decode`]).
+pub fn decode_records(r: &mut WireReader, log: &IntervalLog) -> Option<Vec<Rc<IntervalRecord>>> {
     let n = r.u32()? as usize;
     // Bounded by what the frame can hold (a record is at least 12 bytes),
     // not by what it claims.
     let mut out = Vec::with_capacity(n.min(r.remaining() / 12));
     for _ in 0..n {
-        out.push(IntervalRecord::decode(r)?);
+        out.push(IntervalRecord::decode(r, log)?);
     }
     Some(out)
+}
+
+/// Step over a batch [`decode_records`] accepts, building nothing.
+pub(crate) fn skip_records(r: &mut WireReader) -> Option<()> {
+    for _ in 0..r.u32()? {
+        IntervalRecord::scan(r)?;
+    }
+    Some(())
 }
 
 /// A node's log of interval records — everything it knows about everyone,
@@ -224,6 +244,14 @@ impl IntervalLog {
             .is_ok()
     }
 
+    /// The record of `(node, seq)`, if the log holds it (`None` for a node
+    /// past the cluster, as a malformed frame may name).
+    fn get(&self, node: u16, seq: u32) -> Option<&Rc<IntervalRecord>> {
+        let list = self.by_node.get(node as usize)?;
+        let at = list.binary_search_by_key(&seq, |r| r.seq).ok()?;
+        Some(&list[at])
+    }
+
     pub fn total_records(&self) -> usize {
         self.by_node.iter().map(|l| l.len()).sum()
     }
@@ -248,7 +276,8 @@ mod tests {
         let mut w = WireWriter::new();
         encode_records(&rs, &mut w);
         let buf = w.finish();
-        assert_eq!(decode_records(&mut WireReader::new(&buf)), Some(rs));
+        let none = IntervalLog::default();
+        assert_eq!(decode_records(&mut WireReader::new(&buf), &none), Some(rs));
     }
 
     #[test]
@@ -304,7 +333,8 @@ mod tests {
         r.encode(&mut w);
         let buf = w.finish();
         assert!(buf.len() < 64, "RLE should compress: {} bytes", buf.len());
-        let back = IntervalRecord::decode(&mut WireReader::new(&buf)).unwrap();
+        let back =
+            IntervalRecord::decode(&mut WireReader::new(&buf), &IntervalLog::default()).unwrap();
         assert_eq!(back.pages().collect::<Vec<_>>(), pages);
     }
 
@@ -315,7 +345,8 @@ mod tests {
         let mut w = WireWriter::new();
         r.encode(&mut w);
         let buf = w.finish();
-        let back = IntervalRecord::decode(&mut WireReader::new(&buf)).unwrap();
+        let back =
+            IntervalRecord::decode(&mut WireReader::new(&buf), &IntervalLog::default()).unwrap();
         let mut sorted = pages.clone();
         sorted.sort_unstable();
         assert_eq!(back.pages().collect::<Vec<_>>(), sorted);
@@ -358,13 +389,14 @@ mod tests {
         ] {
             let buf = image(&vc, runs);
             assert_eq!(
-                IntervalRecord::decode(&mut WireReader::new(&buf)),
+                IntervalRecord::decode(&mut WireReader::new(&buf), &IntervalLog::default()),
                 None,
                 "{runs:?}"
             );
         }
         let last = image(&vc, &[(0, 1), (u32::MAX, 1)]);
-        let back = IntervalRecord::decode(&mut WireReader::new(&last)).unwrap();
+        let back = IntervalRecord::decode(&mut WireReader::new(&last), &IntervalLog::default());
+        let back = back.unwrap();
         assert_eq!(back.pages().collect::<Vec<_>>(), [0, u32::MAX]);
     }
 
@@ -375,7 +407,9 @@ mod tests {
         /// and insertions of valid images: decoding never panics, what
         /// decodes re-encodes to the bytes it consumed, and — where its
         /// pages are few enough to list — it is the record
-        /// [`IntervalRecord::new`] builds from its clock and pages.
+        /// [`IntervalRecord::new`] builds from its clock and pages. A log
+        /// holding the valid records changes which object comes back, never
+        /// what it is.
         #[test]
         fn decode_is_total_and_canonical(
             junk in proptest::collection::vec(any::<u8>(), 0..64),
@@ -389,13 +423,20 @@ mod tests {
                 rec(3, 300, &(0..1000).collect::<Vec<_>>()),
                 rec(2, 0, &[]),
             ];
+            let mut known = IntervalLog::new(4);
+            valid.iter().for_each(|r| { known.insert(Rc::clone(r)); });
             let mut w = WireWriter::new();
             valid[which].encode(&mut w);
             for buf in [junk, crate::wire::mutated(&w.finish(), kind, at, byte)] {
                 let mut r = WireReader::new(&buf);
-                let Some(rec) = IntervalRecord::decode(&mut r) else {
+                let Some(rec) = IntervalRecord::decode(&mut r, &IntervalLog::default()) else {
+                    prop_assert!(IntervalRecord::decode(&mut WireReader::new(&buf), &known).is_none());
                     continue;
                 };
+                let mut again = WireReader::new(&buf);
+                let from_log = IntervalRecord::decode(&mut again, &known).expect("the same bytes");
+                prop_assert_eq!(&from_log, &rec);
+                prop_assert_eq!(again.remaining(), r.remaining());
                 let mut w = WireWriter::new();
                 rec.encode(&mut w);
                 prop_assert_eq!(&w.finish()[..], &buf[..buf.len() - r.remaining()]);
@@ -406,6 +447,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A relayed record the log already holds, byte for byte, decodes to
+    /// the log's own object; one that shares its `(node, seq)` but not its
+    /// bytes, or that the log does not hold, is a new one.
+    #[test]
+    fn a_known_record_decodes_to_the_logs_handle() {
+        let mut log = IntervalLog::new(4);
+        let held = rec(1, 4, &[3, 4, 9]);
+        log.insert(Rc::clone(&held));
+        let wire = |r: &IntervalRecord| {
+            let mut w = WireWriter::new();
+            r.encode(&mut w);
+            w.finish()
+        };
+        let decode = |buf: &[u8]| IntervalRecord::decode(&mut WireReader::new(buf), &log).unwrap();
+        let same = decode(&wire(&rec(1, 4, &[3, 4, 9])));
+        assert!(Rc::ptr_eq(&same, &held));
+        assert_eq!(
+            Rc::strong_count(&held),
+            3,
+            "ours, the log's and the decoded one"
+        );
+        let other = decode(&wire(&rec(1, 4, &[3, 4])));
+        assert!(!Rc::ptr_eq(&other, &held));
+        assert_eq!(other.pages().collect::<Vec<_>>(), [3, 4]);
+        let new = decode(&wire(&rec(2, 4, &[3, 4, 9])));
+        assert!(!Rc::ptr_eq(&new, &held));
+        assert_eq!((new.node, new.seq), (2, 4));
     }
 
     /// Strictly below in the happens-before order.

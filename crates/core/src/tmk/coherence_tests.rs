@@ -10,12 +10,13 @@ use std::sync::Arc;
 use tm_sim::clock::shared_clock;
 use tm_sim::{Ns, SimParams};
 
-use super::PageFetchState;
+use super::{FetchScratch, Held};
 use crate::diff::Diff;
 use crate::interval::IntervalRecord;
 use crate::memsub::{mem_cluster, MemSubstrate};
 use crate::page::Access;
 use crate::vc::VectorClock;
+use crate::wire::WireWriter;
 use crate::{Tmk, TmkConfig};
 
 const NODES: usize = 3;
@@ -80,11 +81,23 @@ fn apply_out_of_order(learn: impl FnOnce(&mut Tmk<MemSubstrate>)) -> Tmk<MemSubs
     t.pages.add_notice(0, 1, 1);
     t.pages.add_notice(0, 2, 1);
     assert_eq!(t.pages[0].state, Access::Invalid);
-    t.apply_fetched_page(PageFetchState {
-        pid: 0,
-        collected: vec![(2, 1, write(2)), (1, 1, write(1))],
-        covered: Vec::new(),
-    });
+    // Each diff arrives in a frame of its own, as its image alone.
+    let mut fetch = FetchScratch::default();
+    fetch.pids.push(0);
+    for (writer, byte) in [(2, 2), (1, 1)] {
+        let mut w = WireWriter::new();
+        write(byte).encode(&mut w);
+        let frame = fetch.frames.len() as u32;
+        fetch.frames.push(w.finish());
+        let held = Held {
+            page: 0,
+            frame,
+            at: 0,
+        };
+        fetch.collected.push((writer, 1, held));
+    }
+    t.apply_fetched(&mut fetch);
+    assert!(fetch.frames.is_empty() && fetch.collected.is_empty());
     t
 }
 

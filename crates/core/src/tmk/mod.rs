@@ -51,6 +51,7 @@ mod rpc;
 mod shmem;
 mod sync;
 
+use coherence::FetchScratch;
 use reliable::Reliable;
 use rpc::{OutstandingRpc, QueuedRequest};
 use shmem::RegionInfo;
@@ -189,6 +190,8 @@ pub struct Tmk<S: Substrate> {
     pages: PageTable,
     /// Pages twinned in the current (open) interval.
     dirty: Vec<PageId>,
+    /// A fault's diff fetch: its rounds' lists, kept for the next fault.
+    fetch: FetchScratch,
     last_barrier_vc: VectorClock,
     // sync layer -------------------------------------------------------
     locks: Vec<LockState>,
@@ -230,6 +233,7 @@ impl<S: Substrate> Tmk<S> {
             allocated_pages: 0,
             regions: Vec::new(),
             dirty: Vec::new(),
+            fetch: FetchScratch::default(),
             locks: Vec::new(),
             barrier: BarrierEpisode::new(n),
             last_barrier_vc: VectorClock::new(n),

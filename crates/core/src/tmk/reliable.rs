@@ -173,6 +173,17 @@ impl Class {
             Request::Gone => return None,
         })
     }
+
+    /// [`Class::of`] an encoded request, read from its kind byte alone:
+    /// nothing is decoded.
+    pub(super) fn of_frame(frame: &[u8]) -> Option<Class> {
+        Some(match *frame.get(4)? {
+            3 | 4 => Class::Acquire,
+            5 | 6 => Class::Barrier,
+            1 | 2 | 7 => Class::Data,
+            _ => return None,
+        })
+    }
 }
 
 /// Where the replay record of a request lives: `requester`'s slot of its
@@ -500,6 +511,51 @@ mod tests {
             assert_eq!((class, requester, rid), (Class::Data, 2, 77), "{req:?}");
         }
         assert!(ReplayKey::of(2, 77, &Request::Gone).is_none());
+    }
+
+    /// A request's class read from its frame's kind byte is the class of
+    /// the decoded request, for a request of every kind.
+    #[test]
+    fn a_frame_has_its_requests_class() {
+        let vc = crate::vc::VectorClock::new(2);
+        let requests = [
+            Request::Diff {
+                page: 3,
+                lo: 1,
+                hi: 2,
+            },
+            Request::Page { page: 3 },
+            Request::MultiDiff {
+                pages: vec![(3, 1, 2)],
+            },
+            Request::Acquire {
+                lock: 1,
+                vc: vc.clone(),
+            },
+            Request::AcquireFwd {
+                lock: 1,
+                requester: 1,
+                rid: 9,
+                vc: vc.clone(),
+            },
+            Request::BarrierArrive {
+                barrier: 1,
+                floor: None,
+                vc: vc.clone(),
+                records: Vec::new(),
+            },
+            Request::BarrierArrive {
+                barrier: 1,
+                floor: Some(vc.clone()),
+                vc,
+                records: Vec::new(),
+            },
+            Request::Gone,
+        ];
+        for req in &requests {
+            assert_eq!(Class::of_frame(&req.encode(77)), Class::of(req), "{req:?}");
+        }
+        assert_eq!(Class::of_frame(&[]), None);
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! has heard) at one point. This and `reliable` are the only layers that
 //! talk to the [`Substrate`]; of
 //! protocol payloads rpc looks at the request/response envelope, at which
-//! requests block their sender, and at whether a decoded response fits
-//! this node's page size, nothing else.
+//! requests block their sender, and at whether a response is well formed
+//! for this node's cluster and page size, nothing else. A response's frame
+//! is checked when it arrives and parked in its rid's slot as it is; the
+//! layer that collects it decodes it once, borrowing from the frame.
 
 use std::ops::ControlFlow;
 
@@ -32,14 +34,16 @@ use crate::wire::{pool, WireWriter};
 ///
 /// Rid lifecycle: *issued* (slot pushed, frame sent) → *answered*
 /// (`response` filled by the collector's absorb loop, possibly while
-/// collecting a different rid) → *collected* (slot removed, frame
-/// returned to the pool). On lossy transports an issued slot also cycles
-/// through *retransmitting* whenever its `resend` deadline passes.
+/// collecting a different rid) → *collected* (slot removed, the request
+/// frame returned to the pool, the response frame handed to the
+/// collector). On lossy transports an issued slot also cycles through
+/// *retransmitting* whenever its `resend` deadline passes.
 #[derive(Debug)]
 pub(super) struct OutstandingRpc {
     pub(super) rid: u32,
     pub(super) to: usize,
-    pub(super) response: Option<Response>,
+    /// The answer's frame, as it arrived: [`Response::check`] accepted it.
+    pub(super) response: Option<Vec<u8>>,
     /// The retransmission timer; `None` on reliable transports.
     pub(super) resend: Option<Resend>,
 }
@@ -64,7 +68,7 @@ impl<S: Substrate> Tmk<S> {
     /// Service one incoming request. `arrival` is what the async scheme
     /// times its delivery from.
     pub(super) fn serve(&mut self, from: usize, data: &[u8], arrival: Ns) {
-        let Some((rid, req)) = Request::decode(data) else {
+        let Some((rid, req)) = Request::decode_in(data, &self.log) else {
             // Undecodable frame (possible on lossy wires): discard, count.
             self.clock().borrow_mut().stats.malformed_dropped += 1;
             return;
@@ -225,12 +229,21 @@ impl<S: Substrate> Tmk<S> {
 
     // ----- the overlapped rpc engine ----------------------------------------
 
-    /// Send a request and block for its response, servicing peers'
-    /// requests while waiting (the TreadMarks SIGIO discipline). A plain
-    /// issue + collect; overlap-aware callers split the two.
-    pub(super) fn rpc(&mut self, to: usize, req: Request) -> Response {
+    /// Send a request and block for its response's frame, servicing
+    /// peers' requests while waiting (the TreadMarks SIGIO discipline). A
+    /// plain issue + collect; overlap-aware callers split the two.
+    pub(super) fn rpc(&mut self, to: usize, req: Request) -> Vec<u8> {
         let rid = self.rpc_issue(to, req);
         self.rpc_collect(rid)
+    }
+
+    /// The response a collected `frame` carries, its diffs borrowed from
+    /// the frame and its records decoded against the log.
+    pub(super) fn answer<'f>(&self, frame: &'f [u8]) -> Response<'f> {
+        match Response::decode_in(frame, &self.log) {
+            Some((_, resp)) => resp,
+            None => unreachable!("node {}: a collected frame was checked", self.me),
+        }
     }
 
     /// Allocate a rid, register its pending-response slot and send the
@@ -249,12 +262,11 @@ impl<S: Substrate> Tmk<S> {
     pub(super) fn rpc_issue_as(&mut self, to: usize, rid: u32, req: Request) {
         // A fetch's replay slot is exact only while a node has one fetch
         // open per peer; a lossy transport keeps both slots and frames.
-        let fetch = |req: &Request| Class::of(req) == Some(Class::Data);
         debug_assert!(
-            !fetch(&req)
+            Class::of(&req) != Some(Class::Data)
                 || !self.outstanding.iter().filter(|o| o.to == to).any(|o| {
-                    let frame = o.resend.as_ref().map(|r| &r.frame[..]).unwrap_or_default();
-                    Request::decode(frame).is_some_and(|(_, open)| fetch(&open))
+                    let frame = o.resend.as_ref().map(|r| &r.frame[..]);
+                    frame.is_some_and(|f| Class::of_frame(f) == Some(Class::Data))
                 }),
             "node {}: a second fetch to {to} while one is outstanding",
             self.me
@@ -279,8 +291,9 @@ impl<S: Substrate> Tmk<S> {
         self.emit(TmkEvent::RpcIssued { rid, depth });
     }
 
-    /// Block until the response for `rid` is in, absorbing whatever else
-    /// the substrate delivers meanwhile: responses for *other* outstanding
+    /// Block until the response for `rid` is in and hand over its frame
+    /// (give it back to the pool when done), absorbing whatever else the
+    /// substrate delivers meanwhile: responses for *other* outstanding
     /// rids are parked in their slots, requests go to the async serve
     /// queue and are dispatched in virtual-arrival order between waits.
     ///
@@ -290,7 +303,7 @@ impl<S: Substrate> Tmk<S> {
     /// re-drives the request until the answer gets through. A peer silent
     /// for the whole give-up budget is a panic in the timer, not a
     /// missing answer.
-    pub(super) fn rpc_collect(&mut self, rid: u32) -> Response {
+    pub(super) fn rpc_collect(&mut self, rid: u32) -> Vec<u8> {
         assert!(
             self.outstanding.iter().any(|o| o.rid == rid),
             "node {}: collect of unissued rid {rid}",
@@ -375,7 +388,7 @@ impl<S: Substrate> Tmk<S> {
 
     /// Remove `rid`'s slot if its response has arrived, returning its
     /// retained retransmission frame to the pool.
-    fn take_collected(&mut self, rid: u32) -> Option<Response> {
+    fn take_collected(&mut self, rid: u32) -> Option<Vec<u8>> {
         let i = self
             .outstanding
             .iter()
@@ -432,24 +445,22 @@ impl<S: Substrate> Tmk<S> {
         });
     }
 
-    /// File a response into its outstanding slot, or discard it as stale.
-    /// The discard keys on the *full* outstanding set: a late duplicate
-    /// for rid A must never be mistaken for rid B's answer just because B
-    /// is the one currently being collected.
+    /// File a response's frame into its outstanding slot, or discard it as
+    /// stale. The discard keys on the *full* outstanding set: a late
+    /// duplicate for rid A must never be mistaken for rid B's answer just
+    /// because B is the one currently being collected.
     fn absorb_response(&mut self, msg: IncomingMsg) {
         self.heard(msg.from, msg.arrival);
         let lossy = self.rel.is_some();
-        // Decoding validated every diff image; a diff reaching past our
+        // The check validates every diff image; a diff reaching past our
         // page, or a page not of our cluster's shape, is as malformed as a
         // truncated one and goes the same way.
-        let decoded = Response::decode(&msg.data).filter(|(_, r)| r.fits(self.n, self.page_size));
-        let Some((rid, resp)) = decoded else {
+        let Some(rid) = Response::check(&msg.data, self.n, self.page_size) else {
             assert!(lossy, "node {}: malformed response", self.me);
             self.clock().borrow_mut().stats.malformed_dropped += 1;
             pool::give(msg.data);
             return;
         };
-        pool::give(msg.data);
         assert!(
             rid < self.next_rid,
             "node {}: response from the future (rid {rid})",
@@ -457,7 +468,8 @@ impl<S: Substrate> Tmk<S> {
         );
         match self.outstanding.iter().position(|o| o.rid == rid) {
             Some(i) if self.outstanding[i].response.is_none() => {
-                self.outstanding[i].response = Some(resp);
+                self.outstanding[i].response = Some(msg.data);
+                return;
             }
             Some(_) => {
                 // Duplicate answer to a slot already filled (a
@@ -471,6 +483,7 @@ impl<S: Substrate> Tmk<S> {
                 self.clock().borrow_mut().stats.stale_responses_dropped += 1;
             }
         }
+        pool::give(msg.data);
     }
 
     /// Dispatch every queued request, earliest virtual arrival first.

@@ -35,6 +35,7 @@ use crate::interval::IntervalRecord;
 use crate::protocol::{Request, Response};
 use crate::substrate::Substrate;
 use crate::vc::VectorClock;
+use crate::wire::pool;
 
 pub(super) struct LockState {
     /// Manager's record of who holds (or will next hold) the token.
@@ -209,7 +210,7 @@ impl<S: Substrate> Tmk<S> {
 
     /// Flush our interval and package a grant carrying everything the
     /// requester's vector time shows it hasn't seen.
-    fn make_grant(&mut self, lock: u32, rvc: &VectorClock) -> (Response, Ns) {
+    fn make_grant(&mut self, lock: u32, rvc: &VectorClock) -> (Response<'static>, Ns) {
         let flush_cost = self.flush_interval();
         let records = self.log.newer_than(rvc);
         let cost = flush_cost + Ns(200 * records.len() as u64);
@@ -264,36 +265,35 @@ impl<S: Substrate> Tmk<S> {
             (mgr, Request::Acquire { lock, vc })
         };
         self.rpc_issue_as(to, rid, req);
-        match self.rpc_collect(rid) {
+        let frame = self.rpc_collect(rid);
+        let (vc, records) = match self.answer(&frame) {
             Response::Grant {
                 lock: l,
                 vc,
                 records,
-            } => {
-                assert_eq!(l, lock);
-                // Under the overlapped lock path the pages these records
-                // invalidate are fetched *now*, as one concurrent batch,
-                // instead of one fault round-trip at a time inside the
-                // critical section — acquire latency becomes
-                // max(grant, fetch) rather than their sum.
-                let pipelined: Vec<crate::page::PageId> = match self.cfg.lock_path {
-                    super::LockPath::Serial => Vec::new(),
-                    super::LockPath::Overlapped => records
-                        .iter()
-                        .filter(|r| r.node != self.me)
-                        .flat_map(|r| r.pages())
-                        .collect(),
-                };
-                let cost = self.apply_records(records);
-                self.vc.join(&vc);
-                self.clock().borrow_mut().advance(cost);
-                let ls = &mut self.locks[lock as usize];
-                ls.have_token = true;
-                ls.busy = true;
-                self.pipeline_fetch(&pipelined);
-            }
-            other => panic!("expected Grant, got {other:?}"),
-        }
+            } if l == lock => (vc, records),
+            other => panic!("expected a grant of lock {lock}, got {other:?}"),
+        };
+        pool::give(frame);
+        // Under the overlapped lock path the pages these records
+        // invalidate are fetched *now*, as one concurrent batch, instead of
+        // one fault round-trip at a time inside the critical section —
+        // acquire latency becomes max(grant, fetch) rather than their sum.
+        let pipelined: Vec<crate::page::PageId> = match self.cfg.lock_path {
+            super::LockPath::Serial => Vec::new(),
+            super::LockPath::Overlapped => records
+                .iter()
+                .filter(|r| r.node != self.me)
+                .flat_map(|r| r.pages())
+                .collect(),
+        };
+        let cost = self.apply_records(records);
+        self.vc.join(&vc);
+        self.clock().borrow_mut().advance(cost);
+        let ls = &mut self.locks[lock as usize];
+        ls.have_token = true;
+        ls.busy = true;
+        self.pipeline_fetch(&pipelined);
     }
 
     /// `Tmk_lock_release`.
@@ -448,10 +448,13 @@ impl<S: Substrate> Tmk<S> {
                     vc: ceiling,
                     records,
                 };
-                match self.rpc(parent, arrival) {
+                let frame = self.rpc(parent, arrival);
+                let release = match self.answer(&frame) {
                     Response::BarrierRelease { vc, records } => (vc, records),
                     other => panic!("expected a barrier release, got {other:?}"),
-                }
+                };
+                pool::give(frame);
+                release
             }
         };
         let cost = self.apply_records(records);

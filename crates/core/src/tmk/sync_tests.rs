@@ -339,7 +339,7 @@ fn request_gathered_during_a_collect_is_served_before_the_next_block() {
     let decoy = encode(Request::Page { page: 0 }, 101);
     s1.send(0, Chan::Request, &decoy, Some(Ns::from_secs(1)));
 
-    assert_eq!(t0.rpc_collect(rid), answer);
+    assert_eq!(Response::decode(&t0.rpc_collect(rid)), Some((rid, answer)));
     assert_eq!(
         t0.serve_q.len(),
         1,
@@ -383,16 +383,73 @@ fn well_framed_diff_past_the_page_is_dropped_as_malformed() {
         w.finish()
     };
     let bad = diffs_with_run_at(page_size - 4);
-    let (_, decoded) = Response::decode(&bad).expect("framing is fine");
-    assert_eq!(decoded.diff_extent(), page_size + 4);
+    assert!(Response::decode(&bad).is_some(), "framing is fine");
+    assert_eq!(Response::check(&bad, 2, page_size + 4), Some(rid));
+    assert_eq!(Response::check(&bad, 2, page_size), None);
     s1.send_response_at(0, &bad, Ns::from_us(10));
     s1.send_response_at(0, &diffs_with_run_at(page_size - 8), Ns::from_us(20));
 
-    match t0.rpc_collect(rid) {
-        Response::Diffs { diffs, .. } => assert_eq!(diffs[0].1.extent(), page_size),
+    match Response::decode(&t0.rpc_collect(rid)) {
+        Some((_, Response::Diffs { diffs, .. })) => assert_eq!(diffs.extent(), page_size),
         other => panic!("expected Diffs, got {other:?}"),
     }
     assert_eq!(t0.clock().borrow().stats.malformed_dropped, 1);
+}
+
+/// A `Diffs` response whose diff image is cut short, or whose runs are not
+/// the canonical form an encoder writes (off a word, or out of order),
+/// goes down the malformed-message path too: counted, dropped, the slot
+/// left waiting for the well-formed retransmission behind them.
+#[test]
+fn a_truncated_or_non_canonical_diff_image_is_dropped_as_malformed() {
+    let params = Arc::new(SimParams::paper_testbed());
+    let page_size = params.dsm.page_size;
+    let mut eps = mem_cluster(2);
+    let e1 = eps.pop().unwrap();
+    let e0 = eps.pop().unwrap();
+    let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
+    let mut t0 = Tmk::new(LossyMem(mk(e0), 0), TmkConfig::default());
+    let mut s1 = mk(e1);
+
+    let rid = t0.rpc_issue(
+        1,
+        Request::Diff {
+            page: 0,
+            lo: 1,
+            hi: 1,
+        },
+    );
+    let _ = s1.next_incoming();
+    // A `Diffs` answer carrying one diff with these `(off, payload)` runs.
+    let diffs_with = |runs: &[(u16, &[u8])]| {
+        let mut w = crate::wire::WireWriter::new();
+        w.u32(rid).u8(1).u32(0).u32(1).u16(1).u32(1);
+        w.u16(runs.len() as u16);
+        for (off, data) in runs {
+            w.u16(*off).u16(data.len() as u16).raw(data);
+        }
+        w.finish()
+    };
+    let good = diffs_with(&[(0, &[1; 4]), (16, &[2; 4])]);
+    let off_a_word = diffs_with(&[(2, &[1; 4])]);
+    let backwards = diffs_with(&[(16, &[2; 4]), (0, &[1; 4])]);
+    let truncated = &good[..good.len() - 1];
+    for bad in [&off_a_word[..], &backwards, truncated] {
+        assert_eq!(Response::decode(bad), None);
+        assert_eq!(Response::check(bad, 2, page_size), None);
+    }
+    for (at, frame) in [off_a_word.as_slice(), &backwards, truncated, &good]
+        .into_iter()
+        .enumerate()
+    {
+        s1.send_response_at(0, frame, Ns::from_us(10 * (at as u64 + 1)));
+    }
+
+    match Response::decode(&t0.rpc_collect(rid)) {
+        Some((_, Response::Diffs { diffs, .. })) => assert_eq!(diffs.len(), 1),
+        other => panic!("expected Diffs, got {other:?}"),
+    }
+    assert_eq!(t0.clock().borrow().stats.malformed_dropped, 3);
 }
 
 /// A `FullPage` that decodes cleanly but carries one applied seq on a
@@ -417,12 +474,16 @@ fn full_page_of_the_wrong_shape_is_dropped_as_malformed() {
         applied,
         data: vec![0xEE; page_size],
     };
-    let (_, bad) = Response::decode(&full(vec![3]).encode(rid)).expect("framing is fine");
-    assert!(!bad.fits(2, page_size));
-    s1.send_response_at(0, &full(vec![3]).encode(rid), Ns::from_us(10));
+    let bad = full(vec![3]).encode(rid);
+    assert!(Response::decode(&bad).is_some(), "framing is fine");
+    assert_eq!(Response::check(&bad, 2, page_size), None);
+    s1.send_response_at(0, &bad, Ns::from_us(10));
     s1.send_response_at(0, &full(vec![3, 0]).encode(rid), Ns::from_us(20));
 
-    assert_eq!(t0.rpc_collect(rid), full(vec![3, 0]));
+    assert_eq!(
+        Response::decode(&t0.rpc_collect(rid)),
+        Some((rid, full(vec![3, 0])))
+    );
     assert_eq!(t0.clock().borrow().stats.malformed_dropped, 1);
 }
 

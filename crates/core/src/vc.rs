@@ -82,6 +82,14 @@ impl VectorClock {
         }
     }
 
+    /// Step over a clock [`Self::decode`] accepts, building nothing.
+    pub(crate) fn skip(r: &mut WireReader) -> Option<()> {
+        for _ in 0..r.u16()? {
+            r.u32v()?;
+        }
+        Some(())
+    }
+
     pub fn decode(r: &mut WireReader) -> Option<VectorClock> {
         let n = r.u16()? as usize;
         // Bounded by what the frame can hold, not by what it claims.
