@@ -66,6 +66,9 @@ pub struct UdpStack {
     /// Receive-buffer depth (the fault plan can shrink it to force
     /// overflow pressure).
     sockbuf: usize,
+    /// The NIC ports a blocking receive parks on, rebuilt in place on
+    /// every park.
+    filter: Vec<u16>,
 }
 
 impl UdpStack {
@@ -86,6 +89,7 @@ impl UdpStack {
             sockets: Vec::new(),
             fault_rng,
             sockbuf,
+            filter: Vec::new(),
         }
     }
 
@@ -375,8 +379,10 @@ impl UdpStack {
                 return Wait::Got(self.pop_ready(port));
             }
             // Park on the NIC until something arrives for us.
-            let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            match self.nic.wait(Some(&filter), deadline) {
+            self.filter.clear();
+            self.filter
+                .extend(ports.iter().map(|p| SOCKET_PORT_BASE + p));
+            match self.nic.wait(Some(&self.filter), deadline) {
                 Wait::Got(pkt) => self.admit(pkt),
                 Wait::Deadline => break,
             }
