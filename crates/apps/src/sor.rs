@@ -74,10 +74,10 @@ pub fn sor_seq(cfg: &SorConfig) -> (f64, f64) {
         last_res = 0.0;
         for color in 0..2usize {
             for i in 1..r - 1 {
-                let up: Vec<f32> = g[(i - 1) * c..i * c].to_vec();
-                let down: Vec<f32> = g[(i + 1) * c..(i + 2) * c].to_vec();
-                let row = &mut g[i * c..(i + 1) * c];
-                last_res += sweep_row(i, color, cfg.omega, &up, row, &down);
+                let (above, rest) = g.split_at_mut(i * c);
+                let (row, below) = rest.split_at_mut(c);
+                let (up, down) = (&above[(i - 1) * c..], &below[..c]);
+                last_res += sweep_row(i, color, cfg.omega, up, row, down);
             }
         }
     }
@@ -123,12 +123,23 @@ pub fn sor_parallel<S: Substrate>(tmk: &mut Tmk<S>, cfg: &SorConfig) -> (f64, f6
         bid += 1;
         let mut local_res = 0f64;
         for color in 0..2usize {
-            for i in lo.max(1)..hi.min(r - 1) {
-                tmk.read_f32s(grid, (i - 1) * c, &mut up);
-                tmk.read_f32s(grid, i * c, &mut row);
+            let rows = lo.max(1)..hi.min(r - 1);
+            if !rows.is_empty() {
+                tmk.read_f32s(grid, (rows.start - 1) * c, &mut up);
+                tmk.read_f32s(grid, rows.start * c, &mut row);
+            }
+            for i in rows {
+                // Rows `i - 1` and `i` are in `up` and `row` already, as
+                // the grid holds them: only row `i + 1` is read. Their
+                // pages stay valid through the half-sweep, and a read of a
+                // valid page charges nothing.
                 tmk.read_f32s(grid, (i + 1) * c, &mut down);
                 local_res += sweep_row(i, color, cfg.omega, &up, &mut row, &down);
                 tmk.write_f32s(grid, i * c, &row);
+                // Row `i` moves up, row `i + 1` in, and `up`'s buffer is
+                // the next row's.
+                std::mem::swap(&mut up, &mut row);
+                std::mem::swap(&mut row, &mut down);
             }
             tmk.compute(((hi - lo) * c / 2) as u64 * UNITS_PER_POINT);
             tmk.barrier(bid);

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use tm_sim::{AsyncScheme, LockstepSched, Ns, SharedClock, SimParams, Wait};
 
 use crate::substrate::{Chan, IncomingMsg, Substrate};
+use crate::wire::pool;
 
 /// A node's inbox, which senders push into and the node's substrate reads
 /// in place: one queue per channel.
@@ -162,10 +163,13 @@ impl Substrate for MemSubstrate {
             at.unwrap_or(c.now())
         };
         self.ep.sched.request_transmit(self.ep.id, to, depart);
+        // The receiver gives the buffer back to the pool.
+        let mut copy = pool::take(data.len());
+        copy.extend_from_slice(data);
         let msg = IncomingMsg {
             from: self.ep.id,
             chan,
-            data: data.to_vec(),
+            data: copy,
             arrival: depart + self.latency,
             lost: false,
         };

@@ -501,9 +501,17 @@ impl Page {
         p
     }
 
-    /// Open the current interval's writes with a twin that holds nothing.
-    pub(crate) fn start_twin(&mut self) {
-        self.twin = Some(Box::new(Spans::zero(self.data.page_len())));
+    /// Open the current interval's writes with a twin that holds nothing,
+    /// in a box from `spare` when it has one.
+    pub(crate) fn start_twin(&mut self, spare: &mut SpareTwins) {
+        let empty = Spans::zero(self.data.page_len());
+        self.twin = Some(match spare.0.pop() {
+            Some(mut twin) => {
+                *twin = empty;
+                twin
+            }
+            None => Box::new(empty),
+        });
     }
 
     /// Bytes `off..off + len` to overwrite in the current interval: the
@@ -518,15 +526,18 @@ impl Page {
 
     /// Close the interval's writes: the diff against the twin, or of the
     /// whole page after an overwrite. The twin's buffer goes back to the
-    /// pool.
-    pub(crate) fn take_diff(&mut self) -> Diff {
-        let twin = self.twin.take().expect("dirty page without twin");
+    /// pool, its box to `spare` while it has room.
+    pub(crate) fn take_diff(&mut self, spare: &mut SpareTwins) -> Diff {
+        let mut twin = self.twin.take().expect("dirty page without twin");
         let d = if std::mem::take(&mut self.force_full_diff) {
             Diff::full(self.data.whole())
         } else {
             Diff::of_twin(&twin, &self.data)
         };
-        twin.recycle();
+        std::mem::replace(&mut *twin, Spans::zero(0)).recycle();
+        if spare.0.len() < SPARE_TWINS {
+            spare.0.push(twin);
+        }
         d
     }
 
@@ -615,7 +626,19 @@ pub(crate) struct PageTable {
     n: usize,
     entries: Vec<Page>,
     seqs: Vec<u32>,
+    spare_twins: SpareTwins,
 }
+
+/// The most twin boxes a node keeps: a lock's critical section twins a
+/// few pages, and an interval that twins hundreds (FFT's transpose twins
+/// 1 024) would hold their memory for nothing it saves.
+const SPARE_TWINS: usize = 64;
+
+/// Boxes of closed twins, for the next interval's, up to [`SPARE_TWINS`].
+/// The box is what is reused — a page-table entry holds its twin boxed, to
+/// stay small.
+#[derive(Debug, Default)]
+pub(crate) struct SpareTwins(#[allow(clippy::vec_box)] Vec<Box<Spans>>);
 
 impl PageTable {
     /// An empty table for a cluster of `nprocs` writers.
@@ -624,6 +647,7 @@ impl PageTable {
             n: nprocs,
             entries: Vec::new(),
             seqs: Vec::new(),
+            spare_twins: SpareTwins::default(),
         }
     }
 
@@ -637,6 +661,16 @@ impl PageTable {
     pub(crate) fn push(&mut self, page: Page) {
         self.entries.push(page);
         self.seqs.resize(self.seqs.len() + 2 * self.n, 0);
+    }
+
+    /// Open `pid`'s twin ([`Page::start_twin`]) in a spare box.
+    pub(crate) fn start_twin(&mut self, pid: PageId) {
+        self.entries[pid as usize].start_twin(&mut self.spare_twins);
+    }
+
+    /// Close `pid`'s twin ([`Page::take_diff`]), keeping its box.
+    pub(crate) fn take_diff(&mut self, pid: PageId) -> Diff {
+        self.entries[pid as usize].take_diff(&mut self.spare_twins)
     }
 
     /// Where `pid`'s seqs start in the column.
@@ -820,7 +854,7 @@ mod tests {
         assert_eq!(p.owing(0).collect::<Vec<_>>(), [(1, 1, 1)]);
         // Dirty page + notice = WriteInvalid (false-sharing case).
         let mut q = one_page(2, true);
-        q[0].start_twin();
+        q[0].start_twin(&mut SpareTwins::default());
         q[0].state = Access::Write;
         q.add_notice(0, 1, 1);
         assert_eq!(q[0].state, Access::WriteInvalid);
@@ -1087,7 +1121,7 @@ mod tests {
                     0..=3 => {
                         let n = b.min(len - a);
                         if page.twin.is_none() {
-                            page.start_twin();
+                            page.start_twin(&mut SpareTwins::default());
                             model_twin = Some(model.clone());
                         }
                         page.write(a, n).fill(v);
@@ -1126,7 +1160,7 @@ mod tests {
                     }
                     7 => {
                         if let Some(t) = model_twin.take() {
-                            let d = page.take_diff();
+                            let d = page.take_diff(&mut SpareTwins::default());
                             prop_assert_eq!(encoded(&d), encoded(&Diff::create(&t, &model)));
                         }
                     }

@@ -8,7 +8,7 @@
 //! above (sync) calls in to flush and apply intervals at synchronization
 //! points; this layer calls down into rpc to move pages and diffs.
 
-use std::rc::Rc;
+use std::ops::RangeInclusive;
 
 use tm_sim::Ns;
 
@@ -16,7 +16,10 @@ use super::{DiffFetch, Tmk};
 use crate::diff::{apply_to, DiffImage};
 use crate::interval::IntervalRecord;
 use crate::page::{Access, HeldBytes, Page, PageId, Spans};
-use crate::protocol::{begin_multi_diffs, chunk_diffs, for_each_page, PageDiffs, PageRef, Request};
+use crate::protocol::{
+    begin_multi_diffs, chunk_diffs, encode_multi_diff, for_each_page, multi_diff_len, PageDiffs,
+    PageRanges, PageRef, Request,
+};
 use crate::substrate::Substrate;
 use crate::vc::VectorClock;
 use crate::wire::{pool, WireWriter};
@@ -36,12 +39,12 @@ struct Held {
 /// and issue no rpc).
 #[derive(Debug, Default)]
 pub(super) struct FetchScratch {
-    /// The pages being fetched.
+    /// The pages being fetched: the caller fills it.
     pids: Vec<PageId>,
-    /// `(page index, writer, ceiling)`: every diff of the writer up to the
-    /// ceiling is collected, and an owed seq at or below it that produced
-    /// no diff never wrote the page.
-    covered: Vec<(u32, u16, u32)>,
+    /// `covered[page index · n + writer]`: every diff of the writer up to
+    /// this ceiling is collected, and an owed seq at or below it that
+    /// produced no diff never wrote the page (0: nothing settled yet).
+    covered: Vec<u32>,
     /// `(writer, seq, image)` of each diff gathered so far, applied in
     /// causal order once nothing is owed.
     collected: Vec<(u16, u32, Held)>,
@@ -53,29 +56,10 @@ pub(super) struct FetchScratch {
     /// One round's writers, in first-owed order: the order their requests
     /// go out in.
     writers: Vec<u16>,
+    /// `in_round[writer]`: the writer is in `writers`.
+    in_round: Vec<bool>,
     /// The rid of each writer's request, under coalesced fetch.
     issued: Vec<u32>,
-}
-
-/// A diff request for what `writer` owes in `need`: one page alone, or
-/// several coalesced, in the order they came.
-fn diff_request(writer: u16, need: &[(u16, PageId, u32, u32)]) -> Request {
-    let owed = || {
-        need.iter()
-            .filter(move |&&(w, ..)| w == writer)
-            .map(|&(_, page, lo, hi)| (page, lo, hi))
-    };
-    match owed().count() {
-        1 => {
-            let (page, lo, hi) = owed().next().expect("the one page owed");
-            Request::Diff { page, lo, hi }
-        }
-        n => {
-            let mut pages = Vec::with_capacity(n);
-            pages.extend(owed());
-            Request::MultiDiff { pages }
-        }
-    }
 }
 
 impl<S: Substrate> Tmk<S> {
@@ -115,13 +99,13 @@ impl<S: Substrate> Tmk<S> {
         let params = self.sub.params().clone();
         let seq = self.vc.tick(self.me as usize);
         let mut cost = Ns::ZERO;
-        let dirty = std::mem::take(&mut self.dirty);
+        let mut dirty = std::mem::take(&mut self.dirty);
         for &pid in &dirty {
-            let page = &mut self.pages[pid];
-            let d = page.take_diff();
+            let d = self.pages.take_diff(pid);
             cost += Ns::for_bytes(self.page_size, params.dsm.diff_scan_mb_s)
                 + params.dsm.diff_overhead
                 + params.dsm.mprotect;
+            let page = &mut self.pages[pid];
             page.retain_diff(seq, d);
             page.state = match page.state {
                 Access::WriteInvalid => Access::Invalid,
@@ -131,8 +115,10 @@ impl<S: Substrate> Tmk<S> {
             self.clock().borrow_mut().stats.diffs_created += 1;
         }
         // The interval's one record, encoded once, on this node.
-        let rec = IntervalRecord::new(self.me, seq, &self.vc, dirty);
+        let rec = IntervalRecord::new(self.me, seq, &self.vc, &mut dirty);
         self.log.insert(rec);
+        dirty.clear();
+        self.dirty = dirty;
         cost
     }
 
@@ -141,18 +127,19 @@ impl<S: Substrate> Tmk<S> {
     /// names. The log keeps the handle that came in and decides what is
     /// new — barrier arrivals from different clients often relay the same
     /// record; a page only raises what it owes.
-    pub(super) fn apply_records(&mut self, records: Vec<Rc<IntervalRecord>>) -> Ns {
+    pub(super) fn apply_records(&mut self, records: &[IntervalRecord]) -> Ns {
         let mprotect = self.sub.params().dsm.mprotect;
         let mut cost = Ns::ZERO;
         for rec in records {
-            if !self.log.insert(Rc::clone(&rec)) || rec.node == self.me {
+            if !self.log.insert(rec.clone()) || rec.node() == self.me {
                 continue;
             }
+            let (node, seq) = (rec.node(), rec.seq());
             for (first, len) in rec.ranges() {
                 self.ensure_pages(first as usize + len as usize);
                 for pid in (0..len).map(|i| first + i) {
                     let before = self.pages[pid].state;
-                    self.pages.add_notice(pid, rec.node, rec.seq);
+                    self.pages.add_notice(pid, node, seq);
                     if self.pages[pid].state != before {
                         cost += mprotect;
                     }
@@ -166,12 +153,6 @@ impl<S: Substrate> Tmk<S> {
     pub(super) fn epoch_gc(&mut self, vc: VectorClock) {
         self.last_barrier_vc = vc;
         self.log.trim(&self.last_barrier_vc);
-    }
-
-    /// Interval records newer than the last barrier epoch (what a barrier
-    /// arrival relays to the manager).
-    pub(super) fn records_since_epoch(&self) -> Vec<Rc<IntervalRecord>> {
-        self.log.newer_than(&self.last_barrier_vc)
     }
 
     // ----- serve side: what a fetch is answered with, and its cost ----------
@@ -247,14 +228,14 @@ impl<S: Substrate> Tmk<S> {
     pub(super) fn encode_multi_diff_response(
         &self,
         rid: u32,
-        pages: &[(PageId, u32, u32)],
+        pages: PageRanges,
         w: &mut WireWriter,
     ) -> Ns {
         let max = self.sub.params().dsm.max_msg;
         let count = begin_multi_diffs(rid, w);
         let mut included = 0u16;
         let mut cost = Ns::ZERO;
-        for &(pid, lo, hi) in pages {
+        for (pid, lo, hi) in pages.iter() {
             if included > 0 && w.len() >= max {
                 break;
             }
@@ -280,7 +261,8 @@ impl<S: Substrate> Tmk<S> {
 
     fn read_fault(&mut self, pid: PageId) {
         if self.take_fault(pid) {
-            self.fetch_diffs_batch(&[pid]);
+            self.fetch.pids.push(pid);
+            self.fetch_diffs_batch();
         }
     }
 
@@ -310,8 +292,8 @@ impl<S: Substrate> Tmk<S> {
             // the interval first writes it, into a pooled buffer (twins
             // are created and retired every interval — prime churn); the
             // charge is still a whole page's copy.
-            page.start_twin();
             page.state = Access::Write;
+            self.pages.start_twin(pid);
             self.dirty.push(pid);
             let mut c = self.clock().borrow_mut();
             c.advance(
@@ -344,7 +326,7 @@ impl<S: Substrate> Tmk<S> {
         let page = &mut self.pages[pid];
         let mut cost = params.dsm.page_fault + params.dsm.mprotect;
         if page.twin.is_none() {
-            page.start_twin();
+            self.pages.start_twin(pid);
             self.dirty.push(pid);
             cost +=
                 params.dsm.twin_overhead + Ns::for_bytes(self.page_size, params.host.memcpy_mb_s);
@@ -440,20 +422,20 @@ impl<S: Substrate> Tmk<S> {
     /// simultaneously, and multi-page requests to one writer coalesce.
     /// Under [`DiffFetch::Serial`] this degenerates to the per-page loop,
     /// message for message.
-    pub(super) fn ensure_readable_batch(&mut self, pids: &[PageId]) {
+    pub(super) fn ensure_readable_batch(&mut self, pids: RangeInclusive<PageId>) {
         if self.cfg.diff_fetch == DiffFetch::Serial {
-            for &pid in pids {
+            for pid in pids {
                 self.ensure_readable(pid);
             }
             return;
         }
-        let faulted: Vec<PageId> = pids
-            .iter()
-            .copied()
-            .filter(|&pid| self.take_fault(pid))
-            .collect();
-        if !faulted.is_empty() {
-            self.fetch_diffs_batch(&faulted);
+        for pid in pids {
+            if self.take_fault(pid) {
+                self.fetch.pids.push(pid);
+            }
+        }
+        if !self.fetch.pids.is_empty() {
+            self.fetch_diffs_batch();
         }
     }
 
@@ -465,23 +447,23 @@ impl<S: Substrate> Tmk<S> {
     /// [`DiffFetch`]: serially (one blocking RPC per writer per page, the
     /// spec baseline), or coalesced (at most one request per writer per
     /// round, all issued before any is collected). The node's
-    /// [`FetchScratch`] holds the rounds' state.
-    fn fetch_diffs_batch(&mut self, pids: &[PageId]) {
+    /// [`FetchScratch`] holds the rounds' state, its `pids` the pages.
+    fn fetch_diffs_batch(&mut self) {
         let mut fetch = std::mem::take(&mut self.fetch);
-        fetch.pids.extend_from_slice(pids);
+        let n = self.n;
+        fetch.covered.resize(fetch.pids.len() * n, 0);
+        fetch.in_round.resize(n, false);
         loop {
             fetch.need.clear();
+            for &writer in &fetch.writers {
+                fetch.in_round[writer as usize] = false;
+            }
             fetch.writers.clear();
             for (page, &pid) in fetch.pids.iter().enumerate() {
                 for (writer, lo, hi) in self.pages.owing(pid) {
-                    let settled = fetch
-                        .covered
-                        .iter()
-                        .find(|&&(p, w, _)| p == page as u32 && w == writer)
-                        .map_or(0, |&(_, _, hi)| hi);
-                    let lo = lo.max(settled + 1);
+                    let lo = lo.max(fetch.covered[page * n + writer as usize] + 1);
                     if lo <= hi {
-                        if !fetch.writers.contains(&writer) {
+                        if !std::mem::replace(&mut fetch.in_round[writer as usize], true) {
                             fetch.writers.push(writer);
                         }
                         fetch.need.push((writer, pid, lo, hi));
@@ -507,8 +489,8 @@ impl<S: Substrate> Tmk<S> {
                 DiffFetch::Coalesced => {
                     fetch.issued.clear();
                     for &writer in &fetch.writers {
-                        let req = diff_request(writer, &fetch.need);
-                        fetch.issued.push(self.rpc_issue(writer as usize, req));
+                        let rid = self.issue_diff_request(writer, &fetch.need);
+                        fetch.issued.push(rid);
                     }
                     for i in 0..fetch.writers.len() {
                         let (rid, writer) = (fetch.issued[i], fetch.writers[i]);
@@ -522,26 +504,51 @@ impl<S: Substrate> Tmk<S> {
         self.fetch = fetch;
     }
 
+    /// Send `writer` a request for what it owes in `need`: one page alone,
+    /// or several coalesced, in the order they came — encoded straight
+    /// from the list.
+    fn issue_diff_request(&mut self, writer: u16, need: &[(u16, PageId, u32, u32)]) -> u32 {
+        let owed = || {
+            need.iter()
+                .filter(move |&&(w, ..)| w == writer)
+                .map(|&(_, page, lo, hi)| (page, lo, hi))
+        };
+        match owed().count() {
+            1 => {
+                let (page, lo, hi) = owed().next().expect("the one page owed");
+                self.rpc_issue(writer as usize, Request::Diff { page, lo, hi })
+            }
+            n => {
+                let rid = self.rid();
+                let mut w = WireWriter::pooled(multi_diff_len(n));
+                encode_multi_diff(rid, owed(), &mut w);
+                self.rpc_send(writer as usize, rid, w);
+                rid
+            }
+        }
+    }
+
     /// The lock pipeline's fetch arm: batch-fetch every mapped, invalid
-    /// page in `pids` that is owed diffs through the overlapped engine,
-    /// charging no page faults — the point is that the faults never
-    /// happen.
-    pub(super) fn pipeline_fetch(&mut self, pids: &[PageId]) {
-        let mut targets: Vec<PageId> = Vec::new();
-        for &pid in pids {
+    /// page a peer's record in `records` names that is owed diffs, through
+    /// the overlapped engine, charging no page faults — the point is that
+    /// the faults never happen.
+    pub(super) fn pipeline_fetch(&mut self, records: &[IntervalRecord]) {
+        let me = self.me;
+        let named = records.iter().filter(|r| r.node() != me);
+        for pid in named.flat_map(IntervalRecord::pages) {
             if (pid as usize) < self.pages.len()
-                && !targets.contains(&pid)
+                && !self.fetch.pids.contains(&pid)
                 && matches!(
                     self.pages[pid].state,
                     Access::Invalid | Access::WriteInvalid
                 )
                 && self.pages.owes(pid)
             {
-                targets.push(pid);
+                self.fetch.pids.push(pid);
             }
         }
-        if !targets.is_empty() {
-            self.fetch_diffs_batch(&targets);
+        if !self.fetch.pids.is_empty() {
+            self.fetch_diffs_batch();
         }
     }
 
@@ -585,15 +592,10 @@ impl<S: Substrate> Tmk<S> {
             .pids
             .iter()
             .position(|&p| p == pid)
-            .expect("diffs for a page we did not request") as u32;
-        match fetch
-            .covered
-            .iter_mut()
-            .find(|(p, w, _)| *p == page && *w == writer)
-        {
-            Some((_, _, hi)) => *hi = (*hi).max(covered_hi),
-            None => fetch.covered.push((page, writer, covered_hi)),
-        }
+            .expect("diffs for a page we did not request");
+        let settled = &mut fetch.covered[page * self.n + writer as usize];
+        *settled = (*settled).max(covered_hi);
+        let page = page as u32;
         // Only what the page still owes the writer is used.
         let owed = self.pages.owed_of(pid, writer);
         for (seq, image) in diffs.iter().filter(|(seq, _)| owed.contains(seq)) {
@@ -632,8 +634,9 @@ impl<S: Substrate> Tmk<S> {
             }
             // Owed seqs under a settled ceiling that sent no diff never
             // wrote the page.
-            for &(_, writer, hi) in fetch.covered.iter().filter(|c| c.0 == page as u32) {
-                self.pages.applied_notice(pid, writer, hi);
+            let settled = &fetch.covered[page * self.n..(page + 1) * self.n];
+            for (writer, &hi) in settled.iter().enumerate().filter(|&(_, &hi)| hi > 0) {
+                self.pages.applied_notice(pid, writer as u16, hi);
             }
             debug_assert!(
                 !self.pages.owes(pid),

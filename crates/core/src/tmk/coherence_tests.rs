@@ -4,7 +4,6 @@
 //! interval's `Σvc` — after the barrier trimmed the record too, and for an
 //! interval this node never learned of.
 
-use std::rc::Rc;
 use std::sync::Arc;
 
 use tm_sim::clock::shared_clock;
@@ -43,8 +42,8 @@ fn vc(vals: [u32; NODES]) -> VectorClock {
 #[test]
 fn a_notice_is_an_owed_range_and_the_log_keeps_the_one_record() {
     let mut t = node0();
-    let rec = IntervalRecord::new(1, 1, &vc([0, 1, 0]), PAGES.to_vec());
-    t.apply_records(vec![Rc::clone(&rec)]);
+    let rec = IntervalRecord::new(1, 1, &vc([0, 1, 0]), &mut PAGES.to_vec());
+    t.apply_records(std::slice::from_ref(&rec));
     for pid in PAGES {
         assert_eq!(
             t.pages.owing(pid).collect::<Vec<_>>(),
@@ -53,17 +52,16 @@ fn a_notice_is_an_owed_range_and_the_log_keeps_the_one_record() {
         );
     }
     // Ours and the log's: no page holds a handle.
-    assert_eq!(Rc::strong_count(&rec), 2);
+    assert_eq!(rec.handles(), 2);
     // What the log hands a grant or a release is that object again.
-    assert!(Rc::ptr_eq(
-        &t.log.newer_than(&VectorClock::new(NODES))[0],
-        &rec
-    ));
+    let none = VectorClock::new(NODES);
+    let newer = t.log.newer_than(&none).next();
+    assert!(IntervalRecord::same(newer.expect("the record"), &rec));
     // A second arrival of the same interval is dropped, not adopted.
-    let again = IntervalRecord::new(1, 1, &vc([0, 1, 0]), PAGES.to_vec());
-    t.apply_records(vec![Rc::clone(&again)]);
-    assert_eq!(Rc::strong_count(&again), 1);
-    assert_eq!(Rc::strong_count(&rec), 2);
+    let again = IntervalRecord::new(1, 1, &vc([0, 1, 0]), &mut PAGES.to_vec());
+    t.apply_records(std::slice::from_ref(&again));
+    assert_eq!(again.handles(), 1);
+    assert_eq!(rec.handles(), 2);
 }
 
 /// Writer 1's interval 1, then writer 2's interval 1 which saw it: both
@@ -84,6 +82,7 @@ fn apply_out_of_order(learn: impl FnOnce(&mut Tmk<MemSubstrate>)) -> Tmk<MemSubs
     // Each diff arrives in a frame of its own, as its image alone.
     let mut fetch = FetchScratch::default();
     fetch.pids.push(0);
+    fetch.covered.resize(NODES, 0);
     for (writer, byte) in [(2, 2), (1, 1)] {
         let mut w = WireWriter::new();
         write(byte).encode(&mut w);
@@ -101,27 +100,27 @@ fn apply_out_of_order(learn: impl FnOnce(&mut Tmk<MemSubstrate>)) -> Tmk<MemSubs
     t
 }
 
-fn first() -> Rc<IntervalRecord> {
-    IntervalRecord::new(1, 1, &vc([0, 1, 0]), vec![0])
+fn first() -> IntervalRecord {
+    IntervalRecord::new(1, 1, &vc([0, 1, 0]), &mut [0])
 }
 
-fn second() -> Rc<IntervalRecord> {
-    IntervalRecord::new(2, 1, &vc([0, 1, 1]), vec![0])
+fn second() -> IntervalRecord {
+    IntervalRecord::new(2, 1, &vc([0, 1, 1]), &mut [0])
 }
 
 #[test]
 fn a_record_the_log_let_go_still_orders_its_diff() {
     let known = apply_out_of_order(|t| {
-        t.apply_records(vec![first(), second()]);
+        t.apply_records(&[first(), second()]);
     });
     let trimmed = apply_out_of_order(|t| {
-        t.apply_records(vec![first(), second()]);
+        t.apply_records(&[first(), second()]);
         t.epoch_gc(vc([0, 1, 1]));
         assert_eq!(t.log.total_records(), 0);
     });
     // Writer 1's interval came only as a full page's applied seq.
     let unknown = apply_out_of_order(|t| {
-        t.apply_records(vec![second()]);
+        t.apply_records(&[second()]);
     });
     for t in [&known, &trimmed, &unknown] {
         assert_eq!(

@@ -75,18 +75,19 @@ impl Reliable {
     /// Start serving `from`'s request `rid`: the recorded action if it is
     /// a duplicate, else `None` with the request's key (if it files a
     /// record) held for [`Self::settle`].
-    pub(super) fn admit(&mut self, from: usize, rid: u32, req: &Request) -> Option<ReplayAction> {
+    pub(super) fn admit(&mut self, from: usize, rid: u32, req: &Request) -> Option<Duplicate> {
         let key = ReplayKey::of(from, rid, req);
-        let seen = key.and_then(|k| self.replay.lookup(k));
+        let seen = key.and_then(|k| Some(Duplicate(self.replay.lookup(k)?, k)));
         self.serving = key.filter(|_| seen.is_none());
         seen
     }
 
-    /// Record `action()` for the request being served, if it has no record
-    /// yet (none while replaying, or once a handler has answered).
-    pub(super) fn settle(&mut self, action: impl FnOnce() -> ReplayAction) {
+    /// Record `action`, and `bytes` if it sent some, for the request being
+    /// served, if it has no record yet (none while replaying, or once a
+    /// handler has answered).
+    pub(super) fn settle(&mut self, action: ReplayAction, bytes: &[u8]) {
         if let Some(key) = self.serving.take() {
-            self.replay.remember(key, action());
+            self.replay.remember(key, action, bytes);
         }
     }
 
@@ -96,9 +97,8 @@ impl Reliable {
         let sent = ReplayAction::Sent {
             chan: Chan::Response,
             to,
-            bytes: bytes.to_vec(),
         };
-        self.replay.remember(ReplayKey(class, to, rid), sent);
+        self.replay.remember(ReplayKey(class, to, rid), sent, bytes);
     }
 
     /// End of a dispatch: handlers that responded already settled the
@@ -130,25 +130,26 @@ pub(super) struct Resend {
 
 /// What to do when a duplicate of an already-seen request arrives
 /// (lossy transports retransmit; handlers must stay idempotent).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum ReplayAction {
     /// Nothing to send. The original is still queued (lock wait, barrier
     /// wait) and its grant/release goes out through the normal path, which
     /// upgrades this record to `Sent` — or the requester has since issued
     /// a later request of the same class, so it holds the answer already.
     Pending,
-    /// We put these bytes on `chan` for `to`: send them again. On
+    /// We put the slot's bytes on `chan` for `to`: send them again. On
     /// [`Chan::Response`] they answered the request (the original answer
     /// may be the loss that triggered the retransmit); on
     /// [`Chan::Request`] they forwarded it (lock manager → owner), and the
     /// identical frame carries the same forwarded rid, so dedup chains
     /// compose.
-    Sent {
-        chan: Chan,
-        to: usize,
-        bytes: Vec<u8>,
-    },
+    Sent { chan: Chan, to: usize },
 }
+
+/// A duplicate [`Reliable::admit`] recognized: what its slot records, and
+/// the slot.
+#[derive(Debug)]
+pub(super) struct Duplicate(ReplayAction, ReplayKey);
 
 /// The three requests a node waits on. It has at most one of each open
 /// to any one peer — one acquire, one barrier arrival, one fetch — which
@@ -215,38 +216,73 @@ impl ReplayKey {
 /// collects), a larger one new.
 #[derive(Debug)]
 struct ReplayRecords {
-    /// `slots[requester][class]`: rid and action of that requester's
-    /// latest request of that class to reach this node.
-    slots: Vec<[Option<(u32, ReplayAction)>; 3]>,
+    /// `slots[requester][class]`: that requester's latest request of that
+    /// class to reach this node.
+    slots: Vec<[Option<Slot>; 3]>,
+}
+
+/// One requester's latest request of one class: its rid, the action taken
+/// and the bytes it sent, in a buffer the slot keeps for the next request's.
+#[derive(Debug)]
+struct Slot {
+    rid: u32,
+    action: ReplayAction,
+    bytes: Vec<u8>,
 }
 
 impl ReplayRecords {
     /// Records for requests from `n` nodes.
     fn new(n: usize) -> Self {
         ReplayRecords {
-            slots: vec![[None, None, None]; n],
+            slots: (0..n).map(|_| [None, None, None]).collect(),
         }
     }
 
     /// The recorded action for `key`, if the request was seen.
     fn lookup(&self, ReplayKey(class, requester, rid): ReplayKey) -> Option<ReplayAction> {
-        let (seen, action) = self.slots[requester][class as usize].as_ref()?;
-        match rid.cmp(seen) {
-            Ordering::Equal => Some(action.clone()),
+        let slot = self.slots[requester][class as usize].as_ref()?;
+        match rid.cmp(&slot.rid) {
+            Ordering::Equal => Some(slot.action),
             Ordering::Less => Some(ReplayAction::Pending),
             Ordering::Greater => None,
         }
     }
 
-    /// Record the action taken for `key`: written by its request's first
-    /// copy, and upgraded by a queued request's answer.
-    fn remember(&mut self, ReplayKey(class, requester, rid): ReplayKey, action: ReplayAction) {
+    /// The bytes `key`'s slot sent, lent out to be sent again; give them
+    /// back with [`Self::restore`].
+    fn lend(&mut self, ReplayKey(class, requester, _): ReplayKey) -> Vec<u8> {
+        let slot = self.slots[requester][class as usize].as_mut();
+        std::mem::take(&mut slot.expect("a recorded request").bytes)
+    }
+
+    fn restore(&mut self, ReplayKey(class, requester, _): ReplayKey, bytes: Vec<u8>) {
+        let slot = self.slots[requester][class as usize].as_mut();
+        slot.expect("a recorded request").bytes = bytes;
+    }
+
+    /// Record the action taken for `key` and the bytes it sent (none when
+    /// pending): written by its request's first copy, and upgraded by a
+    /// queued request's answer. The bytes are copied into the buffer the
+    /// slot already has.
+    fn remember(
+        &mut self,
+        ReplayKey(class, requester, rid): ReplayKey,
+        action: ReplayAction,
+        bytes: &[u8],
+    ) {
         let slot = &mut self.slots[requester][class as usize];
         debug_assert!(
-            slot.as_ref().is_none_or(|(seen, _)| *seen <= rid),
+            slot.as_ref().is_none_or(|s| s.rid <= rid),
             "node {requester}'s {class:?} slot moved backwards to rid {rid}"
         );
-        *slot = Some((rid, action));
+        let mut buf = slot.take().map(|s| s.bytes).unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(bytes);
+        *slot = Some(Slot {
+            rid,
+            action,
+            bytes: buf,
+        });
     }
 }
 
@@ -257,7 +293,7 @@ impl<S: Substrate> Tmk<S> {
     /// and suppressed instead of re-queued.
     pub(super) fn note_pending(&mut self) {
         if let Some(rel) = self.rel.as_mut() {
-            rel.settle(|| ReplayAction::Pending);
+            rel.settle(ReplayAction::Pending, &[]);
         }
     }
 
@@ -265,17 +301,27 @@ impl<S: Substrate> Tmk<S> {
     /// recorded effect without re-running the handler. Pending records
     /// (response still owed, or long since received) are swallowed — the
     /// eventual grant/release answers the original rid.
-    pub(super) fn replay_duplicate(&mut self, action: ReplayAction, arrival: Ns) {
+    pub(super) fn replay_duplicate(&mut self, Duplicate(action, key): Duplicate, arrival: Ns) {
         self.clock().borrow_mut().stats.dup_requests_suppressed += 1;
         let cost = self.sub.params().dsm.handler_dispatch;
         match action {
             ReplayAction::Pending => {
                 self.charge_service(arrival, cost);
             }
-            ReplayAction::Sent { chan, to, bytes } => {
-                self.send_in_window(chan, to, &bytes, arrival, cost)
+            ReplayAction::Sent { chan, to } => {
+                let bytes = self.replay_records().lend(key);
+                self.send_in_window(chan, to, &bytes, arrival, cost);
+                self.replay_records().restore(key, bytes);
             }
         }
+    }
+
+    fn replay_records(&mut self) -> &mut ReplayRecords {
+        &mut self
+            .rel
+            .as_mut()
+            .expect("a replay is a lossy transport's")
+            .replay
     }
 
     /// A frame from `from` arrived at `at`: its silence starts over.
@@ -396,12 +442,19 @@ impl<S: Substrate> Tmk<S> {
 mod tests {
     use super::*;
 
-    fn respond(to: usize, b: &[u8]) -> ReplayAction {
+    fn respond(to: usize) -> ReplayAction {
         ReplayAction::Sent {
             chan: Chan::Response,
             to,
-            bytes: b.to_vec(),
         }
+    }
+
+    /// A coalesced fetch of `pages`, as it arrived.
+    fn multi_diff(pages: &[(u32, u32, u32)]) -> Request<'static> {
+        let mut w = crate::wire::WireWriter::new();
+        crate::protocol::encode_multi_diff(1, pages.iter().copied(), &mut w);
+        let frame: &'static [u8] = Box::leak(w.finish().into_boxed_slice());
+        Request::decode(frame).expect("an encoded fetch").1
     }
 
     fn acquire(requester: usize, rid: u32) -> ReplayKey {
@@ -412,9 +465,14 @@ mod tests {
         ReplayKey(Class::Data, requester, rid)
     }
 
-    fn sent_bytes(action: Option<ReplayAction>) -> Vec<u8> {
-        match action {
-            Some(ReplayAction::Sent { bytes, .. }) => bytes,
+    /// The bytes `key`'s slot replays, which must be a send.
+    fn sent_bytes(c: &mut ReplayRecords, key: ReplayKey) -> Vec<u8> {
+        match c.lookup(key) {
+            Some(ReplayAction::Sent { .. }) => {
+                let bytes = c.lend(key);
+                c.restore(key, bytes.clone());
+                bytes
+            }
             other => panic!("expected Sent, got {other:?}"),
         }
     }
@@ -423,15 +481,15 @@ mod tests {
     fn remember_then_lookup() {
         let mut c = ReplayRecords::new(8);
         assert!(c.lookup(fetch(3, 7)).is_none());
-        c.remember(fetch(3, 7), respond(3, b"page"));
+        c.remember(fetch(3, 7), respond(3), b"page");
         assert!(c.lookup(fetch(3, 7)).is_some());
         // Same rid from a different node is a different request.
         assert!(c.lookup(fetch(4, 7)).is_none());
         // A requester's fetch, acquire and barrier arrival are three slots.
         assert!(c.lookup(acquire(3, 7)).is_none());
-        c.remember(acquire(3, 7), ReplayAction::Pending);
+        c.remember(acquire(3, 7), ReplayAction::Pending, &[]);
         assert!(c.lookup(ReplayKey(Class::Barrier, 3, 7)).is_none());
-        assert_eq!(sent_bytes(c.lookup(fetch(3, 7))), b"page");
+        assert_eq!(sent_bytes(&mut c, fetch(3, 7)), b"page");
     }
 
     #[test]
@@ -439,23 +497,23 @@ mod tests {
         // A queued lock acquire is Pending until the grant goes out; the
         // upgrade replaces the record.
         let mut c = ReplayRecords::new(8);
-        c.remember(acquire(2, 11), ReplayAction::Pending);
+        c.remember(acquire(2, 11), ReplayAction::Pending, &[]);
         assert!(matches!(
             c.lookup(acquire(2, 11)),
             Some(ReplayAction::Pending)
         ));
-        c.remember(acquire(2, 11), respond(2, b"grant"));
-        assert_eq!(sent_bytes(c.lookup(acquire(2, 11))), b"grant");
+        c.remember(acquire(2, 11), respond(2), b"grant");
+        assert_eq!(sent_bytes(&mut c, acquire(2, 11)), b"grant");
     }
 
     #[test]
     fn a_slot_orders_its_requesters_rids() {
         let mut c = ReplayRecords::new(8);
-        c.remember(acquire(2, 11), respond(2, b"grant"));
+        c.remember(acquire(2, 11), respond(2), b"grant");
         // The requester's next acquire is new — and once recorded, a late
         // copy of the completed one is swallowed, never new again.
         assert!(c.lookup(acquire(2, 12)).is_none());
-        c.remember(acquire(2, 12), ReplayAction::Pending);
+        c.remember(acquire(2, 12), ReplayAction::Pending, &[]);
         assert!(matches!(
             c.lookup(acquire(2, 11)),
             Some(ReplayAction::Pending)
@@ -470,8 +528,8 @@ mod tests {
     #[test]
     fn a_fetch_slot_replays_swallows_or_serves() {
         let mut c = ReplayRecords::new(4);
-        c.remember(fetch(1, 20), respond(1, b"diffs"));
-        assert_eq!(sent_bytes(c.lookup(fetch(1, 20))), b"diffs");
+        c.remember(fetch(1, 20), respond(1), b"diffs");
+        assert_eq!(sent_bytes(&mut c, fetch(1, 20)), b"diffs");
         assert!(matches!(
             c.lookup(fetch(1, 19)),
             Some(ReplayAction::Pending)
@@ -479,8 +537,8 @@ mod tests {
         assert!(c.lookup(fetch(1, 21)).is_none());
         // Serving the next fetch displaces the answer to the last one,
         // which the requester holds: its late copy is now swallowed.
-        c.remember(fetch(1, 21), respond(1, b"page"));
-        assert_eq!(sent_bytes(c.lookup(fetch(1, 21))), b"page");
+        c.remember(fetch(1, 21), respond(1), b"page");
+        assert_eq!(sent_bytes(&mut c, fetch(1, 21)), b"page");
         assert!(matches!(
             c.lookup(fetch(1, 20)),
             Some(ReplayAction::Pending)
@@ -501,9 +559,7 @@ mod tests {
                 lo: 1,
                 hi: 2,
             },
-            Request::MultiDiff {
-                pages: vec![(3, 1, 2), (4, 1, 1)],
-            },
+            multi_diff(&[(3, 1, 2), (4, 1, 1)]),
             Request::Page { page: 3 },
         ];
         for req in &fetches {
@@ -525,9 +581,7 @@ mod tests {
                 hi: 2,
             },
             Request::Page { page: 3 },
-            Request::MultiDiff {
-                pages: vec![(3, 1, 2)],
-            },
+            multi_diff(&[(3, 1, 2)]),
             Request::Acquire {
                 lock: 1,
                 vc: vc.clone(),
@@ -574,8 +628,8 @@ mod tests {
         };
         let mut c = ReplayRecords::new(3);
         let key = ReplayKey::of(manager, 900, &fwd).expect("a forward files a record");
-        c.remember(key, ReplayAction::Pending);
-        c.remember(key, respond(requester, b"grant-bytes"));
+        c.remember(key, ReplayAction::Pending, &[]);
+        c.remember(key, respond(requester), b"grant-bytes");
         match c.lookup(ReplayKey::of(manager, 901, &fwd).expect("a record")) {
             Some(ReplayAction::Sent { to, .. }) => assert_eq!(to, requester),
             other => panic!("expected the grant to the requester, got {other:?}"),

@@ -71,8 +71,7 @@ impl<S: Substrate> Tmk<S> {
         if last > first {
             // Multi-page read: fault the whole span in one overlapped
             // batch so diff fetches to distinct writers fly together.
-            let pids: Vec<PageId> = (first..=last).collect();
-            self.ensure_readable_batch(&pids);
+            self.ensure_readable_batch(first..=last);
         }
         let mut done = 0;
         while done < len {
