@@ -83,7 +83,8 @@ pub struct FastSubstrate {
 
 impl FastSubstrate {
     /// Open the two ports, register the send pool and prepost the receive
-    /// buffers per the §2.2.2 strategy.
+    /// buffers per the §2.2.2 strategy. `board` holds nothing; it is passed
+    /// on to [`GmNode::new`], which ignores it.
     pub fn new(
         nic: tm_myrinet::NicHandle,
         clock: SharedClock,

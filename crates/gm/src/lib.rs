@@ -12,9 +12,12 @@
 //!   ([`size::gm_size`], [`GmNode::provide_receive_buffer`]): a message of
 //!   length `l` can only land in a buffer of size `⌈log2(l+1)⌉`. A message
 //!   with no matching buffer waits; if the receiver lets it wait past the
-//!   resend window the sending port is **disabled** (the next send on it
-//!   returns [`GmError::PortDisabled`]) — re-enabling costs a network probe
-//!   ([`GmNode::reenable_port`]), the paper's dreaded failure mode.
+//!   resend window, the receiving NIC drops it and NACKs the sender, and
+//!   the sending port is **disabled** (the next send on it returns
+//!   [`GmError::PortDisabled`]) — re-enabling costs a network probe
+//!   ([`GmNode::reenable_port`]), the paper's dreaded failure mode. The
+//!   NACK is a packet on the fabric like any other: no node reads another's
+//!   state.
 //! * **Registered (pinned) memory** ([`memory`]): send and receive buffers
 //!   must live in DMA-registered regions; pinning costs time and counts
 //!   against physical memory.

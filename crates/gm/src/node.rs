@@ -1,7 +1,12 @@
 //! The per-node GM endpoint: ports, tokens, preposted buffers, sends,
 //! polled receives, and the resend-timeout failure mode.
+//!
+//! A node learns of a rejected send the way every other fact about a peer
+//! reaches it: by a packet. When a packet has waited at its receiver past
+//! `gm.resend_timeout` without a buffer, the receiving NIC drops it and
+//! sends its sender a NACK naming the sending port; the sender disables
+//! that port when it next looks.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -21,6 +26,9 @@ pub const MAPPER_PORT: u8 = 0;
 /// caller asked for — an arrival on any of them is admitted (or left
 /// unmatched) by `sort_arrivals` before the node looks again.
 const GM_PORTS: [u16; NUM_PORTS as usize - 1] = [1, 2, 3, 4, 5, 6, 7];
+/// The NIC port a NACK travels on: outside GM's user ports, so no receive
+/// ever hands one over. Its one payload byte is the rejected sending port.
+const NACK_PORT: u16 = NUM_PORTS as u16;
 
 /// Errors surfaced by the GM API model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,34 +62,14 @@ pub enum GmEvent {
     },
 }
 
-/// Cross-node blackboard on which receivers report rejected sends
-/// (sender-side resend timer expiry): the sending `(node, port)` of each,
-/// until that sender absorbs it. Empty on every clean run.
-pub struct FailureBoard {
-    rejected: RefCell<Vec<(NodeId, u8)>>,
-}
+/// Holds nothing: a rejected send reaches its sender as a NACK. The type
+/// and the parameter of [`gm_cluster`] and [`GmNode::new`] that carry it
+/// remain only because the repo benchmark's NIC rung passes one on.
+pub struct FailureBoard;
 
 impl FailureBoard {
-    // Cluster state like the fabric, so an `Rc` is what it wants to be in;
-    // it is an `Arc` because the frozen `benchmark/src/ladder.rs` hands it
-    // on as `Arc::clone(&board)`.
-    #[allow(clippy::arc_with_non_send_sync)]
     pub fn new() -> Arc<Self> {
-        Arc::new(FailureBoard {
-            rejected: RefCell::new(Vec::new()),
-        })
-    }
-
-    fn post(&self, src: NodeId, src_port: u8) {
-        self.rejected.borrow_mut().push((src, src_port));
-    }
-
-    /// Clear the rejected sends of `(node, port)`; whether there were any.
-    fn take(&self, node: NodeId, port: u8) -> bool {
-        let mut rejected = self.rejected.borrow_mut();
-        let before = rejected.len();
-        rejected.retain(|&sender| sender != (node, port));
-        rejected.len() < before
+        Arc::new(FailureBoard)
     }
 }
 
@@ -116,11 +104,11 @@ impl PortState {
 
     /// Retry the unmatched packets in queue order against buffers provided
     /// since: a match moves to `ready`, a packet past the sender's resend
-    /// window is rejected (its sender's port is disabled), and the rest stay
-    /// where they are. A poll that changes nothing moves and allocates
-    /// nothing; an emptied queue gives its capacity back, so a burst's
-    /// deque does not outlive the burst.
-    fn retry_unmatched(&mut self, now: Ns, timeout: Ns, board: &FailureBoard) {
+    /// window is rejected — `nic` sends its sender a NACK at `now`, charging
+    /// no host time — and the rest stay where they are. A poll that changes
+    /// nothing moves and allocates nothing; an emptied queue gives its
+    /// capacity back, so a burst's deque does not outlive the burst.
+    fn retry_unmatched(&mut self, now: Ns, timeout: Ns, nic: &NicHandle) {
         let mut i = 0;
         while i < self.unmatched.len() {
             let (len, arrival) = (self.unmatched[i].payload.len(), self.unmatched[i].arrival);
@@ -129,7 +117,8 @@ impl PortState {
                 self.ready.push_back(pkt);
             } else if now.saturating_sub(arrival) > timeout {
                 let pkt = self.unmatched.remove(i).expect("in range");
-                board.post(pkt.src, pkt.src_port as u8);
+                let nack = Bytes::copy_from_slice(&[pkt.src_port as u8]);
+                nic.inject(pkt.src, NACK_PORT, NACK_PORT, nack, now, None);
             } else {
                 i += 1;
             }
@@ -145,31 +134,30 @@ pub struct GmNode {
     nic: NicHandle,
     clock: SharedClock,
     params: Arc<SimParams>,
-    board: Arc<FailureBoard>,
     ports: Vec<Option<PortState>>,
     /// Registered-memory book for this node.
     pub book: RegBook,
 }
 
-/// Build the GM-level cluster state: the fabric, the shared failure board
-/// and the per-node NIC handles. Each node body then wraps its handle
-/// with [`GmNode::new`].
+/// Build the GM-level cluster state: the fabric, a [`FailureBoard`] (which
+/// holds nothing) and the per-node NIC handles. Each node body then wraps
+/// its handle with [`GmNode::new`].
 pub fn gm_cluster(
     n: usize,
     params: Arc<SimParams>,
 ) -> (Rc<Fabric>, Arc<FailureBoard>, Vec<NicHandle>) {
     let (fabric, nics) = Fabric::new(n, params);
-    let board = FailureBoard::new();
-    (fabric, board, nics)
+    (fabric, FailureBoard::new(), nics)
 }
 
 impl GmNode {
-    /// `pin_limit`: bytes of physical memory this node may pin.
+    /// `pin_limit`: bytes of physical memory this node may pin. `_board`
+    /// is unused.
     pub fn new(
         nic: NicHandle,
         clock: SharedClock,
         params: Arc<SimParams>,
-        board: Arc<FailureBoard>,
+        _board: Arc<FailureBoard>,
         pin_limit: usize,
     ) -> Self {
         let book = RegBook::new(clock.clone(), &params, pin_limit);
@@ -177,7 +165,6 @@ impl GmNode {
             nic,
             clock,
             params,
-            board,
             ports: (0..NUM_PORTS).map(|_| None).collect(),
             book,
         }
@@ -302,9 +289,9 @@ impl GmNode {
         at: Option<Ns>,
     ) -> Result<Ns, GmError> {
         assert!(len <= buf.data.len());
-        // Check the failure board first: a rejected earlier send disables
-        // the port before anything else can happen on it.
-        self.absorb_failures(port);
+        // Take the NACKs first: a rejected earlier send disables the port
+        // before anything else can happen on it.
+        self.absorb_nacks();
         let when = at.unwrap_or_else(|| self.clock.borrow().now());
         if self.params.faults.token_starved(when) {
             // Injected starvation window: behave exactly as if every
@@ -341,19 +328,21 @@ impl GmNode {
         Ok(inject)
     }
 
-    /// Move the failure-board flag (set by a remote receiver) into local
-    /// port state.
-    fn absorb_failures(&mut self, port: u8) {
-        if self.board.take(self.node(), port) {
-            if let Some(p) = self.ports[port as usize].as_mut() {
+    /// Disable every port a NACK in the inbox names. A NACK counts once it
+    /// has landed, whatever its arrival: the fabric delivered it in key
+    /// order, so the rejection it reports has happened.
+    fn absorb_nacks(&mut self) {
+        let ports = &mut self.ports;
+        self.nic.drain_ports(&[NACK_PORT], |nack| {
+            if let Some(p) = ports[nack.payload[0] as usize].as_mut() {
                 p.disabled = true;
             }
-        }
+        });
     }
 
     /// Was this port disabled by a send failure?
     pub fn port_disabled(&mut self, port: u8) -> bool {
-        self.absorb_failures(port);
+        self.absorb_nacks();
         self.ports[port as usize]
             .as_ref()
             .is_some_and(|p| p.disabled)
@@ -393,7 +382,29 @@ impl GmNode {
         let now = self.clock.borrow().now();
         let timeout = self.params.gm.resend_timeout;
         for p in self.ports.iter_mut().flatten() {
-            p.retry_unmatched(now, timeout, &self.board);
+            p.retry_unmatched(now, timeout, &self.nic);
+        }
+    }
+
+    /// Hand over the front ready packet of `port`: the clock waits for its
+    /// arrival (a poll takes only a packet that has arrived, so there it
+    /// stays put), charges the poll hit and counts the message.
+    fn take_ready(&mut self, port: u8) -> GmEvent {
+        let pkt = self.ports[port as usize]
+            .as_mut()
+            .and_then(|p| p.ready.pop_front())
+            .expect("a ready packet");
+        let mut c = self.clock.borrow_mut();
+        c.wait_until(pkt.arrival);
+        c.advance(self.params.gm.recv_poll_hit);
+        c.stats.msgs_recv += 1;
+        c.stats.bytes_recv += pkt.payload.len() as u64;
+        GmEvent::Recv {
+            src: pkt.src,
+            src_port: pkt.src_port as u8,
+            size: gm_size(pkt.payload.len()),
+            data: pkt.payload,
+            arrival: pkt.arrival,
         }
     }
 
@@ -406,30 +417,16 @@ impl GmNode {
     /// deliver a packet whose virtual arrival is ≤ now.
     pub fn receive(&mut self, port: u8) -> Result<Option<GmEvent>, GmError> {
         loop {
-            self.absorb_failures(port);
+            self.absorb_nacks();
             self.sort_arrivals();
             let now = self.clock.borrow().now();
-            let gm = self.params.gm.clone();
             let p = self.port_mut(port)?;
-            if let Some(pkt) = p.ready.front() {
-                if pkt.arrival <= now {
-                    let pkt = p.ready.pop_front().expect("non-empty");
-                    self.clock.borrow_mut().advance(gm.recv_poll_hit);
-                    let mut c = self.clock.borrow_mut();
-                    c.stats.msgs_recv += 1;
-                    c.stats.bytes_recv += pkt.payload.len() as u64;
-                    drop(c);
-                    return Ok(Some(GmEvent::Recv {
-                        src: pkt.src,
-                        src_port: pkt.src_port as u8,
-                        size: gm_size(pkt.payload.len()),
-                        data: pkt.payload,
-                        arrival: pkt.arrival,
-                    }));
-                }
+            if p.ready.front().is_some_and(|pkt| pkt.arrival <= now) {
+                return Ok(Some(self.take_ready(port)));
             }
             if self.nic.poll_quiesce(now) {
-                self.clock.borrow_mut().advance(gm.recv_poll_miss);
+                let miss = self.params.gm.recv_poll_miss;
+                self.clock.borrow_mut().advance(miss);
                 return Ok(None);
             }
             // A delivery came first: re-drain and look again.
@@ -447,14 +444,18 @@ impl GmNode {
     /// [`blocking_receive`](GmNode::blocking_receive) that gives up at
     /// virtual time `deadline`: `None`, with the clock at the deadline,
     /// unless a message arrives by then.
+    ///
+    /// The clock moves only to an arrival it hands over or to a deadline
+    /// the scheduler released. While a packet on `ports` waits unmatched,
+    /// its sender's resend timer is a deadline of the park too: if nothing
+    /// lands first, the clock moves there and the packet is rejected.
     pub fn blocking_receive_by(
         &mut self,
         ports: &[u8],
         deadline: Option<Ns>,
     ) -> Option<(u8, GmEvent)> {
-        let expired = |at: Ns| deadline.is_some_and(|d| at > d);
         loop {
-            self.absorb_failures_all(ports);
+            self.absorb_nacks();
             self.sort_arrivals();
             // Earliest ready packet across the requested ports.
             let mut best: Option<(u8, Ns)> = None;
@@ -468,62 +469,32 @@ impl GmNode {
                 }
             }
             if let Some((port, arrival)) = best {
-                if expired(arrival) {
+                if deadline.is_some_and(|d| arrival > d) {
                     break;
                 }
-                let gm_hit = self.params.gm.recv_poll_hit;
-                let p = self.ports[port as usize].as_mut().expect("open");
-                let pkt = p.ready.pop_front().expect("non-empty");
-                {
-                    let mut c = self.clock.borrow_mut();
-                    c.wait_until(arrival);
-                    c.advance(gm_hit);
-                    c.stats.msgs_recv += 1;
-                    c.stats.bytes_recv += pkt.payload.len() as u64;
-                }
-                return Some((
-                    port,
-                    GmEvent::Recv {
-                        src: pkt.src,
-                        src_port: pkt.src_port as u8,
-                        size: gm_size(pkt.payload.len()),
-                        data: pkt.payload,
-                        arrival,
-                    },
-                ));
+                return Some((port, self.take_ready(port)));
             }
-            // Nothing matched. If there are unmatched packets and nothing
-            // else can arrive to change that, the sender's resend timer
-            // is what fires next: jump the clock there so `sort_arrivals`
-            // rejects them (and the failure becomes observable).
-            let unmatched_since = ports
+            // Nothing matched: park on the NIC until a packet lands, the
+            // deadline passes or the earliest unmatched packet's resend
+            // timer fires, whichever the scheduler orders first.
+            let timer = ports
                 .iter()
                 .filter_map(|&port| self.ports[port as usize].as_ref()?.unmatched.front())
-                .map(|pkt| pkt.arrival)
+                .map(|pkt| pkt.arrival + self.params.gm.resend_timeout + Ns(1))
                 .min();
-            if let Some(earliest) = unmatched_since {
-                let fires = earliest + self.params.gm.resend_timeout + Ns(1);
-                if expired(fires) {
-                    break;
-                }
-                self.clock.borrow_mut().wait_until(fires);
-                continue;
-            }
-            // Genuinely idle: park on the NIC.
-            match self.nic.wait(Some(&GM_PORTS), deadline) {
+            let until = [deadline, timer].into_iter().flatten().min();
+            match self.nic.wait(Some(&GM_PORTS), until) {
                 Wait::Got(pkt) => Self::admit(&mut self.ports, pkt),
+                Wait::Deadline if until == timer => {
+                    let fired = timer.expect("the timer is set");
+                    self.clock.borrow_mut().wait_until(fired);
+                }
                 Wait::Deadline => break,
             }
         }
         let deadline = deadline.expect("only a receive with a deadline times out");
         self.clock.borrow_mut().wait_until(deadline);
         None
-    }
-
-    fn absorb_failures_all(&mut self, ports: &[u8]) {
-        for &p in ports {
-            self.absorb_failures(p);
-        }
     }
 }
 
@@ -682,6 +653,91 @@ mod tests {
         assert!(rx.receive(3).unwrap().is_none());
         let disabled: Vec<bool> = tx.iter_mut().map(|node| node.port_disabled(2)).collect();
         assert_eq!(disabled, (1..=SENDERS).map(|w| w > 31).collect::<Vec<_>>());
+    }
+
+    /// What a node of the cluster test below saw.
+    #[derive(Debug, PartialEq)]
+    enum Saw {
+        Receiver {
+            src: NodeId,
+            at: Ns,
+        },
+        Sender {
+            disabled: [bool; 2],
+            resend: Result<Ns, GmError>,
+        },
+    }
+
+    /// In a running cluster a rejection is an event like any other. R has a
+    /// buffer for S2's 8-byte packet but none for S1's 64-byte one, which
+    /// lands first; R, blocked, takes S2's packet at its own arrival, 1 ms
+    /// in, not once S1's resend timer has fired 3 s later. When it fires,
+    /// R's NIC NACKs S1, and S1's port reads disabled once the NACK has
+    /// landed — and only then.
+    #[test]
+    fn a_blocked_receiver_takes_a_later_match_before_the_orphan_times_out() {
+        const R: NodeId = 0;
+        let params = Arc::new(SimParams::paper_testbed());
+        let timeout = params.gm.resend_timeout;
+        let (_fabric, board, nics) = gm_cluster(3, Arc::clone(&params));
+        let out = tm_sim::run_cluster_with(params, nics, move |env, nic| {
+            let params = Arc::clone(&env.params);
+            let mut gm = GmNode::new(nic, env.clock.clone(), params, Arc::clone(&board), 1 << 20);
+            if env.id == R {
+                gm.open_port(3, false).unwrap();
+                gm.provide_receive_buffer(3, gm_size(8)).unwrap();
+                let (_, GmEvent::Recv { src, .. }) = gm.blocking_receive(&[3]);
+                let at = gm.clock().borrow().now();
+                let past_the_timer = timeout + Ns::from_secs(1);
+                assert!(gm.blocking_receive_by(&[3], Some(past_the_timer)).is_none());
+                return Saw::Receiver { src, at };
+            }
+            gm.open_port(2, false).unwrap();
+            let len = if env.id == 1 { 64 } else { 8 };
+            if env.id == 2 {
+                gm.clock().borrow_mut().advance(Ns::from_ms(1));
+            }
+            let buf = pooled(&mut gm, &vec![env.id as u8; len]);
+            gm.send(2, R, 3, &buf, len).unwrap();
+            let disabled_by = |gm: &mut GmNode, t: Ns| {
+                assert!(gm.blocking_receive_by(&[2], Some(t)).is_none());
+                gm.port_disabled(2)
+            };
+            let disabled = [
+                disabled_by(&mut gm, Ns::from_secs(1)),
+                disabled_by(&mut gm, timeout + Ns::from_secs(2)),
+            ];
+            let resend = gm.send(2, R, 3, &buf, len);
+            Saw::Sender { disabled, resend }
+        });
+        let Saw::Receiver { src, at } = out[0].result else {
+            panic!("{:?}", out[0].result);
+        };
+        assert_eq!(src, 2, "S2's packet is the one R has a buffer for");
+        assert!(
+            at > Ns::from_ms(1) && at < Ns::from_secs(1),
+            "R took S2's packet at {at:?}"
+        );
+        assert_eq!(
+            out[1].result,
+            Saw::Sender {
+                disabled: [false, true],
+                resend: Err(GmError::PortDisabled(2)),
+            }
+        );
+        assert!(
+            matches!(
+                out[2].result,
+                Saw::Sender {
+                    disabled: [false, false],
+                    resend: Ok(_)
+                }
+            ),
+            "{:?}",
+            out[2].result
+        );
+        // The NACK is the NIC's: R's host sent nothing.
+        assert_eq!(out[0].stats.msgs_sent, 0);
     }
 
     #[test]
