@@ -150,8 +150,10 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Post-barrier GC: everyone has incorporated everything up to `vc`.
+    /// The previous barrier's clock goes back to the spares.
     pub(super) fn epoch_gc(&mut self, vc: VectorClock) {
-        self.last_barrier_vc = vc;
+        let done = std::mem::replace(&mut self.last_barrier_vc, vc);
+        self.clocks.push(done);
         self.log.trim(&self.last_barrier_vc);
     }
 

@@ -166,11 +166,10 @@ impl<'a> ClockImage<'a> {
         std::iter::from_fn(move || r.u32v())
     }
 
-    /// The clock, owned.
-    pub fn to_clock(&self) -> VectorClock {
-        let mut v = Vec::with_capacity(self.len());
-        v.extend(self.iter());
-        VectorClock { v }
+    /// Overwrite `clock` with this image, in `clock`'s buffer.
+    pub fn copy_into(&self, clock: &mut VectorClock) {
+        clock.v.clear();
+        clock.v.extend(self.iter());
     }
 }
 
