@@ -232,6 +232,36 @@ pub(crate) fn acquire_len(vc: &VectorClock, fwd: bool) -> usize {
     9 + if fwd { 6 } else { 0 } + vc.encoded_len()
 }
 
+/// Encode a `BarrierArrive` at `barrier`: the subtree's ceiling `vc`, its
+/// `floor` when that differs, and `records` — from the arriving node's own
+/// clocks and list.
+pub(crate) fn encode_arrive(
+    rid: u32,
+    barrier: u32,
+    floor: Option<&VectorClock>,
+    vc: &VectorClock,
+    records: &[IntervalRecord],
+    w: &mut WireWriter,
+) {
+    w.u32(rid)
+        .u8(if floor.is_some() { 6 } else { 5 })
+        .u32(barrier);
+    if let Some(floor) = floor {
+        floor.encode(w);
+    }
+    vc.encode(w);
+    encode_records(records.iter(), w);
+}
+
+/// Bytes [`encode_arrive`] writes.
+pub(crate) fn arrive_len(
+    floor: Option<&VectorClock>,
+    vc: &VectorClock,
+    records: &[IntervalRecord],
+) -> usize {
+    9 + floor.map_or(0, VectorClock::encoded_len) + vc.encoded_len() + records_len(records.iter())
+}
+
 /// Encode a `Grant` of `lock` — with `lock` `None`, a `BarrierRelease` —
 /// carrying vector time `vc` and `records`, straight from the log.
 pub(crate) fn encode_grant<'r>(
@@ -444,11 +474,7 @@ impl<'a> Request<'a> {
             Request::AcquireFwd { vc, .. } => acquire_len(vc, true),
             Request::BarrierArrive {
                 floor, vc, records, ..
-            } => {
-                9 + floor.as_ref().map_or(0, VectorClock::encoded_len)
-                    + vc.encoded_len()
-                    + records_len(records.iter())
-            }
+            } => arrive_len(floor.as_ref(), vc, records),
             Request::MultiDiff { pages } => multi_diff_len(pages.len()),
             Request::Gone => 5,
         }
@@ -476,16 +502,7 @@ impl<'a> Request<'a> {
                 floor,
                 vc,
                 records,
-            } => {
-                w.u32(rid)
-                    .u8(if floor.is_some() { 6 } else { 5 })
-                    .u32(*barrier);
-                if let Some(floor) = floor {
-                    floor.encode(w);
-                }
-                vc.encode(w);
-                encode_records(records.iter(), w);
-            }
+            } => encode_arrive(rid, *barrier, floor.as_ref(), vc, records, w),
             Request::MultiDiff { pages } => encode_multi_diff(rid, pages.iter(), w),
             Request::Gone => {
                 w.u32(rid).u8(9);
