@@ -368,7 +368,6 @@ impl Codec {
             chan,
             data,
             arrival,
-            lost: false,
         };
         let (&kind, rest) = bytes.split_first().ok_or(Malformed)?;
         match kind {

@@ -171,7 +171,6 @@ impl Substrate for MemSubstrate {
             chan,
             data: copy,
             arrival: depart + self.latency,
-            lost: false,
         };
         let mut inbox = self.ep.inboxes[to].borrow_mut();
         let inbox = inbox.as_mut().expect("peer gone");

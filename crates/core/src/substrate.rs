@@ -58,11 +58,6 @@ pub struct IncomingMsg {
     pub data: Vec<u8>,
     /// Virtual arrival time at this node.
     pub arrival: Ns,
-    /// Fault-injection tombstone: the fault plan dropped the message in
-    /// flight. `data` must not be interpreted; the message exists only so
-    /// the receiver observes the loss at a deterministic virtual time.
-    /// Never set on a zero-fault run.
-    pub lost: bool,
 }
 
 /// A request/response transport for one node. Implementations own the

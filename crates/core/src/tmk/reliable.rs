@@ -382,39 +382,27 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Retransmit every unanswered slot whose deadline has passed.
-    pub(super) fn retransmit_due(&mut self) {
-        let now = self.clock().borrow().now();
-        self.retransmit_where(|r, _| r.deadline <= now);
-    }
-
-    /// Retransmit every unanswered slot addressed to `to` (its response
-    /// was observed lost — no point sitting out the rest of the timer).
-    pub(super) fn retransmit_to(&mut self, to: usize) {
-        self.retransmit_where(|_, peer| peer == to);
-    }
-
-    /// Fire one retransmission for every unanswered slot whose timer and
-    /// destination match `pred`.
     ///
     /// The backoff doubles up to `rto_ceiling`. A timeout counts against
     /// the give-up budget only once it has waited the whole ceiling: a peer
     /// holding the request queued (a lock held across a long computation)
     /// answers nothing for as long as it holds it, and the climb to the
-    /// ceiling alone takes `give_up` timeouts. A loss tombstone's early
-    /// resend is no timeout and counts nothing — a real node never sees a
-    /// dropped datagram.
-    fn retransmit_where(&mut self, pred: impl Fn(&Resend, usize) -> bool) {
+    /// ceiling alone takes `give_up` timeouts.
+    pub(super) fn retransmit_due(&mut self) {
         let Some(rel) = self.rel.as_ref() else { return };
         let (cap, ceiling) = (rel.give_up, rel.rto_ceiling);
         let woke = self.clock().borrow().now();
         for i in 0..self.outstanding.len() {
             let o = &mut self.outstanding[i];
             let (rid, to) = (o.rid, o.to);
-            let Some(mut r) = o.resend.take_if(|r| o.response.is_none() && pred(r, to)) else {
+            let Some(mut r) = o
+                .resend
+                .take_if(|r| o.response.is_none() && r.deadline <= woke)
+            else {
                 continue;
             };
             r.attempts += 1;
-            if r.rto == ceiling && r.deadline <= woke {
+            if r.rto == ceiling {
                 r.silent += 1;
                 assert!(
                     r.silent <= cap,

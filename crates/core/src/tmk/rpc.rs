@@ -388,20 +388,8 @@ impl<S: Substrate> Tmk<S> {
 
     /// Classify one delivered message: responses are matched against the
     /// whole outstanding-rid set, requests are deferred to the serve
-    /// queue (together with any burst that arrived behind them), loss
-    /// tombstones trigger targeted retransmission.
+    /// queue (together with any burst that arrived behind them).
     pub(super) fn absorb(&mut self, msg: IncomingMsg) {
-        if msg.lost {
-            if msg.chan == Chan::Response {
-                // A response from that peer died in flight: retransmit
-                // what we still owe it instead of sitting out the timers.
-                self.retransmit_to(msg.from);
-            }
-            // Lost requests are the sender's problem — its timer
-            // re-delivers.
-            pool::give(msg.data);
-            return;
-        }
         match msg.chan {
             Chan::Response => self.absorb_response(msg),
             Chan::Request => {
@@ -410,9 +398,7 @@ impl<S: Substrate> Tmk<S> {
                 // next drain dispatches the burst in virtual-arrival
                 // order rather than substrate pop order.
                 while let Some(m) = self.sub.poll_incoming() {
-                    if m.lost {
-                        pool::give(m.data);
-                    } else if m.chan == Chan::Request {
+                    if m.chan == Chan::Request {
                         self.queue_request(m);
                     } else {
                         self.absorb_response(m);
@@ -494,10 +480,6 @@ impl<S: Substrate> Tmk<S> {
     /// lock token never computes and never blocks).
     pub fn poll_serve(&mut self) {
         while let Some(msg) = self.sub.poll_request() {
-            if msg.lost {
-                pool::give(msg.data);
-                continue;
-            }
             self.queue_request(msg);
         }
         self.drain_serve_queue();

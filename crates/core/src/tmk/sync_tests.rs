@@ -515,6 +515,58 @@ fn a_lossy_transport_keeps_a_replay_slot_per_node() {
     assert_eq!(t0.nprocs(), 3);
 }
 
+/// A request whose answer is lost is resent by its timer alone: exactly
+/// `RTO` after it was sent, then `2 · RTO` after that. A frame landing
+/// from the same peer before the deadline — here the answer to another
+/// request — resends nothing early, since no node sees a dropped datagram.
+#[test]
+fn an_unanswered_request_is_resent_rto_after_it_was_sent_and_not_earlier() {
+    let params = Arc::new(SimParams::paper_testbed());
+    let page_size = params.dsm.page_size;
+    let send_cost = Ns(500);
+    let mut eps = mem_cluster(2);
+    let e1 = eps.pop().unwrap();
+    let e0 = eps.pop().unwrap();
+    let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, send_cost);
+    let mut t0 = Tmk::new(LossyMem(mk(e0), 0), TmkConfig::default());
+    let mut s1 = mk(e1);
+    let fired = Rc::new(RefCell::new(Vec::new()));
+    let (sink, clock) = (Rc::clone(&fired), Rc::clone(t0.clock()));
+    t0.set_event_hook(move |e| {
+        if let TmkEvent::RetransmitFired { rid, attempt } = *e {
+            sink.borrow_mut().push((rid, attempt, clock.borrow().now()));
+        }
+    });
+
+    // Lock 1's manager is node 1. Its grant is lost: node 1 sends none.
+    let vc = VectorClock::new(2);
+    let acquire = t0.rpc_issue(1, Request::Acquire { lock: 1, vc });
+    let sent = t0.clock().borrow().now();
+    let fetch = t0.rpc_issue(1, Request::Page { page: 0 });
+    let first = s1.next_incoming();
+    let _ = s1.next_incoming();
+    let page = Response::FullPage {
+        page: 0,
+        applied: vec![0, 0],
+        data: vec![0; page_size],
+    };
+    s1.send_response_at(0, &page.encode(fetch), sent + RTO / 2);
+    let _ = t0.rpc_collect(fetch);
+    assert_eq!(t0.clock().borrow().now(), sent + RTO / 2);
+    assert!(fired.borrow().is_empty(), "resent early: {fired:?}");
+
+    let step = |t: &mut Tmk<LossyMem>| t.wait_step(|_| None::<()>).is_continue();
+    assert!(step(&mut t0));
+    assert_eq!(fired.borrow().as_slice(), &[(acquire, 1, sent + RTO)]);
+    let copy = s1.next_incoming();
+    assert_eq!(copy.data, first.data, "the resend is the request's frame");
+    assert_eq!(copy.arrival, sent + RTO + send_cost);
+    assert!(step(&mut t0));
+    let backoff = sent + RTO + send_cost + RTO * 2;
+    assert_eq!(fired.borrow()[1], (acquire, 2, backoff));
+    assert_eq!(t0.clock().borrow().stats.retransmits, 2);
+}
+
 // ----- how a node learns that a peer is gone --------------------------------
 
 /// Node 0 of an `n`-node memsub cluster on the lossy path

@@ -117,18 +117,13 @@ impl Fabric {
     /// the receiver (wire + switch + NIC-rx included).
     ///
     /// Loopback (`src == dst`) skips the wire but still pays NIC
-    /// processing, as GM does. A `lost` packet — a fault-injection
-    /// tombstone — occupies the wire like a real one (the bytes were sent;
-    /// the drop happens in flight) and still lands in the receiver's inbox
-    /// so the receiver wakes at its virtual arrival, but carries
-    /// `lost = true` so no payload is delivered.
+    /// processing, as GM does.
     pub fn transmit(
         &self,
         (src, src_port): (NodeId, u16),
         (dst, dst_port): (NodeId, u16),
         payload: Bytes,
         inject_time: Ns,
-        lost: bool,
     ) -> Ns {
         assert!(src < self.nprocs() && dst < self.nprocs(), "bad node id");
         let net = &self.params.net;
@@ -139,7 +134,6 @@ impl Fabric {
             dst_port,
             payload,
             arrival,
-            lost,
         };
         if src == dst {
             // Loopback skips the wire *and* the scheduler: it never
@@ -210,7 +204,7 @@ mod tests {
     #[test]
     fn transmit_delivers_to_inbox() {
         let (f, mut nics) = fabric(2);
-        let arr = f.transmit((0, 2), (1, 3), Bytes::from_static(b"hi"), Ns(0), false);
+        let arr = f.transmit((0, 2), (1, 3), Bytes::from_static(b"hi"), Ns(0));
         let pkt = nics[1].recv_blocking();
         assert_eq!(pkt.src, 0);
         assert_eq!(pkt.src_port, 2);
@@ -222,10 +216,10 @@ mod tests {
     #[test]
     fn larger_packets_take_longer() {
         let (f, _nics) = fabric(2);
-        let a1 = f.transmit((0, 0), (1, 0), Bytes::from(vec![0u8; 10]), Ns(0), false);
+        let a1 = f.transmit((0, 0), (1, 0), Bytes::from(vec![0u8; 10]), Ns(0));
         // Same link now busy, so measure from a later, free time.
         let t = Ns::from_ms(1);
-        let a2 = f.transmit((0, 0), (1, 0), Bytes::from(vec![0u8; 100_000]), t, false);
+        let a2 = f.transmit((0, 0), (1, 0), Bytes::from(vec![0u8; 100_000]), t);
         assert!(a2 - t > a1, "100KB should take longer than 10B");
     }
 
@@ -236,8 +230,8 @@ mod tests {
         let wire = Ns::for_bytes(big + FRAME_OVERHEAD, f.params().net.link_mb_s);
         // Two senders target node 2 at the same instant: the second
         // transfer must queue behind the first on node 2's rx link.
-        let a1 = f.transmit((0, 0), (2, 0), Bytes::from(vec![0u8; big]), Ns(0), false);
-        let a2 = f.transmit((1, 0), (2, 0), Bytes::from(vec![0u8; big]), Ns(0), false);
+        let a1 = f.transmit((0, 0), (2, 0), Bytes::from(vec![0u8; big]), Ns(0));
+        let a2 = f.transmit((1, 0), (2, 0), Bytes::from(vec![0u8; big]), Ns(0));
         assert!(
             a2 >= a1 + wire - Ns(1000),
             "a1={a1:?} a2={a2:?} wire={wire:?}"
@@ -247,7 +241,7 @@ mod tests {
     #[test]
     fn loopback_skips_wire() {
         let (f, mut nics) = fabric(2);
-        let arr = f.transmit((0, 1), (0, 1), Bytes::from_static(b"self"), Ns(100), false);
+        let arr = f.transmit((0, 1), (0, 1), Bytes::from_static(b"self"), Ns(100));
         assert_eq!(arr, Ns(100) + f.params().net.nic_rx);
         let pkt = nics[0].recv_blocking();
         assert_eq!(pkt.src, 0);
@@ -275,7 +269,7 @@ mod tests {
     #[should_panic(expected = "bad node id")]
     fn bad_destination_panics() {
         let (f, _nics) = fabric(2);
-        f.transmit((0, 0), (5, 0), Bytes::new(), Ns(0), false);
+        f.transmit((0, 0), (5, 0), Bytes::new(), Ns(0));
     }
 
     #[test]
@@ -286,7 +280,7 @@ mod tests {
         // counted, not delivered), not panic — even with no fault plan
         // active.
         drop(nics.remove(1));
-        f.transmit((0, 0), (1, 0), Bytes::from_static(b"late"), Ns(0), false);
+        f.transmit((0, 0), (1, 0), Bytes::from_static(b"late"), Ns(0));
         assert_eq!(f.shutdown_races(), 1);
         assert!(f.inbox(1).borrow().is_none(), "a closed inbox is gone");
     }

@@ -97,34 +97,8 @@ impl NicHandle {
         unused: Option<(u32, u64)>,
     ) -> Ns {
         assert!(unused.is_none(), "no layer models a directed send");
-        self.fabric.transmit(
-            (self.node, src_port),
-            (dst, dst_port),
-            payload,
-            inject_time,
-            false,
-        )
-    }
-
-    /// Inject a fault-injection loss tombstone: the packet occupies the
-    /// wire and wakes the receiver at its virtual arrival, but is flagged
-    /// `lost` so the receiver layer discards (and counts) it instead of
-    /// delivering the payload.
-    pub fn inject_lost(
-        &self,
-        dst: NodeId,
-        src_port: u16,
-        dst_port: u16,
-        payload: Bytes,
-        inject_time: Ns,
-    ) -> Ns {
-        self.fabric.transmit(
-            (self.node, src_port),
-            (dst, dst_port),
-            payload,
-            inject_time,
-            true,
-        )
+        self.fabric
+            .transmit((self.node, src_port), (dst, dst_port), payload, inject_time)
     }
 
     /// Non-blocking poll of one port.
@@ -252,8 +226,8 @@ mod tests {
     #[test]
     fn poll_port_demuxes() {
         let (f, mut nics) = pair();
-        f.transmit((0, 9), (1, 5), Bytes::from_static(b"a"), Ns(0), false);
-        f.transmit((0, 9), (1, 6), Bytes::from_static(b"b"), Ns(0), false);
+        f.transmit((0, 9), (1, 5), Bytes::from_static(b"a"), Ns(0));
+        f.transmit((0, 9), (1, 6), Bytes::from_static(b"b"), Ns(0));
         let n1 = &mut nics[1];
         let on5 = n1.poll_port(5).expect("packet on port 5");
         assert_eq!(&on5.payload[..], b"a");
@@ -268,7 +242,7 @@ mod tests {
     fn drain_ports_follows_the_named_order() {
         let (f, mut nics) = pair();
         for (port, body) in [(6, b"b1"), (5, b"a1"), (7, b"c0"), (6, b"b2"), (5, b"a2")] {
-            f.transmit((0, 9), (1, port), Bytes::from_static(body), Ns(0), false);
+            f.transmit((0, 9), (1, port), Bytes::from_static(body), Ns(0));
         }
         let mut got = Vec::new();
         nics[1].drain_ports(&[5, 6, 8], |p| got.push(p.payload.to_vec()));
@@ -282,14 +256,8 @@ mod tests {
         // Loopback packet lands at 10ms on port 5; a wire packet from node
         // 0 lands microseconds in on port 6. Although the late one is
         // queued first, selection must follow virtual arrival time.
-        f.transmit(
-            (1, 0),
-            (1, 5),
-            Bytes::from_static(b"late"),
-            Ns::from_ms(10),
-            false,
-        );
-        f.transmit((0, 0), (1, 6), Bytes::from_static(b"early"), Ns(0), false);
+        f.transmit((1, 0), (1, 5), Bytes::from_static(b"late"), Ns::from_ms(10));
+        f.transmit((0, 0), (1, 6), Bytes::from_static(b"early"), Ns(0));
         let got = nics[1].wait(Some(&[5, 6]), None).got();
         assert_eq!(&got.payload[..], b"early");
     }
@@ -297,8 +265,8 @@ mod tests {
     #[test]
     fn wait_ignores_other_ports() {
         let (f, mut nics) = pair();
-        f.transmit((0, 0), (1, 7), Bytes::from_static(b"other"), Ns(0), false);
-        f.transmit((0, 0), (1, 5), Bytes::from_static(b"mine"), Ns(0), false);
+        f.transmit((0, 0), (1, 7), Bytes::from_static(b"other"), Ns(0));
+        f.transmit((0, 0), (1, 5), Bytes::from_static(b"mine"), Ns(0));
         let got = nics[1].wait(Some(&[5]), None).got();
         assert_eq!(&got.payload[..], b"mine");
         // The port-7 packet is still queued.
@@ -374,7 +342,7 @@ mod tests {
                 let saw = waiter_saw(move |f, mut nic| match nic.node() {
                     1 => {
                         let far = Bytes::from_static(b"far");
-                        f.transmit((1, 0), (1, 5), far, Ns::from_ms(10), false);
+                        f.transmit((1, 0), (1, 5), far, Ns::from_ms(10));
                         vec![wait(&mut nic), format!("{} queued", nic.queued(5))]
                     }
                     _ => vec![],

@@ -23,13 +23,6 @@ pub struct RawPacket {
     /// Virtual time at which the packet is fully in receiver NIC memory
     /// (wire + switch + receive-side NIC processing all included).
     pub arrival: Ns,
-    /// Fault-injection tombstone: the packet was "lost" in flight. It
-    /// still traverses the fabric so the receiving node wakes at the
-    /// packet's virtual arrival time (keeping loss handling deterministic
-    /// — no wall-clock timeout guessing), but receivers must not deliver
-    /// its payload. Real hardware gives no such courtesy; the sim uses it
-    /// purely as a deterministic scheduling signal.
-    pub lost: bool,
 }
 
 impl RawPacket {
@@ -54,7 +47,6 @@ mod tests {
             dst_port: 2,
             payload: Bytes::from_static(b"hello"),
             arrival: Ns(0),
-            lost: false,
         };
         assert_eq!(p.len(), 5);
         assert!(!p.is_empty());

@@ -51,7 +51,7 @@ pub struct NodeStats {
     pub dgrams_duplicated: u64,
     /// Datagrams delayed past later traffic by the fault plan.
     pub dgrams_reordered: u64,
-    /// DSM-level request retransmissions (timeout or observed loss).
+    /// DSM-level request retransmissions (each a timer that fired).
     pub retransmits: u64,
     /// Duplicate requests absorbed by the responder's replay records.
     pub dup_requests_suppressed: u64,

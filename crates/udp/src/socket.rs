@@ -3,13 +3,12 @@
 //! Fault injection lives at this layer for the UDP path: every datagram
 //! passes through `UdpStack::push_wire`, where the seeded per-node
 //! fault stream decides drop / duplicate / reorder. A datagram's wire
-//! image is its payload, with or without a fault stream. Losses are
-//! injected as *tombstones* — `RawPacket { lost: true }` still traverses
-//! the fabric so the receiving node wakes at the datagram's virtual
-//! arrival time. That keeps loss observable in virtual time (no
-//! wall-clock timeout guessing), which is what makes retransmission
-//! counts exactly reproducible. No corruption is injected: the receiving
-//! kernel's checksum would turn a corrupted datagram into a drop.
+//! image is its payload, with or without a fault stream. A dropped
+//! datagram never reaches the wire: like a real one, it is silence, and
+//! the requester recovers it with its own retransmission timer, as it
+//! recovers a socket-buffer overflow. No corruption is injected: the
+//! receiving kernel's checksum would turn a corrupted datagram into a
+//! drop.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -39,10 +38,6 @@ pub struct Datagram {
     /// NIC arrival + receive interrupt + protocol processing + the copy
     /// into the socket buffer.
     pub ready: Ns,
-    /// Loss tombstone: the fault plan dropped the datagram in flight. It
-    /// carries no deliverable payload — receivers use it purely as a
-    /// virtual-time wake signal. Zero-fault runs never see one.
-    pub lost: bool,
 }
 
 struct SocketState {
@@ -131,8 +126,8 @@ impl UdpStack {
 
     /// `sendto()`: copy into the kernel, fragment, and inject. Like real
     /// UDP it tells the sender nothing about the datagram's fate: a drop
-    /// reaches the receiver as a tombstone, and the requester learns of it
-    /// only from the wire.
+    /// reaches nobody, and the requester learns of it only from its own
+    /// timer.
     pub fn sendto(&mut self, dst: NodeId, dst_port: u16, src_port: u16, data: &[u8]) {
         let cost = self.tx_cost(data.len());
         self.clock.borrow_mut().advance(cost);
@@ -161,30 +156,26 @@ impl UdpStack {
     }
 
     /// Put one datagram on the wire, applying the fault plan: its stream
-    /// may drop the datagram (a tombstone still travels), delay it past
-    /// later traffic, or deliver it twice.
+    /// may drop the datagram (it is counted, copied nowhere and sent
+    /// nowhere), delay it past later traffic, or deliver it twice.
     fn push_wire(&mut self, dst: NodeId, dst_port: u16, src_port: u16, data: &[u8], inject: Ns) {
-        let sp = SOCKET_PORT_BASE + src_port;
-        let dp = SOCKET_PORT_BASE + dst_port;
-        let payload = Bytes::copy_from_slice(data);
-        let (mut at, mut echo) = (inject, None);
+        let (mut at, mut twice) = (inject, false);
         if let Some(r) = self.fault_rng.as_mut() {
             let f = &self.params.faults;
             if f.drop_probability > 0.0 && r.random::<f64>() < f.drop_probability {
-                // A tombstone, so the receiver still wakes at the would-be
-                // arrival.
                 self.clock.borrow_mut().stats.dgrams_dropped += 1;
-                self.nic.inject_lost(dst, sp, dp, payload, inject);
                 return;
             }
             if f.reorder_probability > 0.0 && r.random::<f64>() < f.reorder_probability {
                 at += f.reorder_delay;
                 self.clock.borrow_mut().stats.dgrams_reordered += 1;
             }
-            if f.duplicate_probability > 0.0 && r.random::<f64>() < f.duplicate_probability {
-                echo = Some(payload.clone());
-            }
+            twice = f.duplicate_probability > 0.0 && r.random::<f64>() < f.duplicate_probability;
         }
+        let sp = SOCKET_PORT_BASE + src_port;
+        let dp = SOCKET_PORT_BASE + dst_port;
+        let payload = Bytes::copy_from_slice(data);
+        let echo = twice.then(|| payload.clone());
         self.nic.inject(dst, sp, dp, payload, at, None);
         if let Some(copy) = echo {
             self.clock.borrow_mut().stats.dgrams_duplicated += 1;
@@ -223,9 +214,9 @@ impl UdpStack {
             + Ns::for_bytes(len, p.host.memcpy_mb_s) * 2
     }
 
-    /// Admit one NIC packet into its socket buffer: overflow pressure,
-    /// tombstone passthrough. The single admission point for both the
-    /// polled drain and the blocking park path.
+    /// Admit one NIC packet into its socket buffer, or drop it on
+    /// overflow. The single admission point for both the polled drain and
+    /// the blocking park path.
     fn admit(&mut self, pkt: RawPacket) {
         let port = pkt.dst_port - SOCKET_PORT_BASE;
         if !self.sockets.iter().any(|s| s.port == port) {
@@ -239,7 +230,7 @@ impl UdpStack {
             .iter_mut()
             .find(|s| s.port == port)
             .expect("bound");
-        if !pkt.lost && sock.queue.len() >= sockbuf {
+        if sock.queue.len() >= sockbuf {
             // Socket buffer overflow: silently dropped, like real UDP.
             self.clock.borrow_mut().stats.dgrams_dropped += 1;
             return;
@@ -249,7 +240,6 @@ impl UdpStack {
             src_port: pkt.src_port - SOCKET_PORT_BASE,
             data: pkt.payload,
             ready,
-            lost: pkt.lost,
         });
     }
 
@@ -273,7 +263,6 @@ impl UdpStack {
 
     /// Non-blocking `recvfrom(MSG_DONTWAIT)`: returns a datagram whose
     /// kernel processing completed by the node's current virtual time.
-    /// Tombstones are discarded silently — the kernel never saw them.
     ///
     /// A miss is settled through the NIC's
     /// [`poll_quiesce`](tm_myrinet::NicHandle::poll_quiesce) before being
@@ -284,9 +273,6 @@ impl UdpStack {
             let now = self.clock.borrow().now();
             let syscall = self.params.host.syscall;
             let sock = self.sock_mut(port);
-            while sock.queue.front().is_some_and(|d| d.lost && d.ready <= now) {
-                sock.queue.pop_front();
-            }
             if sock.queue.front().is_some_and(|d| d.ready <= now) {
                 let d = sock.queue.pop_front().expect("non-empty");
                 // recvfrom syscall + the serial kernel delivery work.
@@ -323,8 +309,7 @@ impl UdpStack {
     }
 
     /// Pop the front datagram of `port`, waiting (in virtual time) for it
-    /// to become ready and charging delivery costs. Tombstones are
-    /// returned uncharged — they are wake signals, not kernel traffic.
+    /// to become ready and charging delivery costs.
     fn pop_ready(&mut self, port: u16) -> (u16, Datagram) {
         let p = self.params.clone();
         let ready = self.sock_mut(port).queue.front().expect("non-empty").ready;
@@ -335,9 +320,6 @@ impl UdpStack {
             waited
         };
         let d = self.sock_mut(port).queue.pop_front().expect("non-empty");
-        if d.lost {
-            return (port, d);
-        }
         if was_waiting {
             // The kernel had to wake us.
             self.clock.borrow_mut().advance(p.host.sched_wakeup);
@@ -397,9 +379,7 @@ impl UdpStack {
     /// would have been raised.
     pub fn sigio_pending(&mut self) -> bool {
         self.drain();
-        self.sockets
-            .iter()
-            .any(|s| s.sigio && s.queue.iter().any(|d| !d.lost))
+        self.sockets.iter().any(|s| s.sigio && !s.queue.is_empty())
     }
 }
 
@@ -437,7 +417,6 @@ mod tests {
         assert_eq!(&d.data[..], b"ping");
         assert_eq!(d.src, 0);
         assert_eq!(d.src_port, 7);
-        assert!(!d.lost);
         // UDP latency must be well above raw GM's ~9us.
         assert!(b.clock().borrow().now() > Ns::from_us(15));
     }
@@ -470,8 +449,11 @@ mod tests {
         assert_eq!(&d.data[..], b"first");
     }
 
+    /// A dropped datagram is silence: a blocking receive sits out its
+    /// whole timer, a poll finds nothing however late it looks, and the
+    /// receiver counts nothing received.
     #[test]
-    fn dropped_datagram_leaves_a_tombstone() {
+    fn a_dropped_datagram_reaches_nobody() {
         let params = {
             let mut p = SimParams::paper_testbed();
             p.faults = FaultPlan {
@@ -487,15 +469,13 @@ mod tests {
         b.bind(2, false);
         a.sendto(1, 2, 1, b"doomed");
         assert_eq!(a.clock().borrow().stats.dgrams_dropped, 1);
-        // The receiver still wakes: recv surfaces the tombstone.
-        let (port, d) = b.recv(&[2], None).got();
-        assert_eq!(port, 2);
-        assert!(d.lost);
-        // But the polled path never shows it, however late it looks.
+        let got = b.recv(&[2], Some(Ns::from_ms(10)));
+        assert!(matches!(got, Wait::Deadline), "{got:?}");
+        assert_eq!(b.clock().borrow().now(), Ns::from_ms(10));
         a.sendto(1, 2, 1, b"doomed too");
         assert_eq!(a.clock().borrow().stats.dgrams_dropped, 2);
-        b.clock().borrow_mut().advance(Ns::from_ms(10));
         assert!(b.try_recvfrom(2).is_none());
+        assert_eq!(b.clock().borrow().stats.msgs_recv, 0);
     }
 
     #[test]

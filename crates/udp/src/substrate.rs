@@ -56,9 +56,7 @@ impl UdpSubstrate {
         pool::give(buf);
     }
 
-    /// Handle one datagram; `Some` when a full message is available.
-    /// Loss tombstones surface as `IncomingMsg { lost: true }` so blocked
-    /// requesters observe the loss at its deterministic virtual time. A
+    /// Handle one datagram; `Some` when a full message is available. A
     /// malformed frame — one the codec cannot read — is counted and
     /// dropped.
     fn handle(&mut self, sock: u16, d: Datagram) -> Option<IncomingMsg> {
@@ -67,15 +65,6 @@ impl UdpSubstrate {
         } else {
             Chan::Response
         };
-        if d.lost {
-            return Some(IncomingMsg {
-                from: d.src,
-                chan,
-                data: Vec::new(),
-                arrival: d.ready,
-                lost: true,
-            });
-        }
         self.codec
             .accept(d.src, chan, &d.data, d.ready)
             .unwrap_or_else(|Malformed| {

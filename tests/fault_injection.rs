@@ -77,7 +77,7 @@ fn run_udp_under(plan: FaultPlan) -> (Vec<u8>, NodeStats) {
 #[test]
 fn lossless_run_has_zero_fault_counters() {
     // Zero-fault invariance: with the plan disabled no reliability
-    // machinery may fire — not one retransmission, tombstone or replayed
+    // machinery may fire — not one drop, retransmission or replayed
     // request.
     let (_, s) = run_udp_under(FaultPlan::default());
     assert!(!s.any_faults(), "fault counters on a clean run: {s:?}");
@@ -215,8 +215,9 @@ fn reordering_is_survived() {
 
 #[test]
 fn recvbuf_overflow_pressure_is_survived() {
-    // A shallow socket buffer drops bursts silently (no tombstone), so
-    // recovery rides purely on the virtual-time retransmission timer.
+    // A shallow socket buffer drops bursts silently, as the wire drops
+    // its datagrams: recovery rides on the virtual-time retransmission
+    // timer alone.
     let (clean, _) = run_udp_under(FaultPlan::default());
     let (snap, _) = run_udp_under(FaultPlan {
         recvbuf_datagrams: 4,
@@ -356,7 +357,7 @@ const MIG_LOCKS: usize = 8;
 const MIG_PAGES: usize = 8;
 const MIG_ROUNDS: usize = 150;
 /// A request retransmitted more often than this is stuck, not unlucky: the
-/// worst rid over seeds 1–100 at 10 % loss needs 15 attempts.
+/// worst rid over seeds 1–100 at 10 % loss needs 16 attempts.
 const MIG_MAX_ATTEMPTS: u32 = 24;
 
 /// What node `me` adds under its lock in round `r` (times `page + 1`).
