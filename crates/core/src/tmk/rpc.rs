@@ -214,9 +214,9 @@ impl<S: Substrate> Tmk<S> {
 
     // ----- the overlapped rpc engine ----------------------------------------
 
-    /// Send a request and block for its response's frame, servicing
-    /// peers' requests while waiting (the TreadMarks SIGIO discipline). A
-    /// plain issue + collect; overlap-aware callers split the two.
+    /// Send a request and block for its response's frame, serving every
+    /// peer's request that arrives first (the TreadMarks SIGIO discipline).
+    /// A plain issue + collect; overlap-aware callers split the two.
     pub(super) fn rpc(&mut self, to: usize, req: Request) -> Vec<u8> {
         let rid = self.rpc_issue(to, req);
         self.rpc_collect(rid)
@@ -281,7 +281,8 @@ impl<S: Substrate> Tmk<S> {
     /// (give it back to the pool when done), absorbing whatever else the
     /// substrate delivers meanwhile: responses for *other* outstanding
     /// rids are parked in their slots, requests go to the async serve
-    /// queue and are dispatched in virtual-arrival order between waits.
+    /// queue. The response is looked for only after [`Self::wait_step`]'s
+    /// drain, so every request gathered with it is served first.
     ///
     /// Every rid is answered: a peer answers each request it is sent
     /// before it leaves (a node leaves only past the exit barrier, whose
@@ -296,9 +297,6 @@ impl<S: Substrate> Tmk<S> {
             self.me
         );
         loop {
-            if let Some(resp) = self.take_collected(rid) {
-                return resp;
-            }
             if let ControlFlow::Break(resp) = self.wait_step(|t| t.take_collected(rid)) {
                 return resp;
             }
@@ -307,12 +305,12 @@ impl<S: Substrate> Tmk<S> {
 
     /// The engine's one blocking step, shared by every loop that waits for
     /// a message — [`Self::rpc_collect`], the barrier's arrival wait, the
-    /// shutdown linger — and the only place the **drain-before-block
-    /// invariant** lives: the serve queue is always emptied (in
-    /// virtual-arrival order) before the node blocks, because a request
-    /// gathered during an earlier absorb may be the very thing a peer is
-    /// blocked on — sleeping on it deadlocks both (the gather-burst
-    /// deadlock). ([`Self::compute_ns`] blocks too, but for a bounded time.)
+    /// shutdown linger — and the only place the **drain before block and
+    /// before return** invariant lives: the serve queue is emptied (in
+    /// virtual-arrival order) before the node blocks — a queued request may
+    /// be the very thing a peer is blocked on (the gather-burst deadlock) —
+    /// and before the wait ends, so the application never runs while a
+    /// peer waits on it. ([`Self::compute_ns`] blocks for a bounded time.)
     ///
     /// Drain the serve queue; if the caller's `ready` re-check now yields,
     /// break with its value without blocking; otherwise block in the
@@ -355,6 +353,7 @@ impl<S: Substrate> Tmk<S> {
     /// resumes when the queue is drained, so the segment lasts `d` plus, for
     /// each interruption, the async scheme's CPU overhead and the handlers.
     pub fn compute_ns(&mut self, d: Ns) {
+        debug_assert!(self.serve_q.is_empty(), "computing with requests queued");
         let scheme = self.sub.scheme();
         let idle_at_start = self.clock().borrow().stats.idle_time;
         let mut remaining = d;
@@ -458,21 +457,18 @@ impl<S: Substrate> Tmk<S> {
         pool::give(msg.data);
     }
 
-    /// Dispatch every queued request, earliest virtual arrival first.
-    /// Handlers never call back into the collect loop (they respond via
-    /// service windows), so draining between waits cannot recurse.
+    /// Dispatch every queued request, earliest virtual arrival first (ties
+    /// in the order gathered). Handlers never call back into the collect
+    /// loop (they respond via service windows), so nothing is queued meanwhile.
     pub(super) fn drain_serve_queue(&mut self) {
-        while !self.serve_q.is_empty() {
-            let mut pick = 0;
-            for i in 1..self.serve_q.len() {
-                if self.serve_q[i].arrival < self.serve_q[pick].arrival {
-                    pick = i;
-                }
-            }
-            let q = self.serve_q.remove(pick);
+        let mut queue = std::mem::take(&mut self.serve_q);
+        queue.sort_by_key(|q| q.arrival);
+        for q in queue.drain(..) {
             self.serve(q.from, &q.data, q.arrival);
             pool::give(q.data);
         }
+        debug_assert!(self.serve_q.is_empty(), "a handler queued a request");
+        self.serve_q = queue;
     }
 
     /// Service any requests that have already arrived (called at natural

@@ -366,11 +366,11 @@ impl<S: Substrate> Tmk<S> {
     /// the overlapped engine's one blocking step:
     /// requests keep being dispatched (in virtual-arrival order) — lock
     /// traffic and late subtree arrivals must make progress while we
-    /// wait — and an arrival already sitting in the serve queue, gathered
-    /// during a preceding collect, is counted before we would block on
-    /// it. No rid is outstanding here, so any non-duplicate response is a
-    /// protocol error (the engine's stale discard panics on reliable
-    /// transports and counts on lossy ones).
+    /// wait. An arrival gathered during a preceding collect was served
+    /// inside it, so a childless node passes straight through. No rid is
+    /// outstanding here, so any non-duplicate response is a protocol error
+    /// (the engine's stale discard panics on reliable transports and
+    /// counts on lossy ones).
     fn barrier_wait_arrivals(&mut self) {
         let arrived = |t: &mut Self| t.barrier.clients.iter().all(Option::is_some).then_some(());
         while self.wait_step(arrived).is_continue() {}
@@ -378,16 +378,10 @@ impl<S: Substrate> Tmk<S> {
 
     /// The barrier, for the root, interior nodes and leaves alike.
     fn barrier_tree(&mut self, id: u32) {
+        debug_assert!(self.serve_q.is_empty(), "at a barrier with requests queued");
         self.barrier.join(self.me as usize, id);
-        // Wait for one combined arrival per direct child subtree. A
-        // childless node has nothing to wait for and must not pass through
-        // the wait step on its way: its arrival leaves *before* it drains
-        // its serve queue (a request already queued is served from inside
-        // the arrival rpc, after the send), which is the order the paper's
-        // barrier client has and the goldens price.
-        if !self.tree_children().is_empty() {
-            self.barrier_wait_arrivals();
-        }
+        // Wait for one combined arrival per direct child subtree.
+        self.barrier_wait_arrivals();
         // Every arrival is in: whatever arrives from here on is for the
         // next barrier. The child slots stay full until the releases go
         // out — no child can arrive again before its release.

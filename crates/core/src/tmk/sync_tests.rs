@@ -303,16 +303,10 @@ fn a_second_open_fetch_to_one_peer_is_refused() {
     );
 }
 
-/// The gather-burst deadlock (PR 5), through the engine's one blocking
-/// step: a barrier arrival that lands in the same instant as the response
-/// being collected is gathered into the serve queue by that collect and
-/// is still queued when the collect returns. The manager's arrival wait
-/// must count it before it would block — its sender is blocked on the
-/// release and will send nothing more. A decoy request far in the
-/// virtual future turns a regression into a failure instead of a hang:
-/// a manager that blocked would wake on the decoy, a second later.
-#[test]
-fn request_gathered_during_a_collect_is_served_before_the_next_block() {
+/// Node 0 of a two-node memsub cluster, and node 1's bare substrate, once
+/// node 0 has collected a page fetch whose answer landed in the same
+/// instant (50 µs) as node 1's `request` (rid 100).
+fn collect_beside(request: Request) -> (Tmk<MemSubstrate>, MemSubstrate) {
     let params = Arc::new(SimParams::paper_testbed());
     let mut eps = mem_cluster(2);
     let e1 = eps.pop().unwrap();
@@ -324,27 +318,42 @@ fn request_gathered_during_a_collect_is_served_before_the_next_block() {
     let rid = t0.rpc_issue(1, Request::Page { page: 0 });
     let _ = s1.next_incoming();
     let at = Ns::from_us(50);
-    let arrive = Request::BarrierArrive {
-        barrier: 5,
-        floor: None,
-        vc: VectorClock::new(2),
-        records: Vec::new(),
-    };
-    s1.send(0, Chan::Request, &encode(arrive, 100), Some(at));
+    s1.send(0, Chan::Request, &encode(request, 100), Some(at));
     let answer = Response::ZeroPage {
         page: 0,
         applied: vec![0, 0],
     };
     s1.send_response_at(0, &answer.encode(rid), at);
+    assert_eq!(Response::decode(&t0.rpc_collect(rid)), Some((rid, answer)));
+    (t0, s1)
+}
+
+/// The gather-burst deadlock, through the engine's one blocking step: a
+/// barrier arrival that lands in the same instant as the response being
+/// collected is gathered into the serve queue by that collect and served
+/// before the collect returns. The manager's arrival wait then finds it
+/// counted and does not block: its sender is blocked on the release and
+/// will send nothing more. A decoy request far in the virtual future turns
+/// a regression into a failure instead of a hang: a manager that blocked
+/// would wake on the decoy, a second later.
+#[test]
+fn request_gathered_during_a_collect_is_served_before_the_next_block() {
+    let (mut t0, mut s1) = collect_beside(Request::BarrierArrive {
+        barrier: 5,
+        floor: None,
+        vc: VectorClock::new(2),
+        records: Vec::new(),
+    });
+    assert!(
+        t0.serve_q.is_empty(),
+        "a request left queued by the collect"
+    );
+    assert!(
+        matches!(t0.barrier.clients[..], [Some((100, None, _))]),
+        "arrival gathered with the response, not served inside the collect"
+    );
     let decoy = encode(Request::Page { page: 0 }, 101);
     s1.send(0, Chan::Request, &decoy, Some(Ns::from_secs(1)));
-
-    assert_eq!(Response::decode(&t0.rpc_collect(rid)), Some((rid, answer)));
-    assert_eq!(
-        t0.serve_q.len(),
-        1,
-        "arrival gathered with the response, not yet served"
-    );
 
     t0.barrier(5);
     assert!(
@@ -355,6 +364,22 @@ fn request_gathered_during_a_collect_is_served_before_the_next_block() {
     let (rid, resp) = Response::decode(&release.data).unwrap();
     assert_eq!(rid, 100);
     assert!(matches!(resp, Response::BarrierRelease { .. }));
+}
+
+/// The serve queue is empty whenever the application runs: a peer's
+/// request gathered in the same burst as the response being collected is
+/// answered before the collect returns, not held through the computation
+/// that follows it. A request left queued would wait for the node's next
+/// block, a second later.
+#[test]
+fn a_request_gathered_with_a_response_is_answered_before_the_next_computation_ends() {
+    let (mut t0, mut s1) = collect_beside(Request::Page { page: 0 });
+    let end = t0.clock().borrow().now() + Ns::from_secs(1);
+    t0.compute_ns(Ns::from_secs(1));
+    let Wait::Got(reply) = s1.wait(Some(end)) else {
+        panic!("the gathered request was not answered before the computation ended");
+    };
+    assert_eq!(Response::decode(&reply.data).map(|(rid, _)| rid), Some(100));
 }
 
 /// A `Diffs` response that decodes cleanly but whose diff reaches past

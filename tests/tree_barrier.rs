@@ -240,17 +240,15 @@ fn in_flight(delay: Ns) -> Vec<Step> {
     out[LEAF].result.clone()
 }
 
-/// A request gathered while the leaf collected its last rpc before the
-/// barrier — it landed in the instants before that rpc's response, so the
-/// collect queued it and returned — is still in the serve queue at barrier
-/// entry. The leaf sends its arrival first and serves the request from
-/// inside the arrival rpc; a leaf that passed through the arrival wait
-/// (`wait_step` drains before it looks) would serve it first and arrive
-/// late by the service time, which is what moved `e3` / `e4` by 6–7 µs
-/// when it was tried. The window is a dozen µs wide (41–52 µs here) and
-/// where it lies is the cost model's business, so the lock request is
-/// swept across the fetch in 2 µs steps: early ones are served inside the
-/// fetch, late ones inside the arrival rpc, and none in between.
+/// A leaf's serve queue is empty at barrier entry: a request that landed
+/// before the response of its last rpc was served inside that collect (the
+/// collect looks for its response only after it drains), and one that lands
+/// later is served inside the arrival rpc, after the send. So no request
+/// the leaf gathered before the barrier is left to delay its arrival, and
+/// none that comes after is served ahead of it. Where the boundary lies is
+/// the cost model's business, so the lock request is swept across the
+/// fetch in 2 µs steps: early ones are served inside the fetch, late ones
+/// inside the arrival rpc, and none in between.
 #[test]
 fn a_leaf_sends_its_arrival_before_it_drains_its_serve_queue() {
     use Step::*;
