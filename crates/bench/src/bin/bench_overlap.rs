@@ -20,8 +20,9 @@
 //! The `lock_storm` is TSP-like: node 0 writes a block of pages inside
 //! the critical section, node 1 acquires the lock and reads them. The
 //! only ordering is the lock handoff, so the grant carries the write
-//! notices; `LockPath::Overlapped` batch-fetches the diffs they imply at
-//! acquire time instead of faulting one round trip at a time. The
+//! notices; `Profile::Tuned`'s overlapped lock path batch-fetches the
+//! diffs they imply at acquire time instead of faulting one round trip at
+//! a time, as `Profile::Spec`'s serial one does. The
 //! `cold_grant` is the case that path loses: the same storm over one more
 //! page, in which node 1 reads only the turn marker — the grant's notices
 //! name 16 pages it mapped and never reads, and the overlapped path
@@ -37,7 +38,7 @@ use std::sync::Arc;
 use tm_fast::{run_fast_dsm, FastConfig};
 
 use tm_bench::{diff_storm_body, lock_storm_body};
-use tmk::{DiffFetch, LockPath, Substrate, Tmk, TmkConfig};
+use tmk::{DiffFetch, Profile, Substrate, Tmk, TmkConfig};
 
 const PAGES: usize = 64;
 const STORM_PAGES: usize = 16;
@@ -75,12 +76,12 @@ fn run(writers: usize, engine: DiffFetch) -> u64 {
 }
 
 /// Node 1's per-round cost of the lock storm over `pages` pages under
-/// `lp`, reading them back if `read`.
-fn run_storm(lp: LockPath, pages: usize, read: bool) -> u64 {
+/// `profile`, reading them back if `read`.
+fn run_storm(profile: Profile, pages: usize, read: bool) -> u64 {
     let params = Arc::new(tm_sim::SimParams::paper_testbed());
     let cfg = FastConfig::paper(&params);
     let tcfg = TmkConfig {
-        lock_path: lp,
+        profile,
         ..TmkConfig::default()
     };
     let out = run_fast_dsm(2, params, cfg, tcfg, move |tmk| {
@@ -89,11 +90,12 @@ fn run_storm(lp: LockPath, pages: usize, read: bool) -> u64 {
     out[1].result
 }
 
-/// Run the lock storm over `pages` pages under both lock paths, print it
-/// and append it to `json` as `name`; returns (serial, overlapped).
+/// Run the lock storm over `pages` pages under both profiles' lock paths,
+/// print it and append it to `json` as `name`; returns (serial,
+/// overlapped).
 fn storm_object(json: &mut String, name: &str, pages: usize, read: bool) -> (u64, u64) {
-    let serial = run_storm(LockPath::Serial, pages, read);
-    let overlapped = run_storm(LockPath::Overlapped, pages, read);
+    let serial = run_storm(Profile::Spec, pages, read);
+    let overlapped = run_storm(Profile::Tuned, pages, read);
     let ratio = serial as f64 / overlapped.max(1) as f64;
     println!("{name}: serial={serial}ns overlapped={overlapped}ns ({ratio:.2}x)");
     json.push_str(&format!(

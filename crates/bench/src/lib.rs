@@ -7,8 +7,9 @@
 //! arithmetic, E6 the §2.2.4 async-handling ablation, E7 the §5 scaling
 //! question (tree vs centralized barrier to 128 nodes, Jacobi at fixed
 //! size). Two more record trajectories: `bench_overlap` the diff-fetch
-//! engines and lock paths in simulated ns (`results/BENCH_overlap.json`,
-//! exact), `bench_diff` the diff engine's and framing's host ns.
+//! engines and the two profiles' lock paths in simulated ns
+//! (`results/BENCH_overlap.json`, exact), `bench_diff` the diff engine's
+//! and framing's host ns.
 //!
 //! This library holds the shared pieces: the microbenchmark bodies more
 //! than one binary or test runs, application specs with their size
@@ -25,16 +26,18 @@ use tm_apps::{
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, Transport};
 use tm_sim::runner::cluster_time;
 use tm_sim::{FaultPlan, Ns, SimParams};
-use tmk::{LockPath, SharedId, Substrate, Tmk, TmkConfig};
+use tmk::{Profile, SharedId, Substrate, Tmk, TmkConfig};
 
 /// The runtime every committed `results/e*.txt` table runs: the default
-/// [`TmkConfig`] with the paper's lazy acquire ([`LockPath::Serial`]),
-/// so an acquire sends what TreadMarks sends, message for message. The
-/// default fetches what a grant invalidates at the grant instead
-/// (`results/BENCH_overlap.json` prices the two).
+/// [`TmkConfig`] under the specification profile ([`Profile::Spec`]), so
+/// an acquire and a first touch send what TreadMarks sends, message for
+/// message. The default ([`Profile::Tuned`]) fetches what a grant
+/// invalidates at the grant instead (`results/BENCH_overlap.json` prices
+/// the two) and maps a page no write notice names as zeroes without a
+/// fetch.
 pub fn paper_config() -> TmkConfig {
     TmkConfig {
-        lock_path: LockPath::Serial,
+        profile: Profile::Spec,
         ..TmkConfig::default()
     }
 }
@@ -45,7 +48,7 @@ pub fn paper_config() -> TmkConfig {
 /// pages under the lock, node 1 acquires and (if `read`) reads them,
 /// `rounds` times. The only ordering between the write and the read is
 /// the lock transfer itself, so the grant carries the write notices —
-/// under `LockPath::Overlapped` the diff fetches they imply are batched
+/// under `Profile::Tuned` the diff fetches they imply are batched
 /// at acquire time instead of faulting one round trip at a time inside
 /// the critical section. Without `read` the grant is cold: node 1 reads
 /// only the turn marker, and the overlapped path fetches the rest for

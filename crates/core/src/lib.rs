@@ -50,5 +50,5 @@ pub mod wire;
 
 pub use metrics::{EventStat, LayerMetrics, MetricsHandle};
 pub use substrate::{Chan, IncomingMsg, Substrate};
-pub use tmk::{BarrierAlgo, DiffFetch, LockPath, SharedId, Tmk, TmkConfig, TmkEvent};
+pub use tmk::{BarrierAlgo, DiffFetch, Profile, SharedId, Tmk, TmkConfig, TmkEvent};
 pub use vc::VectorClock;

@@ -446,7 +446,8 @@ impl std::iter::Sum for HeldBytes {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
     /// No local copy has ever been valid: first access fetches the whole
-    /// page from its manager.
+    /// page from its manager (under the tuned profile only when a write
+    /// notice names it; otherwise it maps the zero page it holds).
     Unmapped,
     /// Local copy exists but the page is owed diffs: access faults and
     /// fetches them.

@@ -95,7 +95,7 @@ pub enum Response<'a> {
         records: Records<'a>,
     },
     /// A whole page that is entirely zero — no payload needed. Common for
-    /// first-touch fetches of freshly allocated memory.
+    /// the spec profile's first-touch fetches of freshly allocated memory.
     ZeroPage { page: PageId, applied: Vec<u32> },
     /// Answer to a `MultiDiff`: one entry per page the responder managed
     /// to pack under its message-size budget. Pages omitted from the

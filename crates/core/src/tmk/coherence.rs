@@ -12,7 +12,7 @@ use std::ops::RangeInclusive;
 
 use tm_sim::Ns;
 
-use super::{DiffFetch, Tmk};
+use super::{DiffFetch, Profile, Tmk};
 use crate::diff::{apply_to, DiffImage};
 use crate::interval::IntervalRecord;
 use crate::page::{Access, HeldBytes, Page, PageId, Spans};
@@ -271,6 +271,11 @@ impl<S: Substrate> Tmk<S> {
     /// Charge `pid`'s access fault, if it has one — fetching the whole page
     /// first when it was never mapped — and say whether it did. What the
     /// page is owed is left to the caller's diff fetch.
+    ///
+    /// Under [`Profile::Tuned`] a never-mapped page no write notice names
+    /// is not fetched: no write this node must see touched it, so it is
+    /// the zero page it already holds, applied nothing, and the caller's
+    /// fetch maps it with one mprotect and sends nothing.
     fn take_fault(&mut self, pid: PageId) -> bool {
         let state = self.pages[pid].state;
         if matches!(state, Access::Read | Access::Write) {
@@ -279,7 +284,8 @@ impl<S: Substrate> Tmk<S> {
         let fault = self.sub.params().dsm.page_fault;
         self.clock().borrow_mut().advance(fault);
         self.clock().borrow_mut().stats.page_faults += 1;
-        if state == Access::Unmapped {
+        if state == Access::Unmapped && (self.cfg.profile == Profile::Spec || self.pages.owes(pid))
+        {
             self.fetch_page(pid);
         }
         true
@@ -343,7 +349,8 @@ impl<S: Substrate> Tmk<S> {
         c.stats.page_faults += 1;
     }
 
-    /// First touch: fetch the whole page from its manager.
+    /// First touch of a page a notice names, or of any page under
+    /// [`Profile::Spec`]: fetch the whole page from its manager.
     fn fetch_page(&mut self, pid: PageId) {
         let manager = self.page_manager(pid);
         assert_ne!(manager, self.me, "manager pages are resident");

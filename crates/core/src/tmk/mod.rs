@@ -95,20 +95,25 @@ pub enum DiffFetch {
     Coalesced,
 }
 
-/// When an acquire fetches the pages its grant's write notices
-/// invalidate. Barriers and every other message are the same under both.
+/// Which runtime a node runs: the TreadMarks specification or the tuned
+/// default. They differ in two rules, what an acquire fetches and what a
+/// first touch fetches; barriers and every other message are the same
+/// under both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockPath {
-    /// Lazily, one fault at a time inside the critical section — the
-    /// TreadMarks specification baseline, message-for-message, and what
-    /// the experiment tables run.
-    Serial,
-    /// At the grant, as one overlapped batch through the RPC engine
-    /// (acquire+read cost ≈ grant + max fetch instead of grant + Σ
-    /// per-page round trips). The default; it loses when a grant
-    /// invalidates mapped pages the critical section never reads
-    /// (`bench_overlap`'s `cold_grant`).
-    Overlapped,
+pub enum Profile {
+    /// The TreadMarks specification baseline, message for message, and
+    /// what the experiment tables run: an acquire fetches what its grant
+    /// invalidates lazily, one fault at a time inside the critical
+    /// section, and a first touch fetches the whole page from its manager.
+    Spec,
+    /// The default. An acquire fetches what its grant invalidates at the
+    /// grant, as one overlapped batch through the RPC engine (acquire+read
+    /// cost ≈ grant + max fetch instead of grant + Σ per-page round trips);
+    /// it loses when a grant invalidates mapped pages the critical section
+    /// never reads (`bench_overlap`'s `cold_grant`). A first touch of a
+    /// page no write notice names maps it as the zero page it holds and
+    /// sends nothing; a named one is fetched as under `Spec`.
+    Tuned,
 }
 
 /// Runtime tunables.
@@ -118,8 +123,8 @@ pub struct TmkConfig {
     pub barrier_algo: BarrierAlgo,
     /// How pending diffs are fetched at a page fault.
     pub diff_fetch: DiffFetch,
-    /// When an acquire fetches what its grant invalidates.
-    pub lock_path: LockPath,
+    /// What an acquire and a first touch fetch.
+    pub profile: Profile,
 }
 
 impl Default for TmkConfig {
@@ -127,7 +132,7 @@ impl Default for TmkConfig {
         TmkConfig {
             barrier_algo: BarrierAlgo::Centralized,
             diff_fetch: DiffFetch::Coalesced,
-            lock_path: LockPath::Overlapped,
+            profile: Profile::Tuned,
         }
     }
 }

@@ -284,11 +284,11 @@ impl<S: Substrate> Tmk<S> {
         let ls = &mut self.locks[lock as usize];
         ls.have_token = true;
         ls.busy = true;
-        // Under the overlapped lock path the pages these records
-        // invalidate are fetched *now*, as one concurrent batch, instead of
-        // one fault round-trip at a time inside the critical section —
-        // acquire latency becomes max(grant, fetch) rather than their sum.
-        if self.cfg.lock_path == super::LockPath::Overlapped {
+        // Under the tuned profile the pages these records invalidate are
+        // fetched *now*, as one concurrent batch, instead of one fault
+        // round-trip at a time inside the critical section — acquire
+        // latency becomes max(grant, fetch) rather than their sum.
+        if self.cfg.profile == super::Profile::Tuned {
             self.pipeline_fetch(&granted);
         }
         granted.clear();

@@ -18,7 +18,7 @@ use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, UdpSubstrate};
 use tm_myrinet::Fabric;
 use tm_sim::clock::shared_clock;
 use tm_sim::{run_cluster_with, FaultPlan, NodeStats, Ns, SimParams};
-use tmk::{DiffFetch, LockPath, Substrate, Tmk, TmkConfig, TmkEvent};
+use tmk::{DiffFetch, Profile, Substrate, Tmk, TmkConfig, TmkEvent};
 
 const NODES: usize = 4;
 const PAGES: usize = 6;
@@ -404,9 +404,9 @@ fn lock_chain<S: Substrate>(tmk: &mut Tmk<S>) -> Vec<u32> {
     out
 }
 
-/// Run the chain under `lock_path` at `loss` on fault seed `seed`; every
+/// Run the chain under `profile` at `loss` on fault seed `seed`; every
 /// node must read the closed-form sums.
-fn lock_chain_finishes(lock_path: LockPath, loss: f64, seed: u64) {
+fn lock_chain_finishes(profile: Profile, loss: f64, seed: u64) {
     let mut want = vec![0u32; MIG_PAGES * MIG_LOCKS];
     for me in 0..MIG_NODES {
         for r in 0..MIG_ROUNDS {
@@ -422,14 +422,14 @@ fn lock_chain_finishes(lock_path: LockPath, loss: f64, seed: u64) {
         ..FaultPlan::default()
     };
     let cfg = TmkConfig {
-        lock_path,
+        profile,
         ..TmkConfig::default()
     };
     let out = run_udp_dsm(MIG_NODES, with_plan(plan), cfg, lock_chain);
     for o in &out {
         assert_eq!(
             o.result, want,
-            "{lock_path:?} loss {loss} seed {seed}: node {} sums",
+            "{profile:?} loss {loss} seed {seed}: node {} sums",
             o.id
         );
     }
@@ -443,21 +443,21 @@ fn lossy_lock_chain_keeps_its_obligations() {
     // already named the requester) and, on seed 72, an owner's grant 6 ms
     // after the grant itself was lost (the waiter was queued twice). Both
     // schedules were the paper's lazy acquire's.
-    lock_chain_finishes(LockPath::Serial, 0.02, 5);
-    lock_chain_finishes(LockPath::Serial, 0.02, 72);
+    lock_chain_finishes(Profile::Spec, 0.02, 5);
+    lock_chain_finishes(Profile::Spec, 0.02, 72);
 }
 
-/// The sweep behind the two seeds above, under both lock paths: the
+/// The sweep behind the two seeds above, under both profiles: the
 /// default's, and the paper's lazy acquire, which the default no longer
 /// runs anywhere else under loss (CI's `fault-matrix` job runs it by name
 /// in a release build).
 #[test]
 #[ignore]
 fn lossy_lock_chain_sweep() {
-    for lock_path in [LockPath::Serial, LockPath::Overlapped] {
+    for profile in [Profile::Spec, Profile::Tuned] {
         for loss in [0.02, 0.10] {
             for seed in 1..=100 {
-                lock_chain_finishes(lock_path, loss, seed);
+                lock_chain_finishes(profile, loss, seed);
             }
         }
     }
@@ -498,7 +498,8 @@ fn a_lock_held_across_ten_seconds_of_compute_is_waited_out() {
 /// of it. Node 1's acquire sits at the ceiling for far longer than the
 /// 13 silent timeouts it may count, but each fetch is a frame from node 0
 /// and starts its silence over: a peer that is heard from is waited out,
-/// however long it holds the request.
+/// however long it holds the request. Node 1 writes its pages before the
+/// first barrier, so a notice names each and every touch is a fetch.
 #[test]
 fn a_peer_that_is_heard_from_is_waited_out_however_long_it_holds_a_request() {
     let plan = FaultPlan {
@@ -508,12 +509,18 @@ fn a_peer_that_is_heard_from_is_waited_out_however_long_it_holds_a_request() {
     };
     let out = run_udp_dsm(2, with_plan(plan), TmkConfig::default(), |tmk| {
         let r = tmk.malloc(12 * 4096);
+        if tmk.proc_id() == 1 {
+            for odd in (1..12).step_by(2) {
+                tmk.set_u32(r, odd * 1024, 1);
+            }
+        }
         tmk.barrier(0);
         tmk.acquire(0);
         if tmk.proc_id() == 0 {
             for odd in (1..12).step_by(2) {
                 tmk.compute_ns(Ns::from_secs(5));
-                // Page `odd` is managed by node 1: a first touch fetches it.
+                // Page `odd` is managed and written by node 1: a first
+                // touch fetches it.
                 let _ = tmk.get_u32(r, odd * 1024);
             }
         }

@@ -6,8 +6,9 @@
 //! The workload is the TSP-like storm: the holder writes a block of
 //! pages under the lock, the reader acquires and reads it back, with the
 //! lock handoff as the only ordering (so the grant carries the write
-//! notices the pipeline overlaps). The overlapped path is the default;
-//! the last test prices it on the benchmark's migratory shape.
+//! notices the pipeline overlaps). The overlapped path is the tuned
+//! profile's, the default; the spec profile's is the lazy acquire. The
+//! last test prices it on the benchmark's migratory shape.
 
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use proptest::prelude::*;
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::runner::cluster_time;
 use tm_sim::{FaultPlan, Ns, SimParams};
-use tmk::{LockPath, Substrate, Tmk, TmkConfig};
+use tmk::{Profile, Substrate, Tmk, TmkConfig};
 
 const PAGES: usize = 8;
 const ROUNDS: u32 = 4;
@@ -67,18 +68,18 @@ fn storm<S: Substrate>(tmk: &mut Tmk<S>) -> Vec<u8> {
     snap
 }
 
-/// Run the storm under `lock_path` and `plan`; assert both nodes
+/// Run the storm under `profile` and `plan`; assert both nodes
 /// converge on one snapshot and return it.
-fn run_storm(lock_path: LockPath, plan: FaultPlan) -> Vec<u8> {
+fn run_storm(profile: Profile, plan: FaultPlan) -> Vec<u8> {
     let cfg = TmkConfig {
-        lock_path,
+        profile,
         ..TmkConfig::default()
     };
     let out = run_udp_dsm(2, with_plan(plan), cfg, storm);
     for o in &out {
         assert_eq!(
             o.result, out[0].result,
-            "node {} snapshot diverges under {lock_path:?}",
+            "node {} snapshot diverges under {profile:?}",
             o.id
         );
     }
@@ -87,11 +88,8 @@ fn run_storm(lock_path: LockPath, plan: FaultPlan) -> Vec<u8> {
 
 #[test]
 fn pipelined_paths_match_serial_on_clean_network() {
-    let serial = run_storm(LockPath::Serial, FaultPlan::default());
-    assert_eq!(
-        run_storm(LockPath::Overlapped, FaultPlan::default()),
-        serial
-    );
+    let serial = run_storm(Profile::Spec, FaultPlan::default());
+    assert_eq!(run_storm(Profile::Tuned, FaultPlan::default()), serial);
     // The content itself: the last round's interval on every page
     // (u32 index `p * 1024 + 4` is byte offset `p * 4096 + 16`).
     for p in 1..PAGES {
@@ -101,12 +99,13 @@ fn pipelined_paths_match_serial_on_clean_network() {
     }
 }
 
-/// Barriers and lock handoffs with no shared write: there is nothing for
-/// an acquire to fetch, so the lock path must not show. Every node's finish
-/// time and message count are the same under both paths, on both
-/// transports — a barrier release is one response either way.
+/// Barriers and lock handoffs that touch no shared page: there is nothing
+/// for an acquire or a first touch to fetch, so the profile must not show.
+/// Every node's finish time and message count are the same under both
+/// profiles, on both transports — a barrier release is one response either
+/// way.
 #[test]
-fn the_lock_path_changes_only_what_an_acquire_fetches() {
+fn the_profile_changes_only_what_an_acquire_or_a_first_touch_fetches() {
     fn sync_only<S: Substrate>(tmk: &mut Tmk<S>) {
         let me = tmk.proc_id() as u32;
         for round in 0..3 {
@@ -117,8 +116,8 @@ fn the_lock_path_changes_only_what_an_acquire_fetches() {
         }
     }
     let params = Arc::new(SimParams::paper_testbed());
-    let cfg = |lock_path| TmkConfig {
-        lock_path,
+    let cfg = |profile| TmkConfig {
+        profile,
         ..TmkConfig::default()
     };
     let fast = |lp| {
@@ -130,13 +129,13 @@ fn the_lock_path_changes_only_what_an_acquire_fetches() {
         out.iter().map(|o| (o.finish, o.stats.msgs_sent)).collect()
     };
     assert_eq!(
-        signature(fast(LockPath::Overlapped)),
-        signature(fast(LockPath::Serial)),
+        signature(fast(Profile::Tuned)),
+        signature(fast(Profile::Spec)),
         "FAST/GM"
     );
     assert_eq!(
-        signature(udp(LockPath::Overlapped)),
-        signature(udp(LockPath::Serial)),
+        signature(udp(Profile::Tuned)),
+        signature(udp(Profile::Spec)),
         "UDP/GM"
     );
 }
@@ -172,14 +171,15 @@ fn migratory<S: Substrate>(tmk: &mut Tmk<S>) -> Vec<u32> {
     words
 }
 
-/// The default is the overlapped path, and on the migratory shape over
-/// UDP/GM at 0.5 % loss (fixed fault seed) it changes only timing: the
+/// The default is the tuned profile, whose lock path is the overlapped
+/// one, and on the migratory shape over UDP/GM at 0.5 % loss (fixed fault
+/// seed) it changes only timing: the
 /// same words, reached strictly sooner in fewer messages than the paper's
 /// lazy acquire, whose faults each cost a round trip inside the critical
 /// section.
 #[test]
-fn the_default_lock_path_is_the_overlapped_one_and_only_finishes_sooner() {
-    assert_eq!(TmkConfig::default().lock_path, LockPath::Overlapped);
+fn the_default_profile_is_the_tuned_one_and_only_finishes_sooner() {
+    assert_eq!(TmkConfig::default().profile, Profile::Tuned);
     let run = |cfg: TmkConfig| {
         let plan = FaultPlan {
             seed: 0x6d69_6738,
@@ -194,7 +194,7 @@ fn the_default_lock_path_is_the_overlapped_one_and_only_finishes_sooner() {
         (out[0].result.clone(), cluster_time(&out), msgs)
     };
     let serial = run(TmkConfig {
-        lock_path: LockPath::Serial,
+        profile: Profile::Spec,
         ..TmkConfig::default()
     });
     let default = run(TmkConfig::default());
@@ -207,7 +207,7 @@ fn the_default_lock_path_is_the_overlapped_one_and_only_finishes_sooner() {
         }
     }
     assert_eq!(serial.0, want, "the lazy acquire's words");
-    assert_eq!(default.0, serial.0, "the lock path changed memory");
+    assert_eq!(default.0, serial.0, "the profile changed memory");
     assert!(
         default.1 < serial.1,
         "the default ({}) must finish before the lazy acquire ({})",
@@ -236,7 +236,7 @@ proptest! {
         dup_pm in 0u32..150,       // 0..15% duplication
         reorder_pm in 0u32..200,   // 0..20% reordering
     ) {
-        let clean = run_storm(LockPath::Serial, FaultPlan::default());
+        let clean = run_storm(Profile::Spec, FaultPlan::default());
         let plan = FaultPlan {
             seed,
             drop_probability: f64::from(drop_pm) / 1000.0,
@@ -245,6 +245,6 @@ proptest! {
             reorder_delay: Ns::from_us(250),
             ..FaultPlan::default()
         };
-        prop_assert_eq!(run_storm(LockPath::Overlapped, plan), clean);
+        prop_assert_eq!(run_storm(Profile::Tuned, plan), clean);
     }
 }

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_sim::{FaultPlan, Ns, SimParams};
 use tmk::memsub::run_mem_dsm;
-use tmk::{LockPath, Substrate, Tmk, TmkConfig};
+use tmk::{Profile, Substrate, Tmk, TmkConfig};
 
 const NODES: usize = 4;
 const PAGES: usize = 4;
@@ -99,14 +99,17 @@ fn fast_lockstep_double_run_is_byte_identical() {
         (NODES as u32 * INCRS).to_le_bytes(),
         "lock-guarded counter wrong"
     );
+    // Re-recorded once on purpose (−58 577 ns on every node), when the
+    // default profile began mapping a page no write notice names as
+    // zeroes instead of fetching it from its manager.
     let (finish, h) = pinned(&a);
     assert_eq!(
         finish,
-        [2_931_215, 2_936_486, 2_938_043, 2_939_600],
+        [2_872_638, 2_877_909, 2_879_466, 2_881_023],
         "finish times left the recorded schedule"
     );
     assert_eq!(
-        h, 0x6baa_add4_a4ec_7eab,
+        h, 0x4f56_1171_05ea_a8bd,
         "counters or memory left the recorded schedule"
     );
 }
@@ -115,17 +118,18 @@ fn fast_lockstep_double_run_is_byte_identical() {
 fn udp_lockstep_double_run_is_byte_identical() {
     let a = udp_run();
     assert_eq!(a, udp_run(), "UDP/GM lockstep run diverged from its repeat");
-    // Re-recorded once on purpose (+2 520 ns on every node), when a collect
+    // Re-recorded twice on purpose: +2 520 ns on every node when a collect
     // began serving the requests gathered with its response before handing
-    // it back.
+    // it back, −222 227 ns when the default profile began mapping a page no
+    // write notice names as zeroes instead of fetching it.
     let (finish, h) = pinned(&a);
     assert_eq!(
         finish,
-        [4_804_683, 4_815_918, 4_822_938, 4_829_958],
+        [4_582_456, 4_593_691, 4_600_711, 4_607_731],
         "finish times left the recorded schedule"
     );
     assert_eq!(
-        h, 0x349e_60d8_60cf_165a,
+        h, 0xc50f_7e96_4942_f827,
         "counters or memory left the recorded schedule"
     );
 }
@@ -223,17 +227,18 @@ fn fast_lockstep_is_exact_on_all_cores() {
     for i in 1..RUNS {
         assert_eq!(run(), first, "run {i} of {RUNS} diverged from run 0");
     }
-    // Re-recorded once on purpose (latest finish 4 146 623 → 4 047 233 ns),
+    // Re-recorded twice on purpose (latest finish 4 146 623 → 4 047 233 ns
     // when a collect began serving the requests gathered with its response
-    // before handing it back.
+    // before handing it back; → 4 004 868 ns when the default profile began
+    // mapping a page no write notice names as zeroes without a fetch).
     let (finish, h) = pinned(&first);
     assert_eq!(
         latest_and_sum(&finish),
-        (4_047_233, 64_583_282),
+        (4_004_868, 63_905_442),
         "finish times left the recorded schedule"
     );
     assert_eq!(
-        h, 0x90d9_04d6_35df_843f,
+        h, 0x895d_ebac_e457_f00b,
         "counters or memory left the recorded schedule"
     );
 }
@@ -259,17 +264,18 @@ fn memsub_double_run_is_byte_identical() {
         first.iter().all(|f| f.2 == first[0].2 && f.0 > 0),
         "nodes disagree on the lock-guarded words"
     );
-    // Re-recorded once on purpose (latest finish 2 014 671 → 2 127 552 ns),
+    // Re-recorded twice on purpose (latest finish 2 014 671 → 2 127 552 ns
     // when a collect began serving the requests gathered with its response
-    // before handing it back.
+    // before handing it back; → 2 101 187 ns when the default profile began
+    // mapping a page no write notice names as zeroes without a fetch).
     let (finish, h) = pinned(&first);
     assert_eq!(
         latest_and_sum(&finish),
-        (2_127_552, 33_930_832),
+        (2_101_187, 33_508_992),
         "finish times left the recorded schedule"
     );
     assert_eq!(
-        h, 0x3df6_1e5d_dc17_b315,
+        h, 0x3cdd_ca43_62b2_8c46,
         "counters or memory left the recorded schedule"
     );
 }
@@ -347,7 +353,10 @@ fn time_buckets_sum_to_finish_on_every_node() {
 /// them included. Re-recorded once on purpose, when a collect began serving
 /// the requests gathered with its response before handing it back (latest
 /// finish: FAST/GM 4 842 606 → 4 743 216 ns, UDP/GM 9 651 970 → 9 604 225
-/// ns, memsub 2 649 171 → 2 762 052 ns).
+/// ns, memsub 2 649 171 → 2 762 052 ns), and again when the default
+/// profile began mapping a page no write notice names as zeroes without a
+/// fetch (FAST/GM → 4 700 851 ns, UDP/GM → 9 466 001 ns, memsub →
+/// 2 735 687 ns).
 #[test]
 fn a_run_that_computes_is_byte_identical_on_every_substrate() {
     type Run = fn() -> Vec<(u64, String, Vec<u8>)>;
@@ -366,8 +375,8 @@ fn a_run_that_computes_is_byte_identical_on_every_substrate() {
                     storm_after_compute,
                 ))
             },
-            (4_743_216, 75_719_010),
-            0x638f_2cb7_11f6_25ac,
+            (4_700_851, 75_041_170),
+            0xbf67_ea63_f729_a9cc,
         ),
         (
             "UDP/GM",
@@ -380,8 +389,8 @@ fn a_run_that_computes_is_byte_identical_on_every_substrate() {
                     storm_after_compute,
                 ))
             },
-            (9_604_225, 152_903_569),
-            0x1b1b_3e71_f7b9_e59f,
+            (9_466_001, 150_691_985),
+            0xb805_238a_7019_e7c0,
         ),
         (
             "memsub",
@@ -395,8 +404,8 @@ fn a_run_that_computes_is_byte_identical_on_every_substrate() {
                     storm_after_compute,
                 ))
             },
-            (2_762_052, 44_082_832),
-            0x852d_d37f_9202_514a,
+            (2_735_687, 43_660_992),
+            0xbb61_63a4_a27f_07d4,
         ),
     ];
     for (what, run, finish, digest) in runs {
@@ -432,7 +441,12 @@ fn udp_lockstep_pins_faulty_run_signatures() {
     // Re-recorded once on purpose (9 177 358 → 9 107 795 ns on node 0),
     // when a dropped datagram stopped reaching its receiver as a loss
     // tombstone and a lost response came to be recovered by the
-    // requester's timer alone.
+    // requester's timer alone. Re-recorded a second time on purpose (node 0
+    // 9 107 795 → 1 645 157 832 ns), when the default profile began mapping
+    // a page no write notice names as zeroes without a fetch: the fault
+    // plan is kept, and on the schedule that left, one leaf's `Gone` is
+    // dropped, so node 0's linger ends on silence at the retransmission
+    // timeout's 1.64 s ceiling.
     let run = || {
         let mut p = SimParams::paper_testbed();
         p.faults = FaultPlan {
@@ -460,11 +474,11 @@ fn udp_lockstep_pins_faulty_run_signatures() {
     let (finish, h) = pinned(&a);
     assert_eq!(
         finish,
-        [9_107_795, 9_056_562, 9_063_582, 9_070_602],
+        [1_645_157_832, 6_730_099, 6_737_119, 6_744_139],
         "finish times left the recorded schedule"
     );
     assert_eq!(
-        h, 0x9c60_d32a_28ea_6c7c,
+        h, 0xc760_3a79_c033_69f7,
         "counters or memory left the recorded schedule"
     );
 }
@@ -570,7 +584,7 @@ fn latest_and_sum(finish: &[u64]) -> (u64, u64) {
 /// cluster time; +57 746 ns on the (31 337, 10, 40, 20) row). The digests
 /// move with them (one more request served and sent per leaf). The
 /// fault-free row is untouched. Every row runs the paper's lazy acquire
-/// (`LockPath::Serial`), the path they were recorded under. A second
+/// (`Profile::Spec`), the path they were recorded under. A second
 /// re-pin moved the five lossy rows of each table on purpose, when a
 /// dropped datagram stopped reaching its receiver as a loss tombstone: a
 /// lost response is recovered by the requester's timer alone, no longer
@@ -581,7 +595,8 @@ fn latest_and_sum(finish: &[u64]) -> (u64, u64) {
 /// `4242` rows moved only their digests; the drop-free rows did not move.
 /// The second
 /// table is the same eight plans under `TmkConfig::default()`, which
-/// fetches what a grant invalidates at the grant and finishes earlier; it
+/// fetches what a grant invalidates at the grant, maps a page no write
+/// notice names as zeroes, and finishes earlier; it
 /// was recorded at commit 7c33cad. Applying fetched diffs from the frames
 /// that carried them, instead of decoding each into a held copy, left
 /// every row of both tables as it was. A third re-pin moved four rows of
@@ -589,11 +604,15 @@ fn latest_and_sum(finish: &[u64]) -> (u64, u64) {
 /// gathered with its response before handing it back: the `(13, 0, 0,
 /// 50)`, `4242` and `31 337` rows finish earlier (lazy `(13, 0, 0, 50)`
 /// 5 396 209 → 5 235 598 ns), the `(7, 50, 0, 0)` rows moved only their
-/// digests, and the other four rows did not move.
+/// digests, and the other four rows did not move. The second table alone
+/// was re-pinned once more, every row, when the default profile began
+/// mapping a page no write notice names as zeroes instead of fetching it
+/// from its manager (fault-free row 3 154 188 → 3 016 201 ns on node 0);
+/// the first, `Profile::Spec`, reproduced byte for byte.
 #[test]
 fn lockstep_schedule_matches_the_recorded_serial_schedule() {
     let serial = TmkConfig {
-        lock_path: LockPath::Serial,
+        profile: Profile::Spec,
         ..TmkConfig::default()
     };
     #[rustfmt::skip]
@@ -610,14 +629,14 @@ fn lockstep_schedule_matches_the_recorded_serial_schedule() {
     matches_goldens(&serial, &lazy);
     #[rustfmt::skip]
     let default: [Golden; 8] = [
-        (1,        0,  0,  0, [3_154_188, 3_172_438, 3_179_457], 0x1020_1091_11af_0f76),
-        (7,       50,  0,  0, [4_702_587, 4_658_375, 4_665_394], 0x554e_f3a5_29c1_8734),
-        (11,       0, 50,  0, [3_232_755, 3_188_543, 3_195_562], 0x73b3_cdcf_2fd9_ad7d),
-        (13,       0,  0, 50, [5_135_442, 5_091_230, 5_098_249], 0xae31_3894_6114_740e),
-        (42,      79, 59, 59, [6_777_665, 6_728_924, 6_735_943], 0x2409_3fdf_ddbc_6720),
-        (4242,    20, 10, 30, [4_144_580, 4_100_368, 4_107_387], 0x3267_2a0e_ba25_f62b),
-        (987_654, 60,  5,  0, [5_183_266, 5_139_054, 5_146_073], 0xd881_9e4c_c8ac_48a6),
-        (31_337,  10, 40, 20, [3_063_778, 3_019_566, 3_026_585], 0x5942_614d_fc27_5f15),
+        (1,        0,  0,  0, [3_016_201, 3_034_451, 3_041_470], 0x332e_dc17_ea7b_cbda),
+        (7,       50,  0,  0, [4_477_702, 4_433_490, 4_440_509], 0xe9c8_0d01_7b22_bba3),
+        (11,       0, 50,  0, [3_086_923, 3_042_711, 3_049_730], 0x7eab_6786_9007_e72d),
+        (13,       0,  0, 50, [5_082_540, 5_038_328, 5_045_347], 0x17b9_4f3e_d033_cb12),
+        (42,      79, 59, 59, [5_651_225, 5_607_013, 5_614_032], 0xf507_20f1_3786_cd91),
+        (4242,    20, 10, 30, [4_030_909, 3_986_697, 3_993_716], 0x2e08_cdf8_0ee8_a3df),
+        (987_654, 60,  5,  0, [4_658_669, 4_614_457, 4_621_476], 0x6304_2a08_581f_da54),
+        (31_337,  10, 40, 20, [2_969_790, 2_925_578, 2_932_597], 0x89b2_3981_220b_7e06),
     ];
     matches_goldens(&TmkConfig::default(), &default);
 }

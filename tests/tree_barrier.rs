@@ -206,17 +206,23 @@ enum Step {
 
 const LEAF: usize = 5;
 const ASKER: usize = 6;
+/// The page `LEAF` faults in, and the node that manages it.
+const PAGE: usize = 9;
 
 /// 16 nodes, one barrier. `LEAF` — childless, like every node but the
 /// root — page-faults (an rpc) and walks straight into the barrier;
 /// `ASKER` computes for `delay`, then asks for a lock `LEAF` manages.
-/// Returns `LEAF`'s steps.
+/// The faulted page's manager writes it before barrier 0, so a notice
+/// names it and the first touch is a fetch. Returns `LEAF`'s steps.
 fn in_flight(delay: Ns) -> Vec<Step> {
     let params = Arc::new(SimParams::paper_testbed());
     let out = run_udp_dsm(16, params, cfg(BarrierAlgo::Centralized), move |tmk| {
         let me = tmk.proc_id();
         let steps = Rc::new(RefCell::new(Vec::new()));
         let r = tmk.malloc(16 * 4096);
+        if me == PAGE {
+            tmk.set_u32(r, PAGE * 1024, 1);
+        }
         tmk.barrier(0);
         if me == LEAF {
             let sink = Rc::clone(&steps);
@@ -225,8 +231,9 @@ fn in_flight(delay: Ns) -> Vec<Step> {
                 TmkEvent::RequestServed { from: ASKER, .. } => sink.borrow_mut().push(Step::Served),
                 _ => {}
             });
-            // First touch of a page homed elsewhere: one blocking rpc.
-            let _ = tmk.get_u32(r, 9 * 1024);
+            // First touch of a page homed and written elsewhere: one
+            // blocking rpc.
+            let _ = tmk.get_u32(r, PAGE * 1024);
             steps.borrow_mut().push(Step::Fetched);
         } else if me == ASKER {
             tmk.compute_ns(delay);
