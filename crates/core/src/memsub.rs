@@ -6,83 +6,45 @@
 //! * the "infinitely fast network" ablation point — set `latency` to zero
 //!   and the remaining execution time is pure protocol + compute.
 //!
-//! There is no fabric here, but there is a scheduler: a `mem_cluster` is a
-//! client of `tm_sim::sched` exactly as the Myrinet fabric is. A send waits
-//! for its departure time to be the cluster's minimum event key, pushes,
-//! and reports the delivery; a blocking wait parks; a poll miss is a park
-//! on deadline *now*; dropping the endpoint marks the node done. So a
-//! memsub run is as byte-reproducible as a fabric run, and a memsub
-//! deadlock is the same diagnosis.
+//! There is no fabric here, but there are the cluster's mailboxes
+//! (`tm_sim::mailbox`), exactly as under the Myrinet NICs: a send, a
+//! blocking wait, a poll and its miss follow the same rules, so a memsub
+//! run is as byte-reproducible as a fabric run and a memsub deadlock is the
+//! same diagnosis. What memsub adds is its costs: a fixed host cost per
+//! send and a fixed one-way latency.
 
-use std::cell::{RefCell, RefMut};
-use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::Arc;
 
-use tm_sim::{AsyncScheme, LockstepSched, Ns, SharedClock, SimParams, Wait};
+use tm_sim::mailbox::{Mailbox, Mailboxes, Message};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Wait};
 
 use crate::substrate::{Chan, IncomingMsg, Substrate};
 use crate::wire::pool;
 
-/// A node's inbox, which senders push into and the node's substrate reads
-/// in place: one queue per channel.
-#[derive(Default)]
-struct Inbox {
-    requests: VecDeque<IncomingMsg>,
-    responses: VecDeque<IncomingMsg>,
-}
+/// The mailbox keys of the two channels, declared in this order: a
+/// request wins a tie with a response.
+const KEYS: [u16; 2] = [Chan::Request as u16, Chan::Response as u16];
 
-impl Inbox {
-    /// Earliest-arrival message across both queues, if it arrives by `by`
-    /// (no bound: whatever its arrival).
-    fn pop_due(&mut self, by: Option<Ns>) -> Option<IncomingMsg> {
-        let rq = self.requests.front().map(|m| m.arrival);
-        let rs = self.responses.front().map(|m| m.arrival);
-        let q = match (rq, rs) {
-            (None, None) => return None,
-            (Some(a), Some(b)) if b < a => &mut self.responses,
-            (None, Some(_)) => &mut self.responses,
-            _ => &mut self.requests,
-        };
-        q.pop_front_if(|m| by.is_none_or(|t| m.arrival <= t))
+impl Message for IncomingMsg {
+    fn arrival(&self) -> Ns {
+        self.arrival
     }
 }
 
-/// Construction halves: move one [`MemEndpoint`] into each node body and
-/// wrap it with [`MemSubstrate::new`]. It shares the cluster's scheduler
-/// and inboxes with its peers, so it stays on the cluster's thread:
+/// Construction halves: move one endpoint — a node's mailbox — into each
+/// node body and wrap it with [`MemSubstrate::new`]. It shares the
+/// cluster's mailboxes with its peers, so it stays on the cluster's
+/// thread:
 ///
 /// ```compile_fail
 /// fn crosses_threads<T: Send>() {}
 /// crosses_threads::<tmk::memsub::MemEndpoint>();
 /// ```
-pub struct MemEndpoint {
-    id: usize,
-    /// Every node's inbox; `None` once its endpoint has dropped.
-    inboxes: Rc<[RefCell<Option<Inbox>>]>,
-    sched: Rc<LockstepSched>,
-}
-
-impl Drop for MemEndpoint {
-    fn drop(&mut self) {
-        self.inboxes[self.id].take();
-        self.sched.mark_done(self.id);
-    }
-}
+pub type MemEndpoint = Mailbox<IncomingMsg>;
 
 /// Build endpoints for an `n`-node in-memory cluster.
 pub fn mem_cluster(n: usize) -> Vec<MemEndpoint> {
-    let inboxes: Rc<[_]> = (0..n)
-        .map(|_| RefCell::new(Some(Inbox::default())))
-        .collect();
-    let sched = Rc::new(LockstepSched::new(n));
-    (0..n)
-        .map(|id| MemEndpoint {
-            id,
-            inboxes: Rc::clone(&inboxes),
-            sched: Rc::clone(&sched),
-        })
-        .collect()
+    Mailboxes::new(n, &KEYS).1
 }
 
 /// The per-node substrate object.
@@ -112,29 +74,15 @@ impl MemSubstrate {
             send_cost,
         }
     }
-
-    /// This node's inbox. Borrowed for the length of one queue operation
-    /// and never across a park: the sender that ends the wait pushes here.
-    fn inbox(&self) -> RefMut<'_, Inbox> {
-        RefMut::map(self.ep.inboxes[self.ep.id].borrow_mut(), |i| {
-            i.as_mut().expect("closes when this endpoint drops")
-        })
-    }
-
-    /// Whether a poll's miss at virtual time `now` is final: `false` if an
-    /// earlier-keyed send landed here first (look again).
-    fn miss_settled(&self, now: Ns) -> bool {
-        self.ep.sched.park(self.ep.id, Some(now)) == Wait::Deadline
-    }
 }
 
 impl Substrate for MemSubstrate {
     fn my_id(&self) -> usize {
-        self.ep.id
+        self.ep.node()
     }
 
     fn nprocs(&self) -> usize {
-        self.ep.inboxes.len()
+        self.ep.nprocs()
     }
 
     fn clock(&self) -> &SharedClock {
@@ -150,8 +98,8 @@ impl Substrate for MemSubstrate {
         AsyncScheme::Interrupt { cost: Ns::ZERO }
     }
 
-    /// Released by the scheduler in departure-key order, so every inbox
-    /// fills in an order the program alone decides.
+    /// Released in departure-key order, so every inbox fills in an order
+    /// the program alone decides.
     fn send(&mut self, to: usize, chan: Chan, data: &[u8], at: Option<Ns>) {
         let depart = {
             let mut c = self.clock.borrow_mut();
@@ -162,23 +110,18 @@ impl Substrate for MemSubstrate {
             c.stats.bytes_sent += data.len() as u64;
             at.unwrap_or(c.now())
         };
-        self.ep.sched.request_transmit(self.ep.id, to, depart);
-        // The receiver gives the buffer back to the pool.
-        let mut copy = pool::take(data.len());
-        copy.extend_from_slice(data);
-        let msg = IncomingMsg {
-            from: self.ep.id,
-            chan,
-            data: copy,
-            arrival: depart + self.latency,
-        };
-        let mut inbox = self.ep.inboxes[to].borrow_mut();
-        let inbox = inbox.as_mut().expect("peer gone");
-        match chan {
-            Chan::Request => inbox.requests.push_back(msg),
-            Chan::Response => inbox.responses.push_back(msg),
-        }
-        self.ep.sched.deliver(to);
+        let (from, arrival) = (self.ep.node(), depart + self.latency);
+        self.ep.send(to, chan as u16, depart, || {
+            // The receiver gives the buffer back to the pool.
+            let mut copy = pool::take(data.len());
+            copy.extend_from_slice(data);
+            IncomingMsg {
+                from,
+                chan,
+                data: copy,
+                arrival,
+            }
+        });
     }
 
     fn response_cost(&self, _len: usize) -> Ns {
@@ -186,46 +129,28 @@ impl Substrate for MemSubstrate {
     }
 
     fn poll_request(&mut self) -> Option<IncomingMsg> {
-        loop {
-            let now = self.clock.borrow().now();
-            {
-                let mut inbox = self.inbox();
-                if inbox.requests.front().is_some_and(|m| m.arrival <= now) {
-                    return inbox.requests.pop_front();
-                }
-            }
-            if self.miss_settled(now) {
-                return None;
-            }
-        }
+        let now = self.clock.borrow().now();
+        self.ep.poll(Some(&[Chan::Request as u16]), now)
     }
 
     fn poll_incoming(&mut self) -> Option<IncomingMsg> {
-        loop {
-            let now = self.clock.borrow().now();
-            let arrived = self.inbox().pop_due(Some(now));
-            if arrived.is_some() || self.miss_settled(now) {
-                return arrived;
-            }
-        }
+        let now = self.clock.borrow().now();
+        self.ep.poll(None, now)
     }
 
-    /// A park without a deadline can only end in a delivery (or, if none
-    /// can ever come, in the scheduler's deadlock diagnosis).
     fn wait(&mut self, deadline: Option<Ns>) -> Wait<IncomingMsg> {
-        loop {
-            let due = self.inbox().pop_due(deadline);
-            if let Some(msg) = due {
-                let mut c = self.clock.borrow_mut();
+        let arrived = self.ep.wait(None, deadline);
+        let mut c = self.clock.borrow_mut();
+        match arrived {
+            Wait::Got(msg) => {
                 c.wait_until(msg.arrival);
                 c.stats.msgs_recv += 1;
                 c.stats.bytes_recv += msg.data.len() as u64;
-                return Wait::Got(msg);
+                Wait::Got(msg)
             }
-            if self.ep.sched.park(self.ep.id, deadline) == Wait::Deadline {
-                let d = deadline.expect("only a wait with a deadline times out");
-                self.clock.borrow_mut().wait_until(d);
-                return Wait::Deadline;
+            Wait::Deadline => {
+                c.wait_until(deadline.expect("only a wait with a deadline times out"));
+                Wait::Deadline
             }
         }
     }

@@ -20,22 +20,25 @@
 //! *a message or a virtual deadline*, whichever comes first, reported as
 //! a [`Wait`]. Each layer below defines the same operation once and
 //! passes it down: `UdpStack::recv` or `GmNode::blocking_receive_by` over
-//! `NicHandle::wait` over the scheduler's park. The deadline means the
-//! same thing on every substrate. Nothing here reports whether a peer is
-//! still there: a node learns that from what arrives on the wire.
+//! `NicHandle::wait` over the node's mailbox (`tm_sim::mailbox`), which
+//! alone parks on the scheduler; memsub waits in its mailbox directly.
+//! The deadline means the same thing on every substrate. Nothing here
+//! reports whether a peer is still there: a node learns that from what
+//! arrives on the wire.
 //!
 //! # Scheduling contract
 //!
 //! A cluster's nodes are contexts on one thread and the scheduler
 //! (`tm_sim::sched`) releases one event at a time, in virtual-key order. A
 //! substrate has nothing to declare for that: it participates by routing
-//! every send, every blocking wait and every poll miss through a scheduler
-//! client — its NIC handle for the two transports, the scheduler itself
-//! for [`crate::memsub`]. What it must *not* do is block in the operating
-//! system, or leave the cluster's thread: the node that would unblock it
-//! shares that thread. The second half needs no care — a substrate holds
-//! a [`SharedClock`] and a scheduler client, both `Rc`, so it is `!Send`.
-//! Nothing at this level or above knows a scheduler exists.
+//! every send, every blocking wait and every poll miss through its node's
+//! mailbox (`tm_sim::mailbox`, the scheduler's one client) — under a NIC
+//! handle for the two transports, directly for [`crate::memsub`]. What it
+//! must *not* do is block in the operating system, or leave the cluster's
+//! thread: the node that would unblock it shares that thread. The second
+//! half needs no care — a substrate holds a [`SharedClock`] and a mailbox,
+//! both `Rc`, so it is `!Send`. Nothing at this level or above knows a
+//! scheduler exists.
 
 use std::sync::Arc;
 

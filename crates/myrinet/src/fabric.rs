@@ -1,17 +1,18 @@
 //! The switch fabric: per-link serialization and cut-through forwarding.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use tm_sim::{LockstepSched, Ns, SimParams};
+use tm_sim::mailbox::Mailboxes;
+use tm_sim::{Ns, SimParams};
 
-use crate::nic::{Inbox, NicHandle};
+use crate::nic::NicHandle;
 use crate::packet::{NodeId, RawPacket, FRAME_OVERHEAD};
 
 /// One node's full-duplex link state: the virtual time at which each
-/// direction is next free. The scheduler releases one transmit at a time,
+/// direction is next free. The mailboxes release one transmit at a time,
 /// in virtual-key order, so each link's occupancy sequence is the keys'.
 #[derive(Default)]
 struct LinkState {
@@ -30,23 +31,13 @@ struct LinkState {
 pub struct Fabric {
     params: Arc<SimParams>,
     links: Vec<LinkState>,
-    /// Each node's inbox, which [`Fabric::transmit`] pushes into and the
-    /// node's [`NicHandle`] reads in place; `None` once that handle has
-    /// dropped.
-    inboxes: Vec<RefCell<Option<Inbox>>>,
     /// Extra switch traversals beyond the first (multi-stage fabrics for
     /// >16 nodes; the paper's 16-node testbed used a single crossbar).
     extra_hops: u32,
-    /// The cluster's scheduler. Every transmit waits for its virtual
-    /// injection time to be the cluster's minimum event key before it
-    /// reserves its links; a node that has dropped its NIC is `Done`
-    /// there and offers no more events.
-    sched: Rc<LockstepSched>,
-    /// Sends that found the destination's inbox already closed: the
-    /// receiver dropped its NIC while the packet was in flight. Always
-    /// tolerated (a powered-off host simply eats late wire traffic) and
-    /// counted here so tests can assert on clean runs.
-    shutdown_races: Cell<u64>,
+    /// Every node's NIC inbox, keyed by port, and the cluster's scheduler
+    /// behind them: a transmit waits there for its virtual injection time
+    /// to be the cluster's minimum event key before it reserves its links.
+    mail: Rc<Mailboxes<RawPacket>>,
 }
 
 impl Fabric {
@@ -65,18 +56,16 @@ impl Fabric {
             levels += 1;
         }
         let extra_hops = 2 * (levels - 1);
+        let (mail, mailboxes) = Mailboxes::new(n, &[]);
         let fabric = Rc::new(Fabric {
             params,
             links: (0..n).map(|_| LinkState::default()).collect(),
-            inboxes: (0..n)
-                .map(|_| RefCell::new(Some(Inbox::default())))
-                .collect(),
             extra_hops,
-            sched: Rc::new(LockstepSched::new(n)),
-            shutdown_races: Cell::new(0),
+            mail,
         });
-        let handles = (0..n)
-            .map(|id| NicHandle::new(id, Rc::clone(&fabric)))
+        let handles = mailboxes
+            .into_iter()
+            .map(|mailbox| NicHandle::new(mailbox, Rc::clone(&fabric)))
             .collect();
         (fabric, handles)
     }
@@ -85,17 +74,13 @@ impl Fabric {
         self.links.len()
     }
 
-    pub(crate) fn sched(&self) -> &Rc<LockstepSched> {
-        &self.sched
-    }
-
-    pub(crate) fn inbox(&self, node: NodeId) -> &RefCell<Option<Inbox>> {
-        &self.inboxes[node]
-    }
-
-    /// How many in-flight packets hit an already-departed node's inbox.
+    /// How many in-flight packets hit an already-departed node's inbox:
+    /// the receiver dropped its NIC while the packet was in flight (a
+    /// retransmission, a replayed response, a barrier arrival to a
+    /// departed manager). Always tolerated — a powered-off host eats late
+    /// wire traffic — and counted so tests can assert on clean runs.
     pub fn shutdown_races(&self) -> u64 {
-        self.shutdown_races.get()
+        self.mail.closed_pushes()
     }
 
     pub fn params(&self) -> &SimParams {
@@ -128,55 +113,32 @@ impl Fabric {
         assert!(src < self.nprocs() && dst < self.nprocs(), "bad node id");
         let net = &self.params.net;
         let wire = Ns::for_bytes(payload.len() + FRAME_OVERHEAD, net.link_mb_s);
-        let packet = |arrival| RawPacket {
-            src,
-            src_port,
-            dst_port,
-            payload,
-            arrival,
+        // Each link's occupancy sequence follows the keys: the mailbox
+        // releases one transmit at a time, and nothing else runs between
+        // the release and the landing. Loopback skips the wire *and* the
+        // scheduler: it never leaves the node, so it is program order.
+        let land = || {
+            let arrival = if src == dst {
+                inject_time + net.nic_rx
+            } else {
+                // Occupy our tx link.
+                let tx_start = Self::reserve(&self.links[src].tx_free, inject_time, wire);
+                // Head reaches the switch; cut-through forwards it as soon
+                // as the receiver's link is free.
+                let hops = Ns(net.switch_latency.0 * (1 + self.extra_hops as u64));
+                let at_switch = tx_start + hops;
+                let rx_start = Self::reserve(&self.links[dst].rx_free, at_switch, wire);
+                rx_start + wire + net.nic_rx
+            };
+            RawPacket {
+                src,
+                src_port,
+                dst_port,
+                payload,
+                arrival,
+            }
         };
-        if src == dst {
-            // Loopback skips the wire *and* the scheduler: it never
-            // leaves the node, so it is program order.
-            let arrival = inject_time + net.nic_rx;
-            self.push(dst, packet(arrival));
-            return arrival;
-        }
-        // Wait until this injection is the cluster's minimum event.
-        // Nothing else runs between the release and the delivery below,
-        // so each link's occupancy sequence follows the keys.
-        self.sched.request_transmit(src, dst, inject_time);
-        // Occupy our tx link.
-        let tx_start = Self::reserve(&self.links[src].tx_free, inject_time, wire);
-        // Head reaches the switch; cut-through forwards it as soon as
-        // the receiver's link is free.
-        let hops = Ns(net.switch_latency.0 * (1 + self.extra_hops as u64));
-        let at_switch = tx_start + hops;
-        let rx_start = Self::reserve(&self.links[dst].rx_free, at_switch, wire);
-        let arrival = rx_start + wire + net.nic_rx;
-        if self.push(dst, packet(arrival)) {
-            self.sched.deliver(dst);
-        }
-        arrival
-    }
-
-    /// Enqueue a packet into `dst`'s inbox; returns whether it landed.
-    /// It does not if the receiver has already dropped its NIC —
-    /// legitimate late wire traffic racing the destination's shutdown (a
-    /// retransmission, a replayed response, a barrier arrival to a
-    /// departed manager). A powered-off host eats such packets; we count
-    /// them instead of treating them as errors.
-    fn push(&self, dst: NodeId, pkt: RawPacket) -> bool {
-        match self.inboxes[dst].borrow_mut().as_mut() {
-            Some(inbox) => {
-                inbox.port(pkt.dst_port).push_back(pkt);
-                true
-            }
-            None => {
-                self.shutdown_races.set(self.shutdown_races.get() + 1);
-                false
-            }
-        }
+        self.mail.send((src, dst), dst_port, inject_time, land)
     }
 }
 
@@ -282,7 +244,6 @@ mod tests {
         drop(nics.remove(1));
         f.transmit((0, 0), (1, 0), Bytes::from_static(b"late"), Ns(0));
         assert_eq!(f.shutdown_races(), 1);
-        assert!(f.inbox(1).borrow().is_none(), "a closed inbox is gone");
     }
 
     /// Two senders contend for one rx link, and the one with the *later*

@@ -10,11 +10,13 @@
 //! this fabric, which is exactly the physical situation of the paper —
 //! UDP/GM and FAST/GM ran over the same NICs and switch.
 //!
-//! Every transmit and every wait goes through the cluster's scheduler
-//! (`tm_sim::sched`), which the fabric owns: a node blocked in
-//! [`NicHandle::recv_blocking`] is a suspended context, packets land in
-//! virtual-key order, and a protocol deadlock is reported with every
-//! node's state instead of hanging.
+//! The fabric adds only its links to the cluster's mailboxes
+//! (`tm_sim::mailbox`): a transmit is a mailbox send whose landing
+//! reserves the tx and rx links, and a [`NicHandle`] is a node's mailbox,
+//! keyed by port. So a node blocked in [`NicHandle::recv_blocking`] is a
+//! suspended context, packets land in virtual-key order, and a protocol
+//! deadlock is reported with every node's state instead of hanging —
+//! by the same rules as on every other transport.
 
 pub mod fabric;
 pub mod nic;

@@ -1,84 +1,49 @@
-//! Receive side of a node's NIC: demultiplexing and blocking waits.
-//!
-//! A wait ends on a packet or a virtual deadline. Nothing here says
-//! whether a peer's NIC is still on the fabric: like a real host, a node
-//! learns that a peer has left only from the packets it receives.
+//! A node's NIC: its mailbox ([`tm_sim::mailbox`], whose rules every
+//! receive here follows), keyed by destination port, and its sends
+//! through the [`Fabric`]'s links.
 
-use std::cell::RefMut;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use tm_sim::mailbox::Mailbox;
 use tm_sim::{Ns, Wait};
 
 use crate::fabric::Fabric;
 use crate::packet::{NodeId, RawPacket};
 
-/// A node's inbox: one queue per destination port, in the order the ports
-/// were first used by either side (which is how [`NicHandle::wait`] breaks
-/// a tie between equal arrivals). Owned by the [`Fabric`], which pushes
-/// into it; the node's [`NicHandle`] reads it in place.
-#[derive(Default)]
-pub(crate) struct Inbox(Vec<(u16, VecDeque<RawPacket>)>);
-
-impl Inbox {
-    /// The queue of `port`, allocated on first use.
-    pub(crate) fn port(&mut self, port: u16) -> &mut VecDeque<RawPacket> {
-        let found = self.0.iter().position(|(p, _)| *p == port);
-        let i = found.unwrap_or_else(|| {
-            self.0.push((port, VecDeque::new()));
-            self.0.len() - 1
-        });
-        &mut self.0[i].1
-    }
-}
-
 /// A node's handle on its NIC. Owned by the node, and — like the fabric
-/// and scheduler behind it — bound to the cluster's thread:
+/// and mailboxes behind it — bound to the cluster's thread:
 ///
 /// ```compile_fail
 /// fn crosses_threads<T: Send>() {}
 /// crosses_threads::<tm_myrinet::NicHandle>();
 /// ```
 ///
-/// Incoming packets sit in the node's inbox, demultiplexed per port as
-/// they land. A blocking receive parks on the cluster's scheduler, which
-/// suspends the node's context; if the protocol above deadlocks, the run
-/// panics naming every node's state rather than hanging or producing
-/// wrong numbers.
+/// A tie between equal arrivals goes to the port first used. Dropping the
+/// handle takes the node off the fabric: a later packet to it is counted
+/// in [`Fabric::shutdown_races`].
 pub struct NicHandle {
-    node: NodeId,
+    mailbox: Mailbox<RawPacket>,
     fabric: Rc<Fabric>,
 }
 
 impl NicHandle {
-    pub(crate) fn new(node: NodeId, fabric: Rc<Fabric>) -> Self {
-        NicHandle { node, fabric }
-    }
-
-    /// This node's inbox. Borrowed for the length of one queue operation
-    /// and never across a park: the sender that ends the wait pushes here.
-    fn inbox(&self) -> RefMut<'_, Inbox> {
-        RefMut::map(self.fabric.inbox(self.node).borrow_mut(), |i| {
-            i.as_mut().expect("closes when this handle drops")
-        })
+    pub(crate) fn new(mailbox: Mailbox<RawPacket>, fabric: Rc<Fabric>) -> Self {
+        NicHandle { mailbox, fabric }
     }
 
     pub fn node(&self) -> NodeId {
-        self.node
+        self.mailbox.node()
     }
 
     pub fn fabric(&self) -> &Rc<Fabric> {
         &self.fabric
     }
 
-    /// Settlement of a non-blocking poll's miss at virtual time `t`:
-    /// returns `true` once the scheduler has released every event earlier
-    /// than `t` (the miss is then final), or `false` if one of them
-    /// delivered a packet here first (the caller must re-examine its
-    /// queues).
+    /// Settle a poll's miss at `t` ([`Mailbox::settle`]): `true` once it
+    /// is final, `false` if a packet landed here first (look again).
     pub fn poll_quiesce(&self, t: Ns) -> bool {
-        self.fabric.sched().park(self.node, Some(t)) == Wait::Deadline
+        self.mailbox.settle(t)
     }
 
     /// Inject a packet from this node (sender side). Thin forwarding to
@@ -97,118 +62,29 @@ impl NicHandle {
         unused: Option<(u32, u64)>,
     ) -> Ns {
         assert!(unused.is_none(), "no layer models a directed send");
-        self.fabric
-            .transmit((self.node, src_port), (dst, dst_port), payload, inject_time)
+        let (src, dst) = ((self.node(), src_port), (dst, dst_port));
+        self.fabric.transmit(src, dst, payload, inject_time)
     }
 
     /// Non-blocking poll of one port.
     pub fn poll_port(&mut self, port: u16) -> Option<RawPacket> {
-        self.inbox().port(port).pop_front()
+        self.mailbox.pop(port)
     }
 
-    /// Hand every packet queued on `ports` to `take`, port by port in the
-    /// order given and each port's queue in arrival order, under one borrow
-    /// of the inbox. Unlike [`NicHandle::poll_port`] it allocates no queue
-    /// for a port nothing has landed on. `take` must not touch this node's
-    /// inbox.
-    pub fn drain_ports(&mut self, ports: &[u16], mut take: impl FnMut(RawPacket)) {
-        let mut inbox = self.inbox();
-        for &port in ports {
-            if let Some((_, q)) = inbox.0.iter_mut().find(|(p, _)| *p == port) {
-                while let Some(pkt) = q.pop_front() {
-                    take(pkt);
-                }
-            }
-        }
+    /// Hand every packet queued on `ports` to `take` ([`Mailbox::drain`]).
+    pub fn drain_ports(&mut self, ports: &[u16], take: impl FnMut(RawPacket)) {
+        self.mailbox.drain(ports, take)
     }
 
-    /// Number of packets queued for a port.
-    #[cfg(test)]
-    fn queued(&self, port: u16) -> usize {
-        let inbox = self.inbox();
-        let queue = inbox.0.iter().find(|(p, _)| *p == port);
-        queue.map_or(0, |(_, q)| q.len())
-    }
-
-    /// Index of the demux queue whose front packet has the smallest
-    /// arrival time among `ports` (or all ports when `None`) —
-    /// virtual-time fairness between ports.
-    fn best_queued_idx(&self, ports: Option<&[u16]>) -> Option<usize> {
-        let mut best: Option<(usize, Ns)> = None;
-        for (i, (p, q)) in self.inbox().0.iter().enumerate() {
-            if ports.is_none_or(|ps| ps.contains(p)) {
-                if let Some(front) = q.front() {
-                    if best.is_none_or(|(_, a)| front.arrival < a) {
-                        best = Some((i, front.arrival));
-                    }
-                }
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// The one blocking receive: wait for a packet on any of `ports`
-    /// (all ports when `None`), or — when `deadline` is set — until that
-    /// virtual time becomes the cluster's next event, whichever the
-    /// scheduler orders first.
-    ///
-    /// * A queued packet whose arrival lies past the deadline stays
-    ///   queued: the timer fires first, deterministically, and
-    ///   [`Wait::Deadline`] is reported without parking. Likewise after a
-    ///   deadline wake only a packet with `arrival <= deadline` is handed
-    ///   over.
-    /// * Selection among queued packets is by earliest virtual arrival;
-    ///   per sender the wire is FIFO.
-    ///
-    /// The park is on the scheduler: a cluster in which nothing can end
-    /// the wait is a panic naming every node's state — from `run_cluster`
-    /// when every node is stuck, from here when the fabric is driven by
-    /// hand outside a cluster and the wait has no deadline to end it.
+    /// The one blocking receive ([`Mailbox::wait`]): the earliest packet on
+    /// `ports` (all ports when `None`) or the deadline.
     pub fn wait(&mut self, ports: Option<&[u16]>, deadline: Option<Ns>) -> Wait<RawPacket> {
-        loop {
-            if let Some(i) = self.best_queued_idx(ports) {
-                return self
-                    .pop_if_due(i, deadline)
-                    .map_or(Wait::Deadline, Wait::Got);
-            }
-            // On one thread nothing can land between the look and the
-            // park. After a deadline wake, one last look at the queues:
-            // a packet due by the deadline still counts.
-            if self.fabric.sched().park(self.node, deadline) == Wait::Got(()) {
-                continue;
-            }
-            return self
-                .best_queued_idx(ports)
-                .and_then(|i| self.pop_if_due(i, deadline))
-                .map_or(Wait::Deadline, Wait::Got);
-        }
-    }
-
-    /// Pop the front packet of demux queue `i` unless it arrives after
-    /// `deadline` (no deadline: pop it whatever its arrival).
-    fn pop_if_due(&mut self, i: usize, deadline: Option<Ns>) -> Option<RawPacket> {
-        let mut inbox = self.inbox();
-        let q = &mut inbox.0[i].1;
-        let arrival = q
-            .front()
-            .expect("best_queued_idx yields non-empty queues")
-            .arrival;
-        if deadline.is_some_and(|d| arrival > d) {
-            return None;
-        }
-        q.pop_front()
+        self.mailbox.wait(ports, deadline)
     }
 
     /// Block until any packet at all arrives (raw benchmarks and tests).
     pub fn recv_blocking(&mut self) -> RawPacket {
         self.wait(None, None).got()
-    }
-}
-
-impl Drop for NicHandle {
-    fn drop(&mut self) {
-        self.fabric.inbox(self.node).take();
-        self.fabric.sched().mark_done(self.node);
     }
 }
 
@@ -247,48 +123,8 @@ mod tests {
         let mut got = Vec::new();
         nics[1].drain_ports(&[5, 6, 8], |p| got.push(p.payload.to_vec()));
         assert_eq!(got, [b"a1", b"a2", b"b1", b"b2"]);
-        assert_eq!((nics[1].queued(5), nics[1].queued(7)), (0, 1));
-    }
-
-    #[test]
-    fn wait_picks_earliest_arrival() {
-        let (f, mut nics) = pair();
-        // Loopback packet lands at 10ms on port 5; a wire packet from node
-        // 0 lands microseconds in on port 6. Although the late one is
-        // queued first, selection must follow virtual arrival time.
-        f.transmit((1, 0), (1, 5), Bytes::from_static(b"late"), Ns::from_ms(10));
-        f.transmit((0, 0), (1, 6), Bytes::from_static(b"early"), Ns(0));
-        let got = nics[1].wait(Some(&[5, 6]), None).got();
-        assert_eq!(&got.payload[..], b"early");
-    }
-
-    #[test]
-    fn wait_ignores_other_ports() {
-        let (f, mut nics) = pair();
-        f.transmit((0, 0), (1, 7), Bytes::from_static(b"other"), Ns(0));
-        f.transmit((0, 0), (1, 5), Bytes::from_static(b"mine"), Ns(0));
-        let got = nics[1].wait(Some(&[5]), None).got();
-        assert_eq!(&got.payload[..], b"mine");
-        // The port-7 packet is still queued.
-        assert_eq!(nics[1].queued(7), 1);
-    }
-
-    /// A hand-driven wait that nothing can end — no packet queued, no
-    /// deadline — is a diagnosis, not a hang.
-    #[test]
-    fn a_hand_driven_wait_nothing_can_end_is_a_diagnosis() {
-        let (_f, mut nics) = pair();
-        let payload =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| nics[1].wait(None, None)))
-                .expect_err("must not block");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("a formatted message");
-        assert!(
-            msg.contains("node 1 waits") && msg.contains("outside a cluster context"),
-            "{msg}"
-        );
-        assert!(msg.contains("node 0: Running"), "{msg}");
+        assert!(nics[1].poll_port(5).is_none());
+        assert_eq!(&nics[1].poll_port(7).expect("c0 stays").payload[..], b"c0");
     }
 
     /// [`NicHandle::wait`] inside a cluster, with and without a deadline.
@@ -336,18 +172,6 @@ mod tests {
                     }
                 });
                 assert_eq!(saw, ["deadline", "got late"], "{cell}");
-
-                // A queued packet past the deadline stays queued and
-                // reports Deadline without parking.
-                let saw = waiter_saw(move |f, mut nic| match nic.node() {
-                    1 => {
-                        let far = Bytes::from_static(b"far");
-                        f.transmit((1, 0), (1, 5), far, Ns::from_ms(10));
-                        vec![wait(&mut nic), format!("{} queued", nic.queued(5))]
-                    }
-                    _ => vec![],
-                });
-                assert_eq!(saw, ["deadline", "1 queued"], "{cell}");
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Wire packets.
 
 use bytes::Bytes;
+use tm_sim::mailbox::Message;
 use tm_sim::Ns;
 
 /// Node identifier: index into the cluster, `0..nprocs`.
@@ -32,6 +33,12 @@ impl RawPacket {
 
     pub fn is_empty(&self) -> bool {
         self.payload.is_empty()
+    }
+}
+
+impl Message for RawPacket {
+    fn arrival(&self) -> Ns {
+        self.arrival
     }
 }
 

@@ -20,6 +20,8 @@
 //! * [`runner`] — runs one body per node and collects the results.
 //! * [`sched`] — the scheduler: one event at a time, minimum virtual key
 //!   first, and only when no node is running.
+//! * [`mailbox`] — the scheduler's one client: every node's inbox, and the
+//!   one send, wait and poll settle every transport goes through.
 //! * [`context`] — the stackful contexts nodes run as: the one module in
 //!   the workspace that is not safe Rust (CI greps for that).
 //!
@@ -31,6 +33,7 @@
 pub mod clock;
 pub mod context;
 pub mod faults;
+pub mod mailbox;
 pub mod params;
 pub mod runner;
 pub mod sched;
@@ -41,6 +44,6 @@ pub use clock::{AsyncScheme, NodeClock, SharedClock};
 pub use faults::FaultPlan;
 pub use params::SimParams;
 pub use runner::{run_cluster, run_cluster_with, NodeEnv};
-pub use sched::{LockstepSched, Wait};
+pub use sched::Wait;
 pub use stats::NodeStats;
 pub use time::Ns;

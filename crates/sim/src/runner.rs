@@ -14,14 +14,14 @@
 //! hand-off per event and a wall-clock order no run could reproduce. A
 //! node body therefore must not block in the operating system (a sleep, a
 //! lock another node holds): the node that would unblock it shares the
-//! thread. Blocking on the cluster's scheduler — through a `NicHandle` or
-//! a `MemSubstrate` — is what suspends a context. The types hold the rule:
-//! those handles, the scheduler and the node clocks are `Rc`/`RefCell`
-//! data, so no bound here asks for `Send` or `Sync` and a cluster's state
-//! cannot be handed to another thread. What does cross threads is plain
-//! data — [`SimParams`] going in, [`NodeOutcome`]s coming out. Cores are
-//! for independent clusters: each `run_cluster` call is confined to its
-//! thread, so any number may run side by side.
+//! thread. Blocking in a node's [`crate::mailbox::Mailbox`] — under a
+//! `NicHandle` or a `MemSubstrate` — is what suspends a context. The types
+//! hold the rule: mailboxes, the scheduler and the node clocks are
+//! `Rc`/`RefCell` data, so no bound here asks for `Send` or `Sync` and a
+//! cluster's state cannot be handed to another thread. What does cross
+//! threads is plain data — [`SimParams`] going in, [`NodeOutcome`]s coming
+//! out. Cores are for independent clusters: each `run_cluster` call is
+//! confined to its thread, so any number may run side by side.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -231,7 +231,10 @@ mod tests {
     #[test]
     fn a_node_body_may_capture_unsendable_state() {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let (sink, sched) = (Rc::clone(&log), Rc::new(crate::LockstepSched::new(3)));
+        let (sink, sched) = (
+            Rc::clone(&log),
+            Rc::new(crate::sched::LockstepSched::new(3)),
+        );
         run_cluster(3, Arc::new(SimParams::default()), move |env| {
             sched.park(env.id, Some(Ns(30 - 10 * env.id as u64)));
             sink.borrow_mut().push(env.id);

@@ -14,20 +14,19 @@
 //! Every *fabric action* — a wire transmission, the expiry of a virtual
 //! receive deadline, the settlement of a non-blocking poll — is an
 //! **event** with a totally ordered key `(virtual time, node id)`. A node
-//! has at most one event on offer, so keys never tie. [`LockstepSched`] is
+//! has at most one event on offer, so keys never tie. `LockstepSched` is
 //! the quiescence rule and nothing else: **an event is released only when
 //! no node is running, and then the minimum key goes, alone.**
 //!
-//! A node that must wait — [`LockstepSched::request_transmit`] before it
-//! may reserve links, [`LockstepSched::park`] in a blocking receive or on a
-//! poll miss — records its key and suspends its context. When no context
-//! is left to run, [`crate::context::run`] asks the scheduler
-//! ([`Driver::next`]), which releases the owner of the minimum key; that
-//! context then runs until it waits again. A delivery
-//! ([`LockstepSched::deliver`]) releases the parked node it concerns at
-//! once; it runs before the next key is looked at. A departure
-//! ([`LockstepSched::mark_done`]) releases nobody: a node learns that a
-//! peer has left only from what the peer sent it.
+//! A node that must wait — `request_transmit` before it may reserve
+//! links, `park` in a blocking receive or on a poll miss — records its key
+//! and suspends its context. When no context is left to run,
+//! [`crate::context::run`] asks the scheduler ([`Driver::next`]), which
+//! releases the owner of the minimum key; that context then runs until it
+//! waits again. A delivery (`deliver`) releases the parked node it
+//! concerns at once; it runs before the next key is looked at. A departure
+//! (`mark_done`) releases nobody: a node learns that a peer has left only
+//! from what the peer sent it.
 //! A node whose own key is the minimum while every other node is waiting
 //! or gone is not suspended at all — the wait settles inline, which is
 //! what the suspension would have come to.
@@ -41,10 +40,12 @@
 //! function of the program, and by induction so is every virtual
 //! timestamp, counter and memory image.
 //!
-//! The scheduler's clients are the Myrinet fabric (`tm-myrinet`) and the
-//! in-memory substrate (`tmk::memsub`): a send is `request_transmit`,
-//! push, `deliver`; a blocking receive is `park`; a poll miss is a park on
-//! deadline *now*; dropping the endpoint is `mark_done`.
+//! The scheduler has one client, [`crate::mailbox`], and its four calls
+//! are private to this crate: a send is `request_transmit`, push,
+//! `deliver`; a blocking receive is `park`; a poll miss is a park on
+//! deadline *now*; dropping a node's mailbox is `mark_done`. The Myrinet
+//! fabric and the in-memory substrate reach the scheduler only through
+//! their mailboxes.
 //!
 //! # Outside a context
 //!
@@ -230,19 +231,14 @@ impl State {
 /// that drives every node by hand. A cluster never leaves its thread, and
 /// the type says so: shared by `Rc`, state in a `RefCell` that is never
 /// borrowed across a suspension.
-///
-/// ```compile_fail
-/// fn shared_across_threads<T: Sync>() {}
-/// shared_across_threads::<tm_sim::LockstepSched>();
-/// ```
-pub struct LockstepSched {
+pub(crate) struct LockstepSched {
     state: RefCell<State>,
 }
 
 impl LockstepSched {
     /// A scheduler for `n` nodes, all running: nothing is released until
     /// each has either committed to its first fabric action or left.
-    pub fn new(n: usize) -> LockstepSched {
+    pub(crate) fn new(n: usize) -> LockstepSched {
         let state = State {
             nodes: (0..n).map(|_| NodeSt::default()).collect(),
             ready: VecDeque::new(),
@@ -289,7 +285,7 @@ impl LockstepSched {
     /// caller reserves its links and pushes the packet — nothing else in
     /// the cluster runs meanwhile — then reports where it landed with
     /// [`LockstepSched::deliver`]. `dst` is named only for diagnostics.
-    pub fn request_transmit(self: &Rc<Self>, node: usize, dst: usize, inject: Ns) {
+    pub(crate) fn request_transmit(self: &Rc<Self>, node: usize, dst: usize, inject: Ns) {
         let key = (inject, node);
         self.block(node, St::Pending { key, dst });
     }
@@ -297,7 +293,7 @@ impl LockstepSched {
     /// A packet has been pushed into `dst`'s inbox: release `dst` if it is
     /// parked. A node that is running, pending or done finds the packet
     /// when it next drains.
-    pub fn deliver(&self, dst: usize) {
+    pub(crate) fn deliver(&self, dst: usize) {
         let mut s = self.state.borrow_mut();
         if matches!(s.nodes[dst].st, St::Parked { .. }) {
             s.release(dst, Wait::Got(()));
@@ -308,23 +304,16 @@ impl LockstepSched {
     /// it, or — when `deadline` is `Some(d)` — until virtual time `d`
     /// becomes the cluster's next event ([`Wait::Deadline`]), whichever
     /// the scheduler orders first. The caller drains its inbox first; on
-    /// one thread nothing can land in between.
-    ///
-    /// The deadline is what retransmission timers, compute segments and
-    /// the shutdown linger's silence run on, and what settles a
-    /// *non-blocking poll*: the answer steers request service, and traffic
-    /// keyed earlier than the poll may not have been released yet, so a
-    /// poll miss at virtual time `t` is a park on deadline `t` —
-    /// [`Wait::Deadline`] means every earlier event has been released and
-    /// "nothing arrived by `t`" is final, [`Wait::Got`] means look again.
-    pub fn park(self: &Rc<Self>, node: usize, deadline: Option<Ns>) -> Wait<()> {
+    /// one thread nothing can land in between. A poll miss at `t` is a
+    /// park on deadline `t`: [`Wait::Deadline`] means every earlier event
+    /// has been released, so the miss is final.
+    pub(crate) fn park(self: &Rc<Self>, node: usize, deadline: Option<Ns>) -> Wait<()> {
         let deadline = deadline.map(|t| (t, node));
         self.block(node, St::Parked { deadline })
     }
 
-    /// `node`'s NIC has left the fabric (its handle was dropped): it
-    /// produces no further events.
-    pub fn mark_done(&self, node: usize) {
+    /// `node` has left (its mailbox dropped): it produces no more events.
+    pub(crate) fn mark_done(&self, node: usize) {
         self.state.borrow_mut().set(node, St::Done);
     }
 }

@@ -165,8 +165,8 @@ fn concurrent_lockstep_clusters_do_not_see_each_other() {
 
 /// What goes into a cluster and what comes out of it is plain data and
 /// does cross threads — the scope above, the repo benchmark's rep thread.
-/// The cluster itself (`NicHandle`, `MemEndpoint`, `Fabric`,
-/// `LockstepSched`) does not: `compile_fail` doctests on those types.
+/// The cluster itself (`NicHandle`, `MemEndpoint`, `Fabric`, `Mailboxes`)
+/// does not: `compile_fail` doctests on those types.
 #[test]
 fn what_enters_and_leaves_a_cluster_crosses_threads() {
     fn crosses_threads<T: Send>() {}
