@@ -8,10 +8,10 @@
 //!
 //! There is no fabric here, but there are the cluster's mailboxes
 //! (`tm_sim::mailbox`), exactly as under the Myrinet NICs: a send, a
-//! blocking wait, a poll and its miss follow the same rules, so a memsub
-//! run is as byte-reproducible as a fabric run and a memsub deadlock is the
-//! same diagnosis. What memsub adds is its costs: a fixed host cost per
-//! send and a fixed one-way latency.
+//! wait and a poll (a wait with deadline *now*) follow the same rules, so
+//! a memsub run is as byte-reproducible as a fabric run and a memsub
+//! deadlock is the same diagnosis. What memsub adds is its costs: a fixed
+//! host cost per send and a fixed one-way latency.
 
 use std::sync::Arc;
 
@@ -128,18 +128,27 @@ impl Substrate for MemSubstrate {
         self.send_cost
     }
 
-    fn poll_request(&mut self) -> Option<IncomingMsg> {
+    fn poll(&mut self, chans: &[Chan]) -> Option<IncomingMsg> {
         let now = self.clock.borrow().now();
-        self.ep.poll(Some(&[Chan::Request as u16]), now)
-    }
-
-    fn poll_incoming(&mut self) -> Option<IncomingMsg> {
-        let now = self.clock.borrow().now();
-        self.ep.poll(None, now)
+        for &chan in chans {
+            if let Wait::Got(msg) = self.receive(&[chan as u16], Some(now)) {
+                return Some(msg);
+            }
+        }
+        None
     }
 
     fn wait(&mut self, deadline: Option<Ns>) -> Wait<IncomingMsg> {
-        let arrived = self.ep.wait(None, deadline);
+        self.receive(&KEYS, deadline)
+    }
+}
+
+impl MemSubstrate {
+    /// The one receive under both [`Substrate::poll`] and
+    /// [`Substrate::wait`]: the mailbox's rule, then the clock and the
+    /// counters of what it hands over.
+    fn receive(&mut self, keys: &[u16], deadline: Option<Ns>) -> Wait<IncomingMsg> {
+        let arrived = self.ep.wait(Some(keys), deadline);
         let mut c = self.clock.borrow_mut();
         match arrived {
             Wait::Got(msg) => {
@@ -231,12 +240,15 @@ mod tests {
     }
 
     #[test]
-    fn poll_request_respects_virtual_time() {
+    fn a_request_poll_respects_virtual_time() {
         let (mut a, mut b) = pair();
         a.send_request(1, b"x");
-        assert!(b.poll_request().is_none(), "not arrived in virtual time");
+        assert!(
+            b.poll(&[Chan::Request]).is_none(),
+            "not arrived in virtual time"
+        );
         b.clock().borrow_mut().advance(Ns::from_us(50));
-        assert!(b.poll_request().is_some());
+        assert!(b.poll(&[Chan::Request]).is_some());
     }
 
     /// A node that waits for a message nobody will send does not hang the

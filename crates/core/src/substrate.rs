@@ -12,28 +12,32 @@
 //! compile time — the paper's "bound to TreadMarks at compile time", with
 //! zero dispatch overhead.
 //!
-//! # The one blocking wait
+//! # The one receive
 //!
 //! "Receive a response" — and everything else a node blocks on: a
 //! barrier manager's arrivals, a retransmission timer, a shutdown linger,
 //! the end of a compute segment — is one operation, [`Substrate::wait`]:
-//! *a message or a virtual deadline*, whichever comes first, reported as
-//! a [`Wait`]. Each layer below defines the same operation once and
-//! passes it down: `UdpStack::recv` or `GmNode::blocking_receive_by` over
-//! `NicHandle::wait` over the node's mailbox (`tm_sim::mailbox`), which
-//! alone parks on the scheduler; memsub waits in its mailbox directly.
-//! The deadline means the same thing on every substrate. Nothing here
-//! reports whether a peer is still there: a node learns that from what
-//! arrives on the wire.
+//! *a message that arrives by a virtual deadline, or the deadline*,
+//! whichever the scheduler orders first, reported as a [`Wait`]. A poll
+//! ([`Substrate::poll`]) is the same operation with deadline *now*, plus
+//! what the transport charges for a miss. Each layer below defines the
+//! operation once and passes it down: `UdpStack::recv` or
+//! `GmNode::blocking_receive_by` over `NicHandle::wait` over the node's
+//! mailbox (`tm_sim::mailbox`), which alone parks on the scheduler;
+//! memsub waits in its mailbox directly. `UdpStack::try_recvfrom` and
+//! `GmNode::receive`, the transports' polls, are those receives with
+//! deadline *now*. The deadline means the same thing on every substrate.
+//! Nothing here reports whether a peer is still there: a node learns that
+//! from what arrives on the wire.
 //!
 //! # Scheduling contract
 //!
 //! A cluster's nodes are contexts on one thread and the scheduler
 //! (`tm_sim::sched`) releases one event at a time, in virtual-key order. A
 //! substrate has nothing to declare for that: it participates by routing
-//! every send, every blocking wait and every poll miss through its node's
-//! mailbox (`tm_sim::mailbox`, the scheduler's one client) — under a NIC
-//! handle for the two transports, directly for [`crate::memsub`]. What it
+//! every send, every wait and every poll through its node's mailbox
+//! (`tm_sim::mailbox`, the scheduler's one client) — under a NIC handle
+//! for the two transports, directly for [`crate::memsub`]. What it
 //! must *not* do is block in the operating system, or leave the cluster's
 //! thread: the node that would unblock it shares that thread. The second
 //! half needs no care — a substrate holds a [`SharedClock`] and a mailbox,
@@ -97,25 +101,26 @@ pub trait Substrate {
     /// it sends at the window's end.
     fn response_cost(&self, len: usize) -> Ns;
 
-    /// Non-blocking: a request whose arrival is at or before the node's
-    /// current virtual time, if any.
-    fn poll_request(&mut self) -> Option<IncomingMsg>;
+    /// A poll: the first message of `chans`, taken channel by channel in
+    /// the order given, whose arrival is at or before the node's current
+    /// virtual time — [`wait`](Substrate::wait)'s rule with deadline
+    /// *now*, plus what the transport charges for a miss. The runtime
+    /// polls `[Request]` at its application boundaries, and `[Response,
+    /// Request]` after a blocking receive to gather the whole arrived
+    /// burst, which it then dispatches in virtual-arrival order.
+    fn poll(&mut self, chans: &[Chan]) -> Option<IncomingMsg>;
 
-    /// Non-blocking: any message — request *or* response — whose arrival
-    /// is at or before the node's current virtual time. The overlapped
-    /// rpc engine drains this after a blocking receive to gather the
-    /// whole arrived burst, then dispatches it in virtual-arrival order.
-    fn poll_incoming(&mut self) -> Option<IncomingMsg>;
-
-    /// The one blocking wait: block until any request or response
-    /// arrives, or — when `deadline` is set — until that *virtual* time
-    /// passes (the runtime's retransmission timers, compute segments and
-    /// shutdown linger run on this).
+    /// The one receive: block until a request or response arrives, or —
+    /// when `deadline` is set — until that *virtual* time passes (the
+    /// runtime's retransmission timers, compute segments and shutdown
+    /// linger run on this). A message queued to arrive past the deadline
+    /// does not end the wait early: an earlier one may still land first.
     ///
     /// On [`Wait::Got`] the clock has advanced to the message's arrival
     /// if the node was idle-waiting; on [`Wait::Deadline`] it has
     /// advanced to the deadline, and a message that arrives later stays
-    /// queued for the next wait.
+    /// queued for the next wait. `msgs_recv` counts every message a wait
+    /// or a poll hands over.
     fn wait(&mut self, deadline: Option<Ns>) -> Wait<IncomingMsg>;
 
     /// [`wait`](Substrate::wait) with no deadline: block until any

@@ -396,7 +396,7 @@ impl<S: Substrate> Tmk<S> {
                 // Pull in everything else that already arrived so the
                 // next drain dispatches the burst in virtual-arrival
                 // order rather than substrate pop order.
-                while let Some(m) = self.sub.poll_incoming() {
+                while let Some(m) = self.sub.poll(&[Chan::Response, Chan::Request]) {
                     if m.chan == Chan::Request {
                         self.queue_request(m);
                     } else {
@@ -475,7 +475,7 @@ impl<S: Substrate> Tmk<S> {
     /// application boundaries that do not otherwise wait: a loop on a cached
     /// lock token never computes and never blocks).
     pub fn poll_serve(&mut self) {
-        while let Some(msg) = self.sub.poll_request() {
+        while let Some(msg) = self.sub.poll(&[Chan::Request]) {
             self.queue_request(msg);
         }
         self.drain_serve_queue();

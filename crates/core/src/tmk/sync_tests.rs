@@ -52,11 +52,8 @@ impl Substrate for LossyMem {
     fn response_cost(&self, len: usize) -> Ns {
         self.0.response_cost(len)
     }
-    fn poll_request(&mut self) -> Option<IncomingMsg> {
-        self.0.poll_request()
-    }
-    fn poll_incoming(&mut self) -> Option<IncomingMsg> {
-        self.0.poll_incoming()
+    fn poll(&mut self, chans: &[Chan]) -> Option<IncomingMsg> {
+        self.0.poll(chans)
     }
     fn wait(&mut self, deadline: Option<Ns>) -> Wait<IncomingMsg> {
         self.0.wait(deadline)

@@ -408,29 +408,19 @@ impl GmNode {
         }
     }
 
-    /// Poll one port (`gm_receive`): non-blocking; returns a message whose
-    /// arrival is at or before the node's current virtual time.
-    ///
-    /// A miss is *settled* before it is reported
-    /// ([`poll_quiesce`](tm_myrinet::NicHandle::poll_quiesce)): an event
-    /// earlier than now that the scheduler has not released yet may still
-    /// deliver a packet whose virtual arrival is ≤ now.
+    /// Poll one port (`gm_receive`): a message whose arrival is at or
+    /// before the node's current virtual time, if any. A poll is a receive
+    /// with deadline *now* ([`blocking_receive_by`](GmNode::blocking_receive_by)),
+    /// plus the miss's cost.
     pub fn receive(&mut self, port: u8) -> Result<Option<GmEvent>, GmError> {
-        loop {
-            self.absorb_nacks();
-            self.sort_arrivals();
-            let now = self.clock.borrow().now();
-            let p = self.port_mut(port)?;
-            if p.ready.front().is_some_and(|pkt| pkt.arrival <= now) {
-                return Ok(Some(self.take_ready(port)));
-            }
-            if self.nic.poll_quiesce(now) {
-                let miss = self.params.gm.recv_poll_miss;
-                self.clock.borrow_mut().advance(miss);
-                return Ok(None);
-            }
-            // A delivery came first: re-drain and look again.
+        self.port_mut(port)?;
+        let now = self.clock.borrow().now();
+        let got = self.blocking_receive_by(&[port], Some(now));
+        if got.is_none() {
+            let miss = self.params.gm.recv_poll_miss;
+            self.clock.borrow_mut().advance(miss);
         }
+        Ok(got.map(|(_, ev)| ev))
     }
 
     /// Block until a message is available on any of `ports`; advances the
@@ -468,13 +458,10 @@ impl GmNode {
                     }
                 }
             }
-            if let Some((port, arrival)) = best {
-                if deadline.is_some_and(|d| arrival > d) {
-                    break;
-                }
+            if let Some((port, _)) = best.filter(|&(_, a)| deadline.is_none_or(|d| a <= d)) {
                 return Some((port, self.take_ready(port)));
             }
-            // Nothing matched: park on the NIC until a packet lands, the
+            // Nothing due: park on the NIC until a packet lands, the
             // deadline passes or the earliest unmatched packet's resend
             // timer fires, whichever the scheduler orders first.
             let timer = ports

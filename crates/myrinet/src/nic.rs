@@ -40,12 +40,6 @@ impl NicHandle {
         &self.fabric
     }
 
-    /// Settle a poll's miss at `t` ([`Mailbox::settle`]): `true` once it
-    /// is final, `false` if a packet landed here first (look again).
-    pub fn poll_quiesce(&self, t: Ns) -> bool {
-        self.mailbox.settle(t)
-    }
-
     /// Inject a packet from this node (sender side). Thin forwarding to
     /// [`Fabric::transmit`]; cost accounting is the caller's business.
     ///
@@ -76,8 +70,9 @@ impl NicHandle {
         self.mailbox.drain(ports, take)
     }
 
-    /// The one blocking receive ([`Mailbox::wait`]): the earliest packet on
-    /// `ports` (all ports when `None`) or the deadline.
+    /// The one receive ([`Mailbox::wait`]): the earliest packet on `ports`
+    /// (all ports when `None`) that arrives by the deadline, or the
+    /// deadline. With deadline *now* it is a poll.
     pub fn wait(&mut self, ports: Option<&[u16]>, deadline: Option<Ns>) -> Wait<RawPacket> {
         self.mailbox.wait(ports, deadline)
     }
@@ -172,6 +167,23 @@ mod tests {
                     }
                 });
                 assert_eq!(saw, ["deadline", "got late"], "{cell}");
+
+                // A packet queued past the deadline does not end the wait:
+                // an earlier-keyed transmit lands first and is handed
+                // over, and the far packet stays queued.
+                let saw = waiter_saw(move |f, mut nic| match nic.node() {
+                    1 => {
+                        let far = Bytes::from_static(b"far");
+                        f.transmit((1, 0), (1, 6), far, Ns::from_ms(10));
+                        let mut both = |d| show(nic.wait(Some(&[5, 6]), d));
+                        vec![both(deadline), both(deadline), both(None)]
+                    }
+                    _ => {
+                        nic.inject(1, 0, 5, Bytes::from_static(b"near"), Ns(1_000), None);
+                        vec![]
+                    }
+                });
+                assert_eq!(saw, ["got near", "deadline", "got far"], "{cell}");
             }
         }
     }

@@ -21,7 +21,8 @@
 //! * [`sched`] — the scheduler: one event at a time, minimum virtual key
 //!   first, and only when no node is running.
 //! * [`mailbox`] — the scheduler's one client: every node's inbox, and the
-//!   one send, wait and poll settle every transport goes through.
+//!   one send and the one receive rule (a poll is a wait with deadline
+//!   *now*) every transport goes through.
 //! * [`context`] — the stackful contexts nodes run as: the one module in
 //!   the workspace that is not safe Rust (CI greps for that).
 //!

@@ -2,7 +2,7 @@
 //!
 //! A node's inbox holds one queue per *key* (a NIC port, a substrate
 //! channel); its [`Mailbox`] is the node's end of it. Every transport
-//! sends, waits and settles here and adds only its costs, so the rules by
+//! sends, waits and polls here and adds only its costs, so the rules by
 //! which a message reaches a node are written once:
 //!
 //! * **Send** ([`Mailboxes::send`]): the injection waits until its
@@ -13,14 +13,14 @@
 //!   sender itself skips the scheduler: it is program order. A push into
 //!   a closed inbox is counted, not an error: a powered-off host eats late
 //!   traffic.
-//! * **Wait** ([`Mailbox::wait`]): the earliest arrival on the named keys
-//!   goes first, a tie to the key declared first, then to the key first
-//!   used. A queued message past the deadline stays queued and the wait
-//!   reports [`Wait::Deadline`] without parking. With nothing queued the
-//!   node parks until a delivery or its deadline, then takes one last look.
-//! * **Poll-miss settle** ([`Mailbox::settle`]): a poll that finds nothing
-//!   due at `t` parks on deadline `t`, since an event keyed earlier may
-//!   still land a message due by `t`.
+//! * **Wait** ([`Mailbox::wait`]): the one receive rule. Hand over the
+//!   earliest message queued on the named keys that arrives by the
+//!   deadline — a tie to the key declared first, then to the key first
+//!   used. Otherwise park until a delivery or the deadline, whichever the
+//!   scheduler orders first, and look again: a message queued past the
+//!   deadline stays queued and does not end the wait, since an event keyed
+//!   earlier may still land one due by then. A poll is this wait with
+//!   deadline *now*; a transport adds only what its miss costs.
 //! * **Close on drop**: dropping a [`Mailbox`] closes its inbox and marks
 //!   the node done; that releases nobody. A node learns that a peer has
 //!   left only from what the peer sent it.
@@ -170,10 +170,9 @@ impl<M: Message> Mailbox<M> {
         }
     }
 
-    /// The earliest message queued on `keys` (every key when `None`), the
-    /// first queue winning a tie: `None` if nothing is queued there,
-    /// [`Wait::Deadline`], leaving it queued, if it arrives after `by`.
-    fn earliest(&self, keys: Option<&[u16]>, by: Option<Ns>) -> Option<Wait<M>> {
+    /// Pop the earliest message queued on `keys` (every key when `None`)
+    /// that arrives by `by`, the first queue winning a tie.
+    fn earliest(&self, keys: Option<&[u16]>, by: Option<Ns>) -> Option<M> {
         let mut inbox = self.inbox();
         let named = |k: &u16| keys.is_none_or(|ks| ks.contains(k));
         let (i, arrival) = (inbox.0.iter().enumerate())
@@ -181,42 +180,24 @@ impl<M: Message> Mailbox<M> {
             .filter_map(|(i, (_, q))| Some((i, q.front()?.arrival())))
             .min_by_key(|&(_, arrival)| arrival)?;
         if by.is_some_and(|t| arrival > t) {
-            return Some(Wait::Deadline);
+            return None;
         }
-        inbox.0[i].1.pop_front().map(Wait::Got)
+        inbox.0[i].1.pop_front()
     }
 
-    /// Settle a poll's miss at `t` (module docs): `true` once it is final,
-    /// `false` if an earlier event delivered a message here (look again).
-    pub fn settle(&self, t: Ns) -> bool {
-        self.boxes.sched.park(self.node, Some(t)) == Wait::Deadline
-    }
-
-    /// Non-blocking: the earliest message on `keys` (every key when
-    /// `None`) that has arrived by `now`, a miss settled.
-    pub fn poll(&self, keys: Option<&[u16]>, now: Ns) -> Option<M> {
-        loop {
-            if let Some(Wait::Got(msg)) = self.earliest(keys, Some(now)) {
-                return Some(msg);
-            }
-            if self.settle(now) {
-                return None;
-            }
-        }
-    }
-
-    /// The one blocking receive (module docs): the earliest message on
-    /// `keys` (every key when `None`) or the deadline, whichever the
-    /// scheduler orders first. A wait nothing can end is a panic naming
-    /// every node's state.
+    /// The one receive (module docs): the earliest message on `keys`
+    /// (every key when `None`) that arrives by `deadline`, or the deadline,
+    /// whichever the scheduler orders first. `wait(keys, Some(now))` is a
+    /// poll. A wait nothing can end is a panic naming every node's state.
     pub fn wait(&self, keys: Option<&[u16]>, deadline: Option<Ns>) -> Wait<M> {
         loop {
-            if let Some(w) = self.earliest(keys, deadline) {
-                return w;
+            if let Some(msg) = self.earliest(keys, deadline) {
+                return Wait::Got(msg);
             }
-            // On one thread nothing lands between the look and the park.
+            // On one thread nothing lands between the look and the park,
+            // and a park that reaches its deadline saw nothing land.
             if self.boxes.sched.park(self.node, deadline) == Wait::Deadline {
-                return self.earliest(keys, deadline).unwrap_or(Wait::Deadline);
+                return Wait::Deadline;
             }
         }
     }
@@ -295,41 +276,43 @@ mod tests {
         boxes.send((0, 1), 7, Ns(0), note("other", Ns(1)));
         boxes.send((0, 1), 5, Ns(0), note("mine", Ns(2)));
         assert_eq!(show(ends[1].wait(Some(&[5]), None)), "got mine");
-        assert_eq!(ends[1].poll(Some(&[5]), Ns(9)), None);
+        assert_eq!(ends[1].wait(Some(&[5]), Some(Ns(9))), Wait::Deadline);
         assert_eq!(queued(&ends[1], 7), 1);
     }
 
     /// Node 1 holds a message due after its deadline while node 0's
-    /// earlier-keyed send is still pending: the wait reports the deadline
-    /// at once and leaves the message queued. Had it parked, node 0's send
-    /// would have been released and handed over instead.
+    /// earlier-keyed send is still pending: the queued message does not
+    /// end the wait, which parks, is handed node 0's message, and leaves
+    /// the far one queued. (The far one has a key of its own: a queue is
+    /// read from its front.)
     #[test]
-    fn a_message_queued_past_the_deadline_reports_deadline_without_parking() {
+    fn a_message_queued_past_the_deadline_does_not_end_the_wait() {
         let saw = cluster(2, |mb| match mb.node() {
             1 => {
-                mb.send(1, 5, Ns(0), note("far", Ns::from_ms(10)));
-                let w = show(mb.wait(Some(&[5]), Some(Ns::from_us(100))));
-                vec![w, format!("{} queued", queued(&mb, 5))]
+                mb.send(1, 6, Ns(0), note("far", Ns::from_ms(10)));
+                let w = show(mb.wait(Some(&[5, 6]), Some(Ns::from_us(100))));
+                vec![w, format!("{} queued", queued(&mb, 6))]
             }
             _ => {
                 mb.send(1, 5, Ns::from_us(1), note("near", Ns::from_us(2)));
                 vec![]
             }
         });
-        assert_eq!(saw[1], ["deadline", "1 queued"]);
+        assert_eq!(saw[1], ["got near", "1 queued"]);
     }
 
-    /// A poll's miss at `now` settles first: an earlier-keyed send lands
-    /// and is seen; a later-keyed one is not, and waits for the next
-    /// receive. Driven by hand, program order is the order.
+    /// A poll — a wait with deadline *now* — settles its miss first: an
+    /// earlier-keyed send lands and is seen; a later-keyed one is not, and
+    /// waits for the next receive. Driven by hand, program order is the
+    /// order.
     #[test]
     fn a_poll_miss_settles_before_it_is_final() {
         let saw = cluster(2, |mb| match mb.node() {
             1 => {
-                let now = Ns::from_us(50);
-                let first = mb.poll(None, now).map(|n| n.tag);
-                let second = mb.poll(None, now).map(|n| n.tag);
-                vec![first, second, Some(mb.wait(None, None).got().tag)]
+                let now = Some(Ns::from_us(50));
+                let first = show(mb.wait(None, now));
+                let second = show(mb.wait(None, now));
+                vec![first, second, show(mb.wait(None, None))]
             }
             _ => {
                 mb.send(1, 5, Ns::from_us(1), note("early", Ns::from_us(2)));
@@ -337,12 +320,13 @@ mod tests {
                 vec![]
             }
         });
-        assert_eq!(saw[1], [Some("early"), None, Some("late")]);
+        assert_eq!(saw[1], ["got early", "deadline", "got late"]);
 
         let (boxes, ends) = Mailboxes::new(2, &[]);
         boxes.send((0, 1), 5, Ns(0), note("x", Ns::from_us(5)));
-        assert_eq!(ends[1].poll(None, Ns::from_us(4)), None, "not arrived");
-        assert!(ends[1].poll(None, Ns::from_us(5)).is_some());
+        let poll = |now| show(ends[1].wait(None, Some(now)));
+        assert_eq!(poll(Ns::from_us(4)), "deadline", "not arrived");
+        assert_eq!(poll(Ns::from_us(5)), "got x");
     }
 
     /// A hand-driven wait that nothing can end — no message queued, no

@@ -42,10 +42,10 @@
 //!
 //! The scheduler has one client, [`crate::mailbox`], and its four calls
 //! are private to this crate: a send is `request_transmit`, push,
-//! `deliver`; a blocking receive is `park`; a poll miss is a park on
-//! deadline *now*; dropping a node's mailbox is `mark_done`. The Myrinet
-//! fabric and the in-memory substrate reach the scheduler only through
-//! their mailboxes.
+//! `deliver`; a receive that finds nothing due is `park` (a poll is a
+//! receive with deadline *now*); dropping a node's mailbox is
+//! `mark_done`. The Myrinet fabric and the in-memory substrate reach the
+//! scheduler only through their mailboxes.
 //!
 //! # Outside a context
 //!

@@ -262,33 +262,16 @@ impl UdpStack {
     }
 
     /// Non-blocking `recvfrom(MSG_DONTWAIT)`: returns a datagram whose
-    /// kernel processing completed by the node's current virtual time.
-    ///
-    /// A miss is settled through the NIC's
-    /// [`poll_quiesce`](tm_myrinet::NicHandle::poll_quiesce) before being
-    /// reported, as on the user-space path (`GmNode::receive` in `tm-gm`).
+    /// kernel processing completed by the node's current virtual time. A
+    /// poll is a receive with deadline *now* (as `GmNode::receive` is in
+    /// `tm-gm`); a miss costs the syscall.
     pub fn try_recvfrom(&mut self, port: u16) -> Option<Datagram> {
-        loop {
-            self.drain();
-            let now = self.clock.borrow().now();
-            let syscall = self.params.host.syscall;
-            let sock = self.sock_mut(port);
-            if sock.queue.front().is_some_and(|d| d.ready <= now) {
-                let d = sock.queue.pop_front().expect("non-empty");
-                // recvfrom syscall + the serial kernel delivery work.
-                let consume = self.rx_consume_cost(d.data.len());
-                self.clock.borrow_mut().advance(syscall + consume);
-                let mut c = self.clock.borrow_mut();
-                c.stats.msgs_recv += 1;
-                c.stats.bytes_recv += d.data.len() as u64;
-                return Some(d);
-            }
-            if self.nic.poll_quiesce(now) {
-                self.clock.borrow_mut().advance(syscall);
-                return None;
-            }
-            // A delivery came first: re-drain and look again.
-        }
+        let now = self.clock.borrow().now();
+        let Some(port) = self.ready_by(&[port], Some(now)) else {
+            self.clock.borrow_mut().advance(self.params.host.syscall);
+            return None;
+        };
+        Some(self.pop_ready(port).1)
     }
 
     /// Earliest-ready datagram across `ports`, if any is queued (ignoring
@@ -342,7 +325,6 @@ impl UdpStack {
     /// datagram to become ready on any of `ports`, or — when `deadline`
     /// is set — until that *virtual* time (the DSM's retransmission timer
     /// runs on this; determinism requires the timeout to be virtual).
-    /// Which comes first is the NIC's verdict ([`NicHandle::wait`]).
     ///
     /// Charges the select syscall once per call, plus a scheduler wakeup
     /// and the delivery costs if a datagram is handed over. A datagram
@@ -351,27 +333,32 @@ impl UdpStack {
     /// deadline.
     pub fn recv(&mut self, ports: &[u16], deadline: Option<Ns>) -> Wait<(u16, Datagram)> {
         self.clock.borrow_mut().advance(self.params.host.syscall); // select()
+        let Some(port) = self.ready_by(ports, deadline) else {
+            let deadline = deadline.expect("only a wait with a deadline times out");
+            self.clock.borrow_mut().wait_until(deadline);
+            return Wait::Deadline;
+        };
+        Wait::Got(self.pop_ready(port))
+    }
+
+    /// The socket of `ports` whose front datagram is ready first, once one
+    /// is ready by `deadline`; `None` once the NIC reports the deadline
+    /// ([`NicHandle::wait`], the one receive rule). Charges nothing.
+    fn ready_by(&mut self, ports: &[u16], deadline: Option<Ns>) -> Option<u16> {
         loop {
             if let Some((port, ready)) = self.earliest_queued(ports) {
-                if deadline.is_some_and(|d| ready > d) {
-                    // Queued, but it lands after the deadline: the timer
-                    // fires first.
-                    break;
+                if deadline.is_none_or(|d| ready <= d) {
+                    return Some(port);
                 }
-                return Wait::Got(self.pop_ready(port));
             }
-            // Park on the NIC until something arrives for us.
             self.filter.clear();
             self.filter
                 .extend(ports.iter().map(|p| SOCKET_PORT_BASE + p));
             match self.nic.wait(Some(&self.filter), deadline) {
                 Wait::Got(pkt) => self.admit(pkt),
-                Wait::Deadline => break,
+                Wait::Deadline => return None,
             }
         }
-        let deadline = deadline.expect("only a wait with a deadline times out");
-        self.clock.borrow_mut().wait_until(deadline);
-        Wait::Deadline
     }
 
     /// Does any bound SIGIO socket have traffic (regardless of virtual

@@ -20,6 +20,14 @@ pub const REQ_SOCK: u16 = 1;
 /// Socket number for synchronous responses.
 pub const REP_SOCK: u16 = 2;
 
+/// The socket `chan` travels on.
+fn sock_of(chan: Chan) -> u16 {
+    match chan {
+        Chan::Request => REQ_SOCK,
+        Chan::Response => REP_SOCK,
+    }
+}
+
 /// Largest UDP datagram payload we send (IP reassembly limit, minus
 /// headroom for the frame header).
 pub const DGRAM_LIMIT: usize = 60 * 1024;
@@ -96,10 +104,7 @@ impl Substrate for UdpSubstrate {
     }
 
     fn send(&mut self, to: usize, chan: Chan, data: &[u8], at: Option<Ns>) {
-        let sock = match chan {
-            Chan::Request => REQ_SOCK,
-            Chan::Response => REP_SOCK,
-        };
+        let sock = sock_of(chan);
         for piece in self.codec.pieces(data, at) {
             self.send_dgram(to, sock, &piece.parts(), piece.at);
         }
@@ -109,20 +114,9 @@ impl Substrate for UdpSubstrate {
         self.udp.tx_cost(len + 1)
     }
 
-    fn poll_request(&mut self) -> Option<IncomingMsg> {
-        while let Some(d) = self.udp.try_recvfrom(REQ_SOCK) {
-            if let Some(msg) = self.handle(REQ_SOCK, d) {
-                return Some(msg);
-            }
-        }
-        None
-    }
-
-    fn poll_incoming(&mut self) -> Option<IncomingMsg> {
-        // Drain responses first (their socket never interrupts); the
-        // engine re-sorts requests by arrival anyway, and responses file
-        // into rid slots where pop order is immaterial.
-        for sock in [REP_SOCK, REQ_SOCK] {
+    fn poll(&mut self, chans: &[Chan]) -> Option<IncomingMsg> {
+        for &chan in chans {
+            let sock = sock_of(chan);
             while let Some(d) = self.udp.try_recvfrom(sock) {
                 if let Some(msg) = self.handle(sock, d) {
                     return Some(msg);
