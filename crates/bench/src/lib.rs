@@ -33,8 +33,8 @@ use tmk::{Profile, SharedId, Substrate, Tmk, TmkConfig};
 /// an acquire and a first touch send what TreadMarks sends, message for
 /// message. The default ([`Profile::Tuned`]) fetches what a grant
 /// invalidates at the grant instead (`results/BENCH_overlap.json` prices
-/// the two) and maps a page no write notice names as zeroes without a
-/// fetch.
+/// the two) and maps a first-touched page as zeroes, asking its writers
+/// for their diffs and its manager for nothing.
 pub fn paper_config() -> TmkConfig {
     TmkConfig {
         profile: Profile::Spec,
