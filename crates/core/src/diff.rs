@@ -33,7 +33,7 @@
 use std::iter::successors;
 use std::ops::Range;
 
-use crate::page::Spans;
+use crate::page::{Spans, MAX_PAGE};
 use crate::wire::{WireReader, WireWriter};
 
 /// Comparison granularity, bytes. TreadMarks compares 32-bit words.
@@ -96,7 +96,7 @@ fn word_mask<const B: usize>(twin: &[u8; B], cur: &[u8; B]) -> u64 {
 /// `cur`, page bytes `off..` with `off` on a [`QUARTER`]: a whole span at
 /// a time where one is, else a quarter, and word by word only where the
 /// page ends inside a quarter.
-fn mark(mask: &mut [u64; MASK_WORDS], mut off: usize, mut twin: &[u8], mut cur: &[u8]) {
+fn mark(mask: &mut [u64], mut off: usize, mut twin: &[u8], mut cur: &[u8]) {
     debug_assert!(off.is_multiple_of(QUARTER) && twin.len() == cur.len());
     while !twin.is_empty() {
         let take = if off.is_multiple_of(SPAN) && twin.len() >= SPAN {
@@ -574,6 +574,99 @@ impl Delta for Diff {
             }
         }
         units
+    }
+}
+
+/// What the zero page reads as, a span at a time.
+static ZERO_SPAN: [u8; SPAN] = [0; SPAN];
+
+/// A page's diff against the zero page — its runs of non-zero words —
+/// found but not held: the mask of those words, from which
+/// [`ZeroDiff::encode`] writes the wire image of a [`Diff`] straight into a
+/// frame. What a whole-page answer sends under the tuned profile; a
+/// receiver applies it to a page that holds no unit, which then holds only
+/// the units the runs reach. Lives on the encoder's stack.
+pub(crate) struct ZeroDiff {
+    mask: [u64; MAX_PAGE / SPAN],
+    runs: usize,
+    payload: usize,
+}
+
+impl ZeroDiff {
+    /// Scan a `len`-byte page, whole words long, whose bytes that may be
+    /// non-zero `pieces` hands over as `(offset, bytes)`, each offset on a
+    /// [`QUARTER`]; everything else reads as zero.
+    pub(crate) fn scan(len: usize, pieces: impl FnOnce(&mut dyn FnMut(usize, &[u8]))) -> ZeroDiff {
+        assert!(
+            len <= MAX_PAGE && len.is_multiple_of(WORD),
+            "a {len}-byte page"
+        );
+        let mut mask = [0u64; MAX_PAGE / SPAN];
+        pieces(&mut |off, bytes| {
+            for (i, chunk) in bytes.chunks(SPAN).enumerate() {
+                mark(&mut mask, off + i * SPAN, &ZERO_SPAN[..chunk.len()], chunk);
+            }
+        });
+        let (mut runs, mut changed, mut carry) = (0, 0, 0);
+        for &m in &mask {
+            runs += (m & !(m << 1 | carry)).count_ones() as usize;
+            changed += m.count_ones() as usize;
+            carry = m >> 63;
+        }
+        ZeroDiff {
+            mask,
+            runs,
+            payload: changed * WORD,
+        }
+    }
+
+    /// Payload bytes the image carries.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        self.payload
+    }
+
+    /// Bytes [`Self::encode`] writes.
+    fn encoded_len(&self) -> usize {
+        COUNT_HDR + RUN_HDR * self.runs + self.payload
+    }
+
+    /// Call `run(start, end)`, in words, for each run of set bits.
+    fn each_run(&self, mut run: impl FnMut(usize, usize)) {
+        let (mut open, mut prev) = (0, 0u64);
+        for (j, &m) in self.mask.iter().enumerate() {
+            let up = m << 1 | prev >> 63;
+            let (starts, mut edges) = (m & !up, m & !up | !m & up);
+            while edges != 0 {
+                let k = edges.trailing_zeros() as usize;
+                edges &= edges - 1;
+                if starts >> k & 1 == 1 {
+                    open = 64 * j + k;
+                } else {
+                    run(open, 64 * j + k);
+                }
+            }
+            prev = m;
+        }
+        if prev >> 63 == 1 {
+            run(open, 64 * self.mask.len());
+        }
+    }
+
+    /// Write the wire image [`Diff::encode`] writes for this diff into
+    /// `w`, each run's payload read from the page by `read(offset, out)`.
+    pub(crate) fn encode(&self, w: &mut WireWriter, read: impl Fn(usize, &mut [u8])) {
+        let out = w.raw_mut(self.encoded_len());
+        out[..COUNT_HDR].copy_from_slice(&(self.runs as u16).to_le_bytes());
+        let mut at = COUNT_HDR;
+        self.each_run(|s, e| {
+            let (off, end) = (s * WORD, e * WORD);
+            let run = &mut out[at..at + RUN_HDR + end - off];
+            run[..2].copy_from_slice(&(off as u16).to_le_bytes());
+            run[2..RUN_HDR].copy_from_slice(&((end - off) as u16).to_le_bytes());
+            read(off, &mut run[RUN_HDR..]);
+            at += run.len();
+        });
+        debug_assert_eq!(at, out.len());
     }
 }
 

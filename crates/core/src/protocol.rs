@@ -6,7 +6,7 @@
 //! grants are produced by a *third* node when the manager forwards, so the
 //! id is what ties the grant back to the acquire.
 
-use crate::diff::{Diff, DiffImage};
+use crate::diff::{Diff, DiffImage, ZeroDiff};
 use crate::interval::{encode_records, records_len, IntervalLog, IntervalRecord, Records};
 use crate::page::{PageId, Stable};
 use crate::vc::{ClockImage, VectorClock};
@@ -97,6 +97,14 @@ pub enum Response<'a> {
     /// A whole page that is entirely zero — no payload needed. Common for
     /// the spec profile's first-touch fetches of freshly allocated memory.
     ZeroPage { page: PageId, applied: Vec<u32> },
+    /// A whole page as the tuned profile sends one: the per-writer seqs it
+    /// incorporates and its diff against the zero page. An empty one is a
+    /// `ZeroPage`.
+    PageImage {
+        page: PageId,
+        applied: Vec<u32>,
+        diff: DiffImage<'a>,
+    },
     /// Answer to a `MultiDiff`: one entry per page the responder managed
     /// to pack under its message-size budget. Pages omitted from the
     /// response are simply still owed — the requester's fetch loop
@@ -117,8 +125,15 @@ pub enum PageDiffs<'a> {
     },
     /// GC fallback: the responder's whole stable copy.
     Full { applied: Seqs<'a>, data: &'a [u8] },
-    /// GC fallback for an all-zero page.
+    /// GC fallback for an all-zero page, or a whole page asked for that
+    /// is all zero.
     Zero { applied: Seqs<'a> },
+    /// A whole page, as the tuned profile sends one: its applied seqs and
+    /// its diff against the zero page, never empty.
+    Image {
+        applied: Seqs<'a>,
+        diff: DiffImage<'a>,
+    },
 }
 
 /// A page's applied seqs as they arrived, `[count u16][seq u32…]`,
@@ -379,6 +394,13 @@ pub(crate) enum PageRef<'a> {
     },
     /// [`Response::ZeroPage`] / [`PageDiffs::Zero`].
     Zero { applied: &'a [u32] },
+    /// [`Response::PageImage`] / [`PageDiffs::Image`]: `data`, not all
+    /// zero, as its diff against the zero page, found as it is encoded and
+    /// written straight from `data`.
+    Image {
+        applied: &'a [u32],
+        data: Stable<'a>,
+    },
 }
 
 impl PageRef<'_> {
@@ -387,10 +409,13 @@ impl PageRef<'_> {
             PageRef::Diffs { .. } => 1,
             PageRef::Full { .. } => 2,
             PageRef::Zero { .. } => 5,
+            PageRef::Image { .. } => 8,
         }
     }
 
-    fn encode_body(&self, w: &mut WireWriter) {
+    /// Write the body; returns the payload bytes an image copied from its
+    /// page (0 for any other answer, whose copy its producer charged).
+    fn encode_body(&self, w: &mut WireWriter) -> usize {
         match self {
             PageRef::Diffs { covered_hi, diffs } => {
                 w.u32(*covered_hi);
@@ -406,20 +431,29 @@ impl PageRef<'_> {
                 }
             }
             PageRef::Zero { applied } => encode_applied(applied, w),
+            PageRef::Image { applied, data } => {
+                encode_applied(applied, w);
+                let runs = ZeroDiff::scan(data.len(), |f| data.each_piece(f));
+                runs.encode(w, |off, out| data.read_into(off, out));
+                return runs.payload_bytes();
+            }
         }
+        0
     }
 
-    /// Encode as the whole response to a single-page fetch of `page`.
-    pub(crate) fn encode_response(&self, rid: u32, page: PageId, w: &mut WireWriter) {
+    /// Encode as the whole response to a single-page fetch of `page`;
+    /// returns the payload bytes an image copied from its page.
+    pub(crate) fn encode_response(&self, rid: u32, page: PageId, w: &mut WireWriter) -> usize {
         w.u32(rid).u8(self.tag()).u32(page);
-        self.encode_body(w);
+        self.encode_body(w)
     }
 
     /// Encode as `page`'s entry of a `MultiDiffs` opened with
-    /// [`begin_multi_diffs`].
-    pub(crate) fn encode_entry(&self, page: PageId, w: &mut WireWriter) {
+    /// [`begin_multi_diffs`]; returns the payload bytes an image copied
+    /// from its page.
+    pub(crate) fn encode_entry(&self, page: PageId, w: &mut WireWriter) -> usize {
         w.u32(page).u8(self.tag());
-        self.encode_body(w);
+        self.encode_body(w)
     }
 }
 
@@ -595,6 +629,7 @@ impl<'a> PageDiffs<'a> {
             PageDiffs::Diffs { .. } => 1,
             PageDiffs::Full { .. } => 2,
             PageDiffs::Zero { .. } => 5,
+            PageDiffs::Image { .. } => 8,
         }
     }
 
@@ -604,6 +639,7 @@ impl<'a> PageDiffs<'a> {
             PageDiffs::Diffs { covered_hi, diffs } => w.u32(*covered_hi).raw(diffs.bytes),
             PageDiffs::Full { applied, data } => w.raw(applied.bytes).bytes(data),
             PageDiffs::Zero { applied } => w.raw(applied.bytes),
+            PageDiffs::Image { applied, diff } => w.raw(applied.bytes).raw(diff.as_bytes()),
         };
     }
 
@@ -621,8 +657,22 @@ impl<'a> PageDiffs<'a> {
             5 => PageDiffs::Zero {
                 applied: Seqs::decode(r)?,
             },
+            8 => PageDiffs::Image {
+                applied: Seqs::decode(r)?,
+                diff: DiffImage::decode(r)?,
+            },
             _ => return None,
         })
+    }
+
+    /// A whole page's applied seqs; `None` for diffs.
+    pub(crate) fn applied(&self) -> Option<Seqs<'a>> {
+        match *self {
+            PageDiffs::Diffs { .. } => None,
+            PageDiffs::Full { applied, .. }
+            | PageDiffs::Zero { applied }
+            | PageDiffs::Image { applied, .. } => Some(applied),
+        }
     }
 
     /// The page has the receiver's shape: no diff reaches past a
@@ -633,6 +683,9 @@ impl<'a> PageDiffs<'a> {
             PageDiffs::Diffs { diffs, .. } => diffs.extent() <= page_size,
             PageDiffs::Full { applied, data } => applied.len() == nprocs && data.len() == page_size,
             PageDiffs::Zero { applied } => applied.len() == nprocs,
+            PageDiffs::Image { applied, diff } => {
+                applied.len() == nprocs && diff.extent() <= page_size
+            }
         }
     }
 }
@@ -663,13 +716,21 @@ impl<'a> Response<'a> {
                 page,
                 applied,
                 data,
-            } => PageRef::Full {
-                applied,
-                data: Stable::Bytes(data),
+            } => {
+                let data = Stable::Bytes(data);
+                PageRef::Full { applied, data }.encode_response(rid, *page, w);
             }
-            .encode_response(rid, *page, w),
             Response::ZeroPage { page, applied } => {
-                PageRef::Zero { applied }.encode_response(rid, *page, w)
+                PageRef::Zero { applied }.encode_response(rid, *page, w);
+            }
+            Response::PageImage {
+                page,
+                applied,
+                diff,
+            } => {
+                w.u32(rid).u8(8).u32(*page);
+                encode_applied(applied, w);
+                w.raw(diff.as_bytes());
             }
             Response::Grant { lock, vc, records } => {
                 w.u32(rid).u8(3).u32(*lock);
@@ -749,6 +810,11 @@ impl<'a> Response<'a> {
                     PageDiffs::Zero { applied } => Response::ZeroPage {
                         page,
                         applied: applied.iter().collect(),
+                    },
+                    PageDiffs::Image { applied, diff } => Response::PageImage {
+                        page,
+                        applied: applied.iter().collect(),
+                        diff,
                     },
                 }
             }
@@ -839,6 +905,9 @@ mod tests {
             PageDiffs::Diffs { diffs, .. } => diffs.iter().all(|(_, d)| d.extent() <= page_size),
             PageDiffs::Full { applied, data } => applied.len() == nprocs && data.len() == page_size,
             PageDiffs::Zero { applied } => applied.len() == nprocs,
+            PageDiffs::Image { applied, diff } => {
+                applied.len() == nprocs && diff.extent() <= page_size
+            }
         };
         match resp {
             Response::Grant { .. } | Response::BarrierRelease { .. } => true,
@@ -848,7 +917,17 @@ mod tests {
                 applied.len() == nprocs && data.len() == page_size
             }
             Response::ZeroPage { applied, .. } => applied.len() == nprocs,
+            Response::PageImage { applied, diff, .. } => {
+                applied.len() == nprocs && diff.extent() <= page_size
+            }
         }
+    }
+
+    /// `d` as an image that arrived.
+    fn image(d: &Diff) -> DiffImage<'static> {
+        let mut w = WireWriter::new();
+        d.encode(&mut w);
+        DiffImage::decode(&mut WireReader::new(leak(w))).expect("an encoded diff")
     }
 
     /// A message of every request kind.
@@ -917,13 +996,18 @@ mod tests {
                 page: 42,
                 applied: vec![3, 0, 9, 1],
             },
+            Response::PageImage {
+                page: 5,
+                applied: vec![2, 0, 1],
+                diff: image(&d),
+            },
             Response::MultiDiffs {
                 pages: vec![
                     (
                         3,
                         PageDiffs::Diffs {
                             covered_hi: 4,
-                            diffs: arrived(&[(2, d)]),
+                            diffs: arrived(&[(2, d.clone())]),
                         },
                     ),
                     (
@@ -937,6 +1021,13 @@ mod tests {
                         12,
                         PageDiffs::Zero {
                             applied: seqs(&[0, 9]),
+                        },
+                    ),
+                    (
+                        14,
+                        PageDiffs::Image {
+                            applied: seqs(&[4, 1]),
+                            diff: image(&d),
                         },
                     ),
                 ],
@@ -996,6 +1087,14 @@ mod tests {
                         },
                     )]
                 }
+                Response::PageImage {
+                    page,
+                    applied,
+                    diff,
+                } => {
+                    let applied = seqs(&applied);
+                    vec![(page, PageDiffs::Image { applied, diff })]
+                }
                 Response::MultiDiffs { pages } => pages,
                 Response::Grant { .. } | Response::BarrierRelease { .. } => {
                     assert_eq!(handed, None, "{i}: not a page answer");
@@ -1004,6 +1103,57 @@ mod tests {
             };
             assert_eq!(handed, Some(()), "{i}");
             assert_eq!(seen, want, "{i}");
+        }
+    }
+
+    proptest! {
+        /// A whole page as the tuned profile sends it — the page's stable
+        /// copy, its twin laid over its spans, held unit by unit — is the
+        /// wire image of that copy's diff against the zero page, as
+        /// `Diff::create` makes it, and applying it to a page that holds
+        /// nothing gives the copy back. Each write is `(twin, off, len, v)`:
+        /// before the twin opens, or inside it.
+        #[test]
+        fn a_whole_page_image_is_its_diff_against_the_zero_page(
+            which in 0usize..3,
+            writes in proptest::collection::vec(
+                (any::<bool>(), 0usize..16384, 1usize..700, any::<u8>()), 0..12)
+        ) {
+            use crate::page::{Page, Spans, SpareTwins};
+            let len = [4096, 8192, 4104][which];
+            let mut page = Page::new_resident(len);
+            let mut stable = vec![0u8; len];
+            for (in_twin, off, n, v) in writes {
+                let off = off % len / 4 * 4;
+                let n = n.min(len - off);
+                if in_twin && page.twin.is_none() {
+                    page.start_twin(&mut SpareTwins::default());
+                }
+                page.write(off, n).fill(v);
+                if page.twin.is_none() {
+                    stable[off..off + n].fill(v);
+                }
+            }
+            let data = page.stable();
+            let want = Diff::create(&vec![0u8; len], &stable);
+            prop_assert_eq!(data.is_zero(), want.run_count() == 0);
+            let mut w = WireWriter::new();
+            let copied = PageRef::Image { applied: &[3, 1], data }.encode_response(9, 4, &mut w);
+            prop_assert_eq!(copied, want.payload_bytes());
+            let frame = w.finish();
+            let mut spec = WireWriter::new();
+            want.encode(&mut spec);
+            let Some((9, Response::PageImage { page: 4, applied, diff })) = Response::decode(&frame)
+            else {
+                panic!("not a page image");
+            };
+            prop_assert_eq!(applied, vec![3, 1]);
+            prop_assert_eq!(diff.as_bytes(), spec.as_slice());
+            let mut back = Spans::zero(len);
+            crate::diff::apply_page(&diff, &mut back);
+            let mut got = vec![0u8; len];
+            back.write_into(&mut got);
+            prop_assert_eq!(got, stable);
         }
     }
 

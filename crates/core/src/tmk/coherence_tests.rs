@@ -2,7 +2,8 @@
 //! a record is one object however many pages it invalidates, a page keeps
 //! only the range it is owed, and the log orders a fetched diff by its
 //! interval's `Σvc` — after the barrier trimmed the record too, and for an
-//! interval this node never learned of.
+//! interval this node never learned of — and an adopted page keeps the
+//! node's own newest writes.
 
 use std::sync::Arc;
 
@@ -14,6 +15,7 @@ use crate::diff::Diff;
 use crate::interval::IntervalRecord;
 use crate::memsub::{mem_cluster, MemSubstrate};
 use crate::page::Access;
+use crate::protocol::{for_each_page, Response};
 use crate::vc::VectorClock;
 use crate::wire::WireWriter;
 use crate::{Tmk, TmkConfig};
@@ -135,4 +137,42 @@ fn a_record_the_log_let_go_still_orders_its_diff() {
     let now = |t: &Tmk<MemSubstrate>| t.clock().borrow().now();
     assert_eq!(now(&known), now(&trimmed));
     assert_eq!(now(&known), now(&unknown));
+}
+
+/// A full page that lags our own axis is rebuilt from our flushed diffs
+/// first and our open twin's writes last: word 0 was 1 in our flushed
+/// interval 1 and is 2 in the open one, and a zero page that applied none
+/// of our intervals must come out 2 (replayed the other way round, the
+/// older flushed value overwrote the newer).
+#[test]
+fn an_adopted_page_keeps_the_newest_own_write() {
+    let mut t = node0();
+    let region = crate::SharedId(0);
+    t.set_u32(region, 0, 1);
+    t.flush_interval();
+    assert_eq!(t.pages.applied(0), [1, 0, 0]);
+    t.set_u32(region, 0, 2);
+    assert_eq!(t.pages[0].state, Access::Write);
+    let lagging = Response::ZeroPage {
+        page: 0,
+        applied: vec![0, 0, 0],
+    }
+    .encode(1);
+    for_each_page(&lagging, |pid, pd| {
+        t.adopt_full_page(&mut FetchScratch::default(), pid, pd)
+    })
+    .expect("a page answer");
+    assert_eq!(t.pages.applied(0), [1, 0, 0]);
+    assert_eq!(t.pages[0].state, Access::Write);
+    assert_eq!(
+        t.get_u32(region, 0),
+        2,
+        "the open interval's write is newest"
+    );
+    // The twin took the flushed value as its base: the interval's diff
+    // still carries the open write.
+    t.flush_interval();
+    let (seq, d) = t.pages[0].my_diffs.last().expect("the second diff");
+    assert_eq!(*seq, 2);
+    assert_eq!(d.runs().collect::<Vec<_>>(), [(0, &2u32.to_le_bytes()[..])]);
 }

@@ -42,8 +42,9 @@ use crate::wire::{pool, WireWriter};
 pub(super) struct OutstandingRpc {
     pub(super) rid: u32,
     pub(super) to: usize,
-    /// The answer's frame, as it arrived: [`Response::check`] accepted it.
-    pub(super) response: Option<Vec<u8>>,
+    /// Who answered, and the answer's frame as it arrived:
+    /// [`Response::check`] accepted it.
+    pub(super) response: Option<(usize, Vec<u8>)>,
     /// The retransmission timer; `None` on reliable transports.
     pub(super) resend: Option<Resend>,
 }
@@ -157,6 +158,7 @@ impl<S: Substrate> Tmk<S> {
         arrival: Ns,
         cost: Ns,
     ) {
+        self.assert_not_me(to);
         let cost = cost + self.sub.response_cost(bytes.len());
         let finish = self.charge_service(arrival, cost);
         self.sub.send(to, chan, bytes, Some(finish));
@@ -178,6 +180,7 @@ impl<S: Substrate> Tmk<S> {
         w: WireWriter,
         cost: Ns,
     ) {
+        self.assert_not_me(requester);
         let total = cost + self.sub.response_cost(w.len());
         self.clock().borrow_mut().advance(total);
         let now = self.clock().borrow().now();
@@ -205,11 +208,19 @@ impl<S: Substrate> Tmk<S> {
     /// Tell `to` that this node is leaving: a [`Request::Gone`], sent
     /// once and answered by nothing.
     pub(super) fn send_gone(&mut self, to: usize) {
+        self.assert_not_me(to);
         let rid = self.rid();
         let mut w = WireWriter::pooled(8);
         Request::Gone.encode_into(rid, &mut w);
         self.sub.send_request(to, w.as_slice());
         w.recycle();
+    }
+
+    /// No runtime path sends to its own node: a loopback send skips the
+    /// scheduler, and a message queued so can hide a nearer one behind it
+    /// on its key. Checked in debug builds on every send path.
+    fn assert_not_me(&self, to: usize) {
+        debug_assert_ne!(to, self.me as usize, "node {} sends to itself", self.me);
     }
 
     // ----- the overlapped rpc engine ----------------------------------------
@@ -219,7 +230,7 @@ impl<S: Substrate> Tmk<S> {
     /// A plain issue + collect; overlap-aware callers split the two.
     pub(super) fn rpc(&mut self, to: usize, req: Request) -> Vec<u8> {
         let rid = self.rpc_issue(to, req);
-        self.rpc_collect(rid)
+        self.rpc_collect(rid).1
     }
 
     /// The response a collected `frame` carries, borrowed from the frame.
@@ -248,6 +259,7 @@ impl<S: Substrate> Tmk<S> {
     /// per-rid retransmission, on reliable ones it goes straight back to the
     /// pool.
     pub(super) fn rpc_send(&mut self, to: usize, rid: u32, w: WireWriter) {
+        self.assert_not_me(to);
         // A fetch's replay slot is exact only while a node has one fetch
         // open per peer; a lossy transport keeps both slots and frames.
         debug_assert!(
@@ -277,12 +289,14 @@ impl<S: Substrate> Tmk<S> {
         self.emit(TmkEvent::RpcIssued { rid, depth });
     }
 
-    /// Block until the response for `rid` is in and hand over its frame
-    /// (give it back to the pool when done), absorbing whatever else the
-    /// substrate delivers meanwhile: responses for *other* outstanding
-    /// rids are parked in their slots, requests go to the async serve
-    /// queue. The response is looked for only after [`Self::wait_step`]'s
-    /// drain, so every request gathered with it is served first.
+    /// Block until the response for `rid` is in and hand over who sent it —
+    /// not always the node asked: a forwarded acquire is granted by the
+    /// token's holder — and its frame (give it back to the pool when
+    /// done), absorbing whatever else the substrate delivers meanwhile:
+    /// responses for *other* outstanding rids are parked in their slots,
+    /// requests go to the async serve queue. The response is looked for
+    /// only after [`Self::wait_step`]'s drain, so every request gathered
+    /// with it is served first.
     ///
     /// Every rid is answered: a peer answers each request it is sent
     /// before it leaves (a node leaves only past the exit barrier, whose
@@ -290,7 +304,7 @@ impl<S: Substrate> Tmk<S> {
     /// re-drives the request until the answer gets through. A peer silent
     /// for the whole give-up budget is a panic in the timer, not a
     /// missing answer.
-    pub(super) fn rpc_collect(&mut self, rid: u32) -> Vec<u8> {
+    pub(super) fn rpc_collect(&mut self, rid: u32) -> (usize, Vec<u8>) {
         assert!(
             self.outstanding.iter().any(|o| o.rid == rid),
             "node {}: collect of unissued rid {rid}",
@@ -373,7 +387,7 @@ impl<S: Substrate> Tmk<S> {
 
     /// Remove `rid`'s slot if its response has arrived, returning its
     /// retained retransmission frame to the pool.
-    fn take_collected(&mut self, rid: u32) -> Option<Vec<u8>> {
+    fn take_collected(&mut self, rid: u32) -> Option<(usize, Vec<u8>)> {
         let i = self
             .outstanding
             .iter()
@@ -439,7 +453,7 @@ impl<S: Substrate> Tmk<S> {
         );
         match self.outstanding.iter().position(|o| o.rid == rid) {
             Some(i) if self.outstanding[i].response.is_none() => {
-                self.outstanding[i].response = Some(msg.data);
+                self.outstanding[i].response = Some((msg.from, msg.data));
                 return;
             }
             Some(_) => {

@@ -266,7 +266,7 @@ impl<S: Substrate> Tmk<S> {
         let mut w = WireWriter::pooled(acquire_len(&self.vc, fwd.is_some()));
         encode_acquire(rid, lock, &self.vc, fwd, &mut w);
         self.rpc_send(to, rid, w);
-        let frame = self.rpc_collect(rid);
+        let (granter, frame) = self.rpc_collect(rid);
         let (vc, records) = match self.answer(&frame) {
             Response::Grant {
                 lock: l,
@@ -279,7 +279,6 @@ impl<S: Substrate> Tmk<S> {
         granted.extend(records.iter_in(&self.log));
         let cost = self.apply_records(&granted);
         self.vc.join_image(vc);
-        pool::give(frame);
         self.clock().borrow_mut().advance(cost);
         let ls = &mut self.locks[lock as usize];
         ls.have_token = true;
@@ -287,10 +286,12 @@ impl<S: Substrate> Tmk<S> {
         // Under the tuned profile the pages these records invalidate are
         // fetched *now*, as one concurrent batch, instead of one fault
         // round-trip at a time inside the critical section — acquire
-        // latency becomes max(grant, fetch) rather than their sum.
+        // latency becomes max(grant, fetch) rather than their sum — and a
+        // page the granter's clock covers may come from the granter whole.
         if self.cfg.profile == super::Profile::Tuned {
-            self.pipeline_fetch(&granted);
+            self.pipeline_fetch(&granted, granter as u16, vc);
         }
+        pool::give(frame);
         granted.clear();
         self.granted = granted;
     }
@@ -432,7 +433,7 @@ impl<S: Substrate> Tmk<S> {
                 self.rpc_send(parent, rid, w);
                 self.clocks.extend([floor, ceiling]);
                 records.clear();
-                let frame = self.rpc_collect(rid);
+                let (_, frame) = self.rpc_collect(rid);
                 let vc = match self.answer(&frame) {
                     Response::BarrierRelease {
                         vc,

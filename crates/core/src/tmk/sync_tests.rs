@@ -321,7 +321,10 @@ fn collect_beside(request: Request) -> (Tmk<MemSubstrate>, MemSubstrate) {
         applied: vec![0, 0],
     };
     s1.send_response_at(0, &answer.encode(rid), at);
-    assert_eq!(Response::decode(&t0.rpc_collect(rid)), Some((rid, answer)));
+    assert_eq!(
+        Response::decode(&t0.rpc_collect(rid).1),
+        Some((rid, answer))
+    );
     (t0, s1)
 }
 
@@ -411,7 +414,7 @@ fn well_framed_diff_past_the_page_is_dropped_as_malformed() {
     s1.send_response_at(0, &bad, Ns::from_us(10));
     s1.send_response_at(0, &diffs_with_run_at(page_size - 8), Ns::from_us(20));
 
-    match Response::decode(&t0.rpc_collect(rid)) {
+    match Response::decode(&t0.rpc_collect(rid).1) {
         Some((_, Response::Diffs { diffs, .. })) => assert_eq!(diffs.extent(), page_size),
         other => panic!("expected Diffs, got {other:?}"),
     }
@@ -467,7 +470,7 @@ fn a_truncated_or_non_canonical_diff_image_is_dropped_as_malformed() {
         s1.send_response_at(0, frame, Ns::from_us(10 * (at as u64 + 1)));
     }
 
-    match Response::decode(&t0.rpc_collect(rid)) {
+    match Response::decode(&t0.rpc_collect(rid).1) {
         Some((_, Response::Diffs { diffs, .. })) => assert_eq!(diffs.len(), 1),
         other => panic!("expected Diffs, got {other:?}"),
     }
@@ -503,7 +506,7 @@ fn full_page_of_the_wrong_shape_is_dropped_as_malformed() {
     s1.send_response_at(0, &full(vec![3, 0]).encode(rid), Ns::from_us(20));
 
     assert_eq!(
-        Response::decode(&t0.rpc_collect(rid)),
+        Response::decode(&t0.rpc_collect(rid).1),
         Some((rid, full(vec![3, 0])))
     );
     assert_eq!(t0.clock().borrow().stats.malformed_dropped, 1);

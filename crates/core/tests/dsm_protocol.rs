@@ -246,6 +246,38 @@ fn gc_fallback_serves_full_pages() {
     assert_eq!(out[1].result, (want, 1));
 }
 
+/// Two writers of one page, each past `DIFF_KEEP` intervals on it: nodes
+/// 0 and 2 pass lock 0 back and forth and nodes 1 and 3 lock 1, and in
+/// each of 800 rounds nodes 0 and 1 write word `me·512 + i/2` of their
+/// half. After the barrier node 0 asks node 1 for its half's diffs, is
+/// answered with node 1's page (it trimmed them), which applied none of
+/// node 0's, and would have to replay node 0's own intervals from diffs
+/// node 0 trimmed too. Without a GC that knows what its peers applied
+/// the page cannot be rebuilt, and the replay panics rather than let the
+/// program read stale words (72 of them a node, at the commit before it
+/// panicked).
+#[test]
+#[should_panic(expected = "trim_diffs dropped")]
+fn a_replay_needing_a_trimmed_diff_panics() {
+    run(4, |tmk| {
+        let region = tmk.malloc(4096);
+        let me = tmk.proc_id();
+        let lock = (me % 2) as u32;
+        tmk.barrier(0);
+        for i in 0..800 {
+            tmk.acquire(lock);
+            if me < 2 {
+                tmk.set_u32(region, me * 512 + i / 2, i as u32 + 1);
+            }
+            tmk.release(lock);
+        }
+        tmk.barrier(1);
+        (0..1024)
+            .map(|w| tmk.get_u32(region, w))
+            .collect::<Vec<_>>()
+    });
+}
+
 #[test]
 fn large_region_spanning_many_pages() {
     let out = run(2, |tmk| {
