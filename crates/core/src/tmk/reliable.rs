@@ -8,25 +8,39 @@
 //! this.
 //!
 //! A node learns that a peer is gone from the wire alone, as a sender in
-//! the paper does from its own timer: from the peer's `Gone`, or from
-//! silence at the backoff ceiling.
+//! the paper does from its own timer: from the peer's `Gone`, or from a
+//! quiet period of silence at the exit.
+//!
+//! The exit is TCP's close, with `Gone` for the FIN: a child resends its
+//! `Gone` on its rpc timer until the parent answers it from the child's
+//! barrier slot, and a lingering parent re-sends the exit release to each
+//! child that has not said `Gone` once an `rto` passes. Either side's last
+//! wait ends after [`QUIET_RTOS`] `rto`s with nothing heard — the
+//! TIME_WAIT — never at the backoff ceiling.
 
 use std::cmp::Ordering;
 
 use tm_sim::Ns;
 
 use super::{Tmk, TmkEvent};
-use crate::protocol::Request;
+use crate::protocol::{Request, Response};
 use crate::substrate::{Chan, Substrate};
+use crate::wire::WireWriter;
+
+/// An exit's wait ends after this many initial retransmission timeouts
+/// with nothing heard: a few resends of a `Gone` or of a release, however
+/// far the backoff has climbed.
+pub(super) const QUIET_RTOS: u64 = 4;
 
 /// The lossy-transport state of one node: `Some` in [`Tmk`] exactly when
 /// the substrate can lose a message.
 #[derive(Debug)]
 pub(super) struct Reliable {
-    /// Initial retransmission timeout.
+    /// Initial retransmission timeout, and the period of a lingering
+    /// parent's re-sent releases.
     rto0: Ns,
     /// Backoff ceiling, `rto0 << give_up`: a timeout this long counts
-    /// toward giving up, and a shutdown linger this silent ends.
+    /// toward giving up.
     rto_ceiling: Ns,
     /// Timeouts of one rid at the ceiling, with nothing heard from its
     /// peer, before the node gives up.
@@ -40,8 +54,22 @@ pub(super) struct Reliable {
     heard: Ns,
     /// `gone[p]`: peer `p` has said `Gone`.
     gone: Vec<bool>,
-    /// In the shutdown linger: its waits are also bounded by silence.
-    leaving: bool,
+    /// In one of the exit's waits, which are also bounded by quiet.
+    leaving: Option<Leaving>,
+}
+
+/// One of a leaving node's waits: the linger for its children's `Gone`,
+/// or the wait for its own `Gone`'s answer.
+#[derive(Debug)]
+struct Leaving {
+    /// When the wait began: its quiet period runs from here or from the
+    /// latest frame heard, whichever is later.
+    since: Ns,
+    /// When a linger next re-sends the release of every child that has
+    /// not said `Gone`; `None` for the wait for our own answer.
+    nudge: Option<Ns>,
+    /// The quiet period passed with nothing heard.
+    quiet: bool,
 }
 
 impl Reliable {
@@ -57,7 +85,7 @@ impl Reliable {
             serving: None,
             heard: Ns::ZERO,
             gone: vec![false; n],
-            leaving: false,
+            leaving: None,
         }
     }
 
@@ -73,12 +101,12 @@ impl Reliable {
     }
 
     /// Start serving `from`'s request `rid`: the recorded action if it is
-    /// a duplicate, else `None` with the request's key (if it files a
-    /// record) held for [`Self::settle`].
+    /// a duplicate, else `None` with the request's key held for
+    /// [`Self::settle`].
     pub(super) fn admit(&mut self, from: usize, rid: u32, req: &Request) -> Option<Duplicate> {
         let key = ReplayKey::of(from, rid, req);
-        let seen = key.and_then(|k| Some(Duplicate(self.replay.lookup(k)?, k)));
-        self.serving = key.filter(|_| seen.is_none());
+        let seen = self.replay.lookup(key).map(|action| Duplicate(action, key));
+        self.serving = seen.is_none().then_some(key);
         seen
     }
 
@@ -157,6 +185,9 @@ pub(super) struct Duplicate(ReplayAction, ReplayKey);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Class {
     Acquire,
+    /// A barrier arrival, and the `Gone` that follows the exit barrier's:
+    /// a child says it only once it holds the exit release, so its answer
+    /// displaces a record the child no longer needs.
     Barrier,
     /// A fetch (`Diff`, `MultiDiff`, `Page`). A fault round issues at most
     /// one per writer and collects them all before the next round, a page
@@ -165,22 +196,21 @@ pub(super) enum Class {
 }
 
 impl Class {
-    /// The class of a request; `None` for a `Gone`, which files no record.
-    pub(super) fn of(req: &Request) -> Option<Class> {
-        Some(match req {
+    /// The class of a request.
+    pub(super) fn of(req: &Request) -> Class {
+        match req {
             Request::Acquire { .. } | Request::AcquireFwd { .. } => Class::Acquire,
-            Request::BarrierArrive { .. } => Class::Barrier,
+            Request::BarrierArrive { .. } | Request::Gone => Class::Barrier,
             Request::Diff { .. } | Request::MultiDiff { .. } | Request::Page { .. } => Class::Data,
-            Request::Gone => return None,
-        })
+        }
     }
 
     /// [`Class::of`] an encoded request, read from its kind byte alone:
-    /// nothing is decoded.
+    /// nothing is decoded; `None` for a frame that is no request.
     pub(super) fn of_frame(frame: &[u8]) -> Option<Class> {
         Some(match *frame.get(4)? {
             3 | 4 => Class::Acquire,
-            5 | 6 => Class::Barrier,
+            5 | 6 | 9 => Class::Barrier,
             1 | 2 | 7 => Class::Data,
             _ => return None,
         })
@@ -195,14 +225,13 @@ impl Class {
 struct ReplayKey(Class, usize, u32);
 
 impl ReplayKey {
-    /// Key a decoded request that `from` sent under `rid`; `None` for a
-    /// `Gone`.
-    fn of(from: usize, rid: u32, req: &Request) -> Option<ReplayKey> {
-        let class = Class::of(req)?;
-        Some(match *req {
+    /// Key a decoded request that `from` sent under `rid`.
+    fn of(from: usize, rid: u32, req: &Request) -> ReplayKey {
+        let class = Class::of(req);
+        match *req {
             Request::AcquireFwd { requester, rid, .. } => ReplayKey(class, requester as usize, rid),
             _ => ReplayKey(class, from, rid),
-        })
+        }
     }
 }
 
@@ -248,14 +277,14 @@ impl ReplayRecords {
         }
     }
 
-    /// The bytes `key`'s slot sent, lent out to be sent again; give them
-    /// back with [`Self::restore`].
-    fn lend(&mut self, ReplayKey(class, requester, _): ReplayKey) -> Vec<u8> {
+    /// The bytes `requester`'s slot of `class` sent, lent out to be sent
+    /// again; give them back with [`Self::restore`].
+    fn lend(&mut self, class: Class, requester: usize) -> Vec<u8> {
         let slot = self.slots[requester][class as usize].as_mut();
         std::mem::take(&mut slot.expect("a recorded request").bytes)
     }
 
-    fn restore(&mut self, ReplayKey(class, requester, _): ReplayKey, bytes: Vec<u8>) {
+    fn restore(&mut self, class: Class, requester: usize, bytes: Vec<u8>) {
         let slot = self.slots[requester][class as usize].as_mut();
         slot.expect("a recorded request").bytes = bytes;
     }
@@ -309,9 +338,10 @@ impl<S: Substrate> Tmk<S> {
                 self.charge_service(arrival, cost);
             }
             ReplayAction::Sent { chan, to } => {
-                let bytes = self.replay_records().lend(key);
+                let ReplayKey(class, requester, _) = key;
+                let bytes = self.replay_records().lend(class, requester);
                 self.send_in_window(chan, to, &bytes, arrival, cost);
-                self.replay_records().restore(key, bytes);
+                self.replay_records().restore(class, requester, bytes);
             }
         }
     }
@@ -335,11 +365,15 @@ impl<S: Substrate> Tmk<S> {
         }
     }
 
-    /// `from` has said `Gone`: whatever it owed us is not coming.
-    pub(super) fn serve_gone(&mut self, from: usize, arrival: Ns, cost: Ns) {
-        self.charge_service(arrival, cost);
+    /// `from` has said `Gone`, under `rid`: whatever it owed us is not
+    /// coming. Answered, so it stops resending; a resent copy finds the
+    /// answer in its slot.
+    pub(super) fn serve_gone(&mut self, from: usize, rid: u32, arrival: Ns, cost: Ns) {
         let rel = self.rel.as_mut().expect("only a lossy transport says Gone");
         rel.gone[from] = true;
+        let mut w = WireWriter::pooled(5);
+        Response::Gone.encode_into(rid, &mut w);
+        self.respond_wire(from, w, arrival, cost);
     }
 
     /// Whether `peer` has said `Gone`.
@@ -347,29 +381,60 @@ impl<S: Substrate> Tmk<S> {
         self.rel.as_ref().is_some_and(|rel| rel.gone[peer])
     }
 
-    /// The shutdown linger begins: from now on the node waits only for
-    /// children that have left or are about to, so `rto_ceiling` of
-    /// silence means they have left, whether or not their `Gone` got
-    /// through.
-    pub(super) fn start_leaving(&mut self) {
+    /// One of the exit's waits begins — a linger re-sends its children's
+    /// releases every `rto` — and ends when its caller's condition holds or
+    /// after the quiet period with nothing heard.
+    pub(super) fn start_leaving(&mut self, linger: bool) {
+        let now = self.clock().borrow().now();
         if let Some(rel) = self.rel.as_mut() {
-            rel.leaving = true;
+            rel.leaving = Some(Leaving {
+                since: now,
+                nudge: linger.then_some(now + rel.rto0),
+                quiet: false,
+            });
         }
     }
 
-    /// A leaving node heard nothing for `rto_ceiling`: every peer has
-    /// left.
-    pub(super) fn fall_silent(&mut self) {
-        if let Some(rel) = self.rel.as_mut() {
-            rel.gone.fill(true);
-        }
+    /// Whether the current exit wait heard nothing for its quiet period.
+    pub(super) fn fell_quiet(&self) -> bool {
+        let leaving = self.rel.as_ref().and_then(|rel| rel.leaving.as_ref());
+        leaving.is_some_and(|l| l.quiet)
     }
 
-    /// When a leaving node's wait ends for silence: `rto_ceiling` after
-    /// the latest frame heard.
-    pub(super) fn silence_deadline(&self) -> Option<Ns> {
-        let rel = self.rel.as_ref().filter(|rel| rel.leaving)?;
-        Some(rel.heard + rel.rto_ceiling)
+    /// When a leaving node's wait next ends for its own timer: the end of
+    /// its quiet period — `QUIET_RTOS` `rto`s after the wait began or the
+    /// latest frame was heard — or, sooner, a linger's next re-send.
+    pub(super) fn leave_deadline(&self) -> Option<Ns> {
+        let rel = self.rel.as_ref()?;
+        let l = rel.leaving.as_ref()?;
+        let quiet = rel.heard.max(l.since) + rel.rto0 * QUIET_RTOS;
+        Some(l.nudge.map_or(quiet, |n| n.min(quiet)))
+    }
+
+    /// The leaving node's timer fired: it fell quiet, or a linger re-sends
+    /// the release to every child that has not said `Gone` — a child that
+    /// lost its release may be backed off far past the quiet period.
+    pub(super) fn leave_due(&mut self) {
+        let now = self.clock().borrow().now();
+        let rel = self.rel.as_mut().expect("a leaving node is lossy");
+        let (heard, rto0) = (rel.heard, rel.rto0);
+        let l = rel.leaving.as_mut().expect("a leaving node");
+        if heard.max(l.since) + rto0 * QUIET_RTOS <= now {
+            l.quiet = true;
+            return;
+        }
+        l.nudge = Some(now + rto0);
+        for child in self.tree_children() {
+            if self.is_gone(child) {
+                continue;
+            }
+            let bytes = self.replay_records().lend(Class::Barrier, child);
+            let cost = self.sub.response_cost(bytes.len());
+            self.clock().borrow_mut().advance(cost);
+            let at = self.clock().borrow().now();
+            self.sub.send_response_at(child, &bytes, at);
+            self.replay_records().restore(Class::Barrier, child, bytes);
+        }
     }
 
     /// Earliest retransmission deadline over unanswered slots.
@@ -455,10 +520,11 @@ mod tests {
 
     /// The bytes `key`'s slot replays, which must be a send.
     fn sent_bytes(c: &mut ReplayRecords, key: ReplayKey) -> Vec<u8> {
+        let ReplayKey(class, requester, _) = key;
         match c.lookup(key) {
             Some(ReplayAction::Sent { .. }) => {
-                let bytes = c.lend(key);
-                c.restore(key, bytes.clone());
+                let bytes = c.lend(class, requester);
+                c.restore(class, requester, bytes.clone());
                 bytes
             }
             other => panic!("expected Sent, got {other:?}"),
@@ -551,10 +617,12 @@ mod tests {
             Request::Page { page: 3 },
         ];
         for req in &fetches {
-            let ReplayKey(class, requester, rid) = ReplayKey::of(2, 77, req).expect("a record");
+            let ReplayKey(class, requester, rid) = ReplayKey::of(2, 77, req);
             assert_eq!((class, requester, rid), (Class::Data, 2, 77), "{req:?}");
         }
-        assert!(ReplayKey::of(2, 77, &Request::Gone).is_none());
+        // A `Gone` is the barrier arrival that follows the exit's.
+        let ReplayKey(class, requester, rid) = ReplayKey::of(2, 78, &Request::Gone);
+        assert_eq!((class, requester, rid), (Class::Barrier, 2, 78));
     }
 
     /// A request's class read from its frame's kind byte is the class of
@@ -595,7 +663,11 @@ mod tests {
             Request::Gone,
         ];
         for req in &requests {
-            assert_eq!(Class::of_frame(&req.encode(77)), Class::of(req), "{req:?}");
+            assert_eq!(
+                Class::of_frame(&req.encode(77)),
+                Some(Class::of(req)),
+                "{req:?}"
+            );
         }
         assert_eq!(Class::of_frame(&[]), None);
     }
@@ -615,10 +687,10 @@ mod tests {
             vc: crate::vc::VectorClock::new(3),
         };
         let mut c = ReplayRecords::new(3);
-        let key = ReplayKey::of(manager, 900, &fwd).expect("a forward files a record");
+        let key = ReplayKey::of(manager, 900, &fwd);
         c.remember(key, ReplayAction::Pending, &[]);
         c.remember(key, respond(requester), b"grant-bytes");
-        match c.lookup(ReplayKey::of(manager, 901, &fwd).expect("a record")) {
+        match c.lookup(ReplayKey::of(manager, 901, &fwd)) {
             Some(ReplayAction::Sent { to, .. }) => assert_eq!(to, requester),
             other => panic!("expected the grant to the requester, got {other:?}"),
         }

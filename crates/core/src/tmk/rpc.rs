@@ -9,7 +9,7 @@
 //! the `serve` dispatcher that fans incoming requests out to the
 //! coherence and sync layers, the reply path every frame a handler emits
 //! leaves through ([`Tmk::send_in_window`], [`Tmk::respond_now`]), and the
-//! shutdown's `Gone` and linger. On a lossy transport each of these
+//! shutdown's linger and `Gone`. On a lossy transport each of these
 //! consults the node's `reliable` state (timers, replay records, what it
 //! has heard) at one point. This and `reliable` are the only layers that
 //! talk to the [`Substrate`]; of
@@ -120,7 +120,7 @@ impl<S: Substrate> Tmk<S> {
                 vc,
                 records,
             } => self.serve_tree_arrive(from, rid, barrier, floor, vc, records, arrival, cost),
-            Request::Gone => self.serve_gone(from, arrival, cost),
+            Request::Gone => self.serve_gone(from, rid, arrival, cost),
         }
         self.emit(TmkEvent::RequestServed { from, rid });
         if let Some(rel) = self.rel.as_mut() {
@@ -205,15 +205,18 @@ impl<S: Substrate> Tmk<S> {
         w.recycle();
     }
 
-    /// Tell `to` that this node is leaving: a [`Request::Gone`], sent
-    /// once and answered by nothing.
-    pub(super) fn send_gone(&mut self, to: usize) {
-        self.assert_not_me(to);
-        let rid = self.rid();
-        let mut w = WireWriter::pooled(8);
-        Request::Gone.encode_into(rid, &mut w);
-        self.sub.send_request(to, w.as_slice());
-        w.recycle();
+    /// Tell `parent` that this node is leaving: a [`Request::Gone`], resent
+    /// on its rpc timer until the parent answers it, or until the quiet
+    /// period passes with nothing heard (the parent left, and the answer
+    /// was lost).
+    pub(super) fn say_gone(&mut self, parent: usize) {
+        let gone = self.rpc_issue(parent, Request::Gone);
+        self.start_leaving(false);
+        let answered = |t: &mut Self| {
+            let frame = t.take_collected(gone).map(|(_, frame)| pool::give(frame));
+            frame.or_else(|| t.fell_quiet().then_some(()))
+        };
+        while self.wait_step(answered).is_continue() {}
     }
 
     /// No runtime path sends to its own node: a loopback send skips the
@@ -330,9 +333,8 @@ impl<S: Substrate> Tmk<S> {
     /// break with its value without blocking; otherwise block in the
     /// substrate's [`wait`](Substrate::wait) — bounded, on lossy
     /// transports, by the nearest retransmission deadline and, while the
-    /// node lingers, by its silence deadline — and absorb the message,
-    /// fire the due retransmissions, or take silence for every peer's
-    /// `Gone`.
+    /// node is leaving, by its own timer — and absorb the message, fire
+    /// the due retransmissions, or run the leaving node's timer.
     pub(super) fn wait_step<R>(
         &mut self,
         ready: impl FnOnce(&mut Self) -> Option<R>,
@@ -341,12 +343,12 @@ impl<S: Substrate> Tmk<S> {
         if let Some(r) = ready(self) {
             return ControlFlow::Break(r);
         }
-        let silence = self.silence_deadline();
+        let leave = self.leave_deadline();
         let resend = self.rel.as_ref().and_then(|_| self.nearest_deadline());
-        match self.sub.wait(resend.into_iter().chain(silence).min()) {
+        match self.sub.wait(resend.into_iter().chain(leave).min()) {
             Wait::Got(msg) => self.absorb(msg),
-            Wait::Deadline if silence.is_some_and(|s| s <= self.clock().borrow().now()) => {
-                self.fall_silent()
+            Wait::Deadline if leave.is_some_and(|l| l <= self.clock().borrow().now()) => {
+                self.leave_due()
             }
             Wait::Deadline => self.retransmit_due(),
         }
@@ -497,14 +499,18 @@ impl<S: Substrate> Tmk<S> {
 
     /// Lossy-transport shutdown linger: keep answering retransmitted
     /// requests from the replay records — a child whose exit release was
-    /// lost depends on it — until every one of `children` has said `Gone`,
-    /// or until `rto_ceiling` passes with no frame heard (a `Gone` can be
-    /// lost too). A child says `Gone` only after its own linger, so the
-    /// whole subtree has left. A late response finds no outstanding slot
-    /// and is counted as stale by the absorb step.
+    /// lost depends on it, and the release is re-sent every `rto` to each
+    /// child still silent — until every one of `children` has said `Gone`,
+    /// or until the quiet period passes with no frame heard. A child says
+    /// `Gone` only after its own linger, so the whole subtree has left. A
+    /// late response finds no outstanding slot and is counted as stale by
+    /// the absorb step.
     pub(super) fn shutdown_linger(&mut self, children: std::ops::Range<usize>) {
-        self.start_leaving();
-        let all_gone = |t: &mut Self| children.clone().all(|c| t.is_gone(c)).then_some(());
+        self.start_leaving(true);
+        let all_gone = |t: &mut Self| {
+            let gone = children.clone().all(|c| t.is_gone(c));
+            (gone || t.fell_quiet()).then_some(())
+        };
         while self.wait_step(all_gone).is_continue() {}
     }
 }

@@ -501,8 +501,9 @@ impl<S: Substrate> Tmk<S> {
     /// On a lossy transport a node with tree children then lingers: a
     /// child whose exit release was lost keeps retransmitting its arrival,
     /// and only our record of it can answer it. The linger lasts until
-    /// every child has said `Gone` (or falls silent), and then we say
-    /// `Gone` to our parent — the tree drains bottom-up, leaves first.
+    /// every child has said `Gone` (or falls quiet), and then we say
+    /// `Gone` to our parent and wait for its answer — the tree drains
+    /// bottom-up, leaves first, and no wait outlasts a quiet period.
     pub fn exit(&mut self) {
         self.barrier(u32::MAX);
         if self.rel.is_none() {
@@ -513,7 +514,7 @@ impl<S: Substrate> Tmk<S> {
             self.shutdown_linger(children);
         }
         if let Some(parent) = self.tree_parent() {
-            self.send_gone(parent);
+            self.say_gone(parent);
         }
     }
 }

@@ -20,9 +20,9 @@ use crate::{Tmk, TmkConfig, TmkEvent};
 /// [`MemSubstrate`] plus a fixed retransmission timeout: flips the rpc
 /// layer onto its lossy path (replay records kept) without any loss
 /// model underneath — the tests inject duplicates by calling `serve`
-/// twice with the same bytes, and losses by not sending. The count is
-/// of the `Gone` frames this node sent.
-struct LossyMem(MemSubstrate, u32);
+/// twice with the same bytes, and losses by not sending. The list holds
+/// when this node sent each of its `Gone` frames.
+struct LossyMem(MemSubstrate, Vec<Ns>);
 
 /// Retransmission timeout of [`LossyMem`].
 const RTO: Ns = Ns::from_us(500);
@@ -45,7 +45,8 @@ impl Substrate for LossyMem {
     }
     fn send(&mut self, to: usize, chan: Chan, data: &[u8], at: Option<Ns>) {
         if chan == Chan::Request && Request::decode(data).is_some_and(|(_, r)| r == Request::Gone) {
-            self.1 += 1;
+            let now = self.0.clock().borrow().now();
+            self.1.push(now);
         }
         self.0.send(to, chan, data, at)
     }
@@ -73,8 +74,8 @@ fn chain() -> (Tmk<LossyMem>, Tmk<LossyMem>, MemSubstrate) {
     let e1 = eps.pop().unwrap();
     let e0 = eps.pop().unwrap();
     let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
-    let t0 = Tmk::new(LossyMem(mk(e0), 0), TmkConfig::default());
-    let t1 = Tmk::new(LossyMem(mk(e1), 0), TmkConfig::default());
+    let t0 = Tmk::new(LossyMem(mk(e0), Vec::new()), TmkConfig::default());
+    let t1 = Tmk::new(LossyMem(mk(e1), Vec::new()), TmkConfig::default());
     let s2 = mk(e2);
     (t0, t1, s2)
 }
@@ -394,7 +395,7 @@ fn well_framed_diff_past_the_page_is_dropped_as_malformed() {
     let e1 = eps.pop().unwrap();
     let e0 = eps.pop().unwrap();
     let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
-    let mut t0 = Tmk::new(LossyMem(mk(e0), 0), TmkConfig::default());
+    let mut t0 = Tmk::new(LossyMem(mk(e0), Vec::new()), TmkConfig::default());
     let mut s1 = mk(e1);
 
     let (page, lo, hi) = (0, 1, 1);
@@ -433,7 +434,7 @@ fn a_truncated_or_non_canonical_diff_image_is_dropped_as_malformed() {
     let e1 = eps.pop().unwrap();
     let e0 = eps.pop().unwrap();
     let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
-    let mut t0 = Tmk::new(LossyMem(mk(e0), 0), TmkConfig::default());
+    let mut t0 = Tmk::new(LossyMem(mk(e0), Vec::new()), TmkConfig::default());
     let mut s1 = mk(e1);
 
     let rid = t0.rpc_issue(
@@ -489,7 +490,7 @@ fn full_page_of_the_wrong_shape_is_dropped_as_malformed() {
     let e1 = eps.pop().unwrap();
     let e0 = eps.pop().unwrap();
     let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500));
-    let mut t0 = Tmk::new(LossyMem(mk(e0), 0), TmkConfig::default());
+    let mut t0 = Tmk::new(LossyMem(mk(e0), Vec::new()), TmkConfig::default());
     let mut s1 = mk(e1);
 
     let rid = t0.rpc_issue(1, Request::Page { page: 0 });
@@ -553,7 +554,7 @@ fn an_unanswered_request_is_resent_rto_after_it_was_sent_and_not_earlier() {
     let e1 = eps.pop().unwrap();
     let e0 = eps.pop().unwrap();
     let mk = |ep| MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, send_cost);
-    let mut t0 = Tmk::new(LossyMem(mk(e0), 0), TmkConfig::default());
+    let mut t0 = Tmk::new(LossyMem(mk(e0), Vec::new()), TmkConfig::default());
     let mut s1 = mk(e1);
     let fired = Rc::new(RefCell::new(Vec::new()));
     let (sink, clock) = (Rc::clone(&fired), Rc::clone(t0.clock()));
@@ -603,7 +604,7 @@ fn root_and_peers(n: usize) -> (Tmk<LossyMem>, Vec<MemSubstrate>) {
         let ep = eps.next().expect("one endpoint per node");
         MemSubstrate::new(ep, shared_clock(), Arc::clone(&params), Ns::ZERO, Ns(500))
     };
-    let t0 = Tmk::new(LossyMem(mk(), 0), TmkConfig::default());
+    let t0 = Tmk::new(LossyMem(mk(), Vec::new()), TmkConfig::default());
     (t0, (1..n).map(|_| mk()).collect())
 }
 
@@ -624,16 +625,17 @@ fn gone(peer: &mut MemSubstrate, at: Ns) {
     peer.send(0, Chan::Request, &encode(Request::Gone, 2), Some(at));
 }
 
-/// The backoff ceiling: the linger's silence, and the timeout that counts.
-fn rto_ceiling(t: &Tmk<LossyMem>) -> Ns {
-    RTO * (1u64 << t.params().udp.rto_retries)
+/// The quiet period that ends an exit's wait.
+fn quiet() -> Ns {
+    RTO * crate::tmk::reliable::QUIET_RTOS
 }
 
 /// On the lossy path every node but the root says `Gone` exactly once,
-/// to its tree parent and after its own children have, so every parent
-/// leaves after each of its children — on the 3-node centralized barrier
-/// and down a 7-node binary tree, where an interior node's `Gone` stands
-/// for its whole subtree.
+/// to its tree parent and after its own children have, and the parent
+/// answers it: every parent leaves after each of its children said
+/// `Gone`, and each child leaves on its answer, long before a resend —
+/// on the 3-node centralized barrier and down a 7-node binary tree, where
+/// an interior node's `Gone` stands for its whole subtree.
 #[test]
 fn every_child_says_gone_once_and_its_parent_leaves_after_it() {
     use crate::BarrierAlgo::{Centralized, Tree};
@@ -646,45 +648,66 @@ fn every_child_says_gone_once_and_its_parent_leaves_after_it() {
         let out = tm_sim::run_cluster_with(params, mem_cluster(n), move |env, ep| {
             let params = Arc::clone(&env.params);
             let sub = MemSubstrate::new(ep, env.clock.clone(), params, Ns::from_us(5), Ns(500));
-            let mut tmk = Tmk::new(LossyMem(sub, 0), cfg.clone());
+            let mut tmk = Tmk::new(LossyMem(sub, Vec::new()), cfg.clone());
             tmk.barrier(0);
             tmk.acquire(0);
             tmk.release(0);
             tmk.exit();
-            tmk.sub.1
+            std::mem::take(&mut tmk.sub.1)
         });
         for o in &out[1..] {
-            let (node, sent) = (o.id, o.result);
-            assert_eq!(sent, 1, "{algo:?}: node {node} sent {sent} Gone frames");
+            let (node, gones) = (o.id, &o.result);
+            assert_eq!(gones.len(), 1, "{algo:?}: node {node} sent {gones:?}");
             // Both trees have radix 2 (the centralized one is radix n - 1).
             let parent = &out[(o.id - 1) / 2];
             assert!(
-                parent.finish > o.finish,
-                "{algo:?}: node {} left before its child {}",
+                parent.finish > gones[0],
+                "{algo:?}: node {} left before its child {} said Gone",
                 parent.id,
                 o.id
             );
+            assert!(
+                o.finish > gones[0] && o.finish < gones[0] + RTO,
+                "{algo:?}: node {node} left at {:?}, not on its answer",
+                o.finish
+            );
         }
-        assert_eq!(out[0].result, 0, "{algo:?}: the root has no parent to tell");
+        assert!(
+            out[0].result.is_empty(),
+            "{algo:?}: the root has no parent to tell"
+        );
     }
 }
 
-/// A child's `Gone` is lost: the root's linger ends `rto_ceiling` after
-/// the last frame it heard — the other child's `Gone` — to the nanosecond.
+/// A child's `Gone` is lost for good: the root re-sends that child its
+/// release every `rto`, and its linger ends the quiet period after the
+/// last frame it heard — the other child's `Gone`, which it answered — to
+/// the nanosecond, not at the backoff ceiling.
 #[test]
-fn a_lost_gone_ends_the_linger_rto_ceiling_after_the_last_frame_heard() {
+fn a_lost_gone_ends_the_linger_a_quiet_period_after_the_last_frame_heard() {
     let (mut t0, mut peers) = root_and_peers(3);
     exit_arrival(&mut peers[0], Ns::from_us(10));
     exit_arrival(&mut peers[1], Ns::from_us(20));
     let last_heard = Ns::from_ms(1);
     gone(&mut peers[0], last_heard);
     t0.exit();
-    assert_eq!(t0.clock().borrow().now(), last_heard + rto_ceiling(&t0));
+    assert_eq!(t0.clock().borrow().now(), last_heard + quiet());
+    let mut kinds = Vec::new();
     for peer in &mut peers {
-        let release = peer.next_incoming();
-        match Response::decode(&release.data) {
-            Some((1, Response::BarrierRelease { .. })) => {}
-            other => panic!("expected the exit release, got {other:?}"),
+        let mut got = Vec::new();
+        while let Wait::Got(msg) = peer.wait(Some(Ns::from_ms(10))) {
+            got.push(match Response::decode(&msg.data) {
+                Some((1, Response::BarrierRelease { .. })) => "release",
+                Some((2, Response::Gone)) => "gone",
+                other => panic!("expected a release or a Gone's answer, got {other:?}"),
+            });
         }
+        kinds.push(got);
     }
+    // Node 1 was re-sent its release once, an `rto` into the linger,
+    // before it said `Gone` at 1 ms.
+    assert_eq!(kinds[0], ["release", "release", "gone"]);
+    // Node 2 got its release, then a re-send every `rto` of the linger,
+    // which began just past 20 µs and ended at 3 ms.
+    assert_eq!(kinds[1], ["release"; 6]);
 }
