@@ -17,30 +17,46 @@
 //! the writer. What a fault needs of the record later — the order to apply
 //! its diff in — is its `Σvc`, which the log keeps per interval after the
 //! record itself is trimmed.
+//!
+//! So a receiver reads nothing of the interval's vector time but its sum,
+//! and a record has two images, one per [`Profile`]: the specification's
+//! carries the whole clock, as TreadMarks's vector timestamp does, and the
+//! tuned profile's only `Σvc`, with its runs in varints too — at 64 nodes a
+//! one-page record is 13 bytes instead of 84. Both decode everywhere, told
+//! apart by the clock-length field; a relay forwards whichever it got.
 
 use std::fmt;
 use std::rc::Rc;
 
 use crate::page::PageId;
+use crate::tmk::Profile;
 use crate::vc::VectorClock;
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::{varint_len, WireReader, WireWriter};
 
 /// Bytes of a record's allocation ahead of its image: its `Σvc` (u64) and
 /// where in the image its run list starts (u32).
 const HEAD: usize = 12;
+
+/// The clock-length field of a tuned image: no clock follows, but its sum.
+/// A spec image's clock is shorter (a node id is a u16, so no cluster needs
+/// this many entries).
+const SUM_ONLY: u16 = u16::MAX;
 
 /// One interval's write notices, plus the vector time at the interval's
 /// end — receivers order diffs for a page by its `Σ` when several writers
 /// touched the page between two of their synchronizations (migratory data
 /// under locks).
 ///
-/// Held as the image a message carries it in: `[node u16][seq u32]`, the
-/// clock ([`VectorClock::encode`]), then `[count u32]` and one
-/// `(first page, len)` pair of u32s per maximal run of written pages,
-/// ascending — applications write contiguous spans (grid bands, planes,
-/// queue slots), so a record listing a thousand pages usually costs eight
-/// bytes of ranges. The image and what is read off it once — `Σvc` and where
-/// the runs start — are one allocation; a clone is a handle to it.
+/// Held as the image a message carries it in, `[node u16][seq u32]` and
+/// then, under [`Profile::Spec`], the clock ([`VectorClock::encode`]),
+/// `[count u32]` and one `(first page, len)` pair of u32s per maximal run
+/// of written pages, ascending; under [`Profile::Tuned`], `0xffff` in the
+/// clock-length field, `Σvc` as a LEB128 varint, then the count and every
+/// `first` and `len` as varints. Applications write contiguous spans (grid
+/// bands, planes, queue slots), so a record listing a thousand pages
+/// usually costs one run. The image and what is read off it once — `Σvc`
+/// and where the runs start — are one allocation; a clone is a handle to
+/// it.
 #[derive(Clone, PartialEq, Eq)]
 pub struct IntervalRecord {
     bytes: Rc<[u8]>,
@@ -57,24 +73,73 @@ impl fmt::Debug for IntervalRecord {
     }
 }
 
+/// What a record's image carries of its interval's vector time.
+#[derive(Debug, Clone, Copy)]
+enum Stamp<'a> {
+    /// The clock: the spec image.
+    Clock(&'a VectorClock),
+    /// Its sum alone: the tuned image.
+    Sum(u64),
+}
+
 impl IntervalRecord {
     /// The record of interval `seq` of `node`, closed at vector time `vc`,
-    /// that wrote `pages` (any order, repeats allowed; sorted in place).
-    pub fn new(node: u16, seq: u32, vc: &VectorClock, pages: &mut [PageId]) -> IntervalRecord {
+    /// that wrote `pages` (any order, repeats allowed; sorted in place), in
+    /// `profile`'s image.
+    pub fn new(
+        node: u16,
+        seq: u32,
+        vc: &VectorClock,
+        pages: &mut [PageId],
+        profile: Profile,
+    ) -> IntervalRecord {
+        let stamp = match profile {
+            Profile::Spec => Stamp::Clock(vc),
+            Profile::Tuned => Stamp::Sum(vc.sum()),
+        };
+        Self::build(node, seq, stamp, pages)
+    }
+
+    fn build(node: u16, seq: u32, stamp: Stamp, pages: &mut [PageId]) -> IntervalRecord {
         pages.sort_unstable();
         // A run is pages that follow one another, repeats included.
-        let runs = || pages.chunk_by(|a, b| *b <= a + 1);
-        let runs_at = 6 + vc.encoded_len();
-        let len = HEAD + runs_at + 4 + 8 * runs().count();
-        let mut w = WireWriter::pooled(len);
-        w.u64(vc.sum()).u32(runs_at as u32);
+        let runs = || {
+            pages
+                .chunk_by(|a, b| *b <= a + 1)
+                .map(|run| (run[0], run[run.len() - 1] - run[0] + 1))
+        };
+        let count = runs().count() as u32;
+        let (sum, runs_at, runs_len) = match stamp {
+            Stamp::Clock(vc) => {
+                assert!(vc.len() < SUM_ONLY as usize, "a {}-node clock", vc.len());
+                (vc.sum(), 6 + vc.encoded_len(), 4 + 8 * count as usize)
+            }
+            Stamp::Sum(sum) => {
+                let pairs: usize = runs()
+                    .map(|(first, len)| varint_len(first.into()) + varint_len(len.into()))
+                    .sum();
+                (sum, 8 + varint_len(sum), varint_len(count.into()) + pairs)
+            }
+        };
+        let mut w = WireWriter::pooled(HEAD + runs_at + runs_len);
+        w.u64(sum).u32(runs_at as u32);
         w.u16(node).u32(seq);
-        vc.encode(&mut w);
-        w.u32(runs().count() as u32);
-        for run in runs() {
-            let (first, last) = (run[0], run[run.len() - 1]);
-            w.u32(first).u32(last - first + 1);
+        match stamp {
+            Stamp::Clock(vc) => {
+                vc.encode(&mut w);
+                w.u32(count);
+                runs().for_each(|(first, len)| {
+                    w.u32(first).u32(len);
+                });
+            }
+            Stamp::Sum(sum) => {
+                w.u16(SUM_ONLY).u64v(sum).u32v(count);
+                runs().for_each(|(first, len)| {
+                    w.u32v(first).u32v(len);
+                });
+            }
         }
+        debug_assert_eq!(w.len(), HEAD + runs_at + runs_len);
         let bytes = Rc::from(w.as_slice());
         w.recycle();
         IntervalRecord { bytes }
@@ -118,12 +183,23 @@ impl IntervalRecord {
         self.image().len()
     }
 
+    /// Whether the image carries `Σvc` alone (the tuned image).
+    fn sum_only(&self) -> bool {
+        self.bytes[HEAD + 6..HEAD + 8] == SUM_ONLY.to_le_bytes()
+    }
+
     /// The maximal runs of pages written, ascending, as `(first, len)`.
     pub fn ranges(&self) -> impl Iterator<Item = (PageId, u32)> + '_ {
         let runs_at = u32::from_le_bytes(self.bytes[8..12].try_into().expect("a 4-byte offset"));
+        let word = if self.sum_only() {
+            WireReader::u32v
+        } else {
+            WireReader::u32
+        };
+        let mut r = WireReader::new(&self.image()[runs_at as usize..]);
         // Past the run count.
-        let mut r = WireReader::new(&self.image()[runs_at as usize + 4..]);
-        std::iter::from_fn(move || Some((r.u32()?, r.u32()?)))
+        word(&mut r);
+        std::iter::from_fn(move || Some((word(&mut r)?, word(&mut r)?)))
     }
 
     /// The pages written, ascending.
@@ -137,23 +213,29 @@ impl IntervalRecord {
     }
 
     /// The `Σvc`, where the runs start and the bytes of the image at the
-    /// start of `r`: exactly the images [`Self::new`] builds, the clock
-    /// canonical, every run non-empty and starting past the page after the
-    /// previous one ends. Anything else is `None` — a relay forwards these
-    /// bytes.
+    /// start of `r`: exactly the images [`Self::new`] builds under either
+    /// profile, the clock or the sum canonical, every run non-empty and
+    /// starting past the page after the previous one ends. Anything else is
+    /// `None` — a relay forwards these bytes.
     fn scan<'a>(r: &mut WireReader<'a>) -> Option<(u64, usize, &'a [u8])> {
         let start = r.peek_rest();
         r.u16()?;
         r.u32()?;
-        let mut sum = 0;
-        for _ in 0..r.u16()? {
-            sum += u64::from(r.u32v()?);
-        }
+        let clock = r.u16()?;
+        let (sum, word): (u64, fn(&mut WireReader<'a>) -> Option<u32>) = if clock == SUM_ONLY {
+            (r.u64v()?, WireReader::u32v)
+        } else {
+            let mut sum = 0;
+            for _ in 0..clock {
+                sum += u64::from(r.u32v()?);
+            }
+            (sum, WireReader::u32)
+        };
         let runs_at = start.len() - r.remaining();
         // The least page the next run may start at.
         let mut next = 0u64;
-        for _ in 0..r.u32()? {
-            let (first, len) = (u64::from(r.u32()?), u64::from(r.u32()?));
+        for _ in 0..word(r)? {
+            let (first, len) = (u64::from(word(r)?), u64::from(word(r)?));
             if len == 0 || first < next || first + len > 1 << 32 {
                 return None;
             }
@@ -346,15 +428,29 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    const BOTH: [Profile; 2] = [Profile::Spec, Profile::Tuned];
+
+    /// Interval `seq` of `node` in a 4-node cluster, its clock `seq` on the
+    /// node's axis and nothing else, in the spec image.
     fn rec(node: u16, seq: u32, pages: &[u32]) -> IntervalRecord {
+        rec_in(Profile::Spec, node, seq, pages)
+    }
+
+    /// [`rec`] in `profile`'s image.
+    fn rec_in(profile: Profile, node: u16, seq: u32, pages: &[u32]) -> IntervalRecord {
         let mut vc = VectorClock::new(4);
         vc.set(node as usize, seq);
-        IntervalRecord::new(node, seq, &vc, &mut pages.to_vec())
+        IntervalRecord::new(node, seq, &vc, &mut pages.to_vec(), profile)
     }
 
     #[test]
     fn wire_roundtrip() {
-        let rs = vec![rec(0, 1, &[1, 2, 3]), rec(3, 9, &[])];
+        let rs = vec![
+            rec(0, 1, &[1, 2, 3]),
+            rec(3, 9, &[]),
+            rec_in(Profile::Tuned, 1, 200, &[4, 5, 300]),
+            rec_in(Profile::Tuned, 2, 0, &[]),
+        ];
         let mut w = WireWriter::new();
         encode_records(rs.iter(), &mut w);
         let buf = w.finish();
@@ -434,52 +530,114 @@ mod tests {
         assert_eq!(back.pages().collect::<Vec<_>>(), sorted);
     }
 
-    /// A record with clock `vc` whose runs are the `(first, len)` pairs.
-    fn image(vc: &VectorClock, runs: &[(u32, u32)]) -> Vec<u8> {
+    /// A record of interval 1 of node 0 with clock `vc`, in `profile`'s
+    /// image, whose runs are the `(first, len)` pairs.
+    fn image(profile: Profile, vc: &VectorClock, runs: &[(u32, u32)]) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.u16(0).u32(1);
-        vc.encode(&mut w);
-        w.u32(runs.len() as u32);
-        for &(first, len) in runs {
-            w.u32(first).u32(len);
+        match profile {
+            Profile::Spec => {
+                vc.encode(&mut w);
+                w.u32(runs.len() as u32);
+                for &(first, len) in runs {
+                    w.u32(first).u32(len);
+                }
+            }
+            Profile::Tuned => {
+                w.u16(SUM_ONLY).u64v(vc.sum()).u32v(runs.len() as u32);
+                for &(first, len) in runs {
+                    w.u32v(first).u32v(len);
+                }
+            }
         }
         w.finish()
     }
 
     #[test]
     fn a_record_is_its_ascending_page_set() {
-        // Whatever order and repeats it was built from, a record holds the
-        // maximal runs of the set, ascending.
         let mut vc = VectorClock::new(4);
         vc.set(0, 1);
-        let r = rec(0, 1, &[5, 1, 2, 9, 5, 3, 1]);
-        assert_eq!(r.pages().collect::<Vec<_>>(), [1, 2, 3, 5, 9]);
-        assert_eq!(r.ranges().collect::<Vec<_>>(), [(1, 3), (5, 1), (9, 1)]);
-        assert_eq!(r.sum(), 1);
-        let mut w = WireWriter::new();
-        r.encode(&mut w);
-        assert_eq!(w.finish(), image(&vc, &[(1, 3), (5, 1), (9, 1)]));
-        // A relay forwards the bytes it was given, so only that image
-        // decodes: runs that are empty, overlap, touch, arrive out of
-        // order or run past the last page are `None`.
-        for runs in [
-            &[(2, 3), (4, 2)][..],
-            &[(1, 3), (4, 1)],
-            &[(5, 1), (1, 3)],
-            &[(1, 0)],
-            &[(u32::MAX, 2)],
-        ] {
-            let buf = image(&vc, runs);
-            assert_eq!(
-                IntervalRecord::decode(&mut WireReader::new(&buf), &IntervalLog::default()),
-                None,
-                "{runs:?}"
-            );
+        for profile in BOTH {
+            // Whatever order and repeats it was built from, a record holds
+            // the maximal runs of the set, ascending.
+            let r = rec_in(profile, 0, 1, &[5, 1, 2, 9, 5, 3, 1]);
+            assert_eq!(r.pages().collect::<Vec<_>>(), [1, 2, 3, 5, 9]);
+            assert_eq!(r.ranges().collect::<Vec<_>>(), [(1, 3), (5, 1), (9, 1)]);
+            assert_eq!(r.sum(), 1);
+            let mut w = WireWriter::new();
+            r.encode(&mut w);
+            let runs = [(1, 3), (5, 1), (9, 1)];
+            assert_eq!(w.finish(), image(profile, &vc, &runs), "{profile:?}");
+            // A relay forwards the bytes it was given, so only that image
+            // decodes: runs that are empty, overlap, touch, arrive out of
+            // order or run past the last page are `None`.
+            for runs in [
+                &[(2, 3), (4, 2)][..],
+                &[(1, 3), (4, 1)],
+                &[(5, 1), (1, 3)],
+                &[(1, 0)],
+                &[(u32::MAX, 2)],
+            ] {
+                let buf = image(profile, &vc, runs);
+                assert_eq!(
+                    IntervalRecord::decode(&mut WireReader::new(&buf), &IntervalLog::default()),
+                    None,
+                    "{profile:?} {runs:?}"
+                );
+            }
+            let last = image(profile, &vc, &[(0, 1), (u32::MAX, 1)]);
+            let back = IntervalRecord::decode(&mut WireReader::new(&last), &IntervalLog::default());
+            let back = back.unwrap();
+            assert_eq!(back.pages().collect::<Vec<_>>(), [0, u32::MAX]);
         }
-        let last = image(&vc, &[(0, 1), (u32::MAX, 1)]);
-        let back = IntervalRecord::decode(&mut WireReader::new(&last), &IntervalLog::default());
-        let back = back.unwrap();
-        assert_eq!(back.pages().collect::<Vec<_>>(), [0, u32::MAX]);
+    }
+
+    /// The spec image is TreadMarks's record, whose bytes the E-tables
+    /// price: pinned here byte for byte, beside the tuned image of the same
+    /// interval.
+    #[test]
+    fn both_images_are_pinned_byte_for_byte() {
+        let hex = |r: &IntervalRecord| {
+            let mut w = WireWriter::new();
+            r.encode(&mut w);
+            w.finish()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect::<String>()
+        };
+        let mut vc = VectorClock::new(4);
+        [3, 200, 0, 1]
+            .into_iter()
+            .enumerate()
+            .for_each(|(p, x)| vc.set(p, x));
+        let pages = || vec![9, 1, 2, 3, 1000];
+        let spec = IntervalRecord::new(1, 200, &vc, &mut pages(), Profile::Spec);
+        assert_eq!(
+            hex(&spec),
+            // node 1, seq 200, 4 entries 3 200 0 1, 3 runs (1, 3) (9, 1) (1000, 1)
+            concat!(
+                "0100",
+                "c8000000",
+                "0400",
+                "03c8010001",
+                "03000000",
+                "01000000",
+                "03000000",
+                "09000000",
+                "01000000",
+                "e8030000",
+                "01000000",
+            )
+        );
+        let tuned = IntervalRecord::new(1, 200, &vc, &mut pages(), Profile::Tuned);
+        assert_eq!(
+            hex(&tuned),
+            // node 1, seq 200, the marker, Σ 204, 3 runs in varints
+            concat!("0100", "c8000000", "ffff", "cc01", "03", "0103", "0901", "e80701")
+        );
+        assert_eq!((spec.sum(), tuned.sum()), (204, 204));
+        assert_eq!(spec.wire_len(), 41);
+        assert_eq!(tuned.wire_len(), 18);
     }
 
     proptest! {
@@ -495,7 +653,7 @@ mod tests {
         #[test]
         fn decode_is_total_and_canonical(
             junk in proptest::collection::vec(any::<u8>(), 0..64),
-            which in 0usize..3,
+            which in 0usize..6,
             kind in 0u8..3,
             at: usize,
             byte: u8,
@@ -504,6 +662,9 @@ mod tests {
                 rec(0, 1, &[1, 2, 3, 9, 11, 12]),
                 rec(3, 300, &(0..1000).collect::<Vec<_>>()),
                 rec(2, 0, &[]),
+                rec_in(Profile::Tuned, 0, 1, &[1, 2, 3, 9, 11, 12, 1 << 20]),
+                rec_in(Profile::Tuned, 3, 300, &(0..1000).collect::<Vec<_>>()),
+                rec_in(Profile::Tuned, 1, 0, &[]),
             ];
             let mut known = IntervalLog::new(4);
             valid.iter().for_each(|r| { known.insert(r.clone()); });
@@ -523,10 +684,16 @@ mod tests {
                 rec.encode(&mut w);
                 prop_assert_eq!(&w.finish()[..], &buf[..buf.len() - r.remaining()]);
                 if rec.ranges().map(|(_, len)| u64::from(len)).sum::<u64>() <= 1 << 16 {
-                    let clock = VectorClock::decode(&mut WireReader::new(&buf[6..])).unwrap();
                     let mut pages: Vec<_> = rec.pages().collect();
-                    prop_assert_eq!(&rec, &IntervalRecord::new(rec.node(), rec.seq(), &clock, &mut pages));
-                    prop_assert_eq!(rec.sum(), clock.sum());
+                    let (node, seq) = (rec.node(), rec.seq());
+                    if rec.sum_only() {
+                        let built = IntervalRecord::build(node, seq, Stamp::Sum(rec.sum()), &mut pages);
+                        prop_assert_eq!(&rec, &built);
+                    } else {
+                        let clock = VectorClock::decode(&mut WireReader::new(&buf[6..])).unwrap();
+                        prop_assert_eq!(&rec, &IntervalRecord::new(node, seq, &clock, &mut pages, Profile::Spec));
+                        prop_assert_eq!(rec.sum(), clock.sum());
+                    }
                 }
             }
         }
@@ -566,7 +733,8 @@ mod tests {
         /// Over random clocks, some of them intervals the log never learned
         /// of (whose clock is taken to be `seq` on the writer's axis and
         /// nothing else): nothing comes before an item it strictly
-        /// dominates, and equal sums keep their input order.
+        /// dominates, and equal sums keep their input order. A log of the
+        /// tuned images of the same intervals gives the same order.
         #[test]
         fn causal_order_extends_happens_before(
             shapes in proptest::collection::vec(
@@ -576,7 +744,7 @@ mod tests {
                 1..48,
             )
         ) {
-            let mut log = IntervalLog::new(4);
+            let (mut log, mut tuned) = (IntervalLog::new(4), IntervalLog::new(4));
             // An interval's clock is the one it first appeared with.
             let mut clocks: HashMap<(u16, u32), VectorClock> = HashMap::new();
             let mut items: Vec<(u16, u32, usize)> = Vec::new();
@@ -586,7 +754,8 @@ mod tests {
                     let mut vc = VectorClock::new(4);
                     if known {
                         axes.iter().enumerate().for_each(|(p, &x)| vc.set(p, x));
-                        log.insert(IntervalRecord::new(node, seq, &vc, &mut []));
+                        log.insert(IntervalRecord::new(node, seq, &vc, &mut [], Profile::Spec));
+                        tuned.insert(IntervalRecord::new(node, seq, &vc, &mut [], Profile::Tuned));
                     } else {
                         vc.set(node as usize, seq);
                     }
@@ -594,7 +763,10 @@ mod tests {
                 });
                 items.push((node, seq, at));
             }
+            let mut from_tuned = items.clone();
             log.causal_order(&mut items);
+            tuned.causal_order(&mut from_tuned);
+            prop_assert_eq!(&items, &from_tuned);
             for (i, &(wa, sa, at)) in items.iter().enumerate() {
                 let a = &clocks[&(wa, sa)];
                 for &(wb, sb, later) in &items[i + 1..] {
@@ -627,7 +799,7 @@ mod tests {
             .map(|w| {
                 let mut vc = barrier.clone();
                 vc.tick(w as usize);
-                log.insert(IntervalRecord::new(w, 1, &vc, &mut [0]));
+                log.insert(IntervalRecord::new(w, 1, &vc, &mut [0], Profile::Tuned));
                 (w, 1, words(&|p| p[w as usize * 4] = w as u8))
             })
             .collect();
@@ -642,7 +814,7 @@ mod tests {
         let mut chain: Vec<(u16, u32, Diff)> = (1..N as u16)
             .map(|w| {
                 vc.tick(w as usize);
-                log.insert(IntervalRecord::new(w, 1, &vc, &mut [0]));
+                log.insert(IntervalRecord::new(w, 1, &vc, &mut [0], Profile::Tuned));
                 (w, 1, words(&|p| p[0] = w as u8))
             })
             .collect();

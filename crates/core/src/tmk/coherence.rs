@@ -117,8 +117,9 @@ impl<S: Substrate> Tmk<S> {
             self.pages.applied_notice(pid, self.me, seq);
             self.clock().borrow_mut().stats.diffs_created += 1;
         }
-        // The interval's one record, encoded once, on this node.
-        let rec = IntervalRecord::new(self.me, seq, &self.vc, &mut dirty);
+        // The interval's one record, encoded once, on this node, in the
+        // profile's image.
+        let rec = IntervalRecord::new(self.me, seq, &self.vc, &mut dirty, self.cfg.profile);
         self.log.insert(rec);
         dirty.clear();
         self.dirty = dirty;

@@ -18,7 +18,7 @@ use crate::page::Access;
 use crate::protocol::{for_each_page, Response};
 use crate::vc::VectorClock;
 use crate::wire::WireWriter;
-use crate::{Tmk, TmkConfig};
+use crate::{Profile, Tmk, TmkConfig};
 
 const NODES: usize = 3;
 const PAGES: [u32; 4] = [1, 2, 4, 7];
@@ -44,7 +44,7 @@ fn vc(vals: [u32; NODES]) -> VectorClock {
 #[test]
 fn a_notice_is_an_owed_range_and_the_log_keeps_the_one_record() {
     let mut t = node0();
-    let rec = IntervalRecord::new(1, 1, &vc([0, 1, 0]), &mut PAGES.to_vec());
+    let rec = IntervalRecord::new(1, 1, &vc([0, 1, 0]), &mut PAGES.to_vec(), Profile::Tuned);
     t.apply_records(std::slice::from_ref(&rec));
     for pid in PAGES {
         assert_eq!(
@@ -60,7 +60,7 @@ fn a_notice_is_an_owed_range_and_the_log_keeps_the_one_record() {
     let newer = t.log.newer_than(&none).next();
     assert!(IntervalRecord::same(newer.expect("the record"), &rec));
     // A second arrival of the same interval is dropped, not adopted.
-    let again = IntervalRecord::new(1, 1, &vc([0, 1, 0]), &mut PAGES.to_vec());
+    let again = IntervalRecord::new(1, 1, &vc([0, 1, 0]), &mut PAGES.to_vec(), Profile::Tuned);
     t.apply_records(std::slice::from_ref(&again));
     assert_eq!(again.handles(), 1);
     assert_eq!(rec.handles(), 2);
@@ -103,11 +103,11 @@ fn apply_out_of_order(learn: impl FnOnce(&mut Tmk<MemSubstrate>)) -> Tmk<MemSubs
 }
 
 fn first() -> IntervalRecord {
-    IntervalRecord::new(1, 1, &vc([0, 1, 0]), &mut [0])
+    IntervalRecord::new(1, 1, &vc([0, 1, 0]), &mut [0], Profile::Tuned)
 }
 
 fn second() -> IntervalRecord {
-    IntervalRecord::new(2, 1, &vc([0, 1, 1]), &mut [0])
+    IntervalRecord::new(2, 1, &vc([0, 1, 1]), &mut [0], Profile::Tuned)
 }
 
 #[test]

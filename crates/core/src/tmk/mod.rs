@@ -97,15 +97,17 @@ pub enum DiffFetch {
 
 /// Which runtime a node runs: the TreadMarks specification or the tuned
 /// default. They differ in three rules — what an acquire fetches, whom it
-/// asks, and what a first touch fetches — and in how a whole page
-/// travels; barriers and every other message are the same under both.
+/// asks, and what a first touch fetches — and in how a whole page and an
+/// interval record travel; barriers and every other message are the same
+/// messages under both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
     /// The TreadMarks specification baseline, message for message, and
     /// what the experiment tables run: an acquire fetches what its grant
     /// invalidates lazily, one fault at a time inside the critical
     /// section, each writer asked for its diffs; a first touch fetches the
-    /// whole page from its manager; a whole page travels as its bytes.
+    /// whole page from its manager; a whole page travels as its bytes, an
+    /// interval record with its whole vector timestamp.
     Spec,
     /// The default.
     ///
@@ -126,6 +128,11 @@ pub enum Profile {
     ///
     /// A whole page travels as its diff against the zero page, so a page
     /// a few words wide costs the copy of those words.
+    ///
+    /// 4. An interval record carries its vector time's sum `Σvc` — all a
+    ///    receiver reads of it, to order diffs — instead of the clock, with
+    ///    its page runs in varints ([`IntervalRecord`]): a 64-node barrier
+    ///    release of 63 one-page records is a sixth of the spec's bytes.
     Tuned,
 }
 

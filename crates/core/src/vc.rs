@@ -4,7 +4,7 @@
 //! node has incorporated. The happens-before partial order of LRC is the
 //! pointwise order on these vectors.
 
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::{varint_len, WireReader, WireWriter};
 
 /// A vector timestamp, one counter per processor.
 #[derive(Debug, PartialEq, Eq, Hash)]
@@ -95,8 +95,7 @@ impl VectorClock {
 
     /// Bytes [`Self::encode`] writes.
     pub fn encoded_len(&self) -> usize {
-        let varint = |x: u32| (32 - x.leading_zeros()).max(1).div_ceil(7) as usize;
-        2 + self.v.iter().map(|&x| varint(x)).sum::<usize>()
+        2 + self.v.iter().map(|&x| varint_len(x.into())).sum::<usize>()
     }
 
     /// Pointwise maximum with a clock as it arrived.

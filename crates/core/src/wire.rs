@@ -180,7 +180,13 @@ impl WireWriter {
     /// representable — vector-clock entries chiefly, whose fixed-width
     /// encoding made every synchronization message grow 4·nprocs bytes.
     #[inline]
-    pub fn u32v(&mut self, mut v: u32) -> &mut Self {
+    pub fn u32v(&mut self, v: u32) -> &mut Self {
+        self.u64v(u64::from(v))
+    }
+
+    /// LEB128 variable-length u64: at most 10 bytes.
+    #[inline]
+    pub fn u64v(&mut self, mut v: u64) -> &mut Self {
         loop {
             let b = (v & 0x7f) as u8;
             v >>= 7;
@@ -259,6 +265,11 @@ impl WireWriter {
     }
 }
 
+/// Bytes [`WireWriter::u64v`] (or `u32v`) writes for `v`.
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - v.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
 /// Cursor-style decoder. All reads return `Option` — a malformed message
 /// surfaces as `None`, which the protocol layer treats as a hard error.
 #[derive(Debug)]
@@ -314,15 +325,32 @@ impl<'a> WireReader<'a> {
     /// [`WireWriter::u32v`] never writes — instead of panicking.
     #[inline]
     pub fn u32v(&mut self) -> Option<u32> {
+        self.varint::<32>().map(|v| v as u32)
+    }
+
+    /// LEB128 variable-length u64, by [`Self::u32v`]'s rules: at most 10
+    /// bytes, none overflowing 64 bits, none overlong.
+    #[inline]
+    pub fn u64v(&mut self) -> Option<u64> {
+        self.varint::<64>()
+    }
+
+    /// A canonical LEB128 value of at most `BITS` bits.
+    #[inline]
+    fn varint<const BITS: u32>(&mut self) -> Option<u64> {
         let mut v: u64 = 0;
-        for shift in (0..35).step_by(7) {
+        for shift in (0..BITS).step_by(7) {
             let b = self.u8()?;
-            v |= u64::from(b & 0x7f) << shift;
+            let part = u64::from(b & 0x7f);
+            if BITS - shift < 7 && part >> (BITS - shift) != 0 {
+                return None;
+            }
+            v |= part << shift;
             if b & 0x80 == 0 {
                 if b == 0 && shift > 0 {
                     return None;
                 }
-                return u32::try_from(v).ok();
+                return Some(v);
             }
         }
         None
@@ -433,6 +461,38 @@ mod tests {
         let mut r = WireReader::new(&[0x83, 0x00]);
         assert_eq!(r.u32v(), None);
         assert_eq!(WireReader::new(&[0x00]).u32v(), Some(0));
+    }
+
+    #[test]
+    fn u64_varint_sizes_roundtrip_and_bounds() {
+        for (v, len) in [
+            (0u64, 1usize),
+            (127, 1),
+            (128, 2),
+            (u64::from(u32::MAX), 5),
+            (1 << 35, 6),
+            (u64::MAX, 10),
+        ] {
+            let mut w = WireWriter::new();
+            w.u64v(v);
+            let buf = w.finish();
+            assert_eq!(buf.len(), len, "encoded size of {v}");
+            let mut r = WireReader::new(&buf);
+            assert_eq!(r.u64v(), Some(v));
+            assert_eq!(r.remaining(), 0);
+            // A u32 reader takes exactly the values that fit.
+            assert_eq!(WireReader::new(&buf).u32v(), u32::try_from(v).ok());
+        }
+        // Ten bytes whose last carries more than the 64th bit.
+        let mut over = [0xffu8; 10];
+        over[9] = 0x02;
+        assert_eq!(WireReader::new(&over).u64v(), None);
+        over[9] = 0x01;
+        assert_eq!(WireReader::new(&over).u64v(), Some(u64::MAX));
+        // Eleven bytes, overlong, or truncated.
+        assert_eq!(WireReader::new(&[0x80; 11]).u64v(), None);
+        assert_eq!(WireReader::new(&[0x81, 0x00]).u64v(), None);
+        assert_eq!(WireReader::new(&[0xff; 3]).u64v(), None);
     }
 
     #[test]
